@@ -42,19 +42,18 @@ SKALLA_THREADS=4 cargo test -q
 # side is the default and already covered by the runs above.)
 SKALLA_COLUMNAR=0 cargo test -q
 SKALLA_COLUMNAR=0 cargo test -q -p skalla-gmdj
-SKALLA_COLUMNAR=1 cargo test -q -p skalla-gmdj
 # Skew ablation: the heavy-hitter balancer is a pure performance
 # transform, so the kernel and engine crates must pass identically with
-# it forced off and on (the equivalence property test additionally pins
-# bit-identity between the two paths on every run above).
+# it forced off (on is the default, covered above; the equivalence
+# property test additionally pins bit-identity between the two paths on
+# every run).
 SKALLA_SKEW=0 cargo test -q -p skalla-gmdj -p skalla-core
-SKALLA_SKEW=1 cargo test -q -p skalla-gmdj -p skalla-core
 # Cache ablation: the semantic result cache must be invisible to
-# correctness — tier-1 passes identically with it forced off and on.
-# (Tests that depend on a specific hit/miss pattern pin the knob
-# explicitly, so both runs exercise the same assertions.)
+# correctness — tier-1 passes identically with it forced off (on is the
+# default, covered above). Tests that depend on a specific hit/miss
+# pattern pin the knob explicitly, so both settings exercise the same
+# assertions.
 SKALLA_CACHE=0 cargo test -q
-SKALLA_CACHE=1 cargo test -q
 cargo clippy --all-targets -- -D warnings
 # The skalla-lint invariant checker (docs/STATIC_ANALYSIS.md): its own
 # unit + fixture self-tests first — a broken rule must fail loudly, not
@@ -81,9 +80,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 # kernel's canonical-key probe / typed inner loops.
 cargo bench -p skalla-bench --bench probe_alloc
 # Kernel ablation smoke: quick fig_kernel run with the columnar config
-# row; --check asserts the columnar-over-serial speedup floor (and the
-# parallel floor on multi-core runners) plus bit-identity across thread
-# counts and kernels.
+# row; --check asserts the columnar-over-serial speedup floor plus
+# bit-identity across thread counts and kernels.
 cargo run --release -q -p skalla-bench --bin fig_kernel -- \
   --quick --repeats 3 --check --out "$(mktemp)"
 # Skew balancing smoke: quick fig_skew run; --check asserts balanced
@@ -98,6 +96,10 @@ cargo run --release -q -p skalla-bench --bin fig_skew -- \
 # cache-off executions pay byte-for-byte the serial baseline traffic.
 cargo run --release -q -p skalla-bench --bin fig_cache -- \
   --quick --check --out "$(mktemp)"
+# End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
+# size, so a change that breaks its use of the public API fails here and
+# not in the next benchmark run.
+cargo run --release -q -p skalla-bench --bin e2e -- run --smoke --out target/e2e-smoke
 
 # Multi-process TCP smoke test: two standalone site processes on ephemeral
 # loopback ports, one coordinator run over them. Skipped gracefully in

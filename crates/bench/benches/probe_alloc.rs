@@ -1,14 +1,13 @@
 //! Regression guard: the GMDJ hash-probe loop performs **zero heap
 //! allocations per detail-tuple miss**.
 //!
-//! The legacy probe materialized a `Vec<Value>` key per detail tuple
-//! (`Row::key`) even when the index missed; the bucket index probes with a
-//! precomputed hash and in-place column comparisons instead. This guard
-//! measures allocator activity with a counting `#[global_allocator]` while
-//! evaluating two all-miss workloads that differ only in detail size: for
-//! the fast path the difference must be (near) zero, while the legacy path
-//! is kept as a positive control proving the instrument actually counts
-//! per-probe allocations.
+//! The bucket index probes with a precomputed hash and in-place column
+//! comparisons, never materializing a `Vec<Value>` key per detail tuple
+//! (`Row::key`). This guard measures allocator activity with a counting
+//! `#[global_allocator]` while evaluating two all-miss workloads that
+//! differ only in detail size: the difference must be (near) zero. A
+//! closure that boxes one value per extra row is the positive control
+//! proving the instrument actually counts per-row allocations.
 //!
 //! The same guard covers the columnar kernel: its canonical-key probe and
 //! typed aggregate inner loops must also perform zero per-row heap
@@ -81,11 +80,10 @@ fn main() {
     );
     // Single morsel, single worker: the only size-dependent work is the
     // probe loop itself.
-    let opts = |legacy_probe: bool, columnar: bool| EvalOptions {
+    let opts = |columnar: bool| EvalOptions {
         hash_path: true,
         parallelism: 1,
         morsel_rows: 1 << 30,
-        legacy_probe,
         columnar,
         skew_balance: true,
         cache: true,
@@ -97,43 +95,31 @@ fn main() {
     let small = miss_detail(SMALL);
     let large = miss_detail(LARGE);
 
-    // Warm up every path (lazy one-time allocations — including the cached
-    // columnar layout — must not skew counts).
-    for legacy in [false, true] {
-        eval_local(&base, &small, &op, opts(legacy, false)).unwrap();
-        eval_local(&base, &large, &op, opts(legacy, false)).unwrap();
+    // Warm up both kernels (lazy one-time allocations — including the
+    // cached columnar layout — must not skew counts).
+    for columnar in [false, true] {
+        eval_local(&base, &small, &op, opts(columnar)).unwrap();
+        eval_local(&base, &large, &op, opts(columnar)).unwrap();
     }
-    eval_local(&base, &small, &op, opts(false, true)).unwrap();
-    eval_local(&base, &large, &op, opts(false, true)).unwrap();
 
-    let fast_small = allocs_during(|| {
-        eval_local(&base, &small, &op, opts(false, false)).unwrap();
-    });
-    let fast_large = allocs_during(|| {
-        eval_local(&base, &large, &op, opts(false, false)).unwrap();
-    });
-    let col_small = allocs_during(|| {
-        eval_local(&base, &small, &op, opts(false, true)).unwrap();
-    });
-    let col_large = allocs_during(|| {
-        eval_local(&base, &large, &op, opts(false, true)).unwrap();
-    });
-    let legacy_small = allocs_during(|| {
-        eval_local(&base, &small, &op, opts(true, false)).unwrap();
-    });
-    let legacy_large = allocs_during(|| {
-        eval_local(&base, &large, &op, opts(true, false)).unwrap();
-    });
-
-    let fast_delta = fast_large.saturating_sub(fast_small);
-    let col_delta = col_large.saturating_sub(col_small);
-    let legacy_delta = legacy_large.saturating_sub(legacy_small);
+    let measure = |detail: &Relation, columnar: bool| {
+        allocs_during(|| {
+            eval_local(&base, detail, &op, opts(columnar)).unwrap();
+        })
+    };
+    let fast_delta = measure(&large, false).saturating_sub(measure(&small, false));
+    let col_delta = measure(&large, true).saturating_sub(measure(&small, true));
     let extra_rows = (LARGE - SMALL) as u64;
+    let control = allocs_during(|| {
+        for i in 0..extra_rows {
+            std::hint::black_box(Box::new(i));
+        }
+    });
 
     println!("probe_alloc guard ({extra_rows} extra all-miss probes)");
     println!("  fast probe     allocation delta: {fast_delta}");
     println!("  columnar       allocation delta: {col_delta}");
-    println!("  legacy probe   allocation delta: {legacy_delta}");
+    println!("  control        allocations:      {control}");
 
     // Fast path: probing must not allocate per miss. Allow a tiny slack for
     // allocator-internal noise, but nothing proportional to row count.
@@ -149,12 +135,12 @@ fn main() {
         "columnar kernel allocated {col_delta} times for {extra_rows} extra \
          rows — its inner loops regressed to per-row allocation"
     );
-    // Positive control: the legacy probe allocates a key per miss, so the
-    // counter must see at least one allocation per extra row.
+    // Positive control: one box per extra row, so the counter must see
+    // at least one allocation per extra row.
     assert!(
-        legacy_delta >= extra_rows,
-        "legacy probe delta {legacy_delta} < {extra_rows}: the tracking \
-         allocator is not observing per-probe allocations"
+        control >= extra_rows,
+        "control counted {control} < {extra_rows}: the tracking allocator \
+         is not observing per-row allocations"
     );
     println!("probe_alloc guard passed ✓");
 }

@@ -1,17 +1,13 @@
-//! **Kernel ablation — serial vs morsel-parallel vs zero-alloc probe vs
-//! columnar.**
+//! **Kernel ablation — serial vs morsel-parallel vs columnar.**
 //!
 //! Not a paper figure: this measures the *local* GMDJ kernel that every
 //! site runs, isolating the PR-level optimizations from the distributed
-//! machinery. Four configurations evaluate the same group-by GMDJ over a
-//! synthetic detail relation (1M rows by default):
+//! machinery. Three configurations evaluate the same group-by GMDJ over
+//! a synthetic detail relation (1M rows by default):
 //!
-//! * *serial* — one worker, one morsel, legacy allocating probe, row
-//!   kernel (the pre-optimization baseline);
+//! * *serial* — one worker, one morsel, row kernel;
 //! * *morsel* — morsel-driven worker pool (64K-row morsels, one worker
-//!   per core), still the legacy probe, row kernel;
-//! * *morsel+noalloc* — the pool plus the zero-allocation bucket index,
-//!   row kernel;
+//!   per core), row kernel;
 //! * *columnar* — the vectorized kernel: typed accumulator arrays over
 //!   the columnar layout with canonical-key probing.
 //!
@@ -22,9 +18,11 @@
 //!
 //! Results are written to `BENCH_kernel.json` (override with `--out`) so
 //! later PRs have a perf trajectory to compare against. `--check`
-//! additionally asserts the ≥2× columnar-over-serial speedup (a
-//! single-thread property, so it holds on any runner) and — on multi-core
-//! runners only — the ≥2× parallel-over-serial speedup.
+//! additionally asserts the ≥1.5× columnar-over-serial speedup (a
+//! single-thread property, so it holds on any runner) and — on
+//! multi-core runners at full size only — a ≥1.2× parallel-over-serial
+//! speedup. (`--quick` has two morsels, too few for the pool to pay for
+//! its threads.)
 
 use skalla_bench::harness::{arg_value, has_flag};
 use skalla_gmdj::prelude::*;
@@ -89,7 +87,8 @@ fn bit_identical(a: &Relation, b: &Relation) -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: usize = if has_flag(&args, "--quick") { 100_000 } else { 1_000_000 };
+    let quick = has_flag(&args, "--quick");
+    let rows: usize = if quick { 100_000 } else { 1_000_000 };
     let groups = 1024usize;
     let repeats: usize = arg_value(&args, "--repeats")
         .and_then(|v| v.parse().ok())
@@ -99,30 +98,26 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    println!("# Kernel ablation: serial vs morsel vs morsel+no-alloc probe");
+    println!("# Kernel ablation: serial vs morsel vs columnar");
     println!("# rows = {rows}, groups = {groups}, repeats = {repeats}, cores = {cores}");
 
     let detail = synthetic_detail(rows, groups);
     let base = base_of(groups);
     let op = operator();
 
-    let opts = |parallelism: usize, morsel_rows: usize, legacy_probe: bool, columnar: bool| {
-        EvalOptions {
-            hash_path: true,
-            parallelism,
-            morsel_rows,
-            legacy_probe,
-            columnar,
-            skew_balance: true,
-            cache: true,
-            fault_panic_morsel: None,
-        }
+    let opts = |parallelism: usize, morsel_rows: usize, columnar: bool| EvalOptions {
+        hash_path: true,
+        parallelism,
+        morsel_rows,
+        columnar,
+        skew_balance: true,
+        cache: true,
+        fault_panic_morsel: None,
     };
     let configs = [
-        ("serial", opts(1, 1 << 30, true, false)),
-        ("morsel", opts(0, 65_536, true, false)),
-        ("morsel+noalloc", opts(0, 65_536, false, false)),
-        ("columnar", opts(0, 65_536, false, true)),
+        ("serial", opts(1, 1 << 30, false)),
+        ("morsel", opts(0, 65_536, false)),
+        ("columnar", opts(0, 65_536, true)),
     ];
 
     let mut medians = Vec::new();
@@ -143,7 +138,6 @@ fn main() {
             ("label", Json::Str(label.to_string())),
             ("parallelism", Json::UInt(o.parallelism as u64)),
             ("morsel_rows", Json::UInt(o.morsel_rows as u64)),
-            ("legacy_probe", Json::Bool(o.legacy_probe)),
             ("columnar", Json::Bool(o.columnar)),
             ("median_s", Json::Float(med)),
             (
@@ -156,13 +150,13 @@ fn main() {
     // Determinism contract: both kernels are bit-identical across thread
     // counts (fixed morsel size ⇒ fixed merge structure), and the
     // columnar kernel's bits equal the row kernel's.
-    let reference = eval_local(&base, &detail, &op, opts(1, 65_536, false, false))
+    let reference = eval_local(&base, &detail, &op, opts(1, 65_536, false))
         .unwrap()
         .physical;
     let mut identical = true;
     for columnar in [false, true] {
         for p in [1usize, 2, 4] {
-            let got = eval_local(&base, &detail, &op, opts(p, 65_536, false, columnar))
+            let got = eval_local(&base, &detail, &op, opts(p, 65_536, columnar))
                 .unwrap()
                 .physical;
             if !bit_identical(&got, &reference) {
@@ -175,11 +169,9 @@ fn main() {
     println!("bit-identical across 1/2/4 worker threads and both kernels ✓");
 
     let speedup_parallel = medians[0] / medians[1];
-    let speedup_full = medians[0] / medians[2];
-    let speedup_columnar = medians[0] / medians[3];
-    println!("speedup morsel/serial:         {speedup_parallel:.2}x");
-    println!("speedup morsel+noalloc/serial: {speedup_full:.2}x");
-    println!("speedup columnar/serial:       {speedup_columnar:.2}x");
+    let speedup_columnar = medians[0] / medians[2];
+    println!("speedup morsel/serial:   {speedup_parallel:.2}x");
+    println!("speedup columnar/serial: {speedup_columnar:.2}x");
 
     let report = Json::obj(vec![
         ("bench", Json::Str("fig_kernel".into())),
@@ -189,7 +181,6 @@ fn main() {
         ("cores", Json::UInt(cores as u64)),
         ("configs", Json::Arr(config_json)),
         ("speedup_morsel_over_serial", Json::Float(speedup_parallel)),
-        ("speedup_full_over_serial", Json::Float(speedup_full)),
         ("speedup_columnar_over_serial", Json::Float(speedup_columnar)),
         ("bit_identical_across_threads", Json::Bool(identical)),
     ]);
@@ -199,14 +190,14 @@ fn main() {
 
     if has_flag(&args, "--check") {
         assert!(
-            speedup_columnar >= 2.0,
-            "expected >= 2x columnar-over-serial speedup, got {speedup_columnar:.2}x"
+            speedup_columnar >= 1.5,
+            "expected >= 1.5x columnar-over-serial speedup, got {speedup_columnar:.2}x"
         );
-        if cores >= 2 {
+        if cores >= 2 && !quick {
             assert!(
-                speedup_full >= 2.0,
-                "expected >= 2x parallel speedup on a multi-core runner \
-                 ({cores} cores), got {speedup_full:.2}x"
+                speedup_parallel >= 1.2,
+                "expected >= 1.2x parallel speedup on a multi-core runner \
+                 ({cores} cores), got {speedup_parallel:.2}x"
             );
         }
         println!("speedup check passed ✓");

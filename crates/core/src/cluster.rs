@@ -1,11 +1,18 @@
-//! The distributed data warehouse runtime.
+//! Warehouse assembly, the coordinator algorithm, and the centralized
+//! reference.
 //!
-//! A [`Cluster`] owns the partitioned fact relations of the warehouse
-//! sites, spawns one thread per site connected to the coordinator by the
-//! `skalla-net` star transport, and drives Alg. GMDJDistribEval over a
-//! [`DistributedPlan`]: per stage, ship the base structure down, let the
-//! sites compute, synchronize the sub-results, finalize. It also provides
-//! the ship-everything centralized baseline that Skalla's design avoids.
+//! A [`Cluster`] holds the partitioned fact relations of the warehouse
+//! sites and the φ knowledge describing them. It is what tests, benches
+//! and the [`crate::SkallaBuilder`] assemble tables with, and it carries
+//! the ship-everything centralized baseline that Skalla's design avoids
+//! ([`Cluster::execute_centralized`], the oracle the distributed runs
+//! are checked against). Its [`Cluster::execute`] is a one-shot
+//! [`crate::Skalla`] engine over the same partitions.
+//!
+//! The crate-private `run_coordinator` below drives Alg. GMDJDistribEval
+//! over a [`DistributedPlan`] for the engine: per stage, ship the base
+//! structure down, let the sites compute, synchronize the sub-results,
+//! finalize.
 
 use crate::coordinator::{
     empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync, PartialMerge,
@@ -15,10 +22,10 @@ use crate::plan::{DistributedPlan, SiteFilter, StageKind};
 use crate::protocol;
 use crate::skew::{plan_routing, skew_eligible, Assignment, ExtractSpec, HotReport, SkewPlan};
 use crate::stats::{ExecStats, QueryResult, StageTimes};
-use parking_lot::Mutex;
+use crate::warehouse::{EngineConfig, Skalla};
 use skalla_gmdj::eval::EvalOptions;
 use skalla_gmdj::{BaseQuery, GmdjExpr};
-use skalla_net::{star, CoordinatorTransport, Direction, NetStats};
+use skalla_net::{CoordinatorTransport, Direction, NetStats};
 use skalla_obs::{Obs, Track};
 use skalla_relation::{DomainMap, Error, Relation, Result, Row, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -26,23 +33,21 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A distributed data warehouse: `n` sites, each holding a horizontal
-/// fragment of every fact relation, plus the coordinator logic.
+/// A distributed data warehouse's data: `n` sites, each holding a
+/// horizontal fragment of every fact relation, plus the φ knowledge the
+/// planner needs.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    /// Per-site catalogs, `Arc`-shared so site threads and the
-    /// [`crate::Warehouse::catalog`] surface borrow the same metadata
-    /// instead of cloning maps (copy-on-write under mutation).
+    /// Per-site catalogs, `Arc`-shared so an engine's site threads and
+    /// the [`crate::Warehouse::catalog`] surface borrow the same
+    /// metadata instead of cloning maps (copy-on-write under mutation).
     sites: Vec<Arc<HashMap<String, Arc<Relation>>>>,
     /// Partition epoch: bumped on every catalog mutation
     /// ([`Cluster::add_table`]), shared across clones so any handle
     /// observes every swap. The semantic cache keys on it.
     epoch: Arc<AtomicU64>,
     dist: DistributionInfo,
-    eval: EvalOptions,
-    timeout: Duration,
-    chunk_rows: Option<usize>,
-    obs: Obs,
+    cfg: EngineConfig,
 }
 
 impl Cluster {
@@ -53,22 +58,15 @@ impl Cluster {
             sites: (0..n_sites).map(|_| Arc::new(HashMap::new())).collect(),
             epoch: Arc::new(AtomicU64::new(0)),
             dist: DistributionInfo::new(n_sites),
-            eval: EvalOptions::default(),
-            timeout: Duration::from_secs(120),
-            chunk_rows: None,
-            obs: Obs::disabled(),
+            cfg: EngineConfig::default(),
         }
     }
 
-    /// Adopt an engine configuration: evaluation options, round timeout,
-    /// row-blocking chunk size, and observability handle. The
-    /// scheduler settings don't apply to this serial runtime (it
-    /// executes one query at a time) and are ignored.
-    pub fn configure(&mut self, cfg: &crate::warehouse::EngineConfig) -> &mut Cluster {
-        self.eval = cfg.eval;
-        self.timeout = cfg.timeout;
-        self.chunk_rows = cfg.chunk_rows.filter(|r| *r > 0);
-        self.obs = cfg.obs.clone();
+    /// Adopt the engine configuration [`Cluster::execute`] runs under
+    /// (and whose evaluation options [`Cluster::execute_centralized`]
+    /// uses).
+    pub fn configure(&mut self, cfg: &EngineConfig) -> &mut Cluster {
+        self.cfg = cfg.clone();
         self
     }
 
@@ -168,96 +166,14 @@ impl Cluster {
         out
     }
 
-    /// Execute a distributed plan: spawn the site threads, run the
-    /// coordinator, and return the result with full statistics.
+    /// Execute a distributed plan on a one-shot local [`Skalla`] engine
+    /// over these partitions: stand it up, run the plan, release it. A
+    /// one-shot engine has nothing to reuse, so the semantic cache stays
+    /// off whatever the configuration says.
     pub fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
-        let n = self.n_sites();
-        let wall_start = Instant::now();
-        plan.check_structure(n)?;
-        // Validate once against site 0's schemas; B₀…B_m schemas drive
-        // finalization typing.
-        let schemas = plan.expr.validate(self.site_catalog(0))?;
-        let detail_schemas: HashMap<String, Schema> = self.sites[0]
-            .iter()
-            .map(|(k, v)| (k.clone(), v.schema().clone()))
-            .collect();
-
-        let (coord, site_nets) = star(n);
-        coord.stats().set_obs(self.obs.clone());
-        let mut query_span = self
-            .obs
-            .span(Track::Coordinator, "query")
-            .with("sites", n)
-            .with("rounds", plan.n_rounds());
-        let times: Arc<Mutex<Vec<(usize, usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut handles = Vec::with_capacity(n);
-        for site_net in site_nets {
-            let catalog = self.sites[site_net.site_id()].clone();
-            let times = Arc::clone(&times);
-            let obs = self.obs.clone();
-            handles.push(std::thread::spawn(move || {
-                crate::site::site_loop(&catalog, &site_net, Some(&times), &obs)
-            }));
-        }
-
-        // Ship the plan (with the evaluation options every site's kernel
-        // should use, and the row-blocking chunk size) over the accounted
-        // transport (round 0).
-        coord.stats().begin_round("plan");
-        let plan_bytes =
-            crate::plan_codec::encode_plan_with_options(plan, &self.eval, self.chunk_rows);
-        let plan_msg = skalla_net::Message::new(protocol::TAG_PLAN, plan_bytes);
-        let dispatch = coord.broadcast(&plan_msg).map_err(net_err);
-
-        let run = dispatch.and_then(|()| {
-            run_coordinator(
-                &coord,
-                plan,
-                &schemas,
-                &detail_schemas,
-                &self.eval,
-                self.timeout,
-                &self.obs,
-                Track::Coordinator,
-                None,
-                None,
-            )
-        });
-
-        // Always release the sites, even on error.
-        let _ = coord.broadcast(&protocol::shutdown());
-        for h in handles {
-            h.join()
-                .map_err(|_| Error::Execution("site thread panicked".into()))?;
-        }
-
-        let (relation, mut stage_times) = run?;
-        // Leading entry for the plan-distribution round.
-        stage_times.insert(
-            0,
-            StageTimes {
-                label: "plan".to_string(),
-                site_busy_s: vec![0.0; n],
-                ..StageTimes::default()
-            },
-        );
-        for (site, stage, secs) in times.lock().iter() {
-            if let Some(st) = stage_times.get_mut(*stage + 1) {
-                st.site_busy_s[*site] += secs;
-            }
-        }
-        let net = finished_rounds(coord.stats());
-        query_span.arg("result_rows", relation.len());
-        query_span.finish();
-        Ok(QueryResult {
-            relation,
-            stats: ExecStats {
-                stages: stage_times,
-                net,
-                wall_s: wall_start.elapsed().as_secs_f64(),
-            },
-        })
+        let mut cfg = self.cfg.clone();
+        cfg.eval.cache = false;
+        Skalla::start_local(self, cfg)?.execute(plan)
     }
 
     /// The ship-everything baseline: gather every referenced fragment at
@@ -305,7 +221,7 @@ impl Cluster {
             ..StageTimes::default()
         };
         let t1 = Instant::now();
-        let relation = expr.eval_centralized(&catalog, self.eval)?;
+        let relation = expr.eval_centralized(&catalog, self.cfg.eval)?;
         evaluate.coord_s = t1.elapsed().as_secs_f64();
 
         Ok(QueryResult {
@@ -319,19 +235,16 @@ impl Cluster {
     }
 }
 
-/// Drive Alg. GMDJDistribEval over any coordinator transport: per stage,
-/// ship the base structure down, collect sub-results, synchronize. Shared
-/// by the in-process [`Cluster`], the TCP
-/// [`crate::remote::RemoteCluster`], and the concurrent
-/// [`crate::warehouse::Skalla`] engine, which is what makes every path
-/// byte-identical by construction — the protocol logic cannot diverge
-/// between them.
+/// Drive Alg. GMDJDistribEval over a coordinator transport: per stage,
+/// ship the base structure down, collect sub-results, synchronize. The
+/// [`Skalla`] engine calls this once per executing query, whichever
+/// backend carries the bytes, so the protocol logic cannot diverge
+/// between transports.
 ///
-/// `track` is the obs timeline the coordinator-side spans land on:
-/// serial paths use [`Track::Coordinator`]; the concurrent engine gives
-/// each query its own [`Track::Query`] so span nesting (which is
-/// per-track) stays correct under interleaving. Spans carry a
-/// `query_id` attribute when the track names one.
+/// Coordinator-side spans land on the query's own
+/// [`Track::Query`]`(query_id)` timeline — span nesting is per-track, so
+/// it stays correct when queries interleave — and carry a `query_id`
+/// attribute.
 ///
 /// `resume` seeds execution from a cached prefix snapshot: `(j, b)`
 /// adopts `b` as the synchronized base structure after stage `j` and
@@ -357,14 +270,11 @@ pub(crate) fn run_coordinator(
     eval: &EvalOptions,
     timeout: Duration,
     obs: &Obs,
-    track: Track,
+    query_id: u32,
     resume: Option<(usize, Relation)>,
     mut snapshots: Option<&mut Vec<(usize, Relation)>>,
 ) -> Result<(Relation, Vec<StageTimes>)> {
-    let query_id = match track {
-        Track::Query(q) => q,
-        _ => 0,
-    };
+    let track = Track::Query(query_id);
     let n = coord.n_sites();
     let (resume_after, mut b_cur) = match resume {
         Some((j, rel)) => (Some(j), Some(rel)),
@@ -400,10 +310,9 @@ pub(crate) fn run_coordinator(
             continue;
         }
         coord.stats().begin_round(stage.label.clone());
-        let mut stage_span = obs.span(track, stage.label.as_str());
-        if query_id != 0 {
-            stage_span.arg("query_id", query_id as u64);
-        }
+        let mut stage_span = obs
+            .span(track, stage.label.as_str())
+            .with("query_id", query_id as u64);
         let mut st = StageTimes {
             label: stage.label.clone(),
             site_busy_s: vec![0.0; n],
@@ -1183,9 +1092,9 @@ mod tests {
     fn execution_records_full_span_tree() {
         let mut c = cluster();
         let obs = Obs::recording();
-        c.configure(&crate::warehouse::EngineConfig {
+        c.configure(&EngineConfig {
             obs: obs.clone(),
-            ..crate::warehouse::EngineConfig::default()
+            ..EngineConfig::default()
         });
         let plan = Planner::new(c.distribution())
             .with_obs(obs.clone())
@@ -1196,16 +1105,17 @@ mod tests {
         let spans = rec.spans();
         // Every span closed.
         assert!(spans.iter().all(|s| s.dur_us.is_some()));
-        // Query root on the coordinator track, stages nested beneath it.
+        // Query root on the query's own track (a one-shot engine's only
+        // query is number 1), stages nested beneath it.
         let query = spans
             .iter()
             .find(|s| s.name == "query")
             .expect("query span");
-        assert_eq!(query.track, Track::Coordinator);
+        assert_eq!(query.track, Track::Query(1));
         for label in ["base", "gmdj 1", "gmdj 2"] {
             let st = spans
                 .iter()
-                .find(|s| s.name == label && s.track == Track::Coordinator)
+                .find(|s| s.name == label && s.track == Track::Query(1))
                 .unwrap_or_else(|| panic!("missing stage span {label}"));
             assert_eq!(st.parent, Some(query.id));
         }
@@ -1218,7 +1128,7 @@ mod tests {
             assert_eq!(
                 spans
                     .iter()
-                    .filter(|s| s.track == Track::Site(site))
+                    .filter(|s| s.track == Track::SiteQuery(site, 1))
                     .count(),
                 3,
                 "site {site} task spans"
@@ -1235,9 +1145,9 @@ mod tests {
     fn group_reduction_emits_elimination_events() {
         let mut c = cluster();
         let obs = Obs::recording();
-        c.configure(&crate::warehouse::EngineConfig {
+        c.configure(&EngineConfig {
             obs: obs.clone(),
-            ..crate::warehouse::EngineConfig::default()
+            ..EngineConfig::default()
         });
         // Restrict to g <= 2: site 1 (g = 3) is skipped under Thm 4.
         let e = GmdjExprBuilder::distinct_base("t", &["g"])

@@ -4,11 +4,14 @@
 //! queries (GMDJ expressions) over a coordinator + local-warehouse-sites
 //! architecture, shipping only aggregate structures — never detail data.
 //!
-//! * [`cluster::Cluster`] — the in-process runtime: threaded sites,
-//!   coordinator, Alg. GMDJDistribEval, and the ship-everything
-//!   centralized baseline.
-//! * [`remote::RemoteCluster`] / [`remote::SiteServer`] — the same
-//!   coordinator algorithm over the TCP transport, for real
+//! * [`warehouse::Skalla`] — the engine: admission control, the query
+//!   multiplexer, and Alg. GMDJDistribEval over persistent per-site
+//!   sessions, in-process (channel transport) or multi-process (TCP),
+//!   behind the [`warehouse::Warehouse`] API.
+//! * [`cluster::Cluster`] — partitioned tables and their φ knowledge,
+//!   plus the ship-everything centralized baseline the engine is
+//!   checked against.
+//! * [`remote::SiteServer`] — a standalone warehouse site for real
 //!   multi-process clusters (`skalla-cli site` / `skalla-cli run
 //!   --sites`).
 //! * [`plan::Planner`] — the Egil planner: coalescing, distribution-aware
@@ -48,7 +51,7 @@ pub use plan::{
     DistributedPlan, OptFlags, PlanDecision, Planner, SiteFilter, Stage, StageKind, Unit,
 };
 pub use plan_codec::{decode_plan, encode_plan};
-pub use remote::{RemoteCluster, SiteServer};
+pub use remote::SiteServer;
 pub use scheduler::{AdmissionError, QueryId, QueryScheduler, SchedulerConfig};
 pub use skew::{plan_routing, skew_eligible, HotReport, SkewPlan, SkewSpec};
 pub use stats::{ExecStats, QueryResult, RoundSummary, SimBreakdown, StageTimes};

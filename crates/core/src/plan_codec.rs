@@ -96,7 +96,6 @@ fn put_eval_options(enc: &mut Encoder, opts: &EvalOptions) {
     enc.put_u8(opts.hash_path as u8);
     enc.put_u32(opts.parallelism as u32);
     enc.put_u32(opts.morsel_rows.min(u32::MAX as usize) as u32);
-    enc.put_u8(opts.legacy_probe as u8);
     enc.put_u8(opts.columnar as u8);
     enc.put_u8(opts.skew_balance as u8);
     enc.put_u8(opts.cache as u8);
@@ -113,7 +112,6 @@ fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
     let hash_path = dec.get_u8()? != 0;
     let parallelism = dec.get_u32()? as usize;
     let morsel_rows = (dec.get_u32()? as usize).max(1);
-    let legacy_probe = dec.get_u8()? != 0;
     let columnar = dec.get_u8()? != 0;
     let skew_balance = dec.get_u8()? != 0;
     let cache = dec.get_u8()? != 0;
@@ -126,7 +124,6 @@ fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
         hash_path,
         parallelism,
         morsel_rows,
-        legacy_probe,
         columnar,
         skew_balance,
         cache,
@@ -139,7 +136,8 @@ fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
 /// site runs its kernel with the cluster-configured knobs. Carrying
 /// `chunk_rows` in-band (rather than at thread-spawn time) means a remote
 /// site process chunks its results exactly like an in-process site, which
-/// the transport-invariance of the byte accounting depends on.
+/// the transport-invariance of the byte accounting depends on. A chunk
+/// size of zero means row blocking is off, like `None`.
 pub fn encode_plan_with_options(
     plan: &DistributedPlan,
     opts: &EvalOptions,
@@ -147,7 +145,7 @@ pub fn encode_plan_with_options(
 ) -> Vec<u8> {
     let mut enc = Encoder::new();
     put_eval_options(&mut enc, opts);
-    match chunk_rows {
+    match chunk_rows.filter(|rows| *rows > 0) {
         Some(rows) => {
             enc.put_u8(1);
             enc.put_u32(rows.min(u32::MAX as usize) as u32);
@@ -287,7 +285,6 @@ mod tests {
                 hash_path: true,
                 parallelism: 0,
                 morsel_rows: 65_536,
-                legacy_probe: false,
                 columnar: true,
                 skew_balance: true,
                 cache: true,
@@ -297,7 +294,6 @@ mod tests {
                 hash_path: false,
                 parallelism: 7,
                 morsel_rows: 256,
-                legacy_probe: true,
                 columnar: false,
                 skew_balance: false,
                 cache: false,
@@ -312,7 +308,6 @@ mod tests {
                 assert_eq!(back_opts.hash_path, opts.hash_path);
                 assert_eq!(back_opts.parallelism, opts.parallelism);
                 assert_eq!(back_opts.morsel_rows, opts.morsel_rows);
-                assert_eq!(back_opts.legacy_probe, opts.legacy_probe);
                 assert_eq!(back_opts.columnar, opts.columnar);
                 assert_eq!(back_opts.skew_balance, opts.skew_balance);
                 assert_eq!(back_opts.cache, opts.cache);

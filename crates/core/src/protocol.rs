@@ -8,6 +8,10 @@
 //! coordinator uses to learn site schemas (`TAG_CATALOG_REQ`/
 //! `TAG_CATALOG`). Every message is payload-identical whichever transport
 //! carries it, so the recorded traffic is transport-invariant.
+//!
+//! Every frame names its query ([`skalla_net::Message::query_id`], ids
+//! from 1). Query id 0 is the control stream only: the catalog handshake
+//! and the session-ending [`TAG_SHUTDOWN`].
 
 use crate::skew::{ExtractSpec, HotReport};
 use skalla_net::Message;
@@ -24,7 +28,10 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 ///   message names the query it belongs to, so persistent per-site
 ///   connections can interleave rounds of concurrent queries, released
 ///   individually by [`TAG_QUERY_DONE`].
-pub const PROTOCOL_VERSION: u32 = 2;
+/// * **v3** — v2 frames; the [`TAG_PLAN`] option block is one byte
+///   shorter (a retired kernel-ablation flag), so a v2 peer would
+///   misread every plan.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Coordinator → site: run a stage (optionally with a base fragment).
 pub const TAG_RUN_STAGE: u8 = 1;
@@ -413,9 +420,8 @@ pub fn shutdown() -> Message {
 
 /// Encode a `QUERY_DONE` message. The query it retires travels in the
 /// frame's query id (stamped by the per-query transport handle), so the
-/// payload is empty — the same zero-payload framing charge as
-/// [`shutdown`], keeping per-query traffic accounting identical to a
-/// serial session's shutdown broadcast.
+/// payload is empty: releasing a query costs one zero-payload framing
+/// charge per site, the same as [`shutdown`].
 pub fn query_done() -> Message {
     Message::new(TAG_QUERY_DONE, Vec::new())
 }
@@ -797,8 +803,8 @@ mod tests {
 
     #[test]
     fn query_done_is_zero_payload() {
-        // QUERY_DONE must charge exactly what SHUTDOWN charges, so a
-        // concurrent query's final round equals a serial session's.
+        // QUERY_DONE must charge exactly what SHUTDOWN charges: one
+        // zero-payload frame per site in the query's final round.
         assert_eq!(query_done().payload.len(), shutdown().payload.len());
         assert_eq!(query_done().tag, TAG_QUERY_DONE);
     }

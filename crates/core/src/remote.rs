@@ -1,69 +1,49 @@
 //! Multi-process execution over the TCP transport.
 //!
-//! [`RemoteCluster`] is the coordinator side: it dials a set of site
-//! processes (started with `skalla-cli site` or [`SiteServer`]), learns
-//! their schemas and partition domains through the catalog handshake, and
-//! then drives exactly the same coordinator algorithm as the in-process
-//! [`crate::Cluster`] — the protocol logic is shared (the crate-private
-//! `run_coordinator` in [`crate::cluster`]), so the two transports
-//! produce bit-identical results and identical logical traffic
-//! accounting by construction.
+//! [`SiteServer`] is a standalone warehouse site (what `skalla-cli site`
+//! runs): it answers the versioned catalog handshake and then serves the
+//! session with [`site_session_loop`], the same loop an in-process site
+//! thread runs. The coordinator side is the [`crate::Skalla`] engine's
+//! remote backend ([`crate::SkallaBuilder::remote`]): it dials the sites,
+//! learns their schemas and partition domains through
+//! `catalog_handshake`, holds one persistent session per site for its
+//! whole lifetime, and multiplexes any number of (concurrent) queries
+//! over it by query id.
 //!
-//! Differences from the in-process runtime, by design:
-//!
-//! * **Per-site busy times are not reported on this legacy entry point**
-//!   (`site_busy_s` stays 0 for [`RemoteCluster::execute`]): a serial
-//!   session never sends the `QUERY_DONE` that triggers a site's
-//!   accounting-exempt telemetry reply. The concurrent [`crate::Skalla`]
-//!   engine *does* receive site-reported busy times over the remote
-//!   backend, via [`crate::protocol::TAG_TELEMETRY`] frames that the
-//!   transports exempt from byte accounting.
-//! * **The catalog handshake is charged to a pre-query round** and sliced
-//!   out of each query's [`crate::stats::ExecStats::net`], so the
-//!   per-query rounds line up one-to-one with an in-process run.
-//! * **One query per connection — on this legacy entry point only**:
-//!   [`RemoteCluster::execute`] releases the sites with a shutdown
-//!   broadcast (exactly like the in-process cluster releases its
-//!   threads), which ends the TCP session; a [`SiteServer`] loops back
-//!   to accept the next coordinator unless told to serve `--once`. The
-//!   [`crate::Skalla`] engine instead holds one **persistent session**
-//!   per site for its whole lifetime and multiplexes any number of
-//!   (concurrent) queries over it by query id — new code should build a
-//!   `Skalla` via [`crate::SkallaBuilder::remote`].
+//! The handshake is charged to the shared connection's pre-query round,
+//! never to a query's [`crate::stats::ExecStats::net`], so per-query
+//! rounds line up one-to-one with an in-process run; site busy times
+//! come back in [`crate::protocol::TAG_TELEMETRY`] frames, which the
+//! transports exempt from byte accounting.
 
-use crate::cluster::{net_err, run_coordinator};
+use crate::cluster::net_err;
 use crate::distribution::DistributionInfo;
-use crate::plan::DistributedPlan;
 use crate::protocol::{self, SiteCatalogEntry};
 use crate::site::site_session_loop;
-use crate::stats::{ExecStats, QueryResult, StageTimes};
-use skalla_gmdj::eval::EvalOptions;
-use skalla_net::{CoordinatorTransport, SiteTransport, TcpConfig, TcpCoordinator, TcpSiteListener};
-use skalla_obs::{Obs, Track};
-use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
+use skalla_net::{CoordinatorTransport, SiteTransport, TcpConfig, TcpSiteListener};
+use skalla_obs::Obs;
+use skalla_relation::{DomainMap, Error, Relation, Result};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long the coordinator waits for each site's catalog reply.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// What the catalog handshake learns: distribution knowledge, the
-/// plan-validation catalog, and per-site row counts.
-pub(crate) type HandshakeInfo = (DistributionInfo, HashMap<String, Arc<Relation>>, Vec<u64>);
+/// What the catalog handshake learns: distribution knowledge and the
+/// plan-validation catalog.
+pub(crate) type HandshakeInfo = (DistributionInfo, HashMap<String, Arc<Relation>>);
 
 /// Run the versioned catalog handshake over an established coordinator
 /// transport: broadcast the catalog request (carrying
 /// [`protocol::PROTOCOL_VERSION`]), collect every site's reply, and
-/// assemble the coordinator's distribution knowledge, plan-validation
-/// catalog, and per-site row counts — checking the sites agree on the
-/// warehouse shape. Shared by [`RemoteCluster::connect`] and the
-/// concurrent [`crate::warehouse::Skalla`] engine's remote backend.
+/// assemble the coordinator's distribution knowledge and
+/// plan-validation catalog — checking the sites agree on the warehouse
+/// shape.
 ///
-/// Handshake traffic lands in the accounting's currently open round
-/// (the pre-query "round 0"), which the callers slice off per-query
-/// stats.
+/// Handshake traffic lands in the shared transport's accounting (the
+/// pre-query "round 0"), never in any query's stats.
 pub(crate) fn catalog_handshake(coord: &dyn CoordinatorTransport) -> Result<HandshakeInfo> {
     let n = coord.n_sites();
     coord
@@ -106,7 +86,6 @@ pub(crate) fn catalog_handshake(coord: &dyn CoordinatorTransport) -> Result<Hand
 
     let mut dist = DistributionInfo::new(n);
     let mut catalog: HashMap<String, Arc<Relation>> = HashMap::new();
-    let mut rows_per_site = vec![0u64; n];
     for entry in &per_site[0] {
         let mut domains = Vec::with_capacity(n);
         for (site, entries) in per_site.iter().enumerate() {
@@ -126,7 +105,6 @@ pub(crate) fn catalog_handshake(coord: &dyn CoordinatorTransport) -> Result<Hand
                 )));
             }
             domains.push(here.domains.clone());
-            rows_per_site[site] += here.rows;
         }
         dist.set_table(entry.table.clone(), domains);
         catalog.insert(
@@ -143,172 +121,7 @@ pub(crate) fn catalog_handshake(coord: &dyn CoordinatorTransport) -> Result<Hand
             )));
         }
     }
-    Ok((dist, catalog, rows_per_site))
-}
-
-/// The coordinator's handle to a running multi-process cluster.
-///
-/// Connect with [`RemoteCluster::connect`], plan against
-/// [`RemoteCluster::distribution`], then [`RemoteCluster::execute`] one
-/// query (the shutdown broadcast that releases the sites ends the
-/// session — reconnect for the next query).
-pub struct RemoteCluster {
-    coord: TcpCoordinator,
-    dist: DistributionInfo,
-    catalog: Arc<HashMap<String, Arc<Relation>>>,
-    rows_per_site: Vec<u64>,
-    eval: EvalOptions,
-    timeout: Duration,
-    chunk_rows: Option<usize>,
-    obs: Obs,
-}
-
-impl std::fmt::Debug for RemoteCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut tables: Vec<&String> = self.catalog.keys().collect(); // lint: allow(unordered-iter) sorted on the next line
-        tables.sort();
-        f.debug_struct("RemoteCluster")
-            .field("n_sites", &self.coord.n_sites())
-            .field("tables", &tables)
-            .finish()
-    }
-}
-
-impl RemoteCluster {
-    /// Dial every site (with the config's retry/backoff), then run the
-    /// catalog handshake: each site describes its tables, schemas, and
-    /// partition domains, from which the coordinator assembles its
-    /// [`DistributionInfo`] and validation catalog. `addrs[i]` becomes
-    /// site `i`; all sites must advertise the same tables and schemas.
-    pub fn connect(addrs: &[String], cfg: &TcpConfig) -> Result<RemoteCluster> {
-        if addrs.is_empty() {
-            return Err(Error::Execution("a cluster needs at least one site".into()));
-        }
-        let coord = TcpCoordinator::connect(addrs, cfg).map_err(net_err)?;
-        let (dist, catalog, rows_per_site) = catalog_handshake(&coord)?;
-
-        Ok(RemoteCluster {
-            coord,
-            dist,
-            catalog: Arc::new(catalog),
-            rows_per_site,
-            eval: EvalOptions::default(),
-            timeout: Duration::from_secs(120),
-            chunk_rows: None,
-            obs: Obs::disabled(),
-        })
-    }
-
-    /// Number of connected sites.
-    pub fn n_sites(&self) -> usize {
-        self.coord.n_sites()
-    }
-
-    /// Total rows each site reported in the handshake (diagnostics).
-    pub fn rows_per_site(&self) -> &[u64] {
-        &self.rows_per_site
-    }
-
-    /// The coordinator's distribution knowledge, learned from the
-    /// handshake (feed this to [`crate::plan::Planner::new`]).
-    pub fn distribution(&self) -> DistributionInfo {
-        self.dist.clone()
-    }
-
-    /// Table schemas, as empty relations (plan-validation catalog).
-    pub fn catalog(&self) -> &HashMap<String, Arc<Relation>> {
-        &self.catalog
-    }
-
-    /// The handshake catalog as a shared handle (what
-    /// [`crate::Warehouse::catalog`] hands out — no map clone).
-    pub fn catalog_shared(&self) -> Arc<HashMap<String, Arc<Relation>>> {
-        Arc::clone(&self.catalog)
-    }
-
-    /// Adopt an engine configuration: evaluation options (shipped to
-    /// every site with the plan), round timeout, row-blocking chunk
-    /// size, and observability handle (message events gain `transport:
-    /// "tcp"`). The scheduler settings don't apply to this serial
-    /// runtime (one query per session) and are ignored.
-    pub fn configure(&mut self, cfg: &crate::warehouse::EngineConfig) -> &mut RemoteCluster {
-        self.eval = cfg.eval;
-        self.timeout = cfg.timeout;
-        self.chunk_rows = cfg.chunk_rows.filter(|r| *r > 0);
-        self.obs = cfg.obs.clone();
-        self
-    }
-
-    /// Execute a distributed plan over the connected sites and return the
-    /// result with full statistics — the same shape, round labels, and
-    /// logical traffic accounting as [`crate::Cluster::execute`], except
-    /// that per-site busy times are zero (see the module docs). Ends the
-    /// session by releasing the sites.
-    pub fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
-        let n = self.n_sites();
-        let wall_start = Instant::now();
-        plan.check_structure(n)?;
-        let schemas = plan.expr.validate(self.catalog.as_ref())?;
-        let detail_schemas: HashMap<String, Schema> = self
-            .catalog
-            .iter()
-            .map(|(k, v)| (k.clone(), v.schema().clone()))
-            .collect();
-
-        self.coord.stats().set_obs(self.obs.clone());
-        let mut query_span = self
-            .obs
-            .span(Track::Coordinator, "query")
-            .with("sites", n)
-            .with("rounds", plan.n_rounds());
-
-        // Rounds before this mark belong to the handshake, not the query.
-        let mark = self.coord.stats().rounds().len();
-        self.coord.stats().begin_round("plan");
-        let plan_bytes =
-            crate::plan_codec::encode_plan_with_options(plan, &self.eval, self.chunk_rows);
-        let plan_msg = skalla_net::Message::new(protocol::TAG_PLAN, plan_bytes);
-        let dispatch = self.coord.broadcast(&plan_msg).map_err(net_err);
-
-        let run = dispatch.and_then(|()| {
-            run_coordinator(
-                &self.coord,
-                plan,
-                &schemas,
-                &detail_schemas,
-                &self.eval,
-                self.timeout,
-                &self.obs,
-                Track::Coordinator,
-                None,
-                None,
-            )
-        });
-
-        // Always release the sites, even on error.
-        let _ = self.coord.broadcast(&protocol::shutdown());
-
-        let (relation, mut stage_times) = run?;
-        stage_times.insert(
-            0,
-            StageTimes {
-                label: "plan".to_string(),
-                site_busy_s: vec![0.0; n],
-                ..StageTimes::default()
-            },
-        );
-        let net = self.coord.stats().rounds().split_off(mark);
-        query_span.arg("result_rows", relation.len());
-        query_span.finish();
-        Ok(QueryResult {
-            relation,
-            stats: ExecStats {
-                stages: stage_times,
-                net,
-                wall_s: wall_start.elapsed().as_secs_f64(),
-            },
-        })
-    }
+    Ok((dist, catalog))
 }
 
 /// A standalone warehouse site: a bound listener plus the site's local
@@ -389,8 +202,7 @@ impl SiteServer {
     /// After the handshake the session is served by
     /// [`crate::site::site_session_loop`], which demultiplexes frames to
     /// per-query workers by query id — so one persistent session carries
-    /// any number of concurrent queries (a serial coordinator's frames
-    /// all ride query id 0).
+    /// any number of concurrent queries.
     pub fn serve_once(&self) -> Result<()> {
         let site = self.listener.accept(&self.cfg).map_err(net_err)?;
         // The handshake: a remote coordinator always asks for the catalog
@@ -443,8 +255,9 @@ impl SiteServer {
 mod tests {
     use super::*;
     use crate::plan::{OptFlags, Planner};
+    use crate::warehouse::Skalla;
     use skalla_gmdj::prelude::*;
-    use skalla_relation::{row, DataType, Domain};
+    use skalla_relation::{row, DataType, Domain, Schema};
 
     fn fragments() -> Vec<(Relation, DomainMap)> {
         let schema = Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]);
@@ -484,12 +297,15 @@ mod tests {
         addrs
     }
 
+    fn connect(addrs: &[String]) -> Result<Skalla> {
+        Skalla::builder().remote(addrs, TcpConfig::default()).build()
+    }
+
     #[test]
-    fn remote_cluster_learns_catalog_and_executes() {
+    fn remote_engine_learns_catalog_and_executes() {
         let addrs = spawn_sites(fragments());
-        let rc = RemoteCluster::connect(&addrs, &TcpConfig::default()).unwrap();
+        let rc = connect(&addrs).unwrap();
         assert_eq!(rc.n_sites(), 2);
-        assert_eq!(rc.rows_per_site(), &[3, 2]);
         // Distribution knowledge crossed the wire.
         assert!(rc.distribution().is_partition_attribute("t", "g"));
         let plan = Planner::new(rc.distribution()).optimize(&expr(), OptFlags::all());
@@ -512,7 +328,7 @@ mod tests {
             (Relation::new(schema_b, vec![]).unwrap(), DomainMap::new()),
         ];
         let addrs = spawn_sites(parts);
-        let err = RemoteCluster::connect(&addrs, &TcpConfig::default()).unwrap_err();
+        let err = connect(&addrs).unwrap_err();
         assert!(err.to_string().contains("schema"), "{err}");
     }
 }

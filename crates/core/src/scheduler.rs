@@ -17,7 +17,7 @@
 //! Both failure modes surface as typed errors so callers can
 //! distinguish "shed load" from "query broke". The scheduler also
 //! hands out the monotonically increasing [`QueryId`]s that frames
-//! carry on the wire (id 0 is reserved for the control/legacy stream).
+//! carry on the wire (id 0 is reserved for the control stream).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 /// Identifies one admitted query on the wire and in traces. Ids start
 /// at 1 and increase monotonically per engine; 0 is reserved for the
-/// control/legacy stream.
+/// control stream.
 pub type QueryId = u32;
 
 /// Why a query was not admitted.
@@ -189,7 +189,7 @@ impl QueryScheduler {
     }
 
     /// The next query id (monotonic, starting at 1; skips 0 on wrap —
-    /// id 0 is the control/legacy stream).
+    /// id 0 is the control stream).
     pub fn next_query_id(&self) -> QueryId {
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);

@@ -4,15 +4,17 @@
 //! expressions over its partition (paper Sect. 2.1). [`execute_stage`] is
 //! the pure function a site runs per round: given the shared plan, the
 //! stage index and the base-structure fragment received from the
-//! coordinator, it produces the relation to ship back. [`site_loop`]
-//! wraps it in the protocol driver — receive plan, execute stage tasks,
-//! reply, until shutdown — over any [`SiteTransport`], so the same loop
-//! serves both an in-process site thread and a standalone TCP site
-//! process (`skalla-cli site`).
+//! coordinator, it produces the relation to ship back.
+//! [`site_session_loop`] wraps it in the protocol driver — route each
+//! frame to its query's worker, which receives the plan, executes stage
+//! tasks and replies, until shutdown — over any [`SiteTransport`], so
+//! the same loop serves both an in-process site thread and a standalone
+//! TCP site process (`skalla-cli site`).
 
 use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol;
 use crate::skew::{skew_eligible, ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
@@ -452,136 +454,6 @@ pub fn execute_loan(
     Ok(out)
 }
 
-/// Shared collector for `(site, stage, busy seconds)` samples reported by
-/// in-process site threads.
-pub type BusyTimes = Mutex<Vec<(usize, usize, f64)>>;
-
-/// The per-site worker loop: receive the plan (which carries the kernel's
-/// evaluation options and the row-blocking chunk size), then wait for
-/// stage tasks, execute, reply — until a shutdown message or the link
-/// dies. `times` (when given) collects `(site, stage, busy seconds)`
-/// samples; the in-process [`crate::Cluster`] feeds them into
-/// [`crate::stats::StageTimes`], while a serial remote session has no
-/// accounting-exempt way to report them (a serial coordinator never
-/// sends the `QUERY_DONE` that triggers a telemetry reply in
-/// [`site_session_loop`]), so a standalone site passes `None`.
-pub fn site_loop(
-    catalog: &HashMap<String, Arc<Relation>>,
-    net: &dyn SiteTransport,
-    times: Option<&BusyTimes>,
-    obs: &Obs,
-) {
-    let mut plan: Option<DistributedPlan> = None;
-    let mut eval = EvalOptions::default();
-    let mut chunk_rows: Option<usize> = None;
-    let mut caches = SkewCaches::default();
-    loop {
-        let Ok(msg) = net.recv() else {
-            return; // coordinator hung up (or the link timed out)
-        };
-        match msg.tag {
-            protocol::TAG_SHUTDOWN => return,
-            protocol::TAG_PLAN => match crate::plan_codec::decode_plan_with_options(&msg.payload) {
-                Ok((p, e, c)) => {
-                    plan = Some(p);
-                    eval = e;
-                    chunk_rows = c;
-                }
-                Err(e) => {
-                    let _ = net.send(protocol::error(&format!("bad plan: {e}")));
-                }
-            },
-            protocol::TAG_RUN_STAGE => {
-                let Some(plan) = &plan else {
-                    let _ = net.send(protocol::error("stage task before plan"));
-                    continue;
-                };
-                let replies = match protocol::decode_run_stage(&msg.payload) {
-                    Ok((stage, fragment, extract)) => {
-                        let label = plan
-                            .stages
-                            .get(stage as usize)
-                            .map(|s| s.label.as_str())
-                            .unwrap_or("stage");
-                        let mut task_span = obs.span(Track::Site(net.site_id()), label);
-                        if let Some(f) = &fragment {
-                            task_span.arg("rows_in", f.len());
-                        }
-                        let t = BusyTimer::start();
-                        let out = run_stage_task(
-                            catalog,
-                            plan,
-                            stage,
-                            fragment,
-                            extract.as_ref(),
-                            &mut caches,
-                            &mut |m| {
-                                let _ = net.send(m);
-                            },
-                            eval,
-                            obs,
-                            net.site_id(),
-                        );
-                        if let Some(times) = times {
-                            times.lock().push((
-                                net.site_id(),
-                                stage as usize,
-                                t.elapsed_s(),
-                            ));
-                        }
-                        match out {
-                            Ok((mut msgs, rel)) => {
-                                task_span.arg("rows_out", rel.len());
-                                task_span.finish();
-                                msgs.extend(chunked_results(stage, &rel, chunk_rows));
-                                msgs
-                            }
-                            Err(e) => {
-                                task_span.arg("error", e.to_string());
-                                task_span.finish();
-                                vec![protocol::error(&e.to_string())]
-                            }
-                        }
-                    }
-                    Err(e) => vec![protocol::error(&e.to_string())],
-                };
-                for reply in replies {
-                    if net.send(reply).is_err() {
-                        return;
-                    }
-                }
-            }
-            protocol::TAG_LOAN_TASK => {
-                let Some(plan) = &plan else {
-                    let _ = net.send(protocol::error("loan task before plan"));
-                    continue;
-                };
-                let replies = loan_task_replies(
-                    plan,
-                    &msg.payload,
-                    eval,
-                    obs,
-                    Track::Site(net.site_id()),
-                    net.site_id(),
-                    |stage, secs| {
-                        if let Some(times) = times {
-                            times.lock().push((net.site_id(), stage, secs));
-                        }
-                    },
-                );
-                for reply in replies {
-                    if net.send(reply).is_err() {
-                        return;
-                    }
-                }
-            }
-            _ => {
-                let _ = net.send(protocol::error("unexpected message tag"));
-            }
-        }
-    }
-}
-
 /// One stage task's site-side work: the donor path when the coordinator
 /// asked for an extract (hot segments loaned eagerly through
 /// `send_early`, cold segments folded locally), the plain stage
@@ -626,26 +498,27 @@ fn run_stage_task(
     Ok((msgs, rel))
 }
 
-/// Decode and execute a `LOAN_TASK` frame, reporting the busy time via
-/// `record` — shared by the serial [`site_loop`] and the per-query
-/// [`query_worker`], which stamp samples differently.
+/// Decode and execute a `LOAN_TASK` frame for `query_id`'s worker,
+/// recording the busy time in `times`.
 fn loan_task_replies(
     plan: &DistributedPlan,
     payload: &[u8],
     eval: EvalOptions,
     obs: &Obs,
-    track: Track,
+    query_id: u32,
     site: usize,
-    record: impl FnOnce(usize, f64),
+    times: &QueryBusyTimes,
 ) -> Vec<skalla_net::Message> {
     match protocol::decode_loan_task(payload) {
         Ok((stage, donor, base, segments)) => {
-            let mut span = obs.span(track, "loan");
+            let mut span = obs.span(Track::SiteQuery(site, query_id), "loan");
             span.arg("donor", donor as u64);
             span.arg("segments", segments.len());
             let t = BusyTimer::start();
             let out = execute_loan(plan, stage as usize, &base, &segments, eval, obs, site);
-            record(stage as usize, t.elapsed_s());
+            times
+                .lock()
+                .push((query_id, site, stage as usize, t.elapsed_s()));
             match out {
                 Ok(segs) => {
                     span.finish();
@@ -666,17 +539,17 @@ fn loan_task_replies(
 /// reported by per-query site workers under the concurrent engine.
 pub type QueryBusyTimes = Mutex<Vec<(u32, usize, usize, f64)>>;
 
-/// The multi-query session loop: a demultiplexer that routes frames to
+/// The site session loop: a demultiplexer that routes frames to
 /// per-query workers keyed by [`skalla_net::Message::query_id`].
 ///
 /// Each worker owns one query's state — the decoded plan, its evaluation
-/// options, its row-blocking chunk size — exactly the state [`site_loop`]
-/// keeps for its single query, so concurrent queries interleave on the
-/// site without sharing mutable state. Worker replies are stamped with
-/// the worker's query id and serialized by the transport (one frame per
-/// `send`), so interleaved queries never corrupt each other's streams.
+/// options, its row-blocking chunk size — so concurrent queries
+/// interleave on the site without sharing mutable state. Worker replies
+/// are stamped with the worker's query id and serialized by the
+/// transport (one frame per `send`), so interleaved queries never
+/// corrupt each other's streams.
 ///
-/// Control flow on the session (query id 0) stream:
+/// Control flow on the session:
 /// * [`protocol::TAG_QUERY_DONE`] retires the frame's query worker and
 ///   answers with a [`protocol::TAG_TELEMETRY`] frame carrying that
 ///   query's busy-time samples (and, when `export_obs` is set, the site
@@ -685,32 +558,25 @@ pub type QueryBusyTimes = Mutex<Vec<(u32, usize, usize, f64)>>;
 ///   the request's query id, so a multiplexing coordinator can route the
 ///   answer — with a snapshot of all pending busy samples plus the obs
 ///   delta, without retiring anything;
-/// * [`protocol::TAG_SHUTDOWN`] ends the session: all workers are joined
-///   and the loop returns;
+/// * [`protocol::TAG_SHUTDOWN`] (on the control stream, query id 0) ends
+///   the session: all workers are joined and the loop returns;
 /// * a dead link also ends the session.
 ///
 /// Telemetry frames ride [`skalla_net::TELEMETRY_TAG`] and are exempt
-/// from the byte accounting on every transport, so shipping timings no
-/// longer breaks the channel/TCP byte-identity invariant (the reason the
-/// serial [`site_loop`] cannot report remote busy times).
+/// from the byte accounting on every transport, so shipping timings
+/// keeps the channel/TCP byte-identity invariant.
 ///
 /// `export_obs` should be `true` only when this site owns its recorder
 /// (a standalone `skalla-cli site` process): an in-process site thread
 /// shares the coordinator's recorder, and exporting from it would
 /// duplicate every span on import.
-///
-/// The legacy serial coordinator (every frame on query id 0) works
-/// unchanged: its frames all route to worker 0, and it never sends
-/// `QUERY_DONE`, so no telemetry is emitted.
 pub fn site_session_loop(
     catalog: &HashMap<String, Arc<Relation>>,
     net: Arc<dyn SiteTransport + Sync>,
     export_obs: bool,
     obs: &Obs,
 ) {
-    use crossbeam::channel::{unbounded, Sender};
-    let mut workers: HashMap<u32, (Sender<skalla_net::Message>, std::thread::JoinHandle<()>)> =
-        HashMap::new();
+    let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
     let busy: Arc<QueryBusyTimes> = Arc::new(QueryBusyTimes::new(Vec::new()));
     let mut cursor = skalla_obs::ExportCursor::default();
@@ -775,19 +641,20 @@ pub fn site_session_loop(
             }
             _ => {
                 let query_id = msg.query_id;
-                let (tx, _) = workers.entry(query_id).or_insert_with(|| {
-                    let (tx, rx) = unbounded();
+                let refused = route_to_worker(&mut workers, msg, |rx| {
                     let catalog = catalog.clone();
                     let net = Arc::clone(&net);
                     let busy = Arc::clone(&busy);
                     let obs = obs.clone();
-                    let handle = std::thread::Builder::new()
+                    std::thread::Builder::new()
                         .name(format!("site-{site}-q{query_id}"))
                         .spawn(move || query_worker(&catalog, &*net, rx, query_id, busy, &obs))
-                        .expect("spawning site query worker");
-                    (tx, handle)
                 });
-                let _ = tx.send(msg);
+                if let Err(reply) = refused {
+                    if net.send(reply).is_err() {
+                        break;
+                    }
+                }
             }
         }
     }
@@ -798,22 +665,49 @@ pub fn site_session_loop(
     }
 }
 
+/// One query's worker as the session loop holds it: its frame queue and
+/// its thread.
+type Worker = (Sender<skalla_net::Message>, std::thread::JoinHandle<()>);
+
+/// Queue `msg` for its query's worker, starting the worker through
+/// `spawn` on the first frame of a query id. The id is remote input, so
+/// a failed start must not take the session down: it comes back as the
+/// `TAG_ERROR` reply for that query id, and the other queries keep being
+/// served.
+fn route_to_worker(
+    workers: &mut HashMap<u32, Worker>,
+    msg: skalla_net::Message,
+    spawn: impl FnOnce(Receiver<skalla_net::Message>) -> std::io::Result<std::thread::JoinHandle<()>>,
+) -> std::result::Result<(), skalla_net::Message> {
+    use std::collections::hash_map::Entry;
+    let query_id = msg.query_id;
+    let (tx, _) = match workers.entry(query_id) {
+        Entry::Occupied(worker) => worker.into_mut(),
+        Entry::Vacant(slot) => {
+            let (tx, rx) = unbounded();
+            let handle = spawn(rx).map_err(|e| {
+                protocol::error(&format!("site cannot start a worker for this query: {e}"))
+                    .with_query_id(query_id)
+            })?;
+            slot.insert((tx, handle))
+        }
+    };
+    let _ = tx.send(msg);
+    Ok(())
+}
+
 /// One query's execution state and driver on a site: the per-query half
-/// of [`site_session_loop`], mirroring [`site_loop`]'s protocol arms.
+/// of [`site_session_loop`].
 fn query_worker(
     catalog: &HashMap<String, Arc<Relation>>,
     net: &dyn SiteTransport,
-    rx: crossbeam::channel::Receiver<skalla_net::Message>,
+    rx: Receiver<skalla_net::Message>,
     query_id: u32,
     times: Arc<QueryBusyTimes>,
     obs: &Obs,
 ) {
     let site = net.site_id();
-    let track = if query_id == 0 {
-        Track::Site(site)
-    } else {
-        Track::SiteQuery(site, query_id)
-    };
+    let track = Track::SiteQuery(site, query_id);
     let mut plan: Option<DistributedPlan> = None;
     let mut eval = EvalOptions::default();
     let mut chunk_rows: Option<usize> = None;
@@ -844,9 +738,7 @@ fn query_worker(
                             .map(|s| s.label.as_str())
                             .unwrap_or("stage");
                         let mut task_span = obs.span(track, label);
-                        if query_id != 0 {
-                            task_span.arg("query_id", query_id as u64);
-                        }
+                        task_span.arg("query_id", query_id as u64);
                         if let Some(f) = &fragment {
                             task_span.arg("rows_in", f.len());
                         }
@@ -896,9 +788,7 @@ fn query_worker(
                     continue;
                 };
                 let replies =
-                    loan_task_replies(plan, &msg.payload, eval, obs, track, site, |stage, secs| {
-                        times.lock().push((query_id, site, stage, secs));
-                    });
+                    loan_task_replies(plan, &msg.payload, eval, obs, query_id, site, &times);
                 for r in replies {
                     if reply(r).is_err() {
                         return;
@@ -1016,6 +906,42 @@ mod tests {
         let out = execute_stage(&cat, &plan, 1, Some(b), EvalOptions::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0].get(0), &Value::Int(1));
+    }
+
+    #[test]
+    fn failed_worker_spawn_is_answered_per_query_and_the_session_survives() {
+        let mut workers: HashMap<u32, Worker> = HashMap::new();
+        let plan_frame = |q| skalla_net::Message::for_query(protocol::TAG_PLAN, q, Vec::new());
+
+        // Query 7's worker cannot start: the step yields that query's
+        // TAG_ERROR reply and registers nothing.
+        let reply = route_to_worker(&mut workers, plan_frame(7), |_| {
+            Err(std::io::Error::other("out of threads"))
+        })
+        .unwrap_err();
+        assert_eq!((reply.tag, reply.query_id), (protocol::TAG_ERROR, 7));
+        assert!(protocol::decode_error(&reply.payload).contains("out of threads"));
+        assert!(workers.is_empty());
+
+        // Query 8 is still served: its worker starts once and receives
+        // both of its frames.
+        let (seen_tx, seen_rx) = unbounded();
+        for _ in 0..2 {
+            let seen_tx = seen_tx.clone();
+            route_to_worker(&mut workers, plan_frame(8), move |rx| {
+                std::thread::Builder::new().spawn(move || {
+                    for m in rx {
+                        let _ = seen_tx.send(m.query_id);
+                    }
+                })
+            })
+            .unwrap();
+        }
+        let (tx, handle) = workers.remove(&8).unwrap();
+        drop(tx);
+        handle.join().unwrap();
+        drop(seen_tx);
+        assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
     }
 
     #[test]

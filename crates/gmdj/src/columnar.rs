@@ -1025,7 +1025,6 @@ mod tests {
             hash_path: true,
             parallelism: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            legacy_probe: false,
             columnar: true,
             skew_balance: true,
             cache: true,

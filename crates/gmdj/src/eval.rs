@@ -60,16 +60,12 @@ pub struct EvalOptions {
     /// Rows per morsel. Output bits depend on this (it fixes the
     /// accumulator merge structure) but **not** on `parallelism`.
     pub morsel_rows: usize,
-    /// Use the legacy allocating `HashMap<Vec<Value>, Vec<usize>>` probe
-    /// instead of the zero-allocation bucket index. Kept only for the
-    /// `fig_kernel` ablation bench.
-    pub legacy_probe: bool,
     /// Evaluate through the columnar (vectorized) kernel: typed aggregate
     /// accumulator arrays over the detail relation's columnar layout
     /// ([`skalla_relation::Columns`]), canonical-key probes on dictionary
-    /// codes instead of per-row [`Value`] hashing. On by default. Like
-    /// `legacy_probe`, this is an ablation knob (env `SKALLA_COLUMNAR=0`,
-    /// CLI `--no-columnar`) so fig benches can A/B the two kernels; both
+    /// codes instead of per-row [`Value`] hashing. On by default. This
+    /// is an ablation knob (env `SKALLA_COLUMNAR=0`, CLI
+    /// `--no-columnar`) so fig benches can A/B the two kernels; both
     /// produce bit-identical results.
     pub columnar: bool,
     /// Skew-resilient distribution: sites report heavy-hitter group keys
@@ -108,8 +104,7 @@ impl Default for EvalOptions {
     /// Defaults honour the `SKALLA_*` environment: every knob has an env
     /// override (`SKALLA_THREADS`, `SKALLA_MORSEL_ROWS`,
     /// `SKALLA_COLUMNAR`, `SKALLA_SKEW`, `SKALLA_CACHE`,
-    /// `SKALLA_HASH_PATH`, `SKALLA_LEGACY_PROBE`,
-    /// `SKALLA_FAULT_MORSEL`), used by `ci.sh` to run the whole suite at
+    /// `SKALLA_HASH_PATH`, `SKALLA_FAULT_MORSEL`), used by `ci.sh` to run the whole suite at
     /// several thread counts, under both kernels, with the skew balancer
     /// on and off, and with the semantic cache on and off. Fallbacks:
     /// auto parallelism, [`DEFAULT_MORSEL_ROWS`], the hash path and
@@ -123,7 +118,6 @@ impl Default for EvalOptions {
             morsel_rows: env_usize("SKALLA_MORSEL_ROWS")
                 .unwrap_or(DEFAULT_MORSEL_ROWS)
                 .max(1),
-            legacy_probe: env_flag("SKALLA_LEGACY_PROBE").unwrap_or(false),
             columnar: env_flag("SKALLA_COLUMNAR").unwrap_or(true),
             skew_balance: env_flag("SKALLA_SKEW").unwrap_or(true),
             cache: env_flag("SKALLA_CACHE").unwrap_or(true),
@@ -264,13 +258,6 @@ impl Iterator for Candidates<'_> {
     }
 }
 
-/// One block's base-side index: the zero-allocation bucket index, or the
-/// legacy allocating map (ablation only).
-enum BaseIndex {
-    Fast(KeyIndex),
-    Legacy(HashMap<Vec<Value>, Vec<usize>>),
-}
-
 pub(crate) struct PreparedBlock {
     /// Base-side positions of equi-key columns (empty ⇒ nested loop).
     pub(crate) base_keys: Vec<usize>,
@@ -345,29 +332,15 @@ pub(crate) fn prepare_blocks(
 
 /// Build each hash block's base-side index **once**, deduplicating blocks
 /// that share identical `base_keys` through a small cache.
-fn build_indexes(
-    base: &Relation,
-    blocks: &mut [PreparedBlock],
-    opts: EvalOptions,
-) -> Vec<BaseIndex> {
+fn build_indexes(base: &Relation, blocks: &mut [PreparedBlock]) -> Vec<KeyIndex> {
     let mut cache: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut indexes: Vec<BaseIndex> = Vec::new();
+    let mut indexes: Vec<KeyIndex> = Vec::new();
     for pb in blocks.iter_mut() {
         if pb.index.is_none() {
             continue;
         }
         let slot = *cache.entry(pb.base_keys.clone()).or_insert_with(|| {
-            let idx = if opts.legacy_probe {
-                let mut map: HashMap<Vec<Value>, Vec<usize>> =
-                    HashMap::with_capacity(base.len());
-                for (pos, row) in base.iter().enumerate() {
-                    map.entry(row.key(&pb.base_keys)).or_default().push(pos);
-                }
-                BaseIndex::Legacy(map)
-            } else {
-                BaseIndex::Fast(KeyIndex::build(base, &pb.base_keys))
-            };
-            indexes.push(idx);
+            indexes.push(KeyIndex::build(base, &pb.base_keys));
             indexes.len() - 1
         });
         pb.index = Some(slot);
@@ -535,7 +508,7 @@ struct Kernel<'a> {
     gmdj: &'a Gmdj,
     layout: &'a AccLayout,
     blocks: &'a [PreparedBlock],
-    indexes: &'a [BaseIndex],
+    indexes: &'a [KeyIndex],
     opts: EvalOptions,
     morsel_rows: usize,
     n_morsels: usize,
@@ -587,7 +560,7 @@ impl MorselKernel for Kernel<'_> {
         for (bi, pb) in self.blocks.iter().enumerate() {
             let block = &self.gmdj.blocks[bi];
             match pb.index.map(|i| &self.indexes[i]) {
-                Some(BaseIndex::Fast(index)) => {
+                Some(index) => {
                     // Hash path: probe without materializing a key.
                     for r in morsel {
                         let h = key_hash(r, &pb.detail_keys);
@@ -596,24 +569,6 @@ impl MorselKernel for Kernel<'_> {
                             if !keys_equal(b, &pb.base_keys, r, &pb.detail_keys) {
                                 continue;
                             }
-                            if !pb.trivial_condition
-                                && !pb.condition.eval(b, r)?.is_truthy()
-                            {
-                                continue;
-                            }
-                            state.matched[pos] = true;
-                            update_aggs(block, pb, &mut state.accs[pos], b, r)?;
-                        }
-                    }
-                }
-                Some(BaseIndex::Legacy(index)) => {
-                    // Ablation-only: the old allocating probe.
-                    for r in morsel {
-                        let Some(cands) = index.get(&r.key(&pb.detail_keys)) else {
-                            continue;
-                        };
-                        for &pos in cands {
-                            let b = &self.base.rows()[pos];
                             if !pb.trivial_condition
                                 && !pb.condition.eval(b, r)?.is_truthy()
                             {
@@ -698,7 +653,7 @@ pub fn eval_local_traced(
             site,
         )?
     } else {
-        let indexes = build_indexes(base, &mut blocks, opts);
+        let indexes = build_indexes(base, &mut blocks);
         let kernel = Kernel {
             base,
             detail,
@@ -829,7 +784,6 @@ mod tests {
             hash_path: true,
             parallelism: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            legacy_probe: false,
             columnar: false,
             skew_balance: true,
             cache: true,
@@ -864,23 +818,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hash, nl);
-    }
-
-    #[test]
-    fn legacy_probe_matches_bucket_index() {
-        let fast = eval_local(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
-        let legacy = eval_local(
-            &base(),
-            &detail(),
-            &simple_gmdj(),
-            EvalOptions {
-                legacy_probe: true,
-                ..opts()
-            },
-        )
-        .unwrap();
-        assert_eq!(fast.physical, legacy.physical);
-        assert_eq!(fast.matched, legacy.matched);
     }
 
     #[test]

@@ -131,18 +131,20 @@ impl QueryMux {
         self.inner.n_sites()
     }
 
-    /// The shared transport (for connection-scoped control frames such
-    /// as the final shutdown broadcast; these are charged to the shared
-    /// stats, not to any query).
+    /// The shared transport, for the connection-scoped control frames
+    /// on query id 0 — the catalog handshake and the final shutdown
+    /// broadcast, the only traffic that id carries. They are charged to
+    /// the shared stats, not to any query.
     pub fn shared_transport(&self) -> &Arc<dyn CoordinatorTransport + Sync> {
         &self.inner
     }
 
     /// Register a query and get its dedicated transport view. The
-    /// handle's [`NetStats`] starts fresh (round 0 open), mirroring a
-    /// dedicated serial connection. Panics if the id is already active.
+    /// handle's [`NetStats`] starts fresh (round 0 open), as on a
+    /// dedicated connection. Panics if the id is 0 (the control stream)
+    /// or already active.
     pub fn register(&self, query_id: u32) -> MuxHandle {
-        assert_ne!(query_id, 0, "query id 0 is the control/legacy stream");
+        assert_ne!(query_id, 0, "query id 0 is the control stream (handshake, shutdown)");
         let (tx, rx) = unbounded();
         if let Some(err) = self.shared.failed.lock().clone() {
             let _ = tx.send(Routed::Failed(err));

@@ -156,7 +156,7 @@ impl NetStats {
     }
 
     /// [`NetStats::record_msg`] with the query the frame belongs to.
-    /// Query id 0 (the control/legacy stream) is omitted from the obs
+    /// Query id 0 (the control stream) is omitted from the obs
     /// event; concurrent engines stamp ids ≥ 1 so traces can be filtered
     /// per query. The byte accounting itself is query-agnostic.
     pub fn record_msg_for(

@@ -4,8 +4,7 @@
 //! `len: u32` (little-endian), then `len` payload bytes — the protocol
 //! v2 frame format. The query id lets one persistent connection carry
 //! interleaved rounds of several concurrent queries; id 0 is the
-//! control/legacy stream (handshake, connection shutdown, and serial
-//! single-query sessions). Reads tolerate partial delivery (`read` loops
+//! control stream (handshake and connection shutdown only). Reads tolerate partial delivery (`read` loops
 //! until the frame is complete) and surface a clean
 //! [`NetError::SiteDisconnected`] / [`NetError::Disconnected`] when the
 //! peer closes or resets mid-frame, so a site dying mid-round aborts the

@@ -40,22 +40,21 @@ pub const TELEMETRY_TAG: u8 = 9;
 /// A framed message: an application-defined tag, the query it belongs
 /// to, and payload bytes.
 ///
-/// `query_id` 0 is the control/legacy stream (catalog handshake,
-/// connection shutdown, and every message of a serial one-query
-/// session); concurrent engines stamp ids ≥ 1 so a demultiplexer can
-/// route frames to per-query state.
+/// `query_id` 0 is the control stream (catalog handshake and
+/// connection shutdown only); every query's frames carry an id ≥ 1 so a
+/// demultiplexer can route them to per-query state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Application-defined message type tag.
     pub tag: u8,
-    /// The query this frame belongs to (0 = control/legacy stream).
+    /// The query this frame belongs to (0 = control stream).
     pub query_id: u32,
     /// Serialized payload.
     pub payload: Vec<u8>,
 }
 
 impl Message {
-    /// Construct a message on the control/legacy stream (`query_id` 0).
+    /// Construct a message on the control stream (`query_id` 0).
     pub fn new(tag: u8, payload: Vec<u8>) -> Message {
         Message {
             tag,

@@ -42,10 +42,9 @@ pub fn compile_text(text: &str) -> Result<GmdjExpr> {
     Ok(compile(&parse_query(text)?))
 }
 
-/// Parse, plan and execute query text against any [`Warehouse`] — an
-/// in-process [`Cluster`](skalla_core::Cluster), a
-/// [`RemoteCluster`](skalla_core::RemoteCluster), or the concurrent
-/// [`Skalla`](skalla_core::Skalla) engine.
+/// Parse, plan and execute query text against any [`Warehouse`] — a
+/// [`Skalla`](skalla_core::Skalla) engine over either backend, or a bare
+/// [`Cluster`](skalla_core::Cluster).
 pub fn run(
     text: &str,
     warehouse: &(impl Warehouse + ?Sized),

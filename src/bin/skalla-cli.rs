@@ -116,9 +116,6 @@ QUERY OPTIONS:
   --no-hash-path              disable the equi-key hash fast path and evaluate
                               θ by nested loops (ablation; same bits either
                               way; also SKALLA_HASH_PATH=0)
-  --legacy-probe              use the legacy allocating probe instead of the
-                              zero-allocation bucket index (ablation; same bits
-                              either way; also SKALLA_LEGACY_PROBE=1)
   --fault-panic-morsel N      fault injection: panic the worker that starts
                               morsel N, to exercise error recovery (testing
                               only; also SKALLA_FAULT_MORSEL)
@@ -343,10 +340,6 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
     }
     if args.iter().any(|a| a == "--no-hash-path") {
         eval.hash_path = false;
-        eval_set = true;
-    }
-    if args.iter().any(|a| a == "--legacy-probe") {
-        eval.legacy_probe = true;
         eval_set = true;
     }
     if args.iter().any(|a| a == "--no-skew-balance") {

@@ -37,7 +37,6 @@ fn eval_opts(parallelism: usize, columnar: bool) -> EvalOptions {
         hash_path: true,
         parallelism,
         morsel_rows: 7,
-        legacy_probe: false,
         columnar,
         skew_balance: true,
         cache: true,

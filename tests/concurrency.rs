@@ -2,11 +2,11 @@
 //! once through the [`Skalla`] scheduler — over both the in-process
 //! channel transport and loopback TCP — must return bit-identical
 //! results AND byte-for-byte identical per-query [`RoundStats`] to the
-//! same queries run one at a time on a serial [`Cluster`]. Admission
-//! control must reject overload with clean, descriptive errors rather
-//! than deadlocks or panics.
+//! same queries run one at a time on the same engine. Admission control
+//! must reject overload with clean, descriptive errors rather than
+//! deadlocks or panics.
 
-use skalla::core::{Cluster, OptFlags, Planner, SiteServer, Skalla};
+use skalla::core::{OptFlags, Planner, SiteServer, Skalla, SkallaBuilder};
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
@@ -82,14 +82,28 @@ fn canonical(rel: &Relation, key: &str) -> Relation {
     rel.sorted_by(&[key]).unwrap()
 }
 
-/// Serial reference: each query on a fresh one-query-at-a-time cluster.
-fn serial_reference(parts: &[Partition]) -> Vec<skalla::core::QueryResult> {
-    let cluster = Cluster::from_partitions("tpcr", parts.to_vec());
+/// An engine for the comparison below: room for the whole workload at
+/// once, and the semantic cache pinned off — every run must pay its full
+/// traffic, which a cache hit on the second run of a query would
+/// (correctly) zero out.
+fn comparison_engine(backend: SkallaBuilder) -> Skalla {
+    backend
+        .max_concurrent(workload().len())
+        .eval_options(skalla::gmdj::EvalOptions {
+            cache: false,
+            ..skalla::gmdj::EvalOptions::default()
+        })
+        .build()
+        .unwrap()
+}
+
+/// Serial reference: each query alone on `engine`, one after the other.
+fn serial_reference(engine: &Skalla) -> Vec<skalla::core::QueryResult> {
     workload()
         .iter()
         .map(|(expr, _)| {
-            let plan = Planner::new(cluster.distribution()).optimize(expr, OptFlags::all());
-            cluster.execute(&plan).unwrap()
+            let plan = Planner::new(engine.distribution()).optimize(expr, OptFlags::all());
+            engine.execute(&plan).unwrap()
         })
         .collect()
 }
@@ -97,8 +111,8 @@ fn serial_reference(parts: &[Partition]) -> Vec<skalla::core::QueryResult> {
 /// Run the whole workload concurrently on `engine` and compare each
 /// query's relation (canonicalized) and `RoundStats` against the serial
 /// reference.
-fn assert_concurrent_matches_serial(engine: &Skalla, parts: &[Partition]) {
-    let want = serial_reference(parts);
+fn assert_concurrent_matches_serial(engine: &Skalla) {
+    let want = serial_reference(engine);
     let queries = workload();
     let outs: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
@@ -136,13 +150,8 @@ fn assert_concurrent_matches_serial(engine: &Skalla, parts: &[Partition]) {
 
 #[test]
 fn concurrent_queries_match_serial_over_channels() {
-    let parts = fig2_partitions();
-    let engine = Skalla::builder()
-        .partitions("tpcr", parts.clone())
-        .max_concurrent(workload().len())
-        .build()
-        .unwrap();
-    assert_concurrent_matches_serial(&engine, &parts);
+    let engine = comparison_engine(Skalla::builder().partitions("tpcr", fig2_partitions()));
+    assert_concurrent_matches_serial(&engine);
 }
 
 #[test]
@@ -159,32 +168,17 @@ fn concurrent_queries_match_serial_over_tcp() {
             let _ = server.serve_once();
         });
     }
-    let engine = Skalla::builder()
-        .remote(&addrs, TcpConfig::default())
-        .max_concurrent(workload().len())
-        .build()
-        .unwrap();
-    assert_concurrent_matches_serial(&engine, &parts);
+    let engine = comparison_engine(Skalla::builder().remote(&addrs, TcpConfig::default()));
+    assert_concurrent_matches_serial(&engine);
 }
 
 /// Repeated concurrent batches over one engine: the persistent sessions
-/// and query-id assignment must stay coherent across batches. The
-/// semantic cache is pinned off — this test asserts every batch pays the
-/// full serial traffic, which a cache hit would (correctly) zero out.
+/// and query-id assignment must stay coherent across batches.
 #[test]
 fn repeated_concurrent_batches_reuse_the_sessions() {
-    let parts = fig2_partitions();
-    let engine = Skalla::builder()
-        .partitions("tpcr", parts.clone())
-        .max_concurrent(workload().len())
-        .eval_options(skalla::gmdj::EvalOptions {
-            cache: false,
-            ..skalla::gmdj::EvalOptions::default()
-        })
-        .build()
-        .unwrap();
+    let engine = comparison_engine(Skalla::builder().partitions("tpcr", fig2_partitions()));
     for _ in 0..3 {
-        assert_concurrent_matches_serial(&engine, &parts);
+        assert_concurrent_matches_serial(&engine);
     }
 }
 

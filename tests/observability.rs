@@ -50,14 +50,15 @@ fn chrome_trace_round_trips_and_has_all_span_kinds() {
     let instants: Vec<_> = events.iter().filter(|e| ph(e) == "i").collect();
     let counters: Vec<_> = events.iter().filter(|e| ph(e) == "C").collect();
 
-    // Query span on the coordinator track.
+    // Query span on the query's own track (the run is the one-shot
+    // engine's query 1).
     let query_span = spans
         .iter()
         .find(|e| name(e) == "query")
         .expect("query span");
     assert_eq!(
         query_span.get("tid").and_then(|t| t.as_u64()),
-        Some(Track::Coordinator.tid())
+        Some(Track::Query(1).tid())
     );
     // Stage spans for every executed round.
     for label in ["base", "gmdj 1", "gmdj 2"] {
@@ -69,10 +70,11 @@ fn chrome_trace_round_trips_and_has_all_span_kinds() {
     // Sync spans.
     assert!(spans.iter().any(|e| name(e) == "BaseSync"));
     assert!(spans.iter().any(|e| name(e) == "MergeSync"));
-    // Per-site task spans: every site track saw all three stages (skew
-    // balancing may add further "loan" task spans on helper tracks).
+    // Per-site task spans: every site's track for this query saw all
+    // three stages (skew balancing may add further "loan" task spans on
+    // helper tracks).
     for site in 0..3 {
-        let tid = Track::Site(site).tid();
+        let tid = Track::SiteQuery(site, 1).tid();
         for label in ["base", "gmdj 1", "gmdj 2"] {
             assert!(
                 spans
@@ -143,7 +145,6 @@ fn metrics_snapshot_is_valid_json_with_counters() {
 }
 
 #[test]
-#[allow(deprecated)] // pins the serial Cluster's legacy setter path
 fn disabled_obs_records_nothing_and_execution_matches() {
     // Same query with and without a recorder: identical results, and the
     // disabled handle never allocates a recorder.

@@ -174,34 +174,25 @@ proptest! {
         // SKALLA_THREADS / SKALLA_MORSEL_ROWS / SKALLA_COLUMNAR in the
         // environment. Tiny morsels force many merge steps even on small
         // inputs.
-        let opts = |parallelism: usize, legacy_probe: bool, columnar: bool| EvalOptions {
+        let opts = |parallelism: usize, columnar: bool| EvalOptions {
             hash_path,
             parallelism,
             morsel_rows: 7,
-            legacy_probe,
             columnar,
             skew_balance: true,
             cache: true,
             fault_panic_morsel: None,
         };
-        let reference = skalla::gmdj::eval_local(&base, &detail, &op, opts(1, false, false))
+        let reference = skalla::gmdj::eval_local(&base, &detail, &op, opts(1, false))
             .expect("serial kernel");
-        for (p, legacy, columnar) in [
-            (1, true, false),
-            (2, false, false),
-            (2, true, false),
-            (7, false, false),
-            (1, false, true),
-            (2, false, true),
-            (7, false, true),
-        ] {
-            let out = skalla::gmdj::eval_local(&base, &detail, &op, opts(p, legacy, columnar))
+        for (p, columnar) in [(2, false), (7, false), (1, true), (2, true), (7, true)] {
+            let out = skalla::gmdj::eval_local(&base, &detail, &op, opts(p, columnar))
                 .expect("parallel kernel");
             prop_assert_eq!(out.matched.clone(), reference.matched.clone(),
-                "matched flags, parallelism {} legacy {} columnar {}", p, legacy, columnar);
+                "matched flags, parallelism {} columnar {}", p, columnar);
             prop_assert_eq!(
                 out.physical.len(), reference.physical.len(),
-                "row count, parallelism {} legacy {} columnar {}", p, legacy, columnar
+                "row count, parallelism {} columnar {}", p, columnar
             );
             for (got, want) in out.physical.rows().iter().zip(reference.physical.rows()) {
                 for (gv, wv) in got.values().iter().zip(want.values()) {
@@ -212,8 +203,8 @@ proptest! {
                     };
                     prop_assert!(
                         same,
-                        "bit mismatch at parallelism {} legacy {} columnar {}: {:?} vs {:?}",
-                        p, legacy, columnar, gv, wv
+                        "bit mismatch at parallelism {} columnar {}: {:?} vs {:?}",
+                        p, columnar, gv, wv
                     );
                 }
             }
@@ -238,7 +229,6 @@ proptest! {
             hash_path: true,
             parallelism: 1,
             morsel_rows: 7,
-            legacy_probe: false,
             columnar,
             skew_balance: true,
             cache: true,

@@ -11,7 +11,7 @@
 //! and both transports.
 
 use proptest::prelude::*;
-use skalla::core::{Cluster, OptFlags, Planner, RemoteCluster, SiteServer};
+use skalla::core::{Cluster, OptFlags, Planner, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, Partition};
 use skalla::datagen::Zipf;
 use skalla::gmdj::prelude::*;
@@ -125,7 +125,6 @@ fn opts(
             hash_path: true,
             parallelism,
             morsel_rows,
-            legacy_probe: false,
             columnar,
             skew_balance,
             cache: true,
@@ -213,8 +212,11 @@ fn tcp_transport_matches_channel_under_balancing() {
         addrs
     };
 
-    let mut remote = RemoteCluster::connect(&spawn(&parts), &TcpConfig::default()).unwrap();
-    remote.configure(&opts(true, true, 2, 512));
+    let remote = Skalla::builder()
+        .remote(&spawn(&parts), TcpConfig::default())
+        .config(opts(true, true, 2, 512))
+        .build()
+        .unwrap();
     let remote_on = remote.execute(&plan).expect("remote balanced");
 
     assert_bit_identical(

@@ -1,16 +1,17 @@
 //! Transport equivalence: the TCP transport must be indistinguishable
 //! from the in-process channel transport at the logical layer.
 //!
-//! The coordinator algorithm is shared between [`Cluster`] and
-//! [`RemoteCluster`], and traffic is accounted in payload bytes at the
-//! protocol layer (never wire framing), so a loopback multi-process run
-//! of the paper's Fig. 2 workload must produce the same result relation
-//! AND byte-for-byte identical [`RoundStats`] — same rounds, same
-//! per-site byte/message counts — as the threaded in-process run. These
-//! tests pin that invariant, plus the failure mode: a site dying
-//! mid-round surfaces as a clean disconnect error, not a hang.
+//! One [`Skalla`] engine drives both backends, and traffic is accounted
+//! in payload bytes at the protocol layer (never wire framing), so a
+//! loopback multi-process run of the paper's Fig. 2 workload must
+//! produce the same result relation AND byte-for-byte identical
+//! [`RoundStats`] — same rounds, same per-site byte/message counts — as
+//! the threaded in-process run. These tests pin that invariant between
+//! a local-backend and a remote-backend engine, plus the failure mode: a
+//! site dying mid-round surfaces as a clean disconnect error, not a
+//! hang.
 
-use skalla::core::{protocol, Cluster, OptFlags, Planner, RemoteCluster, SiteServer};
+use skalla::core::{protocol, EngineConfig, OptFlags, Planner, SiteServer, Skalla};
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
@@ -74,17 +75,35 @@ fn canonical(rel: &Relation) -> Relation {
     rel.sorted_by(&["cust_group"]).unwrap()
 }
 
+/// An engine over in-process site threads (channel transport).
+fn local_engine(parts: &[Partition], cfg: EngineConfig) -> Skalla {
+    Skalla::builder()
+        .partitions("tpcr", parts.to_vec())
+        .config(cfg)
+        .build()
+        .unwrap()
+}
+
+/// An engine over already-listening sites (loopback TCP).
+fn remote_engine(addrs: &[String], tcp: TcpConfig, cfg: EngineConfig) -> Skalla {
+    Skalla::builder()
+        .remote(addrs, tcp)
+        .config(cfg)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn loopback_tcp_matches_channel_transport_exactly() {
     let parts = fig2_partitions();
     let expr = fig2_query();
 
-    let local = Cluster::from_partitions("tpcr", parts.clone());
+    let local = local_engine(&parts, EngineConfig::default());
     let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
     let local_out = local.execute(&plan).unwrap();
 
     let addrs = spawn_sites(&parts);
-    let remote = RemoteCluster::connect(&addrs, &TcpConfig::default()).unwrap();
+    let remote = remote_engine(&addrs, TcpConfig::default(), EngineConfig::default());
     // The catalog handshake must reconstruct the coordinator's φ
     // knowledge exactly: the remote plan is the same plan.
     let remote_plan = Planner::new(remote.distribution()).optimize(&expr, OptFlags::all());
@@ -106,25 +125,37 @@ fn loopback_tcp_matches_channel_transport_exactly() {
         local_out.stats.stages.len(),
         "round structure must match"
     );
+    // A one-shot remote run reports real site busy times: every site
+    // that answered a stage round measured its own work.
+    let stats = &remote_out.stats;
+    for (stage, round) in stats.stages.iter().zip(&stats.net).skip(1) {
+        for (site, link) in round.per_site.iter().enumerate() {
+            if link.up_msgs > 0 {
+                assert!(
+                    stage.site_busy_s[site] > 0.0,
+                    "site {site} ran {:?} but reported no busy time",
+                    stage.label
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn loopback_tcp_matches_channel_transport_with_row_blocking() {
     let parts = fig2_partitions();
     let expr = fig2_query();
-    let chunked = skalla::core::EngineConfig {
+    let chunked = EngineConfig {
         chunk_rows: Some(64),
-        ..skalla::core::EngineConfig::default()
+        ..EngineConfig::default()
     };
 
-    let mut local = Cluster::from_partitions("tpcr", parts.clone());
-    local.configure(&chunked);
+    let local = local_engine(&parts, chunked.clone());
     let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
     let local_out = local.execute(&plan).unwrap();
 
     let addrs = spawn_sites(&parts);
-    let mut remote = RemoteCluster::connect(&addrs, &TcpConfig::default()).unwrap();
-    remote.configure(&chunked);
+    let remote = remote_engine(&addrs, TcpConfig::default(), chunked);
     let remote_out = remote.execute(&plan).unwrap();
 
     assert_eq!(
@@ -174,7 +205,7 @@ fn site_death_mid_round_aborts_with_disconnect_error() {
         read_timeout: Some(Duration::from_secs(30)),
         ..TcpConfig::default()
     };
-    let remote = RemoteCluster::connect(&addrs, &cfg).unwrap();
+    let remote = remote_engine(&addrs, cfg, EngineConfig::default());
     let plan = Planner::new(remote.distribution()).optimize(&expr, OptFlags::all());
     let err = remote.execute(&plan).unwrap_err().to_string();
     assert!(
@@ -219,12 +250,12 @@ fn mid_handshake_disconnect_does_not_wedge_serve_forever() {
     }
 
     // A genuine coordinator session must still be served to completion.
-    let remote = RemoteCluster::connect(std::slice::from_ref(&addr), &cfg).unwrap();
+    let remote = remote_engine(std::slice::from_ref(&addr), cfg, EngineConfig::default());
     let expr = fig2_query();
     let plan = Planner::new(remote.distribution()).optimize(&expr, OptFlags::all());
     let out = remote.execute(&plan).unwrap();
 
-    let local = Cluster::from_partitions("tpcr", vec![part.clone()]);
+    let local = local_engine(std::slice::from_ref(part), EngineConfig::default());
     let local_plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
     let want = local.execute(&local_plan).unwrap();
     assert_eq!(canonical(&out.relation), canonical(&want.relation));
@@ -236,9 +267,9 @@ fn mid_handshake_disconnect_does_not_wedge_serve_forever() {
 #[test]
 fn handshake_preserves_distribution_knowledge() {
     let parts = fig2_partitions();
-    let local = Cluster::from_partitions("tpcr", parts.clone());
+    let local = local_engine(&parts, EngineConfig::default());
     let addrs = spawn_sites(&parts);
-    let remote = RemoteCluster::connect(&addrs, &TcpConfig::default()).unwrap();
+    let remote = remote_engine(&addrs, TcpConfig::default(), EngineConfig::default());
     for col in ["nation_key", "cust_key", "cust_group"] {
         assert_eq!(
             remote.distribution().is_partition_attribute("tpcr", col),

@@ -1,8 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **GMDJ evaluation strategy** — hash fast path vs nested loop at the
-//!   sites (the centralized-evaluation efficiency the paper cites from
-//!   [2, 7]);
 //! * **serialization** — codec encode/decode of a shipped base structure
 //!   (the per-round fixed cost of exact byte accounting);
 //! * **local GMDJ evaluation** — the single-site evaluator on its own,
@@ -11,33 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use skalla_bench::workloads::*;
-use skalla_core::{OptFlags, Planner};
 use skalla_gmdj::eval::{eval_local, EvalOptions};
 use skalla_relation::codec::{decode_relation, encode_relation};
-
-fn bench_eval_strategy(c: &mut Criterion) {
-    let parts = tpcr_partitions(BenchScale::quick());
-    let expr = group_reduction_query(Cardinality::Low);
-    let mut g = c.benchmark_group("ablation_eval_strategy");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(2));
-    for (label, hash) in [("hash_path", true), ("nested_loop", false)] {
-        let mut cluster = cluster_of(&parts, 4);
-        cluster.configure(&skalla_core::EngineConfig {
-            eval: EvalOptions {
-                hash_path: hash,
-                ..EvalOptions::default()
-            },
-            ..skalla_core::EngineConfig::default()
-        });
-        let plan = Planner::new(cluster.distribution()).optimize(&expr, OptFlags::all());
-        g.bench_function(label, |b| {
-            b.iter(|| cluster.execute(&plan).expect("query runs"));
-        });
-    }
-    g.finish();
-}
 
 fn bench_codec(c: &mut Criterion) {
     let parts = tpcr_partitions(BenchScale::quick());
@@ -68,16 +40,11 @@ fn bench_local_gmdj(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));
-    for (label, hash) in [("hash_path", true), ("nested_loop", false)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                eval_local(&base, detail, &op, EvalOptions { hash_path: hash, ..EvalOptions::default() })
-                    .expect("evaluates")
-            });
-        });
-    }
+    g.bench_function("eval_local", |b| {
+        b.iter(|| eval_local(&base, detail, &op, EvalOptions::default()).expect("evaluates"));
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_eval_strategy, bench_codec, bench_local_gmdj);
+criterion_group!(benches, bench_codec, bench_local_gmdj);
 criterion_main!(benches);

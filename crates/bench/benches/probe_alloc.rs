@@ -81,13 +81,10 @@ fn main() {
     // Single morsel, single worker: the only size-dependent work is the
     // probe loop itself.
     let opts = |columnar: bool| EvalOptions {
-        hash_path: true,
         parallelism: 1,
         morsel_rows: 1 << 30,
         columnar,
-        skew_balance: true,
-        cache: true,
-        fault_panic_morsel: None,
+        ..EvalOptions::default()
     };
 
     const SMALL: usize = 1_000;

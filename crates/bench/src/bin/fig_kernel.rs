@@ -106,13 +106,10 @@ fn main() {
     let op = operator();
 
     let opts = |parallelism: usize, morsel_rows: usize, columnar: bool| EvalOptions {
-        hash_path: true,
         parallelism,
         morsel_rows,
         columnar,
-        skew_balance: true,
-        cache: true,
-        fault_panic_morsel: None,
+        ..EvalOptions::default()
     };
     let configs = [
         ("serial", opts(1, 1 << 30, false)),

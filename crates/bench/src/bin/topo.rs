@@ -9,8 +9,8 @@
 //! `O(sites · |B|)` per round.
 
 use skalla_bench::harness::*;
+use skalla_bench::topology::{execute_tree, TreeTopology};
 use skalla_bench::workloads::*;
-use skalla_core::topology::{execute_tree, TreeTopology};
 use skalla_core::{OptFlags, Planner};
 
 fn main() {

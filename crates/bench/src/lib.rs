@@ -2,7 +2,9 @@
 //!
 //! Workload definitions ([`workloads`]) and measurement utilities
 //! ([`harness`]) shared by the `fig2`…`fig5` harness binaries (which print
-//! the series each paper figure plots) and the criterion benches.
+//! the series each paper figure plots) and the criterion benches, plus
+//! the two-level coordinator-tree simulation ([`topology`]) behind the
+//! `topo` binary.
 //!
 //! Regenerate the evaluation with:
 //!
@@ -19,4 +21,5 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod topology;
 pub mod workloads;

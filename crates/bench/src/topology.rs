@@ -5,20 +5,19 @@
 //! A two-level tree: sites report to *regional coordinators*, which merge
 //! their region's sub-results (Theorem 1's merge is associative, so any
 //! intermediate grouping of the partition is valid — see
-//! [`crate::coordinator::PartialMerge`]) and forward one consolidated
+//! [`skalla_core::coordinator::PartialMerge`]) and forward one consolidated
 //! relation to the *root*. The root's links then carry `O(#regions · |B|)`
 //! per round instead of `O(#sites · |B|)` — attacking exactly the
 //! quadratic term the paper's Fig. 2 isolates.
 //!
 //! The tree executes synchronously (it is an architecture simulation for
-//! traffic analysis; the threaded star runtime in [`crate::cluster`] is
-//! the primary engine). Both levels' traffic is recorded with the same
+//! traffic analysis; the [`skalla_core::Skalla`] star runtime is the
+//! engine). Both levels' traffic is recorded with the same
 //! byte accounting as the star topology.
 
-use crate::cluster::Cluster;
-use crate::coordinator::{empty_aggregates, BaseSync, ChainSync, MergeSync, PartialMerge};
-use crate::plan::{DistributedPlan, SiteFilter, StageKind, Unit};
-use crate::site::execute_stage;
+use skalla_core::coordinator::{empty_aggregates, BaseSync, ChainSync, MergeSync, PartialMerge};
+use skalla_core::site::execute_stage;
+use skalla_core::{Cluster, DistributedPlan, SiteFilter, StageKind, Unit};
 use skalla_gmdj::BaseQuery;
 use skalla_net::{Direction, NetStats, RoundStats};
 use skalla_relation::{Error, Relation, Result, Schema};
@@ -337,7 +336,7 @@ fn execute_tree_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{OptFlags, Planner};
+    use skalla_core::{OptFlags, Planner};
     use skalla_gmdj::prelude::*;
     use skalla_relation::{row, DataType, Domain, DomainMap};
 

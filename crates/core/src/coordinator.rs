@@ -11,6 +11,13 @@
 //! * [`ChainSync`] — disjoint assembly of locally-finalized results from
 //!   synchronization-reduced units (Thm 5 / Cor 1), which *verifies* the
 //!   partition assumption by rejecting duplicate keys.
+//!
+//! The stage loop that drives them over a transport (Alg.
+//! GMDJDistribEval) is the crate-private `run` sub-module.
+
+mod run;
+
+pub(crate) use run::{finished_rounds, net_err, run_coordinator};
 
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;

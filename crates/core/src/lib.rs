@@ -19,8 +19,8 @@
 //!   reduction (Prop 2, Thm 5/Cor 1).
 //! * [`distribution::DistributionInfo`] — per-site φ knowledge and
 //!   partition-attribute detection (Definition 2).
-//! * [`coordinator`] — the base-result structure and the Theorem 1
-//!   synchronization.
+//! * [`coordinator`] — the base-result structure, the Theorem 1
+//!   synchronization, and the stage loop that drives them.
 //! * [`stats`] — per-round traffic/compute measurements and the simulated
 //!   cost breakdown.
 //! * [`cache`] — the semantic result cache: canonical plan fingerprints,
@@ -41,7 +41,6 @@ pub mod scheduler;
 pub mod site;
 pub mod skew;
 pub mod stats;
-pub mod topology;
 pub mod warehouse;
 
 pub use cache::{plan_fingerprint, plan_fingerprints, CacheStats, Fingerprint, SemanticCache};
@@ -55,5 +54,4 @@ pub use remote::SiteServer;
 pub use scheduler::{AdmissionError, QueryId, QueryScheduler, SchedulerConfig};
 pub use skew::{plan_routing, skew_eligible, HotReport, SkewPlan, SkewSpec};
 pub use stats::{ExecStats, QueryResult, RoundSummary, SimBreakdown, StageTimes};
-pub use topology::{execute_tree, TreeQueryResult, TreeTopology};
 pub use warehouse::{EngineConfig, SharedCatalog, Skalla, SkallaBuilder, Warehouse};

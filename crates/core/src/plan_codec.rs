@@ -92,42 +92,36 @@ fn get_unit(dec: &mut Decoder<'_>) -> Result<Unit> {
     })
 }
 
+/// Destructures [`EvalOptions`] exhaustively (no `..`), as
+/// [`get_eval_options`] rebuilds it: a field added to the struct without
+/// a wire encoding is a compile error here.
 fn put_eval_options(enc: &mut Encoder, opts: &EvalOptions) {
-    enc.put_u8(opts.hash_path as u8);
-    enc.put_u32(opts.parallelism as u32);
-    enc.put_u32(opts.morsel_rows.min(u32::MAX as usize) as u32);
-    enc.put_u8(opts.columnar as u8);
-    enc.put_u8(opts.skew_balance as u8);
-    enc.put_u8(opts.cache as u8);
-    match opts.fault_panic_morsel {
-        Some(m) => {
-            enc.put_u8(1);
-            enc.put_u32(m as u32);
-        }
-        None => enc.put_u8(0),
-    }
-}
-
-fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
-    let hash_path = dec.get_u8()? != 0;
-    let parallelism = dec.get_u32()? as usize;
-    let morsel_rows = (dec.get_u32()? as usize).max(1);
-    let columnar = dec.get_u8()? != 0;
-    let skew_balance = dec.get_u8()? != 0;
-    let cache = dec.get_u8()? != 0;
-    let fault_panic_morsel = match dec.get_u8()? {
-        0 => None,
-        1 => Some(dec.get_u32()? as usize),
-        t => return Err(Error::Codec(format!("bad fault flag {t}"))),
-    };
-    Ok(EvalOptions {
-        hash_path,
+    let EvalOptions {
         parallelism,
         morsel_rows,
         columnar,
         skew_balance,
         cache,
-        fault_panic_morsel,
+    } = *opts;
+    enc.put_u32(parallelism as u32);
+    enc.put_u32(morsel_rows.min(u32::MAX as usize) as u32);
+    enc.put_u8(columnar as u8);
+    enc.put_u8(skew_balance as u8);
+    enc.put_u8(cache as u8);
+}
+
+fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
+    let parallelism = dec.get_u32()? as usize;
+    let morsel_rows = (dec.get_u32()? as usize).max(1);
+    let columnar = dec.get_u8()? != 0;
+    let skew_balance = dec.get_u8()? != 0;
+    let cache = dec.get_u8()? != 0;
+    Ok(EvalOptions {
+        parallelism,
+        morsel_rows,
+        columnar,
+        skew_balance,
+        cache,
     })
 }
 
@@ -281,23 +275,13 @@ mod tests {
     fn plan_with_options_round_trips() {
         let plan = planner_with_knowledge().optimize(&expr(), OptFlags::all());
         for opts in [
+            EvalOptions::default(),
             EvalOptions {
-                hash_path: true,
-                parallelism: 0,
-                morsel_rows: 65_536,
-                columnar: true,
-                skew_balance: true,
-                cache: true,
-                fault_panic_morsel: None,
-            },
-            EvalOptions {
-                hash_path: false,
                 parallelism: 7,
                 morsel_rows: 256,
                 columnar: false,
                 skew_balance: false,
                 cache: false,
-                fault_panic_morsel: Some(3),
             },
         ] {
             for chunk_rows in [None, Some(512)] {
@@ -305,13 +289,7 @@ mod tests {
                 let (back_plan, back_opts, back_chunk) = decode_plan_with_options(&bytes).unwrap();
                 assert_eq!(back_plan, plan);
                 assert_eq!(back_chunk, chunk_rows);
-                assert_eq!(back_opts.hash_path, opts.hash_path);
-                assert_eq!(back_opts.parallelism, opts.parallelism);
-                assert_eq!(back_opts.morsel_rows, opts.morsel_rows);
-                assert_eq!(back_opts.columnar, opts.columnar);
-                assert_eq!(back_opts.skew_balance, opts.skew_balance);
-                assert_eq!(back_opts.cache, opts.cache);
-                assert_eq!(back_opts.fault_panic_morsel, opts.fault_panic_morsel);
+                assert_eq!(back_opts, opts);
             }
         }
     }

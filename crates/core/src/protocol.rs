@@ -31,7 +31,9 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 /// * **v3** — v2 frames; the [`TAG_PLAN`] option block is one byte
 ///   shorter (a retired kernel-ablation flag), so a v2 peer would
 ///   misread every plan.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// * **v4** — v2 frames; the option block loses two more bytes (the
+///   probe-strategy and fault-injection knobs, both retired).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Coordinator → site: run a stage (optionally with a base fragment).
 pub const TAG_RUN_STAGE: u8 = 1;
@@ -43,7 +45,7 @@ pub const TAG_ERROR: u8 = 3;
 pub const TAG_SHUTDOWN: u8 = 4;
 /// Coordinator → site: the distributed plan for the upcoming query. The
 /// payload is the cluster's evaluation options (thread count, morsel size,
-/// probe strategy) followed by the encoded plan — see
+/// kernel, balancer and cache switches) followed by the encoded plan — see
 /// [`crate::plan_codec::encode_plan_with_options`].
 pub const TAG_PLAN: u8 = 5;
 /// Coordinator → site: describe your local warehouse. Sent once per

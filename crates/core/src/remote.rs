@@ -16,7 +16,7 @@
 //! come back in [`crate::protocol::TAG_TELEMETRY`] frames, which the
 //! transports exempt from byte accounting.
 
-use crate::cluster::net_err;
+use crate::coordinator::net_err;
 use crate::distribution::DistributionInfo;
 use crate::protocol::{self, SiteCatalogEntry};
 use crate::site::site_session_loop;

@@ -31,7 +31,7 @@
 //!    the unbalanced run (the sketch is a load-balancing hint only).
 //!
 //! The ablation knob is `EvalOptions::skew_balance`
-//! (`--no-skew-balance` / `SKALLA_SKEW=0`); `fig_skew` measures the
+//! (`--no-skew-balance`); `fig_skew` measures the
 //! effect as max-site-busy vs the Zipf exponent.
 
 use crate::plan::{DistributedPlan, StageKind};

@@ -56,7 +56,8 @@
 //! ```
 
 use crate::cache::{plan_fingerprints, Fingerprint, Role, SemanticCache, DEFAULT_CACHE_BYTES};
-use crate::cluster::{finished_rounds, net_err, run_coordinator, Cluster};
+use crate::cluster::Cluster;
+use crate::coordinator::{finished_rounds, net_err, run_coordinator};
 use crate::distribution::DistributionInfo;
 use crate::plan::DistributedPlan;
 use crate::protocol;
@@ -938,14 +939,13 @@ mod tests {
         Skalla::builder().partitions("t", parts()).build().unwrap()
     }
 
-    /// An engine with the semantic cache pinned off (for tests that
-    /// assert repeat executions re-contact the sites) or on (for cache
-    /// tests that must hold under a `SKALLA_CACHE=0` tier-1 run).
-    fn engine_with_cache(cache: bool) -> Skalla {
+    /// An engine with the semantic cache off, for tests that assert
+    /// repeat executions re-contact the sites.
+    fn engine_without_cache() -> Skalla {
         Skalla::builder()
             .partitions("t", parts())
             .eval_options(EvalOptions {
-                cache,
+                cache: false,
                 ..EvalOptions::default()
             })
             .build()
@@ -967,7 +967,7 @@ mod tests {
     fn sequential_queries_reuse_the_session() {
         // Cache off: this asserts the *session* is reused (identical
         // traffic on a repeat run), which requires re-executing.
-        let e = engine_with_cache(false);
+        let e = engine_without_cache();
         let planner = Planner::new(e.distribution());
         let p1 = planner.optimize(&expr(), OptFlags::none());
         let p2 = planner.optimize(&expr(), OptFlags::all());
@@ -1093,7 +1093,7 @@ mod tests {
 
     #[test]
     fn repeated_query_is_served_from_cache() {
-        let e = engine_with_cache(true);
+        let e = engine();
         let plan = Planner::new(e.distribution()).optimize(&expr(), OptFlags::none());
         let cold = e.execute(&plan).unwrap();
         assert!(!cold.stats.is_cache_hit());
@@ -1109,7 +1109,7 @@ mod tests {
     fn label_and_theta_variants_hit_the_same_entry() {
         // Structural fingerprinting: a re-planned query with renamed
         // stage labels and reordered θ conjuncts is the same query.
-        let e = engine_with_cache(true);
+        let e = engine();
         let planner = Planner::new(e.distribution());
         let theta = |flip: bool| {
             let a = Expr::dcol("g").eq(Expr::bcol("g"));
@@ -1138,7 +1138,7 @@ mod tests {
 
     #[test]
     fn longer_chain_resumes_from_cached_prefix() {
-        let e = engine_with_cache(true);
+        let e = engine();
         let planner = Planner::new(e.distribution());
         let short = GmdjExprBuilder::distinct_base("t", &["g"])
             .gmdj(Gmdj::new("t").block(
@@ -1203,7 +1203,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_after_partition_swap_invalidates_results() {
-        let e = engine_with_cache(true);
+        let e = engine();
         let plan = Planner::new(e.distribution()).optimize(&expr(), OptFlags::none());
         let cold = e.execute(&plan).unwrap();
         assert!(e.execute(&plan).unwrap().stats.is_cache_hit());

@@ -598,7 +598,6 @@ struct ColKernel<'a> {
     layout: &'a AccLayout,
     blocks: Vec<ColBlock<'a>>,
     pairs: Vec<CanonPair>,
-    opts: EvalOptions,
     morsel_rows: usize,
     n_morsels: usize,
 }
@@ -655,9 +654,6 @@ impl MorselKernel for ColKernel<'_> {
     }
 
     fn run_morsel_into(&self, m: usize, state: &mut ColState) -> Result<()> {
-        if self.opts.fault_panic_morsel == Some(m) {
-            panic!("injected fault in morsel {m}");
-        }
         let lo = m * self.morsel_rows;
         let hi = ((m + 1) * self.morsel_rows).min(self.detail.len());
         for cb in &self.blocks {
@@ -989,7 +985,6 @@ pub(crate) fn eval_columnar(
         layout,
         blocks: cblocks,
         pairs,
-        opts,
         morsel_rows,
         n_morsels,
     };
@@ -1016,19 +1011,15 @@ pub(crate) fn eval_columnar(
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
-    use crate::eval::{eval_full, eval_local, DEFAULT_MORSEL_ROWS};
+    use crate::eval::{eval_full, eval_local};
     use crate::theta::ThetaBuilder;
     use skalla_relation::{row, DataType, Expr, Schema};
 
     fn opts_columnar() -> EvalOptions {
         EvalOptions {
-            hash_path: true,
             parallelism: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             columnar: true,
-            skew_balance: true,
-            cache: true,
-            fault_panic_morsel: None,
+            ..EvalOptions::default()
         }
     }
 
@@ -1241,23 +1232,5 @@ mod tests {
         )
         .unwrap();
         assert_bits_equal(&serial, &parallel);
-    }
-
-    #[test]
-    fn columnar_worker_panic_surfaces_as_execution_error() {
-        let err = eval_local(
-            &base(),
-            &detail(),
-            &wide_gmdj(),
-            EvalOptions {
-                morsel_rows: 1,
-                parallelism: 2,
-                skew_balance: true,
-                fault_panic_morsel: Some(1),
-                ..opts_columnar()
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("panicked in morsel 1"));
     }
 }

@@ -47,34 +47,36 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default morsel size (rows of the detail relation per work unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 
-/// Evaluation knobs.
-#[derive(Debug, Clone, Copy)]
+/// Evaluation knobs. Every field is a pure performance switch: Thms 1–3
+/// make the answer a function of the data and φ, never of how a site
+/// scans, so any setting produces the centralized oracle's result (and,
+/// for a fixed `morsel_rows`, the same f64 bits). The knob-lattice
+/// property test (`tests/property_equivalence.rs`) carries that
+/// invariant; the operator surface is the `skalla-cli` flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Use the hash fast path when θ has equi-key conjuncts (on by
-    /// default; disable for the nested-loop ablation bench).
-    pub hash_path: bool,
     /// Worker threads for the morsel-parallel kernel. `0` means "auto":
     /// use [`std::thread::available_parallelism`]. `1` runs the kernel
-    /// serially (same morsel structure, same bits).
+    /// serially (same morsel structure, same bits). CLI `--threads`.
     pub parallelism: usize,
     /// Rows per morsel. Output bits depend on this (it fixes the
-    /// accumulator merge structure) but **not** on `parallelism`.
+    /// accumulator merge structure) but **not** on `parallelism`. CLI
+    /// `--morsel-rows`.
     pub morsel_rows: usize,
     /// Evaluate through the columnar (vectorized) kernel: typed aggregate
     /// accumulator arrays over the detail relation's columnar layout
     /// ([`skalla_relation::Columns`]), canonical-key probes on dictionary
     /// codes instead of per-row [`Value`] hashing. On by default. This
-    /// is an ablation knob (env `SKALLA_COLUMNAR=0`, CLI
-    /// `--no-columnar`) so fig benches can A/B the two kernels; both
-    /// produce bit-identical results.
+    /// is an ablation knob (CLI `--no-columnar`) so fig benches can A/B
+    /// the two kernels; both produce bit-identical results.
     pub columnar: bool,
     /// Skew-resilient distribution: sites report heavy-hitter group keys
     /// during round 1 and the coordinator re-routes hot groups away from
     /// overloaded sites (with a final merge leg for the split
     /// sub-aggregates). On by default; results are bit-identical either
-    /// way, so this is an ablation knob (env `SKALLA_SKEW=0`, CLI
-    /// `--no-skew-balance`) for the `fig_skew` bench and for operators
-    /// diagnosing balancer behaviour.
+    /// way, so this is an ablation knob (CLI `--no-skew-balance`) for
+    /// the `fig_skew` bench and for operators diagnosing balancer
+    /// behaviour.
     pub skew_balance: bool,
     /// Semantic result caching at the concurrent engine: repeated plans
     /// are answered from the coordinator's sub-aggregate cache (and
@@ -82,59 +84,26 @@ pub struct EvalOptions {
     /// sites, and `query::cube` rolls coarse grouping sets up from the
     /// finest level locally. On by default; a served result is the
     /// bit-identical relation the sites produced, so this is an ablation
-    /// knob (env `SKALLA_CACHE=0`, CLI `--no-cache`) for the `fig_cache`
-    /// bench and for reproducing pre-cache traffic byte-for-byte.
+    /// knob (CLI `--no-cache`) for the `fig_cache` bench and for
+    /// reproducing pre-cache traffic byte-for-byte.
     pub cache: bool,
-    /// Fault injection for robustness tests: panic when a worker starts
-    /// the morsel with this index. `None` in production.
-    pub fault_panic_morsel: Option<usize>,
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-fn env_flag(name: &str) -> Option<bool> {
-    std::env::var(name)
-        .ok()
-        .map(|v| v != "0" && !v.eq_ignore_ascii_case("false"))
 }
 
 impl Default for EvalOptions {
-    /// Defaults honour the `SKALLA_*` environment: every knob has an env
-    /// override (`SKALLA_THREADS`, `SKALLA_MORSEL_ROWS`,
-    /// `SKALLA_COLUMNAR`, `SKALLA_SKEW`, `SKALLA_CACHE`,
-    /// `SKALLA_HASH_PATH`, `SKALLA_FAULT_MORSEL`), used by `ci.sh` to run the whole suite at
-    /// several thread counts, under both kernels, with the skew balancer
-    /// on and off, and with the semantic cache on and off. Fallbacks:
-    /// auto parallelism, [`DEFAULT_MORSEL_ROWS`], the hash path and
-    /// columnar kernel on, skew balancing on, semantic caching on, no
-    /// fault injection. The `knob-wiring` lint enforces that this list
-    /// stays complete.
+    /// Auto parallelism, [`DEFAULT_MORSEL_ROWS`], the columnar kernel,
+    /// skew balancing and semantic caching on.
     fn default() -> Self {
         EvalOptions {
-            hash_path: env_flag("SKALLA_HASH_PATH").unwrap_or(true),
-            parallelism: env_usize("SKALLA_THREADS").unwrap_or(0),
-            morsel_rows: env_usize("SKALLA_MORSEL_ROWS")
-                .unwrap_or(DEFAULT_MORSEL_ROWS)
-                .max(1),
-            columnar: env_flag("SKALLA_COLUMNAR").unwrap_or(true),
-            skew_balance: env_flag("SKALLA_SKEW").unwrap_or(true),
-            cache: env_flag("SKALLA_CACHE").unwrap_or(true),
-            fault_panic_morsel: env_usize("SKALLA_FAULT_MORSEL"),
+            parallelism: 0,
+            morsel_rows: DEFAULT_MORSEL_ROWS,
+            columnar: true,
+            skew_balance: true,
+            cache: true,
         }
     }
 }
 
 impl EvalOptions {
-    /// Default options with an explicit worker count (`0` = auto).
-    pub fn with_parallelism(parallelism: usize) -> EvalOptions {
-        EvalOptions {
-            parallelism,
-            ..EvalOptions::default()
-        }
-    }
-
     /// The resolved worker count: `parallelism`, or the machine's
     /// available cores when `0`.
     pub fn effective_parallelism(&self) -> usize {
@@ -280,7 +249,6 @@ pub(crate) fn prepare_blocks(
     gmdj: &Gmdj,
     base: &Schema,
     detail: &Schema,
-    opts: EvalOptions,
 ) -> Result<(AccLayout, Vec<PreparedBlock>)> {
     let layout = gmdj.layout();
     // Map each (block, agg) to its slot offset.
@@ -292,7 +260,7 @@ pub(crate) fn prepare_blocks(
     let mut blocks = Vec::with_capacity(gmdj.blocks.len());
     for (bi, block) in gmdj.blocks.iter().enumerate() {
         let analysis = analyze_theta(&block.theta);
-        let use_hash = opts.hash_path && !analysis.equi.is_empty();
+        let use_hash = !analysis.equi.is_empty();
         let (base_keys, detail_keys, condition) = if use_hash {
             let mut bk = Vec::with_capacity(analysis.equi.len());
             let mut dk = Vec::with_capacity(analysis.equi.len());
@@ -509,7 +477,6 @@ struct Kernel<'a> {
     layout: &'a AccLayout,
     blocks: &'a [PreparedBlock],
     indexes: &'a [KeyIndex],
-    opts: EvalOptions,
     morsel_rows: usize,
     n_morsels: usize,
 }
@@ -551,9 +518,6 @@ impl MorselKernel for Kernel<'_> {
 
     /// Evaluate one morsel of the detail relation against every block.
     fn run_morsel_into(&self, m: usize, state: &mut MorselState) -> Result<()> {
-        if self.opts.fault_panic_morsel == Some(m) {
-            panic!("injected fault in morsel {m}");
-        }
         let lo = m * self.morsel_rows;
         let hi = ((m + 1) * self.morsel_rows).min(self.detail.len());
         let morsel = &self.detail.rows()[lo..hi];
@@ -631,7 +595,7 @@ pub fn eval_local_traced(
     site: usize,
 ) -> Result<LocalGmdj> {
     gmdj.validate(base.schema(), detail.schema())?;
-    let (layout, mut blocks) = prepare_blocks(gmdj, base.schema(), detail.schema(), opts)?;
+    let (layout, mut blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
 
     let morsel_rows = opts.morsel_rows.max(1);
     let n_morsels = detail.len().div_ceil(morsel_rows).max(1);
@@ -661,7 +625,6 @@ pub fn eval_local_traced(
             layout: &layout,
             blocks: &blocks,
             indexes: &indexes,
-            opts,
             morsel_rows,
             n_morsels,
         };
@@ -775,19 +738,14 @@ mod tests {
         )
     }
 
-    /// Environment-independent options for deterministic tests. The row
-    /// kernel is selected explicitly — these tests exercise its internals;
-    /// columnar/row agreement is covered by dedicated tests below and by
-    /// the property suite.
+    /// The row kernel is selected explicitly — these tests exercise its
+    /// internals; columnar/row agreement is covered by dedicated tests
+    /// below and by the property suite.
     fn opts() -> EvalOptions {
         EvalOptions {
-            hash_path: true,
             parallelism: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             columnar: false,
-            skew_balance: true,
-            cache: true,
-            fault_panic_morsel: None,
+            ..EvalOptions::default()
         }
     }
 
@@ -806,17 +764,18 @@ mod tests {
 
     #[test]
     fn hash_and_nested_loop_agree() {
+        // The same key written as a range, `b.g <= r.g AND b.g >= r.g`,
+        // is not lifted by `analyze_theta`, so it runs the nested loop.
+        let ranged = Expr::bcol("g")
+            .le(Expr::dcol("g"))
+            .and(Expr::bcol("g").ge(Expr::dcol("g")));
+        assert!(analyze_theta(&ranged).equi.is_empty());
+        let nested = Gmdj::new("t").block(
+            ranged,
+            vec![AggSpec::count("cnt"), AggSpec::avg("v", "avg")],
+        );
         let hash = eval_full(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
-        let nl = eval_full(
-            &base(),
-            &detail(),
-            &simple_gmdj(),
-            EvalOptions {
-                hash_path: false,
-                ..opts()
-            },
-        )
-        .unwrap();
+        let nl = eval_full(&base(), &detail(), &nested, opts()).unwrap();
         assert_eq!(hash, nl);
     }
 
@@ -851,22 +810,73 @@ mod tests {
         }
     }
 
+    /// A kernel whose morsels listed in `bad` panic; the others count
+    /// themselves.
+    struct PanickyKernel {
+        n_morsels: usize,
+        bad: &'static [usize],
+    }
+
+    impl MorselKernel for PanickyKernel {
+        type State = usize;
+
+        fn n_morsels(&self) -> usize {
+            self.n_morsels
+        }
+
+        fn morsel_rows_in(&self, _m: usize) -> usize {
+            1
+        }
+
+        fn init_state(&self) -> usize {
+            0
+        }
+
+        fn reset_state(&self, state: &mut usize) {
+            *state = 0;
+        }
+
+        fn run_morsel_into(&self, m: usize, state: &mut usize) -> Result<()> {
+            if self.bad.contains(&m) {
+                panic!("boom in {m}");
+            }
+            *state += 1;
+            Ok(())
+        }
+
+        fn merge_state(&self, dst: &mut usize, src: &usize) -> Result<()> {
+            *dst += *src;
+            Ok(())
+        }
+    }
+
     #[test]
     fn worker_panic_surfaces_as_execution_error() {
-        let err = eval_local(
-            &base(),
-            &detail(),
-            &simple_gmdj(),
-            EvalOptions {
-                morsel_rows: 1,
-                parallelism: 2,
-                fault_panic_morsel: Some(1),
+        // Serial (streaming) and parallel driver paths: a panicking
+        // morsel becomes an `Error::Execution` naming the smallest
+        // failing morsel, whichever worker hit which one first.
+        for parallelism in [1usize, 2, 4] {
+            let opts = EvalOptions {
+                parallelism,
                 ..opts()
-            },
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("panicked in morsel 1"), "unexpected: {msg}");
+            };
+            let kernel = PanickyKernel {
+                n_morsels: 5,
+                bad: &[3, 1],
+            };
+            let msg = drive(&kernel, opts, &Obs::disabled(), 0)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                msg.contains("panicked in morsel 1") && msg.contains("boom in 1"),
+                "parallelism {parallelism}: {msg}"
+            );
+            let healthy = PanickyKernel {
+                n_morsels: 5,
+                bad: &[],
+            };
+            assert_eq!(drive(&healthy, opts, &Obs::disabled(), 0).unwrap(), 5);
+        }
     }
 
     #[test]

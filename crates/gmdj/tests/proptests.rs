@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
-use skalla_gmdj::eval::{eval_local, eval_full, finalize_physical, EvalOptions};
+use skalla_gmdj::eval::{
+    eval_full, eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
+};
 use skalla_gmdj::prelude::*;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{DataType, Relation, Row, Schema, Value};
@@ -57,15 +59,24 @@ proptest! {
 
     /// Theorem 1: evaluating sub-aggregates per partition and merging at a
     /// "coordinator" equals direct evaluation, for every aggregate
-    /// function and random partitionings (VAR/STDDEV compared with a
-    /// floating-point tolerance — partition order changes summation
-    /// order).
+    /// function, random partitionings and either kernel at any worker
+    /// count and morsel size (VAR/STDDEV compared with a floating-point
+    /// tolerance — partition order changes summation order).
     #[test]
     fn sub_super_equals_direct(
         rows in proptest::collection::vec((-4i64..4, -50i64..50), 1..40),
         split in proptest::collection::vec(0usize..3, 1..40),
         aggs in proptest::collection::vec(arb_agg(), 1..4),
+        columnar in any::<bool>(),
+        parallelism in 1usize..4,
+        morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
     ) {
+        let opts = EvalOptions {
+            parallelism,
+            morsel_rows,
+            columnar,
+            ..EvalOptions::default()
+        };
         let d = detail(&rows);
         let specs: Vec<AggSpec> = aggs
             .iter()
@@ -76,7 +87,7 @@ proptest! {
         let base = d.project_distinct(&["g"]).expect("projects");
 
         // Direct evaluation.
-        let direct = eval_full(&base, &d, &op, EvalOptions::default()).expect("evaluates");
+        let direct = eval_full(&base, &d, &op, opts).expect("evaluates");
 
         // Partitioned evaluation: split rows into up to 3 fragments.
         let mut frags = vec![Vec::new(), Vec::new(), Vec::new()];
@@ -88,8 +99,7 @@ proptest! {
         let mut acc: Option<Relation> = None;
         for frag_rows in frags {
             let frag = Relation::from_shared(d.schema_ref(), frag_rows);
-            let local = eval_local(&base, &frag, &op, EvalOptions::default())
-                .expect("local evaluates");
+            let local = eval_local(&base, &frag, &op, opts).expect("local evaluates");
             acc = Some(match acc {
                 None => local.physical,
                 Some(mut x) => {

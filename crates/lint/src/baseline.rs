@@ -8,7 +8,7 @@
 //! Deleting debt never breaks the build (stale entries are reported but
 //! harmless); adding debt always does.
 //!
-//! Only `panic-hygiene` is baselined. The registry, knob, and
+//! Only `panic-hygiene` is baselined. The registry and
 //! determinism rules have an empty baseline by construction: their
 //! findings are either fixed or annotated at the use site.
 

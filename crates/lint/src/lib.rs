@@ -2,9 +2,8 @@
 //!
 //! Skalla's correctness story rests on contracts that `rustc` cannot
 //! see: the frame-tag registry must agree with the demux layer, the
-//! traffic accounting, and the operator docs; every ablation knob must
-//! be wired through the plan codec, the environment, and the CLI;
-//! library code must not panic on remote input; and nothing
+//! traffic accounting, and the operator docs; library code must not
+//! panic on remote input; and nothing
 //! nondeterministic (wall clocks, hash-order iteration) may feed busy
 //! accounting or wire encoding. This crate enforces those contracts
 //! mechanically, as `cargo run -p skalla-lint`, gated in `ci.sh`.

@@ -31,6 +31,7 @@ const ORDER_SCOPE: &[&str] = &[
     "crates/core/src/protocol.rs",
     "crates/core/src/plan_codec.rs",
     "crates/core/src/coordinator.rs",
+    "crates/core/src/coordinator/run.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/site.rs",
     "crates/core/src/skew.rs",

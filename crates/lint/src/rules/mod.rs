@@ -14,14 +14,12 @@
 //! `panic` (panic-hygiene), `wall-clock`, `unordered-iter`.
 
 mod determinism;
-mod knobs;
 mod panics;
 mod protocol;
 
 use crate::workspace::{Diagnostic, Workspace};
 
 pub use determinism::{unordered_iter, wall_clock};
-pub use knobs::knob_wiring;
 pub use panics::panic_hygiene;
 pub use protocol::protocol_registry;
 
@@ -32,7 +30,6 @@ pub type Rule = fn(&Workspace) -> Vec<Diagnostic>;
 /// baseline applies to (existing debt is frozen; new debt is an error).
 pub const ALL_RULES: &[(&str, Rule)] = &[
     ("protocol-registry", protocol_registry),
-    ("knob-wiring", knob_wiring),
     ("panic-hygiene", panic_hygiene),
     ("wall-clock", wall_clock),
     ("unordered-iter", unordered_iter),

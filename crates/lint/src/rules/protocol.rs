@@ -30,7 +30,7 @@ const DOC_FILE: &str = "docs/ARCHITECTURE.md";
 const DISPATCH_FILES: &[&str] = &[
     "crates/core/src/site.rs",
     "crates/core/src/coordinator.rs",
-    "crates/core/src/cluster.rs",
+    "crates/core/src/coordinator/run.rs",
     "crates/core/src/remote.rs",
     "crates/core/src/warehouse.rs",
     "crates/net/src/mux.rs",

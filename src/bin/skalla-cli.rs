@@ -108,25 +108,16 @@ QUERY OPTIONS:
                               GMDJ kernel (default: available cores; 1 = serial)
   --morsel-rows N             detail rows per morsel (default: 65536; fixes the
                               accumulator merge structure, so output bits depend
-                              on it; also SKALLA_MORSEL_ROWS)
+                              on it)
   --no-columnar               evaluate with the row-at-a-time GMDJ kernel
                               instead of the vectorized columnar kernel
-                              (ablation; same bits either way; also
-                              SKALLA_COLUMNAR=0)
-  --no-hash-path              disable the equi-key hash fast path and evaluate
-                              θ by nested loops (ablation; same bits either
-                              way; also SKALLA_HASH_PATH=0)
-  --fault-panic-morsel N      fault injection: panic the worker that starts
-                              morsel N, to exercise error recovery (testing
-                              only; also SKALLA_FAULT_MORSEL)
+                              (ablation; same bits either way)
   --no-skew-balance           disable heavy-hitter skew balancing: sites
                               neither report hot group keys nor take on
-                              loaned work (ablation; same bits either way;
-                              also SKALLA_SKEW=0)
+                              loaned work (ablation; same bits either way)
   --no-cache                  disable the semantic result cache: every
                               query pays its full site traffic, repeats
-                              included (ablation; same bits either way;
-                              also SKALLA_CACHE=0)
+                              included (ablation; same bits either way)
   --concurrency N             submit the query N times at once through the
                               multi-query scheduler; the copies share the
                               persistent site sessions and must agree
@@ -317,14 +308,12 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
         builder = builder.chunk_rows(Some(n));
     }
     let mut eval = skalla::gmdj::EvalOptions::default();
-    let mut eval_set = false;
     if let Some(threads) = opt(args, "--threads") {
         let n: usize = threads.parse().map_err(|e| format!("bad --threads: {e}"))?;
         if n == 0 {
             return Err("--threads must be at least 1 (omit for auto)".to_string());
         }
         eval.parallelism = n;
-        eval_set = true;
     }
     if let Some(rows) = opt(args, "--morsel-rows") {
         let n: usize = rows.parse().map_err(|e| format!("bad --morsel-rows: {e}"))?;
@@ -332,32 +321,17 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
             return Err("--morsel-rows must be at least 1".to_string());
         }
         eval.morsel_rows = n;
-        eval_set = true;
     }
     if args.iter().any(|a| a == "--no-columnar") {
         eval.columnar = false;
-        eval_set = true;
-    }
-    if args.iter().any(|a| a == "--no-hash-path") {
-        eval.hash_path = false;
-        eval_set = true;
     }
     if args.iter().any(|a| a == "--no-skew-balance") {
         eval.skew_balance = false;
-        eval_set = true;
     }
     if args.iter().any(|a| a == "--no-cache") {
         eval.cache = false;
-        eval_set = true;
     }
-    if let Some(m) = opt(args, "--fault-panic-morsel") {
-        let n: usize = m.parse().map_err(|e| format!("bad --fault-panic-morsel: {e}"))?;
-        eval.fault_panic_morsel = Some(n);
-        eval_set = true;
-    }
-    if eval_set {
-        builder = builder.eval_options(eval);
-    }
+    builder = builder.eval_options(eval);
     if let Some(c) = opt(args, "--concurrency") {
         let n: usize = c.parse().map_err(|e| format!("bad --concurrency: {e}"))?;
         if n == 0 {

@@ -30,17 +30,13 @@ fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
     .expect("static schema")
 }
 
-/// Explicit evaluation options so the tests are independent of SKALLA_*
-/// variables in the environment. Tiny morsels force many merge steps.
+/// Tiny morsels force many merge steps.
 fn eval_opts(parallelism: usize, columnar: bool) -> EvalOptions {
     EvalOptions {
-        hash_path: true,
         parallelism,
         morsel_rows: 7,
         columnar,
-        skew_balance: true,
-        cache: true,
-        fault_panic_morsel: None,
+        ..EvalOptions::default()
     }
 }
 

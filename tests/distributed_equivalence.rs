@@ -11,6 +11,7 @@ use skalla::datagen::partition::{
 };
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::eval::EvalOptions;
+use skalla::gmdj::analyze_theta;
 use skalla::gmdj::prelude::*;
 use skalla::relation::Relation;
 
@@ -228,22 +229,39 @@ fn single_site_cluster_equals_centralized() {
 
 #[test]
 fn nested_loop_and_hash_paths_agree_distributed() {
+    // Example 1 with its grouping key written as ranges
+    // (`b.k <= r.k AND b.k >= r.k`), which `analyze_theta` does not lift
+    // into an equi-key: every site evaluates it by nested loop.
+    let ranged_key = || {
+        ["source_as", "dest_as"]
+            .iter()
+            .fold(ThetaBuilder::new(), |t, k| {
+                t.and(Expr::bcol(*k).le(Expr::dcol(*k)))
+                    .and(Expr::bcol(*k).ge(Expr::dcol(*k)))
+            })
+    };
+    let nested = GmdjExprBuilder::distinct_base("flow", &["source_as", "dest_as"])
+        .gmdj(Gmdj::new("flow").block(
+            ranged_key().build(),
+            vec![AggSpec::count("cnt1"), AggSpec::sum("num_bytes", "sum1")],
+        ))
+        .gmdj(Gmdj::new("flow").block(
+            ranged_key()
+                .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+                .build(),
+            vec![AggSpec::count("cnt2")],
+        ))
+        .build();
+    assert!(nested
+        .ops
+        .iter()
+        .all(|op| analyze_theta(&op.any_theta()).equi.is_empty()));
+
     let flows = generate_flows(&FlowConfig::small(33));
-    let expr = example1_flows();
-    let mk = |hash: bool| {
-        let mut c = Cluster::from_partitions(
-            "flow",
-            partition_by_int_ranges(&flows, "source_as", 3),
-        );
-        c.configure(&skalla::core::EngineConfig {
-            eval: EvalOptions {
-                hash_path: hash,
-                ..EvalOptions::default()
-            },
-            ..skalla::core::EngineConfig::default()
-        });
-        let plan = Planner::new(c.distribution()).optimize(&expr, OptFlags::all());
+    let c = Cluster::from_partitions("flow", partition_by_int_ranges(&flows, "source_as", 3));
+    let run = |expr: &GmdjExpr| {
+        let plan = Planner::new(c.distribution()).optimize(expr, OptFlags::all());
         c.execute(&plan).unwrap().relation
     };
-    assert!(mk(true).same_bag(&mk(false)));
+    assert!(run(&example1_flows()).same_bag(&run(&nested)));
 }

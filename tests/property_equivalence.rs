@@ -1,13 +1,20 @@
 //! Property-based end-to-end tests: for *random* detail relations, random
 //! partitionings, and randomly shaped GMDJ chains, distributed evaluation
-//! under random optimization flags equals centralized evaluation.
+//! under random optimization flags — and at every point of the
+//! evaluation-knob lattice — equals centralized evaluation.
 
 use proptest::prelude::*;
-use skalla::core::{plan::Planner, Cluster, OptFlags};
+use skalla::core::{plan::Planner, Cluster, OptFlags, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
-use skalla::gmdj::eval::EvalOptions;
+use skalla::gmdj::eval::{EvalOptions, DEFAULT_MORSEL_ROWS};
 use skalla::gmdj::prelude::*;
-use skalla::relation::{DataType, Relation, Row, Schema};
+use skalla::net::TcpConfig;
+use skalla::obs::Obs;
+use skalla::relation::{DataType, Relation, Row, Schema, Value};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// A detail relation with a Double measure column, for bit-identity tests
 /// of float aggregation (values chosen to have inexact f64 sums).
@@ -51,12 +58,18 @@ enum SecondOp {
 }
 
 fn build_expr(group_cols: &[&str], second: &SecondOp) -> GmdjExpr {
+    build_expr_with(group_cols, second, Vec::new())
+}
+
+/// [`build_expr`] with `extra` aggregates appended to the first block.
+fn build_expr_with(group_cols: &[&str], second: &SecondOp, extra: Vec<AggSpec>) -> GmdjExpr {
     let mut first_aggs = vec![
         AggSpec::count("cnt"),
         AggSpec::avg("v", "avg"),
         AggSpec::max("v", "mx"),
+        AggSpec::sum("v", "sm"),
     ];
-    first_aggs.push(AggSpec::sum("v", "sm"));
+    first_aggs.extend(extra);
     let mut b = GmdjExprBuilder::distinct_base("t", group_cols).gmdj(
         Gmdj::new("t").block(ThetaBuilder::group_by(group_cols).build(), first_aggs),
     );
@@ -100,41 +113,210 @@ fn arb_flags() -> impl Strategy<Value = OptFlags> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// One point of the knob lattice: evaluation options, and whether the
+/// sites are loopback TCP servers instead of in-process channel sites.
+/// (The morsel size is drawn per case and overrides the one here: only
+/// points sharing it owe each other identical bits.)
+fn arb_point() -> impl Strategy<Value = (EvalOptions, bool)> {
+    (
+        prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(parallelism, columnar, skew_balance, cache, tcp)| {
+            let eval = EvalOptions {
+                parallelism,
+                columnar,
+                skew_balance,
+                cache,
+                ..EvalOptions::default()
+            };
+            (eval, tcp)
+        })
+}
 
+/// A persistent engine over `parts` on the drawn backend, plus the
+/// loopback site threads to join once the engine is dropped.
+fn lattice_engine(
+    parts: &[Partition],
+    eval: EvalOptions,
+    tcp: bool,
+    obs: Obs,
+) -> (Skalla, Vec<JoinHandle<()>>) {
+    let builder = Skalla::builder().eval_options(eval).obs(obs);
+    if !tcp {
+        let engine = builder.partitions("t", parts.to_vec()).build();
+        return (engine.expect("channel engine builds"), Vec::new());
+    }
+    let mut addrs = Vec::new();
+    let mut sites = Vec::new();
+    for part in parts {
+        let catalog = HashMap::from([("t".to_string(), Arc::new(part.relation.clone()))]);
+        let domains = HashMap::from([("t".to_string(), part.domains.clone())]);
+        let server = SiteServer::bind("127.0.0.1:0", catalog, domains, TcpConfig::default())
+            .expect("loopback site binds");
+        addrs.push(server.local_addr().expect("bound").to_string());
+        sites.push(std::thread::spawn(move || {
+            let _ = server.serve_once();
+        }));
+    }
+    let engine = builder.remote(&addrs, TcpConfig::default()).build();
+    (engine.expect("tcp engine builds"), sites)
+}
+
+/// Positional comparison after sorting on `key`, f64 by bit pattern
+/// (`Value` equality would let -0.0 == 0.0 and reassociated sums that
+/// round alike pass).
+fn assert_same_bits(got: &Relation, want: &Relation, key: &[&str], ctx: &str) {
+    let got = got.sorted_by(key).expect("key columns sort");
+    let want = want.sorted_by(key).expect("key columns sort");
+    assert_eq!(got.len(), want.len(), "{ctx}: row count");
+    for (g, w) in got.rows().iter().zip(want.rows()) {
+        for (gv, wv) in g.values().iter().zip(w.values()) {
+            let same = match (gv, wv) {
+                (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+                _ => gv == wv,
+            };
+            assert!(same, "{ctx}: {gv:?} vs {wv:?}\nrow {g:?}\nvs  {w:?}");
+        }
+    }
+}
+
+const LATTICE_CASES: u32 = 48;
+/// The group that receives the generator's heavy-hitter rows.
+const HOT_GROUP: i64 = 5;
+
+// What the lattice cases exercised, checked after the last one so the
+// property cannot pass vacuously.
+static CASES_RUN: AtomicUsize = AtomicUsize::new(0);
+static CACHE_SERVED: AtomicUsize = AtomicUsize::new(0);
+static LOANED: AtomicUsize = AtomicUsize::new(0);
+static OVER_TCP: AtomicUsize = AtomicUsize::new(0);
+static MULTI_MORSEL: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(LATTICE_CASES))]
+
+    /// The one obligation of every `EvalOptions` knob and of the
+    /// transport: same answer as the centralized oracle. Random data × φ ×
+    /// optimization flags, and per case three random points of the knob
+    /// lattice — workers × kernel × skew balancer × semantic cache ×
+    /// backend — at one drawn morsel size, each on its own persistent
+    /// engine executing the plan twice. Every execution equals
+    /// `execute_centralized` as a bag on the integral measures (exact in
+    /// f64 whatever the summation order), and all of them carry identical
+    /// bits on the inexact `x = v / 3` measures, whose low bits move with
+    /// any drift in morsel decomposition, loan routing or merge order.
     #[test]
     fn distributed_equals_centralized(
         rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
+        hot in prop_oneof![Just(0usize), 20usize..60],
         n_sites in 1usize..5,
         by_range in any::<bool>(),
         group_on_h in any::<bool>(),
         second in arb_second(),
         flags in arb_flags(),
+        morsel_rows in prop_oneof![Just(7usize), Just(DEFAULT_MORSEL_ROWS)],
+        points in proptest::collection::vec(arb_point(), 3),
     ) {
-        let detail = detail_relation(rows);
+        // Heavy-hitter shape: `hot` extra rows on one group, which range
+        // partitioning lands on a single site.
+        let rows = rows
+            .into_iter()
+            .chain((0..hot as i64).map(|i| (HOT_GROUP, 0, i % 41 - 20)));
+        let detail = Relation::new(
+            Schema::of(&[
+                ("g", DataType::Int),
+                ("h", DataType::Int),
+                ("v", DataType::Int),
+                ("x", DataType::Double),
+            ]),
+            rows.map(|(g, h, v)| Row::new(vec![g.into(), h.into(), v.into(), (v as f64 / 3.0).into()]))
+                .collect(),
+        )
+        .expect("static schema");
         let parts: Vec<Partition> = if by_range {
             partition_by_int_ranges(&detail, "g", n_sites)
         } else {
             partition_round_robin(&detail, n_sites)
         };
-        let cluster = Cluster::from_partitions("t", parts);
+        let cluster = Cluster::from_partitions("t", parts.clone());
         let group_cols: Vec<&str> = if group_on_h { vec!["g", "h"] } else { vec!["g"] };
-        let expr = build_expr(&group_cols, &second);
-
-        let oracle = expr
-            .eval_centralized(&cluster.global_catalog(), EvalOptions::default())
-            .expect("oracle evaluates");
-        let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
-        let out = cluster.execute(&plan).expect("distributed evaluates");
-        prop_assert!(
-            out.relation.same_bag(&oracle),
-            "flags {flags:?} second {second:?} groups {group_cols:?}\nplan:\n{}\ngot:\n{}\nwant:\n{}",
-            plan.explain(),
-            out.relation.canonicalized(),
-            oracle.canonicalized()
+        let inexact = ["xs", "xa", "xv"];
+        let expr = build_expr_with(
+            &group_cols,
+            &second,
+            vec![AggSpec::sum("x", "xs"), AggSpec::avg("x", "xa"), AggSpec::var("x", "xv")],
         );
+        let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
+
+        let oracle = cluster.execute_centralized(&expr).expect("oracle evaluates").relation;
+        let integral: Vec<&str> = oracle
+            .schema()
+            .column_names()
+            .into_iter()
+            .filter(|c| !inexact.contains(c))
+            .collect();
+        let oracle = oracle.project(&integral).expect("projects");
+
+        let mut reference: Option<Relation> = None;
+        for &(eval, tcp) in &points {
+            let eval = EvalOptions { morsel_rows, ..eval };
+            let ctx = format!(
+                "{eval:?} tcp {tcp} flags {flags:?} second {second:?} groups {group_cols:?}\n\
+                 plan:\n{}",
+                plan.explain()
+            );
+            let obs = Obs::recording();
+            let (engine, sites) = lattice_engine(&parts, eval, tcp, obs.clone());
+            for run in 0..2 {
+                let out = engine.execute(&plan).expect("distributed evaluates");
+                prop_assert!(
+                    out.relation.project(&integral).expect("projects").same_bag(&oracle),
+                    "run {run} {ctx}\ngot:\n{}\nwant:\n{}",
+                    out.relation.canonicalized(),
+                    oracle.canonicalized()
+                );
+                assert_same_bits(
+                    &out.relation,
+                    reference.get_or_insert_with(|| out.relation.clone()),
+                    &group_cols,
+                    &format!("run {run} {ctx}"),
+                );
+                CACHE_SERVED.fetch_add(out.stats.is_cache_hit() as usize, Ordering::Relaxed);
+            }
+            drop(engine);
+            for site in sites {
+                site.join().expect("site thread exits with its session");
+            }
+            let counters = obs.recorder().expect("recording").counters();
+            let loaned = counters.get("skew.loaned_rows").is_some_and(|&rows| rows > 0.0);
+            LOANED.fetch_add(loaned as usize, Ordering::Relaxed);
+            OVER_TCP.fetch_add(tcp as usize, Ordering::Relaxed);
+        }
+        // The kernels cut a site's detail into ceil(rows / morsel_rows) morsels.
+        let split = parts.iter().any(|p| p.relation.len() > morsel_rows);
+        MULTI_MORSEL.fetch_add(split as usize, Ordering::Relaxed);
+
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == LATTICE_CASES as usize {
+            for (what, tally) in [
+                ("cache-served executions", &CACHE_SERVED),
+                ("engines whose balancer loaned rows", &LOANED),
+                ("engines over TCP", &OVER_TCP),
+                ("cases with a site split into several morsels", &MULTI_MORSEL),
+            ] {
+                let n = tally.load(Ordering::Relaxed);
+                eprintln!("knob lattice: {n} {what}");
+                prop_assert!(n > 0, "the knob lattice never exercised: {what}");
+            }
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The morsel-parallel kernel is **bit-identical** across thread
     /// counts, probe strategies, and both evaluation paths: the morsel
@@ -146,16 +328,16 @@ proptest! {
     #[test]
     fn parallel_kernel_is_bit_identical(
         rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..80),
-        hash_path in any::<bool>(),
         non_equi in any::<bool>(),
     ) {
         let detail = detail_relation_f64(rows);
         let base = detail.project(&["g"]).expect("project").distinct();
         let theta = if non_equi {
-            // Overlapping ranges: exercises the nested-loop morsel path.
-            ThetaBuilder::group_by(&["g"])
+            // Overlapping ranges with no equi-key conjunct: exercises the
+            // nested-loop morsel path.
+            Expr::dcol("g")
+                .ge(Expr::bcol("g"))
                 .and(Expr::dcol("v").ge(Expr::lit(-3.0)))
-                .build()
         } else {
             ThetaBuilder::group_by(&["g"]).build()
         };
@@ -170,44 +352,21 @@ proptest! {
                 AggSpec::max("v", "mx"),
             ],
         );
-        // Explicit options (not Default) so the test is independent of
-        // SKALLA_THREADS / SKALLA_MORSEL_ROWS / SKALLA_COLUMNAR in the
-        // environment. Tiny morsels force many merge steps even on small
-        // inputs.
+        // Tiny morsels force many merge steps even on small inputs.
         let opts = |parallelism: usize, columnar: bool| EvalOptions {
-            hash_path,
             parallelism,
             morsel_rows: 7,
             columnar,
-            skew_balance: true,
-            cache: true,
-            fault_panic_morsel: None,
+            ..EvalOptions::default()
         };
         let reference = skalla::gmdj::eval_local(&base, &detail, &op, opts(1, false))
             .expect("serial kernel");
         for (p, columnar) in [(2, false), (7, false), (1, true), (2, true), (7, true)] {
             let out = skalla::gmdj::eval_local(&base, &detail, &op, opts(p, columnar))
                 .expect("parallel kernel");
-            prop_assert_eq!(out.matched.clone(), reference.matched.clone(),
-                "matched flags, parallelism {} columnar {}", p, columnar);
-            prop_assert_eq!(
-                out.physical.len(), reference.physical.len(),
-                "row count, parallelism {} columnar {}", p, columnar
-            );
-            for (got, want) in out.physical.rows().iter().zip(reference.physical.rows()) {
-                for (gv, wv) in got.values().iter().zip(want.values()) {
-                    let same = match (gv, wv) {
-                        (skalla::relation::Value::Double(a), skalla::relation::Value::Double(b)) =>
-                            a.to_bits() == b.to_bits(),
-                        _ => gv == wv,
-                    };
-                    prop_assert!(
-                        same,
-                        "bit mismatch at parallelism {} columnar {}: {:?} vs {:?}",
-                        p, columnar, gv, wv
-                    );
-                }
-            }
+            let ctx = format!("parallelism {p} columnar {columnar}");
+            prop_assert_eq!(&out.matched, &reference.matched, "matched flags, {}", ctx);
+            assert_same_bits(&out.physical, &reference.physical, &["g"], &ctx);
         }
     }
 
@@ -226,13 +385,10 @@ proptest! {
         let group_cols: Vec<&str> = if group_on_h { vec!["g", "h"] } else { vec!["g"] };
         let expr = build_expr(&group_cols, &second);
         let opts = |columnar: bool| EvalOptions {
-            hash_path: true,
             parallelism: 1,
             morsel_rows: 7,
             columnar,
-            skew_balance: true,
-            cache: true,
-            fault_panic_morsel: None,
+            ..EvalOptions::default()
         };
         let rowk = expr
             .eval_centralized(&cluster.global_catalog(), opts(false))
@@ -240,17 +396,7 @@ proptest! {
         let colk = expr
             .eval_centralized(&cluster.global_catalog(), opts(true))
             .expect("columnar kernel evaluates");
-        prop_assert_eq!(rowk.len(), colk.len());
-        for (got, want) in colk.rows().iter().zip(rowk.rows()) {
-            for (gv, wv) in got.values().iter().zip(want.values()) {
-                let same = match (gv, wv) {
-                    (skalla::relation::Value::Double(a), skalla::relation::Value::Double(b)) =>
-                        a.to_bits() == b.to_bits(),
-                    _ => gv == wv,
-                };
-                prop_assert!(same, "second {:?}: {:?} vs {:?}", second, gv, wv);
-            }
-        }
+        assert_same_bits(&colk, &rowk, &group_cols, &format!("second {second:?}"));
     }
 
     /// Group reduction flags never change the row traffic *upward*.

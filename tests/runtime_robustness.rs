@@ -9,13 +9,14 @@ fn schema() -> Schema {
     Schema::of(&[("g", DataType::Int), ("v", DataType::Int)])
 }
 
-fn cluster() -> Cluster {
+fn cluster_parts() -> Vec<(Relation, DomainMap)> {
     let p0 = Relation::new(schema(), vec![row![1i64, 10i64], row![2i64, 6i64]]).unwrap();
     let p1 = Relation::new(schema(), vec![row![1i64, 20i64]]).unwrap();
-    Cluster::from_partitions(
-        "t",
-        vec![(p0, DomainMap::new()), (p1, DomainMap::new())],
-    )
+    vec![(p0, DomainMap::new()), (p1, DomainMap::new())]
+}
+
+fn cluster() -> Cluster {
+    Cluster::from_partitions("t", cluster_parts())
 }
 
 fn expr() -> GmdjExpr {
@@ -151,45 +152,47 @@ fn multi_table_chain_executes() {
 }
 
 #[test]
-fn worker_panic_mid_morsel_is_a_clean_execution_error() {
-    use skalla::core::EngineConfig;
-    use skalla::gmdj::EvalOptions;
-    let mut c = cluster();
-    // One-row morsels with two workers, and a fault injected into morsel 0:
-    // the panicking worker must not poison the cluster — the site catches
-    // the unwind and reports a clean execution error upstream.
-    c.configure(&EngineConfig {
-        eval: EvalOptions {
-            parallelism: 2,
-            morsel_rows: 1,
-            skew_balance: true,
-            fault_panic_morsel: Some(0),
-            ..EvalOptions::default()
-        },
-        ..EngineConfig::default()
-    });
-    let plan = Planner::new(c.distribution()).optimize(&expr(), OptFlags::none());
-    let err = c.execute(&plan).unwrap_err();
+fn site_failure_leaves_a_persistent_engine_serving() {
+    use skalla::core::Skalla;
+    use skalla::relation::Value;
+    // One execution slot: a slot leaked by the failed query would leave
+    // the next one waiting out the queue timeout instead of running.
+    let engine = Skalla::builder()
+        .partitions("t", cluster_parts())
+        .max_concurrent(1)
+        .queue_timeout(std::time::Duration::from_secs(5))
+        .build()
+        .unwrap();
+    let planner = Planner::new(engine.distribution());
+
+    // θ adds a string to `r.v`: it binds (so the coordinator accepts the
+    // plan) and fails when a site evaluates it on its first candidate.
+    let ill_typed = GmdjExprBuilder::distinct_base("t", &["g"])
+        .gmdj(Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"])
+                .and(Expr::dcol("v").add(Expr::Lit(Value::str("x"))).gt(Expr::lit(0i64)))
+                .build(),
+            vec![AggSpec::count("c")],
+        ))
+        .build();
+    let err = engine
+        .execute(&planner.optimize(&ill_typed, OptFlags::none()))
+        .unwrap_err();
     let msg = err.to_string();
     assert!(
-        msg.contains("panicked in morsel 0") && msg.contains("site failed"),
+        msg.contains("site failed") && msg.contains("non-numeric operand"),
         "unexpected error: {msg}"
     );
+    assert_eq!(engine.scheduler().running(), 0, "failed query kept its slot");
 
-    // The same cluster value with clean options executes normally — no
-    // poisoned state survives the failed run.
-    c.configure(&EngineConfig {
-        eval: EvalOptions {
-            parallelism: 2,
-            morsel_rows: 1,
-            ..EvalOptions::default()
-        },
-        ..EngineConfig::default()
-    });
-    let out = c.execute(&plan).unwrap();
-    let sorted = out.relation.sorted_by(&["g"]).unwrap();
-    assert_eq!(sorted.rows()[0], row![1i64, 2i64]);
-    assert_eq!(sorted.rows()[1], row![2i64, 1i64]);
+    // The same sessions answer the next query with the oracle's result.
+    let out = engine
+        .execute(&planner.optimize(&expr(), OptFlags::none()))
+        .unwrap();
+    let oracle = cluster().execute_centralized(&expr()).unwrap();
+    assert!(out.relation.same_bag(&oracle.relation));
+    assert_eq!(engine.scheduler().running(), 0);
+    assert_eq!(engine.scheduler().waiting(), 0);
 }
 
 #[test]

@@ -122,13 +122,11 @@ fn opts(
 ) -> skalla::core::EngineConfig {
     skalla::core::EngineConfig {
         eval: EvalOptions {
-            hash_path: true,
             parallelism,
             morsel_rows,
             columnar,
             skew_balance,
-            cache: true,
-            fault_panic_morsel: None,
+            ..EvalOptions::default()
         },
         ..skalla::core::EngineConfig::default()
     }

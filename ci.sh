@@ -5,14 +5,48 @@
 #                    smoke tests)
 #   ./ci.sh --fast   inner-loop subset: release build, clippy, and the
 #                    skalla-lint invariant checker with its self-tests
+#   ./ci.sh --perf   the end-to-end benchmark (BENCHMARK.json) at HEAD~1 and
+#                    at the working tree, five alternated runs each; fails
+#                    when `e2e compare` finds a regression. Not part of the
+#                    gate (host noise: the bounds are ±25%); a PR touching
+#                    crates/*/src pastes the table into CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Parent and change are built from their own sources into their own
+# target directories, then the two binaries alternate seed by seed (and
+# swap who goes first) so drift on the host lands on both sides.
+perf() {
+  local wt=target/perf/parent out=target/perf/out e2e=crates/bench/src/bin/e2e/Cargo.toml
+  rm -rf "$out"
+  mkdir -p "$out"
+  git worktree remove --force "$wt" 2>/dev/null || true
+  git worktree add --detach "$wt" HEAD~1
+  trap "git worktree remove --force '$wt'" EXIT
+  cargo build --release --manifest-path "$wt/$e2e" --target-dir target/perf/build-parent
+  cargo build --release --manifest-path "$e2e" --target-dir target/perf/build-head
+  cp target/perf/build-parent/release/e2e "$out/e2e-parent"
+  cp target/perf/build-head/release/e2e "$out/e2e-head"
+  local seed side order
+  for seed in 1 2 3 4 5; do
+    if (( seed % 2 )); then order="parent head"; else order="head parent"; fi
+    for side in $order; do
+      echo "ci.sh --perf: seed $seed, $side"
+      "$out/e2e-$side" run --trace 0 --seed "$seed" --out "$out/$side-$seed" >/dev/null
+    done
+  done
+  "$out/e2e-head" compare "$out"/parent-*/*.result.json -- "$out"/head-*/*.result.json
+}
 
 FAST=0
 if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
+elif [[ "${1:-}" == "--perf" ]]; then
+  perf
+  echo "ci.sh: no end-to-end metric regressed"
+  exit 0
 elif [[ -n "${1:-}" ]]; then
-  echo "ci.sh: unknown flag '$1' (only --fast is supported)" >&2
+  echo "ci.sh: unknown flag '$1' (--fast and --perf are supported)" >&2
   exit 2
 fi
 

@@ -13,7 +13,11 @@
 //! typed aggregate inner loops must also perform zero per-row heap
 //! allocations (its setup allocates a constant *number* of typed vectors,
 //! independent of detail size, so the size delta still isolates the
-//! per-row cost).
+//! per-row cost). A second columnar workload has every detail row *hit*
+//! a group and run the typed θ-residual comparison (`r.v >= b.lo`), so
+//! the residual loop and the selection it feeds are under the same guard
+//! (the selection vectors grow geometrically: a handful of reallocations,
+//! nothing per row).
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
@@ -57,6 +61,18 @@ fn miss_detail(rows: usize) -> Relation {
         Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]),
         (0..rows)
             .map(|i| Row::new(vec![(1000 + i as i64).into(), (i as i64).into()]))
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Detail rows that each hit one of the 64 base groups; about half pass
+/// the residual `r.v >= b.lo`.
+fn hit_detail(rows: usize) -> Relation {
+    Relation::new(
+        Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]),
+        (0..rows)
+            .map(|i| Row::new(vec![(i as i64 % 64).into(), (i as i64 % 1000).into()]))
             .collect(),
     )
     .unwrap()
@@ -106,6 +122,29 @@ fn main() {
     };
     let fast_delta = measure(&large, false).saturating_sub(measure(&small, false));
     let col_delta = measure(&large, true).saturating_sub(measure(&small, true));
+
+    // The typed residual: same shape of measurement, every row a hit.
+    let lo_base = Relation::new(
+        Schema::of(&[("g", DataType::Int), ("lo", DataType::Int)]),
+        (0..64).map(|g: i64| Row::new(vec![g.into(), 500i64.into()])).collect(),
+    )
+    .unwrap();
+    let residual_op = Gmdj::new("t").block(
+        ThetaBuilder::group_by(&["g"])
+            .and(Expr::dcol("v").ge(Expr::bcol("lo")))
+            .build(),
+        vec![AggSpec::count("cnt"), AggSpec::sum("v", "sum_v")],
+    );
+    let (small_hit, large_hit) = (hit_detail(SMALL), hit_detail(LARGE));
+    let measure_residual = |detail: &Relation| {
+        let run = || {
+            eval_local(&lo_base, detail, &residual_op, opts(true)).unwrap();
+        };
+        run(); // builds the touched columns
+        allocs_during(run)
+    };
+    let residual_delta =
+        measure_residual(&large_hit).saturating_sub(measure_residual(&small_hit));
     let extra_rows = (LARGE - SMALL) as u64;
     let control = allocs_during(|| {
         for i in 0..extra_rows {
@@ -116,6 +155,7 @@ fn main() {
     println!("probe_alloc guard ({extra_rows} extra all-miss probes)");
     println!("  fast probe     allocation delta: {fast_delta}");
     println!("  columnar       allocation delta: {col_delta}");
+    println!("  typed residual allocation delta: {residual_delta}");
     println!("  control        allocations:      {control}");
 
     // Fast path: probing must not allocate per miss. Allow a tiny slack for
@@ -131,6 +171,11 @@ fn main() {
         col_delta <= 16,
         "columnar kernel allocated {col_delta} times for {extra_rows} extra \
          rows — its inner loops regressed to per-row allocation"
+    );
+    assert!(
+        residual_delta <= 16,
+        "columnar kernel with a typed residual allocated {residual_delta} times for \
+         {extra_rows} extra hits — the residual loop regressed to per-row allocation"
     );
     // Positive control: one box per extra row, so the counter must see
     // at least one allocation per extra row.

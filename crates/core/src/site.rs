@@ -73,7 +73,9 @@ fn base_input(
     incoming: Option<Relation>,
 ) -> Result<Relation> {
     if unit.fold_base {
-        // Prop 2: derive the local groups from the local detail partition.
+        // Prop 2: the local groups come from the local detail partition —
+        // derived once per partition and key set (`project_distinct`'s
+        // memo), not once per query.
         match &plan.expr.base {
             BaseQuery::DistinctProject { .. } => plan.base_fragment(catalog),
             BaseQuery::Literal(_) => {
@@ -108,10 +110,8 @@ fn execute_unit(
                 .ownership
                 .as_ref()
                 .ok_or_else(|| Error::Plan("chained unit without ownership".into()))?;
-            let local_values: HashSet<Value> = {
-                let di = detail.schema().index_of(dcol)?;
-                detail.iter().map(|r| r.get(di).clone()).collect()
-            };
+            let local = detail.project_distinct(&[dcol.as_str()])?;
+            let local_values: HashSet<&Value> = local.iter().map(|r| r.get(0)).collect();
             let bi = b_frag.schema().index_of(bcol)?;
             b_frag.filter(|row| local_values.contains(row.get(bi)))
         };
@@ -322,19 +322,22 @@ struct SplitCache {
     cold: Vec<(u32, Relation)>,
 }
 
-/// Per-site caches of skew-balancing artifacts derived purely from the
-/// immutable site catalog: the heavy-hitter report (keyed by its
+/// One site session's caches of skew-balancing artifacts derived purely
+/// from the immutable site catalog: the heavy-hitter report (keyed by its
 /// [`SkewSpec`]) and the donor's hot/cold detail split (keyed by table,
-/// [`ExtractSpec`] and morsel size). A site's catalog never changes, so
-/// both survive plan broadcasts — the coordinator sends the same spec
-/// for every eligible stage of a query, and repeated or concurrent
-/// queries over the same table reuse one detection pass and one split
-/// scan (mirroring how the columnar kernel's per-relation column cache
-/// already amortizes across queries).
+/// [`ExtractSpec`] and morsel size). [`site_session_loop`] owns one and
+/// shares it with every query worker: a site's catalog never changes
+/// during a session, so both survive plan broadcasts and queries — the
+/// coordinator sends the same spec for every eligible stage of a query,
+/// and repeated or concurrent queries over the same table reuse one
+/// detection pass and one split scan (the way a relation's derived
+/// columns and groups amortize across queries). The lock is held to look
+/// up and to store, never across a scan; two queries missing at once both
+/// scan and the later store wins, which is the same value.
 #[derive(Default)]
 struct SkewCaches {
-    report: Option<(SkewSpec, HotReport)>,
-    split: Option<SplitCache>,
+    report: Option<(SkewSpec, Arc<HotReport>)>,
+    split: Option<Arc<SplitCache>>,
 }
 
 /// The donor side of a rebalanced stage task. Splits the detail into
@@ -353,7 +356,7 @@ fn donor_stage(
     stage: u32,
     fragment: Option<Relation>,
     spec: &ExtractSpec,
-    caches: &mut SkewCaches,
+    caches: &Mutex<SkewCaches>,
     send_early: &mut dyn FnMut(skalla_net::Message),
     eval: EvalOptions,
     obs: &Obs,
@@ -370,19 +373,24 @@ fn donor_stage(
         return Err(Error::Execution("extract request on a folded/chained unit".into()));
     }
     let detail = catalog.table(&unit.table)?;
-    if !caches.split.as_ref().is_some_and(|c| {
+    let hit = caches.lock().split.clone().filter(|c| {
         c.table == unit.table && c.spec == *spec && c.morsel_rows == eval.morsel_rows
-    }) {
-        let (hot_encoded, cold) = split_for_loan(detail, spec, eval.morsel_rows)?;
-        caches.split = Some(SplitCache {
-            table: unit.table.clone(),
-            spec: spec.clone(),
-            morsel_rows: eval.morsel_rows,
-            hot_encoded,
-            cold,
-        });
-    }
-    let cached = caches.split.as_ref().expect("split cache just filled");
+    });
+    let cached = match hit {
+        Some(c) => c,
+        None => {
+            let (hot_encoded, cold) = split_for_loan(detail, spec, eval.morsel_rows)?;
+            let built = Arc::new(SplitCache {
+                table: unit.table.clone(),
+                spec: spec.clone(),
+                morsel_rows: eval.morsel_rows,
+                hot_encoded,
+                cold,
+            });
+            caches.lock().split = Some(Arc::clone(&built));
+            built
+        }
+    };
     let cold = &cached.cold;
     send_early(protocol::loan_from_encoded(stage, &cached.hot_encoded));
 
@@ -467,7 +475,7 @@ fn run_stage_task(
     stage: u32,
     fragment: Option<Relation>,
     extract: Option<&ExtractSpec>,
-    caches: &mut SkewCaches,
+    caches: &Mutex<SkewCaches>,
     send_early: &mut dyn FnMut(skalla_net::Message),
     eval: EvalOptions,
     obs: &Obs,
@@ -487,12 +495,16 @@ fn run_stage_task(
     );
     if is_base && eval.skew_balance {
         if let Some(spec) = skew_eligible(plan) {
-            if !caches.report.as_ref().is_some_and(|(s, _)| *s == spec) {
-                let report = hot_report(catalog, &spec)?;
-                caches.report = Some((spec.clone(), report));
-            }
-            let (_, report) = caches.report.as_ref().expect("report cache just filled");
-            msgs.push(protocol::hh_report(stage, report));
+            let hit = caches.lock().report.clone().filter(|(s, _)| *s == spec);
+            let report = match hit {
+                Some((_, report)) => report,
+                None => {
+                    let built = Arc::new(hot_report(catalog, &spec)?);
+                    caches.lock().report = Some((spec, Arc::clone(&built)));
+                    built
+                }
+            };
+            msgs.push(protocol::hh_report(stage, &report));
         }
     }
     Ok((msgs, rel))
@@ -579,6 +591,7 @@ pub fn site_session_loop(
     let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
     let busy: Arc<QueryBusyTimes> = Arc::new(QueryBusyTimes::new(Vec::new()));
+    let skew: Arc<Mutex<SkewCaches>> = Arc::default();
     let mut cursor = skalla_obs::ExportCursor::default();
     let obs_delta = |cursor: &mut skalla_obs::ExportCursor| {
         if export_obs {
@@ -645,10 +658,13 @@ pub fn site_session_loop(
                     let catalog = catalog.clone();
                     let net = Arc::clone(&net);
                     let busy = Arc::clone(&busy);
+                    let skew = Arc::clone(&skew);
                     let obs = obs.clone();
                     std::thread::Builder::new()
                         .name(format!("site-{site}-q{query_id}"))
-                        .spawn(move || query_worker(&catalog, &*net, rx, query_id, busy, &obs))
+                        .spawn(move || {
+                            query_worker(&catalog, &*net, rx, query_id, busy, &skew, &obs)
+                        })
                 });
                 if let Err(reply) = refused {
                     if net.send(reply).is_err() {
@@ -704,6 +720,7 @@ fn query_worker(
     rx: Receiver<skalla_net::Message>,
     query_id: u32,
     times: Arc<QueryBusyTimes>,
+    caches: &Mutex<SkewCaches>,
     obs: &Obs,
 ) {
     let site = net.site_id();
@@ -711,7 +728,6 @@ fn query_worker(
     let mut plan: Option<DistributedPlan> = None;
     let mut eval = EvalOptions::default();
     let mut chunk_rows: Option<usize> = None;
-    let mut caches = SkewCaches::default();
     let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
     while let Ok(msg) = rx.recv() {
         match msg.tag {
@@ -749,7 +765,7 @@ fn query_worker(
                             stage,
                             fragment,
                             extract.as_ref(),
-                            &mut caches,
+                            caches,
                             &mut |m| {
                                 let _ = reply(m);
                             },

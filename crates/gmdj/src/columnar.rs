@@ -4,16 +4,19 @@
 //! detail tuple into `Vec<Value>` accumulators through [`AggSpec::update`]
 //! — one enum dispatch plus one possible clone per (tuple, aggregate).
 //! This module rebuilds that hot path on the relation's columnar layout
-//! ([`Columns`]): per morsel it first runs the **probe/θ pass**, producing
-//! a selection of matching `(detail row, base position)` pairs, and then
+//! ([`Relation::column`] — only the columns the operator names are ever
+//! built): per morsel it first runs the **probe/θ pass**, producing a
+//! selection of matching `(detail row, base position)` pairs, and then
 //! runs one **typed inner loop per aggregate** over `&[i64]` / `&[f64]`
 //! column slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
-//! `Vec<bool>` has-flags) — no `Value` is materialized per row.
+//! `Vec<bool>` has-flags) — no `Value` is materialized per row. Residual
+//! θ conjuncts of the shape `detail col ⟨cmp⟩ base col | literal` over
+//! numeric columns are typed the same way (`TypedCmp`).
 //!
 //! **Canonical-key probing.** Equi-key blocks probe a hash index built on
 //! *canonical keys*: each key value collapses to a `(tag, word)` pair such
 //! that two values are [`Value`]-equal iff their pairs are equal
-//! ([`canon_i64`] / [`canon_f64`]; `NULL` is [`CANON_NULL`]). String keys
+//! ([`canon_value`]; `NULL` is `CANON_NULL`). String keys
 //! use the column's dictionary codes directly as words — base-side strings
 //! are interned through the same per-key-column table — so probing never
 //! hashes or compares a string, an `Int`, or any other [`Value`] enum
@@ -35,100 +38,12 @@ use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, EvalOptions, MorselKernel, MorselState, PreparedBlock};
 use crate::operator::Gmdj;
 use skalla_obs::Obs;
-use skalla_relation::columns::{canon_f64, canon_i64, CANON_NULL, CANON_STR_TAG};
-use skalla_relation::{Bitmap, BoundExpr, Column, Columns, Relation, Result, Side, Value};
+use skalla_relation::columns::canon_value;
+use skalla_relation::{
+    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Relation, Result, Side, Value,
+};
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Per-key-column string interner: maps each distinct string to one `u32`
-/// code, shared between the detail and base sides of one equi-key pair so
-/// equal strings always canonicalize to equal words.
-#[derive(Debug)]
-pub(crate) struct StrCodes {
-    map: HashMap<Arc<str>, u32>,
-}
-
-impl StrCodes {
-    pub(crate) fn new() -> StrCodes {
-        StrCodes {
-            map: HashMap::new(),
-        }
-    }
-
-    /// Seeded with a column dictionary: code `i` ↦ `dict[i]`.
-    fn from_dict(dict: &[Arc<str>]) -> StrCodes {
-        let mut map = HashMap::with_capacity(dict.len());
-        for (i, s) in dict.iter().enumerate() {
-            map.insert(Arc::clone(s), i as u32);
-        }
-        StrCodes { map }
-    }
-
-    fn code(&mut self, s: &Arc<str>) -> u32 {
-        let next = self.map.len() as u32;
-        *self.map.entry(Arc::clone(s)).or_insert(next)
-    }
-}
-
-/// The canonical `(tag, word)` of one value, interning strings.
-pub(crate) fn canon_value(v: &Value, codes: &mut StrCodes) -> (u8, u64) {
-    match v {
-        Value::Null => CANON_NULL,
-        Value::Int(i) => canon_i64(*i),
-        Value::Double(d) => canon_f64(*d),
-        Value::Str(s) => (CANON_STR_TAG, codes.code(s) as u64),
-    }
-}
-
-/// Canonicalize one detail column for key probing. Dictionary-encoded
-/// string columns turn their codes into words directly (one pass over
-/// `u32`s, no hashing); other layouts canonicalize element-wise.
-fn canon_detail_column(col: &Column, len: usize) -> (Vec<u8>, Vec<u64>, StrCodes) {
-    let mut tags = vec![0u8; len];
-    let mut words = vec![0u64; len];
-    let mut codes = StrCodes::new();
-    match col {
-        Column::Int { data, valid } => {
-            for i in 0..len {
-                if valid.as_ref().is_none_or(|b| b.get(i)) {
-                    let (t, w) = canon_i64(data[i]);
-                    tags[i] = t;
-                    words[i] = w;
-                }
-            }
-        }
-        Column::Double { data, valid } => {
-            for i in 0..len {
-                if valid.as_ref().is_none_or(|b| b.get(i)) {
-                    let (t, w) = canon_f64(data[i]);
-                    tags[i] = t;
-                    words[i] = w;
-                }
-            }
-        }
-        Column::Str {
-            codes: col_codes,
-            dict,
-            valid,
-        } => {
-            codes = StrCodes::from_dict(dict);
-            for i in 0..len {
-                if valid.as_ref().is_none_or(|b| b.get(i)) {
-                    tags[i] = CANON_STR_TAG;
-                    words[i] = col_codes[i] as u64;
-                }
-            }
-        }
-        Column::Mixed(vs) => {
-            for i in 0..len {
-                let (t, w) = canon_value(&vs[i], &mut codes);
-                tags[i] = t;
-                words[i] = w;
-            }
-        }
-    }
-    (tags, words, codes)
-}
 
 /// Mix one canonical component into a running hash (a 64-bit multiply-
 /// xorshift; the index only needs consistency between its build and probe
@@ -170,23 +85,20 @@ struct CanonPair {
 }
 
 impl CanonPair {
-    fn build(base: &Relation, detail: &Columns, base_keys: &[usize], detail_keys: &[usize]) -> CanonPair {
-        let dlen = detail.len();
+    fn build(base: &Relation, detail: &Relation, base_keys: &[usize], detail_keys: &[usize]) -> CanonPair {
         let mut dtags = Vec::with_capacity(detail_keys.len());
         let mut dwords = Vec::with_capacity(detail_keys.len());
         let mut btags = Vec::with_capacity(base_keys.len());
         let mut bwords = Vec::with_capacity(base_keys.len());
         for (&bk, &dk) in base_keys.iter().zip(detail_keys) {
-            let (dt, dw, mut codes) = canon_detail_column(detail.col(dk), dlen);
+            let mut keys = detail.column(dk).canon_keys();
             let mut bt = vec![0u8; base.len()];
             let mut bw = vec![0u64; base.len()];
             for (pos, row) in base.iter().enumerate() {
-                let (t, w) = canon_value(row.get(bk), &mut codes);
-                bt[pos] = t;
-                bw[pos] = w;
+                (bt[pos], bw[pos]) = canon_value(row.get(bk), &mut keys.codes);
             }
-            dtags.push(dt);
-            dwords.push(dw);
+            dtags.push(keys.tags);
+            dwords.push(keys.words);
             btags.push(bt);
             bwords.push(bw);
         }
@@ -226,29 +138,35 @@ impl CanonPair {
     }
 }
 
+/// A typed `Int` column: the values and the validity mask.
+type IntCol<'a> = (&'a [i64], Option<&'a Bitmap>);
+/// A typed `Double` column: the values and the validity mask.
+type F64Col<'a> = (&'a [f64], Option<&'a Bitmap>);
+
 /// How one aggregate is computed over the selection: a typed inner loop
-/// over a column slice, or the row-semantics fallback.
+/// over a column slice (borrowed at classification, which is also what
+/// builds the column), or the row-semantics fallback.
 enum ColAgg<'a> {
     /// `COUNT(*)`.
     CountStar,
     /// `COUNT(col)` — counts valid (non-`NULL`) rows of any column layout.
-    CountCol(usize),
+    CountCol(&'a Column),
     /// `SUM(col)` over an `Int` column (wrapping, like `eval_arith`).
-    SumInt(usize),
+    SumInt(IntCol<'a>),
     /// `SUM(col)` over a `Double` column.
-    SumF64(usize),
+    SumF64(F64Col<'a>),
     /// `MIN`/`MAX` over an `Int` column (`max` = true for MAX).
-    MinMaxInt { col: usize, max: bool },
+    MinMaxInt { col: IntCol<'a>, max: bool },
     /// `MIN`/`MAX` over a `Double` column (total order, NaN greatest).
-    MinMaxF64 { col: usize, max: bool },
+    MinMaxF64 { col: F64Col<'a>, max: bool },
     /// `AVG(col)` over an `Int` column: wrapping Int sum + count.
-    AvgInt(usize),
+    AvgInt(IntCol<'a>),
     /// `AVG(col)` over a `Double` column: f64 sum + count.
-    AvgF64(usize),
+    AvgF64(F64Col<'a>),
     /// `VAR`/`STDDEV` over an `Int` column (`x as f64`, like `as_f64`).
-    VarInt(usize),
+    VarInt(IntCol<'a>),
     /// `VAR`/`STDDEV` over a `Double` column.
-    VarF64(usize),
+    VarF64(F64Col<'a>),
     /// Everything else (computed expressions, `Mixed` columns, string
     /// MIN/MAX): per-pair [`AggSpec::update`] with the input fetched
     /// through [`BoundExpr::eval_cols`].
@@ -258,9 +176,13 @@ enum ColAgg<'a> {
     },
 }
 
-fn classify<'a>(spec: &'a AggSpec, input: Option<&'a BoundExpr>, detail: &Columns) -> ColAgg<'a> {
+fn classify<'a>(
+    spec: &'a AggSpec,
+    input: Option<&'a BoundExpr>,
+    detail: &'a Relation,
+) -> ColAgg<'a> {
     let fallback = ColAgg::Fallback { spec, input };
-    let col = match input {
+    let column = match input {
         None => {
             return if spec.func == AggFunc::Count {
                 ColAgg::CountStar
@@ -268,29 +190,35 @@ fn classify<'a>(spec: &'a AggSpec, input: Option<&'a BoundExpr>, detail: &Column
                 fallback
             }
         }
-        Some(BoundExpr::Col(Side::Detail, c)) => *c,
+        Some(BoundExpr::Col(Side::Detail, c)) => detail.column(*c),
         Some(_) => return fallback,
     };
     if spec.func == AggFunc::Count {
-        return ColAgg::CountCol(col);
+        return ColAgg::CountCol(column);
     }
-    match detail.col(col) {
-        Column::Int { .. } => match spec.func {
-            AggFunc::Sum => ColAgg::SumInt(col),
-            AggFunc::Min => ColAgg::MinMaxInt { col, max: false },
-            AggFunc::Max => ColAgg::MinMaxInt { col, max: true },
-            AggFunc::Avg => ColAgg::AvgInt(col),
-            AggFunc::Var | AggFunc::StdDev => ColAgg::VarInt(col),
-            AggFunc::Count => unreachable!("handled above"),
-        },
-        Column::Double { .. } => match spec.func {
-            AggFunc::Sum => ColAgg::SumF64(col),
-            AggFunc::Min => ColAgg::MinMaxF64 { col, max: false },
-            AggFunc::Max => ColAgg::MinMaxF64 { col, max: true },
-            AggFunc::Avg => ColAgg::AvgF64(col),
-            AggFunc::Var | AggFunc::StdDev => ColAgg::VarF64(col),
-            AggFunc::Count => unreachable!("handled above"),
-        },
+    match column {
+        Column::Int { data, valid } => {
+            let col = (data.as_slice(), valid.as_ref());
+            match spec.func {
+                AggFunc::Sum => ColAgg::SumInt(col),
+                AggFunc::Min => ColAgg::MinMaxInt { col, max: false },
+                AggFunc::Max => ColAgg::MinMaxInt { col, max: true },
+                AggFunc::Avg => ColAgg::AvgInt(col),
+                AggFunc::Var | AggFunc::StdDev => ColAgg::VarInt(col),
+                AggFunc::Count => unreachable!("handled above"),
+            }
+        }
+        Column::Double { data, valid } => {
+            let col = (data.as_slice(), valid.as_ref());
+            match spec.func {
+                AggFunc::Sum => ColAgg::SumF64(col),
+                AggFunc::Min => ColAgg::MinMaxF64 { col, max: false },
+                AggFunc::Max => ColAgg::MinMaxF64 { col, max: true },
+                AggFunc::Avg => ColAgg::AvgF64(col),
+                AggFunc::Var | AggFunc::StdDev => ColAgg::VarF64(col),
+                AggFunc::Count => unreachable!("handled above"),
+            }
+        }
         // String MIN/MAX and mixed-type columns keep row semantics.
         Column::Str { .. } | Column::Mixed(_) => fallback,
     }
@@ -559,22 +487,143 @@ fn better_i(candidate: i64, current: i64, max: bool) -> bool {
 /// order [`Value`]'s `Ord` gives `MIN`/`MAX` in the row kernel.
 #[inline]
 fn better_f(candidate: f64, current: f64, max: bool) -> bool {
-    use std::cmp::Ordering;
-    let ord = match (candidate.is_nan(), current.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => candidate.partial_cmp(&current).expect("non-NaN"),
-    };
-    ord == if max { Ordering::Greater } else { Ordering::Less }
+    total_f64_cmp(candidate, current) == if max { Ordering::Greater } else { Ordering::Less }
+}
+
+/// A numeric comparand as [`Value`]'s `Ord` ranks it against a number.
+#[derive(Clone, Copy)]
+enum Num {
+    /// `NULL`: the comparison is `NULL`, never truthy.
+    Null,
+    Int(i64),
+    F64(f64),
+    /// Any string: greater than every number.
+    Str,
+}
+
+impl Num {
+    fn of(v: &Value) -> Num {
+        match v {
+            Value::Null => Num::Null,
+            Value::Int(i) => Num::Int(*i),
+            Value::Double(d) => Num::F64(*d),
+            Value::Str(_) => Num::Str,
+        }
+    }
+}
+
+/// One residual conjunct `detail col ⟨op⟩ base col | literal` over an
+/// `Int` or `Double` detail column, lowered to a typed comparison: the
+/// slice element against the right-hand side extracted once per base
+/// position. Mirrors [`CmpOp::apply`] over [`Value`]'s order exactly —
+/// `NULL` on either side is not truthy, `Int`↔`Double` compare through
+/// [`total_f64_cmp`] (NaN greatest), a string outranks every number.
+struct TypedCmp<'a> {
+    op: CmpOp,
+    lhs: NumSlice<'a>,
+    valid: Option<&'a Bitmap>,
+    rhs: Rhs,
+}
+
+enum NumSlice<'a> {
+    Int(&'a [i64]),
+    F64(&'a [f64]),
+}
+
+enum Rhs {
+    Lit(Num),
+    /// `base[pos]`'s value of the compared column.
+    PerBase(Vec<Num>),
+}
+
+impl<'a> TypedCmp<'a> {
+    /// Lower `e` if it has the typed shape (either operand order).
+    fn lower(e: &BoundExpr, base: &Relation, detail: &'a Relation) -> Option<TypedCmp<'a>> {
+        let BoundExpr::Cmp(op, a, b) = e else {
+            return None;
+        };
+        let (op, col, other) = match (&**a, &**b) {
+            (BoundExpr::Col(Side::Detail, c), other) => (*op, *c, other),
+            (other, BoundExpr::Col(Side::Detail, c)) => (op.flipped(), *c, other),
+            _ => return None,
+        };
+        let rhs = match other {
+            BoundExpr::Lit(v) => Rhs::Lit(Num::of(v)),
+            BoundExpr::Col(Side::Base, b) => {
+                Rhs::PerBase(base.iter().map(|r| Num::of(r.get(*b))).collect())
+            }
+            _ => return None,
+        };
+        let (lhs, valid) = match detail.column(col) {
+            Column::Int { data, valid } => (NumSlice::Int(data), valid.as_ref()),
+            Column::Double { data, valid } => (NumSlice::F64(data), valid.as_ref()),
+            Column::Str { .. } | Column::Mixed(_) => return None,
+        };
+        Some(TypedCmp {
+            op,
+            lhs,
+            valid,
+            rhs,
+        })
+    }
+
+    /// Is the conjunct truthy for detail row `i` against base position
+    /// `pos`?
+    #[inline]
+    fn holds(&self, i: usize, pos: usize) -> bool {
+        if self.valid.is_some_and(|v| !v.get(i)) {
+            return false;
+        }
+        let rhs = match &self.rhs {
+            Rhs::Lit(n) => *n,
+            Rhs::PerBase(ns) => ns[pos],
+        };
+        let ord = match (&self.lhs, rhs) {
+            (_, Num::Null) => return false,
+            (_, Num::Str) => Ordering::Less,
+            (NumSlice::Int(d), Num::Int(y)) => d[i].cmp(&y),
+            (NumSlice::Int(d), Num::F64(y)) => total_f64_cmp(d[i] as f64, y),
+            (NumSlice::F64(d), Num::Int(y)) => total_f64_cmp(d[i], y as f64),
+            (NumSlice::F64(d), Num::F64(y)) => total_f64_cmp(d[i], y),
+        };
+        self.op.holds(ord)
+    }
+}
+
+/// One conjunct of a block's residual θ.
+enum Conjunct<'a> {
+    Typed(TypedCmp<'a>),
+    /// Anything else: [`BoundExpr::eval_cols`].
+    Interpreted(&'a BoundExpr),
+}
+
+/// Split a residual into its top-level `AND` conjuncts, left to right —
+/// the order [`BoundExpr::eval_cols`] short-circuits in, so an erroring
+/// conjunct is reached under exactly the same conditions.
+fn lower_residual<'a>(
+    e: &'a BoundExpr,
+    base: &Relation,
+    detail: &'a Relation,
+    out: &mut Vec<Conjunct<'a>>,
+) {
+    match e {
+        BoundExpr::And(a, b) => {
+            lower_residual(a, base, detail, out);
+            lower_residual(b, base, detail, out);
+        }
+        _ => out.push(match TypedCmp::lower(e, base, detail) {
+            Some(t) => Conjunct::Typed(t),
+            None => Conjunct::Interpreted(e),
+        }),
+    }
 }
 
 /// One block, lowered for columnar evaluation.
 struct ColBlock<'a> {
     /// Index into the shared [`CanonPair`] cache (`None` ⇒ nested loop).
     pair: Option<usize>,
-    /// Residual θ (`None` when trivially true).
-    residual: Option<&'a BoundExpr>,
+    /// Residual θ as a conjunction (empty when trivially true).
+    residual: Vec<Conjunct<'a>>,
     /// This block's aggregates with their global indexes into
     /// `ColState::aggs`.
     aggs: Vec<(usize, ColAgg<'a>)>,
@@ -594,7 +643,7 @@ struct ColState {
 /// The immutable columnar evaluation context shared across the pool.
 struct ColKernel<'a> {
     base: &'a Relation,
-    detail: &'a Columns,
+    detail: &'a Relation,
     layout: &'a AccLayout,
     blocks: Vec<ColBlock<'a>>,
     pairs: Vec<CanonPair>,
@@ -607,6 +656,24 @@ impl ColKernel<'_> {
     /// aggregate order).
     fn spec(&self, gi: usize) -> &AggSpec {
         &self.layout.entries()[gi].1
+    }
+
+    /// Does every residual conjunct of `cb` hold for detail row `i`
+    /// against base position `pos`?
+    #[inline]
+    fn residual_holds(&self, cb: &ColBlock<'_>, i: usize, pos: usize) -> Result<bool> {
+        for c in &cb.residual {
+            let holds = match c {
+                Conjunct::Typed(t) => t.holds(i, pos),
+                Conjunct::Interpreted(e) => e
+                    .eval_cols(&self.base.rows()[pos], self.detail, i)?
+                    .is_truthy(),
+            };
+            if !holds {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -675,11 +742,8 @@ impl MorselKernel for ColKernel<'_> {
                             if cp.hashes[pos] != h || !cp.keys_equal(pos, i) {
                                 continue;
                             }
-                            if let Some(res) = cb.residual {
-                                let b = &self.base.rows()[pos];
-                                if !res.eval_cols(b, self.detail, i)?.is_truthy() {
-                                    continue;
-                                }
+                            if !self.residual_holds(cb, i, pos)? {
+                                continue;
                             }
                             state.matched[pos] = true;
                             state.sel_rows.push(i as u32);
@@ -688,12 +752,10 @@ impl MorselKernel for ColKernel<'_> {
                     }
                 }
                 None => {
-                    for (pos, b) in self.base.iter().enumerate() {
+                    for pos in 0..self.base.len() {
                         for i in lo..hi {
-                            if let Some(res) = cb.residual {
-                                if !res.eval_cols(b, self.detail, i)?.is_truthy() {
-                                    continue;
-                                }
+                            if !self.residual_holds(cb, i, pos)? {
+                                continue;
                             }
                             state.matched[pos] = true;
                             state.sel_rows.push(i as u32);
@@ -720,7 +782,7 @@ fn update_agg(
     state: &mut AggState,
     rows: &[u32],
     poss: &[u32],
-    detail: &Columns,
+    detail: &Relation,
     base: &Relation,
 ) -> Result<()> {
     match (agg, state) {
@@ -729,8 +791,7 @@ fn update_agg(
                 c[p as usize] += 1;
             }
         }
-        (ColAgg::CountCol(col), AggState::Count(c)) => {
-            let column = detail.col(*col);
+        (ColAgg::CountCol(column), AggState::Count(c)) => {
             match column {
                 Column::Int { valid, .. }
                 | Column::Double { valid, .. }
@@ -753,38 +814,33 @@ fn update_agg(
                 }
             }
         }
-        (ColAgg::SumInt(col), AggState::SumI { s, has }) => {
-            let (data, valid) = detail.col(*col).as_int().expect("classified Int");
-            sum_loop(rows, poss, data, valid, |acc, v, h| {
+        (ColAgg::SumInt((data, valid)), AggState::SumI { s, has }) => {
+            sum_loop(rows, poss, data, *valid, |acc, v, h| {
                 *acc = if h { acc.wrapping_add(v) } else { v };
             }, s, has);
         }
-        (ColAgg::SumF64(col), AggState::SumF { s, has }) => {
-            let (data, valid) = detail.col(*col).as_double().expect("classified Double");
-            sum_loop(rows, poss, data, valid, |acc, v, h| {
+        (ColAgg::SumF64((data, valid)), AggState::SumF { s, has }) => {
+            sum_loop(rows, poss, data, *valid, |acc, v, h| {
                 *acc = if h { *acc + v } else { v };
             }, s, has);
         }
-        (ColAgg::MinMaxInt { col, max }, AggState::MinMaxI { m, has }) => {
-            let (data, valid) = detail.col(*col).as_int().expect("classified Int");
+        (ColAgg::MinMaxInt { col: (data, valid), max }, AggState::MinMaxI { m, has }) => {
             let max = *max;
-            sum_loop(rows, poss, data, valid, move |acc, v, h| {
+            sum_loop(rows, poss, data, *valid, move |acc, v, h| {
                 if !h || better_i(v, *acc, max) {
                     *acc = v;
                 }
             }, m, has);
         }
-        (ColAgg::MinMaxF64 { col, max }, AggState::MinMaxF { m, has }) => {
-            let (data, valid) = detail.col(*col).as_double().expect("classified Double");
+        (ColAgg::MinMaxF64 { col: (data, valid), max }, AggState::MinMaxF { m, has }) => {
             let max = *max;
-            sum_loop(rows, poss, data, valid, move |acc, v, h| {
+            sum_loop(rows, poss, data, *valid, move |acc, v, h| {
                 if !h || better_f(v, *acc, max) {
                     *acc = v;
                 }
             }, m, has);
         }
-        (ColAgg::AvgInt(col), AggState::AvgI { s, cnt }) => {
-            let (data, valid) = detail.col(*col).as_int().expect("classified Int");
+        (ColAgg::AvgInt((data, valid)), AggState::AvgI { s, cnt }) => {
             match valid {
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
@@ -806,8 +862,7 @@ fn update_agg(
                 }
             }
         }
-        (ColAgg::AvgF64(col), AggState::AvgF { s, cnt }) => {
-            let (data, valid) = detail.col(*col).as_double().expect("classified Double");
+        (ColAgg::AvgF64((data, valid)), AggState::AvgF { s, cnt }) => {
             match valid {
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
@@ -829,8 +884,7 @@ fn update_agg(
                 }
             }
         }
-        (ColAgg::VarInt(col), AggState::Var { s, sq, cnt }) => {
-            let (data, valid) = detail.col(*col).as_int().expect("classified Int");
+        (ColAgg::VarInt((data, valid)), AggState::Var { s, sq, cnt }) => {
             match valid {
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
@@ -854,8 +908,7 @@ fn update_agg(
                 }
             }
         }
-        (ColAgg::VarF64(col), AggState::Var { s, sq, cnt }) => {
-            let (data, valid) = detail.col(*col).as_double().expect("classified Double");
+        (ColAgg::VarF64((data, valid)), AggState::Var { s, sq, cnt }) => {
             match valid {
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
@@ -946,11 +999,11 @@ pub(crate) fn eval_columnar(
     site: usize,
 ) -> Result<MorselState> {
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
-    let cols = detail.columns();
 
     // Lower blocks: share canonical pairs between blocks with identical
     // equi-keys (mirrors the row kernel's index cache), classify every
-    // aggregate against the column layouts.
+    // residual conjunct and aggregate against the column layouts — which
+    // builds exactly the detail columns this operator touches.
     let mut cache: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
     let mut pairs: Vec<CanonPair> = Vec::new();
     let mut cblocks = Vec::with_capacity(blocks.len());
@@ -959,17 +1012,20 @@ pub(crate) fn eval_columnar(
         let pair = if pb.index.is_some() {
             let key = (pb.base_keys.clone(), pb.detail_keys.clone());
             let slot = *cache.entry(key).or_insert_with(|| {
-                pairs.push(CanonPair::build(base, cols, &pb.base_keys, &pb.detail_keys));
+                pairs.push(CanonPair::build(base, detail, &pb.base_keys, &pb.detail_keys));
                 pairs.len() - 1
             });
             Some(slot)
         } else {
             None
         };
-        let residual = (!pb.trivial_condition).then_some(&pb.condition);
+        let mut residual = Vec::new();
+        if !pb.trivial_condition {
+            lower_residual(&pb.condition, base, detail, &mut residual);
+        }
         let mut aggs = Vec::with_capacity(pb.aggs.len());
         for (spec, (input, _off)) in gmdj.blocks[bi].aggs.iter().zip(&pb.aggs) {
-            aggs.push((gi, classify(spec, input.as_ref(), cols)));
+            aggs.push((gi, classify(spec, input.as_ref(), detail)));
             gi += 1;
         }
         cblocks.push(ColBlock {
@@ -981,7 +1037,7 @@ pub(crate) fn eval_columnar(
 
     let kernel = ColKernel {
         base,
-        detail: cols,
+        detail,
         layout,
         blocks: cblocks,
         pairs,
@@ -1013,7 +1069,7 @@ mod tests {
     use crate::agg::AggSpec;
     use crate::eval::{eval_full, eval_local};
     use crate::theta::ThetaBuilder;
-    use skalla_relation::{row, DataType, Expr, Schema};
+    use skalla_relation::{row, DataType, Expr, Row, Schema};
 
     fn opts_columnar() -> EvalOptions {
         EvalOptions {
@@ -1160,6 +1216,88 @@ mod tests {
         let col = eval_full(&base(), &detail(), &g2, opts_columnar()).unwrap();
         let rowk = eval_full(&base(), &detail(), &g2, opts_row()).unwrap();
         assert_eq!(col, rowk);
+    }
+
+    #[test]
+    fn typed_residual_matches_eval_cols() {
+        // Every CmpOp × {Int, Double} detail column (with NULL, NaN, -0.0)
+        // × {base column, literal} right-hand side holding Int, Double,
+        // NaN, NULL and a string — in both operand orders.
+        let d = Relation::new(
+            Schema::of(&[("i", DataType::Int), ("x", DataType::Double)]),
+            vec![
+                row![1i64, 1.0],
+                row![2i64, -0.0],
+                row![Value::Null, f64::NAN],
+                row![-3i64, Value::Null],
+                row![0i64, 1.5],
+            ],
+        )
+        .unwrap();
+        let rhs_values = [
+            Value::Int(1),
+            Value::Int(0),
+            Value::Double(1.0),
+            Value::Double(1.5),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Null,
+            Value::str("s"),
+        ];
+        let b = Relation::new(
+            Schema::of(&[("y", DataType::Double)]),
+            rhs_values.iter().map(|v| Row::new(vec![v.clone()])).collect(),
+        )
+        .unwrap();
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let mut rhs_exprs = vec![Expr::bcol("y")];
+        rhs_exprs.extend(rhs_values.iter().cloned().map(Expr::Lit));
+        let mut checked = 0;
+        for op in ops {
+            for col in ["i", "x"] {
+                for rhs in &rhs_exprs {
+                    for flip in [false, true] {
+                        let (l, r) = (Box::new(Expr::dcol(col)), Box::new(rhs.clone()));
+                        let e = if flip { Expr::Cmp(op, r, l) } else { Expr::Cmp(op, l, r) };
+                        let bound = e.bind(b.schema(), Some(d.schema())).unwrap();
+                        let typed = TypedCmp::lower(&bound, &b, &d).expect("typed shape");
+                        for pos in 0..b.len() {
+                            for i in 0..d.len() {
+                                let want =
+                                    bound.eval_cols(&b.rows()[pos], &d, i).unwrap().is_truthy();
+                                assert_eq!(typed.holds(i, pos), want, "{e} at ({i}, {pos})");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 6 * 2 * 9 * 2 * 8 * 5);
+        // Other shapes stay interpreted: string and mixed columns, a
+        // computed side, two detail columns.
+        let s = detail();
+        for e in [
+            Expr::dcol("s").ge(Expr::lit("a")),
+            Expr::dcol("v").ge(Expr::bcol("g").mul(Expr::lit(2i64))),
+            Expr::dcol("v").ge(Expr::dcol("g")),
+            Expr::dcol("v").in_list(vec![Value::Int(1)]),
+        ] {
+            let bound = e.bind(base().schema(), Some(s.schema())).unwrap();
+            assert!(TypedCmp::lower(&bound, &base(), &s).is_none(), "{e}");
+        }
+        // A conjunction lowers conjunct by conjunct, in order.
+        let e = Expr::dcol("v")
+            .gt(Expr::lit(6i64))
+            .and(Expr::dcol("s").ne(Expr::lit("b")))
+            .and(Expr::dcol("x").le(Expr::bcol("g")));
+        let bound = e.bind(base().schema(), Some(s.schema())).unwrap();
+        let mut out = Vec::new();
+        lower_residual(&bound, &base(), &s, &mut out);
+        assert!(matches!(
+            out[..],
+            [Conjunct::Typed(_), Conjunct::Interpreted(_), Conjunct::Typed(_)]
+        ));
     }
 
     #[test]

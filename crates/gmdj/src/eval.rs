@@ -36,6 +36,7 @@
 use crate::agg::AccLayout;
 use crate::operator::Gmdj;
 use crate::theta::analyze_theta;
+use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
 use skalla_relation::{BoundExpr, Error, Relation, Result, Row, Schema, Value};
 use std::collections::hash_map::DefaultHasher;
@@ -425,9 +426,13 @@ pub(crate) fn drive<K: MorselKernel>(
 
     // Parallel path: workers claim morsels from an atomic counter; every
     // morsel gets fresh accumulators, merged afterwards in morsel order.
+    // Each worker also hands back its thread CPU clock — a scoped
+    // worker's whole life is this call — so the caller's busy timer can
+    // account for compute it only waited for.
     let next = AtomicUsize::new(0);
     let mut states: Vec<Option<Result<K::State>>> = (0..n_morsels).map(|_| None).collect();
-    let worker_outs: Vec<Vec<(usize, Result<K::State>)>> = std::thread::scope(|s| {
+    type WorkerOut<S> = (Vec<(usize, Result<S>)>, u64);
+    let worker_outs: Vec<WorkerOut<K::State>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let next = &next;
@@ -443,7 +448,7 @@ pub(crate) fn drive<K: MorselKernel>(
                             .map(|()| state);
                         out.push((m, r));
                     }
-                    out
+                    (out, thread_cpu_ns().unwrap_or(0))
                 })
             })
             .collect();
@@ -452,8 +457,11 @@ pub(crate) fn drive<K: MorselKernel>(
             .map(|h| h.join().expect("worker panics are caught"))
             .collect()
     });
-    for (m, result) in worker_outs.into_iter().flatten() {
-        states[m] = Some(result);
+    for (outs, cpu_ns) in worker_outs {
+        charge_foreign_ns(cpu_ns);
+        for (m, result) in outs {
+            states[m] = Some(result);
+        }
     }
 
     // Merge in morsel order (deterministic). Errors surface for the

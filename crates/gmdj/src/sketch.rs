@@ -17,7 +17,7 @@
 //! so the classic space-saving overestimation error never affects
 //! answers, only how well work spreads.
 
-use crate::columnar::{canon_value, StrCodes};
+use skalla_relation::columns::{canon_value, StrCodes};
 use skalla_relation::Value;
 use std::collections::HashMap;
 
@@ -62,7 +62,7 @@ impl SpaceSaving {
             index: HashMap::with_capacity(capacity),
             keys: Vec::with_capacity(capacity),
             entries: Vec::with_capacity(capacity),
-            codes: StrCodes::new(),
+            codes: StrCodes::default(),
             total: 0,
             scratch: Vec::new(),
         }

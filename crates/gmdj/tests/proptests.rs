@@ -130,6 +130,80 @@ proptest! {
         }
     }
 
+    /// The columnar kernel — typed residuals included — and the row kernel
+    /// produce the same bits on a correlated chain: per-group AVG, then the
+    /// tuples with `x >= b.avg` (a typed `Double` conjunct against a base
+    /// column that is `NULL` for empty groups) and `v <= 40` (a typed `Int`
+    /// conjunct against a literal), over data with `NULL`s on both
+    /// columns, at any worker count and morsel size.
+    #[test]
+    fn columnar_matches_row_kernel_on_correlated_chain(
+        rows in proptest::collection::vec(
+            (
+                -3i64..3,
+                prop_oneof![(-50i64..50).prop_map(Value::Int), Just(Value::Null)],
+                prop_oneof![
+                    (-90i64..90).prop_map(|v| Value::Double(v as f64 / 3.0)),
+                    Just(Value::Double(-0.0)),
+                    Just(Value::Null),
+                ],
+            ),
+            0..40,
+        ),
+        parallelism in 1usize..4,
+        morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
+    ) {
+        let d = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("v", DataType::Int), ("x", DataType::Double)]),
+            rows.into_iter()
+                .map(|(g, v, x)| Row::new(vec![Value::Int(g), v, x]))
+                .collect(),
+        )
+        .expect("static schema");
+        // Group 9 is empty: its `avg` stays NULL.
+        let base = Relation::new(
+            Schema::of(&[("g", DataType::Int)]),
+            (-3i64..3).chain([9]).map(|g| Row::new(vec![Value::Int(g)])).collect(),
+        )
+        .expect("static schema");
+        let op1 = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![AggSpec::count("cnt"), AggSpec::avg("x", "avg")],
+        );
+        let op2 = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"])
+                .and(Expr::dcol("x").ge(Expr::bcol("avg")))
+                .and(Expr::dcol("v").le(Expr::lit(40i64)))
+                .build(),
+            vec![
+                AggSpec::count("above"),
+                AggSpec::sum("x", "sum_above"),
+                AggSpec::var("x", "var_above"),
+            ],
+        );
+        let chain = |columnar: bool| {
+            let opts = EvalOptions {
+                parallelism: if columnar { parallelism } else { 1 },
+                morsel_rows,
+                columnar,
+                ..EvalOptions::default()
+            };
+            let b1 = eval_full(&base, &d, &op1, opts).expect("op1 evaluates");
+            eval_local(&b1, &d, &op2, opts).expect("op2 evaluates")
+        };
+        let (col, rowk) = (chain(true), chain(false));
+        prop_assert_eq!(&col.matched, &rowk.matched);
+        for (a, b) in col.physical.rows().iter().zip(rowk.physical.rows()) {
+            for (x, y) in a.values().iter().zip(b.values()) {
+                let same = match (x, y) {
+                    (Value::Double(p), Value::Double(q)) => p.to_bits() == q.to_bits(),
+                    _ => x == y && x.data_type() == y.data_type(),
+                };
+                prop_assert!(same, "{a} vs {b}");
+            }
+        }
+    }
+
     /// Merging is commutative for every aggregate (site arrival order must
     /// not matter).
     #[test]

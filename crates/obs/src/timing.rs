@@ -15,8 +15,26 @@
 //! elsewhere. On a real deployment, where each site is its own machine,
 //! the two clocks coincide; under simulation, CPU time is the faithful
 //! stand-in for "what this site would have computed alone".
+//!
+//! A stage task's compute is not all on the thread that times it: the
+//! GMDJ kernel fans morsels out to scoped worker threads. Each worker
+//! reads its own thread CPU clock and, after the join, the kernel charges
+//! the sum to the waiting thread ([`charge_foreign_ns`]); a running
+//! [`BusyTimer`] on that thread counts it.
 
+use std::cell::Cell;
 use std::time::Instant;
+
+thread_local! {
+    /// CPU nanoseconds other threads spent on this thread's behalf.
+    static FOREIGN_NS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charge `ns` of thread CPU time, spent by helper threads the calling
+/// thread waited for, to the calling thread's [`BusyTimer`]s.
+pub fn charge_foreign_ns(ns: u64) {
+    FOREIGN_NS.with(|f| f.set(f.get() + ns));
+}
 
 /// Nanoseconds of CPU time consumed by the calling thread, if the
 /// platform exposes a thread CPU clock.
@@ -52,10 +70,14 @@ pub fn thread_cpu_ns() -> Option<u64> {
     None
 }
 
-/// Times one stage task's *compute*: thread CPU time when available,
-/// monotonic wall time otherwise. Start and stop on the same thread.
+/// Times one stage task's *compute*: thread CPU time when available —
+/// the calling thread's plus what was charged to it through
+/// [`charge_foreign_ns`] — monotonic wall time otherwise (which already
+/// spans the helpers the thread waited for). Start and stop on the same
+/// thread.
 pub struct BusyTimer {
     cpu_ns: Option<u64>,
+    foreign_ns: u64,
     wall: Instant,
 }
 
@@ -64,6 +86,7 @@ impl BusyTimer {
     pub fn start() -> BusyTimer {
         BusyTimer {
             cpu_ns: thread_cpu_ns(),
+            foreign_ns: FOREIGN_NS.with(Cell::get),
             wall: Instant::now(),
         }
     }
@@ -71,7 +94,10 @@ impl BusyTimer {
     /// Seconds of compute since [`BusyTimer::start`].
     pub fn elapsed_s(&self) -> f64 {
         match (self.cpu_ns, thread_cpu_ns()) {
-            (Some(a), Some(b)) => (b.saturating_sub(a)) as f64 / 1e9,
+            (Some(a), Some(b)) => {
+                let foreign = FOREIGN_NS.with(Cell::get) - self.foreign_ns;
+                (b.saturating_sub(a) + foreign) as f64 / 1e9
+            }
             _ => self.wall.elapsed().as_secs_f64(),
         }
     }
@@ -93,6 +119,45 @@ mod tests {
         let s = t.elapsed_s();
         assert!(s > 0.0, "busy timer did not advance: {s}");
         assert!(s < 60.0, "busy timer jumped implausibly: {s}");
+    }
+
+    #[test]
+    fn foreign_cpu_is_charged_to_the_waiting_threads_timer() {
+        if thread_cpu_ns().is_none() {
+            return;
+        }
+        // Charged before the timer started: not this timer's.
+        charge_foreign_ns(7_000_000_000);
+        let t = BusyTimer::start();
+        let own = t.elapsed_s();
+        // A helper burns CPU while this thread only waits; its clock
+        // reading is what the kernel's scoped workers hand back.
+        let helper_ns = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut x = 0u64;
+                for i in 0..5_000_000u64 {
+                    x = x.wrapping_add(i * i);
+                }
+                std::hint::black_box(x);
+                thread_cpu_ns().expect("clock exists")
+            })
+            .join()
+            .expect("helper does not panic")
+        });
+        assert!(helper_ns > 0);
+        let before = t.elapsed_s();
+        charge_foreign_ns(helper_ns);
+        let after = t.elapsed_s();
+        assert!(
+            after - before >= helper_ns as f64 / 1e9,
+            "charge of {helper_ns} ns moved the timer {before} -> {after}"
+        );
+        assert!(own < 1.0, "an earlier charge leaked into the timer: {own}");
+        // Another thread's timer never sees this thread's charges.
+        let other = std::thread::spawn(|| BusyTimer::start().elapsed_s())
+            .join()
+            .expect("no panic");
+        assert!(other < 1.0, "charge crossed threads: {other}");
     }
 
     #[test]

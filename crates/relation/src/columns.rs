@@ -13,6 +13,10 @@
 //! the wire codec keeps serializing through the row encoding — columnar
 //! layout never changes what travels between sites.
 //!
+//! A relation builds each [`Column`] on its own, the first time a query
+//! touches it ([`crate::Relation::column`]); [`Columns`] is the
+//! all-columns view of the same shared vectors.
+//!
 //! The vectorized GMDJ kernel consumes this layout: aggregate inner loops
 //! run over `&[i64]` / `&[f64]` slices, and group-key probes compare
 //! *canonical keys* ([`canon_i64`] / [`canon_f64`] plus dictionary codes)
@@ -144,22 +148,6 @@ impl Column {
         }
     }
 
-    /// The typed integer slice and validity, if this is an `Int` column.
-    pub fn as_int(&self) -> Option<(&[i64], Option<&Bitmap>)> {
-        match self {
-            Column::Int { data, valid } => Some((data, valid.as_ref())),
-            _ => None,
-        }
-    }
-
-    /// The typed double slice and validity, if this is a `Double` column.
-    pub fn as_double(&self) -> Option<(&[f64], Option<&Bitmap>)> {
-        match self {
-            Column::Double { data, valid } => Some((data, valid.as_ref())),
-            _ => None,
-        }
-    }
-
     /// The dictionary codes, string table and validity, if this is a
     /// `Str` column.
     pub fn as_str_dict(&self) -> Option<StrDictView<'_>> {
@@ -175,69 +163,31 @@ impl Column {
 pub type StrDictView<'a> = (&'a [u32], &'a [Arc<str>], Option<&'a Bitmap>);
 
 /// The columnar store of one relation: `arity` typed columns of equal
-/// length. Built lazily by [`crate::Relation::columns`] and cached.
+/// length — the all-columns view, sharing each vector with the relation's
+/// per-column cells ([`crate::Relation::column`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Columns {
     len: usize,
-    cols: Vec<Column>,
-}
-
-/// What a column scan found, before committing to a representation.
-#[derive(Clone, Copy, PartialEq)]
-enum Kind {
-    Unknown,
-    Int,
-    Double,
-    Str,
-    Mixed,
+    cols: Vec<Arc<Column>>,
 }
 
 impl Columns {
-    /// Build the columnar store from row-major data.
+    /// Build the columnar store from row-major data, every column.
     ///
     /// Column representations are chosen from the values actually present
     /// (the declared schema type only breaks ties for all-`NULL` columns):
     /// a column whose non-`NULL` values are all of one type gets the typed
     /// vector, anything else falls back to [`Column::Mixed`].
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> Columns {
-        let arity = schema.len();
-        let mut cols = Vec::with_capacity(arity);
-        for c in 0..arity {
-            // Pass 1: classify.
-            let mut kind = Kind::Unknown;
-            let mut nulls = false;
-            for r in rows {
-                let k = match r.get(c) {
-                    Value::Null => {
-                        nulls = true;
-                        continue;
-                    }
-                    Value::Int(_) => Kind::Int,
-                    Value::Double(_) => Kind::Double,
-                    Value::Str(_) => Kind::Str,
-                };
-                if kind == Kind::Unknown {
-                    kind = k;
-                } else if kind != k {
-                    kind = Kind::Mixed;
-                    break;
-                }
-            }
-            if kind == Kind::Unknown {
-                // Empty or all-NULL: the declared type picks the layout.
-                kind = match schema.field(c).data_type() {
-                    DataType::Int => Kind::Int,
-                    DataType::Double => Kind::Double,
-                    DataType::Str => Kind::Str,
-                };
-            }
-            // Pass 2: build.
-            cols.push(build_column(kind, nulls, rows, c));
-        }
-        Columns {
-            len: rows.len(),
-            cols,
-        }
+        let cols = (0..schema.len())
+            .map(|c| Arc::new(Column::build(schema.field(c).data_type(), rows, c)))
+            .collect();
+        Columns::from_shared(rows.len(), cols)
+    }
+
+    /// The view over already-built columns of `len` rows each.
+    pub(crate) fn from_shared(len: usize, cols: Vec<Arc<Column>>) -> Columns {
+        Columns { len, cols }
     }
 
     /// Number of rows.
@@ -278,54 +228,196 @@ impl Columns {
     }
 }
 
-fn build_column(kind: Kind, nulls: bool, rows: &[Row], c: usize) -> Column {
-    let n = rows.len();
-    let mut valid = nulls.then(|| Bitmap::new(n));
-    match kind {
-        Kind::Unknown => unreachable!("classified above"),
-        Kind::Mixed => Column::Mixed(rows.iter().map(|r| r.get(c).clone()).collect()),
-        Kind::Int => {
-            let mut data = vec![0i64; n];
-            for (i, r) in rows.iter().enumerate() {
-                if let Value::Int(v) = r.get(c) {
-                    data[i] = *v;
-                    if let Some(b) = &mut valid {
-                        b.set(i);
-                    }
-                }
-            }
-            Column::Int { data, valid }
+/// A validity mask under construction: no bitmap until the first `NULL`,
+/// so a column without `NULL`s never allocates one.
+struct Validity {
+    bits: Option<Bitmap>,
+    len: usize,
+}
+
+impl Validity {
+    /// Row `i` is `NULL`; every earlier row was marked or is valid.
+    fn null_at(&mut self, i: usize) {
+        if self.bits.is_none() {
+            let mut b = Bitmap::new(self.len);
+            (0..i).for_each(|j| b.set(j));
+            self.bits = Some(b);
         }
-        Kind::Double => {
-            let mut data = vec![0f64; n];
-            for (i, r) in rows.iter().enumerate() {
-                if let Value::Double(v) = r.get(c) {
-                    data[i] = *v;
-                    if let Some(b) = &mut valid {
-                        b.set(i);
-                    }
-                }
-            }
-            Column::Double { data, valid }
+    }
+
+    /// Row `i` holds a value.
+    fn valid_at(&mut self, i: usize) {
+        if let Some(b) = &mut self.bits {
+            b.set(i);
         }
-        Kind::Str => {
-            let mut codes = vec![0u32; n];
-            let mut dict: Vec<Arc<str>> = Vec::new();
-            let mut intern: HashMap<Arc<str>, u32> = HashMap::new();
-            for (i, r) in rows.iter().enumerate() {
-                if let Value::Str(s) = r.get(c) {
-                    let code = *intern.entry(Arc::clone(s)).or_insert_with(|| {
+    }
+}
+
+/// One pass over column `c`: `typed` yields the physical word of a value
+/// of the expected type, `None` for any other type — which abandons the
+/// typed layout (the caller falls back to [`Column::Mixed`]).
+fn typed_vector<T: Default + Clone>(
+    rows: &[Row],
+    c: usize,
+    mut typed: impl FnMut(&Value) -> Option<T>,
+) -> Option<(Vec<T>, Option<Bitmap>)> {
+    let mut data = vec![T::default(); rows.len()];
+    let mut validity = Validity {
+        bits: None,
+        len: rows.len(),
+    };
+    for (i, r) in rows.iter().enumerate() {
+        match r.get(c) {
+            Value::Null => validity.null_at(i),
+            v => {
+                data[i] = typed(v)?;
+                validity.valid_at(i);
+            }
+        }
+    }
+    Some((data, validity.bits))
+}
+
+impl Column {
+    /// Build column `c` of `rows` in one pass. The first non-`NULL` value
+    /// picks the layout (`declared` for an empty or all-`NULL` column); a
+    /// later value of another type makes the column [`Column::Mixed`].
+    pub(crate) fn build(declared: DataType, rows: &[Row], c: usize) -> Column {
+        let kind = rows
+            .iter()
+            .find_map(|r| r.get(c).data_type())
+            .unwrap_or(declared);
+        let typed = match kind {
+            DataType::Int => typed_vector(rows, c, Value::as_i64)
+                .map(|(data, valid)| Column::Int { data, valid }),
+            DataType::Double => typed_vector(rows, c, |v| match v {
+                Value::Double(d) => Some(*d),
+                _ => None,
+            })
+            .map(|(data, valid)| Column::Double { data, valid }),
+            DataType::Str => {
+                let mut dict: Vec<Arc<str>> = Vec::new();
+                let mut intern: HashMap<Arc<str>, u32> = HashMap::new();
+                typed_vector(rows, c, |v| match v {
+                    Value::Str(s) => Some(*intern.entry(Arc::clone(s)).or_insert_with(|| {
                         dict.push(Arc::clone(s));
                         (dict.len() - 1) as u32
-                    });
-                    codes[i] = code;
-                    if let Some(b) = &mut valid {
-                        b.set(i);
+                    })),
+                    _ => None,
+                })
+                .map(|(codes, valid)| Column::Str { codes, dict, valid })
+            }
+        };
+        typed.unwrap_or_else(|| Column::Mixed(rows.iter().map(|r| r.get(c).clone()).collect()))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Column::Int { data, .. } => data.len(),
+            Column::Double { data, .. } => data.len(),
+            Column::Str { codes, .. } => codes.len(),
+            Column::Mixed(vs) => vs.len(),
+        }
+    }
+
+    /// True if the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Canonicalize the column for equality probing: per row the
+    /// `(tag, word)` pair of [`canon_value`]. Dictionary-encoded string
+    /// columns turn their codes into words directly (one pass over `u32`s,
+    /// no hashing); other layouts canonicalize element-wise. The returned
+    /// interner maps further strings (a probe side's) into the same code
+    /// space.
+    pub fn canon_keys(&self) -> CanonKeys {
+        let len = self.len();
+        let mut tags = vec![0u8; len];
+        let mut words = vec![0u64; len];
+        let mut codes = StrCodes::default();
+        match self {
+            Column::Int { data, valid } => {
+                for i in 0..len {
+                    if valid.as_ref().is_none_or(|b| b.get(i)) {
+                        (tags[i], words[i]) = canon_i64(data[i]);
                     }
                 }
             }
-            Column::Str { codes, dict, valid }
+            Column::Double { data, valid } => {
+                for i in 0..len {
+                    if valid.as_ref().is_none_or(|b| b.get(i)) {
+                        (tags[i], words[i]) = canon_f64(data[i]);
+                    }
+                }
+            }
+            Column::Str {
+                codes: col_codes,
+                dict,
+                valid,
+            } => {
+                codes = StrCodes::from_dict(dict);
+                for i in 0..len {
+                    if valid.as_ref().is_none_or(|b| b.get(i)) {
+                        tags[i] = CANON_STR_TAG;
+                        words[i] = col_codes[i] as u64;
+                    }
+                }
+            }
+            Column::Mixed(vs) => {
+                for i in 0..len {
+                    (tags[i], words[i]) = canon_value(&vs[i], &mut codes);
+                }
+            }
         }
+        CanonKeys { tags, words, codes }
+    }
+}
+
+/// One column's canonical keys — see [`Column::canon_keys`].
+#[derive(Debug)]
+pub struct CanonKeys {
+    /// Per row: the canonical tag ([`CANON_NULL`]'s at `NULL` rows).
+    pub tags: Vec<u8>,
+    /// Per row: the canonical word.
+    pub words: Vec<u64>,
+    /// The string interner the words of [`CANON_STR_TAG`] rows index.
+    pub codes: StrCodes,
+}
+
+/// A string interner: maps each distinct string to one `u32` code, shared
+/// between the two sides of an equality probe so equal strings always
+/// canonicalize to equal words.
+#[derive(Debug, Default)]
+pub struct StrCodes {
+    map: HashMap<Arc<str>, u32>,
+}
+
+impl StrCodes {
+    /// Seeded with a column dictionary: code `i` ↦ `dict[i]`.
+    fn from_dict(dict: &[Arc<str>]) -> StrCodes {
+        let mut map = HashMap::with_capacity(dict.len());
+        for (i, s) in dict.iter().enumerate() {
+            map.insert(Arc::clone(s), i as u32);
+        }
+        StrCodes { map }
+    }
+
+    fn code(&mut self, s: &Arc<str>) -> u32 {
+        let next = self.map.len() as u32;
+        *self.map.entry(Arc::clone(s)).or_insert(next)
+    }
+}
+
+/// The canonical `(tag, word)` of one value, interning strings: two values
+/// are [`Value`]-equal iff their pairs (under one interner) are equal.
+pub fn canon_value(v: &Value, codes: &mut StrCodes) -> (u8, u64) {
+    match v {
+        Value::Null => CANON_NULL,
+        Value::Int(i) => canon_i64(*i),
+        Value::Double(d) => canon_f64(*d),
+        Value::Str(s) => (CANON_STR_TAG, codes.code(s) as u64),
     }
 }
 

@@ -16,8 +16,8 @@
 //! a pragmatic two-valued reading that matches how the paper's conditions
 //! behave over non-null warehouse data.
 
-use crate::columns::Columns;
 use crate::error::{Error, Result};
+use crate::relation::Relation;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -74,7 +74,11 @@ impl CmpOp {
 
     /// Apply to two non-null values using the total value order.
     pub fn apply(self, a: &Value, b: &Value) -> bool {
-        let ord = a.cmp(b);
+        self.holds(a.cmp(b))
+    }
+
+    /// Does `lhs ⟨self⟩ rhs` hold when `lhs.cmp(rhs)` is `ord`?
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == std::cmp::Ordering::Equal,
             CmpOp::Ne => ord != std::cmp::Ordering::Equal,
@@ -542,13 +546,15 @@ impl BoundExpr {
         self.eval_inner(base, None)
     }
 
-    /// Evaluate over a base row and row `at` of a columnar detail store —
-    /// the columnar kernel's equivalent of [`BoundExpr::eval`], fetching
-    /// detail values from typed columns instead of a materialized [`Row`].
-    pub fn eval_cols(&self, base: &Row, detail: &Columns, at: usize) -> Result<Value> {
+    /// Evaluate over a base row and row `at` of a detail relation's
+    /// columnar layout — the columnar kernel's equivalent of
+    /// [`BoundExpr::eval`], fetching detail values from typed columns
+    /// ([`Relation::column`], so only the columns the expression names get
+    /// built) instead of a materialized [`Row`].
+    pub fn eval_cols(&self, base: &Row, detail: &Relation, at: usize) -> Result<Value> {
         match self {
             BoundExpr::Col(Side::Base, i) => Ok(base.get(*i).clone()),
-            BoundExpr::Col(Side::Detail, i) => Ok(detail.value(*i, at)),
+            BoundExpr::Col(Side::Detail, i) => Ok(detail.column(*i).value(at)),
             BoundExpr::Lit(v) => Ok(v.clone()),
             BoundExpr::Cmp(op, a, b) => {
                 let (x, y) = (a.eval_cols(base, detail, at)?, b.eval_cols(base, detail, at)?);

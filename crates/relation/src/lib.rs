@@ -2,9 +2,10 @@
 //!
 //! The storage and expression layer underneath the Skalla distributed OLAP
 //! engine: scalar [`Value`]s, [`Schema`]s, [`Row`]s, in-memory
-//! [`Relation`]s with the usual operators plus a cached [`Columns`]
-//! physical layout (typed vectors, dictionary-encoded strings, validity
-//! bitmaps) for the vectorized kernel, two-sided scalar [`Expr`]essions
+//! [`Relation`]s with the usual operators plus a per-column physical
+//! layout built on first touch ([`Column`]: typed vectors,
+//! dictionary-encoded strings, validity bitmaps) for the vectorized
+//! kernel, two-sided scalar [`Expr`]essions
 //! (GMDJ conditions θ(b, r)), interval/domain analysis for deriving the
 //! paper's ¬ψ group-reduction filters, hash indexes, a binary codec with
 //! exact byte accounting, and CSV import/export.
@@ -37,4 +38,4 @@ pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, In
 pub use relation::Relation;
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
-pub use value::{DataType, Value};
+pub use value::{total_f64_cmp, DataType, Value};

@@ -1,32 +1,68 @@
 //! In-memory relations (multisets of rows) and basic relational operators.
 
-use crate::columns::Columns;
+use crate::columns::{Column, Columns};
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A multiset of rows sharing one schema.
 ///
 /// This is the storage unit of each warehouse site's local detail relation
 /// and of every structure shipped between sites and the coordinator. Rows
 /// remain the interchange representation (the codec and CSV loader read
-/// them unchanged); the columnar physical layout used by the vectorized
-/// kernel is built lazily by [`Relation::columns`] and cached — clones
-/// share the cache, mutation invalidates it.
+/// them unchanged). What a query derives from the rows — a column's typed
+/// vector ([`Relation::column`]), the distinct groups of a key set
+/// ([`Relation::project_distinct`]) — is built on first touch and kept on
+/// the relation: never at construction, dropped by mutation, and a clone
+/// takes a snapshot (it shares what is built, and nothing either side
+/// builds afterwards is visible to the other).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: SchemaRef,
     rows: Vec<Row>,
-    columns: OnceLock<Arc<Columns>>,
+    derived: Derived,
 }
 
-/// Equality is over schema and rows only — whether the columnar cache has
-/// been built is invisible.
+/// How many key sets' distinct groups a relation remembers (most recently
+/// used first).
+const GROUP_MEMO_CAP: usize = 4;
+
+/// State computed from `rows`, each piece on first touch.
+#[derive(Debug, Default)]
+struct Derived {
+    /// One cell per column, allocated with the first column built.
+    cols: OnceLock<Box<[OnceLock<Arc<Column>>]>>,
+    /// The all-columns view over `cols`.
+    all: OnceLock<Arc<Columns>>,
+    /// `project_distinct` results by key-column positions.
+    groups: Mutex<Vec<(Vec<usize>, Arc<Relation>)>>,
+}
+
+impl Derived {
+    /// The memo. Every update leaves the list valid (whole entries are
+    /// inserted or dropped), so a poisoned lock is still good to use.
+    fn groups(&self) -> std::sync::MutexGuard<'_, Vec<(Vec<usize>, Arc<Relation>)>> {
+        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Derived {
+    fn clone(&self) -> Derived {
+        Derived {
+            cols: self.cols.clone(),
+            all: self.all.clone(),
+            groups: Mutex::new(self.groups().clone()),
+        }
+    }
+}
+
+/// Equality is over schema and rows only — what has been derived from them
+/// is invisible.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
         self.schema == other.schema && self.rows == other.rows
@@ -39,7 +75,7 @@ impl Relation {
         Relation {
             schema: Arc::new(schema),
             rows: Vec::new(),
-            columns: OnceLock::new(),
+            derived: Derived::default(),
         }
     }
 
@@ -61,7 +97,7 @@ impl Relation {
         Ok(Relation {
             schema,
             rows,
-            columns: OnceLock::new(),
+            derived: Derived::default(),
         })
     }
 
@@ -72,7 +108,7 @@ impl Relation {
         Relation {
             schema,
             rows,
-            columns: OnceLock::new(),
+            derived: Derived::default(),
         }
     }
 
@@ -102,28 +138,56 @@ impl Relation {
     }
 
     /// Mutable access to the rows (coordinator-side in-place merges).
-    /// Invalidates the cached columnar layout.
+    /// Drops everything derived from them.
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        self.columns.take();
+        self.derived = Derived::default();
         &mut self.rows
     }
 
-    /// Append a row. Invalidates the cached columnar layout.
+    /// Append a row. Drops everything derived from the rows.
     ///
     /// # Panics
     /// Debug-asserts the arity matches.
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.schema.len());
-        self.columns.take();
+        self.derived = Derived::default();
         self.rows.push(row);
     }
 
-    /// The columnar physical layout of this relation (typed vectors,
-    /// dictionary-encoded strings, validity bitmaps). Built on first use
-    /// and cached; clones of this relation share the cache.
+    fn column_cell(&self, c: usize) -> &Arc<Column> {
+        let cells = self
+            .derived
+            .cols
+            .get_or_init(|| (0..self.schema.len()).map(|_| OnceLock::new()).collect());
+        cells[c].get_or_init(|| {
+            Arc::new(Column::build(
+                self.schema.field(c).data_type(),
+                &self.rows,
+                c,
+            ))
+        })
+    }
+
+    /// The columnar physical layout of column `c` (typed vector or
+    /// dictionary codes plus validity bitmap). Built the first time any
+    /// query touches the column and kept; a query that reads three columns
+    /// of fifteen lays out three.
+    ///
+    /// # Panics
+    /// If `c` is not a column position of the schema.
+    pub fn column(&self, c: usize) -> &Column {
+        self.column_cell(c)
+    }
+
+    /// The columnar physical layout of every column — builds whichever
+    /// columns no query has touched yet.
     pub fn columns(&self) -> &Columns {
-        self.columns
-            .get_or_init(|| Arc::new(Columns::from_rows(&self.schema, &self.rows)))
+        self.derived.all.get_or_init(|| {
+            let cols = (0..self.schema.len())
+                .map(|c| Arc::clone(self.column_cell(c)))
+                .collect();
+            Arc::new(Columns::from_shared(self.rows.len(), cols))
+        })
     }
 
     /// Iterate over rows.
@@ -146,19 +210,53 @@ impl Relation {
     }
 
     /// Duplicate-eliminating projection (π with DISTINCT) preserving first
-    /// occurrence order — used to build base-values relations.
+    /// occurrence order, each group represented by its first occurrence's
+    /// exact values — used to build base-values relations.
+    ///
+    /// Runs over the key columns' canonical keys
+    /// ([`Column::canon_keys`], the equality classes of [`Value`]'s `Eq`),
+    /// and the result is remembered per key-column list (the 4 most
+    /// recently used), so a site derives the local groups of its
+    /// partition once, not once per query.
     pub fn project_distinct(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
+        let hit = {
+            let mut memo = self.derived.groups();
+            memo.iter().position(|(k, _)| *k == idx).map(|at| {
+                memo[..=at].rotate_right(1);
+                Arc::clone(&memo[0].1)
+            })
+        };
+        if let Some(distinct) = hit {
+            return Ok(Relation::clone(&distinct));
+        }
         let schema = self.schema.project(&idx)?;
-        let mut seen: HashSet<Row> = HashSet::with_capacity(self.rows.len());
-        let mut rows = Vec::new();
-        for r in &self.rows {
-            let p = r.project(&idx);
-            if seen.insert(p.clone()) {
-                rows.push(p);
+        // Dense group ids, one key column at a time: after column k two
+        // rows share an id iff they agree on key columns 0..=k, and `first`
+        // holds the rows that opened an id — the first occurrences.
+        let mut group = vec![0usize; self.rows.len()];
+        let mut first: Vec<usize> = (0..self.rows.len().min(1)).collect();
+        for &c in &idx {
+            let keys = self.column(c).canon_keys();
+            let mut ids: HashMap<(usize, u8, u64), usize> = HashMap::new();
+            first.clear();
+            for (i, g) in group.iter_mut().enumerate() {
+                let next = ids.len();
+                *g = *ids.entry((*g, keys.tags[i], keys.words[i])).or_insert(next);
+                if *g == next {
+                    first.push(i);
+                }
             }
         }
-        Relation::new(schema, rows)
+        let rows = first.iter().map(|&i| self.rows[i].project(&idx)).collect();
+        let distinct = Arc::new(Relation::from_shared(Arc::new(schema), rows));
+        {
+            let mut memo = self.derived.groups();
+            memo.retain(|(k, _)| *k != idx); // a concurrent caller got here first
+            memo.insert(0, (idx, Arc::clone(&distinct)));
+            memo.truncate(GROUP_MEMO_CAP);
+        }
+        Ok(Relation::clone(&distinct))
     }
 
     /// Selection (σ) by a bound predicate.
@@ -236,18 +334,10 @@ impl Relation {
             && self.canonicalized().rows == other.canonicalized().rows
     }
 
-    /// The distinct values of one column.
+    /// The distinct values of one column, in first-occurrence order.
     pub fn column_values(&self, column: &str) -> Result<Vec<Value>> {
-        let i = self.schema.index_of(column)?;
-        let mut set: HashSet<Value> = HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            let v = r.get(i).clone();
-            if set.insert(v.clone()) {
-                out.push(v);
-            }
-        }
-        Ok(out)
+        let distinct = self.project_distinct(&[column])?;
+        Ok(distinct.iter().map(|r| r.get(0).clone()).collect())
     }
 
     /// Approximate serialized size in bytes (schema + rows).
@@ -347,6 +437,117 @@ mod tests {
         let r = sample();
         let f = r.filter(|row| row.get(0) == &Value::Int(1));
         assert_eq!(f.len(), 2);
+    }
+
+    /// Which columns of `r` have a layout built.
+    fn built(r: &Relation) -> Vec<bool> {
+        match r.derived.cols.get() {
+            Some(cells) => cells.iter().map(|c| c.get().is_some()).collect(),
+            None => vec![false; r.schema.len()],
+        }
+    }
+
+    fn memo_len(r: &Relation) -> usize {
+        r.derived.groups().len()
+    }
+
+    fn wide() -> Relation {
+        Relation::new(
+            Schema::of(&[
+                ("a", DataType::Int),
+                ("b", DataType::Str),
+                ("c", DataType::Double),
+            ]),
+            vec![row![1i64, "x", 0.5], row![2i64, "y", 1.5]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn touching_a_column_builds_only_that_column() {
+        let r = wide();
+        assert_eq!(built(&r), [false, false, false], "nothing is built at load");
+        assert_eq!(r.column(2).value(1), Value::Double(1.5));
+        assert_eq!(built(&r), [false, false, true]);
+        // A distinct over `a` touches `a` and nothing else.
+        r.project_distinct(&["a"]).unwrap();
+        assert_eq!(built(&r), [true, false, true]);
+        // The all-columns view builds the rest and shares what exists.
+        let before = r.column(2) as *const Column;
+        assert_eq!(r.columns().to_rows(), r.rows());
+        assert_eq!(built(&r), [true, true, true]);
+        assert!(std::ptr::eq(before, r.columns().col(2)));
+    }
+
+    #[test]
+    fn project_distinct_memo_hits_and_mutation_drops_it() {
+        let mut r = sample();
+        let first = r.project_distinct(&["a"]).unwrap();
+        assert_eq!(first.rows(), [row![1i64], row![2i64]]);
+        assert_eq!(memo_len(&r), 1);
+        assert_eq!(r.project_distinct(&["a"]).unwrap(), first, "memo hit");
+        assert_eq!(memo_len(&r), 1);
+        // Key sets are told apart, by column list and order.
+        assert_eq!(r.project_distinct(&["b", "a"]).unwrap().len(), 2);
+        assert_eq!(r.project_distinct(&["a", "b"]).unwrap().rows()[0], row![1i64, "x"]);
+        assert_eq!(memo_len(&r), 3);
+        // Most recently used first; `column_values` goes through the memo.
+        r.project_distinct(&["b"]).unwrap();
+        r.project_distinct(&["a"]).unwrap();
+        assert_eq!(r.column_values("b").unwrap(), [Value::str("x"), Value::str("y")]);
+        let kept = |r: &Relation| -> Vec<Vec<usize>> {
+            r.derived.groups().iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(kept(&r), [vec![1], vec![0], vec![0, 1], vec![1, 0]]);
+        // A key set beyond GROUP_MEMO_CAP evicts the least recently used.
+        let w = wide();
+        for key in [&["a"][..], &["b"], &["c"], &["a", "b"], &["b"], &["a", "c"]] {
+            w.project_distinct(key).unwrap();
+        }
+        assert_eq!(kept(&w), [vec![0, 2], vec![1], vec![0, 1], vec![2]]);
+
+        // `push` drops the memo: the new group shows.
+        r.push(row![3i64, "x"]);
+        assert_eq!(memo_len(&r), 0);
+        assert_eq!(r.project_distinct(&["a"]).unwrap().len(), 3);
+        // So does `rows_mut`.
+        r.rows_mut().retain(|row| row.get(0) != &Value::Int(1));
+        assert_eq!(built(&r), [false, false]);
+        assert_eq!(
+            r.project_distinct(&["a"]).unwrap().rows(),
+            [row![2i64], row![3i64]]
+        );
+        // Unknown columns fail before and after a memo exists.
+        assert!(r.project_distinct(&["nope"]).is_err());
+    }
+
+    #[test]
+    fn a_clone_is_a_snapshot_of_the_derived_state() {
+        // Taken before first touch: the clone stays cold when the
+        // original is touched, and the other way round.
+        let original = sample();
+        let early = original.clone();
+        original.column(0);
+        original.project_distinct(&["a"]).unwrap();
+        assert_eq!(built(&early), [false, false]);
+        assert_eq!(memo_len(&early), 0);
+        early.column(1);
+        assert_eq!(built(&original), [true, false]);
+
+        // Taken afterwards: it shares what was built (same vectors, same
+        // memoized groups) and nothing built later on either side.
+        let late = original.clone();
+        assert_eq!(built(&late), [true, false]);
+        assert!(std::ptr::eq(original.column(0), late.column(0)));
+        assert!(Arc::ptr_eq(
+            &original.derived.groups()[0].1,
+            &late.derived.groups()[0].1
+        ));
+        late.column(1);
+        late.project_distinct(&["b"]).unwrap();
+        assert_eq!(built(&original), [true, false]);
+        assert_eq!(memo_len(&original), 1);
+        assert_eq!(memo_len(&late), 2);
     }
 
     #[test]

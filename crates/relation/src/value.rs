@@ -158,8 +158,9 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
-/// Total order on doubles: ordinary order, with NaN greatest.
-fn total_f64_cmp(a: f64, b: f64) -> Ordering {
+/// Total order on doubles: ordinary order, with NaN greatest (and all
+/// NaNs equal) — the order [`Value`]'s `Ord` gives `Double`s.
+pub fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Greater,

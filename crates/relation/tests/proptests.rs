@@ -123,7 +123,117 @@ fn arb_columnar_relation() -> impl Strategy<Value = Relation> {
         })
 }
 
+/// Relations whose cells collide under `Value`'s `Eq`/`Hash` without being
+/// identical — `Int`/`Double` aliases, `±0.0`, NaNs with different
+/// payloads, `NULL`s, equal strings in one shared and in separate
+/// allocations — over typed (kinds 0–2) and mixed-type (kind 3) columns,
+/// with a key: a non-empty list of distinct column names in any order.
+fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
+    fn cell(kind: usize, shared: &std::sync::Arc<str>) -> BoxedStrategy<Value> {
+        let ints = prop_oneof![(-2i64..3).prop_map(Value::Int), Just(Value::Null)];
+        let doubles = prop_oneof![
+            (-2i64..3).prop_map(|i| Value::Double(i as f64)),
+            Just(Value::Double(-0.0)),
+            Just(Value::Double(0.5)),
+            Just(Value::Double(f64::NAN)),
+            Just(Value::Double(f64::from_bits(0xfff8_0000_0000_0abc))),
+            Just(Value::Null),
+        ];
+        let strings = prop_oneof![
+            "[ab]{0,1}".prop_map(Value::str),
+            Just(Value::Str(shared.clone())),
+            Just(Value::Null),
+        ];
+        match kind {
+            0 => ints.boxed(),
+            1 => doubles.boxed(),
+            2 => strings.boxed(),
+            _ => prop_oneof![ints, doubles, strings].boxed(),
+        }
+    }
+    (
+        proptest::collection::vec(0usize..4, 1..4),
+        0usize..30,
+        0usize..3,
+        1usize..4,
+    )
+        .prop_flat_map(|(kinds, n_rows, rot, key_len)| {
+            let shared: std::sync::Arc<str> = "a".into();
+            let arity = kinds.len();
+            // Three columns generated whole; the first `arity` are used.
+            let column = |i: usize| {
+                proptest::collection::vec(cell(kinds[i % arity], &shared), n_rows..n_rows + 1)
+            };
+            let columns = (column(0), column(1), column(2));
+            columns.prop_map(move |(c0, c1, c2)| {
+                let cols = [c0, c1, c2];
+                let names: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+                let schema = Schema::of(
+                    &names
+                        .iter()
+                        .map(|n| (n.as_str(), DataType::Int))
+                        .collect::<Vec<_>>(),
+                );
+                let rows = (0..n_rows)
+                    .map(|r| Row::new(cols[..arity].iter().map(|c| c[r].clone()).collect()))
+                    .collect();
+                let key = (0..key_len.min(arity))
+                    .map(|j| names[(rot + j) % arity].clone())
+                    .collect();
+                (Relation::new(schema, rows).expect("arity matches"), key)
+            })
+        })
+}
+
+/// What `project_distinct` has to equal: a row-at-a-time `DISTINCT` over
+/// `Row`'s own `Eq`/`Hash`, keeping first occurrences.
+fn naive_project_distinct(rel: &Relation, idx: &[usize]) -> Vec<Row> {
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for r in rel.rows() {
+        let p = r.project(idx);
+        if seen.insert(p.clone()) {
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// The same value, not merely an equal one: same variant, same f64 bits,
+/// same string allocation.
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, Value::Null) => true,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        (Value::Str(x), Value::Str(y)) => std::sync::Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
 proptest! {
+    /// The columnar `DISTINCT` over canonical keys keeps exactly the naive
+    /// one's rows: same groups, same first-occurrence order, each group's
+    /// first occurrence as its representative down to the bits — and
+    /// answers the same from its memo.
+    #[test]
+    fn project_distinct_matches_naive_distinct((rel, key) in arb_keyed_relation()) {
+        let key: Vec<&str> = key.iter().map(String::as_str).collect();
+        let idx = rel.schema().indexes_of(&key).expect("key columns exist");
+        let want = naive_project_distinct(&rel, &idx);
+        for pass in ["computed", "memoized"] {
+            let got = rel.project_distinct(&key).expect("projects");
+            prop_assert_eq!(got.schema().column_names(), key.clone());
+            prop_assert_eq!(got.len(), want.len(), "{} {:?} of\n{}", pass, key, rel);
+            for (g, w) in got.rows().iter().zip(&want) {
+                prop_assert!(
+                    g.values().iter().zip(w.values()).all(|(a, b)| identical(a, b)),
+                    "{pass} {key:?}: {g:?} vs {w:?} of\n{rel}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn codec_round_trips(rel in arb_relation()) {
         let bytes = encode_relation(&rel);

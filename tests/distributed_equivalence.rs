@@ -3,7 +3,10 @@
 //! partitioning strategy, and both generated datasets — Theorems 1 and 3
 //! of the paper, exercised end-to-end through the real threaded runtime.
 
-use skalla::core::{plan::Planner, Cluster, OptFlags};
+use skalla::core::{
+    plan::{Planner, StageKind},
+    Cluster, OptFlags, Skalla,
+};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::{
     observe_int_ranges, partition_by_hash, partition_by_int_ranges, partition_by_value_sets,
@@ -13,7 +16,7 @@ use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::eval::EvalOptions;
 use skalla::gmdj::analyze_theta;
 use skalla::gmdj::prelude::*;
-use skalla::relation::Relation;
+use skalla::relation::{Relation, Value};
 
 fn all_flag_combos() -> Vec<OptFlags> {
     (0..16u32)
@@ -264,4 +267,86 @@ fn nested_loop_and_hash_paths_agree_distributed() {
         c.execute(&plan).unwrap().relation
     };
     assert!(run(&example1_flows()).same_bag(&run(&nested)));
+}
+
+#[test]
+fn folded_plan_is_bit_identical_cold_memoized_and_after_epoch_bump() {
+    // The Fig. 2 chain grouped on a partition attribute: Thm 5 and Prop 2
+    // fold it into one local round in which every site derives its groups
+    // from its own partition — state the site keeps on the relation. The
+    // same plan on one engine must give the oracle's bits when that state
+    // is cold, when it is filled, and after an epoch bump (which the
+    // sites never see).
+    let tpcr = generate_tpcr(&TpcrConfig {
+        rows: 3000,
+        customers: 512,
+        nations: 8,
+        suppliers: 15,
+        parts: 50,
+        skew: 0.4,
+        seed: 5,
+    });
+    let mut parts = partition_by_int_ranges(&tpcr, "nation_key", 4);
+    observe_int_ranges(&mut parts, &["cust_key", "cust_group"]);
+    let cluster = Cluster::from_partitions("tpcr", parts.clone());
+    let expr = GmdjExprBuilder::distinct_base("tpcr", &["cust_group"])
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&["cust_group"]).build(),
+            vec![AggSpec::count("cnt1"), AggSpec::avg("extended_price", "avg1")],
+        ))
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&["cust_group"])
+                .and(Expr::dcol("extended_price").ge(Expr::bcol("avg1")))
+                .build(),
+            vec![
+                AggSpec::count("cnt2"),
+                AggSpec::sum("extended_price", "sum2"),
+                AggSpec::var("discount", "var2"),
+            ],
+        ))
+        .build();
+    let plan = Planner::new(cluster.distribution()).optimize(&expr, OptFlags::all());
+    assert_eq!(plan.n_rounds(), 1, "{}", plan.explain());
+    assert!(
+        plan.stages.iter().all(
+            |s| matches!(&s.kind, StageKind::Unit(u) if u.fold_base && u.local_chain)
+        ),
+        "{}",
+        plan.explain()
+    );
+    // Groups are site-local and every relation is one morsel, so each
+    // accumulator sees the centralized run's operations in its order.
+    let oracle = cluster
+        .execute_centralized(&expr)
+        .expect("oracle evaluates")
+        .relation
+        .sorted_by(&["cust_group"])
+        .expect("sortable");
+
+    let engine = Skalla::builder()
+        .partitions("tpcr", parts)
+        .eval_options(EvalOptions {
+            cache: false,
+            ..EvalOptions::default()
+        })
+        .build()
+        .expect("engine builds");
+    let check = |context: &str| {
+        let out = engine.execute(&plan).unwrap_or_else(|e| panic!("{context}: {e}"));
+        let got = out.relation.sorted_by(&["cust_group"]).expect("sortable");
+        assert_eq!(got.len(), oracle.len(), "{context}");
+        for (g, w) in got.rows().iter().zip(oracle.rows()) {
+            for (gv, wv) in g.values().iter().zip(w.values()) {
+                let same = match (gv, wv) {
+                    (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+                    _ => gv == wv,
+                };
+                assert!(same, "{context}: {gv:?} vs {wv:?} in {g} vs {w}");
+            }
+        }
+    };
+    check("cold");
+    check("derived state filled");
+    engine.bump_partition_epoch();
+    check("after the epoch bump");
 }

@@ -67,8 +67,8 @@ if [[ "$FAST" == 1 ]]; then
   echo "ci.sh: fast checks passed"
   exit 0
 fi
-# Tier-1, once. That every evaluation knob (workers, morsel size, kernel,
-# skew balancer, semantic cache) and both transports produce the oracle's
+# Tier-1, once. That every evaluation knob (workers, morsel size, skew
+# balancer, semantic cache) and both transports produce the oracle's
 # answer is a property test inside it: the knob lattice of
 # tests/property_equivalence.rs.
 cargo test -q
@@ -86,29 +86,17 @@ cargo clippy --all-targets --workspace -- -D warnings
 # excluded from the workspace pass.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p skalla-core
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-  --exclude criterion --exclude crossbeam --exclude parking_lot \
-  --exclude proptest --exclude rand
+  --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand
 # Zero-allocation probe regression guard (plain-main bench, not run by
-# `cargo test`) — covers the row-kernel bucket index and the columnar
-# kernel's canonical-key probe / typed inner loops.
+# `cargo test`) — covers the reference row kernel's bucket index and the
+# columnar kernel's canonical-key probe / typed inner loops.
 cargo bench -p skalla-bench --bench probe_alloc
-# Kernel ablation smoke: quick fig_kernel run with the columnar config
-# row; --check asserts the columnar-over-serial speedup floor plus
-# bit-identity across thread counts and kernels.
-cargo run --release -q -p skalla-bench --bin fig_kernel -- \
-  --quick --repeats 3 --check --out "$(mktemp)"
 # Skew balancing smoke: quick fig_skew run, which panics unless balanced
 # and unbalanced results are bit-identical on every configuration. Its
 # max-site-busy floor is left to `--check`: busy time is not wall-clock
 # (ROADMAP item 1), and on a 2-core box the floor does not hold.
 cargo run --release -q -p skalla-bench --bin fig_skew -- \
   --quick --out "$(mktemp)"
-# Semantic cache smoke: quick fig_cache run; --check asserts the
-# dashboard workload's hit-rate floor (≥80%) and traffic-reduction floor
-# (≥2x), cube roll-up bit-identity on the integral measure, and that
-# cache-off executions pay byte-for-byte the serial baseline traffic.
-cargo run --release -q -p skalla-bench --bin fig_cache -- \
-  --quick --check --out "$(mktemp)"
 # End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
 # size, so a change that breaks its use of the public API fails here and
 # not in the next benchmark run.

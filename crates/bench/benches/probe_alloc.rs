@@ -22,7 +22,8 @@
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_gmdj::prelude::*;
-use skalla_gmdj::{eval_local, EvalOptions};
+use skalla_gmdj::eval::{eval_local, eval_local_rows};
+use skalla_gmdj::{EvalOptions, LocalGmdj};
 use skalla_relation::{DataType, Row};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,10 +97,9 @@ fn main() {
     );
     // Single morsel, single worker: the only size-dependent work is the
     // probe loop itself.
-    let opts = |columnar: bool| EvalOptions {
+    let opts = EvalOptions {
         parallelism: 1,
         morsel_rows: 1 << 30,
-        columnar,
         ..EvalOptions::default()
     };
 
@@ -110,18 +110,20 @@ fn main() {
 
     // Warm up both kernels (lazy one-time allocations — including the
     // cached columnar layout — must not skew counts).
-    for columnar in [false, true] {
-        eval_local(&base, &small, &op, opts(columnar)).unwrap();
-        eval_local(&base, &large, &op, opts(columnar)).unwrap();
+    type Kernel = fn(&Relation, &Relation, &Gmdj, EvalOptions) -> skalla_relation::Result<LocalGmdj>;
+    let kernels: [Kernel; 2] = [eval_local_rows, eval_local];
+    for kernel in kernels {
+        kernel(&base, &small, &op, opts).unwrap();
+        kernel(&base, &large, &op, opts).unwrap();
     }
 
-    let measure = |detail: &Relation, columnar: bool| {
+    let measure = |detail: &Relation, kernel: Kernel| {
         allocs_during(|| {
-            eval_local(&base, detail, &op, opts(columnar)).unwrap();
+            kernel(&base, detail, &op, opts).unwrap();
         })
     };
-    let fast_delta = measure(&large, false).saturating_sub(measure(&small, false));
-    let col_delta = measure(&large, true).saturating_sub(measure(&small, true));
+    let [fast_delta, col_delta] =
+        kernels.map(|k| measure(&large, k).saturating_sub(measure(&small, k)));
 
     // The typed residual: same shape of measurement, every row a hit.
     let lo_base = Relation::new(
@@ -138,7 +140,7 @@ fn main() {
     let (small_hit, large_hit) = (hit_detail(SMALL), hit_detail(LARGE));
     let measure_residual = |detail: &Relation| {
         let run = || {
-            eval_local(&lo_base, detail, &residual_op, opts(true)).unwrap();
+            eval_local(&lo_base, detail, &residual_op, opts).unwrap();
         };
         run(); // builds the touched columns
         allocs_during(run)

@@ -7,7 +7,7 @@
 //! a detail relation whose group key follows Zipf(s) over 256 ranks is
 //! range-partitioned across 4–64 sites (rank 0, the hottest, lands on
 //! site 0), and a three-round GMDJ chain runs with skew balancing on
-//! and off, under both kernels.
+//! and off.
 //!
 //! Reported per (sites, s): median wall-clock and minimum **max-site-busy**
 //! (the slowest site's total compute over all rounds — the quantity that
@@ -15,7 +15,7 @@
 //! max/mean. Busy is thread CPU time, so external load only ever inflates
 //! it; the minimum over repeats is the least-perturbed estimate. The run also verifies the correctness contract: balanced
 //! and unbalanced executions produce **bit-identical** results (f64
-//! compared by bit pattern) under both the row and columnar kernels.
+//! compared by bit pattern).
 //!
 //! Results are written to `BENCH_skew.json` (override with `--out`).
 //! `--check` additionally asserts that on skewed workloads (s ≥ 1.2 at
@@ -189,15 +189,14 @@ fn main() {
     println!("# Skew resilience: heavy-hitter balancing vs Zipf exponent");
     println!("# rows = {rows}, keys = {KEYS}, repeats = {repeats}");
     println!(
-        "# {:>5} {:>5} {:>8} | {:>12} {:>12} {:>7} | {:>10} {:>10} {:>7}",
-        "sites", "zipf", "kernel", "max-busy off", "max-busy on", "gain", "skew off", "skew on", "ident"
+        "# {:>5} {:>5} | {:>12} {:>12} {:>7} | {:>10} {:>10} {:>7}",
+        "sites", "zipf", "max-busy off", "max-busy on", "gain", "skew off", "skew on", "ident"
     );
 
     let e = expr();
-    let opts = |skew_balance: bool, columnar: bool| EvalOptions {
+    let opts = |skew_balance: bool| EvalOptions {
         morsel_rows: 16_384,
         skew_balance,
-        columnar,
         ..EvalOptions::default()
     };
 
@@ -209,48 +208,44 @@ fn main() {
             let mut cluster =
                 Cluster::from_partitions("t", partition_by_int_ranges(&detail, "g", sites));
             let plan = Planner::new(cluster.distribution()).optimize(&e, OptFlags::none());
-            for columnar in [true, false] {
-                let off = run_config(&mut cluster, &plan, opts(false, columnar), repeats);
-                let on = run_config(&mut cluster, &plan, opts(true, columnar), repeats);
-                let identical = bit_identical(&on.relation, &off.relation);
-                let gain = off.max_busy_s / on.max_busy_s.max(1e-12);
-                let kernel = if columnar { "columnar" } else { "row" };
-                println!(
-                    "# {sites:>5} {s:>5.1} {kernel:>8} | {:>12.4} {:>12.4} {gain:>6.2}x | {:>10.2} {:>10.2} {:>7}",
-                    off.max_busy_s, on.max_busy_s, off.skew_ratio, on.skew_ratio, identical
-                );
-                entries.push(Json::obj(vec![
-                    ("sites", Json::UInt(sites as u64)),
-                    ("zipf_s", Json::Float(s)),
-                    ("columnar", Json::Bool(columnar)),
-                    ("max_busy_unbalanced_s", Json::Float(off.max_busy_s)),
-                    ("max_busy_balanced_s", Json::Float(on.max_busy_s)),
-                    ("skew_ratio_unbalanced", Json::Float(off.skew_ratio)),
-                    ("skew_ratio_balanced", Json::Float(on.skew_ratio)),
-                    ("wall_unbalanced_s", Json::Float(off.wall_s)),
-                    ("wall_balanced_s", Json::Float(on.wall_s)),
-                    ("bit_identical", Json::Bool(identical)),
-                ]));
-                // Correctness is unconditional: the balancer must never
-                // change a single output bit, skewed or not.
-                if !identical {
-                    failures.push(format!(
-                        "sites {sites}, zipf {s}, {kernel}: balanced result differs from unbalanced"
-                    ));
-                }
-                // The performance claim only holds where there is skew to
-                // remove and enough sites to spread it over.
-                if has_flag(&args, "--check")
-                    && s >= 1.2
-                    && sites >= 8
-                    && on.max_busy_s >= off.max_busy_s
-                {
-                    failures.push(format!(
-                        "sites {sites}, zipf {s}, {kernel}: balanced max-busy {:.4}s \
-                         not below unbalanced {:.4}s",
-                        on.max_busy_s, off.max_busy_s
-                    ));
-                }
+            let off = run_config(&mut cluster, &plan, opts(false), repeats);
+            let on = run_config(&mut cluster, &plan, opts(true), repeats);
+            let identical = bit_identical(&on.relation, &off.relation);
+            let gain = off.max_busy_s / on.max_busy_s.max(1e-12);
+            println!(
+                "# {sites:>5} {s:>5.1} | {:>12.4} {:>12.4} {gain:>6.2}x | {:>10.2} {:>10.2} {:>7}",
+                off.max_busy_s, on.max_busy_s, off.skew_ratio, on.skew_ratio, identical
+            );
+            entries.push(Json::obj(vec![
+                ("sites", Json::UInt(sites as u64)),
+                ("zipf_s", Json::Float(s)),
+                ("max_busy_unbalanced_s", Json::Float(off.max_busy_s)),
+                ("max_busy_balanced_s", Json::Float(on.max_busy_s)),
+                ("skew_ratio_unbalanced", Json::Float(off.skew_ratio)),
+                ("skew_ratio_balanced", Json::Float(on.skew_ratio)),
+                ("wall_unbalanced_s", Json::Float(off.wall_s)),
+                ("wall_balanced_s", Json::Float(on.wall_s)),
+                ("bit_identical", Json::Bool(identical)),
+            ]));
+            // Correctness is unconditional: the balancer must never
+            // change a single output bit, skewed or not.
+            if !identical {
+                failures.push(format!(
+                    "sites {sites}, zipf {s}: balanced result differs from unbalanced"
+                ));
+            }
+            // The performance claim only holds where there is skew to
+            // remove and enough sites to spread it over.
+            if has_flag(&args, "--check")
+                && s >= 1.2
+                && sites >= 8
+                && on.max_busy_s >= off.max_busy_s
+            {
+                failures.push(format!(
+                    "sites {sites}, zipf {s}: balanced max-busy {:.4}s \
+                     not below unbalanced {:.4}s",
+                    on.max_busy_s, off.max_busy_s
+                ));
             }
         }
     }

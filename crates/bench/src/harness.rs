@@ -1,5 +1,5 @@
-//! Measurement harness shared by the `fig2`…`fig5` binaries and the
-//! criterion benches: run a (query, flags) pair on a cluster, collect the
+//! Measurement harness shared by the `fig2`…`fig5` binaries: run a
+//! (query, flags) pair on a cluster, collect the
 //! paper's metrics, print series tables, and check curve shapes.
 
 use skalla_core::{Cluster, DistributedPlan, EngineConfig, OptFlags, Planner, QueryResult};

@@ -2,9 +2,12 @@
 //!
 //! Workload definitions ([`workloads`]) and measurement utilities
 //! ([`harness`]) shared by the `fig2`…`fig5` harness binaries (which print
-//! the series each paper figure plots) and the criterion benches, plus
-//! the two-level coordinator-tree simulation ([`topology`]) behind the
-//! `topo` binary.
+//! the series each paper figure plots), plus the two-level
+//! coordinator-tree simulation ([`topology`]) behind the `topo` binary.
+//! Beside them: `fig_skew` (the sweep over skew ratio), `e2e` (the
+//! end-to-end and per-layer performance ledger, `BENCHMARK.json`) and the
+//! `probe_alloc` bench (a zero-allocation guard over both GMDJ kernels —
+//! assertions, not timings).
 //!
 //! Regenerate the evaluation with:
 //!
@@ -16,7 +19,11 @@
 //! ```
 //!
 //! Each accepts `--quick` (smaller data), `--check` (assert the paper's
-//! curve shapes) and `--repeats N`.
+//! curve shapes) and `--repeats N`. Wall-clock is the ledger's job:
+//!
+//! ```text
+//! cargo run -p skalla-bench --release --bin e2e -- run
+//! ```
 
 #![warn(missing_docs)]
 

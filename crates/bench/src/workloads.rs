@@ -57,7 +57,7 @@ impl BenchScale {
         }
     }
 
-    /// A fast setup for CI / criterion runs.
+    /// A fast setup for CI runs.
     pub fn quick() -> BenchScale {
         BenchScale {
             rows_per_site: 4_000,

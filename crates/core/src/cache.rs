@@ -649,14 +649,13 @@ mod tests {
             plan_fingerprint(&base, &coarse)
         );
         // Bit-identical knobs are excluded.
-        let columnar_off = EvalOptions {
-            columnar: false,
+        let threads = EvalOptions {
             parallelism: 7,
             ..eval
         };
         assert_eq!(
             plan_fingerprint(&base, &eval),
-            plan_fingerprint(&base, &columnar_off)
+            plan_fingerprint(&base, &threads)
         );
     }
 

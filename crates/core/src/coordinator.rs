@@ -187,18 +187,15 @@ impl MergeSync {
             vs.extend(logical);
             rows.push(Row::new(vs));
         }
-        let mut rel = Relation::new(out_schema, rows)?;
-        if self.fold {
-            // Insertion order is site-arrival order; sort for determinism.
-            let key_cols: Vec<&str> = (0..self.key_idx.len())
-                .map(|i| rel.schema().field(i).name())
-                .map(|s| s as &str)
-                .collect::<Vec<_>>()
-                .clone();
-            let key_cols: Vec<String> = key_cols.iter().map(|s| s.to_string()).collect();
-            rel = rel.sorted_by(&key_cols.iter().map(String::as_str).collect::<Vec<_>>())?;
+        let rel = Relation::new(out_schema, rows)?;
+        if !self.fold {
+            return Ok(rel);
         }
-        Ok(rel)
+        // Insertion order is site-arrival order; sort for determinism.
+        let key_cols: Vec<&str> = (0..self.key_idx.len())
+            .map(|i| rel.schema().field(i).name())
+            .collect();
+        rel.sorted_by(&key_cols)
     }
 }
 

@@ -99,13 +99,11 @@ fn put_eval_options(enc: &mut Encoder, opts: &EvalOptions) {
     let EvalOptions {
         parallelism,
         morsel_rows,
-        columnar,
         skew_balance,
         cache,
     } = *opts;
     enc.put_u32(parallelism as u32);
     enc.put_u32(morsel_rows.min(u32::MAX as usize) as u32);
-    enc.put_u8(columnar as u8);
     enc.put_u8(skew_balance as u8);
     enc.put_u8(cache as u8);
 }
@@ -113,13 +111,11 @@ fn put_eval_options(enc: &mut Encoder, opts: &EvalOptions) {
 fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
     let parallelism = dec.get_u32()? as usize;
     let morsel_rows = (dec.get_u32()? as usize).max(1);
-    let columnar = dec.get_u8()? != 0;
     let skew_balance = dec.get_u8()? != 0;
     let cache = dec.get_u8()? != 0;
     Ok(EvalOptions {
         parallelism,
         morsel_rows,
-        columnar,
         skew_balance,
         cache,
     })
@@ -279,13 +275,16 @@ mod tests {
             EvalOptions {
                 parallelism: 7,
                 morsel_rows: 256,
-                columnar: false,
                 skew_balance: false,
                 cache: false,
             },
         ] {
             for chunk_rows in [None, Some(512)] {
                 let bytes = encode_plan_with_options(&plan, &opts, chunk_rows);
+                // The option block is 10 bytes (ARCHITECTURE.md, `PLAN` row),
+                // then the chunk flag and, when set, its u32.
+                let chunk_bytes = if chunk_rows.is_some() { 5 } else { 1 };
+                assert_eq!(bytes.len(), 10 + chunk_bytes + encode_plan(&plan).len());
                 let (back_plan, back_opts, back_chunk) = decode_plan_with_options(&bytes).unwrap();
                 assert_eq!(back_plan, plan);
                 assert_eq!(back_chunk, chunk_rows);

@@ -33,7 +33,10 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 ///   misread every plan.
 /// * **v4** — v2 frames; the option block loses two more bytes (the
 ///   probe-strategy and fault-injection knobs, both retired).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// * **v5** — v2 frames; the option block loses the kernel switch (sites
+///   run one kernel) and is 10 bytes: workers u32, morsel rows u32, one
+///   byte each for the balancer and the cache.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Coordinator → site: run a stage (optionally with a base fragment).
 pub const TAG_RUN_STAGE: u8 = 1;
@@ -45,7 +48,7 @@ pub const TAG_ERROR: u8 = 3;
 pub const TAG_SHUTDOWN: u8 = 4;
 /// Coordinator → site: the distributed plan for the upcoming query. The
 /// payload is the cluster's evaluation options (thread count, morsel size,
-/// kernel, balancer and cache switches) followed by the encoded plan — see
+/// balancer and cache switches) followed by the encoded plan — see
 /// [`crate::plan_codec::encode_plan_with_options`].
 pub const TAG_PLAN: u8 = 5;
 /// Coordinator → site: describe your local warehouse. Sent once per
@@ -793,14 +796,17 @@ mod tests {
         // A v1 coordinator sent an empty request.
         assert_eq!(decode_catalog_request(&[]).unwrap(), 1);
 
-        // A reply from a site speaking a different version is rejected
-        // with a diagnostic naming both versions.
+        // A reply from a site speaking a different version — the previous
+        // generation included — is rejected with a diagnostic naming both.
         let m = catalog(&[]);
-        let mut tampered = m.payload.clone();
-        tampered[0] = 99;
-        let err = decode_catalog(&tampered).unwrap_err().to_string();
-        assert!(err.contains("version mismatch"), "got: {err}");
-        assert!(err.contains("v99"), "got: {err}");
+        for other in [PROTOCOL_VERSION as u8 - 1, 99] {
+            let mut tampered = m.payload.clone();
+            tampered[0] = other;
+            let err = decode_catalog(&tampered).unwrap_err().to_string();
+            assert!(err.contains("version mismatch"), "got: {err}");
+            assert!(err.contains(&format!("v{other}")), "got: {err}");
+            assert!(err.contains(&format!("v{PROTOCOL_VERSION}")), "got: {err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! carry on the wire (id 0 is reserved for the control stream).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Identifies one admitted query on the wire and in traces. Ids start
@@ -98,6 +98,15 @@ struct Sem {
     available: Condvar,
 }
 
+impl Sem {
+    /// The state behind the lock, poisoned or not: every update of
+    /// [`SemState`] is a single assignment under the lock, so a holder
+    /// that panicked left nothing half-written and the guard is good.
+    fn lock(&self) -> MutexGuard<'_, SemState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[derive(Debug)]
 struct SemState {
     /// Permits currently held.
@@ -150,12 +159,12 @@ impl QueryScheduler {
 
     /// Queries currently holding a permit.
     pub fn running(&self) -> usize {
-        self.sem.state.lock().expect("scheduler lock").running
+        self.sem.lock().running
     }
 
     /// Queries currently waiting for a permit.
     pub fn waiting(&self) -> usize {
-        self.sem.state.lock().expect("scheduler lock").waiting
+        self.sem.lock().waiting
     }
 
     /// Queries admitted over this scheduler's lifetime (monotonic).
@@ -215,7 +224,7 @@ impl QueryScheduler {
     }
 
     fn admit_inner(&self) -> Result<Permit, AdmissionError> {
-        let mut state = self.sem.state.lock().expect("scheduler lock");
+        let mut state = self.sem.lock();
         if state.running < self.cfg.max_concurrent {
             state.running += 1;
             return Ok(Permit {
@@ -243,7 +252,7 @@ impl QueryScheduler {
                 .sem
                 .available
                 .wait_timeout(state, remaining)
-                .expect("scheduler lock");
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
             if state.running < self.cfg.max_concurrent {
                 state.running += 1;
@@ -271,7 +280,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut state = self.sem.state.lock().expect("scheduler lock");
+        let mut state = self.sem.lock();
         state.running = state.running.saturating_sub(1);
         drop(state);
         self.sem.available.notify_one();

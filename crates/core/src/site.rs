@@ -300,16 +300,6 @@ fn split_for_loan(
     Ok((loan.finish(), cold))
 }
 
-/// Pull only the hot-key detail segments out of a detail relation — the
-/// loanable half of [`split_detail`].
-pub fn extract_segments(
-    detail: &Relation,
-    spec: &ExtractSpec,
-    morsel_rows: usize,
-) -> Result<Vec<(u32, Relation)>> {
-    Ok(split_detail(detail, spec, morsel_rows)?.0)
-}
-
 /// A donor's cached detail split: the table, extract spec and morsel
 /// size that produced it, the hot half already wire-encoded (the loan
 /// frame body is identical for every stage), and the cold segments the

@@ -1067,23 +1067,21 @@ pub(crate) fn eval_columnar(
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
-    use crate::eval::{eval_full, eval_local};
+    use crate::eval::{eval_full, eval_local, eval_local_rows, finalize_physical};
     use crate::theta::ThetaBuilder;
     use skalla_relation::{row, DataType, Expr, Row, Schema};
 
-    fn opts_columnar() -> EvalOptions {
+    fn opts() -> EvalOptions {
         EvalOptions {
             parallelism: 1,
-            columnar: true,
             ..EvalOptions::default()
         }
     }
 
-    fn opts_row() -> EvalOptions {
-        EvalOptions {
-            columnar: false,
-            ..opts_columnar()
-        }
+    /// The row reference kernel's finalized answer.
+    fn full_rows(b: &Relation, d: &Relation, g: &Gmdj) -> Relation {
+        let local = eval_local_rows(b, d, g, opts()).unwrap();
+        finalize_physical(&local.physical, b.schema().len(), g, d.schema()).unwrap()
     }
 
     fn detail() -> Relation {
@@ -1155,8 +1153,8 @@ mod tests {
 
     #[test]
     fn columnar_matches_row_kernel_wide_aggregates() {
-        let col = eval_local(&base(), &detail(), &wide_gmdj(), opts_columnar()).unwrap();
-        let rowk = eval_local(&base(), &detail(), &wide_gmdj(), opts_row()).unwrap();
+        let col = eval_local(&base(), &detail(), &wide_gmdj(), opts()).unwrap();
+        let rowk = eval_local_rows(&base(), &detail(), &wide_gmdj(), opts()).unwrap();
         assert_bits_equal(&col, &rowk);
     }
 
@@ -1171,17 +1169,17 @@ mod tests {
                     EvalOptions {
                         morsel_rows,
                         parallelism: p,
-                        ..opts_columnar()
+                        ..opts()
                     },
                 )
                 .unwrap();
-                let rowk = eval_local(
+                let rowk = eval_local_rows(
                     &base(),
                     &detail(),
                     &wide_gmdj(),
                     EvalOptions {
                         morsel_rows,
-                        ..opts_row()
+                        ..opts()
                     },
                 )
                 .unwrap();
@@ -1203,8 +1201,8 @@ mod tests {
             Expr::dcol("v").ge(Expr::bcol("lo")),
             vec![AggSpec::count("cnt"), AggSpec::sum("x", "sx")],
         );
-        let col = eval_full(&b, &detail(), &g, opts_columnar()).unwrap();
-        let rowk = eval_full(&b, &detail(), &g, opts_row()).unwrap();
+        let col = eval_full(&b, &detail(), &g, opts()).unwrap();
+        let rowk = full_rows(&b, &detail(), &g);
         assert_eq!(col, rowk);
         // Group-by with an extra residual conjunct (hash path + residual).
         let g2 = Gmdj::new("t").block(
@@ -1213,8 +1211,8 @@ mod tests {
                 .build(),
             vec![AggSpec::count("cnt"), AggSpec::max("v", "mx")],
         );
-        let col = eval_full(&base(), &detail(), &g2, opts_columnar()).unwrap();
-        let rowk = eval_full(&base(), &detail(), &g2, opts_row()).unwrap();
+        let col = eval_full(&base(), &detail(), &g2, opts()).unwrap();
+        let rowk = full_rows(&base(), &detail(), &g2);
         assert_eq!(col, rowk);
     }
 
@@ -1311,8 +1309,8 @@ mod tests {
             ThetaBuilder::group_by(&["s"]).build(),
             vec![AggSpec::count("cnt"), AggSpec::sum("v", "sv")],
         );
-        let col = eval_full(&b, &detail(), &g, opts_columnar()).unwrap();
-        let rowk = eval_full(&b, &detail(), &g, opts_row()).unwrap();
+        let col = eval_full(&b, &detail(), &g, opts()).unwrap();
+        let rowk = full_rows(&b, &detail(), &g);
         assert_eq!(col, rowk);
         // "zzz" appears nowhere in the detail dictionary.
         assert_eq!(col.rows()[2], row!["zzz", 0i64, Value::Null]);
@@ -1336,8 +1334,8 @@ mod tests {
             ThetaBuilder::group_by(&["k"]).build(),
             vec![AggSpec::sum("v", "sv")],
         );
-        let col = eval_full(&b, &d, &g, opts_columnar()).unwrap();
-        let rowk = eval_full(&b, &d, &g, opts_row()).unwrap();
+        let col = eval_full(&b, &d, &g, opts()).unwrap();
+        let rowk = full_rows(&b, &d, &g);
         assert_eq!(col, rowk);
         // Int(1) == Double(1.0) canonically.
         assert_eq!(col.rows()[2].get(1), &Value::Int(40));
@@ -1354,7 +1352,7 @@ mod tests {
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 1,
-                ..opts_columnar()
+                ..opts()
             },
         )
         .unwrap();
@@ -1365,7 +1363,7 @@ mod tests {
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 4,
-                ..opts_columnar()
+                ..opts()
             },
         )
         .unwrap();

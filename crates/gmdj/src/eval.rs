@@ -32,6 +32,11 @@
 //! per-group match flag — exactly what a warehouse site ships to the
 //! coordinator; [`eval_full`] additionally finalizes, for single-machine
 //! evaluation and as the test oracle.
+//!
+//! **One kernel, one reference.** [`eval_local`] always runs the
+//! vectorized kernel in [`crate::columnar`]. The row-at-a-time kernel in
+//! this module is the reference the tests compare it against, reachable
+//! only through [`eval_local_rows`]; no engine path selects it.
 
 use crate::agg::AccLayout;
 use crate::operator::Gmdj;
@@ -64,13 +69,6 @@ pub struct EvalOptions {
     /// accumulator merge structure) but **not** on `parallelism`. CLI
     /// `--morsel-rows`.
     pub morsel_rows: usize,
-    /// Evaluate through the columnar (vectorized) kernel: typed aggregate
-    /// accumulator arrays over the detail relation's columnar layout
-    /// ([`skalla_relation::Columns`]), canonical-key probes on dictionary
-    /// codes instead of per-row [`Value`] hashing. On by default. This
-    /// is an ablation knob (CLI `--no-columnar`) so fig benches can A/B
-    /// the two kernels; both produce bit-identical results.
-    pub columnar: bool,
     /// Skew-resilient distribution: sites report heavy-hitter group keys
     /// during round 1 and the coordinator re-routes hot groups away from
     /// overloaded sites (with a final merge leg for the split
@@ -85,19 +83,18 @@ pub struct EvalOptions {
     /// sites, and `query::cube` rolls coarse grouping sets up from the
     /// finest level locally. On by default; a served result is the
     /// bit-identical relation the sites produced, so this is an ablation
-    /// knob (CLI `--no-cache`) for the `fig_cache` bench and for
-    /// reproducing pre-cache traffic byte-for-byte.
+    /// knob (CLI `--no-cache`) for reproducing pre-cache traffic
+    /// byte-for-byte.
     pub cache: bool,
 }
 
 impl Default for EvalOptions {
-    /// Auto parallelism, [`DEFAULT_MORSEL_ROWS`], the columnar kernel,
-    /// skew balancing and semantic caching on.
+    /// Auto parallelism, [`DEFAULT_MORSEL_ROWS`], skew balancing and
+    /// semantic caching on.
     fn default() -> Self {
         EvalOptions {
             parallelism: 0,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            columnar: true,
             skew_balance: true,
             cache: true,
         }
@@ -466,15 +463,16 @@ pub(crate) fn drive<K: MorselKernel>(
 
     // Merge in morsel order (deterministic). Errors surface for the
     // smallest failing morsel index, independent of worker scheduling.
+    let unclaimed = || Error::Execution("a morsel was never evaluated".into());
     let mut merged: Option<K::State> = None;
     for state in states {
-        let state = state.expect("every morsel was claimed")?;
+        let state = state.ok_or_else(unclaimed)??;
         match &mut merged {
             None => merged = Some(state),
             Some(acc) => kernel.merge_state(acc, &state)?,
         }
     }
-    Ok(merged.expect("at least one morsel"))
+    merged.ok_or_else(unclaimed)
 }
 
 /// The immutable evaluation context shared across the worker pool.
@@ -591,6 +589,37 @@ pub fn eval_local(
     eval_local_traced(base, detail, gmdj, opts, &Obs::disabled(), 0)
 }
 
+/// What both kernels share around their morsel loop: validation, block
+/// preparation, the morsel decomposition — a function of the input size
+/// and `morsel_rows` only, so the merge structure (and the bits) never
+/// depends on the kernel or the worker count — and the assembly of base
+/// columns ⊕ merged accumulators into the site's physical result.
+/// `kernel` gets `(layout, blocks, morsel_rows, n_morsels)`.
+fn eval_with(
+    base: &Relation,
+    detail: &Relation,
+    gmdj: &Gmdj,
+    opts: EvalOptions,
+    kernel: impl FnOnce(&AccLayout, &mut [PreparedBlock], usize, usize) -> Result<MorselState>,
+) -> Result<LocalGmdj> {
+    gmdj.validate(base.schema(), detail.schema())?;
+    let (layout, mut blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
+    let morsel_rows = opts.morsel_rows.max(1);
+    let n_morsels = detail.len().div_ceil(morsel_rows).max(1);
+    let merged = kernel(&layout, &mut blocks, morsel_rows, n_morsels)?;
+
+    let phys_schema = gmdj.physical_schema(base.schema(), detail.schema())?;
+    let rows: Vec<Row> = base
+        .iter()
+        .zip(merged.accs)
+        .map(|(b, acc)| b.extend(&acc))
+        .collect();
+    Ok(LocalGmdj {
+        physical: Relation::new(phys_schema, rows)?,
+        matched: merged.matched,
+    })
+}
+
 /// [`eval_local`] with observability: per-morsel spans are recorded on
 /// [`Track::Worker`]`(site, worker)` tracks, with `kernel.morsel_us`
 /// histogram and `kernel.morsels` counter updates.
@@ -602,52 +631,46 @@ pub fn eval_local_traced(
     obs: &Obs,
     site: usize,
 ) -> Result<LocalGmdj> {
-    gmdj.validate(base.schema(), detail.schema())?;
-    let (layout, mut blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-
-    let morsel_rows = opts.morsel_rows.max(1);
-    let n_morsels = detail.len().div_ceil(morsel_rows).max(1);
-
-    // Both kernels run the same morsel decomposition and merge structure
-    // through `drive`, so their bits agree with each other and across
-    // worker counts.
-    let merged: MorselState = if opts.columnar {
+    eval_with(base, detail, gmdj, opts, |layout, blocks, morsel_rows, n_morsels| {
         crate::columnar::eval_columnar(
             base,
             detail,
             gmdj,
-            &layout,
-            &blocks,
+            layout,
+            blocks,
             opts,
             morsel_rows,
             n_morsels,
             obs,
             site,
-        )?
-    } else {
-        let indexes = build_indexes(base, &mut blocks);
+        )
+    })
+}
+
+/// [`eval_local`] through the row-at-a-time reference kernel: the same
+/// morsel decomposition and in-order merge (so the same bits), with
+/// per-row [`Value`] hashing and accumulation instead of typed columns.
+/// It is what the test suites and `probe_alloc` compare the engine's
+/// kernel against; nothing in the engine calls it.
+pub fn eval_local_rows(
+    base: &Relation,
+    detail: &Relation,
+    gmdj: &Gmdj,
+    opts: EvalOptions,
+) -> Result<LocalGmdj> {
+    eval_with(base, detail, gmdj, opts, |layout, blocks, morsel_rows, n_morsels| {
+        let indexes = build_indexes(base, blocks);
         let kernel = Kernel {
             base,
             detail,
             gmdj,
-            layout: &layout,
-            blocks: &blocks,
+            layout,
+            blocks,
             indexes: &indexes,
             morsel_rows,
             n_morsels,
         };
-        drive(&kernel, opts, obs, site)?
-    };
-
-    let phys_schema = gmdj.physical_schema(base.schema(), detail.schema())?;
-    let rows: Vec<Row> = base
-        .iter()
-        .zip(merged.accs)
-        .map(|(b, acc)| b.extend(&acc))
-        .collect();
-    Ok(LocalGmdj {
-        physical: Relation::new(phys_schema, rows)?,
-        matched: merged.matched,
+        drive(&kernel, opts, &Obs::disabled(), 0)
     })
 }
 
@@ -746,20 +769,31 @@ mod tests {
         )
     }
 
-    /// The row kernel is selected explicitly — these tests exercise its
-    /// internals; columnar/row agreement is covered by dedicated tests
-    /// below and by the property suite.
     fn opts() -> EvalOptions {
         EvalOptions {
             parallelism: 1,
-            columnar: false,
             ..EvalOptions::default()
         }
     }
 
+    /// Every case below runs on both kernels: the row reference's answer,
+    /// returned once the engine kernel's has been checked against it.
+    fn local_both(b: &Relation, d: &Relation, g: &Gmdj, o: EvalOptions) -> LocalGmdj {
+        let rows = eval_local_rows(b, d, g, o).unwrap();
+        let cols = eval_local(b, d, g, o).unwrap();
+        assert_eq!(cols.physical, rows.physical);
+        assert_eq!(cols.matched, rows.matched);
+        rows
+    }
+
+    fn full_both(b: &Relation, d: &Relation, g: &Gmdj, o: EvalOptions) -> Relation {
+        let local = local_both(b, d, g, o);
+        finalize_physical(&local.physical, b.schema().len(), g, d.schema()).unwrap()
+    }
+
     #[test]
     fn grouped_count_and_avg() {
-        let out = eval_full(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
+        let out = full_both(&base(), &detail(), &simple_gmdj(), opts());
         assert_eq!(out.schema().column_names(), ["g", "cnt", "avg"]);
         assert_eq!(out.rows()[0], row![1i64, 2i64, 15.0]);
         assert_eq!(out.rows()[1], row![2i64, 3i64, 7.0]);
@@ -782,8 +816,8 @@ mod tests {
             ranged,
             vec![AggSpec::count("cnt"), AggSpec::avg("v", "avg")],
         );
-        let hash = eval_full(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
-        let nl = eval_full(&base(), &detail(), &nested, opts()).unwrap();
+        let hash = full_both(&base(), &detail(), &simple_gmdj(), opts());
+        let nl = full_both(&base(), &detail(), &nested, opts());
         assert_eq!(hash, nl);
     }
 
@@ -791,7 +825,7 @@ mod tests {
     fn morsel_decomposition_is_thread_count_invariant() {
         // Tiny morsels force many of them; every parallelism level must
         // produce identical physical accumulators and flags.
-        let reference = eval_local(
+        let reference = local_both(
             &base(),
             &detail(),
             &simple_gmdj(),
@@ -799,10 +833,9 @@ mod tests {
                 morsel_rows: 2,
                 ..opts()
             },
-        )
-        .unwrap();
+        );
         for p in [2usize, 3, 8] {
-            let out = eval_local(
+            let out = local_both(
                 &base(),
                 &detail(),
                 &simple_gmdj(),
@@ -811,8 +844,7 @@ mod tests {
                     parallelism: p,
                     ..opts()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(out.physical, reference.physical, "parallelism {p}");
             assert_eq!(out.matched, reference.matched, "parallelism {p}");
         }
@@ -896,7 +928,7 @@ mod tests {
             vec![row![2i64], row![2i64], row![1i64]],
         )
         .unwrap();
-        let out = eval_full(&b, &detail(), &simple_gmdj(), opts()).unwrap();
+        let out = full_both(&b, &detail(), &simple_gmdj(), opts());
         assert_eq!(out.rows()[0], row![2i64, 3i64, 7.0]);
         assert_eq!(out.rows()[0], out.rows()[1]);
         assert_eq!(out.rows()[2], row![1i64, 2i64, 15.0]);
@@ -914,7 +946,7 @@ mod tests {
             Expr::dcol("v").ge(Expr::bcol("lo")),
             vec![AggSpec::count("cnt")],
         );
-        let out = eval_full(&base, &detail(), &g, opts()).unwrap();
+        let out = full_both(&base, &detail(), &g, opts());
         // lo=0 matches all 5; lo=8 matches v ∈ {10, 20, 9}.
         assert_eq!(out.rows()[0], row![0i64, 5i64]);
         assert_eq!(out.rows()[1], row![8i64, 3i64]);
@@ -924,14 +956,14 @@ mod tests {
     fn correlated_second_block_uses_first_outputs() {
         // Two-step: first compute avg per group, then count tuples above it
         // (paper Example 1 collapsed to one partition).
-        let b1 = eval_full(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
+        let b1 = full_both(&base(), &detail(), &simple_gmdj(), opts());
         let g2 = Gmdj::new("t").block(
             ThetaBuilder::group_by(&["g"])
                 .and(Expr::dcol("v").ge(Expr::bcol("avg")))
                 .build(),
             vec![AggSpec::count("cnt2")],
         );
-        let out = eval_full(&b1, &detail(), &g2, opts()).unwrap();
+        let out = full_both(&b1, &detail(), &g2, opts());
         // Group 1: avg 15, v ∈ {20} above-or-equal → wait, v ∈ {10, 20}; 20 >= 15 → 1.
         assert_eq!(out.rows()[0], row![1i64, 2i64, 15.0, 1i64]);
         // Group 2: avg 7, v ∈ {7, 9} ≥ 7 → 2.
@@ -942,7 +974,7 @@ mod tests {
 
     #[test]
     fn local_eval_matched_flags_and_reduction() {
-        let local = eval_local(&base(), &detail(), &simple_gmdj(), opts()).unwrap();
+        let local = local_both(&base(), &detail(), &simple_gmdj(), opts());
         assert_eq!(local.matched, vec![true, true, false]);
         let reduced = local.reduced();
         assert_eq!(reduced.len(), 2);
@@ -961,8 +993,8 @@ mod tests {
         let p1 = Relation::from_shared(d.schema_ref(), d.rows()[..2].to_vec());
         let p2 = Relation::from_shared(d.schema_ref(), d.rows()[2..].to_vec());
         let g = simple_gmdj();
-        let l1 = eval_local(&base(), &p1, &g, opts()).unwrap();
-        let l2 = eval_local(&base(), &p2, &g, opts()).unwrap();
+        let l1 = local_both(&base(), &p1, &g, opts());
+        let l2 = local_both(&base(), &p2, &g, opts());
 
         let layout = g.layout();
         let base_arity = base().schema().len();
@@ -980,14 +1012,14 @@ mod tests {
         }
         let merged_final =
             finalize_physical(&merged, base_arity, &g, d.schema()).unwrap();
-        let direct = eval_full(&base(), &d, &g, opts()).unwrap();
+        let direct = full_both(&base(), &d, &g, opts());
         assert_eq!(merged_final, direct);
     }
 
     #[test]
     fn empty_detail_relation() {
         let d = Relation::empty(detail().schema().clone());
-        let out = eval_full(&base(), &d, &simple_gmdj(), opts()).unwrap();
+        let out = full_both(&base(), &d, &simple_gmdj(), opts());
         assert_eq!(out.len(), 3);
         assert_eq!(out.rows()[0].get(1), &Value::Int(0));
         assert!(out.rows()[0].get(2).is_null());
@@ -996,7 +1028,7 @@ mod tests {
     #[test]
     fn empty_base_relation() {
         let b = Relation::empty(base().schema().clone());
-        let out = eval_full(&b, &detail(), &simple_gmdj(), opts()).unwrap();
+        let out = full_both(&b, &detail(), &simple_gmdj(), opts());
         assert!(out.is_empty());
         assert_eq!(out.schema().column_names(), ["g", "cnt", "avg"]);
     }
@@ -1014,7 +1046,7 @@ mod tests {
                     .build(),
                 vec![AggSpec::count("big_cnt"), AggSpec::max("v", "big_max")],
             );
-        let out = eval_full(&base(), &detail(), &g, opts()).unwrap();
+        let out = full_both(&base(), &detail(), &g, opts());
         assert_eq!(out.rows()[0], row![1i64, 2i64, 2i64, 20i64]);
         assert_eq!(out.rows()[1], row![2i64, 3i64, 1i64, 9i64]);
     }
@@ -1028,7 +1060,7 @@ mod tests {
             vec![row![1i64], row![1i64]],
         )
         .unwrap();
-        let out = eval_full(&b, &detail(), &simple_gmdj(), opts()).unwrap();
+        let out = full_both(&b, &detail(), &simple_gmdj(), opts());
         assert_eq!(out.len(), 2);
         assert_eq!(out.rows()[0], out.rows()[1]);
     }

@@ -6,8 +6,9 @@
 //! decomposition ([`agg`]), condition analysis ([`theta`]), complex GMDJ
 //! expressions ([`chain`]), coalescing rewrites ([`rewrite`]), and an
 //! efficient centralized evaluator ([`eval`]) with hash and nested-loop
-//! strategies, evaluated by default through the vectorized columnar
-//! kernel ([`columnar`]).
+//! strategies, evaluated through the vectorized columnar kernel
+//! ([`columnar`]); the row-at-a-time kernel is kept as the reference the
+//! tests compare against ([`eval::eval_local_rows`]).
 //!
 //! Distributed evaluation of these expressions lives in `skalla-core`.
 

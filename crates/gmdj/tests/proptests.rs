@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
 use skalla_gmdj::eval::{
-    eval_full, eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
+    eval_full, eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
 };
 use skalla_gmdj::prelude::*;
 use skalla_relation::codec::{Decoder, Encoder};
@@ -67,16 +67,16 @@ proptest! {
         rows in proptest::collection::vec((-4i64..4, -50i64..50), 1..40),
         split in proptest::collection::vec(0usize..3, 1..40),
         aggs in proptest::collection::vec(arb_agg(), 1..4),
-        columnar in any::<bool>(),
+        reference in any::<bool>(),
         parallelism in 1usize..4,
         morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
     ) {
         let opts = EvalOptions {
             parallelism,
             morsel_rows,
-            columnar,
             ..EvalOptions::default()
         };
+        let kernel = if reference { eval_local_rows } else { eval_local };
         let d = detail(&rows);
         let specs: Vec<AggSpec> = aggs
             .iter()
@@ -86,20 +86,22 @@ proptest! {
         let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), specs);
         let base = d.project_distinct(&["g"]).expect("projects");
 
+        let layout = op.layout();
+        let base_arity = base.schema().len();
+
         // Direct evaluation.
-        let direct = eval_full(&base, &d, &op, opts).expect("evaluates");
+        let direct = kernel(&base, &d, &op, opts).expect("evaluates").physical;
+        let direct = finalize_physical(&direct, base_arity, &op, d.schema()).expect("finalizes");
 
         // Partitioned evaluation: split rows into up to 3 fragments.
         let mut frags = vec![Vec::new(), Vec::new(), Vec::new()];
         for (i, row) in d.rows().iter().enumerate() {
             frags[split[i % split.len()]].push(row.clone());
         }
-        let layout = op.layout();
-        let base_arity = base.schema().len();
         let mut acc: Option<Relation> = None;
         for frag_rows in frags {
             let frag = Relation::from_shared(d.schema_ref(), frag_rows);
-            let local = eval_local(&base, &frag, &op, opts).expect("local evaluates");
+            let local = kernel(&base, &frag, &op, opts).expect("local evaluates");
             acc = Some(match acc {
                 None => local.physical,
                 Some(mut x) => {
@@ -181,17 +183,22 @@ proptest! {
                 AggSpec::var("x", "var_above"),
             ],
         );
-        let chain = |columnar: bool| {
-            let opts = EvalOptions {
-                parallelism: if columnar { parallelism } else { 1 },
-                morsel_rows,
-                columnar,
-                ..EvalOptions::default()
-            };
+        let opts = EvalOptions {
+            parallelism,
+            morsel_rows,
+            ..EvalOptions::default()
+        };
+        let serial = EvalOptions { parallelism: 1, ..opts };
+        let col = {
             let b1 = eval_full(&base, &d, &op1, opts).expect("op1 evaluates");
             eval_local(&b1, &d, &op2, opts).expect("op2 evaluates")
         };
-        let (col, rowk) = (chain(true), chain(false));
+        let rowk = {
+            let b1 = eval_local_rows(&base, &d, &op1, serial).expect("op1 evaluates");
+            let b1 = finalize_physical(&b1.physical, base.schema().len(), &op1, d.schema())
+                .expect("op1 finalizes");
+            eval_local_rows(&b1, &d, &op2, serial).expect("op2 evaluates")
+        };
         prop_assert_eq!(&col.matched, &rowk.matched);
         for (a, b) in col.physical.rows().iter().zip(rowk.physical.rows()) {
             for (x, y) in a.values().iter().zip(b.values()) {

@@ -249,7 +249,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -281,7 +281,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -304,7 +304,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -315,7 +315,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
             pairs.push((key, val));
@@ -332,7 +332,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut s = String::new();
         loop {
             let start = self.pos;
@@ -403,7 +403,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("bad number"))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

@@ -12,8 +12,8 @@
 //! **Cost when disabled.** `Obs` is `Option<Arc<Recorder>>` inside;
 //! a disabled handle makes every call a branch on a null pointer — no
 //! allocation, no locking, no formatting. The optional process-global
-//! recorder adds one relaxed atomic load. `crates/bench/benches/
-//! obs_overhead.rs` measures both paths.
+//! recorder adds one relaxed atomic load. What recording costs a whole
+//! query is the ledger's `obs.traced_overhead_share`.
 //!
 //! Export goes through [`chrome::chrome_trace`] (Chrome trace-event
 //! JSON, loadable in Perfetto or `chrome://tracing`) and

@@ -10,7 +10,6 @@
 use crate::cube::CubeResult;
 use skalla_gmdj::{AggSpec, BaseQuery, GmdjExpr};
 use skalla_relation::{Error, Result};
-use std::fmt::Write as _;
 
 fn render_agg(a: &AggSpec) -> String {
     match &a.input {
@@ -31,24 +30,20 @@ pub fn render(expr: &GmdjExpr) -> Result<String> {
             "literal base relations have no textual form".into(),
         ));
     };
-    let mut out = String::new();
-    write!(out, "BASE SELECT DISTINCT {} FROM {table}", columns.join(", "))
-        .expect("string writes are infallible");
+    let mut out = format!("BASE SELECT DISTINCT {} FROM {table}", columns.join(", "));
     if let Some(key) = &expr.key {
-        write!(out, " KEY ({})", key.join(", ")).expect("string write");
+        out += &format!(" KEY ({})", key.join(", "));
     }
     out.push_str(";\n");
     for op in &expr.ops {
         for block in &op.blocks {
             let aggs: Vec<String> = block.aggs.iter().map(render_agg).collect();
-            writeln!(
-                out,
-                "MD {} OVER {} WHERE {};",
+            out += &format!(
+                "MD {} OVER {} WHERE {};\n",
                 aggs.join(", "),
                 op.detail,
                 block.theta
-            )
-            .expect("string write");
+            );
         }
     }
     Ok(out)
@@ -59,13 +54,10 @@ pub fn render(expr: &GmdjExpr) -> Result<String> {
 /// rolled-up), row count, and — for levels that ran a distributed
 /// query — rounds and bytes moved. Consumed by the CLI and examples.
 pub fn render_cube_levels(result: &CubeResult) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<44} {:>10} {:>7} {:>7} {:>12}",
+    let mut out = format!(
+        "{:<44} {:>10} {:>7} {:>7} {:>12}\n",
         "grouping set", "source", "rows", "rounds", "bytes"
-    )
-    .expect("string writes are infallible"); // lint: allow(panic) fmt::Write to String never errors
+    );
     for level in &result.levels {
         let name = if level.dims.is_empty() {
             "()".to_string()
@@ -76,23 +68,19 @@ pub fn render_cube_levels(result: &CubeResult) -> String {
             Some(s) => (s.n_rounds().to_string(), s.total_bytes().to_string()),
             None => ("-".to_string(), "-".to_string()),
         };
-        writeln!(
-            out,
-            "{name:<44} {:>10} {:>7} {rounds:>7} {bytes:>12}",
+        out += &format!(
+            "{name:<44} {:>10} {:>7} {rounds:>7} {bytes:>12}\n",
             level.source.to_string(),
             level.rows,
-        )
-        .expect("string write"); // lint: allow(panic) fmt::Write to String never errors
+        );
     }
-    writeln!(
-        out,
-        "total: {} rows, {} rounds, {} bytes, {} level(s) rolled up locally",
+    out += &format!(
+        "total: {} rows, {} rounds, {} bytes, {} level(s) rolled up locally\n",
         result.relation.len(),
         result.total_rounds(),
         result.total_bytes(),
         result.rolled_up_levels(),
-    )
-    .expect("string write"); // lint: allow(panic) fmt::Write to String never errors
+    );
     out
 }
 

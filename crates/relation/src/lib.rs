@@ -7,7 +7,7 @@
 //! dictionary-encoded strings, validity bitmaps) for the vectorized
 //! kernel, two-sided scalar [`Expr`]essions
 //! (GMDJ conditions θ(b, r)), interval/domain analysis for deriving the
-//! paper's ¬ψ group-reduction filters, hash indexes, a binary codec with
+//! paper's ¬ψ group-reduction filters, a binary codec with
 //! exact byte accounting, and CSV import/export.
 //!
 //! The paper ran each warehouse site on AT&T's Daytona DBMS; this crate is
@@ -22,7 +22,6 @@ pub mod codec;
 pub mod columns;
 pub mod csv;
 pub mod expr;
-pub mod index;
 pub mod interval;
 pub mod parse;
 pub mod relation;
@@ -32,7 +31,6 @@ pub mod schema;
 pub use columns::{Bitmap, Column, Columns, StrDictView};
 pub use error::{Error, Result};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr, Side};
-pub use index::HashIndex;
 pub use parse::parse_expr;
 pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, Interval};
 pub use relation::Relation;

@@ -195,11 +195,6 @@ impl Relation {
         self.rows.iter()
     }
 
-    /// Consume into rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
-
     /// Projection onto named columns (π). Multiset semantics: keeps
     /// duplicates.
     pub fn project(&self, columns: &[&str]) -> Result<Relation> {

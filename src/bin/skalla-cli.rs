@@ -109,9 +109,6 @@ QUERY OPTIONS:
   --morsel-rows N             detail rows per morsel (default: 65536; fixes the
                               accumulator merge structure, so output bits depend
                               on it)
-  --no-columnar               evaluate with the row-at-a-time GMDJ kernel
-                              instead of the vectorized columnar kernel
-                              (ablation; same bits either way)
   --no-skew-balance           disable heavy-hitter skew balancing: sites
                               neither report hot group keys nor take on
                               loaned work (ablation; same bits either way)
@@ -321,9 +318,6 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
             return Err("--morsel-rows must be at least 1".to_string());
         }
         eval.morsel_rows = n;
-    }
-    if args.iter().any(|a| a == "--no-columnar") {
-        eval.columnar = false;
     }
     if args.iter().any(|a| a == "--no-skew-balance") {
         eval.skew_balance = false;

@@ -1,20 +1,23 @@
 //! Property tests for the semantic cache and hierarchical roll-up
 //! serving: cached and rolled-up answers must be **bit-identical** to
-//! fresh distributed execution, across random data, random GMDJ chains,
-//! thread counts, and both evaluation kernels — and a partition-epoch
-//! bump must make every dependent entry unreachable.
+//! fresh distributed execution, across random data, random GMDJ chains
+//! and thread counts — and a partition-epoch bump must make every
+//! dependent entry unreachable.
 //!
 //! Inputs are bounded integers, so every f64 the aggregates produce
 //! (AVG / VAR / STDDEV included) is exact and the comparisons below can
 //! demand raw bit equality rather than approximate agreement.
 
+mod common;
+
+use common::assert_bit_identical;
 use proptest::prelude::*;
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, Skalla, Warehouse};
 use skalla::datagen::partition::partition_by_int_ranges;
 use skalla::gmdj::eval::EvalOptions;
 use skalla::gmdj::prelude::*;
 use skalla::query::{cube_with_rollup, LevelSource};
-use skalla::relation::{DataType, Relation, Row, Schema, Value};
+use skalla::relation::{DataType, Relation, Row, Schema};
 
 fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
     Relation::new(
@@ -31,29 +34,11 @@ fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
 }
 
 /// Tiny morsels force many merge steps.
-fn eval_opts(parallelism: usize, columnar: bool) -> EvalOptions {
+fn eval_opts(parallelism: usize) -> EvalOptions {
     EvalOptions {
         parallelism,
         morsel_rows: 7,
-        columnar,
         ..EvalOptions::default()
-    }
-}
-
-/// Compare two relations row by row after sorting on `key`, demanding
-/// raw bit equality on Doubles (Value equality treats -0.0 == 0.0).
-fn assert_bits_equal(got: &Relation, want: &Relation, key: &[&str], ctx: &str) {
-    let got = got.sorted_by(key).expect("sortable");
-    let want = want.sorted_by(key).expect("sortable");
-    assert_eq!(got.len(), want.len(), "row count ({ctx})\n{got}\nvs\n{want}");
-    for (g, w) in got.rows().iter().zip(want.rows()) {
-        for (gv, wv) in g.values().iter().zip(w.values()) {
-            let same = match (gv, wv) {
-                (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
-                _ => gv == wv,
-            };
-            assert!(same, "bit mismatch ({ctx}): {gv:?} vs {wv:?}\nrow {g:?}\nvs  {w:?}");
-        }
     }
 }
 
@@ -92,20 +77,19 @@ proptest! {
 
     /// Hierarchical roll-up serving is bit-identical to running every
     /// grouping set as its own distributed query — across random data,
-    /// partitionings, dimensionality, thread counts, and both kernels.
+    /// partitionings, dimensionality and thread counts.
     #[test]
     fn cube_rollup_is_bit_identical_to_direct(
         rows in proptest::collection::vec((-4i64..4, 0i64..3, -20i64..20), 0..60),
         n_sites in 1usize..4,
         two_dims in any::<bool>(),
         parallelism in 1usize..5,
-        columnar in any::<bool>(),
     ) {
         let detail = detail_relation(rows);
         let parts = partition_by_int_ranges(&detail, "g", n_sites);
         let mut cluster = Cluster::from_partitions("t", parts);
         cluster.configure(&EngineConfig {
-            eval: eval_opts(parallelism, columnar),
+            eval: eval_opts(parallelism),
             ..EngineConfig::default()
         });
         let dims: Vec<&str> = if two_dims { vec!["g", "h"] } else { vec!["g"] };
@@ -116,11 +100,11 @@ proptest! {
         let direct =
             cube_with_rollup(&cluster, "t", &dims, &aggs, OptFlags::all(), false).expect("direct");
 
-        assert_bits_equal(
+        assert_bit_identical(
             &rolled.relation,
             &direct.relation,
             &dims,
-            &format!("p={parallelism} columnar={columnar} sites={n_sites}"),
+            &format!("p={parallelism} sites={n_sites}"),
         );
         // Provenance: only the finest level of the rolled cube ran a
         // distributed query; the direct cube ran one per grouping set.
@@ -128,23 +112,25 @@ proptest! {
         prop_assert!(rolled.levels[0].source != LevelSource::RolledUp);
         prop_assert_eq!(direct.rolled_up_levels(), 0);
         prop_assert!(rolled.total_rounds() <= direct.total_rounds());
-        prop_assert!(rolled.total_bytes() <= direct.total_bytes());
+        prop_assert!(rolled.total_bytes() < direct.total_bytes());
     }
 
     /// A cache-served repeat of a random GMDJ chain is bit-identical to
-    /// its first (computed) execution, across thread counts and kernels.
+    /// its first (computed) execution, across thread counts; a cache-off
+    /// engine pays, first run and repeat alike, byte-for-byte the per-round
+    /// traffic of the serial `Cluster::execute` and returns its bits.
     #[test]
     fn cached_repeat_is_bit_identical(
         rows in proptest::collection::vec((-4i64..4, 0i64..3, -20i64..20), 0..60),
         n_sites in 1usize..4,
         correlated in any::<bool>(),
         parallelism in 1usize..5,
-        columnar in any::<bool>(),
     ) {
         let detail = detail_relation(rows);
+        let parts = partition_by_int_ranges(&detail, "g", n_sites);
         let engine = Skalla::builder()
-            .partitions("t", partition_by_int_ranges(&detail, "g", n_sites))
-            .eval_options(eval_opts(parallelism, columnar))
+            .partitions("t", parts.clone())
+            .eval_options(eval_opts(parallelism))
             .build()
             .expect("engine builds");
         let expr = chain(correlated);
@@ -156,12 +142,25 @@ proptest! {
         prop_assert!(second.stats.is_cache_hit(), "repeat must be cache-served");
         prop_assert_eq!(second.stats.total_bytes(), 0, "cache hits move no bytes");
 
-        assert_bits_equal(
-            &second.relation,
-            &first.relation,
-            &["g"],
-            &format!("p={parallelism} columnar={columnar} correlated={correlated}"),
-        );
+        let ctx = format!("p={parallelism} correlated={correlated}");
+        assert_bit_identical(&second.relation, &first.relation, &["g"], &ctx);
+
+        let cache_off = EvalOptions { cache: false, ..eval_opts(parallelism) };
+        let mut baseline = Cluster::from_partitions("t", parts.clone());
+        baseline.configure(&EngineConfig { eval: cache_off, ..EngineConfig::default() });
+        let serial = baseline.execute(&plan).expect("serial baseline");
+        assert_bit_identical(&first.relation, &serial.relation, &["g"], &ctx);
+        let uncached = Skalla::builder()
+            .partitions("t", parts)
+            .eval_options(cache_off)
+            .build()
+            .expect("uncached engine builds");
+        for run in 0..2 {
+            let out = uncached.execute(&plan).expect("uncached run");
+            prop_assert!(!out.stats.is_cache_hit());
+            prop_assert_eq!(&out.stats.net, &serial.stats.net, "run {} {}", run, ctx);
+            assert_bit_identical(&out.relation, &serial.relation, &["g"], &ctx);
+        }
     }
 }
 
@@ -174,7 +173,7 @@ fn epoch_bump_after_partition_swap_invalidates_the_cache() {
     let detail = detail_relation(vec![(1, 0, 10), (1, 1, 30), (2, 0, 20)]);
     let engine = Skalla::builder()
         .partitions("t", partition_by_int_ranges(&detail, "g", 2))
-        .eval_options(eval_opts(2, true))
+        .eval_options(eval_opts(2))
         .build()
         .expect("engine builds");
     let plan = Planner::new(engine.distribution()).optimize(&chain(true), OptFlags::all());
@@ -183,7 +182,7 @@ fn epoch_bump_after_partition_swap_invalidates_the_cache() {
     assert!(!cold.stats.is_cache_hit());
     let warm = engine.execute(&plan).expect("warm run");
     assert!(warm.stats.is_cache_hit(), "repeat must be cache-served");
-    assert_bits_equal(&warm.relation, &cold.relation, &["g"], "warm repeat");
+    assert_bit_identical(&warm.relation, &cold.relation, &["g"], "warm repeat");
 
     let epoch = engine.bump_partition_epoch();
     assert_eq!(Warehouse::catalog(&engine).epoch(), epoch);

@@ -3,14 +3,19 @@
 //! under random optimization flags — and at every point of the
 //! evaluation-knob lattice — equals centralized evaluation.
 
+mod common;
+
+use common::assert_bit_identical;
 use proptest::prelude::*;
 use skalla::core::{plan::Planner, Cluster, OptFlags, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
-use skalla::gmdj::eval::{EvalOptions, DEFAULT_MORSEL_ROWS};
+use skalla::gmdj::eval::{
+    eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
+};
 use skalla::gmdj::prelude::*;
 use skalla::net::TcpConfig;
 use skalla::obs::Obs;
-use skalla::relation::{DataType, Relation, Row, Schema, Value};
+use skalla::relation::{DataType, Relation, Row, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -123,12 +128,10 @@ fn arb_point() -> impl Strategy<Value = (EvalOptions, bool)> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(|(parallelism, columnar, skew_balance, cache, tcp)| {
+        .prop_map(|(parallelism, skew_balance, cache, tcp)| {
             let eval = EvalOptions {
                 parallelism,
-                columnar,
                 skew_balance,
                 cache,
                 ..EvalOptions::default()
@@ -166,24 +169,6 @@ fn lattice_engine(
     (engine.expect("tcp engine builds"), sites)
 }
 
-/// Positional comparison after sorting on `key`, f64 by bit pattern
-/// (`Value` equality would let -0.0 == 0.0 and reassociated sums that
-/// round alike pass).
-fn assert_same_bits(got: &Relation, want: &Relation, key: &[&str], ctx: &str) {
-    let got = got.sorted_by(key).expect("key columns sort");
-    let want = want.sorted_by(key).expect("key columns sort");
-    assert_eq!(got.len(), want.len(), "{ctx}: row count");
-    for (g, w) in got.rows().iter().zip(want.rows()) {
-        for (gv, wv) in g.values().iter().zip(w.values()) {
-            let same = match (gv, wv) {
-                (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
-                _ => gv == wv,
-            };
-            assert!(same, "{ctx}: {gv:?} vs {wv:?}\nrow {g:?}\nvs  {w:?}");
-        }
-    }
-}
-
 const LATTICE_CASES: u32 = 48;
 /// The group that receives the generator's heavy-hitter rows.
 const HOT_GROUP: i64 = 5;
@@ -202,8 +187,8 @@ proptest! {
     /// The one obligation of every `EvalOptions` knob and of the
     /// transport: same answer as the centralized oracle. Random data × φ ×
     /// optimization flags, and per case three random points of the knob
-    /// lattice — workers × kernel × skew balancer × semantic cache ×
-    /// backend — at one drawn morsel size, each on its own persistent
+    /// lattice — workers × skew balancer × semantic cache × backend —
+    /// at one drawn morsel size, each on its own persistent
     /// engine executing the plan twice. Every execution equals
     /// `execute_centralized` as a bag on the integral measures (exact in
     /// f64 whatever the summation order), and all of them carry identical
@@ -279,7 +264,7 @@ proptest! {
                     out.relation.canonicalized(),
                     oracle.canonicalized()
                 );
-                assert_same_bits(
+                assert_bit_identical(
                     &out.relation,
                     reference.get_or_insert_with(|| out.relation.clone()),
                     &group_cols,
@@ -319,9 +304,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The morsel-parallel kernel is **bit-identical** across thread
-    /// counts, probe strategies, and both evaluation paths: the morsel
-    /// decomposition and merge order depend only on the input and the
-    /// morsel size, never on worker scheduling. Verified on f64 SUM / AVG
+    /// counts, probe strategies, and to the row reference kernel: the
+    /// morsel decomposition and merge order depend only on the input and
+    /// the morsel size, never on worker scheduling. Verified on f64 SUM / AVG
     /// / VAR accumulators (where reassociation would change low bits) by
     /// comparing raw bit patterns, not `Value` equality (which treats
     /// -0.0 == 0.0).
@@ -353,20 +338,18 @@ proptest! {
             ],
         );
         // Tiny morsels force many merge steps even on small inputs.
-        let opts = |parallelism: usize, columnar: bool| EvalOptions {
+        let opts = |parallelism: usize| EvalOptions {
             parallelism,
             morsel_rows: 7,
-            columnar,
             ..EvalOptions::default()
         };
-        let reference = skalla::gmdj::eval_local(&base, &detail, &op, opts(1, false))
-            .expect("serial kernel");
-        for (p, columnar) in [(2, false), (7, false), (1, true), (2, true), (7, true)] {
-            let out = skalla::gmdj::eval_local(&base, &detail, &op, opts(p, columnar))
-                .expect("parallel kernel");
-            let ctx = format!("parallelism {p} columnar {columnar}");
+        let reference = eval_local_rows(&base, &detail, &op, opts(1)).expect("serial kernel");
+        for (p, rows) in [(2, true), (7, true), (1, false), (2, false), (7, false)] {
+            let kernel = if rows { eval_local_rows } else { eval_local };
+            let out = kernel(&base, &detail, &op, opts(p)).expect("parallel kernel");
+            let ctx = format!("parallelism {p} row kernel {rows}");
             prop_assert_eq!(&out.matched, &reference.matched, "matched flags, {}", ctx);
-            assert_same_bits(&out.physical, &reference.physical, &["g"], &ctx);
+            assert_bit_identical(&out.physical, &reference.physical, &["g"], &ctx);
         }
     }
 
@@ -384,19 +367,24 @@ proptest! {
         let cluster = Cluster::from_partitions("t", partition_round_robin(&detail, 1));
         let group_cols: Vec<&str> = if group_on_h { vec!["g", "h"] } else { vec!["g"] };
         let expr = build_expr(&group_cols, &second);
-        let opts = |columnar: bool| EvalOptions {
+        let opts = EvalOptions {
             parallelism: 1,
             morsel_rows: 7,
-            columnar,
             ..EvalOptions::default()
         };
-        let rowk = expr
-            .eval_centralized(&cluster.global_catalog(), opts(false))
-            .expect("row kernel evaluates");
+        let catalog = cluster.global_catalog();
+        // `eval_centralized`'s chain walk, on the reference kernel.
+        let mut rowk = expr.base.eval(&catalog).expect("base evaluates");
+        for op in &expr.ops {
+            let t = catalog.table(&op.detail).expect("detail table");
+            let local = eval_local_rows(&rowk, t, op, opts).expect("row kernel evaluates");
+            rowk = finalize_physical(&local.physical, rowk.schema().len(), op, t.schema())
+                .expect("finalizes");
+        }
         let colk = expr
-            .eval_centralized(&cluster.global_catalog(), opts(true))
+            .eval_centralized(&catalog, opts)
             .expect("columnar kernel evaluates");
-        assert_same_bits(&colk, &rowk, &group_cols, &format!("second {second:?}"));
+        assert_bit_identical(&colk, &rowk, &group_cols, &format!("second {second:?}"));
     }
 
     /// Group reduction flags never change the row traffic *upward*.

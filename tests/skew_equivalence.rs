@@ -7,9 +7,12 @@
 //! routing, or merge order shows up as a low-bit difference in the
 //! order-sensitive f64 accumulators (AVG / VAR / STDDEV). These tests
 //! compare raw `f64` bit patterns, not `Value` equality, across random
-//! GMDJ chains over Zipf-partitioned data, thread counts, both kernels,
-//! and both transports.
+//! GMDJ chains over Zipf-partitioned data, thread counts and both
+//! transports.
 
+mod common;
+
+use common::assert_bit_identical;
 use proptest::prelude::*;
 use skalla::core::{Cluster, OptFlags, Planner, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, Partition};
@@ -17,7 +20,7 @@ use skalla::datagen::Zipf;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
 use skalla::net::TcpConfig;
-use skalla::relation::{DataType, Row, Value};
+use skalla::relation::{DataType, Row};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -99,24 +102,8 @@ fn build_chain(tail: &Tail) -> GmdjExpr {
     b.build()
 }
 
-/// Positional, bit-exact comparison (f64 by bit pattern, so -0.0 != 0.0
-/// and NaN payloads count).
-fn assert_bit_identical(on: &Relation, off: &Relation, ctx: &str) {
-    assert_eq!(on.len(), off.len(), "{ctx}: row count differs");
-    for (i, (ra, rb)) in on.rows().iter().zip(off.rows()).enumerate() {
-        for (va, vb) in ra.values().iter().zip(rb.values()) {
-            let same = match (va, vb) {
-                (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-                _ => va == vb,
-            };
-            assert!(same, "{ctx}: row {i} differs: {ra:?} vs {rb:?}");
-        }
-    }
-}
-
 fn opts(
     skew_balance: bool,
-    columnar: bool,
     parallelism: usize,
     morsel_rows: usize,
 ) -> skalla::core::EngineConfig {
@@ -124,7 +111,6 @@ fn opts(
         eval: EvalOptions {
             parallelism,
             morsel_rows,
-            columnar,
             skew_balance,
             ..EvalOptions::default()
         },
@@ -137,7 +123,7 @@ proptest! {
 
     /// Random chains × random Zipf data × random partitioning, thread
     /// counts and morsel sizes: the balanced execution is bit-identical
-    /// to the unbalanced one under both kernels.
+    /// to the unbalanced one, row for row.
     #[test]
     fn balanced_matches_unbalanced_bitwise(
         rows in 200usize..900,
@@ -146,7 +132,6 @@ proptest! {
         n_sites in 2usize..9,
         parallelism in 1usize..5,
         morsel_rows in 16usize..96,
-        columnar in any::<bool>(),
         all_flags in any::<bool>(),
         tail in arb_tail(),
         seed in 0u64..1_000,
@@ -158,17 +143,18 @@ proptest! {
         let flags = if all_flags { OptFlags::all() } else { OptFlags::none() };
         let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
 
-        cluster.configure(&opts(false, columnar, parallelism, morsel_rows));
+        cluster.configure(&opts(false, parallelism, morsel_rows));
         let off = cluster.execute(&plan).expect("unbalanced run");
-        cluster.configure(&opts(true, columnar, parallelism, morsel_rows));
+        cluster.configure(&opts(true, parallelism, morsel_rows));
         let on = cluster.execute(&plan).expect("balanced run");
 
         assert_bit_identical(
             &on.relation,
             &off.relation,
+            &[],
             &format!(
                 "rows {rows} keys {keys} s {s:.2} sites {n_sites} par {parallelism} \
-                 morsel {morsel_rows} columnar {columnar} flags {flags:?} tail {tail:?}"
+                 morsel {morsel_rows} flags {flags:?} tail {tail:?}"
             ),
         );
     }
@@ -185,15 +171,13 @@ fn tcp_transport_matches_channel_under_balancing() {
     let parts = partition_by_int_ranges(&detail, "g", 4);
     let expr = build_chain(&Tail::FilteredThenBelowAvg(100));
 
-    let canonical = |r: &Relation| r.sorted_by(&["g"]).expect("g is a key column");
-
     let mut local = Cluster::from_partitions("t", parts.clone());
     let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
-    local.configure(&opts(false, true, 2, 512));
+    local.configure(&opts(false, 2, 512));
     let local_off = local.execute(&plan).expect("local unbalanced");
-    local.configure(&opts(true, true, 2, 512));
+    local.configure(&opts(true, 2, 512));
     let local_on = local.execute(&plan).expect("local balanced");
-    assert_bit_identical(&local_on.relation, &local_off.relation, "local on/off");
+    assert_bit_identical(&local_on.relation, &local_off.relation, &[], "local on/off");
 
     let spawn = |parts: &[Partition]| -> Vec<String> {
         let mut addrs = Vec::new();
@@ -212,14 +196,15 @@ fn tcp_transport_matches_channel_under_balancing() {
 
     let remote = Skalla::builder()
         .remote(&spawn(&parts), TcpConfig::default())
-        .config(opts(true, true, 2, 512))
+        .config(opts(true, 2, 512))
         .build()
         .unwrap();
     let remote_on = remote.execute(&plan).expect("remote balanced");
 
     assert_bit_identical(
-        &canonical(&remote_on.relation),
-        &canonical(&local_on.relation),
+        &remote_on.relation,
+        &local_on.relation,
+        &["g"],
         "tcp vs channel, balanced",
     );
     // Loan and report frames are accounted in payload bytes at the

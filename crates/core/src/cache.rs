@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// A canonical, structural 128-bit hash of a plan prefix (see the
@@ -285,7 +285,7 @@ impl InFlight {
     /// is the leader's bit-identical result; `None` means the leader
     /// failed or the wait timed out — execute the query yourself.
     pub fn wait(&self, timeout: Duration) -> Option<Relation> {
-        let mut state = self.state.lock().expect("in-flight lock"); // lint: allow(panic) poisoned only if a holder panicked
+        let mut state = locked(&self.state);
         let deadline = std::time::Instant::now() + timeout;
         loop {
             match &*state {
@@ -297,10 +297,11 @@ impl InFlight {
             if remaining.is_zero() {
                 return None;
             }
+            #[expect(clippy::expect_used, reason = "poisoned only if a holder panicked")]
             let (next, timed_out) = self
                 .done
                 .wait_timeout(state, remaining)
-                .expect("in-flight lock"); // lint: allow(panic) poisoned only if a holder panicked
+                .expect("in-flight lock");
             state = next;
             if timed_out.timed_out() {
                 if let FlightState::Done(rel) = &*state {
@@ -313,6 +314,12 @@ impl InFlight {
 }
 
 type InFlightMap = Mutex<HashMap<(Fingerprint, u64), Arc<InFlight>>>;
+
+/// Lock one of the cache's mutexes.
+#[expect(clippy::expect_used, reason = "poisoned only if a holder panicked")]
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("cache lock")
+}
 
 /// The leader's obligation: publish the result (or failure) to the
 /// followers and retire the in-flight registration. Dropping the token
@@ -335,17 +342,14 @@ impl LeaderToken {
 
     fn publish(&self, result: Option<&Relation>) {
         {
-            let mut state = self.flight.state.lock().expect("in-flight lock"); // lint: allow(panic) poisoned only if a holder panicked
+            let mut state = locked(&self.flight.state);
             *state = match result {
                 Some(rel) => FlightState::Done(rel.clone()),
                 None => FlightState::Failed,
             };
         }
         self.flight.done.notify_all();
-        self.registry
-            .lock()
-            .expect("in-flight registry lock") // lint: allow(panic) poisoned only if a holder panicked
-            .remove(&self.key);
+        locked(&self.registry).remove(&self.key);
     }
 }
 
@@ -430,7 +434,7 @@ impl SemanticCache {
     /// insertions are dropped on arrival.
     pub fn bump_epoch(&self) -> u64 {
         let new = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut store = self.store.lock().expect("cache store lock"); // lint: allow(panic) poisoned only if a holder panicked
+        let mut store = locked(&self.store);
         store.map.clear();
         store.bytes = 0;
         new
@@ -442,7 +446,7 @@ impl SemanticCache {
     /// the miss count).
     pub fn lookup(&self, fp: Fingerprint) -> Option<Relation> {
         let key = (fp, self.epoch());
-        let mut store = self.store.lock().expect("cache store lock"); // lint: allow(panic) poisoned only if a holder panicked
+        let mut store = locked(&self.store);
         store.clock += 1;
         let clock = store.clock;
         store.map.get_mut(&key).map(|e| {
@@ -464,7 +468,7 @@ impl SemanticCache {
         if bytes > self.budget {
             return;
         }
-        let mut store = self.store.lock().expect("cache store lock"); // lint: allow(panic) poisoned only if a holder panicked
+        let mut store = locked(&self.store);
         store.clock += 1;
         let stamp = store.clock;
         if let Some(old) = store.map.insert(
@@ -505,7 +509,7 @@ impl SemanticCache {
     /// and wait on the leader's cell.
     pub fn join_or_lead(&self, fp: Fingerprint) -> Role {
         let key = (fp, self.epoch());
-        let mut reg = self.inflight.lock().expect("in-flight registry lock"); // lint: allow(panic) poisoned only if a holder panicked
+        let mut reg = locked(&self.inflight);
         if let Some(flight) = reg.get(&key) {
             return Role::Follower(Arc::clone(flight));
         }
@@ -547,7 +551,7 @@ impl SemanticCache {
     /// Snapshot every counter plus the current occupancy.
     pub fn stats(&self) -> CacheStats {
         let (bytes, entries) = {
-            let store = self.store.lock().expect("cache store lock"); // lint: allow(panic) poisoned only if a holder panicked
+            let store = locked(&self.store);
             (store.bytes as u64, store.map.len() as u64)
         };
         CacheStats {

@@ -9,6 +9,9 @@
 //! [`crate::Skalla`] engine over the same partitions; the coordinator
 //! algorithm that engine drives lives in [`crate::coordinator`].
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::coordinator::finished_rounds;
 use crate::distribution::DistributionInfo;
 use crate::plan::DistributedPlan;
@@ -136,10 +139,18 @@ impl Cluster {
 
     /// The union of all fragments of every table — the conceptual global
     /// fact relations (test oracle input).
+    #[expect(
+        clippy::expect_used,
+        reason = "`add_table` asserts that a table's fragments share one schema"
+    )]
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "the output is a map, and each table's fragments union in site order"
+    )]
     pub fn global_catalog(&self) -> HashMap<String, Relation> {
         let mut out: HashMap<String, Relation> = HashMap::new();
         for site in &self.sites {
-            for (name, rel) in site.iter() {
+            for (name, rel) in site.as_ref() {
                 match out.get_mut(name) {
                     None => {
                         out.insert(name.clone(), rel.as_ref().clone());
@@ -168,6 +179,10 @@ impl Cluster {
     /// The ship-everything baseline: gather every referenced fragment at
     /// the coordinator (accounting the detail bytes the Skalla design
     /// never ships) and evaluate centrally.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the baseline runs at the coordinator alone: its times are wall times"
+    )]
     pub fn execute_centralized(&self, expr: &GmdjExpr) -> Result<QueryResult> {
         let n = self.n_sites();
         let wall_start = Instant::now();

@@ -15,6 +15,9 @@
 //! The stage loop that drives them over a transport (Alg.
 //! GMDJDistribEval) is the crate-private `run` sub-module.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 mod run;
 
 pub(crate) use run::{finished_rounds, net_err, run_coordinator};
@@ -205,8 +208,6 @@ impl MergeSync {
 pub struct ChainSync {
     /// key → logical aggregate values for the unit's operators.
     map: HashMap<Vec<Value>, Vec<Value>>,
-    /// Arrival order of keys (used for folded output assembly).
-    order: Vec<Vec<Value>>,
     key_len: usize,
 }
 
@@ -215,7 +216,6 @@ impl ChainSync {
     pub fn new(key_len: usize) -> ChainSync {
         ChainSync {
             map: HashMap::new(),
-            order: Vec::new(),
             key_len,
         }
     }
@@ -226,17 +226,11 @@ impl ChainSync {
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
         for row in h {
             let (k, aggs) = row.values().split_at(self.key_len);
-            let key = k.to_vec();
-            if self
-                .map
-                .insert(key.clone(), aggs.to_vec())
-                .is_some()
-            {
+            if self.map.insert(k.to_vec(), aggs.to_vec()).is_some() {
                 return Err(Error::Execution(format!(
-                    "two sites reported group {key:?}: partition attribute assumption violated"
+                    "two sites reported group {k:?}: partition attribute assumption violated"
                 )));
             }
-            self.order.push(key);
         }
         Ok(())
     }
@@ -268,17 +262,15 @@ impl ChainSync {
     }
 
     /// Assemble B_next for a folded unit: the collected rows *are* the
-    /// result (sorted by key for determinism).
+    /// result, sorted by key — keys are unique, so the map's hash order
+    /// never shows.
     pub fn finish_folded(self, out_schema: Schema) -> Result<Relation> {
         let key_len = self.key_len;
         let mut rows: Vec<Row> = self
-            .order
-            .iter()
-            .map(|k| {
-                let aggs = self.map.get(k).expect("ordered keys are in the map");
-                let mut vs = Vec::with_capacity(key_len + aggs.len());
-                vs.extend_from_slice(k);
-                vs.extend_from_slice(aggs);
+            .map
+            .into_iter()
+            .map(|(mut vs, aggs)| {
+                vs.extend(aggs);
                 Row::new(vs)
             })
             .collect();
@@ -294,8 +286,10 @@ impl ChainSync {
 /// associative, so any intermediate grouping of the partition is valid).
 #[derive(Debug)]
 pub struct PartialMerge {
-    map: HashMap<Vec<Value>, Vec<Value>>,
-    order: Vec<Vec<Value>>,
+    /// Merged rows (key columns + accumulators) in first-arrival order.
+    rows: Vec<Vec<Value>>,
+    /// key → index into `rows`.
+    index: HashMap<Vec<Value>, usize>,
     key_len: usize,
     layout: AccLayout,
 }
@@ -305,8 +299,8 @@ impl PartialMerge {
     /// columns.
     pub fn new(key_len: usize, op: &Gmdj) -> PartialMerge {
         PartialMerge {
-            map: HashMap::new(),
-            order: Vec::new(),
+            rows: Vec::new(),
+            index: HashMap::new(),
             key_len,
             layout: op.layout(),
         }
@@ -324,11 +318,11 @@ impl PartialMerge {
         }
         for row in h {
             let (k, accs) = row.values().split_at(self.key_len);
-            match self.map.get_mut(k) {
-                Some(dst) => self.layout.merge(dst, accs)?,
+            match self.index.get(k) {
+                Some(&i) => self.layout.merge(&mut self.rows[i][self.key_len..], accs)?,
                 None => {
-                    self.map.insert(k.to_vec(), accs.to_vec());
-                    self.order.push(k.to_vec());
+                    self.index.insert(k.to_vec(), self.rows.len());
+                    self.rows.push(row.values().to_vec());
                 }
             }
         }
@@ -337,18 +331,7 @@ impl PartialMerge {
 
     /// The merged (still physical) relation, in first-arrival key order.
     pub fn into_relation(self, schema: skalla_relation::SchemaRef) -> Relation {
-        let rows = self
-            .order
-            .into_iter()
-            .map(|k| {
-                let accs = self.map.get(&k).expect("ordered keys are present");
-                let mut vs = Vec::with_capacity(self.key_len + accs.len());
-                vs.extend_from_slice(&k);
-                vs.extend_from_slice(accs);
-                Row::new(vs)
-            })
-            .collect();
-        Relation::from_shared(schema, rows)
+        Relation::from_shared(schema, self.rows.into_iter().map(Row::new).collect())
     }
 }
 
@@ -388,7 +371,7 @@ pub fn parallel_merge_tree(
             let next = std::sync::atomic::AtomicUsize::new(0);
             let mut out: Vec<Option<Result<Relation>>> =
                 (0..pairs.len()).map(|_| None).collect();
-            std::thread::scope(|s| {
+            std::thread::scope(|s| -> Result<()> {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let pairs = &pairs;
@@ -408,12 +391,17 @@ pub fn parallel_merge_tree(
                     })
                     .collect();
                 for h in handles {
-                    for (i, r) in h.join().expect("merge workers do not panic") {
+                    let done = h
+                        .join()
+                        .map_err(|_| Error::Execution("a merge worker panicked".into()))?;
+                    for (i, r) in done {
                         out[i] = Some(r);
                     }
                 }
-            });
-            out.into_iter().map(|r| r.expect("every pair merged")).collect()
+                Ok(())
+            })?;
+            let unmerged = || Err(Error::Execution("a chunk pair was never merged".into()));
+            out.into_iter().map(|r| r.unwrap_or_else(unmerged)).collect()
         } else {
             pairs
                 .iter()

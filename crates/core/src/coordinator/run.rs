@@ -4,7 +4,7 @@
 
 use super::{empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync, PartialMerge};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
-use crate::protocol;
+use crate::protocol::{self, Tag};
 use crate::skew::{plan_routing, skew_eligible, Assignment, ExtractSpec, HotReport, SkewPlan};
 use crate::stats::StageTimes;
 use skalla_gmdj::eval::EvalOptions;
@@ -129,7 +129,7 @@ pub(crate) fn run_coordinator(
                     st.rows_up += rel.len() as u64;
                     sync.absorb(rel)
                 })?;
-                let t = Instant::now();
+                let t = wall_now();
                 if skew_spec.is_some() {
                     let reports: Vec<HotReport> = reports.into_iter().flatten().collect();
                     skew_plan = plan_routing(&reports);
@@ -149,7 +149,8 @@ pub(crate) fn run_coordinator(
                 // skew-balanced stage, a donor's hot-group base rows are
                 // held back for helpers and the donor is asked to loan
                 // the matching detail segments out.
-                let t = Instant::now();
+                let no_base = || Error::Execution("unit stage with no base structure".into());
+                let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
                 let mut participants = 0usize;
                 let balancing = skew_spec
@@ -159,9 +160,7 @@ pub(crate) fn run_coordinator(
                 let shared_fragment: Option<Relation> = if unit.fold_base {
                     None
                 } else {
-                    let b = b_cur.as_ref().ok_or_else(|| {
-                        Error::Execution("unit stage with no base structure".into())
-                    })?;
+                    let b = b_cur.as_ref().ok_or_else(no_base)?;
                     Some(project_ship(b, &unit.ship_columns)?)
                 };
                 for site in 0..n {
@@ -181,7 +180,7 @@ pub(crate) fn run_coordinator(
                         }
                         SiteFilter::All => shared_fragment.clone(),
                         SiteFilter::Predicate(p) => {
-                            let b = b_cur.as_ref().expect("checked above");
+                            let b = b_cur.as_ref().ok_or_else(no_base)?;
                             let bound = p.bind(b.schema(), None)?;
                             let kept = b.select(&bound)?;
                             // Thm 4: rows eliminated by the ¬ψ filter.
@@ -253,12 +252,12 @@ pub(crate) fn run_coordinator(
                             st.rows_up += rel.len() as u64;
                             sync.absorb(&rel)
                         })?;
-                    let t = Instant::now();
+                    let t = wall_now();
                     b_cur = Some(if unit.fold_base {
                         sync.finish_folded(out_schema)?
                     } else {
                         let empty = empty_aggregates(ops)?;
-                        let b = b_cur.take().expect("checked above");
+                        let b = b_cur.take().ok_or_else(no_base)?;
                         sync.finish_against(&b, &plan.key, &empty, out_schema)?
                     });
                     st.coord_s += t.elapsed().as_secs_f64();
@@ -298,7 +297,7 @@ pub(crate) fn run_coordinator(
                         .flatten()
                         .map(|c| c.len() as u64)
                         .sum::<u64>();
-                    let t = Instant::now();
+                    let t = wall_now();
                     let mut n_chunks = 0usize;
                     let mut per_site: Vec<Relation> = Vec::with_capacity(n);
                     for (site, site_chunks) in chunks_per_site.iter_mut().enumerate() {
@@ -308,18 +307,19 @@ pub(crate) fn run_coordinator(
                             .get_mut(&site)
                             .map(|d| std::mem::take(&mut d.results))
                             .unwrap_or_default();
-                        if chunks.is_empty() && loan.is_empty() {
-                            continue;
-                        }
                         if chunks.len() == 1 && loan.is_empty() {
-                            per_site.push(chunks.into_iter().next().expect("len checked"));
+                            per_site.extend(chunks);
                             continue;
                         }
-                        let schema = chunks
+                        // A site that sent no chunk and owes no loan
+                        // result contributes nothing.
+                        let Some(schema) = chunks
                             .first()
                             .map(|c| c.schema_ref())
                             .or_else(|| loan.first().map(|(_, _, r)| r.schema_ref()))
-                            .expect("non-empty checked");
+                        else {
+                            continue;
+                        };
                         let mut pm = PartialMerge::new(plan.key.len(), op);
                         for c in &chunks {
                             pm.absorb(c)?;
@@ -369,6 +369,16 @@ pub(crate) fn run_coordinator(
     Ok((relation, stage_times))
 }
 
+/// The coordinator's clock. `coord_s` is wall time spent outside waits;
+/// only *site* busy seconds are CPU time (`skalla_obs::BusyTimer`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one wall-clock read under `coordinator`: coordinator seconds, never site busy time"
+)]
+fn wall_now() -> Instant {
+    Instant::now()
+}
+
 /// Receive one stage round. Result chunks from `expected` sites (each
 /// site's result possibly row-blocked into several) are fed to `absorb`
 /// with the sending site's id as they arrive. The round may also owe
@@ -395,9 +405,9 @@ fn collect(
     let mut finished = 0usize;
     while finished < expected || owed > 0 {
         let (site, msg) = coord.recv(timeout).map_err(net_err)?;
-        let t = Instant::now();
-        match msg.tag {
-            protocol::TAG_RESULT => {
+        let t = wall_now();
+        match Tag::try_from(msg.tag)? {
+            Tag::Result => {
                 let (s, last, rel) = protocol::decode_result(&msg.payload)?;
                 check_stage("result", s, stage)?;
                 if done[site] {
@@ -411,17 +421,29 @@ fn collect(
                 }
                 absorb(site, rel)?;
             }
-            protocol::TAG_ERROR => {
+            Tag::Error => {
                 return Err(Error::Execution(format!(
                     "site failed: {}",
                     protocol::decode_error(&msg.payload)
                 )));
             }
-            _ => {
+            // The skew-balancing frames: `extra` takes the ones this round
+            // owes and rejects the rest.
+            Tag::HhReport | Tag::Loan | Tag::LoanResult => {
                 owed = (owed + extra(site, msg)?).checked_sub(1).ok_or_else(|| {
                     Error::Execution(format!("unsolicited frame from site {site}"))
                 })?;
             }
+            // What a coordinator sends, the handshake reply, and telemetry
+            // (which answers QUERY_DONE, after the last round).
+            Tag::RunStage
+            | Tag::Shutdown
+            | Tag::Plan
+            | Tag::CatalogReq
+            | Tag::Catalog
+            | Tag::QueryDone
+            | Tag::Telemetry
+            | Tag::LoanTask => return Err(unexpected_tag(msg.tag)),
         }
         busy += t.elapsed().as_secs_f64();
     }

@@ -28,6 +28,9 @@
 //!   behind the [`warehouse::Warehouse`] API.
 
 // missing_docs is denied workspace-wide (see [workspace.lints]).
+// Bad input is answered with an error, never a panic; a local invariant
+// carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod cache;
 pub mod cluster;

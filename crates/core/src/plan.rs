@@ -410,8 +410,8 @@ impl DistributedPlan {
                             u.ship_columns.join(", ")
                         ));
                     }
-                    if u.local_chain {
-                        let (b, d) = u.ownership.as_ref().expect("chained unit has ownership");
+                    // `validate` rejects a chained unit without ownership.
+                    if let Some((b, d)) = u.ownership.as_ref().filter(|_| u.local_chain) {
                         s.push_str(&format!(
                             "  local chain via partition attribute b.{b} = r.{d} (Cor 1)\n"
                         ));
@@ -664,12 +664,13 @@ impl Planner {
 
         // Columns of B available before each op (syntactic).
         let mut avail: Vec<HashSet<String>> = Vec::with_capacity(expr.ops.len() + 1);
-        avail.push(base_columns.iter().cloned().collect());
+        let mut cur: HashSet<String> = base_columns.iter().cloned().collect();
         for op in &expr.ops {
-            let mut next = avail.last().expect("seeded").clone();
+            let mut next = cur.clone();
             next.extend(op.output_names().iter().map(|s| s.to_string()));
-            avail.push(next);
+            avail.push(std::mem::replace(&mut cur, next));
         }
+        avail.push(cur);
 
         for (uidx, (range, ownership)) in units.iter().enumerate() {
             let fold_base = uidx == 0 && fold_first;
@@ -855,6 +856,7 @@ mod tests {
             .gmdj(Gmdj::new("t").block(
                 ThetaBuilder::group_by(&["g"])
                     .and_detail_ge_base_expr("v", "sum1 / cnt1")
+                    .unwrap()
                     .build(),
                 vec![AggSpec::count("cnt2")],
             ))

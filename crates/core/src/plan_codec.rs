@@ -6,6 +6,9 @@
 //! bytes — negligible next to the base-structure traffic, but now
 //! measured instead of assumed.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::plan::{DistributedPlan, SiteFilter, Stage, StageKind, Unit};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
 use skalla_gmdj::EvalOptions;

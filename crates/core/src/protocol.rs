@@ -13,6 +13,9 @@
 //! from 1). Query id 0 is the control stream only: the catalog handshake
 //! and the session-ending [`TAG_SHUTDOWN`].
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::skew::{ExtractSpec, HotReport};
 use skalla_net::Message;
 use skalla_obs::json::{self, Json};
@@ -38,50 +41,131 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 ///   byte each for the balancer and the cache.
 pub const PROTOCOL_VERSION: u32 = 5;
 
-/// Coordinator → site: run a stage (optionally with a base fragment).
-pub const TAG_RUN_STAGE: u8 = 1;
-/// Site → coordinator: a stage's result relation.
-pub const TAG_RESULT: u8 = 2;
-/// Site → coordinator: execution failed.
-pub const TAG_ERROR: u8 = 3;
-/// Coordinator → site: query finished, thread may exit.
-pub const TAG_SHUTDOWN: u8 = 4;
-/// Coordinator → site: the distributed plan for the upcoming query. The
-/// payload is the cluster's evaluation options (thread count, morsel size,
-/// balancer and cache switches) followed by the encoded plan — see
-/// [`crate::plan_codec::encode_plan_with_options`].
-pub const TAG_PLAN: u8 = 5;
-/// Coordinator → site: describe your local warehouse. Sent once per
-/// session by a *remote* coordinator (TCP transport), which — unlike the
-/// in-process [`crate::Cluster`] — has no shared-memory view of the
-/// sites' tables, schemas, or partition domains, yet needs all three for
-/// plan validation and distribution-aware optimization.
-pub const TAG_CATALOG_REQ: u8 = 6;
-/// Site → coordinator: the catalog reply — one [`SiteCatalogEntry`] per
-/// local table, sorted by table name so the payload is deterministic.
-pub const TAG_CATALOG: u8 = 7;
-/// Coordinator → site: one query (named by the frame's query id) is
-/// finished; the site retires its per-query state. Unlike
-/// [`TAG_SHUTDOWN`] — which ends the whole connection — the session and
-/// its other in-flight queries continue.
-pub const TAG_QUERY_DONE: u8 = 8;
-/// Site → coordinator: the site's round-1 heavy-hitter report
-/// ([`HotReport`]) — its local detail row count and the top group keys
-/// of its space-saving sketch. Sent right after the base-stage result
-/// when the plan is skew-eligible and balancing is on. Unlike telemetry,
-/// this frame **is counted** in the traffic accounting: the routing
-/// decision is part of the query protocol, and its (small, bounded)
-/// cost belongs in the measured totals.
-pub const TAG_HH_REPORT: u8 = 10;
-/// Donor site → coordinator: the detail rows of its rerouted hot groups,
-/// bucketed by morsel segment, loaned out for helpers to evaluate.
-pub const TAG_LOAN: u8 = 11;
-/// Coordinator → helper site: evaluate loaned detail segments against
-/// the donor's hot base rows (each segment as a single morsel).
-pub const TAG_LOAN_TASK: u8 = 12;
-/// Helper site → coordinator: per-segment sub-aggregates of a loan
-/// task, merged back into the donor's result in morsel order.
-pub const TAG_LOAN_RESULT: u8 = 13;
+/// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
+/// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
+/// list, so none of them can miss a tag. A duplicate value or an
+/// undocumented variant does not compile.
+macro_rules! frame_tags {
+    ($($(#[$doc:meta])* $variant:ident = $value:expr => $konst:ident;)+) => {
+        /// The tag byte of a protocol frame. The frame catalog in
+        /// `docs/ARCHITECTURE.md` lists the same tags, and a unit test
+        /// below holds the two together.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Tag {
+            $($(#[$doc])* $variant = $value,)+
+        }
+
+        $($(#[$doc])* pub const $konst: u8 = Tag::$variant as u8;)+
+
+        impl Tag {
+            /// Every tag, in declaration (= value) order.
+            pub const ALL: &'static [Tag] = &[$(Tag::$variant),+];
+
+            /// The name of the tag's wire constant, e.g. `"TAG_RUN_STAGE"`.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Tag::$variant => stringify!($konst),)+
+                }
+            }
+        }
+    };
+}
+
+frame_tags! {
+    /// Coordinator → site: run a stage (optionally with a base fragment).
+    RunStage = 1 => TAG_RUN_STAGE;
+    /// Site → coordinator: a stage's result relation.
+    Result = 2 => TAG_RESULT;
+    /// Site → coordinator: execution failed.
+    Error = 3 => TAG_ERROR;
+    /// Coordinator → site: query finished, thread may exit.
+    Shutdown = 4 => TAG_SHUTDOWN;
+    /// Coordinator → site: the distributed plan for the upcoming query. The
+    /// payload is the cluster's evaluation options (thread count, morsel size,
+    /// balancer and cache switches) followed by the encoded plan — see
+    /// [`crate::plan_codec::encode_plan_with_options`].
+    Plan = 5 => TAG_PLAN;
+    /// Coordinator → site: describe your local warehouse. Sent once per
+    /// session by a *remote* coordinator (TCP transport), which — unlike the
+    /// in-process [`crate::Cluster`] — has no shared-memory view of the
+    /// sites' tables, schemas, or partition domains, yet needs all three for
+    /// plan validation and distribution-aware optimization.
+    CatalogReq = 6 => TAG_CATALOG_REQ;
+    /// Site → coordinator: the catalog reply — one [`SiteCatalogEntry`] per
+    /// local table, sorted by table name so the payload is deterministic.
+    Catalog = 7 => TAG_CATALOG;
+    /// Coordinator → site: one query (named by the frame's query id) is
+    /// finished; the site retires its per-query state. Unlike
+    /// [`TAG_SHUTDOWN`] — which ends the whole connection — the session and
+    /// its other in-flight queries continue.
+    QueryDone = 8 => TAG_QUERY_DONE;
+    /// Bidirectional telemetry frames (the value is
+    /// [`skalla_net::TELEMETRY_TAG`], which the transports exempt from byte
+    /// accounting in both directions):
+    ///
+    /// * **Site → coordinator**, stamped with a query id: the site's
+    ///   [`SiteTelemetry`] for that query, sent in reply to
+    ///   [`TAG_QUERY_DONE`].
+    /// * **Coordinator → site**: a pull request ([`telemetry_request`]);
+    ///   the site replies with its current telemetry snapshot, echoing the
+    ///   request's query id so a multiplexed reply routes to the puller.
+    Telemetry = skalla_net::TELEMETRY_TAG => TAG_TELEMETRY;
+    /// Site → coordinator: the site's round-1 heavy-hitter report
+    /// ([`HotReport`]) — its local detail row count and the top group keys
+    /// of its space-saving sketch. Sent right after the base-stage result
+    /// when the plan is skew-eligible and balancing is on. Unlike telemetry,
+    /// this frame **is counted** in the traffic accounting: the routing
+    /// decision is part of the query protocol, and its (small, bounded)
+    /// cost belongs in the measured totals.
+    HhReport = 10 => TAG_HH_REPORT;
+    /// Donor site → coordinator: the detail rows of its rerouted hot groups,
+    /// bucketed by morsel segment, loaned out for helpers to evaluate.
+    Loan = 11 => TAG_LOAN;
+    /// Coordinator → helper site: evaluate loaned detail segments against
+    /// the donor's hot base rows (each segment as a single morsel).
+    LoanTask = 12 => TAG_LOAN_TASK;
+    /// Helper site → coordinator: per-segment sub-aggregates of a loan
+    /// task, merged back into the donor's result in morsel order.
+    LoanResult = 13 => TAG_LOAN_RESULT;
+}
+
+impl Tag {
+    /// Whether the transports count this frame in [`skalla_net::NetStats`].
+    /// The exemption itself lives in `NetStats::record_frame`; a unit
+    /// test below checks that the two agree on every tag.
+    pub const fn accounted(self) -> bool {
+        match self {
+            Tag::Telemetry => false,
+            Tag::RunStage
+            | Tag::Result
+            | Tag::Error
+            | Tag::Shutdown
+            | Tag::Plan
+            | Tag::CatalogReq
+            | Tag::Catalog
+            | Tag::QueryDone
+            | Tag::HhReport
+            | Tag::Loan
+            | Tag::LoanTask
+            | Tag::LoanResult => true,
+        }
+    }
+}
+
+impl TryFrom<u8> for Tag {
+    type Error = Error;
+
+    /// The tag a frame's tag byte names; bytes outside the registry are
+    /// remote input and come back as [`Error::Codec`].
+    fn try_from(byte: u8) -> Result<Tag> {
+        Tag::ALL
+            .iter()
+            .copied()
+            .find(|t| *t as u8 == byte)
+            .ok_or_else(|| Error::Codec(format!("unknown frame tag {byte}")))
+    }
+}
 
 /// Encode a `RUN_STAGE` message.
 pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
@@ -431,18 +515,6 @@ pub fn query_done() -> Message {
     Message::new(TAG_QUERY_DONE, Vec::new())
 }
 
-/// Bidirectional telemetry frames (alias of
-/// [`skalla_net::TELEMETRY_TAG`], which the transports exempt from byte
-/// accounting in both directions):
-///
-/// * **Site → coordinator**, stamped with a query id: the site's
-///   [`SiteTelemetry`] for that query, sent in reply to
-///   [`TAG_QUERY_DONE`].
-/// * **Coordinator → site**: a pull request ([`telemetry_request`]);
-///   the site replies with its current telemetry snapshot, echoing the
-///   request's query id so a multiplexed reply routes to the puller.
-pub const TAG_TELEMETRY: u8 = skalla_net::TELEMETRY_TAG;
-
 /// What a site ships back in a telemetry frame: the busy-time samples
 /// its per-query workers measured, plus (for standalone site processes
 /// with their own recorder) the site's observability delta since the
@@ -687,6 +759,74 @@ mod tests {
             vec![row![1i64], row![2i64]],
         )
         .unwrap()
+    }
+
+    const ARCHITECTURE: &str = include_str!("../../../docs/ARCHITECTURE.md");
+
+    /// The frame-catalog table of `docs/ARCHITECTURE.md`, one
+    /// `(value, constant name, accounted)` per row.
+    fn catalog_rows(doc: &str) -> Vec<(u8, String, bool)> {
+        doc.lines()
+            .skip_while(|l| !l.starts_with("| Tag | Name |"))
+            .skip(2) // the header and its rule
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+                let accounted = match cells[4].trim_start_matches('*') {
+                    c if c.starts_with("yes") => true,
+                    c if c.starts_with("no") => false,
+                    c => panic!("Accounted? cell {c:?} says neither yes nor no"),
+                };
+                let name = format!("TAG_{}", cells[1].trim_matches('`'));
+                (cells[0].parse().unwrap(), name, accounted)
+            })
+            .collect()
+    }
+
+    fn registry_rows() -> Vec<(u8, String, bool)> {
+        Tag::ALL
+            .iter()
+            .map(|t| (*t as u8, t.name().to_string(), t.accounted()))
+            .collect()
+    }
+
+    #[test]
+    fn frame_catalog_in_the_docs_is_the_registry() {
+        // Both ways at once: a documented tag the code lacks and a tag the
+        // table lacks each make the two lists differ.
+        assert_eq!(catalog_rows(ARCHITECTURE), registry_rows());
+
+        // The check can fail: a dropped row, a wrong Accounted? cell, a
+        // renamed tag and a row for a tag that does not exist.
+        let telemetry = "| 9 | `TELEMETRY` | site → coord | busy triples + span/counter deltas | **no**";
+        assert!(ARCHITECTURE.contains(telemetry));
+        for doctored in [
+            ARCHITECTURE.replace("| 11 | `LOAN` |", "cut: | 11 | `LOAN` |"),
+            ARCHITECTURE.replace(telemetry, &telemetry.replace("**no**", "yes")),
+            ARCHITECTURE.replace("| `HH_REPORT` |", "| `HOT_REPORT` |"),
+            ARCHITECTURE.replace("| 13 | `LOAN_RESULT` |", "| 13 | `LOAN_RESULT` | a | b | yes |\n| 14 | `GHOST` |"),
+        ] {
+            assert_ne!(doctored, ARCHITECTURE, "the doctoring matched nothing");
+            assert_ne!(catalog_rows(&doctored), registry_rows());
+        }
+    }
+
+    #[test]
+    fn transports_exempt_exactly_the_unaccounted_tags() {
+        use skalla_net::{Direction, NetStats};
+        for &tag in Tag::ALL {
+            let stats = NetStats::new(1);
+            let frame = Message::new(tag as u8, vec![0; 8]);
+            stats.record_frame(0, Direction::Down, &frame);
+            stats.record_frame(0, Direction::Up, &frame);
+            let counted = stats.totals();
+            assert_eq!(
+                (counted.down_msgs, counted.up_msgs),
+                if tag.accounted() { (1, 1) } else { (0, 0) },
+                "{}",
+                tag.name()
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! come back in [`crate::protocol::TAG_TELEMETRY`] frames, which the
 //! transports exempt from byte accounting.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::coordinator::net_err;
 use crate::distribution::DistributionInfo;
 use crate::protocol::{self, SiteCatalogEntry};
@@ -137,10 +140,18 @@ pub struct SiteServer {
     obs: Obs,
 }
 
+/// A site's tables in name order, so nothing built from them — the
+/// advertised catalog above all — depends on the map's hash order.
+#[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
+fn sorted_tables(catalog: &HashMap<String, Arc<Relation>>) -> Vec<(&String, &Arc<Relation>)> {
+    let mut tables: Vec<_> = catalog.iter().collect();
+    tables.sort_unstable_by_key(|(name, _)| *name);
+    tables
+}
+
 impl std::fmt::Debug for SiteServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut tables: Vec<&String> = self.catalog.keys().collect(); // lint: allow(unordered-iter) sorted on the next line
-        tables.sort();
+        let tables: Vec<&String> = sorted_tables(&self.catalog).into_iter().map(|t| t.0).collect();
         f.debug_struct("SiteServer")
             .field("tables", &tables)
             .finish()
@@ -159,8 +170,8 @@ impl SiteServer {
         cfg: TcpConfig,
     ) -> Result<SiteServer> {
         let listener = TcpSiteListener::bind(addr).map_err(net_err)?;
-        let entries: Vec<SiteCatalogEntry> = catalog
-            .iter()
+        let entries: Vec<SiteCatalogEntry> = sorted_tables(&catalog)
+            .into_iter()
             .map(|(table, rel)| SiteCatalogEntry {
                 table: table.clone(),
                 schema: rel.schema().clone(),
@@ -317,6 +328,27 @@ mod tests {
         // Per-query rounds only: plan + stages, no handshake round.
         assert_eq!(out.stats.stages[0].label, "plan");
         assert_eq!(out.stats.net.len(), out.stats.stages.len());
+    }
+
+    #[test]
+    fn advertised_catalog_does_not_depend_on_hash_order() {
+        // Two servers over the same three tables, each handed a fresh
+        // `HashMap` (its own `RandomState`, so its own iteration order).
+        let bind = || {
+            let catalog: HashMap<String, Arc<Relation>> = ["zeta", "alpha", "mid"]
+                .into_iter()
+                .zip(fragments().into_iter().cycle())
+                .map(|(table, (rel, _))| (table.to_string(), Arc::new(rel)))
+                .collect();
+            SiteServer::bind("127.0.0.1:0", catalog, HashMap::new(), TcpConfig::default()).unwrap()
+        };
+        let (a, b) = (bind(), bind());
+        let tables: Vec<&str> = a.entries.iter().map(|e| e.table.as_str()).collect();
+        assert_eq!(tables, ["alpha", "mid", "zeta"]);
+        assert_eq!(
+            protocol::catalog(&a.entries).payload,
+            protocol::catalog(&b.entries).payload
+        );
     }
 
     #[test]

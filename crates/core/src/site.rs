@@ -11,8 +11,11 @@
 //! the same loop serves both an in-process site thread and a standalone
 //! TCP site process (`skalla-cli site`).
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::plan::{DistributedPlan, StageKind, Unit};
-use crate::protocol;
+use crate::protocol::{self, Tag};
 use crate::skew::{skew_eligible, ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -409,7 +412,9 @@ fn donor_stage(
                 schema.get_or_insert_with(|| rel.schema_ref());
                 pm.absorb(&rel)?;
             }
-            Ok(pm.into_relation(schema.expect("at least two cold segments")))
+            let schema =
+                schema.ok_or_else(|| Error::Execution("no cold segment to merge".into()))?;
+            Ok(pm.into_relation(schema))
         }
     }
 }
@@ -593,9 +598,9 @@ pub fn site_session_loop(
     // The loop ends when the coordinator hangs up (or the session idles
     // out) — recv errors — or broadcasts a shutdown.
     while let Ok(msg) = net.recv() {
-        match msg.tag {
-            protocol::TAG_SHUTDOWN => break,
-            protocol::TAG_QUERY_DONE => {
+        let reply = match Tag::try_from(msg.tag) {
+            Ok(Tag::Shutdown) => break,
+            Ok(Tag::QueryDone) => {
                 if let Some((tx, handle)) = workers.remove(&msg.query_id) {
                     drop(tx); // worker drains its queue and exits
                     let _ = handle.join();
@@ -615,14 +620,9 @@ pub fn site_session_loop(
                     busy: drained,
                     obs: obs_delta(&mut cursor),
                 };
-                if net
-                    .send(protocol::telemetry(&report).with_query_id(msg.query_id))
-                    .is_err()
-                {
-                    break;
-                }
+                Some(protocol::telemetry(&report).with_query_id(msg.query_id))
             }
-            protocol::TAG_TELEMETRY => {
+            Ok(Tag::Telemetry) => {
                 // A pull: snapshot without draining, echoing the
                 // request's query id so a multiplexing coordinator can
                 // route the reply to the puller.
@@ -635,16 +635,11 @@ pub fn site_session_loop(
                     busy: snapshot,
                     obs: obs_delta(&mut cursor),
                 };
-                if net
-                    .send(protocol::telemetry(&report).with_query_id(msg.query_id))
-                    .is_err()
-                {
-                    break;
-                }
+                Some(protocol::telemetry(&report).with_query_id(msg.query_id))
             }
-            _ => {
+            Ok(Tag::Plan | Tag::RunStage | Tag::LoanTask) => {
                 let query_id = msg.query_id;
-                let refused = route_to_worker(&mut workers, msg, |rx| {
+                route_to_worker(&mut workers, msg, |rx| {
                     let catalog = catalog.clone();
                     let net = Arc::clone(&net);
                     let busy = Arc::clone(&busy);
@@ -655,16 +650,30 @@ pub fn site_session_loop(
                         .spawn(move || {
                             query_worker(&catalog, &*net, rx, query_id, busy, &skew, &obs)
                         })
-                });
-                if let Err(reply) = refused {
-                    if net.send(reply).is_err() {
-                        break;
-                    }
-                }
+                })
+                .err()
+            }
+            // What a site sends, the handshake `SiteServer` answered
+            // before this loop, and bytes outside the registry.
+            Ok(Tag::Result
+            | Tag::Error
+            | Tag::CatalogReq
+            | Tag::Catalog
+            | Tag::HhReport
+            | Tag::Loan
+            | Tag::LoanResult)
+            | Err(_) => Some(unexpected_tag().with_query_id(msg.query_id)),
+        };
+        if let Some(reply) = reply {
+            if net.send(reply).is_err() {
+                break;
             }
         }
     }
-    // lint: allow(unordered-iter) shutdown join order — every worker is joined, nothing is encoded
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shutdown join order: every worker is joined, nothing is encoded"
+    )]
     for (tx, handle) in workers.into_values() {
         drop(tx);
         let _ = handle.join();
@@ -720,8 +729,8 @@ fn query_worker(
     let mut chunk_rows: Option<usize> = None;
     let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
     while let Ok(msg) = rx.recv() {
-        match msg.tag {
-            protocol::TAG_PLAN => match crate::plan_codec::decode_plan_with_options(&msg.payload) {
+        match Tag::try_from(msg.tag) {
+            Ok(Tag::Plan) => match crate::plan_codec::decode_plan_with_options(&msg.payload) {
                 Ok((p, e, c)) => {
                     plan = Some(p);
                     eval = e;
@@ -731,7 +740,7 @@ fn query_worker(
                     let _ = reply(protocol::error(&format!("bad plan: {e}")));
                 }
             },
-            protocol::TAG_RUN_STAGE => {
+            Ok(Tag::RunStage) => {
                 let Some(plan) = &plan else {
                     let _ = reply(protocol::error("stage task before plan"));
                     continue;
@@ -788,7 +797,7 @@ fn query_worker(
                     }
                 }
             }
-            protocol::TAG_LOAN_TASK => {
+            Ok(Tag::LoanTask) => {
                 let Some(plan) = &plan else {
                     let _ = reply(protocol::error("loan task before plan"));
                     continue;
@@ -801,11 +810,27 @@ fn query_worker(
                     }
                 }
             }
-            _ => {
-                let _ = reply(protocol::error("unexpected message tag"));
+            // The session loop queues the three above only.
+            Ok(Tag::Result
+            | Tag::Error
+            | Tag::Shutdown
+            | Tag::CatalogReq
+            | Tag::Catalog
+            | Tag::QueryDone
+            | Tag::Telemetry
+            | Tag::HhReport
+            | Tag::Loan
+            | Tag::LoanResult)
+            | Err(_) => {
+                let _ = reply(unexpected_tag());
             }
         }
     }
+}
+
+/// The reply to a frame this end of the protocol does not take.
+fn unexpected_tag() -> skalla_net::Message {
+    protocol::error("unexpected message tag")
 }
 
 /// Split a stage result into row-blocked RESULT messages (one final

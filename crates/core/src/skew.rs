@@ -34,6 +34,9 @@
 //! (`--no-skew-balance`); `fig_skew` measures the
 //! effect as max-site-busy vs the Zipf exponent.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::plan::{DistributedPlan, StageKind};
 use skalla_gmdj::theta::analyze_theta;
 use skalla_gmdj::BaseQuery;
@@ -217,10 +220,12 @@ pub fn plan_routing(reports: &[HotReport]) -> SkewPlan {
             } else {
                 // Move the whole group to the least-loaded other site —
                 // but only if that improves the donor/helper balance.
-                let helper = (0..n)
+                let Some(helper) = (0..n)
                     .filter(|&s| s != donor)
                     .min_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b)))
-                    .expect("n >= 2");
+                else {
+                    continue; // no other site to help
+                };
                 if load[helper] + count >= load[donor] {
                     continue;
                 }

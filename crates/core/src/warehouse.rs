@@ -346,13 +346,13 @@ impl SkallaBuilder {
                 // and is charged to the shared transport's pre-query
                 // round, never to any query's stats.
                 let (dist, catalog) = catalog_handshake(&coord)?;
-                Ok(Skalla::over(
+                Skalla::over(
                     dist,
                     Arc::new(catalog),
                     Arc::new(coord),
                     Vec::new(),
                     self.cfg,
-                ))
+                )
             }
         }
     }
@@ -430,13 +430,13 @@ impl Skalla {
                 .map_err(|e| Error::Execution(format!("spawning site thread: {e}")))?;
             site_threads.push(handle);
         }
-        Ok(Skalla::over(
+        Skalla::over(
             cluster.distribution(),
             cluster.site_catalog_shared(0),
             Arc::new(coord),
             site_threads,
             cfg,
-        ))
+        )
     }
 
     /// The engine state over an established star of site links.
@@ -446,16 +446,16 @@ impl Skalla {
         coord: Arc<dyn CoordinatorTransport + Sync>,
         site_threads: Vec<JoinHandle<()>>,
         cfg: EngineConfig,
-    ) -> Skalla {
-        Skalla {
+    ) -> Result<Skalla> {
+        Ok(Skalla {
             dist,
             catalog,
             cache: SemanticCache::new(cfg.cache_bytes),
-            mux: QueryMux::new(coord),
+            mux: QueryMux::new(coord).map_err(|e| Error::Execution(e.to_string()))?,
             scheduler: QueryScheduler::new(cfg.scheduler.clone()),
             cfg,
             site_threads,
-        }
+        })
     }
 
     /// Number of warehouse sites.
@@ -531,13 +531,18 @@ impl Skalla {
     /// admission permit): full-result hit → coalesce onto an in-flight
     /// leader → execute (resuming from the longest cached prefix).
     fn execute_admitted(&self, plan: &DistributedPlan) -> Result<QueryResult> {
-        if !self.cfg.eval.cache || plan.stages.is_empty() {
+        let wall_start = Instant::now();
+        let fps = if self.cfg.eval.cache {
+            plan_fingerprints(plan, &self.cfg.eval)
+        } else {
+            Vec::new()
+        };
+        // One fingerprint per stage: none when the cache is off or the
+        // plan is empty.
+        let Some(&full_fp) = fps.last() else {
             let query_id = self.scheduler.next_query_id();
             return self.run_query(plan, query_id, None);
-        }
-        let wall_start = Instant::now();
-        let fps = plan_fingerprints(plan, &self.cfg.eval);
-        let full_fp = *fps.last().expect("stages checked non-empty"); // lint: allow(panic) validate() rejects empty-stage plans above
+        };
         if let Some(relation) = self.cache.lookup(full_fp) {
             self.cache.tally_hit();
             return Ok(QueryResult {

@@ -32,6 +32,10 @@ impl From<Partition> for (Relation, DomainMap) {
 /// Split on an integer column into `n` contiguous ranges of its *distinct
 /// values* (balanced by distinct-value count, like assigning key ranges to
 /// sites). The column becomes a partition attribute.
+#[expect(
+    clippy::expect_used,
+    reason = "the panicking form for generators and tests, which name the column in source"
+)]
 pub fn partition_by_int_ranges(rel: &Relation, column: &str, n: usize) -> Vec<Partition> {
     try_partition_by_int_ranges(rel, column, n).expect("partition column exists and is Int")
 }
@@ -106,6 +110,10 @@ pub fn try_partition_by_int_ranges(
 /// Split on any column by distributing its distinct values round-robin;
 /// each site's φ is an explicit value set. Works for string keys (e.g.
 /// `cust_name`). The column is a partition attribute.
+#[expect(
+    clippy::expect_used,
+    reason = "the panicking form for generators and tests, which name the column in source"
+)]
 pub fn partition_by_value_sets(rel: &Relation, column: &str, n: usize) -> Vec<Partition> {
     try_partition_by_value_sets(rel, column, n).expect("partition column exists")
 }
@@ -128,6 +136,10 @@ pub fn try_partition_by_value_sets(
     }
     let mut rows: Vec<Vec<skalla_relation::Row>> = vec![Vec::new(); n];
     for row in rel {
+        #[expect(
+            clippy::expect_used,
+            reason = "`assignment` was built from this column's distinct values"
+        )]
         let site = *assignment.get(row.get(col)).expect("value seen in scan");
         rows[site].push(row.clone());
     }
@@ -144,6 +156,10 @@ pub fn try_partition_by_value_sets(
 /// Split by hashing a column: balanced, but the coordinator learns nothing
 /// (φ = no constraints). The column is still a partition attribute in the
 /// formal sense, but Skalla is not told so.
+#[expect(
+    clippy::expect_used,
+    reason = "the panicking form for generators and tests, which name the column in source"
+)]
 pub fn partition_by_hash(rel: &Relation, column: &str, n: usize) -> Vec<Partition> {
     assert!(n > 0, "cannot partition across zero sites");
     let col = rel
@@ -220,6 +236,13 @@ pub fn observe_int_ranges(parts: &mut [Partition], columns: &[&str]) {
 
 /// Reassemble the union of partition fragments (test helper; the inverse
 /// of any partitioner up to row order).
+///
+/// # Panics
+/// Panics on an empty slice or on fragments of different schemas.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper over the output of one partitioner: never empty, one schema"
+)]
 pub fn reunite(parts: &[Partition]) -> Relation {
     let mut it = parts.iter();
     let first = it.next().expect("at least one partition");

@@ -49,10 +49,9 @@ impl Zipf {
     /// Draw a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite CDF"))
-        {
+        // The CDF and `u` are finite and non-negative, where `total_cmp`
+        // is the numeric order.
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

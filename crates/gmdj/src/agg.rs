@@ -12,6 +12,9 @@
 //! base-result structure carry physical columns; finalization happens once,
 //! when a GMDJ's rounds complete.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use skalla_relation::expr::eval_arith;
 use skalla_relation::{ArithOp, DataType, Error, Expr, Field, Result, Schema, Side, Value};
 use std::fmt;
@@ -240,6 +243,8 @@ impl AggSpec {
     /// Fold one matching detail tuple's input value into the accumulator.
     /// `input` is `None` for `COUNT(*)`.
     pub fn update(&self, acc: &mut [Value], input: Option<&Value>) -> Result<()> {
+        // Only COUNT(*) may come without one; specs arrive in plan frames.
+        let no_input = || Error::Plan(format!("{} has no input expression", self.func));
         match self.func {
             AggFunc::Count => {
                 // COUNT(expr) skips NULL inputs; COUNT(*) counts everything.
@@ -251,32 +256,32 @@ impl AggSpec {
                 bump_count(&mut acc[0]);
             }
             AggFunc::Sum => {
-                let v = input.expect("SUM has an input");
+                let v = input.ok_or_else(no_input)?;
                 if !v.is_null() {
                     add_into(&mut acc[0], v)?;
                 }
             }
             AggFunc::Min => {
-                let v = input.expect("MIN has an input");
+                let v = input.ok_or_else(no_input)?;
                 if !v.is_null() && (acc[0].is_null() || *v < acc[0]) {
                     acc[0] = v.clone();
                 }
             }
             AggFunc::Max => {
-                let v = input.expect("MAX has an input");
+                let v = input.ok_or_else(no_input)?;
                 if !v.is_null() && (acc[0].is_null() || *v > acc[0]) {
                     acc[0] = v.clone();
                 }
             }
             AggFunc::Avg => {
-                let v = input.expect("AVG has an input");
+                let v = input.ok_or_else(no_input)?;
                 if !v.is_null() {
                     add_into(&mut acc[0], v)?;
                     bump_count(&mut acc[1]);
                 }
             }
             AggFunc::Var | AggFunc::StdDev => {
-                let v = input.expect("VAR/STDDEV has an input");
+                let v = input.ok_or_else(no_input)?;
                 if let Some(x) = v.as_f64() {
                     add_f64(&mut acc[0], x);
                     add_f64(&mut acc[1], x * x);
@@ -675,7 +680,7 @@ mod tests {
                 (1, "s2") => {
                     a.update(slice, Some(&Value::Int(10))).unwrap();
                 }
-                _ => unreachable!(),
+                other => panic!("no such aggregate: {other:?}"),
             }
         }
         let logical = layout.finalize(&acc).unwrap();

@@ -7,6 +7,9 @@
 //! ordered list of [`Gmdj`] operators; evaluating it uses `m + 1` rounds in
 //! the distributed setting.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::eval::{eval_full, EvalOptions};
 use crate::operator::Gmdj;
 use skalla_relation::{Error, Relation, Result, Schema};
@@ -117,28 +120,32 @@ impl GmdjExpr {
     /// every intermediate result `B₀ … B_m` (so `schemas.last()` is the
     /// output schema).
     pub fn validate(&self, catalog: &dyn Catalog) -> Result<Vec<Schema>> {
-        let mut schemas = vec![self.base.schema(catalog)?];
-        if let Some(keys) = &self.key {
-            let b0 = &schemas[0];
-            for k in keys {
-                b0.index_of(k)?;
-            }
-        }
-        for op in &self.ops {
-            let detail = catalog.table(&op.detail)?.schema().clone();
-            let cur = schemas.last().expect("at least B0");
-            op.validate(cur, &detail)?;
-            schemas.push(op.output_schema(cur, &detail)?);
-        }
+        let (mut schemas, output) = self.walk(catalog)?;
+        schemas.push(output);
         Ok(schemas)
     }
 
     /// The output schema of the full expression.
     pub fn output_schema(&self, catalog: &dyn Catalog) -> Result<Schema> {
-        Ok(self
-            .validate(catalog)?
-            .pop()
-            .expect("validate returns ≥ 1 schema"))
+        Ok(self.walk(catalog)?.1)
+    }
+
+    /// Validate the chain: the schemas `B₀ … B_{m-1}` and, apart, `B_m`.
+    fn walk(&self, catalog: &dyn Catalog) -> Result<(Vec<Schema>, Schema)> {
+        let mut cur = self.base.schema(catalog)?;
+        if let Some(keys) = &self.key {
+            for k in keys {
+                cur.index_of(k)?;
+            }
+        }
+        let mut earlier = Vec::with_capacity(self.ops.len());
+        for op in &self.ops {
+            let detail = catalog.table(&op.detail)?.schema().clone();
+            op.validate(&cur, &detail)?;
+            let next = op.output_schema(&cur, &detail)?;
+            earlier.push(std::mem::replace(&mut cur, next));
+        }
+        Ok((earlier, cur))
     }
 
     /// Evaluate the whole chain on one machine. This is the correctness
@@ -242,6 +249,7 @@ mod tests {
             .gmdj(Gmdj::new("flow").block(
                 ThetaBuilder::group_by(&["sas", "das"])
                     .and_detail_ge_base_expr("nb", "sum1 / cnt1")
+                    .unwrap()
                     .build(),
                 vec![AggSpec::count("cnt2")],
             ))

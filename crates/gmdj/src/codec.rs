@@ -4,6 +4,9 @@
 //! complex GMDJ expressions, so distributed plans can travel in-band over
 //! the accounted transport instead of being shared out-of-band.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::agg::{AggFunc, AggSpec};
 use crate::chain::{BaseQuery, GmdjExpr};
 use crate::operator::{Gmdj, GmdjBlock};
@@ -204,6 +207,7 @@ mod tests {
             .gmdj(Gmdj::new("flow").block(
                 ThetaBuilder::group_by(&["sas", "das"])
                     .and_detail_ge_base_expr("nb", "avg1")
+                    .unwrap()
                     .build(),
                 vec![AggSpec::count("cnt2")],
             ))

@@ -34,6 +34,9 @@
 //! back to [`AggSpec::update`] per selected pair — same semantics, still
 //! columnar input access.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, EvalOptions, MorselKernel, MorselState, PreparedBlock};
 use crate::operator::Gmdj;
@@ -205,6 +208,7 @@ fn classify<'a>(
                 AggFunc::Max => ColAgg::MinMaxInt { col, max: true },
                 AggFunc::Avg => ColAgg::AvgInt(col),
                 AggFunc::Var | AggFunc::StdDev => ColAgg::VarInt(col),
+                #[expect(clippy::unreachable, reason = "COUNT returned above")]
                 AggFunc::Count => unreachable!("handled above"),
             }
         }
@@ -216,6 +220,7 @@ fn classify<'a>(
                 AggFunc::Max => ColAgg::MinMaxF64 { col, max: true },
                 AggFunc::Avg => ColAgg::AvgF64(col),
                 AggFunc::Var | AggFunc::StdDev => ColAgg::VarF64(col),
+                #[expect(clippy::unreachable, reason = "COUNT returned above")]
                 AggFunc::Count => unreachable!("handled above"),
             }
         }
@@ -416,6 +421,10 @@ impl AggState {
                     spec.merge(d, s)?;
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "both states were built by `new_state` from one `ColAgg`"
+            )]
             _ => unreachable!("morsel states share one classification"),
         }
         Ok(())
@@ -944,6 +953,10 @@ fn update_agg(
                 }
             }
         }
+        #[expect(
+            clippy::unreachable,
+            reason = "the state was built by `new_state` from this `ColAgg`"
+        )]
         _ => unreachable!("state shape follows classification"),
     }
     Ok(())

@@ -38,6 +38,9 @@
 //! this module is the reference the tests compare it against, reachable
 //! only through [`eval_local_rows`]; no engine path selects it.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::agg::AccLayout;
 use crate::operator::Gmdj;
 use crate::theta::analyze_theta;
@@ -364,7 +367,10 @@ fn run_caught<K: MorselKernel>(
     } else {
         None
     };
-    // lint: allow(wall-clock) feeds only the diagnostic morsel-latency histogram, never busy accounting
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds only the diagnostic morsel-latency histogram, never busy accounting"
+    )]
     let t = std::time::Instant::now();
     let out = catch_unwind(AssertUnwindSafe(|| kernel.run_morsel_into(m, state)))
         .unwrap_or_else(|payload| {
@@ -451,9 +457,13 @@ pub(crate) fn drive<K: MorselKernel>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panics are caught"))
-            .collect()
-    });
+            .map(|h| {
+                // `run_caught` already turns a kernel panic into an error.
+                h.join()
+                    .map_err(|_| Error::Execution("a morsel worker panicked".into()))
+            })
+            .collect::<Result<_>>()
+    })?;
     for (outs, cpu_ns) in worker_outs {
         charge_foreign_ns(cpu_ns);
         for (m, result) in outs {

@@ -13,6 +13,9 @@
 //! Distributed evaluation of these expressions lives in `skalla-core`.
 
 // missing_docs is denied workspace-wide (see [workspace.lints]).
+// Bad input is answered with an error, never a panic; a local invariant
+// carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub mod agg;
 pub mod chain;

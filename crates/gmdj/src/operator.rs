@@ -8,6 +8,9 @@
 //! multi-feature queries — and what makes its distributed evaluation
 //! interesting.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::agg::{AccLayout, AggSpec};
 use skalla_relation::{Error, Expr, Field, Result, Schema, Side};
 use std::collections::HashSet;

@@ -102,6 +102,10 @@ impl SpaceSaving {
         }
         // Evict the minimum-count entry (ties broken on canonical key
         // order for determinism) and inherit its count.
+        #[expect(
+            clippy::expect_used,
+            reason = "`new` asserts capacity >= 1 and the sketch is at capacity here"
+        )]
         let min = (0..self.entries.len())
             .min_by(|&a, &b| {
                 self.entries[a]

@@ -7,7 +7,7 @@
 //! domains) and synchronization reduction (partition-attribute entailment,
 //! Cor 1).
 
-use skalla_relation::{parse_expr, CmpOp, Expr, Side};
+use skalla_relation::{parse_expr, CmpOp, Expr, Result, Side};
 
 /// The equi-key / residual decomposition of a θ condition.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +69,7 @@ pub fn analyze_theta(theta: &Expr) -> ThetaAnalysis {
 /// use skalla_gmdj::theta::ThetaBuilder;
 /// let theta = ThetaBuilder::keys(&[("source_as", "source_as"), ("dest_as", "dest_as")])
 ///     .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+///     .unwrap()
 ///     .build();
 /// assert_eq!(
 ///     theta.to_string(),
@@ -111,24 +112,24 @@ impl ThetaBuilder {
     /// is parsed with unqualified names defaulting to the base side (e.g.
     /// `"sum1 / cnt1"` — the correlated-aggregate pattern of paper Ex. 1).
     ///
-    /// # Panics
-    /// Panics if the expression text does not parse; conditions are
-    /// normally static query text, so failing fast is the useful behavior.
-    pub fn and_detail_ge_base_expr(self, detail_col: &str, base_expr: &str) -> ThetaBuilder {
-        let rhs = parse_expr(base_expr, Side::Base)
-            .unwrap_or_else(|e| panic!("invalid base expression {base_expr:?}: {e}"));
-        self.and(Expr::dcol(detail_col).ge(rhs))
+    /// # Errors
+    /// [`skalla_relation::Error::Parse`] if the expression text does not parse.
+    pub fn and_detail_ge_base_expr(
+        self,
+        detail_col: &str,
+        base_expr: &str,
+    ) -> Result<ThetaBuilder> {
+        let rhs = parse_expr(base_expr, Side::Base)?;
+        Ok(self.and(Expr::dcol(detail_col).ge(rhs)))
     }
 
     /// Add a conjunct parsed from text (`b.`/`r.` qualifiers; unqualified
     /// names default to the detail side).
     ///
-    /// # Panics
-    /// Panics if the text does not parse.
-    pub fn and_parsed(self, text: &str) -> ThetaBuilder {
-        let e = parse_expr(text, Side::Detail)
-            .unwrap_or_else(|err| panic!("invalid condition {text:?}: {err}"));
-        self.and(e)
+    /// # Errors
+    /// [`skalla_relation::Error::Parse`] if the text does not parse.
+    pub fn and_parsed(self, text: &str) -> Result<ThetaBuilder> {
+        Ok(self.and(parse_expr(text, Side::Detail)?))
     }
 
     /// Build the θ expression (conjunction of all added parts).
@@ -197,6 +198,7 @@ mod tests {
     fn builder_parsed_conditions() {
         let theta = ThetaBuilder::group_by(&["g"])
             .and_parsed("num_bytes > 100 AND b.lo <= num_bytes")
+            .unwrap()
             .build();
         assert_eq!(
             theta.to_string(),
@@ -205,8 +207,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid base expression")]
-    fn builder_panics_on_bad_expr() {
-        ThetaBuilder::new().and_detail_ge_base_expr("v", "1 +");
+    fn builder_rejects_bad_expr() {
+        let err = ThetaBuilder::new().and_detail_ge_base_expr("v", "1 +");
+        assert!(matches!(err, Err(skalla_relation::Error::Parse(_))), "{err:?}");
+        assert!(ThetaBuilder::new().and_parsed("v >").is_err());
     }
 }

@@ -40,15 +40,7 @@ impl CoordinatorNet {
     /// Send a message to one site. Telemetry frames bypass the byte
     /// accounting (see [`crate::transport::TELEMETRY_TAG`]).
     pub fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                site,
-                Direction::Down,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(site, Direction::Down, &msg);
         self.to_sites[site]
             .send(msg)
             .map_err(|_| NetError::Disconnected)
@@ -108,15 +100,7 @@ impl SiteNet {
     /// Send a message to the coordinator. Telemetry frames bypass the
     /// byte accounting (see [`crate::transport::TELEMETRY_TAG`]).
     pub fn send(&self, msg: Message) -> Result<(), NetError> {
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                self.site_id,
-                Direction::Up,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(self.site_id, Direction::Up, &msg);
         self.tx
             .send((self.site_id, msg))
             .map_err(|_| NetError::Disconnected)

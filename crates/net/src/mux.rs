@@ -80,8 +80,9 @@ impl std::fmt::Debug for QueryMux {
 }
 
 impl QueryMux {
-    /// Wrap a shared transport and start the dispatcher thread.
-    pub fn new(inner: Arc<dyn CoordinatorTransport + Sync>) -> QueryMux {
+    /// Wrap a shared transport and start the dispatcher thread; fails
+    /// when the OS refuses the thread.
+    pub fn new(inner: Arc<dyn CoordinatorTransport + Sync>) -> Result<QueryMux, NetError> {
         let shared = Arc::new(MuxShared {
             queries: Mutex::new(HashMap::new()),
             failed: Mutex::new(None),
@@ -117,13 +118,13 @@ impl QueryMux {
                         }
                     }
                 })
-                .expect("spawning query-mux dispatcher")
+                .map_err(|e| NetError::Io(format!("spawning query-mux dispatcher: {e}")))?
         };
-        QueryMux {
+        Ok(QueryMux {
             inner,
             shared,
             dispatcher: Mutex::new(Some(dispatcher)),
-        }
+        })
     }
 
     /// Number of site links on the shared transport.
@@ -215,30 +216,14 @@ impl CoordinatorTransport for MuxHandle {
 
     fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
         let msg = msg.with_query_id(self.query_id);
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                site,
-                Direction::Down,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                self.query_id,
-            );
-        }
+        self.stats.record_frame(site, Direction::Down, &msg);
         self.inner.send(site, msg)
     }
 
     fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
         match self.rx.lock().recv_timeout(timeout) {
             Ok(Routed::Msg(site, msg)) => {
-                if msg.tag != crate::transport::TELEMETRY_TAG {
-                    self.stats.record_msg_for(
-                        site,
-                        Direction::Up,
-                        msg.payload.len() as u64,
-                        Some(msg.tag),
-                        self.query_id,
-                    );
-                }
+                self.stats.record_frame(site, Direction::Up, &msg);
                 Ok((site, msg))
             }
             Ok(Routed::Failed(err)) => Err(err),
@@ -263,7 +248,7 @@ mod tests {
     #[test]
     fn routes_frames_by_query_id() {
         let (coord, sites) = star(2);
-        let mux = QueryMux::new(Arc::new(coord));
+        let mux = QueryMux::new(Arc::new(coord)).unwrap();
         let q1 = mux.register(1);
         let q2 = mux.register(2);
 
@@ -305,7 +290,7 @@ mod tests {
     #[test]
     fn failure_fans_out_to_all_queries_and_late_registrants() {
         let (coord, sites) = star(1);
-        let mux = QueryMux::new(Arc::new(coord));
+        let mux = QueryMux::new(Arc::new(coord)).unwrap();
         let q1 = mux.register(1);
         drop(sites); // every link dies
         // The channel transport reports a dead star as Disconnected on
@@ -322,7 +307,7 @@ mod tests {
     #[test]
     fn deregistered_query_frames_are_dropped() {
         let (coord, sites) = star(1);
-        let mux = QueryMux::new(Arc::new(coord));
+        let mux = QueryMux::new(Arc::new(coord)).unwrap();
         let q1 = mux.register(1);
         drop(q1); // query aborted
         sites[0]

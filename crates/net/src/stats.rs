@@ -12,6 +12,7 @@
 //! would falsify the paper's traffic comparisons. An execution with
 //! `skew_balance` off reproduces the unbalanced counters exactly.
 
+use crate::transport::{Message, TELEMETRY_TAG};
 use parking_lot::Mutex;
 use skalla_obs::{Obs, Track};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,23 +144,29 @@ impl NetStats {
         self.current.store(rounds.len() - 1, Ordering::SeqCst);
     }
 
-    /// Record a transfer of `payload_bytes` on `site`'s link.
+    /// Record a transfer of `payload_bytes` on `site`'s link that is not
+    /// a protocol frame (the centralized baseline's detail shipment).
     pub fn record(&self, site: usize, dir: Direction, payload_bytes: u64) {
-        self.record_msg(site, dir, payload_bytes, None);
+        self.count(site, dir, payload_bytes, None, 0);
     }
 
-    /// Record a transfer with its message tag. Every message kind —
-    /// plan, task, result, error, shutdown — goes through here, so the
-    /// [`MESSAGE_OVERHEAD_BYTES`] framing is counted uniformly.
-    pub fn record_msg(&self, site: usize, dir: Direction, payload_bytes: u64, tag: Option<u8>) {
-        self.record_msg_for(site, dir, payload_bytes, tag, 0);
+    /// Record one protocol frame crossing `site`'s link. Every transport
+    /// calls this for every frame it sends or receives — plan, task,
+    /// result, error, shutdown — so the [`MESSAGE_OVERHEAD_BYTES`]
+    /// framing is counted uniformly, and the one exemption is made here:
+    /// telemetry frames ([`TELEMETRY_TAG`]) are diagnostics, not query
+    /// traffic, and are not counted.
+    ///
+    /// The frame's query id rides the obs event (omitted for the control
+    /// stream, id 0) so traces can be filtered per query; the byte
+    /// accounting itself is query-agnostic.
+    pub fn record_frame(&self, site: usize, dir: Direction, msg: &Message) {
+        if msg.tag != TELEMETRY_TAG {
+            self.count(site, dir, msg.payload.len() as u64, Some(msg.tag), msg.query_id);
+        }
     }
 
-    /// [`NetStats::record_msg`] with the query the frame belongs to.
-    /// Query id 0 (the control stream) is omitted from the obs
-    /// event; concurrent engines stamp ids ≥ 1 so traces can be filtered
-    /// per query. The byte accounting itself is query-agnostic.
-    pub fn record_msg_for(
+    fn count(
         &self,
         site: usize,
         dir: Direction,

@@ -275,15 +275,7 @@ impl CoordinatorTransport for TcpCoordinator {
     }
 
     fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                site,
-                Direction::Down,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(site, Direction::Down, &msg);
         write_frame(&mut self.links[site].lock(), &msg).map_err(|e| match e {
             NetError::Disconnected => NetError::SiteDisconnected {
                 site,
@@ -296,15 +288,7 @@ impl CoordinatorTransport for TcpCoordinator {
     fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
         match self.inbound.lock().recv_timeout(timeout) {
             Ok(Inbound::Msg(site, msg)) => {
-                if msg.tag != crate::transport::TELEMETRY_TAG {
-                    self.stats.record_msg_for(
-                        site,
-                        Direction::Up,
-                        msg.payload.len() as u64,
-                        Some(msg.tag),
-                        msg.query_id,
-                    );
-                }
+                self.stats.record_frame(site, Direction::Up, &msg);
                 Ok((site, msg))
             }
             Ok(Inbound::Gone(site, detail)) => Err(NetError::SiteDisconnected { site, detail }),
@@ -422,15 +406,7 @@ impl TcpSite {
             &mut self.read_half.lock(),
             Some(Instant::now() + timeout),
         )?;
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                self.site_id,
-                Direction::Down,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(self.site_id, Direction::Down, &msg);
         Ok(msg)
     }
 }
@@ -441,30 +417,14 @@ impl SiteTransport for TcpSite {
     }
 
     fn send(&self, msg: Message) -> Result<(), NetError> {
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                self.site_id,
-                Direction::Up,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(self.site_id, Direction::Up, &msg);
         write_frame(&mut self.write_half.lock(), &msg)
     }
 
     fn recv(&self) -> Result<Message, NetError> {
         let deadline = self.read_timeout.map(|t| Instant::now() + t);
         let msg = read_frame(&mut self.read_half.lock(), deadline)?;
-        if msg.tag != crate::transport::TELEMETRY_TAG {
-            self.stats.record_msg_for(
-                self.site_id,
-                Direction::Down,
-                msg.payload.len() as u64,
-                Some(msg.tag),
-                msg.query_id,
-            );
-        }
+        self.stats.record_frame(self.site_id, Direction::Down, &msg);
         Ok(msg)
     }
 }

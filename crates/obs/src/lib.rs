@@ -21,6 +21,10 @@
 //! both emitted by the hand-rolled [`json`] writer — this workspace has
 //! no serde.
 
+// Bad input is answered with an error, never a panic; a local invariant
+// carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 pub mod chrome;
 pub mod expo;
 pub mod json;

@@ -6,6 +6,9 @@
 //! Theorem 2 bounds. The format is a simple length-prefixed tag encoding
 //! (little-endian), independent of platform.
 
+// No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::row::Row;

@@ -158,31 +158,28 @@ pub fn eval_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
             }
             _ => Err(Error::TypeError(format!("cannot divide {a} by {b}"))),
         },
-        _ => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(match op {
-                ArithOp::Add => x.wrapping_add(*y),
-                ArithOp::Sub => x.wrapping_sub(*y),
-                ArithOp::Mul => x.wrapping_mul(*y),
-                _ => unreachable!(),
-            })),
-            _ => {
-                let (x, y) = (
-                    a.as_f64().ok_or_else(|| {
-                        Error::TypeError(format!("non-numeric operand {a} for {op}"))
-                    })?,
-                    b.as_f64().ok_or_else(|| {
-                        Error::TypeError(format!("non-numeric operand {b} for {op}"))
-                    })?,
-                );
-                Ok(Value::Double(match op {
-                    ArithOp::Add => x + y,
-                    ArithOp::Sub => x - y,
-                    ArithOp::Mul => x * y,
-                    _ => unreachable!(),
-                }))
-            }
-        },
+        ArithOp::Add => int_or_double(op, a, b, i64::wrapping_add, |x, y| x + y),
+        ArithOp::Sub => int_or_double(op, a, b, i64::wrapping_sub, |x, y| x - y),
+        ArithOp::Mul => int_or_double(op, a, b, i64::wrapping_mul, |x, y| x * y),
     }
+}
+
+/// `+`, `-`, `*`: an `Int` when both operands are, a `Double` otherwise.
+fn int_or_double(
+    op: ArithOp,
+    a: &Value,
+    b: &Value,
+    int: impl Fn(i64, i64) -> i64,
+    double: impl Fn(f64, f64) -> f64,
+) -> Result<Value> {
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        return Ok(Value::Int(int(*x, *y)));
+    }
+    let operand = |v: &Value| {
+        v.as_f64()
+            .ok_or_else(|| Error::TypeError(format!("non-numeric operand {v} for {op}")))
+    };
+    Ok(Value::Double(double(operand(a)?, operand(b)?)))
 }
 
 /// A scalar expression with named column references.
@@ -300,31 +297,15 @@ impl Expr {
     }
 
     /// Conjunction of a list of expressions (`True` if empty).
-    pub fn conjunction(mut exprs: Vec<Expr>) -> Expr {
-        match exprs.len() {
-            0 => Expr::True,
-            1 => exprs.pop().expect("len checked"),
-            _ => {
-                let mut it = exprs.into_iter();
-                let first = it.next().expect("non-empty");
-                it.fold(first, Expr::and)
-            }
-        }
+    pub fn conjunction(exprs: Vec<Expr>) -> Expr {
+        exprs.into_iter().reduce(Expr::and).unwrap_or(Expr::True)
     }
 
     /// Disjunction of a list of expressions (`True` if empty — callers use
     /// this only for non-empty θ lists, where the paper's θ₁ ∨ … ∨ θₘ is
     /// well-defined).
-    pub fn disjunction(mut exprs: Vec<Expr>) -> Expr {
-        match exprs.len() {
-            0 => Expr::True,
-            1 => exprs.pop().expect("len checked"),
-            _ => {
-                let mut it = exprs.into_iter();
-                let first = it.next().expect("non-empty");
-                it.fold(first, Expr::or)
-            }
-        }
+    pub fn disjunction(exprs: Vec<Expr>) -> Expr {
+        exprs.into_iter().reduce(Expr::or).unwrap_or(Expr::True)
     }
 
     /// Flatten the top-level `AND` tree into conjuncts.

@@ -13,7 +13,10 @@
 //! The paper ran each warehouse site on AT&T's Daytona DBMS; this crate is
 //! the equivalent local substrate, built from scratch.
 
-#![warn(missing_docs)]
+// missing_docs is denied workspace-wide (see [workspace.lints]).
+// Bad input is answered with an error, never a panic; a local invariant
+// carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 mod error;
 mod value;

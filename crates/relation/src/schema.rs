@@ -61,6 +61,10 @@ impl Schema {
     /// # Panics
     /// Panics on duplicate column names; intended for statically-known
     /// schemas in tests and generators.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented to panic: callers pass column lists written in source"
+    )]
     pub fn of(cols: &[(&str, DataType)]) -> Schema {
         Schema::new(
             cols.iter()

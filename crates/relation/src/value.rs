@@ -161,12 +161,9 @@ fn type_rank(v: &Value) -> u8 {
 /// Total order on doubles: ordinary order, with NaN greatest (and all
 /// NaNs equal) — the order [`Value`]'s `Ord` gives `Double`s.
 pub fn total_f64_cmp(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.partial_cmp(&b).expect("non-NaN doubles compare"),
-    }
+    // `partial_cmp` is `None` exactly when a side is NaN.
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 impl PartialEq for Value {

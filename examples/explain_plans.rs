@@ -30,6 +30,7 @@ fn query() -> GmdjExpr {
         .gmdj(Gmdj::new("flow").block(
             ThetaBuilder::group_by(&["source_as"])
                 .and_detail_ge_base_expr("num_bytes", "avg_nb")
+                .expect("condition parses")
                 .build(),
             vec![AggSpec::count("big")],
         ))

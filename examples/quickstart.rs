@@ -49,6 +49,7 @@ fn main() {
         .gmdj(Gmdj::new("flow").block(
             ThetaBuilder::group_by(&["source_as", "dest_as"])
                 .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+                .expect("condition parses")
                 .build(),
             vec![AggSpec::count("cnt2")],
         ))

@@ -52,6 +52,7 @@
 //!         Gmdj::new("flow").block(
 //!             ThetaBuilder::keys(&[("source_as", "source_as"), ("dest_as", "dest_as")])
 //!                 .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+//!                 .expect("condition parses")
 //!                 .build(),
 //!             vec![AggSpec::count("cnt2")],
 //!         ),
@@ -70,6 +71,10 @@
 //! assert_eq!(out.relation.schema().column_names(),
 //!            ["source_as", "dest_as", "cnt1", "sum1", "cnt2"]);
 //! ```
+
+// Bad input is answered with an error, never a panic; a local invariant
+// carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 pub use skalla_core as core;
 pub use skalla_datagen as datagen;

@@ -59,6 +59,7 @@ fn example1_flows() -> GmdjExpr {
         .gmdj(Gmdj::new("flow").block(
             ThetaBuilder::group_by(&["source_as", "dest_as"])
                 .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+                .unwrap()
                 .build(),
             vec![AggSpec::count("cnt2")],
         ))
@@ -251,6 +252,7 @@ fn nested_loop_and_hash_paths_agree_distributed() {
         .gmdj(Gmdj::new("flow").block(
             ranged_key()
                 .and_detail_ge_base_expr("num_bytes", "sum1 / cnt1")
+                .unwrap()
                 .build(),
             vec![AggSpec::count("cnt2")],
         ))

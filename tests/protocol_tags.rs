@@ -1,35 +1,18 @@
-//! Exhaustive protocol-tag coverage: one encode/decode round trip per v2
-//! frame tag, plus registry-level uniqueness. If a new tag is added to
-//! `skalla_core::protocol` without extending this test, the uniqueness
-//! and coverage assertions below are the tripwire (alongside the
-//! `protocol-registry` lint, which checks the docs and accounting side).
+//! Exhaustive protocol-tag coverage: one encode/decode round trip per
+//! frame tag, driven by `Tag::ALL` through a `match` with no wildcard —
+//! a tag added to `skalla_core::protocol` does not compile here until it
+//! has its round trip.
 
 use skalla::core::distribution::DistributionInfo;
 use skalla::core::plan::{OptFlags, Planner};
 use skalla::core::plan_codec::{decode_plan_with_options, encode_plan_with_options};
-use skalla::core::protocol::{self, SiteCatalogEntry, SiteTelemetry};
+use skalla::core::protocol::{self, SiteCatalogEntry, SiteTelemetry, Tag};
 use skalla::core::skew::ExtractSpec;
 use skalla::core::HotReport;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
+use skalla::net::Message;
 use skalla::relation::{row, DataType, Domain, DomainMap, Relation, Schema, Value};
-
-/// Every v2 frame tag, name first so failures read well.
-const ALL_TAGS: &[(&str, u8)] = &[
-    ("RUN_STAGE", protocol::TAG_RUN_STAGE),
-    ("RESULT", protocol::TAG_RESULT),
-    ("ERROR", protocol::TAG_ERROR),
-    ("SHUTDOWN", protocol::TAG_SHUTDOWN),
-    ("PLAN", protocol::TAG_PLAN),
-    ("CATALOG_REQ", protocol::TAG_CATALOG_REQ),
-    ("CATALOG", protocol::TAG_CATALOG),
-    ("QUERY_DONE", protocol::TAG_QUERY_DONE),
-    ("TELEMETRY", protocol::TAG_TELEMETRY),
-    ("HH_REPORT", protocol::TAG_HH_REPORT),
-    ("LOAN", protocol::TAG_LOAN),
-    ("LOAN_TASK", protocol::TAG_LOAN_TASK),
-    ("LOAN_RESULT", protocol::TAG_LOAN_RESULT),
-];
 
 fn rel() -> Relation {
     Relation::new(
@@ -45,123 +28,142 @@ fn segments() -> Vec<(u32, Relation)> {
 
 #[test]
 fn tag_values_are_unique_and_dense() {
-    let mut seen = std::collections::BTreeMap::new();
-    for (name, tag) in ALL_TAGS {
-        if let Some(prev) = seen.insert(*tag, *name) {
-            panic!("tag {tag} is claimed by both {prev} and {name}");
-        }
+    // Uniqueness is rustc's (two variants with one discriminant do not
+    // compile). Tags 1..=13 with no gaps; query id 0 marks the control
+    // stream, so there is no tag 0.
+    let values: Vec<u8> = Tag::ALL.iter().map(|t| *t as u8).collect();
+    assert_eq!(values, (1..=13).collect::<Vec<u8>>());
+    // The registry is closed: exactly those bytes parse, each to itself.
+    for byte in 0..=u8::MAX {
+        let parsed = Tag::try_from(byte).ok().map(|t| t as u8);
+        assert_eq!(parsed, values.contains(&byte).then_some(byte));
     }
-    // Tags 1..=13 with no gaps; query id 0 marks the control stream, so
-    // there is no tag 0.
-    let tags: Vec<u8> = seen.keys().copied().collect();
-    assert_eq!(tags, (1..=13).collect::<Vec<u8>>());
 }
 
 #[test]
 fn every_tag_round_trips() {
-    // RUN_STAGE, with and without a fragment and extract spec.
-    let spec = ExtractSpec {
-        detail_cols: vec!["g".into(), "v".into()],
-        keys: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-    };
-    let m = protocol::run_stage_with_extract(7, Some(&rel()), Some(&spec));
-    assert_eq!(m.tag, protocol::TAG_RUN_STAGE);
-    let (stage, frag, extract) = protocol::decode_run_stage(&m.payload).unwrap();
-    assert_eq!((stage, frag.unwrap(), extract.unwrap()), (7, rel(), spec));
-
-    // RESULT: a non-final chunk.
-    let m = protocol::result_chunk(3, &rel(), false);
-    assert_eq!(m.tag, protocol::TAG_RESULT);
-    let (stage, last, back) = protocol::decode_result(&m.payload).unwrap();
-    assert_eq!((stage, last, back), (3, false, rel()));
-
-    // ERROR carries a free-form message.
-    let m = protocol::error("boom");
-    assert_eq!(m.tag, protocol::TAG_ERROR);
-    assert_eq!(protocol::decode_error(&m.payload), "boom");
-
-    // SHUTDOWN and QUERY_DONE are empty control frames.
-    let m = protocol::shutdown();
-    assert_eq!((m.tag, m.payload.len()), (protocol::TAG_SHUTDOWN, 0));
-    let m = protocol::query_done();
-    assert_eq!((m.tag, m.payload.len()), (protocol::TAG_QUERY_DONE, 0));
-
-    // PLAN: options + chunking + the distributed plan itself.
-    let mut dist = DistributionInfo::new(2);
-    dist.set_table(
-        "t",
-        (0..2)
-            .map(|i| DomainMap::new().with("g", Domain::IntRange(10 * i, 10 * i + 9)))
-            .collect(),
-    );
-    let expr = GmdjExprBuilder::distinct_base("t", &["g"]).gmdj(Gmdj::new("t").block(
-        ThetaBuilder::group_by(&["g"]).build(),
-        vec![AggSpec::count("c")],
-    ));
-    let plan = Planner::new(dist).optimize(&expr.build(), OptFlags::all());
-    let opts = EvalOptions {
-        parallelism: 3,
-        ..EvalOptions::default()
-    };
-    let bytes = encode_plan_with_options(&plan, &opts, Some(128));
-    let (plan_back, opts_back, chunk) = decode_plan_with_options(&bytes).unwrap();
-    assert_eq!(plan_back, plan);
-    assert_eq!(opts_back.parallelism, 3);
-    assert_eq!(chunk, Some(128));
-
-    // CATALOG_REQ carries the protocol version.
-    let m = protocol::catalog_request();
-    assert_eq!(m.tag, protocol::TAG_CATALOG_REQ);
-    assert_eq!(
-        protocol::decode_catalog_request(&m.payload).unwrap(),
-        protocol::PROTOCOL_VERSION
-    );
-
-    // CATALOG: one table advertisement.
-    let entry = SiteCatalogEntry {
-        table: "t".into(),
-        schema: rel().schema().clone(),
-        domains: DomainMap::new().with("g", Domain::IntRange(0, 9)),
-        rows: 2,
-    };
-    let m = protocol::catalog(std::slice::from_ref(&entry));
-    assert_eq!(m.tag, protocol::TAG_CATALOG);
-    assert_eq!(protocol::decode_catalog(&m.payload).unwrap(), vec![entry]);
-
-    // TELEMETRY: busy samples round-trip through the JSON payload.
-    let t = SiteTelemetry {
-        busy: vec![(1, 0, 0.25), (1, 1, 0.5)],
-        obs: None,
-    };
-    let m = protocol::telemetry(&t);
-    assert_eq!(m.tag, protocol::TAG_TELEMETRY);
-    assert_eq!(protocol::decode_telemetry(&m.payload).unwrap(), t);
-
-    // HH_REPORT: a site's heavy-hitter sketch summary.
-    let report = HotReport {
-        rows: 100,
-        hitters: vec![(vec![Value::Int(1)], 42), (vec![Value::Int(2)], 17)],
-    };
-    let m = protocol::hh_report(1, &report);
-    assert_eq!(m.tag, protocol::TAG_HH_REPORT);
-    assert_eq!(protocol::decode_hh_report(&m.payload).unwrap(), (1, report));
-
-    // LOAN / LOAN_TASK / LOAN_RESULT: the work-loaning triangle.
-    let m = protocol::loan(2, &segments());
-    assert_eq!(m.tag, protocol::TAG_LOAN);
-    let (stage, segs) = protocol::decode_loan(&m.payload).unwrap();
-    assert_eq!(stage, 2);
-    assert_eq!(segs, segments());
-
-    let m = protocol::loan_task(2, 1, &rel(), &segments());
-    assert_eq!(m.tag, protocol::TAG_LOAN_TASK);
-    let (stage, donor, base, segs) = protocol::decode_loan_task(&m.payload).unwrap();
-    assert_eq!((stage, donor, base), (2, 1, rel()));
-    assert_eq!(segs, segments());
-
-    let m = protocol::loan_result(2, 1, &segments());
-    assert_eq!(m.tag, protocol::TAG_LOAN_RESULT);
-    let (stage, donor, segs) = protocol::decode_loan_result(&m.payload).unwrap();
-    assert_eq!((stage, donor), (2, 1));
-    assert_eq!(segs, segments());
+    for &tag in Tag::ALL {
+        let frame: Message = match tag {
+            // With a fragment and an extract spec.
+            Tag::RunStage => {
+                let spec = ExtractSpec {
+                    detail_cols: vec!["g".into(), "v".into()],
+                    keys: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+                };
+                let m = protocol::run_stage_with_extract(7, Some(&rel()), Some(&spec));
+                let (stage, frag, extract) = protocol::decode_run_stage(&m.payload).unwrap();
+                assert_eq!((stage, frag.unwrap(), extract.unwrap()), (7, rel(), spec));
+                m
+            }
+            // A non-final chunk.
+            Tag::Result => {
+                let m = protocol::result_chunk(3, &rel(), false);
+                let (stage, last, back) = protocol::decode_result(&m.payload).unwrap();
+                assert_eq!((stage, last, back), (3, false, rel()));
+                m
+            }
+            // A free-form message.
+            Tag::Error => {
+                let m = protocol::error("boom");
+                assert_eq!(protocol::decode_error(&m.payload), "boom");
+                m
+            }
+            // SHUTDOWN and QUERY_DONE are empty control frames.
+            Tag::Shutdown => {
+                let m = protocol::shutdown();
+                assert!(m.payload.is_empty());
+                m
+            }
+            Tag::QueryDone => {
+                let m = protocol::query_done();
+                assert!(m.payload.is_empty());
+                m
+            }
+            // Options + chunking + the distributed plan itself.
+            Tag::Plan => {
+                let mut dist = DistributionInfo::new(2);
+                dist.set_table(
+                    "t",
+                    (0..2)
+                        .map(|i| DomainMap::new().with("g", Domain::IntRange(10 * i, 10 * i + 9)))
+                        .collect(),
+                );
+                let expr = GmdjExprBuilder::distinct_base("t", &["g"]).gmdj(Gmdj::new("t").block(
+                    ThetaBuilder::group_by(&["g"]).build(),
+                    vec![AggSpec::count("c")],
+                ));
+                let plan = Planner::new(dist).optimize(&expr.build(), OptFlags::all());
+                let opts = EvalOptions {
+                    parallelism: 3,
+                    ..EvalOptions::default()
+                };
+                let bytes = encode_plan_with_options(&plan, &opts, Some(128));
+                let (plan_back, opts_back, chunk) = decode_plan_with_options(&bytes).unwrap();
+                assert_eq!(plan_back, plan);
+                assert_eq!(opts_back.parallelism, 3);
+                assert_eq!(chunk, Some(128));
+                Message::new(protocol::TAG_PLAN, bytes)
+            }
+            // Carries the protocol version.
+            Tag::CatalogReq => {
+                let m = protocol::catalog_request();
+                assert_eq!(
+                    protocol::decode_catalog_request(&m.payload).unwrap(),
+                    protocol::PROTOCOL_VERSION
+                );
+                m
+            }
+            // One table advertisement.
+            Tag::Catalog => {
+                let entry = SiteCatalogEntry {
+                    table: "t".into(),
+                    schema: rel().schema().clone(),
+                    domains: DomainMap::new().with("g", Domain::IntRange(0, 9)),
+                    rows: 2,
+                };
+                let m = protocol::catalog(std::slice::from_ref(&entry));
+                assert_eq!(protocol::decode_catalog(&m.payload).unwrap(), vec![entry]);
+                m
+            }
+            // Busy samples round-trip through the JSON payload.
+            Tag::Telemetry => {
+                let t = SiteTelemetry {
+                    busy: vec![(1, 0, 0.25), (1, 1, 0.5)],
+                    obs: None,
+                };
+                let m = protocol::telemetry(&t);
+                assert_eq!(protocol::decode_telemetry(&m.payload).unwrap(), t);
+                m
+            }
+            // A site's heavy-hitter sketch summary.
+            Tag::HhReport => {
+                let report = HotReport {
+                    rows: 100,
+                    hitters: vec![(vec![Value::Int(1)], 42), (vec![Value::Int(2)], 17)],
+                };
+                let m = protocol::hh_report(1, &report);
+                assert_eq!(protocol::decode_hh_report(&m.payload).unwrap(), (1, report));
+                m
+            }
+            // LOAN / LOAN_TASK / LOAN_RESULT: the work-loaning triangle.
+            Tag::Loan => {
+                let m = protocol::loan(2, &segments());
+                assert_eq!(protocol::decode_loan(&m.payload).unwrap(), (2, segments()));
+                m
+            }
+            Tag::LoanTask => {
+                let m = protocol::loan_task(2, 1, &rel(), &segments());
+                let (stage, donor, base, segs) = protocol::decode_loan_task(&m.payload).unwrap();
+                assert_eq!((stage, donor, base, segs), (2, 1, rel(), segments()));
+                m
+            }
+            Tag::LoanResult => {
+                let m = protocol::loan_result(2, 1, &segments());
+                let (stage, donor, segs) = protocol::decode_loan_result(&m.payload).unwrap();
+                assert_eq!((stage, donor, segs), (2, 1, segments()));
+                m
+            }
+        };
+        assert_eq!(frame.tag, tag as u8, "{} frame carries its own tag", tag.name());
+    }
 }

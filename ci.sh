@@ -77,12 +77,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 # `cargo test`) — covers the reference row kernel's bucket index and the
 # columnar kernel's canonical-key probe / typed inner loops.
 cargo bench -p skalla-bench --bench probe_alloc
-# Skew balancing smoke: quick fig_skew run, which panics unless balanced
-# and unbalanced results are bit-identical on every configuration. Its
-# max-site-busy floor is left to `--check`: busy time is not wall-clock
-# (ROADMAP item 1), and on a 2-core box the floor does not hold.
-cargo run --release -q -p skalla-bench --bin fig_skew -- \
-  --quick --out "$(mktemp)"
 # End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
 # size, so a change that breaks its use of the public API fails here and
 # not in the next benchmark run.
@@ -92,6 +86,20 @@ cargo run --release -q -p skalla-bench --bin e2e -- run --smoke --out target/e2e
 # loopback ports, one coordinator run over them. Skipped gracefully in
 # sandboxes without loopback sockets (net-probe fails there).
 CLI=target/release/skalla-cli
+# wait_listening PREFIX I…: give each site whose log is
+# "$SMOKE_DIR/PREFIX<I>.log" five seconds to say it is listening.
+wait_listening() {
+  local log i
+  for i in "${@:2}"; do
+    log="$SMOKE_DIR/$1$i.log"
+    for _ in $(seq 1 50); do
+      grep -q 'listening on' "$log" && break
+      sleep 0.1
+    done
+    grep -q 'listening on' "$log" \
+      || { echo "ci.sh: $1 $i never came up" >&2; cat "$log" >&2; exit 1; }
+  done
+}
 if "$CLI" net-probe >/dev/null 2>&1; then
   SMOKE_DIR=$(mktemp -d)
   trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
@@ -99,14 +107,7 @@ if "$CLI" net-probe >/dev/null 2>&1; then
     "$CLI" site --listen 127.0.0.1:0 --site-index "$i" --sites 2 \
       --dataset flow --rows 4000 --once >"$SMOKE_DIR/site$i.log" &
   done
-  for i in 0 1; do
-    for _ in $(seq 1 50); do
-      grep -q 'listening on' "$SMOKE_DIR/site$i.log" && break
-      sleep 0.1
-    done
-    grep -q 'listening on' "$SMOKE_DIR/site$i.log" \
-      || { echo "ci.sh: site $i never came up" >&2; cat "$SMOKE_DIR/site$i.log" >&2; exit 1; }
-  done
+  wait_listening site 0 1
   # Anchored: with --metrics-listen a process also prints
   # "metrics listening on …", which a bare 'listening on' sed would catch.
   ADDRS=$(for i in 0 1; do sed -n "s/^site $i listening on //p" "$SMOKE_DIR/site$i.log"; done | paste -sd, -)
@@ -144,14 +145,7 @@ if "$CLI" net-probe >/dev/null 2>&1; then
     "$CLI" site --listen 127.0.0.1:0 --site-index "$i" --sites 4 \
       --dataset tpcr --rows 4000 --once >"$SMOKE_DIR/csite$i.log" &
   done
-  for i in 0 1 2 3; do
-    for _ in $(seq 1 50); do
-      grep -q 'listening on' "$SMOKE_DIR/csite$i.log" && break
-      sleep 0.1
-    done
-    grep -q 'listening on' "$SMOKE_DIR/csite$i.log" \
-      || { echo "ci.sh: concurrent-smoke site $i never came up" >&2; cat "$SMOKE_DIR/csite$i.log" >&2; exit 1; }
-  done
+  wait_listening csite 0 1 2 3
   CADDRS=$(for i in 0 1 2 3; do sed -n "s/^site $i listening on //p" "$SMOKE_DIR/csite$i.log"; done | paste -sd, -)
   "$CLI" run --sites "$CADDRS" --concurrency 4 --limit 3 -q \
     'BASE SELECT DISTINCT cust_group FROM tpcr;

@@ -100,7 +100,6 @@ fn main() {
     let opts = EvalOptions {
         parallelism: 1,
         morsel_rows: 1 << 30,
-        ..EvalOptions::default()
     };
 
     const SMALL: usize = 1_000;

@@ -4,8 +4,8 @@
 //! ([`harness`]) shared by the `fig2`…`fig5` harness binaries (which print
 //! the series each paper figure plots), plus the two-level
 //! coordinator-tree simulation ([`topology`]) behind the `topo` binary.
-//! Beside them: `fig_skew` (the sweep over skew ratio), `e2e` (the
-//! end-to-end and per-layer performance ledger, `BENCHMARK.json`) and the
+//! Beside them: `e2e` (the end-to-end and per-layer performance ledger,
+//! `BENCHMARK.json`, whose `skewed_star` workload is the skew question) and the
 //! `probe_alloc` bench (a zero-allocation guard over both GMDJ kernels —
 //! assertions, not timings).
 //!

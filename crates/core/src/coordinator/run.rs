@@ -5,9 +5,11 @@
 use super::{empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync, PartialMerge};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
 use crate::protocol::{self, Tag};
-use crate::skew::{plan_routing, skew_eligible, Assignment, ExtractSpec, HotReport, SkewPlan};
+use crate::skew::{
+    plan_routing, skew_eligible, Assignment, ExtractSpec, HotReport, SkewPlan, SkewRequest,
+};
 use crate::stats::StageTimes;
-use skalla_gmdj::eval::EvalOptions;
+use crate::warehouse::EngineConfig;
 use skalla_gmdj::BaseQuery;
 use skalla_net::{CoordinatorTransport, Message, NetStats};
 use skalla_obs::{Obs, Track};
@@ -39,6 +41,10 @@ use std::time::{Duration, Instant};
 /// is result-safe because balanced and unbalanced runs are
 /// bit-identical by construction.
 ///
+/// Of `cfg`, the coordinator reads the round timeout, the obs handle,
+/// the merge parallelism and whether to balance
+/// ([`EngineConfig::skew_balance`]).
+///
 /// `snapshots`, when present, receives `(j, b)` for every non-final
 /// stage the coordinator actually synchronized — the prefix snapshots
 /// the semantic cache stores for later resumes.
@@ -48,13 +54,12 @@ pub(crate) fn run_coordinator(
     plan: &DistributedPlan,
     schemas: &[Schema],
     detail_schemas: &HashMap<String, Schema>,
-    eval: &EvalOptions,
-    timeout: Duration,
-    obs: &Obs,
+    cfg: &EngineConfig,
     query_id: u32,
     resume: Option<(usize, Relation)>,
     mut snapshots: Option<&mut Vec<(usize, Relation)>>,
 ) -> Result<(Relation, Vec<StageTimes>)> {
+    let (timeout, obs) = (cfg.timeout, &cfg.obs);
     let track = Track::Query(query_id);
     let n = coord.n_sites();
     let (resume_after, mut b_cur) = match resume {
@@ -68,14 +73,10 @@ pub(crate) fn run_coordinator(
         ),
     };
     let mut stage_times = Vec::with_capacity(plan.stages.len());
-    // Skew balancing: when the knob is on and the plan is eligible, the
-    // sites append heavy-hitter reports to the base round, from which the
+    // Skew balancing: when it is on and the plan is eligible, the base
+    // round asks every site for a heavy-hitter report, from which the
     // routing is decided once and applied to every eligible stage.
-    let skew_spec = if eval.skew_balance {
-        skew_eligible(plan)
-    } else {
-        None
-    };
+    let skew_spec = cfg.skew_balance.then(|| skew_eligible(plan)).flatten();
     let mut skew_plan = SkewPlan::default();
 
     for (sidx, stage) in plan.stages.iter().enumerate() {
@@ -103,14 +104,15 @@ pub(crate) fn run_coordinator(
 
         match &stage.kind {
             StageKind::Base => {
+                // Each site owes a heavy-hitter report exactly when this
+                // frame asks it for one.
+                let ask = skew_spec.clone().map(SkewRequest::Report);
+                let owed = if ask.is_some() { n } else { 0 };
                 coord
-                    .broadcast(&protocol::run_stage(stage_no, None))
+                    .broadcast(&protocol::run_stage_with(stage_no, None, ask.as_ref()))
                     .map_err(net_err)?;
                 let mut sync_span = obs.span(track, "BaseSync");
                 let mut sync = BaseSync::new();
-                // With balancing on, every site's heavy-hitter report
-                // rides the round.
-                let owed = if skew_spec.is_some() { n } else { 0 };
                 let mut reports: Vec<Option<HotReport>> = vec![None; n];
                 let on_report = |site: usize, msg: Message| {
                     if msg.tag != protocol::TAG_HH_REPORT {
@@ -200,7 +202,7 @@ pub(crate) fn run_coordinator(
                         }
                     };
                     participants += 1;
-                    let mut extract = None;
+                    let mut loan_request = None;
                     if let Some(spec) = balancing {
                         if !skew_plan.assignments[site].is_empty() {
                             if let Some(f) = fragment.take() {
@@ -212,7 +214,7 @@ pub(crate) fn run_coordinator(
                                 )? {
                                     Some((cold, ex, state)) => {
                                         fragment = Some(cold);
-                                        extract = Some(ex);
+                                        loan_request = Some(SkewRequest::Extract(ex));
                                         donors.insert(site, state);
                                     }
                                     None => fragment = Some(f),
@@ -226,10 +228,10 @@ pub(crate) fn run_coordinator(
                     coord
                         .send(
                             site,
-                            protocol::run_stage_with_extract(
+                            protocol::run_stage_with(
                                 stage_no,
                                 fragment.as_ref(),
-                                extract.as_ref(),
+                                loan_request.as_ref(),
                             ),
                         )
                         .map_err(net_err)?;
@@ -338,7 +340,7 @@ pub(crate) fn run_coordinator(
                         per_site,
                         plan.key.len(),
                         op,
-                        eval.effective_parallelism(),
+                        cfg.eval.effective_parallelism(),
                     )?;
                     if let Some(m) = &merged {
                         sync.absorb(m)?;
@@ -715,7 +717,8 @@ mod tests {
         use crate::plan::{OptFlags, Planner};
         use skalla_gmdj::prelude::*;
 
-        // A skew-eligible plan, so the base round owes one report per site.
+        // A skew-eligible plan with balancing on, so the base round owes
+        // one report per site.
         let expr = GmdjExprBuilder::distinct_base("t", &["g"])
             .gmdj(Gmdj::new("t").block(
                 ThetaBuilder::group_by(&["g"]).build(),
@@ -742,9 +745,11 @@ mod tests {
             &plan,
             &schemas,
             &detail_schemas,
-            &EvalOptions::default(),
-            TIMEOUT,
-            &Obs::disabled(),
+            &EngineConfig {
+                skew_balance: true,
+                timeout: TIMEOUT,
+                ..EngineConfig::default()
+            },
             1,
             None,
             None,

@@ -15,16 +15,18 @@ use skalla_gmdj::EvalOptions;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{Error, Result};
 
-fn put_strings(enc: &mut Encoder, v: &[String]) {
+pub(crate) fn put_strings(enc: &mut Encoder, v: &[String]) {
     enc.put_u32(v.len() as u32);
     for s in v {
         enc.put_str(s);
     }
 }
 
-fn get_strings(dec: &mut Decoder<'_>) -> Result<Vec<String>> {
+pub(crate) fn get_strings(dec: &mut Decoder<'_>) -> Result<Vec<String>> {
     let n = dec.get_u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    // Pre-sized from the wire count, capped by what the buffer could
+    // possibly hold, so a corrupt length can't balloon the allocation.
+    let mut out = Vec::with_capacity(n.min(dec.remaining()));
     for _ in 0..n {
         out.push(dec.get_str()?);
     }
@@ -102,31 +104,24 @@ fn put_eval_options(enc: &mut Encoder, opts: &EvalOptions) {
     let EvalOptions {
         parallelism,
         morsel_rows,
-        skew_balance,
-        cache,
     } = *opts;
     enc.put_u32(parallelism as u32);
     enc.put_u32(morsel_rows.min(u32::MAX as usize) as u32);
-    enc.put_u8(skew_balance as u8);
-    enc.put_u8(cache as u8);
 }
 
 fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
     let parallelism = dec.get_u32()? as usize;
     let morsel_rows = (dec.get_u32()? as usize).max(1);
-    let skew_balance = dec.get_u8()? != 0;
-    let cache = dec.get_u8()? != 0;
     Ok(EvalOptions {
         parallelism,
         morsel_rows,
-        skew_balance,
-        cache,
     })
 }
 
-/// Encode the evaluation options, the row-blocking chunk size, and then
+/// Encode the kernel options, the row-blocking chunk size, and then
 /// the plan — the `TAG_PLAN` payload the coordinator broadcasts, so every
-/// site runs its kernel with the cluster-configured knobs. Carrying
+/// site runs its kernel with the cluster-configured knobs (what only the
+/// coordinator decides — balancing, caching — stays off the wire). Carrying
 /// `chunk_rows` in-band (rather than at thread-spawn time) means a remote
 /// site process chunks its results exactly like an in-process site, which
 /// the transport-invariance of the byte accounting depends on. A chunk
@@ -278,16 +273,14 @@ mod tests {
             EvalOptions {
                 parallelism: 7,
                 morsel_rows: 256,
-                skew_balance: false,
-                cache: false,
             },
         ] {
             for chunk_rows in [None, Some(512)] {
                 let bytes = encode_plan_with_options(&plan, &opts, chunk_rows);
-                // The option block is 10 bytes (ARCHITECTURE.md, `PLAN` row),
+                // The option block is 8 bytes (ARCHITECTURE.md, `PLAN` row),
                 // then the chunk flag and, when set, its u32.
                 let chunk_bytes = if chunk_rows.is_some() { 5 } else { 1 };
-                assert_eq!(bytes.len(), 10 + chunk_bytes + encode_plan(&plan).len());
+                assert_eq!(bytes.len(), 8 + chunk_bytes + encode_plan(&plan).len());
                 let (back_plan, back_opts, back_chunk) = decode_plan_with_options(&bytes).unwrap();
                 assert_eq!(back_plan, plan);
                 assert_eq!(back_chunk, chunk_rows);

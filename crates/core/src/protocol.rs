@@ -16,7 +16,8 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::skew::{ExtractSpec, HotReport};
+use crate::plan_codec::{get_strings, put_strings};
+use crate::skew::{ExtractSpec, HotReport, SkewRequest, SkewSpec};
 use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
@@ -39,7 +40,12 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 /// * **v5** — v2 frames; the option block loses the kernel switch (sites
 ///   run one kernel) and is 10 bytes: workers u32, morsel rows u32, one
 ///   byte each for the balancer and the cache.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// * **v6** — v2 frames; the option block is the two kernel knobs, 8
+///   bytes (balancing and caching are coordinator-side decisions), and a
+///   site sends its heavy-hitter report only when the base round's
+///   [`TAG_RUN_STAGE`] asks for one (a v5 site volunteered it, and
+///   cannot read the request).
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -82,8 +88,8 @@ frame_tags! {
     /// Coordinator → site: query finished, thread may exit.
     Shutdown = 4 => TAG_SHUTDOWN;
     /// Coordinator → site: the distributed plan for the upcoming query. The
-    /// payload is the cluster's evaluation options (thread count, morsel size,
-    /// balancer and cache switches) followed by the encoded plan — see
+    /// payload is the cluster's kernel options (thread count, morsel size)
+    /// and chunk size followed by the encoded plan — see
     /// [`crate::plan_codec::encode_plan_with_options`].
     Plan = 5 => TAG_PLAN;
     /// Coordinator → site: describe your local warehouse. Sent once per
@@ -100,21 +106,16 @@ frame_tags! {
     /// [`TAG_SHUTDOWN`] — which ends the whole connection — the session and
     /// its other in-flight queries continue.
     QueryDone = 8 => TAG_QUERY_DONE;
-    /// Bidirectional telemetry frames (the value is
-    /// [`skalla_net::TELEMETRY_TAG`], which the transports exempt from byte
-    /// accounting in both directions):
-    ///
-    /// * **Site → coordinator**, stamped with a query id: the site's
-    ///   [`SiteTelemetry`] for that query, sent in reply to
-    ///   [`TAG_QUERY_DONE`].
-    /// * **Coordinator → site**: a pull request ([`telemetry_request`]);
-    ///   the site replies with its current telemetry snapshot, echoing the
-    ///   request's query id so a multiplexed reply routes to the puller.
+    /// Site → coordinator, stamped with a query id: the site's
+    /// [`SiteTelemetry`] for that query, sent in reply to
+    /// [`TAG_QUERY_DONE`]. The value is [`skalla_net::TELEMETRY_TAG`],
+    /// which the transports exempt from byte accounting.
     Telemetry = skalla_net::TELEMETRY_TAG => TAG_TELEMETRY;
     /// Site → coordinator: the site's round-1 heavy-hitter report
     /// ([`HotReport`]) — its local detail row count and the top group keys
-    /// of its space-saving sketch. Sent right after the base-stage result
-    /// when the plan is skew-eligible and balancing is on. Unlike telemetry,
+    /// of its space-saving sketch. Sent ahead of the base-stage result
+    /// when that round's [`TAG_RUN_STAGE`] asked for it
+    /// ([`SkewRequest::Report`]), never otherwise. Unlike telemetry,
     /// this frame **is counted** in the traffic accounting: the routing
     /// decision is part of the query protocol, and its (small, bounded)
     /// cost belongs in the measured totals.
@@ -169,17 +170,18 @@ impl TryFrom<u8> for Tag {
 
 /// Encode a `RUN_STAGE` message.
 pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
-    run_stage_with_extract(stage, fragment, None)
+    run_stage_with(stage, fragment, None)
 }
 
-/// Encode a `RUN_STAGE` message, optionally asking the site to also
-/// extract and loan out the detail rows of the listed hot group keys
-/// (skew balancing — the fragment it receives has had those groups'
-/// base rows removed).
-pub fn run_stage_with_extract(
+/// Encode a `RUN_STAGE` message, optionally carrying a skew-balancing
+/// request: on the base round, "send your heavy-hitter report"; on a
+/// unit round, "loan out the detail rows of these hot keys" (the fragment
+/// the donor receives has had those groups' base rows removed). Without
+/// a request the tail is one zero byte.
+pub fn run_stage_with(
     stage: u32,
     fragment: Option<&Relation>,
-    extract: Option<&ExtractSpec>,
+    request: Option<&SkewRequest>,
 ) -> Message {
     let mut enc = Encoder::with_capacity(16 + fragment.map(|r| r.encoded_size()).unwrap_or(0));
     enc.put_u32(stage);
@@ -190,25 +192,31 @@ pub fn run_stage_with_extract(
         }
         None => enc.put_u8(0),
     }
-    match extract {
-        Some(spec) => {
+    match request {
+        None => enc.put_u8(0),
+        Some(SkewRequest::Extract(spec)) => {
             enc.put_u8(1);
-            enc.put_u32(spec.detail_cols.len() as u32);
-            for c in &spec.detail_cols {
-                enc.put_str(c);
-            }
+            put_strings(&mut enc, &spec.detail_cols);
             enc.put_u32(spec.keys.len() as u32);
             for k in &spec.keys {
                 put_key(&mut enc, k);
             }
         }
-        None => enc.put_u8(0),
+        Some(SkewRequest::Report(spec)) => {
+            enc.put_u8(2);
+            enc.put_str(&spec.table);
+            put_strings(&mut enc, &spec.detail_cols);
+            enc.put_u32(spec.stages.len() as u32);
+            for s in &spec.stages {
+                enc.put_u32(*s as u32);
+            }
+        }
     }
     Message::new(TAG_RUN_STAGE, enc.finish())
 }
 
-/// Decode a `RUN_STAGE` payload into `(stage, fragment, extract spec)`.
-pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, Option<ExtractSpec>)> {
+/// Decode a `RUN_STAGE` payload into `(stage, fragment, skew request)`.
+pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, Option<SkewRequest>)> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
     let fragment = match dec.get_u8()? {
@@ -216,29 +224,39 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, Option
         1 => Some(dec.get_relation()?),
         t => return Err(Error::Codec(format!("bad fragment flag {t}"))),
     };
-    let extract = match dec.get_u8()? {
+    let request = match dec.get_u8()? {
         0 => None,
         1 => {
-            let n_cols = dec.get_u32()? as usize;
+            let detail_cols = get_strings(&mut dec)?;
+            let n_keys = dec.get_u32()? as usize;
             // Pre-size from the wire count, capped by what the buffer could
             // possibly hold, so a corrupt length can't balloon the allocation.
-            let mut detail_cols = Vec::with_capacity(n_cols.min(dec.remaining()));
-            for _ in 0..n_cols {
-                detail_cols.push(dec.get_str()?);
-            }
-            let n_keys = dec.get_u32()? as usize;
             let mut keys = Vec::with_capacity(n_keys.min(dec.remaining()));
             for _ in 0..n_keys {
                 keys.push(get_key(&mut dec)?);
             }
-            Some(ExtractSpec { detail_cols, keys })
+            Some(SkewRequest::Extract(ExtractSpec { detail_cols, keys }))
         }
-        t => return Err(Error::Codec(format!("bad extract flag {t}"))),
+        2 => {
+            let table = dec.get_str()?;
+            let detail_cols = get_strings(&mut dec)?;
+            let n_stages = dec.get_u32()? as usize;
+            let mut stages = Vec::with_capacity(n_stages.min(dec.remaining()));
+            for _ in 0..n_stages {
+                stages.push(dec.get_u32()? as usize);
+            }
+            Some(SkewRequest::Report(SkewSpec {
+                table,
+                detail_cols,
+                stages,
+            }))
+        }
+        t => return Err(Error::Codec(format!("bad skew request flag {t}"))),
     };
     if dec.remaining() != 0 {
         return Err(Error::Codec("trailing bytes in RUN_STAGE".into()));
     }
-    Ok((stage, fragment, extract))
+    Ok((stage, fragment, request))
 }
 
 fn put_key(enc: &mut Encoder, key: &[Value]) {
@@ -583,20 +601,13 @@ impl SiteTelemetry {
     }
 }
 
-/// Encode a coordinator → site telemetry pull request (control stream,
-/// empty payload).
-pub fn telemetry_request() -> Message {
-    Message::new(TAG_TELEMETRY, Vec::new())
-}
-
 /// Encode a site → coordinator telemetry frame. The caller stamps the
-/// query id it answers for (or leaves 0 for a pull reply).
+/// query id it answers for.
 pub fn telemetry(t: &SiteTelemetry) -> Message {
     Message::new(TAG_TELEMETRY, t.to_json().to_json().into_bytes())
 }
 
-/// Decode a telemetry payload. An empty payload is the coordinator's
-/// pull request, not a site report, and is rejected here.
+/// Decode a telemetry payload.
 pub fn decode_telemetry(payload: &[u8]) -> Result<SiteTelemetry> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| Error::Codec(format!("telemetry payload is not UTF-8: {e}")))?;
@@ -830,42 +841,35 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_round_trip() {
-        let m = run_stage(3, Some(&rel()));
-        assert_eq!(m.tag, TAG_RUN_STAGE);
-        let (stage, frag, extract) = decode_run_stage(&m.payload).unwrap();
-        assert_eq!(stage, 3);
-        assert_eq!(frag.unwrap(), rel());
-        assert!(extract.is_none());
-
-        let m = run_stage(0, None);
-        let (stage, frag, extract) = decode_run_stage(&m.payload).unwrap();
-        assert_eq!(stage, 0);
-        assert!(frag.is_none());
-        assert!(extract.is_none());
-    }
-
-    #[test]
-    fn run_stage_with_extract_round_trip() {
+    fn run_stage_round_trips_with_and_without_a_skew_request() {
         use skalla_relation::Value;
-        let spec = ExtractSpec {
+        let extract = SkewRequest::Extract(ExtractSpec {
             detail_cols: vec!["g".to_string(), "h".to_string()],
             keys: vec![
                 vec![Value::Int(7), Value::from("x")],
                 vec![Value::Int(9), Value::Null],
             ],
-        };
-        let m = run_stage_with_extract(2, Some(&rel()), Some(&spec));
-        let (stage, frag, extract) = decode_run_stage(&m.payload).unwrap();
-        assert_eq!(stage, 2);
-        assert_eq!(frag.unwrap(), rel());
-        assert_eq!(extract.unwrap(), spec);
-        // The wrapper without a spec is byte-identical to run_stage, so
-        // the accounted traffic of an unbalanced run is unchanged.
-        assert_eq!(
-            run_stage(2, Some(&rel())).payload,
-            run_stage_with_extract(2, Some(&rel()), None).payload
-        );
+        });
+        let report = SkewRequest::Report(SkewSpec {
+            table: "t".to_string(),
+            detail_cols: vec!["g".to_string()],
+            stages: vec![1, 3],
+        });
+        for request in [None, Some(extract), Some(report)] {
+            for fragment in [None, Some(rel())] {
+                let m = run_stage_with(2, fragment.as_ref(), request.as_ref());
+                assert_eq!(m.tag, TAG_RUN_STAGE);
+                assert_eq!(decode_run_stage(&m.payload).unwrap(), (2, fragment, request.clone()));
+            }
+        }
+        // No request is one zero byte: the accounted traffic of an
+        // unbalanced run is that of a build without the balancer.
+        let plain = run_stage(2, Some(&rel())).payload;
+        assert_eq!(plain, run_stage_with(2, Some(&rel()), None).payload);
+        assert_eq!(plain.last(), Some(&0));
+        let mut unknown = plain;
+        *unknown.last_mut().unwrap() = 3;
+        assert!(decode_run_stage(&unknown).is_err());
     }
 
     #[test]
@@ -1022,9 +1026,7 @@ mod tests {
         assert_eq!(m.tag, skalla_net::TELEMETRY_TAG, "accounting exemption tag");
         let back = decode_telemetry(&m.payload).unwrap();
         assert_eq!(back, t);
-        // The pull request is empty and not decodable as a report.
-        assert!(telemetry_request().payload.is_empty());
-        assert!(decode_telemetry(&[]).is_err());
+        assert!(decode_telemetry(&[]).is_err(), "empty");
         assert!(decode_telemetry(b"{\"obs\":null}").is_err(), "missing busy");
         assert!(decode_telemetry(&[0xFF]).is_err(), "not UTF-8");
     }

@@ -16,7 +16,7 @@
 
 use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol::{self, Tag};
-use crate::skew::{skew_eligible, ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
+use crate::skew::{ExtractSpec, HotReport, SkewRequest, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
@@ -165,8 +165,8 @@ fn ship_projection(shipped: &Relation, key: &[&str], base_arity: usize) -> Resul
 const SKETCH_SAMPLE_TARGET: usize = 16_384;
 
 /// One space-saving pass over the local detail partition's key columns:
-/// the site's half of skew detection. Runs once per query, right after
-/// the base round, when the plan is skew-eligible and balancing is on.
+/// the site's half of skew detection. Runs when the coordinator asks
+/// for it ([`SkewRequest::Report`]), once per session and spec.
 pub fn hot_report(catalog: &dyn Catalog, spec: &SkewSpec) -> Result<HotReport> {
     let detail = catalog.table(&spec.table)?;
     let mut idx = Vec::with_capacity(spec.detail_cols.len());
@@ -457,26 +457,26 @@ pub fn execute_loan(
     Ok(out)
 }
 
-/// One stage task's site-side work: the donor path when the coordinator
-/// asked for an extract (hot segments loaned eagerly through
-/// `send_early`, cold segments folded locally), the plain stage
-/// evaluation otherwise, plus the heavy-hitter report after an eligible
-/// base round. Returns the extra protocol frames to send ahead of the
-/// row-blocked RESULT chunks.
+/// One stage task's site-side work: the plain stage evaluation, plus
+/// whatever the coordinator's [`SkewRequest`] asks for — as a donor,
+/// hot segments loaned eagerly through `send_early` and only the cold
+/// ones folded locally; on a report request, the heavy-hitter report.
+/// Returns the extra protocol frames to send ahead of the row-blocked
+/// RESULT chunks.
 #[allow(clippy::too_many_arguments)]
 fn run_stage_task(
     catalog: &dyn Catalog,
     plan: &DistributedPlan,
     stage: u32,
     fragment: Option<Relation>,
-    extract: Option<&ExtractSpec>,
+    request: Option<&SkewRequest>,
     caches: &Mutex<SkewCaches>,
     send_early: &mut dyn FnMut(skalla_net::Message),
     eval: EvalOptions,
     obs: &Obs,
     site: usize,
 ) -> Result<(Vec<skalla_net::Message>, Relation)> {
-    if let Some(spec) = extract {
+    if let Some(SkewRequest::Extract(spec)) = request {
         let rel = donor_stage(
             catalog, plan, stage, fragment, spec, caches, send_early, eval, obs, site,
         )?;
@@ -484,23 +484,17 @@ fn run_stage_task(
     }
     let mut msgs = Vec::new();
     let rel = execute_stage_traced(catalog, plan, stage as usize, fragment, eval, obs, site)?;
-    let is_base = matches!(
-        plan.stages.get(stage as usize).map(|s| &s.kind),
-        Some(StageKind::Base)
-    );
-    if is_base && eval.skew_balance {
-        if let Some(spec) = skew_eligible(plan) {
-            let hit = caches.lock().report.clone().filter(|(s, _)| *s == spec);
-            let report = match hit {
-                Some((_, report)) => report,
-                None => {
-                    let built = Arc::new(hot_report(catalog, &spec)?);
-                    caches.lock().report = Some((spec, Arc::clone(&built)));
-                    built
-                }
-            };
-            msgs.push(protocol::hh_report(stage, &report));
-        }
+    if let Some(SkewRequest::Report(spec)) = request {
+        let hit = caches.lock().report.clone().filter(|(s, _)| s == spec);
+        let report = match hit {
+            Some((_, report)) => report,
+            None => {
+                let built = Arc::new(hot_report(catalog, spec)?);
+                caches.lock().report = Some((spec.clone(), Arc::clone(&built)));
+                built
+            }
+        };
+        msgs.push(protocol::hh_report(stage, &report));
     }
     Ok((msgs, rel))
 }
@@ -561,10 +555,6 @@ pub type QueryBusyTimes = Mutex<Vec<(u32, usize, usize, f64)>>;
 ///   answers with a [`protocol::TAG_TELEMETRY`] frame carrying that
 ///   query's busy-time samples (and, when `export_obs` is set, the site
 ///   recorder's delta since the last export);
-/// * [`protocol::TAG_TELEMETRY`] is a pull: the site replies — echoing
-///   the request's query id, so a multiplexing coordinator can route the
-///   answer — with a snapshot of all pending busy samples plus the obs
-///   delta, without retiring anything;
 /// * [`protocol::TAG_SHUTDOWN`] (on the control stream, query id 0) ends
 ///   the session: all workers are joined and the loop returns;
 /// * a dead link also ends the session.
@@ -588,13 +578,6 @@ pub fn site_session_loop(
     let busy: Arc<QueryBusyTimes> = Arc::new(QueryBusyTimes::new(Vec::new()));
     let skew: Arc<Mutex<SkewCaches>> = Arc::default();
     let mut cursor = skalla_obs::ExportCursor::default();
-    let obs_delta = |cursor: &mut skalla_obs::ExportCursor| {
-        if export_obs {
-            obs.recorder().map(|rec| rec.take_delta(cursor))
-        } else {
-            None
-        }
-    };
     // The loop ends when the coordinator hangs up (or the session idles
     // out) — recv errors — or broadcasts a shutdown.
     while let Ok(msg) = net.recv() {
@@ -616,24 +599,10 @@ pub fn site_session_loop(
                         true
                     }
                 });
+                let delta = obs.recorder().filter(|_| export_obs);
                 let report = protocol::SiteTelemetry {
                     busy: drained,
-                    obs: obs_delta(&mut cursor),
-                };
-                Some(protocol::telemetry(&report).with_query_id(msg.query_id))
-            }
-            Ok(Tag::Telemetry) => {
-                // A pull: snapshot without draining, echoing the
-                // request's query id so a multiplexing coordinator can
-                // route the reply to the puller.
-                let snapshot = busy
-                    .lock()
-                    .iter()
-                    .map(|(qid, _site, stage, secs)| (*qid, *stage as u32, *secs))
-                    .collect();
-                let report = protocol::SiteTelemetry {
-                    busy: snapshot,
-                    obs: obs_delta(&mut cursor),
+                    obs: delta.map(|rec| rec.take_delta(&mut cursor)),
                 };
                 Some(protocol::telemetry(&report).with_query_id(msg.query_id))
             }
@@ -659,6 +628,7 @@ pub fn site_session_loop(
             | Tag::Error
             | Tag::CatalogReq
             | Tag::Catalog
+            | Tag::Telemetry
             | Tag::HhReport
             | Tag::Loan
             | Tag::LoanResult)
@@ -746,7 +716,7 @@ fn query_worker(
                     continue;
                 };
                 let replies = match protocol::decode_run_stage(&msg.payload) {
-                    Ok((stage, fragment, extract)) => {
+                    Ok((stage, fragment, request)) => {
                         let label = plan
                             .stages
                             .get(stage as usize)
@@ -763,7 +733,7 @@ fn query_worker(
                             plan,
                             stage,
                             fragment,
-                            extract.as_ref(),
+                            request.as_ref(),
                             caches,
                             &mut |m| {
                                 let _ = reply(m);
@@ -973,6 +943,56 @@ mod tests {
         handle.join().unwrap();
         drop(seen_tx);
         assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
+    }
+
+    #[test]
+    fn a_site_reports_heavy_hitters_only_when_the_base_round_asks() {
+        use crate::plan_codec::encode_plan_with_options;
+        use skalla_net::{star, Message};
+        use std::time::Duration;
+
+        let plan = Planner::new(DistributionInfo::new(1)).optimize(&expr(), OptFlags::none());
+        let catalog: HashMap<String, Arc<Relation>> = site_catalog()
+            .into_iter()
+            .map(|(name, rel)| (name, Arc::new(rel)))
+            .collect();
+        let (coord, mut sites) = star(1);
+        let net = Arc::new(sites.remove(0));
+        let site = std::thread::spawn(move || {
+            site_session_loop(&catalog, net, false, &Obs::disabled());
+        });
+        let plan_bytes = encode_plan_with_options(&plan, &EvalOptions::default(), None);
+        let base_round = |query_id, request: Option<&SkewRequest>| -> Vec<u8> {
+            for frame in [
+                Message::new(protocol::TAG_PLAN, plan_bytes.clone()),
+                protocol::run_stage_with(0, None, request),
+            ] {
+                coord.send(0, frame.with_query_id(query_id)).unwrap();
+            }
+            // The round ends with the final RESULT chunk.
+            let mut tags = Vec::new();
+            while tags.last() != Some(&protocol::TAG_RESULT) {
+                let (_, msg) = coord.recv(Duration::from_secs(5)).unwrap();
+                assert_eq!(msg.query_id, query_id);
+                tags.push(msg.tag);
+            }
+            tags
+        };
+
+        // The plan is eligible either way; only the frame decides.
+        assert_eq!(base_round(1, None), [protocol::TAG_RESULT]);
+        let ask = SkewRequest::Report(SkewSpec {
+            table: "t".to_string(),
+            detail_cols: vec!["g".to_string()],
+            stages: vec![1],
+        });
+        assert_eq!(
+            base_round(2, Some(&ask)),
+            [protocol::TAG_HH_REPORT, protocol::TAG_RESULT]
+        );
+
+        coord.broadcast(&protocol::shutdown()).unwrap();
+        site.join().unwrap();
     }
 
     #[test]

@@ -8,21 +8,24 @@
 //! (Thm 4 ships *fewer* groups to a site; here the coordinator ships some
 //! of a site's groups *elsewhere*):
 //!
-//! 1. **Detect** — during round 1 each site runs a deterministic
+//! 1. **Ask** — the coordinator checks the plan is eligible
+//!    ([`skew_eligible`]: every θ must entail key equality through one
+//!    consistent detail-column mapping, so a detail row can only ever
+//!    contribute to its own group) and, if so, asks every site for a
+//!    report in the base round's `RUN_STAGE` ([`SkewRequest::Report`]).
+//!    A site never decides this for itself: no request, no report.
+//! 2. **Detect** — a site that is asked runs a deterministic
 //!    space-saving sketch ([`skalla_gmdj::SpaceSaving`]) over its detail
 //!    partition's key columns and reports its top hitters plus its local
 //!    row count ([`HotReport`], wire tag
 //!    [`crate::protocol::TAG_HH_REPORT`] — *counted* in the traffic
 //!    accounting, unlike telemetry, because the report is part of the
 //!    query protocol).
-//! 2. **Decide** — the coordinator checks the plan is eligible
-//!    ([`skew_eligible`]: every θ must entail key equality through one
-//!    consistent detail-column mapping, so a detail row can only ever
-//!    contribute to its own group) and computes a routing
+//! 3. **Decide** — the coordinator computes a routing
 //!    ([`plan_routing`]): hash-partitioned light tail stays put; hot
 //!    groups of overloaded sites move to the least-loaded helpers, and a
 //!    single group too hot for any one helper splits across several.
-//! 3. **Rebalance** — per eligible stage the donor's hot base rows are
+//! 4. **Rebalance** — per eligible stage the donor's hot base rows are
 //!    removed from its fragment and shipped to the helpers instead; the
 //!    donor extracts the matching detail rows grouped by morsel segment
 //!    and loans them up; helpers evaluate each segment as one morsel and
@@ -30,9 +33,11 @@
 //!    donor's morsel order, so the final result is **bit-identical** to
 //!    the unbalanced run (the sketch is a load-balancing hint only).
 //!
-//! The ablation knob is `EvalOptions::skew_balance`
-//! (`--no-skew-balance`); `fig_skew` measures the
-//! effect as max-site-busy vs the Zipf exponent.
+//! Balancing is **opt-in** (`EngineConfig::skew_balance`, CLI
+//! `--skew-balance`): a loan travels donor → coordinator → helper, and a
+//! detail row costs more to encode than to evaluate, so on the ledger's
+//! own skew workload the balanced run is 3× slower end to end
+//! (EXPERIMENTS.md, "Skew balancing: the verdict").
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -63,9 +68,9 @@ pub struct HotReport {
     pub hitters: Vec<(Vec<Value>, u64)>,
 }
 
-/// What makes a plan skew-balanceable, shared verbatim by coordinator and
-/// sites (both derive it from the broadcast plan, so they always agree on
-/// whether reports flow).
+/// What makes a plan skew-balanceable. The coordinator derives it from
+/// the plan ([`skew_eligible`]) and sends it to the sites as the report
+/// request, so whether reports flow is one decision, made in one place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewSpec {
     /// The detail table whose key distribution is sketched.
@@ -243,14 +248,26 @@ pub fn plan_routing(reports: &[HotReport]) -> SkewPlan {
 
 /// What a donor is asked to extract alongside a stage task: the detail
 /// columns forming the group key and the hot keys whose rows should be
-/// loaned to helpers. Travels in the optional tail of a `RUN_STAGE`
-/// frame.
+/// loaned to helpers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractSpec {
     /// Detail columns carrying the key (in `plan.key` order).
     pub detail_cols: Vec<String>,
     /// The hot group keys to extract.
     pub keys: Vec<Vec<Value>>,
+}
+
+/// What the balancing coordinator asks of a site beyond the stage task
+/// itself. Travels in the optional tail of a `RUN_STAGE` frame; a site
+/// does skew work only when one arrives.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SkewRequest {
+    /// Base round: sketch the spec's detail table and send an
+    /// `HH_REPORT` ahead of the stage result.
+    Report(SkewSpec),
+    /// Unit round, donor site: loan out the detail rows of these hot
+    /// keys (their base rows were held back from the fragment).
+    Extract(ExtractSpec),
 }
 
 #[cfg(test)]

@@ -167,12 +167,13 @@ impl Warehouse for Cluster {
 
 /// Everything an engine needs to know beyond where the data lives: the
 /// per-site kernel options, coordinator timeouts, row blocking,
-/// observability, the admission-control discipline, and the semantic
-/// cache budget. [`Cluster::configure`] takes the same struct for its
-/// one-shot runs.
+/// observability, the admission-control discipline, and the two
+/// decisions only the coordinator makes — whether to balance skew and
+/// whether (and how much) to cache. [`Cluster::configure`] takes the
+/// same struct for its one-shot runs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Local evaluation options shipped to every site with the plan.
+    /// Kernel options shipped to every site with the plan.
     pub eval: EvalOptions,
     /// Per-round coordinator receive timeout.
     pub timeout: Duration,
@@ -184,10 +185,27 @@ pub struct EngineConfig {
     /// Multi-query admission control (concurrency, queue bound, queue
     /// timeout).
     pub scheduler: SchedulerConfig,
+    /// Skew-resilient distribution ([`crate::skew`]): the coordinator
+    /// asks the sites for heavy-hitter reports in round 1 and re-routes
+    /// hot groups away from overloaded sites, with a final merge leg for
+    /// the split sub-aggregates. Results are bit-identical either way.
+    /// Off by default: a loan ships detail rows through the coordinator,
+    /// which costs more than evaluating them where they are
+    /// (EXPERIMENTS.md, "Skew balancing: the verdict"). CLI
+    /// `--skew-balance`.
+    pub skew_balance: bool,
+    /// Semantic result caching: repeated plans are answered from the
+    /// coordinator's sub-aggregate cache (and in-flight duplicates
+    /// coalesce) instead of re-contacting the sites, and `query::cube`
+    /// rolls coarse grouping sets up from the finest level locally. On by
+    /// default; a served result is the bit-identical relation the sites
+    /// produced, so turning it off (CLI `--no-cache`) only reproduces
+    /// pre-cache traffic byte for byte.
+    pub cache: bool,
     /// Byte budget for the semantic result cache (least-recently-used
-    /// entries are evicted past it). Defaults to 64 MiB, overridable
-    /// with `SKALLA_CACHE_BYTES`; whether the cache is consulted at all
-    /// is the [`EvalOptions::cache`] knob.
+    /// entries are evicted past it): [`DEFAULT_CACHE_BYTES`] unless set
+    /// ([`SkallaBuilder::cache_bytes`], CLI `--cache-bytes`). Whether
+    /// the cache is consulted at all is [`EngineConfig::cache`].
     pub cache_bytes: usize,
 }
 
@@ -199,10 +217,9 @@ impl Default for EngineConfig {
             chunk_rows: None,
             obs: Obs::disabled(),
             scheduler: SchedulerConfig::default(),
-            cache_bytes: std::env::var("SKALLA_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(DEFAULT_CACHE_BYTES),
+            skew_balance: false,
+            cache: true,
+            cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
 }
@@ -505,7 +522,7 @@ impl Skalla {
     /// records running alone, and site busy times are reported by the
     /// sites themselves on both backends (shipped in accounting-exempt
     /// telemetry frames, so they cost the byte counts nothing).
-    /// When [`EvalOptions::cache`] is on, execution consults the
+    /// When [`EngineConfig::cache`] is on, execution consults the
     /// semantic cache first: a query whose fingerprint is cached is
     /// answered without contacting sites (its stats show one zero-byte
     /// `"cache"` round, [`ExecStats::is_cache_hit`]); an identical
@@ -532,7 +549,7 @@ impl Skalla {
     /// leader → execute (resuming from the longest cached prefix).
     fn execute_admitted(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let wall_start = Instant::now();
-        let fps = if self.cfg.eval.cache {
+        let fps = if self.cfg.cache {
             plan_fingerprints(plan, &self.cfg.eval)
         } else {
             Vec::new()
@@ -714,28 +731,6 @@ impl Skalla {
         }
     }
 
-    /// Pull every site's current telemetry snapshot — pending busy
-    /// samples, plus (standalone sites) the recorder delta since the
-    /// last export — without retiring any query. Exported obs deltas
-    /// are merged into the engine recorder; the raw per-site reports
-    /// are returned. The pull rides an accounting-exempt telemetry
-    /// frame on a throwaway query stream, so concurrent queries and
-    /// their byte accounting are unaffected.
-    pub fn pull_telemetry(&self) -> Vec<(usize, protocol::SiteTelemetry)> {
-        let query_id = self.scheduler.next_query_id();
-        let handle = self.mux.register(query_id);
-        let req_us = self.cfg.obs.recorder().map(|r| r.now_us()).unwrap_or(0);
-        if handle.broadcast(&protocol::telemetry_request()).is_err() {
-            return Vec::new();
-        }
-        let telemetry = self.collect_telemetry(&handle);
-        self.import_site_obs(&telemetry, req_us);
-        telemetry
-            .into_iter()
-            .map(|(site, report, _)| (site, report))
-            .collect()
-    }
-
     /// The executing half of [`Skalla::execute`]. Per-query accounting:
     /// round 0 stays empty (sliced off), the "plan" round carries the
     /// plan broadcast, each stage gets its round, and the query-done
@@ -800,9 +795,7 @@ impl Skalla {
                 plan,
                 &schemas,
                 &detail_schemas,
-                &self.cfg.eval,
-                self.cfg.timeout,
-                &self.cfg.obs,
+                &self.cfg,
                 query_id,
                 resume,
                 fps.is_some().then_some(&mut snaps),
@@ -949,12 +942,24 @@ mod tests {
     fn engine_without_cache() -> Skalla {
         Skalla::builder()
             .partitions("t", parts())
-            .eval_options(EvalOptions {
-                cache: false,
-                ..EvalOptions::default()
-            })
+            .config(cache_off())
             .build()
             .unwrap()
+    }
+
+    fn cache_off() -> EngineConfig {
+        EngineConfig {
+            cache: false,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn default_config_caches_and_does_not_balance() {
+        let cfg = EngineConfig::default();
+        assert!(!cfg.skew_balance, "the loan path is opt-in");
+        assert!(cfg.cache);
+        assert_eq!(cfg.cache_bytes, DEFAULT_CACHE_BYTES);
     }
 
     /// Canonical row order: site replies arrive in nondeterministic
@@ -991,11 +996,8 @@ mod tests {
         let e = Arc::new(
             Skalla::builder()
                 .partitions("t", parts())
+                .config(cache_off())
                 .max_concurrent(4)
-                .eval_options(EvalOptions {
-                    cache: false,
-                    ..EvalOptions::default()
-                })
                 .build()
                 .unwrap(),
         );
@@ -1180,10 +1182,6 @@ mod tests {
             Skalla::builder()
                 .partitions("t", parts())
                 .max_concurrent(4)
-                .eval_options(EvalOptions {
-                    cache: true,
-                    ..EvalOptions::default()
-                })
                 .build()
                 .unwrap(),
         );

@@ -1182,7 +1182,6 @@ mod tests {
                     EvalOptions {
                         morsel_rows,
                         parallelism: p,
-                        ..opts()
                     },
                 )
                 .unwrap();
@@ -1365,7 +1364,6 @@ mod tests {
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 1,
-                ..opts()
             },
         )
         .unwrap();
@@ -1376,7 +1374,6 @@ mod tests {
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 4,
-                ..opts()
             },
         )
         .unwrap();

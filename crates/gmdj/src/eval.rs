@@ -56,12 +56,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default morsel size (rows of the detail relation per work unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 
-/// Evaluation knobs. Every field is a pure performance switch: Thms 1–3
-/// make the answer a function of the data and φ, never of how a site
-/// scans, so any setting produces the centralized oracle's result (and,
-/// for a fixed `morsel_rows`, the same f64 bits). The knob-lattice
-/// property test (`tests/property_equivalence.rs`) carries that
-/// invariant; the operator surface is the `skalla-cli` flags.
+/// Evaluation knobs. Every field is a pure performance switch of the
+/// kernel: Thms 1–3 make the answer a function of the data and φ, never
+/// of how a site scans, so any setting produces the centralized oracle's
+/// result (and, for a fixed `morsel_rows`, the same f64 bits). The
+/// knob-lattice property test (`tests/property_equivalence.rs`) carries
+/// that invariant; the operator surface is the `skalla-cli` flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Worker threads for the morsel-parallel kernel. `0` means "auto":
@@ -72,34 +72,14 @@ pub struct EvalOptions {
     /// accumulator merge structure) but **not** on `parallelism`. CLI
     /// `--morsel-rows`.
     pub morsel_rows: usize,
-    /// Skew-resilient distribution: sites report heavy-hitter group keys
-    /// during round 1 and the coordinator re-routes hot groups away from
-    /// overloaded sites (with a final merge leg for the split
-    /// sub-aggregates). On by default; results are bit-identical either
-    /// way, so this is an ablation knob (CLI `--no-skew-balance`) for
-    /// the `fig_skew` bench and for operators diagnosing balancer
-    /// behaviour.
-    pub skew_balance: bool,
-    /// Semantic result caching at the concurrent engine: repeated plans
-    /// are answered from the coordinator's sub-aggregate cache (and
-    /// in-flight duplicates coalesce) instead of re-contacting the
-    /// sites, and `query::cube` rolls coarse grouping sets up from the
-    /// finest level locally. On by default; a served result is the
-    /// bit-identical relation the sites produced, so this is an ablation
-    /// knob (CLI `--no-cache`) for reproducing pre-cache traffic
-    /// byte-for-byte.
-    pub cache: bool,
 }
 
 impl Default for EvalOptions {
-    /// Auto parallelism, [`DEFAULT_MORSEL_ROWS`], skew balancing and
-    /// semantic caching on.
+    /// Auto parallelism and [`DEFAULT_MORSEL_ROWS`].
     fn default() -> Self {
         EvalOptions {
             parallelism: 0,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            skew_balance: true,
-            cache: true,
         }
     }
 }
@@ -852,7 +832,6 @@ mod tests {
                 EvalOptions {
                     morsel_rows: 2,
                     parallelism: p,
-                    ..opts()
                 },
             );
             assert_eq!(out.physical, reference.physical, "parallelism {p}");
@@ -1085,7 +1064,6 @@ mod tests {
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 2,
-                ..opts()
             },
             &obs,
             7,

@@ -74,7 +74,6 @@ proptest! {
         let opts = EvalOptions {
             parallelism,
             morsel_rows,
-            ..EvalOptions::default()
         };
         let kernel = if reference { eval_local_rows } else { eval_local };
         let d = detail(&rows);
@@ -186,7 +185,6 @@ proptest! {
         let opts = EvalOptions {
             parallelism,
             morsel_rows,
-            ..EvalOptions::default()
         };
         let serial = EvalOptions { parallelism: 1, ..opts };
         let col = {

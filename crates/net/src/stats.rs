@@ -10,7 +10,7 @@
 //! (which is out-of-band diagnostics, not query traffic): balancing
 //! trades real network bytes for compute balance, and hiding that cost
 //! would falsify the paper's traffic comparisons. An execution with
-//! `skew_balance` off reproduces the unbalanced counters exactly.
+//! balancing off (the default) sends none of them.
 
 use crate::transport::{Message, TELEMETRY_TAG};
 use parking_lot::Mutex;

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The frame tag carrying telemetry (site → coordinator metric/trace
-/// export, and the coordinator's pull request for it).
+/// export).
 ///
 /// Telemetry frames are **never recorded in [`NetStats`]**, on either
 /// transport, in either direction: the byte accounting reproduces the

@@ -75,21 +75,42 @@ pub fn estimate_offset_us(
     }
 }
 
+/// The most distinct attribute keys this process will ever intern: ten
+/// times the instrumentation vocabulary (some fifty keys).
+const MAX_INTERNED_KEYS: usize = 512;
+
+static INTERNED_KEYS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
 /// Span/event attribute keys are `&'static str` throughout the recorder
 /// (they come from instrumentation literals); keys parsed back from
-/// JSON are interned here. The set is bounded by the instrumentation
-/// vocabulary, so the leak is a one-time cost per distinct key.
-fn intern(s: &str) -> &'static str {
-    static KEYS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut keys = KEYS.lock();
-    match keys.get(s) {
-        Some(k) => k,
-        None => {
-            let k: &'static str = Box::leak(s.to_string().into_boxed_str());
-            keys.insert(k);
-            k
-        }
+/// JSON are interned — leaked once per distinct key — here. The keys
+/// arrive from a remote process, so the set is capped, and the `args`
+/// objects of one delta are interned all together or not at all: a
+/// delta that would overflow the cap is refused before it leaks a byte,
+/// and leaves room for the honest ones after it. Returns the delta's
+/// keys.
+fn intern_keys<'a>(args: impl Iterator<Item = &'a Json>) -> Result<BTreeSet<&'static str>, String> {
+    let wanted: BTreeSet<&str> = args
+        .filter_map(|a| match a {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        })
+        .flatten()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    let mut keys = INTERNED_KEYS.lock();
+    let fresh: Vec<&str> = wanted.iter().copied().filter(|k| !keys.contains(*k)).collect();
+    if keys.len() + fresh.len() > MAX_INTERNED_KEYS {
+        return Err(format!(
+            "telemetry brings {} new attribute keys to the {} interned; the cap is {MAX_INTERNED_KEYS}",
+            fresh.len(),
+            keys.len()
+        ));
     }
+    for k in fresh {
+        keys.insert(Box::leak(k.to_string().into_boxed_str()));
+    }
+    Ok(wanted.iter().filter_map(|k| keys.get(*k).copied()).collect())
 }
 
 fn track_to_json(t: Track) -> Json {
@@ -142,7 +163,11 @@ fn args_to_json(args: &[(&'static str, ArgValue)]) -> Json {
     )
 }
 
-fn args_from_json(j: Option<&Json>) -> Result<Vec<(&'static str, ArgValue)>, String> {
+/// `keys` is what [`intern_keys`] returned for the delta `j` is part of.
+fn args_from_json(
+    j: Option<&Json>,
+    keys: &BTreeSet<&'static str>,
+) -> Result<Vec<(&'static str, ArgValue)>, String> {
     let Some(Json::Obj(pairs)) = j else {
         return Ok(Vec::new());
     };
@@ -158,7 +183,8 @@ fn args_from_json(j: Option<&Json>) -> Result<Vec<(&'static str, ArgValue)>, Str
                 Json::Bool(b) => ArgValue::Bool(*b),
                 other => return Err(format!("unsupported arg value {other:?}")),
             };
-            Ok((intern(k), v))
+            let k = keys.get(k.as_str()).ok_or("attribute key was not interned")?;
+            Ok((*k, v))
         })
         .collect()
 }
@@ -298,6 +324,8 @@ impl TelemetryDelta {
                 .map(str::to_string)
                 .ok_or("record missing name".to_string())
         };
+        let with_args = list("spans")?.iter().chain(list("events")?);
+        let keys = intern_keys(with_args.filter_map(|r| r.get("args")))?;
         let mut spans = Vec::new();
         for s in list("spans")? {
             spans.push(SpanRecord {
@@ -310,7 +338,7 @@ impl TelemetryDelta {
                     .and_then(Json::as_u64)
                     .ok_or("span missing start_us")?,
                 dur_us: s.get("dur_us").and_then(Json::as_u64),
-                args: args_from_json(s.get("args"))?,
+                args: args_from_json(s.get("args"), &keys)?,
             });
         }
         let mut events = Vec::new();
@@ -322,7 +350,7 @@ impl TelemetryDelta {
                     .get("ts_us")
                     .and_then(Json::as_u64)
                     .ok_or("event missing ts_us")?,
-                args: args_from_json(e.get("args"))?,
+                args: args_from_json(e.get("args"), &keys)?,
             });
         }
         let mut counters = Vec::new();
@@ -405,6 +433,29 @@ mod tests {
         assert_eq!(delta.spans.len(), 1);
         let parsed = TelemetryDelta::parse(&delta.to_string()).unwrap();
         assert_eq!(parsed, delta);
+    }
+
+    /// Attribute keys are leaked to `'static`, and they are a remote
+    /// peer's to choose: past the cap a delta is refused whole, before it
+    /// interns anything, so the honest delta after it still imports.
+    #[test]
+    fn a_flood_of_attribute_keys_is_refused_and_interns_nothing() {
+        let obs = Obs::recording();
+        obs.span(Track::Site(0), "task").with("never_seen_before", 1u64).finish();
+        let honest = obs.recorder().unwrap().take_delta(&mut ExportCursor::default()).to_string();
+        let flood: Vec<String> = (0..10_000).map(|i| format!("\"flood_{i}\":1")).collect();
+        let flood = honest.replace("\"never_seen_before\":1", &flood.join(","));
+        assert!(flood.len() > honest.len() + 100_000);
+
+        let err = TelemetryDelta::parse(&flood).unwrap_err();
+        assert!(err.contains("new attribute keys"), "{err}");
+        let interned = |prefix: &str| INTERNED_KEYS.lock().iter().any(|k| k.starts_with(prefix));
+        assert!(!interned("flood_") && !interned("never_seen_before"));
+
+        let delta = TelemetryDelta::parse(&honest).unwrap();
+        assert_eq!(delta.spans[0].args[0].0, "never_seen_before");
+        // With whatever the other tests of this process interned.
+        assert!(INTERNED_KEYS.lock().len() <= MAX_INTERNED_KEYS);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! statements (unqualified columns are detail-side; `b.name` refers to the
 //! base, including aggregates from earlier MD statements).
 
-use skalla::core::{Cluster, OptFlags, Planner, SiteServer, Skalla, Warehouse};
+use skalla::core::{Cluster, EngineConfig, OptFlags, Planner, SiteServer, Skalla, Warehouse};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::{observe_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
@@ -109,12 +109,17 @@ QUERY OPTIONS:
   --morsel-rows N             detail rows per morsel (default: 65536; fixes the
                               accumulator merge structure, so output bits depend
                               on it)
-  --no-skew-balance           disable heavy-hitter skew balancing: sites
-                              neither report hot group keys nor take on
-                              loaned work (ablation; same bits either way)
+  --skew-balance              heavy-hitter skew balancing: the coordinator
+                              asks sites for their hot group keys and loans
+                              an overloaded site's hot groups out to helpers
+                              (same bits either way; off by default because a
+                              loan ships detail rows through the coordinator)
   --no-cache                  disable the semantic result cache: every
                               query pays its full site traffic, repeats
                               included (ablation; same bits either way)
+  --cache-bytes N             byte budget of the semantic result cache
+                              (default: 64 MiB; 0 keeps only in-flight
+                              coalescing)
   --concurrency N             submit the query N times at once through the
                               multi-query scheduler; the copies share the
                               persistent site sessions and must agree
@@ -299,7 +304,16 @@ fn tcp_config(args: &[String]) -> Result<TcpConfig, String> {
 /// downstream (planning, execution, stats printing) dispatches through
 /// the [`Warehouse`] trait, so the two runtimes share one code path.
 fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String> {
-    let mut builder = Skalla::builder().obs(obs);
+    let mut builder = Skalla::builder().config(EngineConfig {
+        obs,
+        skew_balance: args.iter().any(|a| a == "--skew-balance"),
+        cache: !args.iter().any(|a| a == "--no-cache"),
+        ..EngineConfig::default()
+    });
+    if let Some(bytes) = opt(args, "--cache-bytes") {
+        let n: usize = bytes.parse().map_err(|e| format!("bad --cache-bytes: {e}"))?;
+        builder = builder.cache_bytes(n);
+    }
     if let Some(chunk) = opt(args, "--chunk") {
         let n: usize = chunk.parse().map_err(|e| format!("bad --chunk: {e}"))?;
         builder = builder.chunk_rows(Some(n));
@@ -318,12 +332,6 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
             return Err("--morsel-rows must be at least 1".to_string());
         }
         eval.morsel_rows = n;
-    }
-    if args.iter().any(|a| a == "--no-skew-balance") {
-        eval.skew_balance = false;
-    }
-    if args.iter().any(|a| a == "--no-cache") {
-        eval.cache = false;
     }
     builder = builder.eval_options(eval);
     if let Some(c) = opt(args, "--concurrency") {

@@ -38,7 +38,6 @@ fn eval_opts(parallelism: usize) -> EvalOptions {
     EvalOptions {
         parallelism,
         morsel_rows: 7,
-        ..EvalOptions::default()
     }
 }
 
@@ -145,14 +144,18 @@ proptest! {
         let ctx = format!("p={parallelism} correlated={correlated}");
         assert_bit_identical(&second.relation, &first.relation, &["g"], &ctx);
 
-        let cache_off = EvalOptions { cache: false, ..eval_opts(parallelism) };
+        let cache_off = EngineConfig {
+            eval: eval_opts(parallelism),
+            cache: false,
+            ..EngineConfig::default()
+        };
         let mut baseline = Cluster::from_partitions("t", parts.clone());
-        baseline.configure(&EngineConfig { eval: cache_off, ..EngineConfig::default() });
+        baseline.configure(&cache_off);
         let serial = baseline.execute(&plan).expect("serial baseline");
         assert_bit_identical(&first.relation, &serial.relation, &["g"], &ctx);
         let uncached = Skalla::builder()
             .partitions("t", parts)
-            .eval_options(cache_off)
+            .config(cache_off)
             .build()
             .expect("uncached engine builds");
         for run in 0..2 {

@@ -88,11 +88,11 @@ fn canonical(rel: &Relation, key: &str) -> Relation {
 /// (correctly) zero out.
 fn comparison_engine(backend: SkallaBuilder) -> Skalla {
     backend
-        .max_concurrent(workload().len())
-        .eval_options(skalla::gmdj::EvalOptions {
+        .config(skalla::core::EngineConfig {
             cache: false,
-            ..skalla::gmdj::EvalOptions::default()
+            ..skalla::core::EngineConfig::default()
         })
+        .max_concurrent(workload().len())
         .build()
         .unwrap()
 }

@@ -5,7 +5,7 @@
 
 use skalla::core::{
     plan::{Planner, StageKind},
-    Cluster, OptFlags, Skalla,
+    Cluster, EngineConfig, OptFlags, Skalla,
 };
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::{
@@ -327,9 +327,9 @@ fn folded_plan_is_bit_identical_cold_memoized_and_after_epoch_bump() {
 
     let engine = Skalla::builder()
         .partitions("tpcr", parts)
-        .eval_options(EvalOptions {
+        .config(EngineConfig {
             cache: false,
-            ..EvalOptions::default()
+            ..EngineConfig::default()
         })
         .build()
         .expect("engine builds");

@@ -7,14 +7,14 @@ mod common;
 
 use common::assert_bit_identical;
 use proptest::prelude::*;
-use skalla::core::{plan::Planner, Cluster, OptFlags, SiteServer, Skalla};
+use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
 use skalla::gmdj::eval::{
     eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
 };
 use skalla::gmdj::prelude::*;
 use skalla::net::TcpConfig;
-use skalla::obs::Obs;
+use skalla::obs::{ArgValue, Obs};
 use skalla::relation::{DataType, Relation, Row, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,37 +118,28 @@ fn arb_flags() -> impl Strategy<Value = OptFlags> {
     })
 }
 
-/// One point of the knob lattice: evaluation options, and whether the
-/// sites are loopback TCP servers instead of in-process channel sites.
-/// (The morsel size is drawn per case and overrides the one here: only
+/// One point of the knob lattice: the kernel's workers (`EvalOptions`),
+/// the coordinator's two decisions (`EngineConfig::{skew_balance,
+/// cache}`), and whether the sites are loopback TCP servers instead of
+/// in-process channel sites. (The morsel size is drawn per case: only
 /// points sharing it owe each other identical bits.)
-fn arb_point() -> impl Strategy<Value = (EvalOptions, bool)> {
+fn arb_point() -> impl Strategy<Value = (usize, bool, bool, bool)> {
     (
         prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(parallelism, skew_balance, cache, tcp)| {
-            let eval = EvalOptions {
-                parallelism,
-                skew_balance,
-                cache,
-                ..EvalOptions::default()
-            };
-            (eval, tcp)
-        })
 }
 
 /// A persistent engine over `parts` on the drawn backend, plus the
 /// loopback site threads to join once the engine is dropped.
 fn lattice_engine(
     parts: &[Partition],
-    eval: EvalOptions,
+    cfg: EngineConfig,
     tcp: bool,
-    obs: Obs,
 ) -> (Skalla, Vec<JoinHandle<()>>) {
-    let builder = Skalla::builder().eval_options(eval).obs(obs);
+    let builder = Skalla::builder().config(cfg);
     if !tcp {
         let engine = builder.partitions("t", parts.to_vec()).build();
         return (engine.expect("channel engine builds"), Vec::new());
@@ -184,8 +175,9 @@ static MULTI_MORSEL: AtomicUsize = AtomicUsize::new(0);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(LATTICE_CASES))]
 
-    /// The one obligation of every `EvalOptions` knob and of the
-    /// transport: same answer as the centralized oracle. Random data × φ ×
+    /// The one obligation of every `EvalOptions` knob, of the
+    /// coordinator's balance/cache decisions and of the transport: same
+    /// answer as the centralized oracle. Random data × φ ×
     /// optimization flags, and per case three random points of the knob
     /// lattice — workers × skew balancer × semantic cache × backend —
     /// at one drawn morsel size, each on its own persistent
@@ -247,15 +239,22 @@ proptest! {
         let oracle = oracle.project(&integral).expect("projects");
 
         let mut reference: Option<Relation> = None;
-        for &(eval, tcp) in &points {
-            let eval = EvalOptions { morsel_rows, ..eval };
+        for &(parallelism, skew_balance, cache, tcp) in &points {
+            let obs = Obs::recording();
+            let eval = EvalOptions { parallelism, morsel_rows };
+            let cfg = EngineConfig {
+                eval,
+                skew_balance,
+                cache,
+                obs: obs.clone(),
+                ..EngineConfig::default()
+            };
             let ctx = format!(
-                "{eval:?} tcp {tcp} flags {flags:?} second {second:?} groups {group_cols:?}\n\
-                 plan:\n{}",
+                "{eval:?} balance {skew_balance} cache {cache} tcp {tcp} flags {flags:?} \
+                 second {second:?} groups {group_cols:?}\nplan:\n{}",
                 plan.explain()
             );
-            let obs = Obs::recording();
-            let (engine, sites) = lattice_engine(&parts, eval, tcp, obs.clone());
+            let (engine, sites) = lattice_engine(&parts, cfg, tcp);
             for run in 0..2 {
                 let out = engine.execute(&plan).expect("distributed evaluates");
                 prop_assert!(
@@ -276,9 +275,17 @@ proptest! {
             for site in sites {
                 site.join().expect("site thread exits with its session");
             }
-            let counters = obs.recorder().expect("recording").counters();
-            let loaned = counters.get("skew.loaned_rows").is_some_and(|&rows| rows > 0.0);
+            let recorder = obs.recorder().expect("recording");
+            let loaned = recorder
+                .counters()
+                .get("skew.loaned_rows")
+                .is_some_and(|&rows| rows > 0.0);
             LOANED.fetch_add(loaned as usize, Ordering::Relaxed);
+            // Balancing off: not one heavy-hitter report or loan frame
+            // (tags 10–13) crossed a link in either direction.
+            let skew_frame = |(k, v): &(&str, ArgValue)| *k == "tag" && matches!(v, ArgValue::UInt(10..=13));
+            let skew_frames = recorder.events().iter().any(|e| e.args.iter().any(skew_frame));
+            prop_assert!(skew_balance || !skew_frames, "balancer frames with balancing off: {}", ctx);
             OVER_TCP.fetch_add(tcp as usize, Ordering::Relaxed);
         }
         // The kernels cut a site's detail into ceil(rows / morsel_rows) morsels.
@@ -341,7 +348,6 @@ proptest! {
         let opts = |parallelism: usize| EvalOptions {
             parallelism,
             morsel_rows: 7,
-            ..EvalOptions::default()
         };
         let reference = eval_local_rows(&base, &detail, &op, opts(1)).expect("serial kernel");
         for (p, rows) in [(2, true), (7, true), (1, false), (2, false), (7, false)] {
@@ -370,7 +376,6 @@ proptest! {
         let opts = EvalOptions {
             parallelism: 1,
             morsel_rows: 7,
-            ..EvalOptions::default()
         };
         let catalog = cluster.global_catalog();
         // `eval_centralized`'s chain walk, on the reference kernel.

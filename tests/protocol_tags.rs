@@ -7,7 +7,7 @@ use skalla::core::distribution::DistributionInfo;
 use skalla::core::plan::{OptFlags, Planner};
 use skalla::core::plan_codec::{decode_plan_with_options, encode_plan_with_options};
 use skalla::core::protocol::{self, SiteCatalogEntry, SiteTelemetry, Tag};
-use skalla::core::skew::ExtractSpec;
+use skalla::core::skew::{ExtractSpec, SkewRequest};
 use skalla::core::HotReport;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
@@ -44,15 +44,15 @@ fn tag_values_are_unique_and_dense() {
 fn every_tag_round_trips() {
     for &tag in Tag::ALL {
         let frame: Message = match tag {
-            // With a fragment and an extract spec.
+            // With a fragment and a donor's extract request.
             Tag::RunStage => {
-                let spec = ExtractSpec {
+                let request = SkewRequest::Extract(ExtractSpec {
                     detail_cols: vec!["g".into(), "v".into()],
                     keys: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-                };
-                let m = protocol::run_stage_with_extract(7, Some(&rel()), Some(&spec));
-                let (stage, frag, extract) = protocol::decode_run_stage(&m.payload).unwrap();
-                assert_eq!((stage, frag.unwrap(), extract.unwrap()), (7, rel(), spec));
+                });
+                let m = protocol::run_stage_with(7, Some(&rel()), Some(&request));
+                let (stage, frag, back) = protocol::decode_run_stage(&m.payload).unwrap();
+                assert_eq!((stage, frag.unwrap(), back.unwrap()), (7, rel(), request));
                 m
             }
             // A non-final chunk.

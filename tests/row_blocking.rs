@@ -87,17 +87,7 @@ fn chunking_increases_messages_not_rows() {
 
 #[test]
 fn chunk_size_zero_means_off() {
-    let mut c = make_cluster(None);
-    // Pin the skew balancer off: its report/loan frames would add to the
-    // exact per-round message count this test asserts.
-    c.configure(&skalla::core::EngineConfig {
-        chunk_rows: Some(0),
-        eval: EvalOptions {
-            skew_balance: false,
-            ..EvalOptions::default()
-        },
-        ..skalla::core::EngineConfig::default()
-    });
+    let c = make_cluster(Some(0));
     let plan = Planner::new(c.distribution()).optimize(&expr(), OptFlags::none());
     let out = c.execute(&plan).unwrap();
     // One result message per site per round.

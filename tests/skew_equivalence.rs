@@ -111,9 +111,8 @@ fn opts(
         eval: EvalOptions {
             parallelism,
             morsel_rows,
-            skew_balance,
-            ..EvalOptions::default()
         },
+        skew_balance,
         ..skalla::core::EngineConfig::default()
     }
 }

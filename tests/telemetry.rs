@@ -3,16 +3,14 @@
 //! After every query the coordinator broadcasts `QUERY_DONE` and each
 //! site replies with a telemetry frame: its per-query busy times plus
 //! (when the site records) its span/counter delta. These tests pin the
-//! three observable consequences:
+//! two observable consequences:
 //!
 //! 1. the ExplainAnalyze round table reports *site-measured* busy times
 //!    over TCP, agreeing with the in-process channel transport's ground
 //!    truth on which sites did work in which round;
 //! 2. `--trace` style merging: the coordinator's recorder ends up with
 //!    one process lane per site, clock-aligned, with spans attributed
-//!    to the right query ids;
-//! 3. the control-plane pull (`pull_telemetry`) reaches every site
-//!    without disturbing query execution.
+//!    to the right query ids.
 //!
 //! Telemetry frames must also never perturb the paper's traffic model:
 //! every test asserts the channel/TCP `NetStats` byte-identity that the
@@ -249,46 +247,6 @@ fn merged_trace_has_one_aligned_lane_per_site() {
     assert!(
         attributed_site_spans >= N_SITES,
         "expected ≥1 query-attributed span per site lane, got {attributed_site_spans}"
-    );
-}
-
-/// The control-plane pull: `pull_telemetry` reaches every connected
-/// site and returns its recorder delta, and the engine still executes
-/// queries correctly afterwards (the pull must not desynchronise the
-/// persistent sessions).
-#[test]
-fn pull_telemetry_reaches_every_site_without_disturbing_queries() {
-    let parts = fig2_partitions();
-    let expr = fig2_query();
-    let addrs = spawn_sites(&parts, true);
-    let engine = Skalla::builder()
-        .remote(&addrs, TcpConfig::default())
-        .build()
-        .unwrap();
-
-    let reports = engine.pull_telemetry();
-    let mut sites: Vec<usize> = reports.iter().map(|(s, _)| *s).collect();
-    sites.sort_unstable();
-    assert_eq!(sites, (0..N_SITES).collect::<Vec<_>>());
-    for (site, report) in &reports {
-        assert!(
-            report.obs.is_some(),
-            "site {site} is recording but its pull reply had no delta"
-        );
-    }
-
-    // Queries still work after the pull, with intact accounting.
-    let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::all());
-    let out = engine.execute(&plan).unwrap();
-    let local = Skalla::builder()
-        .partitions("tpcr", parts)
-        .build()
-        .unwrap();
-    let want = local.execute(&plan).unwrap();
-    assert_eq!(out.stats.net, want.stats.net);
-    assert_eq!(
-        out.relation.sorted_by(&["cust_group"]).unwrap(),
-        want.relation.sorted_by(&["cust_group"]).unwrap()
     );
 }
 

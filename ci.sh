@@ -7,11 +7,14 @@
 #   ./ci.sh --fast   inner-loop subset: release build and clippy — which
 #                    carries the panic, wall-clock and hash-order contracts
 #                    (docs/STATIC_ANALYSIS.md)
-#   ./ci.sh --perf   the end-to-end benchmark (BENCHMARK.json) at HEAD~1 and
-#                    at the working tree, five alternated runs each; fails
-#                    when `e2e compare` finds a regression. Not part of the
-#                    gate (host noise: the bounds are ±25%); a PR touching
-#                    crates/*/src pastes the table into CHANGES.md.
+#   ./ci.sh --perf   the end-to-end benchmark (BENCHMARK.json) at the parent
+#                    and at the working tree, ten alternated runs each;
+#                    fails when `e2e compare` finds a regression. The
+#                    parent is HEAD while the tree has uncommitted changes
+#                    (a PR not yet committed) and HEAD~1 once it is clean.
+#                    Not part of the gate (host noise: the bounds are
+#                    ±25%); a PR touching crates/*/src pastes the table
+#                    into CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,17 +23,18 @@ cd "$(dirname "$0")"
 # swap who goes first) so drift on the host lands on both sides.
 perf() {
   local wt=target/perf/parent out=target/perf/out e2e=crates/bench/src/bin/e2e/Cargo.toml
-  rm -rf "$out"
-  mkdir -p "$out"
-  git worktree remove --force "$wt" 2>/dev/null || true
-  git worktree add --detach "$wt" HEAD~1
-  trap "git worktree remove --force '$wt'" EXIT
+  local parent=HEAD~1
+  if [[ -n "$(git status --porcelain)" ]]; then parent=HEAD; fi
+  echo "ci.sh --perf: parent is $parent = $(git rev-parse "$parent")"
+  rm -rf "$out" "$wt"
+  mkdir -p "$out" "$wt"
+  git archive "$parent" | tar -x -C "$wt"
   cargo build --release --manifest-path "$wt/$e2e" --target-dir target/perf/build-parent
   cargo build --release --manifest-path "$e2e" --target-dir target/perf/build-head
   cp target/perf/build-parent/release/e2e "$out/e2e-parent"
   cp target/perf/build-head/release/e2e "$out/e2e-head"
   local seed side order
-  for seed in 1 2 3 4 5; do
+  for seed in $(seq 1 10); do
     if (( seed % 2 )); then order="parent head"; else order="head parent"; fi
     for side in $order; do
       echo "ci.sh --perf: seed $seed, $side"
@@ -63,8 +67,8 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 # Tier-1 and every crate's unit tests, once. That every evaluation knob
-# (workers, morsel size, skew balancer, semantic cache) and both
-# transports produce the oracle's answer is a property test inside it
+# (workers, morsel size, semantic cache) and both transports produce the
+# oracle's answer is a property test inside it
 # (the knob lattice of tests/property_equivalence.rs); that the frame
 # catalog in docs/ARCHITECTURE.md is the tag registry is a unit test of
 # skalla-core.

@@ -5,7 +5,8 @@
 //! the series each paper figure plots), plus the two-level
 //! coordinator-tree simulation ([`topology`]) behind the `topo` binary.
 //! Beside them: `e2e` (the end-to-end and per-layer performance ledger,
-//! `BENCHMARK.json`, whose `skewed_star` workload is the skew question) and the
+//! `BENCHMARK.json`, whose `skewed_star` workload is bound by its slowest
+//! site) and the
 //! `probe_alloc` bench (a zero-allocation guard over both GMDJ kernels —
 //! assertions, not timings).
 //!

@@ -33,8 +33,8 @@
 //! column order, the key, every operator's θ/aggregate list (names
 //! included — they are the output schema), the stage/unit structure,
 //! and [`EvalOptions::morsel_rows`] (the one kernel knob the output
-//! bits depend on; thread count, kernel choice, and skew balancing are
-//! bit-identical by the engine's invariants and deliberately excluded).
+//! bits depend on; the thread count is bit-identical by the engine's
+//! invariants and deliberately excluded).
 //!
 //! Every cache key also carries the **partition epoch** at lookup time.
 //! Any catalog or partition mutation bumps the epoch

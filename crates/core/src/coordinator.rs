@@ -71,8 +71,8 @@ impl BaseSync {
     /// Fragments arrive in whatever order site threads reply, so without
     /// the sort the row order of B₀ — and of every later round, and of
     /// the final result — would vary run to run. Sorting by the (unique)
-    /// key makes distributed results reproducible and lets ablation runs
-    /// (kernels, transports, skew balancing) be compared bit for bit.
+    /// key makes distributed results reproducible and lets runs over
+    /// different worker counts and transports be compared bit for bit.
     pub fn finish(self, key: &[String]) -> Result<Relation> {
         let b = self
             .acc
@@ -473,6 +473,22 @@ mod tests {
         assert!(s.finish(&key()).is_err());
 
         assert!(BaseSync::new().finish(&key()).is_err());
+
+        // Arrival order does not show: two sites' fragments absorbed in
+        // either order give the same B₀, in key order.
+        let frag = |keys: &[i64]| {
+            let rows = keys.iter().map(|&g| row![g]).collect();
+            Relation::new(Schema::of(&[("g", DataType::Int)]), rows).unwrap()
+        };
+        let finish = |first: &[i64], second: &[i64]| {
+            let mut s = BaseSync::new();
+            s.absorb(frag(first)).unwrap();
+            s.absorb(frag(second)).unwrap();
+            s.finish(&key()).unwrap()
+        };
+        let b = finish(&[3, 1], &[2, 1]);
+        assert_eq!(b, finish(&[2, 1], &[3, 1]));
+        assert_eq!(b.rows(), [row![1i64], row![2i64], row![3i64]]);
     }
 
     /// Sub-results from two sites merge per Theorem 1 (COUNT sums, AVG

@@ -15,14 +15,14 @@ use skalla_gmdj::EvalOptions;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{Error, Result};
 
-pub(crate) fn put_strings(enc: &mut Encoder, v: &[String]) {
+fn put_strings(enc: &mut Encoder, v: &[String]) {
     enc.put_u32(v.len() as u32);
     for s in v {
         enc.put_str(s);
     }
 }
 
-pub(crate) fn get_strings(dec: &mut Decoder<'_>) -> Result<Vec<String>> {
+fn get_strings(dec: &mut Decoder<'_>) -> Result<Vec<String>> {
     let n = dec.get_u32()? as usize;
     // Pre-sized from the wire count, capped by what the buffer could
     // possibly hold, so a corrupt length can't balloon the allocation.

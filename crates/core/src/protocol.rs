@@ -16,13 +16,11 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::plan_codec::{get_strings, put_strings};
-use crate::skew::{ExtractSpec, HotReport, SkewRequest, SkewSpec};
 use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
 use skalla_relation::codec::{Decoder, Encoder};
-use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value};
+use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema};
 
 /// The protocol generation this build speaks, negotiated in the catalog
 /// handshake ([`catalog_request`] carries it, [`catalog`] echoes it).
@@ -45,7 +43,10 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema, Value}
 ///   site sends its heavy-hitter report only when the base round's
 ///   [`TAG_RUN_STAGE`] asks for one (a v5 site volunteered it, and
 ///   cannot read the request).
-pub const PROTOCOL_VERSION: u32 = 6;
+/// * **v7** — v2 frames; the skew balancer's tags 10–13 are retired and
+///   [`TAG_RUN_STAGE`] loses its one-byte request tail, so a v6 peer
+///   would misread every stage task.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -111,24 +112,6 @@ frame_tags! {
     /// [`TAG_QUERY_DONE`]. The value is [`skalla_net::TELEMETRY_TAG`],
     /// which the transports exempt from byte accounting.
     Telemetry = skalla_net::TELEMETRY_TAG => TAG_TELEMETRY;
-    /// Site → coordinator: the site's round-1 heavy-hitter report
-    /// ([`HotReport`]) — its local detail row count and the top group keys
-    /// of its space-saving sketch. Sent ahead of the base-stage result
-    /// when that round's [`TAG_RUN_STAGE`] asked for it
-    /// ([`SkewRequest::Report`]), never otherwise. Unlike telemetry,
-    /// this frame **is counted** in the traffic accounting: the routing
-    /// decision is part of the query protocol, and its (small, bounded)
-    /// cost belongs in the measured totals.
-    HhReport = 10 => TAG_HH_REPORT;
-    /// Donor site → coordinator: the detail rows of its rerouted hot groups,
-    /// bucketed by morsel segment, loaned out for helpers to evaluate.
-    Loan = 11 => TAG_LOAN;
-    /// Coordinator → helper site: evaluate loaned detail segments against
-    /// the donor's hot base rows (each segment as a single morsel).
-    LoanTask = 12 => TAG_LOAN_TASK;
-    /// Helper site → coordinator: per-segment sub-aggregates of a loan
-    /// task, merged back into the donor's result in morsel order.
-    LoanResult = 13 => TAG_LOAN_RESULT;
 }
 
 impl Tag {
@@ -145,11 +128,7 @@ impl Tag {
             | Tag::Plan
             | Tag::CatalogReq
             | Tag::Catalog
-            | Tag::QueryDone
-            | Tag::HhReport
-            | Tag::Loan
-            | Tag::LoanTask
-            | Tag::LoanResult => true,
+            | Tag::QueryDone => true,
         }
     }
 }
@@ -168,22 +147,10 @@ impl TryFrom<u8> for Tag {
     }
 }
 
-/// Encode a `RUN_STAGE` message.
+/// Encode a `RUN_STAGE` message: the stage index and, for a unit stage
+/// that is not folded, the base fragment.
 pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
-    run_stage_with(stage, fragment, None)
-}
-
-/// Encode a `RUN_STAGE` message, optionally carrying a skew-balancing
-/// request: on the base round, "send your heavy-hitter report"; on a
-/// unit round, "loan out the detail rows of these hot keys" (the fragment
-/// the donor receives has had those groups' base rows removed). Without
-/// a request the tail is one zero byte.
-pub fn run_stage_with(
-    stage: u32,
-    fragment: Option<&Relation>,
-    request: Option<&SkewRequest>,
-) -> Message {
-    let mut enc = Encoder::with_capacity(16 + fragment.map(|r| r.encoded_size()).unwrap_or(0));
+    let mut enc = Encoder::with_capacity(5 + fragment.map(|r| r.encoded_size()).unwrap_or(0));
     enc.put_u32(stage);
     match fragment {
         Some(rel) => {
@@ -192,31 +159,15 @@ pub fn run_stage_with(
         }
         None => enc.put_u8(0),
     }
-    match request {
-        None => enc.put_u8(0),
-        Some(SkewRequest::Extract(spec)) => {
-            enc.put_u8(1);
-            put_strings(&mut enc, &spec.detail_cols);
-            enc.put_u32(spec.keys.len() as u32);
-            for k in &spec.keys {
-                put_key(&mut enc, k);
-            }
-        }
-        Some(SkewRequest::Report(spec)) => {
-            enc.put_u8(2);
-            enc.put_str(&spec.table);
-            put_strings(&mut enc, &spec.detail_cols);
-            enc.put_u32(spec.stages.len() as u32);
-            for s in &spec.stages {
-                enc.put_u32(*s as u32);
-            }
-        }
-    }
     Message::new(TAG_RUN_STAGE, enc.finish())
 }
 
-/// Decode a `RUN_STAGE` payload into `(stage, fragment, skew request)`.
-pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, Option<SkewRequest>)> {
+/// Decode a `RUN_STAGE` payload into `(stage, fragment, ())`.
+///
+/// The `()` stands where the retired skew request used to decode: the
+/// benchmark's layer walk (`crates/bench/src/bin/e2e/layers.rs`)
+/// destructures a 3-tuple, so the arity stays until ROADMAP item 7.
+pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
     let fragment = match dec.get_u8()? {
@@ -224,254 +175,10 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, Option
         1 => Some(dec.get_relation()?),
         t => return Err(Error::Codec(format!("bad fragment flag {t}"))),
     };
-    let request = match dec.get_u8()? {
-        0 => None,
-        1 => {
-            let detail_cols = get_strings(&mut dec)?;
-            let n_keys = dec.get_u32()? as usize;
-            // Pre-size from the wire count, capped by what the buffer could
-            // possibly hold, so a corrupt length can't balloon the allocation.
-            let mut keys = Vec::with_capacity(n_keys.min(dec.remaining()));
-            for _ in 0..n_keys {
-                keys.push(get_key(&mut dec)?);
-            }
-            Some(SkewRequest::Extract(ExtractSpec { detail_cols, keys }))
-        }
-        2 => {
-            let table = dec.get_str()?;
-            let detail_cols = get_strings(&mut dec)?;
-            let n_stages = dec.get_u32()? as usize;
-            let mut stages = Vec::with_capacity(n_stages.min(dec.remaining()));
-            for _ in 0..n_stages {
-                stages.push(dec.get_u32()? as usize);
-            }
-            Some(SkewRequest::Report(SkewSpec {
-                table,
-                detail_cols,
-                stages,
-            }))
-        }
-        t => return Err(Error::Codec(format!("bad skew request flag {t}"))),
-    };
     if dec.remaining() != 0 {
         return Err(Error::Codec("trailing bytes in RUN_STAGE".into()));
     }
-    Ok((stage, fragment, request))
-}
-
-fn put_key(enc: &mut Encoder, key: &[Value]) {
-    enc.put_u32(key.len() as u32);
-    for v in key {
-        enc.put_value(v);
-    }
-}
-
-fn get_key(dec: &mut Decoder<'_>) -> Result<Vec<Value>> {
-    let arity = dec.get_u32()? as usize;
-    let mut key = Vec::with_capacity(arity.min(dec.remaining()));
-    for _ in 0..arity {
-        key.push(dec.get_value()?);
-    }
-    Ok(key)
-}
-
-fn put_segments(enc: &mut Encoder, segments: &[(u32, Relation)]) {
-    enc.put_u32(segments.len() as u32);
-    for (seg, rel) in segments {
-        enc.put_u32(*seg);
-        enc.put_relation(rel);
-    }
-}
-
-fn get_segments(dec: &mut Decoder<'_>) -> Result<Vec<(u32, Relation)>> {
-    let n = dec.get_u32()? as usize;
-    let mut segments = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        let seg = dec.get_u32()?;
-        segments.push((seg, dec.get_relation()?));
-    }
-    Ok(segments)
-}
-
-/// Encode a site's `HH_REPORT` frame for the given (base) stage.
-pub fn hh_report(stage: u32, report: &HotReport) -> Message {
-    let mut enc = Encoder::new();
-    enc.put_u32(stage);
-    enc.put_i64(report.rows as i64);
-    enc.put_u32(report.hitters.len() as u32);
-    for (key, count) in &report.hitters {
-        put_key(&mut enc, key);
-        enc.put_i64(*count as i64);
-    }
-    Message::new(TAG_HH_REPORT, enc.finish())
-}
-
-/// Decode an `HH_REPORT` payload into `(stage, report)`.
-pub fn decode_hh_report(payload: &[u8]) -> Result<(u32, HotReport)> {
-    let mut dec = Decoder::new(payload);
-    let stage = dec.get_u32()?;
-    let rows = dec.get_i64()? as u64;
-    let n = dec.get_u32()? as usize;
-    let mut hitters = Vec::with_capacity(n.min(dec.remaining()));
-    for _ in 0..n {
-        let key = get_key(&mut dec)?;
-        hitters.push((key, dec.get_i64()? as u64));
-    }
-    if dec.remaining() != 0 {
-        return Err(Error::Codec("trailing bytes in HH_REPORT".into()));
-    }
-    Ok((stage, HotReport { rows, hitters }))
-}
-
-/// Relations keyed by the donor's morsel-segment index, in ascending
-/// segment order. A loan's hot detail rows, a helper's per-segment
-/// sub-aggregates, and a donor's cold tail all take this shape.
-pub type Segments = Vec<(u32, Relation)>;
-
-/// Encode a donor's `LOAN` frame: hot-key detail rows bucketed by morsel
-/// segment, in ascending segment order.
-pub fn loan(stage: u32, segments: &[(u32, Relation)]) -> Message {
-    loan_from_encoded(stage, &encode_loan_segments(segments))
-}
-
-/// Encode just the segment list of a `LOAN` frame. A donor caches these
-/// bytes alongside its detail split: the segments are identical for
-/// every eligible stage of a query (only the stage prefix differs), so
-/// the row serialization happens once, not once per round.
-pub fn encode_loan_segments(segments: &[(u32, Relation)]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    put_segments(&mut enc, segments);
-    enc.finish()
-}
-
-/// Incrementally builds the segment list of a `LOAN` frame while the
-/// donor scans its detail partition: hot rows are serialized straight
-/// from the borrowed rows, never cloned into intermediate relations.
-/// Rows must arrive in ascending segment order (one scan does). The
-/// result is byte-identical to [`encode_loan_segments`] over the same
-/// segments.
-pub struct LoanSegmentsBuilder {
-    schema: skalla_relation::SchemaRef,
-    /// Finished segments: `(segment, row count, encoded rows)`.
-    done: Vec<(u32, u32, Vec<u8>)>,
-    cur: Option<(u32, u32, Encoder)>,
-}
-
-impl LoanSegmentsBuilder {
-    /// A builder for hot rows of a detail relation with this schema.
-    pub fn new(schema: skalla_relation::SchemaRef) -> LoanSegmentsBuilder {
-        LoanSegmentsBuilder {
-            schema,
-            done: Vec::new(),
-            cur: None,
-        }
-    }
-
-    /// Append one hot row of segment `seg`.
-    pub fn push(&mut self, seg: u32, row: &skalla_relation::Row) {
-        match &mut self.cur {
-            Some((s, n, enc)) if *s == seg => {
-                enc.put_row(row);
-                *n += 1;
-            }
-            _ => {
-                self.flush_cur();
-                let mut enc = Encoder::new();
-                enc.put_row(row);
-                self.cur = Some((seg, 1, enc));
-            }
-        }
-    }
-
-    fn flush_cur(&mut self) {
-        if let Some((s, n, enc)) = self.cur.take() {
-            self.done.push((s, n, enc.finish()));
-        }
-    }
-
-    /// The encoded segment list (the `LOAN` frame body).
-    pub fn finish(mut self) -> Vec<u8> {
-        self.flush_cur();
-        let mut enc = Encoder::new();
-        enc.put_u32(self.done.len() as u32);
-        let mut out = enc.finish();
-        for (seg, n, rows) in &self.done {
-            let mut head = Encoder::new();
-            head.put_u32(*seg);
-            head.put_schema(&self.schema);
-            head.put_u32(*n);
-            out.extend_from_slice(&head.finish());
-            out.extend_from_slice(rows);
-        }
-        out
-    }
-}
-
-/// Build a `LOAN` frame from a pre-encoded segment list
-/// ([`encode_loan_segments`]).
-pub fn loan_from_encoded(stage: u32, segments: &[u8]) -> Message {
-    let mut enc = Encoder::new();
-    enc.put_u32(stage);
-    let mut payload = enc.finish();
-    payload.extend_from_slice(segments);
-    Message::new(TAG_LOAN, payload)
-}
-
-/// Decode a `LOAN` payload into `(stage, segments)`.
-pub fn decode_loan(payload: &[u8]) -> Result<(u32, Segments)> {
-    let mut dec = Decoder::new(payload);
-    let stage = dec.get_u32()?;
-    let segments = get_segments(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(Error::Codec("trailing bytes in LOAN".into()));
-    }
-    Ok((stage, segments))
-}
-
-/// Encode a `LOAN_TASK` frame: the donor's hot base rows plus the detail
-/// segments this helper should evaluate against them.
-pub fn loan_task(stage: u32, donor: u32, base: &Relation, segments: &[(u32, Relation)]) -> Message {
-    let mut enc = Encoder::with_capacity(16 + base.encoded_size());
-    enc.put_u32(stage);
-    enc.put_u32(donor);
-    enc.put_relation(base);
-    put_segments(&mut enc, segments);
-    Message::new(TAG_LOAN_TASK, enc.finish())
-}
-
-/// Decode a `LOAN_TASK` payload into `(stage, donor, base, segments)`.
-pub fn decode_loan_task(payload: &[u8]) -> Result<(u32, u32, Relation, Segments)> {
-    let mut dec = Decoder::new(payload);
-    let stage = dec.get_u32()?;
-    let donor = dec.get_u32()?;
-    let base = dec.get_relation()?;
-    let segments = get_segments(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(Error::Codec("trailing bytes in LOAN_TASK".into()));
-    }
-    Ok((stage, donor, base, segments))
-}
-
-/// Encode a helper's `LOAN_RESULT` frame: per-segment sub-aggregates for
-/// the named donor's loan.
-pub fn loan_result(stage: u32, donor: u32, segments: &[(u32, Relation)]) -> Message {
-    let mut enc = Encoder::new();
-    enc.put_u32(stage);
-    enc.put_u32(donor);
-    put_segments(&mut enc, segments);
-    Message::new(TAG_LOAN_RESULT, enc.finish())
-}
-
-/// Decode a `LOAN_RESULT` payload into `(stage, donor, segments)`.
-pub fn decode_loan_result(payload: &[u8]) -> Result<(u32, u32, Segments)> {
-    let mut dec = Decoder::new(payload);
-    let stage = dec.get_u32()?;
-    let donor = dec.get_u32()?;
-    let segments = get_segments(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(Error::Codec("trailing bytes in LOAN_RESULT".into()));
-    }
-    Ok((stage, donor, segments))
+    Ok((stage, fragment, ()))
 }
 
 /// Encode a `RESULT` message. `last` marks the final chunk of a stage
@@ -812,10 +519,10 @@ mod tests {
         let telemetry = "| 9 | `TELEMETRY` | site → coord | busy triples + span/counter deltas | **no**";
         assert!(ARCHITECTURE.contains(telemetry));
         for doctored in [
-            ARCHITECTURE.replace("| 11 | `LOAN` |", "cut: | 11 | `LOAN` |"),
+            ARCHITECTURE.replace("| 8 | `QUERY_DONE` |", "cut: | 8 | `QUERY_DONE` |"),
             ARCHITECTURE.replace(telemetry, &telemetry.replace("**no**", "yes")),
-            ARCHITECTURE.replace("| `HH_REPORT` |", "| `HOT_REPORT` |"),
-            ARCHITECTURE.replace("| 13 | `LOAN_RESULT` |", "| 13 | `LOAN_RESULT` | a | b | yes |\n| 14 | `GHOST` |"),
+            ARCHITECTURE.replace("| `CATALOG_REQ` |", "| `CATALOG_REQUEST` |"),
+            ARCHITECTURE.replace(telemetry, &format!("| 10 | `GHOST` | a | b | yes |\n{telemetry}")),
         ] {
             assert_ne!(doctored, ARCHITECTURE, "the doctoring matched nothing");
             assert_ne!(catalog_rows(&doctored), registry_rows());
@@ -841,35 +548,18 @@ mod tests {
     }
 
     #[test]
-    fn run_stage_round_trips_with_and_without_a_skew_request() {
-        use skalla_relation::Value;
-        let extract = SkewRequest::Extract(ExtractSpec {
-            detail_cols: vec!["g".to_string(), "h".to_string()],
-            keys: vec![
-                vec![Value::Int(7), Value::from("x")],
-                vec![Value::Int(9), Value::Null],
-            ],
-        });
-        let report = SkewRequest::Report(SkewSpec {
-            table: "t".to_string(),
-            detail_cols: vec!["g".to_string()],
-            stages: vec![1, 3],
-        });
-        for request in [None, Some(extract), Some(report)] {
-            for fragment in [None, Some(rel())] {
-                let m = run_stage_with(2, fragment.as_ref(), request.as_ref());
-                assert_eq!(m.tag, TAG_RUN_STAGE);
-                assert_eq!(decode_run_stage(&m.payload).unwrap(), (2, fragment, request.clone()));
-            }
+    fn run_stage_round_trips_with_and_without_a_fragment() {
+        for fragment in [None, Some(rel())] {
+            let m = run_stage(2, fragment.as_ref());
+            assert_eq!(m.tag, TAG_RUN_STAGE);
+            assert_eq!(decode_run_stage(&m.payload).unwrap(), (2, fragment, ()));
         }
-        // No request is one zero byte: the accounted traffic of an
-        // unbalanced run is that of a build without the balancer.
-        let plain = run_stage(2, Some(&rel())).payload;
-        assert_eq!(plain, run_stage_with(2, Some(&rel()), None).payload);
-        assert_eq!(plain.last(), Some(&0));
-        let mut unknown = plain;
-        *unknown.last_mut().unwrap() = 3;
-        assert!(decode_run_stage(&unknown).is_err());
+        // No tail: a stage task without a fragment is the index and the
+        // flag byte, nothing more.
+        assert_eq!(run_stage(2, None).payload, [2, 0, 0, 0, 0]);
+        let mut flag = run_stage(2, None).payload;
+        flag[4] = 2;
+        assert!(decode_run_stage(&flag).is_err());
     }
 
     #[test]
@@ -940,10 +630,11 @@ mod tests {
         // A v1 coordinator sent an empty request.
         assert_eq!(decode_catalog_request(&[]).unwrap(), 1);
 
-        // A reply from a site speaking a different version — the previous
-        // generation included — is rejected with a diagnostic naming both.
+        // A reply from a site speaking a different version — v6, the
+        // last one with the loan frames, included — is rejected with a
+        // diagnostic naming both.
         let m = catalog(&[]);
-        for other in [PROTOCOL_VERSION as u8 - 1, 99] {
+        for other in [6, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();
@@ -965,54 +656,10 @@ mod tests {
     fn malformed_payloads_rejected() {
         assert!(decode_run_stage(&[1, 0, 0, 0, 9]).is_err());
         assert!(decode_result(&[1]).is_err());
+        // A v6 stage task (with its request tail) is a trailing byte now.
         let mut m = run_stage(1, None).payload;
         m.push(0);
         assert!(decode_run_stage(&m).is_err());
-        // Truncated and padded skew frames are rejected too.
-        let h = hh_report(0, &HotReport::default()).payload;
-        assert!(decode_hh_report(&h[..h.len() - 1]).is_err());
-        let mut l = loan(1, &[]).payload;
-        l.push(0);
-        assert!(decode_loan(&l).is_err());
-        assert!(decode_loan_task(&[0, 0, 0, 0]).is_err());
-        assert!(decode_loan_result(&[0, 0, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn skew_frames_round_trip() {
-        use skalla_relation::Value;
-        let report = HotReport {
-            rows: 1234,
-            hitters: vec![
-                (vec![Value::Int(7)], 600),
-                (vec![Value::from("hot")], 250),
-            ],
-        };
-        let m = hh_report(0, &report);
-        assert_eq!(m.tag, TAG_HH_REPORT);
-        assert_ne!(m.tag, skalla_net::TELEMETRY_TAG, "HH reports are counted");
-        let (stage, back) = decode_hh_report(&m.payload).unwrap();
-        assert_eq!(stage, 0);
-        assert_eq!(back, report);
-
-        let segments = vec![(0u32, rel()), (3u32, rel())];
-        let m = loan(2, &segments);
-        assert_eq!(m.tag, TAG_LOAN);
-        let (stage, back) = decode_loan(&m.payload).unwrap();
-        assert_eq!((stage, back), (2, segments.clone()));
-
-        let m = loan_task(2, 5, &rel(), &segments);
-        assert_eq!(m.tag, TAG_LOAN_TASK);
-        let (stage, donor, base, back) = decode_loan_task(&m.payload).unwrap();
-        assert_eq!((stage, donor), (2, 5));
-        assert_eq!(base, rel());
-        assert_eq!(back, segments);
-
-        let m = loan_result(2, 5, &segments);
-        assert_eq!(m.tag, TAG_LOAN_RESULT);
-        let (stage, donor, back) = decode_loan_result(&m.payload).unwrap();
-        assert_eq!((stage, donor), (2, 5));
-        assert_eq!(back, segments);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol::{self, Tag};
-use crate::skew::{ExtractSpec, HotReport, SkewRequest, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
+use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
@@ -144,8 +144,7 @@ fn execute_unit(
 }
 
 /// Project a unit's evaluated relation to K + the physical accumulator
-/// columns — the shape every sub-aggregate ships in, whether it comes
-/// from a regular stage task or a loan task.
+/// columns — the shape every sub-aggregate ships in.
 fn ship_projection(shipped: &Relation, key: &[&str], base_arity: usize) -> Result<Relation> {
     let mut idx: Vec<usize> = Vec::with_capacity(key.len());
     for k in key {
@@ -159,14 +158,12 @@ fn ship_projection(shipped: &Relation, key: &[&str], base_arity: usize) -> Resul
 
 /// Target number of rows the sketch pass actually scans. Larger
 /// partitions are stride-sampled with the estimated counts scaled back
-/// up by the stride — safe because the report is a load-balancing hint
-/// only (routing from a noisier sample still yields bit-identical
-/// results), and it caps the donor-side detection cost at a constant.
+/// up by the stride, which caps the detection cost at a constant.
 const SKETCH_SAMPLE_TARGET: usize = 16_384;
 
 /// One space-saving pass over the local detail partition's key columns:
-/// the site's half of skew detection. Runs when the coordinator asks
-/// for it ([`SkewRequest::Report`]), once per session and spec.
+/// the site's half of skew detection. Only caller: the benchmark's skew
+/// layer (its `skew.hot_report_ms` row; see [`crate::skew`]).
 pub fn hot_report(catalog: &dyn Catalog, spec: &SkewSpec) -> Result<HotReport> {
     let detail = catalog.table(&spec.table)?;
     let mut idx = Vec::with_capacity(spec.detail_cols.len());
@@ -191,35 +188,57 @@ pub fn hot_report(catalog: &dyn Catalog, spec: &SkewSpec) -> Result<HotReport> {
     })
 }
 
+/// Relations keyed by morsel-segment index, in ascending segment order:
+/// each half of a [`split_detail`].
+pub type Segments = Vec<(u32, Relation)>;
+
 /// Split a detail relation into its hot-key and cold-key rows, both
 /// bucketed by morsel segment (`position / morsel_rows`), preserving row
-/// order within each bucket. Evaluating one bucket as a single morsel
-/// reproduces, bit for bit, the per-morsel accumulator state the donor
-/// would have computed for those keys over the whole partition (the
-/// eligibility check guarantees a detail row can only contribute to its
-/// own key's group, so hot and cold rows never touch each other's
-/// accumulators). The hot half is loaned to helpers; the donor folds the
-/// cold half itself.
+/// order within each bucket. Only caller: the benchmark's skew layer (its `skew.split_detail_ms`
+/// row; see [`crate::skew`]).
 pub fn split_detail(
     detail: &Relation,
     spec: &ExtractSpec,
     morsel_rows: usize,
-) -> Result<(protocol::Segments, protocol::Segments)> {
+) -> Result<(Segments, Segments)> {
+    let mut idx = Vec::with_capacity(spec.detail_cols.len());
+    for c in &spec.detail_cols {
+        idx.push(detail.schema().index_of(c)?);
+    }
+    let m = morsel_rows.max(1);
     let mut hot_buckets: Vec<(u32, Vec<Row>)> = Vec::new();
     let mut cold_buckets: Vec<(u32, Vec<Row>)> = Vec::new();
-    let push = |buckets: &mut Vec<(u32, Vec<Row>)>, seg: u32, row: &Row| {
+    let push = |buckets: &mut Vec<(u32, Vec<Row>)>, pos: usize, row: &Row| {
+        let seg = (pos / m) as u32;
         match buckets.last_mut() {
             Some((s, rows)) if *s == seg => rows.push(row.clone()),
             _ => buckets.push((seg, vec![row.clone()])),
         }
     };
-    split_scan(
-        detail,
-        spec,
-        morsel_rows,
-        |seg, row| push(&mut hot_buckets, seg, row),
-        |seg, row| push(&mut cold_buckets, seg, row),
-    )?;
+    if let [i] = idx[..] {
+        // Single-column key (the common case): probe the borrowed value
+        // directly, no per-row key buffer.
+        let hot: HashSet<&Value> = spec.keys.iter().filter_map(|k| k.first()).collect();
+        for (pos, row) in detail.iter().enumerate() {
+            if hot.contains(row.get(i)) {
+                push(&mut hot_buckets, pos, row);
+            } else {
+                push(&mut cold_buckets, pos, row);
+            }
+        }
+    } else {
+        let hot: HashSet<&Vec<Value>> = spec.keys.iter().collect();
+        let mut key = Vec::with_capacity(idx.len());
+        for (pos, row) in detail.iter().enumerate() {
+            key.clear();
+            key.extend(idx.iter().map(|&i| row.get(i).clone()));
+            if hot.contains(&key) {
+                push(&mut hot_buckets, pos, row);
+            } else {
+                push(&mut cold_buckets, pos, row);
+            }
+        }
+    }
     let pack = |buckets: Vec<(u32, Vec<Row>)>| {
         buckets
             .into_iter()
@@ -229,316 +248,9 @@ pub fn split_detail(
     Ok((pack(hot_buckets), pack(cold_buckets)))
 }
 
-/// One in-order pass over a detail relation, routing each row — with its
-/// morsel segment `position / morsel_rows` — to the `hot` or `cold`
-/// sink. The sinks see rows in ascending segment order and in row order
-/// within a segment, which is what every consumer relies on for
-/// bit-identical reconstruction.
-fn split_scan(
-    detail: &Relation,
-    spec: &ExtractSpec,
-    morsel_rows: usize,
-    mut hot_sink: impl FnMut(u32, &Row),
-    mut cold_sink: impl FnMut(u32, &Row),
-) -> Result<()> {
-    let mut idx = Vec::with_capacity(spec.detail_cols.len());
-    for c in &spec.detail_cols {
-        idx.push(detail.schema().index_of(c)?);
-    }
-    let m = morsel_rows.max(1);
-    if let [i] = idx[..] {
-        // Single-column key (the common case): probe the borrowed value
-        // directly, no per-row key buffer.
-        let hot: HashSet<&Value> = spec.keys.iter().filter_map(|k| k.first()).collect();
-        for (pos, row) in detail.iter().enumerate() {
-            let seg = (pos / m) as u32;
-            if hot.contains(row.get(i)) {
-                hot_sink(seg, row);
-            } else {
-                cold_sink(seg, row);
-            }
-        }
-    } else {
-        let hot: HashSet<&Vec<Value>> = spec.keys.iter().collect();
-        let mut key = Vec::with_capacity(idx.len());
-        for (pos, row) in detail.iter().enumerate() {
-            key.clear();
-            key.extend(idx.iter().map(|&i| row.get(i).clone()));
-            let seg = (pos / m) as u32;
-            if hot.contains(&key) {
-                hot_sink(seg, row);
-            } else {
-                cold_sink(seg, row);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`split_detail`] specialized for the donor's own use: the hot half is
-/// serialized straight into `LOAN`-frame bytes as the scan runs (hot
-/// rows — the bulk of a donor's partition — are never cloned), and only
-/// the cold half is materialized for local evaluation.
-fn split_for_loan(
-    detail: &Relation,
-    spec: &ExtractSpec,
-    morsel_rows: usize,
-) -> Result<(Vec<u8>, protocol::Segments)> {
-    let mut loan = protocol::LoanSegmentsBuilder::new(detail.schema_ref());
-    let mut cold_buckets: Vec<(u32, Vec<Row>)> = Vec::new();
-    split_scan(
-        detail,
-        spec,
-        morsel_rows,
-        |seg, row| loan.push(seg, row),
-        |seg, row| match cold_buckets.last_mut() {
-            Some((s, rows)) if *s == seg => rows.push(row.clone()),
-            _ => cold_buckets.push((seg, vec![row.clone()])),
-        },
-    )?;
-    let cold = cold_buckets
-        .into_iter()
-        .map(|(seg, rows)| (seg, Relation::from_shared(detail.schema_ref(), rows)))
-        .collect();
-    Ok((loan.finish(), cold))
-}
-
-/// A donor's cached detail split: the table, extract spec and morsel
-/// size that produced it, the hot half already wire-encoded (the loan
-/// frame body is identical for every stage), and the cold segments the
-/// donor folds itself.
-struct SplitCache {
-    table: String,
-    spec: ExtractSpec,
-    morsel_rows: usize,
-    hot_encoded: Vec<u8>,
-    cold: Vec<(u32, Relation)>,
-}
-
-/// One site session's caches of skew-balancing artifacts derived purely
-/// from the immutable site catalog: the heavy-hitter report (keyed by its
-/// [`SkewSpec`]) and the donor's hot/cold detail split (keyed by table,
-/// [`ExtractSpec`] and morsel size). [`site_session_loop`] owns one and
-/// shares it with every query worker: a site's catalog never changes
-/// during a session, so both survive plan broadcasts and queries — the
-/// coordinator sends the same spec for every eligible stage of a query,
-/// and repeated or concurrent queries over the same table reuse one
-/// detection pass and one split scan (the way a relation's derived
-/// columns and groups amortize across queries). The lock is held to look
-/// up and to store, never across a scan; two queries missing at once both
-/// scan and the later store wins, which is the same value.
-#[derive(Default)]
-struct SkewCaches {
-    report: Option<(SkewSpec, Arc<HotReport>)>,
-    split: Option<Arc<SplitCache>>,
-}
-
-/// The donor side of a rebalanced stage task. Splits the detail into
-/// hot and cold segments (cached across stages), ships the hot segments
-/// to the coordinator *immediately* via `send_early` — so helpers start
-/// their loaned work while the donor is still computing — and then folds
-/// only the cold segments, merging the per-segment sub-aggregates in
-/// segment order. The result is bit-identical to evaluating the full
-/// partition against the reduced fragment: hot rows cannot match any of
-/// the remaining base rows, so skipping them removes pure probe misses
-/// without touching a single accumulator.
-#[allow(clippy::too_many_arguments)]
-fn donor_stage(
-    catalog: &dyn Catalog,
-    plan: &DistributedPlan,
-    stage: u32,
-    fragment: Option<Relation>,
-    spec: &ExtractSpec,
-    caches: &Mutex<SkewCaches>,
-    send_early: &mut dyn FnMut(skalla_net::Message),
-    eval: EvalOptions,
-    obs: &Obs,
-    site: usize,
-) -> Result<Relation> {
-    let st = plan
-        .stages
-        .get(stage as usize)
-        .ok_or_else(|| Error::Execution(format!("no stage {stage}")))?;
-    let StageKind::Unit(unit) = &st.kind else {
-        return Err(Error::Execution("extract request on a non-unit stage".into()));
-    };
-    if unit.fold_base || unit.local_chain {
-        return Err(Error::Execution("extract request on a folded/chained unit".into()));
-    }
-    let detail = catalog.table(&unit.table)?;
-    let hit = caches.lock().split.clone().filter(|c| {
-        c.table == unit.table && c.spec == *spec && c.morsel_rows == eval.morsel_rows
-    });
-    let cached = match hit {
-        Some(c) => c,
-        None => {
-            let (hot_encoded, cold) = split_for_loan(detail, spec, eval.morsel_rows)?;
-            let built = Arc::new(SplitCache {
-                table: unit.table.clone(),
-                spec: spec.clone(),
-                morsel_rows: eval.morsel_rows,
-                hot_encoded,
-                cold,
-            });
-            caches.lock().split = Some(Arc::clone(&built));
-            built
-        }
-    };
-    let cold = &cached.cold;
-    send_early(protocol::loan_from_encoded(stage, &cached.hot_encoded));
-
-    let b_frag = base_input(catalog, plan, unit, fragment)?;
-    let op = &plan.expr.ops[unit.ops.start];
-    let key: Vec<&str> = plan.key.iter().map(String::as_str).collect();
-    let ship = |part: &Relation| -> Result<Relation> {
-        let local = eval_local_traced(&b_frag, part, op, eval, obs, site)?;
-        let shipped = if unit.site_reduce {
-            local.reduced()
-        } else {
-            local.physical
-        };
-        ship_projection(&shipped, &key, b_frag.schema().len())
-    };
-    match cold.as_slice() {
-        // Everything was hot: still evaluate, so every remaining base
-        // group ships its initial accumulator state.
-        [] => ship(&Relation::from_shared(detail.schema_ref(), Vec::new())),
-        [(_, only)] => ship(only),
-        segs => {
-            let mut pm = crate::coordinator::PartialMerge::new(plan.key.len(), op);
-            let mut schema = None;
-            for (_, part) in segs {
-                let rel = ship(part)?;
-                schema.get_or_insert_with(|| rel.schema_ref());
-                pm.absorb(&rel)?;
-            }
-            let schema =
-                schema.ok_or_else(|| Error::Execution("no cold segment to merge".into()))?;
-            Ok(pm.into_relation(schema))
-        }
-    }
-}
-
-/// The helper side of a rebalanced stage: evaluate each loaned detail
-/// segment (one morsel each — segments never exceed the donor's morsel
-/// size) against the donor's hot base rows, and ship the per-segment
-/// sub-aggregates back for in-order reconstruction at the coordinator.
-pub fn execute_loan(
-    plan: &DistributedPlan,
-    stage: usize,
-    base: &Relation,
-    segments: &[(u32, Relation)],
-    eval: EvalOptions,
-    obs: &Obs,
-    site: usize,
-) -> Result<Vec<(u32, Relation)>> {
-    let st = plan
-        .stages
-        .get(stage)
-        .ok_or_else(|| Error::Execution(format!("no stage {stage}")))?;
-    let StageKind::Unit(unit) = &st.kind else {
-        return Err(Error::Execution("loan task on a non-unit stage".into()));
-    };
-    if unit.fold_base || unit.local_chain {
-        return Err(Error::Execution("loan task on a folded/chained unit".into()));
-    }
-    let op = &plan.expr.ops[unit.ops.start];
-    let key: Vec<&str> = plan.key.iter().map(String::as_str).collect();
-    let mut out = Vec::with_capacity(segments.len());
-    for (seg, detail) in segments {
-        let local = eval_local_traced(base, detail, op, eval, obs, site)?;
-        let shipped = if unit.site_reduce {
-            local.reduced()
-        } else {
-            local.physical
-        };
-        out.push((*seg, ship_projection(&shipped, &key, base.schema().len())?));
-    }
-    Ok(out)
-}
-
-/// One stage task's site-side work: the plain stage evaluation, plus
-/// whatever the coordinator's [`SkewRequest`] asks for — as a donor,
-/// hot segments loaned eagerly through `send_early` and only the cold
-/// ones folded locally; on a report request, the heavy-hitter report.
-/// Returns the extra protocol frames to send ahead of the row-blocked
-/// RESULT chunks.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_task(
-    catalog: &dyn Catalog,
-    plan: &DistributedPlan,
-    stage: u32,
-    fragment: Option<Relation>,
-    request: Option<&SkewRequest>,
-    caches: &Mutex<SkewCaches>,
-    send_early: &mut dyn FnMut(skalla_net::Message),
-    eval: EvalOptions,
-    obs: &Obs,
-    site: usize,
-) -> Result<(Vec<skalla_net::Message>, Relation)> {
-    if let Some(SkewRequest::Extract(spec)) = request {
-        let rel = donor_stage(
-            catalog, plan, stage, fragment, spec, caches, send_early, eval, obs, site,
-        )?;
-        return Ok((Vec::new(), rel));
-    }
-    let mut msgs = Vec::new();
-    let rel = execute_stage_traced(catalog, plan, stage as usize, fragment, eval, obs, site)?;
-    if let Some(SkewRequest::Report(spec)) = request {
-        let hit = caches.lock().report.clone().filter(|(s, _)| s == spec);
-        let report = match hit {
-            Some((_, report)) => report,
-            None => {
-                let built = Arc::new(hot_report(catalog, spec)?);
-                caches.lock().report = Some((spec.clone(), Arc::clone(&built)));
-                built
-            }
-        };
-        msgs.push(protocol::hh_report(stage, &report));
-    }
-    Ok((msgs, rel))
-}
-
-/// Decode and execute a `LOAN_TASK` frame for `query_id`'s worker,
-/// recording the busy time in `times`.
-fn loan_task_replies(
-    plan: &DistributedPlan,
-    payload: &[u8],
-    eval: EvalOptions,
-    obs: &Obs,
-    query_id: u32,
-    site: usize,
-    times: &QueryBusyTimes,
-) -> Vec<skalla_net::Message> {
-    match protocol::decode_loan_task(payload) {
-        Ok((stage, donor, base, segments)) => {
-            let mut span = obs.span(Track::SiteQuery(site, query_id), "loan");
-            span.arg("donor", donor as u64);
-            span.arg("segments", segments.len());
-            let t = BusyTimer::start();
-            let out = execute_loan(plan, stage as usize, &base, &segments, eval, obs, site);
-            times
-                .lock()
-                .push((query_id, site, stage as usize, t.elapsed_s()));
-            match out {
-                Ok(segs) => {
-                    span.finish();
-                    vec![protocol::loan_result(stage, donor, &segs)]
-                }
-                Err(e) => {
-                    span.arg("error", e.to_string());
-                    span.finish();
-                    vec![protocol::error(&e.to_string())]
-                }
-            }
-        }
-        Err(e) => vec![protocol::error(&e.to_string())],
-    }
-}
-
-/// Shared collector for `(query_id, site, stage, busy seconds)` samples
-/// reported by per-query site workers under the concurrent engine.
-pub type QueryBusyTimes = Mutex<Vec<(u32, usize, usize, f64)>>;
+/// Shared collector for `(query_id, stage, busy seconds)` samples
+/// reported by one site session's per-query workers.
+pub type QueryBusyTimes = Mutex<Vec<(u32, u32, f64)>>;
 
 /// The site session loop: a demultiplexer that routes frames to
 /// per-query workers keyed by [`skalla_net::Message::query_id`].
@@ -576,7 +288,6 @@ pub fn site_session_loop(
     let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
     let busy: Arc<QueryBusyTimes> = Arc::new(QueryBusyTimes::new(Vec::new()));
-    let skew: Arc<Mutex<SkewCaches>> = Arc::default();
     let mut cursor = skalla_obs::ExportCursor::default();
     // The loop ends when the coordinator hangs up (or the session idles
     // out) — recv errors — or broadcasts a shutdown.
@@ -591,13 +302,12 @@ pub fn site_session_loop(
                 // Answer with this query's telemetry: its busy samples
                 // (drained) and, for standalone sites, the obs delta.
                 let mut drained = Vec::new();
-                busy.lock().retain(|(qid, _site, stage, secs)| {
-                    if *qid == msg.query_id {
-                        drained.push((*qid, *stage as u32, *secs));
-                        false
-                    } else {
-                        true
+                busy.lock().retain(|&sample| {
+                    let mine = sample.0 == msg.query_id;
+                    if mine {
+                        drained.push(sample);
                     }
+                    !mine
                 });
                 let delta = obs.recorder().filter(|_| export_obs);
                 let report = protocol::SiteTelemetry {
@@ -606,32 +316,22 @@ pub fn site_session_loop(
                 };
                 Some(protocol::telemetry(&report).with_query_id(msg.query_id))
             }
-            Ok(Tag::Plan | Tag::RunStage | Tag::LoanTask) => {
+            Ok(Tag::Plan | Tag::RunStage) => {
                 let query_id = msg.query_id;
                 route_to_worker(&mut workers, msg, |rx| {
                     let catalog = catalog.clone();
                     let net = Arc::clone(&net);
                     let busy = Arc::clone(&busy);
-                    let skew = Arc::clone(&skew);
                     let obs = obs.clone();
                     std::thread::Builder::new()
                         .name(format!("site-{site}-q{query_id}"))
-                        .spawn(move || {
-                            query_worker(&catalog, &*net, rx, query_id, busy, &skew, &obs)
-                        })
+                        .spawn(move || query_worker(&catalog, &*net, rx, query_id, busy, &obs))
                 })
                 .err()
             }
             // What a site sends, the handshake `SiteServer` answered
             // before this loop, and bytes outside the registry.
-            Ok(Tag::Result
-            | Tag::Error
-            | Tag::CatalogReq
-            | Tag::Catalog
-            | Tag::Telemetry
-            | Tag::HhReport
-            | Tag::Loan
-            | Tag::LoanResult)
+            Ok(Tag::Result | Tag::Error | Tag::CatalogReq | Tag::Catalog | Tag::Telemetry)
             | Err(_) => Some(unexpected_tag().with_query_id(msg.query_id)),
         };
         if let Some(reply) = reply {
@@ -689,7 +389,6 @@ fn query_worker(
     rx: Receiver<skalla_net::Message>,
     query_id: u32,
     times: Arc<QueryBusyTimes>,
-    caches: &Mutex<SkewCaches>,
     obs: &Obs,
 ) {
     let site = net.site_id();
@@ -716,7 +415,7 @@ fn query_worker(
                     continue;
                 };
                 let replies = match protocol::decode_run_stage(&msg.payload) {
-                    Ok((stage, fragment, request)) => {
+                    Ok((stage, fragment, ())) => {
                         let label = plan
                             .stages
                             .get(stage as usize)
@@ -728,29 +427,21 @@ fn query_worker(
                             task_span.arg("rows_in", f.len());
                         }
                         let t = BusyTimer::start();
-                        let out = run_stage_task(
+                        let out = execute_stage_traced(
                             catalog,
                             plan,
-                            stage,
+                            stage as usize,
                             fragment,
-                            request.as_ref(),
-                            caches,
-                            &mut |m| {
-                                let _ = reply(m);
-                            },
                             eval,
                             obs,
                             site,
                         );
-                        times
-                            .lock()
-                            .push((query_id, site, stage as usize, t.elapsed_s()));
+                        times.lock().push((query_id, stage, t.elapsed_s()));
                         match out {
-                            Ok((mut msgs, rel)) => {
+                            Ok(rel) => {
                                 task_span.arg("rows_out", rel.len());
                                 task_span.finish();
-                                msgs.extend(chunked_results(stage, &rel, chunk_rows));
-                                msgs
+                                chunked_results(stage, &rel, chunk_rows)
                             }
                             Err(e) => {
                                 task_span.arg("error", e.to_string());
@@ -767,30 +458,14 @@ fn query_worker(
                     }
                 }
             }
-            Ok(Tag::LoanTask) => {
-                let Some(plan) = &plan else {
-                    let _ = reply(protocol::error("loan task before plan"));
-                    continue;
-                };
-                let replies =
-                    loan_task_replies(plan, &msg.payload, eval, obs, query_id, site, &times);
-                for r in replies {
-                    if reply(r).is_err() {
-                        return;
-                    }
-                }
-            }
-            // The session loop queues the three above only.
+            // The session loop queues the two above only.
             Ok(Tag::Result
             | Tag::Error
             | Tag::Shutdown
             | Tag::CatalogReq
             | Tag::Catalog
             | Tag::QueryDone
-            | Tag::Telemetry
-            | Tag::HhReport
-            | Tag::Loan
-            | Tag::LoanResult)
+            | Tag::Telemetry)
             | Err(_) => {
                 let _ = reply(unexpected_tag());
             }
@@ -943,56 +618,6 @@ mod tests {
         handle.join().unwrap();
         drop(seen_tx);
         assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
-    }
-
-    #[test]
-    fn a_site_reports_heavy_hitters_only_when_the_base_round_asks() {
-        use crate::plan_codec::encode_plan_with_options;
-        use skalla_net::{star, Message};
-        use std::time::Duration;
-
-        let plan = Planner::new(DistributionInfo::new(1)).optimize(&expr(), OptFlags::none());
-        let catalog: HashMap<String, Arc<Relation>> = site_catalog()
-            .into_iter()
-            .map(|(name, rel)| (name, Arc::new(rel)))
-            .collect();
-        let (coord, mut sites) = star(1);
-        let net = Arc::new(sites.remove(0));
-        let site = std::thread::spawn(move || {
-            site_session_loop(&catalog, net, false, &Obs::disabled());
-        });
-        let plan_bytes = encode_plan_with_options(&plan, &EvalOptions::default(), None);
-        let base_round = |query_id, request: Option<&SkewRequest>| -> Vec<u8> {
-            for frame in [
-                Message::new(protocol::TAG_PLAN, plan_bytes.clone()),
-                protocol::run_stage_with(0, None, request),
-            ] {
-                coord.send(0, frame.with_query_id(query_id)).unwrap();
-            }
-            // The round ends with the final RESULT chunk.
-            let mut tags = Vec::new();
-            while tags.last() != Some(&protocol::TAG_RESULT) {
-                let (_, msg) = coord.recv(Duration::from_secs(5)).unwrap();
-                assert_eq!(msg.query_id, query_id);
-                tags.push(msg.tag);
-            }
-            tags
-        };
-
-        // The plan is eligible either way; only the frame decides.
-        assert_eq!(base_round(1, None), [protocol::TAG_RESULT]);
-        let ask = SkewRequest::Report(SkewSpec {
-            table: "t".to_string(),
-            detail_cols: vec!["g".to_string()],
-            stages: vec![1],
-        });
-        assert_eq!(
-            base_round(2, Some(&ask)),
-            [protocol::TAG_HH_REPORT, protocol::TAG_RESULT]
-        );
-
-        coord.broadcast(&protocol::shutdown()).unwrap();
-        site.join().unwrap();
     }
 
     #[test]

@@ -1,43 +1,24 @@
-//! Skew-resilient distribution: heavy-hitter reports and per-key routing.
+//! Skew analysis: heavy-hitter reports and per-key routing, kept for
+//! the benchmark.
 //!
 //! Horizontal partitioning balances *rows*, not *work*: under a zipfian
 //! group-key distribution one site can hold most of the detail tuples of
-//! a handful of hot groups and become the straggler of every round, while
-//! the paper's cost model (Sect. 5) assumes sites progress together.
-//! This module adds a skew-aware variant of the group-reduction machinery
-//! (Thm 4 ships *fewer* groups to a site; here the coordinator ships some
-//! of a site's groups *elsewhere*):
+//! a handful of hot groups and become the straggler of every round. The
+//! engine once rebalanced that at query time by loaning a donor's hot
+//! detail rows to helper sites through the coordinator; it was measured
+//! 3× slower end to end on the ledger's own skew workload (a routed row
+//! costs more to encode and decode than to evaluate where it lies —
+//! EXPERIMENTS.md, "Skew balancing: the verdict") and deleted. The
+//! engine's remedy for skew is placement: partition attribute and range
+//! boundaries, diagnosed from the round table's busy `skew` column.
 //!
-//! 1. **Ask** — the coordinator checks the plan is eligible
-//!    ([`skew_eligible`]: every θ must entail key equality through one
-//!    consistent detail-column mapping, so a detail row can only ever
-//!    contribute to its own group) and, if so, asks every site for a
-//!    report in the base round's `RUN_STAGE` ([`SkewRequest::Report`]).
-//!    A site never decides this for itself: no request, no report.
-//! 2. **Detect** — a site that is asked runs a deterministic
-//!    space-saving sketch ([`skalla_gmdj::SpaceSaving`]) over its detail
-//!    partition's key columns and reports its top hitters plus its local
-//!    row count ([`HotReport`], wire tag
-//!    [`crate::protocol::TAG_HH_REPORT`] — *counted* in the traffic
-//!    accounting, unlike telemetry, because the report is part of the
-//!    query protocol).
-//! 3. **Decide** — the coordinator computes a routing
-//!    ([`plan_routing`]): hash-partitioned light tail stays put; hot
-//!    groups of overloaded sites move to the least-loaded helpers, and a
-//!    single group too hot for any one helper splits across several.
-//! 4. **Rebalance** — per eligible stage the donor's hot base rows are
-//!    removed from its fragment and shipped to the helpers instead; the
-//!    donor extracts the matching detail rows grouped by morsel segment
-//!    and loans them up; helpers evaluate each segment as one morsel and
-//!    the coordinator merges the per-segment sub-aggregates back in the
-//!    donor's morsel order, so the final result is **bit-identical** to
-//!    the unbalanced run (the sketch is a load-balancing hint only).
-//!
-//! Balancing is **opt-in** (`EngineConfig::skew_balance`, CLI
-//! `--skew-balance`): a loan travels donor → coordinator → helper, and a
-//! detail row costs more to encode than to evaluate, so on the ledger's
-//! own skew workload the balanced run is 3× slower end to end
-//! (EXPERIMENTS.md, "Skew balancing: the verdict").
+//! What stays is the analysis, whose only caller is the benchmark's skew
+//! layer (`crates/bench/src/bin/e2e/layers.rs`, the `skew.*` per-layer
+//! rows): [`skew_eligible`] decides whether a plan's hot groups could be
+//! moved at all, `site::hot_report` sketches a site's detail partition
+//! into a [`HotReport`], [`plan_routing`] decides the moves, and
+//! `site::split_detail` measures the donor's split scan for an
+//! [`ExtractSpec`]. It goes with those rows (ROADMAP item 7).
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -47,19 +28,24 @@ use skalla_gmdj::theta::analyze_theta;
 use skalla_gmdj::BaseQuery;
 use skalla_relation::Value;
 
-/// Capacity of the per-site space-saving sketch. Every key with local
-/// frequency above `rows / SKETCH_CAPACITY` is guaranteed tracked.
+// The three constants, the types and the two functions below have one
+// caller, the benchmark's skew layer; see the module docs.
+
+/// Capacity of the per-site space-saving sketch (`site::hot_report`).
+/// Every key with local frequency above `rows / SKETCH_CAPACITY` is
+/// guaranteed tracked.
 pub const SKETCH_CAPACITY: usize = 64;
 
-/// Maximum heavy hitters a site reports to the coordinator.
+/// Maximum heavy hitters in one site's [`HotReport`].
 pub const REPORT_TOP: usize = 32;
 
-/// A donor starts shedding groups when its row count exceeds the mean by
-/// this factor.
+/// In [`plan_routing`], a site starts shedding groups when its row count
+/// exceeds the mean by this factor.
 pub const DONOR_THRESHOLD: f64 = 1.25;
 
-/// One site's round-1 heavy-hitter report: its local detail row count
-/// and the top sketch entries as `(group key, estimated count)`.
+/// One site's heavy-hitter report (`site::hot_report`): its local detail
+/// row count and the top sketch entries as `(group key, estimated
+/// count)`. Built by the benchmark's skew layer only.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HotReport {
     /// Local detail rows of the skew-eligible table.
@@ -68,9 +54,9 @@ pub struct HotReport {
     pub hitters: Vec<(Vec<Value>, u64)>,
 }
 
-/// What makes a plan skew-balanceable. The coordinator derives it from
-/// the plan ([`skew_eligible`]) and sends it to the sites as the report
-/// request, so whether reports flow is one decision, made in one place.
+/// What makes a plan's hot groups movable ([`skew_eligible`]): the detail
+/// table to sketch and the columns carrying the group key. Read by the
+/// benchmark's skew layer only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewSpec {
     /// The detail table whose key distribution is sketched.
@@ -78,20 +64,18 @@ pub struct SkewSpec {
     /// Detail column carrying each `plan.key` column's value, in key
     /// order (the consistent equi mapping every θ entails).
     pub detail_cols: Vec<String>,
-    /// Indexes of the stages where hot groups may be rerouted.
-    pub stages: Vec<usize>,
 }
 
-/// Decide whether (and where) a plan can be skew-balanced.
+/// Decide whether a plan's hot groups could be moved off their site.
+/// Only caller: the benchmark's skew layer (its `skew.eligible` row).
 ///
 /// A stage qualifies when it is a non-folded, non-chained unit whose
 /// every θ entails equality between each key column and one *consistent*
 /// detail column: then a detail row can only contribute to the group
 /// named by its own key columns, so extracting the hot-key detail rows
-/// captures every tuple the moved base rows could match. All qualifying
-/// stages must agree on `(table, detail columns)` — one sketch pass
-/// serves them all. Requires a leading base round (the reports ride on
-/// its synchronization) over a derivable base.
+/// captures every tuple the moved base rows could match. The spec is the
+/// first qualifying stage's `(table, detail columns)`. Requires a leading
+/// base round over a derivable base.
 pub fn skew_eligible(plan: &DistributedPlan) -> Option<SkewSpec> {
     if !matches!(plan.expr.base, BaseQuery::DistinctProject { .. }) {
         return None;
@@ -99,8 +83,7 @@ pub fn skew_eligible(plan: &DistributedPlan) -> Option<SkewSpec> {
     if !matches!(plan.stages.first().map(|s| &s.kind), Some(StageKind::Base)) {
         return None;
     }
-    let mut spec: Option<SkewSpec> = None;
-    'stages: for (idx, stage) in plan.stages.iter().enumerate() {
+    'stages: for stage in &plan.stages {
         let StageKind::Unit(u) = &stage.kind else {
             continue;
         };
@@ -125,26 +108,20 @@ pub fn skew_eligible(plan: &DistributedPlan) -> Option<SkewSpec> {
                 }
             }
         }
-        let Some(cols) = mapping else { continue };
-        match &mut spec {
-            None => {
-                spec = Some(SkewSpec {
-                    table: u.table.clone(),
-                    detail_cols: cols,
-                    stages: vec![idx],
-                });
-            }
-            Some(s) if s.table == u.table && s.detail_cols == cols => s.stages.push(idx),
-            Some(_) => {}
+        if let Some(detail_cols) = mapping {
+            return Some(SkewSpec {
+                table: u.table.clone(),
+                detail_cols,
+            });
         }
     }
-    spec
+    None
 }
 
 /// One hot group's routing: the group key and the helper sites that take
 /// it over. A single helper takes the whole group; several helpers split
 /// it, each receiving the detail segments with `segment % helpers.len()`
-/// equal to its position.
+/// equal to its position. Read by the benchmark's skew layer only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// The hot group key (in `plan.key` column order).
@@ -153,9 +130,8 @@ pub struct Assignment {
     pub helpers: Vec<usize>,
 }
 
-/// The coordinator's routing decision: per site, the hot groups it
-/// donates. Computed once after the base round and applied to every
-/// eligible stage.
+/// A routing decision ([`plan_routing`]): per site, the hot groups it
+/// would donate. Read by the benchmark's skew layer only.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SkewPlan {
     /// `assignments[site]` — empty for non-donors.
@@ -163,11 +139,6 @@ pub struct SkewPlan {
 }
 
 impl SkewPlan {
-    /// No site donates anything.
-    pub fn is_trivial(&self) -> bool {
-        self.assignments.iter().all(Vec::is_empty)
-    }
-
     /// Number of donating sites.
     pub fn n_donors(&self) -> usize {
         self.assignments.iter().filter(|a| !a.is_empty()).count()
@@ -180,14 +151,14 @@ impl SkewPlan {
 }
 
 /// Greedy deterministic routing from the sites' heavy-hitter reports.
+/// Only caller: the benchmark's skew layer.
 ///
 /// Sites more than [`DONOR_THRESHOLD`]× the mean row count donate their
 /// hottest groups (descending estimated count, key-order tie-break) to
 /// the least-loaded other site until they project at or below the mean.
 /// A group whose count alone exceeds the mean splits across the
 /// `ceil(count / mean)` lightest helpers. Counts are sketch
-/// *over*estimates, which only ever makes the balancing more eager —
-/// results stay bit-identical regardless (see the module docs).
+/// *over*estimates, which only ever makes the balancing more eager.
 pub fn plan_routing(reports: &[HotReport]) -> SkewPlan {
     let n = reports.len();
     let mut assignments = vec![Vec::new(); n];
@@ -246,28 +217,15 @@ pub fn plan_routing(reports: &[HotReport]) -> SkewPlan {
     SkewPlan { assignments }
 }
 
-/// What a donor is asked to extract alongside a stage task: the detail
-/// columns forming the group key and the hot keys whose rows should be
-/// loaned to helpers.
+/// A donor's split request: the detail columns forming the group key and
+/// the hot keys whose rows would be loaned (`site::split_detail`). Built
+/// by the benchmark's skew layer only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractSpec {
     /// Detail columns carrying the key (in `plan.key` order).
     pub detail_cols: Vec<String>,
     /// The hot group keys to extract.
     pub keys: Vec<Vec<Value>>,
-}
-
-/// What the balancing coordinator asks of a site beyond the stage task
-/// itself. Travels in the optional tail of a `RUN_STAGE` frame; a site
-/// does skew work only when one arrives.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SkewRequest {
-    /// Base round: sketch the spec's detail table and send an
-    /// `HH_REPORT` ahead of the stage result.
-    Report(SkewSpec),
-    /// Unit round, donor site: loan out the detail rows of these hot
-    /// keys (their base rows were held back from the fragment).
-    Extract(ExtractSpec),
 }
 
 #[cfg(test)]
@@ -296,13 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_plan_is_eligible_on_every_unit_stage() {
+    fn unoptimized_plan_is_eligible() {
         let plan =
             Planner::new(DistributionInfo::new(4)).optimize(&correlated_expr(), OptFlags::none());
         let spec = skew_eligible(&plan).expect("eligible");
         assert_eq!(spec.table, "t");
         assert_eq!(spec.detail_cols, vec!["g".to_string()]);
-        assert_eq!(spec.stages, vec![1, 2]);
     }
 
     #[test]
@@ -378,10 +335,10 @@ mod tests {
             })
             .collect();
         let a = plan_routing(&reports);
-        assert!(a.is_trivial());
+        assert_eq!(a.n_donors(), 0);
         assert_eq!(a, plan_routing(&reports));
-        assert!(plan_routing(&[]).is_trivial());
-        assert!(plan_routing(&reports[..1]).is_trivial());
+        assert_eq!(plan_routing(&[]).n_donors(), 0);
+        assert_eq!(plan_routing(&reports[..1]).n_donors(), 0);
     }
 
     #[test]

@@ -167,9 +167,9 @@ impl Warehouse for Cluster {
 
 /// Everything an engine needs to know beyond where the data lives: the
 /// per-site kernel options, coordinator timeouts, row blocking,
-/// observability, the admission-control discipline, and the two
-/// decisions only the coordinator makes — whether to balance skew and
-/// whether (and how much) to cache. [`Cluster::configure`] takes the
+/// observability, the admission-control discipline, and the one
+/// decision only the coordinator makes — whether (and how much) to
+/// cache. [`Cluster::configure`] takes the
 /// same struct for its one-shot runs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -185,15 +185,6 @@ pub struct EngineConfig {
     /// Multi-query admission control (concurrency, queue bound, queue
     /// timeout).
     pub scheduler: SchedulerConfig,
-    /// Skew-resilient distribution ([`crate::skew`]): the coordinator
-    /// asks the sites for heavy-hitter reports in round 1 and re-routes
-    /// hot groups away from overloaded sites, with a final merge leg for
-    /// the split sub-aggregates. Results are bit-identical either way.
-    /// Off by default: a loan ships detail rows through the coordinator,
-    /// which costs more than evaluating them where they are
-    /// (EXPERIMENTS.md, "Skew balancing: the verdict"). CLI
-    /// `--skew-balance`.
-    pub skew_balance: bool,
     /// Semantic result caching: repeated plans are answered from the
     /// coordinator's sub-aggregate cache (and in-flight duplicates
     /// coalesce) instead of re-contacting the sites, and `query::cube`
@@ -217,7 +208,6 @@ impl Default for EngineConfig {
             chunk_rows: None,
             obs: Obs::disabled(),
             scheduler: SchedulerConfig::default(),
-            skew_balance: false,
             cache: true,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
@@ -955,9 +945,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_caches_and_does_not_balance() {
+    fn default_config_caches() {
         let cfg = EngineConfig::default();
-        assert!(!cfg.skew_balance, "the loan path is opt-in");
         assert!(cfg.cache);
         assert_eq!(cfg.cache_bytes, DEFAULT_CACHE_BYTES);
     }

@@ -66,7 +66,10 @@ pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 pub struct EvalOptions {
     /// Worker threads for the morsel-parallel kernel. `0` means "auto":
     /// use [`std::thread::available_parallelism`]. `1` runs the kernel
-    /// serially (same morsel structure, same bits). CLI `--threads`.
+    /// serially (same morsel structure, same bits). A value above the
+    /// core count is capped to it — a remote `PLAN` frame supplies this
+    /// field, and must not decide how many threads a site starts. CLI
+    /// `--threads`.
     pub parallelism: usize,
     /// Rows per morsel. Output bits depend on this (it fixes the
     /// accumulator merge structure) but **not** on `parallelism`. CLI
@@ -85,15 +88,13 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// The resolved worker count: `parallelism`, or the machine's
-    /// available cores when `0`.
+    /// The resolved worker count: the machine's available cores, or
+    /// `parallelism` when it is set and smaller.
     pub fn effective_parallelism(&self) -> usize {
-        if self.parallelism > 0 {
-            self.parallelism
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match self.parallelism {
+            0 => cores,
+            p => p.min(cores),
         }
     }
 }
@@ -837,6 +838,29 @@ mod tests {
             assert_eq!(out.physical, reference.physical, "parallelism {p}");
             assert_eq!(out.matched, reference.matched, "parallelism {p}");
         }
+    }
+
+    #[test]
+    fn remote_parallelism_is_capped_at_the_core_count() {
+        // A PLAN frame can carry any u32: one thread per detail row at
+        // one-row morsels would be the peer's choice, not the site's.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let greedy = EvalOptions {
+            parallelism: usize::MAX,
+            morsel_rows: 1,
+        };
+        assert_eq!(greedy.effective_parallelism(), cores);
+        assert_eq!(EvalOptions::default().effective_parallelism(), cores);
+        let one = EvalOptions {
+            parallelism: 1,
+            ..greedy
+        };
+        assert_eq!(one.effective_parallelism(), 1);
+        // And the answer is the serial one, bit for bit.
+        let out = local_both(&base(), &detail(), &simple_gmdj(), greedy);
+        let serial = local_both(&base(), &detail(), &simple_gmdj(), one);
+        assert_eq!(out.physical, serial.physical);
+        assert_eq!(out.matched, serial.matched);
     }
 
     /// A kernel whose morsels listed in `bad` panic; the others count

@@ -1,4 +1,4 @@
-//! Heavy-hitter detection for skew-resilient distribution.
+//! Heavy-hitter detection for skew analysis.
 //!
 //! [`SpaceSaving`] is the deterministic *space-saving* top-k sketch
 //! (Metwally et al., ICDT 2005) over **canonical group keys**: every
@@ -8,14 +8,9 @@
 //! count as the same heavy hitter, and strings intern to stable
 //! per-sketch codes instead of hashing.
 //!
-//! A warehouse site runs one sketch pass over its detail partition's key
-//! columns during round 1 and reports the top hitters to the
-//! coordinator, which uses the counts to decide per-key routing (hash
-//! partitioning for the light tail, explicit splitting for hot groups).
-//! The sketch is a *load-balancing hint only*: the distributed results
-//! stay bit-identical to the unbalanced plan whatever keys it reports,
-//! so the classic space-saving overestimation error never affects
-//! answers, only how well work spreads.
+//! Its one caller is `skalla_core::site::hot_report`, which the
+//! benchmark's skew layer times (the `skew.hot_report_ms` row); no query
+//! path runs it since the skew balancer was deleted.
 
 use skalla_relation::columns::{canon_value, StrCodes};
 use skalla_relation::Value;

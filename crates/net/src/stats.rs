@@ -5,12 +5,8 @@
 //! (right) plots exactly these counters, and Theorem 2's bound is asserted
 //! against them in the integration tests.
 //!
-//! Skew-balancing frames — heavy-hitter reports, loaned detail segments,
-//! loan tasks and loan results — **are** counted, unlike telemetry export
-//! (which is out-of-band diagnostics, not query traffic): balancing
-//! trades real network bytes for compute balance, and hiding that cost
-//! would falsify the paper's traffic comparisons. An execution with
-//! balancing off (the default) sends none of them.
+//! Every query frame is counted; only telemetry export is exempt (it is
+//! out-of-band diagnostics, not query traffic).
 
 use crate::transport::{Message, TELEMETRY_TAG};
 use parking_lot::Mutex;

@@ -3,10 +3,9 @@
 //! The in-process engine simulates a distributed warehouse with one
 //! thread per site, so on a machine with fewer cores than sites the
 //! threads timeshare: wall-clock timing of a stage task then charges a
-//! site for time it spent *descheduled* while other sites (or loan
-//! helpers) ran. That both inflates every per-site busy figure and adds
-//! run-to-run noise exactly when work overlaps — the situation the skew
-//! balancer creates on purpose.
+//! site for time it spent *descheduled* while other sites ran. That both
+//! inflates every per-site busy figure and adds run-to-run noise exactly
+//! when work overlaps, which is when the busy `skew` column matters.
 //!
 //! [`BusyTimer`] therefore measures *thread CPU time* where the
 //! platform provides it (Linux, via a dependency-free `clock_gettime`

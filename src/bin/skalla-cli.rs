@@ -105,15 +105,11 @@ QUERY OPTIONS:
   --limit N                   print at most N result rows (default: 20)
   --chunk N                   row blocking: ship results in chunks of N rows
   --threads N                 worker threads per site for the morsel-parallel
-                              GMDJ kernel (default: available cores; 1 = serial)
+                              GMDJ kernel (default: available cores; 1 = serial;
+                              more than the core count is capped to it)
   --morsel-rows N             detail rows per morsel (default: 65536; fixes the
                               accumulator merge structure, so output bits depend
                               on it)
-  --skew-balance              heavy-hitter skew balancing: the coordinator
-                              asks sites for their hot group keys and loans
-                              an overloaded site's hot groups out to helpers
-                              (same bits either way; off by default because a
-                              loan ships detail rows through the coordinator)
   --no-cache                  disable the semantic result cache: every
                               query pays its full site traffic, repeats
                               included (ablation; same bits either way)
@@ -306,7 +302,6 @@ fn tcp_config(args: &[String]) -> Result<TcpConfig, String> {
 fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String> {
     let mut builder = Skalla::builder().config(EngineConfig {
         obs,
-        skew_balance: args.iter().any(|a| a == "--skew-balance"),
         cache: !args.iter().any(|a| a == "--no-cache"),
         ..EngineConfig::default()
     });

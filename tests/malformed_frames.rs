@@ -102,20 +102,23 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
         .unwrap();
     expect_error("unexpected end of input");
 
-    // A garbage LOAN_TASK payload.
+    // A tag outside the protocol registry entirely, and each tag byte
+    // the skew balancer used until protocol v7 (HH_REPORT, LOAN,
+    // LOAN_TASK, LOAN_RESULT): a v6 peer's frames are refused, and the
+    // query on this session still answers afterwards.
+    for tag in [0xEE, 10, 11, 12, 13] {
+        coord
+            .send(0, Message::for_query(tag, 1, vec![0xFF, 0x00]))
+            .unwrap();
+        expect_error("unexpected message tag");
+    }
     coord
-        .send(
-            0,
-            Message::for_query(protocol::TAG_LOAN_TASK, 1, vec![0xFF, 0x00]),
-        )
+        .send(0, protocol::run_stage(0, None).with_query_id(1))
         .unwrap();
-    expect_error("unexpected end of input");
-
-    // A tag outside the protocol registry entirely.
-    coord
-        .send(0, Message::for_query(0xEE, 1, b"???".to_vec()))
-        .unwrap();
-    expect_error("unexpected message tag");
+    let (_, reply) = coord
+        .recv(Duration::from_secs(10))
+        .expect("site must answer the stage task");
+    assert_eq!(reply.tag, protocol::TAG_RESULT, "the query still runs");
 
     // The session survived every malformed frame: it still executes the
     // orderly shutdown and the thread joins without a panic.

@@ -71,8 +71,7 @@ fn chrome_trace_round_trips_and_has_all_span_kinds() {
     assert!(spans.iter().any(|e| name(e) == "BaseSync"));
     assert!(spans.iter().any(|e| name(e) == "MergeSync"));
     // Per-site task spans: every site's track for this query saw all
-    // three stages (skew balancing may add further "loan" task spans on
-    // helper tracks).
+    // three stages.
     for site in 0..3 {
         let tid = Track::SiteQuery(site, 1).tid();
         for label in ["base", "gmdj 1", "gmdj 2"] {

@@ -14,7 +14,6 @@ use skalla::gmdj::eval::{
 };
 use skalla::gmdj::prelude::*;
 use skalla::net::TcpConfig;
-use skalla::obs::{ArgValue, Obs};
 use skalla::relation::{DataType, Relation, Row, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,14 +118,13 @@ fn arb_flags() -> impl Strategy<Value = OptFlags> {
 }
 
 /// One point of the knob lattice: the kernel's workers (`EvalOptions`),
-/// the coordinator's two decisions (`EngineConfig::{skew_balance,
-/// cache}`), and whether the sites are loopback TCP servers instead of
-/// in-process channel sites. (The morsel size is drawn per case: only
-/// points sharing it owe each other identical bits.)
-fn arb_point() -> impl Strategy<Value = (usize, bool, bool, bool)> {
+/// the coordinator's one decision (`EngineConfig::cache`), and whether
+/// the sites are loopback TCP servers instead of in-process channel
+/// sites. (The morsel size is drawn per case: only points sharing it owe
+/// each other identical bits.)
+fn arb_point() -> impl Strategy<Value = (usize, bool, bool)> {
     (
         prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        any::<bool>(),
         any::<bool>(),
         any::<bool>(),
     )
@@ -161,14 +159,14 @@ fn lattice_engine(
 }
 
 const LATTICE_CASES: u32 = 48;
-/// The group that receives the generator's heavy-hitter rows.
+/// The group that receives the generator's heavy-hitter rows (a skewed
+/// site and, at 7-row morsels, one split into several).
 const HOT_GROUP: i64 = 5;
 
 // What the lattice cases exercised, checked after the last one so the
 // property cannot pass vacuously.
 static CASES_RUN: AtomicUsize = AtomicUsize::new(0);
 static CACHE_SERVED: AtomicUsize = AtomicUsize::new(0);
-static LOANED: AtomicUsize = AtomicUsize::new(0);
 static OVER_TCP: AtomicUsize = AtomicUsize::new(0);
 static MULTI_MORSEL: AtomicUsize = AtomicUsize::new(0);
 
@@ -176,16 +174,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(LATTICE_CASES))]
 
     /// The one obligation of every `EvalOptions` knob, of the
-    /// coordinator's balance/cache decisions and of the transport: same
-    /// answer as the centralized oracle. Random data × φ ×
-    /// optimization flags, and per case three random points of the knob
-    /// lattice — workers × skew balancer × semantic cache × backend —
+    /// coordinator's cache decision and of the transport: same answer as
+    /// the centralized oracle. Random data × φ × optimization flags, and
+    /// per case three random points of the knob lattice — workers ×
+    /// semantic cache × backend —
     /// at one drawn morsel size, each on its own persistent
     /// engine executing the plan twice. Every execution equals
     /// `execute_centralized` as a bag on the integral measures (exact in
     /// f64 whatever the summation order), and all of them carry identical
     /// bits on the inexact `x = v / 3` measures, whose low bits move with
-    /// any drift in morsel decomposition, loan routing or merge order.
+    /// any drift in morsel decomposition or merge order.
     #[test]
     fn distributed_equals_centralized(
         rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
@@ -239,18 +237,15 @@ proptest! {
         let oracle = oracle.project(&integral).expect("projects");
 
         let mut reference: Option<Relation> = None;
-        for &(parallelism, skew_balance, cache, tcp) in &points {
-            let obs = Obs::recording();
+        for &(parallelism, cache, tcp) in &points {
             let eval = EvalOptions { parallelism, morsel_rows };
             let cfg = EngineConfig {
                 eval,
-                skew_balance,
                 cache,
-                obs: obs.clone(),
                 ..EngineConfig::default()
             };
             let ctx = format!(
-                "{eval:?} balance {skew_balance} cache {cache} tcp {tcp} flags {flags:?} \
+                "{eval:?} cache {cache} tcp {tcp} flags {flags:?} \
                  second {second:?} groups {group_cols:?}\nplan:\n{}",
                 plan.explain()
             );
@@ -275,17 +270,6 @@ proptest! {
             for site in sites {
                 site.join().expect("site thread exits with its session");
             }
-            let recorder = obs.recorder().expect("recording");
-            let loaned = recorder
-                .counters()
-                .get("skew.loaned_rows")
-                .is_some_and(|&rows| rows > 0.0);
-            LOANED.fetch_add(loaned as usize, Ordering::Relaxed);
-            // Balancing off: not one heavy-hitter report or loan frame
-            // (tags 10–13) crossed a link in either direction.
-            let skew_frame = |(k, v): &(&str, ArgValue)| *k == "tag" && matches!(v, ArgValue::UInt(10..=13));
-            let skew_frames = recorder.events().iter().any(|e| e.args.iter().any(skew_frame));
-            prop_assert!(skew_balance || !skew_frames, "balancer frames with balancing off: {}", ctx);
             OVER_TCP.fetch_add(tcp as usize, Ordering::Relaxed);
         }
         // The kernels cut a site's detail into ceil(rows / morsel_rows) morsels.
@@ -295,7 +279,6 @@ proptest! {
         if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == LATTICE_CASES as usize {
             for (what, tally) in [
                 ("cache-served executions", &CACHE_SERVED),
-                ("engines whose balancer loaned rows", &LOANED),
                 ("engines over TCP", &OVER_TCP),
                 ("cases with a site split into several morsels", &MULTI_MORSEL),
             ] {

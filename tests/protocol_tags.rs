@@ -7,12 +7,10 @@ use skalla::core::distribution::DistributionInfo;
 use skalla::core::plan::{OptFlags, Planner};
 use skalla::core::plan_codec::{decode_plan_with_options, encode_plan_with_options};
 use skalla::core::protocol::{self, SiteCatalogEntry, SiteTelemetry, Tag};
-use skalla::core::skew::{ExtractSpec, SkewRequest};
-use skalla::core::HotReport;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
 use skalla::net::Message;
-use skalla::relation::{row, DataType, Domain, DomainMap, Relation, Schema, Value};
+use skalla::relation::{row, DataType, Domain, DomainMap, Relation, Schema};
 
 fn rel() -> Relation {
     Relation::new(
@@ -22,21 +20,18 @@ fn rel() -> Relation {
     .unwrap()
 }
 
-fn segments() -> Vec<(u32, Relation)> {
-    vec![(0, rel()), (2, rel())]
-}
-
 #[test]
 fn tag_values_are_unique_and_dense() {
     // Uniqueness is rustc's (two variants with one discriminant do not
-    // compile). Tags 1..=13 with no gaps; query id 0 marks the control
-    // stream, so there is no tag 0.
+    // compile). Tags 1..=9 with no gaps; query id 0 marks the control
+    // stream, so there is no tag 0, and the skew balancer's 10..=13 are
+    // retired (protocol v7).
     let values: Vec<u8> = Tag::ALL.iter().map(|t| *t as u8).collect();
-    assert_eq!(values, (1..=13).collect::<Vec<u8>>());
-    // The registry is closed: exactly those bytes parse, each to itself.
+    assert_eq!(values, (1..=9).collect::<Vec<u8>>());
+    // The registry is closed: exactly 1..=9 parse, each to itself.
     for byte in 0..=u8::MAX {
         let parsed = Tag::try_from(byte).ok().map(|t| t as u8);
-        assert_eq!(parsed, values.contains(&byte).then_some(byte));
+        assert_eq!(parsed, (1..=9).contains(&byte).then_some(byte));
     }
 }
 
@@ -44,15 +39,11 @@ fn tag_values_are_unique_and_dense() {
 fn every_tag_round_trips() {
     for &tag in Tag::ALL {
         let frame: Message = match tag {
-            // With a fragment and a donor's extract request.
+            // With a fragment.
             Tag::RunStage => {
-                let request = SkewRequest::Extract(ExtractSpec {
-                    detail_cols: vec!["g".into(), "v".into()],
-                    keys: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-                });
-                let m = protocol::run_stage_with(7, Some(&rel()), Some(&request));
-                let (stage, frag, back) = protocol::decode_run_stage(&m.payload).unwrap();
-                assert_eq!((stage, frag.unwrap(), back.unwrap()), (7, rel(), request));
+                let m = protocol::run_stage(7, Some(&rel()));
+                let (stage, frag, ()) = protocol::decode_run_stage(&m.payload).unwrap();
+                assert_eq!((stage, frag.unwrap()), (7, rel()));
                 m
             }
             // A non-final chunk.
@@ -133,34 +124,6 @@ fn every_tag_round_trips() {
                 };
                 let m = protocol::telemetry(&t);
                 assert_eq!(protocol::decode_telemetry(&m.payload).unwrap(), t);
-                m
-            }
-            // A site's heavy-hitter sketch summary.
-            Tag::HhReport => {
-                let report = HotReport {
-                    rows: 100,
-                    hitters: vec![(vec![Value::Int(1)], 42), (vec![Value::Int(2)], 17)],
-                };
-                let m = protocol::hh_report(1, &report);
-                assert_eq!(protocol::decode_hh_report(&m.payload).unwrap(), (1, report));
-                m
-            }
-            // LOAN / LOAN_TASK / LOAN_RESULT: the work-loaning triangle.
-            Tag::Loan => {
-                let m = protocol::loan(2, &segments());
-                assert_eq!(protocol::decode_loan(&m.payload).unwrap(), (2, segments()));
-                m
-            }
-            Tag::LoanTask => {
-                let m = protocol::loan_task(2, 1, &rel(), &segments());
-                let (stage, donor, base, segs) = protocol::decode_loan_task(&m.payload).unwrap();
-                assert_eq!((stage, donor, base, segs), (2, 1, rel(), segments()));
-                m
-            }
-            Tag::LoanResult => {
-                let m = protocol::loan_result(2, 1, &segments());
-                let (stage, donor, segs) = protocol::decode_loan_result(&m.payload).unwrap();
-                assert_eq!((stage, donor, segs), (2, 1, segments()));
                 m
             }
         };

@@ -9,7 +9,7 @@
 //! closure that boxes one value per extra row is the positive control
 //! proving the instrument actually counts per-row allocations.
 //!
-//! The same guard covers the columnar kernel: its canonical-key probe and
+//! The same guard covers the columnar kernel: its group-id probe and
 //! typed aggregate inner loops must also perform zero per-row heap
 //! allocations (its setup allocates a constant *number* of typed vectors,
 //! independent of detail size, so the size delta still isolates the
@@ -18,6 +18,11 @@
 //! the residual loop and the selection it feeds are under the same guard
 //! (the selection vectors grow geometrically: a handful of reallocations,
 //! nothing per row).
+//!
+//! A cold leg runs the columnar kernel on fresh relations of the hit
+//! shape (64 groups), so the call also builds the key column and the
+//! relation's group ids: those allocate per column and per group, never
+//! per row.
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
@@ -146,6 +151,14 @@ fn main() {
     };
     let residual_delta =
         measure_residual(&large_hit).saturating_sub(measure_residual(&small_hit));
+    // The cold leg: nothing built before the call.
+    let measure_cold = |rows: usize| {
+        let fresh = hit_detail(rows);
+        allocs_during(|| {
+            eval_local(&base, &fresh, &op, opts).unwrap();
+        })
+    };
+    let cold_delta = measure_cold(LARGE).saturating_sub(measure_cold(SMALL));
     let extra_rows = (LARGE - SMALL) as u64;
     let control = allocs_during(|| {
         for i in 0..extra_rows {
@@ -157,6 +170,7 @@ fn main() {
     println!("  fast probe     allocation delta: {fast_delta}");
     println!("  columnar       allocation delta: {col_delta}");
     println!("  typed residual allocation delta: {residual_delta}");
+    println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  control        allocations:      {control}");
 
     // Fast path: probing must not allocate per miss. Allow a tiny slack for
@@ -166,8 +180,8 @@ fn main() {
         "fast probe allocated {fast_delta} times for {extra_rows} extra misses \
          — the zero-allocation probe regressed"
     );
-    // Columnar kernel: canonical-key probing and the typed inner loops
-    // must not allocate per row either.
+    // Columnar kernel: group-id probing and the typed inner loops must
+    // not allocate per row either.
     assert!(
         col_delta <= 16,
         "columnar kernel allocated {col_delta} times for {extra_rows} extra \
@@ -177,6 +191,11 @@ fn main() {
         residual_delta <= 16,
         "columnar kernel with a typed residual allocated {residual_delta} times for \
          {extra_rows} extra hits — the residual loop regressed to per-row allocation"
+    );
+    assert!(
+        cold_delta <= 16,
+        "cold columnar kernel allocated {cold_delta} times for {extra_rows} extra \
+         rows — building the key column or the group ids regressed to per-row allocation"
     );
     // Positive control: one box per extra row, so the counter must see
     // at least one allocation per extra row.

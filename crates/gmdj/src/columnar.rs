@@ -13,14 +13,16 @@
 //! θ conjuncts of the shape `detail col ⟨cmp⟩ base col | literal` over
 //! numeric columns are typed the same way (`TypedCmp`).
 //!
-//! **Canonical-key probing.** Equi-key blocks probe a hash index built on
-//! *canonical keys*: each key value collapses to a `(tag, word)` pair such
-//! that two values are [`Value`]-equal iff their pairs are equal
-//! ([`canon_value`]; `NULL` is `CANON_NULL`). String keys
-//! use the column's dictionary codes directly as words — base-side strings
-//! are interned through the same per-key-column table — so probing never
-//! hashes or compares a string, an `Int`, or any other [`Value`] enum
-//! row-by-row.
+//! **Group-id probing.** Equi-key blocks never hash a detail row. The
+//! detail relation numbers its rows' local groups once per partition and
+//! key-column list ([`Relation::groups`], memoized beside the distinct
+//! groups a folded base reads). Once per operator call, each group's
+//! representative and each base tuple collapse to *canonical keys* — a
+//! `(tag, word)` pair per column such that two values are
+//! [`Value`]-equal iff their pairs are equal ([`canon_value`], strings
+//! interned through one table for both sides) — and every group is
+//! resolved to its chain of equal-key base positions: O(|base| +
+//! |groups|). The per-row probe is then `ghead[ids[i]]`, an array load.
 //!
 //! **Bit identity.** The kernel runs under the same shared morsel driver
 //! (`eval::drive`) as the row kernel: same morsel decomposition,
@@ -41,103 +43,70 @@ use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, EvalOptions, MorselKernel, MorselState, PreparedBlock};
 use crate::operator::Gmdj;
 use skalla_obs::Obs;
-use skalla_relation::columns::canon_value;
+use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Relation, Result, Side, Value,
+    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Side, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Mix one canonical component into a running hash (a 64-bit multiply-
-/// xorshift; the index only needs consistency between its build and probe
-/// sides, not SipHash strength).
-#[inline]
-fn mix64(mut h: u64, v: u64) -> u64 {
-    h ^= v;
-    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^ (h >> 29)
-}
-
-#[inline]
-fn canon_hash(tags: &[Vec<u8>], words: &[Vec<u64>], i: usize) -> u64 {
-    let mut h = 0x51CA_11A0_C0FF_EE00u64;
-    for (t, w) in tags.iter().zip(words) {
-        h = mix64(h, t[i] as u64);
-        h = mix64(h, w[i]);
-    }
-    h
-}
-
-/// One equi-key pair's canonical columns plus the hash index over base
-/// positions (bucket heads + per-row chain, exactly the shape of the row
-/// kernel's `KeyIndex`). Blocks sharing `(base_keys, detail_keys)` share
-/// one entry.
+/// One equi-key pair's map from the detail partition's local groups to
+/// the base positions with the same key. Blocks sharing
+/// `(base_keys, detail_keys)` share one entry.
 struct CanonPair {
-    /// Per key column: canonical tags/words for every detail row.
-    dtags: Vec<Vec<u8>>,
-    dwords: Vec<Vec<u64>>,
-    /// Same for base rows.
-    btags: Vec<Vec<u8>>,
-    bwords: Vec<Vec<u64>>,
-    /// Bucket → first chained base position + 1 (0 = empty).
-    heads: Vec<u32>,
-    /// Base position → next position + 1 in the same bucket.
-    next: Vec<u32>,
-    /// Precomputed canonical hash per base position.
-    hashes: Vec<u64>,
+    /// The detail relation's groups over the detail key columns — the
+    /// partition's memo, shared, not built per call.
+    groups: Arc<Groups>,
+    /// Group → first base position with its key + 1 (0 = none).
+    ghead: Vec<u32>,
+    /// Base position → next base position with the same key + 1 (0 = end).
+    eqnext: Vec<u32>,
 }
 
 impl CanonPair {
+    /// O(|base| + |groups|): nothing here runs per detail row.
     fn build(base: &Relation, detail: &Relation, base_keys: &[usize], detail_keys: &[usize]) -> CanonPair {
-        let mut dtags = Vec::with_capacity(detail_keys.len());
-        let mut dwords = Vec::with_capacity(detail_keys.len());
-        let mut btags = Vec::with_capacity(base_keys.len());
-        let mut bwords = Vec::with_capacity(base_keys.len());
-        for (&bk, &dk) in base_keys.iter().zip(detail_keys) {
-            let mut keys = detail.column(dk).canon_keys();
-            let mut bt = vec![0u8; base.len()];
-            let mut bw = vec![0u64; base.len()];
-            for (pos, row) in base.iter().enumerate() {
-                (bt[pos], bw[pos]) = canon_value(row.get(bk), &mut keys.codes);
-            }
-            dtags.push(keys.tags);
-            dwords.push(keys.words);
-            btags.push(bt);
-            bwords.push(bw);
+        let groups = detail.groups(detail_keys);
+        let reps = groups.first_rows();
+        // Each group's representative and each base tuple, canonicalized
+        // under one interner, so equal strings get equal words.
+        let mut codes = StrCodes::default();
+        let gkeys: Vec<CanonKeys> = detail_keys
+            .iter()
+            .map(|&dk| {
+                reps.iter()
+                    .map(|&r| canon_value(detail.rows()[r as usize].get(dk), &mut codes))
+                    .collect()
+            })
+            .collect();
+        let bkeys: Vec<CanonKeys> = base_keys
+            .iter()
+            .map(|&bk| base.iter().map(|row| canon_value(row.get(bk), &mut codes)).collect())
+            .collect();
+        let mut index = IdTable::with_capacity(reps.len());
+        for g in 0..reps.len() {
+            index.insert(canon_hash(&gkeys, g));
         }
         let n = base.len();
         assert!(n < u32::MAX as usize, "base relation too large to index");
-        let cap = (n.max(1) * 2).next_power_of_two();
-        let mut heads = vec![0u32; cap];
-        let mut next = vec![0u32; n];
-        let mut hashes = vec![0u64; n];
-        for pos in 0..n {
-            let h = canon_hash(&btags, &bwords, pos);
-            hashes[pos] = h;
-            let b = (h as usize) & (cap - 1);
-            next[pos] = heads[b];
-            heads[b] = pos as u32 + 1;
+        let mut ghead = vec![0u32; reps.len()];
+        let mut eqnext = vec![0u32; n];
+        // Pushing ascending positions makes each chain descend — the order
+        // a bucket chain over base positions visits equal keys in, which
+        // is the row kernel's.
+        for (pos, next) in eqnext.iter_mut().enumerate() {
+            let h = canon_hash(&bkeys, pos);
+            if let Some(g) = index.find(h, |g| canon_eq(&gkeys, g, &bkeys, pos)) {
+                *next = ghead[g];
+                ghead[g] = pos as u32 + 1;
+            }
         }
         CanonPair {
-            dtags,
-            dwords,
-            btags,
-            bwords,
-            heads,
-            next,
-            hashes,
+            groups,
+            ghead,
+            eqnext,
         }
-    }
-
-    /// Exact canonical key equality between base position `pos` and detail
-    /// row `i` (called after a hash match).
-    #[inline]
-    fn keys_equal(&self, pos: usize, i: usize) -> bool {
-        self.btags
-            .iter()
-            .zip(&self.bwords)
-            .zip(self.dtags.iter().zip(&self.dwords))
-            .all(|((bt, bw), (dt, dw))| bt[pos] == dt[i] && bw[pos] == dw[i])
     }
 }
 
@@ -741,17 +710,15 @@ impl MorselKernel for ColKernel<'_> {
             match cb.pair {
                 Some(pi) => {
                     let cp = &self.pairs[pi];
-                    let mask = cp.heads.len() - 1;
-                    for i in lo..hi {
-                        let h = canon_hash(&cp.dtags, &cp.dwords, i);
-                        let mut cur = cp.heads[(h as usize) & mask];
+                    // Hoisted, so that a block without a residual runs a
+                    // loop without the (not inlined) residual call.
+                    let trivial = cb.residual.is_empty();
+                    for (i, &g) in (lo..hi).zip(&cp.groups.ids()[lo..hi]) {
+                        let mut cur = cp.ghead[g as usize];
                         while cur != 0 {
                             let pos = (cur - 1) as usize;
-                            cur = cp.next[pos];
-                            if cp.hashes[pos] != h || !cp.keys_equal(pos, i) {
-                                continue;
-                            }
-                            if !self.residual_holds(cb, i, pos)? {
+                            cur = cp.eqnext[pos];
+                            if !trivial && !self.residual_holds(cb, i, pos)? {
                                 continue;
                             }
                             state.matched[pos] = true;

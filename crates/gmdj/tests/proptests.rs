@@ -44,6 +44,29 @@ fn detail(rows: &[(i64, i64)]) -> Relation {
     .expect("static schema")
 }
 
+/// The key `g` in one of three detail layouts: 0 `Int`; 1 `Str`; 2
+/// `Mixed` — `Int`, integral `Double`, `NaN` and `NULL` in one column,
+/// with `-0.0` beside `Int(0)`. A `base` key is the same value, written as
+/// the other numeric type where there is one (`Double(2.0)` for `Int(2)`,
+/// `Int(0)` for `-0.0`).
+fn key(g: i64, layout: usize, base: bool) -> Value {
+    let v = match (layout, g) {
+        (0, _) => Value::Int(g),
+        (1, _) => Value::str(format!("k{g}")),
+        (_, -3) => Value::Null,
+        (_, -2) => Value::Double(f64::NAN),
+        (_, -1) => Value::Double(-0.0),
+        (_, 0) => Value::Int(0),
+        _ if g % 2 == 0 => Value::Double(g as f64),
+        _ => Value::Int(g),
+    };
+    match v {
+        Value::Int(i) if base => Value::Double(i as f64),
+        Value::Double(x) if base && x.fract() == 0.0 => Value::Int(x as i64),
+        v => v,
+    }
+}
+
 fn values_close(a: &Value, b: &Value) -> bool {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => {
@@ -136,7 +159,10 @@ proptest! {
     /// tuples with `x >= b.avg` (a typed `Double` conjunct against a base
     /// column that is `NULL` for empty groups) and `v <= 40` (a typed `Int`
     /// conjunct against a literal), over data with `NULL`s on both
-    /// columns, at any worker count and morsel size.
+    /// columns, at any worker count and morsel size — and over the shapes
+    /// of the map from local groups to base tuples: every key layout
+    /// ([`key`]), duplicate base keys, base keys with no local group and
+    /// local groups missing from B.
     #[test]
     fn columnar_matches_row_kernel_on_correlated_chain(
         rows in proptest::collection::vec(
@@ -153,18 +179,20 @@ proptest! {
         ),
         parallelism in 1usize..4,
         morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
+        layout in 0usize..3,
+        base_keys in proptest::collection::vec(-4i64..5, 0..10),
     ) {
         let d = Relation::new(
             Schema::of(&[("g", DataType::Int), ("v", DataType::Int), ("x", DataType::Double)]),
             rows.into_iter()
-                .map(|(g, v, x)| Row::new(vec![Value::Int(g), v, x]))
+                .map(|(g, v, x)| Row::new(vec![key(g, layout, false), v, x]))
                 .collect(),
         )
         .expect("static schema");
-        // Group 9 is empty: its `avg` stays NULL.
+        // Keys -4, 3 and 4 have no local group: their `avg` stays NULL.
         let base = Relation::new(
             Schema::of(&[("g", DataType::Int)]),
-            (-3i64..3).chain([9]).map(|g| Row::new(vec![Value::Int(g)])).collect(),
+            base_keys.iter().map(|&g| Row::new(vec![key(g, layout, true)])).collect(),
         )
         .expect("static schema");
         let op1 = Gmdj::new("t").block(

@@ -18,9 +18,11 @@
 //! all-columns view of the same shared vectors.
 //!
 //! The vectorized GMDJ kernel consumes this layout: aggregate inner loops
-//! run over `&[i64]` / `&[f64]` slices, and group-key probes compare
-//! *canonical keys* ([`canon_i64`] / [`canon_f64`] plus dictionary codes)
-//! instead of hashing [`Value`] enums row by row.
+//! run over `&[i64]` / `&[f64]` slices. Grouping compares *canonical
+//! keys* ([`canon_i64`] / [`canon_f64`] plus dictionary codes) instead of
+//! [`Value`] enums: a relation's local groups
+//! ([`crate::Relation::groups`]) and the kernel's map from those groups
+//! to base tuples both index ids by [`canon_hash`] in an [`IdTable`].
 
 use crate::row::Row;
 use crate::schema::Schema;
@@ -326,17 +328,14 @@ impl Column {
         self.len() == 0
     }
 
-    /// Canonicalize the column for equality probing: per row the
-    /// `(tag, word)` pair of [`canon_value`]. Dictionary-encoded string
-    /// columns turn their codes into words directly (one pass over `u32`s,
-    /// no hashing); other layouts canonicalize element-wise. The returned
-    /// interner maps further strings (a probe side's) into the same code
-    /// space.
-    pub fn canon_keys(&self) -> CanonKeys {
+    /// Canonicalize the column for grouping: per row the `(tag, word)`
+    /// pair of [`canon_value`]. Dictionary-encoded string columns turn
+    /// their codes into words directly (one pass over `u32`s, no hashing);
+    /// other layouts canonicalize element-wise.
+    pub(crate) fn canon_keys(&self) -> CanonKeys {
         let len = self.len();
         let mut tags = vec![0u8; len];
         let mut words = vec![0u64; len];
-        let mut codes = StrCodes::default();
         match self {
             Column::Int { data, valid } => {
                 for i in 0..len {
@@ -352,38 +351,133 @@ impl Column {
                     }
                 }
             }
-            Column::Str {
-                codes: col_codes,
-                dict,
-                valid,
-            } => {
-                codes = StrCodes::from_dict(dict);
+            Column::Str { codes, valid, .. } => {
                 for i in 0..len {
                     if valid.as_ref().is_none_or(|b| b.get(i)) {
                         tags[i] = CANON_STR_TAG;
-                        words[i] = col_codes[i] as u64;
+                        words[i] = codes[i] as u64;
                     }
                 }
             }
             Column::Mixed(vs) => {
+                let mut codes = StrCodes::default();
                 for i in 0..len {
                     (tags[i], words[i]) = canon_value(&vs[i], &mut codes);
                 }
             }
         }
-        CanonKeys { tags, words, codes }
+        CanonKeys { tags, words }
     }
 }
 
-/// One column's canonical keys — see [`Column::canon_keys`].
+/// One key column's canonical `(tag, word)` pairs, one per element (a row,
+/// a group, a base tuple). A key is a slice of these, one per key column,
+/// read at one index: see [`canon_hash`] and [`canon_eq`].
 #[derive(Debug)]
 pub struct CanonKeys {
-    /// Per row: the canonical tag ([`CANON_NULL`]'s at `NULL` rows).
-    pub tags: Vec<u8>,
-    /// Per row: the canonical word.
-    pub words: Vec<u64>,
-    /// The string interner the words of [`CANON_STR_TAG`] rows index.
-    pub codes: StrCodes,
+    tags: Vec<u8>,
+    words: Vec<u64>,
+}
+
+impl FromIterator<(u8, u64)> for CanonKeys {
+    fn from_iter<I: IntoIterator<Item = (u8, u64)>>(pairs: I) -> CanonKeys {
+        let (tags, words) = pairs.into_iter().unzip();
+        CanonKeys { tags, words }
+    }
+}
+
+/// Mix one canonical component into a running hash (a 64-bit multiply-
+/// xorshift: hash tables over canonical keys need consistency between
+/// their build and probe sides, not SipHash strength).
+#[inline]
+fn mix64(mut h: u64, v: u64) -> u64 {
+    h ^= v;
+    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 29)
+}
+
+/// The canonical hash of the key at index `i` of `keys` (one entry per key
+/// column). Equal keys under one interner hash equally.
+#[inline]
+pub fn canon_hash(keys: &[CanonKeys], i: usize) -> u64 {
+    keys.iter().fold(0x51CA_11A0_C0FF_EE00, |h, k| {
+        mix64(mix64(h, k.tags[i] as u64), k.words[i])
+    })
+}
+
+/// Is the key at index `i` of `a` equal to the key at index `j` of `b`
+/// (both canonicalized under one interner, over the same key columns)?
+#[inline]
+pub fn canon_eq(a: &[CanonKeys], i: usize, b: &[CanonKeys], j: usize) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(a, b)| a.tags[i] == b.tags[j] && a.words[i] == b.words[j])
+}
+
+/// Dense ids `0..len` indexed by their keys' canonical hashes: open
+/// addressing with linear probing, grown at half load. The caller holds
+/// the keys and decides equality, so the table stores no key, and it
+/// allocates per doubling of its ids, never per probe.
+#[derive(Debug)]
+pub struct IdTable {
+    /// Slot → id + 1 (0 = empty); a power of two long.
+    slots: Vec<u32>,
+    /// Per id: its hash (for growth, and to skip most key comparisons).
+    hashes: Vec<u64>,
+}
+
+impl IdTable {
+    /// An empty table sized for `n` ids without growing.
+    pub fn with_capacity(n: usize) -> IdTable {
+        IdTable {
+            slots: vec![0; (n.max(8) * 2).next_power_of_two()],
+            hashes: Vec::with_capacity(n),
+        }
+    }
+
+    /// The id hashed `h` whose key `eq` accepts, if there is one.
+    #[inline]
+    pub fn find(&self, h: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = h as usize & mask;
+        loop {
+            let id = match self.slots[s] {
+                0 => return None,
+                slot => (slot - 1) as usize,
+            };
+            if self.hashes[id] == h && eq(id) {
+                return Some(id);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Give the next id to a key hashed `h` that [`IdTable::find`] does
+    /// not hold, and return it.
+    pub fn insert(&mut self, h: u64) -> usize {
+        if (self.hashes.len() + 1) * 2 > self.slots.len() {
+            let mut grown = vec![0u32; self.slots.len() * 2];
+            for (id, &h) in self.hashes.iter().enumerate() {
+                place(&mut grown, h, id);
+            }
+            self.slots = grown;
+        }
+        let id = self.hashes.len();
+        assert!(id < u32::MAX as usize, "more than u32::MAX ids");
+        place(&mut self.slots, h, id);
+        self.hashes.push(h);
+        id
+    }
+}
+
+/// Put `id` in the first empty slot from `h`'s home slot on.
+fn place(slots: &mut [u32], h: u64, id: usize) {
+    let mask = slots.len() - 1;
+    let mut s = h as usize & mask;
+    while slots[s] != 0 {
+        s = (s + 1) & mask;
+    }
+    slots[s] = id as u32 + 1;
 }
 
 /// A string interner: maps each distinct string to one `u32` code, shared
@@ -395,15 +489,6 @@ pub struct StrCodes {
 }
 
 impl StrCodes {
-    /// Seeded with a column dictionary: code `i` ↦ `dict[i]`.
-    fn from_dict(dict: &[Arc<str>]) -> StrCodes {
-        let mut map = HashMap::with_capacity(dict.len());
-        for (i, s) in dict.iter().enumerate() {
-            map.insert(Arc::clone(s), i as u32);
-        }
-        StrCodes { map }
-    }
-
     fn code(&mut self, s: &Arc<str>) -> u32 {
         let next = self.map.len() as u32;
         *self.map.entry(Arc::clone(s)).or_insert(next)

@@ -36,7 +36,7 @@ pub use error::{Error, Result};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr, Side};
 pub use parse::parse_expr;
 pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, Interval};
-pub use relation::Relation;
+pub use relation::{Groups, Relation};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
 pub use value::{total_f64_cmp, DataType, Value};

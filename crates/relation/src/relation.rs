@@ -1,12 +1,12 @@
 //! In-memory relations (multisets of rows) and basic relational operators.
 
-use crate::columns::{Column, Columns};
+use crate::columns::{canon_eq, canon_hash, CanonKeys, Column, Columns, IdTable};
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -16,11 +16,12 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// and of every structure shipped between sites and the coordinator. Rows
 /// remain the interchange representation (the codec and CSV loader read
 /// them unchanged). What a query derives from the rows — a column's typed
-/// vector ([`Relation::column`]), the distinct groups of a key set
-/// ([`Relation::project_distinct`]) — is built on first touch and kept on
-/// the relation: never at construction, dropped by mutation, and a clone
-/// takes a snapshot (it shares what is built, and nothing either side
-/// builds afterwards is visible to the other).
+/// vector ([`Relation::column`]), the local groups of a key-column list
+/// ([`Relation::groups`]) — is built on first touch and kept on the
+/// relation: never at construction, dropped by mutation, and a clone takes
+/// a snapshot (it shares what is built, and nothing either side builds
+/// afterwards is visible to the other — except the projection of a key
+/// list whose groups both share, which is the same on both sides).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: SchemaRef,
@@ -28,9 +29,12 @@ pub struct Relation {
     derived: Derived,
 }
 
-/// How many key sets' distinct groups a relation remembers (most recently
-/// used first).
-const GROUP_MEMO_CAP: usize = 4;
+/// How many key-column lists' groups a relation remembers (most recently
+/// used first). One dashboard refresh over a fact table reads six.
+const GROUP_MEMO_CAP: usize = 8;
+
+/// The memo of [`Relation::groups`]: key-column positions → groups.
+type GroupMemo = Vec<(Vec<usize>, Arc<Groups>)>;
 
 /// State computed from `rows`, each piece on first touch.
 #[derive(Debug, Default)]
@@ -39,15 +43,41 @@ struct Derived {
     cols: OnceLock<Box<[OnceLock<Arc<Column>>]>>,
     /// The all-columns view over `cols`.
     all: OnceLock<Arc<Columns>>,
-    /// `project_distinct` results by key-column positions.
-    groups: Mutex<Vec<(Vec<usize>, Arc<Relation>)>>,
+    groups: Mutex<GroupMemo>,
 }
 
 impl Derived {
     /// The memo. Every update leaves the list valid (whole entries are
     /// inserted or dropped), so a poisoned lock is still good to use.
-    fn groups(&self) -> std::sync::MutexGuard<'_, Vec<(Vec<usize>, Arc<Relation>)>> {
+    fn groups(&self) -> std::sync::MutexGuard<'_, GroupMemo> {
         self.groups.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The local groups of one key-column list ([`Relation::groups`]): the
+/// equality classes of [`Value`]'s `Eq` over those columns, numbered in
+/// first-occurrence order.
+#[derive(Debug)]
+pub struct Groups {
+    /// Per row: its group's id.
+    ids: Vec<u32>,
+    /// Per group: the row that opened it.
+    first: Vec<u32>,
+    /// The first rows projected onto the key columns — built only when
+    /// [`Relation::project_distinct`] asks, and shared by every relation
+    /// whose memo holds this entry (clones of one set of rows).
+    distinct: OnceLock<Relation>,
+}
+
+impl Groups {
+    /// Per row of the relation: the dense id of its group.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Per group: the position of its first row, which represents it.
+    pub fn first_rows(&self) -> &[u32] {
+        &self.first
     }
 }
 
@@ -204,54 +234,72 @@ impl Relation {
         Relation::new(schema, rows)
     }
 
-    /// Duplicate-eliminating projection (π with DISTINCT) preserving first
-    /// occurrence order, each group represented by its first occurrence's
-    /// exact values — used to build base-values relations.
+    /// The local groups of the key columns at positions `key`: each row's
+    /// dense group id and each group's first row.
     ///
-    /// Runs over the key columns' canonical keys
-    /// ([`Column::canon_keys`], the equality classes of [`Value`]'s `Eq`),
-    /// and the result is remembered per key-column list (the 4 most
-    /// recently used), so a site derives the local groups of its
-    /// partition once, not once per query.
-    pub fn project_distinct(&self, columns: &[&str]) -> Result<Relation> {
-        let idx = self.schema.indexes_of(columns)?;
-        let hit = {
-            let mut memo = self.derived.groups();
-            memo.iter().position(|(k, _)| *k == idx).map(|at| {
-                memo[..=at].rotate_right(1);
-                Arc::clone(&memo[0].1)
-            })
-        };
-        if let Some(distinct) = hit {
-            return Ok(Relation::clone(&distinct));
-        }
-        let schema = self.schema.project(&idx)?;
-        // Dense group ids, one key column at a time: after column k two
-        // rows share an id iff they agree on key columns 0..=k, and `first`
-        // holds the rows that opened an id — the first occurrences.
-        let mut group = vec![0usize; self.rows.len()];
-        let mut first: Vec<usize> = (0..self.rows.len().min(1)).collect();
-        for &c in &idx {
-            let keys = self.column(c).canon_keys();
-            let mut ids: HashMap<(usize, u8, u64), usize> = HashMap::new();
-            first.clear();
-            for (i, g) in group.iter_mut().enumerate() {
-                let next = ids.len();
-                *g = *ids.entry((*g, keys.tags[i], keys.words[i])).or_insert(next);
-                if *g == next {
-                    first.push(i);
-                }
-            }
-        }
-        let rows = first.iter().map(|&i| self.rows[i].project(&idx)).collect();
-        let distinct = Arc::new(Relation::from_shared(Arc::new(schema), rows));
+    /// Runs over the key columns' canonical keys (the equality classes of
+    /// [`Value`]'s `Eq`), and the result is remembered per key-column list
+    /// (the 8 most recently used), so a site derives the local groups of
+    /// its partition once, not once per query — and the GMDJ kernel reads
+    /// each detail row's group from it instead of hashing the row.
+    ///
+    /// # Panics
+    /// If a position in `key` is not a column position of the schema.
+    pub fn groups(&self, key: &[usize]) -> Arc<Groups> {
         {
             let mut memo = self.derived.groups();
-            memo.retain(|(k, _)| *k != idx); // a concurrent caller got here first
-            memo.insert(0, (idx, Arc::clone(&distinct)));
-            memo.truncate(GROUP_MEMO_CAP);
+            if let Some(at) = memo.iter().position(|(k, _)| k == key) {
+                memo[..=at].rotate_right(1);
+                return Arc::clone(&memo[0].1);
+            }
         }
-        Ok(Relation::clone(&distinct))
+        let keys: Vec<CanonKeys> = key.iter().map(|&c| self.column(c).canon_keys()).collect();
+        let mut ids = Vec::with_capacity(self.rows.len());
+        let mut first: Vec<u32> = Vec::new();
+        let mut table = IdTable::with_capacity(0);
+        for i in 0..self.rows.len() {
+            let h = canon_hash(&keys, i);
+            let id = match table.find(h, |g| canon_eq(&keys, first[g] as usize, &keys, i)) {
+                Some(id) => id,
+                None => {
+                    first.push(i as u32);
+                    table.insert(h)
+                }
+            };
+            ids.push(id as u32);
+        }
+        let groups = Arc::new(Groups {
+            ids,
+            first,
+            distinct: OnceLock::new(),
+        });
+        let mut memo = self.derived.groups();
+        memo.retain(|(k, _)| k != key); // a concurrent caller got here first
+        memo.insert(0, (key.to_vec(), Arc::clone(&groups)));
+        memo.truncate(GROUP_MEMO_CAP);
+        groups
+    }
+
+    /// Duplicate-eliminating projection (π with DISTINCT) preserving first
+    /// occurrence order, each group represented by its first occurrence's
+    /// exact values — used to build base-values relations. The projection
+    /// of [`Relation::groups`], kept with them once made.
+    pub fn project_distinct(&self, columns: &[&str]) -> Result<Relation> {
+        let idx = self.schema.indexes_of(columns)?;
+        let groups = self.groups(&idx);
+        if let Some(distinct) = groups.distinct.get() {
+            return Ok(distinct.clone());
+        }
+        let schema = Arc::new(self.schema.project(&idx)?);
+        let rows = groups
+            .first
+            .iter()
+            .map(|&i| self.rows[i as usize].project(&idx))
+            .collect();
+        Ok(groups
+            .distinct
+            .get_or_init(|| Relation::from_shared(schema, rows))
+            .clone())
     }
 
     /// Selection (σ) by a bound predicate.
@@ -494,20 +542,20 @@ mod tests {
             r.derived.groups().iter().map(|(k, _)| k.clone()).collect()
         };
         assert_eq!(kept(&r), [vec![1], vec![0], vec![0, 1], vec![1, 0]]);
-        // A key set beyond GROUP_MEMO_CAP evicts the least recently used.
-        let w = wide();
-        for key in [&["a"][..], &["b"], &["c"], &["a", "b"], &["b"], &["a", "c"]] {
-            w.project_distinct(key).unwrap();
-        }
-        assert_eq!(kept(&w), [vec![0, 2], vec![1], vec![0, 1], vec![2]]);
 
-        // `push` drops the memo: the new group shows.
+        // `push` drops the memo, ids included: the new group shows, and a
+        // handle taken before stays what it was.
+        let before = r.groups(&[0]);
         r.push(row![3i64, "x"]);
         assert_eq!(memo_len(&r), 0);
         assert_eq!(r.project_distinct(&["a"]).unwrap().len(), 3);
+        assert_eq!(r.groups(&[0]).ids(), [0, 1, 0, 2]);
+        assert_eq!(before.ids(), [0, 1, 0]);
         // So does `rows_mut`.
         r.rows_mut().retain(|row| row.get(0) != &Value::Int(1));
         assert_eq!(built(&r), [false, false]);
+        assert_eq!(memo_len(&r), 0);
+        assert_eq!(r.groups(&[0]).ids(), [0, 1]);
         assert_eq!(
             r.project_distinct(&["a"]).unwrap().rows(),
             [row![2i64], row![3i64]]
@@ -534,15 +582,75 @@ mod tests {
         let late = original.clone();
         assert_eq!(built(&late), [true, false]);
         assert!(std::ptr::eq(original.column(0), late.column(0)));
-        assert!(Arc::ptr_eq(
-            &original.derived.groups()[0].1,
-            &late.derived.groups()[0].1
-        ));
+        assert!(Arc::ptr_eq(&original.groups(&[0]), &late.groups(&[0])));
         late.column(1);
         late.project_distinct(&["b"]).unwrap();
         assert_eq!(built(&original), [true, false]);
-        assert_eq!(memo_len(&original), 1);
+        original.groups(&[0, 1]);
+        assert_eq!(memo_len(&original), 2);
         assert_eq!(memo_len(&late), 2);
+        assert!(!Arc::ptr_eq(&original.groups(&[1]), &late.groups(&[1])));
+    }
+
+    #[test]
+    fn groups_number_rows_by_value_equality_in_first_occurrence_order() {
+        let r = Relation::new(
+            Schema::of(&[("k", DataType::Int)]),
+            [
+                Value::Int(2),
+                Value::Double(2.0),
+                Value::Null,
+                Value::Double(-0.0),
+                Value::Int(0),
+                Value::Double(f64::NAN),
+                Value::Double(-f64::NAN),
+                Value::Null,
+                Value::str("s"),
+            ]
+            .into_iter()
+            .map(|v| Row::new(vec![v]))
+            .collect(),
+        )
+        .unwrap();
+        assert!(matches!(r.column(0), Column::Mixed(_)));
+        let g = r.groups(&[0]);
+        assert_eq!(g.ids(), [0, 0, 1, 2, 2, 3, 3, 1, 4]);
+        assert_eq!(g.first_rows(), [0, 2, 3, 5, 8]);
+        // The kernel reads ids only: the groups are projected on demand.
+        assert!(g.distinct.get().is_none());
+        assert_eq!(r.project_distinct(&["k"]).unwrap().len(), 5);
+        assert!(r.groups(&[0]).distinct.get().is_some());
+        // No key columns: one group.
+        assert_eq!(r.groups(&[]).ids(), [0; 9]);
+    }
+
+    #[test]
+    fn six_key_lists_cycled_twice_hit_on_the_second_pass() {
+        // One dashboard refresh reads six key lists of its fact table; a
+        // memo that holds fewer misses on every refresh.
+        let keys: [&[usize]; 9] = [
+            &[0],
+            &[1],
+            &[2],
+            &[0, 1],
+            &[1, 0],
+            &[0, 2],
+            &[2, 0],
+            &[1, 2],
+            &[2, 1],
+        ];
+        let w = wide();
+        let first: Vec<Arc<Groups>> = keys[..6].iter().map(|k| w.groups(k)).collect();
+        for (k, g) in keys[..6].iter().zip(&first) {
+            assert!(Arc::ptr_eq(&w.groups(k), g), "{k:?} missed");
+        }
+        // Past GROUP_MEMO_CAP the least recently used goes.
+        for k in &keys[6..] {
+            w.groups(k);
+        }
+        assert_eq!(memo_len(&w), GROUP_MEMO_CAP);
+        assert!(!Arc::ptr_eq(&w.groups(keys[0]), &first[0]));
+        assert!(Arc::ptr_eq(&w.groups(keys[5]), &first[5]));
     }
 
     #[test]

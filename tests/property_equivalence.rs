@@ -13,8 +13,9 @@ use skalla::gmdj::eval::{
     eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
 };
 use skalla::gmdj::prelude::*;
+use skalla::gmdj::BaseQuery;
 use skalla::net::TcpConfig;
-use skalla::relation::{DataType, Relation, Row, Schema};
+use skalla::relation::{DataType, Relation, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,6 +49,40 @@ fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
             .collect(),
     )
     .expect("static schema")
+}
+
+/// Detail key `g` in one of four column layouts: 0 `Int`; 1 `Double`
+/// (halves, so odd `g` is not integral, with `NaN`, `NULL`, and `-0.0`
+/// beside `0.0`); 2 `Str` with `NULL`; 3 `Mixed` — `Int`, integral
+/// `Double`, `NaN`, `NULL` and a string in one column, with `-0.0` beside
+/// `Int(0)` and `Double(2.0)` beside `Int(2)`.
+fn key_value(g: i64, layout: usize) -> Value {
+    match (layout, g) {
+        (0, _) => Value::Int(g),
+        (1 | 3, -6) => Value::Double(f64::NAN),
+        (1..=3, -5) => Value::Null,
+        (1 | 3, 0) => Value::Double(-0.0),
+        (1, 1) => Value::Double(0.0),
+        (3, 1) => Value::Int(0),
+        (3, 3) => Value::Int(2),
+        (1, _) => Value::Double(g as f64 / 2.0),
+        (2, _) => Value::str(format!("k{g}")),
+        (_, 5) => Value::str("five"),
+        _ if g % 2 == 0 => Value::Double(g as f64),
+        _ => Value::Int(g),
+    }
+}
+
+/// A base tuple's key for `g`: [`key_value`], written as the other numeric
+/// type where that is the same value (`Int(2)` for `Double(2.0)`, `Int(0)`
+/// for `-0.0`). A `g` outside the detail's `-6..6` has no local group —
+/// for strings, no entry in the detail dictionary.
+fn base_key(g: i64, layout: usize) -> Value {
+    match key_value(g, layout) {
+        Value::Int(i) if i % 2 == 0 => Value::Double(i as f64),
+        Value::Double(d) if d.fract() == 0.0 => Value::Int(d as i64),
+        v => v,
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -345,17 +380,36 @@ proptest! {
     /// The columnar kernel is bit-identical to the row kernel on randomly
     /// shaped GMDJ *chains* — including correlated second blocks (whose
     /// residuals reference first-block aggregate outputs) and non-equi
-    /// blocks (nested-loop path), end to end through finalization.
+    /// blocks (nested-loop path), end to end through finalization — over
+    /// every shape of the map from local groups to base tuples: each key
+    /// layout ([`key_value`]), and, from a literal base, duplicate base
+    /// keys, base keys with no local group, local groups missing from B
+    /// and keys written as the other numeric type ([`base_key`]).
     #[test]
     fn columnar_kernel_matches_row_kernel_on_chains(
         rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
         group_on_h in any::<bool>(),
         second in arb_second(),
+        layout in 0usize..4,
+        literal in any::<bool>(),
+        base_rows in proptest::collection::vec((-7i64..8, 0i64..4), 0..16),
     ) {
-        let detail = detail_relation_f64(rows);
+        let mut detail = detail_relation_f64(rows);
+        for r in detail.rows_mut() {
+            let g = r.get(0).as_i64().expect("generated as Int");
+            r.set(0, key_value(g, layout));
+        }
         let cluster = Cluster::from_partitions("t", partition_round_robin(&detail, 1));
         let group_cols: Vec<&str> = if group_on_h { vec!["g", "h"] } else { vec!["g"] };
-        let expr = build_expr(&group_cols, &second);
+        let mut expr = build_expr(&group_cols, &second);
+        if literal {
+            let schema = Schema::of(&[("g", DataType::Int), ("h", DataType::Int)][..group_cols.len()]);
+            let rows = base_rows
+                .iter()
+                .map(|&(g, h)| Row::new([base_key(g, layout), h.into()][..group_cols.len()].to_vec()))
+                .collect();
+            expr.base = BaseQuery::Literal(Relation::new(schema, rows).expect("key arity"));
+        }
         let opts = EvalOptions {
             parallelism: 1,
             morsel_rows: 7,
@@ -372,7 +426,8 @@ proptest! {
         let colk = expr
             .eval_centralized(&catalog, opts)
             .expect("columnar kernel evaluates");
-        assert_bit_identical(&colk, &rowk, &group_cols, &format!("second {second:?}"));
+        let ctx = format!("second {second:?} layout {layout} literal base {literal}");
+        assert_bit_identical(&colk, &rowk, &group_cols, &ctx);
     }
 
     /// Group reduction flags never change the row traffic *upward*.

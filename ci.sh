@@ -86,6 +86,12 @@ cargo bench -p skalla-bench --bench probe_alloc
 # size, so a change that breaks its use of the public API fails here and
 # not in the next benchmark run.
 cargo run --release -q -p skalla-bench --bin e2e -- run --smoke --out target/e2e-smoke
+# The paper's curve shapes (Figs. 2–5) at reduced size: `figs --check` asserts them.
+# Every claim but one is traffic, which is deterministic; Fig. 5's site-compute
+# ratio is a sub-millisecond timing at this size that host noise breaks in about
+# one run in ten (on a shared 2-core VM), so a failed run is retried once.
+cargo run --release -q -p skalla-bench --bin figs -- --quick --check --repeats 1 \
+  || cargo run --release -q -p skalla-bench --bin figs -- --quick --check --repeats 1
 
 # Multi-process TCP smoke test: two standalone site processes on ephemeral
 # loopback ports, one coordinator run over them. Skipped gracefully in

@@ -1,14 +1,10 @@
-//! Measurement harness shared by the `fig2`…`fig5` binaries: run a
-//! (query, flags) pair on a cluster, collect the
-//! paper's metrics, print series tables, and check curve shapes.
+//! Measurement harness of the `figs` binary: run a (query, flags) pair
+//! on a cluster, collect the paper's metrics, print series tables, and
+//! check curve shapes.
 
-use skalla_core::{Cluster, DistributedPlan, EngineConfig, OptFlags, Planner, QueryResult};
+use skalla_core::{Cluster, OptFlags, Planner};
 use skalla_gmdj::GmdjExpr;
 use skalla_net::CostModel;
-use skalla_obs::chrome::metrics_snapshot;
-use skalla_obs::json::Json;
-use skalla_obs::Obs;
-use std::collections::BTreeMap;
 
 /// One measured execution.
 #[derive(Debug, Clone)]
@@ -27,109 +23,11 @@ pub struct Measurement {
     pub rows: (u64, u64),
     /// Synchronization rounds.
     pub rounds: usize,
-    /// Result group count.
-    pub groups: usize,
-    /// Real wall-clock seconds.
-    pub wall_s: f64,
 }
 
-impl Measurement {
-    /// Extract metrics from a query result under a cost model.
-    pub fn from(result: &QueryResult, cost: &CostModel) -> Measurement {
-        let sim = result.stats.simulated(cost);
-        Measurement {
-            sim_total_s: sim.total_s(),
-            sim_site_s: sim.site_s,
-            sim_coord_s: sim.coord_s,
-            sim_comm_s: sim.comm_s,
-            bytes: result.stats.total_bytes(),
-            rows: result.stats.total_rows(),
-            rounds: result.stats.n_rounds(),
-            groups: result.relation.len(),
-            wall_s: result.stats.wall_s,
-        }
-    }
-}
-
-/// Plan and execute, returning the plan and the measurement.
-pub fn run_once(
-    cluster: &Cluster,
-    expr: &GmdjExpr,
-    flags: OptFlags,
-    cost: &CostModel,
-) -> (DistributedPlan, Measurement) {
-    let plan = Planner::new(cluster.distribution()).optimize(expr, flags);
-    let result = cluster
-        .execute(&plan)
-        .unwrap_or_else(|e| panic!("benchmark query failed: {e}\n{}", plan.explain()));
-    let m = Measurement::from(&result, cost);
-    (plan, m)
-}
-
-/// Plan and execute with a span recorder attached, returning the
-/// measurement plus a trace-derived JSON report: headline numbers,
-/// per-span-name duration roll-ups, and the flat metrics snapshot.
-/// Serialize with [`Json::to_json`].
-pub fn run_traced(
-    cluster: &Cluster,
-    expr: &GmdjExpr,
-    flags: OptFlags,
-    cost: &CostModel,
-) -> (Measurement, Json) {
-    let obs = Obs::recording();
-    let mut cluster = cluster.clone();
-    cluster.configure(&EngineConfig {
-        obs: obs.clone(),
-        ..EngineConfig::default()
-    });
-    let planner = Planner::new(cluster.distribution()).with_obs(obs.clone());
-    let (plan, decisions) = planner.optimize_with_decisions(expr, flags);
-    let result = cluster
-        .execute(&plan)
-        .unwrap_or_else(|e| panic!("benchmark query failed: {e}\n{}", plan.explain()));
-    let m = Measurement::from(&result, cost);
-    let rec = obs.recorder().expect("recording handle");
-
-    // Roll up closed spans by name.
-    let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for s in rec.spans() {
-        if let Some(d) = s.dur_us {
-            let e = totals.entry(s.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += d;
-        }
-    }
-    let span_totals = Json::Obj(
-        totals
-            .into_iter()
-            .map(|(name, (count, total_us))| {
-                (
-                    name,
-                    Json::obj(vec![
-                        ("count", count.into()),
-                        ("total_us", total_us.into()),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let report = Json::obj(vec![
-        ("rounds", m.rounds.into()),
-        ("bytes", m.bytes.into()),
-        ("rows_down", m.rows.0.into()),
-        ("rows_up", m.rows.1.into()),
-        ("groups", m.groups.into()),
-        ("optimizer_decisions", Json::Arr(
-            decisions.iter().map(|d| d.to_string().into()).collect(),
-        )),
-        ("span_totals", span_totals),
-        ("metrics", metrics_snapshot(rec)),
-    ]);
-    (m, report)
-}
-
-/// Run `repeats` times and keep the measurement with the median simulated
-/// time (compute measurements are noisy; traffic is deterministic).
+/// Plan, then execute `repeats` times and keep the measurement with the
+/// median simulated time (compute measurements are noisy; traffic is
+/// deterministic).
 pub fn run_median(
     cluster: &Cluster,
     expr: &GmdjExpr,
@@ -137,8 +35,24 @@ pub fn run_median(
     cost: &CostModel,
     repeats: usize,
 ) -> Measurement {
+    let plan = Planner::new(cluster.distribution()).optimize(expr, flags);
     let mut ms: Vec<Measurement> = (0..repeats.max(1))
-        .map(|_| run_once(cluster, expr, flags, cost).1)
+        .map(|_| {
+            let result = cluster
+                .execute(&plan)
+                .unwrap_or_else(|e| panic!("benchmark query failed: {e}\n{}", plan.explain()));
+            let stats = &result.stats;
+            let sim = stats.simulated(cost);
+            Measurement {
+                sim_total_s: sim.total_s(),
+                sim_site_s: sim.site_s,
+                sim_coord_s: sim.coord_s,
+                sim_comm_s: sim.comm_s,
+                bytes: stats.total_bytes(),
+                rows: stats.total_rows(),
+                rounds: stats.n_rounds(),
+            }
+        })
         .collect();
     ms.sort_by(|a, b| a.sim_total_s.total_cmp(&b.sim_total_s));
     ms.swap_remove(ms.len() / 2)
@@ -157,6 +71,17 @@ impl Series {
     /// The y values under a metric accessor.
     pub fn ys(&self, f: impl Fn(&Measurement) -> f64) -> Vec<f64> {
         self.points.iter().map(|(_, m)| f(m)).collect()
+    }
+
+    /// [`assert_growth`] of a metric over this series' own x values.
+    pub fn growth(
+        &self,
+        name: &str,
+        f: impl Fn(&Measurement) -> f64,
+        expected: Growth,
+    ) -> std::result::Result<(), String> {
+        let xs: Vec<usize> = self.points.iter().map(|(x, _)| *x).collect();
+        assert_growth(name, &xs, &self.ys(f), expected)
     }
 }
 
@@ -250,19 +175,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Parse `--flag value`-style arguments: returns the value after `name`.
-pub fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Whether a bare flag is present.
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,60 +200,5 @@ mod tests {
         assert_eq!(fmt_bytes(12_000_000), "12.0 MB");
         assert_eq!(fmt_secs(2.5), "2.50 s");
         assert_eq!(fmt_secs(0.0123), "12.3 ms");
-    }
-
-    #[test]
-    fn traced_report_round_trips_through_parser() {
-        use skalla_gmdj::prelude::*;
-        use skalla_relation::{row, DataType, Domain, DomainMap, Relation, Schema};
-        let schema = Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]);
-        let p0 = Relation::new(
-            schema.clone(),
-            vec![row![1i64, 10i64], row![2i64, 5i64]],
-        )
-        .unwrap();
-        let p1 = Relation::new(schema, vec![row![3i64, 7i64]]).unwrap();
-        let cluster = Cluster::from_partitions(
-            "t",
-            vec![
-                (p0, DomainMap::new().with("g", Domain::IntRange(1, 2))),
-                (p1, DomainMap::new().with("g", Domain::IntRange(3, 3))),
-            ],
-        );
-        let expr = GmdjExprBuilder::distinct_base("t", &["g"])
-            .gmdj(Gmdj::new("t").block(
-                ThetaBuilder::group_by(&["g"]).build(),
-                vec![AggSpec::count("cnt")],
-            ))
-            .build();
-        let (m, report) =
-            run_traced(&cluster, &expr, OptFlags::all(), &CostModel::lan());
-        let parsed = skalla_obs::json::parse(&report.to_json()).expect("valid JSON");
-        assert_eq!(
-            parsed.get("rounds").and_then(|v| v.as_u64()),
-            Some(m.rounds as u64)
-        );
-        assert_eq!(
-            parsed.get("bytes").and_then(|v| v.as_u64()),
-            Some(m.bytes)
-        );
-        let spans = parsed.get("span_totals").expect("span_totals");
-        assert!(spans.get("query").is_some());
-        assert!(parsed
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .is_some());
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--scale", "3", "--check"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--scale").as_deref(), Some("3"));
-        assert_eq!(arg_value(&args, "--other"), None);
-        assert!(has_flag(&args, "--check"));
-        assert!(!has_flag(&args, "--nope"));
     }
 }

@@ -115,6 +115,10 @@ pub fn cluster_of(parts: &[Partition], k: usize) -> Cluster {
 /// The **group reduction query** (Fig. 2): two correlated GMDJs grouped on
 /// the partition attribute; COUNT + AVG on each operator. The correlation
 /// (θ₂ references `avg1`) prevents coalescing, isolating group reduction.
+/// It is also Fig. 4's synchronization reduction query (the groupings
+/// entail equality on the partition attribute, so sync reduction evaluates
+/// the whole chain locally in one round: Prop 2 + Cor 1) and Fig. 5's
+/// combined reductions query.
 pub fn group_reduction_query(card: Cardinality) -> GmdjExpr {
     let g = card.column();
     GmdjExprBuilder::distinct_base("tpcr", &[g])
@@ -154,20 +158,6 @@ pub fn coalescing_query(card: Cardinality) -> GmdjExpr {
             vec![AggSpec::count("cnt2"), AggSpec::avg("quantity", "avg2")],
         ))
         .build()
-}
-
-/// The **synchronization reduction query** (Fig. 4): the correlated pair
-/// again — not coalescible — but groupings entail equality on the
-/// partition attribute, so sync reduction evaluates the whole chain
-/// locally in one round (Prop 2 + Cor 1).
-pub fn sync_reduction_query(card: Cardinality) -> GmdjExpr {
-    group_reduction_query(card)
-}
-
-/// The **combined reductions query** (Fig. 5): same correlated shape,
-/// executed with all reductions on or all off.
-pub fn combined_query(card: Cardinality) -> GmdjExpr {
-    group_reduction_query(card)
 }
 
 #[cfg(test)]
@@ -220,7 +210,7 @@ mod tests {
         let parts = tiny();
         let c = cluster_of(&parts, 4);
         let plan = Planner::new(c.distribution()).optimize(
-            &sync_reduction_query(Cardinality::High),
+            &group_reduction_query(Cardinality::High),
             OptFlags::sync_reduction_only(),
         );
         assert_eq!(plan.n_rounds(), 1, "{}", plan.explain());

@@ -172,7 +172,7 @@ impl Cluster {
     /// off whatever the configuration says.
     pub fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let mut cfg = self.cfg.clone();
-        cfg.cache = false;
+        cfg.cache_bytes = 0;
         Skalla::start_local(self, cfg)?.execute(plan)
     }
 

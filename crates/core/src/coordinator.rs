@@ -280,12 +280,11 @@ impl ChainSync {
 }
 
 /// A *partial* merger of physical sub-aggregates that does **not**
-/// finalize: regional coordinators in the multi-tier topology use it to
-/// combine their sites' sub-results into one still-mergeable relation
-/// before forwarding to the root (Theorem 1 applied recursively — merge is
-/// associative, so any intermediate grouping of the partition is valid).
+/// finalize: it combines sub-results into one still-mergeable relation
+/// (Theorem 1 applied recursively — merge is associative, so any
+/// intermediate grouping of the partition is valid).
 #[derive(Debug)]
-pub struct PartialMerge {
+pub(crate) struct PartialMerge {
     /// Merged rows (key columns + accumulators) in first-arrival order.
     rows: Vec<Vec<Value>>,
     /// key → index into `rows`.
@@ -297,7 +296,7 @@ pub struct PartialMerge {
 impl PartialMerge {
     /// A partial merger for sub-results of `op` keyed on `key_len` leading
     /// columns.
-    pub fn new(key_len: usize, op: &Gmdj) -> PartialMerge {
+    pub(crate) fn new(key_len: usize, op: &Gmdj) -> PartialMerge {
         PartialMerge {
             rows: Vec::new(),
             index: HashMap::new(),
@@ -307,7 +306,7 @@ impl PartialMerge {
     }
 
     /// Merge one sub-result (key columns + physical accumulators).
-    pub fn absorb(&mut self, h: &Relation) -> Result<()> {
+    pub(crate) fn absorb(&mut self, h: &Relation) -> Result<()> {
         let width = self.layout.width();
         if h.schema().len() != self.key_len + width {
             return Err(Error::Execution(format!(
@@ -330,7 +329,7 @@ impl PartialMerge {
     }
 
     /// The merged (still physical) relation, in first-arrival key order.
-    pub fn into_relation(self, schema: skalla_relation::SchemaRef) -> Relation {
+    pub(crate) fn into_relation(self, schema: skalla_relation::SchemaRef) -> Relation {
         Relation::from_shared(schema, self.rows.into_iter().map(Row::new).collect())
     }
 }
@@ -347,12 +346,13 @@ fn merge_pair(pair: &[Relation], key_len: usize, op: &Gmdj) -> Result<Relation> 
     Ok(pm.into_relation(pair[0].schema_ref()))
 }
 
-/// Merge sub-result chunks as a binary tree of [`PartialMerge`]s instead of
-/// a left fold, pairing adjacent chunks level by level until one remains.
+/// Merge sub-result chunks as a binary tree of partial (non-finalizing)
+/// merges instead of a left fold, pairing adjacent chunks level by level
+/// until one remains.
 ///
 /// Levels with several pairs run them on scoped worker threads (up to
 /// `parallelism`). The tree *shape* depends only on `chunks.len()`, and
-/// within every [`PartialMerge`] accumulators merge in fixed (left, right)
+/// within every merge accumulators merge in fixed (left, right)
 /// order — so the result is deterministic regardless of thread count, and
 /// equal to the left fold by merge associativity (Theorem 1, proven by
 /// `partial_merge_is_associative_with_merge_sync`).

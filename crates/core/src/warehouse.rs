@@ -185,18 +185,15 @@ pub struct EngineConfig {
     /// Multi-query admission control (concurrency, queue bound, queue
     /// timeout).
     pub scheduler: SchedulerConfig,
-    /// Semantic result caching: repeated plans are answered from the
-    /// coordinator's sub-aggregate cache (and in-flight duplicates
-    /// coalesce) instead of re-contacting the sites, and `query::cube`
-    /// rolls coarse grouping sets up from the finest level locally. On by
-    /// default; a served result is the bit-identical relation the sites
-    /// produced, so turning it off (CLI `--no-cache`) only reproduces
+    /// Byte budget of the semantic result cache: repeated plans are
+    /// answered from the coordinator's sub-aggregate cache (and in-flight
+    /// duplicates coalesce) instead of re-contacting the sites, with
+    /// least-recently-used entries evicted past the budget.
+    /// [`DEFAULT_CACHE_BYTES`] unless set ([`SkallaBuilder::cache_bytes`],
+    /// CLI `--cache-bytes`). Zero turns the cache off (CLI `--no-cache`):
+    /// no lookup, no coalescing, no insertion. A served result is the
+    /// bit-identical relation the sites produced, so off only reproduces
     /// pre-cache traffic byte for byte.
-    pub cache: bool,
-    /// Byte budget for the semantic result cache (least-recently-used
-    /// entries are evicted past it): [`DEFAULT_CACHE_BYTES`] unless set
-    /// ([`SkallaBuilder::cache_bytes`], CLI `--cache-bytes`). Whether
-    /// the cache is consulted at all is [`EngineConfig::cache`].
     pub cache_bytes: usize,
 }
 
@@ -208,7 +205,6 @@ impl Default for EngineConfig {
             chunk_rows: None,
             obs: Obs::disabled(),
             scheduler: SchedulerConfig::default(),
-            cache: true,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
@@ -512,8 +508,8 @@ impl Skalla {
     /// records running alone, and site busy times are reported by the
     /// sites themselves on both backends (shipped in accounting-exempt
     /// telemetry frames, so they cost the byte counts nothing).
-    /// When [`EngineConfig::cache`] is on, execution consults the
-    /// semantic cache first: a query whose fingerprint is cached is
+    /// With a non-zero [`EngineConfig::cache_bytes`], execution consults
+    /// the semantic cache first: a query whose fingerprint is cached is
     /// answered without contacting sites (its stats show one zero-byte
     /// `"cache"` round, [`ExecStats::is_cache_hit`]); an identical
     /// query already in flight is coalesced onto the leader's result;
@@ -539,7 +535,7 @@ impl Skalla {
     /// leader → execute (resuming from the longest cached prefix).
     fn execute_admitted(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let wall_start = Instant::now();
-        let fps = if self.cfg.cache {
+        let fps = if self.cfg.cache_bytes > 0 {
             plan_fingerprints(plan, &self.cfg.eval)
         } else {
             Vec::new()
@@ -939,7 +935,7 @@ mod tests {
 
     fn cache_off() -> EngineConfig {
         EngineConfig {
-            cache: false,
+            cache_bytes: 0,
             ..EngineConfig::default()
         }
     }
@@ -947,7 +943,6 @@ mod tests {
     #[test]
     fn default_config_caches() {
         let cfg = EngineConfig::default();
-        assert!(cfg.cache);
         assert_eq!(cfg.cache_bytes, DEFAULT_CACHE_BYTES);
     }
 

@@ -110,12 +110,12 @@ QUERY OPTIONS:
   --morsel-rows N             detail rows per morsel (default: 65536; fixes the
                               accumulator merge structure, so output bits depend
                               on it)
-  --no-cache                  disable the semantic result cache: every
-                              query pays its full site traffic, repeats
-                              included (ablation; same bits either way)
+  --no-cache                  disable the semantic result cache (same as
+                              --cache-bytes 0): every query pays its full
+                              site traffic, repeats included (ablation;
+                              same bits either way)
   --cache-bytes N             byte budget of the semantic result cache
-                              (default: 64 MiB; 0 keeps only in-flight
-                              coalescing)
+                              (default: 64 MiB; 0 turns it off)
   --concurrency N             submit the query N times at once through the
                               multi-query scheduler; the copies share the
                               persistent site sessions and must agree
@@ -302,12 +302,14 @@ fn tcp_config(args: &[String]) -> Result<TcpConfig, String> {
 fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String> {
     let mut builder = Skalla::builder().config(EngineConfig {
         obs,
-        cache: !args.iter().any(|a| a == "--no-cache"),
         ..EngineConfig::default()
     });
     if let Some(bytes) = opt(args, "--cache-bytes") {
         let n: usize = bytes.parse().map_err(|e| format!("bad --cache-bytes: {e}"))?;
         builder = builder.cache_bytes(n);
+    }
+    if args.iter().any(|a| a == "--no-cache") {
+        builder = builder.cache_bytes(0);
     }
     if let Some(chunk) = opt(args, "--chunk") {
         let n: usize = chunk.parse().map_err(|e| format!("bad --chunk: {e}"))?;

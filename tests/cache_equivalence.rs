@@ -146,7 +146,7 @@ proptest! {
 
         let cache_off = EngineConfig {
             eval: eval_opts(parallelism),
-            cache: false,
+            cache_bytes: 0,
             ..EngineConfig::default()
         };
         let mut baseline = Cluster::from_partitions("t", parts.clone());

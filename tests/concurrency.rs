@@ -89,7 +89,7 @@ fn canonical(rel: &Relation, key: &str) -> Relation {
 fn comparison_engine(backend: SkallaBuilder) -> Skalla {
     backend
         .config(skalla::core::EngineConfig {
-            cache: false,
+            cache_bytes: 0,
             ..skalla::core::EngineConfig::default()
         })
         .max_concurrent(workload().len())

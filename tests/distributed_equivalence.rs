@@ -328,7 +328,7 @@ fn folded_plan_is_bit_identical_cold_memoized_and_after_epoch_bump() {
     let engine = Skalla::builder()
         .partitions("tpcr", parts)
         .config(EngineConfig {
-            cache: false,
+            cache_bytes: 0,
             ..EngineConfig::default()
         })
         .build()

@@ -7,6 +7,7 @@ mod common;
 
 use common::assert_bit_identical;
 use proptest::prelude::*;
+use skalla::core::cache::DEFAULT_CACHE_BYTES;
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, SiteServer, Skalla};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
 use skalla::gmdj::eval::{
@@ -153,14 +154,14 @@ fn arb_flags() -> impl Strategy<Value = OptFlags> {
 }
 
 /// One point of the knob lattice: the kernel's workers (`EvalOptions`),
-/// the coordinator's one decision (`EngineConfig::cache`), and whether
-/// the sites are loopback TCP servers instead of in-process channel
-/// sites. (The morsel size is drawn per case: only points sharing it owe
-/// each other identical bits.)
-fn arb_point() -> impl Strategy<Value = (usize, bool, bool)> {
+/// the coordinator's one decision (`EngineConfig::cache_bytes`: off or
+/// the default budget), and whether the sites are loopback TCP servers
+/// instead of in-process channel sites. (The morsel size is drawn per
+/// case: only points sharing it owe each other identical bits.)
+fn arb_point() -> impl Strategy<Value = (usize, usize, bool)> {
     (
         prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        any::<bool>(),
+        any::<bool>().prop_map(|on| if on { DEFAULT_CACHE_BYTES } else { 0 }),
         any::<bool>(),
     )
 }
@@ -272,15 +273,15 @@ proptest! {
         let oracle = oracle.project(&integral).expect("projects");
 
         let mut reference: Option<Relation> = None;
-        for &(parallelism, cache, tcp) in &points {
+        for &(parallelism, cache_bytes, tcp) in &points {
             let eval = EvalOptions { parallelism, morsel_rows };
             let cfg = EngineConfig {
                 eval,
-                cache,
+                cache_bytes,
                 ..EngineConfig::default()
             };
             let ctx = format!(
-                "{eval:?} cache {cache} tcp {tcp} flags {flags:?} \
+                "{eval:?} cache_bytes {cache_bytes} tcp {tcp} flags {flags:?} \
                  second {second:?} groups {group_cols:?}\nplan:\n{}",
                 plan.explain()
             );

@@ -78,9 +78,9 @@ cargo test --workspace -q
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
   --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand
 # Zero-allocation probe regression guard (plain-main bench, not run by
-# `cargo test`) — covers the reference row kernel's bucket index, the
-# columnar kernel's group-id probe / typed inner loops, and a cold call
-# that builds the key column and the relation's group ids.
+# `cargo test`) — covers the columnar kernel's group-id probe / typed
+# inner loops, and a cold call that builds the key column and the
+# relation's group ids.
 cargo bench -p skalla-bench --bench probe_alloc
 # End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
 # size, so a change that breaks its use of the public API fails here and

@@ -1,34 +1,31 @@
-//! Regression guard: the GMDJ hash-probe loop performs **zero heap
-//! allocations per detail-tuple miss**.
+//! Regression guard: the columnar GMDJ kernel performs **zero heap
+//! allocations per detail row**.
 //!
-//! The bucket index probes with a precomputed hash and in-place column
-//! comparisons, never materializing a `Vec<Value>` key per detail tuple
+//! The group-id probe reads each detail row's local group from the
+//! partition's memo and the typed aggregate inner loops fold column
+//! slices, never materializing a `Vec<Value>` key per detail tuple
 //! (`Row::key`). This guard measures allocator activity with a counting
 //! `#[global_allocator]` while evaluating two all-miss workloads that
-//! differ only in detail size: the difference must be (near) zero. A
-//! closure that boxes one value per extra row is the positive control
-//! proving the instrument actually counts per-row allocations.
+//! differ only in detail size: the difference must be (near) zero (the
+//! kernel's setup allocates a constant *number* of typed vectors,
+//! independent of detail size, so the size delta isolates the per-row
+//! cost). A closure that boxes one value per extra row is the positive
+//! control proving the instrument actually counts per-row allocations.
 //!
-//! The same guard covers the columnar kernel: its group-id probe and
-//! typed aggregate inner loops must also perform zero per-row heap
-//! allocations (its setup allocates a constant *number* of typed vectors,
-//! independent of detail size, so the size delta still isolates the
-//! per-row cost). A second columnar workload has every detail row *hit*
-//! a group and run the typed θ-residual comparison (`r.v >= b.lo`), so
-//! the residual loop and the selection it feeds are under the same guard
-//! (the selection vectors grow geometrically: a handful of reallocations,
-//! nothing per row).
+//! A second workload has every detail row *hit* a group and run the
+//! typed θ-residual comparison (`r.v >= b.lo`), so the residual loop and
+//! the selection it feeds are under the same guard (the selection vectors
+//! grow geometrically: a handful of reallocations, nothing per row).
 //!
-//! A cold leg runs the columnar kernel on fresh relations of the hit
-//! shape (64 groups), so the call also builds the key column and the
-//! relation's group ids: those allocate per column and per group, never
-//! per row.
+//! A cold leg runs the kernel on fresh relations of the hit shape (64
+//! groups), so the call also builds the key column and the relation's
+//! group ids: those allocate per column and per group, never per row.
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_gmdj::prelude::*;
-use skalla_gmdj::eval::{eval_local, eval_local_rows};
-use skalla_gmdj::{EvalOptions, LocalGmdj};
+use skalla_gmdj::eval::eval_local;
+use skalla_gmdj::EvalOptions;
 use skalla_relation::{DataType, Row};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,22 +109,16 @@ fn main() {
     let small = miss_detail(SMALL);
     let large = miss_detail(LARGE);
 
-    // Warm up both kernels (lazy one-time allocations — including the
-    // cached columnar layout — must not skew counts).
-    type Kernel = fn(&Relation, &Relation, &Gmdj, EvalOptions) -> skalla_relation::Result<LocalGmdj>;
-    let kernels: [Kernel; 2] = [eval_local_rows, eval_local];
-    for kernel in kernels {
-        kernel(&base, &small, &op, opts).unwrap();
-        kernel(&base, &large, &op, opts).unwrap();
-    }
-
-    let measure = |detail: &Relation, kernel: Kernel| {
+    // Warm up (lazy one-time allocations — including the cached columnar
+    // layout — must not skew counts).
+    eval_local(&base, &small, &op, opts).unwrap();
+    eval_local(&base, &large, &op, opts).unwrap();
+    let measure = |detail: &Relation| {
         allocs_during(|| {
-            kernel(&base, detail, &op, opts).unwrap();
+            eval_local(&base, detail, &op, opts).unwrap();
         })
     };
-    let [fast_delta, col_delta] =
-        kernels.map(|k| measure(&large, k).saturating_sub(measure(&small, k)));
+    let col_delta = measure(&large).saturating_sub(measure(&small));
 
     // The typed residual: same shape of measurement, every row a hit.
     let lo_base = Relation::new(
@@ -167,21 +158,14 @@ fn main() {
     });
 
     println!("probe_alloc guard ({extra_rows} extra all-miss probes)");
-    println!("  fast probe     allocation delta: {fast_delta}");
     println!("  columnar       allocation delta: {col_delta}");
     println!("  typed residual allocation delta: {residual_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  control        allocations:      {control}");
 
-    // Fast path: probing must not allocate per miss. Allow a tiny slack for
-    // allocator-internal noise, but nothing proportional to row count.
-    assert!(
-        fast_delta <= 16,
-        "fast probe allocated {fast_delta} times for {extra_rows} extra misses \
-         — the zero-allocation probe regressed"
-    );
-    // Columnar kernel: group-id probing and the typed inner loops must
-    // not allocate per row either.
+    // Group-id probing and the typed inner loops must not allocate per
+    // row. Allow a tiny slack for allocator-internal noise, but nothing
+    // proportional to row count.
     assert!(
         col_delta <= 16,
         "columnar kernel allocated {col_delta} times for {extra_rows} extra \

@@ -21,7 +21,6 @@ use skalla_gmdj::GmdjExpr;
 use skalla_net::{Direction, NetStats};
 use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,10 +33,6 @@ pub struct Cluster {
     /// the [`crate::Warehouse::catalog`] surface borrow the same
     /// metadata instead of cloning maps (copy-on-write under mutation).
     sites: Vec<Arc<HashMap<String, Arc<Relation>>>>,
-    /// Partition epoch: bumped on every catalog mutation
-    /// ([`Cluster::add_table`]), shared across clones so any handle
-    /// observes every swap. The semantic cache keys on it.
-    epoch: Arc<AtomicU64>,
     dist: DistributionInfo,
     cfg: EngineConfig,
 }
@@ -48,7 +43,6 @@ impl Cluster {
         assert!(n_sites > 0, "a cluster needs at least one site");
         Cluster {
             sites: (0..n_sites).map(|_| Arc::new(HashMap::new())).collect(),
-            epoch: Arc::new(AtomicU64::new(0)),
             dist: DistributionInfo::new(n_sites),
             cfg: EngineConfig::default(),
         }
@@ -64,8 +58,7 @@ impl Cluster {
 
     /// Register a partitioned fact relation: one fragment (with its φ
     /// description) per site, in site order. Re-registering a table
-    /// replaces its partitions (a partition swap) and, like every
-    /// catalog mutation, bumps the partition epoch.
+    /// replaces its partitions (a partition swap).
     ///
     /// # Panics
     /// Panics if the fragment count differs from the cluster size or the
@@ -93,7 +86,6 @@ impl Cluster {
             Arc::make_mut(&mut self.sites[site]).insert(table.clone(), Arc::new(rel));
         }
         self.dist.set_table(table, domains);
-        self.epoch.fetch_add(1, AtomicOrdering::SeqCst);
         self
     }
 
@@ -117,13 +109,6 @@ impl Cluster {
     /// [`crate::plan::Planner::new`]).
     pub fn distribution(&self) -> DistributionInfo {
         self.dist.clone()
-    }
-
-    /// The partition epoch: the count of catalog mutations this cluster
-    /// (or any clone sharing its lineage) has seen. Cache keys carry it
-    /// so a partition swap makes every dependent entry unreachable.
-    pub fn partition_epoch(&self) -> u64 {
-        self.epoch.load(AtomicOrdering::SeqCst)
     }
 
     /// One site's catalog (for tests and for plan validation).

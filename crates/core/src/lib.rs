@@ -57,4 +57,4 @@ pub use remote::SiteServer;
 pub use scheduler::{AdmissionError, QueryId, QueryScheduler, SchedulerConfig};
 pub use skew::{plan_routing, skew_eligible, HotReport, SkewPlan, SkewSpec};
 pub use stats::{ExecStats, QueryResult, RoundSummary, SimBreakdown, StageTimes};
-pub use warehouse::{EngineConfig, SharedCatalog, Skalla, SkallaBuilder, Warehouse};
+pub use warehouse::{EngineConfig, Skalla, SkallaBuilder, Warehouse};

@@ -46,7 +46,10 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema};
 /// * **v7** — v2 frames; the skew balancer's tags 10–13 are retired and
 ///   [`TAG_RUN_STAGE`] loses its one-byte request tail, so a v6 peer
 ///   would misread every stage task.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// * **v8** — v7 frames; the [`TAG_PLAN`] plan loses its trailing planner
+///   notes (they stay on the coordinator), so a v7 peer would misread
+///   every plan.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -631,10 +634,11 @@ mod tests {
         assert_eq!(decode_catalog_request(&[]).unwrap(), 1);
 
         // A reply from a site speaking a different version — v6, the
-        // last one with the loan frames, included — is rejected with a
-        // diagnostic naming both.
+        // last one with the loan frames, and v7, the last one with plan
+        // notes on the wire, included — is rejected with a diagnostic
+        // naming both.
         let m = catalog(&[]);
-        for other in [6, 99] {
+        for other in [6, 7, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();

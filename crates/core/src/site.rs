@@ -18,7 +18,6 @@ use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol::{self, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
@@ -248,10 +247,6 @@ pub fn split_detail(
     Ok((pack(hot_buckets), pack(cold_buckets)))
 }
 
-/// Shared collector for `(query_id, stage, busy seconds)` samples
-/// reported by one site session's per-query workers.
-pub type QueryBusyTimes = Mutex<Vec<(u32, u32, f64)>>;
-
 /// The site session loop: a demultiplexer that routes frames to
 /// per-query workers keyed by [`skalla_net::Message::query_id`].
 ///
@@ -287,7 +282,6 @@ pub fn site_session_loop(
 ) {
     let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
-    let busy: Arc<QueryBusyTimes> = Arc::new(QueryBusyTimes::new(Vec::new()));
     let mut cursor = skalla_obs::ExportCursor::default();
     // The loop ends when the coordinator hangs up (or the session idles
     // out) — recv errors — or broadcasts a shutdown.
@@ -295,23 +289,20 @@ pub fn site_session_loop(
         let reply = match Tag::try_from(msg.tag) {
             Ok(Tag::Shutdown) => break,
             Ok(Tag::QueryDone) => {
-                if let Some((tx, handle)) = workers.remove(&msg.query_id) {
-                    drop(tx); // worker drains its queue and exits
-                    let _ = handle.join();
-                }
-                // Answer with this query's telemetry: its busy samples
-                // (drained) and, for standalone sites, the obs delta.
-                let mut drained = Vec::new();
-                busy.lock().retain(|&sample| {
-                    let mine = sample.0 == msg.query_id;
-                    if mine {
-                        drained.push(sample);
-                    }
-                    !mine
-                });
+                // Answer with this query's telemetry: the busy samples its
+                // worker returns and, for standalone sites, the obs delta.
+                let busy = workers
+                    .remove(&msg.query_id)
+                    .map_or_else(Vec::new, |(tx, handle)| {
+                        drop(tx); // worker drains its queue and exits
+                        handle.join().unwrap_or_default()
+                    });
                 let delta = obs.recorder().filter(|_| export_obs);
                 let report = protocol::SiteTelemetry {
-                    busy: drained,
+                    busy: busy
+                        .into_iter()
+                        .map(|(stage, secs)| (msg.query_id, stage, secs))
+                        .collect(),
                     obs: delta.map(|rec| rec.take_delta(&mut cursor)),
                 };
                 Some(protocol::telemetry(&report).with_query_id(msg.query_id))
@@ -321,11 +312,10 @@ pub fn site_session_loop(
                 route_to_worker(&mut workers, msg, |rx| {
                     let catalog = catalog.clone();
                     let net = Arc::clone(&net);
-                    let busy = Arc::clone(&busy);
                     let obs = obs.clone();
                     std::thread::Builder::new()
                         .name(format!("site-{site}-q{query_id}"))
-                        .spawn(move || query_worker(&catalog, &*net, rx, query_id, busy, &obs))
+                        .spawn(move || query_worker(&catalog, &*net, rx, query_id, &obs))
                 })
                 .err()
             }
@@ -350,9 +340,15 @@ pub fn site_session_loop(
     }
 }
 
+/// One query's `(stage, busy seconds)` samples, returned by its worker.
+type BusySamples = Vec<(u32, f64)>;
+
 /// One query's worker as the session loop holds it: its frame queue and
 /// its thread.
-type Worker = (Sender<skalla_net::Message>, std::thread::JoinHandle<()>);
+type Worker = (
+    Sender<skalla_net::Message>,
+    std::thread::JoinHandle<BusySamples>,
+);
 
 /// Queue `msg` for its query's worker, starting the worker through
 /// `spawn` on the first frame of a query id. The id is remote input, so
@@ -362,7 +358,9 @@ type Worker = (Sender<skalla_net::Message>, std::thread::JoinHandle<()>);
 fn route_to_worker(
     workers: &mut HashMap<u32, Worker>,
     msg: skalla_net::Message,
-    spawn: impl FnOnce(Receiver<skalla_net::Message>) -> std::io::Result<std::thread::JoinHandle<()>>,
+    spawn: impl FnOnce(
+        Receiver<skalla_net::Message>,
+    ) -> std::io::Result<std::thread::JoinHandle<BusySamples>>,
 ) -> std::result::Result<(), skalla_net::Message> {
     use std::collections::hash_map::Entry;
     let query_id = msg.query_id;
@@ -382,20 +380,21 @@ fn route_to_worker(
 }
 
 /// One query's execution state and driver on a site: the per-query half
-/// of [`site_session_loop`].
+/// of [`site_session_loop`]. Returns the busy time of each stage task it
+/// ran.
 fn query_worker(
     catalog: &HashMap<String, Arc<Relation>>,
     net: &dyn SiteTransport,
     rx: Receiver<skalla_net::Message>,
     query_id: u32,
-    times: Arc<QueryBusyTimes>,
     obs: &Obs,
-) {
+) -> BusySamples {
     let site = net.site_id();
     let track = Track::SiteQuery(site, query_id);
     let mut plan: Option<DistributedPlan> = None;
     let mut eval = EvalOptions::default();
     let mut chunk_rows: Option<usize> = None;
+    let mut times = BusySamples::new();
     let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
     while let Ok(msg) = rx.recv() {
         match Tag::try_from(msg.tag) {
@@ -436,7 +435,7 @@ fn query_worker(
                             obs,
                             site,
                         );
-                        times.lock().push((query_id, stage, t.elapsed_s()));
+                        times.push((stage, t.elapsed_s()));
                         match out {
                             Ok(rel) => {
                                 task_span.arg("rows_out", rel.len());
@@ -454,7 +453,7 @@ fn query_worker(
                 };
                 for r in replies {
                     if reply(r).is_err() {
-                        return;
+                        return times;
                     }
                 }
             }
@@ -471,6 +470,7 @@ fn query_worker(
             }
         }
     }
+    times
 }
 
 /// The reply to a frame this end of the protocol does not take.
@@ -609,13 +609,14 @@ mod tests {
                     for m in rx {
                         let _ = seen_tx.send(m.query_id);
                     }
+                    vec![(0, 0.25)]
                 })
             })
             .unwrap();
         }
         let (tx, handle) = workers.remove(&8).unwrap();
         drop(tx);
-        handle.join().unwrap();
+        assert_eq!(handle.join().unwrap(), [(0, 0.25)]);
         drop(seen_tx);
         assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
     }

@@ -70,50 +70,9 @@ use skalla_net::{star, CoordinatorTransport, MuxHandle, QueryMux, TcpConfig, Tcp
 use skalla_obs::{estimate_offset_us, Obs, Track};
 use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The plan-validation catalog as every runtime shares it: an
-/// `Arc`-shared table map plus the partition epoch it was observed at.
-/// Handing out the `Arc` (instead of cloning a `HashMap` per call, as
-/// the `Warehouse` trait originally did) makes `catalog()` O(1), and
-/// carrying the epoch lets callers correlate the snapshot with the
-/// semantic cache's invalidation state.
-///
-/// Derefs to the table map, so existing `catalog().get(..)` /
-/// `catalog().contains_key(..)` call sites keep working unchanged.
-#[derive(Debug, Clone)]
-pub struct SharedCatalog {
-    tables: Arc<HashMap<String, Arc<Relation>>>,
-    epoch: u64,
-}
-
-impl SharedCatalog {
-    /// Wrap a shared table map observed at `epoch`.
-    pub fn new(tables: Arc<HashMap<String, Arc<Relation>>>, epoch: u64) -> SharedCatalog {
-        SharedCatalog { tables, epoch }
-    }
-
-    /// The shared table map.
-    pub fn tables(&self) -> &Arc<HashMap<String, Arc<Relation>>> {
-        &self.tables
-    }
-
-    /// The partition epoch this snapshot was taken at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-impl Deref for SharedCatalog {
-    type Target = HashMap<String, Arc<Relation>>;
-
-    fn deref(&self) -> &HashMap<String, Arc<Relation>> {
-        &self.tables
-    }
-}
 
 /// What an embedder needs to plan and execute distributed OLAP queries
 /// without caring whether the sites are threads or processes. The
@@ -130,9 +89,8 @@ pub trait Warehouse: Send + Sync {
     fn distribution(&self) -> DistributionInfo;
 
     /// The plan-validation catalog: every table's schema, as (possibly
-    /// empty) relations, `Arc`-shared and stamped with the partition
-    /// epoch it was observed at (no per-call map clone).
-    fn catalog(&self) -> SharedCatalog;
+    /// empty) relations, `Arc`-shared (no per-call map clone).
+    fn catalog(&self) -> Arc<HashMap<String, Arc<Relation>>>;
 
     /// The semantic result cache, when this runtime has one. Only a
     /// long-lived [`Skalla`] engine caches (a [`Cluster`] runs each plan
@@ -156,8 +114,8 @@ impl Warehouse for Cluster {
         Cluster::distribution(self)
     }
 
-    fn catalog(&self) -> SharedCatalog {
-        SharedCatalog::new(self.site_catalog_shared(0), self.partition_epoch())
+    fn catalog(&self) -> Arc<HashMap<String, Arc<Relation>>> {
+        self.site_catalog_shared(0)
     }
 
     fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
@@ -856,8 +814,8 @@ impl Warehouse for Skalla {
         Skalla::distribution(self)
     }
 
-    fn catalog(&self) -> SharedCatalog {
-        SharedCatalog::new(Arc::clone(&self.catalog), self.cache.epoch())
+    fn catalog(&self) -> Arc<HashMap<String, Arc<Relation>>> {
+        Arc::clone(&self.catalog)
     }
 
     fn semantic_cache(&self) -> Option<&SemanticCache> {
@@ -1195,7 +1153,7 @@ mod tests {
         let cold = e.execute(&plan).unwrap();
         assert!(e.execute(&plan).unwrap().stats.is_cache_hit());
         let epoch = e.bump_partition_epoch();
-        assert_eq!(Warehouse::catalog(&e).epoch(), epoch);
+        assert_eq!(e.semantic_cache().epoch(), epoch);
         let reexec = e.execute(&plan).unwrap();
         assert!(
             !reexec.stats.is_cache_hit(),

@@ -448,17 +448,10 @@ impl AccLayout {
     /// A fresh accumulator vector.
     pub fn init(&self) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.width);
-        self.init_into(&mut out);
-        out
-    }
-
-    /// Reset `out` to the initial accumulator values in place, reusing
-    /// its allocation (the serial streaming path of the kernel driver).
-    pub fn init_into(&self, out: &mut Vec<Value>) {
-        out.clear();
         for (_, a, _) in &self.entries {
-            a.init_acc(out);
+            a.init_acc(&mut out);
         }
+        out
     }
 
     /// Merge `src` physical slots into `dst`.

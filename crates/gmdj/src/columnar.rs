@@ -1,9 +1,10 @@
 //! The vectorized (columnar) GMDJ kernel.
 //!
-//! The row kernel in [`crate::eval`] walks `Row`s and folds every matching
-//! detail tuple into `Vec<Value>` accumulators through [`AggSpec::update`]
-//! — one enum dispatch plus one possible clone per (tuple, aggregate).
-//! This module rebuilds that hot path on the relation's columnar layout
+//! The row reference in [`crate::eval`] walks `Row`s and folds every
+//! matching detail tuple into `Vec<Value>` accumulators through
+//! [`AggSpec::update`] — one enum dispatch plus one possible clone per
+//! (tuple, aggregate). This kernel computes the same function on the
+//! relation's columnar layout
 //! ([`Relation::column`] — only the columns the operator names are ever
 //! built): per morsel it first runs the **probe/θ pass**, producing a
 //! selection of matching `(detail row, base position)` pairs, and then
@@ -24,28 +25,27 @@
 //! resolved to its chain of equal-key base positions: O(|base| +
 //! |groups|). The per-row probe is then `ghead[ids[i]]`, an array load.
 //!
-//! **Bit identity.** The kernel runs under the same shared morsel driver
-//! (`eval::drive`) as the row kernel: same morsel decomposition,
-//! fresh accumulators per morsel, merge in morsel order. Within a morsel
-//! the selection is built in exactly the row kernel's iteration order
-//! (detail-row-outer for keyed blocks, base-position-outer for nested
-//! loops), so each accumulator slot sees the identical sequence of
-//! floating-point operations and the output bits match the row kernel's
-//! for every thread count. Aggregates the typed loops cannot express
-//! (computed input expressions, mixed-type columns, string MIN/MAX) fall
-//! back to [`AggSpec::update`] per selected pair — same semantics, still
-//! columnar input access.
+//! **Bit identity.** The kernel runs under the morsel driver
+//! (`eval::drive`) with the reference's morsel decomposition, fresh
+//! accumulators per morsel and merge in morsel order. Within a morsel
+//! every accumulator slot receives its matching detail rows in ascending
+//! order, as in the reference, so each slot sees the identical sequence
+//! of floating-point operations and the output bits match the
+//! reference's for every thread count. Aggregates the typed loops cannot
+//! express (computed input expressions, mixed-type columns, string
+//! MIN/MAX) fall back to [`AggSpec::update`] per selected pair — same
+//! semantics, still columnar input access.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use crate::agg::{AccLayout, AggFunc, AggSpec};
-use crate::eval::{drive, EvalOptions, MorselKernel, MorselState, PreparedBlock};
+use crate::eval::{drive, morsels, EvalOptions, LocalGmdj, MorselKernel, PreparedBlock};
 use crate::operator::Gmdj;
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Side, Value,
+    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -92,9 +92,8 @@ impl CanonPair {
         assert!(n < u32::MAX as usize, "base relation too large to index");
         let mut ghead = vec![0u32; reps.len()];
         let mut eqnext = vec![0u32; n];
-        // Pushing ascending positions makes each chain descend — the order
-        // a bucket chain over base positions visits equal keys in, which
-        // is the row kernel's.
+        // Every base position with the group's key is linked: each owns
+        // its own accumulator slots (duplicate base tuples included).
         for (pos, next) in eqnext.iter_mut().enumerate() {
             let h = canon_hash(&bkeys, pos);
             if let Some(g) = index.find(h, |g| canon_eq(&gkeys, g, &bkeys, pos)) {
@@ -199,7 +198,7 @@ fn classify<'a>(
 }
 
 /// Typed accumulator arrays, one slot per base position. `has` flags
-/// mirror the row kernel's `Null` accumulator states: a slot's stored
+/// mirror the row reference's `Null` accumulator states: a slot's stored
 /// number is meaningful only where `has` is set, and the first value
 /// *assigns* rather than adds (so `-0.0` and NaN payloads survive exactly
 /// as they do through `add_into`).
@@ -400,7 +399,7 @@ impl AggState {
     }
 
     /// Append this aggregate's physical slot values for base position
-    /// `pos` — exactly what the row kernel's `Vec<Value>` accumulator
+    /// `pos` — exactly what the row reference's `Vec<Value>` accumulator
     /// holds after the same updates.
     fn push_values(&self, pos: usize, out: &mut Vec<Value>) {
         match self {
@@ -462,7 +461,7 @@ fn better_i(candidate: i64, current: i64, max: bool) -> bool {
 }
 
 /// Strictly better under the Double total order (NaN greatest) — the same
-/// order [`Value`]'s `Ord` gives `MIN`/`MAX` in the row kernel.
+/// order [`Value`]'s `Ord` gives `MIN`/`MAX` in the row reference.
 #[inline]
 fn better_f(candidate: f64, current: f64, max: bool) -> bool {
     total_f64_cmp(candidate, current) == if max { Ordering::Greater } else { Ordering::Less }
@@ -702,9 +701,9 @@ impl MorselKernel for ColKernel<'_> {
         let lo = m * self.morsel_rows;
         let hi = ((m + 1) * self.morsel_rows).min(self.detail.len());
         for cb in &self.blocks {
-            // Probe/θ pass: fill the selection in the row kernel's
-            // iteration order (see module docs — this is what makes the
-            // two kernels bit-identical).
+            // Probe/θ pass: fill the selection so that each base
+            // position meets its detail rows in ascending order (see
+            // module docs — this is what makes the bits the reference's).
             state.sel_rows.clear();
             state.sel_poss.clear();
             match cb.pair {
@@ -962,9 +961,8 @@ fn sum_loop<T: Copy>(
     }
 }
 
-/// Evaluate a GMDJ through the columnar kernel, returning the merged
-/// morsel state in the row kernel's representation (the caller's
-/// physical-row assembly is shared between kernels).
+/// Evaluate a GMDJ through the columnar kernel: base columns ⊕ the merged
+/// physical accumulators, one row per base tuple, plus the match flags.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_columnar(
     base: &Relation,
@@ -973,23 +971,21 @@ pub(crate) fn eval_columnar(
     layout: &AccLayout,
     blocks: &[PreparedBlock],
     opts: EvalOptions,
-    morsel_rows: usize,
-    n_morsels: usize,
     obs: &Obs,
     site: usize,
-) -> Result<MorselState> {
+) -> Result<LocalGmdj> {
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
 
     // Lower blocks: share canonical pairs between blocks with identical
-    // equi-keys (mirrors the row kernel's index cache), classify every
-    // residual conjunct and aggregate against the column layouts — which
-    // builds exactly the detail columns this operator touches.
+    // equi-keys, classify every residual conjunct and aggregate against
+    // the column layouts — which builds exactly the detail columns this
+    // operator touches.
     let mut cache: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
     let mut pairs: Vec<CanonPair> = Vec::new();
     let mut cblocks = Vec::with_capacity(blocks.len());
     let mut gi = 0usize;
     for (bi, pb) in blocks.iter().enumerate() {
-        let pair = if pb.index.is_some() {
+        let pair = if !pb.base_keys.is_empty() {
             let key = (pb.base_keys.clone(), pb.detail_keys.clone());
             let slot = *cache.entry(key).or_insert_with(|| {
                 pairs.push(CanonPair::build(base, detail, &pb.base_keys, &pb.detail_keys));
@@ -1015,6 +1011,7 @@ pub(crate) fn eval_columnar(
         });
     }
 
+    let (morsel_rows, n_morsels) = morsels(detail.len(), opts);
     let kernel = ColKernel {
         base,
         detail,
@@ -1026,19 +1023,22 @@ pub(crate) fn eval_columnar(
     };
     let merged = drive(&kernel, opts, obs, site)?;
 
-    // Materialize into the row kernel's state shape: per base position,
-    // the physical accumulator values in layout (global aggregate) order.
-    let n = base.len();
-    let mut accs = Vec::with_capacity(n);
-    for pos in 0..n {
-        let mut acc = Vec::with_capacity(layout.width());
-        for st in &merged.aggs {
-            st.push_values(pos, &mut acc);
-        }
-        accs.push(acc);
-    }
-    Ok(MorselState {
-        accs,
+    // Each physical row straight from the typed states: the base values,
+    // then the accumulator values in layout (global aggregate) order.
+    let rows = base
+        .iter()
+        .enumerate()
+        .map(|(pos, b)| {
+            let mut vs = Vec::with_capacity(b.len() + layout.width());
+            vs.extend_from_slice(b.values());
+            for st in &merged.aggs {
+                st.push_values(pos, &mut vs);
+            }
+            Row::new(vs)
+        })
+        .collect();
+    Ok(LocalGmdj {
+        physical: Relation::new(gmdj.physical_schema(base.schema(), detail.schema())?, rows)?,
         matched: merged.matched,
     })
 }

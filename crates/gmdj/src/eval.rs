@@ -1,30 +1,17 @@
 //! Centralized / per-site GMDJ evaluation.
 //!
 //! Conventional groupwise aggregation does not apply to GMDJs because the
-//! ranges `RNG(b, R, θ)` of different base tuples may overlap. The engine
-//! therefore evaluates each block `(θᵢ, lᵢ)` by one of two strategies,
-//! chosen from the [θ analysis](crate::theta::analyze_theta):
-//!
-//! * **Hash path** — when θᵢ contains equi-key conjuncts `b.x = r.y`, base
-//!   tuples are hash-indexed on their key columns and each detail tuple
-//!   probes the index, applying the residual condition to the candidates.
-//!   Cost `O(|B| + |R|·candidates)`. This mirrors the efficient centralized
-//!   evaluation of [2, 7] cited by the paper. The index is a hash-to-bucket
-//!   structure over row positions (precomputed u64 key hashes, bucket heads
-//!   plus a per-row chain link), so probing a detail tuple clones no
-//!   [`Value`]s and performs **zero heap allocations** per probe.
-//! * **Nested loop** — the general fallback, `O(|B|·|R|)`, with trivially
-//!   true residuals pre-bound out of the inner loop.
+//! ranges `RNG(b, R, θ)` of different base tuples may overlap. Each block
+//! `(θᵢ, lᵢ)` is prepared from the [θ analysis](crate::theta::analyze_theta):
+//! its equi-key conjuncts `b.x = r.y` become key column lists (empty ⇒ the
+//! block runs as a nested loop) and the rest of θᵢ a bound residual.
 //!
 //! **Morsel-driven parallelism.** The detail relation is split into
 //! fixed-size morsels of [`EvalOptions::morsel_rows`] rows (Leis et al.,
 //! SIGMOD 2014). Worker threads (a [`std::thread::scope`] pool of
 //! [`EvalOptions::parallelism`] threads) claim morsels from an atomic
-//! counter; every block's base-side index is built **once** and shared
-//! immutably across the pool (blocks with identical equi-keys share one
-//! index via a small cache). Each morsel accumulates into its own
-//! `accs`/`matched` arrays, and morsel results are merged **in morsel
-//! order** via [`AccLayout::merge`]. Because the morsel decomposition
+//! counter; each morsel accumulates into fresh state, and morsel results
+//! are merged **in morsel order**. Because the morsel decomposition
 //! depends only on the input size and `morsel_rows` — never on the thread
 //! count — float aggregates are bit-identical across `parallelism` values.
 //!
@@ -34,9 +21,10 @@
 //! evaluation and as the test oracle.
 //!
 //! **One kernel, one reference.** [`eval_local`] always runs the
-//! vectorized kernel in [`crate::columnar`]. The row-at-a-time kernel in
-//! this module is the reference the tests compare it against, reachable
-//! only through [`eval_local_rows`]; no engine path selects it.
+//! vectorized kernel in [`crate::columnar`]. [`eval_local_rows`] is the
+//! reference the tests compare it against: a serial loop over every
+//! (block, base tuple, detail tuple) pair with the same morsel
+//! decomposition and merge order. No engine path calls it.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -47,9 +35,6 @@ use crate::theta::analyze_theta;
 use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
 use skalla_relation::{BoundExpr, Error, Relation, Result, Row, Schema, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -128,87 +113,6 @@ impl LocalGmdj {
     }
 }
 
-/// Hash the values of `row` at `cols` with the deterministic (zero-keyed)
-/// SipHash behind [`DefaultHasher`]. Uses [`Value`]'s own `Hash` impl, so
-/// `Int(2)` and `Double(2.0)` — which compare equal — hash equally. No
-/// allocation.
-fn key_hash(row: &Row, cols: &[usize]) -> u64 {
-    let mut h = DefaultHasher::new();
-    for &c in cols {
-        row.get(c).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// A zero-allocation multimap from key hashes to base-row positions:
-/// power-of-two bucket heads plus a per-row chain link (the "open" table
-/// is keyed by row position, so duplicate base keys cost one link each).
-/// Probes compare precomputed u64 hashes first and leave `Value` equality
-/// to the caller — no `Vec<Value>` key is ever materialized.
-struct KeyIndex {
-    /// Bucket → first chained row position + 1 (0 = empty bucket).
-    heads: Vec<u32>,
-    /// Row position → next position + 1 in the same bucket.
-    next: Vec<u32>,
-    /// Precomputed key hash per base row.
-    hashes: Vec<u64>,
-}
-
-impl KeyIndex {
-    fn build(base: &Relation, keys: &[usize]) -> KeyIndex {
-        let n = base.len();
-        assert!(n < u32::MAX as usize, "base relation too large to index");
-        let cap = (n.max(1) * 2).next_power_of_two();
-        let mut heads = vec![0u32; cap];
-        let mut next = vec![0u32; n];
-        let mut hashes = vec![0u64; n];
-        for (pos, row) in base.iter().enumerate() {
-            let h = key_hash(row, keys);
-            hashes[pos] = h;
-            let b = (h as usize) & (cap - 1);
-            next[pos] = heads[b];
-            heads[b] = pos as u32 + 1;
-        }
-        KeyIndex {
-            heads,
-            next,
-            hashes,
-        }
-    }
-
-    /// Base-row positions whose key hash equals `hash` (callers verify
-    /// actual key equality — hash collisions are possible).
-    fn candidates(&self, hash: u64) -> Candidates<'_> {
-        let bucket = (hash as usize) & (self.heads.len() - 1);
-        Candidates {
-            index: self,
-            cur: self.heads[bucket],
-            hash,
-        }
-    }
-}
-
-struct Candidates<'a> {
-    index: &'a KeyIndex,
-    cur: u32,
-    hash: u64,
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.cur != 0 {
-            let pos = (self.cur - 1) as usize;
-            self.cur = self.index.next[pos];
-            if self.index.hashes[pos] == self.hash {
-                return Some(pos);
-            }
-        }
-        None
-    }
-}
-
 pub(crate) struct PreparedBlock {
     /// Base-side positions of equi-key columns (empty ⇒ nested loop).
     pub(crate) base_keys: Vec<usize>,
@@ -217,21 +121,22 @@ pub(crate) struct PreparedBlock {
     /// Bound residual (or the full θ for the nested-loop path).
     pub(crate) condition: BoundExpr,
     /// `true` when `condition` is a trivially true literal — pre-bound out
-    /// of the inner loops on both the hash and nested-loop paths.
+    /// of the inner loops.
     pub(crate) trivial_condition: bool,
-    /// Slot in the shared index cache (`Some` ⇒ hash path; blocks with
-    /// identical `base_keys` share one slot).
-    pub(crate) index: Option<usize>,
     /// Bound aggregate inputs (`None` for `COUNT(*)`), with the slot
     /// offset of each aggregate.
     pub(crate) aggs: Vec<(Option<BoundExpr>, usize)>,
 }
 
+/// Validate `gmdj` against the two schemas and prepare its blocks: the
+/// equi-key columns θ's analysis lifts, the bound residual and the bound
+/// aggregate inputs.
 pub(crate) fn prepare_blocks(
     gmdj: &Gmdj,
     base: &Schema,
     detail: &Schema,
 ) -> Result<(AccLayout, Vec<PreparedBlock>)> {
+    gmdj.validate(base, detail)?;
     let layout = gmdj.layout();
     // Map each (block, agg) to its slot offset.
     let mut offsets_per_block: Vec<Vec<usize>> = vec![Vec::new(); gmdj.blocks.len()];
@@ -242,8 +147,7 @@ pub(crate) fn prepare_blocks(
     let mut blocks = Vec::with_capacity(gmdj.blocks.len());
     for (bi, block) in gmdj.blocks.iter().enumerate() {
         let analysis = analyze_theta(&block.theta);
-        let use_hash = !analysis.equi.is_empty();
-        let (base_keys, detail_keys, condition) = if use_hash {
+        let (base_keys, detail_keys, condition) = if !analysis.equi.is_empty() {
             let mut bk = Vec::with_capacity(analysis.equi.len());
             let mut dk = Vec::with_capacity(analysis.equi.len());
             for (b, d) in &analysis.equi {
@@ -273,43 +177,25 @@ pub(crate) fn prepare_blocks(
             detail_keys,
             condition,
             trivial_condition,
-            index: use_hash.then_some(usize::MAX), // patched by build_indexes
             aggs,
         });
     }
     Ok((layout, blocks))
 }
 
-/// Build each hash block's base-side index **once**, deduplicating blocks
-/// that share identical `base_keys` through a small cache.
-fn build_indexes(base: &Relation, blocks: &mut [PreparedBlock]) -> Vec<KeyIndex> {
-    let mut cache: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut indexes: Vec<KeyIndex> = Vec::new();
-    for pb in blocks.iter_mut() {
-        if pb.index.is_none() {
-            continue;
-        }
-        let slot = *cache.entry(pb.base_keys.clone()).or_insert_with(|| {
-            indexes.push(KeyIndex::build(base, &pb.base_keys));
-            indexes.len() - 1
-        });
-        pb.index = Some(slot);
-    }
-    indexes
+/// The morsel decomposition of `n` detail rows: `(rows per morsel,
+/// morsels ≥ 1)`. A function of the input size and `morsel_rows` only, so
+/// the merge structure (and the bits) never depends on the kernel or the
+/// worker count.
+pub(crate) fn morsels(n: usize, opts: EvalOptions) -> (usize, usize) {
+    let morsel_rows = opts.morsel_rows.max(1);
+    (morsel_rows, n.div_ceil(morsel_rows).max(1))
 }
 
-/// Per-morsel accumulation state: one accumulator vector and one match
-/// flag per base row. Also the shape both kernels (row and columnar)
-/// deliver their merged result in.
-pub(crate) struct MorselState {
-    pub(crate) accs: Vec<Vec<Value>>,
-    pub(crate) matched: Vec<bool>,
-}
-
-/// A morsel-at-a-time kernel the shared [`drive`] loop can run: both the
-/// row kernel below and the columnar kernel in [`crate::columnar`]
-/// implement it. Results must be a pure function of (input, morsel
-/// structure): a fresh state per morsel plus an in-morsel-order merge.
+/// A morsel-at-a-time kernel the [`drive`] loop runs: the columnar
+/// kernel in [`crate::columnar`]. Results must be a pure function of
+/// (input, morsel structure): a fresh state per morsel plus an
+/// in-morsel-order merge.
 pub(crate) trait MorselKernel: Sync {
     /// Per-morsel accumulation state.
     type State: Send;
@@ -466,110 +352,6 @@ pub(crate) fn drive<K: MorselKernel>(
     merged.ok_or_else(unclaimed)
 }
 
-/// The immutable evaluation context shared across the worker pool.
-struct Kernel<'a> {
-    base: &'a Relation,
-    detail: &'a Relation,
-    gmdj: &'a Gmdj,
-    layout: &'a AccLayout,
-    blocks: &'a [PreparedBlock],
-    indexes: &'a [KeyIndex],
-    morsel_rows: usize,
-    n_morsels: usize,
-}
-
-impl MorselKernel for Kernel<'_> {
-    type State = MorselState;
-
-    fn n_morsels(&self) -> usize {
-        self.n_morsels
-    }
-
-    fn morsel_rows_in(&self, m: usize) -> usize {
-        ((m + 1) * self.morsel_rows).min(self.detail.len()) - m * self.morsel_rows
-    }
-
-    fn init_state(&self) -> MorselState {
-        MorselState {
-            accs: (0..self.base.len()).map(|_| self.layout.init()).collect(),
-            matched: vec![false; self.base.len()],
-        }
-    }
-
-    fn reset_state(&self, state: &mut MorselState) {
-        for acc in &mut state.accs {
-            self.layout.init_into(acc);
-        }
-        state.matched.fill(false);
-    }
-
-    fn merge_state(&self, dst: &mut MorselState, src: &MorselState) -> Result<()> {
-        for (d, s) in dst.accs.iter_mut().zip(&src.accs) {
-            self.layout.merge(d, s)?;
-        }
-        for (d, s) in dst.matched.iter_mut().zip(&src.matched) {
-            *d |= *s;
-        }
-        Ok(())
-    }
-
-    /// Evaluate one morsel of the detail relation against every block.
-    fn run_morsel_into(&self, m: usize, state: &mut MorselState) -> Result<()> {
-        let lo = m * self.morsel_rows;
-        let hi = ((m + 1) * self.morsel_rows).min(self.detail.len());
-        let morsel = &self.detail.rows()[lo..hi];
-        for (bi, pb) in self.blocks.iter().enumerate() {
-            let block = &self.gmdj.blocks[bi];
-            match pb.index.map(|i| &self.indexes[i]) {
-                Some(index) => {
-                    // Hash path: probe without materializing a key.
-                    for r in morsel {
-                        let h = key_hash(r, &pb.detail_keys);
-                        for pos in index.candidates(h) {
-                            let b = &self.base.rows()[pos];
-                            if !keys_equal(b, &pb.base_keys, r, &pb.detail_keys) {
-                                continue;
-                            }
-                            if !pb.trivial_condition
-                                && !pb.condition.eval(b, r)?.is_truthy()
-                            {
-                                continue;
-                            }
-                            state.matched[pos] = true;
-                            update_aggs(block, pb, &mut state.accs[pos], b, r)?;
-                        }
-                    }
-                }
-                None => {
-                    // Nested loop: evaluate θ for every (b, r) pair.
-                    for (pos, b) in self.base.iter().enumerate() {
-                        let acc = &mut state.accs[pos];
-                        for r in morsel {
-                            if !pb.trivial_condition
-                                && !pb.condition.eval(b, r)?.is_truthy()
-                            {
-                                continue;
-                            }
-                            state.matched[pos] = true;
-                            update_aggs(block, pb, acc, b, r)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Column-wise key equality between a base and a detail row — compares
-/// `&Value`s in place, cloning nothing.
-fn keys_equal(b: &Row, base_keys: &[usize], r: &Row, detail_keys: &[usize]) -> bool {
-    base_keys
-        .iter()
-        .zip(detail_keys)
-        .all(|(&bk, &dk)| b.get(bk) == r.get(dk))
-}
-
 /// Evaluate a GMDJ at one site: sub-aggregates only.
 pub fn eval_local(
     base: &Relation,
@@ -578,37 +360,6 @@ pub fn eval_local(
     opts: EvalOptions,
 ) -> Result<LocalGmdj> {
     eval_local_traced(base, detail, gmdj, opts, &Obs::disabled(), 0)
-}
-
-/// What both kernels share around their morsel loop: validation, block
-/// preparation, the morsel decomposition — a function of the input size
-/// and `morsel_rows` only, so the merge structure (and the bits) never
-/// depends on the kernel or the worker count — and the assembly of base
-/// columns ⊕ merged accumulators into the site's physical result.
-/// `kernel` gets `(layout, blocks, morsel_rows, n_morsels)`.
-fn eval_with(
-    base: &Relation,
-    detail: &Relation,
-    gmdj: &Gmdj,
-    opts: EvalOptions,
-    kernel: impl FnOnce(&AccLayout, &mut [PreparedBlock], usize, usize) -> Result<MorselState>,
-) -> Result<LocalGmdj> {
-    gmdj.validate(base.schema(), detail.schema())?;
-    let (layout, mut blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-    let morsel_rows = opts.morsel_rows.max(1);
-    let n_morsels = detail.len().div_ceil(morsel_rows).max(1);
-    let merged = kernel(&layout, &mut blocks, morsel_rows, n_morsels)?;
-
-    let phys_schema = gmdj.physical_schema(base.schema(), detail.schema())?;
-    let rows: Vec<Row> = base
-        .iter()
-        .zip(merged.accs)
-        .map(|(b, acc)| b.extend(&acc))
-        .collect();
-    Ok(LocalGmdj {
-        physical: Relation::new(phys_schema, rows)?,
-        matched: merged.matched,
-    })
 }
 
 /// [`eval_local`] with observability: per-morsel spans are recorded on
@@ -622,67 +373,71 @@ pub fn eval_local_traced(
     obs: &Obs,
     site: usize,
 ) -> Result<LocalGmdj> {
-    eval_with(base, detail, gmdj, opts, |layout, blocks, morsel_rows, n_morsels| {
-        crate::columnar::eval_columnar(
-            base,
-            detail,
-            gmdj,
-            layout,
-            blocks,
-            opts,
-            morsel_rows,
-            n_morsels,
-            obs,
-            site,
-        )
-    })
+    let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
+    crate::columnar::eval_columnar(base, detail, gmdj, &layout, &blocks, opts, obs, site)
 }
 
-/// [`eval_local`] through the row-at-a-time reference kernel: the same
-/// morsel decomposition and in-order merge (so the same bits), with
-/// per-row [`Value`] hashing and accumulation instead of typed columns.
-/// It is what the test suites and `probe_alloc` compare the engine's
-/// kernel against; nothing in the engine calls it.
+/// [`eval_local`] as one serial loop: the reference the test suites hold
+/// the engine's kernel to. Per morsel (the same decomposition as the
+/// kernel's) it starts fresh accumulators and visits every block, base
+/// tuple and detail tuple of the morsel, in that order. A pair matches
+/// when its equi-key columns are [`Value`]-equal (a nested-loop block has
+/// none) and the block's condition is truthy. Morsel states merge in
+/// morsel order. So every accumulator slot sees the kernel's sequence of
+/// updates, and the bits agree. `opts.parallelism` is ignored: the
+/// reference starts no thread and builds no index.
 pub fn eval_local_rows(
     base: &Relation,
     detail: &Relation,
     gmdj: &Gmdj,
     opts: EvalOptions,
 ) -> Result<LocalGmdj> {
-    eval_with(base, detail, gmdj, opts, |layout, blocks, morsel_rows, n_morsels| {
-        let indexes = build_indexes(base, blocks);
-        let kernel = Kernel {
-            base,
-            detail,
-            gmdj,
-            layout,
-            blocks,
-            indexes: &indexes,
-            morsel_rows,
-            n_morsels,
-        };
-        drive(&kernel, opts, &Obs::disabled(), 0)
-    })
-}
-
-fn update_aggs(
-    block: &crate::operator::GmdjBlock,
-    pb: &PreparedBlock,
-    acc: &mut [Value],
-    b: &Row,
-    r: &Row,
-) -> Result<()> {
-    for (a, (input, off)) in block.aggs.iter().zip(&pb.aggs) {
-        let w = a.acc_width();
-        match input {
-            Some(e) => {
-                let v = e.eval(b, r)?;
-                a.update(&mut acc[*off..off + w], Some(&v))?;
+    let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
+    let (morsel_rows, n_morsels) = morsels(detail.len(), opts);
+    let mut matched = vec![false; base.len()];
+    let mut run_morsel = |m: usize| -> Result<Vec<Vec<Value>>> {
+        let hi = ((m + 1) * morsel_rows).min(detail.len());
+        let morsel = &detail.rows()[m * morsel_rows..hi];
+        let mut accs = vec![layout.init(); base.len()];
+        for (pb, block) in blocks.iter().zip(&gmdj.blocks) {
+            for (pos, b) in base.iter().enumerate() {
+                for r in morsel {
+                    let keys_equal = pb
+                        .base_keys
+                        .iter()
+                        .zip(&pb.detail_keys)
+                        .all(|(&bk, &dk)| b.get(bk) == r.get(dk));
+                    if !keys_equal
+                        || !(pb.trivial_condition || pb.condition.eval(b, r)?.is_truthy())
+                    {
+                        continue;
+                    }
+                    matched[pos] = true;
+                    for (a, (input, off)) in block.aggs.iter().zip(&pb.aggs) {
+                        let v = input.as_ref().map(|e| e.eval(b, r)).transpose()?;
+                        a.update(&mut accs[pos][*off..off + a.acc_width()], v.as_ref())?;
+                    }
+                }
             }
-            None => a.update(&mut acc[*off..off + w], None)?,
+        }
+        Ok(accs)
+    };
+    // Morsel 0's state is taken as is, later ones merge into it.
+    let mut accs = run_morsel(0)?;
+    for m in 1..n_morsels {
+        for (d, s) in accs.iter_mut().zip(&run_morsel(m)?) {
+            layout.merge(d, s)?;
         }
     }
-    Ok(())
+    let rows = base
+        .iter()
+        .zip(&accs)
+        .map(|(b, acc)| b.extend(acc))
+        .collect();
+    Ok(LocalGmdj {
+        physical: Relation::new(gmdj.physical_schema(base.schema(), detail.schema())?, rows)?,
+        matched,
+    })
 }
 
 /// Finalize a physical (accumulator) relation into the logical output.
@@ -934,8 +689,8 @@ mod tests {
 
     #[test]
     fn duplicate_base_keys_all_probe_candidates() {
-        // Duplicate base tuples share a bucket chain; each must receive
-        // its own accumulators through the position-keyed index.
+        // Duplicate base tuples share a key; each must receive its own
+        // accumulators.
         let b = Relation::new(
             Schema::of(&[("g", DataType::Int)]),
             vec![row![2i64], row![2i64], row![1i64]],

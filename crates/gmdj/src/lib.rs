@@ -5,10 +5,10 @@
 //! ([`operator::Gmdj`]), aggregate functions with sub-/super-aggregate
 //! decomposition ([`agg`]), condition analysis ([`theta`]), complex GMDJ
 //! expressions ([`chain`]), coalescing rewrites ([`rewrite`]), and an
-//! efficient centralized evaluator ([`eval`]) with hash and nested-loop
-//! strategies, evaluated through the vectorized columnar kernel
-//! ([`columnar`]); the row-at-a-time kernel is kept as the reference the
-//! tests compare against ([`eval::eval_local_rows`]).
+//! efficient centralized evaluator ([`eval`]) with equi-key and
+//! nested-loop strategies, evaluated through the vectorized columnar
+//! kernel ([`columnar`]); a serial row-at-a-time loop is kept as the
+//! reference the tests compare against ([`eval::eval_local_rows`]).
 //!
 //! Distributed evaluation of these expressions lives in `skalla-core`.
 

@@ -328,9 +328,18 @@ pub fn derive_base_constraint(theta: &Expr, domains: &DomainMap) -> BaseConstrai
                 return BaseConstraint::Unrestricted;
             };
             // Exact set transfer for `base_expr = r.col` with a Set domain.
+            // Not when the set holds NULL: `b.g IN (…, NULL)` is NULL for a
+            // NULL-keyed base tuple, which the filter would drop, while
+            // the kernel's equi-key probe matches NULL to NULL. Such a set
+            // has a non-numeric member, so the interval path below leaves
+            // the site unrestricted.
             if op == CmpOp::Eq {
                 if let Expr::Col(Side::Detail, name) = detail_side {
-                    if let Some(set) = domains.get(name).as_set() {
+                    if let Some(set) = domains
+                        .get(name)
+                        .as_set()
+                        .filter(|set| !set.iter().any(Value::is_null))
+                    {
                         if set.is_empty() {
                             return BaseConstraint::Unsatisfiable;
                         }
@@ -516,6 +525,18 @@ mod tests {
             }
             other => panic!("expected filter, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn set_domain_with_null_does_not_transfer() {
+        // `b.g IN (1, NULL)` would drop the NULL-keyed base tuple that
+        // the equi-key `b.g = r.g` matches to this site's NULL rows.
+        let domains = DomainMap::new().with("g", Domain::of([Value::Int(1), Value::Null]));
+        let theta = Expr::bcol("g").eq(Expr::dcol("g"));
+        assert_eq!(
+            derive_base_constraint(&theta, &domains),
+            BaseConstraint::Unrestricted
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::eval::EvalOptions;
 use skalla::gmdj::analyze_theta;
 use skalla::gmdj::prelude::*;
-use skalla::relation::{Relation, Value};
+use skalla::relation::{row, DataType, Domain, DomainMap, Relation, Row, Schema, Value};
 
 fn all_flag_combos() -> Vec<OptFlags> {
     (0..16u32)
@@ -221,6 +221,48 @@ fn empty_and_degenerate_inputs() {
     let plan = Planner::new(cluster.distribution()).optimize(&example1_flows(), OptFlags::all());
     let out = cluster.execute(&plan).unwrap();
     assert!(out.relation.is_empty());
+}
+
+#[test]
+fn null_keyed_group_survives_distribution_aware_reduction() {
+    // Site 0's φ declares g ∈ {1, NULL}. The equi-key `b.g = r.g` matches
+    // NULL to NULL, so Thm 4 must not turn φ into `b.g IN (1, NULL)`,
+    // which drops the NULL-keyed base tuple before it is shipped.
+    let schema = Schema::of(&[("g", DataType::Int)]);
+    let site0 = Relation::new(
+        schema.clone(),
+        vec![
+            row![1i64],
+            Row::new(vec![Value::Null]),
+            Row::new(vec![Value::Null]),
+        ],
+    )
+    .unwrap();
+    let site1 = Relation::new(schema, vec![row![2i64]]).unwrap();
+    let cluster = Cluster::from_partitions(
+        "t",
+        vec![
+            (
+                site0,
+                DomainMap::new().with("g", Domain::of([Value::Int(1), Value::Null])),
+            ),
+            (
+                site1,
+                DomainMap::new().with("g", Domain::of([Value::Int(2)])),
+            ),
+        ],
+    );
+    let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+        .gmdj(Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![AggSpec::count("cnt")],
+        ))
+        .build();
+    let oracle = cluster.execute_centralized(&expr).unwrap().relation;
+    assert!(oracle
+        .rows()
+        .contains(&Row::new(vec![Value::Null, Value::Int(2)])));
+    assert_all_combos_match(&cluster, &expr, "NULL-keyed group");
 }
 
 #[test]

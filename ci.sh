@@ -76,7 +76,7 @@ cargo test --workspace -q
 # Rustdoc must stay warning-clean. The vendored shims are API stand-ins,
 # not our documentation surface, so they are excluded.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-  --exclude crossbeam --exclude parking_lot --exclude proptest --exclude rand
+  --exclude proptest --exclude rand
 # Zero-allocation probe regression guard (plain-main bench, not run by
 # `cargo test`) — covers the columnar kernel's group-id probe / typed
 # inner loops, and a cold call that builds the key column and the
@@ -144,9 +144,10 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   grep -q '^skalla_query_wall_s_count' "$SMOKE_DIR/metrics.txt"
   wait "$RUN_PID"
   wait
-  # The merged trace must contain real site-side spans (exported by the
-  # site processes over TAG_TELEMETRY), not just coordinator lanes.
-  "$CLI" trace-check "$SMOKE_DIR/trace.json"
+  # The merged trace must contain real site-side spans from both sites
+  # (exported by the site processes over TAG_TELEMETRY), not just
+  # coordinator lanes.
+  "$CLI" trace-check "$SMOKE_DIR/trace.json" --sites 2
   echo "ci.sh: TCP smoke test passed (sites $ADDRS, metrics at $METRICS)"
 
   # Concurrent multi-query smoke: 4 sites, 4 copies of the fig2-style

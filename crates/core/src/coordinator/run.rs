@@ -1,6 +1,7 @@
 //! Alg. GMDJDistribEval, coordinator side: the stage loop the
 //! [`Skalla`](crate::Skalla) engine runs once per executing query, and
-//! the one receive loop every stage round goes through.
+//! the one receive loop every stage round goes through — results and
+//! the sites' telemetry alike.
 
 use super::{empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync, PartialMerge};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
@@ -9,10 +10,10 @@ use crate::stats::StageTimes;
 use crate::warehouse::EngineConfig;
 use skalla_gmdj::BaseQuery;
 use skalla_net::{CoordinatorTransport, NetStats};
-use skalla_obs::Track;
+use skalla_obs::{estimate_offset_us, Obs, TelemetryDelta, Track};
 use skalla_relation::{Error, Relation, Result, Schema};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Drive Alg. GMDJDistribEval over a coordinator transport: per stage,
 /// ship the base structure down, collect sub-results, synchronize. The
@@ -35,7 +36,9 @@ use std::time::{Duration, Instant};
 /// is bit-identical to a cold run.
 ///
 /// Of `cfg`, the coordinator reads the round timeout, the obs handle and
-/// the merge parallelism.
+/// the merge parallelism. Each site's busy seconds for a stage arrive in
+/// that round (see [`collect`]) and land in the stage's
+/// [`StageTimes::site_busy_s`].
 ///
 /// `snapshots`, when present, receives `(j, b)` for every non-final
 /// stage the coordinator actually synchronized — the prefix snapshots
@@ -51,7 +54,7 @@ pub(crate) fn run_coordinator(
     resume: Option<(usize, Relation)>,
     mut snapshots: Option<&mut Vec<(usize, Relation)>>,
 ) -> Result<(Relation, Vec<StageTimes>)> {
-    let (timeout, obs) = (cfg.timeout, &cfg.obs);
+    let obs = &cfg.obs;
     let track = Track::Query(query_id);
     let n = coord.n_sites();
     let (resume_after, mut b_cur) = match resume {
@@ -91,15 +94,13 @@ pub(crate) fn run_coordinator(
 
         match &stage.kind {
             StageKind::Base => {
+                let round = Round::shipped_now(stage_no, vec![true; n], obs);
                 coord
                     .broadcast(&protocol::run_stage(stage_no, None))
                     .map_err(net_err)?;
                 let mut sync_span = obs.span(track, "BaseSync");
                 let mut sync = BaseSync::new();
-                st.coord_s += collect(coord, timeout, n, stage_no, |_, rel| {
-                    st.rows_up += rel.len() as u64;
-                    sync.absorb(rel)
-                })?;
+                collect(coord, cfg, &round, &mut st, |_, rel| sync.absorb(rel))?;
                 let t = wall_now();
                 b_cur = Some(sync.finish(&plan.key)?);
                 st.coord_s += t.elapsed().as_secs_f64();
@@ -112,7 +113,7 @@ pub(crate) fn run_coordinator(
                 let no_base = || Error::Execution("unit stage with no base structure".into());
                 let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
-                let mut participants = 0usize;
+                let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
                 let shared_fragment: Option<Relation> = if unit.fold_base {
                     None
                 } else {
@@ -155,7 +156,7 @@ pub(crate) fn run_coordinator(
                             Some(project_ship(&kept, &unit.ship_columns)?)
                         }
                     };
-                    participants += 1;
+                    round.owed[site] = true;
                     if let Some(f) = &fragment {
                         st.rows_down += f.len() as u64;
                     }
@@ -165,7 +166,7 @@ pub(crate) fn run_coordinator(
                 }
                 st.coord_s += t.elapsed().as_secs_f64();
                 ship_span.arg("rows_down", st.rows_down);
-                ship_span.arg("participants", participants);
+                ship_span.arg("participants", round.owed.iter().filter(|o| **o).count());
                 ship_span.arg("fold_base", unit.fold_base);
                 ship_span.finish();
 
@@ -176,10 +177,7 @@ pub(crate) fn run_coordinator(
                 if unit.local_chain {
                     let mut sync_span = obs.span(track, "ChainSync");
                     let mut sync = ChainSync::new(plan.key.len());
-                    st.coord_s += collect(coord, timeout, participants, stage_no, |_, rel| {
-                        st.rows_up += rel.len() as u64;
-                        sync.absorb(&rel)
-                    })?;
+                    collect(coord, cfg, &round, &mut st, |_, rel| sync.absorb(&rel))?;
                     let t = wall_now();
                     b_cur = Some(if unit.fold_base {
                         sync.finish_folded(out_schema)?
@@ -205,16 +203,10 @@ pub(crate) fn run_coordinator(
                     // merge across sites as a parallel binary tree whose
                     // shape depends only on the participant set.
                     let mut chunks_per_site: Vec<Vec<Relation>> = vec![Vec::new(); n];
-                    let busy = collect(coord, timeout, participants, stage_no, |site, rel| {
+                    collect(coord, cfg, &round, &mut st, |site, rel| {
                         chunks_per_site[site].push(rel);
                         Ok(())
                     })?;
-                    st.coord_s += busy;
-                    st.rows_up += chunks_per_site
-                        .iter()
-                        .flatten()
-                        .map(|c| c.len() as u64)
-                        .sum::<u64>();
                     let t = wall_now();
                     let mut n_chunks = 0usize;
                     let mut per_site: Vec<Relation> = Vec::with_capacity(n);
@@ -279,41 +271,78 @@ fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// Receive one stage round. Result chunks from `expected` sites (each
-/// site's result possibly row-blocked into several) are fed to `absorb`
-/// with the sending site's id as they arrive; any other frame a site
-/// sends ends the round with an error. Completion is remembered per site: a chunk from a site that
-/// already sent its final one is an error rather than a second
-/// completion, so a repeating site cannot close the round ahead of a
-/// silent one and drop that site's sub-aggregates from the merge.
-/// Returns coordinator busy seconds (decode + absorb, excluding waits).
+/// One stage round as [`collect`] receives it.
+struct Round {
+    stage: u32,
+    /// `owed[site]`: the stage was sent to `site`, which owes it a result.
+    owed: Vec<bool>,
+    /// When the stage was shipped, on the coordinator recorder's clock:
+    /// no site can have exported a trace delta for it earlier.
+    shipped_us: u64,
+}
+
+impl Round {
+    fn shipped_now(stage: u32, owed: Vec<bool>, obs: &Obs) -> Round {
+        Round {
+            stage,
+            owed,
+            shipped_us: obs.recorder().map_or(0, |r| r.now_us()),
+        }
+    }
+}
+
+/// Receive one stage round into `st`. Result chunks from the owed sites
+/// (each site's result possibly row-blocked into several) are fed to
+/// `absorb` with the sending site's id as they arrive. Each site's
+/// `TELEMETRY` frame, sent just ahead of its final chunk, adds its busy
+/// seconds and merges its trace delta, if any, into the coordinator's
+/// recorder. Any other frame, a frame for another stage, and a result or
+/// telemetry frame from a site the stage was not sent to or that already
+/// sent its final chunk end the round with an error: so neither an
+/// uninvited nor a repeating site can close the round ahead of a silent
+/// participant and drop its sub-aggregates from the merge.
 fn collect(
     coord: &dyn CoordinatorTransport,
-    timeout: Duration,
-    expected: usize,
-    stage: u32,
+    cfg: &EngineConfig,
+    round: &Round,
+    st: &mut StageTimes,
     mut absorb: impl FnMut(usize, Relation) -> Result<()>,
-) -> Result<f64> {
-    let mut busy = 0.0;
-    let mut done = vec![false; coord.n_sites()];
-    let mut finished = 0usize;
-    while finished < expected {
-        let (site, msg) = coord.recv(timeout).map_err(net_err)?;
+) -> Result<()> {
+    let stage = round.stage;
+    // The sites whose final result chunk is still to come.
+    let mut waiting = round.owed.clone();
+    while waiting.contains(&true) {
+        let (site, msg) = coord.recv(cfg.timeout).map_err(net_err)?;
         let t = wall_now();
-        match Tag::try_from(msg.tag)? {
+        let tag = Tag::try_from(msg.tag)?;
+        if matches!(tag, Tag::Result | Tag::Telemetry) && !waiting[site] {
+            let why = if round.owed[site] {
+                "after its final one"
+            } else {
+                "but was not sent it"
+            };
+            return Err(Error::Execution(format!(
+                "site {site} sent {} for stage {stage} {why}",
+                tag.name()
+            )));
+        }
+        match tag {
             Tag::Result => {
                 let (s, last, rel) = protocol::decode_result(&msg.payload)?;
                 check_stage("result", s, stage)?;
-                if done[site] {
-                    return Err(Error::Execution(format!(
-                        "site {site} sent a result chunk after its final one for stage {stage}"
-                    )));
-                }
                 if last {
-                    done[site] = true;
-                    finished += 1;
+                    waiting[site] = false;
                 }
+                st.rows_up += rel.len() as u64;
                 absorb(site, rel)?;
+            }
+            Tag::Telemetry => {
+                let report = protocol::decode_telemetry(&msg.payload)?;
+                check_stage("telemetry", report.stage, stage)?;
+                st.site_busy_s[site] += report.busy_s;
+                if let Some(delta) = report.obs {
+                    import_site_delta(&cfg.obs, site, delta, round.shipped_us);
+                }
             }
             Tag::Error => {
                 return Err(Error::Execution(format!(
@@ -321,19 +350,36 @@ fn collect(
                     protocol::decode_error(&msg.payload)
                 )));
             }
-            // What a coordinator sends, the handshake reply, and telemetry
-            // (which answers QUERY_DONE, after the last round).
+            // What a coordinator sends, and the handshake reply.
             Tag::RunStage
             | Tag::Shutdown
             | Tag::Plan
             | Tag::CatalogReq
             | Tag::Catalog
-            | Tag::QueryDone
-            | Tag::Telemetry => return Err(unexpected_tag(msg.tag)),
+            | Tag::QueryDone => return Err(unexpected_tag(msg.tag)),
         }
-        busy += t.elapsed().as_secs_f64();
+        st.coord_s += t.elapsed().as_secs_f64();
     }
-    Ok(busy)
+    Ok(())
+}
+
+/// Merge a standalone site's trace delta into the coordinator's
+/// recorder. The link index names the lane (`site-N`), whatever the site
+/// calls itself. The site took the delta after the stage was shipped
+/// and before its frame arrived, which bounds its clock offset
+/// (Cristian's algorithm; see [`estimate_offset_us`]).
+fn import_site_delta(obs: &Obs, site: usize, mut delta: TelemetryDelta, shipped_us: u64) {
+    let Some(rec) = obs.recorder() else {
+        return;
+    };
+    delta.process_id = site as u32 + 2;
+    delta.process_name = format!("site-{site}");
+    let offset = estimate_offset_us(
+        rec.wall_start_unix_us(),
+        &delta,
+        Some((shipped_us, rec.now_us())),
+    );
+    rec.import_remote(delta, offset);
 }
 
 fn unexpected_tag(tag: u8) -> Error {
@@ -378,22 +424,33 @@ mod tests {
     use super::*;
     use skalla_net::{star, Message};
     use skalla_relation::{row, DataType};
-
-    const TIMEOUT: Duration = Duration::from_secs(5);
+    use std::time::Duration;
 
     fn one_row(g: i64) -> Relation {
         Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![g]]).unwrap()
     }
 
-    /// Run `collect` for stage 1 of a two-site round, returning which
-    /// sites' chunks were absorbed.
-    fn absorbed(coord: &dyn CoordinatorTransport) -> Result<Vec<usize>> {
+    /// Run `collect` for stage 1 of a round owed by the sites in
+    /// `owed`, returning which sites' chunks were absorbed.
+    fn absorbed(coord: &dyn CoordinatorTransport, owed: &[usize]) -> Result<Vec<usize>> {
+        let cfg = EngineConfig {
+            timeout: Duration::from_secs(5),
+            ..EngineConfig::default()
+        };
+        let mut round = Round::shipped_now(1, vec![false; coord.n_sites()], &cfg.obs);
+        for &site in owed {
+            round.owed[site] = true;
+        }
+        let mut st = StageTimes {
+            site_busy_s: vec![0.0; coord.n_sites()],
+            ..StageTimes::default()
+        };
         let mut from = Vec::new();
         let absorb = |site, _rel| {
             from.push(site);
             Ok(())
         };
-        collect(coord, TIMEOUT, 2, 1, absorb)?;
+        collect(coord, &cfg, &round, &mut st, absorb)?;
         Ok(from)
     }
 
@@ -408,7 +465,7 @@ mod tests {
             sites[0].send(protocol::result(1, &one_row(0))).unwrap();
         }
         sites[1].send(protocol::result(1, &one_row(1))).unwrap();
-        let err = absorbed(&coord).unwrap_err().to_string();
+        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
         assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
 
         // The honest round: chunked site 0, then site 1.
@@ -416,7 +473,22 @@ mod tests {
         sites[0].send(protocol::result_chunk(1, &one_row(0), false)).unwrap();
         sites[0].send(protocol::result(1, &one_row(2))).unwrap();
         sites[1].send(protocol::result(1, &one_row(1))).unwrap();
-        assert_eq!(absorbed(&coord).unwrap(), vec![0, 0, 1]);
+        assert_eq!(absorbed(&coord, &[0, 1]).unwrap(), vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn a_site_the_stage_was_not_sent_to_cannot_close_the_round() {
+        // Thm 4 skipped site 2. Its result, counted as a completion,
+        // closed the round before site 1 answered, and site 1's
+        // sub-aggregates were dropped from the merge.
+        let (coord, sites) = star(3);
+        sites[2].send(protocol::result(1, &one_row(2))).unwrap();
+        sites[0].send(protocol::result(1, &one_row(0))).unwrap();
+        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
+        assert!(
+            err.contains("site 2") && err.contains("was not sent it"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -428,7 +500,7 @@ mod tests {
         let (coord, sites) = star(2);
         sites[0].send(protocol::result(1, &one_row(0))).unwrap();
         sites[1].send(Message::new(10, vec![0; 8])).unwrap();
-        let err = absorbed(&coord).unwrap_err().to_string();
+        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
         assert!(err.contains("unknown frame tag 10"), "{err}");
     }
 }

@@ -49,7 +49,12 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema};
 /// * **v8** — v7 frames; the [`TAG_PLAN`] plan loses its trailing planner
 ///   notes (they stay on the coordinator), so a v7 peer would misread
 ///   every plan.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// * **v9** — v7 frames; a site sends one [`TAG_TELEMETRY`] frame per
+///   stage, just ahead of that stage's final [`TAG_RESULT`] (or its
+///   [`TAG_ERROR`]), and [`TAG_QUERY_DONE`] is one-way; a [`TAG_CATALOG`]
+///   entry loses its row count. A v8 site would answer `QUERY_DONE`
+///   with a frame no one reads, and every catalog would misparse.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -89,7 +94,8 @@ frame_tags! {
     Result = 2 => TAG_RESULT;
     /// Site → coordinator: execution failed.
     Error = 3 => TAG_ERROR;
-    /// Coordinator → site: query finished, thread may exit.
+    /// Coordinator → site, on the control stream: the session is over;
+    /// the site joins its query workers and its session loop returns.
     Shutdown = 4 => TAG_SHUTDOWN;
     /// Coordinator → site: the distributed plan for the upcoming query. The
     /// payload is the cluster's kernel options (thread count, morsel size)
@@ -106,14 +112,15 @@ frame_tags! {
     /// local table, sorted by table name so the payload is deterministic.
     Catalog = 7 => TAG_CATALOG;
     /// Coordinator → site: one query (named by the frame's query id) is
-    /// finished; the site retires its per-query state. Unlike
-    /// [`TAG_SHUTDOWN`] — which ends the whole connection — the session and
-    /// its other in-flight queries continue.
+    /// finished; the site retires its per-query state and sends nothing
+    /// back. Unlike [`TAG_SHUTDOWN`] — which ends the whole connection —
+    /// the session and its other in-flight queries continue.
     QueryDone = 8 => TAG_QUERY_DONE;
     /// Site → coordinator, stamped with a query id: the site's
-    /// [`SiteTelemetry`] for that query, sent in reply to
-    /// [`TAG_QUERY_DONE`]. The value is [`skalla_net::TELEMETRY_TAG`],
-    /// which the transports exempt from byte accounting.
+    /// [`SiteTelemetry`] for one stage, sent just ahead of that stage's
+    /// final [`TAG_RESULT`] (or its [`TAG_ERROR`]). The value is
+    /// [`skalla_net::TELEMETRY_TAG`], which the transports exempt from
+    /// byte accounting.
     Telemetry = skalla_net::TELEMETRY_TAG => TAG_TELEMETRY;
 }
 
@@ -169,7 +176,7 @@ pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
 ///
 /// The `()` stands where the retired skew request used to decode: the
 /// benchmark's layer walk (`crates/bench/src/bin/e2e/layers.rs`)
-/// destructures a 3-tuple, so the arity stays until ROADMAP item 7.
+/// destructures a 3-tuple, so the arity stays until ROADMAP item 1.
 pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
@@ -185,8 +192,9 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
 }
 
 /// Encode a `RESULT` message. `last` marks the final chunk of a stage
-/// (row blocking, paper Sect. 3.2: the coordinator synchronizes chunks as
-/// they arrive instead of waiting for whole sub-results).
+/// (row blocking, paper Sect. 3.2: a site ships its sub-result in
+/// pieces; a merge unit's coordinator buffers each site's chunks and
+/// merges them once that site's last one is in).
 pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
     let mut enc = Encoder::with_capacity(9 + rel.encoded_size());
     enc.put_u32(stage);
@@ -243,19 +251,20 @@ pub fn query_done() -> Message {
     Message::new(TAG_QUERY_DONE, Vec::new())
 }
 
-/// What a site ships back in a telemetry frame: the busy-time samples
-/// its per-query workers measured, plus (for standalone site processes
-/// with their own recorder) the site's observability delta since the
-/// last export. The payload is UTF-8 JSON —
-/// `{"busy": [[query_id, stage, secs], ...], "obs": <delta or null>}` —
-/// so operators can read captured frames directly; it never enters the
-/// paper's traffic accounting (see [`TAG_TELEMETRY`]), so the encoding
-/// optimizes for debuggability, not size.
+/// What a site ships back in a telemetry frame for one stage task: the
+/// busy seconds it measured around the stage, plus (for standalone site
+/// processes with their own recorder) the site's observability delta
+/// since the last export. The frame's query id names the query. The
+/// payload is UTF-8 JSON — `{"stage": n, "busy_s": secs, "obs": <delta
+/// or null>}` — so operators can read captured frames directly; it never
+/// enters the paper's traffic accounting (see [`TAG_TELEMETRY`]), so the
+/// encoding optimizes for debuggability, not size.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SiteTelemetry {
-    /// `(query_id, stage index, busy seconds)` samples, one per stage
-    /// task the site executed for the queries this frame covers.
-    pub busy: Vec<(u32, u32, f64)>,
+    /// The stage index the busy time was measured for.
+    pub stage: u32,
+    /// Busy seconds of the stage task (thread CPU time).
+    pub busy_s: f64,
     /// The site recorder's spans/events/counters/histograms since the
     /// last export; `None` when the site shares the coordinator's
     /// recorder (in-process backend) or runs without observability.
@@ -265,49 +274,34 @@ pub struct SiteTelemetry {
 impl SiteTelemetry {
     /// The JSON form (see the struct docs for the shape).
     pub fn to_json(&self) -> Json {
-        let busy = Json::Arr(
-            self.busy
-                .iter()
-                .map(|(qid, stage, secs)| {
-                    Json::Arr(vec![
-                        Json::UInt(*qid as u64),
-                        Json::UInt(*stage as u64),
-                        Json::Float(*secs),
-                    ])
-                })
-                .collect(),
-        );
         let obs = match &self.obs {
             Some(delta) => delta.to_json(),
             None => Json::Null,
         };
-        Json::obj(vec![("busy", busy), ("obs", obs)])
+        Json::obj(vec![
+            ("stage", Json::UInt(self.stage as u64)),
+            ("busy_s", Json::Float(self.busy_s)),
+            ("obs", obs),
+        ])
     }
 
     /// Decode the JSON form.
     pub fn from_json(j: &Json) -> Result<SiteTelemetry> {
         let bad = |what: &str| Error::Codec(format!("telemetry: {what}"));
-        let mut busy = Vec::new();
-        for entry in j
-            .get("busy")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing busy array"))?
-        {
-            let triple = entry.as_arr().ok_or_else(|| bad("busy entry"))?;
-            match triple {
-                [qid, stage, secs] => busy.push((
-                    qid.as_u64().ok_or_else(|| bad("busy query id"))? as u32,
-                    stage.as_u64().ok_or_else(|| bad("busy stage"))? as u32,
-                    secs.as_f64().ok_or_else(|| bad("busy seconds"))?,
-                )),
-                _ => return Err(bad("busy entry arity")),
-            }
-        }
+        let stage = j
+            .get("stage")
+            .and_then(Json::as_u64)
+            .and_then(|s| u32::try_from(s).ok())
+            .ok_or_else(|| bad("missing stage"))?;
+        let busy_s = j
+            .get("busy_s")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| bad("missing busy seconds"))?;
         let obs = match j.get("obs") {
             None | Some(Json::Null) => None,
             Some(delta) => Some(TelemetryDelta::from_json(delta).map_err(Error::Codec)?),
         };
-        Ok(SiteTelemetry { busy, obs })
+        Ok(SiteTelemetry { stage, busy_s, obs })
     }
 }
 
@@ -326,9 +320,8 @@ pub fn decode_telemetry(payload: &[u8]) -> Result<SiteTelemetry> {
 }
 
 /// What one site advertises about one of its tables in the catalog
-/// handshake: enough for a remote coordinator to validate plans (schema),
-/// optimize with distribution knowledge (the site's φ domains), and print
-/// diagnostics (row count).
+/// handshake: enough for a remote coordinator to validate plans (schema)
+/// and optimize with distribution knowledge (the site's φ domains).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteCatalogEntry {
     /// Table name.
@@ -337,8 +330,6 @@ pub struct SiteCatalogEntry {
     pub schema: Schema,
     /// This site's partition-domain description φᵢ for the table.
     pub domains: DomainMap,
-    /// Local fragment row count (diagnostics only).
-    pub rows: u64,
 }
 
 fn put_domain(enc: &mut Encoder, d: &Domain) {
@@ -434,7 +425,6 @@ pub fn catalog(entries: &[SiteCatalogEntry]) -> Message {
         enc.put_str(&e.table);
         enc.put_schema(&e.schema);
         put_domain_map(&mut enc, &e.domains);
-        enc.put_i64(e.rows as i64);
     }
     Message::new(TAG_CATALOG, enc.finish())
 }
@@ -455,12 +445,10 @@ pub fn decode_catalog(payload: &[u8]) -> Result<Vec<SiteCatalogEntry>> {
         let table = dec.get_str()?;
         let schema = dec.get_schema()?;
         let domains = get_domain_map(&mut dec)?;
-        let rows = dec.get_i64()? as u64;
         entries.push(SiteCatalogEntry {
             table,
             schema,
             domains,
-            rows,
         });
     }
     if dec.remaining() != 0 {
@@ -519,7 +507,7 @@ mod tests {
 
         // The check can fail: a dropped row, a wrong Accounted? cell, a
         // renamed tag and a row for a tag that does not exist.
-        let telemetry = "| 9 | `TELEMETRY` | site → coord | busy triples + span/counter deltas | **no**";
+        let telemetry = "| 9 | `TELEMETRY` | site → coord | stage index + busy seconds + span/counter delta, just ahead of the stage's final `RESULT` or its `ERROR` | **no**";
         assert!(ARCHITECTURE.contains(telemetry));
         for doctored in [
             ARCHITECTURE.replace("| 8 | `QUERY_DONE` |", "cut: | 8 | `QUERY_DONE` |"),
@@ -594,13 +582,11 @@ mod tests {
                 domains: DomainMap::new()
                     .with("k", Domain::IntRange(0, 9))
                     .with("tag", Domain::of([Value::Int(1), Value::Int(2)])),
-                rows: 42,
             },
             SiteCatalogEntry {
                 table: "alpha".to_string(),
                 schema: Schema::of(&[("x", DataType::Double)]),
                 domains: DomainMap::new(),
-                rows: 0,
             },
         ];
         let m = catalog(&entries);
@@ -609,7 +595,6 @@ mod tests {
         // Sorted by table name regardless of input order.
         assert_eq!(back[0].table, "alpha");
         assert_eq!(back[1].table, "zeta");
-        assert_eq!(back[1].rows, 42);
         assert_eq!(back[1].domains.get("k"), &Domain::IntRange(0, 9));
         assert_eq!(
             back[1].domains.get("tag"),
@@ -633,12 +618,12 @@ mod tests {
         // A v1 coordinator sent an empty request.
         assert_eq!(decode_catalog_request(&[]).unwrap(), 1);
 
-        // A reply from a site speaking a different version — v6, the
-        // last one with the loan frames, and v7, the last one with plan
-        // notes on the wire, included — is rejected with a diagnostic
-        // naming both.
+        // A reply from a site speaking a different version — v7, the
+        // last one with plan notes on the wire, and v8, the last one that
+        // answered QUERY_DONE and advertised row counts, included — is
+        // rejected with a diagnostic naming both.
         let m = catalog(&[]);
-        for other in [6, 7, 99] {
+        for other in [7, 8, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();
@@ -669,7 +654,8 @@ mod tests {
     #[test]
     fn telemetry_round_trip() {
         let t = SiteTelemetry {
-            busy: vec![(1, 0, 0.25), (1, 1, 0.5), (7, 2, 0.125)],
+            stage: 2,
+            busy_s: 0.125,
             obs: None,
         };
         let m = telemetry(&t);
@@ -678,7 +664,14 @@ mod tests {
         let back = decode_telemetry(&m.payload).unwrap();
         assert_eq!(back, t);
         assert!(decode_telemetry(&[]).is_err(), "empty");
-        assert!(decode_telemetry(b"{\"obs\":null}").is_err(), "missing busy");
+        assert!(
+            decode_telemetry(b"{\"stage\":1,\"obs\":null}").is_err(),
+            "missing busy"
+        );
+        assert!(
+            decode_telemetry(b"{\"stage\":4294967296,\"busy_s\":0.5}").is_err(),
+            "stage > u32"
+        );
         assert!(decode_telemetry(&[0xFF]).is_err(), "not UTF-8");
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! The handshake is charged to the shared connection's pre-query round,
 //! never to a query's [`crate::stats::ExecStats::net`], so per-query
-//! rounds line up one-to-one with an in-process run; site busy times
-//! come back in [`crate::protocol::TAG_TELEMETRY`] frames, which the
-//! transports exempt from byte accounting.
+//! rounds line up one-to-one with an in-process run. Each stage's site
+//! busy time, and a standalone site's trace delta, come back in that
+//! stage's round in a [`crate::protocol::TAG_TELEMETRY`] frame, which
+//! the transports exempt from byte accounting.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -176,7 +177,6 @@ impl SiteServer {
                 table: table.clone(),
                 schema: rel.schema().clone(),
                 domains: domains.get(table).cloned().unwrap_or_default(),
-                rows: rel.len() as u64,
             })
             .collect();
         Ok(SiteServer {
@@ -243,8 +243,8 @@ impl SiteServer {
         site.send(protocol::catalog(&self.entries))
             .map_err(net_err)?;
         // A standalone site owns its recorder, so it exports obs deltas
-        // in its telemetry replies (the coordinator merges them into one
-        // cross-process trace).
+        // in its per-stage telemetry frames (the coordinator merges them
+        // into one cross-process trace).
         site_session_loop(&self.catalog, Arc::new(site), true, &self.obs);
         Ok(())
     }

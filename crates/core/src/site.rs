@@ -7,9 +7,10 @@
 //! coordinator, it produces the relation to ship back.
 //! [`site_session_loop`] wraps it in the protocol driver — route each
 //! frame to its query's worker, which receives the plan, executes stage
-//! tasks and replies, until shutdown — over any [`SiteTransport`], so
-//! the same loop serves both an in-process site thread and a standalone
-//! TCP site process (`skalla-cli site`).
+//! tasks and replies to each with its telemetry and then its result,
+//! until shutdown — over any [`SiteTransport`], so the same loop serves
+//! both an in-process site thread and a standalone TCP site process
+//! (`skalla-cli site`).
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -17,13 +18,13 @@
 use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol::{self, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
 use skalla_obs::{BusyTimer, Obs, Track};
 use skalla_relation::{Error, Relation, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Execute one stage at a site. `incoming` is the base fragment shipped by
@@ -258,14 +259,16 @@ pub fn split_detail(
 /// corrupt each other's streams.
 ///
 /// Control flow on the session:
-/// * [`protocol::TAG_QUERY_DONE`] retires the frame's query worker and
-///   answers with a [`protocol::TAG_TELEMETRY`] frame carrying that
-///   query's busy-time samples (and, when `export_obs` is set, the site
-///   recorder's delta since the last export);
+/// * [`protocol::TAG_QUERY_DONE`] retires the frame's query worker (its
+///   queue closes and it is joined) and sends nothing back;
 /// * [`protocol::TAG_SHUTDOWN`] (on the control stream, query id 0) ends
 ///   the session: all workers are joined and the loop returns;
 /// * a dead link also ends the session.
 ///
+/// A worker answers each stage task with one [`protocol::TAG_TELEMETRY`]
+/// frame — the task's busy seconds and, when `export_obs` is set, the
+/// site recorder's delta since the last export — just ahead of the
+/// task's final [`protocol::TAG_RESULT`] or its [`protocol::TAG_ERROR`].
 /// Telemetry frames ride [`skalla_net::TELEMETRY_TAG`] and are exempt
 /// from the byte accounting on every transport, so shipping timings
 /// keeps the channel/TCP byte-identity invariant.
@@ -282,30 +285,17 @@ pub fn site_session_loop(
 ) {
     let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
-    let mut cursor = skalla_obs::ExportCursor::default();
     // The loop ends when the coordinator hangs up (or the session idles
     // out) — recv errors — or broadcasts a shutdown.
     while let Ok(msg) = net.recv() {
         let reply = match Tag::try_from(msg.tag) {
             Ok(Tag::Shutdown) => break,
             Ok(Tag::QueryDone) => {
-                // Answer with this query's telemetry: the busy samples its
-                // worker returns and, for standalone sites, the obs delta.
-                let busy = workers
-                    .remove(&msg.query_id)
-                    .map_or_else(Vec::new, |(tx, handle)| {
-                        drop(tx); // worker drains its queue and exits
-                        handle.join().unwrap_or_default()
-                    });
-                let delta = obs.recorder().filter(|_| export_obs);
-                let report = protocol::SiteTelemetry {
-                    busy: busy
-                        .into_iter()
-                        .map(|(stage, secs)| (msg.query_id, stage, secs))
-                        .collect(),
-                    obs: delta.map(|rec| rec.take_delta(&mut cursor)),
-                };
-                Some(protocol::telemetry(&report).with_query_id(msg.query_id))
+                if let Some((tx, handle)) = workers.remove(&msg.query_id) {
+                    drop(tx); // the worker drains its queue and exits
+                    let _ = handle.join();
+                }
+                None
             }
             Ok(Tag::Plan | Tag::RunStage) => {
                 let query_id = msg.query_id;
@@ -315,7 +305,9 @@ pub fn site_session_loop(
                     let obs = obs.clone();
                     std::thread::Builder::new()
                         .name(format!("site-{site}-q{query_id}"))
-                        .spawn(move || query_worker(&catalog, &*net, rx, query_id, &obs))
+                        .spawn(move || {
+                            query_worker(&catalog, &*net, rx, query_id, &obs, export_obs)
+                        })
                 })
                 .err()
             }
@@ -340,15 +332,9 @@ pub fn site_session_loop(
     }
 }
 
-/// One query's `(stage, busy seconds)` samples, returned by its worker.
-type BusySamples = Vec<(u32, f64)>;
-
 /// One query's worker as the session loop holds it: its frame queue and
 /// its thread.
-type Worker = (
-    Sender<skalla_net::Message>,
-    std::thread::JoinHandle<BusySamples>,
-);
+type Worker = (Sender<skalla_net::Message>, std::thread::JoinHandle<()>);
 
 /// Queue `msg` for its query's worker, starting the worker through
 /// `spawn` on the first frame of a query id. The id is remote input, so
@@ -358,16 +344,14 @@ type Worker = (
 fn route_to_worker(
     workers: &mut HashMap<u32, Worker>,
     msg: skalla_net::Message,
-    spawn: impl FnOnce(
-        Receiver<skalla_net::Message>,
-    ) -> std::io::Result<std::thread::JoinHandle<BusySamples>>,
+    spawn: impl FnOnce(Receiver<skalla_net::Message>) -> std::io::Result<std::thread::JoinHandle<()>>,
 ) -> std::result::Result<(), skalla_net::Message> {
     use std::collections::hash_map::Entry;
     let query_id = msg.query_id;
     let (tx, _) = match workers.entry(query_id) {
         Entry::Occupied(worker) => worker.into_mut(),
         Entry::Vacant(slot) => {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let handle = spawn(rx).map_err(|e| {
                 protocol::error(&format!("site cannot start a worker for this query: {e}"))
                     .with_query_id(query_id)
@@ -380,21 +364,21 @@ fn route_to_worker(
 }
 
 /// One query's execution state and driver on a site: the per-query half
-/// of [`site_session_loop`]. Returns the busy time of each stage task it
-/// ran.
+/// of [`site_session_loop`], whose docs say what `export_obs` means.
 fn query_worker(
     catalog: &HashMap<String, Arc<Relation>>,
     net: &dyn SiteTransport,
     rx: Receiver<skalla_net::Message>,
     query_id: u32,
     obs: &Obs,
-) -> BusySamples {
+    export_obs: bool,
+) {
     let site = net.site_id();
+    let export = obs.recorder().filter(|_| export_obs);
     let track = Track::SiteQuery(site, query_id);
     let mut plan: Option<DistributedPlan> = None;
     let mut eval = EvalOptions::default();
     let mut chunk_rows: Option<usize> = None;
-    let mut times = BusySamples::new();
     let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
     while let Ok(msg) = rx.recv() {
         match Tag::try_from(msg.tag) {
@@ -413,47 +397,52 @@ fn query_worker(
                     let _ = reply(protocol::error("stage task before plan"));
                     continue;
                 };
-                let replies = match protocol::decode_run_stage(&msg.payload) {
-                    Ok((stage, fragment, ())) => {
-                        let label = plan
-                            .stages
-                            .get(stage as usize)
-                            .map(|s| s.label.as_str())
-                            .unwrap_or("stage");
-                        let mut task_span = obs.span(track, label);
-                        task_span.arg("query_id", query_id as u64);
-                        if let Some(f) = &fragment {
-                            task_span.arg("rows_in", f.len());
-                        }
-                        let t = BusyTimer::start();
-                        let out = execute_stage_traced(
-                            catalog,
-                            plan,
-                            stage as usize,
-                            fragment,
-                            eval,
-                            obs,
-                            site,
-                        );
-                        times.push((stage, t.elapsed_s()));
-                        match out {
-                            Ok(rel) => {
-                                task_span.arg("rows_out", rel.len());
-                                task_span.finish();
-                                chunked_results(stage, &rel, chunk_rows)
-                            }
-                            Err(e) => {
-                                task_span.arg("error", e.to_string());
-                                task_span.finish();
-                                vec![protocol::error(&e.to_string())]
-                            }
-                        }
+                let (stage, fragment, ()) = match protocol::decode_run_stage(&msg.payload) {
+                    Ok(task) => task,
+                    Err(e) => {
+                        let _ = reply(protocol::error(&e.to_string()));
+                        continue;
                     }
-                    Err(e) => vec![protocol::error(&e.to_string())],
                 };
+                let label = plan
+                    .stages
+                    .get(stage as usize)
+                    .map(|s| s.label.as_str())
+                    .unwrap_or("stage");
+                let mut task_span = obs.span(track, label);
+                task_span.arg("query_id", query_id as u64);
+                if let Some(f) = &fragment {
+                    task_span.arg("rows_in", f.len());
+                }
+                let t = BusyTimer::start();
+                let out =
+                    execute_stage_traced(catalog, plan, stage as usize, fragment, eval, obs, site);
+                let busy_s = t.elapsed_s();
+                let mut replies = match out {
+                    Ok(rel) => {
+                        task_span.arg("rows_out", rel.len());
+                        task_span.finish();
+                        chunked_results(stage, &rel, chunk_rows)
+                    }
+                    Err(e) => {
+                        task_span.arg("error", e.to_string());
+                        task_span.finish();
+                        vec![protocol::error(&e.to_string())]
+                    }
+                };
+                // Just ahead of the final frame, so the coordinator has
+                // it before this site's part of the round closes; taken
+                // after the task span closed, so the delta holds it.
+                let report = protocol::SiteTelemetry {
+                    stage,
+                    busy_s,
+                    obs: export.map(|rec| rec.take_delta()),
+                };
+                let last = replies.len().saturating_sub(1);
+                replies.insert(last, protocol::telemetry(&report));
                 for r in replies {
                     if reply(r).is_err() {
-                        return times;
+                        return;
                     }
                 }
             }
@@ -470,7 +459,6 @@ fn query_worker(
             }
         }
     }
-    times
 }
 
 /// The reply to a frame this end of the protocol does not take.
@@ -601,7 +589,7 @@ mod tests {
 
         // Query 8 is still served: its worker starts once and receives
         // both of its frames.
-        let (seen_tx, seen_rx) = unbounded();
+        let (seen_tx, seen_rx) = channel();
         for _ in 0..2 {
             let seen_tx = seen_tx.clone();
             route_to_worker(&mut workers, plan_frame(8), move |rx| {
@@ -609,14 +597,13 @@ mod tests {
                     for m in rx {
                         let _ = seen_tx.send(m.query_id);
                     }
-                    vec![(0, 0.25)]
                 })
             })
             .unwrap();
         }
         let (tx, handle) = workers.remove(&8).unwrap();
         drop(tx);
-        assert_eq!(handle.join().unwrap(), [(0, 0.25)]);
+        handle.join().unwrap();
         drop(seen_tx);
         assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
     }

@@ -66,8 +66,8 @@ use crate::scheduler::{QueryScheduler, SchedulerConfig};
 use crate::site::site_session_loop;
 use crate::stats::{ExecStats, QueryResult, StageTimes};
 use skalla_gmdj::eval::EvalOptions;
-use skalla_net::{star, CoordinatorTransport, MuxHandle, QueryMux, TcpConfig, TcpCoordinator};
-use skalla_obs::{estimate_offset_us, Obs, Track};
+use skalla_net::{star, CoordinatorTransport, QueryMux, TcpConfig, TcpCoordinator};
+use skalla_obs::{Obs, Track};
 use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -319,13 +319,6 @@ impl SkallaBuilder {
     }
 }
 
-/// How long the coordinator waits for the sites' telemetry replies
-/// after releasing a query (capped further by the engine timeout). The
-/// replies are sent as soon as each site joins the query's worker, so
-/// on the success path this wait is microseconds; the cap only matters
-/// when a query aborted while a site was mid-stage.
-const TELEMETRY_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// The concurrent multi-query engine: persistent per-site connections,
 /// a query multiplexer, and admission control in front.
 ///
@@ -384,8 +377,8 @@ impl Skalla {
                 .spawn(move || {
                     // In-process sites share the coordinator's recorder,
                     // so they must not export obs deltas (importing them
-                    // would duplicate every span); busy samples still
-                    // travel in the telemetry replies.
+                    // would duplicate every span); busy times still
+                    // travel in each stage's telemetry frame.
                     site_session_loop(&catalog, Arc::new(site_net), false, &obs)
                 })
                 .map_err(|e| Error::Execution(format!("spawning site thread: {e}")))?;
@@ -464,8 +457,9 @@ impl Skalla {
     /// the queue is full or the queue timeout expires. Statistics are
     /// per-query: round labels and byte/message counts are what the plan
     /// records running alone, and site busy times are reported by the
-    /// sites themselves on both backends (shipped in accounting-exempt
-    /// telemetry frames, so they cost the byte counts nothing).
+    /// sites themselves on both backends (shipped in each round's
+    /// accounting-exempt telemetry frames, so they cost the byte counts
+    /// nothing).
     /// With a non-zero [`EngineConfig::cache_bytes`], execution consults
     /// the semantic cache first: a query whose fingerprint is cached is
     /// answered without contacting sites (its stats show one zero-byte
@@ -614,67 +608,6 @@ impl Skalla {
         obs.counter("cache.epoch", s.epoch as f64);
     }
 
-    /// Collect the sites' telemetry replies on a query handle: up to one
-    /// [`protocol::TAG_TELEMETRY`] frame per site, each stamped with the
-    /// coordinator-side receive timestamp (for clock alignment). Partial
-    /// collection is fine — a site that died or is stuck mid-stage just
-    /// goes unreported. Stray non-telemetry frames are drained and
-    /// dropped (telemetry frames are accounting-exempt, so nothing here
-    /// perturbs the per-query byte accounting).
-    fn collect_telemetry(
-        &self,
-        handle: &MuxHandle,
-    ) -> Vec<(usize, protocol::SiteTelemetry, u64)> {
-        let n = self.n_sites();
-        let mut out = Vec::with_capacity(n);
-        let deadline = Instant::now() + TELEMETRY_TIMEOUT.min(self.cfg.timeout);
-        let mut missing = n;
-        while missing > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match handle.recv(remaining) {
-                Ok((site, msg)) if msg.tag == protocol::TAG_TELEMETRY => {
-                    missing -= 1;
-                    let resp_us = self.cfg.obs.recorder().map(|r| r.now_us()).unwrap_or(0);
-                    if let Ok(report) = protocol::decode_telemetry(&msg.payload) {
-                        out.push((site, report, resp_us));
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        out
-    }
-
-    /// Merge the sites' exported obs deltas into the engine recorder,
-    /// aligning each site's monotonic clock with the coordinator's.
-    /// `req_us` is the coordinator-clock send time of the request that
-    /// solicited the replies; paired with each reply's receive time it
-    /// bounds the per-site clock offset (the wall-clock anchor gives the
-    /// initial estimate). The link index is authoritative for identity:
-    /// whatever the site called itself, its spans land in the
-    /// `site-N` process lane of the merged trace.
-    fn import_site_obs(&self, telemetry: &[(usize, protocol::SiteTelemetry, u64)], req_us: u64) {
-        let Some(rec) = self.cfg.obs.recorder() else {
-            return;
-        };
-        for (site, report, resp_us) in telemetry {
-            let Some(delta) = &report.obs else { continue };
-            let mut delta = delta.clone();
-            delta.process_id = *site as u32 + 2;
-            delta.process_name = format!("site-{site}");
-            let offset = estimate_offset_us(
-                rec.wall_start_unix_us(),
-                &delta,
-                Some((req_us, *resp_us)),
-            );
-            rec.import_remote(delta, offset);
-        }
-    }
-
     /// The executing half of [`Skalla::execute`]. Per-query accounting:
     /// round 0 stays empty (sliced off), the "plan" round carries the
     /// plan broadcast, each stage gets its round, and the query-done
@@ -746,17 +679,10 @@ impl Skalla {
             )
         });
 
-        // Always retire this query's site workers, even on error. Each
-        // site answers the release with an accounting-exempt telemetry
-        // frame carrying its busy samples (and, for standalone sites,
-        // its obs delta); the request/reply timestamps bound the clock
-        // alignment for the merged trace.
-        let req_us = self.cfg.obs.recorder().map(|r| r.now_us()).unwrap_or(0);
+        // Always retire this query's site workers, even on error. The
+        // release is one-way: each stage's site telemetry came back in
+        // its own round.
         let _ = handle.broadcast(&protocol::query_done());
-        let telemetry = self.collect_telemetry(&handle);
-        // Merge obs deltas before the error check so a failed query's
-        // site spans still land in the trace.
-        self.import_site_obs(&telemetry, req_us);
 
         let (relation, mut stage_times) = run?;
         if let Some(fps) = fps {
@@ -775,22 +701,6 @@ impl Skalla {
                 ..StageTimes::default()
             },
         );
-        // Site-reported busy times, identically for both backends: the
-        // sites measured these around their own stage execution, so the
-        // round table's busy/skew columns reflect true site-side work
-        // even across process boundaries.
-        for (site, report, _) in &telemetry {
-            for (qid, stage, secs) in &report.busy {
-                if *qid != query_id {
-                    continue;
-                }
-                if let Some(st) = stage_times.get_mut(*stage as usize + 1) {
-                    if let Some(busy) = st.site_busy_s.get_mut(*site) {
-                        *busy += *secs;
-                    }
-                }
-            }
-        }
         let net = finished_rounds(handle.stats());
         query_span.arg("result_rows", relation.len());
         query_span.finish();

@@ -1,17 +1,17 @@
 //! The in-process channel transport (the default).
 //!
-//! Sites are threads and links are crossbeam channels in a star topology:
+//! Sites are threads and links are `std::sync::mpsc` channels in a star topology:
 //! zero configuration, fully deterministic, and the byte accounting is
 //! identical to the [`crate::tcp`] transport because both record at the
 //! logical payload layer (see [`crate::transport`]). This is the
 //! transport the tests, benchmarks and figure harnesses use; the TCP
 //! transport is for real multi-process deployments.
 
+use crate::lock;
 use crate::stats::{Direction, NetStats};
 use crate::transport::{CoordinatorTransport, Message, NetError, SiteTransport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The coordinator's handle to all site links (channel transport).
@@ -56,7 +56,7 @@ impl CoordinatorNet {
 
     /// Receive the next message from any site (blocking, with timeout).
     pub fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
-        match self.from_sites.lock().recv_timeout(timeout) {
+        match lock(&self.from_sites).recv_timeout(timeout) {
             Ok(m) => Ok(m),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
@@ -108,7 +108,7 @@ impl SiteNet {
 
     /// Receive the next message from the coordinator (blocking).
     pub fn recv(&self) -> Result<Message, NetError> {
-        self.rx.lock().recv().map_err(|_| NetError::Disconnected)
+        lock(&self.rx).recv().map_err(|_| NetError::Disconnected)
     }
 }
 
@@ -131,11 +131,11 @@ impl SiteTransport for SiteNet {
 /// recorded exactly once, by the end that sends it.
 pub fn star(n: usize) -> (CoordinatorNet, Vec<SiteNet>) {
     let stats = NetStats::new(n);
-    let (up_tx, up_rx) = unbounded();
+    let (up_tx, up_rx) = channel();
     let mut to_sites = Vec::with_capacity(n);
     let mut sites = Vec::with_capacity(n);
     for site_id in 0..n {
-        let (down_tx, down_rx) = unbounded();
+        let (down_tx, down_rx) = channel();
         to_sites.push(down_tx);
         sites.push(SiteNet {
             site_id,

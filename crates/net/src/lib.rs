@@ -33,3 +33,13 @@ pub use mux::{MuxHandle, QueryMux};
 pub use stats::{Direction, LinkStats, NetStats, RoundStats, MESSAGE_OVERHEAD_BYTES};
 pub use tcp::{connect_with_backoff, TcpConfig, TcpCoordinator, TcpSite, TcpSiteListener};
 pub use transport::{CoordinatorTransport, Message, NetError, SiteTransport, TELEMETRY_TAG};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a thread panicked while holding
+/// it: every update this crate makes under a lock leaves the data valid
+/// at each step (a push, an insert, a whole-value store, or a stream
+/// that a failed frame already marks dead).
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

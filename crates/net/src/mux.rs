@@ -25,13 +25,13 @@
 //! [`NetError::SiteDisconnected`] out to all registered queries and
 //! remembers it — queries registered after the failure fail fast too.
 
+use crate::lock;
 use crate::stats::{Direction, NetStats};
 use crate::transport::{CoordinatorTransport, Message, NetError};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -56,8 +56,8 @@ struct MuxShared {
 
 impl MuxShared {
     fn fan_out(&self, err: &NetError) {
-        *self.failed.lock() = Some(err.clone());
-        for tx in self.queries.lock().values() {
+        *lock(&self.failed) = Some(err.clone());
+        for tx in lock(&self.queries).values() {
             let _ = tx.send(Routed::Failed(err.clone()));
         }
     }
@@ -74,7 +74,7 @@ impl std::fmt::Debug for QueryMux {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryMux")
             .field("n_sites", &self.inner.n_sites())
-            .field("active_queries", &self.shared.queries.lock().len())
+            .field("active_queries", &lock(&self.shared.queries).len())
             .finish()
     }
 }
@@ -99,7 +99,7 @@ impl QueryMux {
                     }
                     match inner.recv(POLL_TICK) {
                         Ok((site, msg)) => {
-                            let tx = shared.queries.lock().get(&msg.query_id).cloned();
+                            let tx = lock(&shared.queries).get(&msg.query_id).cloned();
                             // Unroutable frames (a query that already
                             // aborted and deregistered) are dropped.
                             if let Some(tx) = tx {
@@ -146,11 +146,11 @@ impl QueryMux {
     /// or already active.
     pub fn register(&self, query_id: u32) -> MuxHandle {
         assert_ne!(query_id, 0, "query id 0 is the control stream (handshake, shutdown)");
-        let (tx, rx) = unbounded();
-        if let Some(err) = self.shared.failed.lock().clone() {
+        let (tx, rx) = channel();
+        if let Some(err) = lock(&self.shared.failed).clone() {
             let _ = tx.send(Routed::Failed(err));
         }
-        let prev = self.shared.queries.lock().insert(query_id, tx);
+        let prev = lock(&self.shared.queries).insert(query_id, tx);
         assert!(prev.is_none(), "query id {query_id} already registered");
         let stats = NetStats::new(self.inner.n_sites());
         stats.set_transport(self.inner.stats().transport());
@@ -167,7 +167,7 @@ impl QueryMux {
     /// explicit calls are idempotent.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.dispatcher.lock().take() {
+        if let Some(h) = lock(&self.dispatcher).take() {
             let _ = h.join();
         }
     }
@@ -221,7 +221,7 @@ impl CoordinatorTransport for MuxHandle {
     }
 
     fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
-        match self.rx.lock().recv_timeout(timeout) {
+        match lock(&self.rx).recv_timeout(timeout) {
             Ok(Routed::Msg(site, msg)) => {
                 self.stats.record_frame(site, Direction::Up, &msg);
                 Ok((site, msg))
@@ -235,7 +235,7 @@ impl CoordinatorTransport for MuxHandle {
 
 impl Drop for MuxHandle {
     fn drop(&mut self) {
-        self.shared.queries.lock().remove(&self.query_id);
+        lock(&self.shared.queries).remove(&self.query_id);
     }
 }
 

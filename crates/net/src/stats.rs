@@ -8,11 +8,11 @@
 //! Every query frame is counted; only telemetry export is exempt (it is
 //! out-of-band diagnostics, not query traffic).
 
+use crate::lock;
 use crate::transport::{Message, TELEMETRY_TAG};
-use parking_lot::Mutex;
 use skalla_obs::{Obs, Track};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fixed per-message framing overhead (header bytes) added to the payload
 /// size in the accounting, so that message count also contributes.
@@ -110,19 +110,19 @@ impl NetStats {
     /// `msg down` / `msg up` obs event as a `transport` attribute; it does
     /// not affect the byte accounting, which is transport-invariant.
     pub fn set_transport(&self, label: &'static str) {
-        *self.transport.lock() = label;
+        *lock(&self.transport) = label;
     }
 
     /// The transport label (see [`NetStats::set_transport`]).
     pub fn transport(&self) -> &'static str {
-        *self.transport.lock()
+        *lock(&self.transport)
     }
 
     /// Attach an observability handle: every recorded message also emits
     /// a `msg down` / `msg up` instant event on the net track, carrying
     /// the same byte accounting as [`LinkStats`].
     pub fn set_obs(&self, obs: Obs) {
-        *self.obs.lock() = obs;
+        *lock(&self.obs) = obs;
     }
 
     /// Number of site links.
@@ -132,7 +132,7 @@ impl NetStats {
 
     /// Open a new round; subsequent transfers are attributed to it.
     pub fn begin_round(&self, label: impl Into<String>) {
-        let mut rounds = self.rounds.lock();
+        let mut rounds = lock(&self.rounds);
         rounds.push(RoundStats {
             label: label.into(),
             per_site: vec![LinkStats::default(); self.n_sites],
@@ -171,7 +171,7 @@ impl NetStats {
         query_id: u32,
     ) {
         let cur = self.current.load(Ordering::SeqCst);
-        let mut rounds = self.rounds.lock();
+        let mut rounds = lock(&self.rounds);
         let link = &mut rounds[cur].per_site[site];
         match dir {
             Direction::Down => {
@@ -184,7 +184,7 @@ impl NetStats {
             }
         }
         drop(rounds);
-        let obs = self.obs.lock().clone();
+        let obs = lock(&self.obs).clone();
         if obs.is_recording() {
             let name = match dir {
                 Direction::Down => "msg down",
@@ -215,13 +215,13 @@ impl NetStats {
 
     /// Snapshot of all rounds.
     pub fn rounds(&self) -> Vec<RoundStats> {
-        self.rounds.lock().clone()
+        lock(&self.rounds).clone()
     }
 
     /// Grand totals over all rounds.
     pub fn totals(&self) -> LinkStats {
         let mut t = LinkStats::default();
-        for r in self.rounds.lock().iter() {
+        for r in lock(&self.rounds).iter() {
             t.add(&r.totals());
         }
         t
@@ -229,8 +229,7 @@ impl NetStats {
 
     /// Number of rounds that saw any traffic.
     pub fn active_rounds(&self) -> usize {
-        self.rounds
-            .lock()
+        lock(&self.rounds)
             .iter()
             .filter(|r| r.totals().total_bytes() > 0)
             .count()

@@ -21,13 +21,13 @@
 //! (the two processes do not share memory); each site process keeps its
 //! own symmetric [`NetStats`].
 
+use crate::lock;
 use crate::stats::{Direction, NetStats};
 use crate::transport::{CoordinatorTransport, Message, NetError, SiteTransport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Refuse frames larger than this (corrupt header guard).
@@ -225,7 +225,7 @@ impl TcpCoordinator {
         let n = addrs.len();
         let stats = NetStats::new(n);
         stats.set_transport("tcp");
-        let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = unbounded();
+        let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = channel();
         let mut links = Vec::with_capacity(n);
         for (site, addr) in addrs.iter().enumerate() {
             let mut stream = connect_with_backoff(addr, cfg)?;
@@ -276,7 +276,7 @@ impl CoordinatorTransport for TcpCoordinator {
 
     fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(site, Direction::Down, &msg);
-        write_frame(&mut self.links[site].lock(), &msg).map_err(|e| match e {
+        write_frame(&mut lock(&self.links[site]), &msg).map_err(|e| match e {
             NetError::Disconnected => NetError::SiteDisconnected {
                 site,
                 detail: "send failed: peer closed the connection".into(),
@@ -286,7 +286,7 @@ impl CoordinatorTransport for TcpCoordinator {
     }
 
     fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
-        match self.inbound.lock().recv_timeout(timeout) {
+        match lock(&self.inbound).recv_timeout(timeout) {
             Ok(Inbound::Msg(site, msg)) => {
                 self.stats.record_frame(site, Direction::Up, &msg);
                 Ok((site, msg))
@@ -302,7 +302,7 @@ impl Drop for TcpCoordinator {
     fn drop(&mut self) {
         // Unblock the reader threads so they exit promptly.
         for link in &self.links {
-            let _ = link.lock().shutdown(Shutdown::Both);
+            let _ = lock(link).shutdown(Shutdown::Both);
         }
     }
 }
@@ -402,10 +402,7 @@ impl TcpSite {
     /// connects and then goes silent gets [`NetError::Timeout`] instead
     /// of wedging the server's accept loop.
     pub fn recv_deadline(&self, timeout: Duration) -> Result<Message, NetError> {
-        let msg = read_frame(
-            &mut self.read_half.lock(),
-            Some(Instant::now() + timeout),
-        )?;
+        let msg = read_frame(&mut lock(&self.read_half), Some(Instant::now() + timeout))?;
         self.stats.record_frame(self.site_id, Direction::Down, &msg);
         Ok(msg)
     }
@@ -418,12 +415,12 @@ impl SiteTransport for TcpSite {
 
     fn send(&self, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(self.site_id, Direction::Up, &msg);
-        write_frame(&mut self.write_half.lock(), &msg)
+        write_frame(&mut lock(&self.write_half), &msg)
     }
 
     fn recv(&self) -> Result<Message, NetError> {
         let deadline = self.read_timeout.map(|t| Instant::now() + t);
-        let msg = read_frame(&mut self.read_half.lock(), deadline)?;
+        let msg = read_frame(&mut lock(&self.read_half), deadline)?;
         self.stats.record_frame(self.site_id, Direction::Down, &msg);
         Ok(msg)
     }

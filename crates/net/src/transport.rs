@@ -6,7 +6,7 @@
 //!
 //! * **In-process channels** ([`crate::channel`], built by
 //!   [`crate::channel::star`]) — sites are threads and links are
-//!   crossbeam channels. Zero configuration; the default for tests,
+//!   `std::sync::mpsc` channels. Zero configuration; the default for tests,
 //!   benchmarks and the figure harnesses, so experiments reproduce the
 //!   paper's communication behaviour deterministically on one machine.
 //! * **TCP sockets** ([`crate::tcp`]) — sites are separate processes

@@ -319,10 +319,7 @@ mod tests {
             let _t = site.span(Track::SiteQuery(0, 7), "task md1");
             site.counter_add("net.bytes_up", 64.0);
         }
-        let delta = site
-            .recorder()
-            .unwrap()
-            .take_delta(&mut crate::ExportCursor::default());
+        let delta = site.recorder().unwrap().take_delta();
         rec.import_remote(delta, 1_000);
 
         let doc = parse(&write_chrome_trace(rec)).unwrap();

@@ -97,7 +97,7 @@ pub fn prometheus_text(rec: &Recorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExportCursor, Obs, Track};
+    use crate::{Obs, Track};
 
     #[test]
     fn exposition_covers_counters_hists_and_remote_labels() {
@@ -113,10 +113,7 @@ mod tests {
         {
             let _keep_span_shape = site.span(Track::Site(0), "task");
         }
-        let delta = site
-            .recorder()
-            .unwrap()
-            .take_delta(&mut ExportCursor::default());
+        let delta = site.recorder().unwrap().take_delta();
         obs.recorder().unwrap().import_remote(delta, 0);
 
         let text = prometheus_text(obs.recorder().unwrap());

@@ -32,13 +32,12 @@ pub mod serve;
 pub mod telemetry;
 pub mod timing;
 
-pub use telemetry::{estimate_offset_us, ExportCursor, TelemetryDelta};
+pub use telemetry::{estimate_offset_us, TelemetryDelta};
 pub use timing::BusyTimer;
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// A logical timeline. Spans nest within their track, mirroring the
@@ -461,8 +460,17 @@ pub struct Recorder {
     wall_start_unix_us: u64,
     timeline: Mutex<Timeline>,
     hists: Mutex<HashMap<String, Histogram>>,
+    /// The histograms as of the last [`Recorder::take_delta`], which the
+    /// next delta is diffed against.
+    exported_hists: Mutex<HashMap<String, Histogram>>,
     process: Mutex<(u32, String)>,
     remote: Mutex<Vec<RemotePart>>,
+}
+
+/// Lock `m`, recovering the guard if a thread panicked while holding
+/// it: every recorder update leaves its data valid at each step.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Recorder {
@@ -475,6 +483,7 @@ impl Recorder {
                 .unwrap_or(0),
             timeline: Mutex::new(Timeline::default()),
             hists: Mutex::new(HashMap::new()),
+            exported_hists: Mutex::new(HashMap::new()),
             process: Mutex::new((1, "skalla".to_string())),
             remote: Mutex::new(Vec::new()),
         }
@@ -484,17 +493,17 @@ impl Recorder {
     /// (e.g. `coordinator` / `site-3`). The id becomes the pid lane in
     /// merged Chrome traces, so each process needs a distinct one.
     pub fn set_process(&self, id: u32, name: impl Into<String>) {
-        *self.process.lock() = (id, name.into());
+        *lock(&self.process) = (id, name.into());
     }
 
     /// The pid lane this recorder's own events export under.
     pub fn process_id(&self) -> u32 {
-        self.process.lock().0
+        lock(&self.process).0
     }
 
     /// The process lane name (default `skalla`).
     pub fn process_name(&self) -> String {
-        self.process.lock().1.clone()
+        lock(&self.process).1.clone()
     }
 
     /// Microseconds elapsed since this recorder was created.
@@ -509,23 +518,23 @@ impl Recorder {
 
     /// Snapshot of all spans recorded so far.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.timeline.lock().spans.clone()
+        lock(&self.timeline).spans.clone()
     }
 
     /// Snapshot of all instant events recorded so far.
     pub fn events(&self) -> Vec<EventRecord> {
-        self.timeline.lock().events.clone()
+        lock(&self.timeline).events.clone()
     }
 
     /// Snapshot of all counter samples recorded so far.
     pub fn counter_samples(&self) -> Vec<CounterSample> {
-        self.timeline.lock().counters.clone()
+        lock(&self.timeline).counters.clone()
     }
 
     /// Latest value of each counter (including counters whose sample
     /// history was drained by [`Recorder::take_delta`]).
     pub fn counters(&self) -> HashMap<String, f64> {
-        let tl = self.timeline.lock();
+        let tl = lock(&self.timeline);
         let mut out = tl.counter_base.clone();
         for s in &tl.counters {
             out.insert(s.name.clone(), s.value);
@@ -535,21 +544,22 @@ impl Recorder {
 
     /// Snapshot of all histograms.
     pub fn histograms(&self) -> HashMap<String, Histogram> {
-        self.hists.lock().clone()
+        lock(&self.hists).clone()
     }
 
-    /// Drain everything recorded since the cursor's last export into a
-    /// portable [`TelemetryDelta`]: closed spans, events and counter
-    /// samples are *removed* (keeping a long-running process's memory
-    /// bounded — final counter values are folded into a base so
+    /// Drain everything recorded since the last export into a portable
+    /// [`TelemetryDelta`]: closed spans, events and counter samples are
+    /// *removed* (keeping a long-running process's memory bounded —
+    /// final counter values are folded into a base so
     /// [`Recorder::counters`] still reports them), histograms are
-    /// diffed against the cursor's previous snapshot. Still-open spans
-    /// stay behind and export once they close. Deltas taken through one
-    /// cursor are disjoint: every observation is exported exactly once.
-    pub fn take_delta(&self, cursor: &mut ExportCursor) -> TelemetryDelta {
+    /// diffed against the snapshot the previous export left. Still-open
+    /// spans stay behind and export once they close. Deltas are
+    /// disjoint, whichever threads take them: every observation is
+    /// exported exactly once.
+    pub fn take_delta(&self) -> TelemetryDelta {
         let export_now_us = self.now_us();
-        let (process_id, process_name) = self.process.lock().clone();
-        let mut tl = self.timeline.lock();
+        let (process_id, process_name) = lock(&self.process).clone();
+        let mut tl = lock(&self.timeline);
         let mut spans = Vec::new();
         let mut kept = Vec::with_capacity(tl.stacks.values().map(Vec::len).sum());
         for s in tl.spans.drain(..) {
@@ -567,10 +577,12 @@ impl Recorder {
         }
         drop(tl);
 
-        let current = self.hists.lock().clone();
+        // Held across the snapshot, so concurrent exports diff in turn.
+        let mut exported = lock(&self.exported_hists);
+        let current = lock(&self.hists).clone();
         let mut hists = Vec::new();
         for (name, h) in &current {
-            let delta = match cursor.prev_hists.get(name) {
+            let delta = match exported.get(name) {
                 Some(old) => Histogram::diff(h, old),
                 None => h.clone(),
             };
@@ -579,7 +591,7 @@ impl Recorder {
             }
         }
         hists.sort_by(|a, b| a.0.cmp(&b.0));
-        cursor.prev_hists = current;
+        *exported = current;
 
         TelemetryDelta {
             process_id,
@@ -602,12 +614,12 @@ impl Recorder {
     /// for its later deltas, keeping merged timestamps monotone.
     pub fn import_remote(&self, delta: TelemetryDelta, offset_us: i64) {
         {
-            let mut hists = self.hists.lock();
+            let mut hists = lock(&self.hists);
             for (name, h) in &delta.hists {
                 hists.entry(name.clone()).or_default().merge(h);
             }
         }
-        let mut remote = self.remote.lock();
+        let mut remote = lock(&self.remote);
         match remote.iter_mut().find(|p| p.process_id == delta.process_id) {
             Some(part) => {
                 part.spans.extend(delta.spans);
@@ -627,12 +639,12 @@ impl Recorder {
 
     /// Telemetry imported from other processes, for merged export.
     pub fn remote_parts(&self) -> Vec<RemotePart> {
-        self.remote.lock().clone()
+        lock(&self.remote).clone()
     }
 
     fn open_span(self: &Arc<Self>, track: Track, name: String) -> u32 {
         let start_us = self.now_us();
-        let mut tl = self.timeline.lock();
+        let mut tl = lock(&self.timeline);
         let id = tl.next_id;
         tl.next_id += 1;
         let stack = tl.stacks.entry(track).or_default();
@@ -652,7 +664,7 @@ impl Recorder {
 
     fn close_span(&self, id: u32, args: Vec<(&'static str, ArgValue)>) {
         let end = self.now_us();
-        let mut tl = self.timeline.lock();
+        let mut tl = lock(&self.timeline);
         if let Some(span) = tl.spans.iter_mut().rev().find(|s| s.id == id) {
             span.dur_us = Some(end.saturating_sub(span.start_us));
             span.args = args;
@@ -769,7 +781,7 @@ impl Obs {
     ) {
         if let Some(rec) = &self.rec {
             let ts_us = rec.now_us();
-            rec.timeline.lock().events.push(EventRecord {
+            lock(&rec.timeline).events.push(EventRecord {
                 track,
                 name: name.into(),
                 ts_us,
@@ -783,7 +795,7 @@ impl Obs {
     pub fn counter(&self, name: &str, value: f64) {
         if let Some(rec) = &self.rec {
             let ts_us = rec.now_us();
-            rec.timeline.lock().counters.push(CounterSample {
+            lock(&rec.timeline).counters.push(CounterSample {
                 name: name.to_string(),
                 ts_us,
                 value,
@@ -795,7 +807,7 @@ impl Obs {
     pub fn counter_add(&self, name: &str, delta: f64) {
         if let Some(rec) = &self.rec {
             let ts_us = rec.now_us();
-            let mut tl = rec.timeline.lock();
+            let mut tl = lock(&rec.timeline);
             let prev = tl
                 .counters
                 .iter()
@@ -815,8 +827,7 @@ impl Obs {
     /// Feed one observation into a named histogram.
     pub fn hist(&self, name: &str, value: f64) {
         if let Some(rec) = &self.rec {
-            rec.hists
-                .lock()
+            lock(&rec.hists)
                 .entry(name.to_string())
                 .or_default()
                 .record(value);

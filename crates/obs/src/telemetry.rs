@@ -16,9 +16,9 @@
 //! clock) it asked for and received the delta.
 
 use crate::json::Json;
-use crate::{ArgValue, CounterSample, EventRecord, Histogram, SpanRecord, Track};
-use parking_lot::Mutex;
+use crate::{lock, ArgValue, CounterSample, EventRecord, Histogram, SpanRecord, Track};
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// One process's exported telemetry since the previous export.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,13 +39,6 @@ pub struct TelemetryDelta {
     pub counters: Vec<CounterSample>,
     /// Per-name histogram deltas (sample-exact count/sum/buckets).
     pub hists: Vec<(String, Histogram)>,
-}
-
-/// Per-exporter state for [`crate::Recorder::take_delta`]: the previous
-/// histogram snapshot, so consecutive deltas don't double-count.
-#[derive(Debug, Default)]
-pub struct ExportCursor {
-    pub(crate) prev_hists: std::collections::HashMap<String, Histogram>,
 }
 
 /// Estimate the µs offset that maps `delta`'s timestamps onto the
@@ -98,7 +91,7 @@ fn intern_keys<'a>(args: impl Iterator<Item = &'a Json>) -> Result<BTreeSet<&'st
         .flatten()
         .map(|(k, _)| k.as_str())
         .collect();
-    let mut keys = INTERNED_KEYS.lock();
+    let mut keys = lock(&INTERNED_KEYS);
     let fresh: Vec<&str> = wanted.iter().copied().filter(|k| !keys.contains(*k)).collect();
     if keys.len() + fresh.len() > MAX_INTERNED_KEYS {
         return Err(format!(
@@ -427,8 +420,7 @@ mod tests {
             obs.hist("site_busy_s", 0.25);
             obs.hist("site_busy_s", 0.75);
         }
-        let mut cursor = ExportCursor::default();
-        let delta = obs.recorder().unwrap().take_delta(&mut cursor);
+        let delta = obs.recorder().unwrap().take_delta();
         assert_eq!(delta.process_name, "site-2");
         assert_eq!(delta.spans.len(), 1);
         let parsed = TelemetryDelta::parse(&delta.to_string()).unwrap();
@@ -442,32 +434,31 @@ mod tests {
     fn a_flood_of_attribute_keys_is_refused_and_interns_nothing() {
         let obs = Obs::recording();
         obs.span(Track::Site(0), "task").with("never_seen_before", 1u64).finish();
-        let honest = obs.recorder().unwrap().take_delta(&mut ExportCursor::default()).to_string();
+        let honest = obs.recorder().unwrap().take_delta().to_string();
         let flood: Vec<String> = (0..10_000).map(|i| format!("\"flood_{i}\":1")).collect();
         let flood = honest.replace("\"never_seen_before\":1", &flood.join(","));
         assert!(flood.len() > honest.len() + 100_000);
 
         let err = TelemetryDelta::parse(&flood).unwrap_err();
         assert!(err.contains("new attribute keys"), "{err}");
-        let interned = |prefix: &str| INTERNED_KEYS.lock().iter().any(|k| k.starts_with(prefix));
+        let interned = |prefix: &str| lock(&INTERNED_KEYS).iter().any(|k| k.starts_with(prefix));
         assert!(!interned("flood_") && !interned("never_seen_before"));
 
         let delta = TelemetryDelta::parse(&honest).unwrap();
         assert_eq!(delta.spans[0].args[0].0, "never_seen_before");
         // With whatever the other tests of this process interned.
-        assert!(INTERNED_KEYS.lock().len() <= MAX_INTERNED_KEYS);
+        assert!(lock(&INTERNED_KEYS).len() <= MAX_INTERNED_KEYS);
     }
 
     #[test]
     fn take_delta_drains_and_windows() {
         let obs = Obs::recording();
         let rec = obs.recorder().unwrap();
-        let mut cursor = ExportCursor::default();
         obs.span(Track::Site(0), "a").finish();
         obs.counter_add("msgs", 1.0);
         obs.hist("h", 1.0);
         let open = obs.span(Track::Site(0), "open");
-        let d1 = rec.take_delta(&mut cursor);
+        let d1 = rec.take_delta();
         assert_eq!(d1.spans.len(), 1, "only the closed span exports");
         assert_eq!(d1.hists.len(), 1);
         assert_eq!(d1.hists[0].1.count(), 1);
@@ -478,13 +469,38 @@ mod tests {
         drop(open);
         obs.hist("h", 2.0);
         obs.hist("h", 3.0);
-        let d2 = rec.take_delta(&mut cursor);
+        let d2 = rec.take_delta();
         assert_eq!(d2.spans.len(), 1, "the span exports once it closes");
         assert_eq!(d2.spans[0].name, "open");
         assert_eq!(d2.hists[0].1.count(), 2, "histogram delta is windowed");
         assert_eq!(d2.counters.len(), 1);
-        let d3 = rec.take_delta(&mut cursor);
+        let d3 = rec.take_delta();
         assert!(d3.spans.is_empty() && d3.hists.is_empty() && d3.counters.is_empty());
+    }
+
+    /// A site's query workers export from one recorder at once: between
+    /// them, their deltas hold every histogram sample exactly once.
+    #[test]
+    fn concurrent_take_deltas_are_disjoint() {
+        let obs = Obs::recording();
+        let rec = obs.recorder().unwrap();
+        let count = |d: TelemetryDelta| d.hists.iter().map(|(_, h)| h.count()).sum::<u64>();
+        let exported: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..100)
+                            .map(|_| {
+                                obs.hist("h", 1.0);
+                                count(rec.take_delta())
+                            })
+                            .sum::<u64>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(exported + count(rec.take_delta()), 400);
     }
 
     /// Histograms imported from a remote delta merge *sample-exactly*
@@ -508,8 +524,7 @@ mod tests {
             expected.record(*v);
         }
 
-        let mut cursor = ExportCursor::default();
-        let delta = site.recorder().unwrap().take_delta(&mut cursor);
+        let delta = site.recorder().unwrap().take_delta();
         // The JSON wire format must preserve exactness too.
         let delta = TelemetryDelta::parse(&delta.to_string()).unwrap();
         let rec = coord.recorder().unwrap();
@@ -531,12 +546,11 @@ mod tests {
         let coord = Obs::recording();
         let rec = coord.recorder().unwrap();
 
-        let mut cursor = ExportCursor::default();
         site.span(Track::Site(0), "first").finish();
-        rec.import_remote(site_rec.take_delta(&mut cursor), 250);
+        rec.import_remote(site_rec.take_delta(), 250);
         site.span(Track::Site(0), "second").finish();
         // A later, wildly different estimate must NOT re-shift the lane.
-        rec.import_remote(site_rec.take_delta(&mut cursor), -1_000_000);
+        rec.import_remote(site_rec.take_delta(), -1_000_000);
 
         let parts = rec.remote_parts();
         assert_eq!(parts.len(), 1, "one lane per remote process id");

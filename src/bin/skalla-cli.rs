@@ -71,7 +71,9 @@ USAGE:
   skalla-cli cube    [data options] --dims C1,C2,… [--aggs SPEC,…] [--no-rollup]
   skalla-cli gen     --dataset flow|tpcr [--rows N] [--seed S] --out FILE.csv
   skalla-cli site    --listen ADDR --site-index I [data options] [tcp options] [--once]
-  skalla-cli trace-check FILE.json   assert a merged Chrome trace has site-* spans
+  skalla-cli trace-check FILE.json --sites N
+                                     assert a merged Chrome trace has spans on
+                                     every lane site-0 … site-{N-1}
   skalla-cli http-get URL            fetch http://HOST:PORT/path and print the body
 
 DATA OPTIONS (choose one source):
@@ -737,15 +739,22 @@ fn cmd_net_probe() -> Result<(), String> {
     Ok(())
 }
 
-/// `skalla-cli trace-check FILE.json`: assert a merged Chrome trace
-/// really contains site-side work — at least one complete span (`"X"`)
-/// on a process lane whose `process_name` metadata starts with `site-`.
-/// Exit status is the answer; CI uses it to verify that a distributed
-/// run's telemetry made it back to the coordinator and into the trace.
+/// `skalla-cli trace-check FILE.json --sites N`: assert a merged Chrome
+/// trace really contains every site's work — at least one complete span
+/// (`"X"`) on each process lane `site-0` … `site-{N-1}` (named by
+/// `process_name` metadata). Exit status is the answer; CI uses it to
+/// verify that every site's telemetry made it back to the coordinator
+/// and into the trace.
 fn cmd_trace_check(args: &[String]) -> Result<(), String> {
+    let usage = || "usage: trace-check FILE.json --sites N".to_string();
     let path = args
         .first()
-        .ok_or_else(|| "usage: trace-check FILE.json".to_string())?;
+        .filter(|a| !a.starts_with("--"))
+        .ok_or_else(usage)?;
+    let sites: usize = opt(args, "--sites")
+        .ok_or_else(usage)?
+        .parse()
+        .map_err(|e| format!("bad --sites: {e}"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     let events = doc
@@ -784,20 +793,25 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
             spans_per_lane.get(pid).copied().unwrap_or(0)
         );
     }
-    let site_spans: usize = named
-        .iter()
-        .filter(|(_, name)| name.starts_with("site-"))
-        .map(|(pid, _)| spans_per_lane.get(pid).copied().unwrap_or(0))
-        .sum();
     if !lanes.values().any(|n| n == "coordinator") {
         return Err(format!("{path}: no process lane named \"coordinator\""));
     }
-    if site_spans == 0 {
-        return Err(format!(
-            "{path}: no spans on any site-* process lane — site telemetry missing"
-        ));
+    let mut site_spans = 0;
+    for site in 0..sites {
+        let lane = format!("site-{site}");
+        let spans: usize = named
+            .iter()
+            .filter(|(_, name)| **name == lane)
+            .map(|(pid, _)| spans_per_lane.get(pid).copied().unwrap_or(0))
+            .sum();
+        if spans == 0 {
+            return Err(format!(
+                "{path}: no spans on process lane {lane} — that site's telemetry is missing"
+            ));
+        }
+        site_spans += spans;
     }
-    println!("ok: {site_spans} span(s) across site-* lanes");
+    println!("ok: {site_spans} span(s) across {sites} site lane(s)");
     Ok(())
 }
 

@@ -115,10 +115,25 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     coord
         .send(0, protocol::run_stage(0, None).with_query_id(1))
         .unwrap();
-    let (_, reply) = coord
-        .recv(Duration::from_secs(10))
-        .expect("site must answer the stage task");
-    assert_eq!(reply.tag, protocol::TAG_RESULT, "the query still runs");
+    let answer = || {
+        coord
+            .recv(Duration::from_secs(10))
+            .expect("site must answer the stage task")
+            .1
+    };
+    let telemetry = answer();
+    assert_eq!(
+        telemetry.tag,
+        protocol::TAG_TELEMETRY,
+        "busy time leads the result"
+    );
+    assert_eq!(
+        protocol::decode_telemetry(&telemetry.payload)
+            .unwrap()
+            .stage,
+        0
+    );
+    assert_eq!(answer().tag, protocol::TAG_RESULT, "the query still runs");
 
     // The session survived every malformed frame: it still executes the
     // orderly shutdown and the thread joins without a panic.

@@ -113,16 +113,16 @@ fn every_tag_round_trips() {
                     table: "t".into(),
                     schema: rel().schema().clone(),
                     domains: DomainMap::new().with("g", Domain::IntRange(0, 9)),
-                    rows: 2,
                 };
                 let m = protocol::catalog(std::slice::from_ref(&entry));
                 assert_eq!(protocol::decode_catalog(&m.payload).unwrap(), vec![entry]);
                 m
             }
-            // Busy samples round-trip through the JSON payload.
+            // One stage's busy seconds round-trip through the JSON payload.
             Tag::Telemetry => {
                 let t = SiteTelemetry {
-                    busy: vec![(1, 0, 0.25), (1, 1, 0.5)],
+                    stage: 1,
+                    busy_s: 0.5,
                     obs: None,
                 };
                 let m = protocol::telemetry(&t);

@@ -190,7 +190,6 @@ fn site_death_mid_round_aborts_with_disconnect_error() {
             table: "tpcr".to_string(),
             schema: rel.schema().clone(),
             domains: dom,
-            rows: rel.len() as u64,
         }]))
         .unwrap();
         let plan_msg = site.recv().unwrap();

@@ -79,8 +79,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
   --exclude proptest --exclude rand
 # Zero-allocation probe regression guard (plain-main bench, not run by
 # `cargo test`) — covers the columnar kernel's group-id probe / typed
-# inner loops, and a cold call that builds the key column and the
-# relation's group ids.
+# inner loops, a cold call that builds the key column and the
+# relation's group ids, and the coordinator's merge (2 vs 6 sites).
 cargo bench -p skalla-bench --bench probe_alloc
 # End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
 # size, so a change that breaks its use of the public API fails here and

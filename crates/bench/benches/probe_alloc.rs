@@ -21,8 +21,15 @@
 //! groups), so the call also builds the key column and the relation's
 //! group ids: those allocate per column and per group, never per row.
 //!
+//! A coordinator leg merges the sites' answers over the same 2,000 groups
+//! (`MergeSync::new` → `parallel_merge_tree` → `absorb` → `finish`, with a
+//! shipped B and folded): 2 sites' answers and 6 sites' answers must
+//! allocate alike, so nothing is allocated per absorbed row or per tree
+//! level.
+//!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
+use skalla_core::coordinator::{parallel_merge_tree, MergeSync};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::eval_local;
 use skalla_gmdj::EvalOptions;
@@ -150,6 +157,34 @@ fn main() {
         })
     };
     let cold_delta = measure_cold(LARGE).saturating_sub(measure_cold(SMALL));
+
+    // The coordinator leg: every site answers every group.
+    const GROUPS: i64 = 2_000;
+    let answer = Relation::new(
+        Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]),
+        (0..GROUPS).map(|g| Row::new(vec![g.into(), 1i64.into()])).collect(),
+    )
+    .unwrap();
+    let merge_base = Relation::new(
+        Schema::of(&[("g", DataType::Int)]),
+        (0..GROUPS).map(|g| Row::new(vec![g.into()])).collect(),
+    )
+    .unwrap();
+    let key = ["g".to_string()];
+    let measure_merge = |sites: usize| {
+        let mut allocs = 0;
+        for b in [Some(&merge_base), None] {
+            let answers = vec![answer.clone(); sites];
+            allocs += allocs_during(|| {
+                let mut sync = MergeSync::new(b, &key, &op).unwrap();
+                let merged = parallel_merge_tree(answers, 1, &op, 1).unwrap().unwrap();
+                sync.absorb(&merged).unwrap();
+                sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
+            });
+        }
+        allocs
+    };
+    let merge_delta = measure_merge(6).abs_diff(measure_merge(2));
     let extra_rows = (LARGE - SMALL) as u64;
     let control = allocs_during(|| {
         for i in 0..extra_rows {
@@ -161,6 +196,7 @@ fn main() {
     println!("  columnar       allocation delta: {col_delta}");
     println!("  typed residual allocation delta: {residual_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
+    println!("  merge 6 vs 2 sites  (delta):     {merge_delta}");
     println!("  control        allocations:      {control}");
 
     // Group-id probing and the typed inner loops must not allocate per
@@ -180,6 +216,12 @@ fn main() {
         cold_delta <= 16,
         "cold columnar kernel allocated {cold_delta} times for {extra_rows} extra \
          rows — building the key column or the group ids regressed to per-row allocation"
+    );
+    assert!(
+        merge_delta <= 16,
+        "merging 6 sites' answers allocated {merge_delta} times more or fewer than \
+         merging 2 over the same {GROUPS} groups — the coordinator merge regressed to \
+         per-row or per-level allocation"
     );
     // Positive control: one box per extra row, so the counter must see
     // at least one allocation per extra row.

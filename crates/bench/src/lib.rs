@@ -5,8 +5,8 @@
 //! figure plots (one table entry per figure). Beside it: `e2e` (the
 //! end-to-end and per-layer performance ledger, `BENCHMARK.json`, whose
 //! `skewed_star` workload is bound by its slowest site) and the
-//! `probe_alloc` bench (a zero-allocation guard over both GMDJ kernels —
-//! assertions, not timings).
+//! `probe_alloc` bench (a zero-allocation guard over the GMDJ kernel and
+//! the coordinator's merge — assertions, not timings).
 //!
 //! Regenerate the evaluation with:
 //!

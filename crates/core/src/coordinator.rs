@@ -1,9 +1,8 @@
 //! Coordinator-side synchronization.
 //!
 //! The coordinator maintains the base-result structure X, indexed on the
-//! key attributes K, and consolidates each site's sub-results into it as
-//! they arrive — O(|H|) per incoming relation (paper Sect. 3.2). Three
-//! synchronizers cover the three stage shapes:
+//! key attributes K, and consolidates each site's sub-results into it
+//! (paper Sect. 3.2). Three synchronizers cover the three stage shapes:
 //!
 //! * [`BaseSync`] — union + duplicate elimination of base fragments;
 //! * [`MergeSync`] — super-aggregate merging of physical accumulators
@@ -11,6 +10,15 @@
 //! * [`ChainSync`] — disjoint assembly of locally-finalized results from
 //!   synchronization-reduced units (Thm 5 / Cor 1), which *verifies* the
 //!   partition assumption by rejecting duplicate keys.
+//!
+//! What a merge unit costs per row a site sends: [`parallel_merge_tree`]
+//! hashes its key once, probes one key index, and moves its accumulators
+//! into one flat slab, where the tree merges them in place; each merged
+//! group's key is then hashed once more, into X's index, by
+//! [`MergeSync::absorb`], which merges in place into X's flat accumulator
+//! slab. Allocation is per output group (its row), never per absorbed row
+//! or tree level; freeing the decoded rows is still per row. Every slot
+//! is a [`Value`], so each merge still matches on variants.
 //!
 //! The stage loop that drives them over a transport (Alg.
 //! GMDJDistribEval) is the crate-private `run` sub-module.
@@ -24,25 +32,35 @@ pub(crate) use run::{finished_rounds, net_err, run_coordinator};
 
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
+use skalla_relation::columns::{key_hash, IdTable};
 use skalla_relation::{Error, Relation, Result, Row, Schema, Value};
 use std::collections::HashMap;
 
 /// Check that `key` column values are unique in `rel`; returns the key
 /// column indexes.
 pub fn verify_unique_key(rel: &Relation, key: &[String]) -> Result<Vec<usize>> {
+    Ok(index_key(rel, key)?.0)
+}
+
+/// Index `rel` on its `key` columns, row `i` as id `i` (a key two rows
+/// share is an error); returns the key column indexes and the index.
+fn index_key(rel: &Relation, key: &[String]) -> Result<(Vec<usize>, IdTable)> {
     let idx = rel
         .schema()
         .indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
-    let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rel.len());
+    let mut index = IdTable::with_capacity(rel.len());
     for row in rel {
-        if seen.insert(row.key(&idx), ()).is_some() {
+        let h = key_hash(idx.iter().map(|&c| row.get(c)));
+        let same = |g: usize| idx.iter().all(|&c| rel.rows()[g].get(c) == row.get(c));
+        if index.find(h, same).is_some() {
             return Err(Error::Execution(format!(
                 "base-values relation has duplicate key {:?}",
                 row.key(&idx)
             )));
         }
+        index.insert(h);
     }
-    Ok(idx)
+    Ok((idx, index))
 }
 
 /// Synchronizer for the base round: collects each site's distinct groups.
@@ -92,50 +110,58 @@ impl Default for BaseSync {
 
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
+///
+/// X is B's rows, borrowed, beside one flat slab of accumulators, `width`
+/// slots per group, and one key index whose ids are B's row positions. A
+/// folded unit has no B: X grows from the incoming sub-results, and a
+/// group's base part is its key (Prop 2).
 #[derive(Debug)]
-pub struct MergeSync {
-    /// Full current-B rows (or key rows when folded) with accumulator
-    /// columns appended.
-    rows: Vec<Row>,
-    index: HashMap<Vec<Value>, usize>,
+pub struct MergeSync<'b> {
+    /// B: row `g` is group `g`'s base part (`None` when folded).
+    base: Option<&'b Relation>,
+    /// Folded: group `g`'s key, `key_idx.len()` values per group.
+    keys: Vec<Value>,
+    /// Key → group id.
+    index: IdTable,
+    /// Group `g`'s accumulators are slots `g * width..(g + 1) * width`.
+    acc: Vec<Value>,
+    /// The key columns' positions in a base part.
     key_idx: Vec<usize>,
-    base_arity: usize,
     layout: AccLayout,
-    fold: bool,
 }
 
-impl MergeSync {
+impl<'b> MergeSync<'b> {
     /// Build X from the current base structure (`None` for folded units,
-    /// where X grows from the incoming sub-results).
-    pub fn new(b_cur: Option<&Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync> {
+    /// where X grows from the incoming sub-results). Indexing B's keys is
+    /// also the check that they are unique.
+    pub fn new(b_cur: Option<&'b Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync<'b>> {
         let layout = op.layout();
-        match b_cur {
+        let ((key_idx, index), acc) = match b_cur {
             Some(b) => {
-                let key_idx = verify_unique_key(b, key)?;
                 let init = layout.init();
-                let mut index = HashMap::with_capacity(b.len());
-                let mut rows = Vec::with_capacity(b.len());
-                for (i, row) in b.iter().enumerate() {
-                    index.insert(row.key(&key_idx), i);
-                    rows.push(row.extend(&init));
-                }
-                Ok(MergeSync {
-                    rows,
-                    index,
-                    key_idx,
-                    base_arity: b.schema().len(),
-                    layout,
-                    fold: false,
-                })
+                let acc = init.iter().cycle().take(b.len() * init.len()).cloned();
+                (index_key(b, key)?, acc.collect())
             }
-            None => Ok(MergeSync {
-                rows: Vec::new(),
-                index: HashMap::new(),
-                key_idx: (0..key.len()).collect(),
-                base_arity: key.len(),
-                layout,
-                fold: true,
-            }),
+            None => (((0..key.len()).collect(), IdTable::with_capacity(0)), Vec::new()),
+        };
+        Ok(MergeSync {
+            base: b_cur,
+            keys: Vec::new(),
+            index,
+            acc,
+            key_idx,
+            layout,
+        })
+    }
+
+    /// Does group `g` have key `key`?
+    fn has_key(&self, g: usize, key: &[Value]) -> bool {
+        match self.base {
+            Some(b) => {
+                let row = &b.rows()[g];
+                self.key_idx.iter().zip(key).all(|(&c, v)| row.get(c) == v)
+            }
+            None => self.keys[g * key.len()..(g + 1) * key.len()] == *key,
         }
     }
 
@@ -145,28 +171,19 @@ impl MergeSync {
         let key_len = self.key_idx.len();
         let width = self.layout.width();
         if h.schema().len() != key_len + width {
-            return Err(Error::Execution(format!(
-                "sub-result arity {} != key {} + accumulators {}",
-                h.schema().len(),
-                key_len,
-                width
-            )));
+            return Err(arity_error(h, key_len, width));
         }
         for row in h {
-            let key: Vec<Value> = row.values()[..key_len].to_vec();
-            match self.index.get(&key) {
-                Some(&pos) => {
-                    let dst = &mut self.rows[pos];
-                    let mut vals = dst.values().to_vec();
-                    self.layout
-                        .merge(&mut vals[self.base_arity..], &row.values()[key_len..])?;
-                    *dst = Row::new(vals);
-                }
-                None if self.fold => {
+            let (key, accs) = row.values().split_at(key_len);
+            let hash = key_hash(key);
+            match self.index.find(hash, |g| self.has_key(g, key)) {
+                Some(g) => self.layout.merge(&mut self.acc[g * width..(g + 1) * width], accs)?,
+                None if self.base.is_none() => {
                     // Prop 2: first sighting of this group — its base part
                     // is exactly its key.
-                    self.index.insert(key, self.rows.len());
-                    self.rows.push(row.clone());
+                    self.index.insert(hash);
+                    self.keys.extend_from_slice(key);
+                    self.acc.extend_from_slice(accs);
                 }
                 None => {
                     return Err(Error::Execution(format!(
@@ -178,28 +195,38 @@ impl MergeSync {
         Ok(())
     }
 
-    /// Finalize X into B_next with the logical output schema.
+    /// Finalize X into B_next with the logical output schema: B's row
+    /// order, or key order when folded (first sightings follow site
+    /// arrival, so they are sorted for determinism).
     pub fn finish(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let mut rows = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            let (base_part, acc_part) = row.values().split_at(self.base_arity);
-            let logical = self.layout.finalize(acc_part)?;
-            let mut vs = Vec::with_capacity(base_part.len() + logical.len());
+        let (key_len, width) = (self.key_idx.len(), self.layout.width());
+        let key = |g: usize| &self.keys[g * key_len..(g + 1) * key_len];
+        let mut order: Vec<usize> = (0..self.index.len()).collect();
+        if self.base.is_none() {
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        }
+        let mut rows = Vec::with_capacity(order.len());
+        for g in order {
+            let base_part = match self.base {
+                Some(b) => b.rows()[g].values(),
+                None => key(g),
+            };
+            let mut vs = Vec::with_capacity(base_part.len() + self.layout.entries().len());
             vs.extend_from_slice(base_part);
-            vs.extend(logical);
+            self.layout
+                .finalize_into(&self.acc[g * width..(g + 1) * width], &mut vs)?;
             rows.push(Row::new(vs));
         }
-        let rel = Relation::new(out_schema, rows)?;
-        if !self.fold {
-            return Ok(rel);
-        }
-        // Insertion order is site-arrival order; sort for determinism.
-        let key_cols: Vec<&str> = (0..self.key_idx.len())
-            .map(|i| rel.schema().field(i).name())
-            .collect();
-        rel.sorted_by(&key_cols)
+        Relation::new(out_schema, rows)
     }
+}
+
+fn arity_error(h: &Relation, key_len: usize, width: usize) -> Error {
+    Error::Execution(format!(
+        "sub-result arity {} != key {key_len} + accumulators {width}",
+        h.schema().len()
+    ))
 }
 
 /// Synchronizer for a locally-chained unit: assembles disjoint finalized
@@ -279,138 +306,123 @@ impl ChainSync {
     }
 }
 
-/// A *partial* merger of physical sub-aggregates that does **not**
-/// finalize: it combines sub-results into one still-mergeable relation
-/// (Theorem 1 applied recursively — merge is associative, so any
-/// intermediate grouping of the partition is valid).
-#[derive(Debug)]
-pub(crate) struct PartialMerge {
-    /// Merged rows (key columns + accumulators) in first-arrival order.
-    rows: Vec<Vec<Value>>,
-    /// key → index into `rows`.
-    index: HashMap<Vec<Value>, usize>,
-    key_len: usize,
-    layout: AccLayout,
-}
-
-impl PartialMerge {
-    /// A partial merger for sub-results of `op` keyed on `key_len` leading
-    /// columns.
-    pub(crate) fn new(key_len: usize, op: &Gmdj) -> PartialMerge {
-        PartialMerge {
-            rows: Vec::new(),
-            index: HashMap::new(),
-            key_len,
-            layout: op.layout(),
+/// Add one row-blocked chunk to what a site has answered so far. The
+/// chunks of one answer hold disjoint keys, so the answer is their
+/// concatenation; a key a site does repeat merges in arrival order, in
+/// [`parallel_merge_tree`].
+pub(crate) fn append_chunk(answer: &mut Option<Relation>, mut chunk: Relation) -> Result<()> {
+    match answer {
+        None => *answer = Some(chunk),
+        Some(a) if a.schema() == chunk.schema() => a.rows_mut().append(chunk.rows_mut()),
+        Some(a) => {
+            return Err(Error::SchemaMismatch(format!(
+                "result chunks of {} and {}",
+                a.schema(),
+                chunk.schema()
+            )))
         }
     }
-
-    /// Merge one sub-result (key columns + physical accumulators).
-    pub(crate) fn absorb(&mut self, h: &Relation) -> Result<()> {
-        let width = self.layout.width();
-        if h.schema().len() != self.key_len + width {
-            return Err(Error::Execution(format!(
-                "partial merge arity {} != key {} + accumulators {width}",
-                h.schema().len(),
-                self.key_len
-            )));
-        }
-        for row in h {
-            let (k, accs) = row.values().split_at(self.key_len);
-            match self.index.get(k) {
-                Some(&i) => self.layout.merge(&mut self.rows[i][self.key_len..], accs)?,
-                None => {
-                    self.index.insert(k.to_vec(), self.rows.len());
-                    self.rows.push(row.values().to_vec());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The merged (still physical) relation, in first-arrival key order.
-    pub(crate) fn into_relation(self, schema: skalla_relation::SchemaRef) -> Relation {
-        Relation::from_shared(schema, self.rows.into_iter().map(Row::new).collect())
-    }
+    Ok(())
 }
 
-/// Combine one pair (or a lone leftover) of sub-result chunks with a
-/// [`PartialMerge`].
-fn merge_pair(pair: &[Relation], key_len: usize, op: &Gmdj) -> Result<Relation> {
-    if pair.len() == 1 {
-        return Ok(pair[0].clone());
-    }
-    let mut pm = PartialMerge::new(key_len, op);
-    pm.absorb(&pair[0])?;
-    pm.absorb(&pair[1])?;
-    Ok(pm.into_relation(pair[0].schema_ref()))
-}
-
-/// Merge sub-result chunks as a binary tree of partial (non-finalizing)
-/// merges instead of a left fold, pairing adjacent chunks level by level
-/// until one remains.
+/// Merge the sites' answers (key columns + physical accumulators) into one
+/// still-physical relation as a binary tree instead of a left fold:
+/// adjacent answers pair level by level until one remains, each merge
+/// taking (left, right) in that order, and a key absent from one side
+/// passing through. The tree's shape depends only on `answers.len()`, so
+/// the bits do too, and Theorem 1's associativity makes it equal to a
+/// left fold (`parallel_merge_tree_equals_left_fold`). Rows in which one
+/// answer repeats a key fold first, in arrival order.
 ///
-/// Levels with several pairs run them on scoped worker threads (up to
-/// `parallelism`). The tree *shape* depends only on `chunks.len()`, and
-/// within every merge accumulators merge in fixed (left, right)
-/// order — so the result is deterministic regardless of thread count, and
-/// equal to the left fold by merge associativity (Theorem 1, proven by
-/// `partial_merge_is_associative_with_merge_sync`).
+/// One pass in arrival order numbers the keys in one index (first
+/// sighting order, the output's row order) and moves every row's
+/// accumulators into one flat slab, chaining each key's rows. Per key, the
+/// tree then merges slab rows in place. `parallelism` is unused: at 5,000
+/// groups on two cores, splitting the keys across two scoped workers
+/// measured slower than one thread (DESIGN.md, "Flat super-aggregation").
 ///
-/// Returns `None` when `chunks` is empty.
+/// Returns `None` when `answers` is empty, and a lone answer unchanged.
 pub fn parallel_merge_tree(
-    mut chunks: Vec<Relation>,
+    mut answers: Vec<Relation>,
     key_len: usize,
     op: &Gmdj,
-    parallelism: usize,
+    _parallelism: usize,
 ) -> Result<Option<Relation>> {
-    while chunks.len() > 1 {
-        let pairs: Vec<&[Relation]> = chunks.chunks(2).collect();
-        let merged: Vec<Result<Relation>> = if parallelism > 1 && pairs.len() > 1 {
-            let workers = parallelism.min(pairs.len());
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let mut out: Vec<Option<Result<Relation>>> =
-                (0..pairs.len()).map(|_| None).collect();
-            std::thread::scope(|s| -> Result<()> {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let pairs = &pairs;
-                        let next = &next;
-                        s.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= pairs.len() {
-                                    break;
-                                }
-                                done.push((i, merge_pair(pairs[i], key_len, op)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let done = h
-                        .join()
-                        .map_err(|_| Error::Execution("a merge worker panicked".into()))?;
-                    for (i, r) in done {
-                        out[i] = Some(r);
-                    }
-                }
-                Ok(())
-            })?;
-            let unmerged = || Err(Error::Execution("a chunk pair was never merged".into()));
-            out.into_iter().map(|r| r.unwrap_or_else(unmerged)).collect()
-        } else {
-            pairs
-                .iter()
-                .map(|p| merge_pair(p, key_len, op))
-                .collect()
-        };
-        chunks = merged.into_iter().collect::<Result<Vec<_>>>()?;
+    let layout = op.layout();
+    let w = layout.width();
+    if let Some(h) = answers.iter().find(|h| h.schema().len() != key_len + w) {
+        return Err(arity_error(h, key_len, w));
     }
-    Ok(chunks.pop())
+    if answers.len() < 2 {
+        return Ok(answers.pop());
+    }
+    let (n, schema) = (answers.len(), answers[0].schema_ref());
+    let widest = answers.iter().map(Relation::len).max().unwrap_or(0);
+    let total = answers.iter().map(Relation::len).sum();
+    let mut index = IdTable::with_capacity(widest);
+    let mut keys: Vec<Value> = Vec::with_capacity(widest * key_len);
+    // Per key, its first and last row; per row, the key's next row.
+    let mut chain: Vec<(usize, usize)> = Vec::with_capacity(widest);
+    let mut next: Vec<Option<usize>> = Vec::with_capacity(total);
+    let mut site_of = Vec::with_capacity(total);
+    let mut accs: Vec<Value> = Vec::with_capacity(total * w);
+    for (site, h) in answers.iter_mut().enumerate() {
+        for row in std::mem::take(h.rows_mut()) {
+            let mut vs = row.into_values();
+            let hash = key_hash(&vs[..key_len]);
+            let i = site_of.len();
+            match index.find(hash, |g| keys[g * key_len..(g + 1) * key_len] == vs[..key_len]) {
+                Some(g) => next[std::mem::replace(&mut chain[g].1, i)] = Some(i),
+                None => {
+                    index.insert(hash);
+                    chain.push((i, i));
+                    keys.extend(vs.drain(..key_len));
+                }
+            }
+            next.push(None);
+            site_of.push(site);
+            accs.extend(vs.drain(vs.len() - w..));
+        }
+    }
+    // Merge slab row `right` into slab row `left`; rows arrive site by
+    // site, so a left operand's row always comes first.
+    let merge = |accs: &mut [Value], left: usize, right: usize| {
+        let (l, r) = accs.split_at_mut(right * w);
+        layout.merge(&mut l[left * w..(left + 1) * w], &r[..w])
+    };
+    // Per site, the slab row holding its side of the key's tree so far.
+    let mut leaf: Vec<Option<usize>> = vec![None; n];
+    let mut keys = keys.into_iter();
+    let mut out = Vec::with_capacity(chain.len());
+    for &(head, _) in &chain {
+        leaf.fill(None);
+        let mut row = Some(head);
+        while let Some(i) = row {
+            match leaf[site_of[i]] {
+                Some(first) => merge(&mut accs, first, i)?,
+                None => leaf[site_of[i]] = Some(i),
+            }
+            row = next[i];
+        }
+        let mut stride = 1;
+        while stride < n {
+            for left in (0..n - stride).step_by(2 * stride) {
+                match (leaf[left], leaf[left + stride]) {
+                    (Some(l), Some(r)) => merge(&mut accs, l, r)?,
+                    (None, r) => leaf[left] = r,
+                    (Some(_), None) => {}
+                }
+            }
+            stride *= 2;
+        }
+        let root = leaf[0].ok_or_else(|| Error::Execution("a key left the merge tree".into()))?;
+        let mut vs = Vec::with_capacity(key_len + w);
+        vs.extend(keys.by_ref().take(key_len));
+        let root_accs = &mut accs[root * w..(root + 1) * w];
+        vs.extend(root_accs.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
+        out.push(Row::new(vs));
+    }
+    Ok(Some(Relation::from_shared(schema, out)))
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
@@ -454,6 +466,16 @@ mod tests {
         Schema::of(&[("g", DataType::Int), ("v", DataType::Int)])
     }
 
+    /// The sub-result schema of [`op`]: g, cnt, avg__sum, avg__cnt.
+    fn h_schema() -> Schema {
+        Schema::of(&[
+            ("g", DataType::Int),
+            ("cnt", DataType::Int),
+            ("avg__sum", DataType::Int),
+            ("avg__cnt", DataType::Int),
+        ])
+    }
+
     #[test]
     fn base_sync_dedups_and_checks_key() {
         let mut s = BaseSync::new();
@@ -495,24 +517,14 @@ mod tests {
     /// merges sums and counts).
     #[test]
     fn merge_sync_super_aggregates() {
-        let mut sync = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
-        // h schema: g, cnt, avg__sum, avg__cnt.
-        let h_schema = Schema::of(&[
-            ("g", DataType::Int),
-            ("cnt", DataType::Int),
-            ("avg__sum", DataType::Int),
-            ("avg__cnt", DataType::Int),
-        ]);
+        let b = b0();
+        let mut sync = MergeSync::new(Some(&b), &key(), &op()).unwrap();
         let h1 = Relation::new(
-            h_schema.clone(),
+            h_schema(),
             vec![row![1i64, 2i64, 30i64, 2i64], row![2i64, 1i64, 8i64, 1i64]],
         )
         .unwrap();
-        let h2 = Relation::new(
-            h_schema,
-            vec![row![1i64, 1i64, 30i64, 1i64]],
-        )
-        .unwrap();
+        let h2 = Relation::new(h_schema(), vec![row![1i64, 1i64, 30i64, 1i64]]).unwrap();
         sync.absorb(&h1).unwrap();
         sync.absorb(&h2).unwrap();
         let out = sync
@@ -524,18 +536,11 @@ mod tests {
 
     #[test]
     fn merge_sync_rejects_unknown_groups_and_bad_arity() {
-        let mut sync = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
-        let h = Relation::new(
-            Schema::of(&[
-                ("g", DataType::Int),
-                ("cnt", DataType::Int),
-                ("avg__sum", DataType::Int),
-                ("avg__cnt", DataType::Int),
-            ]),
-            vec![row![9i64, 1i64, 1i64, 1i64]],
-        )
-        .unwrap();
-        assert!(sync.absorb(&h).is_err());
+        let b = b0();
+        let mut sync = MergeSync::new(Some(&b), &key(), &op()).unwrap();
+        let h = Relation::new(h_schema(), vec![row![9i64, 1i64, 1i64, 1i64]]).unwrap();
+        let err = sync.absorb(&h).unwrap_err();
+        assert!(err.to_string().contains("unknown group [Int(9)]"), "{err}");
         let bad = Relation::new(
             Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]),
             vec![row![1i64, 1i64]],
@@ -547,19 +552,13 @@ mod tests {
     #[test]
     fn merge_sync_folded_inserts_new_groups() {
         let mut sync = MergeSync::new(None, &key(), &op()).unwrap();
-        let h_schema = Schema::of(&[
-            ("g", DataType::Int),
-            ("cnt", DataType::Int),
-            ("avg__sum", DataType::Int),
-            ("avg__cnt", DataType::Int),
-        ]);
         sync.absorb(
-            &Relation::new(h_schema.clone(), vec![row![2i64, 1i64, 8i64, 1i64]]).unwrap(),
+            &Relation::new(h_schema(), vec![row![2i64, 1i64, 8i64, 1i64]]).unwrap(),
         )
         .unwrap();
         sync.absorb(
             &Relation::new(
-                h_schema,
+                h_schema(),
                 vec![row![1i64, 2i64, 30i64, 2i64], row![2i64, 2i64, 4i64, 2i64]],
             )
             .unwrap(),
@@ -631,54 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_merge_is_associative_with_merge_sync() {
-        // Merging h1+h2 regionally and then into X must equal absorbing
-        // them directly.
-        let h_schema = Schema::of(&[
-            ("g", DataType::Int),
-            ("cnt", DataType::Int),
-            ("avg__sum", DataType::Int),
-            ("avg__cnt", DataType::Int),
-        ]);
-        let h1 = Relation::new(
-            h_schema.clone(),
-            vec![row![1i64, 2i64, 30i64, 2i64], row![2i64, 1i64, 8i64, 1i64]],
-        )
-        .unwrap();
-        let h2 = Relation::new(h_schema.clone(), vec![row![1i64, 1i64, 30i64, 1i64]]).unwrap();
-
-        // Direct path.
-        let mut direct = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
-        direct.absorb(&h1).unwrap();
-        direct.absorb(&h2).unwrap();
-        let direct_out = direct.finish(b0().schema(), &op(), &detail_schema()).unwrap();
-
-        // Regional path.
-        let mut region = PartialMerge::new(1, &op());
-        region.absorb(&h1).unwrap();
-        region.absorb(&h2).unwrap();
-        let regional = region.into_relation(std::sync::Arc::new(h_schema));
-        assert_eq!(regional.len(), 2, "groups merged regionally");
-        let mut root = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
-        root.absorb(&regional).unwrap();
-        let tree_out = root.finish(b0().schema(), &op(), &detail_schema()).unwrap();
-
-        assert_eq!(direct_out, tree_out);
-    }
-
-    #[test]
     fn parallel_merge_tree_equals_left_fold() {
-        let h_schema = Schema::of(&[
-            ("g", DataType::Int),
-            ("cnt", DataType::Int),
-            ("avg__sum", DataType::Int),
-            ("avg__cnt", DataType::Int),
-        ]);
-        // 7 chunks (odd count exercises the lone-leftover path).
+        // 7 answers (odd count exercises the lone-leftover path).
         let chunks: Vec<Relation> = (0..7)
             .map(|i| {
                 Relation::new(
-                    h_schema.clone(),
+                    h_schema(),
                     vec![
                         row![1i64, 1i64, 10 * (i + 1), 1i64],
                         row![2i64, 2i64, i, 2i64],
@@ -688,21 +645,19 @@ mod tests {
             })
             .collect();
 
-        let mut fold = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
+        let b = b0();
+        let mut fold = MergeSync::new(Some(&b), &key(), &op()).unwrap();
         for c in &chunks {
             fold.absorb(c).unwrap();
         }
-        let fold_out = fold.finish(b0().schema(), &op(), &detail_schema()).unwrap();
+        let fold_out = fold.finish(b.schema(), &op(), &detail_schema()).unwrap();
 
-        for parallelism in [1usize, 4] {
-            let merged = parallel_merge_tree(chunks.clone(), 1, &op(), parallelism)
-                .unwrap()
-                .unwrap();
-            let mut sync = MergeSync::new(Some(&b0()), &key(), &op()).unwrap();
-            sync.absorb(&merged).unwrap();
-            let tree_out = sync.finish(b0().schema(), &op(), &detail_schema()).unwrap();
-            assert_eq!(tree_out, fold_out, "parallelism {parallelism}");
-        }
+        let merged = parallel_merge_tree(chunks, 1, &op(), 4).unwrap().unwrap();
+        assert_eq!(merged.len(), 2, "groups merged in the tree");
+        let mut sync = MergeSync::new(Some(&b), &key(), &op()).unwrap();
+        sync.absorb(&merged).unwrap();
+        let tree_out = sync.finish(b.schema(), &op(), &detail_schema()).unwrap();
+        assert_eq!(tree_out, fold_out);
     }
 
     #[test]
@@ -710,13 +665,7 @@ mod tests {
         assert!(parallel_merge_tree(Vec::new(), 1, &op(), 4)
             .unwrap()
             .is_none());
-        let h_schema = Schema::of(&[
-            ("g", DataType::Int),
-            ("cnt", DataType::Int),
-            ("avg__sum", DataType::Int),
-            ("avg__cnt", DataType::Int),
-        ]);
-        let one = Relation::new(h_schema, vec![row![1i64, 1i64, 5i64, 1i64]]).unwrap();
+        let one = Relation::new(h_schema(), vec![row![1i64, 1i64, 5i64, 1i64]]).unwrap();
         let out = parallel_merge_tree(vec![one.clone()], 1, &op(), 4)
             .unwrap()
             .unwrap();
@@ -724,14 +673,282 @@ mod tests {
     }
 
     #[test]
-    fn partial_merge_rejects_bad_arity() {
-        let mut pm = PartialMerge::new(1, &op());
+    fn merge_tree_rejects_bad_arity() {
         let bad = Relation::new(
             Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]),
             vec![row![1i64, 1i64]],
         )
         .unwrap();
-        assert!(pm.absorb(&bad).is_err());
+        assert!(parallel_merge_tree(vec![bad.clone(), bad.clone()], 1, &op(), 1).is_err());
+        // A lone answer is checked too, though it is not merged.
+        assert!(parallel_merge_tree(vec![bad], 1, &op(), 1).is_err());
+    }
+
+    #[test]
+    fn merge_sync_rejects_duplicate_base_keys() {
+        let dup = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("x", DataType::Int)]),
+            vec![row![1i64, 1i64], row![2i64, 2i64], row![1.0, 3i64]],
+        )
+        .unwrap();
+        let err = MergeSync::new(Some(&dup), &key(), &op()).unwrap_err();
+        assert!(err.to_string().contains("duplicate key [Double(1.0)]"), "{err}");
+        assert!(verify_unique_key(&dup, &key()).is_err());
+    }
+
+    #[test]
+    fn chunks_of_one_answer_concatenate_and_must_share_a_schema() {
+        let h = |g: i64| Relation::new(h_schema(), vec![row![g, 1i64, 5i64, 1i64]]).unwrap();
+        let mut answer = None;
+        append_chunk(&mut answer, h(1)).unwrap();
+        append_chunk(&mut answer, h(2)).unwrap();
+        assert_eq!(answer.as_ref().unwrap().rows(), [h(1).rows(), h(2).rows()].concat());
+        let other = Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![3i64]]).unwrap();
+        assert!(append_chunk(&mut answer, other).is_err());
+    }
+
+    /// A site (a remote process) repeating a key in a folded unit: its
+    /// rows, one chunk each, fold in arrival order before the tree merges
+    /// them with the other sites'. Near 1e16 doubles are 2 apart, so a
+    /// lone `+ 1.0` rounds away and the order shows.
+    #[test]
+    fn a_folded_site_repeating_a_key_merges_in_arrival_order() {
+        let op = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![AggSpec::sum("d", "s")],
+        );
+        let schema = Schema::of(&[("g", DataType::Int), ("s", DataType::Double)]);
+        let detail = Schema::of(&[("g", DataType::Int), ("d", DataType::Double)]);
+        let merged = |sites: &[&[f64]]| {
+            let answers = sites
+                .iter()
+                .map(|rows| {
+                    let mut answer = None;
+                    for &d in *rows {
+                        let chunk = Relation::new(schema.clone(), vec![row![7i64, d]]).unwrap();
+                        append_chunk(&mut answer, chunk).unwrap();
+                    }
+                    answer.unwrap()
+                })
+                .collect();
+            let m = parallel_merge_tree(answers, 1, &op, 1).unwrap().unwrap();
+            let mut sync = MergeSync::new(None, &key(), &op).unwrap();
+            sync.absorb(&m).unwrap();
+            let out = sync.finish(&Schema::of(&[("g", DataType::Int)]), &op, &detail).unwrap();
+            assert_eq!(out.len(), 1);
+            out.rows()[0].get(1).clone()
+        };
+        assert_eq!(merged(&[&[1e16, 1.0, 1.0]]), Value::Double(1e16));
+        assert_eq!(merged(&[&[1.0, 1.0, 1e16]]), Value::Double(1e16 + 2.0));
+        // Site 1's rows meet each other first, then site 0's.
+        assert_eq!(merged(&[&[1e16], &[1.0, 1.0]]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[&[1e16, 1.0], &[1.0]]), Value::Double(1e16));
+    }
+
+    /// A quiet NaN with payload `p`.
+    fn nan(p: u64) -> f64 {
+        f64::from_bits(0x7ff8_0000_0000_0000 | p)
+    }
+
+    /// SplitMix64, the spec test's seeded source.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())].clone()
+        }
+    }
+
+    /// The same bits: same variant, same f64 bit pattern, same string.
+    fn identical(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+            (Value::Null, Value::Null) => true,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// The spec's independent reference for one key: the present sites'
+    /// accumulators in site order, reduced by the pairwise tree — the
+    /// left subtree over the largest power of two below the count.
+    fn reference_tree(layout: &AccLayout, leaves: &[Option<Vec<Value>>]) -> Option<Vec<Value>> {
+        if leaves.len() < 2 {
+            return leaves.first().cloned().flatten();
+        }
+        let split = 1 << (usize::BITS - 1 - (leaves.len() - 1).leading_zeros());
+        let (left, right) = leaves.split_at(split);
+        match (reference_tree(layout, left), reference_tree(layout, right)) {
+            (Some(mut l), Some(r)) => {
+                layout.merge(&mut l, &r).unwrap();
+                Some(l)
+            }
+            (l, r) => l.or(r),
+        }
+    }
+
+    /// `MergeSync::new` → `parallel_merge_tree` → `absorb` → `finish`
+    /// gives, bit for bit, `X_init ⊕ tree` finalized (the tree alone when
+    /// folded), over 1–7 sites, keys missing per site, empty answers and
+    /// row-blocked chunks. The accumulators: COUNT, wrapping Int SUM,
+    /// Double SUM over ±0.0 and two NaN payloads, NULL-only SUM, AVG, VAR
+    /// and string MIN/MAX.
+    #[test]
+    fn merge_bits_match_the_pairwise_tree_reference() {
+        let detail = Schema::of(&[
+            ("g", DataType::Int),
+            ("i", DataType::Int),
+            ("d", DataType::Double),
+            ("n", DataType::Int),
+            ("s", DataType::Str),
+        ]);
+        let op = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![
+                AggSpec::count("cnt"),
+                AggSpec::sum("i", "sum_i"),
+                AggSpec::sum("d", "sum_d"),
+                AggSpec::sum("n", "sum_n"),
+                AggSpec::avg("d", "avg_d"),
+                AggSpec::var("d", "var_d"),
+                AggSpec::min("s", "min_s"),
+                AggSpec::max("s", "max_s"),
+            ],
+        );
+        let layout = op.layout();
+        let mut h_fields = vec![skalla_relation::Field::new("g", DataType::Int)];
+        h_fields.extend(layout.physical_fields(&detail).unwrap());
+        let h_schema = Schema::new(h_fields).unwrap();
+        let b_schema = Schema::of(&[("tag", DataType::Str), ("g", DataType::Int)]);
+        let key_schema = Schema::of(&[("g", DataType::Int)]);
+        let doubles = [-0.0, 0.0, 0.1, 3.0, 1e16, -1e16, nan(1), nan(0xabc)];
+        let strings = [Value::Null, Value::str("a"), Value::str("ab"), Value::str("z")];
+        let mut rng = Rng(7);
+        for case in 0..400 {
+            let (n_sites, n_keys, folded) = (1 + case % 7, 1 + rng.below(9), case % 3 == 0);
+            let dbl = |rng: &mut Rng| Value::Double(rng.pick(&doubles));
+            // Per site, per key: the site's accumulators, if it has the key.
+            let accs: Vec<Vec<Option<Vec<Value>>>> = (0..n_sites)
+                .map(|_| {
+                    (0..n_keys)
+                        .map(|_| {
+                            (rng.below(3) > 0).then(|| {
+                                vec![
+                                    Value::Int(rng.below(4) as i64),
+                                    Value::Int(i64::MAX - rng.below(3) as i64),
+                                    dbl(&mut rng),
+                                    Value::Null,
+                                    dbl(&mut rng),
+                                    Value::Int(rng.below(4) as i64),
+                                    dbl(&mut rng),
+                                    dbl(&mut rng),
+                                    Value::Int(rng.below(4) as i64),
+                                    rng.pick(&strings),
+                                    rng.pick(&strings),
+                                ]
+                            })
+                        })
+                        .collect()
+                })
+                .collect();
+            // Each site answers its keys in a shuffled order, cut into
+            // row-blocked chunks at random points.
+            let answers: Vec<Relation> = accs
+                .iter()
+                .map(|site| {
+                    let mut rows: Vec<Row> = site
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(k, a)| {
+                            let a = a.as_ref()?;
+                            Some(Row::new([&[Value::Int(k as i64)][..], a].concat()))
+                        })
+                        .collect();
+                    for i in (1..rows.len()).rev() {
+                        rows.swap(i, rng.below(i + 1));
+                    }
+                    let mut answer = None;
+                    loop {
+                        let rest = rows.split_off(rng.below(rows.len() + 1));
+                        let chunk = Relation::new(h_schema.clone(), rows).unwrap();
+                        append_chunk(&mut answer, chunk).unwrap();
+                        if rest.is_empty() {
+                            break answer.unwrap();
+                        }
+                        rows = rest;
+                    }
+                })
+                .collect();
+            // B: every key, in a shuffled order, under a tag column.
+            let mut b_keys: Vec<usize> = (0..n_keys).collect();
+            for i in (1..n_keys).rev() {
+                b_keys.swap(i, rng.below(i + 1));
+            }
+            let b = Relation::new(
+                b_schema.clone(),
+                b_keys.iter().map(|&k| row![format!("t{k}"), k as i64]).collect(),
+            )
+            .unwrap();
+
+            let b_in = (!folded).then_some(&b);
+            let mut sync = MergeSync::new(b_in, &key(), &op).unwrap();
+            if let Some(m) = parallel_merge_tree(answers, 1, &op, 2).unwrap() {
+                sync.absorb(&m).unwrap();
+            }
+            let in_schema = if folded { &key_schema } else { &b_schema };
+            let got = sync.finish(in_schema, &op, &detail).unwrap();
+
+            // The reference: per key, X_init ⊕ tree (the tree alone when
+            // folded, where a group is first sighted, not initialized).
+            let mut want = Vec::new();
+            let order: Vec<usize> = if folded { (0..n_keys).collect() } else { b_keys };
+            for k in order {
+                let leaves: Vec<_> = accs.iter().map(|site| site[k].clone()).collect();
+                let tree = reference_tree(&layout, &leaves);
+                let x = match (folded, tree) {
+                    (true, None) => continue,
+                    (true, Some(t)) => t,
+                    (false, tree) => {
+                        let mut x = layout.init();
+                        if let Some(t) = tree {
+                            layout.merge(&mut x, &t).unwrap();
+                        }
+                        x
+                    }
+                };
+                let mut vs = vec![Value::Int(k as i64)];
+                if !folded {
+                    vs.insert(0, Value::str(format!("t{k}")));
+                }
+                vs.extend(layout.finalize(&x).unwrap());
+                want.push(vs);
+            }
+            assert_eq!(got.len(), want.len(), "case {case}");
+            let bits = |vs: &[Value]| -> Vec<String> {
+                let show = |v: &Value| match v {
+                    Value::Double(d) => format!("{:#x}", d.to_bits()),
+                    v => format!("{v:?}"),
+                };
+                vs.iter().map(show).collect()
+            };
+            for (g, w) in got.rows().iter().zip(&want) {
+                assert!(
+                    g.values().iter().zip(w).all(|(a, b)| identical(a, b)),
+                    "case {case} ({n_sites} sites, folded {folded}): {:?} vs {:?}",
+                    bits(g.values()),
+                    bits(w)
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! the one receive loop every stage round goes through — results and
 //! the sites' telemetry alike.
 
-use super::{empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync, PartialMerge};
+use super::{append_chunk, empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
 use crate::protocol::{self, Tag};
 use crate::stats::StageTimes;
 use crate::warehouse::EngineConfig;
 use skalla_gmdj::BaseQuery;
-use skalla_net::{CoordinatorTransport, NetStats};
+use skalla_net::{CoordinatorTransport, Message, NetStats};
 use skalla_obs::{estimate_offset_us, Obs, TelemetryDelta, Track};
 use skalla_relation::{Error, Relation, Result, Schema};
 use std::collections::HashMap;
@@ -35,8 +35,8 @@ use std::time::Instant;
 /// stage statelessly from the shipped fragment, so the resumed suffix
 /// is bit-identical to a cold run.
 ///
-/// Of `cfg`, the coordinator reads the round timeout, the obs handle and
-/// the merge parallelism. Each site's busy seconds for a stage arrive in
+/// Of `cfg`, the coordinator reads the round timeout and the obs handle.
+/// Each site's busy seconds for a stage arrive in
 /// that round (see [`collect`]) and land in the stage's
 /// [`StageTimes::site_busy_s`].
 ///
@@ -114,14 +114,11 @@ pub(crate) fn run_coordinator(
                 let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
                 let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
-                let shared_fragment: Option<Relation> = if unit.fold_base {
-                    None
-                } else {
-                    let b = b_cur.as_ref().ok_or_else(no_base)?;
-                    Some(project_ship(b, &unit.ship_columns)?)
-                };
+                // The stage every `SiteFilter::All` site gets, encoded once:
+                // its fragment's row count and the message.
+                let mut shared: Option<(usize, Message)> = None;
                 for site in 0..n {
-                    let fragment = match &unit.site_filters[site] {
+                    let (rows, msg) = match &unit.site_filters[site] {
                         SiteFilter::Skip => {
                             // Thm 4, S_MD ⊂ S_B case: the whole fragment
                             // is eliminated for this site.
@@ -135,7 +132,20 @@ pub(crate) fn run_coordinator(
                             }
                             continue;
                         }
-                        SiteFilter::All => shared_fragment.clone(),
+                        SiteFilter::All => {
+                            let (rows, msg) = match shared.take() {
+                                Some(s) => s,
+                                None if unit.fold_base => (0, protocol::run_stage(stage_no, None)),
+                                None => {
+                                    let b = b_cur.as_ref().ok_or_else(no_base)?;
+                                    let f = project_ship(b, &unit.ship_columns)?;
+                                    (f.len(), protocol::run_stage(stage_no, Some(&f)))
+                                }
+                            };
+                            let copy = msg.clone();
+                            shared = Some((rows, msg));
+                            (rows, copy)
+                        }
                         SiteFilter::Predicate(p) => {
                             let b = b_cur.as_ref().ok_or_else(no_base)?;
                             let bound = p.bind(b.schema(), None)?;
@@ -153,16 +163,13 @@ pub(crate) fn run_coordinator(
                                     ],
                                 );
                             }
-                            Some(project_ship(&kept, &unit.ship_columns)?)
+                            let f = project_ship(&kept, &unit.ship_columns)?;
+                            (f.len(), protocol::run_stage(stage_no, Some(&f)))
                         }
                     };
                     round.owed[site] = true;
-                    if let Some(f) = &fragment {
-                        st.rows_down += f.len() as u64;
-                    }
-                    coord
-                        .send(site, protocol::run_stage(stage_no, fragment.as_ref()))
-                        .map_err(net_err)?;
+                    st.rows_down += rows as u64;
+                    coord.send(site, msg).map_err(net_err)?;
                 }
                 st.coord_s += t.elapsed().as_secs_f64();
                 ship_span.arg("rows_down", st.rows_down);
@@ -197,41 +204,18 @@ pub(crate) fn run_coordinator(
                         &plan.key,
                         op,
                     )?;
-                    // Gather each site's chunks, coalesce them into one
-                    // relation per site (chunks of one site hold disjoint
-                    // keys, so this is a bitwise pass-through), then
-                    // merge across sites as a parallel binary tree whose
-                    // shape depends only on the participant set.
-                    let mut chunks_per_site: Vec<Vec<Relation>> = vec![Vec::new(); n];
+                    // Concatenate each site's chunks into its answer, then
+                    // merge across sites as a binary tree whose shape
+                    // depends only on the participant set.
+                    let mut answers: Vec<Option<Relation>> = vec![None; n];
+                    let mut n_chunks = 0usize;
                     collect(coord, cfg, &round, &mut st, |site, rel| {
-                        chunks_per_site[site].push(rel);
-                        Ok(())
+                        n_chunks += 1;
+                        append_chunk(&mut answers[site], rel)
                     })?;
                     let t = wall_now();
-                    let mut n_chunks = 0usize;
-                    let mut per_site: Vec<Relation> = Vec::with_capacity(n);
-                    for chunks in chunks_per_site {
-                        n_chunks += chunks.len();
-                        if chunks.len() == 1 {
-                            per_site.extend(chunks);
-                            continue;
-                        }
-                        // A site that sent no chunk contributes nothing.
-                        let Some(schema) = chunks.first().map(|c| c.schema_ref()) else {
-                            continue;
-                        };
-                        let mut pm = PartialMerge::new(plan.key.len(), op);
-                        for c in &chunks {
-                            pm.absorb(c)?;
-                        }
-                        per_site.push(pm.into_relation(schema));
-                    }
-                    let merged = parallel_merge_tree(
-                        per_site,
-                        plan.key.len(),
-                        op,
-                        cfg.eval.effective_parallelism(),
-                    )?;
+                    let answers = answers.into_iter().flatten().collect();
+                    let merged = parallel_merge_tree(answers, plan.key.len(), op, 1)?;
                     if let Some(m) = &merged {
                         sync.absorb(m)?;
                     }

@@ -193,8 +193,9 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
 
 /// Encode a `RESULT` message. `last` marks the final chunk of a stage
 /// (row blocking, paper Sect. 3.2: a site ships its sub-result in
-/// pieces; a merge unit's coordinator buffers each site's chunks and
-/// merges them once that site's last one is in).
+/// pieces, holding disjoint keys; a merge unit's coordinator appends each
+/// chunk to that site's answer and merges the sites' answers once every
+/// site's last chunk is in).
 pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
     let mut enc = Encoder::with_capacity(9 + rel.encoded_size());
     enc.put_u32(stage);

@@ -466,11 +466,18 @@ impl AccLayout {
     /// Finalize physical slots into logical values (output order).
     pub fn finalize(&self, acc: &[Value]) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(self.entries.len());
+        self.finalize_into(acc, &mut out)?;
+        Ok(out)
+    }
+
+    /// Finalize physical slots into logical values (output order),
+    /// appended to `out`.
+    pub fn finalize_into(&self, acc: &[Value], out: &mut Vec<Value>) -> Result<()> {
         for (_, a, off) in &self.entries {
             let w = a.acc_width();
             out.push(a.finalize(&acc[*off..off + w])?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Physical fields in slot order.

@@ -405,6 +405,30 @@ pub fn canon_hash(keys: &[CanonKeys], i: usize) -> u64 {
     })
 }
 
+/// A hash of a key of [`Value`]s that agrees with `Value`'s `Eq`: numbers
+/// and `NULL` mix in their canonical pairs ([`canon_i64`], [`canon_f64`],
+/// [`CANON_NULL`]), strings their bytes — so keys index an [`IdTable`]
+/// with no interner shared between the sides that probe it.
+pub fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
+    key.into_iter().fold(0x51CA_11A0_C0FF_EE00, |h, v| {
+        let (tag, word) = match v {
+            Value::Null => CANON_NULL,
+            Value::Int(i) => canon_i64(*i),
+            Value::Double(d) => canon_f64(*d),
+            Value::Str(s) => {
+                let bytes = s.as_bytes();
+                let word = bytes.chunks(8).fold(bytes.len() as u64, |w, c| {
+                    let mut le = [0u8; 8];
+                    le[..c.len()].copy_from_slice(c);
+                    mix64(w, u64::from_le_bytes(le))
+                });
+                (CANON_STR_TAG, word)
+            }
+        };
+        mix64(mix64(h, tag as u64), word)
+    })
+}
+
 /// Is the key at index `i` of `a` equal to the key at index `j` of `b`
 /// (both canonicalized under one interner, over the same key columns)?
 #[inline]
@@ -467,6 +491,16 @@ impl IdTable {
         place(&mut self.slots, h, id);
         self.hashes.push(h);
         id
+    }
+
+    /// How many ids have been given out.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// True if no id has been given out.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
     }
 }
 
@@ -643,5 +677,21 @@ mod tests {
         // Distinct values get distinct keys.
         assert_ne!(canon_i64(1), canon_i64(2));
         assert_ne!(canon_f64(1.25), canon_f64(1.5));
+
+        // `key_hash` holds `Value`'s equal pairs together, strings by
+        // content (nine bytes cross a word boundary).
+        let nan = |bits| Value::Double(f64::from_bits(bits));
+        for (a, b) in [
+            (Value::Int(2), Value::Double(2.0)),
+            (Value::Double(-0.0), Value::Int(0)),
+            (nan(0x7ff8_0000_0000_0000), nan(0xfff8_0000_0000_0abc)),
+            (Value::str("ninebytes"), Value::str(String::from("ninebytes"))),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(key_hash([&a, &Value::Null]), key_hash([&b, &Value::Null]));
+        }
+        assert_ne!(key_hash(&[Value::str("ab")]), key_hash(&[Value::str("ab\0")]));
+        let (one, two) = (Value::Int(1), Value::Int(2));
+        assert_ne!(key_hash([&one, &two]), key_hash([&two, &one]));
     }
 }

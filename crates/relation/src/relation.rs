@@ -6,7 +6,6 @@ use crate::expr::BoundExpr;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -336,14 +335,16 @@ impl Relation {
         Ok(Relation::from_shared(self.schema_ref(), rows))
     }
 
-    /// Distinct rows, preserving first-occurrence order.
+    /// Distinct rows, preserving first-occurrence order, each represented
+    /// by its first occurrence's exact values: the projection of
+    /// [`Relation::groups`] over every column.
     pub fn distinct(&self) -> Relation {
-        let mut seen: HashSet<Row> = HashSet::with_capacity(self.rows.len());
+        let all: Vec<usize> = (0..self.schema.len()).collect();
         let rows = self
-            .rows
+            .groups(&all)
+            .first
             .iter()
-            .filter(|r| seen.insert((*r).clone()))
-            .cloned()
+            .map(|&i| self.rows[i as usize].clone())
             .collect();
         Relation::from_shared(self.schema_ref(), rows)
     }

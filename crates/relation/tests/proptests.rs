@@ -185,8 +185,9 @@ fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
         })
 }
 
-/// What `project_distinct` has to equal: a row-at-a-time `DISTINCT` over
-/// `Row`'s own `Eq`/`Hash`, keeping first occurrences.
+/// What `project_distinct` (and, over every column, `distinct`) has to
+/// equal: a row-at-a-time `DISTINCT` over `Row`'s own `Eq`/`Hash`,
+/// keeping first occurrences.
 fn naive_project_distinct(rel: &Relation, idx: &[usize]) -> Vec<Row> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
@@ -303,11 +304,28 @@ proptest! {
         prop_assert_eq!(v[0] == v[1], v[0].cmp(&v[1]) == Ordering::Equal);
     }
 
+    /// `distinct` keeps exactly the naive `DISTINCT`'s rows — same order,
+    /// same variants, same f64 bits, same string allocations — also where
+    /// cells collide under `Eq` without being identical.
     #[test]
-    fn distinct_is_idempotent_and_subset(rel in arb_relation()) {
-        let d = rel.distinct();
-        prop_assert!(d.len() <= rel.len());
-        prop_assert!(d.same_bag(&d.distinct()));
+    fn distinct_is_idempotent_and_subset(
+        rel in arb_relation(),
+        (keyed, _) in arb_keyed_relation(),
+    ) {
+        for rel in [rel, keyed] {
+            let d = rel.distinct();
+            prop_assert!(d.len() <= rel.len());
+            prop_assert!(d.same_bag(&d.distinct()));
+            let all: Vec<usize> = (0..rel.schema().len()).collect();
+            let want = naive_project_distinct(&rel, &all);
+            prop_assert_eq!(d.len(), want.len(), "{}", rel);
+            for (g, w) in d.rows().iter().zip(&want) {
+                prop_assert!(
+                    g.values().iter().zip(w.values()).all(|(a, b)| identical(a, b)),
+                    "{g:?} vs {w:?} of\n{rel}"
+                );
+            }
+        }
     }
 
     #[test]

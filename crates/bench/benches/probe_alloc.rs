@@ -22,14 +22,14 @@
 //! group ids: those allocate per column and per group, never per row.
 //!
 //! A coordinator leg merges the sites' answers over the same 2,000 groups
-//! (`MergeSync::new` → `parallel_merge_tree` → `absorb` → `finish`, with a
-//! shipped B and folded): 2 sites' answers and 6 sites' answers must
-//! allocate alike, so nothing is allocated per absorbed row or per tree
-//! level.
+//! the way the engine does (`MergeSync::new` → `absorb_chunk` per answer
+//! → `finish`, with a shipped B and folded): 2 sites' answers and 6
+//! sites' answers must allocate alike, so nothing is allocated per
+//! absorbed row or per tree level.
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
-use skalla_core::coordinator::{parallel_merge_tree, MergeSync};
+use skalla_core::coordinator::MergeSync;
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::eval_local;
 use skalla_gmdj::EvalOptions;
@@ -177,8 +177,9 @@ fn main() {
             let answers = vec![answer.clone(); sites];
             allocs += allocs_during(|| {
                 let mut sync = MergeSync::new(b, &key, &op).unwrap();
-                let merged = parallel_merge_tree(answers, 1, &op, 1).unwrap().unwrap();
-                sync.absorb(&merged).unwrap();
+                for (leaf, chunk) in answers.into_iter().enumerate() {
+                    sync.absorb_chunk(leaf, chunk).unwrap();
+                }
                 sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
             });
         }

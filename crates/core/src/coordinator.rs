@@ -11,14 +11,15 @@
 //!   synchronization-reduced units (Thm 5 / Cor 1), which *verifies* the
 //!   partition assumption by rejecting duplicate keys.
 //!
-//! What a merge unit costs per row a site sends: [`parallel_merge_tree`]
-//! hashes its key once, probes one key index, and moves its accumulators
-//! into one flat slab, where the tree merges them in place; each merged
-//! group's key is then hashed once more, into X's index, by
-//! [`MergeSync::absorb`], which merges in place into X's flat accumulator
-//! slab. Allocation is per output group (its row), never per absorbed row
-//! or tree level; freeing the decoded rows is still per row. Every slot
-//! is a [`Value`], so each merge still matches on variants.
+//! What a merge unit costs per row a site sends: the engine takes each
+//! `RESULT` chunk as it lands (`MergeSync::absorb_frame`), decodes the row
+//! into one reused buffer, hashes its key once, probes X's one key index,
+//! and moves its accumulators into a flat leaf slab;
+//! [`MergeSync::finish`] runs the merge tree over each group's leaves in
+//! place and merges the root into X's flat accumulator slab. Allocation
+//! is per slab growth and per output group (its row), never per absorbed
+//! row or tree level (a string cell still allocates its string). Every
+//! slot is a [`Value`], so each merge still matches on variants.
 //!
 //! The stage loop that drives them over a transport (Alg.
 //! GMDJDistribEval) is the crate-private `run` sub-module.
@@ -30,6 +31,7 @@ mod run;
 
 pub(crate) use run::{finished_rounds, net_err, run_coordinator};
 
+use crate::protocol::ResultChunk;
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
 use skalla_relation::columns::{key_hash, IdTable};
@@ -115,18 +117,40 @@ impl Default for BaseSync {
 /// slots per group, and one key index whose ids are B's row positions. A
 /// folded unit has no B: X grows from the incoming sub-results, and a
 /// group's base part is its key (Prop 2).
+///
+/// The sites' answers reach X through its leaves, one per answering site.
+/// [`MergeSync::absorb_chunk`] takes each row-blocked chunk as it lands;
+/// [`MergeSync::finish`] merges each group's leaves as a binary tree
+/// instead of a left fold — adjacent leaves pair level by level until one
+/// remains, each merge taking (left, right) in that order, and a leaf
+/// without the group passing through — and then the root into X. The
+/// tree's shape depends only on the leaf count, so the bits do too, and
+/// Theorem 1's associativity makes it equal to a left fold
+/// (`parallel_merge_tree_equals_left_fold`). Rows in which one leaf
+/// repeats a key fold first, in arrival order.
 #[derive(Debug)]
 pub struct MergeSync<'b> {
     /// B: row `g` is group `g`'s base part (`None` when folded).
     base: Option<&'b Relation>,
-    /// Folded: group `g`'s key, `key_idx.len()` values per group.
+    /// Group `g`'s key, `key_len` values per group, in one run: what a
+    /// probe compares, so it never chases B's rows.
     keys: Vec<Value>,
+    key_len: usize,
     /// Key → group id.
     index: IdTable,
-    /// Group `g`'s accumulators are slots `g * width..(g + 1) * width`.
+    /// Group `g`'s accumulators are slots `g * width..(g + 1) * width`:
+    /// `X_init` for B's groups, placeholders for a folded unit's until its
+    /// tree's root takes their place.
     acc: Vec<Value>,
-    /// The key columns' positions in a base part.
-    key_idx: Vec<usize>,
+    /// Per group: its first and last leaf row, once a chunk had it.
+    chain: Vec<Option<(usize, usize)>>,
+    /// Per leaf row, in arrival order: its leaf, and its group's next
+    /// leaf row.
+    leaf_rows: Vec<(usize, Option<usize>)>,
+    /// Leaf row `i`'s accumulators are slots `i * width..(i + 1) * width`.
+    leaf_acc: Vec<Value>,
+    /// The tree's leaf count: one past the highest leaf absorbed.
+    n_leaves: usize,
     layout: AccLayout,
 }
 
@@ -135,61 +159,173 @@ impl<'b> MergeSync<'b> {
     /// where X grows from the incoming sub-results). Indexing B's keys is
     /// also the check that they are unique.
     pub fn new(b_cur: Option<&'b Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync<'b>> {
-        let layout = op.layout();
-        let ((key_idx, index), acc) = match b_cur {
-            Some(b) => {
-                let init = layout.init();
-                let acc = init.iter().cycle().take(b.len() * init.len()).cloned();
-                (index_key(b, key)?, acc.collect())
-            }
-            None => (((0..key.len()).collect(), IdTable::with_capacity(0)), Vec::new()),
-        };
-        Ok(MergeSync {
-            base: b_cur,
+        let mut x = MergeSync::folded(key.len(), op);
+        if let Some(b) = b_cur {
+            let key_idx;
+            (key_idx, x.index) = index_key(b, key)?;
+            x.keys = b.iter().flat_map(|r| key_idx.iter().map(|&c| r.get(c).clone())).collect();
+            let init = x.layout.init();
+            x.acc = init.iter().cycle().take(b.len() * init.len()).cloned().collect();
+            x.chain = vec![None; b.len()];
+            x.base = Some(b);
+        }
+        Ok(x)
+    }
+
+    /// An empty X for a folded unit whose sub-results lead with `key_len`
+    /// key columns.
+    fn folded(key_len: usize, op: &Gmdj) -> MergeSync<'b> {
+        MergeSync {
+            base: None,
             keys: Vec::new(),
-            index,
-            acc,
-            key_idx,
-            layout,
-        })
-    }
-
-    /// Does group `g` have key `key`?
-    fn has_key(&self, g: usize, key: &[Value]) -> bool {
-        match self.base {
-            Some(b) => {
-                let row = &b.rows()[g];
-                self.key_idx.iter().zip(key).all(|(&c, v)| row.get(c) == v)
-            }
-            None => self.keys[g * key.len()..(g + 1) * key.len()] == *key,
+            key_len,
+            index: IdTable::with_capacity(0),
+            acc: Vec::new(),
+            chain: Vec::new(),
+            leaf_rows: Vec::new(),
+            leaf_acc: Vec::new(),
+            n_leaves: 0,
+            layout: op.layout(),
         }
     }
 
-    /// Absorb one site's sub-result. `h` has the key columns first, then
-    /// the physical accumulator columns.
+    /// Group `g`'s key.
+    fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.key_len..(g + 1) * self.key_len]
+    }
+
+    /// The group whose key is `key`, hashed `hash`. A folded unit's first
+    /// sighting of a key makes its group (Prop 2: its base part is exactly
+    /// its key), with placeholder slots; B's groups are all there is.
+    #[inline]
+    fn group(&mut self, hash: u64, key: &[Value]) -> Result<usize> {
+        if let Some(g) = self.index.find(hash, |g| self.key(g) == key) {
+            return Ok(g);
+        }
+        if self.base.is_some() {
+            return Err(Error::Execution(format!(
+                "site reported unknown group {key:?}"
+            )));
+        }
+        self.keys.extend_from_slice(key);
+        self.acc.resize(self.acc.len() + self.layout.width(), Value::Null);
+        self.chain.push(None);
+        Ok(self.index.insert(hash))
+    }
+
+    /// Absorb one whole answer as the next leaf: the key columns first,
+    /// then the physical accumulator columns. Rows already merged across
+    /// the sites ([`parallel_merge_tree`]) are one leaf, whose tree is
+    /// that leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        let key_len = self.key_idx.len();
-        let width = self.layout.width();
-        if h.schema().len() != key_len + width {
-            return Err(arity_error(h, key_len, width));
-        }
+        let leaf = self.n_leaves;
+        self.start_chunk(leaf, h.schema(), h.len())?;
+        let mut vs = Vec::with_capacity(h.schema().len());
         for row in h {
-            let (key, accs) = row.values().split_at(key_len);
-            let hash = key_hash(key);
-            match self.index.find(hash, |g| self.has_key(g, key)) {
-                Some(g) => self.layout.merge(&mut self.acc[g * width..(g + 1) * width], accs)?,
-                None if self.base.is_none() => {
-                    // Prop 2: first sighting of this group — its base part
-                    // is exactly its key.
-                    self.index.insert(hash);
-                    self.keys.extend_from_slice(key);
-                    self.acc.extend_from_slice(accs);
+            vs.clear();
+            vs.extend_from_slice(row.values());
+            self.absorb_row(leaf, &mut vs)?;
+        }
+        Ok(())
+    }
+
+    /// Absorb one chunk of leaf `leaf`'s answer as it lands: the key
+    /// columns first, then the physical accumulator columns. A leaf is one
+    /// answering site, numbered in site order; the tree has a leaf for
+    /// every number up to the highest one absorbed, so an empty answer
+    /// still counts. Per row: one key hash, one probe of X's index, and
+    /// its accumulators move into the leaf slab.
+    pub fn absorb_chunk(&mut self, leaf: usize, mut chunk: Relation) -> Result<()> {
+        self.start_chunk(leaf, chunk.schema(), chunk.len())?;
+        for row in std::mem::take(chunk.rows_mut()) {
+            self.absorb_row(leaf, &mut row.into_values())?;
+        }
+        Ok(())
+    }
+
+    /// [`MergeSync::absorb_chunk`] straight from a `RESULT` frame: each
+    /// row is decoded into one reused buffer, whose accumulators move into
+    /// the leaf slab, so no row of the chunk is ever built.
+    pub(crate) fn absorb_frame(&mut self, leaf: usize, mut chunk: ResultChunk<'_>) -> Result<()> {
+        self.start_chunk(leaf, chunk.schema(), chunk.rows_bound())?;
+        let mut vs = Vec::with_capacity(chunk.schema().len());
+        while chunk.next_row(&mut vs)? {
+            self.absorb_row(leaf, &mut vs)?;
+        }
+        Ok(())
+    }
+
+    /// Check a chunk's arity, and count `leaf` among the tree's leaves.
+    /// Room is made for `rows` more leaf rows.
+    fn start_chunk(&mut self, leaf: usize, schema: &Schema, rows: usize) -> Result<()> {
+        let width = self.layout.width();
+        if schema.len() != self.key_len + width {
+            return Err(arity_error(schema, self.key_len, width));
+        }
+        self.n_leaves = self.n_leaves.max(leaf + 1);
+        if self.index.is_empty() {
+            // A folded unit's first chunk: size X for about one answer.
+            self.index = IdTable::with_capacity(rows);
+        }
+        self.leaf_rows.reserve(rows);
+        self.leaf_acc.reserve(rows * width);
+        Ok(())
+    }
+
+    /// One row of leaf `leaf` (key, then accumulators): find its group,
+    /// chain a leaf row to it and move the accumulators out of `vs`.
+    #[inline]
+    fn absorb_row(&mut self, leaf: usize, vs: &mut Vec<Value>) -> Result<()> {
+        let key = &vs[..self.key_len];
+        let g = self.group(key_hash(key), key)?;
+        let i = self.leaf_rows.len();
+        match &mut self.chain[g] {
+            Some((_, last)) => self.leaf_rows[std::mem::replace(last, i)].1 = Some(i),
+            None => self.chain[g] = Some((i, i)),
+        }
+        self.leaf_rows.push((leaf, None));
+        self.leaf_acc.extend(vs.drain(self.key_len..));
+        Ok(())
+    }
+
+    /// Merge each group's leaves as the tree, in place in the leaf slab,
+    /// and the root into X.
+    fn merge_leaves(&mut self) -> Result<()> {
+        let (w, n) = (self.layout.width(), self.n_leaves);
+        // Per leaf, the leaf row holding its side of the group's tree so far.
+        let mut side: Vec<Option<usize>> = vec![None; n];
+        for (g, chain) in self.chain.iter().enumerate() {
+            let Some((head, _)) = *chain else {
+                continue;
+            };
+            side.fill(None);
+            let mut row = Some(head);
+            while let Some(i) = row {
+                let (leaf, next) = self.leaf_rows[i];
+                match side[leaf] {
+                    Some(first) => merge_rows(&self.layout, &mut self.leaf_acc, w, first, i)?,
+                    None => side[leaf] = Some(i),
                 }
-                None => {
-                    return Err(Error::Execution(format!(
-                        "site reported unknown group {key:?}"
-                    )));
+                row = next;
+            }
+            let mut stride = 1;
+            while stride < n {
+                for left in (0..n - stride).step_by(2 * stride) {
+                    match (side[left], side[left + stride]) {
+                        (Some(l), Some(r)) => merge_rows(&self.layout, &mut self.leaf_acc, w, l, r)?,
+                        (None, r) => side[left] = r,
+                        (Some(_), None) => {}
+                    }
                 }
+                stride *= 2;
+            }
+            let root = side[0].ok_or_else(|| Error::Execution("a key left the merge tree".into()))?;
+            let x = &mut self.acc[g * w..(g + 1) * w];
+            let r = &mut self.leaf_acc[root * w..(root + 1) * w];
+            if self.base.is_some() {
+                self.layout.merge(x, r)?;
+            } else {
+                x.swap_with_slice(r);
             }
         }
         Ok(())
@@ -198,19 +334,19 @@ impl<'b> MergeSync<'b> {
     /// Finalize X into B_next with the logical output schema: B's row
     /// order, or key order when folded (first sightings follow site
     /// arrival, so they are sorted for determinism).
-    pub fn finish(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
+    pub fn finish(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
+        self.merge_leaves()?;
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let (key_len, width) = (self.key_idx.len(), self.layout.width());
-        let key = |g: usize| &self.keys[g * key_len..(g + 1) * key_len];
+        let width = self.layout.width();
         let mut order: Vec<usize> = (0..self.index.len()).collect();
         if self.base.is_none() {
-            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+            order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
         }
         let mut rows = Vec::with_capacity(order.len());
         for g in order {
             let base_part = match self.base {
                 Some(b) => b.rows()[g].values(),
-                None => key(g),
+                None => self.key(g),
             };
             let mut vs = Vec::with_capacity(base_part.len() + self.layout.entries().len());
             vs.extend_from_slice(base_part);
@@ -222,10 +358,10 @@ impl<'b> MergeSync<'b> {
     }
 }
 
-fn arity_error(h: &Relation, key_len: usize, width: usize) -> Error {
+fn arity_error(h: &Schema, key_len: usize, width: usize) -> Error {
     Error::Execution(format!(
         "sub-result arity {} != key {key_len} + accumulators {width}",
-        h.schema().len()
+        h.len()
     ))
 }
 
@@ -306,40 +442,36 @@ impl ChainSync {
     }
 }
 
-/// Add one row-blocked chunk to what a site has answered so far. The
-/// chunks of one answer hold disjoint keys, so the answer is their
-/// concatenation; a key a site does repeat merges in arrival order, in
-/// [`parallel_merge_tree`].
-pub(crate) fn append_chunk(answer: &mut Option<Relation>, mut chunk: Relation) -> Result<()> {
-    match answer {
-        None => *answer = Some(chunk),
-        Some(a) if a.schema() == chunk.schema() => a.rows_mut().append(chunk.rows_mut()),
-        Some(a) => {
-            return Err(Error::SchemaMismatch(format!(
-                "result chunks of {} and {}",
-                a.schema(),
-                chunk.schema()
-            )))
-        }
-    }
-    Ok(())
+/// Merge leaf-slab row `right` into row `left` (two distinct rows of
+/// `width` slots each). The sites' chunks interleave as they land, so
+/// either row may come first in the slab.
+fn merge_rows(
+    layout: &AccLayout,
+    slab: &mut [Value],
+    width: usize,
+    left: usize,
+    right: usize,
+) -> Result<()> {
+    let (l, r) = if left < right {
+        let (head, tail) = slab.split_at_mut(right * width);
+        (&mut head[left * width..(left + 1) * width], &tail[..width])
+    } else {
+        let (head, tail) = slab.split_at_mut(left * width);
+        (&mut tail[..width], &head[right * width..(right + 1) * width])
+    };
+    layout.merge(l, r)
 }
 
 /// Merge the sites' answers (key columns + physical accumulators) into one
-/// still-physical relation as a binary tree instead of a left fold:
-/// adjacent answers pair level by level until one remains, each merge
-/// taking (left, right) in that order, and a key absent from one side
-/// passing through. The tree's shape depends only on `answers.len()`, so
-/// the bits do too, and Theorem 1's associativity makes it equal to a
-/// left fold (`parallel_merge_tree_equals_left_fold`). Rows in which one
-/// answer repeats a key fold first, in arrival order.
+/// still-physical relation without X: each answer is one leaf of
+/// [`MergeSync`]'s tree, in order, and the output lists each key once, in
+/// first-sighting order, with its tree's root. Absorbing that into X
+/// ([`MergeSync::absorb`]) gives the bits that absorbing the answers'
+/// chunks as they land ([`MergeSync::absorb_chunk`]) gives.
 ///
-/// One pass in arrival order numbers the keys in one index (first
-/// sighting order, the output's row order) and moves every row's
-/// accumulators into one flat slab, chaining each key's rows. Per key, the
-/// tree then merges slab rows in place. `parallelism` is unused: at 5,000
-/// groups on two cores, splitting the keys across two scoped workers
-/// measured slower than one thread (DESIGN.md, "Flat super-aggregation").
+/// `parallelism` is unused: at 5,000 groups on two cores, splitting the
+/// keys across two scoped workers measured slower than one thread
+/// (DESIGN.md, "Flat super-aggregation").
 ///
 /// Returns `None` when `answers` is empty, and a lone answer unchanged.
 pub fn parallel_merge_tree(
@@ -348,81 +480,24 @@ pub fn parallel_merge_tree(
     op: &Gmdj,
     _parallelism: usize,
 ) -> Result<Option<Relation>> {
-    let layout = op.layout();
-    let w = layout.width();
+    let w = op.layout().width();
     if let Some(h) = answers.iter().find(|h| h.schema().len() != key_len + w) {
-        return Err(arity_error(h, key_len, w));
+        return Err(arity_error(h.schema(), key_len, w));
     }
     if answers.len() < 2 {
         return Ok(answers.pop());
     }
-    let (n, schema) = (answers.len(), answers[0].schema_ref());
-    let widest = answers.iter().map(Relation::len).max().unwrap_or(0);
-    let total = answers.iter().map(Relation::len).sum();
-    let mut index = IdTable::with_capacity(widest);
-    let mut keys: Vec<Value> = Vec::with_capacity(widest * key_len);
-    // Per key, its first and last row; per row, the key's next row.
-    let mut chain: Vec<(usize, usize)> = Vec::with_capacity(widest);
-    let mut next: Vec<Option<usize>> = Vec::with_capacity(total);
-    let mut site_of = Vec::with_capacity(total);
-    let mut accs: Vec<Value> = Vec::with_capacity(total * w);
-    for (site, h) in answers.iter_mut().enumerate() {
-        for row in std::mem::take(h.rows_mut()) {
-            let mut vs = row.into_values();
-            let hash = key_hash(&vs[..key_len]);
-            let i = site_of.len();
-            match index.find(hash, |g| keys[g * key_len..(g + 1) * key_len] == vs[..key_len]) {
-                Some(g) => next[std::mem::replace(&mut chain[g].1, i)] = Some(i),
-                None => {
-                    index.insert(hash);
-                    chain.push((i, i));
-                    keys.extend(vs.drain(..key_len));
-                }
-            }
-            next.push(None);
-            site_of.push(site);
-            accs.extend(vs.drain(vs.len() - w..));
-        }
+    let schema = answers[0].schema_ref();
+    let mut tree = MergeSync::folded(key_len, op);
+    for (leaf, h) in answers.into_iter().enumerate() {
+        tree.absorb_chunk(leaf, h)?;
     }
-    // Merge slab row `right` into slab row `left`; rows arrive site by
-    // site, so a left operand's row always comes first.
-    let merge = |accs: &mut [Value], left: usize, right: usize| {
-        let (l, r) = accs.split_at_mut(right * w);
-        layout.merge(&mut l[left * w..(left + 1) * w], &r[..w])
-    };
-    // Per site, the slab row holding its side of the key's tree so far.
-    let mut leaf: Vec<Option<usize>> = vec![None; n];
-    let mut keys = keys.into_iter();
-    let mut out = Vec::with_capacity(chain.len());
-    for &(head, _) in &chain {
-        leaf.fill(None);
-        let mut row = Some(head);
-        while let Some(i) = row {
-            match leaf[site_of[i]] {
-                Some(first) => merge(&mut accs, first, i)?,
-                None => leaf[site_of[i]] = Some(i),
-            }
-            row = next[i];
-        }
-        let mut stride = 1;
-        while stride < n {
-            for left in (0..n - stride).step_by(2 * stride) {
-                match (leaf[left], leaf[left + stride]) {
-                    (Some(l), Some(r)) => merge(&mut accs, l, r)?,
-                    (None, r) => leaf[left] = r,
-                    (Some(_), None) => {}
-                }
-            }
-            stride *= 2;
-        }
-        let root = leaf[0].ok_or_else(|| Error::Execution("a key left the merge tree".into()))?;
-        let mut vs = Vec::with_capacity(key_len + w);
-        vs.extend(keys.by_ref().take(key_len));
-        let root_accs = &mut accs[root * w..(root + 1) * w];
-        vs.extend(root_accs.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
-        out.push(Row::new(vs));
-    }
-    Ok(Some(Relation::from_shared(schema, out)))
+    tree.merge_leaves()?;
+    let (mut keys, mut accs) = (tree.keys.into_iter(), tree.acc.into_iter());
+    let rows = (0..tree.index.len())
+        .map(|_| Row::new(keys.by_ref().take(key_len).chain(accs.by_ref().take(w)).collect()))
+        .collect();
+    Ok(Some(Relation::from_shared(schema, rows)))
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
@@ -547,6 +622,10 @@ mod tests {
         )
         .unwrap();
         assert!(sync.absorb(&bad).is_err());
+        // The same two errors for a chunk as it lands.
+        let err = sync.absorb_chunk(0, h).unwrap_err();
+        assert!(err.to_string().contains("unknown group [Int(9)]"), "{err}");
+        assert!(sync.absorb_chunk(1, bad).is_err());
     }
 
     #[test]
@@ -645,19 +724,26 @@ mod tests {
             })
             .collect();
 
-        let b = b0();
-        let mut fold = MergeSync::new(Some(&b), &key(), &op()).unwrap();
+        // The left fold, by hand: per group, X_init ⊕ c₀ ⊕ c₁ ⊕ …
+        let layout = op().layout();
+        let mut fold = vec![layout.init(), layout.init()];
         for c in &chunks {
-            fold.absorb(c).unwrap();
+            for (x, row) in fold.iter_mut().zip(c.rows()) {
+                layout.merge(x, &row.values()[1..]).unwrap();
+            }
         }
-        let fold_out = fold.finish(b.schema(), &op(), &detail_schema()).unwrap();
+        let fold_out: Vec<Row> = (1..=2)
+            .zip(&fold)
+            .map(|(g, x)| Row::new([vec![Value::Int(g)], layout.finalize(x).unwrap()].concat()))
+            .collect();
 
+        let b = b0();
         let merged = parallel_merge_tree(chunks, 1, &op(), 4).unwrap().unwrap();
         assert_eq!(merged.len(), 2, "groups merged in the tree");
         let mut sync = MergeSync::new(Some(&b), &key(), &op()).unwrap();
         sync.absorb(&merged).unwrap();
         let tree_out = sync.finish(b.schema(), &op(), &detail_schema()).unwrap();
-        assert_eq!(tree_out, fold_out);
+        assert_eq!(tree_out.rows(), fold_out);
     }
 
     #[test]
@@ -696,21 +782,11 @@ mod tests {
         assert!(verify_unique_key(&dup, &key()).is_err());
     }
 
-    #[test]
-    fn chunks_of_one_answer_concatenate_and_must_share_a_schema() {
-        let h = |g: i64| Relation::new(h_schema(), vec![row![g, 1i64, 5i64, 1i64]]).unwrap();
-        let mut answer = None;
-        append_chunk(&mut answer, h(1)).unwrap();
-        append_chunk(&mut answer, h(2)).unwrap();
-        assert_eq!(answer.as_ref().unwrap().rows(), [h(1).rows(), h(2).rows()].concat());
-        let other = Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![3i64]]).unwrap();
-        assert!(append_chunk(&mut answer, other).is_err());
-    }
-
     /// A site (a remote process) repeating a key in a folded unit: its
     /// rows, one chunk each, fold in arrival order before the tree merges
-    /// them with the other sites'. Near 1e16 doubles are 2 apart, so a
-    /// lone `+ 1.0` rounds away and the order shows.
+    /// them with the other sites', however the sites' chunks interleave.
+    /// Near 1e16 doubles are 2 apart, so a lone `+ 1.0` rounds away and
+    /// the order shows.
     #[test]
     fn a_folded_site_repeating_a_key_merges_in_arrival_order() {
         let op = Gmdj::new("t").block(
@@ -719,30 +795,23 @@ mod tests {
         );
         let schema = Schema::of(&[("g", DataType::Int), ("s", DataType::Double)]);
         let detail = Schema::of(&[("g", DataType::Int), ("d", DataType::Double)]);
-        let merged = |sites: &[&[f64]]| {
-            let answers = sites
-                .iter()
-                .map(|rows| {
-                    let mut answer = None;
-                    for &d in *rows {
-                        let chunk = Relation::new(schema.clone(), vec![row![7i64, d]]).unwrap();
-                        append_chunk(&mut answer, chunk).unwrap();
-                    }
-                    answer.unwrap()
-                })
-                .collect();
-            let m = parallel_merge_tree(answers, 1, &op, 1).unwrap().unwrap();
+        // Chunks as they land: (site's leaf, the one row's sum).
+        let merged = |arrivals: &[(usize, f64)]| {
             let mut sync = MergeSync::new(None, &key(), &op).unwrap();
-            sync.absorb(&m).unwrap();
+            for &(leaf, d) in arrivals {
+                let chunk = Relation::new(schema.clone(), vec![row![7i64, d]]).unwrap();
+                sync.absorb_chunk(leaf, chunk).unwrap();
+            }
             let out = sync.finish(&Schema::of(&[("g", DataType::Int)]), &op, &detail).unwrap();
             assert_eq!(out.len(), 1);
             out.rows()[0].get(1).clone()
         };
-        assert_eq!(merged(&[&[1e16, 1.0, 1.0]]), Value::Double(1e16));
-        assert_eq!(merged(&[&[1.0, 1.0, 1e16]]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(0, 1e16), (0, 1.0), (0, 1.0)]), Value::Double(1e16));
+        assert_eq!(merged(&[(0, 1.0), (0, 1.0), (0, 1e16)]), Value::Double(1e16 + 2.0));
         // Site 1's rows meet each other first, then site 0's.
-        assert_eq!(merged(&[&[1e16], &[1.0, 1.0]]), Value::Double(1e16 + 2.0));
-        assert_eq!(merged(&[&[1e16, 1.0], &[1.0]]), Value::Double(1e16));
+        assert_eq!(merged(&[(0, 1e16), (1, 1.0), (1, 1.0)]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(1, 1.0), (0, 1e16), (1, 1.0)]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(0, 1e16), (1, 1.0), (0, 1.0)]), Value::Double(1e16));
     }
 
     /// A quiet NaN with payload `p`.
@@ -796,10 +865,12 @@ mod tests {
         }
     }
 
-    /// `MergeSync::new` → `parallel_merge_tree` → `absorb` → `finish`
-    /// gives, bit for bit, `X_init ⊕ tree` finalized (the tree alone when
-    /// folded), over 1–7 sites, keys missing per site, empty answers and
-    /// row-blocked chunks. The accumulators: COUNT, wrapping Int SUM,
+    /// Both ways into X — the engine's (`absorb_chunk` per chunk as it
+    /// lands, sites interleaved) and the layer walk's
+    /// (`parallel_merge_tree` → `absorb`) — give, bit for bit,
+    /// `X_init ⊕ tree` finalized (the tree alone when folded), over 1–7
+    /// sites, keys missing per site, empty answers and row-blocked
+    /// chunks. The accumulators: COUNT, wrapping Int SUM,
     /// Double SUM over ±0.0 and two NaN payloads, NULL-only SUM, AVG, VAR
     /// and string MIN/MAX.
     #[test]
@@ -862,7 +933,7 @@ mod tests {
                 .collect();
             // Each site answers its keys in a shuffled order, cut into
             // row-blocked chunks at random points.
-            let answers: Vec<Relation> = accs
+            let chunks: Vec<Vec<Relation>> = accs
                 .iter()
                 .map(|site| {
                     let mut rows: Vec<Row> = site
@@ -876,13 +947,12 @@ mod tests {
                     for i in (1..rows.len()).rev() {
                         rows.swap(i, rng.below(i + 1));
                     }
-                    let mut answer = None;
+                    let mut chunks = Vec::new();
                     loop {
                         let rest = rows.split_off(rng.below(rows.len() + 1));
-                        let chunk = Relation::new(h_schema.clone(), rows).unwrap();
-                        append_chunk(&mut answer, chunk).unwrap();
+                        chunks.push(Relation::new(h_schema.clone(), rows).unwrap());
                         if rest.is_empty() {
-                            break answer.unwrap();
+                            break chunks;
                         }
                         rows = rest;
                     }
@@ -900,12 +970,32 @@ mod tests {
             .unwrap();
 
             let b_in = (!folded).then_some(&b);
-            let mut sync = MergeSync::new(b_in, &key(), &op).unwrap();
-            if let Some(m) = parallel_merge_tree(answers, 1, &op, 2).unwrap() {
-                sync.absorb(&m).unwrap();
+            // The engine's way: every chunk absorbed as it lands, the
+            // sites' chunks interleaved at random, each site's in order.
+            let mut engine = MergeSync::new(b_in, &key(), &op).unwrap();
+            let mut queues: Vec<_> = chunks.iter().map(|c| c.iter()).collect();
+            let mut live: Vec<usize> = (0..n_sites).collect();
+            while !live.is_empty() {
+                let at = rng.below(live.len());
+                match queues[live[at]].next() {
+                    Some(chunk) => engine.absorb_chunk(live[at], chunk.clone()).unwrap(),
+                    None => {
+                        live.swap_remove(at);
+                    }
+                }
             }
-            let in_schema = if folded { &key_schema } else { &b_schema };
-            let got = sync.finish(in_schema, &op, &detail).unwrap();
+            // The layer walk's way: whole answers through the tree, then X.
+            let mut walk = MergeSync::new(b_in, &key(), &op).unwrap();
+            let answers = chunks
+                .iter()
+                .map(|c| {
+                    let rows = c.iter().flat_map(|r| r.rows().iter().cloned()).collect();
+                    Relation::new(h_schema.clone(), rows).unwrap()
+                })
+                .collect();
+            if let Some(m) = parallel_merge_tree(answers, 1, &op, 2).unwrap() {
+                walk.absorb(&m).unwrap();
+            }
 
             // The reference: per key, X_init ⊕ tree (the tree alone when
             // folded, where a group is first sighted, not initialized).
@@ -932,7 +1022,6 @@ mod tests {
                 vs.extend(layout.finalize(&x).unwrap());
                 want.push(vs);
             }
-            assert_eq!(got.len(), want.len(), "case {case}");
             let bits = |vs: &[Value]| -> Vec<String> {
                 let show = |v: &Value| match v {
                     Value::Double(d) => format!("{:#x}", d.to_bits()),
@@ -940,13 +1029,18 @@ mod tests {
                 };
                 vs.iter().map(show).collect()
             };
-            for (g, w) in got.rows().iter().zip(&want) {
-                assert!(
-                    g.values().iter().zip(w).all(|(a, b)| identical(a, b)),
-                    "case {case} ({n_sites} sites, folded {folded}): {:?} vs {:?}",
-                    bits(g.values()),
-                    bits(w)
-                );
+            let in_schema = if folded { &key_schema } else { &b_schema };
+            for (way, sync) in [("engine", engine), ("walk", walk)] {
+                let got = sync.finish(in_schema, &op, &detail).unwrap();
+                assert_eq!(got.len(), want.len(), "case {case}, {way}");
+                for (g, w) in got.rows().iter().zip(&want) {
+                    assert!(
+                        g.values().iter().zip(w).all(|(a, b)| identical(a, b)),
+                        "case {case} ({n_sites} sites, folded {folded}, {way}): {:?} vs {:?}",
+                        bits(g.values()),
+                        bits(w)
+                    );
+                }
             }
         }
     }

@@ -3,7 +3,7 @@
 //! the one receive loop every stage round goes through — results and
 //! the sites' telemetry alike.
 
-use super::{append_chunk, empty_aggregates, parallel_merge_tree, BaseSync, ChainSync, MergeSync};
+use super::{empty_aggregates, BaseSync, ChainSync, MergeSync};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
 use crate::protocol::{self, Tag};
 use crate::stats::StageTimes;
@@ -100,7 +100,7 @@ pub(crate) fn run_coordinator(
                     .map_err(net_err)?;
                 let mut sync_span = obs.span(track, "BaseSync");
                 let mut sync = BaseSync::new();
-                collect(coord, cfg, &round, &mut st, |_, rel| sync.absorb(rel))?;
+                collect(coord, cfg, &round, &mut st, |_, c| sync.absorb(c.relation()?))?;
                 let t = wall_now();
                 b_cur = Some(sync.finish(&plan.key)?);
                 st.coord_s += t.elapsed().as_secs_f64();
@@ -138,8 +138,7 @@ pub(crate) fn run_coordinator(
                                 None if unit.fold_base => (0, protocol::run_stage(stage_no, None)),
                                 None => {
                                     let b = b_cur.as_ref().ok_or_else(no_base)?;
-                                    let f = project_ship(b, &unit.ship_columns)?;
-                                    (f.len(), protocol::run_stage(stage_no, Some(&f)))
+                                    (b.len(), ship(stage_no, b, &unit.ship_columns)?)
                                 }
                             };
                             let copy = msg.clone();
@@ -163,8 +162,7 @@ pub(crate) fn run_coordinator(
                                     ],
                                 );
                             }
-                            let f = project_ship(&kept, &unit.ship_columns)?;
-                            (f.len(), protocol::run_stage(stage_no, Some(&f)))
+                            (kept.len(), ship(stage_no, &kept, &unit.ship_columns)?)
                         }
                     };
                     round.owed[site] = true;
@@ -184,7 +182,7 @@ pub(crate) fn run_coordinator(
                 if unit.local_chain {
                     let mut sync_span = obs.span(track, "ChainSync");
                     let mut sync = ChainSync::new(plan.key.len());
-                    collect(coord, cfg, &round, &mut st, |_, rel| sync.absorb(&rel))?;
+                    collect(coord, cfg, &round, &mut st, |_, c| sync.absorb(&c.relation()?))?;
                     let t = wall_now();
                     b_cur = Some(if unit.fold_base {
                         sync.finish_folded(out_schema)?
@@ -204,21 +202,25 @@ pub(crate) fn run_coordinator(
                         &plan.key,
                         op,
                     )?;
-                    // Concatenate each site's chunks into its answer, then
-                    // merge across sites as a binary tree whose shape
-                    // depends only on the participant set.
-                    let mut answers: Vec<Option<Relation>> = vec![None; n];
+                    // Each chunk goes into X as it lands, into its site's
+                    // leaf: the site's rank among the sites the stage was
+                    // sent to, so the merge tree's shape depends only on
+                    // the participant set.
+                    let leaf: Vec<usize> = round
+                        .owed
+                        .iter()
+                        .scan(0, |next, &owed| {
+                            let rank = *next;
+                            *next += usize::from(owed);
+                            Some(rank)
+                        })
+                        .collect();
                     let mut n_chunks = 0usize;
-                    collect(coord, cfg, &round, &mut st, |site, rel| {
+                    collect(coord, cfg, &round, &mut st, |site, c| {
                         n_chunks += 1;
-                        append_chunk(&mut answers[site], rel)
+                        sync.absorb_frame(leaf[site], c)
                     })?;
                     let t = wall_now();
-                    let answers = answers.into_iter().flatten().collect();
-                    let merged = parallel_merge_tree(answers, plan.key.len(), op, 1)?;
-                    if let Some(m) = &merged {
-                        sync.absorb(m)?;
-                    }
                     let detail = detail_schemas
                         .get(&unit.table)
                         .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
@@ -277,7 +279,8 @@ impl Round {
 
 /// Receive one stage round into `st`. Result chunks from the owed sites
 /// (each site's result possibly row-blocked into several) are fed to
-/// `absorb` with the sending site's id as they arrive. Each site's
+/// `absorb` with the sending site's id as they arrive, their rows still
+/// encoded. Each site's
 /// `TELEMETRY` frame, sent just ahead of its final chunk, adds its busy
 /// seconds and merges its trace delta, if any, into the coordinator's
 /// recorder. Any other frame, a frame for another stage, and a result or
@@ -290,7 +293,7 @@ fn collect(
     cfg: &EngineConfig,
     round: &Round,
     st: &mut StageTimes,
-    mut absorb: impl FnMut(usize, Relation) -> Result<()>,
+    mut absorb: impl FnMut(usize, protocol::ResultChunk<'_>) -> Result<()>,
 ) -> Result<()> {
     let stage = round.stage;
     // The sites whose final result chunk is still to come.
@@ -312,13 +315,13 @@ fn collect(
         }
         match tag {
             Tag::Result => {
-                let (s, last, rel) = protocol::decode_result(&msg.payload)?;
-                check_stage("result", s, stage)?;
-                if last {
+                let chunk = protocol::decode_result_chunk(&msg.payload)?;
+                check_stage("result", chunk.stage, stage)?;
+                if chunk.last {
                     waiting[site] = false;
                 }
-                st.rows_up += rel.len() as u64;
-                absorb(site, rel)?;
+                st.rows_up += chunk.rows_left() as u64;
+                absorb(site, chunk)?;
             }
             Tag::Telemetry => {
                 let report = protocol::decode_telemetry(&msg.payload)?;
@@ -380,9 +383,13 @@ fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
     }
 }
 
-/// Project the base structure to the shipped columns.
-fn project_ship(b: &Relation, ship_columns: &[String]) -> Result<Relation> {
-    b.project(&ship_columns.iter().map(String::as_str).collect::<Vec<_>>())
+/// The `RUN_STAGE` task shipping the base structure's `ship_columns`,
+/// encoded straight from its rows.
+fn ship(stage: u32, b: &Relation, ship_columns: &[String]) -> Result<Message> {
+    let cols = b
+        .schema()
+        .indexes_of(&ship_columns.iter().map(String::as_str).collect::<Vec<_>>())?;
+    protocol::run_stage_projected(stage, b, &cols)
 }
 
 pub(crate) fn net_err(e: skalla_net::NetError) -> Error {
@@ -430,7 +437,7 @@ mod tests {
             ..StageTimes::default()
         };
         let mut from = Vec::new();
-        let absorb = |site, _rel| {
+        let absorb = |site, _chunk: protocol::ResultChunk<'_>| {
             from.push(site);
             Ok(())
         };

@@ -20,7 +20,7 @@ use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
 use skalla_relation::codec::{Decoder, Encoder};
-use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Schema};
+use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Row, Schema, Value};
 
 /// The protocol generation this build speaks, negotiated in the catalog
 /// handshake ([`catalog_request`] carries it, [`catalog`] echoes it).
@@ -172,6 +172,17 @@ pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
     Message::new(TAG_RUN_STAGE, enc.finish())
 }
 
+/// [`run_stage`] with the projection of `b` onto the columns at `cols` as
+/// the fragment, encoded straight from `b`'s rows: the same bytes, and the
+/// fragment is never built.
+pub fn run_stage_projected(stage: u32, b: &Relation, cols: &[usize]) -> Result<Message> {
+    let mut enc = Encoder::new();
+    enc.put_u32(stage);
+    enc.put_u8(1);
+    enc.put_relation_columns(b, cols)?;
+    Ok(Message::new(TAG_RUN_STAGE, enc.finish()))
+}
+
 /// Decode a `RUN_STAGE` payload into `(stage, fragment, ())`.
 ///
 /// The `()` stands where the retired skew request used to decode: the
@@ -193,9 +204,9 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
 
 /// Encode a `RESULT` message. `last` marks the final chunk of a stage
 /// (row blocking, paper Sect. 3.2: a site ships its sub-result in
-/// pieces, holding disjoint keys; a merge unit's coordinator appends each
-/// chunk to that site's answer and merges the sites' answers once every
-/// site's last chunk is in).
+/// pieces, holding disjoint keys; a merge unit's coordinator absorbs each
+/// chunk into X, under that site's leaf, as it lands and merges the
+/// sites' leaves once every site's last chunk is in).
 pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
     let mut enc = Encoder::with_capacity(9 + rel.encoded_size());
     enc.put_u32(stage);
@@ -211,6 +222,27 @@ pub fn result(stage: u32, rel: &Relation) -> Message {
 
 /// Decode a `RESULT` payload into `(stage, last-chunk flag, relation)`.
 pub fn decode_result(payload: &[u8]) -> Result<(u32, bool, Relation)> {
+    let chunk = decode_result_chunk(payload)?;
+    Ok((chunk.stage, chunk.last, chunk.relation()?))
+}
+
+/// A `RESULT` payload with its header and schema read and its rows still
+/// encoded: [`ResultChunk::relation`] decodes them whole,
+/// [`ResultChunk::next_row`] one at a time into a buffer the caller
+/// reuses.
+#[derive(Debug)]
+pub struct ResultChunk<'a> {
+    /// The stage the result answers.
+    pub stage: u32,
+    /// Whether this is the stage's final chunk.
+    pub last: bool,
+    schema: Schema,
+    rows_left: usize,
+    dec: Decoder<'a>,
+}
+
+/// Read a `RESULT` payload's header and its relation's schema.
+pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk<'_>> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
     let last = match dec.get_u8()? {
@@ -218,11 +250,58 @@ pub fn decode_result(payload: &[u8]) -> Result<(u32, bool, Relation)> {
         1 => true,
         t => return Err(Error::Codec(format!("bad last-chunk flag {t}"))),
     };
-    let rel = dec.get_relation()?;
-    if dec.remaining() != 0 {
-        return Err(Error::Codec("trailing bytes in RESULT".into()));
+    let schema = dec.get_schema()?;
+    let rows_left = dec.get_u32()? as usize;
+    Ok(ResultChunk {
+        stage,
+        last,
+        schema,
+        rows_left,
+        dec,
+    })
+}
+
+impl ResultChunk<'_> {
+    /// The relation's schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
-    Ok((stage, last, rel))
+
+    /// How many rows the header announces that are not read yet.
+    pub fn rows_left(&self) -> usize {
+        self.rows_left
+    }
+
+    /// At most how many more rows can decode: the announced count,
+    /// capped by the bytes left (a value takes at least one).
+    pub fn rows_bound(&self) -> usize {
+        self.rows_left.min(self.dec.remaining())
+    }
+
+    /// Decode the next row into `out`, dropping what it held; `false`
+    /// once every row is read and no byte trails them.
+    pub fn next_row(&mut self, out: &mut Vec<Value>) -> Result<bool> {
+        if self.rows_left == 0 {
+            if self.dec.remaining() != 0 {
+                return Err(Error::Codec("trailing bytes in RESULT".into()));
+            }
+            return Ok(false);
+        }
+        self.rows_left -= 1;
+        self.dec.get_row_into(self.schema.len(), out)?;
+        Ok(true)
+    }
+
+    /// The rows not read yet, as a relation.
+    pub fn relation(mut self) -> Result<Relation> {
+        let arity = self.schema.len();
+        let mut rows = Vec::with_capacity(self.rows_left.min(self.dec.remaining()));
+        let mut vs = Vec::with_capacity(arity);
+        while self.next_row(&mut vs)? {
+            rows.push(Row::new(std::mem::replace(&mut vs, Vec::with_capacity(arity))));
+        }
+        Relation::new(self.schema, rows)
+    }
 }
 
 /// Encode an `ERROR` message.
@@ -469,6 +548,36 @@ mod tests {
             vec![row![1i64], row![2i64]],
         )
         .unwrap()
+    }
+
+    /// The projected encoding ships the bytes the built projection would,
+    /// and a result decoded row by row is the relation decoded whole.
+    #[test]
+    fn projected_fragments_and_streamed_results_match_the_built_ones() {
+        let b = Relation::new(
+            Schema::of(&[("tag", DataType::Str), ("k", DataType::Int), ("x", DataType::Double)]),
+            vec![row!["a", 1i64, 0.5], row!["b", 2i64, -0.0]],
+        )
+        .unwrap();
+        let built = b.project(&["x", "k"]).unwrap();
+        let projected = run_stage_projected(3, &b, &[2, 1]).unwrap();
+        assert_eq!(projected.payload, run_stage(3, Some(&built)).payload);
+        assert!(run_stage_projected(3, &b, &[7]).is_err());
+
+        let payload = result_chunk(3, &built, false).payload;
+        let mut chunk = decode_result_chunk(&payload).unwrap();
+        assert_eq!((chunk.stage, chunk.last, chunk.rows_left()), (3, false, 2));
+        let mut rows = Vec::new();
+        let mut vs = Vec::new();
+        while chunk.next_row(&mut vs).unwrap() {
+            rows.push(Row::new(vs.clone()));
+        }
+        assert_eq!(Relation::new(chunk.schema().clone(), rows).unwrap(), built);
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        let mut chunk = decode_result_chunk(&trailing).unwrap();
+        assert!(chunk.next_row(&mut vs).is_ok() && chunk.next_row(&mut vs).is_ok());
+        assert!(chunk.next_row(&mut vs).is_err(), "a trailing byte is refused");
     }
 
     const ARCHITECTURE: &str = include_str!("../../../docs/ARCHITECTURE.md");

@@ -18,7 +18,7 @@
 use crate::plan::{DistributedPlan, StageKind, Unit};
 use crate::protocol::{self, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
-use skalla_gmdj::eval::{eval_local_traced, finalize_physical, EvalOptions};
+use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
 use skalla_obs::{BusyTimer, Obs, Track};
@@ -130,30 +130,13 @@ fn execute_unit(
         }
         cur.project(&cols)
     } else {
-        // One operator: sub-aggregates, shipped as physical accumulators.
+        // One operator: K + the physical accumulators, the shape every
+        // sub-aggregate ships in, built straight from the kernel's states.
         debug_assert_eq!(unit.ops.len(), 1);
         let op = &plan.expr.ops[unit.ops.start];
-        let local = eval_local_traced(&b_frag, detail, op, eval, obs, site)?;
-        let shipped = if unit.site_reduce {
-            local.reduced()
-        } else {
-            local.physical
-        };
-        ship_projection(&shipped, &key, b_frag.schema().len())
+        let key_idx = b_frag.schema().indexes_of(&key)?;
+        eval_shipped(&b_frag, detail, op, &key_idx, unit.site_reduce, eval, obs, site)
     }
-}
-
-/// Project a unit's evaluated relation to K + the physical accumulator
-/// columns — the shape every sub-aggregate ships in.
-fn ship_projection(shipped: &Relation, key: &[&str], base_arity: usize) -> Result<Relation> {
-    let mut idx: Vec<usize> = Vec::with_capacity(key.len());
-    for k in key {
-        idx.push(shipped.schema().index_of(k)?);
-    }
-    idx.extend(base_arity..shipped.schema().len());
-    let schema = shipped.schema().project(&idx)?;
-    let rows = shipped.iter().map(|r| r.project(&idx)).collect();
-    Relation::new(schema, rows)
 }
 
 /// Target number of rows the sketch pass actually scans. Larger
@@ -422,7 +405,7 @@ fn query_worker(
                     Ok(rel) => {
                         task_span.arg("rows_out", rel.len());
                         task_span.finish();
-                        chunked_results(stage, &rel, chunk_rows)
+                        chunked_results(stage, rel, chunk_rows)
                     }
                     Err(e) => {
                         task_span.arg("error", e.to_string());
@@ -467,27 +450,27 @@ fn unexpected_tag() -> skalla_net::Message {
 }
 
 /// Split a stage result into row-blocked RESULT messages (one final
-/// message when chunking is off or the relation is small).
+/// message when chunking is off or the relation is small), moving its
+/// rows into the chunks.
 fn chunked_results(
     stage: u32,
-    rel: &Relation,
+    mut rel: Relation,
     chunk_rows: Option<usize>,
 ) -> Vec<skalla_net::Message> {
     match chunk_rows {
         Some(chunk) if rel.len() > chunk => {
             let schema = rel.schema_ref();
-            let chunks: Vec<&[skalla_relation::Row]> = rel.rows().chunks(chunk).collect();
-            let n = chunks.len();
-            chunks
-                .into_iter()
-                .enumerate()
-                .map(|(i, rows)| {
-                    let part = Relation::from_shared(Arc::clone(&schema), rows.to_vec());
-                    protocol::result_chunk(stage, &part, i + 1 == n)
+            let n = rel.len().div_ceil(chunk);
+            let mut rows = std::mem::take(rel.rows_mut()).into_iter();
+            (1..=n)
+                .map(|i| {
+                    let part = rows.by_ref().take(chunk).collect();
+                    let part = Relation::from_shared(Arc::clone(&schema), part);
+                    protocol::result_chunk(stage, &part, i == n)
                 })
                 .collect()
         }
-        _ => vec![protocol::result(stage, rel)],
+        _ => vec![protocol::result(stage, &rel)],
     }
 }
 

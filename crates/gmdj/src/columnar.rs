@@ -40,7 +40,7 @@
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use crate::agg::{AccLayout, AggFunc, AggSpec};
-use crate::eval::{drive, morsels, EvalOptions, LocalGmdj, MorselKernel, PreparedBlock};
+use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, LocalGmdj, MorselKernel};
 use crate::operator::Gmdj;
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
@@ -961,19 +961,22 @@ fn sum_loop<T: Copy>(
     }
 }
 
-/// Evaluate a GMDJ through the columnar kernel: base columns ⊕ the merged
-/// physical accumulators, one row per base tuple, plus the match flags.
+/// Evaluate a GMDJ through the columnar kernel: the base columns at `keep`
+/// ⊕ the merged physical accumulators, one row per base tuple (per matched
+/// one when `matched_only`), plus every base tuple's match flag.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_columnar(
     base: &Relation,
     detail: &Relation,
     gmdj: &Gmdj,
-    layout: &AccLayout,
-    blocks: &[PreparedBlock],
+    keep: &[usize],
+    matched_only: bool,
     opts: EvalOptions,
     obs: &Obs,
     site: usize,
 ) -> Result<LocalGmdj> {
+    let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
+    let schema = gmdj.physical_schema(&base.schema().project(keep)?, detail.schema())?;
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
 
     // Lower blocks: share canonical pairs between blocks with identical
@@ -1015,7 +1018,7 @@ pub(crate) fn eval_columnar(
     let kernel = ColKernel {
         base,
         detail,
-        layout,
+        layout: &layout,
         blocks: cblocks,
         pairs,
         morsel_rows,
@@ -1023,22 +1026,22 @@ pub(crate) fn eval_columnar(
     };
     let merged = drive(&kernel, opts, obs, site)?;
 
-    // Each physical row straight from the typed states: the base values,
-    // then the accumulator values in layout (global aggregate) order.
-    let rows = base
-        .iter()
-        .enumerate()
-        .map(|(pos, b)| {
-            let mut vs = Vec::with_capacity(b.len() + layout.width());
-            vs.extend_from_slice(b.values());
-            for st in &merged.aggs {
-                st.push_values(pos, &mut vs);
-            }
-            Row::new(vs)
-        })
-        .collect();
+    // Each row straight from the typed states: the kept base values, then
+    // the accumulator values in layout (global aggregate) order.
+    let mut rows = Vec::with_capacity(base.len());
+    for (pos, b) in base.iter().enumerate() {
+        if matched_only && !merged.matched[pos] {
+            continue;
+        }
+        let mut vs = Vec::with_capacity(keep.len() + layout.width());
+        vs.extend(keep.iter().map(|&c| b.get(c).clone()));
+        for st in &merged.aggs {
+            st.push_values(pos, &mut vs);
+        }
+        rows.push(Row::new(vs));
+    }
     Ok(LocalGmdj {
-        physical: Relation::new(gmdj.physical_schema(base.schema(), detail.schema())?, rows)?,
+        physical: Relation::from_shared(Arc::new(schema), rows),
         matched: merged.matched,
     })
 }

@@ -16,9 +16,11 @@
 //! count — float aggregates are bit-identical across `parallelism` values.
 //!
 //! [`eval_local`] produces *physical* (sub-aggregate) accumulators plus a
-//! per-group match flag — exactly what a warehouse site ships to the
-//! coordinator; [`eval_full`] additionally finalizes, for single-machine
-//! evaluation and as the test oracle.
+//! per-group match flag; [`eval_shipped`] builds exactly what a warehouse
+//! site ships to the coordinator for a merge unit — key columns and
+//! accumulators, matched groups only under site-side group reduction —
+//! straight from the kernel's states; [`eval_full`] additionally
+//! finalizes, for single-machine evaluation and as the test oracle.
 //!
 //! **One kernel, one reference.** [`eval_local`] always runs the
 //! vectorized kernel in [`crate::columnar`]. [`eval_local_rows`] is the
@@ -94,23 +96,6 @@ pub struct LocalGmdj {
     /// (`|RNG(b, Rᵢ, θ₁ ∨ … ∨ θ_m)| > 0` — the distribution-independent
     /// group-reduction test of Proposition 1.)
     pub matched: Vec<bool>,
-}
-
-impl LocalGmdj {
-    /// The physical rows whose group matched at least one detail tuple —
-    /// what a site ships when distribution-independent group reduction is
-    /// enabled.
-    pub fn reduced(&self) -> Relation {
-        let rows = self
-            .physical
-            .rows()
-            .iter()
-            .zip(&self.matched)
-            .filter(|(_, m)| **m)
-            .map(|(r, _)| r.clone())
-            .collect();
-        Relation::from_shared(self.physical.schema_ref(), rows)
-    }
 }
 
 pub(crate) struct PreparedBlock {
@@ -373,8 +358,28 @@ pub fn eval_local_traced(
     obs: &Obs,
     site: usize,
 ) -> Result<LocalGmdj> {
-    let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-    crate::columnar::eval_columnar(base, detail, gmdj, &layout, &blocks, opts, obs, site)
+    let all: Vec<usize> = (0..base.schema().len()).collect();
+    crate::columnar::eval_columnar(base, detail, gmdj, &all, false, opts, obs, site)
+}
+
+/// A merge unit's sub-result as a site ships it, built straight from the
+/// kernel's accumulator states: the base columns at `key`, then the
+/// physical accumulator columns, one row per base tuple in base order —
+/// or, with `reduce` (Prop 1's site-side group reduction), one per base
+/// tuple some detail tuple matched. Spans as [`eval_local_traced`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn eval_shipped(
+    base: &Relation,
+    detail: &Relation,
+    gmdj: &Gmdj,
+    key: &[usize],
+    reduce: bool,
+    opts: EvalOptions,
+    obs: &Obs,
+    site: usize,
+) -> Result<Relation> {
+    let local = crate::columnar::eval_columnar(base, detail, gmdj, key, reduce, opts, obs, site)?;
+    Ok(local.physical)
 }
 
 /// [`eval_local`] as one serial loop: the reference the test suites hold
@@ -744,13 +749,39 @@ mod tests {
     fn local_eval_matched_flags_and_reduction() {
         let local = local_both(&base(), &detail(), &simple_gmdj(), opts());
         assert_eq!(local.matched, vec![true, true, false]);
-        let reduced = local.reduced();
-        assert_eq!(reduced.len(), 2);
         // Physical schema carries the AVG decomposition.
         assert_eq!(
             local.physical.schema().column_names(),
             ["g", "cnt", "avg__sum", "avg__cnt"]
         );
+        // What a site ships: the key and accumulator columns of the
+        // physical rows — of the matched ones under reduction.
+        let b1 = full_both(&base(), &detail(), &simple_gmdj(), opts());
+        let g2 = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"])
+                .and(Expr::dcol("v").ge(Expr::bcol("avg")))
+                .build(),
+            vec![AggSpec::count("cnt2"), AggSpec::avg("v", "avg2")],
+        );
+        let local = local_both(&b1, &detail(), &g2, opts());
+        let keyed = local
+            .physical
+            .project(&["g", "cnt2", "avg2__sum", "avg2__cnt"])
+            .unwrap();
+        for reduce in [false, true] {
+            let shipped =
+                eval_shipped(&b1, &detail(), &g2, &[0], reduce, opts(), &Obs::disabled(), 0)
+                    .unwrap();
+            let want: Vec<&Row> = keyed
+                .iter()
+                .zip(&local.matched)
+                .filter(|(_, m)| **m || !reduce)
+                .map(|(r, _)| r)
+                .collect();
+            assert_eq!(shipped.schema(), keyed.schema());
+            assert_eq!(shipped.iter().collect::<Vec<_>>(), want, "reduce {reduce}");
+        }
+        assert_eq!(local.matched, vec![true, true, false]);
     }
 
     #[test]

@@ -127,6 +127,19 @@ impl Encoder {
             self.put_row(row);
         }
     }
+
+    /// Write the projection of `rel` onto the columns at `cols` as
+    /// [`Encoder::put_relation`] writes it, without building it.
+    pub fn put_relation_columns(&mut self, rel: &Relation, cols: &[usize]) -> Result<()> {
+        self.put_schema(&rel.schema().project(cols)?);
+        self.put_u32(rel.len() as u32);
+        for row in rel {
+            for &c in cols {
+                self.put_value(row.get(c));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A byte source with primitive readers.
@@ -205,10 +218,18 @@ impl<'a> Decoder<'a> {
         // Capacity capped by the bytes actually left, so a corrupt count
         // can't balloon the allocation before the decode fails.
         let mut vs = Vec::with_capacity(arity.min(self.remaining()));
-        for _ in 0..arity {
-            vs.push(self.get_value()?);
-        }
+        self.get_row_into(arity, &mut vs)?;
         Ok(Row::new(vs))
+    }
+
+    /// Read a row of `arity` values into `out`, replacing what it held: a
+    /// buffer the caller reuses, so a row allocates nothing of its own.
+    pub fn get_row_into(&mut self, arity: usize, out: &mut Vec<Value>) -> Result<()> {
+        out.clear();
+        for _ in 0..arity {
+            out.push(self.get_value()?);
+        }
+        Ok(())
     }
 
     /// Read a schema.

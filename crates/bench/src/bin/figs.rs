@@ -7,15 +7,16 @@
 //! figs [--quick] [--check] [--repeats N] [fig2|fig3|fig4|fig5 …]
 //! ```
 //!
-//! With no figure named, all four run. `--quick` uses smaller data;
-//! every point is the median of `--repeats` runs (default 3) by
-//! simulated time — traffic is deterministic, compute is not.
+//! With no figure named, all four run. `--quick` uses smaller data.
+//! Every point runs on in-process sites whose links are shaped to the
+//! paper's LAN ([`skalla_net::Link::lan`]); each of its times is the
+//! median of `--repeats` runs (default 3) of measured time — traffic is
+//! deterministic, time is not.
 
 use skalla_bench::harness::*;
 use skalla_bench::workloads::*;
-use skalla_core::{Cluster, OptFlags};
+use skalla_core::{OptFlags, Skalla};
 use skalla_gmdj::GmdjExpr;
-use skalla_net::CostModel;
 
 /// Sites of the scale-up experiment (Fig. 5).
 const SCALE_SITES: usize = 4;
@@ -39,16 +40,16 @@ impl Axis {
         }
     }
 
-    /// Each x with the cluster measured at it, built as it is reached.
-    fn points(self, scale: BenchScale) -> Box<dyn Iterator<Item = (usize, Cluster)>> {
+    /// Each x with the engine measured at it, built as it is reached.
+    fn points(self, scale: BenchScale) -> Box<dyn Iterator<Item = (usize, Skalla)>> {
         match self {
             Axis::Sites => {
                 let parts = tpcr_partitions(scale);
-                Box::new((1..=N_SITES).map(move |k| (k, cluster_of(&parts, k))))
+                Box::new((1..=N_SITES).map(move |k| (k, lan_engine(&parts, k))))
             }
             Axis::Scale { grow_groups } => Box::new((1..=4).map(move |f| {
                 let parts = tpcr_partitions(scale.scaled(f, grow_groups));
-                (f, cluster_of(&parts, SCALE_SITES))
+                (f, lan_engine(&parts, SCALE_SITES))
             })),
         }
     }
@@ -64,17 +65,18 @@ struct Panel {
 }
 
 /// A table a figure prints per panel: one metric across its series, or
-/// the last series' simulated time split into site compute, coordinator
-/// and communication (Fig. 5 right).
+/// the last series' wall time split into site compute, coordinator and
+/// communication (Fig. 5 right).
 #[derive(Clone, Copy)]
 enum Table {
     Metric(&'static str, fn(&Measurement) -> String),
     Breakdown,
 }
 
-const TIME: Table = Table::Metric("query evaluation time (simulated, LAN)", |m| {
-    fmt_secs(m.sim_total_s)
-});
+const TIME: Table = Table::Metric(
+    "query evaluation time (measured wall, emulated LAN)",
+    |m| fmt_secs(m.wall_s),
+);
 const BYTES: Table = Table::Metric("data transferred", |m| fmt_bytes(m.bytes));
 const BYTES_ROUNDS: Table = Table::Metric("data transferred / rounds", |m| {
     format!("{} ({} rounds)", fmt_bytes(m.bytes), m.rounds)
@@ -95,10 +97,10 @@ impl Table {
                 for (f, m) in &series[series.len() - 1].points {
                     println!(
                         "| {f:>5} | {:>12} | {:>11} | {:>13} | {:>5} |",
-                        fmt_secs(m.sim_site_s),
-                        fmt_secs(m.sim_coord_s),
-                        fmt_secs(m.sim_comm_s),
-                        fmt_secs(m.sim_total_s)
+                        fmt_secs(m.site_s),
+                        fmt_secs(m.coord_s),
+                        fmt_secs(m.wall_s - m.site_s - m.coord_s),
+                        fmt_secs(m.wall_s)
                     );
                 }
             }
@@ -381,8 +383,8 @@ fn check_fig4(panel: &Panel, s: &[Series]) -> Claims {
 fn check_fig5(panel: &Panel, s: &[Series]) -> Claims {
     let (none, all) = (&s[0], &s[1]);
     let regime = panel.title;
-    let mut claims: Claims = (none.ys(|m| m.sim_total_s).into_iter())
-        .zip(all.ys(|m| m.sim_total_s))
+    let mut claims: Claims = (none.ys(|m| m.wall_s).into_iter())
+        .zip(all.ys(|m| m.wall_s))
         .map(|(n, a)| {
             claim(
                 a < 0.8 * n,
@@ -392,7 +394,7 @@ fn check_fig5(panel: &Panel, s: &[Series]) -> Claims {
         .collect();
     // Wall-clock compute is noisy at small scales: bound the 1→4 ratio
     // loosely instead of fitting an exponent.
-    let site = all.ys(|m| m.sim_site_s);
+    let site = all.ys(|m| m.site_s);
     let ratio = site[site.len() - 1] / site[0].max(1e-9);
     claims.push(claim(
         (1.5..=16.0).contains(&ratio),
@@ -417,7 +419,6 @@ fn check_fig5(panel: &Panel, s: &[Series]) -> Claims {
 /// Every panel's series of one figure: per x, the median run of each
 /// variant on that x's cluster.
 fn measure(fig: &Figure, scale: BenchScale, repeats: usize) -> Vec<Vec<Series>> {
-    let cost = CostModel::lan();
     let measure_panel = |panel: &Panel| {
         let expr = (fig.query)(panel.card);
         let mut series: Vec<Series> = (fig.variants.iter())
@@ -426,9 +427,9 @@ fn measure(fig: &Figure, scale: BenchScale, repeats: usize) -> Vec<Vec<Series>> 
                 points: Vec::new(),
             })
             .collect();
-        for (x, cluster) in panel.axis.points(scale) {
+        for (x, engine) in panel.axis.points(scale) {
             for ((_, flags), s) in fig.variants.iter().zip(&mut series) {
-                let m = run_median(&cluster, &expr, flags(), &cost, repeats);
+                let m = run_median(&engine, &expr, flags(), repeats);
                 s.points.push((x, m));
             }
         }

@@ -1,22 +1,19 @@
 //! Measurement harness of the `figs` binary: run a (query, flags) pair
-//! on a cluster, collect the paper's metrics, print series tables, and
+//! on an engine, collect the paper's metrics, print series tables, and
 //! check curve shapes.
 
-use skalla_core::{Cluster, OptFlags, Planner};
+use skalla_core::{ExecStats, OptFlags, Planner, Skalla};
 use skalla_gmdj::GmdjExpr;
-use skalla_net::CostModel;
 
-/// One measured execution.
+/// One point's measurements.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Simulated evaluation time (compute + modeled wire time), seconds.
-    pub sim_total_s: f64,
-    /// Simulated per-round max site compute, summed (seconds).
-    pub sim_site_s: f64,
+    /// Wall time of the query, seconds.
+    pub wall_s: f64,
+    /// Per round, the slowest site's busy time, summed (seconds).
+    pub site_s: f64,
     /// Coordinator compute (seconds).
-    pub sim_coord_s: f64,
-    /// Modeled communication time (seconds).
-    pub sim_comm_s: f64,
+    pub coord_s: f64,
     /// Bytes moved, both directions.
     pub bytes: u64,
     /// Rows shipped down / up.
@@ -25,37 +22,31 @@ pub struct Measurement {
     pub rounds: usize,
 }
 
-/// Plan, then execute `repeats` times and keep the measurement with the
-/// median simulated time (compute measurements are noisy; traffic is
-/// deterministic).
-pub fn run_median(
-    cluster: &Cluster,
-    expr: &GmdjExpr,
-    flags: OptFlags,
-    cost: &CostModel,
-    repeats: usize,
-) -> Measurement {
-    let plan = Planner::new(cluster.distribution()).optimize(expr, flags);
-    let mut ms: Vec<Measurement> = (0..repeats.max(1))
-        .map(|_| {
-            let result = cluster
-                .execute(&plan)
-                .unwrap_or_else(|e| panic!("benchmark query failed: {e}\n{}", plan.explain()));
-            let stats = &result.stats;
-            let sim = stats.simulated(cost);
-            Measurement {
-                sim_total_s: sim.total_s(),
-                sim_site_s: sim.site_s,
-                sim_coord_s: sim.coord_s,
-                sim_comm_s: sim.comm_s,
-                bytes: stats.total_bytes(),
-                rows: stats.total_rows(),
-                rounds: stats.n_rounds(),
-            }
+/// Plan, then execute `repeats` times. Each timing is its own median
+/// over the runs, so one noisy run moves none of them; traffic is
+/// deterministic, the same in every run.
+pub fn run_median(engine: &Skalla, expr: &GmdjExpr, flags: OptFlags, repeats: usize) -> Measurement {
+    let plan = Planner::new(engine.distribution()).optimize(expr, flags);
+    let runs: Vec<ExecStats> = (0..repeats.max(1))
+        .map(|_| match engine.execute(&plan) {
+            Ok(out) => out.stats,
+            Err(e) => panic!("benchmark query failed: {e}\n{}", plan.explain()),
         })
         .collect();
-    ms.sort_by(|a, b| a.sim_total_s.total_cmp(&b.sim_total_s));
-    ms.swap_remove(ms.len() / 2)
+    let median = |time: fn(&ExecStats) -> f64| {
+        let mut ts: Vec<f64> = runs.iter().map(time).collect();
+        ts.sort_by(f64::total_cmp);
+        ts[ts.len() / 2]
+    };
+    let first = &runs[0];
+    Measurement {
+        wall_s: median(|s| s.wall_s),
+        site_s: median(|s| s.round_summaries().iter().map(|r| r.slowest_site_s).sum()),
+        coord_s: median(|s| s.stages.iter().map(|st| st.coord_s).sum()),
+        bytes: first.total_bytes(),
+        rows: first.total_rows(),
+        rounds: first.n_rounds(),
+    }
 }
 
 /// A labelled series of measurements over an x axis (sites or scale).

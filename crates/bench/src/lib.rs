@@ -16,7 +16,9 @@
 //! ```
 //!
 //! It accepts `--quick` (smaller data), `--check` (assert the paper's
-//! curve shapes) and `--repeats N`. Wall-clock is the ledger's job:
+//! curve shapes) and `--repeats N`, and times every point over links
+//! shaped to the paper's LAN. Wall-clock on the raw transports, end to
+//! end and per layer, is the ledger's job:
 //!
 //! ```text
 //! cargo run -p skalla-bench --release --bin e2e -- run

@@ -7,10 +7,11 @@
 //! Every test query computes a COUNT and an AVG per GMDJ operator, as in
 //! the paper.
 
-use skalla_core::Cluster;
+use skalla_core::{Cluster, Skalla};
 use skalla_datagen::partition::{observe_int_ranges, Partition};
 use skalla_datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla_gmdj::prelude::*;
+use skalla_net::Link;
 
 /// Number of warehouse sites in the speed-up experiments.
 pub const N_SITES: usize = 8;
@@ -57,10 +58,12 @@ impl BenchScale {
         }
     }
 
-    /// A fast setup for CI runs.
+    /// A fast setup for CI runs. Its traffic is small; its rows are
+    /// enough that site compute grows with them, which Fig. 5 checks,
+    /// rather than with per-query fixed costs.
     pub fn quick() -> BenchScale {
         BenchScale {
-            rows_per_site: 4_000,
+            rows_per_site: 16_000,
             customers: 1_280,
             seed: 2002,
         }
@@ -110,6 +113,18 @@ pub fn tpcr_partitions(scale: BenchScale) -> Vec<Partition> {
 /// data and groups grow with `k`).
 pub fn cluster_of(parts: &[Partition], k: usize) -> Cluster {
     Cluster::from_partitions("tpcr", parts[..k].to_vec())
+}
+
+/// An engine over the first `k` of the 8 fragments on the paper's LAN
+/// ([`Link::lan`], emulated) with its cache off, so that every run pays
+/// the network: what `figs` measures.
+pub fn lan_engine(parts: &[Partition], k: usize) -> Skalla {
+    Skalla::builder()
+        .partitions("tpcr", parts[..k].to_vec())
+        .link(Link::lan())
+        .cache_bytes(0)
+        .build()
+        .expect("an in-process engine over generated fragments builds")
 }
 
 /// The **group reduction query** (Fig. 2): two correlated GMDJs grouped on

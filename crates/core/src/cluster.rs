@@ -158,7 +158,7 @@ impl Cluster {
     pub fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let mut cfg = self.cfg.clone();
         cfg.cache_bytes = 0;
-        Skalla::start_local(self, cfg)?.execute(plan)
+        Skalla::start_local(self, cfg, None)?.execute(plan)
     }
 
     /// The ship-everything baseline: gather every referenced fragment at

@@ -413,7 +413,7 @@ pub(crate) fn finished_rounds(stats: &NetStats) -> Vec<skalla_net::RoundStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skalla_net::{star, Message};
+    use skalla_net::{star, Message, SiteTransport};
     use skalla_relation::{row, DataType};
     use std::time::Duration;
 

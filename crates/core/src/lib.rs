@@ -21,8 +21,7 @@
 //!   partition-attribute detection (Definition 2).
 //! * [`coordinator`] — the base-result structure, the Theorem 1
 //!   synchronization, and the stage loop that drives them.
-//! * [`stats`] — per-round traffic/compute measurements and the simulated
-//!   cost breakdown.
+//! * [`stats`] — per-round traffic/compute measurements.
 //! * [`cache`] — the semantic result cache: canonical plan fingerprints,
 //!   partition epochs, prefix-snapshot reuse, and in-flight coalescing
 //!   behind the [`warehouse::Warehouse`] API.
@@ -56,5 +55,5 @@ pub use plan_codec::{decode_plan, encode_plan};
 pub use remote::SiteServer;
 pub use scheduler::{AdmissionError, QueryId, QueryScheduler, SchedulerConfig};
 pub use skew::{plan_routing, skew_eligible, HotReport, SkewPlan, SkewSpec};
-pub use stats::{ExecStats, QueryResult, RoundSummary, SimBreakdown, StageTimes};
+pub use stats::{ExecStats, QueryResult, RoundSummary, StageTimes};
 pub use warehouse::{EngineConfig, Skalla, SkallaBuilder, Warehouse};

@@ -2,11 +2,9 @@
 //!
 //! Every query execution reports, per synchronization round: site busy
 //! times, coordinator time, and rows/bytes shipped each way — the raw
-//! series behind each figure of the paper. [`ExecStats::simulated`]
-//! combines measured compute with the [`CostModel`]'s wire time into the
-//! site/coordinator/communication breakdown of Figure 5 (right).
+//! series behind each figure of the paper.
 
-use skalla_net::{CostModel, RoundStats};
+use skalla_net::RoundStats;
 use skalla_relation::Relation;
 
 /// Per-round measurements taken by the coordinator.
@@ -22,24 +20,6 @@ pub struct StageTimes {
     pub rows_down: u64,
     /// Result rows shipped sites → coordinator (total).
     pub rows_up: u64,
-}
-
-/// The simulated breakdown of a query's evaluation time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimBreakdown {
-    /// Site computation (per round, the slowest participating site).
-    pub site_s: f64,
-    /// Coordinator computation.
-    pub coord_s: f64,
-    /// Communication (from the cost model over recorded traffic).
-    pub comm_s: f64,
-}
-
-impl SimBreakdown {
-    /// Total simulated evaluation time.
-    pub fn total_s(&self) -> f64 {
-        self.site_s + self.coord_s + self.comm_s
-    }
 }
 
 /// Statistics for one distributed query execution.
@@ -112,24 +92,6 @@ impl ExecStats {
     /// sites (see [`ExecStats::cache_hit`]).
     pub fn is_cache_hit(&self) -> bool {
         self.net.is_empty() && self.stages.iter().any(|s| s.label == "cache")
-    }
-
-    /// Simulated evaluation-time breakdown under a cost model. Site time
-    /// counts the slowest site per round (sites run in parallel; the
-    /// coordinator barriers each round).
-    pub fn simulated(&self, cost: &CostModel) -> SimBreakdown {
-        let site_s = self
-            .stages
-            .iter()
-            .map(|s| s.site_busy_s.iter().cloned().fold(0.0, f64::max))
-            .sum();
-        let coord_s = self.stages.iter().map(|s| s.coord_s).sum();
-        let comm_s = self.net.iter().map(|r| cost.round_time_s(r)).sum();
-        SimBreakdown {
-            site_s,
-            coord_s,
-            comm_s,
-        }
     }
 }
 
@@ -399,19 +361,5 @@ mod tests {
             Some(0.3)
         );
         assert_eq!(rounds[1].get("rows_down").and_then(|j| j.as_u64()), Some(200));
-    }
-
-    #[test]
-    fn simulated_breakdown_takes_max_site_per_round() {
-        let s = stats();
-        let model = CostModel {
-            latency_s: 0.0,
-            bandwidth_bytes_per_s: 1000.0,
-        };
-        let sim = s.simulated(&model);
-        assert!((sim.site_s - 0.5).abs() < 1e-12); // 0.3 + 0.2
-        assert!((sim.coord_s - 0.1).abs() < 1e-12);
-        assert!((sim.comm_s - 4.0).abs() < 1e-12);
-        assert!((sim.total_s() - 4.6).abs() < 1e-12);
     }
 }

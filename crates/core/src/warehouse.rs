@@ -66,7 +66,10 @@ use crate::scheduler::{QueryScheduler, SchedulerConfig};
 use crate::site::site_session_loop;
 use crate::stats::{ExecStats, QueryResult, StageTimes};
 use skalla_gmdj::eval::EvalOptions;
-use skalla_net::{star, CoordinatorTransport, QueryMux, TcpConfig, TcpCoordinator};
+use skalla_net::{
+    shaped_star, star, CoordinatorTransport, Link, QueryMux, SiteTransport, TcpConfig,
+    TcpCoordinator,
+};
 use skalla_obs::{Obs, Track};
 use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
@@ -188,6 +191,7 @@ enum BackendSpec {
 pub struct SkallaBuilder {
     cfg: EngineConfig,
     backend: BackendSpec,
+    link: Option<Link>,
 }
 
 impl SkallaBuilder {
@@ -287,6 +291,14 @@ impl SkallaBuilder {
         self
     }
 
+    /// Shape the in-process sites' links to `link`
+    /// ([`skalla_net::shaped`]), so wall time is that network's; results
+    /// and traffic are unchanged. `build` rejects it with `remote` sites.
+    pub fn link(mut self, link: Link) -> SkallaBuilder {
+        self.link = Some(link);
+        self
+    }
+
     /// Stand the engine up: spawn the site threads (local) or dial the
     /// sites and run the versioned catalog handshake (remote), start
     /// the query multiplexer, and return the ready engine.
@@ -297,7 +309,11 @@ impl SkallaBuilder {
                  (call partitions() or remote())"
                     .into(),
             )),
-            BackendSpec::Local(cluster) => Skalla::start_local(&cluster, self.cfg),
+            BackendSpec::Local(cluster) => Skalla::start_local(&cluster, self.cfg, self.link),
+            BackendSpec::Remote { .. } if self.link.is_some() => Err(Error::Execution(
+                "SkallaBuilder: link() shapes in-process sites; remote sites have a real network"
+                    .into(),
+            )),
             BackendSpec::Remote { addrs, tcp } => {
                 if addrs.is_empty() {
                     return Err(Error::Execution("a cluster needs at least one site".into()));
@@ -359,27 +375,42 @@ impl Skalla {
         SkallaBuilder {
             cfg: EngineConfig::default(),
             backend: BackendSpec::Unset,
+            link: None,
         }
     }
 
     /// An engine over in-process sites serving `cluster`'s partitions:
     /// one [`site_session_loop`] thread per site on the channel
-    /// transport.
-    pub(crate) fn start_local(cluster: &Cluster, cfg: EngineConfig) -> Result<Skalla> {
+    /// transport, its links shaped to `link` when one is given.
+    pub(crate) fn start_local(
+        cluster: &Cluster,
+        cfg: EngineConfig,
+        link: Option<Link>,
+    ) -> Result<Skalla> {
         let n = cluster.n_sites();
-        let (coord, site_nets) = star(n);
+        type Site = Arc<dyn SiteTransport + Sync>;
+        let (coord, site_nets): (Arc<dyn CoordinatorTransport + Sync>, Vec<Site>) = match link {
+            None => {
+                let (coord, sites) = star(n);
+                (Arc::new(coord), sites.into_iter().map(|s| Arc::new(s) as Site).collect())
+            }
+            Some(link) => {
+                let (coord, sites) = shaped_star(n, link);
+                (Arc::new(coord), sites.into_iter().map(|s| Arc::new(s) as Site).collect())
+            }
+        };
         let mut site_threads = Vec::with_capacity(n);
-        for site_net in site_nets {
-            let catalog = cluster.site_catalog_shared(site_net.site_id());
+        for (site, site_net) in site_nets.into_iter().enumerate() {
+            let catalog = cluster.site_catalog_shared(site);
             let obs = cfg.obs.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("skalla-site-{}", site_net.site_id()))
+                .name(format!("skalla-site-{site}"))
                 .spawn(move || {
                     // In-process sites share the coordinator's recorder,
                     // so they must not export obs deltas (importing them
                     // would duplicate every span); busy times still
                     // travel in each stage's telemetry frame.
-                    site_session_loop(&catalog, Arc::new(site_net), false, &obs)
+                    site_session_loop(&catalog, site_net, false, &obs)
                 })
                 .map_err(|e| Error::Execution(format!("spawning site thread: {e}")))?;
             site_threads.push(handle);
@@ -387,7 +418,7 @@ impl Skalla {
         Skalla::over(
             cluster.distribution(),
             cluster.site_catalog_shared(0),
-            Arc::new(coord),
+            coord,
             site_threads,
             cfg,
         )
@@ -933,6 +964,12 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("at least one site"), "{err}");
+        let err = Skalla::builder()
+            .remote(&["127.0.0.1:1".to_string()], TcpConfig::default())
+            .link(Link::lan())
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("link() shapes in-process sites"), "{err}");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! zero configuration, fully deterministic, and the byte accounting is
 //! identical to the [`crate::tcp`] transport because both record at the
 //! logical payload layer (see [`crate::transport`]). This is the
-//! transport the tests, benchmarks and figure harnesses use; the TCP
-//! transport is for real multi-process deployments.
+//! transport the tests and benchmarks use, and, shaped to the paper's
+//! LAN by [`crate::shaped`], the figure harness; the TCP transport is for
+//! real multi-process deployments.
 
 use crate::lock;
 use crate::stats::{Direction, NetStats};
@@ -26,59 +27,30 @@ pub struct CoordinatorNet {
     stats: Arc<NetStats>,
 }
 
-impl CoordinatorNet {
-    /// Number of sites.
-    pub fn n_sites(&self) -> usize {
+/// Telemetry frames bypass the byte accounting (see
+/// [`crate::transport::TELEMETRY_TAG`]).
+impl CoordinatorTransport for CoordinatorNet {
+    fn n_sites(&self) -> usize {
         self.to_sites.len()
     }
 
-    /// The shared traffic accounting.
-    pub fn stats(&self) -> &Arc<NetStats> {
+    fn stats(&self) -> &Arc<NetStats> {
         &self.stats
     }
 
-    /// Send a message to one site. Telemetry frames bypass the byte
-    /// accounting (see [`crate::transport::TELEMETRY_TAG`]).
-    pub fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
+    fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(site, Direction::Down, &msg);
         self.to_sites[site]
             .send(msg)
             .map_err(|_| NetError::Disconnected)
     }
 
-    /// Send copies of a message to every site.
-    pub fn broadcast(&self, msg: &Message) -> Result<(), NetError> {
-        for site in 0..self.n_sites() {
-            self.send(site, msg.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Receive the next message from any site (blocking, with timeout).
-    pub fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
+    fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
         match lock(&self.from_sites).recv_timeout(timeout) {
             Ok(m) => Ok(m),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
-    }
-}
-
-impl CoordinatorTransport for CoordinatorNet {
-    fn n_sites(&self) -> usize {
-        CoordinatorNet::n_sites(self)
-    }
-
-    fn stats(&self) -> &Arc<NetStats> {
-        CoordinatorNet::stats(self)
-    }
-
-    fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
-        CoordinatorNet::send(self, site, msg)
-    }
-
-    fn recv(&self, timeout: Duration) -> Result<(usize, Message), NetError> {
-        CoordinatorNet::recv(self, timeout)
     }
 }
 
@@ -91,38 +63,22 @@ pub struct SiteNet {
     stats: Arc<NetStats>,
 }
 
-impl SiteNet {
-    /// This site's index.
-    pub fn site_id(&self) -> usize {
+/// Telemetry frames bypass the byte accounting (see
+/// [`crate::transport::TELEMETRY_TAG`]); `recv` blocks with no timeout.
+impl SiteTransport for SiteNet {
+    fn site_id(&self) -> usize {
         self.site_id
     }
 
-    /// Send a message to the coordinator. Telemetry frames bypass the
-    /// byte accounting (see [`crate::transport::TELEMETRY_TAG`]).
-    pub fn send(&self, msg: Message) -> Result<(), NetError> {
+    fn send(&self, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(self.site_id, Direction::Up, &msg);
         self.tx
             .send((self.site_id, msg))
             .map_err(|_| NetError::Disconnected)
     }
 
-    /// Receive the next message from the coordinator (blocking).
-    pub fn recv(&self) -> Result<Message, NetError> {
-        lock(&self.rx).recv().map_err(|_| NetError::Disconnected)
-    }
-}
-
-impl SiteTransport for SiteNet {
-    fn site_id(&self) -> usize {
-        SiteNet::site_id(self)
-    }
-
-    fn send(&self, msg: Message) -> Result<(), NetError> {
-        SiteNet::send(self, msg)
-    }
-
     fn recv(&self) -> Result<Message, NetError> {
-        SiteNet::recv(self)
+        lock(&self.rx).recv().map_err(|_| NetError::Disconnected)
     }
 }
 
@@ -285,24 +241,5 @@ mod tests {
         // The frames still arrive.
         assert_eq!(sites[0].recv().unwrap().tag, TELEMETRY_TAG);
         assert_eq!(coord.recv(Duration::from_secs(5)).unwrap().1.tag, TELEMETRY_TAG);
-    }
-
-    #[test]
-    fn recv_times_out() {
-        let (coord, _sites) = star(1);
-        assert_eq!(
-            coord.recv(Duration::from_millis(10)).unwrap_err(),
-            NetError::Timeout
-        );
-    }
-
-    #[test]
-    fn disconnected_site_detected() {
-        let (coord, sites) = star(1);
-        drop(sites);
-        assert_eq!(
-            coord.send(0, Message::new(0, vec![])).unwrap_err(),
-            NetError::Disconnected
-        );
     }
 }

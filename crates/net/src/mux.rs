@@ -244,6 +244,7 @@ mod tests {
     use super::*;
     use crate::channel::star;
     use crate::stats::MESSAGE_OVERHEAD_BYTES;
+    use crate::transport::SiteTransport;
 
     #[test]
     fn routes_frames_by_query_id() {

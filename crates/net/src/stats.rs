@@ -226,14 +226,6 @@ impl NetStats {
         }
         t
     }
-
-    /// Number of rounds that saw any traffic.
-    pub fn active_rounds(&self) -> usize {
-        lock(&self.rounds)
-            .iter()
-            .filter(|r| r.totals().total_bytes() > 0)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -271,13 +263,5 @@ mod tests {
         assert_eq!(t.down_msgs, 2);
         assert_eq!(t.up_msgs, 1);
         assert_eq!(t.total_bytes(), t.down_bytes + t.up_bytes);
-        assert_eq!(s.active_rounds(), 2);
-    }
-
-    #[test]
-    fn empty_rounds_not_active() {
-        let s = NetStats::new(1);
-        s.begin_round("empty");
-        assert_eq!(s.active_rounds(), 0);
     }
 }

@@ -12,7 +12,6 @@ use skalla::core::{plan::Planner, Cluster, OptFlags, Skalla};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::partition_by_int_ranges;
 use skalla::gmdj::prelude::*;
-use skalla::net::CostModel;
 
 fn main() {
     // 1. Data: 20,000 flows across 4 router sites, partitioned on source_as.
@@ -86,14 +85,6 @@ fn main() {
     println!("rounds:        {}", stats.n_rounds());
     println!("bytes moved:   {} down / {} up", stats.bytes_down(), stats.bytes_up());
     println!("rows moved:    {rows_down} down / {rows_up} up (detail rows shipped: 0)");
-    let sim = stats.simulated(&CostModel::wan());
-    println!(
-        "simulated time (WAN): {:.3}s = site {:.3}s + coordinator {:.3}s + network {:.3}s",
-        sim.total_s(),
-        sim.site_s,
-        sim.coord_s,
-        sim.comm_s
-    );
 
     // 5. Contrast with the ship-everything baseline the paper argues
     //    against. The centralized evaluator is a measurement harness, not

@@ -17,7 +17,6 @@ use skalla::core::{Cluster, EngineConfig, OptFlags, Planner, SiteServer, Skalla,
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::{observe_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
-use skalla::net::CostModel;
 use skalla::net::TcpConfig;
 use skalla::obs::chrome::{metrics_snapshot, write_chrome_trace};
 use skalla::obs::json::{self, Json};
@@ -474,7 +473,6 @@ fn cmd_run(args: &[String], execute: bool) -> Result<(), String> {
 
     let stats = &out.stats;
     let (down, up) = stats.total_rows();
-    let sim = stats.simulated(&CostModel::lan());
     println!("\n=== execution ===");
     println!("rounds:          {}", stats.n_rounds());
     println!(
@@ -483,13 +481,6 @@ fn cmd_run(args: &[String], execute: bool) -> Result<(), String> {
         stats.bytes_up()
     );
     println!("group rows:      {down} down / {up} up (detail rows shipped: 0)");
-    println!(
-        "simulated (LAN): {:.4}s = site {:.4} + coordinator {:.4} + network {:.4}",
-        sim.total_s(),
-        sim.site_s,
-        sim.coord_s,
-        sim.comm_s
-    );
     println!("wall clock:      {:.4}s", stats.wall_s);
     if concurrency > 1 {
         let serial_sum: f64 = results.iter().map(|r| r.stats.wall_s).sum();

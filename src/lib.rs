@@ -17,7 +17,8 @@
 //! * [`relation`] — relational substrate: values, schemas, relations,
 //!   expressions, interval analysis, binary codec.
 //! * [`gmdj`] — the GMDJ operator algebra and the centralized evaluator.
-//! * [`net`] — simulated network transport with exact byte accounting.
+//! * [`net`] — coordinator/site transports (in-process channels, an
+//!   emulated LAN over them, TCP) with exact byte accounting.
 //! * [`obs`] — dependency-free span/event/metric recorder with
 //!   Chrome-trace (Perfetto) export, wired through the planner, the
 //!   cluster runtime, and the transport.

@@ -13,7 +13,7 @@ use skalla::core::protocol;
 use skalla::core::site::site_session_loop;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
-use skalla::net::{star, Message, TcpConfig, TcpSiteListener};
+use skalla::net::{star, CoordinatorTransport, Message, TcpConfig, TcpSiteListener};
 use skalla::obs::Obs;
 use skalla::relation::{row, DataType, DomainMap, Relation, Schema};
 use std::collections::HashMap;

@@ -6,8 +6,9 @@
 //! loopback multi-process run of the paper's Fig. 2 workload must
 //! produce the same result relation AND byte-for-byte identical
 //! [`RoundStats`] — same rounds, same per-site byte/message counts — as
-//! the threaded in-process run. These tests pin that invariant between
-//! a local-backend and a remote-backend engine, plus the failure mode: a
+//! the threaded in-process run, and so must the in-process run over
+//! links shaped to the paper's LAN. These tests pin that invariant
+//! between local-backend and remote-backend engines, plus the failure mode: a
 //! site dying mid-round surfaces as a clean disconnect error, not a
 //! hang.
 
@@ -15,7 +16,7 @@ use skalla::core::{protocol, EngineConfig, OptFlags, Planner, SiteServer, Skalla
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
-use skalla::net::{SiteTransport, TcpConfig, TcpSiteListener};
+use skalla::net::{Link, SiteTransport, TcpConfig, TcpSiteListener};
 use skalla::relation::Relation;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,6 +140,27 @@ fn loopback_tcp_matches_channel_transport_exactly() {
             }
         }
     }
+
+    // The same sites over links shaped to the paper's LAN: the same
+    // bits and the same traffic, and every round pays a latency each way.
+    let lan = Link::lan();
+    let shaped = Skalla::builder()
+        .partitions("tpcr", parts.to_vec())
+        .link(lan)
+        .build()
+        .unwrap();
+    let shaped_out = shaped.execute(&plan).unwrap();
+    assert_eq!(
+        canonical(&shaped_out.relation),
+        canonical(&local_out.relation)
+    );
+    assert_eq!(shaped_out.stats.net, local_out.stats.net);
+    let floor = 2.0 * lan.latency.as_secs_f64() * shaped_out.stats.n_rounds() as f64;
+    assert!(
+        shaped_out.stats.wall_s >= floor,
+        "wall {} s under {floor} s",
+        shaped_out.stats.wall_s
+    );
 }
 
 #[test]

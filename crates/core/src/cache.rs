@@ -1,50 +1,44 @@
-//! The semantic sub-aggregate cache behind the [`crate::Warehouse`] API.
+//! The semantic result cache behind the [`crate::Warehouse`] API.
 //!
-//! The paper's GMDJ decomposition makes round results the natural unit
-//! of reuse: every synchronization round produces a finalized base
-//! structure `B_j` (the sub-aggregates of stages `0..=j` merged and
-//! finalized at the coordinator), and `B_j` is exactly the input the
-//! next stage ships back out. A dashboard workload re-requests the same
-//! plans over and over, so the concurrent engine keeps those structures
-//! in a [`SemanticCache`]:
-//!
-//! * **Full-result hits** — a plan whose fingerprint (all stages) is
-//!   cached is answered without contacting a single site.
-//! * **Prefix hits** — a plan sharing only a *prefix* of stages with a
-//!   cached query resumes from the cached `B_j` snapshot: stages
-//!   `0..=j` are skipped (their rounds stay in the stats with zero
-//!   traffic) and execution starts at stage `j+1`. Sites evaluate each
-//!   stage statelessly from the shipped fragment, so resuming is safe
-//!   by construction.
-//! * **In-flight coalescing** — concurrent identical queries (the `run
-//!   --concurrency` shape) elect a leader; followers block on the
-//!   leader's [`InFlight`] cell and are served its result, so the sites
-//!   are contacted once per distinct plan, not once per submission.
+//! A dashboard workload re-requests the same plans over and over, so the
+//! concurrent engine keeps finished query answers in a
+//! [`SemanticCache`]: a plan whose fingerprint is cached is answered
+//! without contacting a single site. The coordinator keeps each round's
+//! synchronized base structure `B_j` only until the next round ships it;
+//! the cache holds answers, never stage snapshots.
 //!
 //! ## Fingerprints and epochs
 //!
 //! A [`Fingerprint`] is a canonical, structural 128-bit hash of a
-//! [`DistributedPlan`] prefix. Canonicalization erases every
-//! presentation detail that cannot change the result bits: stage labels
-//! and planner notes are cleared, `ship_columns` are sorted (sites
-//! address fragment columns by name), and θ conjunctions are flattened
-//! and sorted (boolean ∧ is commutative and associative). Everything
-//! that *can* change the bits stays in the hash: the base query and its
-//! column order, the key, every operator's θ/aggregate list (names
-//! included — they are the output schema), the stage/unit structure,
-//! and [`EvalOptions::morsel_rows`] (the one kernel knob the output
-//! bits depend on; the thread count is bit-identical by the engine's
-//! invariants and deliberately excluded).
+//! [`DistributedPlan`]. Canonicalization erases every presentation
+//! detail that cannot change the result bits: stage labels are cleared,
+//! `ship_columns` are sorted (sites address fragment columns by name),
+//! and θ conjunctions are flattened and sorted (boolean ∧ is commutative
+//! and associative). Everything that *can* change the bits stays in the
+//! hash: the base query and its column order, the key, every operator's
+//! θ/aggregate list (names included — they are the output schema), the
+//! stage/unit structure, and [`EvalOptions::morsel_rows`] (the one
+//! kernel knob the output bits depend on; the thread count is
+//! bit-identical by the engine's invariants and deliberately excluded).
 //!
-//! Every cache key also carries the **partition epoch** at lookup time.
-//! Any catalog or partition mutation bumps the epoch
-//! ([`SemanticCache::bump_epoch`]), which makes every existing entry
-//! unreachable — stale hits are impossible by construction, not by
-//! invalidation bookkeeping.
+//! Every cache key also carries the **partition epoch**. Any catalog or
+//! partition mutation bumps the epoch ([`SemanticCache::bump_epoch`]),
+//! which makes every existing slot unreachable — stale hits are
+//! impossible by construction, not by invalidation bookkeeping.
 //!
-//! Entries live in an LRU keyed store with a byte budget
-//! ([`SemanticCache::new`]); `cache.hits/misses/rollups/bytes` are
-//! exported as obs counters by the engine.
+//! ## One slot per fingerprint
+//!
+//! Each (fingerprint, epoch) key has at most one slot, *running* or
+//! *ready*, and [`SemanticCache::claim`] reads and takes it under the
+//! cache's one lock: a ready answer is a hit; a running slot makes the
+//! caller a follower that blocks on the leader's [`InFlight`] cell, so
+//! concurrent identical queries (the `run --concurrency` shape) contact
+//! the sites once; an empty slot makes the caller its leader. The
+//! leader's [`LeaderToken`] publishes the answer to the followers and
+//! stores it under the epoch it claimed, in one step. Ready answers are
+//! evicted least-recently-used past a byte budget
+//! ([`SemanticCache::new`]); `cache.hits/misses/coalesced/rollups/bytes`
+//! are exported as obs counters by the engine.
 
 use crate::plan::{DistributedPlan, SiteFilter, Stage, StageKind, Unit};
 use crate::plan_codec::encode_plan;
@@ -151,7 +145,7 @@ fn canonical_gmdj(g: &Gmdj) -> Gmdj {
 }
 
 /// The canonical form of the first `n_stages` stages of a plan: labels
-/// and notes cleared, θs canonicalized, ship columns sorted, and the
+/// cleared, θs canonicalized, ship columns sorted, and the
 /// operator list truncated to what those stages reference — so two
 /// plans sharing a stage prefix share the prefix's canonical bytes even
 /// when their suffixes differ.
@@ -182,7 +176,6 @@ fn canonical_prefix_plan(plan: &DistributedPlan, n_stages: usize) -> Distributed
         },
         key: plan.key.clone(),
         stages,
-        notes: Vec::new(),
     }
 }
 
@@ -205,8 +198,9 @@ fn fingerprint_prefix(plan: &DistributedPlan, eval: &EvalOptions, n_stages: usiz
 }
 
 /// One fingerprint per stage prefix: index `j` covers stages `0..=j`,
-/// so the last entry is the full-plan fingerprint and entry `j` keys
-/// the synchronized base structure `B` after stage `j`.
+/// so the last entry is [`plan_fingerprint`]. The engine keys answers by
+/// the full-plan fingerprint alone; the prefixes measure how the hash
+/// scales with plan length.
 pub fn plan_fingerprints(plan: &DistributedPlan, eval: &EvalOptions) -> Vec<Fingerprint> {
     (1..=plan.stages.len())
         .map(|n| fingerprint_prefix(plan, eval, n))
@@ -214,7 +208,7 @@ pub fn plan_fingerprints(plan: &DistributedPlan, eval: &EvalOptions) -> Vec<Fing
 }
 
 /// The full-plan fingerprint (all stages) — the key a finished query
-/// result is cached and looked up under.
+/// answer is cached under.
 pub fn plan_fingerprint(plan: &DistributedPlan, eval: &EvalOptions) -> Fingerprint {
     fingerprint_prefix(plan, eval, plan.stages.len())
 }
@@ -223,26 +217,23 @@ pub fn plan_fingerprint(plan: &DistributedPlan, eval: &EvalOptions) -> Fingerpri
 /// [`SemanticCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Queries answered entirely from a cached full result.
+    /// Queries answered entirely from a cached answer.
     pub hits: u64,
-    /// Queries that had to execute (fully, or resuming from a prefix).
+    /// Queries that had to execute.
     pub misses: u64,
-    /// Queries served by coalescing onto an identical in-flight query.
+    /// Queries served by coalescing onto an identical running query.
     pub coalesced: u64,
-    /// Executing queries that resumed from a cached stage prefix.
-    pub prefix_hits: u64,
     /// Cube grouping sets served by local roll-up instead of execution.
     pub rollups: u64,
     /// Encoded bytes currently held (≤ the byte budget).
     pub bytes: u64,
-    /// Entries currently held.
+    /// Answers currently held.
     pub entries: u64,
     /// The current partition epoch.
     pub epoch: u64,
 }
 
-/// One cached relation: a synchronized base structure (prefix snapshot)
-/// or a finished query result (full-plan key).
+/// A finished answer held by the cache.
 struct Entry {
     relation: Relation,
     bytes: usize,
@@ -250,16 +241,45 @@ struct Entry {
     stamp: u64,
 }
 
+/// The one slot a (fingerprint, epoch) key has: the query is running
+/// under a leader, or its answer is ready.
+enum Slot {
+    Running(Arc<InFlight>),
+    Ready(Entry),
+}
+
+type Key = (Fingerprint, u64);
+
 #[derive(Default)]
 struct Store {
-    map: HashMap<(Fingerprint, u64), Entry>,
+    slots: HashMap<Key, Slot>,
+    epoch: u64,
     clock: u64,
+    /// Encoded bytes of the ready slots.
     bytes: usize,
 }
 
-/// The synchronization cell an in-flight leader publishes its result
-/// through; followers of the same fingerprint block on it instead of
-/// executing.
+impl Store {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The ready answer under `key`, its LRU stamp refreshed.
+    fn touch(&mut self, key: Key) -> Option<Relation> {
+        let stamp = self.tick();
+        match self.slots.get_mut(&key) {
+            Some(Slot::Ready(e)) => {
+                e.stamp = stamp;
+                Some(e.relation.clone())
+            }
+            Some(Slot::Running(_)) | None => None,
+        }
+    }
+}
+
+/// The cell a running slot's leader publishes its answer through;
+/// followers of the same key block on it instead of executing.
 pub struct InFlight {
     state: Mutex<FlightState>,
     done: Condvar,
@@ -274,46 +294,23 @@ enum FlightState {
 }
 
 impl InFlight {
-    fn new() -> InFlight {
-        InFlight {
-            state: Mutex::new(FlightState::Running),
-            done: Condvar::new(),
-        }
-    }
-
     /// Block until the leader finishes (or `timeout` expires). `Some`
-    /// is the leader's bit-identical result; `None` means the leader
+    /// is the leader's bit-identical answer; `None` means the leader
     /// failed or the wait timed out — execute the query yourself.
     pub fn wait(&self, timeout: Duration) -> Option<Relation> {
-        let mut state = locked(&self.state);
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            match &*state {
-                FlightState::Done(rel) => return Some(rel.clone()),
-                FlightState::Failed => return None,
-                FlightState::Running => {}
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            #[expect(clippy::expect_used, reason = "poisoned only if a holder panicked")]
-            let (next, timed_out) = self
-                .done
-                .wait_timeout(state, remaining)
-                .expect("in-flight lock");
-            state = next;
-            if timed_out.timed_out() {
-                if let FlightState::Done(rel) = &*state {
-                    return Some(rel.clone());
-                }
-                return None;
-            }
+        #[expect(clippy::expect_used, reason = "poisoned only if a holder panicked")]
+        let (state, _) = self
+            .done
+            .wait_timeout_while(locked(&self.state), timeout, |s| {
+                matches!(s, FlightState::Running)
+            })
+            .expect("in-flight lock");
+        match &*state {
+            FlightState::Done(rel) => Some(rel.clone()),
+            FlightState::Running | FlightState::Failed => None,
         }
     }
 }
-
-type InFlightMap = Mutex<HashMap<(Fingerprint, u64), Arc<InFlight>>>;
 
 /// Lock one of the cache's mutexes.
 #[expect(clippy::expect_used, reason = "poisoned only if a holder panicked")]
@@ -321,68 +318,76 @@ fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().expect("cache lock")
 }
 
-/// The leader's obligation: publish the result (or failure) to the
-/// followers and retire the in-flight registration. Dropping the token
-/// without [`LeaderToken::finish`] publishes a failure, so followers
-/// can never deadlock on a leader that errored out.
-pub struct LeaderToken {
-    key: (Fingerprint, u64),
+/// The leader's obligation: publish the answer (or failure) to the
+/// followers and settle its slot. Dropping the token without
+/// [`LeaderToken::finish`] publishes a failure and frees the slot, so
+/// followers can never deadlock on a leader that errored out.
+pub struct LeaderToken<'a> {
+    cache: &'a SemanticCache,
+    key: Key,
     flight: Arc<InFlight>,
-    registry: Arc<InFlightMap>,
-    finished: bool,
+    settled: bool,
 }
 
-impl LeaderToken {
-    /// Publish the leader's outcome: `Some` serves every follower the
-    /// bit-identical relation; `None` wakes them to execute themselves.
-    pub fn finish(mut self, result: Option<&Relation>) {
-        self.publish(result);
-        self.finished = true;
+impl LeaderToken<'_> {
+    /// Serve every follower the bit-identical `answer` and, in the same
+    /// step, store it under the epoch this token claimed — unless an
+    /// epoch bump has dropped the slot since, when nothing is stored.
+    pub fn finish(mut self, answer: &Relation) {
+        self.settle(Some(answer));
     }
 
-    fn publish(&self, result: Option<&Relation>) {
-        {
-            let mut state = locked(&self.flight.state);
-            *state = match result {
+    /// Runs from `drop` too, so a poisoned lock (a holder panicked) is
+    /// skipped rather than unwrapped.
+    fn settle(&mut self, answer: Option<&Relation>) {
+        self.settled = true;
+        if let Ok(mut store) = self.cache.store.lock() {
+            // Running only while this token's claim is current: a bump
+            // clears the slots, and no later claim can use the old epoch.
+            if matches!(store.slots.get(&self.key), Some(Slot::Running(_))) {
+                store.slots.remove(&self.key);
+                if let Some(rel) = answer {
+                    self.cache.store_ready(&mut store, self.key, rel);
+                }
+            }
+        }
+        if let Ok(mut state) = self.flight.state.lock() {
+            *state = match answer {
                 Some(rel) => FlightState::Done(rel.clone()),
                 None => FlightState::Failed,
             };
         }
         self.flight.done.notify_all();
-        locked(&self.registry).remove(&self.key);
     }
 }
 
-impl Drop for LeaderToken {
+impl Drop for LeaderToken<'_> {
     fn drop(&mut self) {
-        if !self.finished {
-            self.publish(None);
+        if !self.settled {
+            self.settle(None);
         }
     }
 }
 
-/// Whether a query leads or follows the in-flight registration for its
-/// fingerprint (see [`SemanticCache::join_or_lead`]).
-pub enum Role {
-    /// First submission of this fingerprint: execute, then
-    /// [`LeaderToken::finish`].
-    Leader(LeaderToken),
-    /// An identical query is already executing: wait on its cell.
-    Follower(Arc<InFlight>),
+/// What [`SemanticCache::claim`] found for a fingerprint.
+pub enum Claim<'a> {
+    /// The answer is ready.
+    Hit(Relation),
+    /// An identical query is running: wait on its leader's cell.
+    Follow(Arc<InFlight>),
+    /// Nobody holds the slot: execute, then [`LeaderToken::finish`].
+    Lead(LeaderToken<'a>),
 }
 
-/// A concurrent semantic result cache: LRU over (fingerprint, epoch)
-/// keys with a byte budget, plus the in-flight coalescing registry. See
-/// the module docs for the design.
+/// A concurrent cache of finished query answers: one slot per
+/// (fingerprint, epoch) key, running or ready, LRU-evicted past a byte
+/// budget. See the module docs for the design.
 pub struct SemanticCache {
     budget: usize,
-    epoch: AtomicU64,
     store: Mutex<Store>,
-    inflight: Arc<InFlightMap>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    prefix_hits: AtomicU64,
     rollups: AtomicU64,
 }
 
@@ -401,17 +406,14 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 impl SemanticCache {
     /// An empty cache holding at most `budget_bytes` of encoded
-    /// relations (least-recently-used entries are evicted past it).
+    /// relations (least-recently-used answers are evicted past it).
     pub fn new(budget_bytes: usize) -> SemanticCache {
         SemanticCache {
             budget: budget_bytes,
-            epoch: AtomicU64::new(0),
             store: Mutex::new(Store::default()),
-            inflight: Arc::new(Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            prefix_hits: AtomicU64::new(0),
             rollups: AtomicU64::new(0),
         }
     }
@@ -423,124 +425,110 @@ impl SemanticCache {
 
     /// The current partition epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        locked(&self.store).epoch
     }
 
     /// Bump the partition epoch — the required step after **any**
-    /// catalog or partition mutation. Every cached entry was keyed
-    /// under an older epoch and becomes unreachable atomically; the
-    /// store is drained eagerly to return the budget. In-flight queries
-    /// keep the epoch they were admitted under, so their (now stale)
-    /// insertions are dropped on arrival.
+    /// catalog or partition mutation. Every slot was keyed under an
+    /// older epoch and becomes unreachable atomically; the store is
+    /// drained eagerly to return the budget. A leader still running
+    /// serves its followers but stores nothing.
     pub fn bump_epoch(&self) -> u64 {
-        let new = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut store = locked(&self.store);
-        store.map.clear();
+        store.epoch += 1;
+        store.slots.clear();
         store.bytes = 0;
-        new
+        store.epoch
     }
 
-    /// Look up a relation under the **current** epoch. Touches the LRU
-    /// stamp. Does not tally hit/miss counters — outcomes are tallied
-    /// by the engine once per query (a prefix probe must not inflate
-    /// the miss count).
-    pub fn lookup(&self, fp: Fingerprint) -> Option<Relation> {
-        let key = (fp, self.epoch());
+    /// Claim the slot of `fp` under the current epoch: a ready answer
+    /// is a [`Claim::Hit`] (touching its LRU stamp), a running one a
+    /// [`Claim::Follow`], and an empty slot makes the caller its leader.
+    pub fn claim(&self, fp: Fingerprint) -> Claim<'_> {
         let mut store = locked(&self.store);
-        store.clock += 1;
-        let clock = store.clock;
-        store.map.get_mut(&key).map(|e| {
-            e.stamp = clock;
-            e.relation.clone()
+        let key = (fp, store.epoch);
+        if let Some(rel) = store.touch(key) {
+            return Claim::Hit(rel);
+        }
+        if let Some(Slot::Running(flight)) = store.slots.get(&key) {
+            return Claim::Follow(Arc::clone(flight));
+        }
+        let flight = Arc::new(InFlight {
+            state: Mutex::new(FlightState::Running),
+            done: Condvar::new(),
+        });
+        store.slots.insert(key, Slot::Running(Arc::clone(&flight)));
+        Claim::Lead(LeaderToken {
+            cache: self,
+            key,
+            flight,
+            settled: false,
         })
     }
 
-    /// Insert a relation computed under `epoch`. A stale epoch (the
-    /// catalog changed while the query ran) is silently dropped — the
-    /// entry could never be looked up again. Entries larger than the
-    /// whole budget are not stored; otherwise least-recently-used
-    /// entries are evicted until the budget holds.
-    pub fn insert_at(&self, fp: Fingerprint, epoch: u64, relation: &Relation) {
-        if epoch != self.epoch() {
-            return;
-        }
+    /// The ready answer of `fp` under the current epoch, if any.
+    /// Touches the LRU stamp; tallies nothing.
+    pub fn lookup(&self, fp: Fingerprint) -> Option<Relation> {
+        let mut store = locked(&self.store);
+        let key = (fp, store.epoch);
+        store.touch(key)
+    }
+
+    /// Store `relation` as the ready answer of `fp` under the current
+    /// epoch. Answers larger than the whole budget are not stored;
+    /// otherwise least-recently-used answers are evicted until the
+    /// budget holds.
+    pub fn insert(&self, fp: Fingerprint, relation: &Relation) {
+        let mut store = locked(&self.store);
+        let key = (fp, store.epoch);
+        self.store_ready(&mut store, key, relation);
+    }
+
+    fn store_ready(&self, store: &mut Store, key: Key, relation: &Relation) {
         let bytes = relation.encoded_size();
         if bytes > self.budget {
             return;
         }
-        let mut store = locked(&self.store);
-        store.clock += 1;
-        let stamp = store.clock;
-        if let Some(old) = store.map.insert(
-            (fp, epoch),
-            Entry {
-                relation: relation.clone(),
-                bytes,
-                stamp,
-            },
-        ) {
+        let entry = Entry {
+            relation: relation.clone(),
+            bytes,
+            stamp: store.tick(),
+        };
+        if let Some(Slot::Ready(old)) = store.slots.insert(key, Slot::Ready(entry)) {
             store.bytes -= old.bytes;
         }
         store.bytes += bytes;
         while store.bytes > self.budget {
-            let Some(victim) = store
-                .map
+            let Some((_, victim)) = store
+                .slots
                 .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
+                .filter_map(|(k, slot)| match slot {
+                    Slot::Ready(e) => Some((e.stamp, *k)),
+                    Slot::Running(_) => None,
+                })
+                .min()
             else {
                 break;
             };
-            if let Some(e) = store.map.remove(&victim) {
+            if let Some(Slot::Ready(e)) = store.slots.remove(&victim) {
                 store.bytes -= e.bytes;
             }
         }
     }
 
-    /// Insert under the current epoch (epoch-capture convenience for
-    /// callers without an in-flight epoch).
-    pub fn insert(&self, fp: Fingerprint, relation: &Relation) {
-        self.insert_at(fp, self.epoch(), relation);
-    }
-
-    /// Register this query against the in-flight table: the first
-    /// submission of a fingerprint (under the current epoch) leads and
-    /// must [`LeaderToken::finish`]; later identical submissions follow
-    /// and wait on the leader's cell.
-    pub fn join_or_lead(&self, fp: Fingerprint) -> Role {
-        let key = (fp, self.epoch());
-        let mut reg = locked(&self.inflight);
-        if let Some(flight) = reg.get(&key) {
-            return Role::Follower(Arc::clone(flight));
-        }
-        let flight = Arc::new(InFlight::new());
-        reg.insert(key, Arc::clone(&flight));
-        Role::Leader(LeaderToken {
-            key,
-            flight,
-            registry: Arc::clone(&self.inflight),
-            finished: false,
-        })
-    }
-
-    /// Tally a full-result hit.
+    /// Tally a cache hit.
     pub fn tally_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tally an executed query (cold, or resumed from a prefix).
+    /// Tally an executed query.
     pub fn tally_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tally a query served by coalescing onto an in-flight leader.
+    /// Tally a query served by coalescing onto a running leader.
     pub fn tally_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tally an executing query that resumed from a cached prefix.
-    pub fn tally_prefix_hit(&self) {
-        self.prefix_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Tally `n` cube grouping sets served by local roll-up.
@@ -550,19 +538,20 @@ impl SemanticCache {
 
     /// Snapshot every counter plus the current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let (bytes, entries) = {
-            let store = locked(&self.store);
-            (store.bytes as u64, store.map.len() as u64)
-        };
+        let store = locked(&self.store);
+        let entries = store
+            .slots
+            .iter()
+            .filter(|(_, slot)| matches!(slot, Slot::Ready(_)))
+            .count();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            prefix_hits: self.prefix_hits.load(Ordering::Relaxed),
             rollups: self.rollups.load(Ordering::Relaxed),
-            bytes,
-            entries,
-            epoch: self.epoch(),
+            bytes: store.bytes as u64,
+            entries: entries as u64,
+            epoch: store.epoch,
         }
     }
 }
@@ -612,14 +601,13 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_labels_notes_and_conjunct_order() {
+    fn fingerprint_ignores_labels_and_conjunct_order() {
         let eval = EvalOptions::default();
         let p1 = planner().optimize(&expr_with(false), OptFlags::all());
         let mut p2 = planner().optimize(&expr_with(true), OptFlags::all());
         for s in &mut p2.stages {
             s.label = format!("renamed {}", s.label);
         }
-        p2.notes.push("a planner note".to_string());
         assert_eq!(plan_fingerprint(&p1, &eval), plan_fingerprint(&p2, &eval));
     }
 
@@ -717,40 +705,89 @@ mod tests {
         assert_eq!(cache.bump_epoch(), before + 1);
         assert!(cache.lookup(fp).is_none(), "old-epoch entry unreachable");
         assert_eq!(cache.stats().bytes, 0, "budget returned eagerly");
-        // An insertion raced by the bump (captured the old epoch) is
-        // dropped rather than stored unreachable.
-        cache.insert_at(fp, before, &rel(2));
-        assert_eq!(cache.stats().entries, 0);
         // Entries inserted under the new epoch work normally.
         cache.insert(fp, &rel(3));
         assert!(cache.lookup(fp).is_some());
     }
 
+    fn lead(cache: &SemanticCache, fp: Fingerprint) -> LeaderToken<'_> {
+        match cache.claim(fp) {
+            Claim::Lead(token) => token,
+            Claim::Hit(_) | Claim::Follow(_) => panic!("the slot must be free"),
+        }
+    }
+
+    fn follow(cache: &SemanticCache, fp: Fingerprint) -> Arc<InFlight> {
+        match cache.claim(fp) {
+            Claim::Follow(flight) => flight,
+            Claim::Hit(_) | Claim::Lead(_) => panic!("the slot must be running"),
+        }
+    }
+
     #[test]
     fn coalescing_serves_followers_and_survives_leader_failure() {
-        let cache = Arc::new(SemanticCache::new(1 << 20));
+        let cache = SemanticCache::new(1 << 20);
         let fp = fingerprint_bytes(b"inflight");
-        let Role::Leader(token) = cache.join_or_lead(fp) else {
-            panic!("first submission must lead");
-        };
-        let Role::Follower(flight) = cache.join_or_lead(fp) else {
-            panic!("second submission must follow");
-        };
-        let waiter = {
-            let flight = Arc::clone(&flight);
-            std::thread::spawn(move || flight.wait(Duration::from_secs(5)))
-        };
-        token.finish(Some(&rel(7)));
+        let token = lead(&cache, fp);
+        let flight = follow(&cache, fp);
+        let waiter = std::thread::spawn(move || flight.wait(Duration::from_secs(5)));
+        token.finish(&rel(7));
         assert_eq!(waiter.join().unwrap(), Some(rel(7)));
-        // The registration retired with the leader: next query leads.
-        let Role::Leader(token2) = cache.join_or_lead(fp) else {
-            panic!("registration must retire after finish");
-        };
-        // A dropped (failed) leader wakes followers with None.
-        let Role::Follower(flight2) = cache.join_or_lead(fp) else {
-            panic!("second submission must follow");
-        };
-        drop(token2);
-        assert_eq!(flight2.wait(Duration::from_secs(5)), None);
+        // A failed leader on another key wakes its followers with None.
+        let other = fingerprint_bytes(b"failing");
+        let token = lead(&cache, other);
+        let flight = follow(&cache, other);
+        drop(token);
+        assert_eq!(flight.wait(Duration::from_secs(5)), None);
+    }
+
+    #[test]
+    fn claim_after_a_leader_finishes_is_a_hit() {
+        // The race a follow-up lookup by the leader used to cover: a
+        // claim arriving once the answer is stored never executes again.
+        let cache = SemanticCache::new(1 << 20);
+        let fp = fingerprint_bytes(b"finished");
+        lead(&cache, fp).finish(&rel(5));
+        match cache.claim(fp) {
+            Claim::Hit(answer) => assert_eq!(answer, rel(5)),
+            Claim::Follow(_) | Claim::Lead(_) => panic!("a finished answer must hit"),
+        }
+        let s = cache.stats();
+        assert_eq!(s.entries, 1);
+        assert_eq!(s.bytes, rel(5).encoded_size() as u64);
+    }
+
+    #[test]
+    fn leader_finishing_after_an_epoch_bump_serves_but_stores_nothing() {
+        let cache = SemanticCache::new(1 << 20);
+        let fp = fingerprint_bytes(b"bumped");
+        let token = lead(&cache, fp);
+        let flight = follow(&cache, fp);
+        cache.bump_epoch();
+        token.finish(&rel(9));
+        assert_eq!(flight.wait(Duration::from_secs(5)), Some(rel(9)));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes), (0, 0), "a stale answer is not stored");
+        drop(lead(&cache, fp));
+    }
+
+    #[test]
+    fn dropped_token_wakes_followers_and_frees_the_slot() {
+        let cache = SemanticCache::new(1 << 20);
+        let fp = fingerprint_bytes(b"dropped");
+        let token = lead(&cache, fp);
+        let followers: Vec<_> = (0..2)
+            .map(|_| {
+                let flight = follow(&cache, fp);
+                std::thread::spawn(move || flight.wait(Duration::from_secs(5)))
+            })
+            .collect();
+        drop(token);
+        for f in followers {
+            assert_eq!(f.join().unwrap(), None);
+        }
+        assert_eq!(cache.stats().entries, 0);
+        lead(&cache, fp).finish(&rel(4));
+        assert_eq!(cache.lookup(fp), Some(rel(4)), "the freed slot leads anew");
     }
 }

@@ -26,24 +26,10 @@ use std::time::Instant;
 /// it stays correct when queries interleave — and carry a `query_id`
 /// attribute.
 ///
-/// `resume` seeds execution from a cached prefix snapshot: `(j, b)`
-/// adopts `b` as the synchronized base structure after stage `j` and
-/// skips stages `0..=j` entirely — no site is contacted for them, but
-/// each still contributes an empty round (and a zero
-/// [`StageTimes`] entry) so round indices, traffic series, and the
-/// busy-time merge stay aligned with the plan. Sites evaluate each
-/// stage statelessly from the shipped fragment, so the resumed suffix
-/// is bit-identical to a cold run.
-///
 /// Of `cfg`, the coordinator reads the round timeout and the obs handle.
 /// Each site's busy seconds for a stage arrive in
 /// that round (see [`collect`]) and land in the stage's
 /// [`StageTimes::site_busy_s`].
-///
-/// `snapshots`, when present, receives `(j, b)` for every non-final
-/// stage the coordinator actually synchronized — the prefix snapshots
-/// the semantic cache stores for later resumes.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_coordinator(
     coord: &dyn CoordinatorTransport,
     plan: &DistributedPlan,
@@ -51,36 +37,17 @@ pub(crate) fn run_coordinator(
     detail_schemas: &HashMap<String, Schema>,
     cfg: &EngineConfig,
     query_id: u32,
-    resume: Option<(usize, Relation)>,
-    mut snapshots: Option<&mut Vec<(usize, Relation)>>,
 ) -> Result<(Relation, Vec<StageTimes>)> {
     let obs = &cfg.obs;
     let track = Track::Query(query_id);
     let n = coord.n_sites();
-    let (resume_after, mut b_cur) = match resume {
-        Some((j, rel)) => (Some(j), Some(rel)),
-        None => (
-            None,
-            match &plan.expr.base {
-                BaseQuery::Literal(rel) => Some(rel.clone()),
-                BaseQuery::DistinctProject { .. } => None,
-            },
-        ),
+    let mut b_cur = match &plan.expr.base {
+        BaseQuery::Literal(rel) => Some(rel.clone()),
+        BaseQuery::DistinctProject { .. } => None,
     };
     let mut stage_times = Vec::with_capacity(plan.stages.len());
 
     for (sidx, stage) in plan.stages.iter().enumerate() {
-        if resume_after.is_some_and(|j| sidx <= j) {
-            // Answered by the resume snapshot: keep the round series and
-            // stage/stat alignment with an empty round, ship nothing.
-            coord.stats().begin_round(stage.label.clone());
-            stage_times.push(StageTimes {
-                label: stage.label.clone(),
-                site_busy_s: vec![0.0; n],
-                ..StageTimes::default()
-            });
-            continue;
-        }
         coord.stats().begin_round(stage.label.clone());
         let stage_no = sidx as u32;
         let mut stage_span = obs
@@ -236,11 +203,6 @@ pub(crate) fn run_coordinator(
         stage_span.arg("rows_up", st.rows_up);
         stage_span.finish();
         stage_times.push(st);
-        if sidx + 1 < plan.stages.len() {
-            if let (Some(snaps), Some(b)) = (snapshots.as_deref_mut(), b_cur.as_ref()) {
-                snaps.push((sidx, b.clone()));
-            }
-        }
     }
 
     let relation = b_cur.ok_or_else(|| Error::Execution("plan produced no result".into()))?;

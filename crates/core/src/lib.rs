@@ -22,9 +22,10 @@
 //! * [`coordinator`] — the base-result structure, the Theorem 1
 //!   synchronization, and the stage loop that drives them.
 //! * [`stats`] — per-round traffic/compute measurements.
-//! * [`cache`] — the semantic result cache: canonical plan fingerprints,
-//!   partition epochs, prefix-snapshot reuse, and in-flight coalescing
-//!   behind the [`warehouse::Warehouse`] API.
+//! * [`cache`] — the semantic result cache of finished answers:
+//!   canonical plan fingerprints, partition epochs, and one slot per
+//!   fingerprint that coalesces identical queries in flight, behind the
+//!   [`warehouse::Warehouse`] API.
 
 // missing_docs is denied workspace-wide (see [workspace.lints]).
 // Bad input is answered with an error, never a panic; a local invariant

@@ -318,8 +318,6 @@ pub struct DistributedPlan {
     pub key: Vec<String>,
     /// The rounds.
     pub stages: Vec<Stage>,
-    /// Human-readable planner decisions.
-    pub notes: Vec<String>,
 }
 
 impl DistributedPlan {
@@ -443,8 +441,8 @@ impl DistributedPlan {
                 }
             }
         }
-        for n in &self.notes {
-            s.push_str(&format!("note: {n}\n"));
+        if matches!(self.expr.base, BaseQuery::Literal(_)) {
+            s.push_str("note: base relation is literal: held by the coordinator\n");
         }
         s
     }
@@ -487,8 +485,9 @@ impl Planner {
     }
 
     /// Build an optimized plan. Purely syntactic — never fails; any
-    /// optimization whose preconditions cannot be proven is skipped (with
-    /// a note), falling back to the safe general plan.
+    /// optimization whose preconditions cannot be proven is skipped (see
+    /// [`Planner::optimize_with_decisions`]), falling back to the safe
+    /// general plan.
     pub fn optimize(&self, expr: &GmdjExpr, flags: OptFlags) -> DistributedPlan {
         self.optimize_with_decisions(expr, flags).0
     }
@@ -501,7 +500,6 @@ impl Planner {
         flags: OptFlags,
     ) -> (DistributedPlan, Vec<PlanDecision>) {
         let _span = self.obs.span(Track::Optimizer, "optimize");
-        let mut notes = Vec::new();
         let mut decisions: Vec<PlanDecision> = Vec::new();
         let n_sites = self.dist.n_sites();
 
@@ -509,12 +507,6 @@ impl Planner {
         let expr = if flags.coalesce {
             let (merged, report) = coalesce_chain(expr);
             if report.rounds_saved() > 0 {
-                notes.push(format!(
-                    "coalesced {} operator(s) into {} (saved {} round(s))",
-                    expr.ops.len(),
-                    merged.ops.len(),
-                    report.rounds_saved()
-                ));
                 decisions.push(PlanDecision::Coalesced {
                     ops_before: expr.ops.len(),
                     ops_after: merged.ops.len(),
@@ -605,10 +597,6 @@ impl Planner {
                 if ownership.is_some() {
                     // Chained unit: partition-attribute entailment suffices.
                     fold_first = true;
-                    notes.push(
-                        "folded base computation into round 1 (Prop 2 via partition attribute)"
-                            .to_string(),
-                    );
                     decisions.push(PlanDecision::FoldedBase {
                         mechanism: "chained unit: partition attribute entails θ_K".to_string(),
                     });
@@ -620,17 +608,10 @@ impl Planner {
                     });
                     if all_entail {
                         fold_first = true;
-                        notes.push(
-                            "folded base computation into round 1 (Prop 2: every θ entails θ_K)"
-                                .to_string(),
-                        );
                         decisions.push(PlanDecision::FoldedBase {
                             mechanism: "every θ entails θ_K".to_string(),
                         });
                     } else {
-                        notes.push(
-                            "Prop 2 fold not applicable: some θ does not entail θ_K".to_string(),
-                        );
                         decisions.push(PlanDecision::FoldBlocked {
                             reason: "some θ does not entail θ_K".to_string(),
                         });
@@ -651,15 +632,11 @@ impl Planner {
 
         // 6. Assemble stages.
         let mut stages = Vec::new();
-        let needs_base_stage =
-            matches!(expr.base, BaseQuery::DistinctProject { .. }) && !fold_first;
-        if needs_base_stage {
+        if matches!(expr.base, BaseQuery::DistinctProject { .. }) && !fold_first {
             stages.push(Stage {
                 label: "base".to_string(),
                 kind: StageKind::Base,
             });
-        } else if matches!(expr.base, BaseQuery::Literal(_)) {
-            notes.push("base relation is literal: held by the coordinator".to_string());
         }
 
         // Columns of B available before each op (syntactic).
@@ -801,15 +778,7 @@ impl Planner {
             }
         }
 
-        (
-            DistributedPlan {
-                expr,
-                key,
-                stages,
-                notes,
-            },
-            decisions,
-        )
+        (DistributedPlan { expr, key, stages }, decisions)
     }
 }
 
@@ -979,10 +948,14 @@ mod tests {
             ))
             .build();
         let planner = Planner::new(DistributionInfo::new(2));
-        let plan = planner.optimize(&expr, OptFlags::coalesce_only());
+        let (plan, decisions) = planner.optimize_with_decisions(&expr, OptFlags::coalesce_only());
         assert_eq!(plan.expr.ops.len(), 1);
         assert_eq!(plan.n_rounds(), 2); // base + one gmdj round
-        assert!(plan.notes.iter().any(|n| n.contains("coalesced")));
+        assert!(decisions.contains(&PlanDecision::Coalesced {
+            ops_before: 2,
+            ops_after: 1,
+            rounds_saved: 1,
+        }));
     }
 
     #[test]

@@ -161,8 +161,7 @@ pub fn decode_plan_with_options(
     Ok((plan, opts, chunk_rows))
 }
 
-/// Encode a distributed plan to bytes. The planner's notes stay on the
-/// coordinator (no site reads them), so a decoded plan has none.
+/// Encode a distributed plan to bytes.
 pub fn encode_plan(plan: &DistributedPlan) -> Vec<u8> {
     let mut enc = Encoder::new();
     put_gmdj_expr(&mut enc, &plan.expr);
@@ -203,12 +202,7 @@ pub fn decode_plan(bytes: &[u8]) -> Result<DistributedPlan> {
             dec.remaining()
         )));
     }
-    Ok(DistributedPlan {
-        expr,
-        key,
-        stages,
-        notes: Vec::new(),
-    })
+    Ok(DistributedPlan { expr, key, stages })
 }
 
 #[cfg(test)]
@@ -228,14 +222,6 @@ mod tests {
                 .collect(),
         );
         Planner::new(d)
-    }
-
-    /// What a plan decodes to: everything but the coordinator's notes.
-    fn without_notes(plan: &DistributedPlan) -> DistributedPlan {
-        DistributedPlan {
-            notes: Vec::new(),
-            ..plan.clone()
-        }
     }
 
     fn expr() -> GmdjExpr {
@@ -268,7 +254,7 @@ mod tests {
             let plan = planner.optimize(&expr(), flags);
             let bytes = encode_plan(&plan);
             let back = decode_plan(&bytes).unwrap_or_else(|e| panic!("{flags:?}: {e}"));
-            assert_eq!(back, without_notes(&plan), "{flags:?}");
+            assert_eq!(back, plan, "{flags:?}");
         }
     }
 
@@ -289,18 +275,11 @@ mod tests {
                 let chunk_bytes = if chunk_rows.is_some() { 5 } else { 1 };
                 assert_eq!(bytes.len(), 8 + chunk_bytes + encode_plan(&plan).len());
                 let (back_plan, back_opts, back_chunk) = decode_plan_with_options(&bytes).unwrap();
-                assert_eq!(back_plan, without_notes(&plan));
+                assert_eq!(back_plan, plan);
                 assert_eq!(back_chunk, chunk_rows);
                 assert_eq!(back_opts, opts);
             }
         }
-    }
-
-    #[test]
-    fn notes_stay_on_the_coordinator() {
-        let plan = planner_with_knowledge().optimize(&expr(), OptFlags::all());
-        assert!(!plan.notes.is_empty());
-        assert_eq!(encode_plan(&plan), encode_plan(&without_notes(&plan)));
     }
 
     #[test]

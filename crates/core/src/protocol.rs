@@ -47,7 +47,7 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Row, Schema, V
 ///   [`TAG_RUN_STAGE`] loses its one-byte request tail, so a v6 peer
 ///   would misread every stage task.
 /// * **v8** — v7 frames; the [`TAG_PLAN`] plan loses its trailing planner
-///   notes (they stay on the coordinator), so a v7 peer would misread
+///   notes (no site reads them), so a v7 peer would misread
 ///   every plan.
 /// * **v9** — v7 frames; a site sends one [`TAG_TELEMETRY`] frame per
 ///   stage, just ahead of that stage's final [`TAG_RESULT`] (or its

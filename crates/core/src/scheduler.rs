@@ -125,7 +125,6 @@ pub struct QueryScheduler {
     admitted: AtomicU64,
     rejected: AtomicU64,
     timed_out: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl QueryScheduler {
@@ -148,7 +147,6 @@ impl QueryScheduler {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
         }
     }
 
@@ -182,19 +180,6 @@ impl QueryScheduler {
     /// (monotonic).
     pub fn timed_out_total(&self) -> u64 {
         self.timed_out.load(Ordering::Relaxed)
-    }
-
-    /// Admitted queries that coalesced onto an identical in-flight
-    /// query's result instead of executing (monotonic). Tallied by the
-    /// engine when the semantic cache elects it a follower.
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Record one coalesced query (see
-    /// [`QueryScheduler::coalesced_total`]).
-    pub fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The next query id (monotonic, starting at 1; skips 0 on wrap —

@@ -55,7 +55,7 @@
 //! assert_eq!(out.relation.len(), 2);
 //! ```
 
-use crate::cache::{plan_fingerprints, Fingerprint, Role, SemanticCache, DEFAULT_CACHE_BYTES};
+use crate::cache::{plan_fingerprint, Claim, SemanticCache, DEFAULT_CACHE_BYTES};
 use crate::cluster::Cluster;
 use crate::coordinator::{finished_rounds, net_err, run_coordinator};
 use crate::distribution::DistributionInfo;
@@ -147,9 +147,9 @@ pub struct EngineConfig {
     /// timeout).
     pub scheduler: SchedulerConfig,
     /// Byte budget of the semantic result cache: repeated plans are
-    /// answered from the coordinator's sub-aggregate cache (and in-flight
-    /// duplicates coalesce) instead of re-contacting the sites, with
-    /// least-recently-used entries evicted past the budget.
+    /// answered from the coordinator's cache of finished answers (and
+    /// running duplicates coalesce) instead of re-contacting the sites,
+    /// with least-recently-used answers evicted past the budget.
     /// [`DEFAULT_CACHE_BYTES`] unless set ([`SkallaBuilder::cache_bytes`],
     /// CLI `--cache-bytes`). Zero turns the cache off (CLI `--no-cache`):
     /// no lookup, no coalescing, no insertion. A served result is the
@@ -467,8 +467,8 @@ impl Skalla {
 
     /// Bump the partition epoch after an external catalog or partition
     /// mutation (e.g. a remote site swapped a partition in place): every
-    /// cached result and prefix snapshot becomes unreachable at once,
-    /// so no later query can be answered from pre-swap data.
+    /// cached answer becomes unreachable at once, so no later query can
+    /// be answered from pre-swap data.
     pub fn bump_partition_epoch(&self) -> u64 {
         self.cache.bump_epoch()
     }
@@ -491,14 +491,13 @@ impl Skalla {
     /// sites themselves on both backends (shipped in each round's
     /// accounting-exempt telemetry frames, so they cost the byte counts
     /// nothing).
-    /// With a non-zero [`EngineConfig::cache_bytes`], execution consults
-    /// the semantic cache first: a query whose fingerprint is cached is
-    /// answered without contacting sites (its stats show one zero-byte
-    /// `"cache"` round, [`ExecStats::is_cache_hit`]); an identical
-    /// query already in flight is coalesced onto the leader's result;
-    /// and an executing query resumes from its longest cached stage
-    /// prefix. All three paths return results bit-identical to a cold
-    /// run.
+    /// With a non-zero [`EngineConfig::cache_bytes`], execution claims
+    /// the plan's slot in the semantic cache first: a query whose answer
+    /// is cached is answered without contacting sites (its stats show
+    /// one zero-byte `"cache"` round, [`ExecStats::is_cache_hit`]); an
+    /// identical query already running is coalesced onto the leader's
+    /// answer; otherwise the query executes and stores its answer. All
+    /// three paths return results bit-identical to a cold run.
     pub fn execute(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let admitted = self.scheduler.admit();
         self.publish_scheduler_gauges();
@@ -514,70 +513,46 @@ impl Skalla {
     }
 
     /// The cache-routing half of [`Skalla::execute`] (runs holding the
-    /// admission permit): full-result hit → coalesce onto an in-flight
-    /// leader → execute (resuming from the longest cached prefix).
+    /// admission permit), and the only engine code that talks to the
+    /// cache: one claim of the plan's slot, then hit, follow or lead.
     fn execute_admitted(&self, plan: &DistributedPlan) -> Result<QueryResult> {
+        if self.cfg.cache_bytes == 0 {
+            return self.run_query(plan);
+        }
         let wall_start = Instant::now();
-        let fps = if self.cfg.cache_bytes > 0 {
-            plan_fingerprints(plan, &self.cfg.eval)
-        } else {
-            Vec::new()
-        };
-        // One fingerprint per stage: none when the cache is off or the
-        // plan is empty.
-        let Some(&full_fp) = fps.last() else {
-            let query_id = self.scheduler.next_query_id();
-            return self.run_query(plan, query_id, None);
-        };
-        if let Some(relation) = self.cache.lookup(full_fp) {
-            self.cache.tally_hit();
-            return Ok(QueryResult {
+        let served = |relation| {
+            Ok(QueryResult {
                 relation,
                 stats: ExecStats::cache_hit(self.n_sites(), wall_start.elapsed().as_secs_f64()),
-            });
-        }
-        match self.cache.join_or_lead(full_fp) {
-            Role::Follower(flight) => {
+            })
+        };
+        match self.cache.claim(plan_fingerprint(plan, &self.cfg.eval)) {
+            Claim::Hit(relation) => {
+                self.cache.tally_hit();
+                served(relation)
+            }
+            Claim::Follow(flight) => {
                 // A follower keeps its admission permit while waiting:
                 // the leader holds its own, so there is no circular
                 // wait, and a released-then-reacquired permit would
                 // let admission overshoot while results are pending.
                 if let Some(relation) = flight.wait(self.coalesce_timeout(plan)) {
-                    self.scheduler.record_coalesced();
                     self.cache.tally_coalesced();
-                    return Ok(QueryResult {
-                        relation,
-                        stats: ExecStats::cache_hit(
-                            self.n_sites(),
-                            wall_start.elapsed().as_secs_f64(),
-                        ),
-                    });
+                    return served(relation);
                 }
                 // The leader failed (or the wait timed out): execute
                 // directly rather than propagating its error.
                 self.cache.tally_miss();
-                let query_id = self.scheduler.next_query_id();
-                self.run_query(plan, query_id, Some(&fps))
+                self.run_query(plan)
             }
-            Role::Leader(token) => {
-                // The previous leader may have finished between our
-                // lookup miss and the registration — re-check before
-                // paying for an execution.
-                if let Some(relation) = self.cache.lookup(full_fp) {
-                    token.finish(Some(&relation));
-                    self.cache.tally_hit();
-                    return Ok(QueryResult {
-                        relation,
-                        stats: ExecStats::cache_hit(
-                            self.n_sites(),
-                            wall_start.elapsed().as_secs_f64(),
-                        ),
-                    });
-                }
+            Claim::Lead(token) => {
                 self.cache.tally_miss();
-                let query_id = self.scheduler.next_query_id();
-                let result = self.run_query(plan, query_id, Some(&fps));
-                token.finish(result.as_ref().ok().map(|out| &out.relation));
+                let result = self.run_query(plan);
+                // On error the token drops, waking the followers to
+                // execute themselves.
+                if let Ok(out) = &result {
+                    token.finish(&out.relation);
+                }
                 result
             }
         }
@@ -614,10 +589,6 @@ impl Skalla {
             "scheduler.timed_out_total",
             self.scheduler.timed_out_total() as f64,
         );
-        obs.counter(
-            "scheduler.coalesced_total",
-            self.scheduler.coalesced_total() as f64,
-        );
     }
 
     /// Mirror the semantic cache's counters into obs, so the live
@@ -632,7 +603,6 @@ impl Skalla {
         obs.counter("cache.hits", s.hits as f64);
         obs.counter("cache.misses", s.misses as f64);
         obs.counter("cache.coalesced", s.coalesced as f64);
-        obs.counter("cache.prefix_hits", s.prefix_hits as f64);
         obs.counter("cache.rollups", s.rollups as f64);
         obs.counter("cache.bytes", s.bytes as f64);
         obs.counter("cache.entries", s.entries as f64);
@@ -644,19 +614,8 @@ impl Skalla {
     /// plan broadcast, each stage gets its round, and the query-done
     /// release (zero payload, one framing charge per site) lands in the
     /// last round.
-    ///
-    /// `fps` (the per-prefix fingerprints, when caching) turns on
-    /// prefix reuse: execution resumes from the longest cached stage
-    /// prefix, and every synchronized snapshot plus the final result is
-    /// inserted back — under the epoch captured *before* execution, so
-    /// a concurrent partition swap drops the insertions instead of
-    /// storing stale entries.
-    fn run_query(
-        &self,
-        plan: &DistributedPlan,
-        query_id: u32,
-        fps: Option<&[Fingerprint]>,
-    ) -> Result<QueryResult> {
+    fn run_query(&self, plan: &DistributedPlan) -> Result<QueryResult> {
+        let query_id = self.scheduler.next_query_id();
         let n = self.n_sites();
         let wall_start = Instant::now();
         plan.check_structure(n)?;
@@ -677,20 +636,6 @@ impl Skalla {
             .with("rounds", plan.n_rounds())
             .with("query_id", query_id as u64);
 
-        // Prefix reuse: resume from the longest cached snapshot (never
-        // the full-plan entry — that's the full-hit path), and capture
-        // the epoch every insertion must still match.
-        let epoch = self.cache.epoch();
-        let resume = fps.and_then(|fps| {
-            (0..fps.len().saturating_sub(1))
-                .rev()
-                .find_map(|j| self.cache.lookup(fps[j]).map(|rel| (j, rel)))
-        });
-        if resume.is_some() {
-            self.cache.tally_prefix_hit();
-        }
-        let mut snaps: Vec<(usize, Relation)> = Vec::new();
-
         handle.stats().begin_round("plan");
         let plan_bytes =
             crate::plan_codec::encode_plan_with_options(plan, &self.cfg.eval, self.cfg.chunk_rows);
@@ -705,8 +650,6 @@ impl Skalla {
                 &detail_schemas,
                 &self.cfg,
                 query_id,
-                resume,
-                fps.is_some().then_some(&mut snaps),
             )
         });
 
@@ -716,14 +659,6 @@ impl Skalla {
         let _ = handle.broadcast(&protocol::query_done());
 
         let (relation, mut stage_times) = run?;
-        if let Some(fps) = fps {
-            for (j, rel) in &snaps {
-                self.cache.insert_at(fps[*j], epoch, rel);
-            }
-            if let Some(full_fp) = fps.last() {
-                self.cache.insert_at(*full_fp, epoch, &relation);
-            }
-        }
         stage_times.insert(
             0,
             StageTimes {
@@ -783,9 +718,11 @@ impl Drop for Skalla {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::plan::{OptFlags, Planner};
     use skalla_gmdj::prelude::*;
     use skalla_relation::{row, DataType, Domain};
+    use std::collections::BTreeSet;
 
     fn parts() -> Vec<(Relation, DomainMap)> {
         let schema = Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]);
@@ -1033,39 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn longer_chain_resumes_from_cached_prefix() {
-        let e = engine();
-        let planner = Planner::new(e.distribution());
-        let short = GmdjExprBuilder::distinct_base("t", &["g"])
-            .gmdj(Gmdj::new("t").block(
-                ThetaBuilder::group_by(&["g"]).build(),
-                vec![AggSpec::count("cnt"), AggSpec::avg("v", "avg")],
-            ))
-            .build();
-        let p_short = planner.optimize(&short, OptFlags::none());
-        let p_long = planner.optimize(&expr(), OptFlags::none());
-        e.execute(&p_short).unwrap();
-        let resumed = e.execute(&p_long).unwrap();
-        // The long chain extends the short one, so its base + gmdj 1
-        // prefix is answered from the short query's cached result; only
-        // the final stage touches the wire.
-        let serial_out = serial(&p_long);
-        assert_eq!(canonical(&resumed.relation), canonical(&serial_out.relation));
-        assert_eq!(e.semantic_cache().stats().prefix_hits, 1);
-        assert_eq!(resumed.stats.stages.len(), serial_out.stats.stages.len());
-        let bytes: Vec<u64> = resumed
-            .stats
-            .net
-            .iter()
-            .map(|r| r.totals().total_bytes())
-            .collect();
-        // Rounds: plan, base (skipped), gmdj 1 (skipped), gmdj 2.
-        assert_eq!(bytes[1], 0, "base round resumed from cache");
-        assert_eq!(bytes[2], 0, "gmdj 1 round resumed from cache");
-        assert!(bytes[3] > 0, "final stage executed");
-    }
-
-    #[test]
     fn concurrent_identical_queries_contact_sites_once() {
         let e = Arc::new(
             Skalla::builder()
@@ -1090,7 +994,38 @@ mod tests {
         let s = e.semantic_cache().stats();
         assert_eq!(s.misses, 1, "exactly one execution");
         assert_eq!(s.hits + s.coalesced, 3, "the rest served without sites");
-        assert_eq!(e.scheduler().coalesced_total(), s.coalesced);
+    }
+
+    #[test]
+    fn zero_cache_budget_skips_lookup_coalescing_and_storage() {
+        let e = Arc::new(
+            Skalla::builder()
+                .partitions("t", parts())
+                .config(cache_off())
+                .max_concurrent(4)
+                .build()
+                .unwrap(),
+        );
+        let plan = Planner::new(e.distribution()).optimize(&expr(), OptFlags::none());
+        let cold = serial(&plan);
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                let e = Arc::clone(&e);
+                let plan = plan.clone();
+                std::thread::spawn(move || e.execute(&plan).unwrap())
+            })
+            .collect();
+        let mut outs: Vec<QueryResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        outs.push(e.execute(&plan).unwrap());
+        for got in outs {
+            assert!(!got.stats.is_cache_hit(), "every submission executes");
+            assert_eq!(got.stats.net, cold.stats.net, "full site traffic");
+        }
+        assert_eq!(
+            e.semantic_cache().stats(),
+            CacheStats::default(),
+            "no lookup, no coalescing, no storage"
+        );
     }
 
     #[test]
@@ -1107,6 +1042,54 @@ mod tests {
             "post-swap query must re-execute"
         );
         assert_eq!(reexec.stats.net, cold.stats.net, "full cold traffic");
+    }
+
+    const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
+
+    /// The `skalla_cache_*` metric names a document mentions.
+    fn cache_metrics_in(doc: &str) -> BTreeSet<String> {
+        doc.match_indices("skalla_cache_")
+            .map(|(at, _)| {
+                doc[at..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cache_gauges_in_the_docs_are_the_published_ones() {
+        let obs = Obs::recording();
+        let e = Skalla::builder()
+            .partitions("t", parts())
+            .obs(obs.clone())
+            .build()
+            .unwrap();
+        let plan = Planner::new(e.distribution()).optimize(&expr(), OptFlags::none());
+        e.execute(&plan).unwrap();
+        let published: BTreeSet<String> = obs
+            .recorder()
+            .unwrap()
+            .counters()
+            .into_keys()
+            .filter_map(|name| {
+                name.strip_prefix("cache.")
+                    .map(|gauge| format!("skalla_cache_{gauge}"))
+            })
+            .collect();
+        // Both ways at once: a documented gauge the engine lacks and a
+        // published one the doc lacks each make the sets differ.
+        assert_eq!(cache_metrics_in(OPERATIONS), published);
+
+        // The check can fail: the retired prefix-hit gauge, still listed.
+        let retired = format!("`skalla_cache_{}_hits`", "prefix");
+        let doctored = OPERATIONS.replace(
+            "`skalla_cache_rollups`",
+            &format!("{retired}, `skalla_cache_rollups`"),
+        );
+        assert_ne!(doctored, OPERATIONS, "the doctoring matched nothing");
+        assert_ne!(cache_metrics_in(&doctored), published);
     }
 
     #[test]

@@ -55,15 +55,21 @@ pub fn run(
     warehouse.execute(&plan)
 }
 
-/// Parse, plan, and render the distributed plan (the `EXPLAIN` verb).
+/// Parse, plan, and render the distributed plan (the `EXPLAIN` verb),
+/// followed by the planner's decisions, one `note:` line each.
 pub fn explain(
     text: &str,
     warehouse: &(impl Warehouse + ?Sized),
     flags: OptFlags,
 ) -> Result<String> {
     let expr = compile_text(text)?;
-    let plan = Planner::new(warehouse.distribution()).optimize(&expr, flags);
-    Ok(plan.explain())
+    let (plan, decisions) =
+        Planner::new(warehouse.distribution()).optimize_with_decisions(&expr, flags);
+    let mut text = plan.explain();
+    for d in &decisions {
+        text.push_str(&format!("note: {d}\n"));
+    }
+    Ok(text)
 }
 
 #[cfg(test)]
@@ -127,6 +133,7 @@ mod tests {
         let text = explain(QUERY, &c, OptFlags::all()).unwrap();
         assert!(text.contains("round 0"), "{text}");
         assert!(text.contains("local chain"), "{text}");
+        assert!(text.contains("note: base fold (Prop. 2)"), "{text}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! statements (unqualified columns are detail-side; `b.name` refers to the
 //! base, including aggregates from earlier MD statements).
 
-use skalla::core::{Cluster, EngineConfig, OptFlags, Planner, SiteServer, Skalla, Warehouse};
+use skalla::core::{Cluster, EngineConfig, OptFlags, Planner, SiteServer, Skalla};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::{observe_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
@@ -297,10 +297,9 @@ fn tcp_config(args: &[String]) -> Result<TcpConfig, String> {
 /// Build the engine behind `run`/`explain` through [`Skalla::builder`],
 /// interpreting `--sites`: a bare number means an in-process warehouse of
 /// that many sites; anything else is a comma-separated `HOST:PORT` list
-/// of standalone `skalla-cli site` processes to connect to. Everything
-/// downstream (planning, execution, stats printing) dispatches through
-/// the [`Warehouse`] trait, so the two runtimes share one code path.
-fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String> {
+/// of standalone `skalla-cli site` processes to connect to. Both are the
+/// one [`Skalla`] engine, so the two runtimes share one code path.
+fn build_engine(args: &[String], obs: Obs) -> Result<Skalla, String> {
     let mut builder = Skalla::builder().config(EngineConfig {
         obs,
         ..EngineConfig::default()
@@ -358,14 +357,13 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Box<dyn Warehouse>, String>
         }
         let engine = builder.remote(&addrs, cfg).build().map_err(|e| e.to_string())?;
         println!("connected to {} remote site(s)", engine.n_sites());
-        Ok(Box::new(engine))
+        Ok(engine)
     } else {
         let (table, parts) = build_partitions(args)?;
-        let engine = builder
+        builder
             .partitions(table, parts)
             .build()
-            .map_err(|e| e.to_string())?;
-        Ok(Box::new(engine))
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -580,14 +578,6 @@ fn cmd_run(args: &[String], execute: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// `skalla-cli site`: run one warehouse site as a standalone process.
-///
-/// The site builds the *same* deterministic partitioned warehouse as an
-/// in-process run with identical data options (same generator, seed, and
-/// partitioner), then keeps only its own fragment (`--site-index`). Start
-/// one process per site with the same data options and pass their
-/// addresses to `skalla-cli run --sites`; results and recorded traffic
-/// match the in-process cluster exactly.
 /// Parse `--aggs count,sum:COL,…` into named [`skalla::gmdj::AggSpec`]s.
 fn parse_cube_aggs(spec: &str) -> Result<Vec<skalla::gmdj::AggSpec>, String> {
     use skalla::gmdj::AggSpec;
@@ -636,7 +626,7 @@ fn cmd_cube(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "flow".to_string());
 
     let engine = build_engine(args, Obs::disabled())?;
-    let result = query::cube_with_rollup(&*engine, &table, &dim_refs, &aggs, flags, rollup)
+    let result = query::cube_with_rollup(&engine, &table, &dim_refs, &aggs, flags, rollup)
         .map_err(|e| e.to_string())?;
 
     println!("\n=== grouping sets ===");
@@ -661,6 +651,14 @@ fn cmd_cube(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `skalla-cli site`: run one warehouse site as a standalone process.
+///
+/// The site builds the *same* deterministic partitioned warehouse as an
+/// in-process run with identical data options (same generator, seed, and
+/// partitioner), then keeps only its own fragment (`--site-index`). Start
+/// one process per site with the same data options and pass their
+/// addresses to `skalla-cli run --sites`; results and recorded traffic
+/// match the in-process cluster exactly.
 fn cmd_site(args: &[String]) -> Result<(), String> {
     let listen = opt(args, "--listen").ok_or_else(|| "missing --listen ADDR".to_string())?;
     let index: usize = opt(args, "--site-index")

@@ -201,10 +201,7 @@ fn plan_survives_codec_round_trip_and_still_executes() {
     let plan = Planner::new(c.distribution()).optimize(&expr(), OptFlags::all());
     let bytes = skalla::core::encode_plan(&plan);
     let back = skalla::core::decode_plan(&bytes).unwrap();
-    // Everything but the planner's notes, which stay on the coordinator.
-    let mut sent = plan.clone();
-    sent.notes.clear();
-    assert_eq!(back, sent);
+    assert_eq!(back, plan);
     let a = c.execute(&plan).unwrap();
     let b = c.execute(&back).unwrap();
     assert!(a.relation.same_bag(&b.relation));

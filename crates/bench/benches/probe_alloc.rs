@@ -22,14 +22,18 @@
 //! group ids: those allocate per column and per group, never per row.
 //!
 //! A coordinator leg merges the sites' answers over the same 2,000 groups
-//! the way the engine does (`MergeSync::new` → `absorb_chunk` per answer
-//! → `finish`, with a shipped B and folded): 2 sites' answers and 6
-//! sites' answers must allocate alike, so nothing is allocated per
-//! absorbed row or per tree level.
+//! the way the engine does: each answer is encoded into a `RESULT` frame
+//! and decoded (`protocol::result_chunk` → `decode_result_chunk`, outside
+//! the count: a frame's own buffers are per frame by nature), then
+//! `MergeSync::new` → `absorb_frame` per answer → `finish`, with a
+//! shipped B and folded. 2 sites' answers and 6 sites' answers must
+//! allocate alike, so nothing is allocated per absorbed row, per chunk,
+//! per tree level or per leaf's state vector.
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_core::coordinator::MergeSync;
+use skalla_core::protocol::{decode_result_chunk, result_chunk};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::eval_local;
 use skalla_gmdj::EvalOptions;
@@ -173,12 +177,15 @@ fn main() {
     let key = ["g".to_string()];
     let measure_merge = |sites: usize| {
         let mut allocs = 0;
+        let frame = result_chunk(1, &answer, true);
         for b in [Some(&merge_base), None] {
-            let answers = vec![answer.clone(); sites];
+            let chunks: Vec<_> = (0..sites)
+                .map(|_| decode_result_chunk(&frame.payload).unwrap())
+                .collect();
             allocs += allocs_during(|| {
                 let mut sync = MergeSync::new(b, &key, &op).unwrap();
-                for (leaf, chunk) in answers.into_iter().enumerate() {
-                    sync.absorb_chunk(leaf, chunk).unwrap();
+                for (leaf, chunk) in chunks.into_iter().enumerate() {
+                    sync.absorb_frame(leaf, chunk).unwrap();
                 }
                 sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
             });

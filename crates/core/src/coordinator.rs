@@ -12,14 +12,14 @@
 //!   partition assumption by rejecting duplicate keys.
 //!
 //! What a merge unit costs per row a site sends: the engine takes each
-//! `RESULT` chunk as it lands (`MergeSync::absorb_frame`), decodes the row
-//! into one reused buffer, hashes its key once, probes X's one key index,
-//! and moves its accumulators into a flat leaf slab;
-//! [`MergeSync::finish`] runs the merge tree over each group's leaves in
-//! place and merges the root into X's flat accumulator slab. Allocation
-//! is per slab growth and per output group (its row), never per absorbed
-//! row or tree level (a string cell still allocates its string). Every
-//! slot is a [`Value`], so each merge still matches on variants.
+//! `RESULT` chunk as it lands ([`MergeSync::absorb_frame`]), decoded into
+//! columns. Per row it hashes the key in place, probes X's one key index
+//! and notes the row's slot; then each accumulator column is scattered
+//! into its site's leaf of typed accumulator states
+//! ([`skalla_gmdj::state::AccStates`], the kernel's own). [`MergeSync::finish`]
+//! runs the merge tree over whole leaves, typed array against typed
+//! array, and finalizes X once. Allocation is per state growth and per
+//! output group (its row), never per absorbed row, chunk or tree level.
 //!
 //! The stage loop that drives them over a transport (Alg.
 //! GMDJDistribEval) is the crate-private `run` sub-module.
@@ -34,8 +34,9 @@ pub(crate) use run::{finished_rounds, net_err, run_coordinator};
 use crate::protocol::ResultChunk;
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
+use skalla_gmdj::state::AccStates;
 use skalla_relation::columns::{key_hash, IdTable};
-use skalla_relation::{Error, Relation, Result, Row, Schema, Value};
+use skalla_relation::{Columns, DataType, Error, Relation, Result, Row, Schema, Value};
 use std::collections::HashMap;
 
 /// Check that `key` column values are unique in `rel`; returns the key
@@ -113,21 +114,23 @@ impl Default for BaseSync {
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
 ///
-/// X is B's rows, borrowed, beside one flat slab of accumulators, `width`
-/// slots per group, and one key index whose ids are B's row positions. A
-/// folded unit has no B: X grows from the incoming sub-results, and a
-/// group's base part is its key (Prop 2).
+/// X is B's rows, borrowed, beside typed accumulator states and one key
+/// index whose ids are B's row positions. A folded unit has no B: X grows
+/// from the incoming sub-results, and a group's base part is its key
+/// (Prop 2).
 ///
-/// The sites' answers reach X through its leaves, one per answering site.
-/// [`MergeSync::absorb_chunk`] takes each row-blocked chunk as it lands;
-/// [`MergeSync::finish`] merges each group's leaves as a binary tree
-/// instead of a left fold — adjacent leaves pair level by level until one
-/// remains, each merge taking (left, right) in that order, and a leaf
-/// without the group passing through — and then the root into X. The
-/// tree's shape depends only on the leaf count, so the bits do too, and
-/// Theorem 1's associativity makes it equal to a left fold
-/// (`parallel_merge_tree_equals_left_fold`). Rows in which one leaf
-/// repeats a key fold first, in arrival order.
+/// The sites' answers reach X through its leaves, one per answering site,
+/// each one typed state over X's groups with a presence bit per group.
+/// [`MergeSync::absorb_frame`] takes each row-blocked chunk as it lands: a
+/// leaf's first row for a group is copied in, a key the leaf repeats
+/// merges in arrival order. [`MergeSync::finish`] merges the leaves as a
+/// binary tree instead of a left fold — adjacent leaves pair level by
+/// level until one remains, each merge taking (left, right) in that order,
+/// and a leaf without the group passing its right neighbour's across — and
+/// then the root into X_init (taken as is when folded). The tree's shape
+/// depends only on the leaf count, so the bits do too, and Theorem 1's
+/// associativity makes it equal to a left fold
+/// (`parallel_merge_tree_equals_left_fold`).
 #[derive(Debug)]
 pub struct MergeSync<'b> {
     /// B: row `g` is group `g`'s base part (`None` when folded).
@@ -138,20 +141,21 @@ pub struct MergeSync<'b> {
     key_len: usize,
     /// Key → group id.
     index: IdTable,
-    /// Group `g`'s accumulators are slots `g * width..(g + 1) * width`:
-    /// `X_init` for B's groups, placeholders for a folded unit's until its
-    /// tree's root takes their place.
-    acc: Vec<Value>,
-    /// Per group: its first and last leaf row, once a chunk had it.
-    chain: Vec<Option<(usize, usize)>>,
-    /// Per leaf row, in arrival order: its leaf, and its group's next
-    /// leaf row.
-    leaf_rows: Vec<(usize, Option<usize>)>,
-    /// Leaf row `i`'s accumulators are slots `i * width..(i + 1) * width`.
-    leaf_acc: Vec<Value>,
+    layout: AccLayout,
+    /// The tree's slots, in blocks of `cap` groups: block 0 is X, block
+    /// `1 + l` is leaf `l`. Typed after the first chunk's accumulator
+    /// fields; `None` until a chunk arrives.
+    states: Option<AccStates>,
+    /// Per slot: does it hold a sub-aggregate (in X's block: X_init's)?
+    present: Vec<bool>,
+    /// Slots per block: B's size, or room for a folded unit's groups.
+    cap: usize,
     /// The tree's leaf count: one past the highest leaf absorbed.
     n_leaves: usize,
-    layout: AccLayout,
+    /// Per row of the chunk being absorbed: its slot, and whether it is
+    /// its leaf's first row for its group.
+    slots: Vec<usize>,
+    first: Vec<bool>,
 }
 
 impl<'b> MergeSync<'b> {
@@ -164,9 +168,7 @@ impl<'b> MergeSync<'b> {
             let key_idx;
             (key_idx, x.index) = index_key(b, key)?;
             x.keys = b.iter().flat_map(|r| key_idx.iter().map(|&c| r.get(c).clone())).collect();
-            let init = x.layout.init();
-            x.acc = init.iter().cycle().take(b.len() * init.len()).cloned().collect();
-            x.chain = vec![None; b.len()];
+            x.cap = b.len();
             x.base = Some(b);
         }
         Ok(x)
@@ -180,12 +182,13 @@ impl<'b> MergeSync<'b> {
             keys: Vec::new(),
             key_len,
             index: IdTable::with_capacity(0),
-            acc: Vec::new(),
-            chain: Vec::new(),
-            leaf_rows: Vec::new(),
-            leaf_acc: Vec::new(),
-            n_leaves: 0,
             layout: op.layout(),
+            states: None,
+            present: Vec::new(),
+            cap: 0,
+            n_leaves: 0,
+            slots: Vec::new(),
+            first: Vec::new(),
         }
     }
 
@@ -194,164 +197,157 @@ impl<'b> MergeSync<'b> {
         &self.keys[g * self.key_len..(g + 1) * self.key_len]
     }
 
-    /// The group whose key is `key`, hashed `hash`. A folded unit's first
-    /// sighting of a key makes its group (Prop 2: its base part is exactly
-    /// its key), with placeholder slots; B's groups are all there is.
-    #[inline]
-    fn group(&mut self, hash: u64, key: &[Value]) -> Result<usize> {
-        if let Some(g) = self.index.find(hash, |g| self.key(g) == key) {
-            return Ok(g);
-        }
-        if self.base.is_some() {
-            return Err(Error::Execution(format!(
-                "site reported unknown group {key:?}"
-            )));
-        }
-        self.keys.extend_from_slice(key);
-        self.acc.resize(self.acc.len() + self.layout.width(), Value::Null);
-        self.chain.push(None);
-        Ok(self.index.insert(hash))
-    }
-
     /// Absorb one whole answer as the next leaf: the key columns first,
     /// then the physical accumulator columns. Rows already merged across
     /// the sites ([`parallel_merge_tree`]) are one leaf, whose tree is
     /// that leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        let leaf = self.n_leaves;
-        self.start_chunk(leaf, h.schema(), h.len())?;
-        let mut vs = Vec::with_capacity(h.schema().len());
-        for row in h {
-            vs.clear();
-            vs.extend_from_slice(row.values());
-            self.absorb_row(leaf, &mut vs)?;
-        }
-        Ok(())
+        self.absorb_columns(self.n_leaves, h.schema(), h.columns())
     }
 
-    /// Absorb one chunk of leaf `leaf`'s answer as it lands: the key
-    /// columns first, then the physical accumulator columns. A leaf is one
-    /// answering site, numbered in site order; the tree has a leaf for
-    /// every number up to the highest one absorbed, so an empty answer
-    /// still counts. Per row: one key hash, one probe of X's index, and
-    /// its accumulators move into the leaf slab.
-    pub fn absorb_chunk(&mut self, leaf: usize, mut chunk: Relation) -> Result<()> {
-        self.start_chunk(leaf, chunk.schema(), chunk.len())?;
-        for row in std::mem::take(chunk.rows_mut()) {
-            self.absorb_row(leaf, &mut row.into_values())?;
-        }
-        Ok(())
+    /// Absorb one chunk of leaf `leaf`'s answer as it lands, straight from
+    /// its decoded `RESULT` frame: the key columns first, then the
+    /// physical accumulator columns. A leaf is one answering site,
+    /// numbered in site order; the tree has a leaf for every number up to
+    /// the highest one absorbed, so an empty answer still counts.
+    pub fn absorb_frame(&mut self, leaf: usize, chunk: ResultChunk) -> Result<()> {
+        self.absorb_columns(leaf, chunk.schema(), chunk.columns())
     }
 
-    /// [`MergeSync::absorb_chunk`] straight from a `RESULT` frame: each
-    /// row is decoded into one reused buffer, whose accumulators move into
-    /// the leaf slab, so no row of the chunk is ever built.
-    pub(crate) fn absorb_frame(&mut self, leaf: usize, mut chunk: ResultChunk<'_>) -> Result<()> {
-        self.start_chunk(leaf, chunk.schema(), chunk.rows_bound())?;
-        let mut vs = Vec::with_capacity(chunk.schema().len());
-        while chunk.next_row(&mut vs)? {
-            self.absorb_row(leaf, &mut vs)?;
+    /// Per row: one key hash and one probe of X's index, which give the
+    /// row's slot in leaf `leaf`; then every accumulator column scatters
+    /// into the leaf's typed states.
+    fn absorb_columns(&mut self, leaf: usize, schema: &Schema, cols: &Columns) -> Result<()> {
+        let (kl, width) = (self.key_len, self.layout.width());
+        if schema.len() != kl + width {
+            return Err(arity_error(schema, kl, width));
         }
-        Ok(())
-    }
-
-    /// Check a chunk's arity, and count `leaf` among the tree's leaves.
-    /// Room is made for `rows` more leaf rows.
-    fn start_chunk(&mut self, leaf: usize, schema: &Schema, rows: usize) -> Result<()> {
-        let width = self.layout.width();
-        if schema.len() != self.key_len + width {
-            return Err(arity_error(schema, self.key_len, width));
-        }
-        self.n_leaves = self.n_leaves.max(leaf + 1);
-        if self.index.is_empty() {
-            // A folded unit's first chunk: size X for about one answer.
-            self.index = IdTable::with_capacity(rows);
-        }
-        self.leaf_rows.reserve(rows);
-        self.leaf_acc.reserve(rows * width);
-        Ok(())
-    }
-
-    /// One row of leaf `leaf` (key, then accumulators): find its group,
-    /// chain a leaf row to it and move the accumulators out of `vs`.
-    #[inline]
-    fn absorb_row(&mut self, leaf: usize, vs: &mut Vec<Value>) -> Result<()> {
-        let key = &vs[..self.key_len];
-        let g = self.group(key_hash(key), key)?;
-        let i = self.leaf_rows.len();
-        match &mut self.chain[g] {
-            Some((_, last)) => self.leaf_rows[std::mem::replace(last, i)].1 = Some(i),
-            None => self.chain[g] = Some((i, i)),
-        }
-        self.leaf_rows.push((leaf, None));
-        self.leaf_acc.extend(vs.drain(self.key_len..));
-        Ok(())
-    }
-
-    /// Merge each group's leaves as the tree, in place in the leaf slab,
-    /// and the root into X.
-    fn merge_leaves(&mut self) -> Result<()> {
-        let (w, n) = (self.layout.width(), self.n_leaves);
-        // Per leaf, the leaf row holding its side of the group's tree so far.
-        let mut side: Vec<Option<usize>> = vec![None; n];
-        for (g, chain) in self.chain.iter().enumerate() {
-            let Some((head, _)) = *chain else {
-                continue;
-            };
-            side.fill(None);
-            let mut row = Some(head);
-            while let Some(i) = row {
-                let (leaf, next) = self.leaf_rows[i];
-                match side[leaf] {
-                    Some(first) => merge_rows(&self.layout, &mut self.leaf_acc, w, first, i)?,
-                    None => side[leaf] = Some(i),
-                }
-                row = next;
+        if self.states.is_none() {
+            let types: Vec<DataType> = schema.fields()[kl..].iter().map(|f| f.data_type()).collect();
+            self.states = Some(AccStates::new(&self.layout, &types, self.cap));
+            // X's block: X_init for each of B's groups; a folded unit's
+            // first chunk sizes the blocks for about one answer.
+            self.present = vec![self.base.is_some(); self.cap];
+            if self.base.is_none() {
+                self.index = IdTable::with_capacity(cols.len());
+                self.regrow(cols.len());
             }
-            let mut stride = 1;
-            while stride < n {
-                for left in (0..n - stride).step_by(2 * stride) {
-                    match (side[left], side[left + stride]) {
-                        (Some(l), Some(r)) => merge_rows(&self.layout, &mut self.leaf_acc, w, l, r)?,
-                        (None, r) => side[left] = r,
-                        (Some(_), None) => {}
+        }
+        if leaf >= self.n_leaves {
+            self.n_leaves = leaf + 1;
+            let slots = (1 + self.n_leaves) * self.cap;
+            self.present.resize(slots, false);
+            if let Some(states) = &mut self.states {
+                states.resize(slots);
+            }
+        }
+        self.slots.clear();
+        self.first.clear();
+        for i in 0..cols.len() {
+            let h = cols.key_hash(kl, i);
+            let keys = &self.keys;
+            let g = match self.index.find(h, |g| cols.key_eq(i, &keys[g * kl..(g + 1) * kl])) {
+                Some(g) => g,
+                None if self.base.is_some() => {
+                    let key: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
+                    return Err(Error::Execution(format!("site reported unknown group {key:?}")));
+                }
+                None => {
+                    // Prop 2: a folded unit's first sighting of a key
+                    // makes its group, whose base part is its key.
+                    self.keys.extend((0..kl).map(|c| cols.value(c, i)));
+                    let g = self.index.insert(h);
+                    if g == self.cap {
+                        self.regrow((2 * self.cap).max(16));
                     }
+                    g
                 }
-                stride *= 2;
+            };
+            let p = (1 + leaf) * self.cap + g;
+            self.first.push(!self.present[p]);
+            self.present[p] = true;
+            self.slots.push(g);
+        }
+        let block = (1 + leaf) * self.cap;
+        self.slots.iter_mut().for_each(|s| *s += block);
+        match &mut self.states {
+            Some(states) => states.absorb(cols, kl, &self.slots, &self.first),
+            None => Ok(()),
+        }
+    }
+
+    /// Give every block room for `cap` groups.
+    fn regrow(&mut self, cap: usize) {
+        let (blocks, old) = (1 + self.n_leaves, self.cap);
+        if let Some(states) = &mut self.states {
+            states.regrow(blocks, old, cap);
+        }
+        let mut present = vec![false; blocks * cap];
+        for b in 0..blocks {
+            present[b * cap..b * cap + old].copy_from_slice(&self.present[b * old..(b + 1) * old]);
+        }
+        (self.present, self.cap) = (present, cap);
+    }
+
+    /// Merge the leaves as the tree, level by level over whole leaves, and
+    /// the root into X: block 0 holds the answer for every group present
+    /// there.
+    fn merge_tree(&mut self) -> Result<()> {
+        let Some(states) = &mut self.states else {
+            return Ok(());
+        };
+        let (n, cap, groups) = (self.n_leaves, self.cap, self.index.len());
+        let mut step = |dst: usize, src: usize| -> Result<()> {
+            let (head, tail) = self.present.split_at_mut(src);
+            let (dp, sp) = (&mut head[dst..dst + groups], &tail[..groups]);
+            states.combine(dst, src, groups, dp, sp)?;
+            dp.iter_mut().zip(sp).for_each(|(d, s)| *d |= *s);
+            Ok(())
+        };
+        let mut stride = 1;
+        while stride < n {
+            for left in (0..n - stride).step_by(2 * stride) {
+                step((1 + left) * cap, (1 + left + stride) * cap)?;
             }
-            let root = side[0].ok_or_else(|| Error::Execution("a key left the merge tree".into()))?;
-            let x = &mut self.acc[g * w..(g + 1) * w];
-            let r = &mut self.leaf_acc[root * w..(root + 1) * w];
-            if self.base.is_some() {
-                self.layout.merge(x, r)?;
-            } else {
-                x.swap_with_slice(r);
-            }
+            stride *= 2;
+        }
+        if n > 0 {
+            step(0, cap)?;
         }
         Ok(())
+    }
+
+    /// X's physical values for group `g` into `out`: its merged
+    /// accumulators, or X_init where no state holds it.
+    fn push_x(&self, g: usize, out: &mut Vec<Value>) {
+        match &self.states {
+            Some(states) if self.present[g] => states.push_values(g, out),
+            _ => out.extend(self.layout.init()),
+        }
     }
 
     /// Finalize X into B_next with the logical output schema: B's row
     /// order, or key order when folded (first sightings follow site
     /// arrival, so they are sorted for determinism).
     pub fn finish(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
-        self.merge_leaves()?;
+        self.merge_tree()?;
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let width = self.layout.width();
         let mut order: Vec<usize> = (0..self.index.len()).collect();
         if self.base.is_none() {
             order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
         }
+        let mut acc = Vec::with_capacity(self.layout.width());
         let mut rows = Vec::with_capacity(order.len());
         for g in order {
             let base_part = match self.base {
                 Some(b) => b.rows()[g].values(),
                 None => self.key(g),
             };
+            acc.clear();
+            self.push_x(g, &mut acc);
             let mut vs = Vec::with_capacity(base_part.len() + self.layout.entries().len());
             vs.extend_from_slice(base_part);
-            self.layout
-                .finalize_into(&self.acc[g * width..(g + 1) * width], &mut vs)?;
+            self.layout.finalize_into(&acc, &mut vs)?;
             rows.push(Row::new(vs));
         }
         Relation::new(out_schema, rows)
@@ -442,32 +438,12 @@ impl ChainSync {
     }
 }
 
-/// Merge leaf-slab row `right` into row `left` (two distinct rows of
-/// `width` slots each). The sites' chunks interleave as they land, so
-/// either row may come first in the slab.
-fn merge_rows(
-    layout: &AccLayout,
-    slab: &mut [Value],
-    width: usize,
-    left: usize,
-    right: usize,
-) -> Result<()> {
-    let (l, r) = if left < right {
-        let (head, tail) = slab.split_at_mut(right * width);
-        (&mut head[left * width..(left + 1) * width], &tail[..width])
-    } else {
-        let (head, tail) = slab.split_at_mut(left * width);
-        (&mut tail[..width], &head[right * width..(right + 1) * width])
-    };
-    layout.merge(l, r)
-}
-
 /// Merge the sites' answers (key columns + physical accumulators) into one
 /// still-physical relation without X: each answer is one leaf of
 /// [`MergeSync`]'s tree, in order, and the output lists each key once, in
 /// first-sighting order, with its tree's root. Absorbing that into X
 /// ([`MergeSync::absorb`]) gives the bits that absorbing the answers'
-/// chunks as they land ([`MergeSync::absorb_chunk`]) gives.
+/// chunks as they land ([`MergeSync::absorb_frame`]) gives.
 ///
 /// `parallelism` is unused: at 5,000 groups on two cores, splitting the
 /// keys across two scoped workers measured slower than one thread
@@ -487,17 +463,19 @@ pub fn parallel_merge_tree(
     if answers.len() < 2 {
         return Ok(answers.pop());
     }
-    let schema = answers[0].schema_ref();
     let mut tree = MergeSync::folded(key_len, op);
-    for (leaf, h) in answers.into_iter().enumerate() {
-        tree.absorb_chunk(leaf, h)?;
+    for h in &answers {
+        tree.absorb(h)?;
     }
-    tree.merge_leaves()?;
-    let (mut keys, mut accs) = (tree.keys.into_iter(), tree.acc.into_iter());
+    tree.merge_tree()?;
     let rows = (0..tree.index.len())
-        .map(|_| Row::new(keys.by_ref().take(key_len).chain(accs.by_ref().take(w)).collect()))
+        .map(|g| {
+            let mut vs = tree.key(g).to_vec();
+            tree.push_x(g, &mut vs);
+            Row::new(vs)
+        })
         .collect();
-    Ok(Some(Relation::from_shared(schema, rows)))
+    Ok(Some(Relation::from_shared(answers[0].schema_ref(), rows)))
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
@@ -514,6 +492,7 @@ pub fn empty_aggregates(ops: &[Gmdj]) -> Result<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_result_chunk, result_chunk};
     use skalla_gmdj::agg::AggSpec;
     use skalla_gmdj::theta::ThetaBuilder;
     use skalla_relation::{row, DataType};
@@ -549,6 +528,12 @@ mod tests {
             ("avg__sum", DataType::Int),
             ("avg__cnt", DataType::Int),
         ])
+    }
+
+    /// `h` as the engine receives it: encoded into a `RESULT` frame and
+    /// decoded.
+    fn frame(h: &Relation) -> ResultChunk {
+        decode_result_chunk(&result_chunk(1, h, false).payload).unwrap()
     }
 
     #[test]
@@ -623,9 +608,9 @@ mod tests {
         .unwrap();
         assert!(sync.absorb(&bad).is_err());
         // The same two errors for a chunk as it lands.
-        let err = sync.absorb_chunk(0, h).unwrap_err();
+        let err = sync.absorb_frame(0, frame(&h)).unwrap_err();
         assert!(err.to_string().contains("unknown group [Int(9)]"), "{err}");
-        assert!(sync.absorb_chunk(1, bad).is_err());
+        assert!(sync.absorb_frame(1, frame(&bad)).is_err());
     }
 
     #[test]
@@ -800,7 +785,7 @@ mod tests {
             let mut sync = MergeSync::new(None, &key(), &op).unwrap();
             for &(leaf, d) in arrivals {
                 let chunk = Relation::new(schema.clone(), vec![row![7i64, d]]).unwrap();
-                sync.absorb_chunk(leaf, chunk).unwrap();
+                sync.absorb_frame(leaf, frame(&chunk)).unwrap();
             }
             let out = sync.finish(&Schema::of(&[("g", DataType::Int)]), &op, &detail).unwrap();
             assert_eq!(out.len(), 1);
@@ -865,14 +850,15 @@ mod tests {
         }
     }
 
-    /// Both ways into X — the engine's (`absorb_chunk` per chunk as it
-    /// lands, sites interleaved) and the layer walk's
-    /// (`parallel_merge_tree` → `absorb`) — give, bit for bit,
-    /// `X_init ⊕ tree` finalized (the tree alone when folded), over 1–7
-    /// sites, keys missing per site, empty answers and row-blocked
-    /// chunks. The accumulators: COUNT, wrapping Int SUM,
-    /// Double SUM over ±0.0 and two NaN payloads, NULL-only SUM, AVG, VAR
-    /// and string MIN/MAX.
+    /// Both ways into X — the engine's (each chunk encoded into a `RESULT`
+    /// frame and absorbed as it lands, `absorb_frame`, sites interleaved)
+    /// and the layer walk's (`parallel_merge_tree` → `absorb`) — give,
+    /// bit for bit, `X_init ⊕ tree` finalized (the tree alone when
+    /// folded), over 1–7 sites, keys missing per site, empty answers and
+    /// row-blocked chunks. The accumulators: COUNT, wrapping Int SUM,
+    /// Double SUM over ±0.0 and two NaN payloads (and now and then an
+    /// `Int` cell, which sends that SUM to `Value` accumulators),
+    /// NULL-only SUM, AVG, VAR and string MIN/MAX.
     #[test]
     fn merge_bits_match_the_pairwise_tree_reference() {
         let detail = Schema::of(&[
@@ -913,10 +899,14 @@ mod tests {
                     (0..n_keys)
                         .map(|_| {
                             (rng.below(3) > 0).then(|| {
+                                let sum_d = match rng.below(16) {
+                                    0 => Value::Int(rng.below(4) as i64),
+                                    _ => dbl(&mut rng),
+                                };
                                 vec![
                                     Value::Int(rng.below(4) as i64),
                                     Value::Int(i64::MAX - rng.below(3) as i64),
-                                    dbl(&mut rng),
+                                    sum_d,
                                     Value::Null,
                                     dbl(&mut rng),
                                     Value::Int(rng.below(4) as i64),
@@ -978,7 +968,7 @@ mod tests {
             while !live.is_empty() {
                 let at = rng.below(live.len());
                 match queues[live[at]].next() {
-                    Some(chunk) => engine.absorb_chunk(live[at], chunk.clone()).unwrap(),
+                    Some(chunk) => engine.absorb_frame(live[at], frame(chunk)).unwrap(),
                     None => {
                         live.swap_remove(at);
                     }

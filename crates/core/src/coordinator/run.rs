@@ -11,7 +11,7 @@ use crate::warehouse::EngineConfig;
 use skalla_gmdj::BaseQuery;
 use skalla_net::{CoordinatorTransport, Message, NetStats};
 use skalla_obs::{estimate_offset_us, Obs, TelemetryDelta, Track};
-use skalla_relation::{Error, Relation, Result, Schema};
+use skalla_relation::{DataType, Error, Relation, Result, Schema};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -164,6 +164,15 @@ pub(crate) fn run_coordinator(
                 } else {
                     let mut sync_span = obs.span(track, "MergeSync");
                     let op = &ops[0];
+                    let detail = detail_schemas
+                        .get(&unit.table)
+                        .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
+                    let acc_types: Vec<DataType> = op
+                        .layout()
+                        .physical_fields(detail)?
+                        .iter()
+                        .map(|f| f.data_type())
+                        .collect();
                     let mut sync = MergeSync::new(
                         if unit.fold_base { None } else { b_cur.as_ref() },
                         &plan.key,
@@ -185,12 +194,10 @@ pub(crate) fn run_coordinator(
                     let mut n_chunks = 0usize;
                     collect(coord, cfg, &round, &mut st, |site, c| {
                         n_chunks += 1;
+                        check_acc_types(&c, plan.key.len(), &acc_types)?;
                         sync.absorb_frame(leaf[site], c)
                     })?;
                     let t = wall_now();
-                    let detail = detail_schemas
-                        .get(&unit.table)
-                        .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
                     b_cur = Some(sync.finish(b_in_schema, op, detail)?);
                     st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
@@ -255,7 +262,7 @@ fn collect(
     cfg: &EngineConfig,
     round: &Round,
     st: &mut StageTimes,
-    mut absorb: impl FnMut(usize, protocol::ResultChunk<'_>) -> Result<()>,
+    mut absorb: impl FnMut(usize, protocol::ResultChunk) -> Result<()>,
 ) -> Result<()> {
     let stage = round.stage;
     // The sites whose final result chunk is still to come.
@@ -282,7 +289,7 @@ fn collect(
                 if chunk.last {
                     waiting[site] = false;
                 }
-                st.rows_up += chunk.rows_left() as u64;
+                st.rows_up += chunk.len() as u64;
                 absorb(site, chunk)?;
             }
             Tag::Telemetry => {
@@ -345,8 +352,23 @@ fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
     }
 }
 
+/// Refuse a merge unit's `RESULT` whose accumulator fields, after the
+/// `key_len` key fields, are not typed as the unit's physical schema
+/// (`want`) types them.
+fn check_acc_types(chunk: &protocol::ResultChunk, key_len: usize, want: &[DataType]) -> Result<()> {
+    let fields = chunk.schema().fields();
+    let got = fields.get(key_len..).unwrap_or(&[]);
+    if got.len() == want.len() && got.iter().zip(want).all(|(f, t)| f.data_type() == *t) {
+        return Ok(());
+    }
+    Err(Error::Execution(format!(
+        "site sent accumulators {} where the unit's physical schema has {want:?}",
+        chunk.schema()
+    )))
+}
+
 /// The `RUN_STAGE` task shipping the base structure's `ship_columns`,
-/// encoded straight from its rows.
+/// encoded straight from its columns.
 fn ship(stage: u32, b: &Relation, ship_columns: &[String]) -> Result<Message> {
     let cols = b
         .schema()
@@ -399,7 +421,7 @@ mod tests {
             ..StageTimes::default()
         };
         let mut from = Vec::new();
-        let absorb = |site, _chunk: protocol::ResultChunk<'_>| {
+        let absorb = |site, _chunk: protocol::ResultChunk| {
             from.push(site);
             Ok(())
         };

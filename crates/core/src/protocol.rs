@@ -20,7 +20,7 @@ use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
 use skalla_relation::codec::{Decoder, Encoder};
-use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Row, Schema, Value};
+use skalla_relation::{Column, Columns, Domain, DomainMap, Error, Relation, Result, Schema};
 
 /// The protocol generation this build speaks, negotiated in the catalog
 /// handshake ([`catalog_request`] carries it, [`catalog`] echoes it).
@@ -54,7 +54,13 @@ use skalla_relation::{Domain, DomainMap, Error, Relation, Result, Row, Schema, V
 ///   [`TAG_ERROR`]), and [`TAG_QUERY_DONE`] is one-way; a [`TAG_CATALOG`]
 ///   entry loses its row count. A v8 site would answer `QUERY_DONE`
 ///   with a frame no one reads, and every catalog would misparse.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// * **v10** — v7 frames; every relation body (a `RUN_STAGE` fragment, a
+///   `RESULT`, a literal base in a `PLAN`) is columnar: per column an
+///   encoding byte, a validity bitmap when the column holds a `NULL`, then
+///   an `i64`/`f64` run, a string dictionary and codes, plain strings or
+///   tagged cells ([`skalla_relation::codec`]). A v9 peer, which reads
+///   tagged cells row by row, would misread every relation.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -173,13 +179,16 @@ pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
 }
 
 /// [`run_stage`] with the projection of `b` onto the columns at `cols` as
-/// the fragment, encoded straight from `b`'s rows: the same bytes, and the
-/// fragment is never built.
+/// the fragment, encoded straight from `b`'s columns: the same bytes, and
+/// the fragment is never built.
 pub fn run_stage_projected(stage: u32, b: &Relation, cols: &[usize]) -> Result<Message> {
+    let schema = b.schema().project(cols)?;
+    let cols: Vec<&Column> = cols.iter().map(|&c| b.column(c)).collect();
     let mut enc = Encoder::new();
     enc.put_u32(stage);
     enc.put_u8(1);
-    enc.put_relation_columns(b, cols)?;
+    enc.put_schema(&schema);
+    enc.put_columns(b.len(), &cols);
     Ok(Message::new(TAG_RUN_STAGE, enc.finish()))
 }
 
@@ -226,23 +235,23 @@ pub fn decode_result(payload: &[u8]) -> Result<(u32, bool, Relation)> {
     Ok((chunk.stage, chunk.last, chunk.relation()?))
 }
 
-/// A `RESULT` payload with its header and schema read and its rows still
-/// encoded: [`ResultChunk::relation`] decodes them whole,
-/// [`ResultChunk::next_row`] one at a time into a buffer the caller
-/// reuses.
+/// A decoded `RESULT` payload: its header, its relation's schema and the
+/// relation's columns as they arrived. [`ResultChunk::columns`] hands
+/// them out for a merge to read in place; [`ResultChunk::relation`] makes
+/// the relation over them.
 #[derive(Debug)]
-pub struct ResultChunk<'a> {
+pub struct ResultChunk {
     /// The stage the result answers.
     pub stage: u32,
     /// Whether this is the stage's final chunk.
     pub last: bool,
     schema: Schema,
-    rows_left: usize,
-    dec: Decoder<'a>,
+    columns: Columns,
 }
 
-/// Read a `RESULT` payload's header and its relation's schema.
-pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk<'_>> {
+/// Decode a `RESULT` payload: its header, then its relation's schema and
+/// columns.
+pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
     let last = match dec.get_u8()? {
@@ -251,56 +260,43 @@ pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk<'_>> {
         t => return Err(Error::Codec(format!("bad last-chunk flag {t}"))),
     };
     let schema = dec.get_schema()?;
-    let rows_left = dec.get_u32()? as usize;
+    let columns = dec.get_columns(&schema)?;
+    if dec.remaining() != 0 {
+        return Err(Error::Codec("trailing bytes in RESULT".into()));
+    }
     Ok(ResultChunk {
         stage,
         last,
         schema,
-        rows_left,
-        dec,
+        columns,
     })
 }
 
-impl ResultChunk<'_> {
+impl ResultChunk {
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// How many rows the header announces that are not read yet.
-    pub fn rows_left(&self) -> usize {
-        self.rows_left
+    /// The relation's row count.
+    pub fn len(&self) -> usize {
+        self.columns.len()
     }
 
-    /// At most how many more rows can decode: the announced count,
-    /// capped by the bytes left (a value takes at least one).
-    pub fn rows_bound(&self) -> usize {
-        self.rows_left.min(self.dec.remaining())
+    /// True if the relation has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.columns.is_empty()
     }
 
-    /// Decode the next row into `out`, dropping what it held; `false`
-    /// once every row is read and no byte trails them.
-    pub fn next_row(&mut self, out: &mut Vec<Value>) -> Result<bool> {
-        if self.rows_left == 0 {
-            if self.dec.remaining() != 0 {
-                return Err(Error::Codec("trailing bytes in RESULT".into()));
-            }
-            return Ok(false);
-        }
-        self.rows_left -= 1;
-        self.dec.get_row_into(self.schema.len(), out)?;
-        Ok(true)
+    /// The relation's columns, one per schema field.
+    pub fn columns(&self) -> &Columns {
+        &self.columns
     }
 
-    /// The rows not read yet, as a relation.
-    pub fn relation(mut self) -> Result<Relation> {
-        let arity = self.schema.len();
-        let mut rows = Vec::with_capacity(self.rows_left.min(self.dec.remaining()));
-        let mut vs = Vec::with_capacity(arity);
-        while self.next_row(&mut vs)? {
-            rows.push(Row::new(std::mem::replace(&mut vs, Vec::with_capacity(arity))));
-        }
-        Relation::new(self.schema, rows)
+    /// The relation over the columns ([`Relation::from_columns`]: its
+    /// rows are built on first read).
+    pub fn relation(self) -> Result<Relation> {
+        Relation::from_columns(self.schema, self.columns)
     }
 }
 
@@ -551,9 +547,9 @@ mod tests {
     }
 
     /// The projected encoding ships the bytes the built projection would,
-    /// and a result decoded row by row is the relation decoded whole.
+    /// and a result chunk hands out the columns the relation is made of.
     #[test]
-    fn projected_fragments_and_streamed_results_match_the_built_ones() {
+    fn projected_fragments_and_result_columns_match_the_built_ones() {
         let b = Relation::new(
             Schema::of(&[("tag", DataType::Str), ("k", DataType::Int), ("x", DataType::Double)]),
             vec![row!["a", 1i64, 0.5], row!["b", 2i64, -0.0]],
@@ -565,19 +561,14 @@ mod tests {
         assert!(run_stage_projected(3, &b, &[7]).is_err());
 
         let payload = result_chunk(3, &built, false).payload;
-        let mut chunk = decode_result_chunk(&payload).unwrap();
-        assert_eq!((chunk.stage, chunk.last, chunk.rows_left()), (3, false, 2));
-        let mut rows = Vec::new();
-        let mut vs = Vec::new();
-        while chunk.next_row(&mut vs).unwrap() {
-            rows.push(Row::new(vs.clone()));
-        }
-        assert_eq!(Relation::new(chunk.schema().clone(), rows).unwrap(), built);
+        let chunk = decode_result_chunk(&payload).unwrap();
+        assert_eq!((chunk.stage, chunk.last, chunk.len()), (3, false, 2));
+        assert_eq!(chunk.columns().to_rows(), built.rows());
+        assert_eq!(chunk.relation().unwrap(), built);
         let mut trailing = payload.clone();
         trailing.push(0);
-        let mut chunk = decode_result_chunk(&trailing).unwrap();
-        assert!(chunk.next_row(&mut vs).is_ok() && chunk.next_row(&mut vs).is_ok());
-        assert!(chunk.next_row(&mut vs).is_err(), "a trailing byte is refused");
+        let err = decode_result_chunk(&trailing).unwrap_err().to_string();
+        assert!(err.contains("trailing bytes"), "a trailing byte is refused: {err}");
     }
 
     const ARCHITECTURE: &str = include_str!("../../../docs/ARCHITECTURE.md");
@@ -729,11 +720,12 @@ mod tests {
         assert_eq!(decode_catalog_request(&[]).unwrap(), 1);
 
         // A reply from a site speaking a different version — v7, the
-        // last one with plan notes on the wire, and v8, the last one that
-        // answered QUERY_DONE and advertised row counts, included — is
-        // rejected with a diagnostic naming both.
+        // last one with plan notes on the wire, v8, the last one that
+        // answered QUERY_DONE and advertised row counts, and v9, the last
+        // one with row-encoded relations, included — is rejected with a
+        // diagnostic naming both.
         let m = catalog(&[]);
-        for other in [7, 8, 99] {
+        for other in [7, 8, 9, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();

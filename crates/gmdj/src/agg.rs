@@ -16,7 +16,7 @@
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use skalla_relation::expr::eval_arith;
-use skalla_relation::{ArithOp, DataType, Error, Expr, Field, Result, Schema, Side, Value};
+use skalla_relation::{f64_add, ArithOp, DataType, Error, Expr, Field, Result, Schema, Side, Value};
 use std::fmt;
 
 /// The aggregate functions supported by the engine.
@@ -396,7 +396,7 @@ fn add_counts(acc: &mut Value, other: &Value) -> Result<()> {
 
 fn add_f64(acc: &mut Value, x: f64) {
     let cur = acc.as_f64().unwrap_or(0.0);
-    *acc = Value::Double(cur + x);
+    *acc = Value::Double(f64_add(cur, x));
 }
 
 fn add_into(acc: &mut Value, v: &Value) -> Result<()> {

@@ -42,10 +42,11 @@
 use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, LocalGmdj, MorselKernel};
 use crate::operator::Gmdj;
+use crate::state::{fold_min_max_f, fold_min_max_i, fold_sum_f, fold_sum_i, AggState, Kind};
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
+    f64_add, total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -82,7 +83,10 @@ impl CanonPair {
             .collect();
         let bkeys: Vec<CanonKeys> = base_keys
             .iter()
-            .map(|&bk| base.iter().map(|row| canon_value(row.get(bk), &mut codes)).collect())
+            .map(|&bk| {
+                let col = base.column(bk);
+                (0..base.len()).map(|p| canon_value(&col.value(p), &mut codes)).collect()
+            })
             .collect();
         let mut index = IdTable::with_capacity(reps.len());
         for g in 0..reps.len() {
@@ -197,274 +201,19 @@ fn classify<'a>(
     }
 }
 
-/// Typed accumulator arrays, one slot per base position. `has` flags
-/// mirror the row reference's `Null` accumulator states: a slot's stored
-/// number is meaningful only where `has` is set, and the first value
-/// *assigns* rather than adds (so `-0.0` and NaN payloads survive exactly
-/// as they do through `add_into`).
-enum AggState {
-    /// `COUNT` slots.
-    Count(Vec<i64>),
-    /// Int SUM (also the sum half of Int AVG).
-    SumI { s: Vec<i64>, has: Vec<bool> },
-    /// Double SUM.
-    SumF { s: Vec<f64>, has: Vec<bool> },
-    /// Int MIN/MAX.
-    MinMaxI { m: Vec<i64>, has: Vec<bool> },
-    /// Double MIN/MAX (total order, NaN greatest).
-    MinMaxF { m: Vec<f64>, has: Vec<bool> },
-    /// Int AVG: wrapping sum + count (count > 0 ⇔ sum present).
-    AvgI { s: Vec<i64>, cnt: Vec<i64> },
-    /// Double AVG.
-    AvgF { s: Vec<f64>, cnt: Vec<i64> },
-    /// VAR/STDDEV: sum, sum of squares, count — all start at zero and
-    /// accumulate unconditionally, like `add_f64`.
-    Var {
-        s: Vec<f64>,
-        sq: Vec<f64>,
-        cnt: Vec<i64>,
-    },
-    /// Row-semantics accumulators for the fallback path.
-    Fallback(Vec<Vec<Value>>),
-}
-
-impl AggState {
-    fn init(agg: &ColAgg<'_>, n: usize) -> AggState {
-        match agg {
-            ColAgg::CountStar | ColAgg::CountCol(_) => AggState::Count(vec![0; n]),
-            ColAgg::SumInt(_) => AggState::SumI {
-                s: vec![0; n],
-                has: vec![false; n],
-            },
-            ColAgg::SumF64(_) => AggState::SumF {
-                s: vec![0.0; n],
-                has: vec![false; n],
-            },
-            ColAgg::MinMaxInt { .. } => AggState::MinMaxI {
-                m: vec![0; n],
-                has: vec![false; n],
-            },
-            ColAgg::MinMaxF64 { .. } => AggState::MinMaxF {
-                m: vec![0.0; n],
-                has: vec![false; n],
-            },
-            ColAgg::AvgInt(_) => AggState::AvgI {
-                s: vec![0; n],
-                cnt: vec![0; n],
-            },
-            ColAgg::AvgF64(_) => AggState::AvgF {
-                s: vec![0.0; n],
-                cnt: vec![0; n],
-            },
-            ColAgg::VarInt(_) | ColAgg::VarF64(_) => AggState::Var {
-                s: vec![0.0; n],
-                sq: vec![0.0; n],
-                cnt: vec![0; n],
-            },
-            ColAgg::Fallback { spec, .. } => AggState::Fallback(
-                (0..n)
-                    .map(|_| {
-                        let mut acc = Vec::with_capacity(spec.acc_width());
-                        spec.init_acc(&mut acc);
-                        acc
-                    })
-                    .collect(),
-            ),
-        }
+/// The typed state an aggregate's classification accumulates into.
+fn kind(agg: &ColAgg<'_>) -> Kind {
+    match agg {
+        ColAgg::CountStar | ColAgg::CountCol(_) => Kind::Count,
+        ColAgg::SumInt(_) => Kind::SumI,
+        ColAgg::SumF64(_) => Kind::SumF,
+        ColAgg::MinMaxInt { .. } => Kind::MinMaxI,
+        ColAgg::MinMaxF64 { .. } => Kind::MinMaxF,
+        ColAgg::AvgInt(_) => Kind::AvgI,
+        ColAgg::AvgF64(_) => Kind::AvgF,
+        ColAgg::VarInt(_) | ColAgg::VarF64(_) => Kind::Var,
+        ColAgg::Fallback { .. } => Kind::Fallback,
     }
-
-    fn reset(&mut self, spec: &AggSpec) {
-        match self {
-            AggState::Count(c) => c.fill(0),
-            AggState::SumI { has, .. }
-            | AggState::SumF { has, .. }
-            | AggState::MinMaxI { has, .. }
-            | AggState::MinMaxF { has, .. } => has.fill(false),
-            AggState::AvgI { cnt, .. } | AggState::AvgF { cnt, .. } => cnt.fill(0),
-            AggState::Var { s, sq, cnt } => {
-                s.fill(0.0);
-                sq.fill(0.0);
-                cnt.fill(0);
-            }
-            AggState::Fallback(accs) => {
-                for acc in accs {
-                    acc.clear();
-                    spec.init_acc(acc);
-                }
-            }
-        }
-    }
-
-    /// Merge a later morsel's state into this one — the typed mirror of
-    /// [`AggSpec::merge`], slot by slot.
-    fn merge(&mut self, src: &AggState, spec: &AggSpec) -> Result<()> {
-        match (self, src) {
-            (AggState::Count(d), AggState::Count(s)) => {
-                for (d, s) in d.iter_mut().zip(s) {
-                    *d += *s;
-                }
-            }
-            (
-                AggState::SumI { s: ds, has: dh },
-                AggState::SumI { s: ss, has: sh },
-            ) => {
-                for p in 0..ds.len() {
-                    if sh[p] {
-                        ds[p] = if dh[p] { ds[p].wrapping_add(ss[p]) } else { ss[p] };
-                        dh[p] = true;
-                    }
-                }
-            }
-            (
-                AggState::SumF { s: ds, has: dh },
-                AggState::SumF { s: ss, has: sh },
-            ) => {
-                for p in 0..ds.len() {
-                    if sh[p] {
-                        ds[p] = if dh[p] { ds[p] + ss[p] } else { ss[p] };
-                        dh[p] = true;
-                    }
-                }
-            }
-            (
-                AggState::MinMaxI { m: dm, has: dh },
-                AggState::MinMaxI { m: sm, has: sh },
-            ) => {
-                // `max` is recoverable from the spec; both directions share
-                // the "replace if strictly better or absent" shape.
-                let max = spec.func == AggFunc::Max;
-                for p in 0..dm.len() {
-                    if sh[p] && (!dh[p] || better_i(sm[p], dm[p], max)) {
-                        dm[p] = sm[p];
-                        dh[p] = true;
-                    }
-                }
-            }
-            (
-                AggState::MinMaxF { m: dm, has: dh },
-                AggState::MinMaxF { m: sm, has: sh },
-            ) => {
-                let max = spec.func == AggFunc::Max;
-                for p in 0..dm.len() {
-                    if sh[p] && (!dh[p] || better_f(sm[p], dm[p], max)) {
-                        dm[p] = sm[p];
-                        dh[p] = true;
-                    }
-                }
-            }
-            (
-                AggState::AvgI { s: ds, cnt: dc },
-                AggState::AvgI { s: ss, cnt: sc },
-            ) => {
-                for p in 0..ds.len() {
-                    if sc[p] > 0 {
-                        ds[p] = if dc[p] > 0 { ds[p].wrapping_add(ss[p]) } else { ss[p] };
-                    }
-                    dc[p] += sc[p];
-                }
-            }
-            (
-                AggState::AvgF { s: ds, cnt: dc },
-                AggState::AvgF { s: ss, cnt: sc },
-            ) => {
-                for p in 0..ds.len() {
-                    if sc[p] > 0 {
-                        ds[p] = if dc[p] > 0 { ds[p] + ss[p] } else { ss[p] };
-                    }
-                    dc[p] += sc[p];
-                }
-            }
-            (
-                AggState::Var { s: ds, sq: dq, cnt: dc },
-                AggState::Var { s: ss, sq: sq2, cnt: sc },
-            ) => {
-                for p in 0..ds.len() {
-                    ds[p] += ss[p];
-                    dq[p] += sq2[p];
-                    dc[p] += sc[p];
-                }
-            }
-            (AggState::Fallback(d), AggState::Fallback(s)) => {
-                for (d, s) in d.iter_mut().zip(s) {
-                    spec.merge(d, s)?;
-                }
-            }
-            #[expect(
-                clippy::unreachable,
-                reason = "both states were built by `new_state` from one `ColAgg`"
-            )]
-            _ => unreachable!("morsel states share one classification"),
-        }
-        Ok(())
-    }
-
-    /// Append this aggregate's physical slot values for base position
-    /// `pos` — exactly what the row reference's `Vec<Value>` accumulator
-    /// holds after the same updates.
-    fn push_values(&self, pos: usize, out: &mut Vec<Value>) {
-        match self {
-            AggState::Count(c) => out.push(Value::Int(c[pos])),
-            AggState::SumI { s, has } => out.push(if has[pos] {
-                Value::Int(s[pos])
-            } else {
-                Value::Null
-            }),
-            AggState::SumF { s, has } => out.push(if has[pos] {
-                Value::Double(s[pos])
-            } else {
-                Value::Null
-            }),
-            AggState::MinMaxI { m, has } => out.push(if has[pos] {
-                Value::Int(m[pos])
-            } else {
-                Value::Null
-            }),
-            AggState::MinMaxF { m, has } => out.push(if has[pos] {
-                Value::Double(m[pos])
-            } else {
-                Value::Null
-            }),
-            AggState::AvgI { s, cnt } => {
-                out.push(if cnt[pos] > 0 {
-                    Value::Int(s[pos])
-                } else {
-                    Value::Null
-                });
-                out.push(Value::Int(cnt[pos]));
-            }
-            AggState::AvgF { s, cnt } => {
-                out.push(if cnt[pos] > 0 {
-                    Value::Double(s[pos])
-                } else {
-                    Value::Null
-                });
-                out.push(Value::Int(cnt[pos]));
-            }
-            AggState::Var { s, sq, cnt } => {
-                out.push(Value::Double(s[pos]));
-                out.push(Value::Double(sq[pos]));
-                out.push(Value::Int(cnt[pos]));
-            }
-            AggState::Fallback(accs) => out.extend(accs[pos].iter().cloned()),
-        }
-    }
-}
-
-/// Strictly better under the Int MIN/MAX order.
-#[inline]
-fn better_i(candidate: i64, current: i64, max: bool) -> bool {
-    if max {
-        candidate > current
-    } else {
-        candidate < current
-    }
-}
-
-/// Strictly better under the Double total order (NaN greatest) — the same
-/// order [`Value`]'s `Ord` gives `MIN`/`MAX` in the row reference.
-#[inline]
-fn better_f(candidate: f64, current: f64, max: bool) -> bool {
-    total_f64_cmp(candidate, current) == if max { Ordering::Greater } else { Ordering::Less }
 }
 
 /// A numeric comparand as [`Value`]'s `Ord` ranks it against a number.
@@ -527,7 +276,8 @@ impl<'a> TypedCmp<'a> {
         let rhs = match other {
             BoundExpr::Lit(v) => Rhs::Lit(Num::of(v)),
             BoundExpr::Col(Side::Base, b) => {
-                Rhs::PerBase(base.iter().map(|r| Num::of(r.get(*b))).collect())
+                let col = base.column(*b);
+                Rhs::PerBase((0..base.len()).map(|p| Num::of(&col.value(p))).collect())
             }
             _ => return None,
         };
@@ -670,7 +420,7 @@ impl MorselKernel for ColKernel<'_> {
         let aggs = self
             .blocks
             .iter()
-            .flat_map(|b| b.aggs.iter().map(|(_, a)| AggState::init(a, n)))
+            .flat_map(|b| b.aggs.iter().map(|(gi, a)| AggState::new(kind(a), self.spec(*gi), n)))
             .collect();
         ColState {
             aggs,
@@ -790,38 +540,27 @@ fn update_agg(
             }
         }
         (ColAgg::SumInt((data, valid)), AggState::SumI { s, has }) => {
-            sum_loop(rows, poss, data, *valid, |acc, v, h| {
-                *acc = if h { acc.wrapping_add(v) } else { v };
-            }, s, has);
+            sum_loop(rows, poss, data, *valid, fold_sum_i, s, has);
         }
         (ColAgg::SumF64((data, valid)), AggState::SumF { s, has }) => {
-            sum_loop(rows, poss, data, *valid, |acc, v, h| {
-                *acc = if h { *acc + v } else { v };
-            }, s, has);
+            sum_loop(rows, poss, data, *valid, fold_sum_f, s, has);
         }
         (ColAgg::MinMaxInt { col: (data, valid), max }, AggState::MinMaxI { m, has }) => {
             let max = *max;
-            sum_loop(rows, poss, data, *valid, move |acc, v, h| {
-                if !h || better_i(v, *acc, max) {
-                    *acc = v;
-                }
-            }, m, has);
+            let fold = move |acc: &mut i64, v, h| fold_min_max_i(acc, v, h, max);
+            sum_loop(rows, poss, data, *valid, fold, m, has);
         }
         (ColAgg::MinMaxF64 { col: (data, valid), max }, AggState::MinMaxF { m, has }) => {
             let max = *max;
-            sum_loop(rows, poss, data, *valid, move |acc, v, h| {
-                if !h || better_f(v, *acc, max) {
-                    *acc = v;
-                }
-            }, m, has);
+            let fold = move |acc: &mut f64, v, h| fold_min_max_f(acc, v, h, max);
+            sum_loop(rows, poss, data, *valid, fold, m, has);
         }
         (ColAgg::AvgInt((data, valid)), AggState::AvgI { s, cnt }) => {
             match valid {
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
-                        let v = data[i];
-                        s[p] = if cnt[p] > 0 { s[p].wrapping_add(v) } else { v };
+                        fold_sum_i(&mut s[p], data[i], cnt[p] > 0);
                         cnt[p] += 1;
                     }
                 }
@@ -829,8 +568,7 @@ fn update_agg(
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
                         if vb.get(i) {
-                            let v = data[i];
-                            s[p] = if cnt[p] > 0 { s[p].wrapping_add(v) } else { v };
+                            fold_sum_i(&mut s[p], data[i], cnt[p] > 0);
                             cnt[p] += 1;
                         }
                     }
@@ -842,8 +580,7 @@ fn update_agg(
                 None => {
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
-                        let v = data[i];
-                        s[p] = if cnt[p] > 0 { s[p] + v } else { v };
+                        fold_sum_f(&mut s[p], data[i], cnt[p] > 0);
                         cnt[p] += 1;
                     }
                 }
@@ -851,8 +588,7 @@ fn update_agg(
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
                         if vb.get(i) {
-                            let v = data[i];
-                            s[p] = if cnt[p] > 0 { s[p] + v } else { v };
+                            fold_sum_f(&mut s[p], data[i], cnt[p] > 0);
                             cnt[p] += 1;
                         }
                     }
@@ -865,8 +601,8 @@ fn update_agg(
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
                         let x = data[i] as f64;
-                        s[p] += x;
-                        sq[p] += x * x;
+                        s[p] = f64_add(s[p], x);
+                        sq[p] = f64_add(sq[p], x * x);
                         cnt[p] += 1;
                     }
                 }
@@ -875,8 +611,8 @@ fn update_agg(
                         let (i, p) = (i as usize, p as usize);
                         if vb.get(i) {
                             let x = data[i] as f64;
-                            s[p] += x;
-                            sq[p] += x * x;
+                            s[p] = f64_add(s[p], x);
+                            sq[p] = f64_add(sq[p], x * x);
                             cnt[p] += 1;
                         }
                     }
@@ -889,8 +625,8 @@ fn update_agg(
                     for (&i, &p) in rows.iter().zip(poss) {
                         let (i, p) = (i as usize, p as usize);
                         let x = data[i];
-                        s[p] += x;
-                        sq[p] += x * x;
+                        s[p] = f64_add(s[p], x);
+                        sq[p] = f64_add(sq[p], x * x);
                         cnt[p] += 1;
                     }
                 }
@@ -899,8 +635,8 @@ fn update_agg(
                         let (i, p) = (i as usize, p as usize);
                         if vb.get(i) {
                             let x = data[i];
-                            s[p] += x;
-                            sq[p] += x * x;
+                            s[p] = f64_add(s[p], x);
+                            sq[p] = f64_add(sq[p], x * x);
                             cnt[p] += 1;
                         }
                     }
@@ -908,14 +644,16 @@ fn update_agg(
             }
         }
         (ColAgg::Fallback { spec, input }, AggState::Fallback(accs)) => {
+            let w = spec.acc_width();
             for (&i, &p) in rows.iter().zip(poss) {
                 let (i, p) = (i as usize, p as usize);
+                let acc = &mut accs[p * w..(p + 1) * w];
                 match input {
                     Some(e) => {
                         let v = e.eval_cols(&base.rows()[p], detail, i)?;
-                        spec.update(&mut accs[p], Some(&v))?;
+                        spec.update(acc, Some(&v))?;
                     }
-                    None => spec.update(&mut accs[p], None)?,
+                    None => spec.update(acc, None)?,
                 }
             }
         }
@@ -1026,17 +764,19 @@ pub(crate) fn eval_columnar(
     };
     let merged = drive(&kernel, opts, obs, site)?;
 
-    // Each row straight from the typed states: the kept base values, then
-    // the accumulator values in layout (global aggregate) order.
+    // Each row straight from the typed states: the kept base values, read
+    // from the base's columns, then the accumulator values in layout
+    // (global aggregate) order.
+    let kept: Vec<&Column> = keep.iter().map(|&c| base.column(c)).collect();
     let mut rows = Vec::with_capacity(base.len());
-    for (pos, b) in base.iter().enumerate() {
+    for pos in 0..base.len() {
         if matched_only && !merged.matched[pos] {
             continue;
         }
         let mut vs = Vec::with_capacity(keep.len() + layout.width());
-        vs.extend(keep.iter().map(|&c| b.get(c).clone()));
-        for st in &merged.aggs {
-            st.push_values(pos, &mut vs);
+        vs.extend(kept.iter().map(|c| c.value(pos)));
+        for ((_, spec, _), st) in layout.entries().iter().zip(&merged.aggs) {
+            st.push_values(pos, spec, &mut vs);
         }
         rows.push(Row::new(vs));
     }

@@ -26,6 +26,7 @@ pub mod operator;
 pub mod patterns;
 pub mod rewrite;
 pub mod sketch;
+pub mod state;
 pub mod theta;
 
 pub use agg::{AccLayout, AggFunc, AggSpec};

@@ -1,24 +1,52 @@
-//! Binary codec for values, rows, schemas and relations.
+//! Binary codec for values, schemas, relations and expressions.
 //!
 //! Everything shipped between sites and the coordinator passes through this
 //! codec, so the network layer's byte accounting reflects real serialized
 //! sizes — the quantity the paper's Figure 2 (right) plots and that
-//! Theorem 2 bounds. The format is a simple length-prefixed tag encoding
-//! (little-endian), independent of platform.
+//! Theorem 2 bounds. The format is length-prefixed and little-endian,
+//! independent of platform.
+//!
+//! A relation travels as its schema, its row count and then its columns
+//! ([`Column`]), each column on its own: one encoding byte, a validity
+//! bitmap (`rows.div_ceil(8)` bytes, bit `i` set for a non-`NULL` row
+//! `i`) only when the column holds a `NULL`, and then the non-`NULL`
+//! rows' values in row order:
+//!
+//! * `Int` / `Double`: one contiguous run of 8-byte words (exact bits, so
+//!   `-0.0` and `NaN` payloads survive);
+//! * `Str`: a dictionary (its length, then each string length-prefixed)
+//!   and one code per row, 1, 2 or 4 bytes wide as the dictionary needs —
+//!   or the strings themselves, length-prefixed, whichever is smaller;
+//! * `Mixed`: one tagged cell per row ([`Encoder::put_value`]), no bitmap.
+//!
+//! No column is written for an empty relation. A column's body is never
+//! larger than one tagged cell per row would be, but for one byte in a
+//! `Mixed` column or a one-row column holding `NULL`.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
+use crate::columns::{Bitmap, Column, Columns};
 use crate::error::{Error, Result};
 use crate::relation::Relation;
-use crate::row::Row;
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
 const TAG_DOUBLE: u8 = 2;
 const TAG_STR: u8 = 3;
+
+/// Column encodings: the byte that leads each column of a relation body.
+const COL_INT: u8 = 1;
+const COL_DOUBLE: u8 = 2;
+const COL_STR_DICT: u8 = 3;
+const COL_STR_PLAIN: u8 = 4;
+const COL_MIXED: u8 = 5;
+/// Or-ed into a typed column's encoding byte: a validity bitmap follows.
+const COL_NULLS: u8 = 0x80;
 
 /// A byte sink with primitive writers.
 #[derive(Debug, Default)]
@@ -99,13 +127,6 @@ impl Encoder {
         }
     }
 
-    /// Write a row (the reader must know the arity from the schema).
-    pub fn put_row(&mut self, row: &Row) {
-        for v in row.values() {
-            self.put_value(v);
-        }
-    }
-
     /// Write a schema.
     pub fn put_schema(&mut self, schema: &Schema) {
         self.put_u32(schema.len() as u32);
@@ -119,26 +140,134 @@ impl Encoder {
         }
     }
 
-    /// Write a whole relation (schema + row count + rows).
+    /// Write a whole relation: its schema, then its body
+    /// ([`Encoder::put_columns`] over every column).
     pub fn put_relation(&mut self, rel: &Relation) {
         self.put_schema(rel.schema());
-        self.put_u32(rel.len() as u32);
-        for row in rel {
-            self.put_row(row);
+        let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
+        self.put_columns(rel.len(), &cols);
+    }
+
+    /// Write a relation body: the row count `len`, then each of `cols`
+    /// (`len` rows each) in the layout the module docs give.
+    pub fn put_columns(&mut self, len: usize, cols: &[&Column]) {
+        self.put_u32(len as u32);
+        if len == 0 {
+            return;
+        }
+        for col in cols {
+            self.put_column(col);
         }
     }
 
-    /// Write the projection of `rel` onto the columns at `cols` as
-    /// [`Encoder::put_relation`] writes it, without building it.
-    pub fn put_relation_columns(&mut self, rel: &Relation, cols: &[usize]) -> Result<()> {
-        self.put_schema(&rel.schema().project(cols)?);
-        self.put_u32(rel.len() as u32);
-        for row in rel {
-            for &c in cols {
-                self.put_value(row.get(c));
+    fn put_column(&mut self, col: &Column) {
+        let (enc, _) = column_form(col);
+        self.put_u8(enc);
+        let valid = if enc & COL_NULLS != 0 {
+            valid_bits(col)
+        } else {
+            None
+        };
+        if let Some(b) = valid {
+            self.buf.extend(b.to_le_bytes());
+        }
+        let rows = || (0..col.len()).filter(|&i| valid.is_none_or(|b| b.get(i)));
+        match col {
+            Column::Int { data, .. } => {
+                for i in rows() {
+                    self.put_i64(data[i]);
+                }
+            }
+            Column::Double { data, .. } => {
+                for i in rows() {
+                    self.put_f64(data[i]);
+                }
+            }
+            Column::Str { codes, dict, .. } if enc & !COL_NULLS == COL_STR_DICT => {
+                self.put_u32(dict.len() as u32);
+                for s in dict {
+                    self.put_str(s);
+                }
+                let width = code_width(dict.len());
+                for i in rows() {
+                    self.buf.extend_from_slice(&codes[i].to_le_bytes()[..width]);
+                }
+            }
+            Column::Str { codes, dict, .. } => {
+                for i in rows() {
+                    self.put_str(&dict[codes[i] as usize]);
+                }
+            }
+            Column::Mixed(vs) => {
+                for v in vs {
+                    self.put_value(v);
+                }
             }
         }
-        Ok(())
+    }
+}
+
+/// The validity bitmap a typed column writes: its own, when it marks a
+/// `NULL`.
+fn valid_bits(col: &Column) -> Option<&Bitmap> {
+    match col {
+        Column::Int { valid, .. } | Column::Double { valid, .. } | Column::Str { valid, .. } => {
+            valid.as_ref().filter(|b| !b.all_set())
+        }
+        Column::Mixed(_) => None,
+    }
+}
+
+/// Bytes per dictionary code for a dictionary of `n` strings.
+fn code_width(n: usize) -> usize {
+    match n {
+        0..=0x100 => 1,
+        0x101..=0x1_0000 => 2,
+        _ => 4,
+    }
+}
+
+/// How a non-empty column is written: its encoding byte, and its size in
+/// bytes with that byte. A `Str` column takes the smaller of dictionary
+/// and plain strings.
+fn column_form(col: &Column) -> (u8, usize) {
+    let n = col.len();
+    let valid = valid_bits(col);
+    let (nulls, bitmap) = match valid {
+        Some(_) => (COL_NULLS, n.div_ceil(8)),
+        None => (0, 0),
+    };
+    let n_valid = valid.map_or(n, Bitmap::count_ones);
+    match col {
+        Column::Int { .. } => (COL_INT | nulls, 1 + bitmap + 8 * n_valid),
+        Column::Double { .. } => (COL_DOUBLE | nulls, 1 + bitmap + 8 * n_valid),
+        Column::Str { codes, dict, .. } => {
+            let in_dict = 4
+                + dict.iter().map(|s| 4 + s.len()).sum::<usize>()
+                + code_width(dict.len()) * n_valid;
+            let plain: usize = (0..n)
+                .filter(|&i| valid.is_none_or(|b| b.get(i)))
+                .map(|i| 4 + dict[codes[i] as usize].len())
+                .sum();
+            if in_dict < plain {
+                (COL_STR_DICT | nulls, 1 + bitmap + in_dict)
+            } else {
+                (COL_STR_PLAIN | nulls, 1 + bitmap + plain)
+            }
+        }
+        Column::Mixed(vs) => (
+            COL_MIXED,
+            1 + vs.iter().map(Value::encoded_size).sum::<usize>(),
+        ),
+    }
+}
+
+/// The exact size of the body [`Encoder::put_columns`] writes for `len`
+/// rows of `cols`.
+pub fn body_size<'a>(len: usize, cols: impl IntoIterator<Item = &'a Column>) -> usize {
+    match len {
+        0 => 4,
+        _ => 4 + cols.into_iter().map(|c| column_form(c).1).sum::<usize>(),
     }
 }
 
@@ -195,11 +324,16 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String> {
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    fn get_str_ref(&mut self) -> Result<&'a str> {
         let n = self.get_u32()? as usize;
         let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|e| Error::Codec(format!("invalid utf-8: {e}")))
+        std::str::from_utf8(b).map_err(|e| Error::Codec(format!("invalid utf-8: {e}")))
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<String> {
+        self.get_str_ref().map(str::to_string)
     }
 
     /// Read a value.
@@ -208,28 +342,9 @@ impl<'a> Decoder<'a> {
             TAG_NULL => Ok(Value::Null),
             TAG_INT => Ok(Value::Int(self.get_i64()?)),
             TAG_DOUBLE => Ok(Value::Double(self.get_f64()?)),
-            TAG_STR => Ok(Value::str(self.get_str()?)),
+            TAG_STR => Ok(Value::Str(Arc::from(self.get_str_ref()?))),
             t => Err(Error::Codec(format!("bad value tag {t}"))),
         }
-    }
-
-    /// Read a row of `arity` values.
-    pub fn get_row(&mut self, arity: usize) -> Result<Row> {
-        // Capacity capped by the bytes actually left, so a corrupt count
-        // can't balloon the allocation before the decode fails.
-        let mut vs = Vec::with_capacity(arity.min(self.remaining()));
-        self.get_row_into(arity, &mut vs)?;
-        Ok(Row::new(vs))
-    }
-
-    /// Read a row of `arity` values into `out`, replacing what it held: a
-    /// buffer the caller reuses, so a row allocates nothing of its own.
-    pub fn get_row_into(&mut self, arity: usize, out: &mut Vec<Value>) -> Result<()> {
-        out.clear();
-        for _ in 0..arity {
-            out.push(self.get_value()?);
-        }
-        Ok(())
     }
 
     /// Read a schema.
@@ -249,17 +364,146 @@ impl<'a> Decoder<'a> {
         Schema::new(fields)
     }
 
-    /// Read a relation.
+    /// Read a relation body of `schema`'s arity into its columns, as
+    /// [`Encoder::put_columns`] wrote it. A row count the remaining bytes
+    /// cannot hold fails before anything is allocated for it.
+    pub fn get_columns(&mut self, schema: &Schema) -> Result<Columns> {
+        let n = self.get_u32()? as usize;
+        // Each column of a non-empty body takes its encoding byte and at
+        // least one bit per row.
+        if n > 0 && (1 + n.div_ceil(8)) * schema.len() > self.remaining() {
+            return Err(Error::Codec(format!(
+                "{n} rows of {} columns cannot fit in {} bytes",
+                schema.len(),
+                self.remaining()
+            )));
+        }
+        let cols = schema
+            .fields()
+            .iter()
+            .map(|f| match n {
+                0 => Ok(Column::build(f.data_type(), &[], 0)),
+                _ => self.get_column(n),
+            })
+            .collect::<Result<_>>()?;
+        Ok(Columns::new(n, cols))
+    }
+
+    fn get_column(&mut self, n: usize) -> Result<Column> {
+        let enc = self.get_u8()?;
+        let valid = match enc & COL_NULLS {
+            0 => None,
+            _ => Some(
+                Bitmap::from_le_bytes(self.take(n.div_ceil(8))?, n).ok_or_else(|| {
+                    Error::Codec("validity bitmap sets bits past the row count".into())
+                })?,
+            ),
+        };
+        let n_valid = valid.as_ref().map_or(n, Bitmap::count_ones);
+        Ok(match enc & !COL_NULLS {
+            COL_INT => {
+                let run = self.take(8 * n_valid)?.chunks_exact(8);
+                let data = scatter(run.map(le_word).map(i64::from_le_bytes), n, valid.as_ref());
+                Column::Int { data, valid }
+            }
+            COL_DOUBLE => {
+                let run = self.take(8 * n_valid)?.chunks_exact(8);
+                let data = scatter(run.map(le_word).map(f64::from_le_bytes), n, valid.as_ref());
+                Column::Double { data, valid }
+            }
+            COL_STR_DICT => {
+                let k = self.get_u32()? as usize;
+                if k > self.remaining() / 4 {
+                    return Err(Error::Codec(format!(
+                        "a dictionary of {k} strings cannot fit"
+                    )));
+                }
+                let mut seen = HashSet::with_capacity(k);
+                let mut dict: Vec<Arc<str>> = Vec::with_capacity(k);
+                for _ in 0..k {
+                    let s = self.get_str_ref()?;
+                    if !seen.insert(s) {
+                        return Err(Error::Codec(format!("dictionary repeats {s:?}")));
+                    }
+                    dict.push(Arc::from(s));
+                }
+                let width = code_width(k);
+                let run = self.take(width * n_valid)?.chunks_exact(width);
+                let codes: Vec<u32> = run
+                    .map(|c| {
+                        let mut le = [0u8; 4];
+                        le[..width].copy_from_slice(c);
+                        u32::from_le_bytes(le)
+                    })
+                    .collect();
+                if let Some(&bad) = codes.iter().find(|&&c| c as usize >= k) {
+                    return Err(Error::Codec(format!(
+                        "dictionary code {bad} past a dictionary of {k}"
+                    )));
+                }
+                let codes = scatter(codes.into_iter(), n, valid.as_ref());
+                Column::Str { codes, dict, valid }
+            }
+            COL_STR_PLAIN => {
+                if 4 * n_valid > self.remaining() {
+                    return Err(Error::Codec(format!("{n_valid} strings cannot fit")));
+                }
+                // Interned, so that the column's dictionary holds each
+                // string once, as a relation's own columns do.
+                let mut intern: HashMap<&str, u32> = HashMap::new();
+                let mut dict: Vec<Arc<str>> = Vec::new();
+                let mut codes = Vec::with_capacity(n_valid);
+                for _ in 0..n_valid {
+                    let s = self.get_str_ref()?;
+                    codes.push(*intern.entry(s).or_insert_with(|| {
+                        dict.push(Arc::from(s));
+                        (dict.len() - 1) as u32
+                    }));
+                }
+                let codes = scatter(codes.into_iter(), n, valid.as_ref());
+                Column::Str { codes, dict, valid }
+            }
+            COL_MIXED if valid.is_none() => {
+                if n > self.remaining() {
+                    return Err(Error::Codec(format!("{n} cells cannot fit")));
+                }
+                Column::Mixed((0..n).map(|_| self.get_value()).collect::<Result<_>>()?)
+            }
+            _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
+        })
+    }
+
+    /// Read a relation: its schema and its body, the decoded columns its
+    /// layout ([`Relation::from_columns`]).
     pub fn get_relation(&mut self) -> Result<Relation> {
         let schema = self.get_schema()?;
-        let n = self.get_u32()? as usize;
-        let arity = schema.len();
-        let mut rows = Vec::with_capacity(n.min(self.remaining()));
-        for _ in 0..n {
-            rows.push(self.get_row(arity)?);
-        }
-        Relation::new(schema, rows)
+        let cols = self.get_columns(&schema)?;
+        Relation::from_columns(schema, cols)
     }
+}
+
+/// An 8-byte chunk as an array (`chunks_exact(8)` yields only those).
+fn le_word(c: &[u8]) -> [u8; 8] {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(c);
+    w
+}
+
+/// The values of the valid rows, in order, spread over `n` rows: a `NULL`
+/// row holds the default.
+fn scatter<T: Copy + Default>(
+    vals: impl Iterator<Item = T>,
+    n: usize,
+    valid: Option<&Bitmap>,
+) -> Vec<T> {
+    let Some(valid) = valid else {
+        return vals.collect();
+    };
+    let mut out = vec![T::default(); n];
+    for (slot, v) in (0..n).filter(|&i| valid.get(i)).zip(vals) {
+        out[slot] = v;
+    }
+    out
 }
 
 const EXPR_COL: u8 = 0;
@@ -417,6 +661,7 @@ pub fn decode_relation(bytes: &[u8]) -> Result<Relation> {
 mod tests {
     use super::*;
     use crate::row;
+    use crate::row::Row;
 
     fn sample() -> Relation {
         Relation::new(
@@ -480,14 +725,200 @@ mod tests {
         assert!(d.get_value().is_err());
     }
 
+    /// One column of `n` rows, named `c`, declared `ty`.
+    fn one_column(ty: DataType, cells: Vec<Value>) -> Relation {
+        Relation::new(
+            Schema::of(&[("c", ty)]),
+            cells.into_iter().map(|v| Row::new(vec![v])).collect(),
+        )
+        .unwrap()
+    }
+
+    /// A body by hand: `schema`, the row count `n`, then `cols` as given.
+    fn raw(schema: &Schema, n: u32, cols: &[u8]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_schema(schema);
+        e.put_u32(n);
+        let mut bytes = e.finish();
+        bytes.extend_from_slice(cols);
+        bytes
+    }
+
+    #[test]
+    fn columns_travel_as_runs_dictionaries_and_bitmaps() {
+        let schema_len = |r: &Relation| r.schema().encoded_size() + 4;
+        // Three Ints: the encoding byte and one 8-byte run.
+        let ints = one_column(DataType::Int, vec![1i64.into(), 2i64.into(), 3i64.into()]);
+        let bytes = encode_relation(&ints);
+        assert_eq!(bytes.len(), schema_len(&ints) + 1 + 24);
+        assert_eq!(bytes[schema_len(&ints)], COL_INT);
+        // A NULL adds the bitmap and drops its word.
+        let nulls = one_column(
+            DataType::Double,
+            vec![1.5.into(), Value::Null, (-0.0).into()],
+        );
+        let bytes = encode_relation(&nulls);
+        assert_eq!(
+            &bytes[schema_len(&nulls)..schema_len(&nulls) + 2],
+            [COL_DOUBLE | COL_NULLS, 0b101]
+        );
+        assert_eq!(bytes.len(), schema_len(&nulls) + 2 + 16);
+        // Repeated strings go as a dictionary with one-byte codes...
+        let repeated = one_column(DataType::Str, vec![Value::str("alpha"); 50]);
+        let bytes = encode_relation(&repeated);
+        assert_eq!(bytes[schema_len(&repeated)], COL_STR_DICT);
+        assert_eq!(bytes.len(), schema_len(&repeated) + 1 + 4 + 9 + 50);
+        // ...distinct ones plainly, and 300 distinct ones need two-byte codes.
+        let distinct = one_column(DataType::Str, vec![Value::str("a"), Value::str("b")]);
+        assert_eq!(
+            encode_relation(&distinct)[schema_len(&distinct)],
+            COL_STR_PLAIN
+        );
+        assert_eq!(
+            (code_width(256), code_width(257), code_width(1 << 17)),
+            (1, 2, 4)
+        );
+        // Every one of them is no larger than tagged cells, and round-trips.
+        for r in [ints, nulls, repeated, distinct] {
+            let tagged: usize = r.iter().map(|row| row.get(0).encoded_size()).sum();
+            assert!(encode_relation(&r).len() <= schema_len(&r) + tagged);
+            assert_eq!(decode_relation(&encode_relation(&r)).unwrap(), r);
+        }
+    }
+
+    #[test]
+    fn malformed_columns_are_clean_errors() {
+        let int = Schema::of(&[("c", DataType::Int)]);
+        let dbl = Schema::of(&[("c", DataType::Double)]);
+        let txt = Schema::of(&[("c", DataType::Str)]);
+        let two = Schema::of(&[("c", DataType::Int), ("d", DataType::Int)]);
+        let word = 7i64.to_le_bytes();
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "unknown encoding",
+                raw(&int, 1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]),
+                "unknown column encoding",
+            ),
+            (
+                "a bitmap on a Mixed column",
+                raw(&int, 1, &[COL_MIXED | COL_NULLS, 1, 0]),
+                "unknown column encoding",
+            ),
+            (
+                "short i64 run",
+                raw(&int, 2, &[[COL_INT].as_slice(), &word].concat()),
+                "unexpected end of input",
+            ),
+            (
+                "short f64 run",
+                raw(&dbl, 2, &[[COL_DOUBLE].as_slice(), &word, &[1, 2]].concat()),
+                "unexpected end of input",
+            ),
+            (
+                "short bitmap",
+                raw(
+                    &two,
+                    9,
+                    &[
+                        [COL_INT | COL_NULLS, 1, 0].as_slice(),
+                        &word,
+                        &[COL_INT | COL_NULLS, 1],
+                    ]
+                    .concat(),
+                ),
+                "unexpected end of input",
+            ),
+            (
+                "bitmap past the rows",
+                raw(
+                    &int,
+                    2,
+                    &[[COL_INT | COL_NULLS, 0b101].as_slice(), &word, &word].concat(),
+                ),
+                "past the row count",
+            ),
+            (
+                "code past the dictionary",
+                raw(&txt, 1, &[COL_STR_DICT, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]),
+                "dictionary code 1",
+            ),
+            (
+                "dictionary too long",
+                raw(&txt, 1, &[COL_STR_DICT, 0xFF, 0xFF, 0xFF, 0x7F, 0]),
+                "cannot fit",
+            ),
+            (
+                "dictionary repeats",
+                raw(
+                    &txt,
+                    1,
+                    &[
+                        COL_STR_DICT,
+                        2,
+                        0,
+                        0,
+                        0,
+                        1,
+                        0,
+                        0,
+                        0,
+                        b'a',
+                        1,
+                        0,
+                        0,
+                        0,
+                        b'a',
+                        0,
+                    ],
+                ),
+                "repeats",
+            ),
+            (
+                "rows far beyond the bytes",
+                raw(&int, u32::MAX, &[COL_INT, 0, 0, 0]),
+                "cannot fit",
+            ),
+        ];
+        for (what, bytes, want) in cases {
+            let err = decode_relation(&bytes).expect_err(what).to_string();
+            assert!(err.contains(want), "{what}: {err}");
+        }
+        let mut trailing = encode_relation(&sample());
+        trailing.extend_from_slice(&[COL_INT, 0]);
+        assert!(decode_relation(&trailing)
+            .unwrap_err()
+            .to_string()
+            .contains("trailing"));
+    }
+
     #[test]
     fn encoded_size_estimate_close_to_actual() {
-        let r = sample();
-        let actual = encode_relation(&r).len();
-        let estimate = r.encoded_size();
-        // The estimate is used for accounting; keep it within 20%.
-        let diff = (actual as f64 - estimate as f64).abs() / actual as f64;
-        assert!(diff < 0.2, "estimate {estimate} vs actual {actual}");
+        // The estimate is used for accounting; keep it within 20%: the
+        // mixed sample, a repeated-string column and a NULL-heavy one.
+        let repeated = one_column(
+            DataType::Str,
+            (0..200)
+                .map(|i| Value::str(["north", "south"][i % 2]))
+                .collect(),
+        );
+        let sparse = one_column(
+            DataType::Int,
+            (0..200)
+                .map(|i| {
+                    if i % 10 == 0 {
+                        Value::Int(i)
+                    } else {
+                        Value::Null
+                    }
+                })
+                .collect(),
+        );
+        for r in [sample(), repeated, sparse] {
+            let actual = encode_relation(&r).len();
+            let estimate = r.encoded_size();
+            let diff = (actual as f64 - estimate as f64).abs() / actual as f64;
+            assert!(diff < 0.2, "estimate {estimate} vs actual {actual}");
+        }
     }
 
     #[test]
@@ -522,6 +953,7 @@ mod tests {
     #[test]
     fn empty_relation_round_trip() {
         let r = Relation::empty(Schema::of(&[("a", DataType::Int)]));
+        assert_eq!(encode_relation(&r).len(), r.schema().encoded_size() + 4);
         assert_eq!(decode_relation(&encode_relation(&r)).unwrap(), r);
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! The store is a *projection* of a relation's rows: [`Columns::from_rows`]
 //! is lossless (`NaN` bit patterns, `-0.0`, `NULL`s and shared `Str`
-//! handles all survive the round trip through [`Columns::to_rows`]), and
-//! the wire codec keeps serializing through the row encoding — columnar
-//! layout never changes what travels between sites.
+//! handles all survive the round trip through [`Columns::to_rows`]). The
+//! wire codec ships a relation as these columns ([`crate::codec`]), and
+//! decodes a frame back into them.
 //!
 //! A relation builds each [`Column`] on its own, the first time a query
 //! touches it ([`crate::Relation::column`]); [`Columns`] is the
@@ -80,6 +80,34 @@ impl Bitmap {
     pub fn all_set(&self) -> bool {
         self.count_ones() == self.len
     }
+
+    /// The bits as `len.div_ceil(8)` little-endian bytes, bit `i` at bit
+    /// `i % 8` of byte `i / 8` (the codec's validity bitmap).
+    pub fn to_le_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .take(self.len.div_ceil(8))
+    }
+
+    /// The inverse of [`Bitmap::to_le_bytes`]: `None` unless `bytes` is
+    /// `len.div_ceil(8)` long with every bit past `len` clear.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> Option<Bitmap> {
+        if bytes.len() != len.div_ceil(8) {
+            return None;
+        }
+        let mut b = Bitmap::new(len);
+        for (w, chunk) in b.words.iter_mut().zip(bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *w = u64::from_le_bytes(le);
+        }
+        let tail = len % 64;
+        match b.words.last() {
+            Some(&last) if tail != 0 && last >> tail != 0 => None,
+            _ => Some(b),
+        }
+    }
 }
 
 /// One physical column: a typed vector with an optional validity bitmap
@@ -103,8 +131,9 @@ pub enum Column {
         valid: Option<Bitmap>,
     },
     /// All non-`NULL` values are `Str`, dictionary-encoded: `codes[i]`
-    /// indexes `dict`, which holds each distinct string once (first
-    /// occurrence order). Rows sharing a string share one `Arc`.
+    /// indexes `dict`, which holds each distinct string once — in first
+    /// occurrence order when built from rows, in the sender's order when
+    /// decoded ([`crate::codec`]). Rows sharing a string share one `Arc`.
     Str {
         /// Per-row dictionary codes (0 at `NULL` rows).
         codes: Vec<u32>,
@@ -150,6 +179,58 @@ impl Column {
         }
     }
 
+    /// Push row `i`'s value onto `rows[i]`, for every row.
+    fn push_values(&self, rows: &mut [Vec<Value>]) {
+        fn fill<T: Copy>(rows: &mut [Vec<Value>], data: &[T], valid: &Option<Bitmap>, v: impl Fn(T) -> Value) {
+            match valid {
+                None => rows.iter_mut().zip(data).for_each(|(r, &x)| r.push(v(x))),
+                Some(b) => {
+                    for (i, (r, &x)) in rows.iter_mut().zip(data).enumerate() {
+                        r.push(if b.get(i) { v(x) } else { Value::Null });
+                    }
+                }
+            }
+        }
+        match self {
+            Column::Int { data, valid } => fill(rows, data, valid, Value::Int),
+            Column::Double { data, valid } => fill(rows, data, valid, Value::Double),
+            Column::Str { codes, dict, valid } => {
+                fill(rows, codes, valid, |k| Value::Str(Arc::clone(&dict[k as usize])))
+            }
+            Column::Mixed(vs) => rows.iter_mut().zip(vs).for_each(|(r, v)| r.push(v.clone())),
+        }
+    }
+
+    /// Is row `i` [`Value`]-equal to `v`? Compares in place, without
+    /// building the row's value.
+    #[inline]
+    pub fn value_eq(&self, i: usize, v: &Value) -> bool {
+        if !self.is_valid(i) {
+            return v.is_null();
+        }
+        match self {
+            Column::Int { data, .. } => *v == Value::Int(data[i]),
+            Column::Double { data, .. } => *v == Value::Double(data[i]),
+            Column::Str { codes, dict, .. } => v.as_str() == Some(&*dict[codes[i] as usize]),
+            Column::Mixed(vs) => vs[i] == *v,
+        }
+    }
+
+    /// The canonical `(tag, word)` [`key_hash`] mixes in for row `i`:
+    /// strings by content, so it needs no interner.
+    #[inline]
+    fn key_word(&self, i: usize) -> (u8, u64) {
+        if !self.is_valid(i) {
+            return CANON_NULL;
+        }
+        match self {
+            Column::Int { data, .. } => canon_i64(data[i]),
+            Column::Double { data, .. } => canon_f64(data[i]),
+            Column::Str { codes, dict, .. } => (CANON_STR_TAG, str_word(&dict[codes[i] as usize])),
+            Column::Mixed(vs) => value_key_word(&vs[i]),
+        }
+    }
+
     /// The dictionary codes, string table and validity, if this is a
     /// `Str` column.
     pub fn as_str_dict(&self) -> Option<StrDictView<'_>> {
@@ -192,6 +273,17 @@ impl Columns {
         Columns { len, cols }
     }
 
+    /// The shared columns.
+    pub(crate) fn shared(&self) -> &[Arc<Column>] {
+        &self.cols
+    }
+
+    /// The store of `cols`, each `len` rows long (a decoded frame body).
+    pub fn new(len: usize, cols: Vec<Column>) -> Columns {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        Columns::from_shared(len, cols.into_iter().map(Arc::new).collect())
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -219,14 +311,32 @@ impl Columns {
         self.cols[c].value(row)
     }
 
-    /// Materialize row `i`.
-    pub fn row(&self, i: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c.value(i)).collect::<Vec<_>>())
+    /// [`key_hash`] of row `i`'s values in the leading `key_len` columns,
+    /// read in place.
+    #[inline]
+    pub fn key_hash(&self, key_len: usize, i: usize) -> u64 {
+        self.cols[..key_len]
+            .iter()
+            .map(|c| c.key_word(i))
+            .fold(KEY_SEED, mix_key_word)
     }
 
-    /// Materialize all rows (the inverse of [`Columns::from_rows`]).
+    /// Are row `i`'s values in the leading `key.len()` columns
+    /// [`Value`]-equal to `key`?
+    #[inline]
+    pub fn key_eq(&self, i: usize, key: &[Value]) -> bool {
+        self.cols.iter().zip(key).all(|(c, v)| c.value_eq(i, v))
+    }
+
+    /// Materialize all rows (the inverse of [`Columns::from_rows`]),
+    /// filled a column at a time.
     pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        let mut rows: Vec<Vec<Value>> =
+            (0..self.len).map(|_| Vec::with_capacity(self.cols.len())).collect();
+        for c in &self.cols {
+            c.push_values(&mut rows);
+        }
+        rows.into_iter().map(Row::new).collect()
     }
 }
 
@@ -410,22 +520,33 @@ pub fn canon_hash(keys: &[CanonKeys], i: usize) -> u64 {
 /// [`CANON_NULL`]), strings their bytes — so keys index an [`IdTable`]
 /// with no interner shared between the sides that probe it.
 pub fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
-    key.into_iter().fold(0x51CA_11A0_C0FF_EE00, |h, v| {
-        let (tag, word) = match v {
-            Value::Null => CANON_NULL,
-            Value::Int(i) => canon_i64(*i),
-            Value::Double(d) => canon_f64(*d),
-            Value::Str(s) => {
-                let bytes = s.as_bytes();
-                let word = bytes.chunks(8).fold(bytes.len() as u64, |w, c| {
-                    let mut le = [0u8; 8];
-                    le[..c.len()].copy_from_slice(c);
-                    mix64(w, u64::from_le_bytes(le))
-                });
-                (CANON_STR_TAG, word)
-            }
-        };
-        mix64(mix64(h, tag as u64), word)
+    key.into_iter().map(value_key_word).fold(KEY_SEED, mix_key_word)
+}
+
+const KEY_SEED: u64 = 0x51CA_11A0_C0FF_EE00;
+
+#[inline]
+fn mix_key_word(h: u64, (tag, word): (u8, u64)) -> u64 {
+    mix64(mix64(h, tag as u64), word)
+}
+
+/// A value's canonical pair under [`key_hash`]: strings by content.
+fn value_key_word(v: &Value) -> (u8, u64) {
+    match v {
+        Value::Null => CANON_NULL,
+        Value::Int(i) => canon_i64(*i),
+        Value::Double(d) => canon_f64(*d),
+        Value::Str(s) => (CANON_STR_TAG, str_word(s)),
+    }
+}
+
+/// A string's content word.
+fn str_word(s: &str) -> u64 {
+    let bytes = s.as_bytes();
+    bytes.chunks(8).fold(bytes.len() as u64, |w, c| {
+        let mut le = [0u8; 8];
+        le[..c.len()].copy_from_slice(c);
+        mix64(w, u64::from_le_bytes(le))
     })
 }
 

@@ -158,7 +158,7 @@ pub fn eval_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
             }
             _ => Err(Error::TypeError(format!("cannot divide {a} by {b}"))),
         },
-        ArithOp::Add => int_or_double(op, a, b, i64::wrapping_add, |x, y| x + y),
+        ArithOp::Add => int_or_double(op, a, b, i64::wrapping_add, crate::value::f64_add),
         ArithOp::Sub => int_or_double(op, a, b, i64::wrapping_sub, |x, y| x - y),
         ArithOp::Mul => int_or_double(op, a, b, i64::wrapping_mul, |x, y| x * y),
     }

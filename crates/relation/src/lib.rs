@@ -39,4 +39,4 @@ pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, In
 pub use relation::{Groups, Relation};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
-pub use value::{total_f64_cmp, DataType, Value};
+pub use value::{f64_add, total_f64_cmp, DataType, Value};

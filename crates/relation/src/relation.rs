@@ -24,7 +24,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: SchemaRef,
-    rows: Vec<Row>,
+    /// The rows: given at construction, or, for a relation over decoded
+    /// columns ([`Relation::from_columns`]), built from them the first time
+    /// something reads them.
+    rows: OnceLock<Vec<Row>>,
     derived: Derived,
 }
 
@@ -94,18 +97,38 @@ impl Clone for Derived {
 /// is invisible.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        self.schema == other.schema && self.rows == other.rows
+        self.schema == other.schema && self.rows() == other.rows()
     }
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation {
-            schema: Arc::new(schema),
-            rows: Vec::new(),
-            derived: Derived::default(),
+        Relation::from_shared(Arc::new(schema), Vec::new())
+    }
+
+    /// A relation over `cols`, one column per field of `schema`: what a
+    /// decoded frame body becomes ([`crate::codec`]). The columns are its
+    /// columnar layout, and its rows are built from them the first time
+    /// something reads them, so a consumer that reads columns only never
+    /// builds a row.
+    pub fn from_columns(schema: Schema, cols: Columns) -> Result<Relation> {
+        if cols.arity() != schema.len() {
+            return Err(Error::SchemaMismatch(format!(
+                "{} columns vs schema arity {}",
+                cols.arity(),
+                schema.len()
+            )));
         }
+        let derived = Derived::default();
+        let cells = cols.shared().iter().map(|c| OnceLock::from(Arc::clone(c))).collect();
+        let _ = derived.cols.set(cells);
+        let _ = derived.all.set(Arc::new(cols));
+        Ok(Relation {
+            schema: Arc::new(schema),
+            rows: OnceLock::new(),
+            derived,
+        })
     }
 
     /// A relation from a schema and rows.
@@ -123,11 +146,7 @@ impl Relation {
                 )));
             }
         }
-        Ok(Relation {
-            schema,
-            rows,
-            derived: Derived::default(),
-        })
+        Ok(Relation::from_shared(schema, rows))
     }
 
     /// A relation reusing an existing shared schema (no arity re-check; used
@@ -136,7 +155,7 @@ impl Relation {
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
         Relation {
             schema,
-            rows,
+            rows: OnceLock::from(rows),
             derived: Derived::default(),
         }
     }
@@ -153,24 +172,32 @@ impl Relation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match self.rows.get() {
+            Some(rows) => rows.len(),
+            None => self.derived.all.get().map_or(0, |c| c.len()),
+        }
     }
 
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// The rows.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        // A relation without rows was made from its columns, so
+        // `columns` reads them and does not build them from the rows.
+        self.rows.get_or_init(|| self.columns().to_rows())
     }
 
     /// Mutable access to the rows (coordinator-side in-place merges).
     /// Drops everything derived from them.
+    #[expect(clippy::expect_used, reason = "the rows are set on the line before")]
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
+        let rows = self.rows.take().unwrap_or_else(|| self.columns().to_rows());
         self.derived = Derived::default();
-        &mut self.rows
+        self.rows = OnceLock::from(rows);
+        self.rows.get_mut().expect("rows are set")
     }
 
     /// Append a row. Drops everything derived from the rows.
@@ -179,8 +206,7 @@ impl Relation {
     /// Debug-asserts the arity matches.
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.schema.len());
-        self.derived = Derived::default();
-        self.rows.push(row);
+        self.rows_mut().push(row);
     }
 
     fn column_cell(&self, c: usize) -> &Arc<Column> {
@@ -191,7 +217,7 @@ impl Relation {
         cells[c].get_or_init(|| {
             Arc::new(Column::build(
                 self.schema.field(c).data_type(),
-                &self.rows,
+                self.rows(),
                 c,
             ))
         })
@@ -215,13 +241,13 @@ impl Relation {
             let cols = (0..self.schema.len())
                 .map(|c| Arc::clone(self.column_cell(c)))
                 .collect();
-            Arc::new(Columns::from_shared(self.rows.len(), cols))
+            Arc::new(Columns::from_shared(self.len(), cols))
         })
     }
 
     /// Iterate over rows.
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
-        self.rows.iter()
+        self.rows().iter()
     }
 
     /// Projection onto named columns (π). Multiset semantics: keeps
@@ -229,7 +255,7 @@ impl Relation {
     pub fn project(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
         let schema = self.schema.project(&idx)?;
-        let rows = self.rows.iter().map(|r| r.project(&idx)).collect();
+        let rows = self.iter().map(|r| r.project(&idx)).collect();
         Relation::new(schema, rows)
     }
 
@@ -253,10 +279,10 @@ impl Relation {
             }
         }
         let keys: Vec<CanonKeys> = key.iter().map(|&c| self.column(c).canon_keys()).collect();
-        let mut ids = Vec::with_capacity(self.rows.len());
+        let mut ids = Vec::with_capacity(self.len());
         let mut first: Vec<u32> = Vec::new();
         let mut table = IdTable::with_capacity(0);
-        for i in 0..self.rows.len() {
+        for i in 0..self.len() {
             let h = canon_hash(&keys, i);
             let id = match table.find(h, |g| canon_eq(&keys, first[g] as usize, &keys, i)) {
                 Some(id) => id,
@@ -293,7 +319,7 @@ impl Relation {
         let rows = groups
             .first
             .iter()
-            .map(|&i| self.rows[i as usize].project(&idx))
+            .map(|&i| self.rows()[i as usize].project(&idx))
             .collect();
         Ok(groups
             .distinct
@@ -304,7 +330,7 @@ impl Relation {
     /// Selection (σ) by a bound predicate.
     pub fn select(&self, pred: &BoundExpr) -> Result<Relation> {
         let mut rows = Vec::new();
-        for r in &self.rows {
+        for r in self {
             if pred.eval_row(r)?.is_truthy() {
                 rows.push(r.clone());
             }
@@ -316,7 +342,7 @@ impl Relation {
     pub fn filter(&self, mut keep: impl FnMut(&Row) -> bool) -> Relation {
         Relation::from_shared(
             self.schema_ref(),
-            self.rows.iter().filter(|r| keep(r)).cloned().collect(),
+            self.iter().filter(|r| keep(r)).cloned().collect(),
         )
     }
 
@@ -330,8 +356,8 @@ impl Relation {
             )));
         }
         let mut rows = Vec::with_capacity(self.len() + other.len());
-        rows.extend_from_slice(&self.rows);
-        rows.extend_from_slice(&other.rows);
+        rows.extend_from_slice(self.rows());
+        rows.extend_from_slice(other.rows());
         Ok(Relation::from_shared(self.schema_ref(), rows))
     }
 
@@ -344,7 +370,7 @@ impl Relation {
             .groups(&all)
             .first
             .iter()
-            .map(|&i| self.rows[i as usize].clone())
+            .map(|&i| self.rows()[i as usize].clone())
             .collect();
         Relation::from_shared(self.schema_ref(), rows)
     }
@@ -352,7 +378,7 @@ impl Relation {
     /// Rows sorted by the named columns (ascending, total value order).
     pub fn sorted_by(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows().to_vec();
         rows.sort_by(|a, b| {
             for &i in &idx {
                 let ord = a.get(i).cmp(b.get(i));
@@ -367,7 +393,7 @@ impl Relation {
 
     /// A canonical form for multiset comparison in tests: all rows sorted.
     pub fn canonicalized(&self) -> Relation {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows().to_vec();
         rows.sort();
         Relation::from_shared(self.schema_ref(), rows)
     }
@@ -375,7 +401,7 @@ impl Relation {
     /// Multiset equality irrespective of row order and of schema sharing.
     pub fn same_bag(&self, other: &Relation) -> bool {
         self.schema() == other.schema()
-            && self.canonicalized().rows == other.canonicalized().rows
+            && self.canonicalized().rows() == other.canonicalized().rows()
     }
 
     /// The distinct values of one column, in first-occurrence order.
@@ -384,19 +410,21 @@ impl Relation {
         Ok(distinct.iter().map(|r| r.get(0).clone()).collect())
     }
 
-    /// Approximate serialized size in bytes (schema + rows).
+    /// Serialized size in bytes: the schema and the columnar body
+    /// ([`crate::codec`]). Builds every column.
     pub fn encoded_size(&self) -> usize {
-        self.schema.encoded_size() + 4 + self.rows.iter().map(Row::encoded_size).sum::<usize>()
+        let cols = (0..self.schema.len()).map(|c| self.column(c));
+        self.schema.encoded_size() + crate::codec::body_size(self.len(), cols)
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
-        for r in &self.rows {
+        for r in self {
             writeln!(f, "{r}")?;
         }
-        write!(f, "({} rows)", self.rows.len())
+        write!(f, "({} rows)", self.len())
     }
 }
 
@@ -404,7 +432,7 @@ impl<'a> IntoIterator for &'a Relation {
     type Item = &'a Row;
     type IntoIter = std::slice::Iter<'a, Row>;
     fn into_iter(self) -> Self::IntoIter {
-        self.rows.iter()
+        self.rows().iter()
     }
 }
 

@@ -68,11 +68,6 @@ impl Row {
     pub fn into_values(self) -> Vec<Value> {
         self.values.into_vec()
     }
-
-    /// Approximate serialized size in bytes (codec accounting).
-    pub fn encoded_size(&self) -> usize {
-        self.values.iter().map(Value::encoded_size).sum()
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -133,11 +128,5 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(row![1i64, "x"].to_string(), "[1, x]");
-    }
-
-    #[test]
-    fn encoded_size_sums_values() {
-        let r = row![1i64, "abc"];
-        assert_eq!(r.encoded_size(), 9 + 8);
     }
 }

@@ -107,8 +107,8 @@ impl Value {
         }
     }
 
-    /// Approximate size in bytes when serialized by the codec. Used by the
-    /// network layer for accounting and by the planner for cost estimates.
+    /// Size in bytes of the value as one tagged cell ([`crate::codec`]
+    /// writes a `Mixed` column's rows so).
     pub fn encoded_size(&self) -> usize {
         match self {
             Value::Null => 1,
@@ -165,6 +165,29 @@ pub fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b)
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
+
+/// `a + b`, with the NaN a NaN operand makes taken from the left operand
+/// when both are NaN — as x86 does it, but fixed here rather than left to
+/// which operand order the compiler picks. Every path that sums doubles
+/// (the `Value` accumulators, the kernel's typed loops, the coordinator's
+/// typed merge) adds through this, so their NaN payloads agree bit for
+/// bit.
+#[inline]
+pub fn f64_add(a: f64, b: f64) -> f64 {
+    let sum = a + b;
+    if !sum.is_nan() {
+        sum
+    } else if a.is_nan() {
+        f64::from_bits(a.to_bits() | QUIET_BIT)
+    } else if b.is_nan() {
+        f64::from_bits(b.to_bits() | QUIET_BIT)
+    } else {
+        sum
+    }
+}
+
+/// The bit that makes a NaN quiet.
+const QUIET_BIT: u64 = 1 << 51;
 
 impl PartialEq for Value {
     fn eq(&self, other: &Value) -> bool {

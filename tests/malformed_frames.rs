@@ -4,17 +4,20 @@
 //! (at the TCP framing layer) — never a panic, never a hang. These are
 //! the regression tests for the decode paths in `protocol.rs`,
 //! `relation/codec.rs`, and `tcp.rs` that used to `unwrap`/`expect` on
-//! remote input.
+//! remote input, and for the coordinator's check of a merge unit's
+//! `RESULT` against the unit's physical schema.
 
 use skalla::core::distribution::DistributionInfo;
 use skalla::core::plan::{OptFlags, Planner};
 use skalla::core::plan_codec::encode_plan_with_options;
-use skalla::core::protocol;
+use skalla::core::protocol::{self, SiteCatalogEntry};
 use skalla::core::site::site_session_loop;
+use skalla::core::Skalla;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::EvalOptions;
-use skalla::net::{star, CoordinatorTransport, Message, TcpConfig, TcpSiteListener};
+use skalla::net::{star, CoordinatorTransport, Message, SiteTransport, TcpConfig, TcpSiteListener};
 use skalla::obs::Obs;
+use skalla::relation::codec::Encoder;
 use skalla::relation::{row, DataType, DomainMap, Relation, Schema};
 use std::collections::HashMap;
 use std::io::Write;
@@ -101,6 +104,31 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
         .send(0, Message::for_query(protocol::TAG_RUN_STAGE, 1, vec![0x07]))
         .unwrap();
     expect_error("unexpected end of input");
+
+    // A stage task whose fragment's columnar body is malformed: stage 1,
+    // a fragment, the schema `(g INT)`, a row count, then the column as
+    // given. Encoding bytes: 1 is an `Int` run, 3 a string dictionary.
+    let fragment = |rows: u32, column: &[u8]| {
+        let mut e = Encoder::new();
+        e.put_u32(1);
+        e.put_u8(1);
+        e.put_schema(&Schema::of(&[("g", DataType::Int)]));
+        e.put_u32(rows);
+        let mut payload = e.finish();
+        payload.extend_from_slice(column);
+        Message::for_query(protocol::TAG_RUN_STAGE, 1, payload)
+    };
+    let word = 1i64.to_le_bytes();
+    for (payload, frag) in [
+        (fragment(1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding"),
+        (fragment(2, &[[1u8].as_slice(), &word, &[0, 0]].concat()), "unexpected end of input"),
+        (fragment(1, &[3, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]), "dictionary code 1"),
+        (fragment(u32::MAX, &[1, 0, 0, 0]), "cannot fit"),
+        (fragment(1, &[[1u8].as_slice(), &word, &[0]].concat()), "trailing bytes"),
+    ] {
+        coord.send(0, payload).unwrap();
+        expect_error(frag);
+    }
 
     // A tag outside the protocol registry entirely, and each tag byte
     // the skew balancer used until protocol v7 (HH_REPORT, LOAN,
@@ -190,4 +218,60 @@ fn tcp_accept_survives_garbage_truncated_and_oversized_frames() {
         "{errs:?}"
     );
     assert!(errs[2].contains("exceeds"), "{errs:?}");
+}
+
+/// At the coordinator: a site whose merge-unit `RESULT` types an
+/// accumulator `DOUBLE` where the unit's physical schema has `COUNT`'s
+/// `INT` gets the round refused with a clean error — not merged, not a
+/// panic, not a hang. The site here is a hand-written TCP peer that
+/// answers the handshake and the base round honestly.
+#[test]
+fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
+    let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let table = catalog()["t"].clone();
+    let site = std::thread::spawn(move || {
+        let s = listener.accept(&TcpConfig::default()).unwrap();
+        assert_eq!(s.recv().unwrap().tag, protocol::TAG_CATALOG_REQ);
+        let entry = SiteCatalogEntry {
+            table: "t".into(),
+            schema: table.schema().clone(),
+            domains: DomainMap::new(),
+        };
+        s.send(protocol::catalog(&[entry])).unwrap();
+        let mistyped = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("c", DataType::Double)]),
+            vec![row![1i64, 1.0]],
+        )
+        .unwrap();
+        // Answer every stage task until the coordinator hangs up.
+        while let Ok(msg) = s.recv() {
+            if msg.tag != protocol::TAG_RUN_STAGE {
+                continue;
+            }
+            let (stage, _, ()) = protocol::decode_run_stage(&msg.payload).unwrap();
+            let answer = match stage {
+                0 => protocol::result(0, &table.project_distinct(&["g"]).unwrap()),
+                _ => protocol::result(stage, &mistyped),
+            };
+            s.send(answer.with_query_id(msg.query_id)).unwrap();
+        }
+    });
+
+    let engine = Skalla::builder()
+        .remote(&[addr], TcpConfig::default())
+        .timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
+    let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+        .gmdj(Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![AggSpec::count("c")],
+        ))
+        .build();
+    let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::none());
+    let err = engine.execute(&plan).unwrap_err().to_string();
+    assert!(err.contains("physical schema"), "{err}");
+    drop(engine);
+    site.join().expect("the site saw the session end");
 }

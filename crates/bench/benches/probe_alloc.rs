@@ -13,9 +13,13 @@
 //! control proving the instrument actually counts per-row allocations.
 //!
 //! A second workload has every detail row *hit* a group and run the
-//! typed θ-residual comparison (`r.v >= b.lo`), so the residual loop and
-//! the selection it feeds are under the same guard (the selection vectors
-//! grow geometrically: a handful of reallocations, nothing per row).
+//! typed θ-residual comparison (`r.v >= b.lo`), so the candidate pass,
+//! the residual's filter and the selection it leaves are under the same
+//! guard (the candidate buffers are sized once per worker and reused
+//! morsel after morsel: nothing per row). Two more hit legs follow it: a
+//! `Double` residual against a per-base `Double` column (`r.x >= b.avg`),
+//! and a base that holds every key twice, so the candidates also take the
+//! duplicate-key chain sweep.
 //!
 //! A cold leg runs the kernel on fresh relations of the hit shape (64
 //! groups), so the call also builds the key column and the relation's
@@ -81,12 +85,15 @@ fn miss_detail(rows: usize) -> Relation {
 }
 
 /// Detail rows that each hit one of the 64 base groups; about half pass
-/// the residual `r.v >= b.lo`.
+/// the residual `r.v >= b.lo`, and about half `r.x >= b.avg`.
 fn hit_detail(rows: usize) -> Relation {
     Relation::new(
-        Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]),
+        Schema::of(&[("g", DataType::Int), ("v", DataType::Int), ("x", DataType::Double)]),
         (0..rows)
-            .map(|i| Row::new(vec![(i as i64 % 64).into(), (i as i64 % 1000).into()]))
+            .map(|i| {
+                let (g, v) = (i as i64 % 64, i as i64 % 1000);
+                Row::new(vec![g.into(), v.into(), (v as f64 + 0.5).into()])
+            })
             .collect(),
     )
     .unwrap()
@@ -153,6 +160,35 @@ fn main() {
     };
     let residual_delta =
         measure_residual(&large_hit).saturating_sub(measure_residual(&small_hit));
+    // The same with a `Double` comparison against a per-base `Double`
+    // column, then with every base key twice (the chain sweep).
+    let avg_base = Relation::new(
+        Schema::of(&[("g", DataType::Int), ("avg", DataType::Double)]),
+        (0..64).map(|g: i64| Row::new(vec![g.into(), (g as f64 * 7.5).into()])).collect(),
+    )
+    .unwrap();
+    let double_op = Gmdj::new("t").block(
+        ThetaBuilder::group_by(&["g"])
+            .and(Expr::dcol("x").ge(Expr::bcol("avg")))
+            .build(),
+        vec![AggSpec::count("cnt"), AggSpec::avg("x", "avg_x")],
+    );
+    let dup_base = Relation::new(
+        Schema::of(&[("g", DataType::Int)]),
+        (0..128).map(|g: i64| Row::new(vec![(g % 64).into()])).collect(),
+    )
+    .unwrap();
+    let measure_hit = |b: &Relation, op: &Gmdj, detail: &Relation| {
+        let run = || {
+            eval_local(b, detail, op, opts).unwrap();
+        };
+        run(); // builds the touched columns
+        allocs_during(run)
+    };
+    let double_delta = measure_hit(&avg_base, &double_op, &large_hit)
+        .saturating_sub(measure_hit(&avg_base, &double_op, &small_hit));
+    let dup_delta = measure_hit(&dup_base, &op, &large_hit)
+        .saturating_sub(measure_hit(&dup_base, &op, &small_hit));
     // The cold leg: nothing built before the call.
     let measure_cold = |rows: usize| {
         let fresh = hit_detail(rows);
@@ -203,6 +239,8 @@ fn main() {
     println!("probe_alloc guard ({extra_rows} extra all-miss probes)");
     println!("  columnar       allocation delta: {col_delta}");
     println!("  typed residual allocation delta: {residual_delta}");
+    println!("  Double residual allocation delta: {double_delta}");
+    println!("  duplicate keys allocation delta: {dup_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  merge 6 vs 2 sites  (delta):     {merge_delta}");
     println!("  control        allocations:      {control}");
@@ -219,6 +257,16 @@ fn main() {
         residual_delta <= 16,
         "columnar kernel with a typed residual allocated {residual_delta} times for \
          {extra_rows} extra hits — the residual loop regressed to per-row allocation"
+    );
+    assert!(
+        double_delta <= 16,
+        "columnar kernel with a Double residual allocated {double_delta} times for \
+         {extra_rows} extra hits — the residual filter regressed to per-row allocation"
+    );
+    assert!(
+        dup_delta <= 16,
+        "columnar kernel over duplicate base keys allocated {dup_delta} times for \
+         {extra_rows} extra hits — the chain sweep regressed to per-row allocation"
     );
     assert!(
         cold_delta <= 16,

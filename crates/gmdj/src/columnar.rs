@@ -6,13 +6,27 @@
 //! (tuple, aggregate). This kernel computes the same function on the
 //! relation's columnar layout
 //! ([`Relation::column`] — only the columns the operator names are ever
-//! built): per morsel it first runs the **probe/θ pass**, producing a
-//! selection of matching `(detail row, base position)` pairs, and then
-//! runs one **typed inner loop per aggregate** over `&[i64]` / `&[f64]`
-//! column slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
-//! `Vec<bool>` has-flags) — no `Value` is materialized per row. Residual
-//! θ conjuncts of the shape `detail col ⟨cmp⟩ base col | literal` over
-//! numeric columns are typed the same way (`TypedCmp`).
+//! built). Per morsel and block it makes a selection of matching
+//! `(detail row, base position)` pairs in two steps, then runs one
+//! **typed inner loop per aggregate** over `&[i64]` / `&[f64]` column
+//! slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
+//! `Vec<bool>` has-flags) — no `Value` is materialized per row:
+//!
+//! - **Candidates.** An equi-key block writes one `(row, first base
+//!   position with the row's key)` pair per detail row unconditionally and
+//!   advances its output only when the key has a base position, so the
+//!   loop has no data-dependent branch. Only when the base repeats a key
+//!   does a second sweep append each row's further positions. A
+//!   nested-loop block makes its candidates per base position: every row
+//!   of the morsel.
+//! - **Filter.** Each residual θ conjunct then compacts the candidates in
+//!   place, in conjunct order, so a pair reaches conjunct k only when
+//!   conjuncts 1..k−1 held for it. A conjunct of the shape
+//!   `detail col ⟨cmp⟩ base col | literal` over a numeric detail column
+//!   (`TypedCmp`) runs a loop specialised per operator and operand types
+//!   against a typed right-hand-side array per base position, branch-free;
+//!   any other conjunct calls [`BoundExpr::eval_cols`] per surviving pair.
+//!   The survivors set the match flags.
 //!
 //! **Group-id probing.** Equi-key blocks never hash a detail row. The
 //! detail relation numbers its rows' local groups once per partition and
@@ -22,19 +36,22 @@
 //! `(tag, word)` pair per column such that two values are
 //! [`Value`]-equal iff their pairs are equal ([`canon_value`], strings
 //! interned through one table for both sides) — and every group is
-//! resolved to its chain of equal-key base positions: O(|base| +
-//! |groups|). The per-row probe is then `ghead[ids[i]]`, an array load.
+//! resolved to its first equal-key base position (and, for a repeated
+//! key, a chain of the others): O(|base| + |groups|). The per-row probe
+//! is then `ghead[ids[i]]`, an array load.
 //!
 //! **Bit identity.** The kernel runs under the morsel driver
 //! (`eval::drive`) with the reference's morsel decomposition, fresh
 //! accumulators per morsel and merge in morsel order. Within a morsel
 //! every accumulator slot receives its matching detail rows in ascending
-//! order, as in the reference, so each slot sees the identical sequence
-//! of floating-point operations and the output bits match the
-//! reference's for every thread count. Aggregates the typed loops cannot
-//! express (computed input expressions, mixed-type columns, string
-//! MIN/MAX) fall back to [`AggSpec::update`] per selected pair — same
-//! semantics, still columnar input access.
+//! order, as in the reference — a base position is either a key's first
+//! position or on its chain, never both, and each sweep runs the rows in
+//! ascending order — so each slot sees the identical sequence of
+//! floating-point operations and the output bits match the reference's
+//! for every thread count. Aggregates the typed loops cannot express
+//! (computed input expressions, mixed-type columns, string MIN/MAX) fall
+//! back to [`AggSpec::update`] per selected pair — same semantics, still
+//! columnar input access.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -46,10 +63,11 @@ use crate::state::{fold_min_max_f, fold_min_max_i, fold_sum_f, fold_sum_i, AggSt
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    f64_add, total_f64_cmp, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
+    f64_add, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One equi-key pair's map from the detail partition's local groups to
@@ -61,7 +79,10 @@ struct CanonPair {
     groups: Arc<Groups>,
     /// Group → first base position with its key + 1 (0 = none).
     ghead: Vec<u32>,
-    /// Base position → next base position with the same key + 1 (0 = end).
+    /// Base position → next base position with the same key + 1 (0 =
+    /// end), starting from a key's first position. Empty when every base
+    /// key is unique, which is the common case (a base is usually a
+    /// `DISTINCT` projection).
     eqnext: Vec<u32>,
 }
 
@@ -95,14 +116,25 @@ impl CanonPair {
         let n = base.len();
         assert!(n < u32::MAX as usize, "base relation too large to index");
         let mut ghead = vec![0u32; reps.len()];
-        let mut eqnext = vec![0u32; n];
+        let mut eqnext = Vec::new();
         // Every base position with the group's key is linked: each owns
-        // its own accumulator slots (duplicate base tuples included).
-        for (pos, next) in eqnext.iter_mut().enumerate() {
+        // its own accumulator slots (duplicate base tuples included). A
+        // repeat goes onto the chain behind the key's first position.
+        for pos in 0..n {
             let h = canon_hash(&bkeys, pos);
-            if let Some(g) = index.find(h, |g| canon_eq(&gkeys, g, &bkeys, pos)) {
-                *next = ghead[g];
-                ghead[g] = pos as u32 + 1;
+            let Some(g) = index.find(h, |g| canon_eq(&gkeys, g, &bkeys, pos)) else {
+                continue;
+            };
+            match ghead[g] {
+                0 => ghead[g] = pos as u32 + 1,
+                head => {
+                    if eqnext.is_empty() {
+                        eqnext = vec![0u32; n];
+                    }
+                    let head = head as usize - 1;
+                    eqnext[pos] = eqnext[head];
+                    eqnext[head] = pos as u32 + 1;
+                }
             }
         }
         CanonPair {
@@ -110,6 +142,108 @@ impl CanonPair {
             ghead,
             eqnext,
         }
+    }
+
+    /// The candidate pairs of detail rows `lo..hi`: per row, its key's
+    /// first base position, written unconditionally and kept when there
+    /// is one; then, only when the base repeats a key, a second sweep
+    /// with the rest of each chain.
+    fn candidates(&self, lo: usize, hi: usize, sel: &mut Pairs) {
+        let ids = &self.groups.ids()[lo..hi];
+        let (rows, poss) = sel.room(hi - lo);
+        let mut n = 0;
+        for (i, &g) in (lo..hi).zip(ids) {
+            let head = self.ghead[g as usize];
+            rows[n] = i as u32;
+            poss[n] = head.wrapping_sub(1);
+            n += (head != 0) as usize;
+        }
+        sel.len += n;
+        if self.eqnext.is_empty() {
+            return;
+        }
+        // The positions after group `g`'s first, along its chain.
+        let tail = |g: u32| {
+            let mut cur = match self.ghead[g as usize] {
+                0 => 0,
+                head => self.eqnext[head as usize - 1],
+            };
+            std::iter::from_fn(move || {
+                (cur != 0).then(|| {
+                    let pos = cur - 1;
+                    cur = self.eqnext[pos as usize];
+                    pos
+                })
+            })
+        };
+        let extra = ids.iter().map(|&g| tail(g).count()).sum();
+        let (rows, poss) = sel.room(extra);
+        let chained = (lo..hi).zip(ids).flat_map(|(i, &g)| tail(g).map(move |pos| (i as u32, pos)));
+        for ((i, pos), (r, p)) in chained.zip(rows.iter_mut().zip(poss.iter_mut())) {
+            *r = i;
+            *p = pos;
+        }
+        sel.len += extra;
+    }
+}
+
+/// The `(detail row, base position)` pairs of one block in one morsel:
+/// the candidates, compacted in place by each residual conjunct into the
+/// selection the aggregate loops fold. The buffers only grow (zero-filled
+/// once), so a worker reuses them morsel after morsel; `len` counts the
+/// live pairs.
+#[derive(Default)]
+struct Pairs {
+    rows: Vec<u32>,
+    poss: Vec<u32>,
+    len: usize,
+}
+
+impl Pairs {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The `extra` slots past the live pairs, for writing; `len` is
+    /// unchanged.
+    fn room(&mut self, extra: usize) -> (&mut [u32], &mut [u32]) {
+        let need = self.len + extra;
+        if self.rows.len() < need {
+            self.rows.resize(need, 0);
+            self.poss.resize(need, 0);
+        }
+        (&mut self.rows[self.len..need], &mut self.poss[self.len..need])
+    }
+
+    fn rows(&self) -> &[u32] {
+        &self.rows[..self.len]
+    }
+
+    fn poss(&self) -> &[u32] {
+        &self.poss[..self.len]
+    }
+
+    /// Keep the pairs from `from` on for which `keep(row, pos)` holds, in
+    /// order; the first error ends the pass. Every pair is written back
+    /// and the output advances by the predicate, so the loop itself has no
+    /// data-dependent branch.
+    #[inline]
+    fn retain_from<E>(
+        &mut self,
+        from: usize,
+        keep: impl Fn(usize, usize) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<(), E> {
+        let (rows, poss) = (&mut self.rows[..self.len], &mut self.poss[..self.len]);
+        let mut n = from;
+        for k in from..rows.len() {
+            let (i, p) = (rows[k], poss[k]);
+            let kept = keep(i as usize, p as usize)?;
+            rows[n] = i;
+            poss[n] = p;
+            n += kept as usize;
+        }
+        self.len = n;
+        Ok(())
     }
 }
 
@@ -238,12 +372,112 @@ impl Num {
     }
 }
 
+/// A detail value against a right-hand-side number in [`Value`]'s total
+/// order, without a branch: ints natively, anything with a double in the
+/// order of [`total_f64_cmp`] (NaN above every number and equal to itself,
+/// −0.0 = 0.0).
+///
+/// [`total_f64_cmp`]: skalla_relation::total_f64_cmp
+trait TotalCmp<R>: Copy {
+    fn lt(self, r: R) -> bool;
+    fn gt(self, r: R) -> bool;
+    fn eq(self, r: R) -> bool;
+}
+
+#[inline]
+fn f64_lt(a: f64, b: f64) -> bool {
+    (a < b) | (!a.is_nan() & b.is_nan())
+}
+
+#[inline]
+fn f64_eq(a: f64, b: f64) -> bool {
+    (a == b) | (a.is_nan() & b.is_nan())
+}
+
+impl TotalCmp<i64> for i64 {
+    fn lt(self, r: i64) -> bool {
+        self < r
+    }
+    fn gt(self, r: i64) -> bool {
+        self > r
+    }
+    fn eq(self, r: i64) -> bool {
+        self == r
+    }
+}
+
+impl TotalCmp<f64> for f64 {
+    fn lt(self, r: f64) -> bool {
+        f64_lt(self, r)
+    }
+    fn gt(self, r: f64) -> bool {
+        f64_lt(r, self)
+    }
+    fn eq(self, r: f64) -> bool {
+        f64_eq(self, r)
+    }
+}
+
+impl TotalCmp<f64> for i64 {
+    fn lt(self, r: f64) -> bool {
+        f64_lt(self as f64, r)
+    }
+    fn gt(self, r: f64) -> bool {
+        f64_lt(r, self as f64)
+    }
+    fn eq(self, r: f64) -> bool {
+        f64_eq(self as f64, r)
+    }
+}
+
+impl TotalCmp<i64> for f64 {
+    fn lt(self, r: i64) -> bool {
+        f64_lt(self, r as f64)
+    }
+    fn gt(self, r: i64) -> bool {
+        f64_lt(r as f64, self)
+    }
+    fn eq(self, r: i64) -> bool {
+        f64_eq(self, r as f64)
+    }
+}
+
+/// `a ⟨op⟩ b`, dispatching on `op` per call: the mixed right-hand side's
+/// comparison.
+fn op_holds<L: TotalCmp<R>, R>(op: CmpOp, a: L, b: R) -> bool {
+    match op {
+        CmpOp::Eq => a.eq(b),
+        CmpOp::Ne => !a.eq(b),
+        CmpOp::Lt => a.lt(b),
+        CmpOp::Le => !a.gt(b),
+        CmpOp::Gt => a.gt(b),
+        CmpOp::Ge => !a.lt(b),
+    }
+}
+
+/// A [`Fixed`] entry: compare the detail value with the right-hand side.
+const COMPARE: u8 = 0;
+/// A [`Fixed`] entry: the conjunct holds for every valid detail value
+/// (a string right-hand side under `<>`, `<` or `<=`).
+const HOLDS: u8 = 1;
+/// A [`Fixed`] entry: the conjunct holds for no detail value (a `NULL`
+/// right-hand side, or a string one under `=`, `>` or `>=`).
+const FAILS: u8 = 2;
+
+/// Per base position, how a conjunct whose right-hand side is not a
+/// number there resolves: [`COMPARE`], [`HOLDS`] or [`FAILS`]. `None`
+/// when every position holds a number.
+type Fixed = Option<Vec<u8>>;
+
 /// One residual conjunct `detail col ⟨op⟩ base col | literal` over an
 /// `Int` or `Double` detail column, lowered to a typed comparison: the
-/// slice element against the right-hand side extracted once per base
-/// position. Mirrors [`CmpOp::apply`] over [`Value`]'s order exactly —
-/// `NULL` on either side is not truthy, `Int`↔`Double` compare through
-/// [`total_f64_cmp`] (NaN greatest), a string outranks every number.
+/// slice element against a typed right-hand-side array with one entry per
+/// base position (a literal fills it). Mirrors [`CmpOp::apply`] over
+/// [`Value`]'s order exactly — `NULL` on either side is not truthy,
+/// `Int`↔`Double` compare in the order of [`total_f64_cmp`] (NaN
+/// greatest), a string outranks every number.
+///
+/// [`total_f64_cmp`]: skalla_relation::total_f64_cmp
 struct TypedCmp<'a> {
     op: CmpOp,
     lhs: NumSlice<'a>,
@@ -256,10 +490,14 @@ enum NumSlice<'a> {
     F64(&'a [f64]),
 }
 
+/// The right-hand side, one entry per base position.
 enum Rhs {
-    Lit(Num),
-    /// `base[pos]`'s value of the compared column.
-    PerBase(Vec<Num>),
+    /// Every number on the side is an `Int` (0 where [`Fixed`] decides).
+    Int(Vec<i64>, Fixed),
+    /// Every number on the side is a `Double` (0 where [`Fixed`] decides).
+    F64(Vec<f64>, Fixed),
+    /// `Int`s and `Double`s at different positions: compared per pair.
+    Mixed(Vec<Num>),
 }
 
 impl<'a> TypedCmp<'a> {
@@ -273,11 +511,11 @@ impl<'a> TypedCmp<'a> {
             (other, BoundExpr::Col(Side::Detail, c)) => (op.flipped(), *c, other),
             _ => return None,
         };
-        let rhs = match other {
-            BoundExpr::Lit(v) => Rhs::Lit(Num::of(v)),
+        let nums: Vec<Num> = match other {
+            BoundExpr::Lit(v) => vec![Num::of(v); base.len()],
             BoundExpr::Col(Side::Base, b) => {
                 let col = base.column(*b);
-                Rhs::PerBase((0..base.len()).map(|p| Num::of(&col.value(p))).collect())
+                (0..base.len()).map(|p| Num::of(&col.value(p))).collect()
             }
             _ => return None,
         };
@@ -285,6 +523,29 @@ impl<'a> TypedCmp<'a> {
             Column::Int { data, valid } => (NumSlice::Int(data), valid.as_ref()),
             Column::Double { data, valid } => (NumSlice::F64(data), valid.as_ref()),
             Column::Str { .. } | Column::Mixed(_) => return None,
+        };
+        let fixed = nums.iter().any(|n| matches!(n, Num::Null | Num::Str)).then(|| {
+            let str_holds = if op.holds(Ordering::Less) { HOLDS } else { FAILS };
+            nums.iter()
+                .map(|n| match n {
+                    Num::Int(_) | Num::F64(_) => COMPARE,
+                    Num::Str => str_holds,
+                    Num::Null => FAILS,
+                })
+                .collect()
+        });
+        let has_int = nums.iter().any(|n| matches!(n, Num::Int(_)));
+        let has_f64 = nums.iter().any(|n| matches!(n, Num::F64(_)));
+        let rhs = match (has_int, has_f64) {
+            (true, true) => Rhs::Mixed(nums),
+            (false, true) => Rhs::F64(
+                nums.iter().map(|n| if let Num::F64(y) = n { *y } else { 0.0 }).collect(),
+                fixed,
+            ),
+            _ => Rhs::Int(
+                nums.iter().map(|n| if let Num::Int(y) = n { *y } else { 0 }).collect(),
+                fixed,
+            ),
         };
         Some(TypedCmp {
             op,
@@ -294,26 +555,68 @@ impl<'a> TypedCmp<'a> {
         })
     }
 
-    /// Is the conjunct truthy for detail row `i` against base position
-    /// `pos`?
-    #[inline]
-    fn holds(&self, i: usize, pos: usize) -> bool {
-        if self.valid.is_some_and(|v| !v.get(i)) {
-            return false;
+    /// Keep the pairs from `from` on for which the conjunct is truthy.
+    fn filter(&self, sel: &mut Pairs, from: usize) {
+        match (&self.lhs, &self.rhs) {
+            (NumSlice::Int(x), Rhs::Int(y, f)) => self.by_op(sel, from, x, y, f),
+            (NumSlice::Int(x), Rhs::F64(y, f)) => self.by_op(sel, from, x, y, f),
+            (NumSlice::F64(x), Rhs::Int(y, f)) => self.by_op(sel, from, x, y, f),
+            (NumSlice::F64(x), Rhs::F64(y, f)) => self.by_op(sel, from, x, y, f),
+            (NumSlice::Int(x), Rhs::Mixed(ys)) => self.mixed(sel, from, x, ys),
+            (NumSlice::F64(x), Rhs::Mixed(ys)) => self.mixed(sel, from, x, ys),
         }
-        let rhs = match &self.rhs {
-            Rhs::Lit(n) => *n,
-            Rhs::PerBase(ns) => ns[pos],
+    }
+
+    /// One loop per operator, chosen outside it.
+    fn by_op<L: TotalCmp<R>, R: Copy>(&self, sel: &mut Pairs, from: usize, x: &[L], y: &[R], f: &Fixed) {
+        match self.op {
+            CmpOp::Eq => self.compact(sel, from, x, y, f, |a, b| a.eq(b)),
+            CmpOp::Ne => self.compact(sel, from, x, y, f, |a, b| !a.eq(b)),
+            CmpOp::Lt => self.compact(sel, from, x, y, f, |a, b| a.lt(b)),
+            CmpOp::Le => self.compact(sel, from, x, y, f, |a, b| !a.gt(b)),
+            CmpOp::Gt => self.compact(sel, from, x, y, f, |a, b| a.gt(b)),
+            CmpOp::Ge => self.compact(sel, from, x, y, f, |a, b| !a.lt(b)),
+        }
+    }
+
+    /// The branch-free compaction, one loop per (validity mask, fixed
+    /// entries) shape. A `NULL` detail value's slot holds a placeholder,
+    /// masked out by its validity bit.
+    #[inline]
+    fn compact<L: Copy, R: Copy>(
+        &self,
+        sel: &mut Pairs,
+        from: usize,
+        x: &[L],
+        y: &[R],
+        fixed: &Fixed,
+        holds: impl Fn(L, R) -> bool,
+    ) {
+        let resolve = |f: u8, cmp: bool| ((f == COMPARE) & cmp) | (f == HOLDS);
+        let Ok(()) = match (self.valid, fixed) {
+            (None, None) => sel.retain_from(from, |i, p| Ok::<_, Infallible>(holds(x[i], y[p]))),
+            (None, Some(f)) => sel.retain_from(from, |i, p| Ok(resolve(f[p], holds(x[i], y[p])))),
+            (Some(v), None) => sel.retain_from(from, |i, p| Ok(v.get(i) & holds(x[i], y[p]))),
+            (Some(v), Some(f)) => {
+                sel.retain_from(from, |i, p| Ok(v.get(i) & resolve(f[p], holds(x[i], y[p]))))
+            }
         };
-        let ord = match (&self.lhs, rhs) {
-            (_, Num::Null) => return false,
-            (_, Num::Str) => Ordering::Less,
-            (NumSlice::Int(d), Num::Int(y)) => d[i].cmp(&y),
-            (NumSlice::Int(d), Num::F64(y)) => total_f64_cmp(d[i] as f64, y),
-            (NumSlice::F64(d), Num::Int(y)) => total_f64_cmp(d[i], y as f64),
-            (NumSlice::F64(d), Num::F64(y)) => total_f64_cmp(d[i], y),
-        };
-        self.op.holds(ord)
+    }
+
+    /// A right-hand side mixing `Int` and `Double`: per-pair dispatch.
+    fn mixed<L: TotalCmp<i64> + TotalCmp<f64>>(&self, sel: &mut Pairs, from: usize, x: &[L], ys: &[Num]) {
+        let (op, valid) = (self.op, self.valid);
+        let Ok(()) = sel.retain_from(from, |i, p| {
+            Ok::<_, Infallible>(
+                valid.is_none_or(|v| v.get(i))
+                    && match ys[p] {
+                        Num::Null => false,
+                        Num::Str => op.holds(Ordering::Less),
+                        Num::Int(y) => op_holds(op, x[i], y),
+                        Num::F64(y) => op_holds(op, x[i], y),
+                    },
+            )
+        });
     }
 }
 
@@ -357,14 +660,10 @@ struct ColBlock<'a> {
 }
 
 /// Per-morsel accumulation state: one typed array per aggregate plus the
-/// match flags, and the reusable selection buffers of the probe pass.
+/// match flags.
 struct ColState {
     aggs: Vec<AggState>,
     matched: Vec<bool>,
-    /// Selected detail rows / base positions of the current block (scratch
-    /// of `run_morsel_into`; excluded from merges).
-    sel_rows: Vec<u32>,
-    sel_poss: Vec<u32>,
 }
 
 /// The immutable columnar evaluation context shared across the pool.
@@ -385,27 +684,24 @@ impl ColKernel<'_> {
         &self.layout.entries()[gi].1
     }
 
-    /// Does every residual conjunct of `cb` hold for detail row `i`
-    /// against base position `pos`?
-    #[inline]
-    fn residual_holds(&self, cb: &ColBlock<'_>, i: usize, pos: usize) -> Result<bool> {
+    /// Compact the pairs of `sel` from `from` on to those every residual
+    /// conjunct of `cb` holds for, one conjunct at a time, in order.
+    fn filter(&self, cb: &ColBlock<'_>, sel: &mut Pairs, from: usize) -> Result<()> {
         for c in &cb.residual {
-            let holds = match c {
-                Conjunct::Typed(t) => t.holds(i, pos),
-                Conjunct::Interpreted(e) => e
-                    .eval_cols(&self.base.rows()[pos], self.detail, i)?
-                    .is_truthy(),
-            };
-            if !holds {
-                return Ok(false);
+            match c {
+                Conjunct::Typed(t) => t.filter(sel, from),
+                Conjunct::Interpreted(e) => sel.retain_from(from, |i, pos| {
+                    Ok(e.eval_cols(&self.base.rows()[pos], self.detail, i)?.is_truthy())
+                })?,
             }
         }
-        Ok(true)
+        Ok(())
     }
 }
 
 impl MorselKernel for ColKernel<'_> {
     type State = ColState;
+    type Buffers = Pairs;
 
     fn n_morsels(&self) -> usize {
         self.n_morsels
@@ -425,8 +721,6 @@ impl MorselKernel for ColKernel<'_> {
         ColState {
             aggs,
             matched: vec![false; n],
-            sel_rows: Vec::new(),
-            sel_poss: Vec::new(),
         }
     }
 
@@ -447,54 +741,39 @@ impl MorselKernel for ColKernel<'_> {
         Ok(())
     }
 
-    fn run_morsel_into(&self, m: usize, state: &mut ColState) -> Result<()> {
+    fn run_morsel_into(&self, m: usize, state: &mut ColState, sel: &mut Pairs) -> Result<()> {
         let lo = m * self.morsel_rows;
         let hi = ((m + 1) * self.morsel_rows).min(self.detail.len());
         for cb in &self.blocks {
-            // Probe/θ pass: fill the selection so that each base
-            // position meets its detail rows in ascending order (see
-            // module docs — this is what makes the bits the reference's).
-            state.sel_rows.clear();
-            state.sel_poss.clear();
+            // Candidates, then the residual's filter: each base position
+            // meets its detail rows in ascending order (see module docs —
+            // this is what makes the bits the reference's).
+            sel.clear();
             match cb.pair {
                 Some(pi) => {
-                    let cp = &self.pairs[pi];
-                    // Hoisted, so that a block without a residual runs a
-                    // loop without the (not inlined) residual call.
-                    let trivial = cb.residual.is_empty();
-                    for (i, &g) in (lo..hi).zip(&cp.groups.ids()[lo..hi]) {
-                        let mut cur = cp.ghead[g as usize];
-                        while cur != 0 {
-                            let pos = (cur - 1) as usize;
-                            cur = cp.eqnext[pos];
-                            if !trivial && !self.residual_holds(cb, i, pos)? {
-                                continue;
-                            }
-                            state.matched[pos] = true;
-                            state.sel_rows.push(i as u32);
-                            state.sel_poss.push(pos as u32);
-                        }
-                    }
+                    self.pairs[pi].candidates(lo, hi, sel);
+                    self.filter(cb, sel, 0)?;
                 }
                 None => {
                     for pos in 0..self.base.len() {
-                        for i in lo..hi {
-                            if !self.residual_holds(cb, i, pos)? {
-                                continue;
-                            }
-                            state.matched[pos] = true;
-                            state.sel_rows.push(i as u32);
-                            state.sel_poss.push(pos as u32);
+                        let from = sel.len;
+                        let (rows, poss) = sel.room(hi - lo);
+                        for (r, i) in rows.iter_mut().zip(lo..hi) {
+                            *r = i as u32;
                         }
+                        poss.fill(pos as u32);
+                        sel.len += hi - lo;
+                        self.filter(cb, sel, from)?;
                     }
                 }
             }
+            for &p in sel.poss() {
+                state.matched[p as usize] = true;
+            }
             // Aggregate pass: one typed loop per aggregate over the
-            // selection. Split borrows: `aggs` mutably, selection shared.
-            let aggs = &mut state.aggs;
-            let (rows, poss) = (&state.sel_rows, &state.sel_poss);
+            // selection.
             for (gi, agg) in &cb.aggs {
-                update_agg(agg, &mut aggs[*gi], rows, poss, self.detail, self.base)?;
+                update_agg(agg, &mut state.aggs[*gi], sel.rows(), sel.poss(), self.detail, self.base)?;
             }
         }
         Ok(())
@@ -942,7 +1221,9 @@ mod tests {
     fn typed_residual_matches_eval_cols() {
         // Every CmpOp × {Int, Double} detail column (with NULL, NaN, -0.0)
         // × {base column, literal} right-hand side holding Int, Double,
-        // NaN, NULL and a string — in both operand orders.
+        // NaN, NULL and a string — in both operand orders. Each case runs
+        // the filter over every (row, position) candidate, behind a prefix
+        // of pairs it must leave alone.
         let d = Relation::new(
             Schema::of(&[("i", DataType::Int), ("x", DataType::Double)]),
             vec![
@@ -972,6 +1253,7 @@ mod tests {
         let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let mut rhs_exprs = vec![Expr::bcol("y")];
         rhs_exprs.extend(rhs_values.iter().cloned().map(Expr::Lit));
+        let prefix = [(4u32, 7u32), (0, 0), (2, 3)];
         let mut checked = 0;
         for op in ops {
             for col in ["i", "x"] {
@@ -981,14 +1263,30 @@ mod tests {
                         let e = if flip { Expr::Cmp(op, r, l) } else { Expr::Cmp(op, l, r) };
                         let bound = e.bind(b.schema(), Some(d.schema())).unwrap();
                         let typed = TypedCmp::lower(&bound, &b, &d).expect("typed shape");
+                        let candidates = prefix.iter().copied().chain(
+                            (0..b.len() as u32).flat_map(|pos| (0..d.len() as u32).map(move |i| (i, pos))),
+                        );
+                        let mut sel = Pairs::default();
+                        let (rows, poss) = sel.room(prefix.len() + b.len() * d.len());
+                        for ((i, pos), (r, p)) in candidates.zip(rows.iter_mut().zip(poss.iter_mut())) {
+                            *r = i;
+                            *p = pos;
+                        }
+                        sel.len = rows.len();
+                        typed.filter(&mut sel, prefix.len());
+                        let got: Vec<(u32, u32)> =
+                            sel.rows().iter().copied().zip(sel.poss().iter().copied()).collect();
+                        assert_eq!(got[..prefix.len()], prefix, "{e}: prefix");
+                        let mut want = Vec::new();
                         for pos in 0..b.len() {
                             for i in 0..d.len() {
-                                let want =
-                                    bound.eval_cols(&b.rows()[pos], &d, i).unwrap().is_truthy();
-                                assert_eq!(typed.holds(i, pos), want, "{e} at ({i}, {pos})");
+                                if bound.eval_cols(&b.rows()[pos], &d, i).unwrap().is_truthy() {
+                                    want.push((i as u32, pos as u32));
+                                }
                                 checked += 1;
                             }
                         }
+                        assert_eq!(got[prefix.len()..], want, "{e}");
                     }
                 }
             }
@@ -1018,6 +1316,150 @@ mod tests {
             out[..],
             [Conjunct::Typed(_), Conjunct::Interpreted(_), Conjunct::Typed(_)]
         ));
+    }
+
+    /// Forty detail rows over four keys, with NULL, NaN and -0.0 spread
+    /// through every column.
+    fn spiky_detail() -> Relation {
+        let rows = (0..40i64)
+            .map(|i| {
+                let v = if i % 9 == 4 { Value::Null } else { Value::Int((i * 7) % 13 - 3) };
+                let x = match i {
+                    _ if i % 5 == 2 => Value::Double(f64::NAN),
+                    _ if i % 7 == 3 => Value::Double(-0.0),
+                    _ if i % 11 == 6 => Value::Null,
+                    _ if i % 6 == 1 => Value::Double(0.0),
+                    _ => Value::Double(i as f64 * 0.37 - 4.0),
+                };
+                let s = if i % 8 == 5 { Value::Null } else { Value::str(["a", "b", "c"][i as usize % 3]) };
+                Row::new(vec![Value::Int(i % 4), v, x, s])
+            })
+            .collect();
+        Relation::new(
+            Schema::of(&[
+                ("g", DataType::Int),
+                ("v", DataType::Int),
+                ("x", DataType::Double),
+                ("s", DataType::Str),
+            ]),
+            rows,
+        )
+        .unwrap()
+    }
+
+    /// Seven base tuples repeating keys 0 and 1 (5 is in no detail row):
+    /// `lo` doubles with NULL, NaN and both zeros, `hi` ints with NULL,
+    /// `y` mixing ints and doubles with a NULL, a NaN and a string.
+    fn spiky_base() -> Relation {
+        Relation::new(
+            Schema::of(&[
+                ("g", DataType::Int),
+                ("lo", DataType::Double),
+                ("hi", DataType::Int),
+                ("y", DataType::Double),
+            ]),
+            vec![
+                row![0i64, 0.0, 5i64, 2i64],
+                row![1i64, -0.0, 3i64, -0.5],
+                row![1i64, f64::NAN, Value::Null, Value::Null],
+                row![2i64, Value::Null, 10i64, "s"],
+                row![0i64, 1.5, 0i64, -1i64],
+                row![3i64, -2.0, 7i64, f64::NAN],
+                row![5i64, 3.25, 2i64, 0.0],
+            ],
+        )
+        .unwrap()
+    }
+
+    /// The kernel against the row reference, bit for bit, at every morsel
+    /// size and thread count of the filter's spec.
+    fn assert_matches_reference(b: &Relation, d: &Relation, g: &Gmdj) {
+        for morsel_rows in [1usize, 2, 3, 65_536] {
+            let reference = eval_local_rows(b, d, g, EvalOptions { morsel_rows, ..opts() }).unwrap();
+            assert!(reference.matched.iter().any(|&m| m), "the case matches something");
+            for parallelism in [1usize, 2, 4] {
+                let o = EvalOptions {
+                    morsel_rows,
+                    parallelism,
+                };
+                assert_bits_equal(&eval_local(b, d, g, o).unwrap(), &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_filter_matches_reference_bits() {
+        let (b, d) = (spiky_base(), spiky_detail());
+        let by_g = || ThetaBuilder::group_by(&["g"]);
+        // One block's aggregates, their names suffixed with `k`.
+        let aggs = |k: u8| {
+            vec![
+                AggSpec::count(format!("cnt{k}")),
+                AggSpec::sum("x", format!("sum_x{k}")),
+                AggSpec::avg("v", format!("avg_v{k}")),
+                AggSpec::max("x", format!("max_x{k}")),
+                AggSpec::var("x", format!("var_x{k}")),
+                AggSpec::min("s", format!("min_s{k}")),
+            ]
+        };
+        let cases = [
+            // Duplicate equi-keys: the chain sweep, without and with a
+            // residual over NULL, NaN and -0.0 on both sides.
+            ("duplicate keys", Gmdj::new("t").block(by_g().build(), aggs(1))),
+            (
+                "duplicate keys, residual",
+                Gmdj::new("t")
+                    .block(by_g().and(Expr::dcol("x").ge(Expr::bcol("lo"))).build(), aggs(1))
+                    .block(by_g().and(Expr::dcol("x").eq(Expr::bcol("lo"))).build(), aggs(2)),
+            ),
+            // Two typed conjuncts around an interpreted one.
+            (
+                "typed, interpreted, typed",
+                Gmdj::new("t").block(
+                    by_g()
+                        .and(Expr::dcol("v").gt(Expr::lit(0i64)))
+                        .and(Expr::dcol("s").ne(Expr::lit("b")))
+                        .and(Expr::dcol("x").le(Expr::bcol("hi")))
+                        .build(),
+                    aggs(1),
+                ),
+            ),
+            // A right-hand side mixing Int and Double (and NULL, NaN, a
+            // string), against both detail types.
+            (
+                "mixed right-hand side",
+                Gmdj::new("t")
+                    .block(by_g().and(Expr::dcol("x").ge(Expr::bcol("y"))).build(), aggs(1))
+                    .block(by_g().and(Expr::bcol("y").gt(Expr::dcol("v"))).build(), aggs(2)),
+            ),
+            // Nested-loop blocks: no equi-key, candidates per position.
+            (
+                "nested loop",
+                Gmdj::new("t")
+                    .block(
+                        Expr::dcol("v")
+                            .ge(Expr::bcol("hi"))
+                            .and(Expr::dcol("x").lt(Expr::bcol("lo")).or(Expr::dcol("s").eq(Expr::lit("c")))),
+                        aggs(1),
+                    )
+                    .block(Expr::dcol("x").ne(Expr::bcol("y")), aggs(2)),
+            ),
+        ];
+        for (name, g) in &cases {
+            eprintln!("case: {name}");
+            assert_matches_reference(&b, &d, g);
+        }
+        // The cases reach every right-hand-side shape, and the chain.
+        let rhs = |e: Expr| {
+            let bound = e.bind(b.schema(), Some(d.schema())).unwrap();
+            TypedCmp::lower(&bound, &b, &d).expect("typed shape").rhs
+        };
+        assert!(matches!(rhs(Expr::dcol("x").ge(Expr::bcol("lo"))), Rhs::F64(_, Some(_))));
+        assert!(matches!(rhs(Expr::dcol("x").le(Expr::bcol("hi"))), Rhs::Int(_, Some(_))));
+        assert!(matches!(rhs(Expr::dcol("v").gt(Expr::lit(0i64))), Rhs::Int(_, None)));
+        assert!(matches!(rhs(Expr::dcol("x").ge(Expr::bcol("y"))), Rhs::Mixed(_)));
+        assert!(!CanonPair::build(&b, &d, &[0], &[0]).eqnext.is_empty());
+        assert!(CanonPair::build(&base(), &d, &[0], &[0]).eqnext.is_empty());
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! **Morsel-driven parallelism.** The detail relation is split into
 //! fixed-size morsels of [`EvalOptions::morsel_rows`] rows (Leis et al.,
-//! SIGMOD 2014). Worker threads (a [`std::thread::scope`] pool of
-//! [`EvalOptions::parallelism`] threads) claim morsels from an atomic
-//! counter; each morsel accumulates into fresh state, and morsel results
-//! are merged **in morsel order**. Because the morsel decomposition
-//! depends only on the input size and `morsel_rows` — never on the thread
-//! count — float aggregates are bit-identical across `parallelism` values.
+//! SIGMOD 2014). Workers — the calling thread plus
+//! [`EvalOptions::parallelism`] − 1 [`std::thread::scope`] threads — claim
+//! morsels from an atomic counter; each morsel accumulates into fresh
+//! state, and morsel results are merged **in morsel order**. Because the
+//! morsel decomposition depends only on the input size and `morsel_rows` —
+//! never on the thread count — float aggregates are bit-identical across
+//! `parallelism` values.
 //!
 //! [`eval_local`] produces *physical* (sub-aggregate) accumulators plus a
 //! per-group match flag; [`eval_shipped`] builds exactly what a warehouse
@@ -39,6 +40,7 @@ use skalla_obs::{Obs, Track};
 use skalla_relation::{BoundExpr, Error, Relation, Result, Row, Schema, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Default morsel size (rows of the detail relation per work unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
@@ -78,12 +80,19 @@ impl EvalOptions {
     /// The resolved worker count: the machine's available cores, or
     /// `parallelism` when it is set and smaller.
     pub fn effective_parallelism(&self) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cores = cores();
         match self.parallelism {
             0 => cores,
             p => p.min(cores),
         }
     }
+}
+
+/// The machine's available cores, looked up once: the lookup reads cgroup
+/// files, which costs more than a small kernel call.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The result of evaluating a GMDJ at one site.
@@ -184,6 +193,9 @@ pub(crate) fn morsels(n: usize, opts: EvalOptions) -> (usize, usize) {
 pub(crate) trait MorselKernel: Sync {
     /// Per-morsel accumulation state.
     type State: Send;
+    /// Per-worker buffers, reused morsel after morsel and never
+    /// merged.
+    type Buffers: Default;
     /// Number of morsels the detail relation splits into (≥ 1).
     fn n_morsels(&self) -> usize;
     /// Number of detail rows in morsel `m` (span attribute only).
@@ -194,7 +206,8 @@ pub(crate) trait MorselKernel: Sync {
     /// reusing its allocations (serial streaming path).
     fn reset_state(&self, state: &mut Self::State);
     /// Evaluate morsel `m` into `state` (which is freshly init/reset).
-    fn run_morsel_into(&self, m: usize, state: &mut Self::State) -> Result<()>;
+    fn run_morsel_into(&self, m: usize, state: &mut Self::State, buffers: &mut Self::Buffers)
+        -> Result<()>;
     /// Merge `src` (a later morsel) into `dst`, in morsel order.
     fn merge_state(&self, dst: &mut Self::State, src: &Self::State) -> Result<()>;
 }
@@ -206,6 +219,7 @@ fn run_caught<K: MorselKernel>(
     kernel: &K,
     m: usize,
     state: &mut K::State,
+    buffers: &mut K::Buffers,
     worker: usize,
     obs: &Obs,
     site: usize,
@@ -224,7 +238,7 @@ fn run_caught<K: MorselKernel>(
         reason = "feeds only the diagnostic morsel-latency histogram, never busy accounting"
     )]
     let t = std::time::Instant::now();
-    let out = catch_unwind(AssertUnwindSafe(|| kernel.run_morsel_into(m, state)))
+    let out = catch_unwind(AssertUnwindSafe(|| kernel.run_morsel_into(m, state, buffers)))
         .unwrap_or_else(|payload| {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -248,12 +262,19 @@ fn run_caught<K: MorselKernel>(
 /// structure depend only on (input, `morsel_rows`), bits never depend on
 /// the worker count.
 ///
-/// With one effective worker the driver streams: it keeps a running
-/// merged state plus one scratch state that is reset (not reallocated)
-/// per morsel, and merges each morsel immediately — no per-morsel state
+/// With one effective worker — always so for a single morsel, which skips
+/// the core-count lookup — the driver streams: it keeps a running merged
+/// state plus one scratch state that is reset (not reallocated) per
+/// morsel, and merges each morsel immediately — no per-morsel state
 /// vector, no deferred merge pass. The operation sequence (fresh state,
 /// merge in order) is identical to the parallel path's, so the bits are
 /// the same by construction; only the bookkeeping disappears.
+///
+/// With more, the calling thread is worker 0 and `workers − 1` scoped
+/// threads join it. Each spawned thread hands back its thread CPU clock
+/// (its whole life is this call), which is charged to the caller through
+/// [`charge_foreign_ns`], so the caller's busy timer counts the compute it
+/// waited for; the caller's own morsels are on its own clock already.
 pub(crate) fn drive<K: MorselKernel>(
     kernel: &K,
     opts: EvalOptions,
@@ -261,18 +282,22 @@ pub(crate) fn drive<K: MorselKernel>(
     site: usize,
 ) -> Result<K::State> {
     let n_morsels = kernel.n_morsels();
-    let workers = opts.effective_parallelism().clamp(1, n_morsels);
+    let workers = match n_morsels {
+        1 => 1,
+        n => opts.effective_parallelism().clamp(1, n),
+    };
 
     if workers == 1 {
+        let mut buffers = K::Buffers::default();
         let mut merged = kernel.init_state();
-        run_caught(kernel, 0, &mut merged, 0, obs, site)?;
+        run_caught(kernel, 0, &mut merged, &mut buffers, 0, obs, site)?;
         if n_morsels > 1 {
             let mut scratch = kernel.init_state();
             for m in 1..n_morsels {
                 if m > 1 {
                     kernel.reset_state(&mut scratch);
                 }
-                run_caught(kernel, m, &mut scratch, 0, obs, site)?;
+                run_caught(kernel, m, &mut scratch, &mut buffers, 0, obs, site)?;
                 kernel.merge_state(&mut merged, &scratch)?;
             }
         }
@@ -281,42 +306,44 @@ pub(crate) fn drive<K: MorselKernel>(
 
     // Parallel path: workers claim morsels from an atomic counter; every
     // morsel gets fresh accumulators, merged afterwards in morsel order.
-    // Each worker also hands back its thread CPU clock — a scoped
-    // worker's whole life is this call — so the caller's busy timer can
-    // account for compute it only waited for.
     let next = AtomicUsize::new(0);
-    let mut states: Vec<Option<Result<K::State>>> = (0..n_morsels).map(|_| None).collect();
-    type WorkerOut<S> = (Vec<(usize, Result<S>)>, u64);
-    let worker_outs: Vec<WorkerOut<K::State>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+    let work = |w: usize| {
+        let mut buffers = K::Buffers::default();
+        let mut out = Vec::new();
+        loop {
+            let m = next.fetch_add(1, Ordering::Relaxed);
+            if m >= n_morsels {
+                break;
+            }
+            let mut state = kernel.init_state();
+            let r = run_caught(kernel, m, &mut state, &mut buffers, w, obs, site).map(|()| state);
+            out.push((m, r));
+        }
+        out
+    };
+    let (mine, spawned) = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers)
             .map(|w| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let mut state = kernel.init_state();
-                        let r = run_caught(kernel, m, &mut state, w, obs, site)
-                            .map(|()| state);
-                        out.push((m, r));
-                    }
-                    (out, thread_cpu_ns().unwrap_or(0))
-                })
+                let work = &work;
+                s.spawn(move || (work(w), thread_cpu_ns().unwrap_or(0)))
             })
             .collect();
-        handles
+        let mine = work(0);
+        let spawned = handles
             .into_iter()
             .map(|h| {
                 // `run_caught` already turns a kernel panic into an error.
                 h.join()
                     .map_err(|_| Error::Execution("a morsel worker panicked".into()))
             })
-            .collect::<Result<_>>()
-    })?;
-    for (outs, cpu_ns) in worker_outs {
+            .collect::<Result<Vec<_>>>();
+        (mine, spawned)
+    });
+    let mut states: Vec<Option<Result<K::State>>> = (0..n_morsels).map(|_| None).collect();
+    for (m, result) in mine {
+        states[m] = Some(result);
+    }
+    for (outs, cpu_ns) in spawned? {
         charge_foreign_ns(cpu_ns);
         for (m, result) in outs {
             states[m] = Some(result);
@@ -632,6 +659,7 @@ mod tests {
 
     impl MorselKernel for PanickyKernel {
         type State = usize;
+        type Buffers = ();
 
         fn n_morsels(&self) -> usize {
             self.n_morsels
@@ -649,7 +677,7 @@ mod tests {
             *state = 0;
         }
 
-        fn run_morsel_into(&self, m: usize, state: &mut usize) -> Result<()> {
+        fn run_morsel_into(&self, m: usize, state: &mut usize, _: &mut ()) -> Result<()> {
             if self.bad.contains(&m) {
                 panic!("boom in {m}");
             }

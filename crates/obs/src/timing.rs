@@ -16,10 +16,11 @@
 //! stand-in for "what this site would have computed alone".
 //!
 //! A stage task's compute is not all on the thread that times it: the
-//! GMDJ kernel fans morsels out to scoped worker threads. Each worker
-//! reads its own thread CPU clock and, after the join, the kernel charges
-//! the sum to the waiting thread ([`charge_foreign_ns`]); a running
-//! [`BusyTimer`] on that thread counts it.
+//! GMDJ kernel runs morsels on the calling thread and on scoped worker
+//! threads beside it. Each extra worker reads its own thread CPU clock
+//! and, after the join, the kernel charges the sum to the calling thread
+//! ([`charge_foreign_ns`]); a running [`BusyTimer`] on that thread counts
+//! it with the thread's own time.
 
 use std::cell::Cell;
 use std::time::Instant;

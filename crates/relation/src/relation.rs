@@ -12,9 +12,11 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// A multiset of rows sharing one schema.
 ///
 /// This is the storage unit of each warehouse site's local detail relation
-/// and of every structure shipped between sites and the coordinator. Rows
-/// remain the interchange representation (the codec and CSV loader read
-/// them unchanged). What a query derives from the rows — a column's typed
+/// and of every structure shipped between sites and the coordinator. The
+/// CSV loader reads and writes rows; the frame codec ships the columns
+/// and decodes into a relation over them ([`Relation::from_columns`]),
+/// whose rows are built only if something reads them. What a query
+/// derives from the rows — a column's typed
 /// vector ([`Relation::column`]), the local groups of a key-column list
 /// ([`Relation::groups`]) — is built on first touch and kept on the
 /// relation: never at construction, dropped by mutation, and a clone takes

@@ -34,12 +34,20 @@
 //! allocate alike, so nothing is allocated per absorbed row, per chunk,
 //! per tree level or per leaf's state vector.
 //!
+//! Two legs hold a merge unit's answer columnar end to end, each over
+//! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
+//! site's answer (`eval_shipped`, with Prop 1's reduction dropping every
+//! tenth group, → `protocol::result`) and the coordinator's
+//! `MergeSync::finish` (a shipped B and folded). Both must allocate per
+//! column, never per group.
+//!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_core::coordinator::MergeSync;
-use skalla_core::protocol::{decode_result_chunk, result_chunk};
+use skalla_core::protocol::{decode_result_chunk, result, result_chunk};
 use skalla_gmdj::prelude::*;
-use skalla_gmdj::eval::eval_local;
+use skalla_gmdj::eval::{eval_local, eval_shipped};
+use skalla_obs::Obs;
 use skalla_gmdj::EvalOptions;
 use skalla_relation::{DataType, Row};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -229,6 +237,64 @@ fn main() {
         allocs
     };
     let merge_delta = measure_merge(6).abs_diff(measure_merge(2));
+
+    // The site-answer leg: B of `n` groups (every tenth one matching no
+    // detail row) against one detail of LARGE groups.
+    let wide_op = Gmdj::new("t").block(
+        ThetaBuilder::group_by(&["g"]).build(),
+        vec![
+            AggSpec::count("cnt"),
+            AggSpec::sum("v", "sum_v"),
+            AggSpec::avg("x", "avg_x"),
+            AggSpec::max("x", "max_x"),
+        ],
+    );
+    let groups_detail = Relation::new(
+        Schema::of(&[("g", DataType::Int), ("v", DataType::Int), ("x", DataType::Double)]),
+        (0..LARGE as i64)
+            .map(|g| Row::new(vec![g.into(), (g % 100).into(), (g as f64 * 0.5).into()]))
+            .collect(),
+    )
+    .unwrap();
+    let groups_base = |n: usize| {
+        let key = |g: i64| if g % 10 == 9 { -g - 1 } else { g };
+        let rows = (0..n as i64).map(|g| Row::new(vec![key(g).into()])).collect();
+        Relation::new(Schema::of(&[("g", DataType::Int)]), rows).unwrap()
+    };
+    let measure_answer = |n: usize| {
+        let b = groups_base(n);
+        let run = || {
+            let answer =
+                eval_shipped(&b, &groups_detail, &wide_op, &[0], true, opts, &Obs::disabled(), 0)
+                    .unwrap();
+            std::hint::black_box(result(1, &answer));
+        };
+        run(); // builds B's key column and the detail's
+        allocs_during(run)
+    };
+    let answer_delta = measure_answer(LARGE).abs_diff(measure_answer(SMALL));
+
+    // The coordinator-finish leg: two sites answer every one of `n`
+    // groups; only `finish` is counted.
+    let measure_finish = |n: usize| {
+        let b = groups_base(n);
+        let answer = eval_shipped(&b, &groups_detail, &wide_op, &[0], false, opts, &Obs::disabled(), 0)
+            .unwrap();
+        let frame = result(1, &answer);
+        let mut allocs = 0;
+        for folded in [false, true] {
+            let mut sync = MergeSync::new((!folded).then_some(&b), &key, &wide_op).unwrap();
+            for leaf in 0..2 {
+                sync.absorb_frame(leaf, decode_result_chunk(&frame.payload).unwrap()).unwrap();
+            }
+            allocs += allocs_during(|| {
+                std::hint::black_box(sync.finish(b.schema(), &wide_op, groups_detail.schema()).unwrap());
+            });
+        }
+        allocs
+    };
+    let finish_delta = measure_finish(LARGE).abs_diff(measure_finish(SMALL));
+    let extra_groups = LARGE - SMALL;
     let extra_rows = (LARGE - SMALL) as u64;
     let control = allocs_during(|| {
         for i in 0..extra_rows {
@@ -243,6 +309,8 @@ fn main() {
     println!("  duplicate keys allocation delta: {dup_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  merge 6 vs 2 sites  (delta):     {merge_delta}");
+    println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
+    println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
     println!("  control        allocations:      {control}");
 
     // Group-id probing and the typed inner loops must not allocate per
@@ -278,6 +346,16 @@ fn main() {
         "merging 6 sites' answers allocated {merge_delta} times more or fewer than \
          merging 2 over the same {GROUPS} groups — the coordinator merge regressed to \
          per-row or per-level allocation"
+    );
+    assert!(
+        answer_delta <= 16,
+        "a site's answer over {extra_groups} more groups allocated {answer_delta} times \
+         more or fewer — building or encoding it regressed to per-group allocation"
+    );
+    assert!(
+        finish_delta <= 16,
+        "MergeSync::finish over {extra_groups} more groups allocated {finish_delta} times \
+         more or fewer — finalizing X regressed to per-group allocation"
     );
     // Positive control: one box per extra row, so the counter must see
     // at least one allocation per extra row.

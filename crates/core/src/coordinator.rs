@@ -14,12 +14,17 @@
 //! What a merge unit costs per row a site sends: the engine takes each
 //! `RESULT` chunk as it lands ([`MergeSync::absorb_frame`]), decoded into
 //! columns. Per row it hashes the key in place, probes X's one key index
-//! and notes the row's slot; then each accumulator column is scattered
-//! into its site's leaf of typed accumulator states
-//! ([`skalla_gmdj::state::AccStates`], the kernel's own). [`MergeSync::finish`]
-//! runs the merge tree over whole leaves, typed array against typed
-//! array, and finalizes X once. Allocation is per state growth and per
-//! output group (its row), never per absorbed row, chunk or tree level.
+//! (built on B's key columns, compared in place) and notes the row's
+//! slot; then each accumulator column is scattered into its site's leaf
+//! of typed accumulator states ([`skalla_gmdj::state::AccStates`], the
+//! kernel's own). [`MergeSync::finish`] runs the merge tree over whole
+//! leaves, typed array against typed array, and finalizes X once,
+//! column-wise ([`AccStates::finalize_columns`]), into a relation of
+//! columns: B's own, shared, or a folded unit's keys sorted on their
+//! typed columns, then one column per aggregate. The next stage ships
+//! that B from its columns, and nothing between a site's kernel and the
+//! caller builds a row. Allocation is per state growth and per output
+//! column, never per absorbed row, chunk, tree level or output group.
 //!
 //! The stage loop that drives them over a transport (Alg.
 //! GMDJDistribEval) is the crate-private `run` sub-module.
@@ -35,9 +40,12 @@ use crate::protocol::ResultChunk;
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
 use skalla_gmdj::state::AccStates;
-use skalla_relation::columns::{key_hash, IdTable};
-use skalla_relation::{Columns, DataType, Error, Relation, Result, Row, Schema, Value};
+use skalla_relation::columns::{row_key_hash, IdTable};
+use skalla_relation::{
+    Column, ColumnBuilder, Columns, DataType, Error, Relation, Result, Row, Schema, Value,
+};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Check that `key` column values are unique in `rel`; returns the key
 /// column indexes.
@@ -46,19 +54,20 @@ pub fn verify_unique_key(rel: &Relation, key: &[String]) -> Result<Vec<usize>> {
 }
 
 /// Index `rel` on its `key` columns, row `i` as id `i` (a key two rows
-/// share is an error); returns the key column indexes and the index.
+/// share is an error), reading the key columns in place; returns the key
+/// column indexes and the index.
 fn index_key(rel: &Relation, key: &[String]) -> Result<(Vec<usize>, IdTable)> {
     let idx = rel
         .schema()
         .indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
+    let cols: Vec<&Column> = idx.iter().map(|&c| rel.column(c)).collect();
     let mut index = IdTable::with_capacity(rel.len());
-    for row in rel {
-        let h = key_hash(idx.iter().map(|&c| row.get(c)));
-        let same = |g: usize| idx.iter().all(|&c| rel.rows()[g].get(c) == row.get(c));
-        if index.find(h, same).is_some() {
+    for i in 0..rel.len() {
+        let h = row_key_hash(cols.iter().copied(), i);
+        if index.find(h, |g| cols.iter().all(|c| c.value_eq_at(g, c, i))).is_some() {
+            let key: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
             return Err(Error::Execution(format!(
-                "base-values relation has duplicate key {:?}",
-                row.key(&idx)
+                "base-values relation has duplicate key {key:?}"
             )));
         }
         index.insert(h);
@@ -114,10 +123,10 @@ impl Default for BaseSync {
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
 ///
-/// X is B's rows, borrowed, beside typed accumulator states and one key
-/// index whose ids are B's row positions. A folded unit has no B: X grows
-/// from the incoming sub-results, and a group's base part is its key
-/// (Prop 2).
+/// X is B, borrowed — its key columns for probes, all its columns for
+/// the answer — beside typed accumulator states and one key index whose
+/// ids are B's row positions. A folded unit has no B: X grows from the
+/// incoming sub-results, and a group's base part is its key (Prop 2).
 ///
 /// The sites' answers reach X through its leaves, one per answering site,
 /// each one typed state over X's groups with a presence bit per group.
@@ -135,8 +144,10 @@ impl Default for BaseSync {
 pub struct MergeSync<'b> {
     /// B: row `g` is group `g`'s base part (`None` when folded).
     base: Option<&'b Relation>,
-    /// Group `g`'s key, `key_len` values per group, in one run: what a
-    /// probe compares, so it never chases B's rows.
+    /// B's key columns, in key order: what a probe compares, in place.
+    base_keys: Vec<&'b Column>,
+    /// A folded unit's group `g`'s key, `key_len` values per group, in
+    /// one run, as first sighted.
     keys: Vec<Value>,
     key_len: usize,
     /// Key → group id.
@@ -167,7 +178,7 @@ impl<'b> MergeSync<'b> {
         if let Some(b) = b_cur {
             let key_idx;
             (key_idx, x.index) = index_key(b, key)?;
-            x.keys = b.iter().flat_map(|r| key_idx.iter().map(|&c| r.get(c).clone())).collect();
+            x.base_keys = key_idx.iter().map(|&c| b.column(c)).collect();
             x.cap = b.len();
             x.base = Some(b);
         }
@@ -179,6 +190,7 @@ impl<'b> MergeSync<'b> {
     fn folded(key_len: usize, op: &Gmdj) -> MergeSync<'b> {
         MergeSync {
             base: None,
+            base_keys: Vec::new(),
             keys: Vec::new(),
             key_len,
             index: IdTable::with_capacity(0),
@@ -190,11 +202,6 @@ impl<'b> MergeSync<'b> {
             slots: Vec::new(),
             first: Vec::new(),
         }
-    }
-
-    /// Group `g`'s key.
-    fn key(&self, g: usize) -> &[Value] {
-        &self.keys[g * self.key_len..(g + 1) * self.key_len]
     }
 
     /// Absorb one whole answer as the next leaf: the key columns first,
@@ -245,8 +252,15 @@ impl<'b> MergeSync<'b> {
         self.first.clear();
         for i in 0..cols.len() {
             let h = cols.key_hash(kl, i);
-            let keys = &self.keys;
-            let g = match self.index.find(h, |g| cols.key_eq(i, &keys[g * kl..(g + 1) * kl])) {
+            let (keys, base_keys) = (&self.keys, &self.base_keys);
+            let found = match self.base {
+                Some(_) => self.index.find(h, |g| {
+                    let mut same = base_keys.iter().enumerate();
+                    same.all(|(c, b)| cols.col(c).value_eq_at(i, b, g))
+                }),
+                None => self.index.find(h, |g| cols.key_eq(i, &keys[g * kl..(g + 1) * kl])),
+            };
+            let g = match found {
                 Some(g) => g,
                 None if self.base.is_some() => {
                     let key: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
@@ -317,40 +331,54 @@ impl<'b> MergeSync<'b> {
         Ok(())
     }
 
-    /// X's physical values for group `g` into `out`: its merged
-    /// accumulators, or X_init where no state holds it.
-    fn push_x(&self, g: usize, out: &mut Vec<Value>) {
-        match &self.states {
-            Some(states) if self.present[g] => states.push_values(g, out),
-            _ => out.extend(self.layout.init()),
-        }
+    /// A folded unit's key columns, declared `schema`'s leading types, in
+    /// first-sighting order.
+    fn folded_keys(&self, schema: &Schema) -> Vec<Column> {
+        let groups = self.index.len();
+        (0..self.key_len)
+            .map(|c| {
+                let mut b = ColumnBuilder::new(schema.field(c).data_type(), groups);
+                (0..groups).for_each(|g| b.push(&self.keys[g * self.key_len + c]));
+                b.finish()
+            })
+            .collect()
     }
 
-    /// Finalize X into B_next with the logical output schema: B's row
-    /// order, or key order when folded (first sightings follow site
-    /// arrival, so they are sorted for determinism).
+    /// Finalize X into B_next with the logical output schema, as columns:
+    /// B's columns, shared, in B's row order — or, folded, the key columns
+    /// in key order (first sightings follow site arrival, so they are
+    /// sorted for determinism), the order computed on the typed columns —
+    /// then each aggregate finalized column-wise from the states
+    /// ([`AccStates::finalize_columns`]).
     pub fn finish(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
         self.merge_tree()?;
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let mut order: Vec<usize> = (0..self.index.len()).collect();
-        if self.base.is_none() {
-            order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
-        }
-        let mut acc = Vec::with_capacity(self.layout.width());
-        let mut rows = Vec::with_capacity(order.len());
-        for g in order {
-            let base_part = match self.base {
-                Some(b) => b.rows()[g].values(),
-                None => self.key(g),
-            };
-            acc.clear();
-            self.push_x(g, &mut acc);
-            let mut vs = Vec::with_capacity(base_part.len() + self.layout.entries().len());
-            vs.extend_from_slice(base_part);
-            self.layout.finalize_into(&acc, &mut vs)?;
-            rows.push(Row::new(vs));
-        }
-        Relation::new(out_schema, rows)
+        let groups = self.index.len();
+        let mut order: Vec<u32> = (0..groups as u32).collect();
+        let mut cols: Vec<Arc<Column>> = match self.base {
+            Some(b) => (0..b.schema().len()).map(|c| b.shared_column(c)).collect(),
+            None => {
+                let keys = self.folded_keys(&out_schema);
+                order.sort_unstable_by(|&a, &b| {
+                    let mut ord = keys.iter().map(|k| k.cmp_rows(a as usize, b as usize));
+                    ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+                });
+                let types = out_schema.fields().iter().map(|f| f.data_type());
+                keys.iter().zip(types).map(|(k, t)| Arc::new(k.gather(t, &order))).collect()
+            }
+        };
+        // No chunk arrived: every group is X_init.
+        let states = match self.states.take() {
+            Some(states) => states,
+            None => {
+                self.present = vec![false; groups];
+                AccStates::new(&self.layout, &[], groups)
+            }
+        };
+        let types: Vec<DataType> =
+            out_schema.fields()[cols.len()..].iter().map(|f| f.data_type()).collect();
+        cols.extend(states.finalize_columns(&types, &order, &self.present)?);
+        Relation::from_columns(out_schema, Columns::from_shared(groups, cols))
     }
 }
 
@@ -468,14 +496,15 @@ pub fn parallel_merge_tree(
         tree.absorb(h)?;
     }
     tree.merge_tree()?;
-    let rows = (0..tree.index.len())
-        .map(|g| {
-            let mut vs = tree.key(g).to_vec();
-            tree.push_x(g, &mut vs);
-            Row::new(vs)
-        })
-        .collect();
-    Ok(Some(Relation::from_shared(answers[0].schema_ref(), rows)))
+    let schema = answers[0].schema();
+    let groups = tree.index.len();
+    let mut cols: Vec<Arc<Column>> = tree.folded_keys(schema).into_iter().map(Arc::new).collect();
+    #[expect(clippy::expect_used, reason = "the first absorb makes the states")]
+    let states = tree.states.as_ref().expect("two answers absorbed");
+    let types: Vec<DataType> = schema.fields()[key_len..].iter().map(|f| f.data_type()).collect();
+    let at: Vec<u32> = (0..groups as u32).collect();
+    cols.extend(states.physical_columns(&types, &at));
+    Relation::from_columns(schema.clone(), Columns::from_shared(groups, cols)).map(Some)
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
@@ -850,17 +879,11 @@ mod tests {
         }
     }
 
-    /// Both ways into X — the engine's (each chunk encoded into a `RESULT`
-    /// frame and absorbed as it lands, `absorb_frame`, sites interleaved)
-    /// and the layer walk's (`parallel_merge_tree` → `absorb`) — give,
-    /// bit for bit, `X_init ⊕ tree` finalized (the tree alone when
-    /// folded), over 1–7 sites, keys missing per site, empty answers and
-    /// row-blocked chunks. The accumulators: COUNT, wrapping Int SUM,
-    /// Double SUM over ±0.0 and two NaN payloads (and now and then an
-    /// `Int` cell, which sends that SUM to `Value` accumulators),
-    /// NULL-only SUM, AVG, VAR and string MIN/MAX.
-    #[test]
-    fn merge_bits_match_the_pairwise_tree_reference() {
+    /// The spec tests' operator over their detail schema: COUNT, Int SUM,
+    /// Double SUM, a NULL-only SUM, AVG, VAR and string MIN/MAX; with the
+    /// detail schema and the sub-result schema (`g` + the physical
+    /// accumulators).
+    fn spec_op() -> (Gmdj, Schema, Schema) {
         let detail = Schema::of(&[
             ("g", DataType::Int),
             ("i", DataType::Int),
@@ -881,102 +904,143 @@ mod tests {
                 AggSpec::max("s", "max_s"),
             ],
         );
-        let layout = op.layout();
         let mut h_fields = vec![skalla_relation::Field::new("g", DataType::Int)];
-        h_fields.extend(layout.physical_fields(&detail).unwrap());
-        let h_schema = Schema::new(h_fields).unwrap();
-        let b_schema = Schema::of(&[("tag", DataType::Str), ("g", DataType::Int)]);
-        let key_schema = Schema::of(&[("g", DataType::Int)]);
+        h_fields.extend(op.layout().physical_fields(&detail).unwrap());
+        (op, detail, Schema::new(h_fields).unwrap())
+    }
+
+    /// One generated merge: per site, per key, the site's accumulators if
+    /// it has the key; each site's answer as row-blocked chunks; B over
+    /// every key in a shuffled order, under a tag column.
+    struct MergeCase {
+        n_sites: usize,
+        n_keys: usize,
+        folded: bool,
+        accs: Vec<Vec<Option<Vec<Value>>>>,
+        chunks: Vec<Vec<Relation>>,
+        b: Relation,
+        b_keys: Vec<usize>,
+    }
+
+    /// Case `case` of the spec tests' generator: 1–7 sites, keys missing
+    /// per site, empty answers, row-blocked chunks; key `k` is `key(k)`
+    /// (distinct keys must be distinct values). The Double SUM runs over
+    /// ±0.0 and two NaN payloads (and now and then an `Int` cell, which
+    /// sends that SUM to `Value` accumulators).
+    fn merge_case(rng: &mut Rng, case: usize, h_schema: &Schema, key: impl Fn(usize) -> Value) -> MergeCase {
         let doubles = [-0.0, 0.0, 0.1, 3.0, 1e16, -1e16, nan(1), nan(0xabc)];
         let strings = [Value::Null, Value::str("a"), Value::str("ab"), Value::str("z")];
-        let mut rng = Rng(7);
-        for case in 0..400 {
-            let (n_sites, n_keys, folded) = (1 + case % 7, 1 + rng.below(9), case % 3 == 0);
-            let dbl = |rng: &mut Rng| Value::Double(rng.pick(&doubles));
-            // Per site, per key: the site's accumulators, if it has the key.
-            let accs: Vec<Vec<Option<Vec<Value>>>> = (0..n_sites)
-                .map(|_| {
-                    (0..n_keys)
-                        .map(|_| {
-                            (rng.below(3) > 0).then(|| {
-                                let sum_d = match rng.below(16) {
-                                    0 => Value::Int(rng.below(4) as i64),
-                                    _ => dbl(&mut rng),
-                                };
-                                vec![
-                                    Value::Int(rng.below(4) as i64),
-                                    Value::Int(i64::MAX - rng.below(3) as i64),
-                                    sum_d,
-                                    Value::Null,
-                                    dbl(&mut rng),
-                                    Value::Int(rng.below(4) as i64),
-                                    dbl(&mut rng),
-                                    dbl(&mut rng),
-                                    Value::Int(rng.below(4) as i64),
-                                    rng.pick(&strings),
-                                    rng.pick(&strings),
-                                ]
-                            })
+        let (n_sites, n_keys, folded) = (1 + case % 7, 1 + rng.below(9), case.is_multiple_of(3));
+        let dbl = |rng: &mut Rng| Value::Double(rng.pick(&doubles));
+        let accs: Vec<Vec<Option<Vec<Value>>>> = (0..n_sites)
+            .map(|_| {
+                (0..n_keys)
+                    .map(|_| {
+                        (rng.below(3) > 0).then(|| {
+                            let sum_d = match rng.below(16) {
+                                0 => Value::Int(rng.below(4) as i64),
+                                _ => dbl(rng),
+                            };
+                            vec![
+                                Value::Int(rng.below(4) as i64),
+                                Value::Int(i64::MAX - rng.below(3) as i64),
+                                sum_d,
+                                Value::Null,
+                                dbl(rng),
+                                Value::Int(rng.below(4) as i64),
+                                dbl(rng),
+                                dbl(rng),
+                                Value::Int(rng.below(4) as i64),
+                                rng.pick(&strings),
+                                rng.pick(&strings),
+                            ]
                         })
-                        .collect()
-                })
-                .collect();
-            // Each site answers its keys in a shuffled order, cut into
-            // row-blocked chunks at random points.
-            let chunks: Vec<Vec<Relation>> = accs
-                .iter()
-                .map(|site| {
-                    let mut rows: Vec<Row> = site
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(k, a)| {
-                            let a = a.as_ref()?;
-                            Some(Row::new([&[Value::Int(k as i64)][..], a].concat()))
-                        })
-                        .collect();
-                    for i in (1..rows.len()).rev() {
-                        rows.swap(i, rng.below(i + 1));
+                    })
+                    .collect()
+            })
+            .collect();
+        // Each site answers its keys in a shuffled order, cut into
+        // row-blocked chunks at random points.
+        let chunks = accs
+            .iter()
+            .map(|site| {
+                let mut rows: Vec<Row> = site
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, a)| Some(Row::new([&[key(k)][..], a.as_ref()?].concat())))
+                    .collect();
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, rng.below(i + 1));
+                }
+                let mut chunks = Vec::new();
+                loop {
+                    let rest = rows.split_off(rng.below(rows.len() + 1));
+                    chunks.push(Relation::new(h_schema.clone(), rows).unwrap());
+                    if rest.is_empty() {
+                        break chunks;
                     }
-                    let mut chunks = Vec::new();
-                    loop {
-                        let rest = rows.split_off(rng.below(rows.len() + 1));
-                        chunks.push(Relation::new(h_schema.clone(), rows).unwrap());
-                        if rest.is_empty() {
-                            break chunks;
-                        }
-                        rows = rest;
-                    }
-                })
-                .collect();
-            // B: every key, in a shuffled order, under a tag column.
-            let mut b_keys: Vec<usize> = (0..n_keys).collect();
-            for i in (1..n_keys).rev() {
-                b_keys.swap(i, rng.below(i + 1));
-            }
-            let b = Relation::new(
-                b_schema.clone(),
-                b_keys.iter().map(|&k| row![format!("t{k}"), k as i64]).collect(),
-            )
-            .unwrap();
+                    rows = rest;
+                }
+            })
+            .collect();
+        let mut b_keys: Vec<usize> = (0..n_keys).collect();
+        for i in (1..n_keys).rev() {
+            b_keys.swap(i, rng.below(i + 1));
+        }
+        let b = Relation::new(
+            Schema::of(&[("tag", DataType::Str), ("g", DataType::Int)]),
+            b_keys.iter().map(|&k| Row::new(vec![Value::str(format!("t{k}")), key(k)])).collect(),
+        )
+        .unwrap();
+        MergeCase {
+            n_sites,
+            n_keys,
+            folded,
+            accs,
+            chunks,
+            b,
+            b_keys,
+        }
+    }
 
-            let b_in = (!folded).then_some(&b);
-            // The engine's way: every chunk absorbed as it lands, the
-            // sites' chunks interleaved at random, each site's in order.
-            let mut engine = MergeSync::new(b_in, &key(), &op).unwrap();
-            let mut queues: Vec<_> = chunks.iter().map(|c| c.iter()).collect();
-            let mut live: Vec<usize> = (0..n_sites).collect();
-            while !live.is_empty() {
-                let at = rng.below(live.len());
-                match queues[live[at]].next() {
-                    Some(chunk) => engine.absorb_frame(live[at], frame(chunk)).unwrap(),
-                    None => {
-                        live.swap_remove(at);
-                    }
+    /// The engine's way into X: every chunk encoded into a `RESULT` frame
+    /// and absorbed as it lands, the sites' chunks interleaved at random,
+    /// each site's in order.
+    fn absorb_interleaved<'b>(c: &'b MergeCase, op: &Gmdj, rng: &mut Rng) -> MergeSync<'b> {
+        let mut engine = MergeSync::new((!c.folded).then_some(&c.b), &key(), op).unwrap();
+        let mut queues: Vec<_> = c.chunks.iter().map(|c| c.iter()).collect();
+        let mut live: Vec<usize> = (0..c.n_sites).collect();
+        while !live.is_empty() {
+            let at = rng.below(live.len());
+            match queues[live[at]].next() {
+                Some(chunk) => engine.absorb_frame(live[at], frame(chunk)).unwrap(),
+                None => {
+                    live.swap_remove(at);
                 }
             }
+        }
+        engine
+    }
+
+    /// Both ways into X — the engine's (each chunk encoded into a `RESULT`
+    /// frame and absorbed as it lands, `absorb_frame`, sites interleaved)
+    /// and the layer walk's (`parallel_merge_tree` → `absorb`) — give,
+    /// bit for bit, `X_init ⊕ tree` finalized (the tree alone when
+    /// folded), over [`merge_case`]'s cases.
+    #[test]
+    fn merge_bits_match_the_pairwise_tree_reference() {
+        let (op, detail, h_schema) = spec_op();
+        let layout = op.layout();
+        let key_schema = Schema::of(&[("g", DataType::Int)]);
+        let mut rng = Rng(7);
+        for case in 0..400 {
+            let c = merge_case(&mut rng, case, &h_schema, |k| Value::Int(k as i64));
+            let (n_sites, folded) = (c.n_sites, c.folded);
+            let engine = absorb_interleaved(&c, &op, &mut rng);
             // The layer walk's way: whole answers through the tree, then X.
-            let mut walk = MergeSync::new(b_in, &key(), &op).unwrap();
-            let answers = chunks
+            let mut walk = MergeSync::new((!folded).then_some(&c.b), &key(), &op).unwrap();
+            let answers = c
+                .chunks
                 .iter()
                 .map(|c| {
                     let rows = c.iter().flat_map(|r| r.rows().iter().cloned()).collect();
@@ -990,9 +1054,9 @@ mod tests {
             // The reference: per key, X_init ⊕ tree (the tree alone when
             // folded, where a group is first sighted, not initialized).
             let mut want = Vec::new();
-            let order: Vec<usize> = if folded { (0..n_keys).collect() } else { b_keys };
+            let order: Vec<usize> = if folded { (0..c.n_keys).collect() } else { c.b_keys.clone() };
             for k in order {
-                let leaves: Vec<_> = accs.iter().map(|site| site[k].clone()).collect();
+                let leaves: Vec<_> = c.accs.iter().map(|site| site[k].clone()).collect();
                 let tree = reference_tree(&layout, &leaves);
                 let x = match (folded, tree) {
                     (true, None) => continue,
@@ -1012,14 +1076,7 @@ mod tests {
                 vs.extend(layout.finalize(&x).unwrap());
                 want.push(vs);
             }
-            let bits = |vs: &[Value]| -> Vec<String> {
-                let show = |v: &Value| match v {
-                    Value::Double(d) => format!("{:#x}", d.to_bits()),
-                    v => format!("{v:?}"),
-                };
-                vs.iter().map(show).collect()
-            };
-            let in_schema = if folded { &key_schema } else { &b_schema };
+            let in_schema = if folded { &key_schema } else { c.b.schema() };
             for (way, sync) in [("engine", engine), ("walk", walk)] {
                 let got = sync.finish(in_schema, &op, &detail).unwrap();
                 assert_eq!(got.len(), want.len(), "case {case}, {way}");
@@ -1031,6 +1088,108 @@ mod tests {
                         bits(w)
                     );
                 }
+            }
+        }
+    }
+
+    /// Each value's bits, for a readable failure.
+    fn bits(vs: &[Value]) -> Vec<String> {
+        let show = |v: &Value| match v {
+            Value::Double(d) => format!("{:#x}", d.to_bits()),
+            v => format!("{v:?}"),
+        };
+        vs.iter().map(show).collect()
+    }
+
+    /// [`MergeSync::finish`] as it was written before it built columns: a
+    /// row per group, from the states' `Value` accumulators
+    /// ([`AccStates::push_values`], X_init where no state holds the
+    /// group) through [`AccLayout::finalize_into`], in B's row order — or,
+    /// folded, sorted by the keys' `Value` order.
+    fn finish_by_rows(mut x: MergeSync<'_>, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
+        x.merge_tree().unwrap();
+        let out_schema = op.output_schema(b_in_schema, detail).unwrap();
+        let kl = x.key_len;
+        let key = |g: usize| &x.keys[g * kl..(g + 1) * kl];
+        let mut order: Vec<usize> = (0..x.index.len()).collect();
+        if x.base.is_none() {
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        }
+        let mut acc = Vec::new();
+        let mut rows = Vec::new();
+        for g in order {
+            let mut vs = match x.base {
+                Some(b) => b.rows()[g].values().to_vec(),
+                None => key(g).to_vec(),
+            };
+            acc.clear();
+            match &x.states {
+                Some(states) if x.present[g] => states.push_values(g, &mut acc),
+                _ => acc.extend(x.layout.init()),
+            }
+            x.layout.finalize_into(&acc, &mut vs).unwrap();
+            rows.push(Row::new(vs));
+        }
+        Relation::new(out_schema, rows).unwrap()
+    }
+
+    /// `MergeSync::finish`'s columns are, bit for bit, the row loop's
+    /// answer ([`finish_by_rows`]) — its values, the columns
+    /// `Column::build` makes of them, and so the frame that ships them —
+    /// on folded and unfolded units over Int keys, Double keys with NaN
+    /// and NULL, string keys with NULL, and mixed-type keys.
+    #[test]
+    fn finish_columns_match_the_row_loop() {
+        let (op, detail, h_schema) = spec_op();
+        let key_schema = Schema::of(&[("g", DataType::Int)]);
+        let pools: [Vec<Value>; 4] = [
+            (0..9).map(|k| Value::Int(8 - 2 * k)).collect(),
+            [nan(3), -0.0, 2.5, -1e300, 1e16, f64::INFINITY, 7.0, -3.25]
+                .into_iter()
+                .map(Value::Double)
+                .chain([Value::Null])
+                .collect(),
+            [Value::Null, Value::str("b"), Value::str("a"), Value::str(""), Value::str("ab")]
+                .into_iter()
+                .chain((0..4).map(|k| Value::str(format!("k{k}"))))
+                .collect(),
+            vec![
+                Value::Int(5),
+                Value::str("a"),
+                Value::Null,
+                Value::Double(nan(9)),
+                Value::Double(0.5),
+                Value::Int(-3),
+                Value::Double(-1e16),
+                Value::str(""),
+                Value::Int(1 << 53),
+            ],
+        ];
+        let mut rng = Rng(11);
+        for case in 0..240 {
+            let pool = &pools[case % 4];
+            let c = merge_case(&mut rng, case, &h_schema, |k| pool[k].clone());
+            // Two identical syncs, one per way to finish.
+            let mut arrivals = Rng(rng.0);
+            let cols = absorb_interleaved(&c, &op, &mut arrivals);
+            let rows = absorb_interleaved(&c, &op, &mut rng);
+            let in_schema = if c.folded { &key_schema } else { c.b.schema() };
+            let got = cols.finish(in_schema, &op, &detail).unwrap();
+            let want = finish_by_rows(rows, in_schema, &op, &detail);
+            let what = format!("case {case} ({} sites, folded {})", c.n_sites, c.folded);
+            assert_eq!(got.len(), want.len(), "{what}");
+            let rebuilt = Relation::new(want.schema().clone(), want.rows().to_vec()).unwrap();
+            assert!(
+                crate::protocol::result(1, &got).payload == crate::protocol::result(1, &rebuilt).payload,
+                "{what}: frames differ"
+            );
+            for (g, w) in got.rows().iter().zip(want.rows()) {
+                assert!(
+                    g.values().iter().zip(w.values()).all(|(a, b)| identical(a, b)),
+                    "{what}: {:?} vs {:?}",
+                    bits(g.values()),
+                    bits(w.values())
+                );
             }
         }
     }

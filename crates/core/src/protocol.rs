@@ -19,7 +19,7 @@
 use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
-use skalla_relation::codec::{Decoder, Encoder};
+use skalla_relation::codec::{self, Decoder, Encoder};
 use skalla_relation::{Column, Columns, Domain, DomainMap, Error, Relation, Result, Schema};
 
 /// The protocol generation this build speaks, negotiated in the catalog
@@ -217,10 +217,20 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
 /// chunk into X, under that site's leaf, as it lands and merges the
 /// sites' leaves once every site's last chunk is in).
 pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
-    let mut enc = Encoder::with_capacity(9 + rel.encoded_size());
+    let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
+    result_columns(stage, rel.schema(), rel.len(), &cols, last)
+}
+
+/// [`result_chunk`] of the relation of `schema` over `cols`, `len` rows
+/// each, encoded straight from the columns: the same bytes, and no
+/// relation is made.
+pub fn result_columns(stage: u32, schema: &Schema, len: usize, cols: &[&Column], last: bool) -> Message {
+    let size = schema.encoded_size() + codec::body_size(len, cols.iter().copied());
+    let mut enc = Encoder::with_capacity(5 + size);
     enc.put_u32(stage);
     enc.put_u8(last as u8);
-    enc.put_relation(rel);
+    enc.put_schema(schema);
+    enc.put_columns(len, cols);
     Message::new(TAG_RESULT, enc.finish())
 }
 

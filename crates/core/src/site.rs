@@ -22,7 +22,7 @@ use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, Eval
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
 use skalla_obs::{BusyTimer, Obs, Track};
-use skalla_relation::{Error, Relation, Result, Row, Value};
+use skalla_relation::{Column, Error, Relation, Result, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -450,23 +450,27 @@ fn unexpected_tag() -> skalla_net::Message {
 }
 
 /// Split a stage result into row-blocked RESULT messages (one final
-/// message when chunking is off or the relation is small), moving its
-/// rows into the chunks.
+/// message when chunking is off or the relation is small), each chunk
+/// its rows' slice of every column.
 fn chunked_results(
     stage: u32,
-    mut rel: Relation,
+    rel: Relation,
     chunk_rows: Option<usize>,
 ) -> Vec<skalla_net::Message> {
     match chunk_rows {
         Some(chunk) if rel.len() > chunk => {
-            let schema = rel.schema_ref();
+            let schema = rel.schema();
             let n = rel.len().div_ceil(chunk);
-            let mut rows = std::mem::take(rel.rows_mut()).into_iter();
             (1..=n)
                 .map(|i| {
-                    let part = rows.by_ref().take(chunk).collect();
-                    let part = Relation::from_shared(Arc::clone(&schema), part);
-                    protocol::result_chunk(stage, &part, i == n)
+                    let at: Vec<u32> = ((i - 1) * chunk..(i * chunk).min(rel.len()))
+                        .map(|r| r as u32)
+                        .collect();
+                    let part: Vec<Column> = (0..schema.len())
+                        .map(|c| rel.column(c).gather(schema.field(c).data_type(), &at))
+                        .collect();
+                    let part: Vec<&Column> = part.iter().collect();
+                    protocol::result_columns(stage, schema, at.len(), &part, i == n)
                 })
                 .collect()
         }
@@ -589,6 +593,99 @@ mod tests {
         handle.join().unwrap();
         drop(seen_tx);
         assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
+    }
+
+    /// A site's answer, encoded straight from the kernel's states (and
+    /// sliced into row-blocked chunks), is byte for byte the frame of the
+    /// same answer rebuilt from its rows — what the site shipped when it
+    /// made rows and the codec columnized them. Prop 1 on and off; Int
+    /// and Double AVG, VAR, an all-NULL SUM, a string MIN (`Value`
+    /// accumulators), NaN payloads, −0.0, NULLs in keys and inputs; one,
+    /// three or every row per chunk.
+    #[test]
+    fn shipped_frames_match_the_frames_of_their_rows() {
+        let nan = |p: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | p));
+        let detail = Relation::new(
+            Schema::of(&[
+                ("g", DataType::Int),
+                ("i", DataType::Int),
+                ("d", DataType::Double),
+                ("n", DataType::Int),
+                ("s", DataType::Str),
+            ]),
+            (0..40i64)
+                .map(|r| {
+                    let g = if r % 11 == 0 { Value::Null } else { Value::Int(r % 7) };
+                    let d = match r % 5 {
+                        0 => nan(r as u64),
+                        1 => Value::Double(-0.0),
+                        2 => Value::Null,
+                        _ => Value::Double(r as f64 * 0.37 - 4.0),
+                    };
+                    let s = match r % 3 {
+                        0 => Value::Null,
+                        _ => Value::str(format!("s{}", r % 4)),
+                    };
+                    Row::new(vec![g, Value::Int(r * 1_000_003), d, Value::Null, s])
+                })
+                .collect(),
+        )
+        .unwrap();
+        // Keys 0..9 (7, 8 and 9 unmatched) and NULL, under a string tag.
+        let base = Relation::new(
+            Schema::of(&[("tag", DataType::Str), ("g", DataType::Int)]),
+            (0..10i64)
+                .map(|g| row![format!("t{}", g % 3), g])
+                .chain([Row::new(vec![Value::str("tn"), Value::Null])])
+                .collect(),
+        )
+        .unwrap();
+        let op = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![
+                AggSpec::count("cnt"),
+                AggSpec::avg("i", "avg_i"),
+                AggSpec::avg("d", "avg_d"),
+                AggSpec::var("d", "var_d"),
+                AggSpec::sum("n", "sum_n"),
+                AggSpec::sum("d", "sum_d"),
+                AggSpec::min("s", "min_s"),
+                AggSpec::max("d", "max_d"),
+            ],
+        );
+        let opts = EvalOptions {
+            parallelism: 1,
+            morsel_rows: 16,
+        };
+        let obs = Obs::disabled();
+        for key in [&[1usize][..], &[0, 1]] {
+            for reduce in [false, true] {
+                let answer = eval_shipped(&base, &detail, &op, key, reduce, opts, &obs, 0).unwrap();
+                let rows = answer.clone().rows().to_vec();
+                assert_eq!(rows.len(), if reduce { 8 } else { 11 });
+                for chunk in [Some(1), Some(3), None] {
+                    let got = chunked_results(4, answer.clone(), chunk);
+                    // The rows cut into chunks, each a relation of rows.
+                    let step = chunk.unwrap_or(rows.len());
+                    let parts: Vec<&[Row]> = rows.chunks(step).collect();
+                    let want: Vec<_> = parts
+                        .iter()
+                        .enumerate()
+                        .map(|(i, part)| {
+                            let part = Relation::new(answer.schema().clone(), part.to_vec()).unwrap();
+                            protocol::result_chunk(4, &part, i + 1 == parts.len())
+                        })
+                        .collect();
+                    assert_eq!(got.len(), want.len(), "key {key:?}, reduce {reduce}, chunk {chunk:?}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!(
+                            g.payload == w.payload,
+                            "key {key:?}, reduce {reduce}, chunk {chunk:?}: frames differ"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

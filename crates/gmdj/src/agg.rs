@@ -353,16 +353,9 @@ impl AggSpec {
                 if cnt == 0 {
                     return Ok(Value::Null);
                 }
-                let n = cnt as f64;
                 let sum = acc[0].as_f64().unwrap_or(0.0);
                 let sumsq = acc[1].as_f64().unwrap_or(0.0);
-                // E[x²] − E[x]², clamped against rounding noise.
-                let var = (sumsq / n - (sum / n) * (sum / n)).max(0.0);
-                Ok(Value::Double(if self.func == AggFunc::StdDev {
-                    var.sqrt()
-                } else {
-                    var
-                }))
+                Ok(Value::Double(finalize_var(sum, sumsq, cnt, self.func == AggFunc::StdDev)))
             }
         }
     }
@@ -374,6 +367,20 @@ impl fmt::Display for AggSpec {
             Some(e) => write!(f, "{}({e}) -> {}", self.func, self.name),
             None => write!(f, "{}(*) -> {}", self.func, self.name),
         }
+    }
+}
+
+/// A population VAR (or, with `stddev`, STDDEV) from its merged
+/// sub-aggregate — sum, sum of squares and a non-zero count: E[x²] − E[x]²,
+/// clamped against rounding noise. The coordinator's column-wise finalize
+/// calls it too, so both give the same bits.
+pub(crate) fn finalize_var(sum: f64, sumsq: f64, cnt: i64, stddev: bool) -> f64 {
+    let n = cnt as f64;
+    let var = (sumsq / n - (sum / n) * (sum / n)).max(0.0);
+    if stddev {
+        var.sqrt()
+    } else {
+        var
     }
 }
 

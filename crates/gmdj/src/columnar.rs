@@ -63,7 +63,8 @@ use crate::state::{fold_min_max_f, fold_min_max_i, fold_sum_f, fold_sum_i, AggSt
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    f64_add, Bitmap, BoundExpr, CmpOp, Column, Groups, Relation, Result, Row, Side, Value,
+    f64_add, Bitmap, BoundExpr, CmpOp, Column, Columns, DataType, Groups, Relation, Result, Side,
+    Value, TWO_POW_63,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -373,11 +374,12 @@ impl Num {
 }
 
 /// A detail value against a right-hand-side number in [`Value`]'s total
-/// order, without a branch: ints natively, anything with a double in the
-/// order of [`total_f64_cmp`] (NaN above every number and equal to itself,
-/// −0.0 = 0.0).
+/// order, without a branch: ints natively, doubles in the order of
+/// [`total_f64_cmp`] (NaN above every number and equal to itself, −0.0 =
+/// 0.0), an int against a double exactly ([`cmp_i64_f64`]).
 ///
 /// [`total_f64_cmp`]: skalla_relation::total_f64_cmp
+/// [`cmp_i64_f64`]: skalla_relation::cmp_i64_f64
 trait TotalCmp<R>: Copy {
     fn lt(self, r: R) -> bool;
     fn gt(self, r: R) -> bool;
@@ -420,26 +422,50 @@ impl TotalCmp<f64> for f64 {
 
 impl TotalCmp<f64> for i64 {
     fn lt(self, r: f64) -> bool {
-        f64_lt(self as f64, r)
+        int_lt_f64(self, r)
     }
     fn gt(self, r: f64) -> bool {
-        f64_lt(r, self as f64)
+        int_gt_f64(self, r)
     }
     fn eq(self, r: f64) -> bool {
-        f64_eq(self as f64, r)
+        int_eq_f64(self, r)
     }
 }
 
 impl TotalCmp<i64> for f64 {
     fn lt(self, r: i64) -> bool {
-        f64_lt(self, r as f64)
+        int_gt_f64(r, self)
     }
     fn gt(self, r: i64) -> bool {
-        f64_lt(r as f64, self)
+        int_lt_f64(r, self)
     }
     fn eq(self, r: i64) -> bool {
-        f64_eq(self, r as f64)
+        int_eq_f64(r, self)
     }
+}
+
+// `i` against `d` exactly, without a branch: `i as f64` decides
+// wherever it differs from `d`, and where it equals `d`, `d` is an
+// integer the integers compare.
+
+/// `i < d`, NaN greatest.
+#[inline]
+fn int_lt_f64(i: i64, d: f64) -> bool {
+    let f = i as f64;
+    (f < d) | d.is_nan() | ((f == d) & ((d >= TWO_POW_63) | (i < d as i64)))
+}
+
+/// `i > d`.
+#[inline]
+fn int_gt_f64(i: i64, d: f64) -> bool {
+    let f = i as f64;
+    (f > d) | ((f == d) & (d < TWO_POW_63) & (i > d as i64))
+}
+
+/// `i = d`.
+#[inline]
+fn int_eq_f64(i: i64, d: f64) -> bool {
+    (i as f64 == d) & (d < TWO_POW_63) & (i == d as i64)
 }
 
 /// `a ⟨op⟩ b`, dispatching on `op` per call: the mixed right-hand side's
@@ -474,8 +500,8 @@ type Fixed = Option<Vec<u8>>;
 /// slice element against a typed right-hand-side array with one entry per
 /// base position (a literal fills it). Mirrors [`CmpOp::apply`] over
 /// [`Value`]'s order exactly — `NULL` on either side is not truthy,
-/// `Int`↔`Double` compare in the order of [`total_f64_cmp`] (NaN
-/// greatest), a string outranks every number.
+/// doubles compare in the order of [`total_f64_cmp`] (NaN greatest), an
+/// `Int` against a `Double` exactly, a string outranks every number.
 ///
 /// [`total_f64_cmp`]: skalla_relation::total_f64_cmp
 struct TypedCmp<'a> {
@@ -1043,24 +1069,27 @@ pub(crate) fn eval_columnar(
     };
     let merged = drive(&kernel, opts, obs, site)?;
 
-    // Each row straight from the typed states: the kept base values, read
-    // from the base's columns, then the accumulator values in layout
+    // The answer's columns straight from the typed states: the kept base
+    // columns, shared when every base tuple is kept and gathered when
+    // Prop 1 drops some, then each state's physical columns in layout
     // (global aggregate) order.
-    let kept: Vec<&Column> = keep.iter().map(|&c| base.column(c)).collect();
-    let mut rows = Vec::with_capacity(base.len());
-    for pos in 0..base.len() {
-        if matched_only && !merged.matched[pos] {
-            continue;
-        }
-        let mut vs = Vec::with_capacity(keep.len() + layout.width());
-        vs.extend(kept.iter().map(|c| c.value(pos)));
-        for ((_, spec, _), st) in layout.entries().iter().zip(&merged.aggs) {
-            st.push_values(pos, spec, &mut vs);
-        }
-        rows.push(Row::new(vs));
+    let n = base.len();
+    let at: Vec<u32> = (0..n as u32)
+        .filter(|&p| !matched_only || merged.matched[p as usize])
+        .collect();
+    let mut cols: Vec<Arc<Column>> = keep
+        .iter()
+        .map(|&c| match at.len() == n {
+            true => base.shared_column(c),
+            false => Arc::new(base.column(c).gather(base.schema().field(c).data_type(), &at)),
+        })
+        .collect();
+    let types: Vec<DataType> = schema.fields()[keep.len()..].iter().map(|f| f.data_type()).collect();
+    for ((_, spec, off), st) in layout.entries().iter().zip(&merged.aggs) {
+        st.physical_columns(spec, &types[*off..off + spec.acc_width()], &at, &mut cols);
     }
     Ok(LocalGmdj {
-        physical: Relation::from_shared(Arc::new(schema), rows),
+        physical: Relation::from_columns(schema, Columns::from_shared(at.len(), cols))?,
         matched: merged.matched,
     })
 }
@@ -1215,6 +1244,36 @@ mod tests {
         let col = eval_full(&base(), &detail(), &g2, opts()).unwrap();
         let rowk = full_rows(&base(), &detail(), &g2);
         assert_eq!(col, rowk);
+    }
+
+    /// The typed comparisons of an `Int` against a `Double` order the two
+    /// exactly as [`Value`]'s `Ord` does, past 2⁵³ and at 2⁶³ too.
+    #[test]
+    fn int_double_comparisons_are_exact() {
+        let big = 1i64 << 53;
+        let ints = [0, -1, big, big + 1, -big - 1, i64::MAX, i64::MIN, i64::MAX - 1];
+        let doubles = [
+            0.0,
+            -0.0,
+            big as f64,
+            -(big as f64),
+            9_223_372_036_854_775_808.0,
+            -9_223_372_036_854_775_808.0,
+            2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &i in &ints {
+            for &d in &doubles {
+                let want = Value::Int(i).cmp(&Value::Double(d));
+                let got = (i.lt(d), i.gt(d), TotalCmp::eq(i, d));
+                let flip = (d.gt(i), d.lt(i), TotalCmp::eq(d, i));
+                let expect = (want.is_lt(), want.is_gt(), want.is_eq());
+                assert_eq!(got, expect, "{i} vs {d}");
+                assert_eq!(flip, expect, "{d} vs {i}");
+            }
+        }
     }
 
     #[test]

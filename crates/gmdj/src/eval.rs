@@ -99,7 +99,8 @@ fn cores() -> usize {
 #[derive(Debug, Clone)]
 pub struct LocalGmdj {
     /// Base columns ⊕ physical accumulator columns, one row per base tuple
-    /// (same order as the input base relation).
+    /// (same order as the input base relation): a relation of columns
+    /// ([`Relation::from_columns`]) whose rows are built on first read.
     pub physical: Relation,
     /// Per base tuple: did any detail tuple at this site match any θᵢ?
     /// (`|RNG(b, Rᵢ, θ₁ ∨ … ∨ θ_m)| > 0` — the distribution-independent
@@ -389,11 +390,15 @@ pub fn eval_local_traced(
     crate::columnar::eval_columnar(base, detail, gmdj, &all, false, opts, obs, site)
 }
 
-/// A merge unit's sub-result as a site ships it, built straight from the
-/// kernel's accumulator states: the base columns at `key`, then the
-/// physical accumulator columns, one row per base tuple in base order —
-/// or, with `reduce` (Prop 1's site-side group reduction), one per base
-/// tuple some detail tuple matched. Spans as [`eval_local_traced`]'s.
+/// A merge unit's sub-result as a site ships it, built as columns
+/// straight from the kernel's accumulator states: the base columns at
+/// `key` (the base's own, shared, or gathered when rows are dropped),
+/// then the physical accumulator columns, one row per base tuple in base
+/// order — or, with `reduce` (Prop 1's site-side group reduction), one
+/// per base tuple some detail tuple matched. No row is built; the
+/// relation's columns keep `Column::build`'s representation rule, so it
+/// encodes to the bytes its rows would. Spans as
+/// [`eval_local_traced`]'s.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_shipped(
     base: &Relation,
@@ -915,5 +920,69 @@ mod tests {
             .iter()
             .all(|s| matches!(s.track, Track::Worker(7, _)) && s.dur_us.is_some()));
         assert_eq!(rec.histograms()["kernel.morsel_us"].count(), 3);
+    }
+
+    /// A site's answer, built as columns from the kernel's states, encodes
+    /// to the bytes of the same answer rebuilt from its rows
+    /// (`Relation::new(schema, rows)`, whose columns `Column::build`
+    /// makes), with and without Prop 1's reduction: Int and Double AVG,
+    /// VAR, an all-NULL SUM, a string MIN (`Value` accumulators), NaN
+    /// payloads, −0.0 and NULL keys and inputs. (Row blocking's slices
+    /// are checked the same way in `skalla-core`.)
+    #[test]
+    fn shipped_answer_encodes_as_its_rows() {
+        let nan = |p: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | p));
+        let detail = Relation::new(
+            Schema::of(&[
+                ("g", DataType::Int),
+                ("i", DataType::Int),
+                ("d", DataType::Double),
+                ("n", DataType::Int),
+                ("s", DataType::Str),
+            ]),
+            (0..30i64)
+                .map(|r| {
+                    let g = if r % 11 == 0 { Value::Null } else { Value::Int(r % 6) };
+                    let d = [nan(r as u64), Value::Double(-0.0), Value::Null, Value::Double(r as f64 / 3.0)];
+                    let s = if r % 3 == 0 { Value::Null } else { Value::str(format!("s{}", r % 4)) };
+                    Row::new(vec![g, Value::Int(r << 40), d[r as usize % 4].clone(), Value::Null, s])
+                })
+                .collect(),
+        )
+        .unwrap();
+        let base = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("tag", DataType::Str)]),
+            (0..9i64)
+                .map(|g| row![g, format!("t{}", g % 2)])
+                .chain([Row::new(vec![Value::Null, Value::str("tn")])])
+                .collect(),
+        )
+        .unwrap();
+        let op = Gmdj::new("t").block(
+            ThetaBuilder::group_by(&["g"]).build(),
+            vec![
+                AggSpec::count("cnt"),
+                AggSpec::avg("i", "avg_i"),
+                AggSpec::avg("d", "avg_d"),
+                AggSpec::var("d", "var_d"),
+                AggSpec::sum("n", "sum_n"),
+                AggSpec::min("s", "min_s"),
+            ],
+        );
+        let encode = |r: &Relation| {
+            let mut enc = skalla_relation::codec::Encoder::new();
+            enc.put_relation(r);
+            enc.finish()
+        };
+        for key in [&[0usize][..], &[1, 0]] {
+            for reduce in [false, true] {
+                let answer = eval_shipped(&base, &detail, &op, key, reduce, opts(), &Obs::disabled(), 0)
+                    .unwrap();
+                let bytes = encode(&answer);
+                let rows = Relation::new(answer.schema().clone(), answer.rows().to_vec()).unwrap();
+                assert_eq!(rows.len(), if reduce { 7 } else { 10 });
+                assert!(bytes == encode(&rows), "key {key:?}, reduce {reduce}");
+            }
+        }
     }
 }

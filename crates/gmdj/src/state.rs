@@ -19,11 +19,12 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::agg::{AccLayout, AggFunc, AggSpec};
+use crate::agg::{finalize_var, AccLayout, AggFunc, AggSpec};
 use skalla_relation::{
-    f64_add, total_f64_cmp, Bitmap, Column, Columns, DataType, Error, Result, Value,
+    f64_add, total_f64_cmp, Bitmap, Column, ColumnBuilder, Columns, DataType, Error, Result, Value,
 };
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Which typed state an aggregate keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,6 +308,109 @@ impl AggState {
                 out.extend_from_slice(&vals[pos * w..(pos + 1) * w]);
             }
         }
+    }
+
+    /// Slots `at`'s physical columns, in slot order, declared `types`:
+    /// the columns of what [`AggState::push_values`] gives, under
+    /// [`ColumnBuilder`]'s rule. A typed state writes each column straight
+    /// from its arrays, its has-flags (or `cnt > 0`) the validity; only a
+    /// `Fallback` state goes value by value.
+    pub(crate) fn physical_columns(
+        &self,
+        spec: &AggSpec,
+        types: &[DataType],
+        at: &[u32],
+        out: &mut Vec<Arc<Column>>,
+    ) {
+        let mut put = |c: Column| out.push(Arc::new(c));
+        match self {
+            AggState::Count(c) => put(Column::ints(types[0], pick(c, at, |_| true), None)),
+            AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
+                let valid = |p: usize| has[p];
+                put(Column::ints(types[0], pick(s, at, valid), validity(at, valid)));
+            }
+            AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
+                let valid = |p: usize| has[p];
+                put(Column::doubles(types[0], pick(s, at, valid), validity(at, valid)));
+            }
+            AggState::AvgI { s, cnt } => {
+                let valid = |p: usize| cnt[p] > 0;
+                put(Column::ints(types[0], pick(s, at, valid), validity(at, valid)));
+                put(Column::ints(types[1], pick(cnt, at, |_| true), None));
+            }
+            AggState::AvgF { s, cnt } => {
+                let valid = |p: usize| cnt[p] > 0;
+                put(Column::doubles(types[0], pick(s, at, valid), validity(at, valid)));
+                put(Column::ints(types[1], pick(cnt, at, |_| true), None));
+            }
+            AggState::Var { s, sq, cnt } => {
+                put(Column::doubles(types[0], pick(s, at, |_| true), None));
+                put(Column::doubles(types[1], pick(sq, at, |_| true), None));
+                put(Column::ints(types[2], pick(cnt, at, |_| true), None));
+            }
+            AggState::Fallback(vals) => {
+                let w = spec.acc_width();
+                for k in 0..w {
+                    let mut b = ColumnBuilder::new(types[k], at.len());
+                    at.iter().for_each(|&p| b.push(&vals[p as usize * w + k]));
+                    put(b.finish());
+                }
+            }
+        }
+    }
+
+    /// Slots `at`'s logical values as one column of declared type `ty`,
+    /// slot `p` finalized where `present(p)` and X_init finalized
+    /// elsewhere: [`AggSpec::finalize`] per typed kind, column-wise, and
+    /// through `AggSpec::finalize` itself for a `Fallback` state.
+    fn finalize_column(
+        &self,
+        spec: &AggSpec,
+        ty: DataType,
+        at: &[u32],
+        present: &[bool],
+    ) -> Result<Column> {
+        let on = |p: usize| present[p];
+        Ok(match self {
+            // X_init: a count of 0, and NULL for every other aggregate.
+            AggState::Count(c) => Column::ints(ty, pick(c, at, on), None),
+            AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
+                let valid = |p: usize| present[p] && has[p];
+                Column::ints(ty, pick(s, at, valid), validity(at, valid))
+            }
+            AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
+                let valid = |p: usize| present[p] && has[p];
+                Column::doubles(ty, pick(s, at, valid), validity(at, valid))
+            }
+            AggState::AvgI { s, cnt } => {
+                let valid = |p: usize| present[p] && cnt[p] != 0;
+                let avg = |p: usize| s[p] as f64 / cnt[p] as f64;
+                Column::doubles(ty, map(at, valid, avg), validity(at, valid))
+            }
+            AggState::AvgF { s, cnt } => {
+                let valid = |p: usize| present[p] && cnt[p] != 0;
+                let avg = |p: usize| s[p] / cnt[p] as f64;
+                Column::doubles(ty, map(at, valid, avg), validity(at, valid))
+            }
+            AggState::Var { s, sq, cnt } => {
+                let valid = |p: usize| present[p] && cnt[p] != 0;
+                let stddev = spec.func == AggFunc::StdDev;
+                let var = |p: usize| finalize_var(s[p], sq[p], cnt[p], stddev);
+                Column::doubles(ty, map(at, valid, var), validity(at, valid))
+            }
+            AggState::Fallback(vals) => {
+                let w = spec.acc_width();
+                let mut init = Vec::with_capacity(w);
+                spec.init_acc(&mut init);
+                let mut b = ColumnBuilder::new(ty, at.len());
+                for &p in at {
+                    let p = p as usize;
+                    let acc = if present[p] { &vals[p * w..(p + 1) * w] } else { &init[..] };
+                    b.push(&spec.finalize(acc)?);
+                }
+                b.finish()
+            }
+        })
     }
 
     /// Turn the state into `Value` accumulators holding the same values,
@@ -663,6 +767,30 @@ fn relayout<T: Clone>(v: &mut Vec<T>, fill: &[T], (blocks, cap, new_cap): (usize
     *v = out;
 }
 
+/// `v` at slots `at`, 0 where `valid` fails: a typed column's vector.
+fn pick<T: Copy + Default>(v: &[T], at: &[u32], valid: impl Fn(usize) -> bool) -> Vec<T> {
+    map(at, valid, |p| v[p])
+}
+
+/// `f` of slots `at`, 0 where `valid` fails.
+fn map<T: Default>(at: &[u32], valid: impl Fn(usize) -> bool, f: impl Fn(usize) -> T) -> Vec<T> {
+    at.iter()
+        .map(|&p| {
+            let p = p as usize;
+            if valid(p) {
+                f(p)
+            } else {
+                T::default()
+            }
+        })
+        .collect()
+}
+
+/// The validity of slots `at` (`None` when every one is valid).
+fn validity(at: &[u32], valid: impl Fn(usize) -> bool) -> Option<Bitmap> {
+    Bitmap::of(at.len(), |k| valid(at[k] as usize))
+}
+
 /// An `Int` column's values, if it holds no `NULL`.
 fn int_no_nulls(col: &Column) -> Option<&[i64]> {
     match col {
@@ -792,10 +920,41 @@ impl AccStates {
         Ok(())
     }
 
-    /// Append position `p`'s physical slot values, in layout order.
+    /// Append position `p`'s physical slot values, in layout order: the
+    /// `Value` accumulator the states hold there, which the tests' row
+    /// references read.
     pub fn push_values(&self, p: usize, out: &mut Vec<Value>) {
         for ((_, spec, _), st) in self.layout.entries().iter().zip(&self.states) {
             st.push_values(p, spec, out);
         }
+    }
+
+    /// Positions `at`'s physical columns, in layout order, one per slot
+    /// declared `types`: the columns of the `Value` accumulators, built as
+    /// the kernel builds a site's.
+    pub fn physical_columns(&self, types: &[DataType], at: &[u32]) -> Vec<Arc<Column>> {
+        let mut out = Vec::with_capacity(self.layout.width());
+        for ((_, spec, off), st) in self.layout.entries().iter().zip(&self.states) {
+            let w = spec.acc_width();
+            st.physical_columns(spec, &types[*off..off + w], at, &mut out);
+        }
+        out
+    }
+
+    /// Finalize positions `at` into the logical columns, one per
+    /// aggregate declared `types` (in layout order): position `p`'s
+    /// accumulators where `present[p]`, X_init elsewhere. Column-wise per
+    /// typed kind, it gives [`AggSpec::finalize`]'s values, bit for bit,
+    /// as columns under [`ColumnBuilder`]'s rule.
+    pub fn finalize_columns(
+        &self,
+        types: &[DataType],
+        at: &[u32],
+        present: &[bool],
+    ) -> Result<Vec<Arc<Column>>> {
+        let entries = self.layout.entries().iter().zip(&self.states).enumerate();
+        entries
+            .map(|(k, ((_, spec, _), st))| Ok(Arc::new(st.finalize_column(spec, types[k], at, present)?)))
+            .collect()
     }
 }

@@ -24,7 +24,7 @@
 use crate::lock;
 use crate::stats::{Direction, NetStats};
 use crate::transport::{CoordinatorTransport, Message, NetError, SiteTransport};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -150,15 +150,27 @@ fn read_frame(stream: &mut TcpStream, deadline: Option<Instant>) -> Result<Messa
     })
 }
 
-/// Write one frame as a single buffer (one `write_all`, so a frame is
-/// never interleaved when several query workers share the link).
-fn write_frame(stream: &mut TcpStream, msg: &Message) -> Result<(), NetError> {
-    let mut buf = Vec::with_capacity(9 + msg.payload.len());
-    buf.push(msg.tag);
-    buf.extend_from_slice(&msg.query_id.to_le_bytes());
-    buf.extend_from_slice(&(msg.payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&msg.payload);
-    stream.write_all(&buf).map_err(io_err)
+/// Write one frame: the 9-byte header and the payload in place, by
+/// vectored writes until both are out. The caller holds the link's lock
+/// for the whole frame, so frames of several query workers sharing the
+/// link never interleave, and the payload is never copied into a frame
+/// buffer.
+fn write_frame(stream: &mut impl Write, msg: &Message) -> Result<(), NetError> {
+    let mut header = [0u8; 9];
+    header[0] = msg.tag;
+    header[1..5].copy_from_slice(&msg.query_id.to_le_bytes());
+    header[5..].copy_from_slice(&(msg.payload.len() as u32).to_le_bytes());
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(&msg.payload)];
+    let mut rest = &mut bufs[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(io_err(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    }
+    Ok(())
 }
 
 /// Dial `addr`, retrying with exponential backoff per [`TcpConfig`].
@@ -276,7 +288,7 @@ impl CoordinatorTransport for TcpCoordinator {
 
     fn send(&self, site: usize, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(site, Direction::Down, &msg);
-        write_frame(&mut lock(&self.links[site]), &msg).map_err(|e| match e {
+        write_frame(&mut *lock(&self.links[site]), &msg).map_err(|e| match e {
             NetError::Disconnected => NetError::SiteDisconnected {
                 site,
                 detail: "send failed: peer closed the connection".into(),
@@ -415,7 +427,7 @@ impl SiteTransport for TcpSite {
 
     fn send(&self, msg: Message) -> Result<(), NetError> {
         self.stats.record_frame(self.site_id, Direction::Up, &msg);
-        write_frame(&mut lock(&self.write_half), &msg)
+        write_frame(&mut *lock(&self.write_half), &msg)
     }
 
     fn recv(&self) -> Result<Message, NetError> {
@@ -463,6 +475,62 @@ mod tests {
         assert_eq!((ct.down_msgs, ct.up_msgs), (1, 1));
         let st = site.stats().totals();
         assert_eq!(st, ct);
+    }
+
+    /// A writer that takes at most `step` bytes per call, whatever it
+    /// is offered, and now and then reports an interrupted write.
+    struct Dribble {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(7) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+                if left == 0 {
+                    break;
+                }
+            }
+            Ok(self.step - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_multi_mb_frame_survives_partial_writes() {
+        let payload: Vec<u8> = (0..3 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let msg = Message::for_query(5, 0x0102_0304, payload);
+        // Steps that split the header, end exactly on its last byte, and
+        // take many payload bytes per call.
+        for step in [1 << 16, 4, 9, 65_537] {
+            let mut w = Dribble {
+                out: Vec::new(),
+                step,
+                calls: 0,
+            };
+            write_frame(&mut w, &msg).unwrap();
+            assert_eq!(w.out.len(), 9 + msg.payload.len(), "step {step}");
+            assert_eq!(w.out[0], 5);
+            assert_eq!(w.out[1..5], 0x0102_0304u32.to_le_bytes());
+            assert_eq!(w.out[5..9], (msg.payload.len() as u32).to_le_bytes());
+            assert!(w.out[9..] == msg.payload[..], "step {step}: payload differs");
+        }
     }
 
     #[test]

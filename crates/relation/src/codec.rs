@@ -382,7 +382,7 @@ impl<'a> Decoder<'a> {
             .fields()
             .iter()
             .map(|f| match n {
-                0 => Ok(Column::build(f.data_type(), &[], 0)),
+                0 => Ok(Column::nulls(f.data_type(), 0)),
                 _ => self.get_column(n),
             })
             .collect::<Result<_>>()?;

@@ -26,7 +26,7 @@
 
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::{DataType, Value};
+use crate::value::{f64_is_i64, total_f64_cmp, DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -45,6 +45,21 @@ impl Bitmap {
             words: vec![0u64; len.div_ceil(64)],
             len,
         }
+    }
+
+    /// The validity of `len` rows, row `i` valid where `valid(i)`: `None`
+    /// when every row is (a column without `NULL`s has no bitmap).
+    pub fn of(len: usize, valid: impl Fn(usize) -> bool) -> Option<Bitmap> {
+        let mut b = Bitmap::new(len);
+        let mut all = true;
+        for (w, word) in b.words.iter_mut().enumerate() {
+            let lo = w * 64;
+            for i in lo..(lo + 64).min(len) {
+                *word |= (valid(i) as u64) << (i - lo);
+            }
+            all &= *word == u64::MAX >> (64 - (len - lo).min(64));
+        }
+        (!all).then_some(b)
     }
 
     /// Number of bits.
@@ -216,7 +231,7 @@ impl Column {
         }
     }
 
-    /// The canonical `(tag, word)` [`key_hash`] mixes in for row `i`:
+    /// The canonical `(tag, word)` [`row_key_hash`] mixes in for row `i`:
     /// strings by content, so it needs no interner.
     #[inline]
     fn key_word(&self, i: usize) -> (u8, u64) {
@@ -268,8 +283,10 @@ impl Columns {
         Columns::from_shared(rows.len(), cols)
     }
 
-    /// The view over already-built columns of `len` rows each.
-    pub(crate) fn from_shared(len: usize, cols: Vec<Arc<Column>>) -> Columns {
+    /// The view over already-built columns of `len` rows each, shared
+    /// with whatever else holds them.
+    pub fn from_shared(len: usize, cols: Vec<Arc<Column>>) -> Columns {
+        debug_assert!(cols.iter().all(|c| c.len() == len));
         Columns { len, cols }
     }
 
@@ -280,7 +297,6 @@ impl Columns {
 
     /// The store of `cols`, each `len` rows long (a decoded frame body).
     pub fn new(len: usize, cols: Vec<Column>) -> Columns {
-        debug_assert!(cols.iter().all(|c| c.len() == len));
         Columns::from_shared(len, cols.into_iter().map(Arc::new).collect())
     }
 
@@ -311,14 +327,11 @@ impl Columns {
         self.cols[c].value(row)
     }
 
-    /// [`key_hash`] of row `i`'s values in the leading `key_len` columns,
+    /// [`row_key_hash`] of row `i`'s values in the leading `key_len` columns,
     /// read in place.
     #[inline]
     pub fn key_hash(&self, key_len: usize, i: usize) -> u64 {
-        self.cols[..key_len]
-            .iter()
-            .map(|c| c.key_word(i))
-            .fold(KEY_SEED, mix_key_word)
+        row_key_hash(self.cols[..key_len].iter().map(|c| &**c), i)
     }
 
     /// Are row `i`'s values in the leading `key.len()` columns
@@ -340,87 +353,383 @@ impl Columns {
     }
 }
 
-/// A validity mask under construction: no bitmap until the first `NULL`,
-/// so a column without `NULL`s never allocates one.
-struct Validity {
-    bits: Option<Bitmap>,
+/// A column built one value at a time under the **representation rule**
+/// every path that makes a [`Column`] keeps — rows ([`Columns::from_rows`]),
+/// a gather ([`Column::gather`]), typed arrays ([`Column::ints`],
+/// [`Column::doubles`]) and finalized `Value`s alike:
+///
+/// - a column whose non-`NULL` values all have one type is that typed
+///   vector, with a validity bitmap only when it holds a `NULL`, and 0 (or
+///   code 0) at its `NULL` rows;
+/// - a column with no non-`NULL` value (empty, or all `NULL`) has the
+///   declared type;
+/// - a string column's dictionary holds each string once, in first
+///   occurrence order;
+/// - anything else is [`Column::Mixed`].
+///
+/// So a column's layout is a function of its values and declared type
+/// alone, and the codec's bytes ([`crate::codec`]) are too, whichever
+/// path built it.
+#[derive(Debug)]
+pub struct ColumnBuilder {
+    declared: DataType,
     len: usize,
+    /// Rows pushed so far.
+    at: usize,
+    form: Form,
 }
 
-impl Validity {
-    /// Row `i` is `NULL`; every earlier row was marked or is valid.
-    fn null_at(&mut self, i: usize) {
-        if self.bits.is_none() {
-            let mut b = Bitmap::new(self.len);
-            (0..i).for_each(|j| b.set(j));
-            self.bits = Some(b);
+/// What a [`ColumnBuilder`] holds so far.
+#[derive(Debug)]
+enum Form {
+    /// Only `NULL`s.
+    Nulls,
+    Int(Vec<i64>, Option<Bitmap>),
+    Double(Vec<f64>, Option<Bitmap>),
+    Str {
+        codes: Vec<u32>,
+        dict: Vec<Arc<str>>,
+        intern: HashMap<Arc<str>, u32>,
+        valid: Option<Bitmap>,
+    },
+    Mixed(Vec<Value>),
+}
+
+impl ColumnBuilder {
+    /// A builder for a column of exactly `len` values of declared type
+    /// `declared`.
+    pub fn new(declared: DataType, len: usize) -> ColumnBuilder {
+        ColumnBuilder {
+            declared,
+            len,
+            at: 0,
+            form: Form::Nulls,
         }
     }
 
-    /// Row `i` holds a value.
-    fn valid_at(&mut self, i: usize) {
-        if let Some(b) = &mut self.bits {
-            b.set(i);
+    /// Append the next value.
+    ///
+    /// # Panics
+    /// May panic past `len` values in all.
+    #[inline]
+    pub fn push(&mut self, v: &Value) {
+        self.extend(std::iter::once(v));
+    }
+
+    /// Append `values`, in order, as [`ColumnBuilder::push`] would one at
+    /// a time: one tight loop per layout, left only where a value changes
+    /// the layout or a first `NULL` makes the bitmap.
+    ///
+    /// # Panics
+    /// May panic past `len` values in all.
+    #[inline]
+    pub fn extend<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
+        let mut values = values.into_iter();
+        while let Some(v) = self.run(&mut values) {
+            self.change_form(v);
         }
     }
-}
 
-/// One pass over column `c`: `typed` yields the physical word of a value
-/// of the expected type, `None` for any other type — which abandons the
-/// typed layout (the caller falls back to [`Column::Mixed`]).
-fn typed_vector<T: Default + Clone>(
-    rows: &[Row],
-    c: usize,
-    mut typed: impl FnMut(&Value) -> Option<T>,
-) -> Option<(Vec<T>, Option<Bitmap>)> {
-    let mut data = vec![T::default(); rows.len()];
-    let mut validity = Validity {
-        bits: None,
-        len: rows.len(),
-    };
-    for (i, r) in rows.iter().enumerate() {
-        match r.get(c) {
-            Value::Null => validity.null_at(i),
-            v => {
-                data[i] = typed(v)?;
-                validity.valid_at(i);
+    /// The current layout's loop over `values`, up to the first value it
+    /// cannot take, which it returns.
+    #[inline]
+    fn run<'a>(&mut self, values: &mut impl Iterator<Item = &'a Value>) -> Option<&'a Value> {
+        let at = &mut self.at;
+        match &mut self.form {
+            Form::Nulls => loop {
+                match values.next() {
+                    Some(Value::Null) => *at += 1,
+                    v => break v,
+                }
+            },
+            Form::Int(data, valid) => typed_run(data, valid.as_mut(), at, values, |v| match v {
+                Value::Int(x) => Some(*x),
+                _ => None,
+            }),
+            Form::Double(data, valid) => typed_run(data, valid.as_mut(), at, values, |v| match v {
+                Value::Double(x) => Some(*x),
+                _ => None,
+            }),
+            Form::Str {
+                codes,
+                dict,
+                intern,
+                valid,
+            } => typed_run(codes, valid.as_mut(), at, values, |v| match v {
+                Value::Str(x) => Some(*intern.entry(Arc::clone(x)).or_insert_with(|| {
+                    dict.push(Arc::clone(x));
+                    (dict.len() - 1) as u32
+                })),
+                _ => None,
+            }),
+            Form::Mixed(vs) => {
+                let before = vs.len();
+                vs.extend(values.cloned());
+                *at += vs.len() - before;
+                None
             }
         }
     }
-    Some((data, validity.bits))
+
+    /// The next row holds `v`, which the layout so far cannot take: the
+    /// first value picks the layout (the rows before it are `NULL`), a
+    /// typed layout's first `NULL` makes its bitmap (every earlier row
+    /// valid), and a second type makes the column mixed.
+    #[cold]
+    #[inline(never)]
+    fn change_form(&mut self, v: &Value) {
+        let (i, len) = (self.at, self.len);
+        match (&mut self.form, v) {
+            (Form::Nulls, v) => {
+                let valid = (i > 0).then(|| Bitmap::new(len));
+                self.form = match v {
+                    Value::Int(_) => Form::Int(vec![0; len], valid),
+                    Value::Double(_) => Form::Double(vec![0.0; len], valid),
+                    _ => Form::Str {
+                        codes: vec![0; len],
+                        dict: Vec::new(),
+                        intern: HashMap::new(),
+                        valid,
+                    },
+                };
+                self.push(v);
+            }
+            (Form::Int(_, valid) | Form::Double(_, valid) | Form::Str { valid, .. }, Value::Null) => {
+                let mut b = Bitmap::new(len);
+                (0..i).for_each(|j| b.set(j));
+                *valid = Some(b);
+                self.at += 1;
+            }
+            (_, v) => {
+                let mut vs = Vec::with_capacity(len);
+                vs.extend((0..i).map(|j| self.form_value(j)));
+                vs.push(v.clone());
+                self.form = Form::Mixed(vs);
+                self.at += 1;
+            }
+        }
+    }
+
+    /// The value pushed at row `i` of a typed form.
+    fn form_value(&self, i: usize) -> Value {
+        let valid = |v: &Option<Bitmap>| v.as_ref().is_none_or(|b| b.get(i));
+        match &self.form {
+            Form::Int(data, v) if valid(v) => Value::Int(data[i]),
+            Form::Double(data, v) if valid(v) => Value::Double(data[i]),
+            Form::Str {
+                codes, dict, valid: v, ..
+            } if valid(v) => Value::Str(Arc::clone(&dict[codes[i] as usize])),
+            Form::Mixed(vs) => vs[i].clone(),
+            _ => Value::Null,
+        }
+    }
+
+    /// The column.
+    ///
+    /// # Panics
+    /// Debug-asserts that exactly `len` values were pushed.
+    pub fn finish(self) -> Column {
+        debug_assert_eq!(self.at, self.len, "fewer values than the builder's length");
+        match self.form {
+            Form::Nulls => Column::nulls(self.declared, self.len),
+            Form::Int(data, valid) => Column::Int { data, valid },
+            Form::Double(data, valid) => Column::Double { data, valid },
+            Form::Str {
+                codes, dict, valid, ..
+            } => Column::Str { codes, dict, valid },
+            Form::Mixed(vs) => Column::Mixed(vs),
+        }
+    }
+}
+
+/// One typed layout's loop: each value `word` maps to a word is written
+/// at the next row (its bit set, if the column has a bitmap); a `NULL`
+/// leaves its row 0 (and clear). Returns the first value `word` rejects,
+/// or a first `NULL` while there is no bitmap yet, without taking it.
+#[inline]
+fn typed_run<'a, T>(
+    data: &mut [T],
+    mut valid: Option<&mut Bitmap>,
+    at: &mut usize,
+    values: &mut impl Iterator<Item = &'a Value>,
+    mut word: impl FnMut(&Value) -> Option<T>,
+) -> Option<&'a Value> {
+    let mut i = *at;
+    let stop = loop {
+        let Some(v) = values.next() else { break None };
+        if v.is_null() {
+            if valid.is_none() {
+                break Some(v);
+            }
+        } else {
+            let Some(x) = word(v) else { break Some(v) };
+            data[i] = x;
+            if let Some(b) = &mut valid {
+                b.set(i);
+            }
+        }
+        i += 1;
+    };
+    *at = i;
+    stop
 }
 
 impl Column {
-    /// Build column `c` of `rows` in one pass. The first non-`NULL` value
-    /// picks the layout (`declared` for an empty or all-`NULL` column); a
-    /// later value of another type makes the column [`Column::Mixed`].
+    /// Build column `c` of `rows` in one pass ([`ColumnBuilder`]'s rule).
     pub(crate) fn build(declared: DataType, rows: &[Row], c: usize) -> Column {
-        let kind = rows
-            .iter()
-            .find_map(|r| r.get(c).data_type())
-            .unwrap_or(declared);
-        let typed = match kind {
-            DataType::Int => typed_vector(rows, c, Value::as_i64)
-                .map(|(data, valid)| Column::Int { data, valid }),
-            DataType::Double => typed_vector(rows, c, |v| match v {
-                Value::Double(d) => Some(*d),
-                _ => None,
-            })
-            .map(|(data, valid)| Column::Double { data, valid }),
-            DataType::Str => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut intern: HashMap<Arc<str>, u32> = HashMap::new();
-                typed_vector(rows, c, |v| match v {
-                    Value::Str(s) => Some(*intern.entry(Arc::clone(s)).or_insert_with(|| {
-                        dict.push(Arc::clone(s));
-                        (dict.len() - 1) as u32
-                    })),
-                    _ => None,
-                })
-                .map(|(codes, valid)| Column::Str { codes, dict, valid })
-            }
+        let mut b = ColumnBuilder::new(declared, rows.len());
+        b.extend(rows.iter().map(|r| r.get(c)));
+        b.finish()
+    }
+
+    /// `len` `NULL`s of type `declared`: the rule's column of no value.
+    pub fn nulls(declared: DataType, len: usize) -> Column {
+        let valid = (len > 0).then(|| Bitmap::new(len));
+        match declared {
+            DataType::Int => Column::Int {
+                data: vec![0; len],
+                valid,
+            },
+            DataType::Double => Column::Double {
+                data: vec![0.0; len],
+                valid,
+            },
+            DataType::Str => Column::Str {
+                codes: vec![0; len],
+                dict: Vec::new(),
+                valid,
+            },
+        }
+    }
+
+    /// The `Int` column of `data`, `NULL` where `valid` is clear, under
+    /// the rule: a column of no value (empty, or `NULL`s only) is
+    /// `declared`'s. `data` holds 0
+    /// at `NULL` rows, and `valid` is `None` when nothing is `NULL`
+    /// ([`Bitmap::of`]).
+    pub fn ints(declared: DataType, data: Vec<i64>, valid: Option<Bitmap>) -> Column {
+        match valid {
+            _ if data.is_empty() => Column::nulls(declared, 0),
+            Some(b) if b.count_ones() == 0 => Column::nulls(declared, data.len()),
+            valid => Column::Int { data, valid },
+        }
+    }
+
+    /// [`Column::ints`] for doubles.
+    pub fn doubles(declared: DataType, data: Vec<f64>, valid: Option<Bitmap>) -> Column {
+        match valid {
+            _ if data.is_empty() => Column::nulls(declared, 0),
+            Some(b) if b.count_ones() == 0 => Column::nulls(declared, data.len()),
+            valid => Column::Double { data, valid },
+        }
+    }
+
+    /// Rows `at` of this column, in that order, as the column of their
+    /// values ([`ColumnBuilder`]'s rule: typed columns are gathered as
+    /// vectors, a string dictionary is renumbered in first occurrence
+    /// order, and a `Mixed` column goes value by value). `declared` is
+    /// the column's declared type.
+    pub fn gather(&self, declared: DataType, at: &[u32]) -> Column {
+        let n = at.len();
+        let valid = |v: &Option<Bitmap>| {
+            v.as_ref()
+                .and_then(|b| Bitmap::of(n, |k| b.get(at[k] as usize)))
         };
-        typed.unwrap_or_else(|| Column::Mixed(rows.iter().map(|r| r.get(c).clone()).collect()))
+        match self {
+            Column::Int { data, valid: v } => {
+                Column::ints(declared, at.iter().map(|&i| data[i as usize]).collect(), valid(v))
+            }
+            Column::Double { data, valid: v } => {
+                Column::doubles(declared, at.iter().map(|&i| data[i as usize]).collect(), valid(v))
+            }
+            Column::Str {
+                codes,
+                dict,
+                valid: v,
+            } => {
+                let valid = valid(v);
+                if n == 0 || valid.as_ref().is_some_and(|b| b.count_ones() == 0) {
+                    return Column::nulls(declared, n);
+                }
+                // Old code → new code + 1 (0: not seen yet). An array
+                // over the dictionary unless the dictionary is far longer
+                // than the gather; then a map, so a short slice of a
+                // large dictionary (a row-blocked chunk) costs about its
+                // own length, not the dictionary's.
+                let dense_len = if dict.len() <= 64 * n { dict.len() } else { 0 };
+                let mut dense = vec![0u32; dense_len];
+                let mut sparse: HashMap<u32, u32> = HashMap::new();
+                let mut out = Vec::new();
+                let codes = at
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &i)| {
+                        if !valid.as_ref().is_none_or(|b| b.get(k)) {
+                            return 0;
+                        }
+                        let old = codes[i as usize];
+                        let slot = match dense.get_mut(old as usize) {
+                            Some(slot) => slot,
+                            None => sparse.entry(old).or_insert(0),
+                        };
+                        if *slot == 0 {
+                            out.push(Arc::clone(&dict[old as usize]));
+                            *slot = out.len() as u32;
+                        }
+                        *slot - 1
+                    })
+                    .collect();
+                Column::Str {
+                    codes,
+                    dict: out,
+                    valid,
+                }
+            }
+            Column::Mixed(vs) => {
+                let mut b = ColumnBuilder::new(declared, n);
+                b.extend(at.iter().map(|&i| &vs[i as usize]));
+                b.finish()
+            }
+        }
+    }
+
+    /// Rows `i` and `j` in [`Value`]'s order, read in place: `NULL`
+    /// first, numbers natively, strings through the dictionary; only a
+    /// `Mixed` column compares `Value`s.
+    #[inline]
+    pub fn cmp_rows(&self, i: usize, j: usize) -> std::cmp::Ordering {
+        match (self.is_valid(i), self.is_valid(j)) {
+            (true, true) => {}
+            (a, b) => return a.cmp(&b),
+        }
+        match self {
+            Column::Int { data, .. } => data[i].cmp(&data[j]),
+            Column::Double { data, .. } => total_f64_cmp(data[i], data[j]),
+            Column::Str { codes, dict, .. } => {
+                dict[codes[i] as usize].cmp(&dict[codes[j] as usize])
+            }
+            Column::Mixed(vs) => vs[i].cmp(&vs[j]),
+        }
+    }
+
+    /// Is row `i` of this column [`Value`]-equal to row `j` of `other`?
+    /// Compares in place when the two share a typed layout.
+    #[inline]
+    pub fn value_eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self.is_valid(i), other.is_valid(j)) {
+            (true, true) => {}
+            (a, b) => return a == b,
+        }
+        match (self, other) {
+            (Column::Int { data: a, .. }, Column::Int { data: b, .. }) => a[i] == b[j],
+            (Column::Double { data: a, .. }, Column::Double { data: b, .. }) => {
+                total_f64_cmp(a[i], b[j]).is_eq()
+            }
+            (Column::Str { codes: a, dict: da, .. }, Column::Str { codes: b, dict: db, .. }) => {
+                da[a[i] as usize] == db[b[j] as usize]
+            }
+            _ => other.value_eq(j, &self.value(i)),
+        }
     }
 
     /// Number of rows.
@@ -515,12 +824,14 @@ pub fn canon_hash(keys: &[CanonKeys], i: usize) -> u64 {
     })
 }
 
-/// A hash of a key of [`Value`]s that agrees with `Value`'s `Eq`: numbers
-/// and `NULL` mix in their canonical pairs ([`canon_i64`], [`canon_f64`],
+/// The hash of row `i`'s key in the columns `cols`, read in place, that
+/// agrees with [`Value`]'s `Eq` whatever the columns' layouts: numbers and
+/// `NULL` mix in their canonical pairs ([`canon_i64`], [`canon_f64`],
 /// [`CANON_NULL`]), strings their bytes — so keys index an [`IdTable`]
 /// with no interner shared between the sides that probe it.
-pub fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
-    key.into_iter().map(value_key_word).fold(KEY_SEED, mix_key_word)
+#[inline]
+pub fn row_key_hash<'a>(cols: impl IntoIterator<Item = &'a Column>, i: usize) -> u64 {
+    cols.into_iter().map(|c| c.key_word(i)).fold(KEY_SEED, mix_key_word)
 }
 
 const KEY_SEED: u64 = 0x51CA_11A0_C0FF_EE00;
@@ -530,7 +841,7 @@ fn mix_key_word(h: u64, (tag, word): (u8, u64)) -> u64 {
     mix64(mix64(h, tag as u64), word)
 }
 
-/// A value's canonical pair under [`key_hash`]: strings by content.
+/// A value's canonical pair under [`row_key_hash`]: strings by content.
 fn value_key_word(v: &Value) -> (u8, u64) {
     match v {
         Value::Null => CANON_NULL,
@@ -675,7 +986,7 @@ pub fn canon_i64(i: i64) -> (u8, u64) {
 /// one bit pattern and `-0.0` to `+0.0` (integral, hence `Int(0)`).
 #[inline]
 pub fn canon_f64(d: f64) -> (u8, u64) {
-    if d.fract() == 0.0 && d >= i64::MIN as f64 && d <= i64::MAX as f64 {
+    if f64_is_i64(d) {
         (1, d as i64 as u64)
     } else if d.is_nan() {
         (2, f64::NAN.to_bits())
@@ -773,6 +1084,148 @@ mod tests {
         assert_eq!(cols.to_rows(), rows);
     }
 
+    /// The same column to the bit: variant, validity, data bits (at
+    /// every row, `NULL` rows included), codes and dictionary.
+    fn same(a: &Column, b: &Column) -> bool {
+        match (a, b) {
+            (Column::Int { data: x, valid: v }, Column::Int { data: y, valid: w }) => {
+                x == y && v == w
+            }
+            (Column::Double { data: x, valid: v }, Column::Double { data: y, valid: w }) => {
+                x.iter().map(|d| d.to_bits()).eq(y.iter().map(|d| d.to_bits())) && v == w
+            }
+            (Column::Str { .. }, Column::Str { .. }) => a == b,
+            (Column::Mixed(x), Column::Mixed(y)) => {
+                x.len() == y.len()
+                    && x.iter().zip(y).all(|(p, q)| match (p, q) {
+                        (Value::Double(p), Value::Double(q)) => p.to_bits() == q.to_bits(),
+                        (Value::Int(p), Value::Int(q)) => p == q,
+                        (Value::Str(p), Value::Str(q)) => p == q,
+                        (Value::Null, Value::Null) => true,
+                        _ => false,
+                    })
+            }
+            _ => false,
+        }
+    }
+
+    /// Every path that makes a column keeps `Column::build`'s rule: the
+    /// value-at-a-time builder, the gather (of every subset order the
+    /// cases try), the typed constructors and the codec's round trip give
+    /// the column `Column::build` gives over the same values.
+    #[test]
+    fn every_builder_keeps_the_representation_rule() {
+        let nan = |bits: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
+        let (a, b) = (Value::str("a"), Value::str("bb"));
+        let cases: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Int, vec![Value::Int(3), Value::Null, Value::Int(-1), Value::Int(3)]),
+            (DataType::Double, vec![Value::Double(-0.0), nan(1), Value::Null, nan(0xabc), Value::Double(0.0)]),
+            // Int values in a Double column stay Int; all NULL is declared.
+            (DataType::Double, vec![Value::Int(1), Value::Int(2)]),
+            (DataType::Double, vec![Value::Null, Value::Null, Value::Null]),
+            (DataType::Str, vec![Value::Null, Value::Null]),
+            (DataType::Int, vec![]),
+            // Shared and repeated strings, equal contents in distinct Arcs.
+            (DataType::Str, vec![b.clone(), a.clone(), Value::Null, b.clone(), Value::str("a"), a]),
+            // Mixed: a second type anywhere, NULLs around it.
+            (DataType::Int, vec![Value::Null, Value::Int(1), Value::str("s"), Value::Null]),
+            (DataType::Int, vec![Value::Int(1), Value::Double(1.0), Value::Null]),
+            (DataType::Str, vec![b, Value::Null, Value::Int(0), nan(2)]),
+        ];
+        for (declared, values) in &cases {
+            let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+            let built = Column::build(*declared, &rows, 0);
+            let mut builder = ColumnBuilder::new(*declared, values.len());
+            values.iter().for_each(|v| builder.push(v));
+            assert!(same(&builder.finish(), &built), "builder, {values:?}");
+            // Typed constructors over the typed columns' own vectors.
+            match &built {
+                Column::Int { data, valid } => {
+                    let c = Column::ints(*declared, data.clone(), valid.clone());
+                    assert!(same(&c, &built), "ints, {values:?}");
+                }
+                Column::Double { data, valid } => {
+                    let c = Column::doubles(*declared, data.clone(), valid.clone());
+                    assert!(same(&c, &built), "doubles, {values:?}");
+                }
+                _ => {}
+            }
+            // Gathers: reversed, every other row, each single row, a
+            // repeat, nothing.
+            let n = values.len() as u32;
+            let mut picks: Vec<Vec<u32>> = vec![(0..n).rev().collect(), (0..n).step_by(2).collect(), vec![]];
+            picks.extend((0..n).map(|i| vec![i]));
+            if n > 1 {
+                picks.push(vec![1, 0, 1]);
+            }
+            for at in picks {
+                let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
+                let want = Column::build(*declared, &rows, 0);
+                let got = built.gather(*declared, &at);
+                assert!(same(&got, &want), "gather {at:?} of {values:?}: {got:?} vs {want:?}");
+            }
+        }
+        // A short gather of a long dictionary renumbers through a map.
+        let values: Vec<Value> = (0..300)
+            .map(|i| if i % 7 == 0 { Value::Null } else { Value::str(format!("s{}", i % 250)) })
+            .collect();
+        let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        let built = Column::build(DataType::Str, &rows, 0);
+        for at in [vec![260, 10, 260, 14], vec![7], vec![299, 49], vec![2, 1, 2], vec![3, 4]] {
+            let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
+            let want = Column::build(DataType::Str, &rows, 0);
+            let got = built.gather(DataType::Str, &at);
+            assert!(same(&got, &want), "gather {at:?}: {got:?} vs {want:?}");
+        }
+        // An all-set bitmap is no bitmap, and a clear one is all NULL.
+        assert_eq!(Bitmap::of(70, |_| true), None);
+        assert_eq!(Bitmap::of(70, |i| i != 69).map(|b| b.count_ones()), Some(69));
+        assert!(same(
+            &Column::ints(DataType::Str, vec![0, 0], Some(Bitmap::new(2))),
+            &Column::nulls(DataType::Str, 2)
+        ));
+    }
+
+    /// Ordering and equality read in place agree with `Value`'s.
+    #[test]
+    fn in_place_order_and_equality_agree_with_value() {
+        let values = [
+            Value::Null,
+            Value::Int(2),
+            Value::Double(2.0),
+            Value::Double(-0.0),
+            Value::Int(0),
+            Value::Double(f64::NAN),
+            Value::Int(i64::MAX),
+            Value::Double(9_223_372_036_854_775_808.0),
+            Value::str("b"),
+            Value::str("a"),
+        ];
+        let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        let mixed = Column::build(DataType::Int, &rows, 0);
+        let typed: Vec<Column> = [(DataType::Int, 0..2), (DataType::Double, 2..6), (DataType::Str, 8..10)]
+            .into_iter()
+            .map(|(t, r)| {
+                let rows: Vec<Row> = rows[r].iter().chain(&rows[..1]).cloned().collect();
+                Column::build(t, &rows, 0)
+            })
+            .collect();
+        for c in typed.iter().chain([&mixed]) {
+            for i in 0..c.len() {
+                for j in 0..c.len() {
+                    assert_eq!(c.cmp_rows(i, j), c.value(i).cmp(&c.value(j)), "{c:?} {i} {j}");
+                }
+            }
+            for d in typed.iter().chain([&mixed]) {
+                for i in 0..c.len() {
+                    for j in 0..d.len() {
+                        assert_eq!(c.value_eq_at(i, d, j), c.value(i) == d.value(j));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn bitmap_ops() {
         let mut b = Bitmap::new(130);
@@ -783,6 +1236,12 @@ mod tests {
         assert!(b.get(0) && b.get(64) && b.get(129) && !b.get(1));
         assert_eq!(b.count_ones(), 3);
         assert!(!b.all_set());
+    }
+
+    /// The key hash of `key`, one `Mixed` column per value.
+    fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
+        let cols: Vec<Column> = key.into_iter().map(|v| Column::Mixed(vec![v.clone()])).collect();
+        row_key_hash(&cols, 0)
     }
 
     #[test]
@@ -799,7 +1258,7 @@ mod tests {
         assert_ne!(canon_i64(1), canon_i64(2));
         assert_ne!(canon_f64(1.25), canon_f64(1.5));
 
-        // `key_hash` holds `Value`'s equal pairs together, strings by
+        // The key hash holds `Value`'s equal pairs together, strings by
         // content (nine bytes cross a word boundary).
         let nan = |bits| Value::Double(f64::from_bits(bits));
         for (a, b) in [
@@ -810,6 +1269,33 @@ mod tests {
         ] {
             assert_eq!(a, b);
             assert_eq!(key_hash([&a, &Value::Null]), key_hash([&b, &Value::Null]));
+        }
+        // `cmp`, the canonical pairs and the hashes agree pair by pair,
+        // at 2⁵³ and 2⁶³ too.
+        let big = 1i64 << 53;
+        let probe = [
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Double(big as f64),
+            Value::Double((big + 2) as f64),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Double(9_223_372_036_854_775_808.0),
+            Value::Double(-9_223_372_036_854_775_808.0),
+            Value::Double(0.5),
+            Value::Double(-0.0),
+            Value::Int(0),
+            Value::Null,
+        ];
+        let mut codes = StrCodes::default();
+        for x in &probe {
+            for y in &probe {
+                let canon = canon_value(x, &mut codes) == canon_value(y, &mut codes);
+                assert_eq!(x == y, canon, "{x:?} vs {y:?}");
+                if x == y {
+                    assert_eq!(key_hash([x]), key_hash([y]), "{x:?} vs {y:?}");
+                }
+            }
         }
         assert_ne!(key_hash(&[Value::str("ab")]), key_hash(&[Value::str("ab\0")]));
         let (one, two) = (Value::Int(1), Value::Int(2));

@@ -11,7 +11,11 @@
 //! Soundness contract: the derived predicate may be weaker than the exact
 //! ¬ψ_i (shipping a few extra groups is merely suboptimal), but it must
 //! never exclude a base tuple that has a matching detail tuple at the site.
-//! Every rule below over-approximates.
+//! Every rule below over-approximates. That includes rounding: an
+//! [`Interval`]'s `f64` bounds are rounded outward (an `i64` with no
+//! exact double, or an inexact sum, product or quotient, steps to the
+//! next double away from the interval), because the derived filter's
+//! `Double` literals compare with `Int` base values exactly.
 
 use crate::expr::{ArithOp, CmpOp, Expr, Side};
 use crate::value::Value;
@@ -54,31 +58,59 @@ impl Interval {
         self.lo > self.hi
     }
 
+    /// The interval holding one numeric value; `None` for NULL and
+    /// strings. An `Int` past 2⁵³ has no exact `f64`, so its bounds are
+    /// the doubles on either side of it.
+    pub fn of_value(v: &Value) -> Option<Interval> {
+        match v {
+            Value::Int(i) => Some(Interval::of_ints(*i, *i)),
+            Value::Double(d) => Some(Interval::point(*d)),
+            _ => None,
+        }
+    }
+
+    /// The interval holding the integers `lo..=hi`, its bounds rounded
+    /// outward where `i as f64` is inexact.
+    pub fn of_ints(lo: i64, hi: i64) -> Interval {
+        let (l, h) = (lo as f64, hi as f64);
+        // `as i128` is exact for every `i64 as f64`, 2⁶³ included.
+        Interval::new(
+            down(l, (lo as i128 - l as i128) as f64),
+            up(h, (hi as i128 - h as i128) as f64),
+        )
+    }
+
     /// Interval sum.
     pub fn add(self, o: Interval) -> Interval {
-        Interval::new(self.lo + o.lo, self.hi + o.hi)
+        Interval::new(add_down(self.lo, o.lo), add_up(self.hi, o.hi))
     }
 
     /// Interval difference.
     pub fn sub(self, o: Interval) -> Interval {
-        Interval::new(self.lo - o.hi, self.hi - o.lo)
+        Interval::new(add_down(self.lo, -o.hi), add_up(self.hi, -o.lo))
     }
 
     /// Interval product (min/max of endpoint products).
     pub fn mul(self, o: Interval) -> Interval {
-        let cands = [
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        ];
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for c in cands {
+        for (a, b) in [
+            (self.lo, o.lo),
+            (self.lo, o.hi),
+            (self.hi, o.lo),
+            (self.hi, o.hi),
+        ] {
+            let p = a * b;
             // 0 * inf = NaN; treat as 0 (a zero endpoint annihilates).
-            let c = if c.is_nan() { 0.0 } else { c };
-            lo = lo.min(c);
-            hi = hi.max(c);
+            if p.is_nan() {
+                lo = lo.min(0.0);
+                hi = hi.max(0.0);
+                continue;
+            }
+            // The exact product minus `p`, by one fused multiply-add.
+            let err = a.mul_add(b, -p);
+            lo = lo.min(down(p, err));
+            hi = hi.max(up(p, err));
         }
         Interval::new(lo, hi)
     }
@@ -89,14 +121,59 @@ impl Interval {
         if o.lo <= 0.0 && o.hi >= 0.0 {
             return None;
         }
-        let inv = Interval::new(1.0 / o.hi, 1.0 / o.lo);
-        Some(self.mul(inv))
+        // 1/x − q has the sign of (1 − q·x)/x, and 1 − q·x is exact in
+        // one fused multiply-add.
+        let recip = |x: f64| {
+            let q = 1.0 / x;
+            (q, (-q).mul_add(x, 1.0) / x)
+        };
+        let ((lo, lo_err), (hi, hi_err)) = (recip(o.hi), recip(o.lo));
+        Some(self.mul(Interval::new(down(lo, lo_err), up(hi, hi_err))))
     }
 
     /// Intersection.
     pub fn intersect(self, o: Interval) -> Interval {
         Interval::new(self.lo.max(o.lo), self.hi.min(o.hi))
     }
+}
+
+/// `x`, a rounded bound whose exact value is `x + err`, stepped down to
+/// stay at or below that value. A NaN `err` (an infinite operand) keeps
+/// `x`.
+fn down(x: f64, err: f64) -> f64 {
+    if err < 0.0 {
+        x.next_down()
+    } else {
+        x
+    }
+}
+
+/// `x`, a rounded bound whose exact value is `x + err`, stepped up to stay
+/// at or above that value.
+fn up(x: f64, err: f64) -> f64 {
+    if err > 0.0 {
+        x.next_up()
+    } else {
+        x
+    }
+}
+
+/// The exact `a + b` minus its rounded sum `s` (Knuth's TwoSum).
+fn sum_err(a: f64, b: f64, s: f64) -> f64 {
+    let bb = s - a;
+    (a - (s - bb)) + (b - bb)
+}
+
+/// `a + b` rounded toward −∞.
+fn add_down(a: f64, b: f64) -> f64 {
+    let s = a + b;
+    down(s, sum_err(a, b, s))
+}
+
+/// `a + b` rounded toward +∞.
+fn add_up(a: f64, b: f64) -> f64 {
+    let s = a + b;
+    up(s, sum_err(a, b, s))
 }
 
 impl fmt::Display for Interval {
@@ -126,14 +203,14 @@ impl Domain {
     pub fn interval(&self) -> Interval {
         match self {
             Domain::Any => Interval::all(),
-            Domain::IntRange(lo, hi) => Interval::new(*lo as f64, *hi as f64),
+            Domain::IntRange(lo, hi) => Interval::of_ints(*lo, *hi),
             Domain::Set(vs) => {
                 let mut iv = Interval::new(f64::INFINITY, f64::NEG_INFINITY);
                 for v in vs {
-                    match v.as_f64() {
+                    match Interval::of_value(v) {
                         Some(x) => {
-                            iv.lo = iv.lo.min(x);
-                            iv.hi = iv.hi.max(x);
+                            iv.lo = iv.lo.min(x.lo);
+                            iv.hi = iv.hi.max(x.hi);
                         }
                         // Non-numeric member: fall back to "anything".
                         None => return Interval::all(),
@@ -216,7 +293,7 @@ pub fn eval_interval(expr: &Expr, domains: &DomainMap) -> Option<Interval> {
     match expr {
         Expr::Col(Side::Detail, name) => Some(domains.get(name).interval()),
         Expr::Col(Side::Base, _) => None,
-        Expr::Lit(v) => v.as_f64().map(Interval::point),
+        Expr::Lit(v) => Interval::of_value(v),
         Expr::Arith(op, a, b) => {
             let (x, y) = (eval_interval(a, domains)?, eval_interval(b, domains)?);
             match op {
@@ -227,7 +304,7 @@ pub fn eval_interval(expr: &Expr, domains: &DomainMap) -> Option<Interval> {
                 // v mod m lies in [0, m-1] for a positive constant modulus.
                 ArithOp::Mod => {
                     if y.lo == y.hi && y.lo > 0.0 {
-                        Some(Interval::new(0.0, y.lo - 1.0))
+                        Some(Interval::new(0.0, add_up(y.lo, -1.0)))
                     } else {
                         None
                     }
@@ -447,6 +524,9 @@ fn detail_only_satisfiable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
+    use crate::schema::Schema;
+    use crate::DataType;
 
     #[test]
     fn interval_arith() {
@@ -615,6 +695,91 @@ mod tests {
         assert_eq!(
             derive_base_constraint(&theta, &domains),
             BaseConstraint::Unrestricted
+        );
+    }
+
+    /// Does the ¬ψ derived for `theta` under `domains` keep the base
+    /// tuple `x = base`?
+    fn keeps(theta: &Expr, domains: &DomainMap, base: i64) -> bool {
+        match derive_base_constraint(theta, domains) {
+            BaseConstraint::Unrestricted => true,
+            BaseConstraint::Unsatisfiable => false,
+            BaseConstraint::Filter(f) => f
+                .bind(&Schema::of(&[("x", DataType::Int)]), None)
+                .unwrap()
+                .eval_row(&Row::new(vec![Value::Int(base)]))
+                .unwrap()
+                .is_truthy(),
+        }
+    }
+
+    #[test]
+    fn int_bounds_past_2_pow_53_keep_their_matches() {
+        // `i as f64` rounds 2⁵³+1 down and 2⁵³+3 up; the interval must
+        // still hold them, since base and detail values now compare
+        // exactly against the filter's Double literals.
+        let p53 = 1i64 << 53;
+        let schemas = (
+            Schema::of(&[("x", DataType::Int)]),
+            Schema::of(&[("x", DataType::Int)]),
+        );
+        let cases = [
+            // (detail domain, θ, base x, detail x) with θ true on the pair.
+            (Domain::IntRange(0, p53 + 1), Expr::bcol("x").eq(Expr::dcol("x")), p53 + 1, p53 + 1),
+            (Domain::IntRange(0, p53 + 1), Expr::bcol("x").le(Expr::dcol("x")), p53 + 1, p53 + 1),
+            (Domain::IntRange(p53 + 3, p53 + 9), Expr::bcol("x").eq(Expr::dcol("x")), p53 + 3, p53 + 3),
+            (Domain::IntRange(p53 + 3, p53 + 9), Expr::bcol("x").ge(Expr::dcol("x")), p53 + 3, p53 + 3),
+            (Domain::of([Value::Int(p53 + 1)]), Expr::bcol("x").le(Expr::dcol("x")), p53 + 1, p53 + 1),
+            (
+                Domain::IntRange(0, p53),
+                Expr::bcol("x").eq(Expr::dcol("x").add(Expr::lit(1i64))),
+                p53 + 1,
+                p53,
+            ),
+            (
+                Domain::IntRange(0, 1),
+                Expr::bcol("x").le(Expr::dcol("x").add(Expr::lit(p53 + 1))),
+                p53 + 2,
+                1,
+            ),
+            (
+                Domain::IntRange(i64::MAX - 9, i64::MAX),
+                Expr::bcol("x").eq(Expr::dcol("x")),
+                i64::MAX - 9,
+                i64::MAX - 9,
+            ),
+        ];
+        for (domain, theta, base, detail) in cases {
+            let holds = theta
+                .bind(&schemas.0, Some(&schemas.1))
+                .unwrap()
+                .eval(&Row::new(vec![Value::Int(base)]), &Row::new(vec![Value::Int(detail)]))
+                .unwrap()
+                .is_truthy();
+            assert!(holds, "{theta} on ({base}, {detail})");
+            let domains = DomainMap::new().with("x", domain);
+            assert!(keeps(&theta, &domains, base), "{theta} dropped {base}");
+        }
+        // The bounds stay useful: a base tuple far outside is still cut.
+        let domains = DomainMap::new().with("x", Domain::IntRange(p53 + 3, p53 + 9));
+        assert!(!keeps(&Expr::bcol("x").eq(Expr::dcol("x")), &domains, 0));
+    }
+
+    #[test]
+    fn interval_arith_rounds_outward() {
+        let p53 = (1u64 << 53) as f64;
+        // 2⁵³ + 1 is no double: the sum's bounds straddle it.
+        let s = Interval::point(p53).add(Interval::point(1.0));
+        assert_eq!((s.lo, s.hi), (p53, p53 + 2.0));
+        let d = Interval::point(p53).sub(Interval::point(-1.0));
+        assert_eq!((d.lo, d.hi), (p53, p53 + 2.0));
+        let m = Interval::point(p53 + 2.0).mul(Interval::point(p53 + 2.0));
+        assert!(m.lo < m.hi);
+        let q = Interval::point(1.0).div(Interval::point(3.0)).unwrap();
+        assert!(q.lo < q.hi && q.lo <= 1.0 / 3.0 && 1.0 / 3.0 <= q.hi);
+        assert_eq!(
+            Interval::of_ints(i64::MIN, i64::MAX),
+            Interval::new(-(2f64.powi(63)), 2f64.powi(63))
         );
     }
 

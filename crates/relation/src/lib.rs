@@ -31,7 +31,7 @@ pub mod relation;
 pub mod row;
 pub mod schema;
 
-pub use columns::{Bitmap, Column, Columns, StrDictView};
+pub use columns::{Bitmap, Column, ColumnBuilder, Columns, StrDictView};
 pub use error::{Error, Result};
 pub use expr::{ArithOp, BoundExpr, CmpOp, Expr, Side};
 pub use parse::parse_expr;
@@ -39,4 +39,4 @@ pub use interval::{derive_base_constraint, BaseConstraint, Domain, DomainMap, In
 pub use relation::{Groups, Relation};
 pub use row::Row;
 pub use schema::{Field, Schema, SchemaRef};
-pub use value::{f64_add, total_f64_cmp, DataType, Value};
+pub use value::{cmp_i64_f64, f64_add, f64_is_i64, total_f64_cmp, DataType, Value, TWO_POW_63};

@@ -13,9 +13,16 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 ///
 /// This is the storage unit of each warehouse site's local detail relation
 /// and of every structure shipped between sites and the coordinator. The
-/// CSV loader reads and writes rows; the frame codec ships the columns
-/// and decodes into a relation over them ([`Relation::from_columns`]),
-/// whose rows are built only if something reads them. What a query
+/// CSV loader reads and writes rows; the frame codec ships the columns.
+///
+/// A relation is *rows-first* (made from rows: [`Relation::new`], the
+/// loaders, the row operators below) or *columns-first*
+/// ([`Relation::from_columns`]: a decoded frame body, a site's merge-unit
+/// answer built from the kernel's states, the coordinator's B after a
+/// merge unit, a merge tree's output). A columns-first relation builds
+/// its rows only if something reads them, and every column it holds
+/// keeps [`crate::ColumnBuilder`]'s representation rule, so it encodes
+/// to the bytes its rows would. What a query
 /// derives from the rows — a column's typed
 /// vector ([`Relation::column`]), the local groups of a key-column list
 /// ([`Relation::groups`]) — is built on first touch and kept on the
@@ -110,7 +117,9 @@ impl Relation {
     }
 
     /// A relation over `cols`, one column per field of `schema`: what a
-    /// decoded frame body becomes ([`crate::codec`]). The columns are its
+    /// decoded frame body becomes ([`crate::codec`]), and what a merge
+    /// unit's answer is built as, at a site and at the coordinator. The
+    /// columns must keep [`crate::ColumnBuilder`]'s rule. They are its
     /// columnar layout, and its rows are built from them the first time
     /// something reads them, so a consumer that reads columns only never
     /// builds a row.
@@ -234,6 +243,16 @@ impl Relation {
     /// If `c` is not a column position of the schema.
     pub fn column(&self, c: usize) -> &Column {
         self.column_cell(c)
+    }
+
+    /// Column `c`'s layout as a shared handle: what a relation made of
+    /// other relations' columns ([`Relation::from_columns`]) holds
+    /// without copying them.
+    ///
+    /// # Panics
+    /// If `c` is not a column position of the schema.
+    pub fn shared_column(&self, c: usize) -> Arc<Column> {
+        Arc::clone(self.column_cell(c))
     }
 
     /// The columnar physical layout of every column — builds whichever

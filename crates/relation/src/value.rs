@@ -35,8 +35,9 @@ impl fmt::Display for DataType {
 /// A scalar value.
 ///
 /// `Null` compares less than everything else; `Int` and `Double` compare
-/// numerically with each other (so `Value::Int(2) == Value::Double(2.0)`);
-/// strings compare lexicographically and are greater than all numbers.
+/// numerically with each other, exactly (so `Value::Int(2) ==
+/// Value::Double(2.0)`, and `Int(2⁵³ + 1) > Double(2⁵³)`); strings compare
+/// lexicographically and are greater than all numbers.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Absence of a value (e.g. an aggregate over an empty range).
@@ -166,6 +167,29 @@ pub fn total_f64_cmp(a: f64, b: f64) -> Ordering {
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
+/// 2⁶³ as a double: the first double past `i64::MAX`.
+pub const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Does `d` hold an integer in `i64`'s range, `[−2⁶³, 2⁶³)`? Then it is
+/// [`Value`]-equal to `Int(d as i64)` (`-0.0` to `Int(0)`).
+#[inline]
+pub fn f64_is_i64(d: f64) -> bool {
+    d.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(&d)
+}
+
+/// `i` against `d` exactly, in [`Value`]'s order (NaN greatest, `-0.0`
+/// equal to `0`). `i as f64` rounds, but monotonically: where it differs
+/// from `d` it orders the two as `i` itself does, and where it equals `d`,
+/// `d` is an integer that the integers compare.
+pub fn cmp_i64_f64(i: i64, d: f64) -> Ordering {
+    match (i as f64).partial_cmp(&d) {
+        None => Ordering::Less,
+        Some(Ordering::Equal) if d >= TWO_POW_63 => Ordering::Less,
+        Some(Ordering::Equal) => i.cmp(&(d as i64)),
+        Some(o) => o,
+    }
+}
+
 /// `a + b`, with the NaN a NaN operand makes taken from the left operand
 /// when both are NaN — as x86 does it, but fixed here rather than left to
 /// which operand order the compiler picks. Every path that sums doubles
@@ -209,8 +233,8 @@ impl Ord for Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Double(a), Value::Double(b)) => total_f64_cmp(*a, *b),
-            (Value::Int(a), Value::Double(b)) => total_f64_cmp(*a as f64, *b),
-            (Value::Double(a), Value::Int(b)) => total_f64_cmp(*a, *b as f64),
+            (Value::Int(a), Value::Double(b)) => cmp_i64_f64(*a, *b),
+            (Value::Double(a), Value::Int(b)) => cmp_i64_f64(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (a, b) => type_rank(a).cmp(&type_rank(b)),
         }
@@ -228,7 +252,7 @@ impl Hash for Value {
                 state.write_i64(*i);
             }
             Value::Double(d) => {
-                if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d <= i64::MAX as f64 {
+                if f64_is_i64(*d) {
                     state.write_u8(1);
                     state.write_i64(*d as i64);
                 } else {
@@ -321,6 +345,55 @@ mod tests {
         assert_eq!(hash_of(&Value::Double(-0.0)), hash_of(&Value::Double(0.0)));
         assert_eq!(Value::Double(-0.0), Value::Int(0));
         assert_eq!(hash_of(&Value::Double(-0.0)), hash_of(&Value::Int(0)));
+    }
+
+    #[test]
+    fn int_double_order_is_exact_and_transitive() {
+        let big = 1i64 << 53;
+        let (a, b, c) = (Value::Int(big + 1), Value::Double(big as f64), Value::Int(big));
+        // Int(2⁵³ + 1) is above Double(2⁵³), which equals Int(2⁵³).
+        assert!(a > b);
+        assert_eq!(b, c);
+        assert!(a > c);
+        assert_eq!(hash_of(&b), hash_of(&c));
+        // 2⁶³ is past every i64: Double(2⁶³) is no Int, above i64::MAX,
+        // and hashes apart from it; −2⁶³ is i64::MIN.
+        let top = Value::Double(9_223_372_036_854_775_808.0);
+        assert!(top > Value::Int(i64::MAX));
+        assert_ne!(hash_of(&top), hash_of(&Value::Int(i64::MAX)));
+        assert_eq!(Value::Double(-9_223_372_036_854_775_808.0), Value::Int(i64::MIN));
+        assert!(Value::Double(-9_223_372_036_854_775_808.0 * 2.0) < Value::Int(i64::MIN));
+        // Fractions, infinities, NaN (greatest) and −0.0 keep their places.
+        assert!(Value::Int(2) < Value::Double(2.5) && Value::Double(2.5) < Value::Int(3));
+        assert!(Value::Int(-3) < Value::Double(-2.5) && Value::Double(-2.5) < Value::Int(-2));
+        assert!(Value::Int(i64::MAX) < Value::Double(f64::INFINITY));
+        assert!(Value::Int(i64::MIN) > Value::Double(f64::NEG_INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Double(f64::NAN));
+        assert_eq!(Value::Int(0), Value::Double(-0.0));
+
+        // Sorting a set that mixes near-2⁵³ ints and doubles is a total
+        // order: every pair agrees with its reverse, and with transitivity.
+        let vs: Vec<Value> = [-1i64, 0, 1, 2]
+            .iter()
+            .flat_map(|&k| {
+                let i = big + k;
+                [Value::Int(i), Value::Double(i as f64), Value::Int(-i), Value::Double(-i as f64)]
+            })
+            .chain([Value::Int(i64::MAX), Value::Double(9_223_372_036_854_775_808.0)])
+            .collect();
+        for x in &vs {
+            for y in &vs {
+                assert_eq!(x.cmp(y), y.cmp(x).reverse(), "{x:?} vs {y:?}");
+                if x == y {
+                    assert_eq!(hash_of(x), hash_of(y), "{x:?} vs {y:?}");
+                }
+                for z in &vs {
+                    if x <= y && y <= z {
+                        assert!(x <= z, "{x:?} <= {y:?} <= {z:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

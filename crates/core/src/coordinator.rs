@@ -231,7 +231,7 @@ impl<'b> MergeSync<'b> {
         }
         if self.states.is_none() {
             let types: Vec<DataType> = schema.fields()[kl..].iter().map(|f| f.data_type()).collect();
-            self.states = Some(AccStates::new(&self.layout, &types, self.cap));
+            self.states = Some(AccStates::new(&self.layout, &types, self.cap)?);
             // X's block: X_init for each of B's groups; a folded unit's
             // first chunk sizes the blocks for about one answer.
             self.present = vec![self.base.is_some(); self.cap];
@@ -314,7 +314,7 @@ impl<'b> MergeSync<'b> {
         let mut step = |dst: usize, src: usize| -> Result<()> {
             let (head, tail) = self.present.split_at_mut(src);
             let (dp, sp) = (&mut head[dst..dst + groups], &tail[..groups]);
-            states.combine(dst, src, groups, dp, sp)?;
+            states.combine(dst, src, groups, dp, sp);
             dp.iter_mut().zip(sp).for_each(|(d, s)| *d |= *s);
             Ok(())
         };
@@ -363,8 +363,7 @@ impl<'b> MergeSync<'b> {
                     let mut ord = keys.iter().map(|k| k.cmp_rows(a as usize, b as usize));
                     ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
                 });
-                let types = out_schema.fields().iter().map(|f| f.data_type());
-                keys.iter().zip(types).map(|(k, t)| Arc::new(k.gather(t, &order))).collect()
+                keys.iter().map(|k| Arc::new(k.gather(&order))).collect()
             }
         };
         // No chunk arrived: every group is X_init.
@@ -372,12 +371,12 @@ impl<'b> MergeSync<'b> {
             Some(states) => states,
             None => {
                 self.present = vec![false; groups];
-                AccStates::new(&self.layout, &[], groups)
+                let fields = self.layout.physical_fields(detail)?;
+                let types: Vec<DataType> = fields.iter().map(|f| f.data_type()).collect();
+                AccStates::new(&self.layout, &types, groups)?
             }
         };
-        let types: Vec<DataType> =
-            out_schema.fields()[cols.len()..].iter().map(|f| f.data_type()).collect();
-        cols.extend(states.finalize_columns(&types, &order, &self.present)?);
+        cols.extend(states.finalize_columns(&order, &self.present));
         Relation::from_columns(out_schema, Columns::from_shared(groups, cols))
     }
 }
@@ -501,9 +500,8 @@ pub fn parallel_merge_tree(
     let mut cols: Vec<Arc<Column>> = tree.folded_keys(schema).into_iter().map(Arc::new).collect();
     #[expect(clippy::expect_used, reason = "the first absorb makes the states")]
     let states = tree.states.as_ref().expect("two answers absorbed");
-    let types: Vec<DataType> = schema.fields()[key_len..].iter().map(|f| f.data_type()).collect();
     let at: Vec<u32> = (0..groups as u32).collect();
-    cols.extend(states.physical_columns(&types, &at));
+    cols.extend(states.physical_columns(&at));
     Relation::from_columns(schema.clone(), Columns::from_shared(groups, cols)).map(Some)
 }
 
@@ -786,13 +784,14 @@ mod tests {
 
     #[test]
     fn merge_sync_rejects_duplicate_base_keys() {
+        // `-0.0` is `0.0` under `Value`'s equality, so B repeats a key.
         let dup = Relation::new(
-            Schema::of(&[("g", DataType::Int), ("x", DataType::Int)]),
-            vec![row![1i64, 1i64], row![2i64, 2i64], row![1.0, 3i64]],
+            Schema::of(&[("g", DataType::Double), ("x", DataType::Int)]),
+            vec![row![0.0, 1i64], row![2.0, 2i64], row![-0.0, 3i64]],
         )
         .unwrap();
         let err = MergeSync::new(Some(&dup), &key(), &op()).unwrap_err();
-        assert!(err.to_string().contains("duplicate key [Double(1.0)]"), "{err}");
+        assert!(err.to_string().contains("duplicate key [Double(-0.0)]"), "{err}");
         assert!(verify_unique_key(&dup, &key()).is_err());
     }
 
@@ -924,9 +923,9 @@ mod tests {
 
     /// Case `case` of the spec tests' generator: 1–7 sites, keys missing
     /// per site, empty answers, row-blocked chunks; key `k` is `key(k)`
-    /// (distinct keys must be distinct values). The Double SUM runs over
-    /// ±0.0 and two NaN payloads (and now and then an `Int` cell, which
-    /// sends that SUM to `Value` accumulators).
+    /// (distinct keys must be distinct values, of `h_schema`'s key type).
+    /// The Double SUM runs over ±0.0 and two NaN payloads; an AVG's sum is
+    /// present exactly where its count is positive, as a site's is.
     fn merge_case(rng: &mut Rng, case: usize, h_schema: &Schema, key: impl Fn(usize) -> Value) -> MergeCase {
         let doubles = [-0.0, 0.0, 0.1, 3.0, 1e16, -1e16, nan(1), nan(0xabc)];
         let strings = [Value::Null, Value::str("a"), Value::str("ab"), Value::str("z")];
@@ -937,17 +936,15 @@ mod tests {
                 (0..n_keys)
                     .map(|_| {
                         (rng.below(3) > 0).then(|| {
-                            let sum_d = match rng.below(16) {
-                                0 => Value::Int(rng.below(4) as i64),
-                                _ => dbl(rng),
-                            };
+                            let avg_cnt = rng.below(4) as i64;
+                            let avg_sum = if avg_cnt > 0 { dbl(rng) } else { Value::Null };
                             vec![
                                 Value::Int(rng.below(4) as i64),
                                 Value::Int(i64::MAX - rng.below(3) as i64),
-                                sum_d,
-                                Value::Null,
                                 dbl(rng),
-                                Value::Int(rng.below(4) as i64),
+                                Value::Null,
+                                avg_sum,
+                                Value::Int(avg_cnt),
                                 dbl(rng),
                                 dbl(rng),
                                 Value::Int(rng.below(4) as i64),
@@ -988,7 +985,7 @@ mod tests {
             b_keys.swap(i, rng.below(i + 1));
         }
         let b = Relation::new(
-            Schema::of(&[("tag", DataType::Str), ("g", DataType::Int)]),
+            Schema::of(&[("tag", DataType::Str), ("g", h_schema.field(0).data_type())]),
             b_keys.iter().map(|&k| Row::new(vec![Value::str(format!("t{k}")), key(k)])).collect(),
         )
         .unwrap();
@@ -1137,37 +1134,44 @@ mod tests {
     /// answer ([`finish_by_rows`]) — its values, the columns
     /// `Column::build` makes of them, and so the frame that ships them —
     /// on folded and unfolded units over Int keys, Double keys with NaN
-    /// and NULL, string keys with NULL, and mixed-type keys.
+    /// and NULL, string keys with NULL, and Int keys with NULL around 2⁵³
+    /// and at the ends of the range.
     #[test]
     fn finish_columns_match_the_row_loop() {
         let (op, detail, h_schema) = spec_op();
-        let key_schema = Schema::of(&[("g", DataType::Int)]);
-        let pools: [Vec<Value>; 4] = [
-            (0..9).map(|k| Value::Int(8 - 2 * k)).collect(),
-            [nan(3), -0.0, 2.5, -1e300, 1e16, f64::INFINITY, 7.0, -3.25]
-                .into_iter()
-                .map(Value::Double)
-                .chain([Value::Null])
-                .collect(),
-            [Value::Null, Value::str("b"), Value::str("a"), Value::str(""), Value::str("ab")]
-                .into_iter()
-                .chain((0..4).map(|k| Value::str(format!("k{k}"))))
-                .collect(),
-            vec![
-                Value::Int(5),
-                Value::str("a"),
-                Value::Null,
-                Value::Double(nan(9)),
-                Value::Double(0.5),
-                Value::Int(-3),
-                Value::Double(-1e16),
-                Value::str(""),
-                Value::Int(1 << 53),
-            ],
+        let pools: [(DataType, Vec<Value>); 4] = [
+            (DataType::Int, (0..9).map(|k| Value::Int(8 - 2 * k)).collect()),
+            (
+                DataType::Double,
+                [nan(3), -0.0, 2.5, -1e300, 1e16, f64::INFINITY, 7.0, -3.25]
+                    .into_iter()
+                    .map(Value::Double)
+                    .chain([Value::Null])
+                    .collect(),
+            ),
+            (
+                DataType::Str,
+                [Value::Null, Value::str("b"), Value::str("a"), Value::str(""), Value::str("ab")]
+                    .into_iter()
+                    .chain((0..4).map(|k| Value::str(format!("k{k}"))))
+                    .collect(),
+            ),
+            (
+                DataType::Int,
+                [5, -3, 1 << 53, (1 << 53) + 1, -(1 << 53) - 1, i64::MIN, i64::MAX, 0]
+                    .into_iter()
+                    .map(Value::Int)
+                    .chain([Value::Null])
+                    .collect(),
+            ),
         ];
         let mut rng = Rng(11);
         for case in 0..240 {
-            let pool = &pools[case % 4];
+            let (ty, pool) = &pools[case % 4];
+            let key_schema = Schema::of(&[("g", *ty)]);
+            let mut fields = h_schema.fields().to_vec();
+            fields[0] = skalla_relation::Field::new("g", *ty);
+            let h_schema = Schema::new(fields).unwrap();
             let c = merge_case(&mut rng, case, &h_schema, |k| pool[k].clone());
             // Two identical syncs, one per way to finish.
             let mut arrivals = Rng(rng.0);

@@ -167,12 +167,14 @@ pub(crate) fn run_coordinator(
                     let detail = detail_schemas
                         .get(&unit.table)
                         .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
-                    let acc_types: Vec<DataType> = op
-                        .layout()
-                        .physical_fields(detail)?
-                        .iter()
-                        .map(|f| f.data_type())
-                        .collect();
+                    // A sub-result's types: the key's, as B types it,
+                    // then the unit's physical accumulators'.
+                    let mut result_types = Vec::with_capacity(plan.key.len() + op.layout().width());
+                    for k in &plan.key {
+                        result_types.push(b_in_schema.field(b_in_schema.index_of(k)?).data_type());
+                    }
+                    let acc = op.layout().physical_fields(detail)?;
+                    result_types.extend(acc.iter().map(|f| f.data_type()));
                     let mut sync = MergeSync::new(
                         if unit.fold_base { None } else { b_cur.as_ref() },
                         &plan.key,
@@ -194,7 +196,7 @@ pub(crate) fn run_coordinator(
                     let mut n_chunks = 0usize;
                     collect(coord, cfg, &round, &mut st, |site, c| {
                         n_chunks += 1;
-                        check_acc_types(&c, plan.key.len(), &acc_types)?;
+                        check_result_types(&c, &result_types)?;
                         sync.absorb_frame(leaf[site], c)
                     })?;
                     let t = wall_now();
@@ -352,17 +354,15 @@ fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
     }
 }
 
-/// Refuse a merge unit's `RESULT` whose accumulator fields, after the
-/// `key_len` key fields, are not typed as the unit's physical schema
-/// (`want`) types them.
-fn check_acc_types(chunk: &protocol::ResultChunk, key_len: usize, want: &[DataType]) -> Result<()> {
-    let fields = chunk.schema().fields();
-    let got = fields.get(key_len..).unwrap_or(&[]);
+/// Refuse a merge unit's `RESULT` whose fields are not typed as the
+/// unit's key and physical schema (`want`) type them.
+fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType]) -> Result<()> {
+    let got = chunk.schema().fields();
     if got.len() == want.len() && got.iter().zip(want).all(|(f, t)| f.data_type() == *t) {
         return Ok(());
     }
     Err(Error::Execution(format!(
-        "site sent accumulators {} where the unit's physical schema has {want:?}",
+        "site sent {} where the unit's key and physical schema have {want:?}",
         chunk.schema()
     )))
 }

@@ -60,7 +60,11 @@ use skalla_relation::{Column, Columns, Domain, DomainMap, Error, Relation, Resul
 ///   an `i64`/`f64` run, a string dictionary and codes, plain strings or
 ///   tagged cells ([`skalla_relation::codec`]). A v9 peer, which reads
 ///   tagged cells row by row, would misread every relation.
-pub const PROTOCOL_VERSION: u32 = 10;
+/// * **v11** — v10 frames without encoding byte 5, the tagged cells of a
+///   column mixing types: a column is of its field's declared type, and a
+///   decoder refuses a column encoded as another type. A v10 peer could
+///   send a column this decoder refuses.
+pub const PROTOCOL_VERSION: u32 = 11;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one

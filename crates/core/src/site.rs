@@ -467,7 +467,7 @@ fn chunked_results(
                         .map(|r| r as u32)
                         .collect();
                     let part: Vec<Column> = (0..schema.len())
-                        .map(|c| rel.column(c).gather(schema.field(c).data_type(), &at))
+                        .map(|c| rel.column(c).gather(&at))
                         .collect();
                     let part: Vec<&Column> = part.iter().collect();
                     protocol::result_columns(stage, schema, at.len(), &part, i == n)

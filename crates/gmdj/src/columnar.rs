@@ -24,8 +24,9 @@
 //!   conjuncts 1..k−1 held for it. A conjunct of the shape
 //!   `detail col ⟨cmp⟩ base col | literal` over a numeric detail column
 //!   (`TypedCmp`) runs a loop specialised per operator and operand types
-//!   against a typed right-hand-side array per base position, branch-free;
-//!   any other conjunct calls [`BoundExpr::eval_cols`] per surviving pair.
+//!   against a typed right-hand-side array per base position (a base
+//!   column is of one type), branch-free; any other conjunct calls
+//!   [`BoundExpr::eval_cols`] per surviving pair.
 //!   The survivors set the match flags.
 //!
 //! **Group-id probing.** Equi-key blocks never hash a detail row. The
@@ -48,10 +49,12 @@
 //! position or on its chain, never both, and each sweep runs the rows in
 //! ascending order — so each slot sees the identical sequence of
 //! floating-point operations and the output bits match the reference's
-//! for every thread count. Aggregates the typed loops cannot express
-//! (computed input expressions, mixed-type columns, string MIN/MAX) fall
-//! back to [`AggSpec::update`] per selected pair — same semantics, still
-//! columnar input access.
+//! for every thread count. A computed aggregate input reads the detail
+//! side only, so it is evaluated once per call, for every detail row, into
+//! a column of its inferred type ([`Expr::infer_type`]), and takes the same
+//! typed loops; string MIN/MAX keeps a typed state of shared strings.
+//!
+//! [`Expr::infer_type`]: skalla_relation::Expr::infer_type
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -59,12 +62,14 @@
 use crate::agg::{AccLayout, AggFunc, AggSpec};
 use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, LocalGmdj, MorselKernel};
 use crate::operator::Gmdj;
-use crate::state::{fold_min_max_f, fold_min_max_i, fold_sum_f, fold_sum_i, AggState, Kind};
+use crate::state::{
+    fold_min_max_f, fold_min_max_i, fold_min_max_s, fold_sum_f, fold_sum_i, AggState, Kind,
+};
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    f64_add, Bitmap, BoundExpr, CmpOp, Column, Columns, DataType, Groups, Relation, Result, Side,
-    Value, TWO_POW_63,
+    f64_add, Bitmap, BoundExpr, CmpOp, Column, ColumnBuilder, Columns, Error, Groups, Relation,
+    Result, Row, Schema, Side, StrDictView, Value, TWO_POW_63,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -254,12 +259,13 @@ type IntCol<'a> = (&'a [i64], Option<&'a Bitmap>);
 type F64Col<'a> = (&'a [f64], Option<&'a Bitmap>);
 
 /// How one aggregate is computed over the selection: a typed inner loop
-/// over a column slice (borrowed at classification, which is also what
-/// builds the column), or the row-semantics fallback.
+/// over its input column's slices (borrowed at classification, which is
+/// also what builds the column).
 enum ColAgg<'a> {
     /// `COUNT(*)`.
     CountStar,
-    /// `COUNT(col)` — counts valid (non-`NULL`) rows of any column layout.
+    /// `COUNT(col)` — counts valid (non-`NULL`) rows of a column of any
+    /// type.
     CountCol(&'a Column),
     /// `SUM(col)` over an `Int` column (wrapping, like `eval_arith`).
     SumInt(IntCol<'a>),
@@ -269,6 +275,8 @@ enum ColAgg<'a> {
     MinMaxInt { col: IntCol<'a>, max: bool },
     /// `MIN`/`MAX` over a `Double` column (total order, NaN greatest).
     MinMaxF64 { col: F64Col<'a>, max: bool },
+    /// `MIN`/`MAX` over a `Str` column.
+    MinMaxStr { col: StrDictView<'a>, max: bool },
     /// `AVG(col)` over an `Int` column: wrapping Int sum + count.
     AvgInt(IntCol<'a>),
     /// `AVG(col)` over a `Double` column: f64 sum + count.
@@ -277,63 +285,60 @@ enum ColAgg<'a> {
     VarInt(IntCol<'a>),
     /// `VAR`/`STDDEV` over a `Double` column.
     VarF64(F64Col<'a>),
-    /// Everything else (computed expressions, `Mixed` columns, string
-    /// MIN/MAX): per-pair [`AggSpec::update`] with the input fetched
-    /// through [`BoundExpr::eval_cols`].
-    Fallback {
-        spec: &'a AggSpec,
-        input: Option<&'a BoundExpr>,
-    },
 }
 
-fn classify<'a>(
-    spec: &'a AggSpec,
-    input: Option<&'a BoundExpr>,
-    detail: &'a Relation,
-) -> ColAgg<'a> {
-    let fallback = ColAgg::Fallback { spec, input };
-    let column = match input {
-        None => {
-            return if spec.func == AggFunc::Count {
-                ColAgg::CountStar
-            } else {
-                fallback
-            }
+/// The loop of `spec` over its input column (`None` for `COUNT(*)`).
+/// A SUM, AVG or VAR over strings, which validation refuses, is a type
+/// error here too.
+fn classify<'a>(spec: &AggSpec, column: Option<&'a Column>) -> Result<ColAgg<'a>> {
+    use AggFunc::{Avg, Count, Max, Min, StdDev, Sum, Var};
+    let max = spec.func == Max;
+    Ok(match (spec.func, column) {
+        (Count, None) => ColAgg::CountStar,
+        (Count, Some(c)) => ColAgg::CountCol(c),
+        (Sum, Some(Column::Int { data, valid })) => ColAgg::SumInt((data, valid.as_ref())),
+        (Sum, Some(Column::Double { data, valid })) => ColAgg::SumF64((data, valid.as_ref())),
+        (Min | Max, Some(Column::Int { data, valid })) => ColAgg::MinMaxInt {
+            col: (data, valid.as_ref()),
+            max,
+        },
+        (Min | Max, Some(Column::Double { data, valid })) => ColAgg::MinMaxF64 {
+            col: (data, valid.as_ref()),
+            max,
+        },
+        (Min | Max, Some(Column::Str { codes, dict, valid })) => ColAgg::MinMaxStr {
+            col: (codes, dict, valid.as_ref()),
+            max,
+        },
+        (Avg, Some(Column::Int { data, valid })) => ColAgg::AvgInt((data, valid.as_ref())),
+        (Avg, Some(Column::Double { data, valid })) => ColAgg::AvgF64((data, valid.as_ref())),
+        (Var | StdDev, Some(Column::Int { data, valid })) => ColAgg::VarInt((data, valid.as_ref())),
+        (Var | StdDev, Some(Column::Double { data, valid })) => ColAgg::VarF64((data, valid.as_ref())),
+        (_, column) => {
+            let input = column.map_or("no input".into(), |c| format!("a {} column", c.data_type()));
+            return Err(Error::TypeError(format!("{spec} over {input}")));
         }
-        Some(BoundExpr::Col(Side::Detail, c)) => detail.column(*c),
-        Some(_) => return fallback,
+    })
+}
+
+/// A computed aggregate input over the detail side, evaluated for every
+/// detail row into a column of its inferred type.
+fn computed_column(spec: &AggSpec, input: &BoundExpr, detail: &Relation) -> Result<Column> {
+    let Some(expr) = &spec.input else {
+        return Err(Error::Plan(format!("{spec} has no input expression")));
     };
-    if spec.func == AggFunc::Count {
-        return ColAgg::CountCol(column);
-    }
-    match column {
-        Column::Int { data, valid } => {
-            let col = (data.as_slice(), valid.as_ref());
-            match spec.func {
-                AggFunc::Sum => ColAgg::SumInt(col),
-                AggFunc::Min => ColAgg::MinMaxInt { col, max: false },
-                AggFunc::Max => ColAgg::MinMaxInt { col, max: true },
-                AggFunc::Avg => ColAgg::AvgInt(col),
-                AggFunc::Var | AggFunc::StdDev => ColAgg::VarInt(col),
-                #[expect(clippy::unreachable, reason = "COUNT returned above")]
-                AggFunc::Count => unreachable!("handled above"),
-            }
+    let ty = expr.infer_type(&Schema::of(&[]), Some(detail.schema()))?;
+    // The input reads no base column (`AggSpec::validate`).
+    let no_base = Row::new(Vec::new());
+    let mut b = ColumnBuilder::new(ty, detail.len());
+    for i in 0..detail.len() {
+        let v = input.eval_cols(&no_base, detail, i)?;
+        if v.data_type().is_some_and(|t| t != ty) {
+            return Err(Error::TypeError(format!("{spec}: {v:?} from a {ty} input")));
         }
-        Column::Double { data, valid } => {
-            let col = (data.as_slice(), valid.as_ref());
-            match spec.func {
-                AggFunc::Sum => ColAgg::SumF64(col),
-                AggFunc::Min => ColAgg::MinMaxF64 { col, max: false },
-                AggFunc::Max => ColAgg::MinMaxF64 { col, max: true },
-                AggFunc::Avg => ColAgg::AvgF64(col),
-                AggFunc::Var | AggFunc::StdDev => ColAgg::VarF64(col),
-                #[expect(clippy::unreachable, reason = "COUNT returned above")]
-                AggFunc::Count => unreachable!("handled above"),
-            }
-        }
-        // String MIN/MAX and mixed-type columns keep row semantics.
-        Column::Str { .. } | Column::Mixed(_) => fallback,
+        b.push(&v);
     }
+    Ok(b.finish())
 }
 
 /// The typed state an aggregate's classification accumulates into.
@@ -344,32 +349,10 @@ fn kind(agg: &ColAgg<'_>) -> Kind {
         ColAgg::SumF64(_) => Kind::SumF,
         ColAgg::MinMaxInt { .. } => Kind::MinMaxI,
         ColAgg::MinMaxF64 { .. } => Kind::MinMaxF,
+        ColAgg::MinMaxStr { .. } => Kind::MinMaxS,
         ColAgg::AvgInt(_) => Kind::AvgI,
         ColAgg::AvgF64(_) => Kind::AvgF,
         ColAgg::VarInt(_) | ColAgg::VarF64(_) => Kind::Var,
-        ColAgg::Fallback { .. } => Kind::Fallback,
-    }
-}
-
-/// A numeric comparand as [`Value`]'s `Ord` ranks it against a number.
-#[derive(Clone, Copy)]
-enum Num {
-    /// `NULL`: the comparison is `NULL`, never truthy.
-    Null,
-    Int(i64),
-    F64(f64),
-    /// Any string: greater than every number.
-    Str,
-}
-
-impl Num {
-    fn of(v: &Value) -> Num {
-        match v {
-            Value::Null => Num::Null,
-            Value::Int(i) => Num::Int(*i),
-            Value::Double(d) => Num::F64(*d),
-            Value::Str(_) => Num::Str,
-        }
     }
 }
 
@@ -468,19 +451,6 @@ fn int_eq_f64(i: i64, d: f64) -> bool {
     (i as f64 == d) & (d < TWO_POW_63) & (i == d as i64)
 }
 
-/// `a ⟨op⟩ b`, dispatching on `op` per call: the mixed right-hand side's
-/// comparison.
-fn op_holds<L: TotalCmp<R>, R>(op: CmpOp, a: L, b: R) -> bool {
-    match op {
-        CmpOp::Eq => a.eq(b),
-        CmpOp::Ne => !a.eq(b),
-        CmpOp::Lt => a.lt(b),
-        CmpOp::Le => !a.gt(b),
-        CmpOp::Gt => a.gt(b),
-        CmpOp::Ge => !a.lt(b),
-    }
-}
-
 /// A [`Fixed`] entry: compare the detail value with the right-hand side.
 const COMPARE: u8 = 0;
 /// A [`Fixed`] entry: the conjunct holds for every valid detail value
@@ -518,12 +488,10 @@ enum NumSlice<'a> {
 
 /// The right-hand side, one entry per base position.
 enum Rhs {
-    /// Every number on the side is an `Int` (0 where [`Fixed`] decides).
+    /// An `Int` column or literal (0 where [`Fixed`] decides).
     Int(Vec<i64>, Fixed),
-    /// Every number on the side is a `Double` (0 where [`Fixed`] decides).
+    /// A `Double` column or literal (0 where [`Fixed`] decides).
     F64(Vec<f64>, Fixed),
-    /// `Int`s and `Double`s at different positions: compared per pair.
-    Mixed(Vec<Num>),
 }
 
 impl<'a> TypedCmp<'a> {
@@ -537,41 +505,29 @@ impl<'a> TypedCmp<'a> {
             (other, BoundExpr::Col(Side::Detail, c)) => (op.flipped(), *c, other),
             _ => return None,
         };
-        let nums: Vec<Num> = match other {
-            BoundExpr::Lit(v) => vec![Num::of(v); base.len()],
-            BoundExpr::Col(Side::Base, b) => {
-                let col = base.column(*b);
-                (0..base.len()).map(|p| Num::of(&col.value(p))).collect()
-            }
-            _ => return None,
-        };
         let (lhs, valid) = match detail.column(col) {
             Column::Int { data, valid } => (NumSlice::Int(data), valid.as_ref()),
             Column::Double { data, valid } => (NumSlice::F64(data), valid.as_ref()),
-            Column::Str { .. } | Column::Mixed(_) => return None,
+            Column::Str { .. } => return None,
         };
-        let fixed = nums.iter().any(|n| matches!(n, Num::Null | Num::Str)).then(|| {
-            let str_holds = if op.holds(Ordering::Less) { HOLDS } else { FAILS };
-            nums.iter()
-                .map(|n| match n {
-                    Num::Int(_) | Num::F64(_) => COMPARE,
-                    Num::Str => str_holds,
-                    Num::Null => FAILS,
-                })
-                .collect()
-        });
-        let has_int = nums.iter().any(|n| matches!(n, Num::Int(_)));
-        let has_f64 = nums.iter().any(|n| matches!(n, Num::F64(_)));
-        let rhs = match (has_int, has_f64) {
-            (true, true) => Rhs::Mixed(nums),
-            (false, true) => Rhs::F64(
-                nums.iter().map(|n| if let Num::F64(y) = n { *y } else { 0.0 }).collect(),
-                fixed,
-            ),
-            _ => Rhs::Int(
-                nums.iter().map(|n| if let Num::Int(y) = n { *y } else { 0 }).collect(),
-                fixed,
-            ),
+        let n = base.len();
+        // A string outranks every number; a `NULL` is never truthy.
+        let str_holds = if op.holds(Ordering::Less) { HOLDS } else { FAILS };
+        let rhs = match other {
+            BoundExpr::Lit(Value::Int(y)) => Rhs::Int(vec![*y; n], None),
+            BoundExpr::Lit(Value::Double(y)) => Rhs::F64(vec![*y; n], None),
+            BoundExpr::Lit(Value::Str(_)) => Rhs::Int(vec![0; n], Some(vec![str_holds; n])),
+            BoundExpr::Lit(Value::Null) => Rhs::Int(vec![0; n], Some(vec![FAILS; n])),
+            BoundExpr::Col(Side::Base, b) => {
+                let col = base.column(*b);
+                let fixed = |hit: u8| (0..n).map(|p| if col.is_valid(p) { hit } else { FAILS }).collect();
+                match col {
+                    Column::Int { data, valid } => Rhs::Int(data.clone(), valid.is_some().then(|| fixed(COMPARE))),
+                    Column::Double { data, valid } => Rhs::F64(data.clone(), valid.is_some().then(|| fixed(COMPARE))),
+                    Column::Str { .. } => Rhs::Int(vec![0; n], Some(fixed(str_holds))),
+                }
+            }
+            _ => return None,
         };
         Some(TypedCmp {
             op,
@@ -588,8 +544,6 @@ impl<'a> TypedCmp<'a> {
             (NumSlice::Int(x), Rhs::F64(y, f)) => self.by_op(sel, from, x, y, f),
             (NumSlice::F64(x), Rhs::Int(y, f)) => self.by_op(sel, from, x, y, f),
             (NumSlice::F64(x), Rhs::F64(y, f)) => self.by_op(sel, from, x, y, f),
-            (NumSlice::Int(x), Rhs::Mixed(ys)) => self.mixed(sel, from, x, ys),
-            (NumSlice::F64(x), Rhs::Mixed(ys)) => self.mixed(sel, from, x, ys),
         }
     }
 
@@ -627,22 +581,6 @@ impl<'a> TypedCmp<'a> {
                 sel.retain_from(from, |i, p| Ok(v.get(i) & resolve(f[p], holds(x[i], y[p]))))
             }
         };
-    }
-
-    /// A right-hand side mixing `Int` and `Double`: per-pair dispatch.
-    fn mixed<L: TotalCmp<i64> + TotalCmp<f64>>(&self, sel: &mut Pairs, from: usize, x: &[L], ys: &[Num]) {
-        let (op, valid) = (self.op, self.valid);
-        let Ok(()) = sel.retain_from(from, |i, p| {
-            Ok::<_, Infallible>(
-                valid.is_none_or(|v| v.get(i))
-                    && match ys[p] {
-                        Num::Null => false,
-                        Num::Str => op.holds(Ordering::Less),
-                        Num::Int(y) => op_holds(op, x[i], y),
-                        Num::F64(y) => op_holds(op, x[i], y),
-                    },
-            )
-        });
     }
 }
 
@@ -742,7 +680,7 @@ impl MorselKernel for ColKernel<'_> {
         let aggs = self
             .blocks
             .iter()
-            .flat_map(|b| b.aggs.iter().map(|(gi, a)| AggState::new(kind(a), self.spec(*gi), n)))
+            .flat_map(|b| b.aggs.iter().map(|(_, a)| AggState::new(kind(a), n)))
             .collect();
         ColState {
             aggs,
@@ -751,9 +689,7 @@ impl MorselKernel for ColKernel<'_> {
     }
 
     fn reset_state(&self, state: &mut ColState) {
-        for (gi, st) in state.aggs.iter_mut().enumerate() {
-            st.reset(self.spec(gi));
-        }
+        state.aggs.iter_mut().for_each(AggState::reset);
         state.matched.fill(false);
     }
 
@@ -799,7 +735,7 @@ impl MorselKernel for ColKernel<'_> {
             // Aggregate pass: one typed loop per aggregate over the
             // selection.
             for (gi, agg) in &cb.aggs {
-                update_agg(agg, &mut state.aggs[*gi], sel.rows(), sel.poss(), self.detail, self.base)?;
+                update_agg(agg, &mut state.aggs[*gi], sel.rows(), sel.poss());
             }
         }
         Ok(())
@@ -807,43 +743,25 @@ impl MorselKernel for ColKernel<'_> {
 }
 
 /// Run one aggregate's inner loop over the selected `(row, pos)` pairs.
-fn update_agg(
-    agg: &ColAgg<'_>,
-    state: &mut AggState,
-    rows: &[u32],
-    poss: &[u32],
-    detail: &Relation,
-    base: &Relation,
-) -> Result<()> {
+fn update_agg(agg: &ColAgg<'_>, state: &mut AggState, rows: &[u32], poss: &[u32]) {
     match (agg, state) {
         (ColAgg::CountStar, AggState::Count(c)) => {
             for &p in poss {
                 c[p as usize] += 1;
             }
         }
-        (ColAgg::CountCol(column), AggState::Count(c)) => {
-            match column {
-                Column::Int { valid, .. }
-                | Column::Double { valid, .. }
-                | Column::Str { valid, .. } => match valid {
-                    None => {
-                        for &p in poss {
-                            c[p as usize] += 1;
-                        }
-                    }
-                    Some(vb) => {
-                        for (&i, &p) in rows.iter().zip(poss) {
-                            c[p as usize] += vb.get(i as usize) as i64;
-                        }
-                    }
-                },
-                Column::Mixed(vs) => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        c[p as usize] += !vs[i as usize].is_null() as i64;
-                    }
+        (ColAgg::CountCol(column), AggState::Count(c)) => match column.validity() {
+            None => {
+                for &p in poss {
+                    c[p as usize] += 1;
                 }
             }
-        }
+            Some(vb) => {
+                for (&i, &p) in rows.iter().zip(poss) {
+                    c[p as usize] += vb.get(i as usize) as i64;
+                }
+            }
+        },
         (ColAgg::SumInt((data, valid)), AggState::SumI { s, has }) => {
             sum_loop(rows, poss, data, *valid, fold_sum_i, s, has);
         }
@@ -859,6 +777,14 @@ fn update_agg(
             let max = *max;
             let fold = move |acc: &mut f64, v, h| fold_min_max_f(acc, v, h, max);
             sum_loop(rows, poss, data, *valid, fold, m, has);
+        }
+        (ColAgg::MinMaxStr { col: (codes, dict, valid), max }, AggState::MinMaxS { m }) => {
+            for (&i, &p) in rows.iter().zip(poss) {
+                let i = i as usize;
+                if valid.is_none_or(|b| b.get(i)) {
+                    fold_min_max_s(&mut m[p as usize], &dict[codes[i] as usize], *max);
+                }
+            }
         }
         (ColAgg::AvgInt((data, valid)), AggState::AvgI { s, cnt }) => {
             match valid {
@@ -948,27 +874,12 @@ fn update_agg(
                 }
             }
         }
-        (ColAgg::Fallback { spec, input }, AggState::Fallback(accs)) => {
-            let w = spec.acc_width();
-            for (&i, &p) in rows.iter().zip(poss) {
-                let (i, p) = (i as usize, p as usize);
-                let acc = &mut accs[p * w..(p + 1) * w];
-                match input {
-                    Some(e) => {
-                        let v = e.eval_cols(&base.rows()[p], detail, i)?;
-                        spec.update(acc, Some(&v))?;
-                    }
-                    None => spec.update(acc, None)?,
-                }
-            }
-        }
         #[expect(
             clippy::unreachable,
             reason = "the state was built by `new_state` from this `ColAgg`"
         )]
         _ => unreachable!("state shape follows classification"),
     }
-    Ok(())
 }
 
 /// The shared shape of the null-skipping typed loops: apply `fold` to the
@@ -1022,6 +933,17 @@ pub(crate) fn eval_columnar(
     let schema = gmdj.physical_schema(&base.schema().project(keep)?, detail.schema())?;
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
 
+    // Computed aggregate inputs, each evaluated once over the detail rows.
+    let mut computed = Vec::new();
+    for (pb, block) in blocks.iter().zip(&gmdj.blocks) {
+        for (spec, (input, _)) in block.aggs.iter().zip(&pb.aggs) {
+            computed.push(match input {
+                None | Some(BoundExpr::Col(Side::Detail, _)) => None,
+                Some(e) => Some(computed_column(spec, e, detail)?),
+            });
+        }
+    }
+
     // Lower blocks: share canonical pairs between blocks with identical
     // equi-keys, classify every residual conjunct and aggregate against
     // the column layouts — which builds exactly the detail columns this
@@ -1047,7 +969,11 @@ pub(crate) fn eval_columnar(
         }
         let mut aggs = Vec::with_capacity(pb.aggs.len());
         for (spec, (input, _off)) in gmdj.blocks[bi].aggs.iter().zip(&pb.aggs) {
-            aggs.push((gi, classify(spec, input.as_ref(), detail)));
+            let column = match input {
+                Some(BoundExpr::Col(Side::Detail, c)) => Some(detail.column(*c)),
+                _ => computed[gi].as_ref(),
+            };
+            aggs.push((gi, classify(spec, column)?));
             gi += 1;
         }
         cblocks.push(ColBlock {
@@ -1081,12 +1007,11 @@ pub(crate) fn eval_columnar(
         .iter()
         .map(|&c| match at.len() == n {
             true => base.shared_column(c),
-            false => Arc::new(base.column(c).gather(base.schema().field(c).data_type(), &at)),
+            false => Arc::new(base.column(c).gather(&at)),
         })
         .collect();
-    let types: Vec<DataType> = schema.fields()[keep.len()..].iter().map(|f| f.data_type()).collect();
-    for ((_, spec, off), st) in layout.entries().iter().zip(&merged.aggs) {
-        st.physical_columns(spec, &types[*off..off + spec.acc_width()], &at, &mut cols);
+    for st in &merged.aggs {
+        st.physical_columns(&at, &mut cols);
     }
     Ok(LocalGmdj {
         physical: Relation::from_columns(schema, Columns::from_shared(at.len(), cols))?,
@@ -1279,10 +1204,10 @@ mod tests {
     #[test]
     fn typed_residual_matches_eval_cols() {
         // Every CmpOp × {Int, Double} detail column (with NULL, NaN, -0.0)
-        // × {base column, literal} right-hand side holding Int, Double,
-        // NaN, NULL and a string — in both operand orders. Each case runs
-        // the filter over every (row, position) candidate, behind a prefix
-        // of pairs it must leave alone.
+        // × {Int, Double, Str base column, literal} right-hand side holding
+        // Int, Double, NaN, NULL and a string — in both operand orders.
+        // Each case runs the filter over every (row, position) candidate,
+        // behind a prefix of pairs it must leave alone.
         let d = Relation::new(
             Schema::of(&[("i", DataType::Int), ("x", DataType::Double)]),
             vec![
@@ -1305,12 +1230,21 @@ mod tests {
             Value::str("s"),
         ];
         let b = Relation::new(
-            Schema::of(&[("y", DataType::Double)]),
-            rhs_values.iter().map(|v| Row::new(vec![v.clone()])).collect(),
+            Schema::of(&[("yi", DataType::Int), ("yd", DataType::Double), ("ys", DataType::Str)]),
+            vec![
+                row![1i64, 1.0, "s"],
+                row![0i64, 1.5, Value::Null],
+                row![Value::Null, -0.0, ""],
+                row![-3i64, f64::NAN, "s"],
+                row![2i64, Value::Null, Value::Null],
+                row![1i64, 0.0, "b"],
+                row![0i64, -3.0, "a"],
+                row![Value::Null, 2.0, "s"],
+            ],
         )
         .unwrap();
         let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-        let mut rhs_exprs = vec![Expr::bcol("y")];
+        let mut rhs_exprs = vec![Expr::bcol("yi"), Expr::bcol("yd"), Expr::bcol("ys")];
         rhs_exprs.extend(rhs_values.iter().cloned().map(Expr::Lit));
         let prefix = [(4u32, 7u32), (0, 0), (2, 3)];
         let mut checked = 0;
@@ -1350,8 +1284,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 6 * 2 * 9 * 2 * 8 * 5);
-        // Other shapes stay interpreted: string and mixed columns, a
+        assert_eq!(checked, 6 * 2 * 11 * 2 * 8 * 5);
+        // Other shapes stay interpreted: a string column, a
         // computed side, two detail columns.
         let s = detail();
         for e in [
@@ -1408,7 +1342,8 @@ mod tests {
 
     /// Seven base tuples repeating keys 0 and 1 (5 is in no detail row):
     /// `lo` doubles with NULL, NaN and both zeros, `hi` ints with NULL,
-    /// `y` mixing ints and doubles with a NULL, a NaN and a string.
+    /// `y` integral and fractional doubles with a NULL and a NaN, `t`
+    /// strings with a NULL.
     fn spiky_base() -> Relation {
         Relation::new(
             Schema::of(&[
@@ -1416,15 +1351,16 @@ mod tests {
                 ("lo", DataType::Double),
                 ("hi", DataType::Int),
                 ("y", DataType::Double),
+                ("t", DataType::Str),
             ]),
             vec![
-                row![0i64, 0.0, 5i64, 2i64],
-                row![1i64, -0.0, 3i64, -0.5],
-                row![1i64, f64::NAN, Value::Null, Value::Null],
-                row![2i64, Value::Null, 10i64, "s"],
-                row![0i64, 1.5, 0i64, -1i64],
-                row![3i64, -2.0, 7i64, f64::NAN],
-                row![5i64, 3.25, 2i64, 0.0],
+                row![0i64, 0.0, 5i64, 2.0, "s"],
+                row![1i64, -0.0, 3i64, -0.5, Value::Null],
+                row![1i64, f64::NAN, Value::Null, Value::Null, "a"],
+                row![2i64, Value::Null, 10i64, 0.5, "s"],
+                row![0i64, 1.5, 0i64, -1.0, ""],
+                row![3i64, -2.0, 7i64, f64::NAN, "b"],
+                row![5i64, 3.25, 2i64, 0.0, Value::Null],
             ],
         )
         .unwrap()
@@ -1483,13 +1419,16 @@ mod tests {
                     aggs(1),
                 ),
             ),
-            // A right-hand side mixing Int and Double (and NULL, NaN, a
-            // string), against both detail types.
+            // Right-hand sides of another type than the detail column:
+            // doubles (with NULL and NaN) against ints, strings against
+            // both numeric types.
             (
-                "mixed right-hand side",
+                "cross-type right-hand sides",
                 Gmdj::new("t")
                     .block(by_g().and(Expr::dcol("x").ge(Expr::bcol("y"))).build(), aggs(1))
-                    .block(by_g().and(Expr::bcol("y").gt(Expr::dcol("v"))).build(), aggs(2)),
+                    .block(by_g().and(Expr::bcol("y").gt(Expr::dcol("v"))).build(), aggs(2))
+                    .block(by_g().and(Expr::dcol("v").lt(Expr::bcol("t"))).build(), aggs(3))
+                    .block(by_g().and(Expr::bcol("t").le(Expr::dcol("x"))).build(), aggs(4)),
             ),
             // Nested-loop blocks: no equi-key, candidates per position.
             (
@@ -1516,7 +1455,8 @@ mod tests {
         assert!(matches!(rhs(Expr::dcol("x").ge(Expr::bcol("lo"))), Rhs::F64(_, Some(_))));
         assert!(matches!(rhs(Expr::dcol("x").le(Expr::bcol("hi"))), Rhs::Int(_, Some(_))));
         assert!(matches!(rhs(Expr::dcol("v").gt(Expr::lit(0i64))), Rhs::Int(_, None)));
-        assert!(matches!(rhs(Expr::dcol("x").ge(Expr::bcol("y"))), Rhs::Mixed(_)));
+        assert!(matches!(rhs(Expr::dcol("v").lt(Expr::bcol("y"))), Rhs::F64(_, Some(_))));
+        assert!(matches!(rhs(Expr::dcol("v").lt(Expr::bcol("t"))), Rhs::Int(_, Some(_))));
         assert!(!CanonPair::build(&b, &d, &[0], &[0]).eqnext.is_empty());
         assert!(CanonPair::build(&base(), &d, &[0], &[0]).eqnext.is_empty());
     }
@@ -1540,28 +1480,43 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mixed_type_key_column() {
-        // A detail key column mixing Int and Str (legal: lazily typed)
-        // falls back to Mixed and still matches by value equality.
+    fn columnar_cross_type_key_columns() {
+        // An INT base key against a DOUBLE detail key matches by value
+        // equality: Int(1) = 1.0, Int(0) = -0.0, NULL = NULL; NaN and 2.5
+        // match no integer. A STR base key matches no number.
         let d = Relation::new(
-            Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]),
-            vec![row![1i64, 10i64], row!["one", 20i64], row![1i64, 30i64]],
-        )
-        .unwrap();
-        let b = Relation::new(
-            Schema::of(&[("k", DataType::Int)]),
-            vec![row![1i64], row!["one"], row![1.0]],
+            Schema::of(&[("k", DataType::Double), ("v", DataType::Int)]),
+            vec![
+                row![1.0, 10i64],
+                row![2.5, 20i64],
+                row![1.0, 30i64],
+                row![-0.0, 40i64],
+                row![f64::NAN, 50i64],
+                row![Value::Null, 60i64],
+            ],
         )
         .unwrap();
         let g = Gmdj::new("t").block(
             ThetaBuilder::group_by(&["k"]).build(),
             vec![AggSpec::sum("v", "sv")],
         );
-        let col = eval_full(&b, &d, &g, opts()).unwrap();
-        let rowk = full_rows(&b, &d, &g);
-        assert_eq!(col, rowk);
-        // Int(1) == Double(1.0) canonically.
-        assert_eq!(col.rows()[2].get(1), &Value::Int(40));
+        let ints = Relation::new(
+            Schema::of(&[("k", DataType::Int)]),
+            vec![row![1i64], row![0i64], row![2i64], row![Value::Null]],
+        )
+        .unwrap();
+        let col = eval_full(&ints, &d, &g, opts()).unwrap();
+        assert_eq!(col, full_rows(&ints, &d, &g));
+        let sums: Vec<Value> = col.rows().iter().map(|r| r.get(1).clone()).collect();
+        assert_eq!(sums, [Value::Int(40), Value::Int(40), Value::Null, Value::Int(60)]);
+        let strs = Relation::new(
+            Schema::of(&[("k", DataType::Str)]),
+            vec![row!["1"], row![Value::Null]],
+        )
+        .unwrap();
+        let col = eval_full(&strs, &d, &g, opts()).unwrap();
+        assert_eq!(col, full_rows(&strs, &d, &g));
+        assert_eq!(col.rows()[0].get(1), &Value::Null);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Typed accumulator states: the one typed mirror of [`AggSpec::merge`].
 //!
 //! An aggregate's accumulators over `n` positions live in typed arrays
-//! (`Vec<i64>`, `Vec<f64>`, `Vec<bool>` has-flags) instead of one
-//! `Vec<Value>` per position. The has-flags mirror the `Value` path's
-//! `Null` accumulator states: a stored number counts only where its flag
-//! is set, and the first value is *taken*, not added, so `-0.0` and NaN
-//! payloads survive exactly as they do through `AggSpec::merge`. Every
-//! aggregate the typed arrays cannot hold (string MIN/MAX, computed or
-//! mixed-type inputs, physical slots of an unexpected type) keeps
-//! `Value` accumulators and merges through [`AggSpec::merge`] itself.
+//! (`Vec<i64>`, `Vec<f64>`, `Vec<bool>` has-flags, and shared strings for
+//! a string MIN/MAX) instead of one `Vec<Value>` per position. The
+//! has-flags mirror the `Value` path's `Null` accumulator states: a stored
+//! number counts only where its flag is set, and the first value is
+//! *taken*, not added, so `-0.0` and NaN payloads survive exactly as they
+//! do through `AggSpec::merge`. A column is of its declared type, so every
+//! aggregate a plan can hold has a typed state, and columns a typed state
+//! cannot take (malformed remote input) are an error.
 //!
 //! The kernel ([`crate::columnar`]) keeps one state per aggregate over a
 //! morsel's base positions. The coordinator keeps [`AccStates`] over its
@@ -34,29 +34,33 @@ pub(crate) enum Kind {
     SumF,
     MinMaxI,
     MinMaxF,
+    MinMaxS,
     AvgI,
     AvgF,
     Var,
-    Fallback,
 }
 
 impl Kind {
-    /// The state of `spec` whose physical slots are declared `types`: a
-    /// typed one where the slots hold the numbers it keeps, the `Value`
-    /// fallback otherwise.
-    fn of_physical(spec: &AggSpec, types: &[DataType]) -> Kind {
-        use DataType::{Double, Int};
-        match (spec.func, types) {
+    /// The state of `spec` whose physical slots are declared `types`, if
+    /// a plan can type them so.
+    fn of_physical(spec: &AggSpec, types: &[DataType]) -> Result<Kind> {
+        use DataType::{Double, Int, Str};
+        Ok(match (spec.func, types) {
             (AggFunc::Count, [Int]) => Kind::Count,
             (AggFunc::Sum, [Int]) => Kind::SumI,
             (AggFunc::Sum, [Double]) => Kind::SumF,
             (AggFunc::Min | AggFunc::Max, [Int]) => Kind::MinMaxI,
             (AggFunc::Min | AggFunc::Max, [Double]) => Kind::MinMaxF,
+            (AggFunc::Min | AggFunc::Max, [Str]) => Kind::MinMaxS,
             (AggFunc::Avg, [Int, Int]) => Kind::AvgI,
             (AggFunc::Avg, [Double, Int]) => Kind::AvgF,
             (AggFunc::Var | AggFunc::StdDev, [Double, Double, Int]) => Kind::Var,
-            _ => Kind::Fallback,
-        }
+            _ => {
+                return Err(Error::Execution(format!(
+                    "{spec} has no accumulators of types {types:?}"
+                )))
+            }
+        })
     }
 }
 
@@ -73,6 +77,8 @@ pub(crate) enum AggState {
     MinMaxI { m: Vec<i64>, has: Vec<bool> },
     /// Double MIN/MAX (total order, NaN greatest).
     MinMaxF { m: Vec<f64>, has: Vec<bool> },
+    /// String MIN/MAX (`None`: no value yet).
+    MinMaxS { m: Vec<Option<Arc<str>>> },
     /// Int AVG: wrapping sum + count (count > 0 ⇔ sum present).
     AvgI { s: Vec<i64>, cnt: Vec<i64> },
     /// Double AVG.
@@ -84,8 +90,6 @@ pub(crate) enum AggState {
         sq: Vec<f64>,
         cnt: Vec<i64>,
     },
-    /// `Value` accumulators, `spec.acc_width()` per position.
-    Fallback(Vec<Value>),
 }
 
 /// Fold `v` into a SUM slot (`has`: the slot holds a value): the first
@@ -124,6 +128,19 @@ pub(crate) fn fold_min_max_f(acc: &mut f64, v: f64, has: bool, max: bool) {
     }
 }
 
+/// Fold `v` into a string MIN (`max` false) or MAX slot.
+#[inline]
+pub(crate) fn fold_min_max_s(acc: &mut Option<Arc<str>>, v: &Arc<str>, max: bool) {
+    let better = match acc {
+        None => true,
+        Some(a) if max => **v > **a,
+        Some(a) => **v < **a,
+    };
+    if better {
+        *acc = Some(Arc::clone(v));
+    }
+}
+
 /// Merge an AVG sub-aggregate `(s, c)` into `(acc, cnt)`.
 #[inline]
 fn fold_avg<T: Copy>(acc: &mut T, cnt: &mut i64, s: T, c: i64, fold: impl Fn(&mut T, T, bool)) {
@@ -143,7 +160,7 @@ fn fold_var(acc: (&mut f64, &mut f64, &mut i64), s: f64, sq: f64, c: i64) {
 
 impl AggState {
     /// `n` fresh slots of `kind`.
-    pub(crate) fn new(kind: Kind, spec: &AggSpec, n: usize) -> AggState {
+    pub(crate) fn new(kind: Kind, n: usize) -> AggState {
         let mut st = match kind {
             Kind::Count => AggState::Count(Vec::new()),
             Kind::SumI => AggState::SumI {
@@ -162,6 +179,7 @@ impl AggState {
                 m: Vec::new(),
                 has: Vec::new(),
             },
+            Kind::MinMaxS => AggState::MinMaxS { m: Vec::new() },
             Kind::AvgI => AggState::AvgI {
                 s: Vec::new(),
                 cnt: Vec::new(),
@@ -175,47 +193,25 @@ impl AggState {
                 sq: Vec::new(),
                 cnt: Vec::new(),
             },
-            Kind::Fallback => AggState::Fallback(Vec::new()),
         };
-        st.resize(spec, n);
+        st.resize(n);
         st
     }
 
-    /// Number of slots.
-    fn len(&self, spec: &AggSpec) -> usize {
-        match self {
-            AggState::Count(c) => c.len(),
-            AggState::SumI { has, .. }
-            | AggState::SumF { has, .. }
-            | AggState::MinMaxI { has, .. }
-            | AggState::MinMaxF { has, .. } => has.len(),
-            AggState::AvgI { cnt, .. } | AggState::AvgF { cnt, .. } | AggState::Var { cnt, .. } => {
-                cnt.len()
-            }
-            AggState::Fallback(vals) => vals.len() / spec.acc_width(),
-        }
-    }
-
     /// Make every slot fresh again, reusing the arrays.
-    pub(crate) fn reset(&mut self, spec: &AggSpec) {
+    pub(crate) fn reset(&mut self) {
         match self {
             AggState::Count(c) => c.fill(0),
             AggState::SumI { has, .. }
             | AggState::SumF { has, .. }
             | AggState::MinMaxI { has, .. }
             | AggState::MinMaxF { has, .. } => has.fill(false),
+            AggState::MinMaxS { m } => m.fill(None),
             AggState::AvgI { cnt, .. } | AggState::AvgF { cnt, .. } => cnt.fill(0),
             AggState::Var { s, sq, cnt } => {
                 s.fill(0.0);
                 sq.fill(0.0);
                 cnt.fill(0);
-            }
-            AggState::Fallback(vals) => {
-                let n = vals.len() / spec.acc_width();
-                vals.clear();
-                for _ in 0..n {
-                    spec.init_acc(vals);
-                }
             }
         }
     }
@@ -238,6 +234,13 @@ impl AggState {
             }
             (AggState::MinMaxF { m: dm, has: dh }, AggState::MinMaxF { m: sm, has: sh }) => {
                 merge_valued(dm, dh, sm, sh, |a, v, h| fold_min_max_f(a, v, h, max));
+            }
+            (AggState::MinMaxS { m: dm }, AggState::MinMaxS { m: sm }) => {
+                for (d, s) in dm.iter_mut().zip(sm) {
+                    if let Some(s) = s {
+                        fold_min_max_s(d, s, max);
+                    }
+                }
             }
             (AggState::AvgI { s: ds, cnt: dc }, AggState::AvgI { s: ss, cnt: sc }) => {
                 for p in 0..ds.len() {
@@ -265,12 +268,6 @@ impl AggState {
                     fold_var((&mut ds[p], &mut dq[p], &mut dc[p]), ss[p], sq2[p], sc[p]);
                 }
             }
-            (AggState::Fallback(d), AggState::Fallback(s)) => {
-                let w = spec.acc_width();
-                for (d, s) in d.chunks_mut(w).zip(s.chunks(w)) {
-                    spec.merge(d, s)?;
-                }
-            }
             _ => {
                 return Err(Error::Execution(
                     "merging accumulator states of two kinds".into(),
@@ -282,7 +279,7 @@ impl AggState {
 
     /// Append slot `pos`'s physical values — exactly what the `Value`
     /// accumulator holds after the same updates and merges.
-    pub(crate) fn push_values(&self, pos: usize, spec: &AggSpec, out: &mut Vec<Value>) {
+    pub(crate) fn push_values(&self, pos: usize, out: &mut Vec<Value>) {
         let opt = |has: bool, v: Value| if has { v } else { Value::Null };
         match self {
             AggState::Count(c) => out.push(Value::Int(c[pos])),
@@ -290,6 +287,7 @@ impl AggState {
             AggState::SumF { s, has } => out.push(opt(has[pos], Value::Double(s[pos]))),
             AggState::MinMaxI { m, has } => out.push(opt(has[pos], Value::Int(m[pos]))),
             AggState::MinMaxF { m, has } => out.push(opt(has[pos], Value::Double(m[pos]))),
+            AggState::MinMaxS { m } => out.push(m[pos].clone().map_or(Value::Null, Value::Str)),
             AggState::AvgI { s, cnt } => {
                 out.push(opt(cnt[pos] > 0, Value::Int(s[pos])));
                 out.push(Value::Int(cnt[pos]));
@@ -303,133 +301,84 @@ impl AggState {
                 out.push(Value::Double(sq[pos]));
                 out.push(Value::Int(cnt[pos]));
             }
-            AggState::Fallback(vals) => {
-                let w = spec.acc_width();
-                out.extend_from_slice(&vals[pos * w..(pos + 1) * w]);
-            }
         }
     }
 
-    /// Slots `at`'s physical columns, in slot order, declared `types`:
-    /// the columns of what [`AggState::push_values`] gives, under
-    /// [`ColumnBuilder`]'s rule. A typed state writes each column straight
-    /// from its arrays, its has-flags (or `cnt > 0`) the validity; only a
-    /// `Fallback` state goes value by value.
-    pub(crate) fn physical_columns(
-        &self,
-        spec: &AggSpec,
-        types: &[DataType],
-        at: &[u32],
-        out: &mut Vec<Arc<Column>>,
-    ) {
+    /// Slots `at`'s physical columns, in slot order: the columns of what
+    /// [`AggState::push_values`] gives, under [`ColumnBuilder`]'s rule,
+    /// written straight from the arrays, the has-flags (or `cnt > 0`) the
+    /// validity.
+    pub(crate) fn physical_columns(&self, at: &[u32], out: &mut Vec<Arc<Column>>) {
         let mut put = |c: Column| out.push(Arc::new(c));
+        let all = |_: usize| true;
         match self {
-            AggState::Count(c) => put(Column::ints(types[0], pick(c, at, |_| true), None)),
+            AggState::Count(c) => put(ints(pick(c, at, all), None)),
             AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
                 let valid = |p: usize| has[p];
-                put(Column::ints(types[0], pick(s, at, valid), validity(at, valid)));
+                put(ints(pick(s, at, valid), validity(at, valid)));
             }
             AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
                 let valid = |p: usize| has[p];
-                put(Column::doubles(types[0], pick(s, at, valid), validity(at, valid)));
+                put(doubles(pick(s, at, valid), validity(at, valid)));
             }
+            AggState::MinMaxS { m } => put(strs(m, at, all)),
             AggState::AvgI { s, cnt } => {
                 let valid = |p: usize| cnt[p] > 0;
-                put(Column::ints(types[0], pick(s, at, valid), validity(at, valid)));
-                put(Column::ints(types[1], pick(cnt, at, |_| true), None));
+                put(ints(pick(s, at, valid), validity(at, valid)));
+                put(ints(pick(cnt, at, all), None));
             }
             AggState::AvgF { s, cnt } => {
                 let valid = |p: usize| cnt[p] > 0;
-                put(Column::doubles(types[0], pick(s, at, valid), validity(at, valid)));
-                put(Column::ints(types[1], pick(cnt, at, |_| true), None));
+                put(doubles(pick(s, at, valid), validity(at, valid)));
+                put(ints(pick(cnt, at, all), None));
             }
             AggState::Var { s, sq, cnt } => {
-                put(Column::doubles(types[0], pick(s, at, |_| true), None));
-                put(Column::doubles(types[1], pick(sq, at, |_| true), None));
-                put(Column::ints(types[2], pick(cnt, at, |_| true), None));
-            }
-            AggState::Fallback(vals) => {
-                let w = spec.acc_width();
-                for k in 0..w {
-                    let mut b = ColumnBuilder::new(types[k], at.len());
-                    at.iter().for_each(|&p| b.push(&vals[p as usize * w + k]));
-                    put(b.finish());
-                }
+                put(doubles(pick(s, at, all), None));
+                put(doubles(pick(sq, at, all), None));
+                put(ints(pick(cnt, at, all), None));
             }
         }
     }
 
-    /// Slots `at`'s logical values as one column of declared type `ty`,
-    /// slot `p` finalized where `present(p)` and X_init finalized
-    /// elsewhere: [`AggSpec::finalize`] per typed kind, column-wise, and
-    /// through `AggSpec::finalize` itself for a `Fallback` state.
-    fn finalize_column(
-        &self,
-        spec: &AggSpec,
-        ty: DataType,
-        at: &[u32],
-        present: &[bool],
-    ) -> Result<Column> {
+    /// Slots `at`'s logical values as one column, slot `p` finalized where
+    /// `present(p)` and X_init finalized elsewhere: [`AggSpec::finalize`]
+    /// per typed kind, column-wise.
+    fn finalize_column(&self, spec: &AggSpec, at: &[u32], present: &[bool]) -> Column {
         let on = |p: usize| present[p];
-        Ok(match self {
+        match self {
             // X_init: a count of 0, and NULL for every other aggregate.
-            AggState::Count(c) => Column::ints(ty, pick(c, at, on), None),
+            AggState::Count(c) => ints(pick(c, at, on), None),
             AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
                 let valid = |p: usize| present[p] && has[p];
-                Column::ints(ty, pick(s, at, valid), validity(at, valid))
+                ints(pick(s, at, valid), validity(at, valid))
             }
             AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
                 let valid = |p: usize| present[p] && has[p];
-                Column::doubles(ty, pick(s, at, valid), validity(at, valid))
+                doubles(pick(s, at, valid), validity(at, valid))
             }
+            AggState::MinMaxS { m } => strs(m, at, on),
             AggState::AvgI { s, cnt } => {
                 let valid = |p: usize| present[p] && cnt[p] != 0;
                 let avg = |p: usize| s[p] as f64 / cnt[p] as f64;
-                Column::doubles(ty, map(at, valid, avg), validity(at, valid))
+                doubles(map(at, valid, avg), validity(at, valid))
             }
             AggState::AvgF { s, cnt } => {
                 let valid = |p: usize| present[p] && cnt[p] != 0;
                 let avg = |p: usize| s[p] / cnt[p] as f64;
-                Column::doubles(ty, map(at, valid, avg), validity(at, valid))
+                doubles(map(at, valid, avg), validity(at, valid))
             }
             AggState::Var { s, sq, cnt } => {
                 let valid = |p: usize| present[p] && cnt[p] != 0;
                 let stddev = spec.func == AggFunc::StdDev;
                 let var = |p: usize| finalize_var(s[p], sq[p], cnt[p], stddev);
-                Column::doubles(ty, map(at, valid, var), validity(at, valid))
+                doubles(map(at, valid, var), validity(at, valid))
             }
-            AggState::Fallback(vals) => {
-                let w = spec.acc_width();
-                let mut init = Vec::with_capacity(w);
-                spec.init_acc(&mut init);
-                let mut b = ColumnBuilder::new(ty, at.len());
-                for &p in at {
-                    let p = p as usize;
-                    let acc = if present[p] { &vals[p * w..(p + 1) * w] } else { &init[..] };
-                    b.push(&spec.finalize(acc)?);
-                }
-                b.finish()
-            }
-        })
-    }
-
-    /// Turn the state into `Value` accumulators holding the same values,
-    /// for the rest of its life.
-    fn degrade(&mut self, spec: &AggSpec) {
-        if matches!(self, AggState::Fallback(_)) {
-            return;
         }
-        let n = self.len(spec);
-        let mut vals = Vec::with_capacity(n * spec.acc_width());
-        for p in 0..n {
-            self.push_values(p, spec, &mut vals);
-        }
-        *self = AggState::Fallback(vals);
     }
 
     /// Append fresh slots up to `n` in all, in place: the arrays grow
     /// as a `Vec` does, so adding a leaf rarely allocates.
-    fn resize(&mut self, spec: &AggSpec, n: usize) {
+    fn resize(&mut self, n: usize) {
         match self {
             AggState::Count(c) => c.resize(n, 0),
             AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
@@ -440,6 +389,7 @@ impl AggState {
                 s.resize(n, 0.0);
                 has.resize(n, false);
             }
+            AggState::MinMaxS { m } => m.resize(n, None),
             AggState::AvgI { s, cnt } => {
                 s.resize(n, 0);
                 cnt.resize(n, 0);
@@ -453,19 +403,12 @@ impl AggState {
                 sq.resize(n, 0.0);
                 cnt.resize(n, 0);
             }
-            AggState::Fallback(vals) => {
-                let mut init = Vec::with_capacity(spec.acc_width());
-                spec.init_acc(&mut init);
-                while vals.len() < n * init.len() {
-                    vals.extend_from_slice(&init);
-                }
-            }
         }
     }
 
     /// Lay `blocks` runs of `cap` slots out as runs of `new_cap`, the new
     /// slots of each run fresh.
-    fn regrow(&mut self, spec: &AggSpec, blocks: usize, cap: usize, new_cap: usize) {
+    fn regrow(&mut self, blocks: usize, cap: usize, new_cap: usize) {
         let runs = (blocks, cap, new_cap);
         match self {
             AggState::Count(c) => relayout(c, &[0], runs),
@@ -477,6 +420,7 @@ impl AggState {
                 relayout(s, &[0.0], runs);
                 relayout(has, &[false], runs);
             }
+            AggState::MinMaxS { m } => relayout(m, &[None], runs),
             AggState::AvgI { s, cnt } => {
                 relayout(s, &[0], runs);
                 relayout(cnt, &[0], runs);
@@ -490,25 +434,15 @@ impl AggState {
                 relayout(sq, &[0.0], runs);
                 relayout(cnt, &[0], runs);
             }
-            AggState::Fallback(vals) => {
-                let mut init = Vec::with_capacity(spec.acc_width());
-                spec.init_acc(&mut init);
-                relayout(vals, &init, runs);
-            }
         }
     }
 
     /// Absorb rows of the physical columns `cols`: row `i` is loaded into
     /// slot `slots[i]` where `first[i]`, and merged into it otherwise, in
-    /// row order. `Ok(false)`, with nothing changed, when the columns are
-    /// not this typed state's layout.
-    fn absorb(
-        &mut self,
-        spec: &AggSpec,
-        cols: &[&Column],
-        slots: &[usize],
-        first: &[bool],
-    ) -> Result<bool> {
+    /// row order. Columns that are not this state's layout — a type, a
+    /// `NULL` or an AVG count it cannot hold — are refused, with nothing
+    /// changed.
+    fn absorb(&mut self, spec: &AggSpec, cols: &[&Column], slots: &[usize], first: &[bool]) -> Result<()> {
         let max = spec.func == AggFunc::Max;
         let rows = slots
             .iter()
@@ -518,7 +452,7 @@ impl AggState {
         match (self, cols) {
             (AggState::Count(c), [col]) => {
                 let Some(data) = int_no_nulls(col) else {
-                    return Ok(false);
+                    return Err(malformed(spec));
                 };
                 for (i, p, first) in rows {
                     c[p] = if first { data[i] } else { c[p] + data[i] };
@@ -538,15 +472,25 @@ impl AggState {
                 let fold = |a: &mut f64, v, h| fold_min_max_f(a, v, h, max);
                 absorb_valued(m, has, data, valid.as_ref(), rows, fold);
             }
+            (AggState::MinMaxS { m }, [Column::Str { codes, dict, valid }]) => {
+                for (i, p, first) in rows {
+                    let v = valid.as_ref().is_none_or(|b| b.get(i)).then(|| &dict[codes[i] as usize]);
+                    match v {
+                        _ if first => m[p] = v.cloned(),
+                        Some(v) => fold_min_max_s(&mut m[p], v, max),
+                        None => {}
+                    }
+                }
+            }
             (AggState::AvgI { s, cnt }, [Column::Int { data, valid }, c]) => {
                 let Some(c) = avg_counts(valid.as_ref(), c) else {
-                    return Ok(false);
+                    return Err(malformed(spec));
                 };
                 absorb_avg(s, cnt, data, c, rows, fold_sum_i);
             }
             (AggState::AvgF { s, cnt }, [Column::Double { data, valid }, c]) => {
                 let Some(c) = avg_counts(valid.as_ref(), c) else {
-                    return Ok(false);
+                    return Err(malformed(spec));
                 };
                 absorb_avg(s, cnt, data, c, rows, fold_sum_f);
             }
@@ -554,7 +498,7 @@ impl AggState {
                 let (Some(a), Some(b), Some(c)) =
                     (f64_no_nulls(a), f64_no_nulls(b), int_no_nulls(c))
                 else {
-                    return Ok(false);
+                    return Err(malformed(spec));
                 };
                 for (i, p, first) in rows {
                     if first {
@@ -564,25 +508,9 @@ impl AggState {
                     }
                 }
             }
-            (AggState::Fallback(vals), cols) => {
-                let w = spec.acc_width();
-                let mut other = Vec::with_capacity(w);
-                for (i, p, first) in rows {
-                    let slot = &mut vals[p * w..(p + 1) * w];
-                    if first {
-                        for (v, col) in slot.iter_mut().zip(cols) {
-                            *v = col.value(i);
-                        }
-                    } else {
-                        other.clear();
-                        other.extend(cols.iter().map(|c| c.value(i)));
-                        spec.merge(slot, &other)?;
-                    }
-                }
-            }
-            _ => return Ok(false),
+            _ => return Err(malformed(spec)),
         }
-        Ok(true)
+        Ok(())
     }
 
     /// The merge tree's step over two runs of `n` slots, `dst` before
@@ -596,7 +524,7 @@ impl AggState {
         n: usize,
         dp: &[bool],
         sp: &[bool],
-    ) -> Result<()> {
+    ) {
         let max = spec.func == AggFunc::Max;
         let steps = (0..n).filter(|&i| sp[i]).map(|i| (i, dp[i]));
         match self {
@@ -616,6 +544,16 @@ impl AggState {
                 let fold = |a: &mut f64, v, h| fold_min_max_f(a, v, h, max);
                 combine_valued(m, has, (dst, src, n), steps, fold);
             }
+            AggState::MinMaxS { m } => {
+                let (d, s) = runs(m, dst, src, n);
+                for (i, both) in steps {
+                    match (&s[i], both) {
+                        (Some(v), true) => fold_min_max_s(&mut d[i], v, max),
+                        (None, true) => {}
+                        (v, false) => d[i].clone_from(v),
+                    }
+                }
+            }
             AggState::AvgI { s, cnt } => combine_avg(s, cnt, (dst, src, n), steps, fold_sum_i),
             AggState::AvgF { s, cnt } => combine_avg(s, cnt, (dst, src, n), steps, fold_sum_f),
             AggState::Var { s, sq, cnt } => {
@@ -630,21 +568,13 @@ impl AggState {
                     }
                 }
             }
-            AggState::Fallback(vals) => {
-                let w = spec.acc_width();
-                let (d, s) = runs(vals, dst * w, src * w, n * w);
-                for (i, both) in steps {
-                    let (d, s) = (&mut d[i * w..(i + 1) * w], &s[i * w..(i + 1) * w]);
-                    if both {
-                        spec.merge(d, s)?;
-                    } else {
-                        d.clone_from_slice(s);
-                    }
-                }
-            }
         }
-        Ok(())
     }
+}
+
+/// The error for physical columns a typed state cannot take.
+fn malformed(spec: &AggSpec) -> Error {
+    Error::Execution(format!("malformed accumulator columns for {spec}"))
 }
 
 /// The SUM/MIN/MAX merge shape over whole arrays: each present source
@@ -791,6 +721,30 @@ fn validity(at: &[u32], valid: impl Fn(usize) -> bool) -> Option<Bitmap> {
     Bitmap::of(at.len(), |k| valid(at[k] as usize))
 }
 
+/// The `Int` column of `data`, `NULL` where `valid` is clear.
+fn ints(data: Vec<i64>, valid: Option<Bitmap>) -> Column {
+    Column::Int { data, valid }
+}
+
+/// The `Double` column of `data`, `NULL` where `valid` is clear.
+fn doubles(data: Vec<f64>, valid: Option<Bitmap>) -> Column {
+    Column::Double { data, valid }
+}
+
+/// The `Str` column of slots `at` of `m`, `NULL` where a slot holds no
+/// string or `valid` fails.
+fn strs(m: &[Option<Arc<str>>], at: &[u32], valid: impl Fn(usize) -> bool) -> Column {
+    let mut b = ColumnBuilder::new(DataType::Str, at.len());
+    for &p in at {
+        let p = p as usize;
+        b.push(&match &m[p] {
+            Some(s) if valid(p) => Value::Str(Arc::clone(s)),
+            _ => Value::Null,
+        });
+    }
+    b.finish()
+}
+
 /// An `Int` column's values, if it holds no `NULL`.
 fn int_no_nulls(col: &Column) -> Option<&[i64]> {
     match col {
@@ -832,20 +786,20 @@ pub struct AccStates {
 impl AccStates {
     /// `n` fresh positions of `layout`, each aggregate typed after the
     /// declared types of its physical slots (`types`, one per slot, in
-    /// layout order).
-    pub fn new(layout: &AccLayout, types: &[DataType], n: usize) -> AccStates {
+    /// layout order). Types no plan gives an aggregate are refused.
+    pub fn new(layout: &AccLayout, types: &[DataType], n: usize) -> Result<AccStates> {
         let states = layout
             .entries()
             .iter()
             .map(|(_, spec, off)| {
                 let slots = types.get(*off..off + spec.acc_width()).unwrap_or(&[]);
-                AggState::new(Kind::of_physical(spec, slots), spec, n)
+                Ok(AggState::new(Kind::of_physical(spec, slots)?, n))
             })
-            .collect();
-        AccStates {
+            .collect::<Result<_>>()?;
+        Ok(AccStates {
             layout: layout.clone(),
             states,
-        }
+        })
     }
 
     fn specs(&mut self) -> impl Iterator<Item = (&AggSpec, usize, &mut AggState)> {
@@ -857,26 +811,21 @@ impl AccStates {
 
     /// Append fresh positions up to `n` in all.
     pub fn resize(&mut self, n: usize) {
-        for (spec, _, st) in self.specs() {
-            st.resize(spec, n);
-        }
+        self.states.iter_mut().for_each(|st| st.resize(n));
     }
 
     /// Lay the positions, `blocks` runs of `cap`, out as runs of
     /// `new_cap`; the new positions of each run are fresh.
     pub fn regrow(&mut self, blocks: usize, cap: usize, new_cap: usize) {
-        for (spec, _, st) in self.specs() {
-            st.regrow(spec, blocks, cap, new_cap);
-        }
+        self.states.iter_mut().for_each(|st| st.regrow(blocks, cap, new_cap));
     }
 
     /// Absorb rows of the physical columns of `cols` that start at column
     /// `from` (one per slot, in layout order): row `i` is copied into
     /// position `slots[i]` where `first[i]`, and merged into it otherwise,
-    /// in row order. An aggregate whose columns do not have its typed
-    /// state's layout — a type, a `NULL` or an AVG count it cannot hold —
-    /// turns to `Value` accumulators first, for good, as the kernel does
-    /// for `Mixed` columns.
+    /// in row order. Columns that do not have an aggregate's typed layout
+    /// — a type, a `NULL` or an AVG count it cannot hold — are malformed
+    /// remote input, refused with [`Error::Execution`].
     pub fn absorb(
         &mut self,
         cols: &Columns,
@@ -892,11 +841,7 @@ impl AccStates {
             for (k, c) in slot_cols.iter_mut().enumerate().take(w) {
                 *c = cols.col(from + off + k);
             }
-            let cols = &slot_cols[..w];
-            if !st.absorb(spec, cols, slots, first)? {
-                st.degrade(spec);
-                st.absorb(spec, cols, slots, first)?;
-            }
+            st.absorb(spec, &slot_cols[..w], slots, first)?;
         }
         Ok(())
     }
@@ -913,48 +858,37 @@ impl AccStates {
         n: usize,
         dst_present: &[bool],
         src_present: &[bool],
-    ) -> Result<()> {
+    ) {
         for (spec, _, st) in self.specs() {
-            st.combine(spec, dst, src, n, dst_present, src_present)?;
+            st.combine(spec, dst, src, n, dst_present, src_present);
         }
-        Ok(())
     }
 
     /// Append position `p`'s physical slot values, in layout order: the
     /// `Value` accumulator the states hold there, which the tests' row
     /// references read.
     pub fn push_values(&self, p: usize, out: &mut Vec<Value>) {
-        for ((_, spec, _), st) in self.layout.entries().iter().zip(&self.states) {
-            st.push_values(p, spec, out);
-        }
+        self.states.iter().for_each(|st| st.push_values(p, out));
     }
 
-    /// Positions `at`'s physical columns, in layout order, one per slot
-    /// declared `types`: the columns of the `Value` accumulators, built as
-    /// the kernel builds a site's.
-    pub fn physical_columns(&self, types: &[DataType], at: &[u32]) -> Vec<Arc<Column>> {
+    /// Positions `at`'s physical columns, in layout order, one per slot:
+    /// the columns of the `Value` accumulators, built as the kernel builds
+    /// a site's.
+    pub fn physical_columns(&self, at: &[u32]) -> Vec<Arc<Column>> {
         let mut out = Vec::with_capacity(self.layout.width());
-        for ((_, spec, off), st) in self.layout.entries().iter().zip(&self.states) {
-            let w = spec.acc_width();
-            st.physical_columns(spec, &types[*off..off + w], at, &mut out);
-        }
+        self.states.iter().for_each(|st| st.physical_columns(at, &mut out));
         out
     }
 
-    /// Finalize positions `at` into the logical columns, one per
-    /// aggregate declared `types` (in layout order): position `p`'s
-    /// accumulators where `present[p]`, X_init elsewhere. Column-wise per
-    /// typed kind, it gives [`AggSpec::finalize`]'s values, bit for bit,
-    /// as columns under [`ColumnBuilder`]'s rule.
-    pub fn finalize_columns(
-        &self,
-        types: &[DataType],
-        at: &[u32],
-        present: &[bool],
-    ) -> Result<Vec<Arc<Column>>> {
-        let entries = self.layout.entries().iter().zip(&self.states).enumerate();
+    /// Finalize positions `at` into the logical columns, one per aggregate
+    /// (in layout order): position `p`'s accumulators where `present[p]`,
+    /// X_init elsewhere. Column-wise per typed kind, it gives
+    /// [`AggSpec::finalize`]'s values, bit for bit, as columns under
+    /// [`ColumnBuilder`]'s rule.
+    pub fn finalize_columns(&self, at: &[u32], present: &[bool]) -> Vec<Arc<Column>> {
+        let entries = self.layout.entries().iter().zip(&self.states);
         entries
-            .map(|(k, ((_, spec, _), st))| Ok(Arc::new(st.finalize_column(spec, types[k], at, present)?)))
+            .map(|((_, spec, _), st)| Arc::new(st.finalize_column(spec, at, present)))
             .collect()
     }
 }

@@ -44,26 +44,30 @@ fn detail(rows: &[(i64, i64)]) -> Relation {
     .expect("static schema")
 }
 
-/// The key `g` in one of three detail layouts: 0 `Int`; 1 `Str`; 2
-/// `Mixed` — `Int`, integral `Double`, `NaN` and `NULL` in one column,
-/// with `-0.0` beside `Int(0)`. A `base` key is the same value, written as
-/// the other numeric type where there is one (`Double(2.0)` for `Int(2)`,
-/// `Int(0)` for `-0.0`).
+/// The type of the key `g` in one of four layouts: 0 `INT` on both
+/// sides; 1 `STR` on both; 2 a `DOUBLE` detail key against an `INT` base
+/// key; 3 an `INT` detail key against a `DOUBLE` base key.
+fn key_type(layout: usize, base: bool) -> DataType {
+    match (layout, base) {
+        (1, _) => DataType::Str,
+        (2, false) | (3, true) => DataType::Double,
+        _ => DataType::Int,
+    }
+}
+
+/// The key `g` as a value of [`key_type`]. The two numeric types meet
+/// where they are equal (`Double(2.0)` and `Int(2)`, `-0.0` and `Int(0)`),
+/// and `NULL` (`g = -3`) meets `NULL`; a `NaN` (`g = -2`) meets nothing,
+/// nor does the `Int(-2)` in its place.
 fn key(g: i64, layout: usize, base: bool) -> Value {
-    let v = match (layout, g) {
-        (0, _) => Value::Int(g),
-        (1, _) => Value::str(format!("k{g}")),
-        (_, -3) => Value::Null,
-        (_, -2) => Value::Double(f64::NAN),
-        (_, -1) => Value::Double(-0.0),
-        (_, 0) => Value::Int(0),
-        _ if g % 2 == 0 => Value::Double(g as f64),
+    match (key_type(layout, base), g) {
+        (DataType::Str, _) => Value::str(format!("k{g}")),
+        (_, -3) if layout > 1 => Value::Null,
+        (DataType::Double, -2) => Value::Double(f64::NAN),
+        (DataType::Double, -1) => Value::Double(-0.0),
+        (DataType::Double, _) => Value::Double(g as f64),
+        (_, -1) if layout > 1 => Value::Int(0),
         _ => Value::Int(g),
-    };
-    match v {
-        Value::Int(i) if base => Value::Double(i as f64),
-        Value::Double(x) if base && x.fract() == 0.0 => Value::Int(x as i64),
-        v => v,
     }
 }
 
@@ -179,11 +183,11 @@ proptest! {
         ),
         parallelism in 1usize..4,
         morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
-        layout in 0usize..3,
+        layout in 0usize..4,
         base_keys in proptest::collection::vec(-4i64..5, 0..10),
     ) {
         let d = Relation::new(
-            Schema::of(&[("g", DataType::Int), ("v", DataType::Int), ("x", DataType::Double)]),
+            Schema::of(&[("g", key_type(layout, false)), ("v", DataType::Int), ("x", DataType::Double)]),
             rows.into_iter()
                 .map(|(g, v, x)| Row::new(vec![key(g, layout, false), v, x]))
                 .collect(),
@@ -191,7 +195,7 @@ proptest! {
         .expect("static schema");
         // Keys -4, 3 and 4 have no local group: their `avg` stays NULL.
         let base = Relation::new(
-            Schema::of(&[("g", DataType::Int)]),
+            Schema::of(&[("g", key_type(layout, true))]),
             base_keys.iter().map(|&g| Row::new(vec![key(g, layout, true)])).collect(),
         )
         .expect("static schema");

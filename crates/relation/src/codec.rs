@@ -16,12 +16,13 @@
 //!   `-0.0` and `NaN` payloads survive);
 //! * `Str`: a dictionary (its length, then each string length-prefixed)
 //!   and one code per row, 1, 2 or 4 bytes wide as the dictionary needs —
-//!   or the strings themselves, length-prefixed, whichever is smaller;
-//! * `Mixed`: one tagged cell per row ([`Encoder::put_value`]), no bitmap.
+//!   or the strings themselves, length-prefixed, whichever is smaller.
 //!
-//! No column is written for an empty relation. A column's body is never
-//! larger than one tagged cell per row would be, but for one byte in a
-//! `Mixed` column or a one-row column holding `NULL`.
+//! A column is of its field's type, so its encoding byte is too: the
+//! decoder refuses a column encoded as another type than its field
+//! declares. No column is written for an empty relation. A column's body
+//! is never larger than one tagged cell per row ([`Encoder::put_value`])
+//! would be, but for one byte in a one-row column holding `NULL`.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -44,8 +45,7 @@ const COL_INT: u8 = 1;
 const COL_DOUBLE: u8 = 2;
 const COL_STR_DICT: u8 = 3;
 const COL_STR_PLAIN: u8 = 4;
-const COL_MIXED: u8 = 5;
-/// Or-ed into a typed column's encoding byte: a validity bitmap follows.
+/// Or-ed into a column's encoding byte: a validity bitmap follows.
 const COL_NULLS: u8 = 0x80;
 
 /// A byte sink with primitive writers.
@@ -163,11 +163,7 @@ impl Encoder {
     fn put_column(&mut self, col: &Column) {
         let (enc, _) = column_form(col);
         self.put_u8(enc);
-        let valid = if enc & COL_NULLS != 0 {
-            valid_bits(col)
-        } else {
-            None
-        };
+        let valid = valid_bits(col);
         if let Some(b) = valid {
             self.buf.extend(b.to_le_bytes());
         }
@@ -198,24 +194,13 @@ impl Encoder {
                     self.put_str(&dict[codes[i] as usize]);
                 }
             }
-            Column::Mixed(vs) => {
-                for v in vs {
-                    self.put_value(v);
-                }
-            }
         }
     }
 }
 
-/// The validity bitmap a typed column writes: its own, when it marks a
-/// `NULL`.
+/// The validity bitmap a column writes: its own, when it marks a `NULL`.
 fn valid_bits(col: &Column) -> Option<&Bitmap> {
-    match col {
-        Column::Int { valid, .. } | Column::Double { valid, .. } | Column::Str { valid, .. } => {
-            valid.as_ref().filter(|b| !b.all_set())
-        }
-        Column::Mixed(_) => None,
-    }
+    col.validity().filter(|b| !b.all_set())
 }
 
 /// Bytes per dictionary code for a dictionary of `n` strings.
@@ -255,10 +240,6 @@ fn column_form(col: &Column) -> (u8, usize) {
                 (COL_STR_PLAIN | nulls, 1 + bitmap + plain)
             }
         }
-        Column::Mixed(vs) => (
-            COL_MIXED,
-            1 + vs.iter().map(Value::encoded_size).sum::<usize>(),
-        ),
     }
 }
 
@@ -366,7 +347,9 @@ impl<'a> Decoder<'a> {
 
     /// Read a relation body of `schema`'s arity into its columns, as
     /// [`Encoder::put_columns`] wrote it. A row count the remaining bytes
-    /// cannot hold fails before anything is allocated for it.
+    /// cannot hold fails before anything is allocated for it, and a column
+    /// encoded as another type than its field fails before its body is
+    /// read.
     pub fn get_columns(&mut self, schema: &Schema) -> Result<Columns> {
         let n = self.get_u32()? as usize;
         // Each column of a non-empty body takes its encoding byte and at
@@ -383,14 +366,27 @@ impl<'a> Decoder<'a> {
             .iter()
             .map(|f| match n {
                 0 => Ok(Column::nulls(f.data_type(), 0)),
-                _ => self.get_column(n),
+                _ => self.get_column(f, n),
             })
             .collect::<Result<_>>()?;
         Ok(Columns::new(n, cols))
     }
 
-    fn get_column(&mut self, n: usize) -> Result<Column> {
+    fn get_column(&mut self, field: &Field, n: usize) -> Result<Column> {
         let enc = self.get_u8()?;
+        let ty = match enc & !COL_NULLS {
+            COL_INT => DataType::Int,
+            COL_DOUBLE => DataType::Double,
+            COL_STR_DICT | COL_STR_PLAIN => DataType::Str,
+            _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
+        };
+        if ty != field.data_type() {
+            return Err(Error::Codec(format!(
+                "a column encoded {ty} under {} field {}",
+                field.data_type(),
+                field.name()
+            )));
+        }
         let valid = match enc & COL_NULLS {
             0 => None,
             _ => Some(
@@ -444,7 +440,8 @@ impl<'a> Decoder<'a> {
                 let codes = scatter(codes.into_iter(), n, valid.as_ref());
                 Column::Str { codes, dict, valid }
             }
-            COL_STR_PLAIN => {
+            _ => {
+                // COL_STR_PLAIN: every other byte was refused above.
                 if 4 * n_valid > self.remaining() {
                     return Err(Error::Codec(format!("{n_valid} strings cannot fit")));
                 }
@@ -463,13 +460,6 @@ impl<'a> Decoder<'a> {
                 let codes = scatter(codes.into_iter(), n, valid.as_ref());
                 Column::Str { codes, dict, valid }
             }
-            COL_MIXED if valid.is_none() => {
-                if n > self.remaining() {
-                    return Err(Error::Codec(format!("{n} cells cannot fit")));
-                }
-                Column::Mixed((0..n).map(|_| self.get_value()).collect::<Result<_>>()?)
-            }
-            _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
         })
     }
 
@@ -800,9 +790,19 @@ mod tests {
                 "unknown column encoding",
             ),
             (
-                "a bitmap on a Mixed column",
-                raw(&int, 1, &[COL_MIXED | COL_NULLS, 1, 0]),
-                "unknown column encoding",
+                "encoding byte 5, the retired tagged-cell column",
+                raw(&int, 1, &[5, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
+                "unknown column encoding 0x05",
+            ),
+            (
+                "an Int column under a Double field",
+                raw(&dbl, 1, &[[COL_INT].as_slice(), &word].concat()),
+                "encoded INT under DOUBLE field c",
+            ),
+            (
+                "a Str column under an Int field",
+                raw(&int, 1, &[COL_STR_PLAIN, 1, 0, 0, 0, b'a']),
+                "encoded STR under INT field c",
             ),
             (
                 "short i64 run",

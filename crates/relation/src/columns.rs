@@ -3,9 +3,10 @@
 //! A [`Columns`] store holds one typed vector per column — `Vec<i64>` for
 //! integer columns, `Vec<f64>` for doubles, dictionary-encoded `u32` codes
 //! plus an interned string table for strings, each with an optional
-//! validity [`Bitmap`] marking non-`NULL` rows. Columns whose values do not
-//! all share one type (legal: type conformance is checked lazily) fall back
-//! to a [`Column::Mixed`] vector of [`Value`]s.
+//! validity [`Bitmap`] marking non-`NULL` rows. A column holds exactly its
+//! field's declared type: a relation refuses a value or column of another
+//! type at construction ([`crate::Relation::new`]), so no layer needs a
+//! representation for columns that mix types.
 //!
 //! The store is a *projection* of a relation's rows: [`Columns::from_rows`]
 //! is lossless (`NaN` bit patterns, `-0.0`, `NULL`s and shared `Str`
@@ -126,10 +127,10 @@ impl Bitmap {
 }
 
 /// One physical column: a typed vector with an optional validity bitmap
-/// (`None` ⇒ no `NULL`s), or a [`Value`] vector for mixed-type columns.
+/// (`None` ⇒ no `NULL`s).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
-    /// All non-`NULL` values are `Int`. `data[i]` is meaningful only where
+    /// An `INT` column. `data[i]` is meaningful only where
     /// `valid` is set (or everywhere when `valid` is `None`).
     Int {
         /// The integer values (0 at `NULL` rows).
@@ -137,7 +138,7 @@ pub enum Column {
         /// Validity mask; `None` means no `NULL`s.
         valid: Option<Bitmap>,
     },
-    /// All non-`NULL` values are `Double`. Bit patterns are preserved
+    /// A `DOUBLE` column. Bit patterns are preserved
     /// exactly (`NaN` payloads, `-0.0`).
     Double {
         /// The double values (0.0 at `NULL` rows).
@@ -145,7 +146,7 @@ pub enum Column {
         /// Validity mask; `None` means no `NULL`s.
         valid: Option<Bitmap>,
     },
-    /// All non-`NULL` values are `Str`, dictionary-encoded: `codes[i]`
+    /// A `STR` column, dictionary-encoded: `codes[i]`
     /// indexes `dict`, which holds each distinct string once — in first
     /// occurrence order when built from rows, in the sender's order when
     /// decoded ([`crate::codec`]). Rows sharing a string share one `Arc`.
@@ -157,8 +158,6 @@ pub enum Column {
         /// Validity mask; `None` means no `NULL`s.
         valid: Option<Bitmap>,
     },
-    /// Fallback for columns mixing value types: plain values.
-    Mixed(Vec<Value>),
 }
 
 impl Column {
@@ -179,19 +178,32 @@ impl Column {
                 Some(v) if !v.get(i) => Value::Null,
                 _ => Value::Str(Arc::clone(&dict[codes[i] as usize])),
             },
-            Column::Mixed(vs) => vs[i].clone(),
+        }
+    }
+
+    /// The column's type.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            Column::Int { .. } => DataType::Int,
+            Column::Double { .. } => DataType::Double,
+            Column::Str { .. } => DataType::Str,
+        }
+    }
+
+    /// The validity mask (`None`: no `NULL`s).
+    #[inline]
+    pub fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Column::Int { valid, .. } | Column::Double { valid, .. } | Column::Str { valid, .. } => {
+                valid.as_ref()
+            }
         }
     }
 
     /// Is row `i` non-`NULL`?
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
-        match self {
-            Column::Int { valid, .. }
-            | Column::Double { valid, .. }
-            | Column::Str { valid, .. } => valid.as_ref().is_none_or(|v| v.get(i)),
-            Column::Mixed(vs) => !vs[i].is_null(),
-        }
+        self.validity().is_none_or(|v| v.get(i))
     }
 
     /// Push row `i`'s value onto `rows[i]`, for every row.
@@ -212,7 +224,6 @@ impl Column {
             Column::Str { codes, dict, valid } => {
                 fill(rows, codes, valid, |k| Value::Str(Arc::clone(&dict[k as usize])))
             }
-            Column::Mixed(vs) => rows.iter_mut().zip(vs).for_each(|(r, v)| r.push(v.clone())),
         }
     }
 
@@ -227,7 +238,6 @@ impl Column {
             Column::Int { data, .. } => *v == Value::Int(data[i]),
             Column::Double { data, .. } => *v == Value::Double(data[i]),
             Column::Str { codes, dict, .. } => v.as_str() == Some(&*dict[codes[i] as usize]),
-            Column::Mixed(vs) => vs[i] == *v,
         }
     }
 
@@ -242,7 +252,6 @@ impl Column {
             Column::Int { data, .. } => canon_i64(data[i]),
             Column::Double { data, .. } => canon_f64(data[i]),
             Column::Str { codes, dict, .. } => (CANON_STR_TAG, str_word(&dict[codes[i] as usize])),
-            Column::Mixed(vs) => value_key_word(&vs[i]),
         }
     }
 
@@ -270,12 +279,11 @@ pub struct Columns {
 }
 
 impl Columns {
-    /// Build the columnar store from row-major data, every column.
+    /// Build the columnar store from row-major data, every column: each
+    /// the typed vector of its declared type ([`ColumnBuilder`]).
     ///
-    /// Column representations are chosen from the values actually present
-    /// (the declared schema type only breaks ties for all-`NULL` columns):
-    /// a column whose non-`NULL` values are all of one type gets the typed
-    /// vector, anything else falls back to [`Column::Mixed`].
+    /// # Panics
+    /// If a value is neither `NULL` nor of its field's type.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> Columns {
         let cols = (0..schema.len())
             .map(|c| Arc::new(Column::build(schema.field(c).data_type(), rows, c)))
@@ -353,37 +361,30 @@ impl Columns {
     }
 }
 
-/// A column built one value at a time under the **representation rule**
-/// every path that makes a [`Column`] keeps — rows ([`Columns::from_rows`]),
-/// a gather ([`Column::gather`]), typed arrays ([`Column::ints`],
-/// [`Column::doubles`]) and finalized `Value`s alike:
+/// A column of one declared type, built one value at a time under the
+/// **representation rule** every path that makes a [`Column`] keeps —
+/// rows ([`Columns::from_rows`]), a gather ([`Column::gather`]), the
+/// kernel's typed states and the codec alike:
 ///
-/// - a column whose non-`NULL` values all have one type is that typed
-///   vector, with a validity bitmap only when it holds a `NULL`, and 0 (or
-///   code 0) at its `NULL` rows;
-/// - a column with no non-`NULL` value (empty, or all `NULL`) has the
-///   declared type;
+/// - the column is its declared type's vector, with a validity bitmap
+///   only when it holds a `NULL`, and 0 (or code 0) at its `NULL` rows;
 /// - a string column's dictionary holds each string once, in first
-///   occurrence order;
-/// - anything else is [`Column::Mixed`].
+///   occurrence order.
 ///
 /// So a column's layout is a function of its values and declared type
 /// alone, and the codec's bytes ([`crate::codec`]) are too, whichever
 /// path built it.
 #[derive(Debug)]
 pub struct ColumnBuilder {
-    declared: DataType,
     len: usize,
     /// Rows pushed so far.
     at: usize,
     form: Form,
 }
 
-/// What a [`ColumnBuilder`] holds so far.
+/// The vector a [`ColumnBuilder`] fills: its declared type's.
 #[derive(Debug)]
 enum Form {
-    /// Only `NULL`s.
-    Nulls,
     Int(Vec<i64>, Option<Bitmap>),
     Double(Vec<f64>, Option<Bitmap>),
     Str {
@@ -392,56 +393,56 @@ enum Form {
         intern: HashMap<Arc<str>, u32>,
         valid: Option<Bitmap>,
     },
-    Mixed(Vec<Value>),
 }
 
 impl ColumnBuilder {
     /// A builder for a column of exactly `len` values of declared type
     /// `declared`.
     pub fn new(declared: DataType, len: usize) -> ColumnBuilder {
-        ColumnBuilder {
-            declared,
-            len,
-            at: 0,
-            form: Form::Nulls,
-        }
+        let form = match declared {
+            DataType::Int => Form::Int(vec![0; len], None),
+            DataType::Double => Form::Double(vec![0.0; len], None),
+            DataType::Str => Form::Str {
+                codes: vec![0; len],
+                dict: Vec::new(),
+                intern: HashMap::new(),
+                valid: None,
+            },
+        };
+        ColumnBuilder { len, at: 0, form }
     }
 
     /// Append the next value.
     ///
     /// # Panics
-    /// May panic past `len` values in all.
+    /// As [`ColumnBuilder::extend`].
     #[inline]
     pub fn push(&mut self, v: &Value) {
         self.extend(std::iter::once(v));
     }
 
     /// Append `values`, in order, as [`ColumnBuilder::push`] would one at
-    /// a time: one tight loop per layout, left only where a value changes
-    /// the layout or a first `NULL` makes the bitmap.
+    /// a time: one tight loop, left only where a first `NULL` makes the
+    /// bitmap.
     ///
     /// # Panics
-    /// May panic past `len` values in all.
+    /// On a value that is neither `NULL` nor of the declared type (a
+    /// relation refuses those at construction), and may panic past `len`
+    /// values in all.
     #[inline]
     pub fn extend<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
         let mut values = values.into_iter();
         while let Some(v) = self.run(&mut values) {
-            self.change_form(v);
+            self.first_null(v);
         }
     }
 
-    /// The current layout's loop over `values`, up to the first value it
-    /// cannot take, which it returns.
+    /// The layout's loop over `values`, up to the first value it cannot
+    /// take, which it returns.
     #[inline]
     fn run<'a>(&mut self, values: &mut impl Iterator<Item = &'a Value>) -> Option<&'a Value> {
         let at = &mut self.at;
         match &mut self.form {
-            Form::Nulls => loop {
-                match values.next() {
-                    Some(Value::Null) => *at += 1,
-                    v => break v,
-                }
-            },
             Form::Int(data, valid) => typed_run(data, valid.as_mut(), at, values, |v| match v {
                 Value::Int(x) => Some(*x),
                 _ => None,
@@ -462,66 +463,20 @@ impl ColumnBuilder {
                 })),
                 _ => None,
             }),
-            Form::Mixed(vs) => {
-                let before = vs.len();
-                vs.extend(values.cloned());
-                *at += vs.len() - before;
-                None
-            }
         }
     }
 
-    /// The next row holds `v`, which the layout so far cannot take: the
-    /// first value picks the layout (the rows before it are `NULL`), a
-    /// typed layout's first `NULL` makes its bitmap (every earlier row
-    /// valid), and a second type makes the column mixed.
+    /// The next row holds `v`, which the loop did not take: a first
+    /// `NULL`, which makes the bitmap (every earlier row valid).
     #[cold]
     #[inline(never)]
-    fn change_form(&mut self, v: &Value) {
-        let (i, len) = (self.at, self.len);
-        match (&mut self.form, v) {
-            (Form::Nulls, v) => {
-                let valid = (i > 0).then(|| Bitmap::new(len));
-                self.form = match v {
-                    Value::Int(_) => Form::Int(vec![0; len], valid),
-                    Value::Double(_) => Form::Double(vec![0.0; len], valid),
-                    _ => Form::Str {
-                        codes: vec![0; len],
-                        dict: Vec::new(),
-                        intern: HashMap::new(),
-                        valid,
-                    },
-                };
-                self.push(v);
-            }
-            (Form::Int(_, valid) | Form::Double(_, valid) | Form::Str { valid, .. }, Value::Null) => {
-                let mut b = Bitmap::new(len);
-                (0..i).for_each(|j| b.set(j));
-                *valid = Some(b);
-                self.at += 1;
-            }
-            (_, v) => {
-                let mut vs = Vec::with_capacity(len);
-                vs.extend((0..i).map(|j| self.form_value(j)));
-                vs.push(v.clone());
-                self.form = Form::Mixed(vs);
-                self.at += 1;
-            }
-        }
-    }
-
-    /// The value pushed at row `i` of a typed form.
-    fn form_value(&self, i: usize) -> Value {
-        let valid = |v: &Option<Bitmap>| v.as_ref().is_none_or(|b| b.get(i));
-        match &self.form {
-            Form::Int(data, v) if valid(v) => Value::Int(data[i]),
-            Form::Double(data, v) if valid(v) => Value::Double(data[i]),
-            Form::Str {
-                codes, dict, valid: v, ..
-            } if valid(v) => Value::Str(Arc::clone(&dict[codes[i] as usize])),
-            Form::Mixed(vs) => vs[i].clone(),
-            _ => Value::Null,
-        }
+    fn first_null(&mut self, v: &Value) {
+        assert!(v.is_null(), "{v:?} in a column of another type");
+        let (Form::Int(_, valid) | Form::Double(_, valid) | Form::Str { valid, .. }) = &mut self.form;
+        let mut b = Bitmap::new(self.len);
+        (0..self.at).for_each(|j| b.set(j));
+        *valid = Some(b);
+        self.at += 1;
     }
 
     /// The column.
@@ -531,13 +486,11 @@ impl ColumnBuilder {
     pub fn finish(self) -> Column {
         debug_assert_eq!(self.at, self.len, "fewer values than the builder's length");
         match self.form {
-            Form::Nulls => Column::nulls(self.declared, self.len),
             Form::Int(data, valid) => Column::Int { data, valid },
             Form::Double(data, valid) => Column::Double { data, valid },
             Form::Str {
                 codes, dict, valid, ..
             } => Column::Str { codes, dict, valid },
-            Form::Mixed(vs) => Column::Mixed(vs),
         }
     }
 }
@@ -602,55 +555,24 @@ impl Column {
         }
     }
 
-    /// The `Int` column of `data`, `NULL` where `valid` is clear, under
-    /// the rule: a column of no value (empty, or `NULL`s only) is
-    /// `declared`'s. `data` holds 0
-    /// at `NULL` rows, and `valid` is `None` when nothing is `NULL`
-    /// ([`Bitmap::of`]).
-    pub fn ints(declared: DataType, data: Vec<i64>, valid: Option<Bitmap>) -> Column {
-        match valid {
-            _ if data.is_empty() => Column::nulls(declared, 0),
-            Some(b) if b.count_ones() == 0 => Column::nulls(declared, data.len()),
-            valid => Column::Int { data, valid },
-        }
-    }
-
-    /// [`Column::ints`] for doubles.
-    pub fn doubles(declared: DataType, data: Vec<f64>, valid: Option<Bitmap>) -> Column {
-        match valid {
-            _ if data.is_empty() => Column::nulls(declared, 0),
-            Some(b) if b.count_ones() == 0 => Column::nulls(declared, data.len()),
-            valid => Column::Double { data, valid },
-        }
-    }
-
     /// Rows `at` of this column, in that order, as the column of their
-    /// values ([`ColumnBuilder`]'s rule: typed columns are gathered as
-    /// vectors, a string dictionary is renumbered in first occurrence
-    /// order, and a `Mixed` column goes value by value). `declared` is
-    /// the column's declared type.
-    pub fn gather(&self, declared: DataType, at: &[u32]) -> Column {
+    /// values ([`ColumnBuilder`]'s rule: typed vectors are gathered, and a
+    /// string dictionary is renumbered in first occurrence order).
+    pub fn gather(&self, at: &[u32]) -> Column {
         let n = at.len();
-        let valid = |v: &Option<Bitmap>| {
-            v.as_ref()
-                .and_then(|b| Bitmap::of(n, |k| b.get(at[k] as usize)))
-        };
+        let valid = self
+            .validity()
+            .and_then(|b| Bitmap::of(n, |k| b.get(at[k] as usize)));
         match self {
-            Column::Int { data, valid: v } => {
-                Column::ints(declared, at.iter().map(|&i| data[i as usize]).collect(), valid(v))
-            }
-            Column::Double { data, valid: v } => {
-                Column::doubles(declared, at.iter().map(|&i| data[i as usize]).collect(), valid(v))
-            }
-            Column::Str {
-                codes,
-                dict,
-                valid: v,
-            } => {
-                let valid = valid(v);
-                if n == 0 || valid.as_ref().is_some_and(|b| b.count_ones() == 0) {
-                    return Column::nulls(declared, n);
-                }
+            Column::Int { data, .. } => Column::Int {
+                data: at.iter().map(|&i| data[i as usize]).collect(),
+                valid,
+            },
+            Column::Double { data, .. } => Column::Double {
+                data: at.iter().map(|&i| data[i as usize]).collect(),
+                valid,
+            },
+            Column::Str { codes, dict, .. } => {
                 // Old code → new code + 1 (0: not seen yet). An array
                 // over the dictionary unless the dictionary is far longer
                 // than the gather; then a map, so a short slice of a
@@ -685,17 +607,11 @@ impl Column {
                     valid,
                 }
             }
-            Column::Mixed(vs) => {
-                let mut b = ColumnBuilder::new(declared, n);
-                b.extend(at.iter().map(|&i| &vs[i as usize]));
-                b.finish()
-            }
         }
     }
 
     /// Rows `i` and `j` in [`Value`]'s order, read in place: `NULL`
-    /// first, numbers natively, strings through the dictionary; only a
-    /// `Mixed` column compares `Value`s.
+    /// first, numbers natively, strings through the dictionary.
     #[inline]
     pub fn cmp_rows(&self, i: usize, j: usize) -> std::cmp::Ordering {
         match (self.is_valid(i), self.is_valid(j)) {
@@ -708,12 +624,11 @@ impl Column {
             Column::Str { codes, dict, .. } => {
                 dict[codes[i] as usize].cmp(&dict[codes[j] as usize])
             }
-            Column::Mixed(vs) => vs[i].cmp(&vs[j]),
         }
     }
 
     /// Is row `i` of this column [`Value`]-equal to row `j` of `other`?
-    /// Compares in place when the two share a typed layout.
+    /// Compares in place when the two share a type.
     #[inline]
     pub fn value_eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
         match (self.is_valid(i), other.is_valid(j)) {
@@ -738,7 +653,6 @@ impl Column {
             Column::Int { data, .. } => data.len(),
             Column::Double { data, .. } => data.len(),
             Column::Str { codes, .. } => codes.len(),
-            Column::Mixed(vs) => vs.len(),
         }
     }
 
@@ -749,8 +663,7 @@ impl Column {
 
     /// Canonicalize the column for grouping: per row the `(tag, word)`
     /// pair of [`canon_value`]. Dictionary-encoded string columns turn
-    /// their codes into words directly (one pass over `u32`s, no hashing);
-    /// other layouts canonicalize element-wise.
+    /// their codes into words directly (one pass over `u32`s, no hashing).
     pub(crate) fn canon_keys(&self) -> CanonKeys {
         let len = self.len();
         let mut tags = vec![0u8; len];
@@ -776,12 +689,6 @@ impl Column {
                         tags[i] = CANON_STR_TAG;
                         words[i] = codes[i] as u64;
                     }
-                }
-            }
-            Column::Mixed(vs) => {
-                let mut codes = StrCodes::default();
-                for i in 0..len {
-                    (tags[i], words[i]) = canon_value(&vs[i], &mut codes);
                 }
             }
         }
@@ -839,16 +746,6 @@ const KEY_SEED: u64 = 0x51CA_11A0_C0FF_EE00;
 #[inline]
 fn mix_key_word(h: u64, (tag, word): (u8, u64)) -> u64 {
     mix64(mix64(h, tag as u64), word)
-}
-
-/// A value's canonical pair under [`row_key_hash`]: strings by content.
-fn value_key_word(v: &Value) -> (u8, u64) {
-    match v {
-        Value::Null => CANON_NULL,
-        Value::Int(i) => canon_i64(*i),
-        Value::Double(d) => canon_f64(*d),
-        Value::Str(s) => (CANON_STR_TAG, str_word(s)),
-    }
 }
 
 /// A string's content word.
@@ -1063,12 +960,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_column_falls_back() {
+    fn mixed_column_is_refused() {
         let schema = Schema::of(&[("x", DataType::Int)]);
         let rows = vec![row![1i64], row!["s"], row![Value::Null]];
-        let cols = Columns::from_rows(&schema, &rows);
-        assert!(matches!(cols.col(0), Column::Mixed(_)));
-        assert_eq!(cols.to_rows(), rows);
+        let err = crate::Relation::new(schema, rows).unwrap_err();
+        assert!(matches!(err, crate::Error::SchemaMismatch(_)), "{err}");
     }
 
     #[test]
@@ -1095,24 +991,14 @@ mod tests {
                 x.iter().map(|d| d.to_bits()).eq(y.iter().map(|d| d.to_bits())) && v == w
             }
             (Column::Str { .. }, Column::Str { .. }) => a == b,
-            (Column::Mixed(x), Column::Mixed(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|(p, q)| match (p, q) {
-                        (Value::Double(p), Value::Double(q)) => p.to_bits() == q.to_bits(),
-                        (Value::Int(p), Value::Int(q)) => p == q,
-                        (Value::Str(p), Value::Str(q)) => p == q,
-                        (Value::Null, Value::Null) => true,
-                        _ => false,
-                    })
-            }
             _ => false,
         }
     }
 
     /// Every path that makes a column keeps `Column::build`'s rule: the
-    /// value-at-a-time builder, the gather (of every subset order the
-    /// cases try), the typed constructors and the codec's round trip give
-    /// the column `Column::build` gives over the same values.
+    /// value-at-a-time builder and the gather (of every subset order the
+    /// cases try) give the column `Column::build` gives over the same
+    /// values.
     #[test]
     fn every_builder_keeps_the_representation_rule() {
         let nan = |bits: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
@@ -1120,17 +1006,14 @@ mod tests {
         let cases: Vec<(DataType, Vec<Value>)> = vec![
             (DataType::Int, vec![Value::Int(3), Value::Null, Value::Int(-1), Value::Int(3)]),
             (DataType::Double, vec![Value::Double(-0.0), nan(1), Value::Null, nan(0xabc), Value::Double(0.0)]),
-            // Int values in a Double column stay Int; all NULL is declared.
-            (DataType::Double, vec![Value::Int(1), Value::Int(2)]),
+            (DataType::Double, vec![Value::Double(1.0), Value::Double(2.0)]),
+            // All NULL, and NULLs before a first value.
             (DataType::Double, vec![Value::Null, Value::Null, Value::Null]),
             (DataType::Str, vec![Value::Null, Value::Null]),
             (DataType::Int, vec![]),
+            (DataType::Int, vec![Value::Null, Value::Int(1), Value::Int(-7), Value::Null]),
             // Shared and repeated strings, equal contents in distinct Arcs.
-            (DataType::Str, vec![b.clone(), a.clone(), Value::Null, b.clone(), Value::str("a"), a]),
-            // Mixed: a second type anywhere, NULLs around it.
-            (DataType::Int, vec![Value::Null, Value::Int(1), Value::str("s"), Value::Null]),
-            (DataType::Int, vec![Value::Int(1), Value::Double(1.0), Value::Null]),
-            (DataType::Str, vec![b, Value::Null, Value::Int(0), nan(2)]),
+            (DataType::Str, vec![b.clone(), a.clone(), Value::Null, b, Value::str("a"), a]),
         ];
         for (declared, values) in &cases {
             let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
@@ -1138,17 +1021,9 @@ mod tests {
             let mut builder = ColumnBuilder::new(*declared, values.len());
             values.iter().for_each(|v| builder.push(v));
             assert!(same(&builder.finish(), &built), "builder, {values:?}");
-            // Typed constructors over the typed columns' own vectors.
-            match &built {
-                Column::Int { data, valid } => {
-                    let c = Column::ints(*declared, data.clone(), valid.clone());
-                    assert!(same(&c, &built), "ints, {values:?}");
-                }
-                Column::Double { data, valid } => {
-                    let c = Column::doubles(*declared, data.clone(), valid.clone());
-                    assert!(same(&c, &built), "doubles, {values:?}");
-                }
-                _ => {}
+            assert_eq!(built.data_type(), *declared);
+            if values.iter().all(Value::is_null) {
+                assert!(same(&built, &Column::nulls(*declared, values.len())), "nulls, {values:?}");
             }
             // Gathers: reversed, every other row, each single row, a
             // repeat, nothing.
@@ -1161,7 +1036,7 @@ mod tests {
             for at in picks {
                 let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
                 let want = Column::build(*declared, &rows, 0);
-                let got = built.gather(*declared, &at);
+                let got = built.gather(&at);
                 assert!(same(&got, &want), "gather {at:?} of {values:?}: {got:?} vs {want:?}");
             }
         }
@@ -1174,49 +1049,45 @@ mod tests {
         for at in [vec![260, 10, 260, 14], vec![7], vec![299, 49], vec![2, 1, 2], vec![3, 4]] {
             let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
             let want = Column::build(DataType::Str, &rows, 0);
-            let got = built.gather(DataType::Str, &at);
+            let got = built.gather(&at);
             assert!(same(&got, &want), "gather {at:?}: {got:?} vs {want:?}");
         }
-        // An all-set bitmap is no bitmap, and a clear one is all NULL.
+        // An all-set bitmap is no bitmap.
         assert_eq!(Bitmap::of(70, |_| true), None);
         assert_eq!(Bitmap::of(70, |i| i != 69).map(|b| b.count_ones()), Some(69));
-        assert!(same(
-            &Column::ints(DataType::Str, vec![0, 0], Some(Bitmap::new(2))),
-            &Column::nulls(DataType::Str, 2)
-        ));
     }
 
-    /// Ordering and equality read in place agree with `Value`'s.
+    /// Ordering and equality read in place agree with `Value`'s, within
+    /// a column and across columns of different types: `Int(2)` against
+    /// `Double(2.0)`, `Int(0)` against `-0.0`, `i64::MAX` against 2⁶³, NaN,
+    /// `NULL` and strings against numbers.
     #[test]
     fn in_place_order_and_equality_agree_with_value() {
-        let values = [
-            Value::Null,
-            Value::Int(2),
-            Value::Double(2.0),
-            Value::Double(-0.0),
-            Value::Int(0),
-            Value::Double(f64::NAN),
-            Value::Int(i64::MAX),
-            Value::Double(9_223_372_036_854_775_808.0),
-            Value::str("b"),
-            Value::str("a"),
+        let column = |t: DataType, values: &[Value]| {
+            let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+            Column::build(t, &rows, 0)
+        };
+        let typed = [
+            column(DataType::Int, &[Value::Int(2), Value::Int(0), Value::Int(i64::MAX), Value::Null]),
+            column(
+                DataType::Double,
+                &[
+                    Value::Double(2.0),
+                    Value::Double(-0.0),
+                    Value::Double(f64::NAN),
+                    Value::Double(9_223_372_036_854_775_808.0),
+                    Value::Null,
+                ],
+            ),
+            column(DataType::Str, &[Value::str("b"), Value::str("a"), Value::Null]),
         ];
-        let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
-        let mixed = Column::build(DataType::Int, &rows, 0);
-        let typed: Vec<Column> = [(DataType::Int, 0..2), (DataType::Double, 2..6), (DataType::Str, 8..10)]
-            .into_iter()
-            .map(|(t, r)| {
-                let rows: Vec<Row> = rows[r].iter().chain(&rows[..1]).cloned().collect();
-                Column::build(t, &rows, 0)
-            })
-            .collect();
-        for c in typed.iter().chain([&mixed]) {
+        for c in &typed {
             for i in 0..c.len() {
                 for j in 0..c.len() {
                     assert_eq!(c.cmp_rows(i, j), c.value(i).cmp(&c.value(j)), "{c:?} {i} {j}");
                 }
             }
-            for d in typed.iter().chain([&mixed]) {
+            for d in &typed {
                 for i in 0..c.len() {
                     for j in 0..d.len() {
                         assert_eq!(c.value_eq_at(i, d, j), c.value(i) == d.value(j));
@@ -1238,9 +1109,17 @@ mod tests {
         assert!(!b.all_set());
     }
 
-    /// The key hash of `key`, one `Mixed` column per value.
+    /// The key hash of `key`, one one-row column of the value's type per
+    /// value.
     fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
-        let cols: Vec<Column> = key.into_iter().map(|v| Column::Mixed(vec![v.clone()])).collect();
+        let cols: Vec<Column> = key
+            .into_iter()
+            .map(|v| {
+                let mut b = ColumnBuilder::new(v.data_type().unwrap_or(DataType::Int), 1);
+                b.push(v);
+                b.finish()
+            })
+            .collect();
         row_key_hash(&cols, 0)
     }
 

@@ -392,7 +392,9 @@ impl Expr {
     ///
     /// Comparisons and boolean operators produce `Int` (0/1); division
     /// produces `Double`; other arithmetic produces `Int` only when both
-    /// operands are `Int`.
+    /// operands are `Int`. Every non-`NULL` value [`BoundExpr::eval`]
+    /// gives is of this type. `+`, `-`, `*` and `/` with a `Str` operand,
+    /// which evaluation refuses, are an [`Error::TypeError`] here already.
     pub fn infer_type(&self, base: &Schema, detail: Option<&Schema>) -> Result<crate::DataType> {
         use crate::DataType;
         match self {
@@ -406,18 +408,18 @@ impl Expr {
             Expr::Lit(v) => Ok(v.data_type().unwrap_or(DataType::Int)),
             Expr::True | Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(_)
             | Expr::InList(..) => Ok(DataType::Int),
-            Expr::Arith(op, a, b) => match op {
-                ArithOp::Div => Ok(DataType::Double),
-                ArithOp::Mod => Ok(DataType::Int),
-                _ => {
-                    let (ta, tb) = (a.infer_type(base, detail)?, b.infer_type(base, detail)?);
-                    if ta == DataType::Int && tb == DataType::Int {
-                        Ok(DataType::Int)
-                    } else {
-                        Ok(DataType::Double)
-                    }
+            Expr::Arith(op, a, b) => {
+                let (ta, tb) = (a.infer_type(base, detail)?, b.infer_type(base, detail)?);
+                match op {
+                    ArithOp::Mod => Ok(DataType::Int),
+                    _ if ta == DataType::Str || tb == DataType::Str => Err(Error::TypeError(
+                        format!("non-numeric operand of {op} in {self}"),
+                    )),
+                    ArithOp::Div => Ok(DataType::Double),
+                    _ if ta == DataType::Int && tb == DataType::Int => Ok(DataType::Int),
+                    _ => Ok(DataType::Double),
                 }
-            },
+            }
         }
     }
 
@@ -679,6 +681,21 @@ mod tests {
             eval_arith(ArithOp::Div, &Value::Int(7), &Value::Int(0)).unwrap(),
             Value::Null
         );
+    }
+
+    /// `+ - * /` with a string operand are refused at typing, as their
+    /// evaluation is; `%` evaluates to `NULL` there and types as `INT`.
+    #[test]
+    fn string_arithmetic_is_a_type_error() {
+        let d = Schema::of(&[("name", DataType::Str), ("x", DataType::Double)]);
+        let empty = Schema::of(&[]);
+        let name = || Expr::dcol("name");
+        for e in [name().add(Expr::lit(1i64)), Expr::lit(2.0).div(name()), name().mul(Expr::dcol("x"))] {
+            assert!(matches!(e.infer_type(&empty, Some(&d)), Err(Error::TypeError(_))), "{e}");
+        }
+        let m = Expr::Arith(ArithOp::Mod, Box::new(name()), Box::new(Expr::lit(2i64)));
+        assert_eq!(m.infer_type(&empty, Some(&d)).unwrap(), DataType::Int);
+        assert_eq!(Expr::dcol("x").add(Expr::lit(1i64)).infer_type(&empty, Some(&d)).unwrap(), DataType::Double);
     }
 
     #[test]

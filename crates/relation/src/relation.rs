@@ -4,12 +4,14 @@ use crate::columns::{canon_eq, canon_hash, CanonKeys, Column, Columns, IdTable};
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::row::Row;
-use crate::schema::{Schema, SchemaRef};
+use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::Value;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// A multiset of rows sharing one schema.
+/// A multiset of rows sharing one schema. Every value is `NULL` or of its
+/// field's type, and every column is of its field's type: the
+/// constructors refuse anything else.
 ///
 /// This is the storage unit of each warehouse site's local detail relation
 /// and of every structure shipped between sites and the coordinator. The
@@ -123,12 +125,24 @@ impl Relation {
     /// columnar layout, and its rows are built from them the first time
     /// something reads them, so a consumer that reads columns only never
     /// builds a row.
+    ///
+    /// Refuses, with [`Error::SchemaMismatch`], a column count other than
+    /// the schema's arity and a column of another type than its field's.
     pub fn from_columns(schema: Schema, cols: Columns) -> Result<Relation> {
         if cols.arity() != schema.len() {
             return Err(Error::SchemaMismatch(format!(
                 "{} columns vs schema arity {}",
                 cols.arity(),
                 schema.len()
+            )));
+        }
+        let mut fields = schema.fields().iter().zip(cols.shared());
+        if let Some((f, c)) = fields.find(|(f, c)| c.data_type() != f.data_type()) {
+            return Err(Error::SchemaMismatch(format!(
+                "{} column under {} field {}",
+                c.data_type(),
+                f.data_type(),
+                f.name()
             )));
         }
         let derived = Derived::default();
@@ -144,8 +158,9 @@ impl Relation {
 
     /// A relation from a schema and rows.
     ///
-    /// Validates that every row has the schema's arity. (Type conformance is
-    /// checked lazily by expressions; generators produce well-typed rows.)
+    /// Refuses, with [`Error::SchemaMismatch`], a row of another arity than
+    /// the schema's and a value that is neither `NULL` nor of its field's
+    /// type. Nothing is converted, not even an `Int` in a `DOUBLE` field.
     pub fn new(schema: Schema, rows: Vec<Row>) -> Result<Relation> {
         let schema = Arc::new(schema);
         for r in &rows {
@@ -156,14 +171,25 @@ impl Relation {
                     schema.len()
                 )));
             }
+            if let Some((f, v)) = misfit(&schema, r) {
+                return Err(Error::SchemaMismatch(format!(
+                    "{v:?} in {} field {}",
+                    f.data_type(),
+                    f.name()
+                )));
+            }
         }
         Ok(Relation::from_shared(schema, rows))
     }
 
-    /// A relation reusing an existing shared schema (no arity re-check; used
-    /// on hot paths where rows are constructed against that schema).
+    /// A relation reusing an existing shared schema (no re-check; used on
+    /// hot paths where rows are constructed against that schema). Debug
+    /// builds assert what [`Relation::new`] checks.
     pub fn from_shared(schema: SchemaRef, rows: Vec<Row>) -> Relation {
-        debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
+        debug_assert!(
+            rows.iter().all(|r| r.len() == schema.len() && misfit(&schema, r).is_none()),
+            "rows that do not conform to {schema}"
+        );
         Relation {
             schema,
             rows: OnceLock::from(rows),
@@ -201,8 +227,9 @@ impl Relation {
         self.rows.get_or_init(|| self.columns().to_rows())
     }
 
-    /// Mutable access to the rows (coordinator-side in-place merges).
-    /// Drops everything derived from them.
+    /// Mutable access to the rows. Drops everything derived from them.
+    /// The rows must still conform to the schema: building a column of a
+    /// value of another type panics.
     #[expect(clippy::expect_used, reason = "the rows are set on the line before")]
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
         let rows = self.rows.take().unwrap_or_else(|| self.columns().to_rows());
@@ -214,9 +241,9 @@ impl Relation {
     /// Append a row. Drops everything derived from the rows.
     ///
     /// # Panics
-    /// Debug-asserts the arity matches.
+    /// Debug-asserts that the row conforms to the schema.
     pub fn push(&mut self, row: Row) {
-        debug_assert_eq!(row.len(), self.schema.len());
+        debug_assert!(row.len() == self.schema.len() && misfit(&self.schema, &row).is_none());
         self.rows_mut().push(row);
     }
 
@@ -439,6 +466,13 @@ impl Relation {
     }
 }
 
+/// The first value of `row` that is neither `NULL` nor of its field's
+/// type, with its field.
+fn misfit<'a>(schema: &'a Schema, row: &'a Row) -> Option<(&'a Field, &'a Value)> {
+    let mut fields = schema.fields().iter().zip(row.values());
+    fields.find(|(f, v)| v.data_type().is_some_and(|t| t != f.data_type()))
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.schema)?;
@@ -475,6 +509,31 @@ mod tests {
     fn arity_checked() {
         let err = Relation::new(Schema::of(&[("a", DataType::Int)]), vec![row![1i64, 2i64]]);
         assert!(err.is_err());
+    }
+
+    /// A value or column of another type than its field's is refused,
+    /// and nothing converts: not even an `Int` a `DOUBLE` holds exactly.
+    #[test]
+    fn ill_typed_values_and_columns_are_refused() {
+        let dbl = || Schema::of(&[("x", DataType::Double)]);
+        let int = || Schema::of(&[("k", DataType::Int)]);
+        let refused = |r: Result<Relation>| match r {
+            Err(Error::SchemaMismatch(m)) => m,
+            other => panic!("expected a schema mismatch, got {other:?}"),
+        };
+        for v in [Value::Int((1 << 53) + 1), Value::Int(1)] {
+            let m = refused(Relation::new(dbl(), vec![row![Value::Null], Row::new(vec![v])]));
+            assert!(m.contains("DOUBLE field x"), "{m}");
+        }
+        for v in [Value::Double(0.5), Value::str("s")] {
+            let m = refused(Relation::new(int(), vec![Row::new(vec![v])]));
+            assert!(m.contains("INT field k"), "{m}");
+        }
+        let ints = Columns::new(1, vec![Column::Int { data: vec![1], valid: None }]);
+        let m = refused(Relation::from_columns(dbl(), ints));
+        assert_eq!(m, "INT column under DOUBLE field x");
+        // NULL conforms to every type.
+        assert!(Relation::new(int(), vec![row![Value::Null]]).is_ok());
     }
 
     #[test]
@@ -645,24 +704,24 @@ mod tests {
     #[test]
     fn groups_number_rows_by_value_equality_in_first_occurrence_order() {
         let r = Relation::new(
-            Schema::of(&[("k", DataType::Int)]),
+            Schema::of(&[("k", DataType::Double)]),
             [
-                Value::Int(2),
+                Value::Double(2.0),
                 Value::Double(2.0),
                 Value::Null,
                 Value::Double(-0.0),
-                Value::Int(0),
+                Value::Double(0.0),
                 Value::Double(f64::NAN),
                 Value::Double(-f64::NAN),
                 Value::Null,
-                Value::str("s"),
+                Value::Double(2.5),
             ]
             .into_iter()
             .map(|v| Row::new(vec![v]))
             .collect(),
         )
         .unwrap();
-        assert!(matches!(r.column(0), Column::Mixed(_)));
+        assert!(matches!(r.column(0), Column::Double { .. }));
         let g = r.groups(&[0]);
         assert_eq!(g.ids(), [0, 0, 1, 2, 2, 3, 3, 1, 4]);
         assert_eq!(g.first_rows(), [0, 2, 3, 5, 8]);

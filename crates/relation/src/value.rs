@@ -109,7 +109,7 @@ impl Value {
     }
 
     /// Size in bytes of the value as one tagged cell ([`crate::codec`]
-    /// writes a `Mixed` column's rows so).
+    /// writes expression literals so).
     pub fn encoded_size(&self) -> usize {
         match self {
             Value::Null => 1,

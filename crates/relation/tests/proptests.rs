@@ -17,6 +17,22 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// `v` as a value of type `t` (`NULL` stays `NULL`): a relation holds
+/// only values of its fields' types.
+fn conform(v: Value, t: DataType) -> Value {
+    match (v, t) {
+        (Value::Int(i), DataType::Double) => Value::Double(i as f64),
+        (Value::Int(i), DataType::Str) => Value::str(i.to_string()),
+        (Value::Double(d), DataType::Int) => Value::Int(d as i64),
+        (Value::Double(d), DataType::Str) => Value::str(d.to_string()),
+        (Value::Str(s), DataType::Int) => Value::Int(s.len() as i64),
+        (Value::Str(s), DataType::Double) => Value::Double(s.len() as f64 / 4.0),
+        (v, _) => v,
+    }
+}
+
+/// Relations of 1–4 columns of random types, each cell `NULL` or a value
+/// of its column's type.
 fn arb_relation() -> impl Strategy<Value = Relation> {
     (1usize..5).prop_flat_map(|arity| {
         let schema_types = proptest::collection::vec(
@@ -41,17 +57,17 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
                     .map(|(n, t)| (n.as_str(), *t))
                     .collect::<Vec<_>>(),
             );
-            Relation::new(schema, rows.into_iter().map(Row::new).collect())
-                .expect("arity matches")
+            let rows = rows.into_iter().map(|r| {
+                Row::new(r.into_iter().zip(&types).map(|(v, t)| conform(v, *t)).collect())
+            });
+            Relation::new(schema, rows.collect()).expect("rows conform")
         })
     })
 }
 
-/// Relations biased toward the columnar layout's edge cases: per-column
-/// homogeneous types (so Int/Double/Str columns actually form), Nulls
-/// everywhere, NaN and -0.0 payloads, and a tiny string alphabet so the
-/// dictionary sees repeats — plus a mixed-type column kind for the
-/// fallback path.
+/// Relations biased toward the columnar layout's edge cases: Int, Double
+/// and Str columns with Nulls everywhere, NaN and -0.0 payloads, and a
+/// tiny string alphabet so the dictionary sees repeats.
 fn arb_columnar_relation() -> impl Strategy<Value = Relation> {
     fn cell(kind: usize) -> BoxedStrategy<Value> {
         match kind {
@@ -70,17 +86,16 @@ fn arb_columnar_relation() -> impl Strategy<Value = Relation> {
                 Just(Value::Null),
             ]
             .boxed(),
-            2 => prop_oneof![
+            _ => prop_oneof![
                 "[ab]{0,2}".prop_map(Value::str),
                 "[ab]{0,2}".prop_map(Value::str),
                 Just(Value::Null),
             ]
             .boxed(),
-            _ => arb_value().boxed(),
         }
     }
     (
-        (0usize..4, 0usize..4, 0usize..4, 0usize..4),
+        (0usize..3, 0usize..3, 0usize..3, 0usize..3),
         1usize..5,
         0usize..24,
     )
@@ -119,16 +134,16 @@ fn arb_columnar_relation() -> impl Strategy<Value = Relation> {
                             )
                         })
                         .collect();
-                    Relation::new(schema, rows).expect("arity matches")
+                    Relation::new(schema, rows).expect("rows conform")
                 })
         })
 }
 
 /// Relations whose cells collide under `Value`'s `Eq`/`Hash` without being
-/// identical — `Int`/`Double` aliases, `±0.0`, NaNs with different
-/// payloads, `NULL`s, equal strings in one shared and in separate
-/// allocations — over typed (kinds 0–2) and mixed-type (kind 3) columns,
-/// with a key: a non-empty list of distinct column names in any order.
+/// identical — `±0.0`, NaNs with different payloads, `NULL`s, equal
+/// strings in one shared and in separate allocations — over Int, Double
+/// and Str columns, with a key: a non-empty list of distinct column names
+/// in any order.
 fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
     fn cell(kind: usize, shared: &std::sync::Arc<str>) -> BoxedStrategy<Value> {
         let ints = prop_oneof![(-2i64..3).prop_map(Value::Int), Just(Value::Null)];
@@ -148,12 +163,11 @@ fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
         match kind {
             0 => ints.boxed(),
             1 => doubles.boxed(),
-            2 => strings.boxed(),
-            _ => prop_oneof![ints, doubles, strings].boxed(),
+            _ => strings.boxed(),
         }
     }
     (
-        proptest::collection::vec(0usize..4, 1..4),
+        proptest::collection::vec(0usize..3, 1..4),
         0usize..30,
         0usize..3,
         1usize..4,
@@ -169,10 +183,12 @@ fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
             columns.prop_map(move |(c0, c1, c2)| {
                 let cols = [c0, c1, c2];
                 let names: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+                let types = [DataType::Int, DataType::Double, DataType::Str];
                 let schema = Schema::of(
                     &names
                         .iter()
-                        .map(|n| (n.as_str(), DataType::Int))
+                        .zip(&kinds)
+                        .map(|(n, &k)| (n.as_str(), types[k]))
                         .collect::<Vec<_>>(),
                 );
                 let rows = (0..n_rows)
@@ -181,7 +197,7 @@ fn arb_keyed_relation() -> impl Strategy<Value = (Relation, Vec<String>)> {
                 let key = (0..key_len.min(arity))
                     .map(|j| names[(rot + j) % arity].clone())
                     .collect();
-                (Relation::new(schema, rows).expect("arity matches"), key)
+                (Relation::new(schema, rows).expect("rows conform"), key)
             })
         })
 }
@@ -237,9 +253,9 @@ proptest! {
     }
 
     /// The wire codec ships a relation column by column and loses nothing
-    /// the columnar layout keeps: NULLs, ±0.0, NaN payloads, repeated
-    /// strings and mixed-type columns all decode to the same variant and
-    /// bits, and decoding then encoding again gives the same bytes.
+    /// the columnar layout keeps: NULLs, ±0.0, NaN payloads and repeated
+    /// strings all decode to the same variant and bits, and decoding then
+    /// encoding again gives the same bytes.
     #[test]
     fn columnar_codec_round_trips_bit_for_bit(rel in arb_columnar_relation()) {
         let bytes = encode_relation(&rel);
@@ -297,8 +313,7 @@ proptest! {
             }
         }
         // Shared interning: in a dictionary-encoded column, equal strings
-        // come back as the *same* allocation. (Mixed-type columns store
-        // values verbatim and make no sharing promise.)
+        // come back as the *same* allocation.
         for c in 0..cols.arity() {
             if !matches!(cols.col(c), skalla_relation::Column::Str { .. }) {
                 continue;
@@ -379,17 +394,10 @@ proptest! {
                 } else { v.clone() }
             }).collect())
         }).collect();
-        let clean = Relation::new(schema.clone(), rows).expect("same arity");
-        // Only attempt when the column types match the values (arb_value is
-        // not schema-typed); filter to rows whose values conform.
-        let conforming = clean.filter(|r| {
-            r.values().iter().zip(schema.fields()).all(|(v, f)| {
-                v.data_type() == Some(f.data_type())
-            })
-        });
-        let text = skalla_relation::csv::to_csv(&conforming);
+        let clean = Relation::new(schema.clone(), rows).expect("rows conform");
+        let text = skalla_relation::csv::to_csv(&clean);
         let back = skalla_relation::csv::from_csv(&text, schema).expect("parse back");
-        prop_assert_eq!(conforming, back);
+        prop_assert_eq!(clean, back);
     }
 }
 

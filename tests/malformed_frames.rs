@@ -106,25 +106,31 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     expect_error("unexpected end of input");
 
     // A stage task whose fragment's columnar body is malformed: stage 1,
-    // a fragment, the schema `(g INT)`, a row count, then the column as
-    // given. Encoding bytes: 1 is an `Int` run, 3 a string dictionary.
-    let fragment = |rows: u32, column: &[u8]| {
+    // a fragment, the schema `(g ty)`, a row count, then the column as
+    // given. Encoding bytes: 1 is an `Int` run, 2 a `Double` run, 3 a
+    // string dictionary, 4 plain strings; 5 was the tagged cells of the
+    // mixed-type column, which protocol v11 retired.
+    let fragment = |ty: DataType, rows: u32, column: &[u8]| {
         let mut e = Encoder::new();
         e.put_u32(1);
         e.put_u8(1);
-        e.put_schema(&Schema::of(&[("g", DataType::Int)]));
+        e.put_schema(&Schema::of(&[("g", ty)]));
         e.put_u32(rows);
         let mut payload = e.finish();
         payload.extend_from_slice(column);
         Message::for_query(protocol::TAG_RUN_STAGE, 1, payload)
     };
     let word = 1i64.to_le_bytes();
+    let (int, dbl, txt) = (DataType::Int, DataType::Double, DataType::Str);
     for (payload, frag) in [
-        (fragment(1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding"),
-        (fragment(2, &[[1u8].as_slice(), &word, &[0, 0]].concat()), "unexpected end of input"),
-        (fragment(1, &[3, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]), "dictionary code 1"),
-        (fragment(u32::MAX, &[1, 0, 0, 0]), "cannot fit"),
-        (fragment(1, &[[1u8].as_slice(), &word, &[0]].concat()), "trailing bytes"),
+        (fragment(int, 1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding"),
+        (fragment(int, 2, &[[1u8].as_slice(), &word, &[0, 0]].concat()), "unexpected end of input"),
+        (fragment(txt, 1, &[3, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]), "dictionary code 1"),
+        (fragment(int, u32::MAX, &[1, 0, 0, 0]), "cannot fit"),
+        (fragment(int, 1, &[[1u8].as_slice(), &word, &[0]].concat()), "trailing bytes"),
+        (fragment(int, 1, &[5, 1, 1, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding 0x05"),
+        (fragment(dbl, 1, &[[1u8].as_slice(), &word].concat()), "encoded INT under DOUBLE field g"),
+        (fragment(int, 1, &[4, 1, 0, 0, 0, b'a']), "encoded STR under INT field g"),
     ] {
         coord.send(0, payload).unwrap();
         expect_error(frag);
@@ -222,11 +228,48 @@ fn tcp_accept_survives_garbage_truncated_and_oversized_frames() {
 
 /// At the coordinator: a site whose merge-unit `RESULT` types an
 /// accumulator `DOUBLE` where the unit's physical schema has `COUNT`'s
-/// `INT` gets the round refused with a clean error — not merged, not a
-/// panic, not a hang. The site here is a hand-written TCP peer that
-/// answers the handshake and the base round honestly.
+/// `INT`, or its key `STR` where B's is `INT`, gets the round refused
+/// with a clean error — not merged, not a panic, not a hang.
 #[test]
 fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
+    let mistyped = [
+        Relation::new(
+            Schema::of(&[("g", DataType::Int), ("c", DataType::Double)]),
+            vec![row![1i64, 1.0]],
+        ),
+        Relation::new(
+            Schema::of(&[("g", DataType::Str), ("c", DataType::Int)]),
+            vec![row!["1", 1i64]],
+        ),
+    ];
+    for answer in mistyped {
+        let err = merge_unit_error(answer.unwrap(), AggSpec::count("c"));
+        assert!(err.contains("key and physical schema"), "{err}");
+    }
+}
+
+/// At the coordinator: an `AVG` sub-aggregate whose count column holds a
+/// `NULL`, well typed but impossible, is refused with a clean error
+/// rather than merged.
+#[test]
+fn an_avg_count_holding_null_is_a_clean_round_error() {
+    let answer = Relation::new(
+        Schema::of(&[
+            ("g", DataType::Int),
+            ("a__sum", DataType::Int),
+            ("a__cnt", DataType::Int),
+        ]),
+        vec![row![1i64, 10i64, skalla::relation::Value::Null]],
+    )
+    .unwrap();
+    let err = merge_unit_error(answer, AggSpec::avg("v", "a"));
+    assert!(err.contains("malformed accumulator columns for AVG"), "{err}");
+}
+
+/// The error of a query grouping `t` on `g` with `agg` against one site
+/// that answers its merge unit with `answer`. The site is a hand-written
+/// TCP peer that answers the handshake and the base round honestly.
+fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
     let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let table = catalog()["t"].clone();
@@ -239,11 +282,6 @@ fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
             domains: DomainMap::new(),
         };
         s.send(protocol::catalog(&[entry])).unwrap();
-        let mistyped = Relation::new(
-            Schema::of(&[("g", DataType::Int), ("c", DataType::Double)]),
-            vec![row![1i64, 1.0]],
-        )
-        .unwrap();
         // Answer every stage task until the coordinator hangs up.
         while let Ok(msg) = s.recv() {
             if msg.tag != protocol::TAG_RUN_STAGE {
@@ -252,7 +290,7 @@ fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
             let (stage, _, ()) = protocol::decode_run_stage(&msg.payload).unwrap();
             let answer = match stage {
                 0 => protocol::result(0, &table.project_distinct(&["g"]).unwrap()),
-                _ => protocol::result(stage, &mistyped),
+                _ => protocol::result(stage, &answer),
             };
             s.send(answer.with_query_id(msg.query_id)).unwrap();
         }
@@ -264,14 +302,11 @@ fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
         .build()
         .unwrap();
     let expr = GmdjExprBuilder::distinct_base("t", &["g"])
-        .gmdj(Gmdj::new("t").block(
-            ThetaBuilder::group_by(&["g"]).build(),
-            vec![AggSpec::count("c")],
-        ))
+        .gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![agg]))
         .build();
     let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::none());
     let err = engine.execute(&plan).unwrap_err().to_string();
-    assert!(err.contains("physical schema"), "{err}");
     drop(engine);
     site.join().expect("the site saw the session end");
+    err
 }

@@ -52,37 +52,50 @@ fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
     .expect("static schema")
 }
 
-/// Detail key `g` in one of four column layouts: 0 `Int`; 1 `Double`
-/// (halves, so odd `g` is not integral, with `NaN`, `NULL`, and `-0.0`
-/// beside `0.0`); 2 `Str` with `NULL`; 3 `Mixed` — `Int`, integral
-/// `Double`, `NaN`, `NULL` and a string in one column, with `-0.0` beside
-/// `Int(0)` and `Double(2.0)` beside `Int(2)`.
+/// The type of key `g` in one of five layouts: 0 `INT`, 1 `DOUBLE` and 2
+/// `STR` on both sides; 3 a `DOUBLE` detail key against an `INT` base key;
+/// 4 an `INT` detail key against a `STR` base key.
+fn key_type(layout: usize, base: bool) -> DataType {
+    match (layout, base) {
+        (1, _) | (3, false) => DataType::Double,
+        (2, _) | (4, true) => DataType::Str,
+        _ => DataType::Int,
+    }
+}
+
+/// Detail key `g` in [`key_type`]'s layout: 0 and 4 `Int` (4 with
+/// `NULL`); 1 `Double` halves, so odd `g` is not integral, with `NaN`,
+/// `NULL`, and `-0.0` beside `0.0`; 2 `Str` with `NULL`; 3 `Double` with
+/// `NaN`, `NULL`, `-0.0` beside `0.0`, integral values at even `g` and
+/// halves at odd `g`.
 fn key_value(g: i64, layout: usize) -> Value {
     match (layout, g) {
         (0, _) => Value::Int(g),
         (1 | 3, -6) => Value::Double(f64::NAN),
-        (1..=3, -5) => Value::Null,
+        (_, -5) => Value::Null,
         (1 | 3, 0) => Value::Double(-0.0),
-        (1, 1) => Value::Double(0.0),
-        (3, 1) => Value::Int(0),
-        (3, 3) => Value::Int(2),
+        (1 | 3, 1) => Value::Double(0.0),
         (1, _) => Value::Double(g as f64 / 2.0),
         (2, _) => Value::str(format!("k{g}")),
-        (_, 5) => Value::str("five"),
-        _ if g % 2 == 0 => Value::Double(g as f64),
+        (3, _) if g % 2 == 0 => Value::Double(g as f64),
+        (3, _) => Value::Double(g as f64 + 0.5),
         _ => Value::Int(g),
     }
 }
 
-/// A base tuple's key for `g`: [`key_value`], written as the other numeric
-/// type where that is the same value (`Int(2)` for `Double(2.0)`, `Int(0)`
-/// for `-0.0`). A `g` outside the detail's `-6..6` has no local group —
-/// for strings, no entry in the detail dictionary.
+/// A base tuple's key for `g`: [`key_value`] in the base's type. In
+/// layout 3 an integral `Double` becomes the `Int` it equals (`Int(0)` for
+/// `-0.0` and `0.0`, `Int(2)` for `2.0`), and any other number `Int(g)`,
+/// which no detail key equals; in layout 4 a number becomes the string
+/// `"k{g}"`, which equals no number. `NULL` stays `NULL`. A `g` outside
+/// the detail's `-6..6` has no local group — for strings, no entry in the
+/// detail dictionary.
 fn base_key(g: i64, layout: usize) -> Value {
-    match key_value(g, layout) {
-        Value::Int(i) if i % 2 == 0 => Value::Double(i as f64),
-        Value::Double(d) if d.fract() == 0.0 => Value::Int(d as i64),
-        v => v,
+    match (layout, key_value(g, layout)) {
+        (3, Value::Double(d)) if d.fract() == 0.0 => Value::Int(d as i64),
+        (3, Value::Double(_)) => Value::Int(g),
+        (4, Value::Int(_)) => Value::str(format!("k{g}")),
+        (_, v) => v,
     }
 }
 
@@ -385,26 +398,28 @@ proptest! {
     /// every shape of the map from local groups to base tuples: each key
     /// layout ([`key_value`]), and, from a literal base, duplicate base
     /// keys, base keys with no local group, local groups missing from B
-    /// and keys written as the other numeric type ([`base_key`]).
+    /// and base keys of another type than the detail's ([`base_key`]).
     #[test]
     fn columnar_kernel_matches_row_kernel_on_chains(
         rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
         group_on_h in any::<bool>(),
         second in arb_second(),
-        layout in 0usize..4,
+        layout in 0usize..5,
         literal in any::<bool>(),
         base_rows in proptest::collection::vec((-7i64..8, 0i64..4), 0..16),
     ) {
-        let mut detail = detail_relation_f64(rows);
-        for r in detail.rows_mut() {
-            let g = r.get(0).as_i64().expect("generated as Int");
-            r.set(0, key_value(g, layout));
-        }
+        let detail = Relation::new(
+            Schema::of(&[("g", key_type(layout, false)), ("h", DataType::Int), ("v", DataType::Double)]),
+            rows.into_iter()
+                .map(|(g, h, v)| Row::new(vec![key_value(g, layout), h.into(), (v as f64 / 3.0).into()]))
+                .collect(),
+        )
+        .expect("rows conform");
         let cluster = Cluster::from_partitions("t", partition_round_robin(&detail, 1));
         let group_cols: Vec<&str> = if group_on_h { vec!["g", "h"] } else { vec!["g"] };
         let mut expr = build_expr(&group_cols, &second);
         if literal {
-            let schema = Schema::of(&[("g", DataType::Int), ("h", DataType::Int)][..group_cols.len()]);
+            let schema = Schema::of(&[("g", key_type(layout, true)), ("h", DataType::Int)][..group_cols.len()]);
             let rows = base_rows
                 .iter()
                 .map(|&(g, h)| Row::new([base_key(g, layout), h.into()][..group_cols.len()].to_vec()))

@@ -125,3 +125,48 @@ fn unpivot_style_marginals_via_multiple_blocks() {
     assert_eq!(out.stats.n_rounds(), 1);
     let _ = Value::Null;
 }
+
+/// `SUM(name + 1)` over a `STR` column types as nothing: the aggregate is
+/// refused with a type error when the engine validates the plan, before
+/// the plan or any stage ships. The site is a hand-written TCP peer that
+/// answers the catalog handshake and records every frame it gets after.
+#[test]
+fn string_arithmetic_in_an_aggregate_is_refused_before_any_stage_ships() {
+    use skalla::core::protocol::{self, SiteCatalogEntry};
+    use skalla::core::Skalla;
+    use skalla::gmdj::prelude::*;
+    use skalla::net::{SiteTransport, TcpConfig, TcpSiteListener};
+    use skalla::relation::Expr;
+    use std::time::Duration;
+
+    let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let site = std::thread::spawn(move || {
+        let s = listener.accept(&TcpConfig::default()).unwrap();
+        assert_eq!(s.recv().unwrap().tag, protocol::TAG_CATALOG_REQ);
+        let entry = SiteCatalogEntry {
+            table: "t".into(),
+            schema: Schema::of(&[("g", DataType::Int), ("name", DataType::Str)]),
+            domains: DomainMap::new(),
+        };
+        s.send(protocol::catalog(&[entry])).unwrap();
+        std::iter::from_fn(|| s.recv().ok().map(|m| m.tag)).collect::<Vec<u8>>()
+    });
+    let engine = Skalla::builder()
+        .remote(&[addr], TcpConfig::default())
+        .timeout(Duration::from_secs(10))
+        .build()
+        .unwrap();
+    let sum = AggSpec::over_expr(AggFunc::Sum, Expr::dcol("name").add(Expr::lit(1i64)), "s");
+    let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+        .gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![sum]))
+        .build();
+    let plan = skalla::core::plan::Planner::new(engine.distribution()).optimize(&expr, OptFlags::none());
+    let err = engine.execute(&plan).unwrap_err().to_string();
+    assert!(err.contains("type error: non-numeric operand of +"), "{err}");
+    drop(engine);
+    let after_handshake = site.join().expect("the site saw the session end");
+    for tag in [protocol::TAG_PLAN, protocol::TAG_RUN_STAGE] {
+        assert!(!after_handshake.contains(&tag), "tag {tag} shipped: {after_handshake:?}");
+    }
+}

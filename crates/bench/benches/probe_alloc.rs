@@ -22,8 +22,9 @@
 //! duplicate-key chain sweep.
 //!
 //! A cold leg runs the kernel on fresh relations of the hit shape (64
-//! groups), so the call also builds the key column and the relation's
-//! group ids: those allocate per column and per group, never per row.
+//! groups). A relation holds its columns from construction, which is
+//! outside the count, so the call builds the relation's group ids only:
+//! they allocate per group, never per row.
 //!
 //! A coordinator leg merges the sites' answers over the same 2,000 groups
 //! the way the engine does: each answer is encoded into a `RESULT` frame
@@ -41,12 +42,19 @@
 //! `MergeSync::finish` (a shipped B and folded). Both must allocate per
 //! column, never per group.
 //!
+//! A chain leg does the same for Theorem 5's locally chained unit, over
+//! 1,000 and then 11,000 groups: the site's chain (`eval_local` →
+//! `finalize_physical` → `project` → `protocol::result`), then the
+//! coordinator's `ChainSync` absorbing two sites' disjoint answers and
+//! finishing against B (the groups no site owns filled in) and folded.
+//! It must allocate per column, never per group.
+//!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
-use skalla_core::coordinator::MergeSync;
-use skalla_core::protocol::{decode_result_chunk, result, result_chunk};
+use skalla_core::coordinator::{empty_aggregates, ChainSync, MergeSync};
+use skalla_core::protocol::{decode_result, decode_result_chunk, result, result_chunk};
 use skalla_gmdj::prelude::*;
-use skalla_gmdj::eval::{eval_local, eval_shipped};
+use skalla_gmdj::eval::{eval_local, eval_shipped, finalize_physical};
 use skalla_obs::Obs;
 use skalla_gmdj::EvalOptions;
 use skalla_relation::{DataType, Row};
@@ -294,6 +302,53 @@ fn main() {
         allocs
     };
     let finish_delta = measure_finish(LARGE).abs_diff(measure_finish(SMALL));
+
+    // The chain leg: a site's Thm 5 chain over `n` groups, then the
+    // coordinator's assembly of two sites' disjoint halves of it (the
+    // groups that match no detail row are owned by neither).
+    let names = ["g", "cnt", "sum_v", "avg_x", "max_x"];
+    let measure_chain = |n: usize| {
+        let b = groups_base(n);
+        let site = || {
+            let local = eval_local(&b, &groups_detail, &wide_op, opts).unwrap();
+            let cur = finalize_physical(&local.physical, 1, &wide_op, groups_detail.schema()).unwrap();
+            let answer = cur.project(&names).unwrap();
+            std::hint::black_box(result(1, &answer));
+            answer
+        };
+        let answer = site(); // builds B's key column and the detail's
+        let mut allocs = allocs_during(|| {
+            site();
+        });
+        let half = Expr::lit(n as i64 / 2);
+        let owned = [
+            Expr::bcol("g").ge(Expr::lit(0i64)).and(Expr::bcol("g").lt(half.clone())),
+            Expr::bcol("g").ge(half),
+        ];
+        let halves: Vec<Relation> = owned
+            .iter()
+            .map(|p| {
+                let kept = answer.select(&p.bind(answer.schema(), None).unwrap()).unwrap();
+                decode_result(&result(1, &kept).payload).unwrap().2
+            })
+            .collect();
+        let out = wide_op.output_schema(b.schema(), groups_detail.schema()).unwrap();
+        let empty = empty_aggregates(std::slice::from_ref(&wide_op)).unwrap();
+        for folded in [false, true] {
+            allocs += allocs_during(|| {
+                let mut sync = ChainSync::new(1);
+                for h in &halves {
+                    sync.absorb(h).unwrap();
+                }
+                std::hint::black_box(match folded {
+                    false => sync.finish_against(&b, &key, &empty, out.clone()).unwrap(),
+                    true => sync.finish_folded(out.clone()).unwrap(),
+                });
+            });
+        }
+        allocs
+    };
+    let chain_delta = measure_chain(LARGE).abs_diff(measure_chain(SMALL));
     let extra_groups = LARGE - SMALL;
     let extra_rows = (LARGE - SMALL) as u64;
     let control = allocs_during(|| {
@@ -311,6 +366,7 @@ fn main() {
     println!("  merge 6 vs 2 sites  (delta):     {merge_delta}");
     println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
     println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
+    println!("  chain {extra_groups} more groups (delta):       {chain_delta}");
     println!("  control        allocations:      {control}");
 
     // Group-id probing and the typed inner loops must not allocate per
@@ -356,6 +412,11 @@ fn main() {
         finish_delta <= 16,
         "MergeSync::finish over {extra_groups} more groups allocated {finish_delta} times \
          more or fewer — finalizing X regressed to per-group allocation"
+    );
+    assert!(
+        chain_delta <= 16,
+        "the Thm 5 chain over {extra_groups} more groups allocated {chain_delta} times \
+         more or fewer — the site's chain or ChainSync regressed to per-group allocation"
     );
     // Positive control: one box per extra row, so the counter must see
     // at least one allocation per extra row.

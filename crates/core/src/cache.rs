@@ -673,6 +673,29 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_shares_the_answer_and_copies_no_row() {
+        let cache = SemanticCache::new(1 << 20);
+        let fp = fingerprint_bytes(b"hit");
+        let answer = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("s", DataType::Str)]),
+            (0..100i64).map(|g| row![g, format!("s{g}")]).collect(),
+        )
+        .unwrap();
+        cache.insert(fp, &answer);
+        // A hit is the answer's store, not a copy of it.
+        let hit = cache.lookup(fp).unwrap();
+        assert!(Arc::ptr_eq(&hit.shared_column(0), &answer.shared_column(0)));
+        let Claim::Hit(claimed) = cache.claim(fp) else {
+            panic!("a ready answer is a hit");
+        };
+        assert!(Arc::ptr_eq(&claimed.shared_column(1), &answer.shared_column(1)));
+        // Once a row view is built, every hit shares it.
+        let view = answer.rows().as_ptr();
+        assert_eq!(cache.lookup(fp).unwrap().rows().as_ptr(), view);
+        assert_eq!(hit.rows().as_ptr(), view);
+    }
+
+    #[test]
     fn lru_respects_byte_budget() {
         let r = rel(1);
         let unit = r.encoded_size();

@@ -41,10 +41,7 @@ use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
 use skalla_gmdj::state::AccStates;
 use skalla_relation::columns::{row_key_hash, IdTable};
-use skalla_relation::{
-    Column, ColumnBuilder, Columns, DataType, Error, Relation, Result, Row, Schema, Value,
-};
-use std::collections::HashMap;
+use skalla_relation::{Column, ColumnBuilder, Columns, DataType, Error, Relation, Result, Schema, Value};
 use std::sync::Arc;
 
 /// Check that `key` column values are unique in `rel`; returns the key
@@ -389,20 +386,34 @@ fn arity_error(h: &Schema, key_len: usize, width: usize) -> Error {
 }
 
 /// Synchronizer for a locally-chained unit: assembles disjoint finalized
-/// results.
+/// results, column-wise.
+///
+/// It keeps the sites' answers as they arrived (clones share their
+/// columns) and numbers their rows in arrival order, indexed on their key
+/// columns, read in place. [`ChainSync::finish_against`] places each
+/// answer row at its group's position in B; [`ChainSync::finish_folded`]
+/// sorts the rows by key. Either gathers each output column once, so
+/// allocation is per column, never per group.
 #[derive(Debug)]
 pub struct ChainSync {
-    /// key → logical aggregate values for the unit's operators.
-    map: HashMap<Vec<Value>, Vec<Value>>,
     key_len: usize,
+    /// The sites' answers, in arrival order.
+    answers: Vec<Relation>,
+    /// Per answer: the number of its first row. Rows are numbered in
+    /// arrival order, across answers.
+    starts: Vec<usize>,
+    /// Every absorbed row's key → its number.
+    index: IdTable,
 }
 
 impl ChainSync {
     /// A synchronizer expecting `key_len` leading key columns.
     pub fn new(key_len: usize) -> ChainSync {
         ChainSync {
-            map: HashMap::new(),
             key_len,
+            answers: Vec::new(),
+            starts: Vec::new(),
+            index: IdTable::with_capacity(0),
         }
     }
 
@@ -410,58 +421,129 @@ impl ChainSync {
     /// aggregates). Duplicate keys mean the partition-attribute assumption
     /// was violated — an execution error, not silent wrong answers.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        for row in h {
-            let (k, aggs) = row.values().split_at(self.key_len);
-            if self.map.insert(k.to_vec(), aggs.to_vec()).is_some() {
+        let kl = self.key_len;
+        if h.schema().len() < kl {
+            return Err(Error::Execution(format!(
+                "chained answer of arity {} under a {kl}-column key",
+                h.schema().len()
+            )));
+        }
+        self.starts.push(self.index.len());
+        self.answers.push(h.clone());
+        self.index.reserve(h.len());
+        let (answers, starts) = (&self.answers, &self.starts);
+        let cols = h.columns();
+        for i in 0..h.len() {
+            let hash = cols.key_hash(kl, i);
+            let seen = self.index.find(hash, |id| {
+                let s = starts.partition_point(|&first| first <= id) - 1;
+                let other = answers[s].columns();
+                (0..kl).all(|c| cols.col(c).value_eq_at(i, other.col(c), id - starts[s]))
+            });
+            if seen.is_some() {
+                let k: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
                 return Err(Error::Execution(format!(
                     "two sites reported group {k:?}: partition attribute assumption violated"
                 )));
             }
+            self.index.insert(hash);
         }
         Ok(())
     }
 
+    /// Refuse an answer of another arity than `arity`.
+    fn check_arity(&self, arity: usize) -> Result<()> {
+        match self.answers.iter().find(|h| h.schema().len() != arity) {
+            Some(h) => Err(Error::SchemaMismatch(format!("chained answer {} of arity {arity}", h.schema()))),
+            None => Ok(()),
+        }
+    }
+
+    /// Column `c` of every absorbed row, in row-number order, then `tail`'s
+    /// rows: a column of type `declared`.
+    fn concat(&self, c: usize, declared: DataType, tail: Option<&Column>) -> Result<Column> {
+        let mut parts = Vec::with_capacity(self.answers.len() + 1);
+        for h in &self.answers {
+            if h.column(c).data_type() != declared {
+                return Err(Error::SchemaMismatch(format!(
+                    "chained answer {} where column {c} is {declared}",
+                    h.schema()
+                )));
+            }
+            parts.push(h.column(c));
+        }
+        parts.extend(tail);
+        Ok(Column::concat(declared, &parts))
+    }
+
     /// Assemble B_next against the coordinator's current B (non-folded):
     /// every group of `b_cur` gets its site-computed aggregates, or
-    /// `empty_aggs` when no site owned it.
+    /// `empty_aggs` when no site owned it. B's columns are shared; each
+    /// aggregate column is the sites' rows and one `empty_aggs` row,
+    /// gathered at B's groups.
     pub fn finish_against(
-        mut self,
+        self,
         b_cur: &Relation,
         key: &[String],
         empty_aggs: &[Value],
         out_schema: Schema,
     ) -> Result<Relation> {
-        let key_idx = verify_unique_key(b_cur, key)?;
-        let mut rows = Vec::with_capacity(b_cur.len());
-        for row in b_cur {
-            let k = row.key(&key_idx);
-            let aggs = self.map.remove(&k).unwrap_or_else(|| empty_aggs.to_vec());
-            rows.push(row.extend(&aggs));
-        }
-        if !self.map.is_empty() {
-            return Err(Error::Execution(format!(
-                "sites reported {} group(s) not in the base structure",
-                self.map.len()
+        let (key_idx, b_index) = index_key(b_cur, key)?;
+        let b_arity = b_cur.schema().len();
+        if out_schema.len() != b_arity + empty_aggs.len() {
+            return Err(Error::SchemaMismatch(format!(
+                "{} aggregates against B {} for {out_schema}",
+                empty_aggs.len(),
+                b_cur.schema()
             )));
         }
-        Relation::new(out_schema, rows)
+        self.check_arity(self.key_len + empty_aggs.len())?;
+        let b_keys: Vec<&Column> = key_idx.iter().map(|&c| b_cur.column(c)).collect();
+        // Per group of B: the row that answers it, or the empty row.
+        let rows = self.index.len();
+        let mut from = vec![rows as u32; b_cur.len()];
+        let mut unknown = 0usize;
+        for (h, &start) in self.answers.iter().zip(&self.starts) {
+            let cols = h.columns();
+            for i in 0..h.len() {
+                let hash = cols.key_hash(self.key_len, i);
+                let mut same = |g: usize| (b_keys.iter().enumerate()).all(|(c, b)| cols.col(c).value_eq_at(i, b, g));
+                match b_index.find(hash, &mut same) {
+                    Some(g) => from[g] = (start + i) as u32,
+                    None => unknown += 1,
+                }
+            }
+        }
+        if unknown > 0 {
+            return Err(Error::Execution(format!(
+                "sites reported {unknown} group(s) not in the base structure"
+            )));
+        }
+        let mut cols: Vec<Arc<Column>> = (0..b_arity).map(|c| b_cur.shared_column(c)).collect();
+        for (j, empty) in empty_aggs.iter().enumerate() {
+            let declared = out_schema.field(b_arity + j).data_type();
+            if empty.data_type().is_some_and(|t| t != declared) {
+                return Err(Error::SchemaMismatch(format!("{empty:?} as a {declared} aggregate")));
+            }
+            let mut tail = ColumnBuilder::new(declared, 1);
+            tail.push(empty);
+            let all = self.concat(self.key_len + j, declared, Some(&tail.finish()))?;
+            cols.push(Arc::new(all.gather(&from)));
+        }
+        Relation::from_columns(out_schema, Columns::from_shared(b_cur.len(), cols))
     }
 
     /// Assemble B_next for a folded unit: the collected rows *are* the
-    /// result, sorted by key — keys are unique, so the map's hash order
-    /// never shows.
+    /// result, sorted by key (keys are unique, so arrival order never
+    /// shows).
     pub fn finish_folded(self, out_schema: Schema) -> Result<Relation> {
-        let key_len = self.key_len;
-        let mut rows: Vec<Row> = self
-            .map
-            .into_iter()
-            .map(|(mut vs, aggs)| {
-                vs.extend(aggs);
-                Row::new(vs)
-            })
-            .collect();
-        rows.sort_by(|a, b| a.values()[..key_len].cmp(&b.values()[..key_len]));
-        Relation::new(out_schema, rows)
+        self.check_arity(out_schema.len())?;
+        let cols = (out_schema.fields().iter().enumerate())
+            .map(|(c, f)| self.concat(c, f.data_type(), None))
+            .collect::<Result<Vec<_>>>()?;
+        let rel = Relation::from_columns(out_schema, Columns::new(self.index.len(), cols))?;
+        let names = rel.schema().column_names();
+        rel.sorted_by(&names[..self.key_len.min(names.len())])
     }
 }
 
@@ -522,7 +604,7 @@ mod tests {
     use crate::protocol::{decode_result_chunk, result_chunk};
     use skalla_gmdj::agg::AggSpec;
     use skalla_gmdj::theta::ThetaBuilder;
-    use skalla_relation::{row, DataType};
+    use skalla_relation::{row, Row};
 
     fn key() -> Vec<String> {
         vec!["g".to_string()]
@@ -1099,8 +1181,8 @@ mod tests {
     }
 
     /// [`MergeSync::finish`] as it was written before it built columns: a
-    /// row per group, from the states' `Value` accumulators
-    /// ([`AccStates::push_values`], X_init where no state holds the
+    /// row per group, from the states' `Value` accumulators (the values of
+    /// [`AccStates::physical_columns`], X_init where no state holds the
     /// group) through [`AccLayout::finalize_into`], in B's row order — or,
     /// folded, sorted by the keys' `Value` order.
     fn finish_by_rows(mut x: MergeSync<'_>, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
@@ -1121,7 +1203,9 @@ mod tests {
             };
             acc.clear();
             match &x.states {
-                Some(states) if x.present[g] => states.push_values(g, &mut acc),
+                Some(states) if x.present[g] => {
+                    acc.extend(states.physical_columns(&[g as u32]).iter().map(|c| c.value(0)))
+                }
                 _ => acc.extend(x.layout.init()),
             }
             x.layout.finalize_into(&acc, &mut vs).unwrap();
@@ -1132,7 +1216,7 @@ mod tests {
 
     /// `MergeSync::finish`'s columns are, bit for bit, the row loop's
     /// answer ([`finish_by_rows`]) — its values, the columns
-    /// `Column::build` makes of them, and so the frame that ships them —
+    /// `Columns::from_rows` makes of them, and so the frame that ships them —
     /// on folded and unfolded units over Int keys, Double keys with NaN
     /// and NULL, string keys with NULL, and Int keys with NULL around 2⁵³
     /// and at the ends of the range.

@@ -307,8 +307,8 @@ impl ResultChunk {
         &self.columns
     }
 
-    /// The relation over the columns ([`Relation::from_columns`]: its
-    /// rows are built on first read).
+    /// The relation over the columns ([`Relation::from_columns`]: they
+    /// are its store).
     pub fn relation(self) -> Result<Relation> {
         Relation::from_columns(self.schema, self.columns)
     }

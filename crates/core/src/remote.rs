@@ -113,7 +113,7 @@ pub(crate) fn catalog_handshake(coord: &dyn CoordinatorTransport) -> Result<Hand
         dist.set_table(entry.table.clone(), domains);
         catalog.insert(
             entry.table.clone(),
-            Arc::new(Relation::new(entry.schema.clone(), Vec::new())?),
+            Arc::new(Relation::empty(entry.schema.clone())),
         );
     }
     for (site, entries) in per_site.iter().enumerate() {

@@ -22,7 +22,7 @@ use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, Eval
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
 use skalla_obs::{BusyTimer, Obs, Track};
-use skalla_relation::{Column, Error, Relation, Result, Row, Value};
+use skalla_relation::{Column, Error, Relation, Result, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -114,9 +114,9 @@ fn execute_unit(
                 .as_ref()
                 .ok_or_else(|| Error::Plan("chained unit without ownership".into()))?;
             let local = detail.project_distinct(&[dcol.as_str()])?;
-            let local_values: HashSet<&Value> = local.iter().map(|r| r.get(0)).collect();
-            let bi = b_frag.schema().index_of(bcol)?;
-            b_frag.filter(|row| local_values.contains(row.get(bi)))
+            let local_values: HashSet<Value> = (0..local.len()).map(|g| local.column(0).value(g)).collect();
+            let owner = b_frag.column(b_frag.schema().index_of(bcol)?);
+            b_frag.filter(|i| local_values.contains(&owner.value(i)))
         };
         let mut cur = owned;
         for op in &plan.expr.ops[unit.ops.clone()] {
@@ -155,11 +155,15 @@ pub fn hot_report(catalog: &dyn Catalog, spec: &SkewSpec) -> Result<HotReport> {
     }
     let stride = (detail.len() / SKETCH_SAMPLE_TARGET).max(1);
     let mut sketch = SpaceSaving::new(SKETCH_CAPACITY);
-    let mut key: Vec<&Value> = Vec::with_capacity(idx.len());
-    for row in detail.iter().step_by(stride) {
+    let cols: Vec<&Column> = idx.iter().map(|&i| detail.column(i)).collect();
+    let mut key: Vec<Value> = Vec::with_capacity(idx.len());
+    for pos in (0..detail.len()).step_by(stride) {
         key.clear();
-        key.extend(idx.iter().map(|&i| row.get(i)));
-        sketch.offer(&key);
+        key.extend(cols.iter().map(|c| c.value(pos)));
+        match &key[..] {
+            [v] => sketch.offer(&[v]),
+            vs => sketch.offer(&vs.iter().collect::<Vec<_>>()),
+        }
     }
     Ok(HotReport {
         rows: detail.len() as u64,
@@ -189,43 +193,30 @@ pub fn split_detail(
         idx.push(detail.schema().index_of(c)?);
     }
     let m = morsel_rows.max(1);
-    let mut hot_buckets: Vec<(u32, Vec<Row>)> = Vec::new();
-    let mut cold_buckets: Vec<(u32, Vec<Row>)> = Vec::new();
-    let push = |buckets: &mut Vec<(u32, Vec<Row>)>, pos: usize, row: &Row| {
+    let mut hot_buckets: Vec<(u32, Vec<u32>)> = Vec::new();
+    let mut cold_buckets: Vec<(u32, Vec<u32>)> = Vec::new();
+    let push = |buckets: &mut Vec<(u32, Vec<u32>)>, pos: usize| {
         let seg = (pos / m) as u32;
         match buckets.last_mut() {
-            Some((s, rows)) if *s == seg => rows.push(row.clone()),
-            _ => buckets.push((seg, vec![row.clone()])),
+            Some((s, at)) if *s == seg => at.push(pos as u32),
+            _ => buckets.push((seg, vec![pos as u32])),
         }
     };
-    if let [i] = idx[..] {
-        // Single-column key (the common case): probe the borrowed value
-        // directly, no per-row key buffer.
-        let hot: HashSet<&Value> = spec.keys.iter().filter_map(|k| k.first()).collect();
-        for (pos, row) in detail.iter().enumerate() {
-            if hot.contains(row.get(i)) {
-                push(&mut hot_buckets, pos, row);
-            } else {
-                push(&mut cold_buckets, pos, row);
-            }
-        }
-    } else {
-        let hot: HashSet<&Vec<Value>> = spec.keys.iter().collect();
-        let mut key = Vec::with_capacity(idx.len());
-        for (pos, row) in detail.iter().enumerate() {
-            key.clear();
-            key.extend(idx.iter().map(|&i| row.get(i).clone()));
-            if hot.contains(&key) {
-                push(&mut hot_buckets, pos, row);
-            } else {
-                push(&mut cold_buckets, pos, row);
-            }
+    let cols: Vec<&Column> = idx.iter().map(|&i| detail.column(i)).collect();
+    let hot: HashSet<&Vec<Value>> = spec.keys.iter().collect();
+    let mut key = Vec::with_capacity(idx.len());
+    for pos in 0..detail.len() {
+        key.clear();
+        key.extend(cols.iter().map(|c| c.value(pos)));
+        match hot.contains(&key) {
+            true => push(&mut hot_buckets, pos),
+            false => push(&mut cold_buckets, pos),
         }
     }
-    let pack = |buckets: Vec<(u32, Vec<Row>)>| {
+    let pack = |buckets: Vec<(u32, Vec<u32>)>| {
         buckets
             .into_iter()
-            .map(|(seg, rows)| (seg, Relation::from_shared(detail.schema_ref(), rows)))
+            .map(|(seg, at)| (seg, detail.gather(&at)))
             .collect()
     };
     Ok((pack(hot_buckets), pack(cold_buckets)))

@@ -12,8 +12,7 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skalla_relation::{DataType, Relation, Row, Schema, Value};
-use std::sync::Arc;
+use skalla_relation::{ColumnBuilder, Columns, DataType, Relation, Schema, Value};
 
 /// Generator parameters.
 #[derive(Debug, Clone)]
@@ -95,16 +94,17 @@ fn ip_string(rng: &mut StdRng) -> String {
 
 const WELL_KNOWN_PORTS: [i64; 6] = [80, 443, 25, 53, 22, 8080];
 
-/// Generate the flow relation.
+/// Generate the flow relation, as columns.
+#[expect(clippy::expect_used, reason = "one builder per field, of the field's type")]
 pub fn generate_flows(cfg: &FlowConfig) -> Relation {
     assert!(cfg.routers > 0 && cfg.source_as > 0 && cfg.dest_as > 0);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let sas_dist = Zipf::new(cfg.source_as, cfg.skew);
     let das_dist = Zipf::new(cfg.dest_as, cfg.skew);
     let size_dist = Zipf::new(64, cfg.skew.max(0.5));
-    let schema = Arc::new(flow_schema());
-
-    let mut rows = Vec::with_capacity(cfg.flows);
+    let schema = flow_schema();
+    let mut cols: Vec<ColumnBuilder> =
+        (schema.fields().iter()).map(|f| ColumnBuilder::new(f.data_type(), cfg.flows)).collect();
     for _ in 0..cfg.flows {
         let sas = sas_dist.sample(&mut rng) as i64;
         let das = das_dist.sample(&mut rng) as i64;
@@ -121,7 +121,7 @@ pub fn generate_flows(cfg: &FlowConfig) -> Relation {
         } else {
             rng.gen_range(1024..65_536i64)
         };
-        rows.push(Row::new(vec![
+        let row = [
             Value::Int(router),
             Value::str(ip_string(&mut rng)),
             Value::Int(rng.gen_range(1024..65_536i64)),
@@ -133,9 +133,11 @@ pub fn generate_flows(cfg: &FlowConfig) -> Relation {
             Value::Int(start + duration),
             Value::Int(packets),
             Value::Int(bytes),
-        ]));
+        ];
+        cols.iter_mut().zip(&row).for_each(|(c, v)| c.push(v));
     }
-    Relation::from_shared(schema, rows)
+    let cols = Columns::new(cfg.flows, cols.into_iter().map(ColumnBuilder::finish).collect());
+    Relation::from_columns(schema, cols).expect("the builders are the schema's")
 }
 
 #[cfg(test)]
@@ -147,6 +149,8 @@ mod tests {
         let r = generate_flows(&FlowConfig::small(1));
         assert_eq!(r.len(), 400);
         assert_eq!(r.schema(), &flow_schema());
+        // Built as columns, cell for cell what the rows would build.
+        assert_eq!(r.columns(), &Columns::from_rows(r.schema(), r.rows()));
     }
 
     #[test]

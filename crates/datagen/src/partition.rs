@@ -7,6 +7,10 @@
 //! ranges or value sets yields a *partition attribute* (Definition 2);
 //! hash/random partitioning yields no knowledge (`Domain::Any`), which
 //! exercises the distribution-independent paths.
+//!
+//! Every partitioner reads the partitioned column in place and makes each
+//! fragment a gather of the relation's columns ([`Relation::gather`]): no
+//! row is built.
 
 use skalla_relation::{Domain, DomainMap, Relation, Result, Value};
 use std::collections::BTreeSet;
@@ -75,22 +79,23 @@ pub fn try_partition_by_int_ranges(
         }
     }
 
-    let mut rows: Vec<Vec<skalla_relation::Row>> = vec![Vec::new(); n];
-    for row in rel {
-        let Some(v) = row.get(col).as_i64() else {
+    let col = rel.column(col);
+    let mut at: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for i in 0..rel.len() {
+        let Some(v) = col.value(i).as_i64() else {
             // Non-integer values (NULL): keep at site 0; its φ must then be
             // weakened to Any for this column.
-            rows[0].push(row.clone());
+            at[0].push(i as u32);
             continue;
         };
         let site = bounds
             .iter()
             .position(|(lo, hi)| v >= *lo && v <= *hi)
             .unwrap_or(n - 1);
-        rows[site].push(row.clone());
+        at[site].push(i as u32);
     }
 
-    let any_null = rel.iter().any(|r| r.get(col).is_null());
+    let any_null = (0..rel.len()).any(|i| !col.is_valid(i));
     Ok(bounds
         .into_iter()
         .enumerate()
@@ -100,7 +105,7 @@ pub fn try_partition_by_int_ranges(
                 domains.insert(column, Domain::IntRange(lo, hi));
             }
             Partition {
-                relation: Relation::from_shared(rel.schema_ref(), std::mem::take(&mut rows[i])),
+                relation: rel.gather(&at[i]),
                 domains,
             }
         })
@@ -134,20 +139,21 @@ pub fn try_partition_by_value_sets(
         sets[i % n].insert(v.clone());
         assignment.insert(v, i % n);
     }
-    let mut rows: Vec<Vec<skalla_relation::Row>> = vec![Vec::new(); n];
-    for row in rel {
+    let col = rel.column(col);
+    let mut at: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for i in 0..rel.len() {
         #[expect(
             clippy::expect_used,
             reason = "`assignment` was built from this column's distinct values"
         )]
-        let site = *assignment.get(row.get(col)).expect("value seen in scan");
-        rows[site].push(row.clone());
+        let site = *assignment.get(&col.value(i)).expect("value seen in scan");
+        at[site].push(i as u32);
     }
     Ok(sets
         .into_iter()
         .enumerate()
         .map(|(i, set)| Partition {
-            relation: Relation::from_shared(rel.schema_ref(), std::mem::take(&mut rows[i])),
+            relation: rel.gather(&at[i]),
             domains: DomainMap::new().with(column, Domain::Set(set)),
         })
         .collect())
@@ -166,15 +172,16 @@ pub fn partition_by_hash(rel: &Relation, column: &str, n: usize) -> Vec<Partitio
         .schema()
         .index_of(column)
         .expect("partition column exists");
-    let mut rows: Vec<Vec<skalla_relation::Row>> = vec![Vec::new(); n];
-    for row in rel {
+    let col = rel.column(col);
+    let mut at: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for i in 0..rel.len() {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        row.get(col).hash(&mut h);
-        rows[(h.finish() as usize) % n].push(row.clone());
+        col.value(i).hash(&mut h);
+        at[(h.finish() as usize) % n].push(i as u32);
     }
-    rows.into_iter()
-        .map(|r| Partition {
-            relation: Relation::from_shared(rel.schema_ref(), r),
+    at.iter()
+        .map(|at| Partition {
+            relation: rel.gather(at),
             domains: DomainMap::new(),
         })
         .collect()
@@ -184,13 +191,9 @@ pub fn partition_by_hash(rel: &Relation, column: &str, n: usize) -> Vec<Partitio
 /// site may hold tuples of every group).
 pub fn partition_round_robin(rel: &Relation, n: usize) -> Vec<Partition> {
     assert!(n > 0, "cannot partition across zero sites");
-    let mut rows: Vec<Vec<skalla_relation::Row>> = vec![Vec::new(); n];
-    for (i, row) in rel.iter().enumerate() {
-        rows[i % n].push(row.clone());
-    }
-    rows.into_iter()
-        .map(|r| Partition {
-            relation: Relation::from_shared(rel.schema_ref(), r),
+    (0..n as u32)
+        .map(|site| Partition {
+            relation: rel.gather(&(site..rel.len() as u32).step_by(n).collect::<Vec<_>>()),
             domains: DomainMap::new(),
         })
         .collect()
@@ -210,8 +213,9 @@ pub fn observe_int_ranges(parts: &mut [Partition], columns: &[&str]) {
             let mut lo = i64::MAX;
             let mut hi = i64::MIN;
             let mut all_int = true;
-            for row in &p.relation {
-                match row.get(idx).as_i64() {
+            let values = p.relation.column(idx);
+            for i in 0..p.relation.len() {
+                match values.value(i).as_i64() {
                     Some(v) => {
                         lo = lo.min(v);
                         hi = hi.max(v);
@@ -295,6 +299,20 @@ mod tests {
                 let v = row.get(0).as_i64().unwrap();
                 assert!(v >= lo && v <= hi);
             }
+        }
+    }
+
+    #[test]
+    fn generated_fragments_reunite_to_the_relation() {
+        // Fragments are gathers of the generated columns; together they
+        // are the relation again, as a bag, whichever partitioner cut it.
+        let tpcr = crate::generate_tpcr(&crate::TpcrConfig::small(2));
+        let flows = crate::generate_flows(&crate::FlowConfig::small(2));
+        for n in [1, 3, 8] {
+            assert!(reunite(&partition_by_int_ranges(&tpcr, "nation_key", n)).same_bag(&tpcr));
+            assert!(reunite(&partition_by_value_sets(&tpcr, "cust_name", n)).same_bag(&tpcr));
+            assert!(reunite(&partition_by_int_ranges(&flows, "router_id", n)).same_bag(&flows));
+            assert!(reunite(&partition_round_robin(&flows, n)).same_bag(&flows));
         }
     }
 

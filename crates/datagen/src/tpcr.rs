@@ -16,7 +16,7 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skalla_relation::{DataType, Relation, Row, Schema, Value};
+use skalla_relation::{ColumnBuilder, Columns, DataType, Relation, Schema, Value};
 use std::sync::Arc;
 
 /// Generator parameters.
@@ -116,12 +116,13 @@ pub fn customer_name(cust_key: i64) -> String {
 const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
 const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 
-/// Generate the denormalized TPCR relation.
+/// Generate the denormalized TPCR relation, as columns.
+#[expect(clippy::expect_used, reason = "one builder per field, of the field's type")]
 pub fn generate_tpcr(cfg: &TpcrConfig) -> Relation {
     assert!(cfg.customers > 0 && cfg.nations > 0 && cfg.suppliers > 0 && cfg.parts > 0);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cust_dist = Zipf::new(cfg.customers, cfg.skew);
-    let schema = Arc::new(tpcr_schema());
+    let schema = tpcr_schema();
 
     // Intern repeated strings so generation stays cheap.
     let names: Vec<Arc<str>> = (0..cfg.customers)
@@ -130,7 +131,10 @@ pub fn generate_tpcr(cfg: &TpcrConfig) -> Relation {
     let flags: Vec<Arc<str>> = RETURN_FLAGS.iter().map(|s| Arc::from(*s)).collect();
     let prios: Vec<Arc<str>> = PRIORITIES.iter().map(|s| Arc::from(*s)).collect();
 
-    let mut rows = Vec::with_capacity(cfg.rows);
+    // One builder per column, filled row by row: the columns are built
+    // straight from the values, under `ColumnBuilder`'s rule.
+    let mut cols: Vec<ColumnBuilder> =
+        (schema.fields().iter()).map(|f| ColumnBuilder::new(f.data_type(), cfg.rows)).collect();
     let mut order_key = 0i64;
     let mut line_number = 0i64;
     for _ in 0..cfg.rows {
@@ -149,7 +153,7 @@ pub fn generate_tpcr(cfg: &TpcrConfig) -> Relation {
         let price = (quantity as f64) * rng.gen_range(900.0..=110_000.0) / 100.0;
         let discount = f64::from(rng.gen_range(0..=10u32)) / 100.0;
         let ship_date = rng.gen_range(0..2557i64); // ~7 years of days
-        rows.push(Row::new(vec![
+        let row = [
             Value::Int(order_key),
             Value::Int(line_number),
             Value::Int(cust_key),
@@ -165,9 +169,11 @@ pub fn generate_tpcr(cfg: &TpcrConfig) -> Relation {
             Value::Int(ship_date),
             Value::Str(Arc::clone(&flags[rng.gen_range(0..flags.len())])),
             Value::Str(Arc::clone(&prios[rng.gen_range(0..prios.len())])),
-        ]));
+        ];
+        cols.iter_mut().zip(&row).for_each(|(c, v)| c.push(v));
     }
-    Relation::from_shared(schema, rows)
+    let cols = Columns::new(cfg.rows, cols.into_iter().map(ColumnBuilder::finish).collect());
+    Relation::from_columns(tpcr_schema(), cols).expect("the builders are the schema's")
 }
 
 #[cfg(test)]
@@ -179,6 +185,10 @@ mod tests {
         let r = generate_tpcr(&TpcrConfig::small(1));
         assert_eq!(r.len(), 500);
         assert_eq!(r.schema(), &tpcr_schema());
+        // The columns, built straight from the values, are what the one
+        // path from rows builds over the relation's own rows: the same
+        // layout, cell for cell, and the same dictionary order.
+        assert_eq!(r.columns(), &Columns::from_rows(r.schema(), r.rows()));
     }
 
     #[test]

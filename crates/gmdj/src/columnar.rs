@@ -4,9 +4,7 @@
 //! matching detail tuple into `Vec<Value>` accumulators through
 //! [`AggSpec::update`] — one enum dispatch plus one possible clone per
 //! (tuple, aggregate). This kernel computes the same function on the
-//! relation's columnar layout
-//! ([`Relation::column`] — only the columns the operator names are ever
-//! built). Per morsel and block it makes a selection of matching
+//! relation's columns, read in place ([`Relation::column`]). Per morsel and block it makes a selection of matching
 //! `(detail row, base position)` pairs in two steps, then runs one
 //! **typed inner loop per aggregate** over `&[i64]` / `&[f64]` column
 //! slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
@@ -69,7 +67,7 @@ use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
     f64_add, Bitmap, BoundExpr, CmpOp, Column, ColumnBuilder, Columns, Error, Groups, Relation,
-    Result, Row, Schema, Side, StrDictView, Value, TWO_POW_63,
+    Result, Schema, Side, StrDictView, Value, TWO_POW_63,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -103,9 +101,8 @@ impl CanonPair {
         let gkeys: Vec<CanonKeys> = detail_keys
             .iter()
             .map(|&dk| {
-                reps.iter()
-                    .map(|&r| canon_value(detail.rows()[r as usize].get(dk), &mut codes))
-                    .collect()
+                let col = detail.column(dk);
+                reps.iter().map(|&r| canon_value(&col.value(r as usize), &mut codes)).collect()
             })
             .collect();
         let bkeys: Vec<CanonKeys> = base_keys
@@ -329,10 +326,9 @@ fn computed_column(spec: &AggSpec, input: &BoundExpr, detail: &Relation) -> Resu
     };
     let ty = expr.infer_type(&Schema::of(&[]), Some(detail.schema()))?;
     // The input reads no base column (`AggSpec::validate`).
-    let no_base = Row::new(Vec::new());
     let mut b = ColumnBuilder::new(ty, detail.len());
     for i in 0..detail.len() {
-        let v = input.eval_cols(&no_base, detail, i)?;
+        let v = input.eval_cols(None, Some((detail, i)))?;
         if v.data_type().is_some_and(|t| t != ty) {
             return Err(Error::TypeError(format!("{spec}: {v:?} from a {ty} input")));
         }
@@ -655,7 +651,7 @@ impl ColKernel<'_> {
             match c {
                 Conjunct::Typed(t) => t.filter(sel, from),
                 Conjunct::Interpreted(e) => sel.retain_from(from, |i, pos| {
-                    Ok(e.eval_cols(&self.base.rows()[pos], self.detail, i)?.is_truthy())
+                    Ok(e.eval_cols(Some((self.base, pos)), Some((self.detail, i)))?.is_truthy())
                 })?,
             }
         }
@@ -1273,7 +1269,7 @@ mod tests {
                         let mut want = Vec::new();
                         for pos in 0..b.len() {
                             for i in 0..d.len() {
-                                if bound.eval_cols(&b.rows()[pos], &d, i).unwrap().is_truthy() {
+                                if bound.eval_cols(Some((&b, pos)), Some((&d, i))).unwrap().is_truthy() {
                                     want.push((i as u32, pos as u32));
                                 }
                                 checked += 1;

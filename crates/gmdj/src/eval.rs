@@ -34,13 +34,14 @@
 
 use crate::agg::AccLayout;
 use crate::operator::Gmdj;
+use crate::state::AccStates;
 use crate::theta::analyze_theta;
 use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
-use skalla_relation::{BoundExpr, Error, Relation, Result, Row, Schema, Value};
+use skalla_relation::{BoundExpr, Column, Columns, DataType, Error, Relation, Result, Schema, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Default morsel size (rows of the detail relation per work unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
@@ -99,8 +100,8 @@ fn cores() -> usize {
 #[derive(Debug, Clone)]
 pub struct LocalGmdj {
     /// Base columns ⊕ physical accumulator columns, one row per base tuple
-    /// (same order as the input base relation): a relation of columns
-    /// ([`Relation::from_columns`]) whose rows are built on first read.
+    /// (same order as the input base relation), made of the kernel's
+    /// columns ([`Relation::from_columns`]).
     pub physical: Relation,
     /// Per base tuple: did any detail tuple at this site match any θᵢ?
     /// (`|RNG(b, Rᵢ, θ₁ ∨ … ∨ θ_m)| > 0` — the distribution-independent
@@ -396,8 +397,8 @@ pub fn eval_local_traced(
 /// then the physical accumulator columns, one row per base tuple in base
 /// order — or, with `reduce` (Prop 1's site-side group reduction), one
 /// per base tuple some detail tuple matched. No row is built; the
-/// relation's columns keep `Column::build`'s representation rule, so it
-/// encodes to the bytes its rows would. Spans as
+/// relation's columns keep `ColumnBuilder`'s representation rule, so it
+/// encodes to the bytes any other path to its values would. Spans as
 /// [`eval_local_traced`]'s.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_shipped(
@@ -480,7 +481,10 @@ pub fn eval_local_rows(
 /// Finalize a physical (accumulator) relation into the logical output.
 ///
 /// `base_arity` is the number of leading base columns; `detail` supplies
-/// types for the logical aggregate fields.
+/// types for the logical aggregate fields. Column-wise: the base columns
+/// are shared, and the accumulator columns go through the typed states
+/// ([`AccStates::absorb`], then [`AccStates::finalize_columns`], which
+/// gives [`AccLayout::finalize`]'s values bit for bit). No row is built.
 pub fn finalize_physical(
     physical: &Relation,
     base_arity: usize,
@@ -488,20 +492,25 @@ pub fn finalize_physical(
     detail: &Schema,
 ) -> Result<Relation> {
     let layout = gmdj.layout();
-    let base_schema = physical
-        .schema()
-        .project(&(0..base_arity).collect::<Vec<_>>())?;
-    let out_schema = gmdj.output_schema(&base_schema, detail)?;
-    let mut rows = Vec::with_capacity(physical.len());
-    for row in physical {
-        let (base_part, acc_part) = row.values().split_at(base_arity);
-        let logical = layout.finalize(acc_part)?;
-        let mut vs = Vec::with_capacity(base_arity + logical.len());
-        vs.extend_from_slice(base_part);
-        vs.extend(logical);
-        rows.push(Row::new(vs));
+    let fields = physical.schema().fields();
+    if fields.len() != base_arity + layout.width() {
+        return Err(Error::Execution(format!(
+            "physical arity {} != base {base_arity} + accumulators {}",
+            fields.len(),
+            layout.width()
+        )));
     }
-    Relation::new(out_schema, rows)
+    let base: Vec<usize> = (0..base_arity).collect();
+    let out_schema = gmdj.output_schema(&physical.schema().project(&base)?, detail)?;
+    let n = physical.len();
+    let types: Vec<DataType> = fields[base_arity..].iter().map(|f| f.data_type()).collect();
+    let mut states = AccStates::new(&layout, &types, n)?;
+    let (slots, every): (Vec<usize>, Vec<bool>) = (0..n).map(|p| (p, true)).unzip();
+    states.absorb(physical.columns(), base_arity, &slots, &every)?;
+    let at: Vec<u32> = (0..n as u32).collect();
+    let mut cols: Vec<Arc<Column>> = base.iter().map(|&c| physical.shared_column(c)).collect();
+    cols.extend(states.finalize_columns(&at, &every));
+    Relation::from_columns(out_schema, Columns::from_shared(n, cols))
 }
 
 /// Evaluate a GMDJ to its logical output on one machine (the oracle and
@@ -521,7 +530,7 @@ mod tests {
     use super::*;
     use crate::agg::AggSpec;
     use crate::theta::ThetaBuilder;
-    use skalla_relation::{row, DataType, Expr};
+    use skalla_relation::{row, Expr, Row};
 
     fn detail() -> Relation {
         Relation::new(
@@ -924,7 +933,7 @@ mod tests {
 
     /// A site's answer, built as columns from the kernel's states, encodes
     /// to the bytes of the same answer rebuilt from its rows
-    /// (`Relation::new(schema, rows)`, whose columns `Column::build`
+    /// (`Relation::new(schema, rows)`, whose columns `Columns::from_rows`
     /// makes), with and without Prop 1's reduction: Int and Double AVG,
     /// VAR, an all-NULL SUM, a string MIN (`Value` accumulators), NaN
     /// payloads, −0.0 and NULL keys and inputs. (Row blocking's slices

@@ -277,37 +277,10 @@ impl AggState {
         Ok(())
     }
 
-    /// Append slot `pos`'s physical values — exactly what the `Value`
-    /// accumulator holds after the same updates and merges.
-    pub(crate) fn push_values(&self, pos: usize, out: &mut Vec<Value>) {
-        let opt = |has: bool, v: Value| if has { v } else { Value::Null };
-        match self {
-            AggState::Count(c) => out.push(Value::Int(c[pos])),
-            AggState::SumI { s, has } => out.push(opt(has[pos], Value::Int(s[pos]))),
-            AggState::SumF { s, has } => out.push(opt(has[pos], Value::Double(s[pos]))),
-            AggState::MinMaxI { m, has } => out.push(opt(has[pos], Value::Int(m[pos]))),
-            AggState::MinMaxF { m, has } => out.push(opt(has[pos], Value::Double(m[pos]))),
-            AggState::MinMaxS { m } => out.push(m[pos].clone().map_or(Value::Null, Value::Str)),
-            AggState::AvgI { s, cnt } => {
-                out.push(opt(cnt[pos] > 0, Value::Int(s[pos])));
-                out.push(Value::Int(cnt[pos]));
-            }
-            AggState::AvgF { s, cnt } => {
-                out.push(opt(cnt[pos] > 0, Value::Double(s[pos])));
-                out.push(Value::Int(cnt[pos]));
-            }
-            AggState::Var { s, sq, cnt } => {
-                out.push(Value::Double(s[pos]));
-                out.push(Value::Double(sq[pos]));
-                out.push(Value::Int(cnt[pos]));
-            }
-        }
-    }
-
-    /// Slots `at`'s physical columns, in slot order: the columns of what
-    /// [`AggState::push_values`] gives, under [`ColumnBuilder`]'s rule,
-    /// written straight from the arrays, the has-flags (or `cnt > 0`) the
-    /// validity.
+    /// Slots `at`'s physical columns, in slot order: exactly what the
+    /// `Value` accumulators hold after the same updates and merges, under
+    /// [`ColumnBuilder`]'s rule, written straight from the arrays, the
+    /// has-flags (or `cnt > 0`) the validity.
     pub(crate) fn physical_columns(&self, at: &[u32], out: &mut Vec<Arc<Column>>) {
         let mut put = |c: Column| out.push(Arc::new(c));
         let all = |_: usize| true;
@@ -776,7 +749,7 @@ fn avg_counts<'a>(sums: Option<&Bitmap>, col: &'a Column) -> Option<&'a [i64]> {
 /// The typed accumulators of every aggregate of one [`AccLayout`], over
 /// `len` positions: what the coordinator merges its sites' sub-aggregates
 /// in. Position `p` of every aggregate together is one `Vec<Value>`
-/// accumulator of the layout ([`AccStates::push_values`]).
+/// accumulator of the layout ([`AccStates::physical_columns`]).
 #[derive(Debug)]
 pub struct AccStates {
     layout: AccLayout,
@@ -862,13 +835,6 @@ impl AccStates {
         for (spec, _, st) in self.specs() {
             st.combine(spec, dst, src, n, dst_present, src_present);
         }
-    }
-
-    /// Append position `p`'s physical slot values, in layout order: the
-    /// `Value` accumulator the states hold there, which the tests' row
-    /// references read.
-    pub fn push_values(&self, p: usize, out: &mut Vec<Value>) {
-        self.states.iter().for_each(|st| st.push_values(p, out));
     }
 
     /// Positions `at`'s physical columns, in layout order, one per slot:

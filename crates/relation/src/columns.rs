@@ -8,15 +8,15 @@
 //! type at construction ([`crate::Relation::new`]), so no layer needs a
 //! representation for columns that mix types.
 //!
-//! The store is a *projection* of a relation's rows: [`Columns::from_rows`]
-//! is lossless (`NaN` bit patterns, `-0.0`, `NULL`s and shared `Str`
-//! handles all survive the round trip through [`Columns::to_rows`]). The
+//! It is every relation's store ([`crate::Relation::columns`]), and the
+//! relational operators work on it: a projection shares columns, a
+//! selection, a sort or a distinct gathers them ([`Column::gather`]), a
+//! union concatenates them ([`Column::concat`]). Rows are the API edge's
+//! view: [`Columns::from_rows`] is the one path from rows to columns and
+//! [`Columns::to_rows`] its inverse, lossless both ways (`NaN` bit
+//! patterns, `-0.0`, `NULL`s and shared `Str` handles all survive). The
 //! wire codec ships a relation as these columns ([`crate::codec`]), and
 //! decodes a frame back into them.
-//!
-//! A relation builds each [`Column`] on its own, the first time a query
-//! touches it ([`crate::Relation::column`]); [`Columns`] is the
-//! all-columns view of the same shared vectors.
 //!
 //! The vectorized GMDJ kernel consumes this layout: aggregate inner loops
 //! run over `&[i64]` / `&[f64]` slices. Grouping compares *canonical
@@ -270,8 +270,8 @@ impl Column {
 pub type StrDictView<'a> = (&'a [u32], &'a [Arc<str>], Option<&'a Bitmap>);
 
 /// The columnar store of one relation: `arity` typed columns of equal
-/// length — the all-columns view, sharing each vector with the relation's
-/// per-column cells ([`crate::Relation::column`]).
+/// length, each shared with whatever else holds it (a projection, a
+/// clone, a relation made of other relations' columns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Columns {
     len: usize,
@@ -279,14 +279,19 @@ pub struct Columns {
 }
 
 impl Columns {
-    /// Build the columnar store from row-major data, every column: each
-    /// the typed vector of its declared type ([`ColumnBuilder`]).
+    /// Build the columnar store from row-major data, every column in one
+    /// pass: each the typed vector of its declared type
+    /// ([`ColumnBuilder`]'s rule). The one path from rows to columns.
     ///
     /// # Panics
     /// If a value is neither `NULL` nor of its field's type.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> Columns {
-        let cols = (0..schema.len())
-            .map(|c| Arc::new(Column::build(schema.field(c).data_type(), rows, c)))
+        let cols = (schema.fields().iter().enumerate())
+            .map(|(c, f)| {
+                let mut b = ColumnBuilder::new(f.data_type(), rows.len());
+                b.extend(rows.iter().map(|r| r.get(c)));
+                Arc::new(b.finish())
+            })
             .collect();
         Columns::from_shared(rows.len(), cols)
     }
@@ -363,8 +368,9 @@ impl Columns {
 
 /// A column of one declared type, built one value at a time under the
 /// **representation rule** every path that makes a [`Column`] keeps —
-/// rows ([`Columns::from_rows`]), a gather ([`Column::gather`]), the
-/// kernel's typed states and the codec alike:
+/// rows ([`Columns::from_rows`]), a gather ([`Column::gather`]), a
+/// concatenation ([`Column::concat`]), the generators, the kernel's typed
+/// states and the codec alike:
 ///
 /// - the column is its declared type's vector, with a validity bitmap
 ///   only when it holds a `NULL`, and 0 (or code 0) at its `NULL` rows;
@@ -528,13 +534,6 @@ fn typed_run<'a, T>(
 }
 
 impl Column {
-    /// Build column `c` of `rows` in one pass ([`ColumnBuilder`]'s rule).
-    pub(crate) fn build(declared: DataType, rows: &[Row], c: usize) -> Column {
-        let mut b = ColumnBuilder::new(declared, rows.len());
-        b.extend(rows.iter().map(|r| r.get(c)));
-        b.finish()
-    }
-
     /// `len` `NULL`s of type `declared`: the rule's column of no value.
     pub fn nulls(declared: DataType, len: usize) -> Column {
         let valid = (len > 0).then(|| Bitmap::new(len));
@@ -608,6 +607,19 @@ impl Column {
                 }
             }
         }
+    }
+
+    /// The rows of `parts`, one part after another, as one column of type
+    /// `declared`, built under [`ColumnBuilder`]'s rule.
+    ///
+    /// # Panics
+    /// If a part holds a value of another type than `declared`.
+    pub fn concat(declared: DataType, parts: &[&Column]) -> Column {
+        let mut b = ColumnBuilder::new(declared, parts.iter().map(|c| c.len()).sum());
+        for c in parts {
+            (0..c.len()).for_each(|i| b.push(&c.value(i)));
+        }
+        b.finish()
     }
 
     /// Rows `i` and `j` in [`Value`]'s order, read in place: `NULL`
@@ -809,17 +821,32 @@ impl IdTable {
     /// not hold, and return it.
     pub fn insert(&mut self, h: u64) -> usize {
         if (self.hashes.len() + 1) * 2 > self.slots.len() {
-            let mut grown = vec![0u32; self.slots.len() * 2];
-            for (id, &h) in self.hashes.iter().enumerate() {
-                place(&mut grown, h, id);
-            }
-            self.slots = grown;
+            self.rehash(self.slots.len() * 2);
         }
         let id = self.hashes.len();
         assert!(id < u32::MAX as usize, "more than u32::MAX ids");
         place(&mut self.slots, h, id);
         self.hashes.push(h);
         id
+    }
+
+    /// Make room for `additional` more ids, so that inserting them does
+    /// not grow the table.
+    pub fn reserve(&mut self, additional: usize) {
+        let n = self.hashes.len() + additional;
+        if n * 2 > self.slots.len() {
+            self.rehash((n * 2).next_power_of_two());
+        }
+        self.hashes.reserve(additional);
+    }
+
+    /// Lay the ids out again over `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        let mut grown = vec![0u32; slots];
+        for (id, &h) in self.hashes.iter().enumerate() {
+            place(&mut grown, h, id);
+        }
+        self.slots = grown;
     }
 
     /// How many ids have been given out.
@@ -995,10 +1022,15 @@ mod tests {
         }
     }
 
-    /// Every path that makes a column keeps `Column::build`'s rule: the
-    /// value-at-a-time builder and the gather (of every subset order the
-    /// cases try) give the column `Column::build` gives over the same
-    /// values.
+    /// Column 0 of `rows`, built by the one path from rows to columns.
+    fn build(declared: DataType, rows: &[Row]) -> Column {
+        Columns::from_rows(&Schema::of(&[("x", declared)]), rows).col(0).clone()
+    }
+
+    /// Every path that makes a column keeps `Columns::from_rows`' rule: the
+    /// value-at-a-time builder, the gather (of every subset order the
+    /// cases try) and the concatenation (of every split) give the column
+    /// `Columns::from_rows` gives over the same values.
     #[test]
     fn every_builder_keeps_the_representation_rule() {
         let nan = |bits: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | bits));
@@ -1017,7 +1049,7 @@ mod tests {
         ];
         for (declared, values) in &cases {
             let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
-            let built = Column::build(*declared, &rows, 0);
+            let built = build(*declared, &rows);
             let mut builder = ColumnBuilder::new(*declared, values.len());
             values.iter().for_each(|v| builder.push(v));
             assert!(same(&builder.finish(), &built), "builder, {values:?}");
@@ -1035,9 +1067,18 @@ mod tests {
             }
             for at in picks {
                 let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
-                let want = Column::build(*declared, &rows, 0);
+                let want = build(*declared, &rows);
                 let got = built.gather(&at);
                 assert!(same(&got, &want), "gather {at:?} of {values:?}: {got:?} vs {want:?}");
+            }
+            // Concatenations: every split in two, and the halves swapped.
+            for k in 0..=values.len() {
+                let (head, tail) = (build(*declared, &rows[..k]), build(*declared, &rows[k..]));
+                let got = Column::concat(*declared, &[&head, &tail]);
+                assert!(same(&got, &built), "concat at {k} of {values:?}: {got:?}");
+                let swapped: Vec<Row> = rows[k..].iter().chain(&rows[..k]).cloned().collect();
+                let got = Column::concat(*declared, &[&tail, &head]);
+                assert!(same(&got, &build(*declared, &swapped)), "swapped at {k} of {values:?}");
             }
         }
         // A short gather of a long dictionary renumbers through a map.
@@ -1045,10 +1086,10 @@ mod tests {
             .map(|i| if i % 7 == 0 { Value::Null } else { Value::str(format!("s{}", i % 250)) })
             .collect();
         let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
-        let built = Column::build(DataType::Str, &rows, 0);
+        let built = build(DataType::Str, &rows);
         for at in [vec![260, 10, 260, 14], vec![7], vec![299, 49], vec![2, 1, 2], vec![3, 4]] {
             let rows: Vec<Row> = at.iter().map(|&i| rows[i as usize].clone()).collect();
-            let want = Column::build(DataType::Str, &rows, 0);
+            let want = build(DataType::Str, &rows);
             let got = built.gather(&at);
             assert!(same(&got, &want), "gather {at:?}: {got:?} vs {want:?}");
         }
@@ -1065,7 +1106,7 @@ mod tests {
     fn in_place_order_and_equality_agree_with_value() {
         let column = |t: DataType, values: &[Value]| {
             let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
-            Column::build(t, &rows, 0)
+            build(t, &rows)
         };
         let typed = [
             column(DataType::Int, &[Value::Int(2), Value::Int(0), Value::Int(i64::MAX), Value::Null]),

@@ -521,93 +521,72 @@ pub enum BoundExpr {
 impl BoundExpr {
     /// Evaluate over a base row and a detail row.
     pub fn eval(&self, base: &Row, detail: &Row) -> Result<Value> {
-        self.eval_inner(base, Some(detail))
+        self.eval_with(&mut |side, i| match side {
+            Side::Base => Ok(base.get(i).clone()),
+            Side::Detail => Ok(detail.get(i).clone()),
+        })
     }
 
     /// Evaluate a base-only predicate over a single row.
     pub fn eval_row(&self, base: &Row) -> Result<Value> {
-        self.eval_inner(base, None)
+        self.eval_with(&mut |side, i| match side {
+            Side::Base => Ok(base.get(i).clone()),
+            Side::Detail => Err(Error::Plan("detail column in single-row eval".into())),
+        })
     }
 
-    /// Evaluate over a base row and row `at` of a detail relation's
-    /// columnar layout — the columnar kernel's equivalent of
-    /// [`BoundExpr::eval`], fetching detail values from typed columns
-    /// ([`Relation::column`], so only the columns the expression names get
-    /// built) instead of a materialized [`Row`].
-    pub fn eval_cols(&self, base: &Row, detail: &Relation, at: usize) -> Result<Value> {
+    /// Evaluate at row `b` of a base relation and row `d` of a detail
+    /// relation, reading each value from its column in place
+    /// ([`Relation::column`]) instead of a materialized [`Row`]. A side
+    /// given as `None` must not be referenced (an error otherwise): a
+    /// base-only predicate over one relation ([`Relation::select`]) passes
+    /// no detail side, a detail-only aggregate input no base side.
+    pub fn eval_cols(
+        &self,
+        base: Option<(&Relation, usize)>,
+        detail: Option<(&Relation, usize)>,
+    ) -> Result<Value> {
+        self.eval_with(&mut |side, i| {
+            let at = match side {
+                Side::Base => base,
+                Side::Detail => detail,
+            };
+            let (rel, r) = at.ok_or_else(|| Error::Plan(format!("no {side:?} side to read column {i} of")))?;
+            Ok(rel.column(i).value(r))
+        })
+    }
+
+    /// The one evaluator: `col(side, i)` is column `i` of `side`'s value.
+    fn eval_with(&self, col: &mut impl FnMut(Side, usize) -> Result<Value>) -> Result<Value> {
         match self {
-            BoundExpr::Col(Side::Base, i) => Ok(base.get(*i).clone()),
-            BoundExpr::Col(Side::Detail, i) => Ok(detail.column(*i).value(at)),
+            BoundExpr::Col(side, i) => col(*side, *i),
             BoundExpr::Lit(v) => Ok(v.clone()),
             BoundExpr::Cmp(op, a, b) => {
-                let (x, y) = (a.eval_cols(base, detail, at)?, b.eval_cols(base, detail, at)?);
+                let (x, y) = (a.eval_with(col)?, b.eval_with(col)?);
                 if x.is_null() || y.is_null() {
                     return Ok(Value::Null);
                 }
                 Ok(Value::Int(op.apply(&x, &y) as i64))
             }
             BoundExpr::Arith(op, a, b) => {
-                let (x, y) = (a.eval_cols(base, detail, at)?, b.eval_cols(base, detail, at)?);
+                let (x, y) = (a.eval_with(col)?, b.eval_with(col)?);
                 eval_arith(*op, &x, &y)
             }
             BoundExpr::And(a, b) => {
-                if !a.eval_cols(base, detail, at)?.is_truthy() {
+                if !a.eval_with(col)?.is_truthy() {
                     return Ok(Value::Int(0));
                 }
-                Ok(Value::Int(b.eval_cols(base, detail, at)?.is_truthy() as i64))
+                Ok(Value::Int(b.eval_with(col)?.is_truthy() as i64))
             }
             BoundExpr::Or(a, b) => {
-                if a.eval_cols(base, detail, at)?.is_truthy() {
+                if a.eval_with(col)?.is_truthy() {
                     return Ok(Value::Int(1));
                 }
-                Ok(Value::Int(b.eval_cols(base, detail, at)?.is_truthy() as i64))
+                Ok(Value::Int(b.eval_with(col)?.is_truthy() as i64))
             }
-            BoundExpr::Not(a) => {
-                Ok(Value::Int(!a.eval_cols(base, detail, at)?.is_truthy() as i64))
-            }
+            BoundExpr::Not(a) => Ok(Value::Int(!a.eval_with(col)?.is_truthy() as i64)),
             BoundExpr::InList(a, vs) => {
-                let x = a.eval_cols(base, detail, at)?;
-                if x.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Int(vs.binary_search(&x).is_ok() as i64))
-            }
-        }
-    }
-
-    fn eval_inner(&self, base: &Row, detail: Option<&Row>) -> Result<Value> {
-        match self {
-            BoundExpr::Col(Side::Base, i) => Ok(base.get(*i).clone()),
-            BoundExpr::Col(Side::Detail, i) => detail
-                .map(|d| d.get(*i).clone())
-                .ok_or_else(|| Error::Plan("detail column in single-row eval".into())),
-            BoundExpr::Lit(v) => Ok(v.clone()),
-            BoundExpr::Cmp(op, a, b) => {
-                let (x, y) = (a.eval_inner(base, detail)?, b.eval_inner(base, detail)?);
-                if x.is_null() || y.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Int(op.apply(&x, &y) as i64))
-            }
-            BoundExpr::Arith(op, a, b) => {
-                let (x, y) = (a.eval_inner(base, detail)?, b.eval_inner(base, detail)?);
-                eval_arith(*op, &x, &y)
-            }
-            BoundExpr::And(a, b) => {
-                if !a.eval_inner(base, detail)?.is_truthy() {
-                    return Ok(Value::Int(0));
-                }
-                Ok(Value::Int(b.eval_inner(base, detail)?.is_truthy() as i64))
-            }
-            BoundExpr::Or(a, b) => {
-                if a.eval_inner(base, detail)?.is_truthy() {
-                    return Ok(Value::Int(1));
-                }
-                Ok(Value::Int(b.eval_inner(base, detail)?.is_truthy() as i64))
-            }
-            BoundExpr::Not(a) => Ok(Value::Int(!a.eval_inner(base, detail)?.is_truthy() as i64)),
-            BoundExpr::InList(a, vs) => {
-                let x = a.eval_inner(base, detail)?;
+                let x = a.eval_with(col)?;
                 if x.is_null() {
                     return Ok(Value::Null);
                 }

@@ -2,10 +2,10 @@
 //!
 //! The storage and expression layer underneath the Skalla distributed OLAP
 //! engine: scalar [`Value`]s, [`Schema`]s, [`Row`]s, in-memory
-//! [`Relation`]s with the usual operators plus a per-column physical
-//! layout built on first touch ([`Column`]: typed vectors,
-//! dictionary-encoded strings, validity bitmaps) for the vectorized
-//! kernel, two-sided scalar [`Expr`]essions
+//! [`Relation`]s stored as columns ([`Column`]: typed vectors,
+//! dictionary-encoded strings, validity bitmaps) with the usual
+//! operators over them, rows being a view for the API edge, two-sided
+//! scalar [`Expr`]essions
 //! (GMDJ conditions θ(b, r)), interval/domain analysis for deriving the
 //! paper's ¬ψ group-reduction filters, a binary codec with
 //! exact byte accounting, and CSV import/export.

@@ -14,32 +14,36 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// constructors refuse anything else.
 ///
 /// This is the storage unit of each warehouse site's local detail relation
-/// and of every structure shipped between sites and the coordinator. The
-/// CSV loader reads and writes rows; the frame codec ships the columns.
+/// and of every structure shipped between sites and the coordinator.
 ///
-/// A relation is *rows-first* (made from rows: [`Relation::new`], the
-/// loaders, the row operators below) or *columns-first*
-/// ([`Relation::from_columns`]: a decoded frame body, a site's merge-unit
-/// answer built from the kernel's states, the coordinator's B after a
-/// merge unit, a merge tree's output). A columns-first relation builds
-/// its rows only if something reads them, and every column it holds
-/// keeps [`crate::ColumnBuilder`]'s representation rule, so it encodes
-/// to the bytes its rows would. What a query
-/// derives from the rows — a column's typed
-/// vector ([`Relation::column`]), the local groups of a key-column list
-/// ([`Relation::groups`]) — is built on first touch and kept on the
-/// relation: never at construction, dropped by mutation, and a clone takes
-/// a snapshot (it shares what is built, and nothing either side builds
-/// afterwards is visible to the other — except the projection of a key
-/// list whose groups both share, which is the same on both sides).
-#[derive(Debug, Clone)]
+/// A relation stores its [`Columns`] (typed vectors, dictionary-encoded
+/// strings and validity bitmaps, under [`crate::ColumnBuilder`]'s
+/// representation rule), and every operator below reads and writes
+/// columns. Rows exist only at the API edge: [`Relation::rows`],
+/// [`Relation::iter`] and `&relation` iteration build a row view from the
+/// columns on first call, for the CSV writer, `Display`, renderers and
+/// tests. [`Relation::new`] builds the columns from the rows it is handed
+/// and keeps no row: a row view's strings are always the store's. A clone
+/// shares the store and its row view, so it costs O(arity) at most. The local
+/// groups of a key-column list ([`Relation::groups`]) are derived on first
+/// touch and remembered per relation; [`Relation::rows_mut`], the one
+/// mutation path, drops the store and the memo.
+#[derive(Debug)]
 pub struct Relation {
     schema: SchemaRef,
-    /// The rows: given at construction, or, for a relation over decoded
-    /// columns ([`Relation::from_columns`]), built from them the first time
-    /// something reads them.
+    store: Arc<Store>,
+    groups: Mutex<GroupMemo>,
+}
+
+/// A relation's data, shared by its clones.
+#[derive(Debug)]
+struct Store {
+    /// The columns. Unset only between [`Relation::rows_mut`] and the
+    /// next column read, which rebuilds them from `rows`.
+    cols: OnceLock<Columns>,
+    /// The row view: built from `cols` the first time something reads
+    /// rows, or handed out for mutation by [`Relation::rows_mut`].
     rows: OnceLock<Vec<Row>>,
-    derived: Derived,
 }
 
 /// How many key-column lists' groups a relation remembers (most recently
@@ -48,24 +52,6 @@ const GROUP_MEMO_CAP: usize = 8;
 
 /// The memo of [`Relation::groups`]: key-column positions → groups.
 type GroupMemo = Vec<(Vec<usize>, Arc<Groups>)>;
-
-/// State computed from `rows`, each piece on first touch.
-#[derive(Debug, Default)]
-struct Derived {
-    /// One cell per column, allocated with the first column built.
-    cols: OnceLock<Box<[OnceLock<Arc<Column>>]>>,
-    /// The all-columns view over `cols`.
-    all: OnceLock<Arc<Columns>>,
-    groups: Mutex<GroupMemo>,
-}
-
-impl Derived {
-    /// The memo. Every update leaves the list valid (whole entries are
-    /// inserted or dropped), so a poisoned lock is still good to use.
-    fn groups(&self) -> std::sync::MutexGuard<'_, GroupMemo> {
-        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 /// The local groups of one key-column list ([`Relation::groups`]): the
 /// equality classes of [`Value`]'s `Eq` over those columns, numbered in
@@ -78,7 +64,7 @@ pub struct Groups {
     first: Vec<u32>,
     /// The first rows projected onto the key columns — built only when
     /// [`Relation::project_distinct`] asks, and shared by every relation
-    /// whose memo holds this entry (clones of one set of rows).
+    /// whose memo holds this entry (clones of one relation).
     distinct: OnceLock<Relation>,
 }
 
@@ -94,37 +80,46 @@ impl Groups {
     }
 }
 
-impl Clone for Derived {
-    fn clone(&self) -> Derived {
-        Derived {
-            cols: self.cols.clone(),
-            all: self.all.clone(),
-            groups: Mutex::new(self.groups().clone()),
+/// A clone shares the store (and any row view built so far) and takes a
+/// snapshot of the group memo: groups either side derives afterwards are
+/// its own.
+impl Clone for Relation {
+    fn clone(&self) -> Relation {
+        Relation {
+            schema: Arc::clone(&self.schema),
+            store: Arc::clone(&self.store),
+            groups: Mutex::new(self.memo().clone()),
         }
     }
 }
 
-/// Equality is over schema and rows only — what has been derived from them
-/// is invisible.
+/// Equality is over schema and values, read from the columns: what has
+/// been derived, and whether a row view exists, is invisible.
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        self.schema == other.schema && self.rows() == other.rows()
+        if self.schema != other.schema || self.len() != other.len() {
+            return false;
+        }
+        let (a, b) = (self.columns(), other.columns());
+        (0..a.arity()).all(|c| {
+            let (x, y) = (a.col(c), b.col(c));
+            (0..a.len()).all(|i| x.value_eq_at(i, y, i))
+        })
     }
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Relation {
-        Relation::from_shared(Arc::new(schema), Vec::new())
+        let cols = schema.fields().iter().map(|f| Column::nulls(f.data_type(), 0)).collect();
+        Relation::of_columns(Arc::new(schema), Columns::new(0, cols))
     }
 
-    /// A relation over `cols`, one column per field of `schema`: what a
-    /// decoded frame body becomes ([`crate::codec`]), and what a merge
-    /// unit's answer is built as, at a site and at the coordinator. The
-    /// columns must keep [`crate::ColumnBuilder`]'s rule. They are its
-    /// columnar layout, and its rows are built from them the first time
-    /// something reads them, so a consumer that reads columns only never
-    /// builds a row.
+    /// A relation over `cols`, one column per field of `schema`: a decoded
+    /// frame body ([`crate::codec`]), a merge unit's answer built from the
+    /// kernel's states, an operator's output. The columns are its store,
+    /// and must keep [`crate::ColumnBuilder`]'s rule, so that the relation
+    /// encodes to the bytes any other path to the same values would.
     ///
     /// Refuses, with [`Error::SchemaMismatch`], a column count other than
     /// the schema's arity and a column of another type than its field's.
@@ -145,18 +140,28 @@ impl Relation {
                 f.name()
             )));
         }
-        let derived = Derived::default();
-        let cells = cols.shared().iter().map(|c| OnceLock::from(Arc::clone(c))).collect();
-        let _ = derived.cols.set(cells);
-        let _ = derived.all.set(Arc::new(cols));
-        Ok(Relation {
-            schema: Arc::new(schema),
-            rows: OnceLock::new(),
-            derived,
-        })
+        Ok(Relation::of_columns(Arc::new(schema), cols))
     }
 
-    /// A relation from a schema and rows.
+    /// The relation of `schema` over `cols`, which conform to it.
+    fn of_columns(schema: SchemaRef, cols: Columns) -> Relation {
+        debug_assert!(
+            cols.arity() == schema.len()
+                && schema.fields().iter().zip(cols.shared()).all(|(f, c)| c.data_type() == f.data_type()),
+            "columns that do not conform to {schema}"
+        );
+        Relation {
+            schema,
+            store: Arc::new(Store {
+                cols: OnceLock::from(cols),
+                rows: OnceLock::new(),
+            }),
+            groups: Mutex::default(),
+        }
+    }
+
+    /// A relation from a schema and rows: its columns are built from them
+    /// ([`Columns::from_rows`]), and the rows are dropped.
     ///
     /// Refuses, with [`Error::SchemaMismatch`], a row of another arity than
     /// the schema's and a value that is neither `NULL` nor of its field's
@@ -182,19 +187,19 @@ impl Relation {
         Ok(Relation::from_shared(schema, rows))
     }
 
-    /// A relation reusing an existing shared schema (no re-check; used on
-    /// hot paths where rows are constructed against that schema). Debug
-    /// builds assert what [`Relation::new`] checks.
+    /// [`Relation::new`] reusing an existing shared schema, without the
+    /// check (debug builds assert it).
+    ///
+    /// # Panics
+    /// On a value that is neither `NULL` nor of its field's type, while
+    /// building its column.
     pub fn from_shared(schema: SchemaRef, rows: Vec<Row>) -> Relation {
         debug_assert!(
             rows.iter().all(|r| r.len() == schema.len() && misfit(&schema, r).is_none()),
             "rows that do not conform to {schema}"
         );
-        Relation {
-            schema,
-            rows: OnceLock::from(rows),
-            derived: Derived::default(),
-        }
+        let cols = Columns::from_rows(&schema, &rows);
+        Relation::of_columns(schema, cols)
     }
 
     /// The schema.
@@ -209,9 +214,9 @@ impl Relation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self.rows.get() {
-            Some(rows) => rows.len(),
-            None => self.derived.all.get().map_or(0, |c| c.len()),
+        match self.store.cols.get() {
+            Some(cols) => cols.len(),
+            None => self.store.rows.get().map_or(0, Vec::len),
         }
     }
 
@@ -220,91 +225,92 @@ impl Relation {
         self.len() == 0
     }
 
-    /// The rows.
+    /// The rows: the API edge's view of the relation, built from its
+    /// columns on first call and shared with its clones. Operators never
+    /// read it.
     pub fn rows(&self) -> &[Row] {
-        // A relation without rows was made from its columns, so
-        // `columns` reads them and does not build them from the rows.
-        self.rows.get_or_init(|| self.columns().to_rows())
+        self.store.rows.get_or_init(|| self.columns().to_rows())
     }
 
-    /// Mutable access to the rows. Drops everything derived from them.
-    /// The rows must still conform to the schema: building a column of a
-    /// value of another type panics.
-    #[expect(clippy::expect_used, reason = "the rows are set on the line before")]
+    /// Mutable access to the rows: the one mutation path. It drops the
+    /// store and the group memo, and the next column read rebuilds the
+    /// store from the rows. The rows must still conform to the schema:
+    /// building a column of a value of another type panics.
+    #[expect(clippy::expect_used, reason = "the store is fresh and holds the rows")]
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        let rows = self.rows.take().unwrap_or_else(|| self.columns().to_rows());
-        self.derived = Derived::default();
-        self.rows = OnceLock::from(rows);
-        self.rows.get_mut().expect("rows are set")
+        let rows = match Arc::get_mut(&mut self.store).and_then(|s| s.rows.take()) {
+            Some(rows) => rows,
+            None => self.columns().to_rows(),
+        };
+        self.memo().clear();
+        self.store = Arc::new(Store {
+            cols: OnceLock::new(),
+            rows: OnceLock::from(rows),
+        });
+        Arc::get_mut(&mut self.store)
+            .and_then(|s| s.rows.get_mut())
+            .expect("a fresh store with rows")
     }
 
-    /// Append a row. Drops everything derived from the rows.
-    ///
-    /// # Panics
-    /// Debug-asserts that the row conforms to the schema.
-    pub fn push(&mut self, row: Row) {
-        debug_assert!(row.len() == self.schema.len() && misfit(&self.schema, &row).is_none());
-        self.rows_mut().push(row);
+    /// The group memo. Every update leaves the list valid (whole entries
+    /// are inserted or dropped), so a poisoned lock is still good to use.
+    fn memo(&self) -> std::sync::MutexGuard<'_, GroupMemo> {
+        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn column_cell(&self, c: usize) -> &Arc<Column> {
-        let cells = self
-            .derived
-            .cols
-            .get_or_init(|| (0..self.schema.len()).map(|_| OnceLock::new()).collect());
-        cells[c].get_or_init(|| {
-            Arc::new(Column::build(
-                self.schema.field(c).data_type(),
-                self.rows(),
-                c,
-            ))
-        })
-    }
-
-    /// The columnar physical layout of column `c` (typed vector or
-    /// dictionary codes plus validity bitmap). Built the first time any
-    /// query touches the column and kept; a query that reads three columns
-    /// of fifteen lays out three.
+    /// Column `c` (typed vector or dictionary codes, plus validity
+    /// bitmap).
     ///
     /// # Panics
     /// If `c` is not a column position of the schema.
     pub fn column(&self, c: usize) -> &Column {
-        self.column_cell(c)
+        self.columns().col(c)
     }
 
-    /// Column `c`'s layout as a shared handle: what a relation made of
-    /// other relations' columns ([`Relation::from_columns`]) holds
-    /// without copying them.
+    /// Column `c` as a shared handle: what a relation made of other
+    /// relations' columns ([`Relation::from_columns`]) holds without
+    /// copying them.
     ///
     /// # Panics
     /// If `c` is not a column position of the schema.
     pub fn shared_column(&self, c: usize) -> Arc<Column> {
-        Arc::clone(self.column_cell(c))
+        Arc::clone(&self.columns().shared()[c])
     }
 
-    /// The columnar physical layout of every column — builds whichever
-    /// columns no query has touched yet.
+    /// The columns: the store.
     pub fn columns(&self) -> &Columns {
-        self.derived.all.get_or_init(|| {
-            let cols = (0..self.schema.len())
-                .map(|c| Arc::clone(self.column_cell(c)))
-                .collect();
-            Arc::new(Columns::from_shared(self.len(), cols))
-        })
+        let rows = || self.store.rows.get().map_or(&[][..], Vec::as_slice);
+        self.store.cols.get_or_init(|| Columns::from_rows(&self.schema, rows()))
     }
 
-    /// Iterate over rows.
+    /// Iterate over the rows ([`Relation::rows`]).
     pub fn iter(&self) -> std::slice::Iter<'_, Row> {
         self.rows().iter()
     }
 
+    /// The relation of `schema` whose columns are this one's at `idx`,
+    /// shared.
+    fn pick(&self, schema: SchemaRef, idx: &[usize]) -> Relation {
+        let cols = idx.iter().map(|&c| self.shared_column(c)).collect();
+        Relation::of_columns(schema, Columns::from_shared(self.len(), cols))
+    }
+
     /// Projection onto named columns (π). Multiset semantics: keeps
-    /// duplicates.
+    /// duplicates. Shares the columns.
     pub fn project(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
-        let schema = self.schema.project(&idx)?;
-        let rows = self.iter().map(|r| r.project(&idx)).collect();
-        Relation::new(schema, rows)
+        let schema = Arc::new(self.schema.project(&idx)?);
+        Ok(self.pick(schema, &idx))
+    }
+
+    /// Rows `at`, in that order (a row may repeat): every column gathered
+    /// ([`Column::gather`]).
+    ///
+    /// # Panics
+    /// If a position in `at` is not a row of the relation.
+    pub fn gather(&self, at: &[u32]) -> Relation {
+        let cols = self.columns().shared().iter().map(|c| c.gather(at)).collect();
+        Relation::of_columns(self.schema_ref(), Columns::new(at.len(), cols))
     }
 
     /// The local groups of the key columns at positions `key`: each row's
@@ -320,7 +326,7 @@ impl Relation {
     /// If a position in `key` is not a column position of the schema.
     pub fn groups(&self, key: &[usize]) -> Arc<Groups> {
         {
-            let mut memo = self.derived.groups();
+            let mut memo = self.memo();
             if let Some(at) = memo.iter().position(|(k, _)| k == key) {
                 memo[..=at].rotate_right(1);
                 return Arc::clone(&memo[0].1);
@@ -346,7 +352,7 @@ impl Relation {
             first,
             distinct: OnceLock::new(),
         });
-        let mut memo = self.derived.groups();
+        let mut memo = self.memo();
         memo.retain(|(k, _)| k != key); // a concurrent caller got here first
         memo.insert(0, (key.to_vec(), Arc::clone(&groups)));
         memo.truncate(GROUP_MEMO_CAP);
@@ -355,8 +361,9 @@ impl Relation {
 
     /// Duplicate-eliminating projection (π with DISTINCT) preserving first
     /// occurrence order, each group represented by its first occurrence's
-    /// exact values — used to build base-values relations. The projection
-    /// of [`Relation::groups`], kept with them once made.
+    /// exact values — used to build base-values relations. The key
+    /// columns gathered at [`Relation::groups`]' first rows, kept with
+    /// them once made.
     pub fn project_distinct(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
         let groups = self.groups(&idx);
@@ -364,37 +371,30 @@ impl Relation {
             return Ok(distinct.clone());
         }
         let schema = Arc::new(self.schema.project(&idx)?);
-        let rows = groups
-            .first
-            .iter()
-            .map(|&i| self.rows()[i as usize].project(&idx))
-            .collect();
-        Ok(groups
-            .distinct
-            .get_or_init(|| Relation::from_shared(schema, rows))
-            .clone())
+        let picked = self.pick(schema, &idx).gather(&groups.first);
+        Ok(groups.distinct.get_or_init(|| picked).clone())
     }
 
-    /// Selection (σ) by a bound predicate.
+    /// Selection (σ) by a bound predicate over this relation's columns
+    /// (the base side of the expression).
     pub fn select(&self, pred: &BoundExpr) -> Result<Relation> {
-        let mut rows = Vec::new();
-        for r in self {
-            if pred.eval_row(r)?.is_truthy() {
-                rows.push(r.clone());
+        let mut at = Vec::new();
+        for i in 0..self.len() {
+            if pred.eval_cols(Some((self, i)), None)?.is_truthy() {
+                at.push(i as u32);
             }
         }
-        Ok(Relation::from_shared(self.schema_ref(), rows))
+        Ok(self.gather(&at))
     }
 
-    /// Selection by an arbitrary row predicate closure.
-    pub fn filter(&self, mut keep: impl FnMut(&Row) -> bool) -> Relation {
-        Relation::from_shared(
-            self.schema_ref(),
-            self.iter().filter(|r| keep(r)).cloned().collect(),
-        )
+    /// Selection of the rows whose positions `keep` accepts.
+    pub fn filter(&self, mut keep: impl FnMut(usize) -> bool) -> Relation {
+        let at: Vec<u32> = (0..self.len() as u32).filter(|&i| keep(i as usize)).collect();
+        self.gather(&at)
     }
 
-    /// Multiset union (⊔). Schemas must be identical.
+    /// Multiset union (⊔). Schemas must be identical. Concatenates the
+    /// columns ([`Column::concat`]).
     pub fn union_all(&self, other: &Relation) -> Result<Relation> {
         if self.schema() != other.schema() {
             return Err(Error::SchemaMismatch(format!(
@@ -403,66 +403,65 @@ impl Relation {
                 other.schema()
             )));
         }
-        let mut rows = Vec::with_capacity(self.len() + other.len());
-        rows.extend_from_slice(self.rows());
-        rows.extend_from_slice(other.rows());
-        Ok(Relation::from_shared(self.schema_ref(), rows))
+        let (a, b) = (self.columns(), other.columns());
+        let cols = (0..a.arity())
+            .map(|c| Arc::new(Column::concat(self.schema.field(c).data_type(), &[a.col(c), b.col(c)])))
+            .collect();
+        let cols = Columns::from_shared(a.len() + b.len(), cols);
+        Ok(Relation::of_columns(self.schema_ref(), cols))
     }
 
     /// Distinct rows, preserving first-occurrence order, each represented
-    /// by its first occurrence's exact values: the projection of
-    /// [`Relation::groups`] over every column.
+    /// by its first occurrence's exact values: every column gathered at
+    /// [`Relation::groups`]' first rows over every column.
     pub fn distinct(&self) -> Relation {
         let all: Vec<usize> = (0..self.schema.len()).collect();
-        let rows = self
-            .groups(&all)
-            .first
-            .iter()
-            .map(|&i| self.rows()[i as usize].clone())
-            .collect();
-        Relation::from_shared(self.schema_ref(), rows)
+        self.gather(&self.groups(&all).first)
     }
 
-    /// Rows sorted by the named columns (ascending, total value order).
+    /// The positions of the rows in ascending order of the columns at
+    /// `idx` (total value order, [`Column::cmp_rows`]); ties keep their
+    /// order.
+    fn order_by(&self, idx: &[usize]) -> Vec<u32> {
+        let cols: Vec<&Column> = idx.iter().map(|&c| self.column(c)).collect();
+        let mut at: Vec<u32> = (0..self.len() as u32).collect();
+        at.sort_by(|&a, &b| {
+            let mut ord = cols.iter().map(|c| c.cmp_rows(a as usize, b as usize));
+            ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        at
+    }
+
+    /// Rows sorted by the named columns (ascending, total value order;
+    /// ties keep their order).
     pub fn sorted_by(&self, columns: &[&str]) -> Result<Relation> {
         let idx = self.schema.indexes_of(columns)?;
-        let mut rows = self.rows().to_vec();
-        rows.sort_by(|a, b| {
-            for &i in &idx {
-                let ord = a.get(i).cmp(b.get(i));
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        Ok(Relation::from_shared(self.schema_ref(), rows))
+        Ok(self.gather(&self.order_by(&idx)))
     }
 
     /// A canonical form for multiset comparison in tests: all rows sorted.
     pub fn canonicalized(&self) -> Relation {
-        let mut rows = self.rows().to_vec();
-        rows.sort();
-        Relation::from_shared(self.schema_ref(), rows)
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        self.gather(&self.order_by(&all))
     }
 
     /// Multiset equality irrespective of row order and of schema sharing.
     pub fn same_bag(&self, other: &Relation) -> bool {
-        self.schema() == other.schema()
-            && self.canonicalized().rows() == other.canonicalized().rows()
+        self.schema() == other.schema() && self.canonicalized() == other.canonicalized()
     }
 
     /// The distinct values of one column, in first-occurrence order.
     pub fn column_values(&self, column: &str) -> Result<Vec<Value>> {
         let distinct = self.project_distinct(&[column])?;
-        Ok(distinct.iter().map(|r| r.get(0).clone()).collect())
+        let col = distinct.column(0);
+        Ok((0..distinct.len()).map(|i| col.value(i)).collect())
     }
 
     /// Serialized size in bytes: the schema and the columnar body
-    /// ([`crate::codec`]). Builds every column.
+    /// ([`crate::codec`]).
     pub fn encoded_size(&self) -> usize {
-        let cols = (0..self.schema.len()).map(|c| self.column(c));
-        self.schema.encoded_size() + crate::codec::body_size(self.len(), cols)
+        let cols = self.columns();
+        self.schema.encoded_size() + crate::codec::body_size(self.len(), cols.shared().iter().map(|c| &**c))
     }
 }
 
@@ -585,22 +584,22 @@ mod tests {
     }
 
     #[test]
-    fn filter_closure() {
+    fn filter_and_select_gather_the_kept_positions() {
         let r = sample();
-        let f = r.filter(|row| row.get(0) == &Value::Int(1));
-        assert_eq!(f.len(), 2);
+        let f = r.filter(|i| r.column(0).value(i) == Value::Int(1));
+        assert_eq!(f.rows(), [row![1i64, "x"], row![1i64, "x"]]);
+        let pred = crate::Expr::bcol("b").eq(crate::Expr::lit("y"));
+        let s = r.select(&pred.bind(r.schema(), None).unwrap()).unwrap();
+        assert_eq!(s.rows(), [row![2i64, "y"]]);
     }
 
-    /// Which columns of `r` have a layout built.
-    fn built(r: &Relation) -> Vec<bool> {
-        match r.derived.cols.get() {
-            Some(cells) => cells.iter().map(|c| c.get().is_some()).collect(),
-            None => vec![false; r.schema.len()],
-        }
+    /// Does `r` hold its columns, and a row view?
+    fn held(r: &Relation) -> (bool, bool) {
+        (r.store.cols.get().is_some(), r.store.rows.get().is_some())
     }
 
     fn memo_len(r: &Relation) -> usize {
-        r.derived.groups().len()
+        r.memo().len()
     }
 
     fn wide() -> Relation {
@@ -616,19 +615,25 @@ mod tests {
     }
 
     #[test]
-    fn touching_a_column_builds_only_that_column() {
+    fn a_relation_from_rows_holds_every_column() {
+        // `new` builds every column, once, and keeps no row.
         let r = wide();
-        assert_eq!(built(&r), [false, false, false], "nothing is built at load");
+        assert_eq!(held(&r), (true, false));
+        assert_eq!(r.columns(), &Columns::from_rows(r.schema(), r.rows()));
         assert_eq!(r.column(2).value(1), Value::Double(1.5));
-        assert_eq!(built(&r), [false, false, true]);
-        // A distinct over `a` touches `a` and nothing else.
-        r.project_distinct(&["a"]).unwrap();
-        assert_eq!(built(&r), [true, false, true]);
-        // The all-columns view builds the rest and shares what exists.
-        let before = r.column(2) as *const Column;
-        assert_eq!(r.columns().to_rows(), r.rows());
-        assert_eq!(built(&r), [true, true, true]);
-        assert!(std::ptr::eq(before, r.columns().col(2)));
+        assert!(std::ptr::eq(r.column(2), r.columns().col(2)));
+        // A relation from columns has no row view until one is read; the
+        // operators read none.
+        let cols = Relation::from_columns(r.schema().clone(), r.columns().clone()).unwrap();
+        assert_eq!(held(&cols), (true, false));
+        let out = cols.project(&["c", "a"]).unwrap().distinct().sorted_by(&["a"]).unwrap();
+        let out = out.union_all(&out).unwrap().canonicalized();
+        assert_eq!(out.len(), 4);
+        assert_eq!(held(&cols), (true, false));
+        assert_eq!(held(&out), (true, false));
+        assert_eq!(cols.rows(), r.rows());
+        assert_eq!(held(&cols), (true, true));
+        assert_eq!(out.rows()[0], row![0.5, 1i64]);
     }
 
     #[test]
@@ -648,21 +653,21 @@ mod tests {
         r.project_distinct(&["a"]).unwrap();
         assert_eq!(r.column_values("b").unwrap(), [Value::str("x"), Value::str("y")]);
         let kept = |r: &Relation| -> Vec<Vec<usize>> {
-            r.derived.groups().iter().map(|(k, _)| k.clone()).collect()
+            r.memo().iter().map(|(k, _)| k.clone()).collect()
         };
         assert_eq!(kept(&r), [vec![1], vec![0], vec![0, 1], vec![1, 0]]);
 
-        // `push` drops the memo, ids included: the new group shows, and a
-        // handle taken before stays what it was.
+        // `rows_mut` drops the memo, ids included: the new group shows,
+        // and a handle taken before stays what it was.
         let before = r.groups(&[0]);
-        r.push(row![3i64, "x"]);
+        r.rows_mut().push(row![3i64, "x"]);
         assert_eq!(memo_len(&r), 0);
         assert_eq!(r.project_distinct(&["a"]).unwrap().len(), 3);
         assert_eq!(r.groups(&[0]).ids(), [0, 1, 0, 2]);
         assert_eq!(before.ids(), [0, 1, 0]);
-        // So does `rows_mut`.
+        // So does every later call.
         r.rows_mut().retain(|row| row.get(0) != &Value::Int(1));
-        assert_eq!(built(&r), [false, false]);
+        assert_eq!(held(&r), (false, true));
         assert_eq!(memo_len(&r), 0);
         assert_eq!(r.groups(&[0]).ids(), [0, 1]);
         assert_eq!(
@@ -674,27 +679,23 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_is_a_snapshot_of_the_derived_state() {
-        // Taken before first touch: the clone stays cold when the
-        // original is touched, and the other way round.
-        let original = sample();
+    fn a_clone_shares_the_store_and_the_row_view() {
+        let original = Relation::from_columns(sample().schema().clone(), sample().columns().clone()).unwrap();
         let early = original.clone();
-        original.column(0);
-        original.project_distinct(&["a"]).unwrap();
-        assert_eq!(built(&early), [false, false]);
-        assert_eq!(memo_len(&early), 0);
-        early.column(1);
-        assert_eq!(built(&original), [true, false]);
+        assert!(Arc::ptr_eq(&original.shared_column(1), &early.shared_column(1)));
+        // A row view built on either side is the other's too: one store.
+        assert_eq!(held(&early), (true, false));
+        let view = original.rows().as_ptr();
+        assert_eq!(early.rows().as_ptr(), view);
+        assert_eq!(original.clone().rows().as_ptr(), view);
 
-        // Taken afterwards: it shares what was built (same vectors, same
-        // memoized groups) and nothing built later on either side.
+        // The group memo is a snapshot: a clone shares what was derived
+        // (the same groups) and nothing either side derives afterwards.
+        original.project_distinct(&["a"]).unwrap();
+        assert_eq!(memo_len(&early), 0);
         let late = original.clone();
-        assert_eq!(built(&late), [true, false]);
-        assert!(std::ptr::eq(original.column(0), late.column(0)));
         assert!(Arc::ptr_eq(&original.groups(&[0]), &late.groups(&[0])));
-        late.column(1);
         late.project_distinct(&["b"]).unwrap();
-        assert_eq!(built(&original), [true, false]);
         original.groups(&[0, 1]);
         assert_eq!(memo_len(&original), 2);
         assert_eq!(memo_len(&late), 2);
@@ -763,19 +764,23 @@ mod tests {
     }
 
     #[test]
-    fn columns_view_round_trips_and_invalidates() {
+    fn rows_mut_rebuilds_the_store() {
         let mut r = sample();
-        let cols = r.columns();
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols.to_rows(), r.rows());
-        // Mutation invalidates the cached layout.
-        r.push(row![9i64, "z"]);
+        let shared = r.clone();
+        assert_eq!(r.columns().to_rows(), r.rows());
+        // Mutation drops the store; the next column read rebuilds it from
+        // the rows, and a clone taken before keeps the old store.
+        r.rows_mut().push(row![9i64, "z"]);
+        assert_eq!(held(&r), (false, true));
+        assert_eq!(r.len(), 4);
         assert_eq!(r.columns().len(), 4);
         assert_eq!(r.columns().value(1, 3), Value::str("z"));
+        assert_eq!(held(&r), (true, true));
+        assert_eq!(shared.len(), 3);
         r.rows_mut().pop();
         assert_eq!(r.columns().len(), 3);
-        // The cache is invisible to equality.
-        let fresh = sample();
-        assert_eq!(r, fresh);
+        // Neither the store's history nor a row view shows in equality.
+        assert_eq!(r, sample());
+        assert_eq!(shared, Relation::from_columns(r.schema().clone(), r.columns().clone()).unwrap());
     }
 }

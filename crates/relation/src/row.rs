@@ -50,12 +50,6 @@ impl Row {
         Row::new(indexes.iter().map(|&i| self.values[i].clone()).collect())
     }
 
-    /// Key extraction without constructing a `Row`: clone the values at
-    /// `indexes` into a `Vec` usable as a hash-map key.
-    pub fn key(&self, indexes: &[usize]) -> Vec<Value> {
-        indexes.iter().map(|&i| self.values[i].clone()).collect()
-    }
-
     /// A new row with `extra` values appended.
     pub fn extend(&self, extra: &[Value]) -> Row {
         let mut v = Vec::with_capacity(self.values.len() + extra.len());
@@ -64,10 +58,6 @@ impl Row {
         Row::new(v)
     }
 
-    /// Consume the row, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.into_vec()
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -108,11 +98,9 @@ mod tests {
     use crate::Value;
 
     #[test]
-    fn project_and_key() {
-        let r = row![10i64, "a", 2.5];
-        let p = r.project(&[2, 0]);
+    fn project_picks_in_order() {
+        let p = row![10i64, "a", 2.5].project(&[2, 0]);
         assert_eq!(p.values(), &[Value::Double(2.5), Value::Int(10)]);
-        assert_eq!(r.key(&[1]), vec![Value::str("a")]);
     }
 
     #[test]

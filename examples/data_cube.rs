@@ -52,9 +52,10 @@ fn main() {
 
     // A roll-up slice: revenue by nation with ALL (grand-total) rows.
     println!("\n=== revenue by nation (ALL = rolled up) ===");
-    let rel = result
-        .relation
-        .filter(|r| r.get(1).is_null() && r.get(2).is_null())
+    let cube = &result.relation;
+    let rolled_up = |c: usize, i: usize| !cube.column(c).is_valid(i);
+    let rel = cube
+        .filter(|i| rolled_up(1, i) && rolled_up(2, i))
         .sorted_by(&["nation_key"])
         .expect("sortable");
     println!("{:>8} {:>9} {:>16}", "nation", "lines", "revenue");

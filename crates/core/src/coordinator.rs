@@ -602,6 +602,7 @@ pub fn empty_aggregates(ops: &[Gmdj]) -> Result<Vec<Value>> {
 mod tests {
     use super::*;
     use crate::protocol::{decode_result_chunk, result_chunk};
+    use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
     use skalla_gmdj::agg::AggSpec;
     use skalla_gmdj::theta::ThetaBuilder;
     use skalla_relation::{row, Row};
@@ -914,23 +915,6 @@ mod tests {
         f64::from_bits(0x7ff8_0000_0000_0000 | p)
     }
 
-    /// SplitMix64, the spec test's seeded source.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-
-        fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
-            xs[self.below(xs.len())].clone()
-        }
-    }
-
     /// The same bits: same variant, same f64 bit pattern, same string.
     fn identical(a: &Value, b: &Value) -> bool {
         match (a, b) {
@@ -1008,30 +992,30 @@ mod tests {
     /// (distinct keys must be distinct values, of `h_schema`'s key type).
     /// The Double SUM runs over ±0.0 and two NaN payloads; an AVG's sum is
     /// present exactly where its count is positive, as a site's is.
-    fn merge_case(rng: &mut Rng, case: usize, h_schema: &Schema, key: impl Fn(usize) -> Value) -> MergeCase {
+    fn merge_case(rng: &mut StdRng, case: usize, h_schema: &Schema, key: impl Fn(usize) -> Value) -> MergeCase {
         let doubles = [-0.0, 0.0, 0.1, 3.0, 1e16, -1e16, nan(1), nan(0xabc)];
         let strings = [Value::Null, Value::str("a"), Value::str("ab"), Value::str("z")];
-        let (n_sites, n_keys, folded) = (1 + case % 7, 1 + rng.below(9), case.is_multiple_of(3));
-        let dbl = |rng: &mut Rng| Value::Double(rng.pick(&doubles));
+        let (n_sites, n_keys, folded) = (1 + case % 7, rng.gen_range(1..10usize), case.is_multiple_of(3));
+        let dbl = |rng: &mut StdRng| Value::Double(cases::pick(rng, &doubles));
         let accs: Vec<Vec<Option<Vec<Value>>>> = (0..n_sites)
             .map(|_| {
                 (0..n_keys)
                     .map(|_| {
-                        (rng.below(3) > 0).then(|| {
-                            let avg_cnt = rng.below(4) as i64;
+                        (rng.gen_range(0..3) > 0).then(|| {
+                            let avg_cnt = rng.gen_range(0..4i64);
                             let avg_sum = if avg_cnt > 0 { dbl(rng) } else { Value::Null };
                             vec![
-                                Value::Int(rng.below(4) as i64),
-                                Value::Int(i64::MAX - rng.below(3) as i64),
+                                Value::Int(rng.gen_range(0..4i64)),
+                                Value::Int(i64::MAX - rng.gen_range(0..3i64)),
                                 dbl(rng),
                                 Value::Null,
                                 avg_sum,
                                 Value::Int(avg_cnt),
                                 dbl(rng),
                                 dbl(rng),
-                                Value::Int(rng.below(4) as i64),
-                                rng.pick(&strings),
-                                rng.pick(&strings),
+                                Value::Int(rng.gen_range(0..4i64)),
+                                cases::pick(rng, &strings),
+                                cases::pick(rng, &strings),
                             ]
                         })
                     })
@@ -1049,11 +1033,11 @@ mod tests {
                     .filter_map(|(k, a)| Some(Row::new([&[key(k)][..], a.as_ref()?].concat())))
                     .collect();
                 for i in (1..rows.len()).rev() {
-                    rows.swap(i, rng.below(i + 1));
+                    rows.swap(i, rng.gen_range(0..i + 1));
                 }
                 let mut chunks = Vec::new();
                 loop {
-                    let rest = rows.split_off(rng.below(rows.len() + 1));
+                    let rest = rows.split_off(rng.gen_range(0..rows.len() + 1));
                     chunks.push(Relation::new(h_schema.clone(), rows).unwrap());
                     if rest.is_empty() {
                         break chunks;
@@ -1064,7 +1048,7 @@ mod tests {
             .collect();
         let mut b_keys: Vec<usize> = (0..n_keys).collect();
         for i in (1..n_keys).rev() {
-            b_keys.swap(i, rng.below(i + 1));
+            b_keys.swap(i, rng.gen_range(0..i + 1));
         }
         let b = Relation::new(
             Schema::of(&[("tag", DataType::Str), ("g", h_schema.field(0).data_type())]),
@@ -1085,12 +1069,12 @@ mod tests {
     /// The engine's way into X: every chunk encoded into a `RESULT` frame
     /// and absorbed as it lands, the sites' chunks interleaved at random,
     /// each site's in order.
-    fn absorb_interleaved<'b>(c: &'b MergeCase, op: &Gmdj, rng: &mut Rng) -> MergeSync<'b> {
+    fn absorb_interleaved<'b>(c: &'b MergeCase, op: &Gmdj, rng: &mut StdRng) -> MergeSync<'b> {
         let mut engine = MergeSync::new((!c.folded).then_some(&c.b), &key(), op).unwrap();
         let mut queues: Vec<_> = c.chunks.iter().map(|c| c.iter()).collect();
         let mut live: Vec<usize> = (0..c.n_sites).collect();
         while !live.is_empty() {
-            let at = rng.below(live.len());
+            let at = rng.gen_range(0..live.len());
             match queues[live[at]].next() {
                 Some(chunk) => engine.absorb_frame(live[at], frame(chunk)).unwrap(),
                 None => {
@@ -1111,11 +1095,11 @@ mod tests {
         let (op, detail, h_schema) = spec_op();
         let layout = op.layout();
         let key_schema = Schema::of(&[("g", DataType::Int)]);
-        let mut rng = Rng(7);
-        for case in 0..400 {
-            let c = merge_case(&mut rng, case, &h_schema, |k| Value::Int(k as i64));
+        let mut case = 0;
+        for_cases("merge_bits_match_the_pairwise_tree_reference", 400, |rng| {
+            let c = merge_case(rng, case, &h_schema, |k| Value::Int(k as i64));
             let (n_sites, folded) = (c.n_sites, c.folded);
-            let engine = absorb_interleaved(&c, &op, &mut rng);
+            let engine = absorb_interleaved(&c, &op, rng);
             // The layer walk's way: whole answers through the tree, then X.
             let mut walk = MergeSync::new((!folded).then_some(&c.b), &key(), &op).unwrap();
             let answers = c
@@ -1168,7 +1152,8 @@ mod tests {
                     );
                 }
             }
-        }
+            case += 1;
+        });
     }
 
     /// Each value's bits, for a readable failure.
@@ -1249,18 +1234,17 @@ mod tests {
                     .collect(),
             ),
         ];
-        let mut rng = Rng(11);
-        for case in 0..240 {
+        let mut case = 0;
+        for_cases("finish_columns_match_the_row_loop", 240, |rng| {
             let (ty, pool) = &pools[case % 4];
             let key_schema = Schema::of(&[("g", *ty)]);
             let mut fields = h_schema.fields().to_vec();
             fields[0] = skalla_relation::Field::new("g", *ty);
             let h_schema = Schema::new(fields).unwrap();
-            let c = merge_case(&mut rng, case, &h_schema, |k| pool[k].clone());
+            let c = merge_case(rng, case, &h_schema, |k| pool[k].clone());
             // Two identical syncs, one per way to finish.
-            let mut arrivals = Rng(rng.0);
-            let cols = absorb_interleaved(&c, &op, &mut arrivals);
-            let rows = absorb_interleaved(&c, &op, &mut rng);
+            let cols = absorb_interleaved(&c, &op, &mut rng.clone());
+            let rows = absorb_interleaved(&c, &op, rng);
             let in_schema = if c.folded { &key_schema } else { c.b.schema() };
             let got = cols.finish(in_schema, &op, &detail).unwrap();
             let want = finish_by_rows(rows, in_schema, &op, &detail);
@@ -1279,7 +1263,8 @@ mod tests {
                     bits(w.values())
                 );
             }
-        }
+            case += 1;
+        });
     }
 
     #[test]

@@ -387,6 +387,10 @@ impl SiteTelemetry {
             .get("busy_s")
             .and_then(Json::as_f64)
             .ok_or_else(|| bad("missing busy seconds"))?;
+        // The coordinator adds it to the stage's busy time unchecked.
+        if !(busy_s.is_finite() && busy_s >= 0.0) {
+            return Err(bad(&format!("busy seconds {busy_s} must be finite and non-negative")));
+        }
         let obs = match j.get("obs") {
             None | Some(Json::Null) => None,
             Some(delta) => Some(TelemetryDelta::from_json(delta).map_err(Error::Codec)?),
@@ -789,5 +793,12 @@ mod tests {
             "stage > u32"
         );
         assert!(decode_telemetry(&[0xFF]).is_err(), "not UTF-8");
+        for busy in ["-3.5", "-7", "1e999", "-1e999"] {
+            let payload = format!("{{\"stage\":0,\"busy_s\":{busy}}}");
+            assert!(
+                matches!(decode_telemetry(payload.as_bytes()), Err(Error::Codec(_))),
+                "busy_s {busy}"
+            );
+        }
     }
 }

@@ -13,6 +13,8 @@
 // carries `#[expect(clippy::…, reason = "…")]` (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+#[doc(hidden)]
+pub mod cases;
 pub mod flow;
 pub mod partition;
 pub mod tpcr;

@@ -2,7 +2,7 @@
 //! decomposition) over random data and partitionings, aggregate merge
 //! laws, and codec round-trips for random expressions.
 
-use proptest::prelude::*;
+use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
 use skalla_gmdj::eval::{
@@ -12,18 +12,19 @@ use skalla_gmdj::prelude::*;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{DataType, Relation, Row, Schema, Value};
 
-fn arb_agg() -> impl Strategy<Value = (usize, AggFunc)> {
-    // (index used to make the output name unique, function)
-    prop_oneof![
-        Just(AggFunc::Count),
-        Just(AggFunc::Sum),
-        Just(AggFunc::Min),
-        Just(AggFunc::Max),
-        Just(AggFunc::Avg),
-        Just(AggFunc::Var),
-        Just(AggFunc::StdDev),
-    ]
-    .prop_map(|f| (0, f))
+fn arb_agg(rng: &mut StdRng) -> AggFunc {
+    cases::pick(
+        rng,
+        &[
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+            AggFunc::Var,
+            AggFunc::StdDev,
+        ],
+    )
 }
 
 fn spec(i: usize, f: AggFunc) -> AggSpec {
@@ -81,34 +82,24 @@ fn values_close(a: &Value, b: &Value) -> bool {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Theorem 1: evaluating sub-aggregates per partition and merging at a
-    /// "coordinator" equals direct evaluation, for every aggregate
-    /// function, random partitionings and either kernel at any worker
-    /// count and morsel size (VAR/STDDEV compared with a floating-point
-    /// tolerance — partition order changes summation order).
-    #[test]
-    fn sub_super_equals_direct(
-        rows in proptest::collection::vec((-4i64..4, -50i64..50), 1..40),
-        split in proptest::collection::vec(0usize..3, 1..40),
-        aggs in proptest::collection::vec(arb_agg(), 1..4),
-        reference in any::<bool>(),
-        parallelism in 1usize..4,
-        morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
-    ) {
+/// Theorem 1: evaluating sub-aggregates per partition and merging at a
+/// "coordinator" equals direct evaluation, for every aggregate
+/// function, random partitionings and either kernel at any worker
+/// count and morsel size (VAR/STDDEV compared with a floating-point
+/// tolerance — partition order changes summation order).
+#[test]
+fn sub_super_equals_direct() {
+    for_cases("sub_super_equals_direct", 64, |rng| {
+        let rows = cases::vec(rng, 1..40, |rng| (rng.gen_range(-4i64..4), rng.gen_range(-50i64..50)));
+        let split = cases::vec(rng, 1..40, |rng| rng.gen_range(0usize..3));
+        let aggs = cases::vec(rng, 1..4, arb_agg);
         let opts = EvalOptions {
-            parallelism,
-            morsel_rows,
+            parallelism: rng.gen_range(1..4),
+            morsel_rows: cases::pick(rng, &[3, DEFAULT_MORSEL_ROWS]),
         };
-        let kernel = if reference { eval_local_rows } else { eval_local };
+        let kernel = if rng.gen() { eval_local_rows } else { eval_local };
         let d = detail(&rows);
-        let specs: Vec<AggSpec> = aggs
-            .iter()
-            .enumerate()
-            .map(|(i, (_, f))| spec(i, *f))
-            .collect();
+        let specs: Vec<AggSpec> = aggs.iter().enumerate().map(|(i, f)| spec(i, *f)).collect();
         let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), specs);
         let base = d.project_distinct(&["g"]).expect("projects");
 
@@ -150,42 +141,43 @@ proptest! {
         )
         .expect("finalizes");
 
-        prop_assert_eq!(direct.len(), merged.len());
+        assert_eq!(direct.len(), merged.len());
         for (a, b) in direct.rows().iter().zip(merged.rows()) {
             for (x, y) in a.values().iter().zip(b.values()) {
-                prop_assert!(values_close(x, y), "{a} vs {b}");
+                assert!(values_close(x, y), "{a} vs {b}");
             }
         }
-    }
+    });
+}
 
-    /// The columnar kernel — typed residuals included — and the row kernel
-    /// produce the same bits on a correlated chain: per-group AVG, then the
-    /// tuples with `x >= b.avg` (a typed `Double` conjunct against a base
-    /// column that is `NULL` for empty groups) and `v <= 40` (a typed `Int`
-    /// conjunct against a literal), over data with `NULL`s on both
-    /// columns, at any worker count and morsel size — and over the shapes
-    /// of the map from local groups to base tuples: every key layout
-    /// ([`key`]), duplicate base keys, base keys with no local group and
-    /// local groups missing from B.
-    #[test]
-    fn columnar_matches_row_kernel_on_correlated_chain(
-        rows in proptest::collection::vec(
-            (
-                -3i64..3,
-                prop_oneof![(-50i64..50).prop_map(Value::Int), Just(Value::Null)],
-                prop_oneof![
-                    (-90i64..90).prop_map(|v| Value::Double(v as f64 / 3.0)),
-                    Just(Value::Double(-0.0)),
-                    Just(Value::Null),
-                ],
-            ),
-            0..40,
-        ),
-        parallelism in 1usize..4,
-        morsel_rows in prop_oneof![Just(3usize), Just(DEFAULT_MORSEL_ROWS)],
-        layout in 0usize..4,
-        base_keys in proptest::collection::vec(-4i64..5, 0..10),
-    ) {
+/// The columnar kernel — typed residuals included — and the row kernel
+/// produce the same bits on a correlated chain: per-group AVG, then the
+/// tuples with `x >= b.avg` (a typed `Double` conjunct against a base
+/// column that is `NULL` for empty groups) and `v <= 40` (a typed `Int`
+/// conjunct against a literal), over data with `NULL`s on both
+/// columns, at any worker count and morsel size — and over the shapes
+/// of the map from local groups to base tuples: every key layout
+/// ([`key`]), duplicate base keys, base keys with no local group and
+/// local groups missing from B.
+#[test]
+fn columnar_matches_row_kernel_on_correlated_chain() {
+    for_cases("columnar_matches_row_kernel_on_correlated_chain", 64, |rng| {
+        let rows = cases::vec(rng, 0..40, |rng| {
+            let g = rng.gen_range(-3i64..3);
+            let v = if rng.gen() { Value::Int(rng.gen_range(-50..50)) } else { Value::Null };
+            let x = match rng.gen_range(0..3) {
+                0 => Value::Double(rng.gen_range(-90i64..90) as f64 / 3.0),
+                1 => Value::Double(-0.0),
+                _ => Value::Null,
+            };
+            (g, v, x)
+        });
+        let opts = EvalOptions {
+            parallelism: rng.gen_range(1..4),
+            morsel_rows: cases::pick(rng, &[3, DEFAULT_MORSEL_ROWS]),
+        };
+        let layout = rng.gen_range(0usize..4);
+        let base_keys = cases::vec(rng, 0..10, |rng| rng.gen_range(-4i64..5));
         let d = Relation::new(
             Schema::of(&[("g", key_type(layout, false)), ("v", DataType::Int), ("x", DataType::Double)]),
             rows.into_iter()
@@ -214,10 +206,6 @@ proptest! {
                 AggSpec::var("x", "var_above"),
             ],
         );
-        let opts = EvalOptions {
-            parallelism,
-            morsel_rows,
-        };
         let serial = EvalOptions { parallelism: 1, ..opts };
         let col = {
             let b1 = eval_full(&base, &d, &op1, opts).expect("op1 evaluates");
@@ -229,27 +217,27 @@ proptest! {
                 .expect("op1 finalizes");
             eval_local_rows(&b1, &d, &op2, serial).expect("op2 evaluates")
         };
-        prop_assert_eq!(&col.matched, &rowk.matched);
+        assert_eq!(&col.matched, &rowk.matched);
         for (a, b) in col.physical.rows().iter().zip(rowk.physical.rows()) {
             for (x, y) in a.values().iter().zip(b.values()) {
                 let same = match (x, y) {
                     (Value::Double(p), Value::Double(q)) => p.to_bits() == q.to_bits(),
                     _ => x == y && x.data_type() == y.data_type(),
                 };
-                prop_assert!(same, "{a} vs {b}");
+                assert!(same, "{a} vs {b}");
             }
         }
-    }
+    });
+}
 
-    /// Merging is commutative for every aggregate (site arrival order must
-    /// not matter).
-    #[test]
-    fn merge_is_commutative(
-        (_, f) in arb_agg(),
-        xs in proptest::collection::vec(-50i64..50, 0..10),
-        ys in proptest::collection::vec(-50i64..50, 0..10),
-    ) {
-        let a = spec(0, f);
+/// Merging is commutative for every aggregate (site arrival order must
+/// not matter).
+#[test]
+fn merge_is_commutative() {
+    for_cases("merge_is_commutative", 64, |rng| {
+        let a = spec(0, arb_agg(rng));
+        let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
+        let ys = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let mut acc1 = Vec::new();
         a.init_acc(&mut acc1);
         let mut acc2 = acc1.clone();
@@ -267,16 +255,16 @@ proptest! {
         a.merge(&mut acc2, &sub_x).expect("merges");
         let f1 = a.finalize(&acc1).expect("finalizes");
         let f2 = a.finalize(&acc2).expect("finalizes");
-        prop_assert!(values_close(&f1, &f2), "{f1} vs {f2}");
-    }
+        assert!(values_close(&f1, &f2), "{f1} vs {f2}");
+    });
+}
 
-    /// Merging a fresh (identity) accumulator changes nothing.
-    #[test]
-    fn merge_identity(
-        (_, f) in arb_agg(),
-        xs in proptest::collection::vec(-50i64..50, 0..10),
-    ) {
-        let a = spec(0, f);
+/// Merging a fresh (identity) accumulator changes nothing.
+#[test]
+fn merge_identity() {
+    for_cases("merge_identity", 64, |rng| {
+        let a = spec(0, arb_agg(rng));
+        let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let mut acc = Vec::new();
         a.init_acc(&mut acc);
         for x in &xs {
@@ -288,61 +276,64 @@ proptest! {
         a.merge(&mut acc, &fresh).expect("merges");
         let f1 = a.finalize(&before).expect("finalizes");
         let f2 = a.finalize(&acc).expect("finalizes");
-        prop_assert!(values_close(&f1, &f2));
+        assert!(values_close(&f1, &f2));
+    });
+}
+
+/// An expression tree of at most `depth` operator levels: each level is
+/// a leaf or an operator over subtrees one level lower, evenly.
+fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
+    if depth == 0 || rng.gen() {
+        return match rng.gen_range(0..6) {
+            0 => Expr::True,
+            1 => Expr::bcol(cases::string(rng, "abcdefghijklmnopqrstuvwxyz", 1..=6)),
+            2 => Expr::dcol(cases::string(rng, "abcdefghijklmnopqrstuvwxyz", 1..=6)),
+            3 => Expr::lit(rng.gen::<i64>()),
+            4 => Expr::lit(rng.gen_range(-1e9..1e9)),
+            _ => Expr::Lit(Value::str(cases::string(rng, "abcdefghijklmnopqrstuvwxyz' ", 0..=8))),
+        };
+    }
+    let sub = |rng: &mut StdRng| arb_expr(rng, depth - 1);
+    match rng.gen_range(0..10) {
+        0 => sub(rng).eq(sub(rng)),
+        1 => sub(rng).lt(sub(rng)),
+        2 => sub(rng).ge(sub(rng)),
+        3 => sub(rng).add(sub(rng)),
+        4 => sub(rng).mul(sub(rng)),
+        5 => sub(rng).div(sub(rng)),
+        6 => Expr::And(Box::new(sub(rng)), Box::new(sub(rng))),
+        7 => sub(rng).or(sub(rng)),
+        8 => sub(rng).not(),
+        _ => {
+            let a = sub(rng);
+            a.in_list(cases::vec(rng, 0..4, |rng| Value::Int(rng.gen())))
+        }
     }
 }
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        Just(Expr::True),
-        "[a-z]{1,6}".prop_map(Expr::bcol),
-        "[a-z]{1,6}".prop_map(Expr::dcol),
-        any::<i64>().prop_map(Expr::lit),
-        (-1e9f64..1e9).prop_map(Expr::lit),
-        "[a-z' ]{0,8}".prop_map(|s| Expr::Lit(Value::str(s))),
-    ];
-    leaf.prop_recursive(4, 32, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.eq(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.lt(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.ge(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.mul(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.div(b)),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.clone().prop_map(|a| a.not()),
-            (inner, proptest::collection::vec(any::<i64>(), 0..4))
-                .prop_map(|(a, vs)| a.in_list(vs.into_iter().map(Value::Int).collect())),
-        ]
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Random expression trees survive the binary codec.
-    #[test]
-    fn expr_codec_round_trips(e in arb_expr()) {
+/// Random expression trees survive the binary codec.
+#[test]
+fn expr_codec_round_trips() {
+    for_cases("expr_codec_round_trips", 128, |rng| {
+        let e = arb_expr(rng, 4);
         let mut enc = Encoder::new();
         enc.put_expr(&e);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        prop_assert_eq!(dec.get_expr().expect("decodes"), e);
-        prop_assert_eq!(dec.remaining(), 0);
-    }
+        assert_eq!(dec.get_expr().expect("decodes"), e);
+        assert_eq!(dec.remaining(), 0);
+    });
+}
 
-    /// Random single-op GMDJ expressions survive the codec.
-    #[test]
-    fn gmdj_expr_codec_round_trips(
-        theta in arb_expr(),
-        aggs in proptest::collection::vec(arb_agg(), 1..4),
-    ) {
-        let specs: Vec<AggSpec> = aggs
-            .iter()
+/// Random single-op GMDJ expressions survive the codec.
+#[test]
+fn gmdj_expr_codec_round_trips() {
+    for_cases("gmdj_expr_codec_round_trips", 128, |rng| {
+        let theta = arb_expr(rng, 4);
+        let specs: Vec<AggSpec> = cases::vec(rng, 1..4, arb_agg)
+            .into_iter()
             .enumerate()
-            .map(|(i, (_, f))| spec(i, *f))
+            .map(|(i, f)| spec(i, f))
             .collect();
         let expr = GmdjExprBuilder::distinct_base("t", &["g"])
             .gmdj(Gmdj::new("t").block(theta, specs))
@@ -351,6 +342,6 @@ proptest! {
         put_gmdj_expr(&mut enc, &expr);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        prop_assert_eq!(get_gmdj_expr(&mut dec).expect("decodes"), expr);
-    }
+        assert_eq!(get_gmdj_expr(&mut dec).expect("decodes"), expr);
+    });
 }

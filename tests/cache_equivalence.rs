@@ -10,28 +10,13 @@
 
 mod common;
 
-use common::assert_bit_identical;
-use proptest::prelude::*;
+use common::{arb_rows, assert_bit_identical, detail_relation};
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, Skalla};
+use skalla::datagen::cases::{for_cases, Rng};
 use skalla::datagen::partition::partition_by_int_ranges;
 use skalla::gmdj::eval::EvalOptions;
 use skalla::gmdj::prelude::*;
 use skalla::query::{cube_with_rollup, LevelSource};
-use skalla::relation::{DataType, Relation, Row, Schema};
-
-fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
-    Relation::new(
-        Schema::of(&[
-            ("g", DataType::Int),
-            ("h", DataType::Int),
-            ("v", DataType::Int),
-        ]),
-        rows.into_iter()
-            .map(|(g, h, v)| Row::new(vec![g.into(), h.into(), v.into()]))
-            .collect(),
-    )
-    .expect("static schema")
-}
 
 /// Tiny morsels force many merge steps.
 fn eval_opts(parallelism: usize) -> EvalOptions {
@@ -71,20 +56,16 @@ fn chain(correlated: bool) -> GmdjExpr {
     b.build()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Hierarchical roll-up serving is bit-identical to running every
-    /// grouping set as its own distributed query — across random data,
-    /// partitionings, dimensionality and thread counts.
-    #[test]
-    fn cube_rollup_is_bit_identical_to_direct(
-        rows in proptest::collection::vec((-4i64..4, 0i64..3, -20i64..20), 0..60),
-        n_sites in 1usize..4,
-        two_dims in any::<bool>(),
-        parallelism in 1usize..5,
-    ) {
-        let detail = detail_relation(rows);
+/// Hierarchical roll-up serving is bit-identical to running every
+/// grouping set as its own distributed query — across random data,
+/// partitionings, dimensionality and thread counts.
+#[test]
+fn cube_rollup_is_bit_identical_to_direct() {
+    for_cases("cube_rollup_is_bit_identical_to_direct", 24, |rng| {
+        let detail = detail_relation(arb_rows(rng, -4..4, 0..60));
+        let n_sites = rng.gen_range(1..4);
+        let two_dims: bool = rng.gen();
+        let parallelism = rng.gen_range(1..5);
         let parts = partition_by_int_ranges(&detail, "g", n_sites);
         let mut cluster = Cluster::from_partitions("t", parts);
         cluster.configure(&EngineConfig {
@@ -107,25 +88,25 @@ proptest! {
         );
         // Provenance: only the finest level of the rolled cube ran a
         // distributed query; the direct cube ran one per grouping set.
-        prop_assert_eq!(rolled.rolled_up_levels(), (1usize << dims.len()) - 1);
-        prop_assert!(rolled.levels[0].source != LevelSource::RolledUp);
-        prop_assert_eq!(direct.rolled_up_levels(), 0);
-        prop_assert!(rolled.total_rounds() <= direct.total_rounds());
-        prop_assert!(rolled.total_bytes() < direct.total_bytes());
-    }
+        assert_eq!(rolled.rolled_up_levels(), (1usize << dims.len()) - 1);
+        assert!(rolled.levels[0].source != LevelSource::RolledUp);
+        assert_eq!(direct.rolled_up_levels(), 0);
+        assert!(rolled.total_rounds() <= direct.total_rounds());
+        assert!(rolled.total_bytes() < direct.total_bytes());
+    });
+}
 
-    /// A cache-served repeat of a random GMDJ chain is bit-identical to
-    /// its first (computed) execution, across thread counts; a cache-off
-    /// engine pays, first run and repeat alike, byte-for-byte the per-round
-    /// traffic of the serial `Cluster::execute` and returns its bits.
-    #[test]
-    fn cached_repeat_is_bit_identical(
-        rows in proptest::collection::vec((-4i64..4, 0i64..3, -20i64..20), 0..60),
-        n_sites in 1usize..4,
-        correlated in any::<bool>(),
-        parallelism in 1usize..5,
-    ) {
-        let detail = detail_relation(rows);
+/// A cache-served repeat of a random GMDJ chain is bit-identical to
+/// its first (computed) execution, across thread counts; a cache-off
+/// engine pays, first run and repeat alike, byte-for-byte the per-round
+/// traffic of the serial `Cluster::execute` and returns its bits.
+#[test]
+fn cached_repeat_is_bit_identical() {
+    for_cases("cached_repeat_is_bit_identical", 24, |rng| {
+        let detail = detail_relation(arb_rows(rng, -4..4, 0..60));
+        let n_sites = rng.gen_range(1..4);
+        let correlated: bool = rng.gen();
+        let parallelism = rng.gen_range(1..5);
         let parts = partition_by_int_ranges(&detail, "g", n_sites);
         let engine = Skalla::builder()
             .partitions("t", parts.clone())
@@ -136,10 +117,10 @@ proptest! {
         let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::all());
 
         let first = engine.execute(&plan).expect("first run");
-        prop_assert!(!first.stats.is_cache_hit());
+        assert!(!first.stats.is_cache_hit());
         let second = engine.execute(&plan).expect("second run");
-        prop_assert!(second.stats.is_cache_hit(), "repeat must be cache-served");
-        prop_assert_eq!(second.stats.total_bytes(), 0, "cache hits move no bytes");
+        assert!(second.stats.is_cache_hit(), "repeat must be cache-served");
+        assert_eq!(second.stats.total_bytes(), 0, "cache hits move no bytes");
 
         let ctx = format!("p={parallelism} correlated={correlated}");
         assert_bit_identical(&second.relation, &first.relation, &["g"], &ctx);
@@ -160,11 +141,11 @@ proptest! {
             .expect("uncached engine builds");
         for run in 0..2 {
             let out = uncached.execute(&plan).expect("uncached run");
-            prop_assert!(!out.stats.is_cache_hit());
-            prop_assert_eq!(&out.stats.net, &serial.stats.net, "run {} {}", run, ctx);
+            assert!(!out.stats.is_cache_hit());
+            assert_eq!(&out.stats.net, &serial.stats.net, "run {} {}", run, ctx);
             assert_bit_identical(&out.relation, &serial.relation, &["g"], &ctx);
         }
-    }
+    });
 }
 
 /// A partition-epoch bump (what every catalog mutation performs) makes

@@ -1,6 +1,31 @@
 //! Helpers shared by the integration suites (`mod common;`).
 
-use skalla::relation::{Relation, Value};
+use skalla::datagen::cases::{self, Rng, StdRng};
+use skalla::relation::{DataType, Relation, Row, Schema, Value};
+use std::ops::Range;
+
+/// Detail rows `(g, h, v)`: `g` in `groups`, three sub-groups `h`, small
+/// measures `v`.
+pub fn arb_rows(rng: &mut StdRng, groups: Range<i64>, len: Range<usize>) -> Vec<(i64, i64, i64)> {
+    cases::vec(rng, len, |rng| {
+        (rng.gen_range(groups.clone()), rng.gen_range(0..3), rng.gen_range(-20..20))
+    })
+}
+
+/// The Int detail relation `t(g, h, v)` over `rows`.
+pub fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
+    Relation::new(
+        Schema::of(&[
+            ("g", DataType::Int),
+            ("h", DataType::Int),
+            ("v", DataType::Int),
+        ]),
+        rows.into_iter()
+            .map(|(g, h, v)| Row::new(vec![g.into(), h.into(), v.into()]))
+            .collect(),
+    )
+    .expect("static schema")
+}
 
 /// The house invariant: `got` and `want` hold the same rows with the same
 /// bits. Both are sorted on `key` first (arrival order is transport- and

@@ -5,10 +5,10 @@
 
 mod common;
 
-use common::assert_bit_identical;
-use proptest::prelude::*;
+use common::{arb_rows, assert_bit_identical, detail_relation};
 use skalla::core::cache::DEFAULT_CACHE_BYTES;
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, SiteServer, Skalla};
+use skalla::datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
 use skalla::gmdj::eval::{
     eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
@@ -18,7 +18,6 @@ use skalla::gmdj::BaseQuery;
 use skalla::net::TcpConfig;
 use skalla::relation::{DataType, Relation, Row, Schema, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -33,20 +32,6 @@ fn detail_relation_f64(rows: Vec<(i64, i64, i64)>) -> Relation {
         ]),
         rows.into_iter()
             .map(|(g, h, v)| Row::new(vec![g.into(), h.into(), (v as f64 / 3.0).into()]))
-            .collect(),
-    )
-    .expect("static schema")
-}
-
-fn detail_relation(rows: Vec<(i64, i64, i64)>) -> Relation {
-    Relation::new(
-        Schema::of(&[
-            ("g", DataType::Int),
-            ("h", DataType::Int),
-            ("v", DataType::Int),
-        ]),
-        rows.into_iter()
-            .map(|(g, h, v)| Row::new(vec![g.into(), h.into(), v.into()]))
             .collect(),
     )
     .expect("static schema")
@@ -148,22 +133,23 @@ fn build_expr_with(group_cols: &[&str], second: &SecondOp, extra: Vec<AggSpec>) 
     b.build()
 }
 
-fn arb_second() -> impl Strategy<Value = SecondOp> {
-    prop_oneof![
-        Just(SecondOp::None),
-        Just(SecondOp::AboveAvg),
-        (-10i64..10).prop_map(SecondOp::Filtered),
-        Just(SecondOp::NonEqui),
-    ]
+fn arb_second(rng: &mut StdRng) -> SecondOp {
+    match rng.gen_range(0..4) {
+        0 => SecondOp::None,
+        1 => SecondOp::AboveAvg,
+        2 => SecondOp::Filtered(rng.gen_range(-10..10)),
+        _ => SecondOp::NonEqui,
+    }
 }
 
-fn arb_flags() -> impl Strategy<Value = OptFlags> {
-    (0u32..16).prop_map(|bits| OptFlags {
+fn arb_flags(rng: &mut StdRng) -> OptFlags {
+    let bits = rng.gen_range(0u32..16);
+    OptFlags {
         coalesce: bits & 1 != 0,
         group_reduction_site: bits & 2 != 0,
         group_reduction_coord: bits & 4 != 0,
         sync_reduction: bits & 8 != 0,
-    })
+    }
 }
 
 /// One point of the knob lattice: the kernel's workers (`EvalOptions`),
@@ -171,12 +157,10 @@ fn arb_flags() -> impl Strategy<Value = OptFlags> {
 /// the default budget), and whether the sites are loopback TCP servers
 /// instead of in-process channel sites. (The morsel size is drawn per
 /// case: only points sharing it owe each other identical bits.)
-fn arb_point() -> impl Strategy<Value = (usize, usize, bool)> {
-    (
-        prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        any::<bool>().prop_map(|on| if on { DEFAULT_CACHE_BYTES } else { 0 }),
-        any::<bool>(),
-    )
+fn arb_point(rng: &mut StdRng) -> (usize, usize, bool) {
+    let parallelism = cases::pick(rng, &[1, 2, 4]);
+    let cache_bytes = if rng.gen() { DEFAULT_CACHE_BYTES } else { 0 };
+    (parallelism, cache_bytes, rng.gen())
 }
 
 /// A persistent engine over `parts` on the drawn backend, plus the
@@ -207,49 +191,41 @@ fn lattice_engine(
     (engine.expect("tcp engine builds"), sites)
 }
 
-const LATTICE_CASES: u32 = 48;
 /// The group that receives the generator's heavy-hitter rows (a skewed
 /// site and, at 7-row morsels, one split into several).
 const HOT_GROUP: i64 = 5;
 
-// What the lattice cases exercised, checked after the last one so the
-// property cannot pass vacuously.
-static CASES_RUN: AtomicUsize = AtomicUsize::new(0);
-static CACHE_SERVED: AtomicUsize = AtomicUsize::new(0);
-static OVER_TCP: AtomicUsize = AtomicUsize::new(0);
-static MULTI_MORSEL: AtomicUsize = AtomicUsize::new(0);
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(LATTICE_CASES))]
-
-    /// The one obligation of every `EvalOptions` knob, of the
-    /// coordinator's cache decision and of the transport: same answer as
-    /// the centralized oracle. Random data × φ × optimization flags, and
-    /// per case three random points of the knob lattice — workers ×
-    /// semantic cache × backend —
-    /// at one drawn morsel size, each on its own persistent
-    /// engine executing the plan twice. Every execution equals
-    /// `execute_centralized` as a bag on the integral measures (exact in
-    /// f64 whatever the summation order), and all of them carry identical
-    /// bits on the inexact `x = v / 3` measures, whose low bits move with
-    /// any drift in morsel decomposition or merge order.
-    #[test]
-    fn distributed_equals_centralized(
-        rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
-        hot in prop_oneof![Just(0usize), 20usize..60],
-        n_sites in 1usize..5,
-        by_range in any::<bool>(),
-        group_on_h in any::<bool>(),
-        second in arb_second(),
-        flags in arb_flags(),
-        morsel_rows in prop_oneof![Just(7usize), Just(DEFAULT_MORSEL_ROWS)],
-        points in proptest::collection::vec(arb_point(), 3),
-    ) {
+/// The one obligation of every `EvalOptions` knob, of the
+/// coordinator's cache decision and of the transport: same answer as
+/// the centralized oracle. Random data × φ × optimization flags, and
+/// per case three random points of the knob lattice — workers ×
+/// semantic cache × backend —
+/// at one drawn morsel size, each on its own persistent
+/// engine executing the plan twice. Every execution equals
+/// `execute_centralized` as a bag on the integral measures (exact in
+/// f64 whatever the summation order), and all of them carry identical
+/// bits on the inexact `x = v / 3` measures, whose low bits move with
+/// any drift in morsel decomposition or merge order.
+#[test]
+fn distributed_equals_centralized() {
+    // What the cases exercised, checked after the last one so the
+    // property cannot pass vacuously.
+    let (mut cache_served, mut over_tcp, mut multi_morsel) = (0, 0, 0);
+    for_cases("distributed_equals_centralized", 48, |rng| {
+        let rows = arb_rows(rng, -6..6, 0..60);
+        let hot = if rng.gen() { 0 } else { rng.gen_range(20..60) };
+        let n_sites = rng.gen_range(1..5);
+        let by_range: bool = rng.gen();
+        let group_on_h: bool = rng.gen();
+        let second = arb_second(rng);
+        let flags = arb_flags(rng);
+        let morsel_rows = cases::pick(rng, &[7, DEFAULT_MORSEL_ROWS]);
+        let points = [(); 3].map(|_| arb_point(rng));
         // Heavy-hitter shape: `hot` extra rows on one group, which range
         // partitioning lands on a single site.
         let rows = rows
             .into_iter()
-            .chain((0..hot as i64).map(|i| (HOT_GROUP, 0, i % 41 - 20)));
+            .chain((0..hot).map(|i| (HOT_GROUP, 0, i % 41 - 20)));
         let detail = Relation::new(
             Schema::of(&[
                 ("g", DataType::Int),
@@ -286,7 +262,7 @@ proptest! {
         let oracle = oracle.project(&integral).expect("projects");
 
         let mut reference: Option<Relation> = None;
-        for &(parallelism, cache_bytes, tcp) in &points {
+        for (parallelism, cache_bytes, tcp) in points {
             let eval = EvalOptions { parallelism, morsel_rows };
             let cfg = EngineConfig {
                 eval,
@@ -301,7 +277,7 @@ proptest! {
             let (engine, sites) = lattice_engine(&parts, cfg, tcp);
             for run in 0..2 {
                 let out = engine.execute(&plan).expect("distributed evaluates");
-                prop_assert!(
+                assert!(
                     out.relation.project(&integral).expect("projects").same_bag(&oracle),
                     "run {run} {ctx}\ngot:\n{}\nwant:\n{}",
                     out.relation.canonicalized(),
@@ -313,48 +289,39 @@ proptest! {
                     &group_cols,
                     &format!("run {run} {ctx}"),
                 );
-                CACHE_SERVED.fetch_add(out.stats.is_cache_hit() as usize, Ordering::Relaxed);
+                cache_served += out.stats.is_cache_hit() as usize;
             }
             drop(engine);
             for site in sites {
                 site.join().expect("site thread exits with its session");
             }
-            OVER_TCP.fetch_add(tcp as usize, Ordering::Relaxed);
+            over_tcp += tcp as usize;
         }
         // The kernels cut a site's detail into ceil(rows / morsel_rows) morsels.
-        let split = parts.iter().any(|p| p.relation.len() > morsel_rows);
-        MULTI_MORSEL.fetch_add(split as usize, Ordering::Relaxed);
-
-        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == LATTICE_CASES as usize {
-            for (what, tally) in [
-                ("cache-served executions", &CACHE_SERVED),
-                ("engines over TCP", &OVER_TCP),
-                ("cases with a site split into several morsels", &MULTI_MORSEL),
-            ] {
-                let n = tally.load(Ordering::Relaxed);
-                eprintln!("knob lattice: {n} {what}");
-                prop_assert!(n > 0, "the knob lattice never exercised: {what}");
-            }
-        }
+        multi_morsel += parts.iter().any(|p| p.relation.len() > morsel_rows) as usize;
+    });
+    for (what, n) in [
+        ("cache-served executions", cache_served),
+        ("engines over TCP", over_tcp),
+        ("cases with a site split into several morsels", multi_morsel),
+    ] {
+        eprintln!("knob lattice: {n} {what}");
+        assert!(n > 0, "the knob lattice never exercised: {what}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The morsel-parallel kernel is **bit-identical** across thread
-    /// counts, probe strategies, and to the row reference kernel: the
-    /// morsel decomposition and merge order depend only on the input and
-    /// the morsel size, never on worker scheduling. Verified on f64 SUM / AVG
-    /// / VAR accumulators (where reassociation would change low bits) by
-    /// comparing raw bit patterns, not `Value` equality (which treats
-    /// -0.0 == 0.0).
-    #[test]
-    fn parallel_kernel_is_bit_identical(
-        rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..80),
-        non_equi in any::<bool>(),
-    ) {
-        let detail = detail_relation_f64(rows);
+/// The morsel-parallel kernel is **bit-identical** across thread
+/// counts, probe strategies, and to the row reference kernel: the
+/// morsel decomposition and merge order depend only on the input and
+/// the morsel size, never on worker scheduling. Verified on f64 SUM / AVG
+/// / VAR accumulators (where reassociation would change low bits) by
+/// comparing raw bit patterns, not `Value` equality (which treats
+/// -0.0 == 0.0).
+#[test]
+fn parallel_kernel_is_bit_identical() {
+    for_cases("parallel_kernel_is_bit_identical", 48, |rng| {
+        let detail = detail_relation_f64(arb_rows(rng, -6..6, 0..80));
+        let non_equi: bool = rng.gen();
         let base = detail.project(&["g"]).expect("project").distinct();
         let theta = if non_equi {
             // Overlapping ranges with no equi-key conjunct: exercises the
@@ -386,28 +353,29 @@ proptest! {
             let kernel = if rows { eval_local_rows } else { eval_local };
             let out = kernel(&base, &detail, &op, opts(p)).expect("parallel kernel");
             let ctx = format!("parallelism {p} row kernel {rows}");
-            prop_assert_eq!(&out.matched, &reference.matched, "matched flags, {}", ctx);
+            assert_eq!(&out.matched, &reference.matched, "matched flags, {}", ctx);
             assert_bit_identical(&out.physical, &reference.physical, &["g"], &ctx);
         }
-    }
+    });
+}
 
-    /// The columnar kernel is bit-identical to the row kernel on randomly
-    /// shaped GMDJ *chains* — including correlated second blocks (whose
-    /// residuals reference first-block aggregate outputs) and non-equi
-    /// blocks (nested-loop path), end to end through finalization — over
-    /// every shape of the map from local groups to base tuples: each key
-    /// layout ([`key_value`]), and, from a literal base, duplicate base
-    /// keys, base keys with no local group, local groups missing from B
-    /// and base keys of another type than the detail's ([`base_key`]).
-    #[test]
-    fn columnar_kernel_matches_row_kernel_on_chains(
-        rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 0..60),
-        group_on_h in any::<bool>(),
-        second in arb_second(),
-        layout in 0usize..5,
-        literal in any::<bool>(),
-        base_rows in proptest::collection::vec((-7i64..8, 0i64..4), 0..16),
-    ) {
+/// The columnar kernel is bit-identical to the row kernel on randomly
+/// shaped GMDJ *chains* — including correlated second blocks (whose
+/// residuals reference first-block aggregate outputs) and non-equi
+/// blocks (nested-loop path), end to end through finalization — over
+/// every shape of the map from local groups to base tuples: each key
+/// layout ([`key_value`]), and, from a literal base, duplicate base
+/// keys, base keys with no local group, local groups missing from B
+/// and base keys of another type than the detail's ([`base_key`]).
+#[test]
+fn columnar_kernel_matches_row_kernel_on_chains() {
+    for_cases("columnar_kernel_matches_row_kernel_on_chains", 48, |rng| {
+        let rows = arb_rows(rng, -6..6, 0..60);
+        let group_on_h: bool = rng.gen();
+        let second = arb_second(rng);
+        let layout = rng.gen_range(0..5);
+        let literal: bool = rng.gen();
+        let base_rows = cases::vec(rng, 0..16, |rng| (rng.gen_range(-7..8), rng.gen_range(0i64..4)));
         let detail = Relation::new(
             Schema::of(&[("g", key_type(layout, false)), ("h", DataType::Int), ("v", DataType::Double)]),
             rows.into_iter()
@@ -444,16 +412,15 @@ proptest! {
             .expect("columnar kernel evaluates");
         let ctx = format!("second {second:?} layout {layout} literal base {literal}");
         assert_bit_identical(&colk, &rowk, &group_cols, &ctx);
-    }
+    });
+}
 
-    /// Group reduction flags never change the row traffic *upward*.
-    #[test]
-    fn group_reduction_is_monotone(
-        rows in proptest::collection::vec((-6i64..6, 0i64..3, -20i64..20), 1..60),
-        n_sites in 1usize..5,
-    ) {
-        let detail = detail_relation(rows);
-        let parts = partition_by_int_ranges(&detail, "g", n_sites);
+/// Group reduction flags never change the row traffic *upward*.
+#[test]
+fn group_reduction_is_monotone() {
+    for_cases("group_reduction_is_monotone", 48, |rng| {
+        let detail = detail_relation(arb_rows(rng, -6..6, 1..60));
+        let parts = partition_by_int_ranges(&detail, "g", rng.gen_range(1..5));
         let cluster = Cluster::from_partitions("t", parts);
         let expr = build_expr(&["g"], &SecondOp::AboveAvg);
         let planner = Planner::new(cluster.distribution());
@@ -465,7 +432,7 @@ proptest! {
             .expect("runs");
         let (d0, u0) = base.stats.total_rows();
         let (d1, u1) = reduced.stats.total_rows();
-        prop_assert!(d1 <= d0 && u1 <= u0, "({d1},{u1}) vs ({d0},{u0})");
-        prop_assert!(reduced.relation.same_bag(&base.relation));
-    }
+        assert!(d1 <= d0 && u1 <= u0, "({d1},{u1}) vs ({d0},{u0})");
+        assert!(reduced.relation.same_bag(&base.relation));
+    });
 }

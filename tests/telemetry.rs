@@ -18,10 +18,10 @@
 //! every test asserts the channel/TCP `NetStats` byte-identity that the
 //! rest of the suite relies on.
 
-use proptest::prelude::*;
 use skalla::core::{
     protocol, DistributedPlan, OptFlags, Planner, SiteFilter, SiteServer, Skalla, StageKind,
 };
+use skalla::datagen::cases::{self, for_cases, Rng};
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
@@ -271,16 +271,26 @@ fn merged_trace_has_one_aligned_lane_per_site() {
     );
 }
 
-proptest! {
-    /// The telemetry payload codec round-trips arbitrary busy reports
-    /// exactly (the delta side is covered by the obs crate's own
-    /// round-trip tests; `None` must survive too).
-    #[test]
-    fn telemetry_payload_round_trips(stage in 0u32..64, busy_s in 0.0f64..10.0) {
+/// The telemetry payload codec round-trips arbitrary busy reports
+/// exactly — every finite non-negative `busy_s`, subnormals and
+/// `f64::MAX` included, down to the bits (the delta side is covered by
+/// the obs crate's own round-trip tests; `None` must survive too).
+#[test]
+fn telemetry_payload_round_trips() {
+    const MAX_BITS: u64 = f64::MAX.to_bits();
+    for_cases("telemetry_payload_round_trips", 64, |rng| {
+        let stage = rng.gen_range(0u32..64);
+        let busy_s = match rng.gen_range(0..4) {
+            0 => f64::from_bits(rng.gen_range(0..=MAX_BITS)),
+            1 => f64::from_bits(rng.gen_range(1..1 << 52)),
+            2 => cases::pick(rng, &[0.0, f64::from_bits(1), f64::MIN_POSITIVE, f64::MAX]),
+            _ => rng.gen_range(0.0..10.0),
+        };
         let report = protocol::SiteTelemetry { stage, busy_s, obs: None };
         let msg = protocol::telemetry(&report);
-        prop_assert_eq!(msg.tag, protocol::TAG_TELEMETRY);
+        assert_eq!(msg.tag, protocol::TAG_TELEMETRY);
         let back = protocol::decode_telemetry(&msg.payload).unwrap();
-        prop_assert_eq!(back, report);
-    }
+        assert_eq!(back.busy_s.to_bits(), busy_s.to_bits(), "{busy_s:e}");
+        assert_eq!(back, report);
+    });
 }

@@ -88,6 +88,12 @@ cargo run --release -q -p skalla-bench --bin e2e -- run --smoke --out target/e2e
 # The paper's curve shapes (Figs. 2–5) at reduced size: `figs --check` asserts them.
 # Every figs time claim is checked on measured wall time over the emulated LAN.
 cargo run --release -q -p skalla-bench --bin figs -- --quick --check --repeats 3
+# The examples assert what they show (`data_cube` its roll-up against the
+# finest level on 8 sites, `quickstart` the paper's Example 1): run them,
+# not only compile them.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 # Multi-process TCP smoke test: two standalone site processes on ephemeral
 # loopback ports, one coordinator run over them. Skipped gracefully in

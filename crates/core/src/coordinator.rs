@@ -588,12 +588,20 @@ pub fn parallel_merge_tree(
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
-/// group's outputs are when no detail tuple anywhere matches it.
+/// group's outputs are when no detail tuple anywhere matches it — one
+/// fresh position of each operator's typed states, finalized.
 pub fn empty_aggregates(ops: &[Gmdj]) -> Result<Vec<Value>> {
     let mut out = Vec::new();
     for op in ops {
         let layout = op.layout();
-        out.extend(layout.finalize(&layout.init())?);
+        // A fresh position finalizes to COUNT 0 and NULL elsewhere whatever
+        // its slots' types, so each aggregate takes the last `width` of
+        // VAR's: types a plan can give every aggregate of that width.
+        let var = [DataType::Double, DataType::Double, DataType::Int];
+        let types: Vec<DataType> =
+            layout.entries().iter().flat_map(|(_, a, _)| var[3 - a.acc_width()..].to_vec()).collect();
+        let states = AccStates::new(&layout, &types, 1)?;
+        out.extend(states.finalize_columns(&[0], &[true]).iter().map(|c| c.value(0)));
     }
     Ok(out)
 }
@@ -604,6 +612,7 @@ mod tests {
     use crate::protocol::{decode_result_chunk, result_chunk};
     use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
     use skalla_gmdj::agg::AggSpec;
+    use skalla_gmdj::oracle;
     use skalla_gmdj::theta::ThetaBuilder;
     use skalla_relation::{row, Row};
 
@@ -821,15 +830,15 @@ mod tests {
 
         // The left fold, by hand: per group, X_init ⊕ c₀ ⊕ c₁ ⊕ …
         let layout = op().layout();
-        let mut fold = vec![layout.init(), layout.init()];
+        let mut fold = vec![oracle::init_all(&layout), oracle::init_all(&layout)];
         for c in &chunks {
             for (x, row) in fold.iter_mut().zip(c.rows()) {
-                layout.merge(x, &row.values()[1..]).unwrap();
+                oracle::merge_all(&layout, x, &row.values()[1..]).unwrap();
             }
         }
         let fold_out: Vec<Row> = (1..=2)
             .zip(&fold)
-            .map(|(g, x)| Row::new([vec![Value::Int(g)], layout.finalize(x).unwrap()].concat()))
+            .map(|(g, x)| Row::new([vec![Value::Int(g)], oracle::finalize_all(&layout, x).unwrap()].concat()))
             .collect();
 
         let b = b0();
@@ -937,7 +946,7 @@ mod tests {
         let (left, right) = leaves.split_at(split);
         match (reference_tree(layout, left), reference_tree(layout, right)) {
             (Some(mut l), Some(r)) => {
-                layout.merge(&mut l, &r).unwrap();
+                oracle::merge_all(layout, &mut l, &r).unwrap();
                 Some(l)
             }
             (l, r) => l.or(r),
@@ -1125,9 +1134,9 @@ mod tests {
                     (true, None) => continue,
                     (true, Some(t)) => t,
                     (false, tree) => {
-                        let mut x = layout.init();
+                        let mut x = oracle::init_all(&layout);
                         if let Some(t) = tree {
-                            layout.merge(&mut x, &t).unwrap();
+                            oracle::merge_all(&layout, &mut x, &t).unwrap();
                         }
                         x
                     }
@@ -1136,7 +1145,7 @@ mod tests {
                 if !folded {
                     vs.insert(0, Value::str(format!("t{k}")));
                 }
-                vs.extend(layout.finalize(&x).unwrap());
+                vs.extend(oracle::finalize_all(&layout, &x).unwrap());
                 want.push(vs);
             }
             let in_schema = if folded { &key_schema } else { c.b.schema() };
@@ -1166,10 +1175,10 @@ mod tests {
     }
 
     /// [`MergeSync::finish`] as it was written before it built columns: a
-    /// row per group, from the states' `Value` accumulators (the values of
+    /// row per group, from the states' accumulator values (the values of
     /// [`AccStates::physical_columns`], X_init where no state holds the
-    /// group) through [`AccLayout::finalize_into`], in B's row order — or,
-    /// folded, sorted by the keys' `Value` order.
+    /// group) through the reference's [`oracle::finalize_all`], in B's row
+    /// order — or, folded, sorted by the keys' `Value` order.
     fn finish_by_rows(mut x: MergeSync<'_>, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
         x.merge_tree().unwrap();
         let out_schema = op.output_schema(b_in_schema, detail).unwrap();
@@ -1191,9 +1200,9 @@ mod tests {
                 Some(states) if x.present[g] => {
                     acc.extend(states.physical_columns(&[g as u32]).iter().map(|c| c.value(0)))
                 }
-                _ => acc.extend(x.layout.init()),
+                _ => acc.extend(oracle::init_all(&x.layout)),
             }
-            x.layout.finalize_into(&acc, &mut vs).unwrap();
+            vs.extend(oracle::finalize_all(&x.layout, &acc).unwrap());
             rows.push(Row::new(vs));
         }
         Relation::new(out_schema, rows).unwrap()
@@ -1271,5 +1280,13 @@ mod tests {
     fn empty_aggregates_finalize_init() {
         let aggs = empty_aggregates(&[op()]).unwrap();
         assert_eq!(aggs, vec![Value::Int(0), Value::Null]);
+        // Every function, over Int, Double, NULL-only and string inputs:
+        // COUNT 0, NULL for the rest.
+        let (spec, _, _) = spec_op();
+        let aggs = empty_aggregates(&[spec, op()]).unwrap();
+        let mut want = vec![Value::Int(0)];
+        want.extend(vec![Value::Null; 7]);
+        want.extend([Value::Int(0), Value::Null]);
+        assert_eq!(aggs, want);
     }
 }

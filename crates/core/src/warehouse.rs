@@ -1028,6 +1028,25 @@ mod tests {
         );
     }
 
+    /// An accumulator slot named like another column (`AVG(v) AS a`
+    /// beside `COUNT(*) AS a__cnt`) is refused while the plan is
+    /// validated, as `DuplicateColumn`, not by a site building its
+    /// physical schema; the engine keeps serving.
+    #[test]
+    fn a_colliding_slot_name_fails_validation_not_a_site() {
+        let e = engine_without_cache();
+        let planner = Planner::new(e.distribution());
+        let clash = GmdjExprBuilder::distinct_base("t", &["g"])
+            .gmdj(Gmdj::new("t").block(
+                ThetaBuilder::group_by(&["g"]).build(),
+                vec![AggSpec::avg("v", "a"), AggSpec::count("a__cnt")],
+            ))
+            .build();
+        let err = e.execute(&planner.optimize(&clash, OptFlags::all())).unwrap_err();
+        assert!(matches!(err, Error::DuplicateColumn(_)), "{err}");
+        e.execute(&planner.optimize(&expr(), OptFlags::all())).unwrap();
+    }
+
     #[test]
     fn epoch_bump_after_partition_swap_invalidates_results() {
         let e = engine();

@@ -7,16 +7,17 @@
 //! final **finalize** step produces the logical value. This decomposition is
 //! what lets Skalla ship only aggregate structures (Theorem 1).
 //!
-//! Each [`AggSpec`] lowers to one or two *physical accumulator columns*
-//! (AVG → SUM + COUNT). Shipped relations and the coordinator's working
-//! base-result structure carry physical columns; finalization happens once,
-//! when a GMDJ's rounds complete.
+//! Each [`AggSpec`] lowers to one to three *physical accumulator columns*
+//! (AVG → SUM + COUNT, VAR/STDDEV → SUM + SUM² + COUNT). Shipped relations
+//! and the coordinator's working base-result structure carry physical
+//! columns; finalization happens once, when a GMDJ's rounds complete. What
+//! the slots hold, and how they update, merge and finalize, is stated once,
+//! in the typed states of [`crate::state`].
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use skalla_relation::expr::eval_arith;
-use skalla_relation::{f64_add, ArithOp, DataType, Error, Expr, Field, Result, Schema, Side, Value};
+use skalla_relation::{DataType, Error, Expr, Field, Result, Schema, Side};
 use std::fmt;
 
 /// The aggregate functions supported by the engine.
@@ -78,56 +79,32 @@ impl AggSpec {
 
     /// `SUM(column) → name`.
     pub fn sum(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Sum,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::Sum, Expr::dcol(column), name)
     }
 
     /// `AVG(column) → name`.
     pub fn avg(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Avg,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::Avg, Expr::dcol(column), name)
     }
 
     /// `MIN(column) → name`.
     pub fn min(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Min,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::Min, Expr::dcol(column), name)
     }
 
     /// `MAX(column) → name`.
     pub fn max(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Max,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::Max, Expr::dcol(column), name)
     }
 
     /// `VAR(column) → name` (population variance).
     pub fn var(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Var,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::Var, Expr::dcol(column), name)
     }
 
     /// `STDDEV(column) → name` (population standard deviation).
     pub fn stddev(column: impl Into<String>, name: impl Into<String>) -> AggSpec {
-        AggSpec {
-            func: AggFunc::StdDev,
-            input: Some(Expr::dcol(column)),
-            name: name.into(),
-        }
+        AggSpec::over_expr(AggFunc::StdDev, Expr::dcol(column), name)
     }
 
     /// An aggregate over an arbitrary detail-side expression, e.g.
@@ -222,143 +199,6 @@ impl AggSpec {
             _ => Ok(vec![self.logical_field(detail)?]),
         }
     }
-
-    /// Initial accumulator values.
-    pub fn init_acc(&self, out: &mut Vec<Value>) {
-        match self.func {
-            AggFunc::Count => out.push(Value::Int(0)),
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => out.push(Value::Null),
-            AggFunc::Avg => {
-                out.push(Value::Null);
-                out.push(Value::Int(0));
-            }
-            AggFunc::Var | AggFunc::StdDev => {
-                out.push(Value::Double(0.0));
-                out.push(Value::Double(0.0));
-                out.push(Value::Int(0));
-            }
-        }
-    }
-
-    /// Fold one matching detail tuple's input value into the accumulator.
-    /// `input` is `None` for `COUNT(*)`.
-    pub fn update(&self, acc: &mut [Value], input: Option<&Value>) -> Result<()> {
-        // Only COUNT(*) may come without one; specs arrive in plan frames.
-        let no_input = || Error::Plan(format!("{} has no input expression", self.func));
-        match self.func {
-            AggFunc::Count => {
-                // COUNT(expr) skips NULL inputs; COUNT(*) counts everything.
-                if let Some(v) = input {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                }
-                bump_count(&mut acc[0]);
-            }
-            AggFunc::Sum => {
-                let v = input.ok_or_else(no_input)?;
-                if !v.is_null() {
-                    add_into(&mut acc[0], v)?;
-                }
-            }
-            AggFunc::Min => {
-                let v = input.ok_or_else(no_input)?;
-                if !v.is_null() && (acc[0].is_null() || *v < acc[0]) {
-                    acc[0] = v.clone();
-                }
-            }
-            AggFunc::Max => {
-                let v = input.ok_or_else(no_input)?;
-                if !v.is_null() && (acc[0].is_null() || *v > acc[0]) {
-                    acc[0] = v.clone();
-                }
-            }
-            AggFunc::Avg => {
-                let v = input.ok_or_else(no_input)?;
-                if !v.is_null() {
-                    add_into(&mut acc[0], v)?;
-                    bump_count(&mut acc[1]);
-                }
-            }
-            AggFunc::Var | AggFunc::StdDev => {
-                let v = input.ok_or_else(no_input)?;
-                if let Some(x) = v.as_f64() {
-                    add_f64(&mut acc[0], x);
-                    add_f64(&mut acc[1], x * x);
-                    bump_count(&mut acc[2]);
-                } else if !v.is_null() {
-                    return Err(Error::TypeError(format!(
-                        "non-numeric input {v} for {}",
-                        self.func
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merge another sub-aggregate into this accumulator (the coordinator's
-    /// super-aggregate step).
-    pub fn merge(&self, acc: &mut [Value], other: &[Value]) -> Result<()> {
-        match self.func {
-            AggFunc::Count => add_counts(&mut acc[0], &other[0]),
-            AggFunc::Sum => {
-                if !other[0].is_null() {
-                    add_into(&mut acc[0], &other[0])?;
-                }
-                Ok(())
-            }
-            AggFunc::Min => {
-                if !other[0].is_null() && (acc[0].is_null() || other[0] < acc[0]) {
-                    acc[0] = other[0].clone();
-                }
-                Ok(())
-            }
-            AggFunc::Max => {
-                if !other[0].is_null() && (acc[0].is_null() || other[0] > acc[0]) {
-                    acc[0] = other[0].clone();
-                }
-                Ok(())
-            }
-            AggFunc::Avg => {
-                if !other[0].is_null() {
-                    add_into(&mut acc[0], &other[0])?;
-                }
-                add_counts(&mut acc[1], &other[1])
-            }
-            AggFunc::Var | AggFunc::StdDev => {
-                add_f64(&mut acc[0], other[0].as_f64().unwrap_or(0.0));
-                add_f64(&mut acc[1], other[1].as_f64().unwrap_or(0.0));
-                add_counts(&mut acc[2], &other[2])
-            }
-        }
-    }
-
-    /// Produce the logical value from a (fully merged) accumulator.
-    pub fn finalize(&self, acc: &[Value]) -> Result<Value> {
-        match self.func {
-            AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max => Ok(acc[0].clone()),
-            AggFunc::Avg => {
-                let cnt = acc[1].as_i64().unwrap_or(0);
-                if cnt == 0 {
-                    return Ok(Value::Null);
-                }
-                let sum = acc[0].as_f64().ok_or_else(|| {
-                    Error::TypeError(format!("AVG sum is non-numeric: {}", acc[0]))
-                })?;
-                Ok(Value::Double(sum / cnt as f64))
-            }
-            AggFunc::Var | AggFunc::StdDev => {
-                let cnt = acc[2].as_i64().unwrap_or(0);
-                if cnt == 0 {
-                    return Ok(Value::Null);
-                }
-                let sum = acc[0].as_f64().unwrap_or(0.0);
-                let sumsq = acc[1].as_f64().unwrap_or(0.0);
-                Ok(Value::Double(finalize_var(sum, sumsq, cnt, self.func == AggFunc::StdDev)))
-            }
-        }
-    }
 }
 
 impl fmt::Display for AggSpec {
@@ -368,51 +208,6 @@ impl fmt::Display for AggSpec {
             None => write!(f, "{}(*) -> {}", self.func, self.name),
         }
     }
-}
-
-/// A population VAR (or, with `stddev`, STDDEV) from its merged
-/// sub-aggregate — sum, sum of squares and a non-zero count: E[x²] − E[x]²,
-/// clamped against rounding noise. The coordinator's column-wise finalize
-/// calls it too, so both give the same bits.
-pub(crate) fn finalize_var(sum: f64, sumsq: f64, cnt: i64, stddev: bool) -> f64 {
-    let n = cnt as f64;
-    let var = (sumsq / n - (sum / n) * (sum / n)).max(0.0);
-    if stddev {
-        var.sqrt()
-    } else {
-        var
-    }
-}
-
-fn bump_count(acc: &mut Value) {
-    if let Value::Int(n) = acc {
-        *n += 1;
-    } else {
-        *acc = Value::Int(1);
-    }
-}
-
-fn add_counts(acc: &mut Value, other: &Value) -> Result<()> {
-    let a = acc.as_i64().unwrap_or(0);
-    let b = other
-        .as_i64()
-        .ok_or_else(|| Error::TypeError(format!("count merge with non-int {other}")))?;
-    *acc = Value::Int(a + b);
-    Ok(())
-}
-
-fn add_f64(acc: &mut Value, x: f64) {
-    let cur = acc.as_f64().unwrap_or(0.0);
-    *acc = Value::Double(f64_add(cur, x));
-}
-
-fn add_into(acc: &mut Value, v: &Value) -> Result<()> {
-    if acc.is_null() {
-        *acc = v.clone();
-    } else {
-        *acc = eval_arith(ArithOp::Add, acc, v)?;
-    }
-    Ok(())
 }
 
 /// The accumulator layout of a whole GMDJ: per-aggregate slot offsets.
@@ -452,41 +247,6 @@ impl AccLayout {
         &self.entries
     }
 
-    /// A fresh accumulator vector.
-    pub fn init(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.width);
-        for (_, a, _) in &self.entries {
-            a.init_acc(&mut out);
-        }
-        out
-    }
-
-    /// Merge `src` physical slots into `dst`.
-    pub fn merge(&self, dst: &mut [Value], src: &[Value]) -> Result<()> {
-        for (_, a, off) in &self.entries {
-            let w = a.acc_width();
-            a.merge(&mut dst[*off..off + w], &src[*off..off + w])?;
-        }
-        Ok(())
-    }
-
-    /// Finalize physical slots into logical values (output order).
-    pub fn finalize(&self, acc: &[Value]) -> Result<Vec<Value>> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        self.finalize_into(acc, &mut out)?;
-        Ok(out)
-    }
-
-    /// Finalize physical slots into logical values (output order),
-    /// appended to `out`.
-    pub fn finalize_into(&self, acc: &[Value], out: &mut Vec<Value>) -> Result<()> {
-        for (_, a, off) in &self.entries {
-            let w = a.acc_width();
-            out.push(a.finalize(&acc[*off..off + w])?);
-        }
-        Ok(())
-    }
-
     /// Physical fields in slot order.
     pub fn physical_fields(&self, detail: &Schema) -> Result<Vec<Field>> {
         let mut out = Vec::with_capacity(self.width);
@@ -495,73 +255,100 @@ impl AccLayout {
         }
         Ok(out)
     }
-
-    /// Logical fields in output order.
-    pub fn logical_fields(&self, detail: &Schema) -> Result<Vec<Field>> {
-        self.entries
-            .iter()
-            .map(|(_, a, _)| a.logical_field(detail))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{eval_full, eval_local, EvalOptions};
+    use crate::operator::Gmdj;
+    use crate::state::AccStates;
+    use skalla_relation::{Relation, Row, Value};
 
     fn detail_schema() -> Schema {
         Schema::of(&[("v", DataType::Int), ("x", DataType::Double), ("s", DataType::Str)])
     }
 
+    /// One base tuple, which θ = TRUE gives every detail tuple.
+    fn base() -> Relation {
+        Relation::new(Schema::of(&[("k", DataType::Int)]), vec![Row::new(vec![Value::Int(0)])]).unwrap()
+    }
+
+    /// A detail relation with one row per input: the input in column
+    /// `col`, NULL in the others.
+    fn detail(col: &str, inputs: &[Value]) -> Relation {
+        let schema = detail_schema();
+        let at = schema.index_of(col).unwrap();
+        let row = |v: &Value| Row::new((0..3).map(|c| if c == at { v.clone() } else { Value::Null }).collect());
+        Relation::new(schema, inputs.iter().map(row).collect()).unwrap()
+    }
+
+    fn op(spec: &AggSpec) -> Gmdj {
+        Gmdj::new("t").block(Expr::True, vec![spec.clone()])
+    }
+
+    /// `spec` over `inputs` (detail column `col`), evaluated and finalized
+    /// by the engine.
+    fn full(spec: &AggSpec, col: &str, inputs: &[Value]) -> Value {
+        let out = eval_full(&base(), &detail(col, inputs), &op(spec), EvalOptions::default()).unwrap();
+        out.rows()[0].get(1).clone()
+    }
+
+    /// One site's sub-aggregate of `spec` over `inputs`: the kernel's
+    /// physical row, the base column `k` and then the slots.
+    fn sub(spec: &AggSpec, col: &str, inputs: &[Value]) -> Relation {
+        eval_local(&base(), &detail(col, inputs), &op(spec), EvalOptions::default()).unwrap().physical
+    }
+
+    /// The super-aggregate of the sub-aggregates `parts`: merged in order
+    /// into one fresh position of the typed states, then finalized.
+    fn merged(spec: &AggSpec, parts: &[Relation]) -> Value {
+        let types: Vec<DataType> =
+            spec.physical_fields(&detail_schema()).unwrap().iter().map(|f| f.data_type()).collect();
+        let mut states = AccStates::new(&op(spec).layout(), &types, 1).unwrap();
+        for p in parts {
+            states.absorb(p.columns(), 1, &[0], &[false]).unwrap();
+        }
+        states.finalize_columns(&[0], &[true])[0].value(0)
+    }
+
+    fn ints(xs: &[i64]) -> Vec<Value> {
+        xs.iter().map(|&x| Value::Int(x)).collect()
+    }
+
     #[test]
     fn count_update_and_merge() {
         let c = AggSpec::count("c");
-        let mut acc = vec![Value::Int(0)];
-        c.update(&mut acc, None).unwrap();
-        c.update(&mut acc, None).unwrap();
-        assert_eq!(acc[0], Value::Int(2));
-        let other = vec![Value::Int(5)];
-        c.merge(&mut acc, &other).unwrap();
-        assert_eq!(c.finalize(&acc).unwrap(), Value::Int(7));
+        let two = sub(&c, "v", &[Value::Null, Value::Null]);
+        assert_eq!(two.columns().value(1, 0), Value::Int(2));
+        let five = sub(&c, "v", &ints(&[1, 2, 3, 4, 5]));
+        assert_eq!(merged(&c, &[two, five]), Value::Int(7));
     }
 
     #[test]
     fn count_expr_skips_nulls() {
         let c = AggSpec::over_expr(AggFunc::Count, Expr::dcol("v"), "c");
-        let mut acc = vec![Value::Int(0)];
-        c.update(&mut acc, Some(&Value::Null)).unwrap();
-        c.update(&mut acc, Some(&Value::Int(3))).unwrap();
-        assert_eq!(acc[0], Value::Int(1));
+        assert_eq!(full(&c, "v", &[Value::Null, Value::Int(3)]), Value::Int(1));
     }
 
     #[test]
     fn sum_stays_int_for_int_inputs() {
         let s = AggSpec::sum("v", "s");
-        let mut acc = vec![Value::Null];
-        s.update(&mut acc, Some(&Value::Int(3))).unwrap();
-        s.update(&mut acc, Some(&Value::Int(4))).unwrap();
-        assert_eq!(s.finalize(&acc).unwrap(), Value::Int(7));
+        assert_eq!(full(&s, "v", &ints(&[3, 4])), Value::Int(7));
     }
 
     #[test]
     fn sum_empty_is_null() {
         let s = AggSpec::sum("v", "s");
-        let acc = vec![Value::Null];
-        assert_eq!(s.finalize(&acc).unwrap(), Value::Null);
+        assert_eq!(full(&s, "v", &[]), Value::Null);
+        assert_eq!(merged(&s, &[]), Value::Null);
     }
 
     #[test]
     fn min_max_work_on_strings() {
-        let mn = AggSpec::min("s", "mn");
-        let mx = AggSpec::max("s", "mx");
-        let mut a1 = vec![Value::Null];
-        let mut a2 = vec![Value::Null];
-        for v in ["pear", "apple", "plum"] {
-            mn.update(&mut a1, Some(&Value::str(v))).unwrap();
-            mx.update(&mut a2, Some(&Value::str(v))).unwrap();
-        }
-        assert_eq!(mn.finalize(&a1).unwrap(), Value::str("apple"));
-        assert_eq!(mx.finalize(&a2).unwrap(), Value::str("plum"));
+        let fruit: Vec<Value> = ["pear", "apple", "plum"].into_iter().map(Value::str).collect();
+        assert_eq!(full(&AggSpec::min("s", "mn"), "s", &fruit), Value::str("apple"));
+        assert_eq!(full(&AggSpec::max("s", "mx"), "s", &fruit), Value::str("plum"));
     }
 
     #[test]
@@ -572,23 +359,17 @@ mod tests {
         assert_eq!(fields[0].name(), "a__sum");
         assert_eq!(fields[1].name(), "a__cnt");
 
-        // Two "sites".
-        let mut s1 = vec![Value::Null, Value::Int(0)];
-        let mut s2 = vec![Value::Null, Value::Int(0)];
-        for v in [1i64, 2, 3] {
-            a.update(&mut s1, Some(&Value::Int(v))).unwrap();
-        }
-        a.update(&mut s2, Some(&Value::Int(10))).unwrap();
-        // Coordinator merge: AVG over {1,2,3,10} = 4.
-        a.merge(&mut s1, &s2).unwrap();
-        assert_eq!(a.finalize(&s1).unwrap(), Value::Double(4.0));
+        // Two "sites", then the coordinator's merge: AVG over {1,2,3,10} = 4.
+        let s1 = sub(&a, "v", &ints(&[1, 2, 3]));
+        let s2 = sub(&a, "v", &ints(&[10]));
+        assert_eq!(merged(&a, &[s1, s2]), Value::Double(4.0));
     }
 
     #[test]
     fn avg_of_empty_is_null() {
         let a = AggSpec::avg("v", "a");
-        let acc = vec![Value::Null, Value::Int(0)];
-        assert_eq!(a.finalize(&acc).unwrap(), Value::Null);
+        assert_eq!(full(&a, "v", &[]), Value::Null);
+        assert_eq!(merged(&a, &[]), Value::Null);
     }
 
     #[test]
@@ -604,34 +385,25 @@ mod tests {
 
         // Values {2, 4, 4, 4, 5, 5, 7, 9}: var = 4, stddev = 2. Split
         // across two "sites" and merge.
-        let data = [2i64, 4, 4, 4, 5, 5, 7, 9];
-        let mut a1 = vec![Value::Double(0.0), Value::Double(0.0), Value::Int(0)];
-        let mut a2 = a1.clone();
-        let mut b1 = a1.clone();
-        let mut b2 = a1.clone();
-        for (i, x) in data.iter().enumerate() {
-            let (va, sa) = if i < 3 { (&mut a1, &mut b1) } else { (&mut a2, &mut b2) };
-            v.update(va, Some(&Value::Int(*x))).unwrap();
-            s.update(sa, Some(&Value::Int(*x))).unwrap();
-        }
-        v.merge(&mut a1, &a2).unwrap();
-        s.merge(&mut b1, &b2).unwrap();
-        assert_eq!(v.finalize(&a1).unwrap(), Value::Double(4.0));
-        assert_eq!(s.finalize(&b1).unwrap(), Value::Double(2.0));
+        let data = ints(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        let (a, b) = data.split_at(3);
+        let parts = |spec: &AggSpec| [sub(spec, "v", a), sub(spec, "v", b)];
+        assert_eq!(merged(&v, &parts(&v)), Value::Double(4.0));
+        assert_eq!(merged(&s, &parts(&s)), Value::Double(2.0));
     }
 
     #[test]
     fn var_of_empty_is_null_and_strings_rejected() {
         let v = AggSpec::var("v", "var");
-        let acc = vec![Value::Double(0.0), Value::Double(0.0), Value::Int(0)];
-        assert_eq!(v.finalize(&acc).unwrap(), Value::Null);
+        assert_eq!(merged(&v, &[]), Value::Null);
         assert!(AggSpec::var("s", "x").validate(&detail_schema()).is_err());
         assert!(AggSpec::stddev("s", "x").validate(&detail_schema()).is_err());
-        let mut acc = vec![Value::Double(0.0), Value::Double(0.0), Value::Int(0)];
-        assert!(v.update(&mut acc, Some(&Value::str("x"))).is_err());
+        let strings = detail("s", &[Value::str("x")]);
+        assert!(eval_full(&base(), &strings, &op(&AggSpec::var("s", "x")), EvalOptions::default()).is_err());
         // NULL inputs are skipped.
-        v.update(&mut acc, Some(&Value::Null)).unwrap();
-        assert_eq!(acc[2], Value::Int(0));
+        let nulls = sub(&v, "v", &[Value::Null]);
+        assert_eq!(nulls.columns().value(3, 0), Value::Int(0));
+        assert_eq!(full(&v, "v", &[Value::Null]), Value::Null);
     }
 
     #[test]
@@ -667,40 +439,31 @@ mod tests {
         ];
         let layout = AccLayout::new(&blocks);
         assert_eq!(layout.width(), 4);
-        let mut acc = layout.init();
-        assert_eq!(acc.len(), 4);
+        let offsets: Vec<usize> = layout.entries().iter().map(|(_, _, off)| *off).collect();
+        assert_eq!(offsets, [0, 1, 3]);
 
-        // Simulate: block 0 sees v=2 and v=4; block 1 sees v=10.
-        let entries = layout.entries().to_vec();
-        for (bi, a, off) in &entries {
-            let w = a.acc_width();
-            let slice = &mut acc[*off..off + w];
-            match (bi, a.name.as_str()) {
-                (0, "c1") => {
-                    a.update(slice, None).unwrap();
-                    a.update(slice, None).unwrap();
-                }
-                (0, "a1") => {
-                    a.update(slice, Some(&Value::Int(2))).unwrap();
-                    a.update(slice, Some(&Value::Int(4))).unwrap();
-                }
-                (1, "s2") => {
-                    a.update(slice, Some(&Value::Int(10))).unwrap();
-                }
-                other => panic!("no such aggregate: {other:?}"),
-            }
-        }
-        let logical = layout.finalize(&acc).unwrap();
+        // Block 0 sees v=2 and v=4; block 1 sees v=10.
+        let g = Gmdj::new("t")
+            .block(Expr::dcol("v").lt(Expr::lit(5i64)), blocks[0].clone())
+            .block(Expr::dcol("v").eq(Expr::lit(10i64)), blocks[1].clone());
+        let d = detail("v", &ints(&[2, 4, 10]));
+        let logical = eval_full(&base(), &d, &g, EvalOptions::default()).unwrap();
         assert_eq!(
-            logical,
-            vec![Value::Int(2), Value::Double(3.0), Value::Int(10)]
+            logical.rows()[0].values()[1..],
+            [Value::Int(2), Value::Double(3.0), Value::Int(10)]
         );
 
         // Merging a fresh accumulator is the identity.
-        let fresh = layout.init();
-        let mut merged = acc.clone();
-        layout.merge(&mut merged, &fresh).unwrap();
-        assert_eq!(merged, acc);
+        let physical = eval_local(&base(), &d, &g, EvalOptions::default()).unwrap().physical;
+        let types: Vec<DataType> = physical.schema().fields()[1..].iter().map(|f| f.data_type()).collect();
+        let mut states = AccStates::new(&layout, &types, 2).unwrap();
+        states.absorb(physical.columns(), 1, &[0], &[true]).unwrap();
+        states.combine(0, 1, 1, &[true], &[true]);
+        let merged = states.physical_columns(&[0]);
+        assert_eq!(merged.len(), 4);
+        for (k, col) in merged.iter().enumerate() {
+            assert_eq!(col.value(0), physical.columns().value(1 + k, 0), "slot {k}");
+        }
     }
 
     #[test]
@@ -713,8 +476,9 @@ mod tests {
             phys.iter().map(|f| f.name().to_string()).collect::<Vec<_>>(),
             ["c", "a__sum", "a__cnt"]
         );
-        let logical = layout.logical_fields(&d).unwrap();
-        assert_eq!(logical[1].name(), "a");
-        assert_eq!(logical[1].data_type(), DataType::Double);
+        let op = Gmdj::new("t").block(Expr::True, blocks[0].clone());
+        let logical = op.output_schema(&Schema::of(&[]), &d).unwrap();
+        assert_eq!(logical.field(1).name(), "a");
+        assert_eq!(logical.field(1).data_type(), DataType::Double);
     }
 }

@@ -1,10 +1,10 @@
 //! The vectorized (columnar) GMDJ kernel.
 //!
-//! The row reference in [`crate::eval`] walks `Row`s and folds every
-//! matching detail tuple into `Vec<Value>` accumulators through
-//! [`AggSpec::update`] — one enum dispatch plus one possible clone per
-//! (tuple, aggregate). This kernel computes the same function on the
-//! relation's columns, read in place ([`Relation::column`]). Per morsel and block it makes a selection of matching
+//! The test suites' serial row reference walks `Row`s and folds every
+//! matching detail tuple into `Vec<Value>` accumulators — one enum
+//! dispatch plus one possible clone per (tuple, aggregate). This kernel
+//! computes the same function on the relation's columns, read in place
+//! ([`Relation::column`]). Per morsel and block it makes a selection of matching
 //! `(detail row, base position)` pairs in two steps, then runs one
 //! **typed inner loop per aggregate** over `&[i64]` / `&[f64]` column
 //! slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
@@ -1019,7 +1019,8 @@ pub(crate) fn eval_columnar(
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
-    use crate::eval::{eval_full, eval_local, eval_local_rows, finalize_physical};
+    use crate::eval::{eval_full, eval_local, finalize_physical};
+    use crate::oracle::serial_local;
     use crate::theta::ThetaBuilder;
     use skalla_relation::{row, DataType, Expr, Row, Schema};
 
@@ -1032,7 +1033,7 @@ mod tests {
 
     /// The row reference kernel's finalized answer.
     fn full_rows(b: &Relation, d: &Relation, g: &Gmdj) -> Relation {
-        let local = eval_local_rows(b, d, g, opts()).unwrap();
+        let local = serial_local(b, d, g, opts()).unwrap();
         finalize_physical(&local.physical, b.schema().len(), g, d.schema()).unwrap()
     }
 
@@ -1106,7 +1107,7 @@ mod tests {
     #[test]
     fn columnar_matches_row_kernel_wide_aggregates() {
         let col = eval_local(&base(), &detail(), &wide_gmdj(), opts()).unwrap();
-        let rowk = eval_local_rows(&base(), &detail(), &wide_gmdj(), opts()).unwrap();
+        let rowk = serial_local(&base(), &detail(), &wide_gmdj(), opts()).unwrap();
         assert_bits_equal(&col, &rowk);
     }
 
@@ -1124,7 +1125,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-                let rowk = eval_local_rows(
+                let rowk = serial_local(
                     &base(),
                     &detail(),
                     &wide_gmdj(),
@@ -1366,7 +1367,7 @@ mod tests {
     /// size and thread count of the filter's spec.
     fn assert_matches_reference(b: &Relation, d: &Relation, g: &Gmdj) {
         for morsel_rows in [1usize, 2, 3, 65_536] {
-            let reference = eval_local_rows(b, d, g, EvalOptions { morsel_rows, ..opts() }).unwrap();
+            let reference = serial_local(b, d, g, EvalOptions { morsel_rows, ..opts() }).unwrap();
             assert!(reference.matched.iter().any(|&m| m), "the case matches something");
             for parallelism in [1usize, 2, 4] {
                 let o = EvalOptions {

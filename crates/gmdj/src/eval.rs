@@ -23,11 +23,11 @@
 //! straight from the kernel's states; [`eval_full`] additionally
 //! finalizes, for single-machine evaluation and as the test oracle.
 //!
-//! **One kernel, one reference.** [`eval_local`] always runs the
-//! vectorized kernel in [`crate::columnar`]. [`eval_local_rows`] is the
-//! reference the tests compare it against: a serial loop over every
-//! (block, base tuple, detail tuple) pair with the same morsel
-//! decomposition and merge order. No engine path calls it.
+//! **One kernel.** [`eval_local`] always runs the vectorized kernel in
+//! [`crate::columnar`], whose accumulators are the typed states of
+//! [`crate::state`]. The test suites hold it to a reference written
+//! apart: a serial loop over every (block, base tuple, detail tuple) pair
+//! with the same morsel decomposition and merge order.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -38,7 +38,7 @@ use crate::state::AccStates;
 use crate::theta::analyze_theta;
 use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
-use skalla_relation::{BoundExpr, Column, Columns, DataType, Error, Relation, Result, Schema, Value};
+use skalla_relation::{BoundExpr, Column, Columns, DataType, Error, Relation, Result, Schema};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -415,76 +415,13 @@ pub fn eval_shipped(
     Ok(local.physical)
 }
 
-/// [`eval_local`] as one serial loop: the reference the test suites hold
-/// the engine's kernel to. Per morsel (the same decomposition as the
-/// kernel's) it starts fresh accumulators and visits every block, base
-/// tuple and detail tuple of the morsel, in that order. A pair matches
-/// when its equi-key columns are [`Value`]-equal (a nested-loop block has
-/// none) and the block's condition is truthy. Morsel states merge in
-/// morsel order. So every accumulator slot sees the kernel's sequence of
-/// updates, and the bits agree. `opts.parallelism` is ignored: the
-/// reference starts no thread and builds no index.
-pub fn eval_local_rows(
-    base: &Relation,
-    detail: &Relation,
-    gmdj: &Gmdj,
-    opts: EvalOptions,
-) -> Result<LocalGmdj> {
-    let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-    let (morsel_rows, n_morsels) = morsels(detail.len(), opts);
-    let mut matched = vec![false; base.len()];
-    let mut run_morsel = |m: usize| -> Result<Vec<Vec<Value>>> {
-        let hi = ((m + 1) * morsel_rows).min(detail.len());
-        let morsel = &detail.rows()[m * morsel_rows..hi];
-        let mut accs = vec![layout.init(); base.len()];
-        for (pb, block) in blocks.iter().zip(&gmdj.blocks) {
-            for (pos, b) in base.iter().enumerate() {
-                for r in morsel {
-                    let keys_equal = pb
-                        .base_keys
-                        .iter()
-                        .zip(&pb.detail_keys)
-                        .all(|(&bk, &dk)| b.get(bk) == r.get(dk));
-                    if !keys_equal
-                        || !(pb.trivial_condition || pb.condition.eval(b, r)?.is_truthy())
-                    {
-                        continue;
-                    }
-                    matched[pos] = true;
-                    for (a, (input, off)) in block.aggs.iter().zip(&pb.aggs) {
-                        let v = input.as_ref().map(|e| e.eval(b, r)).transpose()?;
-                        a.update(&mut accs[pos][*off..off + a.acc_width()], v.as_ref())?;
-                    }
-                }
-            }
-        }
-        Ok(accs)
-    };
-    // Morsel 0's state is taken as is, later ones merge into it.
-    let mut accs = run_morsel(0)?;
-    for m in 1..n_morsels {
-        for (d, s) in accs.iter_mut().zip(&run_morsel(m)?) {
-            layout.merge(d, s)?;
-        }
-    }
-    let rows = base
-        .iter()
-        .zip(&accs)
-        .map(|(b, acc)| b.extend(acc))
-        .collect();
-    Ok(LocalGmdj {
-        physical: Relation::new(gmdj.physical_schema(base.schema(), detail.schema())?, rows)?,
-        matched,
-    })
-}
-
 /// Finalize a physical (accumulator) relation into the logical output.
 ///
 /// `base_arity` is the number of leading base columns; `detail` supplies
 /// types for the logical aggregate fields. Column-wise: the base columns
 /// are shared, and the accumulator columns go through the typed states
-/// ([`AccStates::absorb`], then [`AccStates::finalize_columns`], which
-/// gives [`AccLayout::finalize`]'s values bit for bit). No row is built.
+/// ([`AccStates::absorb`], then [`AccStates::finalize_columns`]). No row
+/// is built.
 pub fn finalize_physical(
     physical: &Relation,
     base_arity: usize,
@@ -529,8 +466,9 @@ pub fn eval_full(
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
+    use crate::oracle::{merge_all, serial_local};
     use crate::theta::ThetaBuilder;
-    use skalla_relation::{row, Expr, Row};
+    use skalla_relation::{row, Expr, Row, Value};
 
     fn detail() -> Relation {
         Relation::new(
@@ -571,7 +509,7 @@ mod tests {
     /// Every case below runs on both kernels: the row reference's answer,
     /// returned once the engine kernel's has been checked against it.
     fn local_both(b: &Relation, d: &Relation, g: &Gmdj, o: EvalOptions) -> LocalGmdj {
-        let rows = eval_local_rows(b, d, g, o).unwrap();
+        let rows = serial_local(b, d, g, o).unwrap();
         let cols = eval_local(b, d, g, o).unwrap();
         assert_eq!(cols.physical, rows.physical);
         assert_eq!(cols.matched, rows.matched);
@@ -846,9 +784,7 @@ mod tests {
             .zip(l2.physical.rows())
         {
             let mut dvals = dst.values().to_vec();
-            layout
-                .merge(&mut dvals[base_arity..], &src.values()[base_arity..])
-                .unwrap();
+            merge_all(&layout, &mut dvals[base_arity..], &src.values()[base_arity..]).unwrap();
             *dst = Row::new(dvals);
         }
         let merged_final =
@@ -935,9 +871,9 @@ mod tests {
     /// to the bytes of the same answer rebuilt from its rows
     /// (`Relation::new(schema, rows)`, whose columns `Columns::from_rows`
     /// makes), with and without Prop 1's reduction: Int and Double AVG,
-    /// VAR, an all-NULL SUM, a string MIN (`Value` accumulators), NaN
-    /// payloads, −0.0 and NULL keys and inputs. (Row blocking's slices
-    /// are checked the same way in `skalla-core`.)
+    /// VAR, an all-NULL SUM, a string MIN, NaN payloads, −0.0 and NULL
+    /// keys and inputs. (Row blocking's slices are checked the same way in
+    /// `skalla-core`.)
     #[test]
     fn shipped_answer_encodes_as_its_rows() {
         let nan = |p: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | p));

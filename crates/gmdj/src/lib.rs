@@ -7,8 +7,10 @@
 //! expressions ([`chain`]), coalescing rewrites ([`rewrite`]), and an
 //! efficient centralized evaluator ([`eval`]) with equi-key and
 //! nested-loop strategies, evaluated through the vectorized columnar
-//! kernel ([`columnar`]); a serial row-at-a-time loop is kept as the
-//! reference the tests compare against ([`eval::eval_local_rows`]).
+//! kernel ([`columnar`]). Aggregate semantics — update, merge, finalize —
+//! are stated once, in the typed accumulator states ([`state`]); the test
+//! suites' reference, a `Value` fold and a serial row-at-a-time loop, is
+//! written apart in the hidden `oracle` module.
 //!
 //! Distributed evaluation of these expressions lives in `skalla-core`.
 
@@ -23,6 +25,8 @@ pub mod codec;
 pub mod columnar;
 pub mod eval;
 pub mod operator;
+#[doc(hidden)]
+pub mod oracle;
 pub mod patterns;
 pub mod rewrite;
 pub mod sketch;

@@ -81,13 +81,14 @@ impl Gmdj {
     }
 
     /// Validate against the base and detail schemas: θs bind, aggregate
-    /// inputs are detail-only and well-typed, output names are fresh and
-    /// mutually distinct.
+    /// inputs are detail-only and well-typed, and the output names and
+    /// physical slot names (`a__sum`, `a__cnt`, …, which a site's answer
+    /// carries beside the base columns) are fresh and mutually distinct.
     pub fn validate(&self, base: &Schema, detail: &Schema) -> Result<()> {
         if self.blocks.is_empty() {
             return Err(Error::Plan("GMDJ with no blocks".into()));
         }
-        let mut names: HashSet<&str> = HashSet::new();
+        let mut names: HashSet<String> = HashSet::new();
         for b in &self.blocks {
             b.theta.bind(base, Some(detail))?;
             if b.aggs.is_empty() {
@@ -95,14 +96,17 @@ impl Gmdj {
             }
             for a in &b.aggs {
                 a.validate(detail)?;
-                if base.contains(&a.name) {
-                    return Err(Error::DuplicateColumn(format!(
-                        "aggregate output {:?} collides with a base column",
-                        a.name
-                    )));
-                }
-                if !names.insert(&a.name) {
-                    return Err(Error::DuplicateColumn(a.name.clone()));
+                let slots = a.physical_fields(detail)?;
+                let slot_names = slots.iter().map(|f| f.name()).filter(|n| *n != a.name);
+                for name in std::iter::once(a.name.as_str()).chain(slot_names) {
+                    if base.contains(name) {
+                        return Err(Error::DuplicateColumn(format!(
+                            "aggregate column {name:?} collides with a base column"
+                        )));
+                    }
+                    if !names.insert(name.to_string()) {
+                        return Err(Error::DuplicateColumn(name.to_string()));
+                    }
                 }
             }
         }
@@ -220,6 +224,24 @@ mod tests {
         assert!(Gmdj::new("t").validate(&b, &d).is_err());
         let g = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![]);
         assert!(g.validate(&b, &d).is_err());
+    }
+
+    /// An accumulator slot a name already holds — another aggregate's
+    /// output or slot, or a base column — is refused at planning, before a
+    /// site builds the physical schema.
+    #[test]
+    fn slot_names_collide_with_nothing() {
+        let (b, d) = schemas();
+        let op = |aggs: Vec<AggSpec>| Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), aggs);
+        let dup = |g: Gmdj, b: &Schema| matches!(g.validate(b, &d), Err(Error::DuplicateColumn(_)));
+        assert!(dup(op(vec![AggSpec::avg("v", "a"), AggSpec::count("a__cnt")]), &b));
+        assert!(dup(op(vec![AggSpec::count("a__sumsq"), AggSpec::var("v", "a")]), &b));
+        let two_blocks = op(vec![AggSpec::avg("v", "a")]).block(Expr::True, vec![AggSpec::stddev("v", "a__sum")]);
+        assert!(dup(two_blocks, &b));
+        let b2 = Schema::of(&[("g", DataType::Int), ("a__sum", DataType::Int)]);
+        assert!(dup(op(vec![AggSpec::avg("v", "a")]), &b2));
+        // Distinct slots pass: `a__sum` of `a`, `b__sum` of `b`.
+        op(vec![AggSpec::avg("v", "a"), AggSpec::var("v", "b")]).validate(&b, &d).unwrap();
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! Typed accumulator states: the one typed mirror of [`AggSpec::merge`].
+//! Typed accumulator states: the one statement of what an aggregate's
+//! physical slots hold and how they update, merge and finalize.
 //!
 //! An aggregate's accumulators over `n` positions live in typed arrays
 //! (`Vec<i64>`, `Vec<f64>`, `Vec<bool>` has-flags, and shared strings for
-//! a string MIN/MAX) instead of one `Vec<Value>` per position. The
-//! has-flags mirror the `Value` path's `Null` accumulator states: a stored
-//! number counts only where its flag is set, and the first value is
-//! *taken*, not added, so `-0.0` and NaN payloads survive exactly as they
-//! do through `AggSpec::merge`. A column is of its declared type, so every
+//! a string MIN/MAX). A has-flag says the slot holds a value (SUM, MIN and
+//! MAX are NULL over an empty range): a stored number counts only where
+//! its flag is set, and the first value is *taken*, not added, so `-0.0`
+//! and NaN payloads survive. A column is of its declared type, so every
 //! aggregate a plan can hold has a typed state, and columns a typed state
 //! cannot take (malformed remote input) are an error.
 //!
 //! The kernel ([`crate::columnar`]) keeps one state per aggregate over a
 //! morsel's base positions. The coordinator keeps [`AccStates`] over its
 //! merge tree's slots: it absorbs a site's frame columns into them and
-//! merges slot ranges pairwise. Both merge through the `fold_*` functions
-//! below, which are the only statement of the typed merge.
+//! merges slot ranges pairwise; `finalize_physical` and the cube's
+//! roll-up absorb and finalize through them too. All merge through the
+//! `fold_*` functions below. Only the test suites' reference restates
+//! these semantics, over `Value`s and apart from the engine.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::agg::{finalize_var, AccLayout, AggFunc, AggSpec};
+use crate::agg::{AccLayout, AggFunc, AggSpec};
 use skalla_relation::{
     f64_add, total_f64_cmp, Bitmap, Column, ColumnBuilder, Columns, DataType, Error, Result, Value,
 };
@@ -114,8 +116,12 @@ pub(crate) fn fold_min_max_i(acc: &mut i64, v: i64, has: bool, max: bool) {
     }
 }
 
-/// Fold `v` into a Double MIN or MAX slot under the total order (NaN
-/// greatest) that [`Value`]'s `Ord` gives `MIN`/`MAX`.
+/// Fold `v` into a Double MIN or MAX slot under [`Value`]'s total order
+/// (NaN greatest), with the doubles it holds equal — `-0.0` and `0.0`,
+/// NaNs of other payloads — told apart by their bits ([`f64::total_cmp`]):
+/// which one a slot keeps never depends on the order it meets them, so a
+/// MIN or MAX is the same bits however sites, morsels or a cube's groups
+/// are merged.
 #[inline]
 pub(crate) fn fold_min_max_f(acc: &mut f64, v: f64, has: bool, max: bool) {
     let want = if max {
@@ -123,7 +129,7 @@ pub(crate) fn fold_min_max_f(acc: &mut f64, v: f64, has: bool, max: bool) {
     } else {
         Ordering::Less
     };
-    if !has || total_f64_cmp(v, *acc) == want {
+    if !has || total_f64_cmp(v, *acc).then_with(|| v.total_cmp(acc)) == want {
         *acc = v;
     }
 }
@@ -150,6 +156,19 @@ fn fold_avg<T: Copy>(acc: &mut T, cnt: &mut i64, s: T, c: i64, fold: impl Fn(&mu
     *cnt += c;
 }
 
+/// A population VAR (or, with `stddev`, STDDEV) from its merged
+/// sub-aggregate — sum, sum of squares and a non-zero count: E[x²] − E[x]²,
+/// clamped against rounding noise.
+pub(crate) fn finalize_var(sum: f64, sumsq: f64, cnt: i64, stddev: bool) -> f64 {
+    let n = cnt as f64;
+    let var = (sumsq / n - (sum / n) * (sum / n)).max(0.0);
+    if stddev {
+        var.sqrt()
+    } else {
+        var
+    }
+}
+
 /// Merge a VAR sub-aggregate into `(s, sq, cnt)`.
 #[inline]
 fn fold_var(acc: (&mut f64, &mut f64, &mut i64), s: f64, sq: f64, c: i64) {
@@ -161,41 +180,18 @@ fn fold_var(acc: (&mut f64, &mut f64, &mut i64), s: f64, sq: f64, c: i64) {
 impl AggState {
     /// `n` fresh slots of `kind`.
     pub(crate) fn new(kind: Kind, n: usize) -> AggState {
-        let mut st = match kind {
-            Kind::Count => AggState::Count(Vec::new()),
-            Kind::SumI => AggState::SumI {
-                s: Vec::new(),
-                has: Vec::new(),
-            },
-            Kind::SumF => AggState::SumF {
-                s: Vec::new(),
-                has: Vec::new(),
-            },
-            Kind::MinMaxI => AggState::MinMaxI {
-                m: Vec::new(),
-                has: Vec::new(),
-            },
-            Kind::MinMaxF => AggState::MinMaxF {
-                m: Vec::new(),
-                has: Vec::new(),
-            },
-            Kind::MinMaxS => AggState::MinMaxS { m: Vec::new() },
-            Kind::AvgI => AggState::AvgI {
-                s: Vec::new(),
-                cnt: Vec::new(),
-            },
-            Kind::AvgF => AggState::AvgF {
-                s: Vec::new(),
-                cnt: Vec::new(),
-            },
-            Kind::Var => AggState::Var {
-                s: Vec::new(),
-                sq: Vec::new(),
-                cnt: Vec::new(),
-            },
-        };
-        st.resize(n);
-        st
+        let (f, i, has) = (|| vec![0.0; n], || vec![0; n], || vec![false; n]);
+        match kind {
+            Kind::Count => AggState::Count(i()),
+            Kind::SumI => AggState::SumI { s: i(), has: has() },
+            Kind::SumF => AggState::SumF { s: f(), has: has() },
+            Kind::MinMaxI => AggState::MinMaxI { m: i(), has: has() },
+            Kind::MinMaxF => AggState::MinMaxF { m: f(), has: has() },
+            Kind::MinMaxS => AggState::MinMaxS { m: vec![None; n] },
+            Kind::AvgI => AggState::AvgI { s: i(), cnt: i() },
+            Kind::AvgF => AggState::AvgF { s: f(), cnt: i() },
+            Kind::Var => AggState::Var { s: f(), sq: f(), cnt: i() },
+        }
     }
 
     /// Make every slot fresh again, reusing the arrays.
@@ -277,9 +273,8 @@ impl AggState {
         Ok(())
     }
 
-    /// Slots `at`'s physical columns, in slot order: exactly what the
-    /// `Value` accumulators hold after the same updates and merges, under
-    /// [`ColumnBuilder`]'s rule, written straight from the arrays, the
+    /// Slots `at`'s physical columns, in slot order, under
+    /// [`ColumnBuilder`]'s rule: written straight from the arrays, the
     /// has-flags (or `cnt > 0`) the validity.
     pub(crate) fn physical_columns(&self, at: &[u32], out: &mut Vec<Arc<Column>>) {
         let mut put = |c: Column| out.push(Arc::new(c));
@@ -314,8 +309,9 @@ impl AggState {
     }
 
     /// Slots `at`'s logical values as one column, slot `p` finalized where
-    /// `present(p)` and X_init finalized elsewhere: [`AggSpec::finalize`]
-    /// per typed kind, column-wise.
+    /// `present(p)` and X_init finalized elsewhere, column-wise: COUNT,
+    /// SUM, MIN and MAX as they are, AVG as sum ÷ count and VAR/STDDEV
+    /// through [`finalize_var`], NULL over no value.
     fn finalize_column(&self, spec: &AggSpec, at: &[u32], present: &[bool]) -> Column {
         let on = |p: usize| present[p];
         match self {
@@ -748,8 +744,9 @@ fn avg_counts<'a>(sums: Option<&Bitmap>, col: &'a Column) -> Option<&'a [i64]> {
 
 /// The typed accumulators of every aggregate of one [`AccLayout`], over
 /// `len` positions: what the coordinator merges its sites' sub-aggregates
-/// in. Position `p` of every aggregate together is one `Vec<Value>`
-/// accumulator of the layout ([`AccStates::physical_columns`]).
+/// in, and what finalizing and the cube's roll-up go through. Position `p`
+/// of every aggregate together is one physical row of the layout
+/// ([`AccStates::physical_columns`]).
 #[derive(Debug)]
 pub struct AccStates {
     layout: AccLayout,
@@ -822,7 +819,7 @@ impl AccStates {
     /// One merge-tree step between the runs of `n` positions at `dst` and
     /// at `src` (`dst + n <= src`), present where `dst_present` /
     /// `src_present` say: where both are, `src` merges into `dst`
-    /// ([`AggSpec::merge`]'s order: `dst` is the left operand); where only
+    /// (`dst` is the left operand); where only
     /// `src` is, it moves across.
     pub fn combine(
         &mut self,
@@ -837,9 +834,8 @@ impl AccStates {
         }
     }
 
-    /// Positions `at`'s physical columns, in layout order, one per slot:
-    /// the columns of the `Value` accumulators, built as the kernel builds
-    /// a site's.
+    /// Positions `at`'s physical columns, in layout order, one per slot,
+    /// built as the kernel builds a site's.
     pub fn physical_columns(&self, at: &[u32]) -> Vec<Arc<Column>> {
         let mut out = Vec::with_capacity(self.layout.width());
         self.states.iter().for_each(|st| st.physical_columns(at, &mut out));
@@ -848,9 +844,7 @@ impl AccStates {
 
     /// Finalize positions `at` into the logical columns, one per aggregate
     /// (in layout order): position `p`'s accumulators where `present[p]`,
-    /// X_init elsewhere. Column-wise per typed kind, it gives
-    /// [`AggSpec::finalize`]'s values, bit for bit, as columns under
-    /// [`ColumnBuilder`]'s rule.
+    /// X_init elsewhere, as columns under [`ColumnBuilder`]'s rule.
     pub fn finalize_columns(&self, at: &[u32], present: &[bool]) -> Vec<Arc<Column>> {
         let entries = self.layout.entries().iter().zip(&self.states);
         entries

@@ -5,10 +5,10 @@
 use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
-use skalla_gmdj::eval::{
-    eval_full, eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
-};
+use skalla_gmdj::eval::{eval_full, eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS};
+use skalla_gmdj::oracle::{serial_local, merge_all};
 use skalla_gmdj::prelude::*;
+use skalla_gmdj::state::AccStates;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{DataType, Relation, Row, Schema, Value};
 
@@ -97,7 +97,7 @@ fn sub_super_equals_direct() {
             parallelism: rng.gen_range(1..4),
             morsel_rows: cases::pick(rng, &[3, DEFAULT_MORSEL_ROWS]),
         };
-        let kernel = if rng.gen() { eval_local_rows } else { eval_local };
+        let kernel = if rng.gen() { serial_local } else { eval_local };
         let d = detail(&rows);
         let specs: Vec<AggSpec> = aggs.iter().enumerate().map(|(i, f)| spec(i, *f)).collect();
         let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), specs);
@@ -124,8 +124,7 @@ fn sub_super_equals_direct() {
                 Some(mut x) => {
                     for (dst, src) in x.rows_mut().iter_mut().zip(local.physical.rows()) {
                         let mut vals = dst.values().to_vec();
-                        layout
-                            .merge(&mut vals[base_arity..], &src.values()[base_arity..])
+                        merge_all(&layout, &mut vals[base_arity..], &src.values()[base_arity..])
                             .expect("merges");
                         *dst = Row::new(vals);
                     }
@@ -212,10 +211,10 @@ fn columnar_matches_row_kernel_on_correlated_chain() {
             eval_local(&b1, &d, &op2, opts).expect("op2 evaluates")
         };
         let rowk = {
-            let b1 = eval_local_rows(&base, &d, &op1, serial).expect("op1 evaluates");
+            let b1 = serial_local(&base, &d, &op1, serial).expect("op1 evaluates");
             let b1 = finalize_physical(&b1.physical, base.schema().len(), &op1, d.schema())
                 .expect("op1 finalizes");
-            eval_local_rows(&b1, &d, &op2, serial).expect("op2 evaluates")
+            serial_local(&b1, &d, &op2, serial).expect("op2 evaluates")
         };
         assert_eq!(&col.matched, &rowk.matched);
         for (a, b) in col.physical.rows().iter().zip(rowk.physical.rows()) {
@@ -230,31 +229,50 @@ fn columnar_matches_row_kernel_on_correlated_chain() {
     });
 }
 
+/// The kernel's sub-aggregate of `a` over the Int inputs `xs`, for one
+/// base tuple that θ = TRUE gives every input: the physical row, the
+/// base column `k` and then `a`'s slots.
+fn sub_aggregate(a: &AggSpec, xs: &[i64]) -> Relation {
+    let base = Relation::new(Schema::of(&[("k", DataType::Int)]), vec![Row::new(vec![Value::Int(0)])])
+        .expect("static schema");
+    let d = detail(&xs.iter().map(|&x| (0, x)).collect::<Vec<_>>());
+    let op = Gmdj::new("t").block(Expr::True, vec![a.clone()]);
+    eval_local(&base, &d, &op, EvalOptions::default()).expect("evaluates").physical
+}
+
+/// `n` fresh positions of the typed states of `a`, typed as `sub`'s slots.
+fn fresh_states(a: &AggSpec, sub: &Relation, n: usize) -> AccStates {
+    let types: Vec<DataType> = sub.schema().fields()[1..].iter().map(|f| f.data_type()).collect();
+    let layout = Gmdj::new("t").block(Expr::True, vec![a.clone()]).layout();
+    AccStates::new(&layout, &types, n).expect("a plan's types")
+}
+
+/// Merge the sub-aggregate `sub` into position `p` of `st`.
+fn absorb(st: &mut AccStates, sub: &Relation, p: usize) {
+    st.absorb(sub.columns(), 1, &[p], &[false]).expect("absorbs");
+}
+
+/// Position `p`'s finalized value.
+fn finalized(st: &AccStates, p: u32) -> Value {
+    st.finalize_columns(&[p], &[true; 4])[0].value(0)
+}
+
 /// Merging is commutative for every aggregate (site arrival order must
-/// not matter).
+/// not matter): the typed states' X_init ⊕ x ⊕ y and X_init ⊕ y ⊕ x.
 #[test]
 fn merge_is_commutative() {
     for_cases("merge_is_commutative", 64, |rng| {
         let a = spec(0, arb_agg(rng));
         let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let ys = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
-        let mut acc1 = Vec::new();
-        a.init_acc(&mut acc1);
-        let mut acc2 = acc1.clone();
-        let mut sub_x = acc1.clone();
-        let mut sub_y = acc1.clone();
-        for x in &xs {
-            a.update(&mut sub_x, Some(&Value::Int(*x))).expect("updates");
+        let (sub_x, sub_y) = (sub_aggregate(&a, &xs), sub_aggregate(&a, &ys));
+        let mut st = fresh_states(&a, &sub_x, 4);
+        for (p, sub) in [&sub_x, &sub_y, &sub_y, &sub_x].into_iter().enumerate() {
+            absorb(&mut st, sub, p);
         }
-        for y in &ys {
-            a.update(&mut sub_y, Some(&Value::Int(*y))).expect("updates");
-        }
-        a.merge(&mut acc1, &sub_x).expect("merges");
-        a.merge(&mut acc1, &sub_y).expect("merges");
-        a.merge(&mut acc2, &sub_y).expect("merges");
-        a.merge(&mut acc2, &sub_x).expect("merges");
-        let f1 = a.finalize(&acc1).expect("finalizes");
-        let f2 = a.finalize(&acc2).expect("finalizes");
+        st.combine(0, 1, 1, &[true], &[true]);
+        st.combine(2, 3, 1, &[true], &[true]);
+        let (f1, f2) = (finalized(&st, 0), finalized(&st, 2));
         assert!(values_close(&f1, &f2), "{f1} vs {f2}");
     });
 }
@@ -265,17 +283,12 @@ fn merge_identity() {
     for_cases("merge_identity", 64, |rng| {
         let a = spec(0, arb_agg(rng));
         let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
-        let mut acc = Vec::new();
-        a.init_acc(&mut acc);
-        for x in &xs {
-            a.update(&mut acc, Some(&Value::Int(*x))).expect("updates");
-        }
-        let before = acc.clone();
-        let mut fresh = Vec::new();
-        a.init_acc(&mut fresh);
-        a.merge(&mut acc, &fresh).expect("merges");
-        let f1 = a.finalize(&before).expect("finalizes");
-        let f2 = a.finalize(&acc).expect("finalizes");
+        let sub = sub_aggregate(&a, &xs);
+        let mut st = fresh_states(&a, &sub, 3);
+        absorb(&mut st, &sub, 0);
+        absorb(&mut st, &sub, 1);
+        st.combine(1, 2, 1, &[true], &[true]);
+        let (f1, f2) = (finalized(&st, 0), finalized(&st, 1));
         assert!(values_close(&f1, &f2));
     });
 }

@@ -12,11 +12,13 @@
 //!   the finest grouping set with its aggregates *decomposed into
 //!   physical sub-aggregates* (AVG → SUM + COUNT, VAR/STDDEV → SUM +
 //!   SUM² + COUNT — the same decomposition sites ship in Theorem 1).
-//!   Every coarser grouping set, down to the grand total, is then derived
-//!   locally by merging those sub-aggregates along the lattice with
-//!   [`AggSpec::merge`]/[`AggSpec::finalize`] — zero additional site
-//!   traffic, and deterministic: finest groups merge in sorted key
-//!   order, so the derived bits never depend on arrival order.
+//!   Every grouping set, down to the grand total, is then derived
+//!   locally by merging those sub-aggregates along the lattice in the
+//!   engine's typed accumulator states ([`AccStates`], the merge the
+//!   coordinator runs over its sites' answers) and finalizing them — zero
+//!   additional site traffic, and deterministic: finest groups merge in
+//!   sorted key order, so the derived bits never depend on arrival
+//!   order.
 //! * **Direct** ([`cube_with_rollup`] with `rollup = false`): every
 //!   grouping set runs as its own distributed GMDJ plan, each enjoying
 //!   the full optimization suite (and, behind a [`Skalla`] engine, the
@@ -30,9 +32,13 @@
 
 use skalla_core::{ExecStats, OptFlags, Planner, Warehouse};
 use skalla_gmdj::patterns::group_by;
-use skalla_gmdj::{AggFunc, AggSpec};
-use skalla_relation::{Error, Expr, Field, Relation, Result, Row, Schema, Value};
-use std::collections::HashMap;
+use skalla_gmdj::state::AccStates;
+use skalla_gmdj::{AccLayout, AggFunc, AggSpec};
+use skalla_relation::columns::{row_key_hash, IdTable};
+use skalla_relation::{
+    Column, Columns, DataType, Error, Expr, Field, Relation, Result, Row, Schema, Value,
+};
+use std::sync::Arc;
 
 /// How one grouping set of a cube was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +182,7 @@ pub fn cube_with_rollup(
     let out_schema = Schema::new(fields)?;
 
     if rollup {
-        cube_rolled(warehouse, table, dims, aggs, flags, out_schema)
+        cube_rolled(warehouse, table, dims, aggs, flags, &fact_schema, out_schema)
     } else {
         cube_direct(warehouse, table, dims, aggs, flags, out_schema)
     }
@@ -191,70 +197,25 @@ fn query_source(stats: &ExecStats) -> LevelSource {
     }
 }
 
-/// Decompose the requested aggregates into the *physical* sub-aggregate
-/// specs the finest-level query computes — the same SUM/COUNT/SUM²
-/// decomposition [`AggSpec::physical_fields`] ships between sites, so
-/// the merged-and-finalized values carry the engine's exact bits.
-fn decompose(aggs: &[AggSpec]) -> Result<Vec<AggSpec>> {
-    let mut phys = Vec::new();
-    for a in aggs {
-        match a.func {
-            AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max => phys.push(a.clone()),
-            AggFunc::Avg => {
-                let e = input_of(a)?;
-                phys.push(AggSpec::over_expr(
-                    AggFunc::Sum,
-                    e.clone(),
-                    format!("{}__sum", a.name),
-                ));
-                phys.push(AggSpec::over_expr(
-                    AggFunc::Count,
-                    e.clone(),
-                    format!("{}__cnt", a.name),
-                ));
+/// Decompose each requested aggregate into the *physical* sub-aggregates
+/// the finest-level query computes, one per accumulator slot and named as
+/// the slot ([`AggSpec::physical_fields`]): AVG into SUM and COUNT,
+/// VAR/STDDEV into SUM, SUM of squares and COUNT — the decomposition
+/// sites ship, so the rolled-up values carry the engine's exact bits.
+fn decompose(aggs: &[AggSpec], fact: &Schema) -> Result<Vec<Vec<AggSpec>>> {
+    use AggFunc::{Count, Sum};
+    let slot_specs = |a: &AggSpec| {
+        let parts = match (a.func, &a.input) {
+            (AggFunc::Avg, Some(e)) => vec![(Sum, e.clone()), (Count, e.clone())],
+            (AggFunc::Var | AggFunc::StdDev, Some(e)) => {
+                vec![(Sum, e.clone()), (Sum, e.clone().mul(e.clone())), (Count, e.clone())]
             }
-            AggFunc::Var | AggFunc::StdDev => {
-                let e = input_of(a)?;
-                phys.push(AggSpec::over_expr(
-                    AggFunc::Sum,
-                    e.clone(),
-                    format!("{}__sum", a.name),
-                ));
-                phys.push(AggSpec::over_expr(
-                    AggFunc::Sum,
-                    e.clone().mul(e.clone()),
-                    format!("{}__sumsq", a.name),
-                ));
-                phys.push(AggSpec::over_expr(
-                    AggFunc::Count,
-                    e.clone(),
-                    format!("{}__cnt", a.name),
-                ));
-            }
-        }
-    }
-    Ok(phys)
-}
-
-fn input_of(a: &AggSpec) -> Result<&Expr> {
-    a.input
-        .as_ref()
-        .ok_or_else(|| Error::Plan(format!("{} aggregate {:?} has no input", a.func, a.name)))
-}
-
-/// Column indices of one aggregate's accumulator slots in the finest
-/// (physical) result schema, in [`AggSpec::init_acc`] order.
-fn acc_columns(a: &AggSpec, schema: &Schema) -> Result<Vec<usize>> {
-    let names: Vec<String> = match a.func {
-        AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max => vec![a.name.clone()],
-        AggFunc::Avg => vec![format!("{}__sum", a.name), format!("{}__cnt", a.name)],
-        AggFunc::Var | AggFunc::StdDev => vec![
-            format!("{}__sum", a.name),
-            format!("{}__sumsq", a.name),
-            format!("{}__cnt", a.name),
-        ],
+            _ => return Ok(vec![a.clone()]),
+        };
+        let slots = a.physical_fields(fact)?;
+        Ok(slots.iter().zip(parts).map(|(f, (func, e))| AggSpec::over_expr(func, e, f.name())).collect())
     };
-    names.iter().map(|n| schema.index_of(n)).collect()
+    aggs.iter().map(slot_specs).collect()
 }
 
 /// Roll-up serving: one distributed query at the finest level, every
@@ -265,171 +226,136 @@ fn cube_rolled(
     dims: &[&str],
     aggs: &[AggSpec],
     flags: OptFlags,
+    fact_schema: &Schema,
     out_schema: Schema,
 ) -> Result<CubeResult> {
     let planner = Planner::new(warehouse.distribution());
-    let phys_aggs = decompose(aggs)?;
-    let expr = group_by(table, dims, phys_aggs);
+    let phys = decompose(aggs, fact_schema)?;
+    let expr = group_by(table, dims, phys.concat());
     let plan = planner.optimize(&expr, flags);
     let out = warehouse.execute(&plan)?;
-    let finest_source = query_source(&out.stats);
 
     // Sorted finest groups: the lattice merges below run in this order,
     // so every derived bit is independent of site arrival order.
     let finest = out.relation.sorted_by(dims)?;
-    let fschema = finest.schema().clone();
-    let dim_idx: Vec<usize> = dims
+    let schema = finest.schema();
+    let dim_cols: Vec<&Column> = dims
         .iter()
-        .map(|d| fschema.index_of(d))
+        .map(|d| Ok(finest.column(schema.index_of(d)?)))
         .collect::<Result<_>>()?;
-    let agg_cols: Vec<Vec<usize>> = aggs
-        .iter()
-        .map(|a| acc_columns(a, &fschema))
-        .collect::<Result<_>>()?;
+    let layout = AccLayout::new(&[aggs.to_vec()]);
+    let mut slots = Vec::with_capacity(layout.width());
+    for (a, specs) in aggs.iter().zip(&phys) {
+        let var = matches!(a.func, AggFunc::Var | AggFunc::StdDev);
+        for (k, spec) in specs.iter().enumerate() {
+            let col = finest.shared_column(schema.index_of(&spec.name)?);
+            // VAR's sums come as the SUMs the finest query computed — Int,
+            // or NULL over no value — and merge as doubles, NULL as 0.0.
+            slots.push(if var && k < 2 { Arc::new(as_f64_or_zero(&col)) } else { col });
+        }
+    }
+    let types: Vec<DataType> = slots.iter().map(|c| c.data_type()).collect();
+    let slots = Columns::from_shared(finest.len(), slots);
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut parts = Vec::new();
     let mut levels = Vec::new();
     for set in grouping_sets(dims) {
-        let keep: Vec<usize> = (0..dims.len())
-            .filter(|i| set.iter().any(|s| s == dims[*i]))
-            .collect();
-        let (level_rows, source, stats) = if keep.len() == dims.len() {
-            // Finest level: finalize each group's accumulators directly.
-            let mut out_rows = Vec::with_capacity(finest.len());
-            for row in finest.rows() {
-                out_rows.push(finalize_row(row, &dim_idx, &keep, dims, aggs, &agg_cols)?);
-            }
-            (out_rows, finest_source, Some(out.stats.clone()))
-        } else {
-            // Coarser level: merge finest accumulators group by group.
-            (
-                roll_up(&finest, &dim_idx, &keep, dims, aggs, &agg_cols)?,
-                LevelSource::RolledUp,
-                None,
-            )
-        };
+        let keep: Vec<bool> = dims.iter().map(|d| set.iter().any(|s| s == d)).collect();
+        let finest_level = keep.iter().all(|&k| k);
+        let (rows, cols) = roll_up(&dim_cols, &keep, &layout, &types, &slots)?;
         levels.push(CubeLevel {
             dims: set,
-            source,
-            rows: level_rows.len(),
-            stats,
+            source: if finest_level {
+                query_source(&out.stats)
+            } else {
+                LevelSource::RolledUp
+            },
+            rows,
+            stats: finest_level.then(|| out.stats.clone()),
         });
-        rows.extend(level_rows);
+        parts.push(cols);
     }
 
     if let Some(cache) = warehouse.semantic_cache() {
-        cache.tally_rollups(
-            levels
-                .iter()
-                .filter(|l| l.source == LevelSource::RolledUp)
-                .count() as u64,
-        );
+        // Every level but the finest rolled up.
+        cache.tally_rollups(levels.len() as u64 - 1);
     }
-
-    Ok(CubeResult {
-        relation: Relation::new(out_schema, rows)?,
-        levels,
-    })
+    concat_levels(out_schema, &parts, levels)
 }
 
-/// Finalize one finest-level row into an output row: kept dimensions
-/// pass through, rolled-up dimensions become `NULL`, and each
-/// aggregate's physical slots finalize to its logical value.
-fn finalize_row(
-    row: &Row,
-    dim_idx: &[usize],
-    keep: &[usize],
-    dims: &[&str],
-    aggs: &[AggSpec],
-    agg_cols: &[Vec<usize>],
-) -> Result<Row> {
-    let mut vs = Vec::with_capacity(dims.len() + aggs.len());
-    for (i, idx) in dim_idx.iter().enumerate() {
-        if keep.contains(&i) {
-            vs.push(row.get(*idx).clone());
-        } else {
-            vs.push(Value::Null);
-        }
-    }
-    for (a, cols) in aggs.iter().zip(agg_cols) {
-        let acc: Vec<Value> = cols.iter().map(|c| row.get(*c).clone()).collect();
-        vs.push(a.finalize(&acc)?);
-    }
-    Ok(Row::new(vs))
+/// The doubles of an Int or Double column, as [`Value::as_f64`] gives
+/// them, with 0.0 for NULL.
+fn as_f64_or_zero(col: &Column) -> Column {
+    let data = (0..col.len())
+        .map(|i| col.value(i).as_f64().unwrap_or(0.0))
+        .collect();
+    Column::Double { data, valid: None }
 }
 
-/// Merge the finest level's sub-aggregates into one coarser grouping
-/// set. Groups appear in first-occurrence order of the (sorted) finest
-/// relation and each group's accumulators merge in that same order —
-/// fully deterministic.
+/// One grouping set of the cube: the finest groups merged into the groups
+/// of the dimensions `keep` marks, as the output columns — kept
+/// dimensions, `NULL` for the rolled-up ones, then the aggregates.
+///
+/// Each finest row takes its group's id from an [`IdTable`] over the kept
+/// dimension columns, read in place; groups are numbered in first
+/// occurrence order of the sorted finest level, so every finest group is
+/// its own group when all dimensions are kept. Every row's slots merge
+/// into its group's fresh position of the typed states, in row order, and
+/// the positions finalize to the aggregate columns: X_init ⊕ row ⊕ row …,
+/// fully deterministic. The grand total has one group even over an empty
+/// finest level: X_init, COUNT 0 and NULL elsewhere, as an aggregate
+/// over an empty range.
 fn roll_up(
-    finest: &Relation,
-    dim_idx: &[usize],
-    keep: &[usize],
-    dims: &[&str],
-    aggs: &[AggSpec],
-    agg_cols: &[Vec<usize>],
-) -> Result<Vec<Row>> {
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<Vec<Vec<Value>>> = Vec::new();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for row in finest.rows() {
-        let key: Vec<Value> = keep.iter().map(|i| row.get(dim_idx[*i]).clone()).collect();
-        let at = match index.get(&key) {
-            Some(at) => *at,
+    dims: &[&Column],
+    keep: &[bool],
+    layout: &AccLayout,
+    types: &[DataType],
+    slots: &Columns,
+) -> Result<(usize, Vec<Arc<Column>>)> {
+    let kept: Vec<&Column> = dims.iter().zip(keep).filter(|(_, k)| **k).map(|(c, _)| *c).collect();
+    let n = slots.len();
+    let mut index = IdTable::with_capacity(n);
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut ids = Vec::with_capacity(n);
+    for i in 0..n {
+        let h = row_key_hash(kept.iter().copied(), i);
+        let same = |g: usize| kept.iter().all(|c| c.value_eq_at(firsts[g] as usize, c, i));
+        let id = match index.find(h, same) {
+            Some(g) => g,
             None => {
-                let at = order.len();
-                index.insert(key.clone(), at);
-                order.push(key);
-                accs.push(
-                    aggs.iter()
-                        .map(|a| {
-                            let mut acc = Vec::with_capacity(a.acc_width());
-                            a.init_acc(&mut acc);
-                            acc
-                        })
-                        .collect(),
-                );
-                at
+                firsts.push(i as u32);
+                index.insert(h)
             }
         };
-        for ((a, cols), acc) in aggs.iter().zip(agg_cols).zip(accs[at].iter_mut()) {
-            let other: Vec<Value> = cols.iter().map(|c| row.get(*c).clone()).collect();
-            a.merge(acc, &other)?;
-        }
+        ids.push(id);
     }
-    // The grand total has exactly one (empty-key) group even over an
-    // empty finest level: initial accumulators finalize to COUNT 0 /
-    // NULL, matching an aggregate over an empty range.
-    if keep.is_empty() && order.is_empty() {
-        order.push(Vec::new());
-        accs.push(
-            aggs.iter()
-                .map(|a| {
-                    let mut acc = Vec::with_capacity(a.acc_width());
-                    a.init_acc(&mut acc);
-                    acc
-                })
-                .collect(),
-        );
-    }
-    let mut out = Vec::with_capacity(order.len());
-    for (key, group) in order.iter().zip(&accs) {
-        let mut vs = Vec::with_capacity(dims.len() + aggs.len());
-        let mut key_it = key.iter();
-        for i in 0..dims.len() {
-            if keep.contains(&i) {
-                vs.push(key_it.next().cloned().unwrap_or(Value::Null));
-            } else {
-                vs.push(Value::Null);
-            }
-        }
-        for (a, acc) in aggs.iter().zip(group) {
-            vs.push(a.finalize(acc)?);
-        }
-        out.push(Row::new(vs));
-    }
-    Ok(out)
+    let groups = firsts.len().max(usize::from(kept.is_empty()));
+    let mut states = AccStates::new(layout, types, groups)?;
+    states.absorb(slots, 0, &ids, &vec![false; n])?;
+
+    let mut cols: Vec<Arc<Column>> = dims
+        .iter()
+        .zip(keep)
+        .map(|(c, &k)| Arc::new(if k { c.gather(&firsts) } else { Column::nulls(c.data_type(), groups) }))
+        .collect();
+    let at: Vec<u32> = (0..groups as u32).collect();
+    cols.extend(states.finalize_columns(&at, &vec![true; groups]));
+    Ok((groups, cols))
+}
+
+/// The cube's relation: the levels' columns, one level after another.
+fn concat_levels(out_schema: Schema, parts: &[Vec<Arc<Column>>], levels: Vec<CubeLevel>) -> Result<CubeResult> {
+    let cols = (0..out_schema.len())
+        .map(|c| {
+            let level_cols: Vec<&Column> = parts.iter().map(|p| &*p[c]).collect();
+            Arc::new(Column::concat(out_schema.field(c).data_type(), &level_cols))
+        })
+        .collect();
+    let rows = levels.iter().map(|l| l.rows).sum();
+    Ok(CubeResult {
+        relation: Relation::from_columns(out_schema, Columns::from_shared(rows, cols))?,
+        levels,
+    })
 }
 
 /// Direct serving: one distributed GMDJ query per grouping set (the
@@ -443,7 +369,7 @@ fn cube_direct(
     out_schema: Schema,
 ) -> Result<CubeResult> {
     let planner = Planner::new(warehouse.distribution());
-    let mut rows: Vec<Row> = Vec::new();
+    let mut parts = Vec::new();
     let mut levels = Vec::new();
     for set in grouping_sets(dims) {
         let set_refs: Vec<&str> = set.iter().map(String::as_str).collect();
@@ -452,14 +378,11 @@ fn cube_direct(
             // one-row base with a constant marker column that every detail
             // tuple matches.
             let base = Relation::new(
-                Schema::of(&[("__all", skalla_relation::DataType::Int)]),
+                Schema::of(&[("__all", DataType::Int)]),
                 vec![Row::new(vec![Value::Int(0)])],
             )?;
             skalla_gmdj::GmdjExprBuilder::literal_base(base)
-                .gmdj(
-                    skalla_gmdj::Gmdj::new(table)
-                        .block(skalla_relation::Expr::True, aggs.to_vec()),
-                )
+                .gmdj(skalla_gmdj::Gmdj::new(table).block(Expr::True, aggs.to_vec()))
                 .build()
         } else {
             group_by(table, &set_refs, aggs.to_vec())
@@ -468,38 +391,26 @@ fn cube_direct(
         let out = warehouse.execute(&plan)?;
 
         // Reshape into the cube schema with NULL (ALL) markers.
-        let res_schema = out.relation.schema().clone();
-        let mut level_rows = 0usize;
-        for row in out.relation.rows() {
-            let mut vs = Vec::with_capacity(out_schema.len());
-            for d in dims {
-                match set.iter().position(|s| s == d) {
-                    Some(_) => {
-                        let idx = res_schema.index_of(d)?;
-                        vs.push(row.get(idx).clone());
-                    }
-                    None => vs.push(Value::Null),
-                }
-            }
-            for a in aggs {
-                let idx = res_schema.index_of(&a.name)?;
-                vs.push(row.get(idx).clone());
-            }
-            rows.push(Row::new(vs));
-            level_rows += 1;
+        let res = &out.relation;
+        let mut cols = Vec::with_capacity(out_schema.len());
+        for (d, f) in dims.iter().zip(out_schema.fields()) {
+            cols.push(match set.iter().any(|s| s == d) {
+                true => res.shared_column(res.schema().index_of(d)?),
+                false => Arc::new(Column::nulls(f.data_type(), res.len())),
+            });
+        }
+        for a in aggs {
+            cols.push(res.shared_column(res.schema().index_of(&a.name)?));
         }
         levels.push(CubeLevel {
             dims: set,
             source: query_source(&out.stats),
-            rows: level_rows,
-            stats: Some(out.stats),
+            rows: res.len(),
+            stats: Some(out.stats.clone()),
         });
+        parts.push(cols);
     }
-
-    Ok(CubeResult {
-        relation: Relation::new(out_schema, rows)?,
-        levels,
-    })
+    concat_levels(out_schema, &parts, levels)
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@ mod common;
 
 use common::{arb_rows, assert_bit_identical, detail_relation};
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, Skalla};
-use skalla::datagen::cases::{for_cases, Rng};
+use skalla::datagen::cases::{self, for_cases, Rng};
 use skalla::datagen::partition::partition_by_int_ranges;
 use skalla::gmdj::eval::EvalOptions;
 use skalla::gmdj::prelude::*;
 use skalla::query::{cube_with_rollup, LevelSource};
+use skalla::relation::{DataType, Relation, Row, Schema, Value};
 
 /// Tiny morsels force many merge steps.
 fn eval_opts(parallelism: usize) -> EvalOptions {
@@ -93,6 +94,61 @@ fn cube_rollup_is_bit_identical_to_direct() {
         assert_eq!(direct.rolled_up_levels(), 0);
         assert!(rolled.total_rounds() <= direct.total_rounds());
         assert!(rolled.total_bytes() < direct.total_bytes());
+    });
+}
+
+/// A quiet NaN with payload `p`.
+fn nan(p: u64) -> f64 {
+    f64::from_bits(0x7ff8_0000_0000_0000 | p)
+}
+
+/// Roll-up is bit-identical to direct serving on `Double` measures too: a
+/// measure `v` of quarters (so every sum is exact), `-0.0` and NULL under
+/// all seven aggregates, and a measure `y` of two NaN payloads and ±0.0
+/// under COUNT, MIN and MAX. Group `g = -4` has no `v` but NULL (an
+/// all-NULL VAR group), and every fourth case has an empty fact table.
+#[test]
+fn cube_rollup_is_bit_identical_on_doubles() {
+    let ys = [nan(1), nan(0xabc), 0.0, -0.0].map(Value::Double);
+    let mut case = 0;
+    for_cases("cube_rollup_is_bit_identical_on_doubles", 24, |rng| {
+        let len = if case % 4 == 0 { 0 } else { rng.gen_range(1..60) };
+        let rows: Vec<Row> = (0..len)
+            .map(|_| {
+                let g = rng.gen_range(-4i64..4);
+                let v = match rng.gen_range(0..6) {
+                    _ if g == -4 => Value::Null,
+                    0 => Value::Null,
+                    1 => Value::Double(-0.0),
+                    _ => Value::Double(rng.gen_range(-40i64..40) as f64 / 4.0),
+                };
+                let y = if rng.gen_range(0..5) == 0 { Value::Null } else { cases::pick(rng, &ys) };
+                Row::new(vec![g.into(), rng.gen_range(0i64..3).into(), v, y])
+            })
+            .collect();
+        let types = [("g", DataType::Int), ("h", DataType::Int), ("v", DataType::Double), ("y", DataType::Double)];
+        let detail = Relation::new(Schema::of(&types), rows).expect("rows conform");
+        let (n_sites, parallelism) = (rng.gen_range(1..4), rng.gen_range(1..5));
+        let mut cluster = Cluster::from_partitions("t", partition_by_int_ranges(&detail, "g", n_sites));
+        cluster.configure(&EngineConfig {
+            eval: eval_opts(parallelism),
+            ..EngineConfig::default()
+        });
+        let dims: Vec<&str> = if rng.gen() { vec!["g", "h"] } else { vec!["g"] };
+        let mut aggs = all_aggs();
+        aggs.extend([
+            AggSpec::over_expr(AggFunc::Count, Expr::dcol("y"), "cnt_y"),
+            AggSpec::min("y", "mn_y"),
+            AggSpec::max("y", "mx_y"),
+        ]);
+        let rolled =
+            cube_with_rollup(&cluster, "t", &dims, &aggs, OptFlags::all(), true).expect("rolled");
+        let direct =
+            cube_with_rollup(&cluster, "t", &dims, &aggs, OptFlags::all(), false).expect("direct");
+        let ctx = format!("case {case}: {len} rows, p={parallelism} sites={n_sites} dims={dims:?}");
+        assert_bit_identical(&rolled.relation, &direct.relation, &dims, &ctx);
+        assert_eq!(rolled.rolled_up_levels(), (1usize << dims.len()) - 1);
+        case += 1;
     });
 }
 

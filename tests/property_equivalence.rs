@@ -10,9 +10,8 @@ use skalla::core::cache::DEFAULT_CACHE_BYTES;
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, SiteServer, Skalla};
 use skalla::datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
-use skalla::gmdj::eval::{
-    eval_local, eval_local_rows, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS,
-};
+use skalla::gmdj::eval::{eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS};
+use skalla::gmdj::oracle::serial_local;
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::BaseQuery;
 use skalla::net::TcpConfig;
@@ -348,9 +347,9 @@ fn parallel_kernel_is_bit_identical() {
             parallelism,
             morsel_rows: 7,
         };
-        let reference = eval_local_rows(&base, &detail, &op, opts(1)).expect("serial kernel");
+        let reference = serial_local(&base, &detail, &op, opts(1)).expect("serial kernel");
         for (p, rows) in [(2, true), (7, true), (1, false), (2, false), (7, false)] {
-            let kernel = if rows { eval_local_rows } else { eval_local };
+            let kernel = if rows { serial_local } else { eval_local };
             let out = kernel(&base, &detail, &op, opts(p)).expect("parallel kernel");
             let ctx = format!("parallelism {p} row kernel {rows}");
             assert_eq!(&out.matched, &reference.matched, "matched flags, {}", ctx);
@@ -403,7 +402,7 @@ fn columnar_kernel_matches_row_kernel_on_chains() {
         let mut rowk = expr.base.eval(&catalog).expect("base evaluates");
         for op in &expr.ops {
             let t = catalog.table(&op.detail).expect("detail table");
-            let local = eval_local_rows(&rowk, t, op, opts).expect("row kernel evaluates");
+            let local = serial_local(&rowk, t, op, opts).expect("row kernel evaluates");
             rowk = finalize_physical(&local.physical, rowk.schema().len(), op, t.schema())
                 .expect("finalizes");
         }

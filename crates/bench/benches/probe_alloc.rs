@@ -28,19 +28,22 @@
 //!
 //! A coordinator leg merges the sites' answers over the same 2,000 groups
 //! the way the engine does: each answer is encoded into a `RESULT` frame
-//! and decoded (`protocol::result_chunk` → `decode_result_chunk`, outside
-//! the count: a frame's own buffers are per frame by nature), then
-//! `MergeSync::new` → `absorb_frame` per answer → `finish`, with a
-//! shipped B and folded. 2 sites' answers and 6 sites' answers must
-//! allocate alike, so nothing is allocated per absorbed row, per chunk,
-//! per tree level or per leaf's state vector.
+//! and decoded (`protocol::result_columns` → `decode_result_chunk`,
+//! outside the count: a frame's own buffers are per frame by nature),
+//! then `MergeSync::new`, one absorb per answer, `finish`. Against a
+//! shipped B the answers are positional (`absorb_at`): accumulator
+//! columns for every group of B, and, under Prop 1, a survivor set over a
+//! Thm 4 fragment of B's even rows; a folded unit's answers are keyed
+//! (`absorb_frame`). 2 sites' answers and 6 sites' answers must allocate
+//! alike, so nothing is allocated per absorbed row, per chunk, per tree
+//! level or per leaf's state vector.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
 //! site's answer (`eval_shipped`, with Prop 1's reduction dropping every
 //! tenth group, → `protocol::result`) and the coordinator's
-//! `MergeSync::finish` (a shipped B and folded). Both must allocate per
-//! column, never per group.
+//! `MergeSync::finish` (after positional answers against a shipped B, and
+//! keyed ones folded). Both must allocate per column, never per group.
 //!
 //! A chain leg does the same for Theorem 5's locally chained unit, over
 //! 1,000 and then 11,000 groups: the site's chain (`eval_local` →
@@ -52,7 +55,7 @@
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_core::coordinator::{empty_aggregates, ChainSync, MergeSync};
-use skalla_core::protocol::{decode_result, decode_result_chunk, result, result_chunk};
+use skalla_core::protocol::{decode_result, decode_result_chunk, result, result_chunk, result_columns, Survivors};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::{eval_local, eval_shipped, finalize_physical};
 use skalla_obs::Obs;
@@ -214,7 +217,8 @@ fn main() {
     };
     let cold_delta = measure_cold(LARGE).saturating_sub(measure_cold(SMALL));
 
-    // The coordinator leg: every site answers every group.
+    // The coordinator leg: every site answers every group, or by
+    // position under Prop 1 nine in ten of B's even rows.
     const GROUPS: i64 = 2_000;
     let answer = Relation::new(
         Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]),
@@ -227,17 +231,29 @@ fn main() {
     )
     .unwrap();
     let key = ["g".to_string()];
+    let even: Vec<u32> = (0..GROUPS as u32).step_by(2).collect();
+    let survivors = Survivors::of(&(0..even.len()).map(|i| i % 10 != 9).collect::<Vec<_>>());
+    let counts = answer.project(&["cnt"]).unwrap();
+    let reduced = counts.gather(&survivors.at);
+    let frames = [
+        (result_chunk(1, &counts, true), Some(None)),
+        (result_columns(1, reduced.schema(), reduced.len(), &[reduced.column(0)], true, Some(&survivors)), Some(Some(&even[..]))),
+        (result_chunk(1, &answer, true), None),
+    ];
     let measure_merge = |sites: usize| {
         let mut allocs = 0;
-        let frame = result_chunk(1, &answer, true);
-        for b in [Some(&merge_base), None] {
+        // `Some(fragment)`: positional against B; `None`: keyed, folded.
+        for (frame, at) in &frames {
             let chunks: Vec<_> = (0..sites)
                 .map(|_| decode_result_chunk(&frame.payload).unwrap())
                 .collect();
             allocs += allocs_during(|| {
-                let mut sync = MergeSync::new(b, &key, &op).unwrap();
+                let mut sync = MergeSync::new(at.map(|_| &merge_base), &key, &op).unwrap();
                 for (leaf, chunk) in chunks.into_iter().enumerate() {
-                    sync.absorb_frame(leaf, chunk).unwrap();
+                    match at {
+                        Some(fragment) => sync.absorb_at(leaf, *fragment, chunk).unwrap(),
+                        None => sync.absorb_frame(leaf, chunk).unwrap(),
+                    }
                 }
                 sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
             });
@@ -274,7 +290,8 @@ fn main() {
         let run = || {
             let answer =
                 eval_shipped(&b, &groups_detail, &wide_op, &[0], true, opts, &Obs::disabled(), 0)
-                    .unwrap();
+                    .unwrap()
+                    .physical;
             std::hint::black_box(result(1, &answer));
         };
         run(); // builds B's key column and the detail's
@@ -283,17 +300,24 @@ fn main() {
     let answer_delta = measure_answer(LARGE).abs_diff(measure_answer(SMALL));
 
     // The coordinator-finish leg: two sites answer every one of `n`
-    // groups; only `finish` is counted.
+    // groups, by position against B and keyed when folded; only `finish`
+    // is counted.
     let measure_finish = |n: usize| {
         let b = groups_base(n);
-        let answer = eval_shipped(&b, &groups_detail, &wide_op, &[0], false, opts, &Obs::disabled(), 0)
-            .unwrap();
-        let frame = result(1, &answer);
         let mut allocs = 0;
         for folded in [false, true] {
+            let key_idx: &[usize] = if folded { &[0] } else { &[] };
+            let answer = eval_shipped(&b, &groups_detail, &wide_op, key_idx, false, opts, &Obs::disabled(), 0)
+                .unwrap()
+                .physical;
+            let frame = result(1, &answer);
             let mut sync = MergeSync::new((!folded).then_some(&b), &key, &wide_op).unwrap();
             for leaf in 0..2 {
-                sync.absorb_frame(leaf, decode_result_chunk(&frame.payload).unwrap()).unwrap();
+                let chunk = decode_result_chunk(&frame.payload).unwrap();
+                match folded {
+                    false => sync.absorb_at(leaf, None, chunk).unwrap(),
+                    true => sync.absorb_frame(leaf, chunk).unwrap(),
+                }
             }
             allocs += allocs_during(|| {
                 std::hint::black_box(sync.finish(b.schema(), &wide_op, groups_detail.schema()).unwrap());

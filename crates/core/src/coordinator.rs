@@ -12,18 +12,19 @@
 //!   partition assumption by rejecting duplicate keys.
 //!
 //! What a merge unit costs per row a site sends: the engine takes each
-//! `RESULT` chunk as it lands ([`MergeSync::absorb_frame`]), decoded into
-//! columns. Per row it hashes the key in place, probes X's one key index
-//! (built on B's key columns, compared in place) and notes the row's
-//! slot; then each accumulator column is scattered into its site's leaf
-//! of typed accumulator states ([`skalla_gmdj::state::AccStates`], the
-//! kernel's own). [`MergeSync::finish`] runs the merge tree over whole
-//! leaves, typed array against typed array, and finalizes X once,
-//! column-wise ([`AccStates::finalize_columns`]), into a relation of
-//! columns: B's own, shared, or a folded unit's keys sorted on their
-//! typed columns, then one column per aggregate. The next stage ships
-//! that B from its columns, and nothing between a site's kernel and the
-//! caller builds a row. Allocation is per state growth and per output
+//! `RESULT` chunk as it lands, decoded into columns. A site answers a unit
+//! against B by position ([`MergeSync::absorb_at`]): its row `i` is its
+//! fragment's row `i` (its `i`-th survivor's under Prop 1), whose B row
+//! the coordinator kept when it shipped the fragment, so no key crosses
+//! and nothing is hashed or probed. A folded unit's answer is keyed
+//! ([`MergeSync::absorb_frame`]): one key hash and probe of X's index per
+//! row. Then each accumulator column is scattered into its site's leaf of
+//! typed states ([`skalla_gmdj::state::AccStates`], the kernel's own).
+//! [`MergeSync::finish`] runs the merge tree over whole leaves and
+//! finalizes X once, column-wise ([`AccStates::finalize_columns`]): B's
+//! columns, shared, or a folded unit's keys sorted on their typed columns,
+//! then one column per aggregate. Nothing between a site's kernel and the
+//! caller builds a row; allocation is per state growth and per output
 //! column, never per absorbed row, chunk, tree level or output group.
 //!
 //! The stage loop that drives them over a transport (Alg.
@@ -44,22 +45,24 @@ use skalla_relation::columns::{row_key_hash, IdTable};
 use skalla_relation::{Column, ColumnBuilder, Columns, DataType, Error, Relation, Result, Schema, Value};
 use std::sync::Arc;
 
-/// Check that `key` column values are unique in `rel`; returns the key
-/// column indexes.
-pub fn verify_unique_key(rel: &Relation, key: &[String]) -> Result<Vec<usize>> {
-    Ok(index_key(rel, key)?.0)
+/// Check that `key` column values are unique in `rel`.
+pub fn verify_unique_key(rel: &Relation, key: &[String]) -> Result<()> {
+    index_columns(&key_columns(rel, key)?, rel.len()).map(drop)
 }
 
-/// Index `rel` on its `key` columns, row `i` as id `i` (a key two rows
-/// share is an error), reading the key columns in place; returns the key
-/// column indexes and the index.
-fn index_key(rel: &Relation, key: &[String]) -> Result<(Vec<usize>, IdTable)> {
+/// `rel`'s `key` columns, in key order.
+fn key_columns<'r>(rel: &'r Relation, key: &[String]) -> Result<Vec<&'r Column>> {
     let idx = rel
         .schema()
         .indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
-    let cols: Vec<&Column> = idx.iter().map(|&c| rel.column(c)).collect();
-    let mut index = IdTable::with_capacity(rel.len());
-    for i in 0..rel.len() {
+    Ok(idx.iter().map(|&c| rel.column(c)).collect())
+}
+
+/// Index `len` rows of the key columns `cols`, row `i` as id `i` (a key
+/// two rows share is an error), reading the columns in place.
+fn index_columns(cols: &[&Column], len: usize) -> Result<IdTable> {
+    let mut index = IdTable::with_capacity(len);
+    for i in 0..len {
         let h = row_key_hash(cols.iter().copied(), i);
         if index.find(h, |g| cols.iter().all(|c| c.value_eq_at(g, c, i))).is_some() {
             let key: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
@@ -69,7 +72,7 @@ fn index_key(rel: &Relation, key: &[String]) -> Result<(Vec<usize>, IdTable)> {
         }
         index.insert(h);
     }
-    Ok((idx, index))
+    Ok(index)
 }
 
 /// Synchronizer for the base round: collects each site's distinct groups.
@@ -120,34 +123,32 @@ impl Default for BaseSync {
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
 ///
-/// X is B, borrowed — its key columns for probes, all its columns for
-/// the answer — beside typed accumulator states and one key index whose
-/// ids are B's row positions. A folded unit has no B: X grows from the
-/// incoming sub-results, and a group's base part is its key (Prop 2).
-///
-/// The sites' answers reach X through its leaves, one per answering site,
-/// each one typed state over X's groups with a presence bit per group.
-/// [`MergeSync::absorb_frame`] takes each row-blocked chunk as it lands: a
-/// leaf's first row for a group is copied in, a key the leaf repeats
-/// merges in arrival order. [`MergeSync::finish`] merges the leaves as a
-/// binary tree instead of a left fold — adjacent leaves pair level by
-/// level until one remains, each merge taking (left, right) in that order,
-/// and a leaf without the group passing its right neighbour's across — and
-/// then the root into X_init (taken as is when folded). The tree's shape
-/// depends only on the leaf count, so the bits do too, and Theorem 1's
+/// X is B, borrowed, group `g` being B's row `g`, beside typed accumulator
+/// states. A folded unit has no B: X grows from the keyed sub-results, and
+/// a group's base part is its key (Prop 2). Each answering site is a leaf,
+/// one typed state over X's groups with a presence bit per group, which
+/// its chunks reach by position ([`MergeSync::absorb_at`]) or, folded, by
+/// key ([`MergeSync::absorb_frame`]: a key the leaf repeats merges in
+/// arrival order). [`MergeSync::finish`] merges the leaves as a binary
+/// tree instead of a left fold — adjacent leaves pair level by level until
+/// one remains, each merge taking (left, right) in that order, and a leaf
+/// without the group passing its right neighbour's across — and then the
+/// root into X_init (taken as is when folded). The tree's shape depends
+/// only on the leaf count, so the bits do too, and Theorem 1's
 /// associativity makes it equal to a left fold
 /// (`parallel_merge_tree_equals_left_fold`).
 #[derive(Debug)]
 pub struct MergeSync<'b> {
     /// B: row `g` is group `g`'s base part (`None` when folded).
     base: Option<&'b Relation>,
-    /// B's key columns, in key order: what a probe compares, in place.
+    /// B's key columns, in key order, which a keyed answer is looked up by.
     base_keys: Vec<&'b Column>,
     /// A folded unit's group `g`'s key, `key_len` values per group, in
     /// one run, as first sighted.
     keys: Vec<Value>,
     key_len: usize,
-    /// Key → group id.
+    /// Key → group id: a folded unit's keys, or B's once a keyed answer
+    /// arrives.
     index: IdTable,
     layout: AccLayout,
     /// The tree's slots, in blocks of `cap` groups: block 0 is X, block
@@ -160,22 +161,23 @@ pub struct MergeSync<'b> {
     cap: usize,
     /// The tree's leaf count: one past the highest leaf absorbed.
     n_leaves: usize,
-    /// Per row of the chunk being absorbed: its slot, and whether it is
-    /// its leaf's first row for its group.
+    /// Per leaf answering by position, once its first chunk is in: the B
+    /// rows its survivor set answers, if it has one, and how many of its
+    /// rows have landed.
+    placed: Vec<Option<(Option<Vec<u32>>, usize)>>,
+    /// Per row of the chunk being absorbed: its group, then its slot; and
+    /// whether it is its leaf's first row for its group.
     slots: Vec<usize>,
     first: Vec<bool>,
 }
 
 impl<'b> MergeSync<'b> {
     /// Build X from the current base structure (`None` for folded units,
-    /// where X grows from the incoming sub-results). Indexing B's keys is
-    /// also the check that they are unique.
+    /// where X grows from the incoming sub-results).
     pub fn new(b_cur: Option<&'b Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync<'b>> {
         let mut x = MergeSync::folded(key.len(), op);
         if let Some(b) = b_cur {
-            let key_idx;
-            (key_idx, x.index) = index_key(b, key)?;
-            x.base_keys = key_idx.iter().map(|&c| b.column(c)).collect();
+            x.base_keys = key_columns(b, key)?;
             x.cap = b.len();
             x.base = Some(b);
         }
@@ -196,57 +198,95 @@ impl<'b> MergeSync<'b> {
             present: Vec::new(),
             cap: 0,
             n_leaves: 0,
+            placed: Vec::new(),
             slots: Vec::new(),
             first: Vec::new(),
         }
     }
 
-    /// Absorb one whole answer as the next leaf: the key columns first,
-    /// then the physical accumulator columns. Rows already merged across
-    /// the sites ([`parallel_merge_tree`]) are one leaf, whose tree is
-    /// that leaf.
+    /// X's group count.
+    fn groups(&self) -> usize {
+        self.base.map_or(self.index.len(), Relation::len)
+    }
+
+    /// Absorb one whole keyed answer as the next leaf: the key columns
+    /// first, then the physical accumulator columns. Rows already merged
+    /// across the sites ([`parallel_merge_tree`]) are one leaf, whose tree
+    /// is that leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
         self.absorb_columns(self.n_leaves, h.schema(), h.columns())
     }
 
-    /// Absorb one chunk of leaf `leaf`'s answer as it lands, straight from
-    /// its decoded `RESULT` frame: the key columns first, then the
+    /// Absorb one chunk of leaf `leaf`'s keyed answer as it lands, straight
+    /// from its decoded `RESULT` frame: the key columns first, then the
     /// physical accumulator columns. A leaf is one answering site,
     /// numbered in site order; the tree has a leaf for every number up to
     /// the highest one absorbed, so an empty answer still counts.
     pub fn absorb_frame(&mut self, leaf: usize, chunk: ResultChunk) -> Result<()> {
+        chunk.refuse_survivors("a keyed answer")?;
         self.absorb_columns(leaf, chunk.schema(), chunk.columns())
     }
 
-    /// Per row: one key hash and one probe of X's index, which give the
-    /// row's slot in leaf `leaf`; then every accumulator column scatters
-    /// into the leaf's typed states.
+    /// Absorb one chunk of leaf `leaf`'s answer by position, as it lands:
+    /// its physical accumulator columns, no key. The answer's rows are
+    /// its fragment's rows in order, or its first chunk's survivors';
+    /// `fragment[i]` is the B row of fragment row `i` (`None`: the
+    /// fragment is B). An answer may not outrun those rows, nor end short
+    /// of them.
+    pub fn absorb_at(&mut self, leaf: usize, fragment: Option<&[u32]>, mut chunk: ResultChunk) -> Result<()> {
+        let width = self.layout.width();
+        if chunk.schema().len() != width {
+            return Err(arity_error(chunk.schema(), 0, width));
+        }
+        self.prepare(leaf, chunk.schema(), 0, 0)?;
+        let err = |what: String| Err(Error::Execution(format!("a positional answer {what}")));
+        let rows = fragment.map_or(self.cap, <[u32]>::len);
+        let (survivors, landed) = match (self.placed[leaf].take(), chunk.survivors.take()) {
+            (Some(_), Some(_)) => return err("repeats its survivor set on a later chunk".into()),
+            (Some(placed), None) => placed,
+            (None, Some(s)) if s.fragment_rows != rows => {
+                return err(format!("has survivors over {} rows for a {rows}-row fragment", s.fragment_rows))
+            }
+            (None, s) => {
+                // The survivors' fragment rows become their B rows, in place.
+                let mut at = s.map(|s| s.at);
+                if let (Some(at), Some(f)) = (&mut at, fragment) {
+                    at.iter_mut().for_each(|p| *p = f[*p as usize]);
+                }
+                (at, 0)
+            }
+        };
+        let answered = survivors.as_ref().map_or(rows, Vec::len);
+        let end = landed + chunk.len();
+        if end > answered {
+            return err(format!("has {end} accumulator rows for {answered} answered fragment rows"));
+        }
+        if chunk.last && end < answered {
+            return err(format!("ends after {end} of its {answered} answered fragment rows"));
+        }
+        self.slots.clear();
+        self.slots.extend((landed..end).map(|r| match (&survivors, fragment) {
+            (Some(at), _) => at[r] as usize,
+            (None, Some(f)) => f[r] as usize,
+            (None, None) => r,
+        }));
+        self.placed[leaf] = Some((survivors, end));
+        self.scatter(leaf, chunk.columns(), 0)
+    }
+
+    /// Per row: one key hash and one lookup of its group (inserted, when
+    /// folded, on first sighting); then every accumulator column scatters
+    /// into leaf `leaf`'s typed states.
     fn absorb_columns(&mut self, leaf: usize, schema: &Schema, cols: &Columns) -> Result<()> {
         let (kl, width) = (self.key_len, self.layout.width());
         if schema.len() != kl + width {
             return Err(arity_error(schema, kl, width));
         }
-        if self.states.is_none() {
-            let types: Vec<DataType> = schema.fields()[kl..].iter().map(|f| f.data_type()).collect();
-            self.states = Some(AccStates::new(&self.layout, &types, self.cap)?);
-            // X's block: X_init for each of B's groups; a folded unit's
-            // first chunk sizes the blocks for about one answer.
-            self.present = vec![self.base.is_some(); self.cap];
-            if self.base.is_none() {
-                self.index = IdTable::with_capacity(cols.len());
-                self.regrow(cols.len());
-            }
-        }
-        if leaf >= self.n_leaves {
-            self.n_leaves = leaf + 1;
-            let slots = (1 + self.n_leaves) * self.cap;
-            self.present.resize(slots, false);
-            if let Some(states) = &mut self.states {
-                states.resize(slots);
-            }
+        self.prepare(leaf, schema, kl, cols.len())?;
+        if self.base.is_some() && self.index.len() < self.cap {
+            self.index = index_columns(&self.base_keys, self.cap)?;
         }
         self.slots.clear();
-        self.first.clear();
         for i in 0..cols.len() {
             let h = cols.key_hash(kl, i);
             let (keys, base_keys) = (&self.keys, &self.base_keys);
@@ -274,17 +314,50 @@ impl<'b> MergeSync<'b> {
                     g
                 }
             };
-            let p = (1 + leaf) * self.cap + g;
-            self.first.push(!self.present[p]);
-            self.present[p] = true;
             self.slots.push(g);
         }
-        let block = (1 + leaf) * self.cap;
-        self.slots.iter_mut().for_each(|s| *s += block);
-        match &mut self.states {
-            Some(states) => states.absorb(cols, kl, &self.slots, &self.first),
-            None => Ok(()),
+        self.scatter(leaf, cols, kl)
+    }
+
+    /// Type the states after the first chunk's accumulator fields (those
+    /// of `schema` past its `kl` key columns), and give leaf `leaf` its
+    /// block.
+    fn prepare(&mut self, leaf: usize, schema: &Schema, kl: usize, rows: usize) -> Result<()> {
+        if self.states.is_none() {
+            let types: Vec<DataType> = schema.fields()[kl..].iter().map(|f| f.data_type()).collect();
+            self.states = Some(AccStates::new(&self.layout, &types, self.cap)?);
+            // X's block: X_init for each of B's groups; a folded unit's
+            // first chunk sizes the blocks for about one answer.
+            self.present = vec![self.base.is_some(); self.cap];
+            if self.base.is_none() {
+                self.index = IdTable::with_capacity(rows);
+                self.regrow(rows);
+            }
         }
+        if leaf >= self.n_leaves {
+            self.n_leaves = leaf + 1;
+            self.placed.resize(self.n_leaves, None);
+            let slots = (1 + self.n_leaves) * self.cap;
+            self.present.resize(slots, false);
+            if let Some(states) = &mut self.states {
+                states.resize(slots);
+            }
+        }
+        Ok(())
+    }
+
+    /// Scatter the chunk's accumulator columns (`cols` from column `from`
+    /// on) into leaf `leaf`'s states, row `i` into the group in `slots[i]`.
+    fn scatter(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
+        let block = (1 + leaf) * self.cap;
+        self.first.clear();
+        for s in &mut self.slots {
+            *s += block;
+            self.first.push(!self.present[*s]);
+            self.present[*s] = true;
+        }
+        let states = self.states.as_mut();
+        states.map_or(Ok(()), |states| states.absorb(cols, from, &self.slots, &self.first))
     }
 
     /// Give every block room for `cap` groups.
@@ -304,10 +377,10 @@ impl<'b> MergeSync<'b> {
     /// the root into X: block 0 holds the answer for every group present
     /// there.
     fn merge_tree(&mut self) -> Result<()> {
+        let (n, cap, groups) = (self.n_leaves, self.cap, self.groups());
         let Some(states) = &mut self.states else {
             return Ok(());
         };
-        let (n, cap, groups) = (self.n_leaves, self.cap, self.index.len());
         let mut step = |dst: usize, src: usize| -> Result<()> {
             let (head, tail) = self.present.split_at_mut(src);
             let (dp, sp) = (&mut head[dst..dst + groups], &tail[..groups]);
@@ -350,7 +423,7 @@ impl<'b> MergeSync<'b> {
     pub fn finish(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
         self.merge_tree()?;
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let groups = self.index.len();
+        let groups = self.groups();
         let mut order: Vec<u32> = (0..groups as u32).collect();
         let mut cols: Vec<Arc<Column>> = match self.base {
             Some(b) => (0..b.schema().len()).map(|c| b.shared_column(c)).collect(),
@@ -488,7 +561,8 @@ impl ChainSync {
         empty_aggs: &[Value],
         out_schema: Schema,
     ) -> Result<Relation> {
-        let (key_idx, b_index) = index_key(b_cur, key)?;
+        let b_keys = key_columns(b_cur, key)?;
+        let b_index = index_columns(&b_keys, b_cur.len())?;
         let b_arity = b_cur.schema().len();
         if out_schema.len() != b_arity + empty_aggs.len() {
             return Err(Error::SchemaMismatch(format!(
@@ -498,7 +572,6 @@ impl ChainSync {
             )));
         }
         self.check_arity(self.key_len + empty_aggs.len())?;
-        let b_keys: Vec<&Column> = key_idx.iter().map(|&c| b_cur.column(c)).collect();
         // Per group of B: the row that answers it, or the empty row.
         let rows = self.index.len();
         let mut from = vec![rows as u32; b_cur.len()];
@@ -874,17 +947,38 @@ mod tests {
         assert!(parallel_merge_tree(vec![bad], 1, &op(), 1).is_err());
     }
 
+    /// A literal B is checked once, as it enters the engine: a key two of
+    /// its rows share (`-0.0` is `0.0` under `Value`'s equality) is an
+    /// error under every flag set, though no synchronizer indexes B now
+    /// that the sites answer a unit against it by position.
     #[test]
-    fn merge_sync_rejects_duplicate_base_keys() {
-        // `-0.0` is `0.0` under `Value`'s equality, so B repeats a key.
+    fn a_literal_base_with_a_duplicate_key_is_an_error() {
+        use crate::plan::{OptFlags, Planner};
+        use skalla_gmdj::GmdjExprBuilder;
         let dup = Relation::new(
             Schema::of(&[("g", DataType::Double), ("x", DataType::Int)]),
             vec![row![0.0, 1i64], row![2.0, 2i64], row![-0.0, 3i64]],
         )
         .unwrap();
-        let err = MergeSync::new(Some(&dup), &key(), &op()).unwrap_err();
-        assert!(err.to_string().contains("duplicate key [Double(-0.0)]"), "{err}");
+        let detail = |rows: Vec<Row>| {
+            let rel = Relation::new(Schema::of(&[("g", DataType::Double), ("v", DataType::Int)]), rows).unwrap();
+            (rel, skalla_relation::DomainMap::new())
+        };
+        let cluster = crate::Cluster::from_partitions(
+            "t",
+            vec![detail(vec![row![0.0, 1i64], row![2.0, 5i64]]), detail(vec![row![-0.0, 7i64]])],
+        );
+        let expr = GmdjExprBuilder::literal_base(dup.clone()).key(&["g"]).gmdj(op()).build();
+        for flags in [OptFlags::none(), OptFlags::all()] {
+            let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
+            let err = cluster.execute(&plan).unwrap_err().to_string();
+            assert!(err.contains("duplicate key [Double(-0.0)]"), "{flags:?}: {err}");
+        }
         assert!(verify_unique_key(&dup, &key()).is_err());
+        // The same B without its repeat runs.
+        let unique = GmdjExprBuilder::literal_base(dup.gather(&[0, 1])).key(&["g"]).gmdj(op()).build();
+        let plan = Planner::new(cluster.distribution()).optimize(&unique, OptFlags::all());
+        assert_eq!(cluster.execute(&plan).unwrap().relation.rows()[0], row![0.0, 1i64, 2i64, 4.0]);
     }
 
     /// A site (a remote process) repeating a key in a folded unit: its

@@ -3,7 +3,7 @@
 //! the one receive loop every stage round goes through — results and
 //! the sites' telemetry alike.
 
-use super::{empty_aggregates, BaseSync, ChainSync, MergeSync};
+use super::{empty_aggregates, verify_unique_key, BaseSync, ChainSync, MergeSync};
 use crate::plan::{DistributedPlan, SiteFilter, StageKind};
 use crate::protocol::{self, Tag};
 use crate::stats::StageTimes;
@@ -41,8 +41,10 @@ pub(crate) fn run_coordinator(
     let obs = &cfg.obs;
     let track = Track::Query(query_id);
     let n = coord.n_sites();
+    // A literal B's key is checked unique once, here: every later B is
+    // made unique by the synchronizer that made it.
     let mut b_cur = match &plan.expr.base {
-        BaseQuery::Literal(rel) => Some(rel.clone()),
+        BaseQuery::Literal(rel) => verify_unique_key(rel, &plan.key).map(|()| Some(rel.clone()))?,
         BaseQuery::DistinctProject { .. } => None,
     };
     let mut stage_times = Vec::with_capacity(plan.stages.len());
@@ -76,15 +78,17 @@ pub(crate) fn run_coordinator(
                 sync_span.finish();
             }
             StageKind::Unit(unit) => {
-                // 1. Ship base fragments to participating sites.
+                // 1. Ship base fragments to participating sites, keeping
+                // each Thm 4 site's fragment → B map (its selection).
                 let no_base = || Error::Execution("unit stage with no base structure".into());
                 let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
                 let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
+                let mut selections: Vec<Option<Vec<u32>>> = vec![None; n];
                 // The stage every `SiteFilter::All` site gets, encoded once:
                 // its fragment's row count and the message.
                 let mut shared: Option<(usize, Message)> = None;
-                for site in 0..n {
+                for (site, selection) in selections.iter_mut().enumerate() {
                     let (rows, msg) = match &unit.site_filters[site] {
                         SiteFilter::Skip => {
                             // Thm 4, S_MD ⊂ S_B case: the whole fragment
@@ -105,7 +109,7 @@ pub(crate) fn run_coordinator(
                                 None if unit.fold_base => (0, protocol::run_stage(stage_no, None)),
                                 None => {
                                     let b = b_cur.as_ref().ok_or_else(no_base)?;
-                                    (b.len(), ship(stage_no, b, &unit.ship_columns)?)
+                                    (b.len(), ship(stage_no, b, &unit.ship_columns, None)?)
                                 }
                             };
                             let copy = msg.clone();
@@ -114,8 +118,7 @@ pub(crate) fn run_coordinator(
                         }
                         SiteFilter::Predicate(p) => {
                             let b = b_cur.as_ref().ok_or_else(no_base)?;
-                            let bound = p.bind(b.schema(), None)?;
-                            let kept = b.select(&bound)?;
+                            let kept = b.selection(&p.bind(b.schema(), None)?)?;
                             // Thm 4: rows eliminated by the ¬ψ filter.
                             if obs.is_recording() {
                                 obs.event(
@@ -129,7 +132,10 @@ pub(crate) fn run_coordinator(
                                     ],
                                 );
                             }
-                            (kept.len(), ship(stage_no, &kept, &unit.ship_columns)?)
+                            let msg = ship(stage_no, b, &unit.ship_columns, Some(&kept))?;
+                            let rows = kept.len();
+                            *selection = Some(kept);
+                            (rows, msg)
                         }
                     };
                     round.owed[site] = true;
@@ -167,10 +173,11 @@ pub(crate) fn run_coordinator(
                     let detail = detail_schemas
                         .get(&unit.table)
                         .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
-                    // A sub-result's types: the key's, as B types it,
-                    // then the unit's physical accumulators'.
+                    // A sub-result's types: a folded unit's key, as B
+                    // types it, then the unit's physical accumulators'.
+                    let positional = unit.positional();
                     let mut result_types = Vec::with_capacity(plan.key.len() + op.layout().width());
-                    for k in &plan.key {
+                    for k in plan.key.iter().filter(|_| !positional) {
                         result_types.push(b_in_schema.field(b_in_schema.index_of(k)?).data_type());
                     }
                     let acc = op.layout().physical_fields(detail)?;
@@ -193,17 +200,23 @@ pub(crate) fn run_coordinator(
                             Some(rank)
                         })
                         .collect();
-                    let mut n_chunks = 0usize;
+                    let (mut n_chunks, mut survivor_bytes) = (0usize, 0usize);
                     collect(coord, cfg, &round, &mut st, |site, c| {
                         n_chunks += 1;
-                        check_result_types(&c, &result_types)?;
-                        sync.absorb_frame(leaf[site], c)
+                        check_result_types(&c, &result_types, positional)?;
+                        if !positional {
+                            return sync.absorb_frame(leaf[site], c);
+                        }
+                        survivor_bytes += c.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
+                        sync.absorb_at(leaf[site], selections[site].as_deref(), c)
                     })?;
                     let t = wall_now();
                     b_cur = Some(sync.finish(b_in_schema, op, detail)?);
                     st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
                     sync_span.arg("chunks", n_chunks);
+                    sync_span.arg("positional", positional);
+                    sync_span.arg("survivor_bytes", survivor_bytes);
                     sync_span.finish();
                 }
             }
@@ -354,26 +367,29 @@ fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
     }
 }
 
-/// Refuse a merge unit's `RESULT` whose fields are not typed as the
-/// unit's key and physical schema (`want`) type them.
-fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType]) -> Result<()> {
+/// Refuse a merge unit's `RESULT` whose fields are not typed as `want`:
+/// the unit's physical schema, after a keyed answer's key as B types it.
+fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType], positional: bool) -> Result<()> {
     let got = chunk.schema().fields();
     if got.len() == want.len() && got.iter().zip(want).all(|(f, t)| f.data_type() == *t) {
         return Ok(());
     }
+    let how = if positional { "by position with" } else { "with its key and" };
     Err(Error::Execution(format!(
-        "site sent {} where the unit's key and physical schema have {want:?}",
+        "site sent {} where the unit answers {how} accumulators {want:?}",
         chunk.schema()
     )))
 }
 
-/// The `RUN_STAGE` task shipping the base structure's `ship_columns`,
-/// encoded straight from its columns.
-fn ship(stage: u32, b: &Relation, ship_columns: &[String]) -> Result<Message> {
-    let cols = b
-        .schema()
-        .indexes_of(&ship_columns.iter().map(String::as_str).collect::<Vec<_>>())?;
-    protocol::run_stage_projected(stage, b, &cols)
+/// The `RUN_STAGE` task shipping the base structure's `ship_columns` — at
+/// the `rows` of a Thm 4 selection, or all of them — from its columns.
+fn ship(stage: u32, b: &Relation, ship_columns: &[String], rows: Option<&[u32]>) -> Result<Message> {
+    let shipped = b.project(&ship_columns.iter().map(String::as_str).collect::<Vec<_>>())?;
+    let fragment = match rows {
+        Some(at) => shipped.gather(at),
+        None => shipped,
+    };
+    Ok(protocol::run_stage(stage, Some(&fragment)))
 }
 
 pub(crate) fn net_err(e: skalla_net::NetError) -> Error {
@@ -401,8 +417,17 @@ mod tests {
     use skalla_relation::{row, DataType};
     use std::time::Duration;
 
-    fn one_row(g: i64) -> Relation {
-        Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![g]]).unwrap()
+    /// One row of an answer by position: a lone `COUNT` accumulator.
+    fn one_row(c: i64) -> Relation {
+        Relation::new(Schema::of(&[("c", DataType::Int)]), vec![row![c]]).unwrap()
+    }
+
+    /// [`one_row`] as a site's first chunk under Prop 1: its survivor
+    /// set (fragment row 1 of 2) rides along.
+    fn first_of_two(c: i64) -> Message {
+        let survivors = protocol::Survivors::of(&[false, true]);
+        let rel = one_row(c);
+        protocol::result_columns(1, rel.schema(), 1, &[rel.column(0)], false, Some(&survivors))
     }
 
     /// Run `collect` for stage 1 of a round owed by the sites in
@@ -443,9 +468,20 @@ mod tests {
         let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
         assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
 
-        // The honest round: chunked site 0, then site 1.
+        // The same with a survivor set leading site 0's answer.
         let (coord, sites) = star(2);
-        sites[0].send(protocol::result_chunk(1, &one_row(0), false)).unwrap();
+        sites[0].send(first_of_two(0)).unwrap();
+        for _ in 0..2 {
+            sites[0].send(protocol::result(1, &one_row(0))).unwrap();
+        }
+        sites[1].send(protocol::result(1, &one_row(1))).unwrap();
+        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
+        assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
+
+        // The honest round: chunked site 0, its survivor set first, then
+        // site 1.
+        let (coord, sites) = star(2);
+        sites[0].send(first_of_two(0)).unwrap();
         sites[0].send(protocol::result(1, &one_row(2))).unwrap();
         sites[1].send(protocol::result(1, &one_row(1))).unwrap();
         assert_eq!(absorbed(&coord, &[0, 1]).unwrap(), vec![0, 0, 1]);
@@ -457,7 +493,7 @@ mod tests {
         // closed the round before site 1 answered, and site 1's
         // sub-aggregates were dropped from the merge.
         let (coord, sites) = star(3);
-        sites[2].send(protocol::result(1, &one_row(2))).unwrap();
+        sites[2].send(first_of_two(2)).unwrap();
         sites[0].send(protocol::result(1, &one_row(0))).unwrap();
         let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
         assert!(

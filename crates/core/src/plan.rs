@@ -289,6 +289,13 @@ impl Unit {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// Whether the sites answer by position: one operator against a
+    /// shipped fragment, answered with accumulator columns only, a row per
+    /// fragment row in fragment order (per surviving one under Prop 1).
+    pub fn positional(&self) -> bool {
+        !self.fold_base && !self.local_chain
+    }
 }
 
 /// What a stage does.

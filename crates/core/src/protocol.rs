@@ -20,7 +20,7 @@ use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
 use skalla_relation::codec::{self, Decoder, Encoder};
-use skalla_relation::{Column, Columns, Domain, DomainMap, Error, Relation, Result, Schema};
+use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relation, Result, Schema};
 
 /// The protocol generation this build speaks, negotiated in the catalog
 /// handshake ([`catalog_request`] carries it, [`catalog`] echoes it).
@@ -64,7 +64,12 @@ use skalla_relation::{Column, Columns, Domain, DomainMap, Error, Relation, Resul
 ///   column mixing types: a column is of its field's declared type, and a
 ///   decoder refuses a column encoded as another type. A v10 peer could
 ///   send a column this decoder refuses.
-pub const PROTOCOL_VERSION: u32 = 11;
+/// * **v12** — v11 frames; a site answers a unit against a shipped
+///   fragment with its accumulator columns only, one row per fragment row
+///   in fragment order, and a `RESULT` flag byte's bit 1 puts a
+///   [`Survivors`] set ahead of the schema. A v11 coordinator would read
+///   an accumulator column as the key.
+pub const PROTOCOL_VERSION: u32 = 12;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -182,20 +187,6 @@ pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
     Message::new(TAG_RUN_STAGE, enc.finish())
 }
 
-/// [`run_stage`] with the projection of `b` onto the columns at `cols` as
-/// the fragment, encoded straight from `b`'s columns: the same bytes, and
-/// the fragment is never built.
-pub fn run_stage_projected(stage: u32, b: &Relation, cols: &[usize]) -> Result<Message> {
-    let schema = b.schema().project(cols)?;
-    let cols: Vec<&Column> = cols.iter().map(|&c| b.column(c)).collect();
-    let mut enc = Encoder::new();
-    enc.put_u32(stage);
-    enc.put_u8(1);
-    enc.put_schema(&schema);
-    enc.put_columns(b.len(), &cols);
-    Ok(Message::new(TAG_RUN_STAGE, enc.finish()))
-}
-
 /// Decode a `RUN_STAGE` payload into `(stage, fragment, ())`.
 ///
 /// The `()` stands where the retired skew request used to decode: the
@@ -215,6 +206,52 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
     Ok((stage, fragment, ()))
 }
 
+/// `RESULT` flag-byte bits: the stage's final chunk; a [`Survivors`] set
+/// follows the flag byte.
+const RESULT_LAST: u8 = 1;
+const RESULT_SURVIVORS: u8 = 2;
+
+/// Which rows of its fragment a site's answer to a unit against B holds
+/// under Prop 1's site reduction: their positions, ascending. It rides in
+/// the site's first `RESULT` chunk as `[fragment rows u32]`, then a
+/// bitmap over the fragment, bit `i` for row `i`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Survivors {
+    /// The fragment's row count.
+    pub fragment_rows: usize,
+    /// The answered rows' fragment positions, ascending.
+    pub at: Vec<u32>,
+}
+
+impl Survivors {
+    /// The fragment rows where `matched` is set.
+    pub fn of(matched: &[bool]) -> Survivors {
+        let at = (0..matched.len() as u32).filter(|&i| matched[i as usize]).collect();
+        Survivors { fragment_rows: matched.len(), at }
+    }
+
+    /// The set's size on the wire.
+    pub fn encoded_size(&self) -> usize {
+        4 + self.fragment_rows.div_ceil(8)
+    }
+
+    fn put(&self, enc: &mut Encoder) {
+        let mut bits = Bitmap::new(self.fragment_rows);
+        self.at.iter().for_each(|&p| bits.set(p as usize));
+        enc.put_u32(self.fragment_rows as u32);
+        enc.put_bytes(bits.to_le_bytes());
+    }
+
+    fn get(dec: &mut Decoder<'_>) -> Result<Survivors> {
+        let rows = dec.get_u32()? as usize;
+        let bytes = dec.get_bytes(rows.div_ceil(8))?;
+        let bits = Bitmap::from_le_bytes(bytes, rows)
+            .ok_or_else(|| Error::Codec("survivor set sets bits past the fragment".into()))?;
+        let at = (0..rows as u32).filter(|&i| bits.get(i as usize)).collect();
+        Ok(Survivors { fragment_rows: rows, at })
+    }
+}
+
 /// Encode a `RESULT` message. `last` marks the final chunk of a stage
 /// (row blocking, paper Sect. 3.2: a site ships its sub-result in
 /// pieces, holding disjoint keys; a merge unit's coordinator absorbs each
@@ -222,17 +259,27 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
 /// sites' leaves once every site's last chunk is in).
 pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
     let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
-    result_columns(stage, rel.schema(), rel.len(), &cols, last)
+    result_columns(stage, rel.schema(), rel.len(), &cols, last, None)
 }
 
 /// [`result_chunk`] of the relation of `schema` over `cols`, `len` rows
 /// each, encoded straight from the columns: the same bytes, and no
-/// relation is made.
-pub fn result_columns(stage: u32, schema: &Schema, len: usize, cols: &[&Column], last: bool) -> Message {
+/// relation is made. A site's first chunk carries its `survivors`, if any.
+pub fn result_columns(
+    stage: u32,
+    schema: &Schema,
+    len: usize,
+    cols: &[&Column],
+    last: bool,
+    survivors: Option<&Survivors>,
+) -> Message {
     let size = schema.encoded_size() + codec::body_size(len, cols.iter().copied());
-    let mut enc = Encoder::with_capacity(5 + size);
+    let mut enc = Encoder::with_capacity(5 + survivors.map_or(0, Survivors::encoded_size) + size);
     enc.put_u32(stage);
-    enc.put_u8(last as u8);
+    enc.put_u8(if last { RESULT_LAST } else { 0 } | if survivors.is_some() { RESULT_SURVIVORS } else { 0 });
+    if let Some(s) = survivors {
+        s.put(&mut enc);
+    }
     enc.put_schema(schema);
     enc.put_columns(len, cols);
     Message::new(TAG_RESULT, enc.finish())
@@ -259,19 +306,24 @@ pub struct ResultChunk {
     pub stage: u32,
     /// Whether this is the stage's final chunk.
     pub last: bool,
+    /// The survivor set a site's first chunk carries under Prop 1.
+    pub survivors: Option<Survivors>,
     schema: Schema,
     columns: Columns,
 }
 
-/// Decode a `RESULT` payload: its header, then its relation's schema and
-/// columns.
+/// Decode a `RESULT` payload: its header and survivor set, then its
+/// relation's schema and columns.
 pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
-    let last = match dec.get_u8()? {
-        0 => false,
-        1 => true,
-        t => return Err(Error::Codec(format!("bad last-chunk flag {t}"))),
+    let flags = dec.get_u8()?;
+    if flags & !(RESULT_LAST | RESULT_SURVIVORS) != 0 {
+        return Err(Error::Codec(format!("bad last-chunk flag {flags}")));
+    }
+    let survivors = match flags & RESULT_SURVIVORS {
+        0 => None,
+        _ => Some(Survivors::get(&mut dec)?),
     };
     let schema = dec.get_schema()?;
     let columns = dec.get_columns(&schema)?;
@@ -280,7 +332,8 @@ pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk> {
     }
     Ok(ResultChunk {
         stage,
-        last,
+        last: flags & RESULT_LAST != 0,
+        survivors,
         schema,
         columns,
     })
@@ -308,9 +361,20 @@ impl ResultChunk {
     }
 
     /// The relation over the columns ([`Relation::from_columns`]: they
-    /// are its store).
+    /// are its store). A keyed answer names its rows, so a survivor set
+    /// on it is an error.
     pub fn relation(self) -> Result<Relation> {
+        self.refuse_survivors("a keyed answer")?;
         Relation::from_columns(self.schema, self.columns)
+    }
+
+    /// Refuse a survivor set, which only a site's first answer to a unit
+    /// against B may carry, on `what`.
+    pub(crate) fn refuse_survivors(&self, what: &str) -> Result<()> {
+        match self.survivors {
+            Some(_) => Err(Error::Execution(format!("a survivor set on {what}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -564,19 +628,15 @@ mod tests {
         .unwrap()
     }
 
-    /// The projected encoding ships the bytes the built projection would,
-    /// and a result chunk hands out the columns the relation is made of.
+    /// A result chunk hands out the columns the relation is made of.
     #[test]
-    fn projected_fragments_and_result_columns_match_the_built_ones() {
+    fn result_columns_match_the_built_ones() {
         let b = Relation::new(
             Schema::of(&[("tag", DataType::Str), ("k", DataType::Int), ("x", DataType::Double)]),
             vec![row!["a", 1i64, 0.5], row!["b", 2i64, -0.0]],
         )
         .unwrap();
         let built = b.project(&["x", "k"]).unwrap();
-        let projected = run_stage_projected(3, &b, &[2, 1]).unwrap();
-        assert_eq!(projected.payload, run_stage(3, Some(&built)).payload);
-        assert!(run_stage_projected(3, &b, &[7]).is_err());
 
         let payload = result_chunk(3, &built, false).payload;
         let chunk = decode_result_chunk(&payload).unwrap();
@@ -682,6 +742,41 @@ mod tests {
         let m = result_chunk(7, &rel(), false);
         let (_, last, _) = decode_result(&m.payload).unwrap();
         assert!(!last);
+    }
+
+    /// A survivor set rides behind flag bit 1 as a bitmap over the
+    /// fragment and decodes to the same set; a set off its fragment, an
+    /// unknown flag bit and a cut set are refused.
+    #[test]
+    fn survivor_sets_round_trip_as_bitmaps() {
+        let frame = |s: &Survivors, last: bool| {
+            let r = rel();
+            result_columns(7, r.schema(), r.len(), &[r.column(0)], last, Some(s)).payload
+        };
+        let dense = Survivors::of(&(0..100).map(|i| i % 3 == 0).collect::<Vec<_>>());
+        let sparse = Survivors::of(&(0..100).map(|i| i == 42 || i == 99).collect::<Vec<_>>());
+        for s in [&dense, &sparse] {
+            assert_eq!(s.encoded_size(), 4 + 13);
+            for last in [false, true] {
+                let payload = frame(s, last);
+                assert_eq!(payload.len(), result_chunk(7, &rel(), last).payload.len() + 4 + 13);
+                let chunk = decode_result_chunk(&payload).unwrap();
+                assert_eq!((chunk.last, chunk.survivors.as_ref()), (last, Some(s)));
+                assert_eq!(chunk.columns().to_rows(), rel().rows());
+                assert!(chunk.relation().unwrap_err().to_string().contains("a survivor set on a keyed answer"));
+            }
+        }
+        // Bytes 5.. are the set: fragment rows, then the bitmap.
+        let mut past = frame(&dense, true);
+        past[5 + 4 + 12] |= 0x80; // bit 103 of a 100-row bitmap
+        let mut flags = frame(&sparse, true);
+        flags[4] = 4 | 1;
+        for (payload, want) in [(past, "sets bits past the fragment"), (flags, "bad last-chunk flag 5")] {
+            let err = decode_result_chunk(&payload).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        }
+        let cut = frame(&dense, true);
+        assert!(decode_result_chunk(&cut[..5 + 10]).is_err());
     }
 
     #[test]

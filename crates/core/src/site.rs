@@ -1,10 +1,12 @@
 //! Site-side stage execution and the site driver loop.
 //!
 //! Each Skalla site is a local warehouse fully capable of evaluating GMDJ
-//! expressions over its partition (paper Sect. 2.1). [`execute_stage`] is
-//! the pure function a site runs per round: given the shared plan, the
-//! stage index and the base-structure fragment received from the
-//! coordinator, it produces the relation to ship back.
+//! expressions over its partition (paper Sect. 2.1).
+//! [`execute_stage_traced`] is the pure function a site runs per round:
+//! given the shared plan, the stage index and the base-structure fragment
+//! received from the coordinator, it produces the relation to ship back —
+//! for a unit answered by position ([`Unit::positional`]), accumulator
+//! columns only, with Prop 1's survivor set.
 //! [`site_session_loop`] wraps it in the protocol driver — route each
 //! frame to its query's worker, which receives the plan, executes stage
 //! tasks and replies to each with its telemetry and then its result,
@@ -16,19 +18,22 @@
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use crate::plan::{DistributedPlan, StageKind, Unit};
-use crate::protocol::{self, Tag};
+use crate::protocol::{self, Survivors, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::SiteTransport;
 use skalla_obs::{BusyTimer, Obs, Track};
-use skalla_relation::{Column, Error, Relation, Result, Value};
+use skalla_relation::{Column, Columns, Error, Relation, Result, Schema, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-/// Execute one stage at a site. `incoming` is the base fragment shipped by
-/// the coordinator (`None` for base stages and folded units).
+/// Execute one stage at a site, keyed: `incoming` is the base fragment
+/// shipped by the coordinator (`None` for base stages and folded units),
+/// and a unit the site answers by position comes back with the fragment's
+/// key columns at the answered rows ahead of the accumulators — what the
+/// sites shipped before they answered by position.
 pub fn execute_stage(
     catalog: &dyn Catalog,
     plan: &DistributedPlan,
@@ -36,11 +41,27 @@ pub fn execute_stage(
     incoming: Option<Relation>,
     eval: EvalOptions,
 ) -> Result<Relation> {
-    execute_stage_traced(catalog, plan, stage, incoming, eval, &Obs::disabled(), 0)
+    let fragment = incoming.clone();
+    let (answer, survivors) = execute_stage_traced(catalog, plan, stage, incoming, eval, &Obs::disabled(), 0)?;
+    let positional = matches!(&plan.stages[stage].kind, StageKind::Unit(u) if u.positional());
+    let Some(b) = fragment.filter(|_| positional) else {
+        return Ok(answer);
+    };
+    let keys = b.project(&plan.key.iter().map(String::as_str).collect::<Vec<_>>())?;
+    let keys = match survivors {
+        Some(s) => keys.gather(&s.at),
+        None => keys,
+    };
+    let fields = [keys.schema().fields(), answer.schema().fields()].concat();
+    let shared = |r: &Relation| (0..r.schema().len()).map(|c| r.shared_column(c)).collect::<Vec<_>>();
+    let cols = [shared(&keys), shared(&answer)].concat();
+    Relation::from_columns(Schema::new(fields)?, Columns::from_shared(answer.len(), cols))
 }
 
-/// [`execute_stage`] with observability: the GMDJ kernel records
-/// per-morsel spans on this site's worker tracks.
+/// [`execute_stage`] as the site's worker runs it, with observability
+/// (the GMDJ kernel records per-morsel spans on this site's worker
+/// tracks): the relation to ship, and a positional answer's survivor set
+/// under Prop 1.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_stage_traced(
     catalog: &dyn Catalog,
@@ -50,13 +71,13 @@ pub fn execute_stage_traced(
     eval: EvalOptions,
     obs: &Obs,
     site: usize,
-) -> Result<Relation> {
+) -> Result<(Relation, Option<Survivors>)> {
     let st = plan
         .stages
         .get(stage)
         .ok_or_else(|| Error::Execution(format!("no stage {stage}")))?;
     match &st.kind {
-        StageKind::Base => plan.base_fragment(catalog),
+        StageKind::Base => Ok((plan.base_fragment(catalog)?, None)),
         StageKind::Unit(unit) => execute_unit(catalog, plan, unit, incoming, eval, obs, site),
     }
 }
@@ -98,7 +119,7 @@ fn execute_unit(
     eval: EvalOptions,
     obs: &Obs,
     site: usize,
-) -> Result<Relation> {
+) -> Result<(Relation, Option<Survivors>)> {
     let detail = catalog.table(&unit.table)?;
     let b_frag = base_input(catalog, plan, unit, incoming)?;
     let key: Vec<&str> = plan.key.iter().map(String::as_str).collect();
@@ -128,14 +149,23 @@ fn execute_unit(
         for op in &plan.expr.ops[unit.ops.clone()] {
             cols.extend(op.output_names());
         }
-        cur.project(&cols)
+        Ok((cur.project(&cols)?, None))
     } else {
-        // One operator: K + the physical accumulators, the shape every
-        // sub-aggregate ships in, built straight from the kernel's states.
+        // One operator: the physical accumulators, built straight from
+        // the kernel's states, one row per base tuple (per matched one
+        // under Prop 1). A folded unit's groups are the site's own, so K
+        // leads; against a shipped fragment the row order is the
+        // fragment's, so no key ships, and Prop 1's survivor set says
+        // which rows are answered.
         debug_assert_eq!(unit.ops.len(), 1);
         let op = &plan.expr.ops[unit.ops.start];
-        let key_idx = b_frag.schema().indexes_of(&key)?;
-        eval_shipped(&b_frag, detail, op, &key_idx, unit.site_reduce, eval, obs, site)
+        let key_idx = match unit.positional() {
+            true => Vec::new(),
+            false => b_frag.schema().indexes_of(&key)?,
+        };
+        let local = eval_shipped(&b_frag, detail, op, &key_idx, unit.site_reduce, eval, obs, site)?;
+        let survivors = (unit.positional() && unit.site_reduce).then(|| Survivors::of(&local.matched));
+        Ok((local.physical, survivors))
     }
 }
 
@@ -393,10 +423,10 @@ fn query_worker(
                     execute_stage_traced(catalog, plan, stage as usize, fragment, eval, obs, site);
                 let busy_s = t.elapsed_s();
                 let mut replies = match out {
-                    Ok(rel) => {
+                    Ok((rel, survivors)) => {
                         task_span.arg("rows_out", rel.len());
                         task_span.finish();
-                        chunked_results(stage, rel, chunk_rows)
+                        chunked_results(stage, rel, survivors, chunk_rows)
                     }
                     Err(e) => {
                         task_span.arg("error", e.to_string());
@@ -442,15 +472,16 @@ fn unexpected_tag() -> skalla_net::Message {
 
 /// Split a stage result into row-blocked RESULT messages (one final
 /// message when chunking is off or the relation is small), each chunk
-/// its rows' slice of every column.
+/// its rows' slice of every column; the first carries the `survivors`.
 fn chunked_results(
     stage: u32,
     rel: Relation,
+    survivors: Option<Survivors>,
     chunk_rows: Option<usize>,
 ) -> Vec<skalla_net::Message> {
+    let schema = rel.schema();
     match chunk_rows {
         Some(chunk) if rel.len() > chunk => {
-            let schema = rel.schema();
             let n = rel.len().div_ceil(chunk);
             (1..=n)
                 .map(|i| {
@@ -461,11 +492,15 @@ fn chunked_results(
                         .map(|c| rel.column(c).gather(&at))
                         .collect();
                     let part: Vec<&Column> = part.iter().collect();
-                    protocol::result_columns(stage, schema, at.len(), &part, i == n)
+                    let first = survivors.as_ref().filter(|_| i == 1);
+                    protocol::result_columns(stage, schema, at.len(), &part, i == n, first)
                 })
                 .collect()
         }
-        _ => vec![protocol::result(stage, &rel)],
+        _ => {
+            let cols: Vec<&Column> = (0..schema.len()).map(|c| rel.column(c)).collect();
+            vec![protocol::result_columns(stage, schema, rel.len(), &cols, true, survivors.as_ref())]
+        }
     }
 }
 
@@ -589,7 +624,9 @@ mod tests {
     /// A site's answer, encoded straight from the kernel's states (and
     /// sliced into row-blocked chunks), is byte for byte the frame of the
     /// same answer rebuilt from its rows — what the site shipped when it
-    /// made rows and the codec columnized them. Prop 1 on and off; Int
+    /// made rows and the codec columnized them — the first chunk carrying
+    /// the survivor set of an answer by position under Prop 1. Keyed on
+    /// one and two columns, and by position; Prop 1 on and off; Int
     /// and Double AVG, VAR, an all-NULL SUM, a string MIN (`Value`
     /// accumulators), NaN payloads, −0.0, NULLs in keys and inputs; one,
     /// three or every row per chunk.
@@ -649,13 +686,18 @@ mod tests {
             morsel_rows: 16,
         };
         let obs = Obs::disabled();
-        for key in [&[1usize][..], &[0, 1]] {
+        for key in [&[][..], &[1usize], &[0, 1]] {
             for reduce in [false, true] {
-                let answer = eval_shipped(&base, &detail, &op, key, reduce, opts, &obs, 0).unwrap();
+                let local = eval_shipped(&base, &detail, &op, key, reduce, opts, &obs, 0).unwrap();
+                let answer = local.physical;
                 let rows = answer.clone().rows().to_vec();
                 assert_eq!(rows.len(), if reduce { 8 } else { 11 });
+                let survivors = (key.is_empty() && reduce).then(|| Survivors::of(&local.matched));
+                if let Some(s) = &survivors {
+                    assert_eq!((s.fragment_rows, s.at.len()), (11, 8));
+                }
                 for chunk in [Some(1), Some(3), None] {
-                    let got = chunked_results(4, answer.clone(), chunk);
+                    let got = chunked_results(4, answer.clone(), survivors.clone(), chunk);
                     // The rows cut into chunks, each a relation of rows.
                     let step = chunk.unwrap_or(rows.len());
                     let parts: Vec<&[Row]> = rows.chunks(step).collect();
@@ -664,7 +706,10 @@ mod tests {
                         .enumerate()
                         .map(|(i, part)| {
                             let part = Relation::new(answer.schema().clone(), part.to_vec()).unwrap();
-                            protocol::result_chunk(4, &part, i + 1 == parts.len())
+                            let cols: Vec<&Column> = (0..part.schema().len()).map(|c| part.column(c)).collect();
+                            let first = survivors.as_ref().filter(|_| i == 0);
+                            let last = i + 1 == parts.len();
+                            protocol::result_columns(4, part.schema(), part.len(), &cols, last, first)
                         })
                         .collect();
                     assert_eq!(got.len(), want.len(), "key {key:?}, reduce {reduce}, chunk {chunk:?}");

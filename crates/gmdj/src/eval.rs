@@ -393,10 +393,11 @@ pub fn eval_local_traced(
 
 /// A merge unit's sub-result as a site ships it, built as columns
 /// straight from the kernel's accumulator states: the base columns at
-/// `key` (the base's own, shared, or gathered when rows are dropped),
-/// then the physical accumulator columns, one row per base tuple in base
-/// order — or, with `reduce` (Prop 1's site-side group reduction), one
-/// per base tuple some detail tuple matched. No row is built; the
+/// `key` (the base's own, shared, or gathered when rows are dropped; none
+/// for an answer by position), then the physical accumulator columns, one
+/// row per base tuple in base order — or, with `reduce` (Prop 1's
+/// site-side group reduction), one per base tuple some detail tuple
+/// matched — beside every base tuple's match flag. No row is built; the
 /// relation's columns keep `ColumnBuilder`'s representation rule, so it
 /// encodes to the bytes any other path to its values would. Spans as
 /// [`eval_local_traced`]'s.
@@ -410,9 +411,8 @@ pub fn eval_shipped(
     opts: EvalOptions,
     obs: &Obs,
     site: usize,
-) -> Result<Relation> {
-    let local = crate::columnar::eval_columnar(base, detail, gmdj, key, reduce, opts, obs, site)?;
-    Ok(local.physical)
+) -> Result<LocalGmdj> {
+    crate::columnar::eval_columnar(base, detail, gmdj, key, reduce, opts, obs, site)
 }
 
 /// Finalize a physical (accumulator) relation into the logical output.
@@ -751,7 +751,8 @@ mod tests {
         for reduce in [false, true] {
             let shipped =
                 eval_shipped(&b1, &detail(), &g2, &[0], reduce, opts(), &Obs::disabled(), 0)
-                    .unwrap();
+                    .unwrap()
+                    .physical;
             let want: Vec<&Row> = keyed
                 .iter()
                 .zip(&local.matched)
@@ -922,7 +923,8 @@ mod tests {
         for key in [&[0usize][..], &[1, 0]] {
             for reduce in [false, true] {
                 let answer = eval_shipped(&base, &detail, &op, key, reduce, opts(), &Obs::disabled(), 0)
-                    .unwrap();
+                    .unwrap()
+                    .physical;
                 let bytes = encode(&answer);
                 let rows = Relation::new(answer.schema().clone(), answer.rows().to_vec()).unwrap();
                 assert_eq!(rows.len(), if reduce { 7 } else { 10 });

@@ -87,6 +87,11 @@ impl Encoder {
         self.buf.push(v);
     }
 
+    /// Write `bytes` as they are.
+    pub fn put_bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        self.buf.extend(bytes);
+    }
+
     /// Write a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -280,6 +285,11 @@ impl<'a> Decoder<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Read the next `n` bytes as they are.
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
     }
 
     /// Read a byte.

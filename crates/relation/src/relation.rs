@@ -378,13 +378,19 @@ impl Relation {
     /// Selection (σ) by a bound predicate over this relation's columns
     /// (the base side of the expression).
     pub fn select(&self, pred: &BoundExpr) -> Result<Relation> {
+        Ok(self.gather(&self.selection(pred)?))
+    }
+
+    /// The positions of the rows on which `pred` (bound base-side) is
+    /// truthy, ascending: [`Relation::select`]'s rows.
+    pub fn selection(&self, pred: &BoundExpr) -> Result<Vec<u32>> {
         let mut at = Vec::new();
         for i in 0..self.len() {
             if pred.eval_cols(Some((self, i)), None)?.is_truthy() {
                 at.push(i as u32);
             }
         }
-        Ok(self.gather(&at))
+        Ok(at)
     }
 
     /// Selection of the rows whose positions `keep` accepts.

@@ -4,13 +4,14 @@
 //! (at the TCP framing layer) — never a panic, never a hang. These are
 //! the regression tests for the decode paths in `protocol.rs`,
 //! `relation/codec.rs`, and `tcp.rs` that used to `unwrap`/`expect` on
-//! remote input, and for the coordinator's check of a merge unit's
-//! `RESULT` against the unit's physical schema.
+//! remote input, and for the coordinator's checks of a merge unit's
+//! `RESULT` against the unit's physical schema and, for an answer by
+//! position, against the fragment it answers.
 
 use skalla::core::distribution::DistributionInfo;
-use skalla::core::plan::{OptFlags, Planner};
-use skalla::core::plan_codec::encode_plan_with_options;
-use skalla::core::protocol::{self, SiteCatalogEntry};
+use skalla::core::plan::{DistributedPlan, OptFlags, Planner, StageKind};
+use skalla::core::plan_codec::{decode_plan_with_options, encode_plan_with_options};
+use skalla::core::protocol::{self, SiteCatalogEntry, Survivors};
 use skalla::core::site::site_session_loop;
 use skalla::core::Skalla;
 use skalla::gmdj::prelude::*;
@@ -18,7 +19,7 @@ use skalla::gmdj::EvalOptions;
 use skalla::net::{star, CoordinatorTransport, Message, SiteTransport, TcpConfig, TcpSiteListener};
 use skalla::obs::Obs;
 use skalla::relation::codec::Encoder;
-use skalla::relation::{row, DataType, DomainMap, Relation, Schema};
+use skalla::relation::{row, Column, DataType, Domain, DomainMap, Relation, Schema};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -226,26 +227,21 @@ fn tcp_accept_survives_garbage_truncated_and_oversized_frames() {
     assert!(errs[2].contains("exceeds"), "{errs:?}");
 }
 
-/// At the coordinator: a site whose merge-unit `RESULT` types an
-/// accumulator `DOUBLE` where the unit's physical schema has `COUNT`'s
-/// `INT`, or its key `STR` where B's is `INT`, gets the round refused
-/// with a clean error — not merged, not a panic, not a hang.
+/// At the coordinator: a site whose `RESULT` for a merge unit against B
+/// (answered by position: accumulator columns only) types an accumulator
+/// `DOUBLE` where the unit's physical schema has `COUNT`'s `INT` — or,
+/// for a folded unit (keyed), its key `STR` where B's is `INT` — gets the
+/// round refused with a clean error: not merged, not a panic, not a hang.
 #[test]
 fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
-    let mistyped = [
-        Relation::new(
-            Schema::of(&[("g", DataType::Int), ("c", DataType::Double)]),
-            vec![row![1i64, 1.0]],
-        ),
-        Relation::new(
-            Schema::of(&[("g", DataType::Str), ("c", DataType::Int)]),
-            vec![row!["1", 1i64]],
-        ),
-    ];
-    for answer in mistyped {
-        let err = merge_unit_error(answer.unwrap(), AggSpec::count("c"));
-        assert!(err.contains("key and physical schema"), "{err}");
-    }
+    let mistyped = relation(&[("c", DataType::Double)], vec![row![1.0], row![1.0]]);
+    let err = merge_unit_error(mistyped, AggSpec::count("c"));
+    assert!(err.contains("answers by position with accumulators [Int]"), "{err}");
+
+    let mistyped_key = relation(&[("g", DataType::Str), ("c", DataType::Int)], vec![row!["1", 1i64]]);
+    let frames = honest_base(move |stage| vec![protocol::result(stage, &mistyped_key)]);
+    let err = round_error(count_expr(), folding(), DomainMap::new(), frames);
+    assert!(err.contains("answers with its key and accumulators [Int, Int]"), "{err}");
 }
 
 /// At the coordinator: an `AVG` sub-aggregate whose count column holds a
@@ -253,23 +249,185 @@ fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
 /// rather than merged.
 #[test]
 fn an_avg_count_holding_null_is_a_clean_round_error() {
-    let answer = Relation::new(
-        Schema::of(&[
-            ("g", DataType::Int),
-            ("a__sum", DataType::Int),
-            ("a__cnt", DataType::Int),
-        ]),
-        vec![row![1i64, 10i64, skalla::relation::Value::Null]],
-    )
-    .unwrap();
+    let answer = relation(
+        &[("a__sum", DataType::Int), ("a__cnt", DataType::Int)],
+        vec![row![10i64, skalla::relation::Value::Null], row![20i64, 1i64]],
+    );
     let err = merge_unit_error(answer, AggSpec::avg("v", "a"));
     assert!(err.contains("malformed accumulator columns for AVG"), "{err}");
 }
 
+/// At the coordinator, an answer by position that does not fit its
+/// fragment (B's two groups, shipped whole) is a clean round error: a
+/// survivor set over another row count; more accumulator rows than
+/// survivors, refused at the chunk that overflows; a final chunk that
+/// leaves survivors unanswered, or an unreduced answer shorter than the
+/// fragment; a survivor set on a later chunk; and an answer that still
+/// carries the key column.
+#[test]
+fn a_positional_answer_off_its_fragment_is_a_clean_round_error() {
+    let counts = |n: i64| relation(&[("c", DataType::Int)], (0..n).map(|_| row![1i64]).collect());
+    let survivors = |rows: usize, at: &[u32]| {
+        Some(Survivors {
+            fragment_rows: rows,
+            at: at.to_vec(),
+        })
+    };
+    let keyed = relation(&[("g", DataType::Int), ("c", DataType::Int)], vec![row![1i64, 1i64], row![2i64, 1i64]]);
+    let cases: Vec<(Vec<Message>, &str)> = vec![
+        (
+            vec![chunk(1, &counts(1), true, survivors(3, &[0]))],
+            "has survivors over 3 rows for a 2-row fragment",
+        ),
+        (
+            vec![chunk(1, &counts(1), false, survivors(2, &[1])), chunk(1, &counts(1), true, None)],
+            "has 2 accumulator rows for 1 answered fragment rows",
+        ),
+        (
+            vec![chunk(1, &counts(1), true, survivors(2, &[0, 1]))],
+            "ends after 1 of its 2 answered fragment rows",
+        ),
+        (
+            vec![chunk(1, &counts(1), true, None)],
+            "ends after 1 of its 2 answered fragment rows",
+        ),
+        (
+            vec![chunk(1, &counts(1), false, survivors(2, &[0, 1])), chunk(1, &counts(1), true, survivors(2, &[1]))],
+            "repeats its survivor set on a later chunk",
+        ),
+        (
+            vec![protocol::result(1, &keyed)],
+            "answers by position with accumulators [Int]",
+        ),
+    ];
+    for (frames, want) in cases {
+        let frames = honest_base(move |_| frames.clone());
+        let err = round_error(count_expr(), OptFlags::none(), DomainMap::new(), frames);
+        assert!(err.contains(want), "{err} lacks {want:?}");
+    }
+    // The honest answers to the same round: every row, and Prop 1's one
+    // survivor, group 2, after its set in an empty first chunk.
+    for (frames, want) in [
+        (vec![chunk(1, &counts(1), false, None), chunk(1, &counts(1), true, None)], [1i64, 1]),
+        (vec![chunk(1, &counts(0), false, survivors(2, &[1])), chunk(1, &counts(1), true, None)], [0, 1]),
+    ] {
+        let frames = honest_base(move |_| frames.clone());
+        let (out, plan) = run_against_site(count_expr(), OptFlags::none(), DomainMap::new(), frames);
+        assert_eq!(out.unwrap().rows(), [row![1i64, want[0]], row![2i64, want[1]]], "{plan}");
+    }
+}
+
+/// A survivor set only ever rides on an answer by position: on a folded
+/// unit's keyed answer, a chained unit's finalized one or the base round's
+/// groups it is a clean round error.
+#[test]
+fn a_survivor_set_on_a_keyed_answer_is_a_clean_round_error() {
+    let empty = Survivors {
+        fragment_rows: 0,
+        at: Vec::new(),
+    };
+    let keyed = |rel: Relation| {
+        let empty = empty.clone();
+        move |_: &StageKind, stage| vec![chunk(stage, &rel, true, Some(empty.clone()))]
+    };
+    let folded = relation(&[("g", DataType::Int), ("c", DataType::Int)], vec![row![1i64, 1i64], row![2i64, 1i64]]);
+    let chained = relation(
+        &[("g", DataType::Int), ("c", DataType::Int), ("d", DataType::Int)],
+        vec![row![1i64, 1i64, 1i64], row![2i64, 1i64, 1i64]],
+    );
+    let owned = DomainMap::new().with("g", Domain::IntRange(1, 2));
+    for err in [
+        round_error(count_expr(), OptFlags::none(), DomainMap::new(), keyed(groups())),
+        round_error(count_expr(), folding(), DomainMap::new(), keyed(folded)),
+        round_error(two_count_expr(), folding(), owned, keyed(chained)),
+    ] {
+        assert!(err.contains("a survivor set on a keyed answer"), "{err}");
+    }
+}
+
+fn relation(fields: &[(&str, DataType)], rows: Vec<skalla::relation::Row>) -> Relation {
+    Relation::new(Schema::of(fields), rows).unwrap()
+}
+
+/// A `RESULT` chunk for `stage` holding `rel`, carrying `survivors`.
+fn chunk(stage: u32, rel: &Relation, last: bool, survivors: Option<Survivors>) -> Message {
+    let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
+    protocol::result_columns(stage, rel.schema(), rel.len(), &cols, last, survivors.as_ref())
+}
+
+/// Only Prop 2's fold: one stage, a folded unit answered keyed.
+fn folding() -> OptFlags {
+    OptFlags {
+        sync_reduction: true,
+        ..OptFlags::none()
+    }
+}
+
+/// `t` grouped on `g` with `aggs`, one operator per list.
+fn grouped(aggs: Vec<Vec<AggSpec>>) -> GmdjExpr {
+    let mut expr = GmdjExprBuilder::distinct_base("t", &["g"]);
+    for a in aggs {
+        expr = expr.gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), a));
+    }
+    expr.build()
+}
+
+fn count_expr() -> GmdjExpr {
+    grouped(vec![vec![AggSpec::count("c")]])
+}
+
+/// Two operators, which a declared partition attribute chains (Thm 5).
+fn two_count_expr() -> GmdjExpr {
+    grouped(vec![vec![AggSpec::count("c")], vec![AggSpec::count("d")]])
+}
+
 /// The error of a query grouping `t` on `g` with `agg` against one site
-/// that answers its merge unit with `answer`. The site is a hand-written
-/// TCP peer that answers the handshake and the base round honestly.
+/// that answers its merge unit against B with `answer`, in one chunk.
 fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
+    let frames = honest_base(move |stage| vec![protocol::result(stage, &answer)]);
+    round_error(grouped(vec![vec![agg]]), OptFlags::none(), DomainMap::new(), frames)
+}
+
+/// `t`'s groups: the base round's honest answer.
+fn groups() -> Relation {
+    catalog()["t"].project_distinct(&["g"]).unwrap()
+}
+
+/// `frames(stage)` for every stage task but a base round's, which gets
+/// the honest answer.
+fn honest_base(
+    frames: impl Fn(u32) -> Vec<Message> + Send + 'static,
+) -> impl Fn(&StageKind, u32) -> Vec<Message> + Send + 'static {
+    move |kind, stage| match kind {
+        StageKind::Base => vec![protocol::result(stage, &groups())],
+        StageKind::Unit(_) => frames(stage),
+    }
+}
+
+/// The error of `expr`, planned under `flags`, against one site.
+fn round_error(
+    expr: GmdjExpr,
+    flags: OptFlags,
+    domains: DomainMap,
+    frames: impl Fn(&StageKind, u32) -> Vec<Message> + Send + 'static,
+) -> String {
+    let (out, plan) = run_against_site(expr, flags, domains, frames);
+    match out {
+        Ok(_) => panic!("the round was accepted:\n{plan}"),
+        Err(e) => e,
+    }
+}
+
+/// Run `expr`, planned under `flags`, against one site: a hand-written
+/// TCP peer that advertises `domains` for `t`, answers the handshake, and
+/// answers each stage task with `frames` of the stage. Returns the
+/// answer, or its error, and the plan.
+fn run_against_site(
+    expr: GmdjExpr,
+    flags: OptFlags,
+    domains: DomainMap,
+    frames: impl Fn(&StageKind, u32) -> Vec<Message> + Send + 'static,
+) -> (Result<Relation, String>, String) {
     let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let table = catalog()["t"].clone();
@@ -279,20 +437,25 @@ fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
         let entry = SiteCatalogEntry {
             table: "t".into(),
             schema: table.schema().clone(),
-            domains: DomainMap::new(),
+            domains,
         };
         s.send(protocol::catalog(&[entry])).unwrap();
+        let mut plan = None;
         // Answer every stage task until the coordinator hangs up.
         while let Ok(msg) = s.recv() {
+            if msg.tag == protocol::TAG_PLAN {
+                plan = Some(decode_plan_with_options(&msg.payload).unwrap().0);
+            }
             if msg.tag != protocol::TAG_RUN_STAGE {
                 continue;
             }
             let (stage, _, ()) = protocol::decode_run_stage(&msg.payload).unwrap();
-            let answer = match stage {
-                0 => protocol::result(0, &table.project_distinct(&["g"]).unwrap()),
-                _ => protocol::result(stage, &answer),
-            };
-            s.send(answer.with_query_id(msg.query_id)).unwrap();
+            let plan: &DistributedPlan = plan.as_ref().expect("the plan leads the stage tasks");
+            for m in frames(&plan.stages[stage as usize].kind, stage) {
+                if s.send(m.with_query_id(msg.query_id)).is_err() {
+                    break;
+                }
+            }
         }
     });
 
@@ -301,12 +464,9 @@ fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
         .timeout(Duration::from_secs(10))
         .build()
         .unwrap();
-    let expr = GmdjExprBuilder::distinct_base("t", &["g"])
-        .gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![agg]))
-        .build();
-    let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::none());
-    let err = engine.execute(&plan).unwrap_err().to_string();
+    let plan = Planner::new(engine.distribution()).optimize(&expr, flags);
+    let out = engine.execute(&plan).map(|r| r.relation).map_err(|e| e.to_string());
     drop(engine);
     site.join().expect("the site saw the session end");
-    err
+    (out, plan.explain())
 }

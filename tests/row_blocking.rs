@@ -2,7 +2,7 @@
 //! the coordinator synchronizes them incrementally. Results must be
 //! identical; message counts grow; byte totals grow only by framing.
 
-use skalla::core::{plan::Planner, Cluster, OptFlags};
+use skalla::core::{plan::Planner, Cluster, OptFlags, Stage, StageKind};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
 use skalla::datagen::partition::partition_by_int_ranges;
 use skalla::gmdj::prelude::*;
@@ -39,10 +39,20 @@ fn make_cluster(chunk: Option<usize>) -> Cluster {
     c
 }
 
+/// Site group reduction alone (Prop 1): the sites answer each unit
+/// against B by position, with a survivor set, and nothing folds or
+/// chains.
+fn site_reduction() -> OptFlags {
+    OptFlags {
+        group_reduction_site: true,
+        ..OptFlags::none()
+    }
+}
+
 #[test]
 fn chunked_execution_is_equivalent() {
     let e = expr();
-    for flags in [OptFlags::none(), OptFlags::all()] {
+    for flags in [OptFlags::none(), site_reduction(), OptFlags::group_reduction_only(), OptFlags::all()] {
         let whole = {
             let c = make_cluster(None);
             let plan = Planner::new(c.distribution()).optimize(&e, flags);
@@ -56,7 +66,35 @@ fn chunked_execution_is_equivalent() {
                 out.relation.same_bag(&whole.relation),
                 "chunk {chunk} {flags:?} changed the result"
             );
+            assert_eq!(out.stats.total_rows(), whole.stats.total_rows(), "chunk {chunk} {flags:?}");
         }
+    }
+}
+
+/// A reduced answer by position — accumulator rows for the survivors
+/// only, the survivor set in the first chunk — cut into chunks of 1 row,
+/// of 3 and left whole gives the same bits, round for round the same
+/// rows, and grows only by frames.
+#[test]
+fn chunked_positional_answers_under_site_reduction_are_bit_identical() {
+    let e = expr();
+    let run = |chunk, flags| {
+        let c = make_cluster(chunk);
+        let plan = Planner::new(c.distribution()).optimize(&e, flags);
+        let reduced = |s: &&Stage| matches!(&s.kind, StageKind::Unit(u) if u.positional() && u.site_reduce);
+        let units = plan.stages.iter().filter(reduced);
+        assert_eq!(units.count(), if flags == site_reduction() { 2 } else { 0 }, "{}", plan.explain());
+        c.execute(&plan).unwrap()
+    };
+    let whole = run(None, site_reduction());
+    // Prop 1 drops rows: fewer come up than without it.
+    let (up, unreduced) = (whole.stats.total_rows().1, run(None, OptFlags::none()).stats.total_rows().1);
+    assert!(up < unreduced, "{up} rows up, {unreduced} unreduced");
+    for chunk in [1usize, 3] {
+        let out = run(Some(chunk), site_reduction());
+        assert_eq!(out.relation, whole.relation, "chunk {chunk}");
+        assert_eq!(out.stats.total_rows(), whole.stats.total_rows(), "chunk {chunk}");
+        assert!(out.stats.total_messages() > whole.stats.total_messages(), "chunk {chunk}");
     }
 }
 

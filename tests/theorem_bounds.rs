@@ -8,7 +8,12 @@
 //! * Group reduction and synchronization reduction never *increase*
 //!   traffic.
 
-use skalla::core::{plan::Planner, Cluster, OptFlags, StageKind};
+use skalla::core::site::execute_stage;
+use skalla::core::{plan::Planner, Cluster, DistributedPlan, OptFlags, SiteFilter, StageKind};
+use skalla::gmdj::EvalOptions;
+use skalla::net::MESSAGE_OVERHEAD_BYTES;
+use skalla::relation::codec::body_size;
+use std::collections::HashMap;
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
@@ -206,4 +211,79 @@ fn skalla_ships_no_detail_data() {
     // 128 groups, 3 rounds, 4 sites: orders of magnitude below 8000 rows.
     assert!(down + up <= (3 * 2 * 4) * 128);
     assert!(dist.stats.total_bytes() < central.stats.total_bytes());
+}
+
+/// Thms 1–3 ship only aggregate structures: a merge unit against B is
+/// answered by position, so its round's up-bytes are, exactly, each
+/// answering site's frame header, accumulator columns and (under Prop 1)
+/// survivor set — no key column. Measured on the Fig. 2 chain at 4 sites
+/// with every reduction of Fig. 2 on (Prop 1 and Thm 4) and with none,
+/// against each site's answer recomputed from the B its round was
+/// shipped.
+#[test]
+fn a_merge_unit_against_b_ships_no_key_column() {
+    let tpcr = generate_tpcr(&TpcrConfig::new(8_000, 42));
+    let mut parts = partition_by_int_ranges(&tpcr, "nation_key", 4);
+    observe_int_ranges(&mut parts, &["cust_key", "cust_group"]);
+    let catalogs: Vec<HashMap<String, Relation>> = parts
+        .iter()
+        .map(|p| HashMap::from([("tpcr".to_string(), p.relation.clone())]))
+        .collect();
+    let cluster = Cluster::from_partitions("tpcr", parts);
+    for flags in [OptFlags::group_reduction_only(), OptFlags::none()] {
+        let plan = Planner::new(cluster.distribution()).optimize(&group_reduction_query(), flags);
+        assert_eq!(ships_no_key(&cluster, &catalogs, &plan), 2, "{}", plan.explain());
+    }
+}
+
+/// Check each unit against B of `plan` on `cluster`, whose sites hold
+/// `catalogs`: its round's up-bytes are the sites' accumulator frames.
+/// Returns how many such units there were.
+fn ships_no_key(
+    cluster: &Cluster,
+    catalogs: &[HashMap<String, Relation>],
+    plan: &DistributedPlan,
+) -> usize {
+    let out = cluster.execute(plan).unwrap();
+    let mut positional = 0;
+    for (k, stage) in plan.stages.iter().enumerate() {
+        let StageKind::Unit(unit) = &stage.kind else { continue };
+        if !unit.positional() {
+            continue;
+        }
+        positional += 1;
+        // The B this round was shipped: the plan run up to it.
+        let mut before = plan.clone();
+        before.stages.truncate(k);
+        before.expr.ops.truncate(unit.ops.start);
+        let b = cluster.execute(&before).unwrap().relation;
+        let ship: Vec<&str> = unit.ship_columns.iter().map(String::as_str).collect();
+        let mut want = 0u64;
+        for (site, filter) in unit.site_filters.iter().enumerate() {
+            let fragment = match filter {
+                SiteFilter::Skip => continue,
+                SiteFilter::All => b.project(&ship).unwrap(),
+                SiteFilter::Predicate(p) => {
+                    let at = b.selection(&p.bind(b.schema(), None).unwrap()).unwrap();
+                    b.gather(&at).project(&ship).unwrap()
+                }
+            };
+            let rows = fragment.len();
+            // The site's answer, keyed; what ships is its accumulators.
+            let keyed = execute_stage(&catalogs[site], plan, k, Some(fragment), EvalOptions::default()).unwrap();
+            let kl = plan.key.len();
+            let acc: Vec<usize> = (kl..keyed.schema().len()).collect();
+            let acc_schema = keyed.schema().project(&acc).unwrap();
+            let acc_cols = acc.iter().map(|&c| keyed.column(c));
+            // Under Prop 1, a survivor set: its row count, then a bitmap.
+            let survivors = if unit.site_reduce { 4 + rows.div_ceil(8) } else { 0 };
+            // The frame's accounting overhead, stage index and flag byte.
+            let header = MESSAGE_OVERHEAD_BYTES as usize + 4 + 1;
+            want += (header + survivors + acc_schema.encoded_size() + body_size(keyed.len(), acc_cols)) as u64;
+        }
+        let round = out.stats.net.iter().find(|r| r.label == stage.label).unwrap();
+        let got = round.totals().up_bytes;
+        assert_eq!(got, want, "round {k} ({}):\n{}", stage.label, plan.explain());
+    }
+    positional
 }

@@ -167,6 +167,24 @@ if "$CLI" net-probe >/dev/null 2>&1; then
      MD cnt2 = COUNT(*) OVER tpcr WHERE cust_group = b.cust_group AND extended_price >= b.avg1;'
   wait
   echo "ci.sh: concurrent TCP smoke test passed (4 queries over sites $CADDRS)"
+
+  # Resident-round smoke: 4 fresh sites of the same shape, the chain
+  # grouped on part_key, which no site's partition bounds. Round 1 folds
+  # and round 2 ships each site only its own parts, keyless, so 4
+  # concurrent queries each keep held rows across two rounds in the site
+  # processes.
+  for i in 0 1 2 3; do
+    "$CLI" site --listen 127.0.0.1:0 --site-index "$i" --sites 4 \
+      --dataset tpcr --rows 4000 --once >"$SMOKE_DIR/rsite$i.log" &
+  done
+  wait_listening rsite 0 1 2 3
+  RADDRS=$(for i in 0 1 2 3; do sed -n "s/^site $i listening on //p" "$SMOKE_DIR/rsite$i.log"; done | paste -sd, -)
+  "$CLI" run --sites "$RADDRS" --concurrency 4 --limit 3 -q \
+    'BASE SELECT DISTINCT part_key FROM tpcr;
+     MD cnt1 = COUNT(*), avg1 = AVG(extended_price) OVER tpcr WHERE part_key = b.part_key;
+     MD cnt2 = COUNT(*) OVER tpcr WHERE part_key = b.part_key AND extended_price >= b.avg1;'
+  wait
+  echo "ci.sh: resident-round TCP smoke test passed (4 queries over sites $RADDRS)"
 else
   echo "ci.sh: loopback sockets unavailable, skipping TCP smoke tests"
 fi

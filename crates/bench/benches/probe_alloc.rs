@@ -34,9 +34,12 @@
 //! shipped B the answers are positional (`absorb_at`): accumulator
 //! columns for every group of B, and, under Prop 1, a survivor set over a
 //! Thm 4 fragment of B's even rows; a folded unit's answers are keyed
-//! (`absorb_frame`). 2 sites' answers and 6 sites' answers must allocate
-//! alike, so nothing is allocated per absorbed row, per chunk, per tree
-//! level or per leaf's state vector.
+//! (`absorb_frame`, each row's leaf and group recorded, and
+//! `finish_held` placing each leaf's rows in B_next); then a resident
+//! round answers by position over the rows each leaf held (`absorb_at`
+//! with the leaf's own map). 2 sites' answers and 6 sites' answers must
+//! allocate alike, so nothing is allocated per absorbed row, per chunk,
+//! per tree level, per leaf's state vector or per leaf's held rows.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
@@ -242,7 +245,9 @@ fn main() {
     ];
     let measure_merge = |sites: usize| {
         let mut allocs = 0;
-        // `Some(fragment)`: positional against B; `None`: keyed, folded.
+        let mut held = None;
+        // `Some(fragment)`: positional against B; `None`: keyed, folded,
+        // each leaf's rows recorded as they land and placed in B_next.
         for (frame, at) in &frames {
             let chunks: Vec<_> = (0..sites)
                 .map(|_| decode_result_chunk(&frame.payload).unwrap())
@@ -255,9 +260,25 @@ fn main() {
                         None => sync.absorb_frame(leaf, chunk).unwrap(),
                     }
                 }
-                sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
+                match at {
+                    Some(_) => drop(sync.finish(merge_base.schema(), &op, small.schema()).unwrap()),
+                    None => held = Some(sync.finish_held(merge_base.schema(), &op, small.schema()).unwrap().1),
+                }
             });
         }
+        // Resident after the fold: each leaf answers by position over the
+        // rows it held (B_next's rows are `merge_base`'s, in key order).
+        let held = held.unwrap();
+        let chunks: Vec<_> = (0..sites)
+            .map(|_| decode_result_chunk(&frames[0].0.payload).unwrap())
+            .collect();
+        allocs += allocs_during(|| {
+            let mut sync = MergeSync::new(Some(&merge_base), &key, &op).unwrap();
+            for (leaf, chunk) in chunks.into_iter().enumerate() {
+                sync.absorb_at(leaf, Some(held.leaf(leaf)), chunk).unwrap();
+            }
+            sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
+        });
         allocs
     };
     let merge_delta = measure_merge(6).abs_diff(measure_merge(2));

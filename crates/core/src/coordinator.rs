@@ -169,6 +169,28 @@ pub struct MergeSync<'b> {
     /// whether it is its leaf's first row for its group.
     slots: Vec<usize>,
     first: Vec<bool>,
+    /// Per keyed row absorbed, in arrival order: its leaf and its group
+    /// ([`MergeSync::finish_held`]).
+    landed: Vec<(u32, u32)>,
+}
+
+/// Each leaf's keyed answer as rows of B_next, in the order the leaf sent
+/// them: after a folded unit, an answering site's own groups.
+#[derive(Debug, Default)]
+pub struct LeafRows {
+    /// Leaf `l`'s rows are `rows[ends[l]..ends[l + 1]]`.
+    rows: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl LeafRows {
+    /// Leaf `l`'s rows (none for a leaf the tree does not have).
+    pub fn leaf(&self, l: usize) -> &[u32] {
+        match (self.ends.get(l), self.ends.get(l + 1)) {
+            (Some(&from), Some(&to)) => &self.rows[from..to],
+            _ => &[],
+        }
+    }
 }
 
 impl<'b> MergeSync<'b> {
@@ -201,6 +223,7 @@ impl<'b> MergeSync<'b> {
             placed: Vec::new(),
             slots: Vec::new(),
             first: Vec::new(),
+            landed: Vec::new(),
         }
     }
 
@@ -316,6 +339,7 @@ impl<'b> MergeSync<'b> {
             };
             self.slots.push(g);
         }
+        self.landed.extend(self.slots.iter().map(|&g| (leaf as u32, g as u32)));
         self.scatter(leaf, cols, kl)
     }
 
@@ -420,7 +444,25 @@ impl<'b> MergeSync<'b> {
     /// sorted for determinism), the order computed on the typed columns —
     /// then each aggregate finalized column-wise from the states
     /// ([`AccStates::finalize_columns`]).
-    pub fn finish(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
+    pub fn finish(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
+        self.finish_with(b_in_schema, op, detail, false).map(|(b, _)| b)
+    }
+
+    /// [`MergeSync::finish`], and the rows of B_next that each leaf's keyed
+    /// answer held, in the order it sent them: after a folded unit, each
+    /// site's own groups, which a later unit can leave at the site
+    /// ([`crate::plan::SiteFilter::Resident`]).
+    pub fn finish_held(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<(Relation, LeafRows)> {
+        self.finish_with(b_in_schema, op, detail, true)
+    }
+
+    fn finish_with(
+        mut self,
+        b_in_schema: &Schema,
+        op: &Gmdj,
+        detail: &Schema,
+        held: bool,
+    ) -> Result<(Relation, LeafRows)> {
         self.merge_tree()?;
         let out_schema = op.output_schema(b_in_schema, detail)?;
         let groups = self.groups();
@@ -436,6 +478,10 @@ impl<'b> MergeSync<'b> {
                 keys.iter().map(|k| Arc::new(k.gather(&order))).collect()
             }
         };
+        let held = match held {
+            true => self.leaf_rows(&order),
+            false => LeafRows::default(),
+        };
         // No chunk arrived: every group is X_init.
         let states = match self.states.take() {
             Some(states) => states,
@@ -447,7 +493,25 @@ impl<'b> MergeSync<'b> {
             }
         };
         cols.extend(states.finalize_columns(&order, &self.present));
-        Relation::from_columns(out_schema, Columns::from_shared(groups, cols))
+        let b_next = Relation::from_columns(out_schema, Columns::from_shared(groups, cols))?;
+        Ok((b_next, held))
+    }
+
+    /// The keyed rows that landed, bucketed by leaf in arrival order, each
+    /// group mapped to its row of B_next, whose row `r` is group `order[r]`.
+    fn leaf_rows(&self, order: &[u32]) -> LeafRows {
+        let mut ends = vec![0usize; self.n_leaves + 1];
+        self.landed.iter().for_each(|&(l, _)| ends[l as usize + 1] += 1);
+        (0..self.n_leaves).for_each(|l| ends[l + 1] += ends[l]);
+        let mut row_of = vec![0u32; order.len()];
+        order.iter().enumerate().for_each(|(r, &g)| row_of[g as usize] = r as u32);
+        let mut next = ends.clone();
+        let mut rows = vec![0u32; self.landed.len()];
+        for &(l, g) in &self.landed {
+            rows[next[l as usize]] = row_of[g as usize];
+            next[l as usize] += 1;
+        }
+        LeafRows { rows, ends }
     }
 }
 

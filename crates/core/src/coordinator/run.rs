@@ -48,6 +48,9 @@ pub(crate) fn run_coordinator(
         BaseQuery::DistinctProject { .. } => None,
     };
     let mut stage_times = Vec::with_capacity(plan.stages.len());
+    // Per site, the fragment it holds from the previous unit, which a
+    // resident site is sent again without its key.
+    let mut held: Vec<Option<Rows>> = vec![None; n];
 
     for (sidx, stage) in plan.stages.iter().enumerate() {
         coord.stats().begin_round(stage.label.clone());
@@ -63,6 +66,7 @@ pub(crate) fn run_coordinator(
 
         match &stage.kind {
             StageKind::Base => {
+                held = vec![None; n];
                 let round = Round::shipped_now(stage_no, vec![true; n], obs);
                 coord
                     .broadcast(&protocol::run_stage(stage_no, None))
@@ -79,17 +83,20 @@ pub(crate) fn run_coordinator(
             }
             StageKind::Unit(unit) => {
                 // 1. Ship base fragments to participating sites, keeping
-                // each Thm 4 site's fragment → B map (its selection).
+                // each site's fragment → B map (`None`: all of B).
                 let no_base = || Error::Execution("unit stage with no base structure".into());
                 let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
                 let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
-                let mut selections: Vec<Option<Vec<u32>>> = vec![None; n];
-                // The stage every `SiteFilter::All` site gets, encoded once:
-                // its fragment's row count and the message.
-                let mut shared: Option<(usize, Message)> = None;
-                for (site, selection) in selections.iter_mut().enumerate() {
-                    let (rows, msg) = match &unit.site_filters[site] {
+                let mut fragments: Vec<Option<Rows>> = vec![None; n];
+                // A resident site already holds K: only the other columns ship.
+                let resident_columns: Vec<String> =
+                    unit.ship_columns.iter().filter(|c| !plan.key.contains(c)).cloned().collect();
+                // The stage every site sent all of B gets, keyed and
+                // resident, encoded once.
+                let mut whole: [Option<Message>; 2] = [None, None];
+                for site in 0..n {
+                    let (resident, rows) = match &unit.site_filters[site] {
                         SiteFilter::Skip => {
                             // Thm 4, S_MD ⊂ S_B case: the whole fragment
                             // is eliminated for this site.
@@ -103,19 +110,7 @@ pub(crate) fn run_coordinator(
                             }
                             continue;
                         }
-                        SiteFilter::All => {
-                            let (rows, msg) = match shared.take() {
-                                Some(s) => s,
-                                None if unit.fold_base => (0, protocol::run_stage(stage_no, None)),
-                                None => {
-                                    let b = b_cur.as_ref().ok_or_else(no_base)?;
-                                    (b.len(), ship(stage_no, b, &unit.ship_columns, None)?)
-                                }
-                            };
-                            let copy = msg.clone();
-                            shared = Some((rows, msg));
-                            (rows, copy)
-                        }
+                        SiteFilter::All => (false, None),
                         SiteFilter::Predicate(p) => {
                             let b = b_cur.as_ref().ok_or_else(no_base)?;
                             let kept = b.selection(&p.bind(b.schema(), None)?)?;
@@ -132,14 +127,30 @@ pub(crate) fn run_coordinator(
                                     ],
                                 );
                             }
-                            let msg = ship(stage_no, b, &unit.ship_columns, Some(&kept))?;
-                            let rows = kept.len();
-                            *selection = Some(kept);
-                            (rows, msg)
+                            (false, Some(kept))
+                        }
+                        SiteFilter::Resident => {
+                            let rows = held[site].take().ok_or_else(|| {
+                                Error::Plan(format!("stage {stage_no}: site {site} is resident but holds no rows"))
+                            })?;
+                            (true, rows)
+                        }
+                    };
+                    let msg = match (unit.fold_base, &rows) {
+                        (true, _) => protocol::run_stage(stage_no, None),
+                        (false, rows) => {
+                            let b = b_cur.as_ref().ok_or_else(no_base)?;
+                            let columns = if resident { &resident_columns } else { &unit.ship_columns };
+                            st.rows_down += rows.as_ref().map_or(b.len(), Vec::len) as u64;
+                            match (rows, &mut whole[usize::from(resident)]) {
+                                (None, Some(msg)) => msg.clone(),
+                                (None, slot) => slot.insert(ship(stage_no, b, columns, None)?).clone(),
+                                (Some(at), _) => ship(stage_no, b, columns, Some(at))?,
+                            }
                         }
                     };
                     round.owed[site] = true;
-                    st.rows_down += rows as u64;
+                    fragments[site] = Some(rows);
                     coord.send(site, msg).map_err(net_err)?;
                 }
                 st.coord_s += t.elapsed().as_secs_f64();
@@ -152,7 +163,9 @@ pub(crate) fn run_coordinator(
                 let ops = &plan.expr.ops[unit.ops.clone()];
                 let b_in_schema = &schemas[unit.ops.start];
                 let out_schema = schemas[unit.ops.end].clone();
-                if unit.local_chain {
+                // After a fold, each site's own groups, where a resident
+                // next unit finds them.
+                let own_groups = if unit.local_chain {
                     let mut sync_span = obs.span(track, "ChainSync");
                     let mut sync = ChainSync::new(plan.key.len());
                     collect(coord, cfg, &round, &mut st, |_, c| sync.absorb(&c.relation()?))?;
@@ -167,6 +180,8 @@ pub(crate) fn run_coordinator(
                     st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
                     sync_span.finish();
+                    // X does not place a folded chain's groups.
+                    None
                 } else {
                     let mut sync_span = obs.span(track, "MergeSync");
                     let op = &ops[0];
@@ -208,17 +223,35 @@ pub(crate) fn run_coordinator(
                             return sync.absorb_frame(leaf[site], c);
                         }
                         survivor_bytes += c.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
-                        sync.absorb_at(leaf[site], selections[site].as_deref(), c)
+                        sync.absorb_at(leaf[site], fragments[site].as_ref().and_then(Option::as_deref), c)
                     })?;
                     let t = wall_now();
-                    b_cur = Some(sync.finish(b_in_schema, op, detail)?);
+                    // A folded answer's rows are the B rows they landed at.
+                    let next_resident = matches!(
+                        plan.stages.get(sidx + 1).map(|s| &s.kind),
+                        Some(StageKind::Unit(u)) if u.site_filters.contains(&SiteFilter::Resident)
+                    );
+                    let own_groups = if unit.fold_base && next_resident {
+                        let (b_next, rows) = sync.finish_held(b_in_schema, op, detail)?;
+                        b_cur = Some(b_next);
+                        Some((0..n).map(|s| round.owed[s].then(|| Some(rows.leaf(leaf[s]).to_vec()))).collect())
+                    } else {
+                        b_cur = Some(sync.finish(b_in_schema, op, detail)?);
+                        None
+                    };
                     st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
                     sync_span.arg("chunks", n_chunks);
                     sync_span.arg("positional", positional);
                     sync_span.arg("survivor_bytes", survivor_bytes);
                     sync_span.finish();
-                }
+                    own_groups
+                };
+                held = match own_groups {
+                    Some(own) => own,
+                    None if unit.fold_base => vec![None; n],
+                    None => fragments,
+                };
             }
         }
         stage_span.arg("rows_down", st.rows_down);
@@ -380,6 +413,9 @@ fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType], position
         chunk.schema()
     )))
 }
+
+/// The B rows of a site's fragment, in fragment order: `None` is all of B.
+type Rows = Option<Vec<u32>>;
 
 /// The `RUN_STAGE` task shipping the base structure's `ship_columns` — at
 /// the `rows` of a Thm 4 selection, or all of them — from its columns.

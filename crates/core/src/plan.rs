@@ -158,6 +158,18 @@ pub enum PlanDecision {
         /// Sites skipped entirely (φ contradicts every θ).
         skipped: usize,
     },
+    /// Sites keep the rows they held for the previous unit
+    /// ([`SiteFilter::Resident`]): no key column crosses down.
+    SiteResident {
+        /// Stage label.
+        stage: String,
+        /// Sites sent only their own groups after a fold: Thm. 4's ¬ψᵢ
+        /// learned from round 1's answers, since every θ entails θ_K over
+        /// the folded table.
+        own_groups: usize,
+        /// Sites sent the previous unit's fragment again, without its key.
+        same_fragment: usize,
+    },
 }
 
 impl PlanDecision {
@@ -174,6 +186,7 @@ impl PlanDecision {
                 "site group reduction suppressed"
             }
             PlanDecision::CoordGroupReduction { .. } => "coord group reduction",
+            PlanDecision::SiteResident { .. } => "site-resident rows",
         }
     }
 
@@ -183,7 +196,8 @@ impl PlanDecision {
             PlanDecision::LocalChain { stage, .. }
             | PlanDecision::SiteGroupReduction { stage }
             | PlanDecision::SiteGroupReductionSuppressed { stage, .. }
-            | PlanDecision::CoordGroupReduction { stage, .. } => Some(stage),
+            | PlanDecision::CoordGroupReduction { stage, .. }
+            | PlanDecision::SiteResident { stage, .. } => Some(stage),
             _ => None,
         }
     }
@@ -240,6 +254,16 @@ impl fmt::Display for PlanDecision {
                 "{stage}: coordinator group reduction (Thm. 4) — \
                  {restricted} site(s) restricted, {skipped} skipped"
             ),
+            PlanDecision::SiteResident {
+                stage,
+                own_groups,
+                same_fragment,
+            } => write!(
+                f,
+                "{stage}: site-resident rows — {own_groups} site(s) get only their \
+                 own groups (Thm. 4, learned from the folded round), \
+                 {same_fragment} their previous fragment; no key ships"
+            ),
         }
     }
 }
@@ -253,6 +277,17 @@ pub enum SiteFilter {
     Skip,
     /// Ship only base tuples satisfying this ¬ψ_i predicate.
     Predicate(Expr),
+    /// The site's fragment is exactly the rows it held for the previous
+    /// unit, in that order: the fragment that unit was shipped, or, after
+    /// a folded single-operator unit, the site's own groups, in the order
+    /// it answered them. The site still has those rows' key columns, so
+    /// only the unit's `ship_columns` other than K cross, one row per
+    /// held row, and the site splices its keys back in front. The planner
+    /// puts it where the site's fragment would be the same rows again
+    /// (key elision), or where the unit's θs all entail θ_K over the
+    /// folded table, so a group the site does not hold cannot match
+    /// there (answer-driven group reduction, under Thm 4's flag).
+    Resident,
 }
 
 /// A maximal run of GMDJ operators executed in one round.
@@ -271,9 +306,13 @@ pub struct Unit {
     /// The `(base column, detail column)` partition-attribute pair proving
     /// ownership for a local chain.
     pub ownership: Option<(String, String)>,
-    /// Base-structure columns shipped down (empty when `fold_base`).
+    /// Base-structure columns shipped down (empty when `fold_base`): K
+    /// first, then the external columns the unit's θs read. A resident
+    /// site gets those other than K.
     pub ship_columns: Vec<String>,
-    /// Per-site ¬ψ filters (length = number of sites).
+    /// Per-site ¬ψ filters (length = number of sites), or
+    /// [`SiteFilter::Resident`] where the site keeps the previous unit's
+    /// rows.
     pub site_filters: Vec<SiteFilter>,
     /// Prop 1: sites return only groups with a non-empty local range.
     pub site_reduce: bool,
@@ -339,10 +378,29 @@ impl DistributedPlan {
     /// hand-modified or corrupted plans panicking the runtime.
     pub fn check_structure(&self, n_sites: usize) -> skalla_relation::Result<()> {
         use skalla_relation::Error;
-        for stage in &self.stages {
+        for (i, stage) in self.stages.iter().enumerate() {
             let StageKind::Unit(u) = &stage.kind else {
                 continue;
             };
+            // A resident site keeps rows the previous unit gave it and the
+            // coordinator can place: not after a base round, a skip, or a
+            // folded chain (whose keyed answers it assembles, not places).
+            let prev = match i.checked_sub(1).map(|p| &self.stages[p].kind) {
+                Some(StageKind::Unit(p)) if !(p.fold_base && p.local_chain) => Some(p),
+                _ => None,
+            };
+            for (site, f) in u.site_filters.iter().enumerate() {
+                if *f != SiteFilter::Resident {
+                    continue;
+                }
+                let held = prev.and_then(|p| p.site_filters.get(site));
+                if u.fold_base || held.is_none_or(|f| *f == SiteFilter::Skip) {
+                    return Err(Error::Plan(format!(
+                        "stage {:?}: site {site} is resident but holds no rows from a previous unit",
+                        stage.label
+                    )));
+                }
+            }
             if u.ops.start >= u.ops.end || u.ops.end > self.expr.ops.len() {
                 return Err(Error::Plan(format!(
                     "stage {:?}: op range {:?} outside expression of {} op(s)",
@@ -427,7 +485,7 @@ impl DistributedPlan {
                     let filtered = u
                         .site_filters
                         .iter()
-                        .filter(|f| !matches!(f, SiteFilter::All))
+                        .filter(|f| matches!(f, SiteFilter::Skip | SiteFilter::Predicate(_)))
                         .count();
                     if filtered > 0 {
                         s.push_str(&format!(
@@ -435,7 +493,7 @@ impl DistributedPlan {
                         ));
                         for (i, f) in u.site_filters.iter().enumerate() {
                             match f {
-                                SiteFilter::All => {}
+                                SiteFilter::All | SiteFilter::Resident => {}
                                 SiteFilter::Skip => {
                                     s.push_str(&format!("    site {i}: skipped\n"))
                                 }
@@ -444,6 +502,16 @@ impl DistributedPlan {
                                 }
                             }
                         }
+                    }
+                    let resident: Vec<String> = (0..u.site_filters.len())
+                        .filter(|&i| u.site_filters[i] == SiteFilter::Resident)
+                        .map(|i| i.to_string())
+                        .collect();
+                    if !resident.is_empty() {
+                        s.push_str(&format!(
+                            "  site-resident rows: site(s) {} keep the previous unit's rows; no key ships\n",
+                            resident.join(", ")
+                        ));
                     }
                 }
             }
@@ -656,6 +724,8 @@ impl Planner {
         }
         avail.push(cur);
 
+        // What each site holds after the stage before the current one.
+        let mut held = vec![Held::Nothing; n_sites];
         for (uidx, (range, ownership)) in units.iter().enumerate() {
             let fold_base = uidx == 0 && fold_first;
             let table = expr.ops[range.start].detail.clone();
@@ -760,6 +830,55 @@ impl Planner {
                 }
             }
 
+            // Site-resident rows. Key elision: a site whose fragment would
+            // be the rows it holds again keeps them. Answer-driven group
+            // reduction: after a fold, a unit answered by position whose
+            // θs all entail θ_K over the folded table can match, at a site,
+            // only the groups the site holds there — Thm 4's ¬ψᵢ, learned
+            // from round 1's answers instead of derived from φ.
+            let entails_key = unit_ops.iter().flat_map(|o| &o.blocks).all(|b| {
+                let a = analyze_theta(&b.theta);
+                key.iter().all(|k| a.entails_key_equality(k, k))
+            });
+            let own_groups_ok = flags.group_reduction_coord && !local_chain && entails_key;
+            let (mut own_groups, mut same_fragment) = (0, 0);
+            let site_filters: Vec<SiteFilter> = site_filters
+                .into_iter()
+                .zip(&held)
+                .map(|(f, h)| match h {
+                    _ if fold_base => f,
+                    Held::Fragment(prev) if *prev == f => {
+                        same_fragment += 1;
+                        SiteFilter::Resident
+                    }
+                    Held::Groups(t) if f == SiteFilter::All && *t == table && own_groups_ok => {
+                        own_groups += 1;
+                        SiteFilter::Resident
+                    }
+                    _ => f,
+                })
+                .collect();
+            if own_groups + same_fragment > 0 {
+                decisions.push(PlanDecision::SiteResident {
+                    stage: label.clone(),
+                    own_groups,
+                    same_fragment,
+                });
+            }
+            held = match (fold_base, local_chain) {
+                (true, false) => vec![Held::Groups(table.clone()); n_sites],
+                (true, true) => vec![Held::Nothing; n_sites],
+                (false, _) => site_filters
+                    .iter()
+                    .zip(held)
+                    .map(|(f, h)| match f {
+                        SiteFilter::Resident => h,
+                        SiteFilter::Skip => Held::Nothing,
+                        f => Held::Fragment(f.clone()),
+                    })
+                    .collect(),
+            };
+
             stages.push(Stage {
                 label,
                 kind: StageKind::Unit(Unit {
@@ -787,6 +906,19 @@ impl Planner {
 
         (DistributedPlan { expr, key, stages }, decisions)
     }
+}
+
+/// What a site holds after a stage, which the next unit may leave there
+/// ([`SiteFilter::Resident`]).
+#[derive(Debug, Clone, PartialEq)]
+enum Held {
+    /// Nothing the coordinator can place.
+    Nothing,
+    /// The fragment an `All` or `Predicate` filter selected.
+    Fragment(SiteFilter),
+    /// A folded single-operator unit's answer: the site's own groups over
+    /// this detail table.
+    Groups(String),
 }
 
 /// The column names of the base-values relation (syntactic).
@@ -845,13 +977,82 @@ mod tests {
         let plan = planner.optimize(&correlated_expr(), OptFlags::none());
         assert_eq!(plan.n_rounds(), 3);
         assert!(matches!(plan.stages[0].kind, StageKind::Base));
-        for st in &plan.stages[1..] {
+        // Every site gets all of B each round: the second time it keeps
+        // the rows it has, and only their non-key columns ship.
+        for (st, filter) in plan.stages[1..].iter().zip([SiteFilter::All, SiteFilter::Resident]) {
             let StageKind::Unit(u) = &st.kind else {
                 panic!("expected unit")
             };
             assert!(!u.fold_base && !u.local_chain && !u.site_reduce);
-            assert_eq!(u.site_filters, vec![SiteFilter::All; 4]);
+            assert_eq!(u.site_filters, vec![filter; 4]);
         }
+    }
+
+    /// The correlated chain without a partition attribute, which folds
+    /// round 1 and answers round 2 by position.
+    fn folded_then_positional(flags: OptFlags) -> (DistributedPlan, Vec<PlanDecision>) {
+        Planner::new(DistributionInfo::new(3)).optimize_with_decisions(&correlated_expr(), flags)
+    }
+
+    #[test]
+    fn a_fold_leaves_each_site_its_own_groups_under_thm4() {
+        let (plan, decisions) = folded_then_positional(OptFlags::all());
+        assert_eq!(plan.n_rounds(), 2, "{}", plan.explain());
+        let StageKind::Unit(u) = &plan.stages[1].kind else {
+            panic!()
+        };
+        assert_eq!(u.site_filters, vec![SiteFilter::Resident; 3]);
+        assert!(decisions.contains(&PlanDecision::SiteResident {
+            stage: "gmdj 2".into(),
+            own_groups: 3,
+            same_fragment: 0,
+        }));
+        assert!(plan.explain().contains("site-resident rows: site(s) 0, 1, 2"), "{}", plan.explain());
+        assert!(plan.check_structure(3).is_ok());
+        // Without Thm 4's flag the sites get all of B, keyed.
+        let flags = OptFlags {
+            group_reduction_coord: false,
+            ..OptFlags::all()
+        };
+        let (plan, decisions) = folded_then_positional(flags);
+        let StageKind::Unit(u) = &plan.stages[1].kind else {
+            panic!()
+        };
+        assert_eq!(u.site_filters, vec![SiteFilter::All; 3]);
+        assert!(!decisions.iter().any(|d| matches!(d, PlanDecision::SiteResident { .. })));
+    }
+
+    #[test]
+    fn a_predicate_after_a_fold_stays_keyed_and_repeats_resident() {
+        // Round 1 folds over `t`; rounds 2 and 3, over `u` and `w`, which
+        // share φ, get the same Thm 4 ¬ψᵢ. Round 2's stays keyed (a fold's
+        // own groups need not satisfy it); round 3 keeps round 2's rows.
+        let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+            .gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![AggSpec::count("c1")]))
+            .gmdj(Gmdj::new("u").block(ThetaBuilder::group_by(&["g"]).build(), vec![AggSpec::count("c2")]))
+            .gmdj(Gmdj::new("w").block(
+                ThetaBuilder::group_by(&["g"]).and_detail_ge_base_expr("v", "c2").unwrap().build(),
+                vec![AggSpec::count("c3")],
+            ))
+            .build();
+        let mut dist = DistributionInfo::new(2);
+        for table in ["u", "w"] {
+            let domains = (0..2).map(|i| DomainMap::new().with("g", Domain::IntRange(10 * i, 10 * i + 9)));
+            dist.set_table(table, domains.collect());
+        }
+        let flags = OptFlags {
+            group_reduction_coord: true,
+            sync_reduction: true,
+            ..OptFlags::none()
+        };
+        let plan = Planner::new(dist).optimize(&expr, flags);
+        let filters = |i: usize| match &plan.stages[i].kind {
+            StageKind::Unit(u) => u.site_filters.clone(),
+            StageKind::Base => panic!("{}", plan.explain()),
+        };
+        assert!(filters(1).iter().all(|f| matches!(f, SiteFilter::Predicate(_))), "{}", plan.explain());
+        assert_eq!(filters(2), vec![SiteFilter::Resident; 2], "{}", plan.explain());
+        assert!(plan.check_structure(2).is_ok());
     }
 
     #[test]

@@ -57,6 +57,7 @@ fn put_unit(enc: &mut Encoder, u: &Unit) {
                 enc.put_u8(2);
                 enc.put_expr(p);
             }
+            SiteFilter::Resident => enc.put_u8(3),
         }
     }
     enc.put_u8(u.site_reduce as u8);
@@ -81,6 +82,7 @@ fn get_unit(dec: &mut Decoder<'_>) -> Result<Unit> {
             0 => SiteFilter::All,
             1 => SiteFilter::Skip,
             2 => SiteFilter::Predicate(dec.get_expr()?),
+            3 => SiteFilter::Resident,
             t => return Err(Error::Codec(format!("bad site filter tag {t}"))),
         });
     }

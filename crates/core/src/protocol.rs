@@ -69,7 +69,11 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   in fragment order, and a `RESULT` flag byte's bit 1 puts a
 ///   [`Survivors`] set ahead of the schema. A v11 coordinator would read
 ///   an accumulator column as the key.
-pub const PROTOCOL_VERSION: u32 = 12;
+/// * **v13** — v12 frames; a plan's site filter may be tag 3, *resident*:
+///   that site's `RUN_STAGE` fragment is the rows it held for the previous
+///   unit, in that order, without their key columns, which the site still
+///   has and splices back in front. A v12 site would refuse the plan.
+pub const PROTOCOL_VERSION: u32 = 13;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one

@@ -17,7 +17,7 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::plan::{DistributedPlan, StageKind, Unit};
+use crate::plan::{DistributedPlan, SiteFilter, StageKind, Unit};
 use crate::protocol::{self, Survivors, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
@@ -52,10 +52,16 @@ pub fn execute_stage(
         Some(s) => keys.gather(&s.at),
         None => keys,
     };
-    let fields = [keys.schema().fields(), answer.schema().fields()].concat();
+    beside(&keys, &answer)
+}
+
+/// `front`'s columns, then `back`'s, shared, row for row: both relations
+/// have `back.len()` rows.
+fn beside(front: &Relation, back: &Relation) -> Result<Relation> {
+    let fields = [front.schema().fields(), back.schema().fields()].concat();
     let shared = |r: &Relation| (0..r.schema().len()).map(|c| r.shared_column(c)).collect::<Vec<_>>();
-    let cols = [shared(&keys), shared(&answer)].concat();
-    Relation::from_columns(Schema::new(fields)?, Columns::from_shared(answer.len(), cols))
+    let cols = [shared(front), shared(back)].concat();
+    Relation::from_columns(Schema::new(fields)?, Columns::from_shared(back.len(), cols))
 }
 
 /// [`execute_stage`] as the site's worker runs it, with observability
@@ -383,6 +389,8 @@ fn query_worker(
     let mut plan: Option<DistributedPlan> = None;
     let mut eval = EvalOptions::default();
     let mut chunk_rows: Option<usize> = None;
+    // The key columns of the rows this site holds for the next stage.
+    let mut held: Option<Relation> = None;
     let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
     while let Ok(msg) = rx.recv() {
         match Tag::try_from(msg.tag) {
@@ -419,8 +427,8 @@ fn query_worker(
                     task_span.arg("rows_in", f.len());
                 }
                 let t = BusyTimer::start();
-                let out =
-                    execute_stage_traced(catalog, plan, stage as usize, fragment, eval, obs, site);
+                let out = resident_input(catalog, plan, stage as usize, site, fragment, &mut held)
+                    .and_then(|input| execute_stage_traced(catalog, plan, stage as usize, input, eval, obs, site));
                 let busy_s = t.elapsed_s();
                 let mut replies = match out {
                     Ok((rel, survivors)) => {
@@ -463,6 +471,54 @@ fn query_worker(
             }
         }
     }
+}
+
+/// The fragment stage `stage` runs on at `site`, given the one that
+/// arrived. A resident fragment ([`SiteFilter::Resident`]) is the rows the
+/// site held for the previous unit without their key: the `held` key
+/// columns go back in front. Then `held` becomes the key columns of this
+/// stage's rows — its fragment's, or a folded unit's own groups — when the
+/// next stage leaves them here, and nothing otherwise.
+fn resident_input(
+    catalog: &dyn Catalog,
+    plan: &DistributedPlan,
+    stage: usize,
+    site: usize,
+    fragment: Option<Relation>,
+    held: &mut Option<Relation>,
+) -> Result<Option<Relation>> {
+    let resident_at = |stage: usize| match plan.stages.get(stage).map(|s| &s.kind) {
+        Some(StageKind::Unit(u)) => u.site_filters.get(site) == Some(&SiteFilter::Resident),
+        _ => false,
+    };
+    let keys = held.take();
+    let input = match (resident_at(stage), fragment) {
+        (false, fragment) => fragment,
+        (true, None) => return Err(Error::Execution("a resident stage without its fragment".into())),
+        (true, Some(rest)) => {
+            let keys = keys.ok_or_else(|| Error::Execution("a resident fragment for a query that holds no rows".into()))?;
+            if rest.len() != keys.len() {
+                return Err(Error::Execution(format!(
+                    "a resident fragment of {} rows for {} held rows",
+                    rest.len(),
+                    keys.len()
+                )));
+            }
+            if let Some(k) = plan.key.iter().find(|k| rest.schema().index_of(k).is_ok()) {
+                return Err(Error::Execution(format!("a resident fragment carrying key column {k:?}")));
+            }
+            Some(beside(&keys, &rest)?)
+        }
+    };
+    if resident_at(stage + 1) {
+        let key: Vec<&str> = plan.key.iter().map(String::as_str).collect();
+        *held = match (&input, &plan.stages[stage].kind) {
+            (Some(f), _) => f.project(&key).ok(),
+            (None, StageKind::Unit(u)) if u.fold_base => plan.base_fragment(catalog)?.project(&key).ok(),
+            (None, _) => None,
+        };
+    }
+    Ok(input)
 }
 
 /// The reply to a frame this end of the protocol does not take.

@@ -9,7 +9,7 @@
 //! position, against the fragment it answers.
 
 use skalla::core::distribution::DistributionInfo;
-use skalla::core::plan::{DistributedPlan, OptFlags, Planner, StageKind};
+use skalla::core::plan::{DistributedPlan, OptFlags, Planner, SiteFilter, StageKind};
 use skalla::core::plan_codec::{decode_plan_with_options, encode_plan_with_options};
 use skalla::core::protocol::{self, SiteCatalogEntry, Survivors};
 use skalla::core::site::site_session_loop;
@@ -342,6 +342,113 @@ fn a_survivor_set_on_a_keyed_answer_is_a_clean_round_error() {
         round_error(two_count_expr(), folding(), owned, keyed(chained)),
     ] {
         assert!(err.contains("a survivor set on a keyed answer"), "{err}");
+    }
+}
+
+/// At the site, a resident stage task (its fragment the rows the site
+/// held for the previous unit, without their key) that does not fit what
+/// the site holds is a clean `TAG_ERROR` for that query: a fragment of
+/// another row count, one carrying a key column, and one for a query
+/// that holds no rows. The session serves the queries on, and the honest
+/// fragment — zero columns, as the second unit's θ reads only K, and two
+/// rows — is answered by position, one row per held row.
+#[test]
+fn a_resident_fragment_off_the_held_rows_gets_a_clean_error_reply() {
+    let (coord, mut sites) = star(1);
+    let site = sites.pop().unwrap();
+    let cat = catalog();
+    let session = std::thread::spawn(move || {
+        site_session_loop(&cat, Arc::new(site), false, &Obs::disabled())
+    });
+    let mut dist = DistributionInfo::new(1);
+    dist.set_table("t", vec![DomainMap::new()]);
+    let plan = Planner::new(dist).optimize(&two_count_expr(), OptFlags::none());
+    let StageKind::Unit(unit) = &plan.stages[2].kind else {
+        panic!("{}", plan.explain())
+    };
+    assert_eq!(unit.site_filters, [SiteFilter::Resident], "{}", plan.explain());
+    let plan_bytes = encode_plan_with_options(&plan, &EvalOptions::default(), None);
+    let send = |query: u32, msg: Message| coord.send(0, msg.with_query_id(query)).unwrap();
+    // The next reply to `query` past its telemetry.
+    let reply = |query: u32| loop {
+        let (_, msg) = coord.recv(Duration::from_secs(10)).expect("site must reply, not hang");
+        assert_eq!(msg.query_id, query);
+        if msg.tag != protocol::TAG_TELEMETRY {
+            return msg;
+        }
+    };
+    let groups = groups();
+    let keyless = groups.project(&[]).unwrap();
+    assert_eq!((keyless.schema().len(), keyless.len()), (0, 2));
+    let (_, round_trip, ()) = protocol::decode_run_stage(&protocol::run_stage(2, Some(&keyless)).payload).unwrap();
+    assert_eq!(round_trip.map(|f| f.len()), Some(2), "a zero-column fragment keeps its row count");
+
+    // Query 1 holds `t`'s two groups after its first unit.
+    send(1, Message::new(protocol::TAG_PLAN, plan_bytes.clone()));
+    let hold = |query| {
+        send(query, protocol::run_stage(1, Some(&groups)));
+        assert_eq!(reply(query).tag, protocol::TAG_RESULT);
+    };
+    let three = relation(&[("x", DataType::Int)], vec![row![1i64], row![2i64], row![3i64]]).project(&[]).unwrap();
+    for (fragment, want) in [
+        (three, "a resident fragment of 3 rows for 2 held rows"),
+        (groups.clone(), "a resident fragment carrying key column \"g\""),
+    ] {
+        hold(1);
+        send(1, protocol::run_stage(2, Some(&fragment)));
+        let msg = reply(1);
+        assert_eq!(msg.tag, protocol::TAG_ERROR);
+        let err = protocol::decode_error(&msg.payload);
+        assert!(err.contains(want), "{err} lacks {want:?}");
+    }
+    // Query 2 never held rows.
+    send(2, Message::new(protocol::TAG_PLAN, plan_bytes));
+    send(2, protocol::run_stage(2, Some(&keyless)));
+    let msg = reply(2);
+    assert_eq!(msg.tag, protocol::TAG_ERROR);
+    let err = protocol::decode_error(&msg.payload);
+    assert!(err.contains("a resident fragment for a query that holds no rows"), "{err}");
+
+    // Query 1 still runs: its resident stage is answered by position.
+    hold(1);
+    send(1, protocol::run_stage(2, Some(&keyless)));
+    let msg = reply(1);
+    assert_eq!(msg.tag, protocol::TAG_RESULT, "{}", protocol::decode_error(&msg.payload));
+    let (stage, last, answer) = protocol::decode_result(&msg.payload).unwrap();
+    assert_eq!((stage, last), (2, true));
+    assert_eq!(answer.rows(), [row![1i64], row![1i64]]);
+
+    coord.broadcast(&protocol::shutdown()).unwrap();
+    session.join().expect("session loop must not panic");
+}
+
+/// The plan check every execution runs (`check_structure`) refuses a plan
+/// that makes a site resident where it holds nothing the coordinator can
+/// place: on the first unit, after the base round, and after that site's
+/// skip.
+#[test]
+fn a_resident_site_without_held_rows_is_a_plan_error() {
+    let mut dist = DistributionInfo::new(2);
+    dist.set_table("t", vec![DomainMap::new(), DomainMap::new()]);
+    let planner = Planner::new(dist);
+    let unit = |plan: &mut DistributedPlan, stage: usize| match &mut plan.stages[stage].kind {
+        StageKind::Unit(u) => u.site_filters = vec![SiteFilter::Resident, SiteFilter::All],
+        StageKind::Base => panic!("stage {stage} is the base round"),
+    };
+    // The first unit (folded), and the first after the base round.
+    let mut first = planner.optimize(&count_expr(), folding());
+    unit(&mut first, 0);
+    let mut after_base = planner.optimize(&count_expr(), OptFlags::none());
+    unit(&mut after_base, 1);
+    // Site 0 skipped the previous unit.
+    let mut after_skip = planner.optimize(&two_count_expr(), OptFlags::none());
+    if let StageKind::Unit(u) = &mut after_skip.stages[1].kind {
+        u.site_filters[0] = SiteFilter::Skip;
+    }
+    unit(&mut after_skip, 2);
+    for plan in [first, after_base, after_skip] {
+        let err = plan.check_structure(2).unwrap_err().to_string();
+        assert!(err.contains("site 0 is resident but holds no rows"), "{err}\n{}", plan.explain());
     }
 }
 

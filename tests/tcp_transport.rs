@@ -189,6 +189,48 @@ fn loopback_tcp_matches_channel_transport_with_row_blocking() {
     assert_eq!(remote_out.stats.net, local_out.stats.net);
 }
 
+/// A plan with resident rounds: the Fig. 2 chain grouped on `part_key`
+/// under every reduction, whose round 2 ships each site only its own
+/// parts, keyless, in the order its folded round 1 answered them. Loopback
+/// TCP equals the channel transport in answer and in exact `RoundStats`,
+/// unchunked and row-blocked (a folded answer's per-site rows then land
+/// over several chunks).
+#[test]
+fn loopback_tcp_matches_channel_transport_on_resident_rounds() {
+    // 2,000 rows a site over 4,000 parts: each site lacks most of them.
+    let tpcr = generate_tpcr(&TpcrConfig { parts: 4_000, ..TpcrConfig::new(8_000, 42) });
+    let parts = partition_by_int_ranges(&tpcr, "nation_key", N_SITES);
+    let expr = GmdjExprBuilder::distinct_base("tpcr", &["part_key"])
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&["part_key"]).build(),
+            vec![AggSpec::count("cnt1"), AggSpec::avg("extended_price", "avg1")],
+        ))
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&["part_key"])
+                .and(Expr::dcol("extended_price").ge(Expr::bcol("avg1")))
+                .build(),
+            vec![AggSpec::count("cnt2"), AggSpec::avg("quantity", "avg2")],
+        ))
+        .build();
+    let by_part = |rel: &Relation| rel.sorted_by(&["part_key"]).unwrap();
+    for chunk_rows in [None, Some(64)] {
+        let cfg = EngineConfig {
+            chunk_rows,
+            ..EngineConfig::default()
+        };
+        let local = local_engine(&parts, cfg.clone());
+        let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
+        assert!(plan.explain().contains("site-resident rows: site(s) 0, 1, 2, 3"), "{}", plan.explain());
+        let local_out = local.execute(&plan).unwrap();
+
+        let addrs = spawn_sites(&parts);
+        let remote = remote_engine(&addrs, TcpConfig::default(), cfg);
+        let remote_out = remote.execute(&plan).unwrap();
+        assert_eq!(by_part(&remote_out.relation), by_part(&local_out.relation), "{chunk_rows:?}");
+        assert_eq!(remote_out.stats.net, local_out.stats.net, "{chunk_rows:?}");
+    }
+}
+
 /// A site that completes the handshake, accepts the plan and the first
 /// stage, then dies. The coordinator must abort the round with a clean
 /// per-site disconnect diagnostic — not hang waiting for the dead site.

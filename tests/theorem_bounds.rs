@@ -218,27 +218,107 @@ fn skalla_ships_no_detail_data() {
 /// answering site's frame header, accumulator columns and (under Prop 1)
 /// survivor set — no key column. Measured on the Fig. 2 chain at 4 sites
 /// with every reduction of Fig. 2 on (Prop 1 and Thm 4) and with none,
-/// against each site's answer recomputed from the B its round was
-/// shipped.
+/// and on the chain grouped on `part_key` with every reduction (its
+/// round 2 resident after the fold), against each site's answer
+/// recomputed from the B its round was shipped.
 #[test]
 fn a_merge_unit_against_b_ships_no_key_column() {
-    let tpcr = generate_tpcr(&TpcrConfig::new(8_000, 42));
-    let mut parts = partition_by_int_ranges(&tpcr, "nation_key", 4);
-    observe_int_ranges(&mut parts, &["cust_key", "cust_group"]);
-    let catalogs: Vec<HashMap<String, Relation>> = parts
-        .iter()
-        .map(|p| HashMap::from([("tpcr".to_string(), p.relation.clone())]))
-        .collect();
-    let cluster = Cluster::from_partitions("tpcr", parts);
+    let (cluster, catalogs) = tpcr_cluster(TpcrConfig::new(8_000, 42).parts);
     for flags in [OptFlags::group_reduction_only(), OptFlags::none()] {
         let plan = Planner::new(cluster.distribution()).optimize(&group_reduction_query(), flags);
         assert_eq!(ships_no_key(&cluster, &catalogs, &plan), 2, "{}", plan.explain());
     }
+    let plan = Planner::new(cluster.distribution()).optimize(&grouped_on("part_key"), OptFlags::all());
+    assert_eq!(ships_no_key(&cluster, &catalogs, &plan), 1, "{}", plan.explain());
+}
+
+/// Thm 4's ¬ψᵢ, learned from the folded round 1: the Fig. 2 chain grouped
+/// on `part_key`, which no site's φ restricts, under every reduction.
+/// Round 2 ships each site one row per part it holds and none for a part
+/// it lacks, and only `avg1`: its down-bytes are, exactly, the frame
+/// header and the `avg1` column at the site's own groups.
+#[test]
+fn a_site_lacking_a_group_receives_no_row_for_it() {
+    // 2,000 rows a site over 4,000 parts: each site lacks most of them.
+    let (cluster, catalogs) = tpcr_cluster(4_000);
+    let expr = grouped_on("part_key");
+    let plan = Planner::new(cluster.distribution()).optimize(&expr, OptFlags::all());
+    let StageKind::Unit(unit) = &plan.stages[1].kind else {
+        panic!("{}", plan.explain())
+    };
+    assert_eq!(unit.site_filters, vec![SiteFilter::Resident; 4], "{}", plan.explain());
+    let out = cluster.execute(&plan).unwrap();
+    // No bit moves: the same plan shipping round 2 keyed to every site.
+    let mut keyed = plan.clone();
+    if let StageKind::Unit(u) = &mut keyed.stages[1].kind {
+        u.site_filters = vec![SiteFilter::All; 4];
+    }
+    assert!(out.relation.same_bag(&cluster.execute(&keyed).unwrap().relation));
+
+    // B as round 2 was shipped it: the folded round 1's answer.
+    let mut before = plan.clone();
+    before.stages.truncate(1);
+    before.expr.ops.truncate(1);
+    let b = cluster.execute(&before).unwrap().relation;
+    let round = out.stats.net.iter().find(|r| r.label == plan.stages[1].label).unwrap();
+    let mut total = 0;
+    for (site, catalog) in catalogs.iter().enumerate() {
+        let own = own_groups(&plan, catalog, &b);
+        assert!(own.len() < b.len(), "site {site} holds every part");
+        let avg1 = b.gather(&own).project(&["avg1"]).unwrap();
+        let frame = 4 + 1 + avg1.schema().encoded_size() + body_size(avg1.len(), [avg1.column(0)]);
+        // The round is the query's last: its `QUERY_DONE` rides it too.
+        let want = (2 * MESSAGE_OVERHEAD_BYTES as usize + frame) as u64;
+        assert_eq!(round.per_site[site].down_bytes, want, "site {site}");
+        total += own.len() as u64;
+    }
+    assert_eq!(out.stats.stages[2].rows_down, total);
+}
+
+/// The Fig. 2 chain grouped on `column`.
+fn grouped_on(column: &str) -> GmdjExpr {
+    GmdjExprBuilder::distinct_base("tpcr", &[column])
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&[column]).build(),
+            vec![AggSpec::count("cnt1"), AggSpec::avg("extended_price", "avg1")],
+        ))
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&[column])
+                .and(Expr::dcol("extended_price").ge(Expr::bcol("avg1")))
+                .build(),
+            vec![AggSpec::count("cnt2"), AggSpec::avg("quantity", "avg2")],
+        ))
+        .build()
+}
+
+/// 4 nation-partitioned sites over 8,000 TPC-R rows of `parts` parts,
+/// and each site's catalog.
+fn tpcr_cluster(parts: usize) -> (Cluster, Vec<HashMap<String, Relation>>) {
+    let tpcr = generate_tpcr(&TpcrConfig { parts, ..TpcrConfig::new(8_000, 42) });
+    let mut parts = partition_by_int_ranges(&tpcr, "nation_key", 4);
+    observe_int_ranges(&mut parts, &["cust_key", "cust_group"]);
+    let catalogs = parts
+        .iter()
+        .map(|p| HashMap::from([("tpcr".to_string(), p.relation.clone())]))
+        .collect();
+    (Cluster::from_partitions("tpcr", parts), catalogs)
+}
+
+/// The rows of `b` that a site over `catalog` holds after a folded round:
+/// its own groups, in the order it derives them.
+fn own_groups(plan: &DistributedPlan, catalog: &HashMap<String, Relation>, b: &Relation) -> Vec<u32> {
+    let key: Vec<&str> = plan.key.iter().map(String::as_str).collect();
+    let b_keys = b.project(&key).unwrap();
+    let row_of: HashMap<_, u32> = (0..b.len()).map(|r| (b_keys.rows()[r].clone(), r as u32)).collect();
+    let local = plan.base_fragment(catalog).unwrap().project(&key).unwrap();
+    local.rows().iter().map(|k| row_of[k]).collect()
 }
 
 /// Check each unit against B of `plan` on `cluster`, whose sites hold
-/// `catalogs`: its round's up-bytes are the sites' accumulator frames.
-/// Returns how many such units there were.
+/// `catalogs`: its round's up-bytes are the sites' accumulator frames. A
+/// site's fragment is what its filter selects of B, or, resident, the
+/// rows it held for the previous unit: that unit's fragment, or after a
+/// fold its own groups. Returns how many such units there were.
 fn ships_no_key(
     cluster: &Cluster,
     catalogs: &[HashMap<String, Relation>],
@@ -246,28 +326,43 @@ fn ships_no_key(
 ) -> usize {
     let out = cluster.execute(plan).unwrap();
     let mut positional = 0;
+    // Per site, the B rows it holds from the previous unit; `None` after
+    // a fold, whose own groups are found in the B that follows it.
+    let mut held: Vec<Option<Vec<u32>>> = vec![None; catalogs.len()];
     for (k, stage) in plan.stages.iter().enumerate() {
         let StageKind::Unit(unit) = &stage.kind else { continue };
-        if !unit.positional() {
+        if unit.fold_base {
+            held.fill(None);
             continue;
         }
-        positional += 1;
         // The B this round was shipped: the plan run up to it.
         let mut before = plan.clone();
         before.stages.truncate(k);
         before.expr.ops.truncate(unit.ops.start);
         let b = cluster.execute(&before).unwrap().relation;
+        let rows: Vec<Option<Vec<u32>>> = unit
+            .site_filters
+            .iter()
+            .enumerate()
+            .map(|(site, filter)| match filter {
+                SiteFilter::Skip => None,
+                SiteFilter::All => Some((0..b.len() as u32).collect()),
+                SiteFilter::Predicate(p) => Some(b.selection(&p.bind(b.schema(), None).unwrap()).unwrap()),
+                SiteFilter::Resident => {
+                    Some(held[site].clone().unwrap_or_else(|| own_groups(plan, &catalogs[site], &b)))
+                }
+            })
+            .collect();
+        held = rows.clone();
+        if !unit.positional() {
+            continue;
+        }
+        positional += 1;
         let ship: Vec<&str> = unit.ship_columns.iter().map(String::as_str).collect();
         let mut want = 0u64;
-        for (site, filter) in unit.site_filters.iter().enumerate() {
-            let fragment = match filter {
-                SiteFilter::Skip => continue,
-                SiteFilter::All => b.project(&ship).unwrap(),
-                SiteFilter::Predicate(p) => {
-                    let at = b.selection(&p.bind(b.schema(), None).unwrap()).unwrap();
-                    b.gather(&at).project(&ship).unwrap()
-                }
-            };
+        for (site, at) in rows.iter().enumerate() {
+            let Some(at) = at else { continue };
+            let fragment = b.gather(at).project(&ship).unwrap();
             let rows = fragment.len();
             // The site's answer, keyed; what ships is its accumulators.
             let keyed = execute_stage(&catalogs[site], plan, k, Some(fragment), EvalOptions::default()).unwrap();

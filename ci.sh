@@ -129,7 +129,7 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   # probe the endpoint after the query completes.
   "$CLI" run --sites "$ADDRS" --query-file queries/example1.skl --limit 5 \
     --trace "$SMOKE_DIR/trace.json" --metrics-listen 127.0.0.1:0 --metrics-linger 10 \
-    >"$SMOKE_DIR/run.log" 2>&1 &
+    --slow-query-log "$SMOKE_DIR/slow.jsonl" >"$SMOKE_DIR/run.log" 2>&1 &
   RUN_PID=$!
   for _ in $(seq 1 100); do
     grep -q 'lingering' "$SMOKE_DIR/run.log" && break
@@ -146,6 +146,8 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   grep -q '^skalla_query_wall_s_count' "$SMOKE_DIR/metrics.txt"
   wait "$RUN_PID"
   wait
+  # The slow-query log carries each round's wait seconds over real sockets.
+  grep -q '"wait_s"' "$SMOKE_DIR/slow.jsonl"
   # The merged trace must contain real site-side spans from both sites
   # (exported by the site processes over TAG_TELEMETRY), not just
   # coordinator lanes.

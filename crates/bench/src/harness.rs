@@ -2,7 +2,7 @@
 //! on an engine, collect the paper's metrics, print series tables, and
 //! check curve shapes.
 
-use skalla_core::{ExecStats, OptFlags, Planner, Skalla};
+use skalla_core::{ExecStats, OptFlags, Planner, Skalla, StageTimes};
 use skalla_gmdj::GmdjExpr;
 
 /// One point's measurements.
@@ -12,7 +12,7 @@ pub struct Measurement {
     pub wall_s: f64,
     /// Per round, the slowest site's busy time, summed (seconds).
     pub site_s: f64,
-    /// Coordinator compute (seconds).
+    /// Coordinator seconds outside waits, over all rounds.
     pub coord_s: f64,
     /// Bytes moved, both directions.
     pub bytes: u64,
@@ -41,7 +41,7 @@ pub fn run_median(engine: &Skalla, expr: &GmdjExpr, flags: OptFlags, repeats: us
     let first = &runs[0];
     Measurement {
         wall_s: median(|s| s.wall_s),
-        site_s: median(|s| s.round_summaries().iter().map(|r| r.slowest_site_s).sum()),
+        site_s: median(|s| s.stages.iter().map(StageTimes::busy_max_s).sum()),
         coord_s: median(|s| s.stages.iter().map(|st| st.coord_s).sum()),
         bytes: first.total_bytes(),
         rows: first.total_rows(),

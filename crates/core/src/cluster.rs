@@ -12,7 +12,7 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::coordinator::finished_rounds;
+use crate::coordinator::{finished_rounds, Clock};
 use crate::distribution::DistributionInfo;
 use crate::plan::DistributedPlan;
 use crate::stats::{ExecStats, QueryResult, StageTimes};
@@ -22,7 +22,6 @@ use skalla_net::{Direction, NetStats};
 use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A distributed data warehouse's data: `n` sites, each holding a
 /// horizontal fragment of every fact relation, plus the φ knowledge the
@@ -163,14 +162,11 @@ impl Cluster {
 
     /// The ship-everything baseline: gather every referenced fragment at
     /// the coordinator (accounting the detail bytes the Skalla design
-    /// never ships) and evaluate centrally.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the baseline runs at the coordinator alone: its times are wall times"
-    )]
+    /// never ships) and evaluate centrally. The baseline runs at the
+    /// coordinator alone: its two rounds' coordinator seconds are its wall.
     pub fn execute_centralized(&self, expr: &GmdjExpr) -> Result<QueryResult> {
         let n = self.n_sites();
-        let wall_start = Instant::now();
+        let mut clock = Clock::start();
         let mut tables: Vec<String> = expr.ops.iter().map(|o| o.detail.clone()).collect();
         if let Some(t) = expr.base.table() {
             tables.push(t.to_string());
@@ -180,13 +176,8 @@ impl Cluster {
 
         let stats = NetStats::new(n);
         stats.begin_round("ship detail");
-        let mut gather = StageTimes {
-            label: "ship detail".to_string(),
-            site_busy_s: vec![0.0; n],
-            ..StageTimes::default()
-        };
+        let mut gather = StageTimes::new("ship detail", n);
         let mut catalog: HashMap<String, Relation> = HashMap::new();
-        let t0 = Instant::now();
         for table in &tables {
             for (site, data) in self.sites.iter().enumerate() {
                 let frag = data
@@ -202,23 +193,18 @@ impl Cluster {
                 }
             }
         }
-        gather.coord_s = t0.elapsed().as_secs_f64();
+        clock.charge(&mut gather.coord_s);
 
-        let mut evaluate = StageTimes {
-            label: "evaluate".to_string(),
-            site_busy_s: vec![0.0; n],
-            ..StageTimes::default()
-        };
-        let t1 = Instant::now();
+        let mut evaluate = StageTimes::new("evaluate", n);
         let relation = expr.eval_centralized(&catalog, self.cfg.eval)?;
-        evaluate.coord_s = t1.elapsed().as_secs_f64();
+        clock.charge(&mut evaluate.coord_s);
 
         Ok(QueryResult {
             relation,
             stats: ExecStats {
                 stages: vec![gather, evaluate],
                 net: finished_rounds(&stats),
-                wall_s: wall_start.elapsed().as_secs_f64(),
+                wall_s: clock.wall_s(),
             },
         })
     }

@@ -35,7 +35,7 @@
 
 mod run;
 
-pub(crate) use run::{finished_rounds, net_err, run_coordinator};
+pub(crate) use run::{finished_rounds, net_err, run_coordinator, Clock};
 
 use crate::protocol::ResultChunk;
 use skalla_gmdj::agg::AccLayout;

@@ -29,7 +29,9 @@ use std::time::Instant;
 /// Of `cfg`, the coordinator reads the round timeout and the obs handle.
 /// Each site's busy seconds for a stage arrive in
 /// that round (see [`collect`]) and land in the stage's
-/// [`StageTimes::site_busy_s`].
+/// [`StageTimes::site_busy_s`]. The `clock` charges every moment from
+/// its last mark to the end of the last stage to one stage's
+/// coordinator or wait seconds.
 pub(crate) fn run_coordinator(
     coord: &dyn CoordinatorTransport,
     plan: &DistributedPlan,
@@ -37,6 +39,7 @@ pub(crate) fn run_coordinator(
     detail_schemas: &HashMap<String, Schema>,
     cfg: &EngineConfig,
     query_id: u32,
+    clock: &mut Clock,
 ) -> Result<(Relation, Vec<StageTimes>)> {
     let obs = &cfg.obs;
     let track = Track::Query(query_id);
@@ -58,11 +61,7 @@ pub(crate) fn run_coordinator(
         let mut stage_span = obs
             .span(track, stage.label.as_str())
             .with("query_id", query_id as u64);
-        let mut st = StageTimes {
-            label: stage.label.clone(),
-            site_busy_s: vec![0.0; n],
-            ..StageTimes::default()
-        };
+        let mut st = StageTimes::new(&stage.label, n);
 
         match &stage.kind {
             StageKind::Base => {
@@ -73,10 +72,8 @@ pub(crate) fn run_coordinator(
                     .map_err(net_err)?;
                 let mut sync_span = obs.span(track, "BaseSync");
                 let mut sync = BaseSync::new();
-                collect(coord, cfg, &round, &mut st, |_, c| sync.absorb(c.relation()?))?;
-                let t = wall_now();
+                collect(coord, cfg, &round, &mut st, clock, |_, c| sync.absorb(c.relation()?))?;
                 b_cur = Some(sync.finish(&plan.key)?);
-                st.coord_s += t.elapsed().as_secs_f64();
                 sync_span.arg("rows_up", st.rows_up);
                 sync_span.arg("groups", b_cur.as_ref().map(|b| b.len()).unwrap_or(0));
                 sync_span.finish();
@@ -85,7 +82,6 @@ pub(crate) fn run_coordinator(
                 // 1. Ship base fragments to participating sites, keeping
                 // each site's fragment → B map (`None`: all of B).
                 let no_base = || Error::Execution("unit stage with no base structure".into());
-                let t = wall_now();
                 let mut ship_span = obs.span(track, "ship base");
                 let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
                 let mut fragments: Vec<Option<Rows>> = vec![None; n];
@@ -153,7 +149,6 @@ pub(crate) fn run_coordinator(
                     fragments[site] = Some(rows);
                     coord.send(site, msg).map_err(net_err)?;
                 }
-                st.coord_s += t.elapsed().as_secs_f64();
                 ship_span.arg("rows_down", st.rows_down);
                 ship_span.arg("participants", round.owed.iter().filter(|o| **o).count());
                 ship_span.arg("fold_base", unit.fold_base);
@@ -168,8 +163,7 @@ pub(crate) fn run_coordinator(
                 let own_groups = if unit.local_chain {
                     let mut sync_span = obs.span(track, "ChainSync");
                     let mut sync = ChainSync::new(plan.key.len());
-                    collect(coord, cfg, &round, &mut st, |_, c| sync.absorb(&c.relation()?))?;
-                    let t = wall_now();
+                    collect(coord, cfg, &round, &mut st, clock, |_, c| sync.absorb(&c.relation()?))?;
                     b_cur = Some(if unit.fold_base {
                         sync.finish_folded(out_schema)?
                     } else {
@@ -177,7 +171,6 @@ pub(crate) fn run_coordinator(
                         let b = b_cur.take().ok_or_else(no_base)?;
                         sync.finish_against(&b, &plan.key, &empty, out_schema)?
                     });
-                    st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
                     sync_span.finish();
                     // X does not place a folded chain's groups.
@@ -216,7 +209,7 @@ pub(crate) fn run_coordinator(
                         })
                         .collect();
                     let (mut n_chunks, mut survivor_bytes) = (0usize, 0usize);
-                    collect(coord, cfg, &round, &mut st, |site, c| {
+                    collect(coord, cfg, &round, &mut st, clock, |site, c| {
                         n_chunks += 1;
                         check_result_types(&c, &result_types, positional)?;
                         if !positional {
@@ -225,7 +218,6 @@ pub(crate) fn run_coordinator(
                         survivor_bytes += c.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
                         sync.absorb_at(leaf[site], fragments[site].as_ref().and_then(Option::as_deref), c)
                     })?;
-                    let t = wall_now();
                     // A folded answer's rows are the B rows they landed at.
                     let next_resident = matches!(
                         plan.stages.get(sidx + 1).map(|s| &s.kind),
@@ -239,7 +231,6 @@ pub(crate) fn run_coordinator(
                         b_cur = Some(sync.finish(b_in_schema, op, detail)?);
                         None
                     };
-                    st.coord_s += t.elapsed().as_secs_f64();
                     sync_span.arg("rows_up", st.rows_up);
                     sync_span.arg("chunks", n_chunks);
                     sync_span.arg("positional", positional);
@@ -257,6 +248,7 @@ pub(crate) fn run_coordinator(
         stage_span.arg("rows_down", st.rows_down);
         stage_span.arg("rows_up", st.rows_up);
         stage_span.finish();
+        clock.charge(&mut st.coord_s);
         stage_times.push(st);
     }
 
@@ -264,8 +256,40 @@ pub(crate) fn run_coordinator(
     Ok((relation, stage_times))
 }
 
-/// The coordinator's clock. `coord_s` is wall time spent outside waits;
-/// only *site* busy seconds are CPU time (`skalla_obs::BusyTimer`).
+/// One query's time cursor. Each mark charges the wall time since the
+/// previous mark to one bucket, a round's `coord_s` or `wait_s`, so the
+/// rounds' buckets sum to [`Clock::wall_s`] by construction. Only
+/// *site* busy seconds are CPU time (`skalla_obs::BusyTimer`), and they
+/// overlap the waits.
+pub(crate) struct Clock {
+    start: Instant,
+    mark: Instant,
+}
+
+impl Clock {
+    /// A cursor whose first interval starts now.
+    pub(crate) fn start() -> Clock {
+        let now = wall_now();
+        Clock {
+            start: now,
+            mark: now,
+        }
+    }
+
+    /// Mark now, charging the time since the last mark to `bucket`.
+    pub(crate) fn charge(&mut self, bucket: &mut f64) {
+        let now = wall_now();
+        *bucket += (now - self.mark).as_secs_f64();
+        self.mark = now;
+    }
+
+    /// Seconds from the start to the last mark.
+    pub(crate) fn wall_s(&self) -> f64 {
+        (self.mark - self.start).as_secs_f64()
+    }
+}
+
+/// The coordinator's wall clock, read only by [`Clock`].
 #[expect(
     clippy::disallowed_methods,
     reason = "the one wall-clock read under `coordinator`: coordinator seconds, never site busy time"
@@ -294,7 +318,9 @@ impl Round {
     }
 }
 
-/// Receive one stage round into `st`. Result chunks from the owed sites
+/// Receive one stage round into `st`: the time up to the call is the
+/// coordinator's, then each frame's receipt is charged as a wait and its
+/// handling as the coordinator's. Result chunks from the owed sites
 /// (each site's result possibly row-blocked into several) are fed to
 /// `absorb` with the sending site's id as they arrive, their rows still
 /// encoded. Each site's
@@ -310,14 +336,16 @@ fn collect(
     cfg: &EngineConfig,
     round: &Round,
     st: &mut StageTimes,
+    clock: &mut Clock,
     mut absorb: impl FnMut(usize, protocol::ResultChunk) -> Result<()>,
 ) -> Result<()> {
+    clock.charge(&mut st.coord_s);
     let stage = round.stage;
     // The sites whose final result chunk is still to come.
     let mut waiting = round.owed.clone();
     while waiting.contains(&true) {
         let (site, msg) = coord.recv(cfg.timeout).map_err(net_err)?;
-        let t = wall_now();
+        clock.charge(&mut st.wait_s);
         let tag = Tag::try_from(msg.tag)?;
         if matches!(tag, Tag::Result | Tag::Telemetry) && !waiting[site] {
             let why = if round.owed[site] {
@@ -362,7 +390,7 @@ fn collect(
             | Tag::Catalog
             | Tag::QueryDone => return Err(unexpected_tag(msg.tag)),
         }
-        st.coord_s += t.elapsed().as_secs_f64();
+        clock.charge(&mut st.coord_s);
     }
     Ok(())
 }
@@ -477,16 +505,13 @@ mod tests {
         for &site in owed {
             round.owed[site] = true;
         }
-        let mut st = StageTimes {
-            site_busy_s: vec![0.0; coord.n_sites()],
-            ..StageTimes::default()
-        };
+        let mut st = StageTimes::new("", coord.n_sites());
         let mut from = Vec::new();
         let absorb = |site, _chunk: protocol::ResultChunk| {
             from.push(site);
             Ok(())
         };
-        collect(coord, &cfg, &round, &mut st, absorb)?;
+        collect(coord, &cfg, &round, &mut st, &mut Clock::start(), absorb)?;
         Ok(from)
     }
 

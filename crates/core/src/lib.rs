@@ -56,5 +56,5 @@ pub use plan_codec::{decode_plan, encode_plan};
 pub use remote::SiteServer;
 pub use scheduler::{AdmissionError, QueryId, QueryScheduler, SchedulerConfig};
 pub use skew::{plan_routing, skew_eligible, HotReport, SkewPlan, SkewSpec};
-pub use stats::{ExecStats, QueryResult, RoundSummary, StageTimes};
+pub use stats::{ExecStats, QueryResult, StageTimes};
 pub use warehouse::{EngineConfig, Skalla, SkallaBuilder, Warehouse};

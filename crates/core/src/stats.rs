@@ -1,10 +1,11 @@
 //! Execution statistics.
 //!
 //! Every query execution reports, per synchronization round: site busy
-//! times, coordinator time, and rows/bytes shipped each way — the raw
-//! series behind each figure of the paper.
+//! times, coordinator and wait time, and rows/bytes shipped each way —
+//! the raw series behind each figure of the paper.
 
-use skalla_net::RoundStats;
+use crate::coordinator::Clock;
+use skalla_net::{LinkStats, RoundStats};
 use skalla_relation::Relation;
 
 /// Per-round measurements taken by the coordinator.
@@ -13,13 +14,45 @@ pub struct StageTimes {
     /// Stage label (matches the plan's stage label).
     pub label: String,
     /// Busy seconds per site (only sites that participated are non-zero).
+    /// They overlap the round's `wait_s`.
     pub site_busy_s: Vec<f64>,
-    /// Coordinator compute seconds (fragment building + synchronization).
+    /// Coordinator wall seconds outside waits: planning, encoding,
+    /// sending (a blocked send included), decoding and synchronizing.
     pub coord_s: f64,
+    /// Coordinator wall seconds blocked receiving from the sites. Over
+    /// all rounds, `coord_s + wait_s` sums to [`ExecStats::wall_s`].
+    pub wait_s: f64,
     /// Base-structure rows shipped coordinator → sites (total).
     pub rows_down: u64,
     /// Result rows shipped sites → coordinator (total).
     pub rows_up: u64,
+}
+
+impl StageTimes {
+    /// A round labeled `label` over `n_sites` sites, nothing measured yet.
+    pub(crate) fn new(label: &str, n_sites: usize) -> StageTimes {
+        StageTimes {
+            label: label.to_string(),
+            site_busy_s: vec![0.0; n_sites],
+            ..StageTimes::default()
+        }
+    }
+
+    /// Busy seconds of the round's slowest site.
+    pub fn busy_max_s(&self) -> f64 {
+        self.site_busy_s.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Mean busy seconds over the sites that worked (busy > 0), and the
+    /// skew `busy_max_s / mean` (1.0 when no site worked).
+    fn busy_mean_and_skew(&self) -> (f64, f64) {
+        let worked = self.site_busy_s.iter().filter(|s| **s > 0.0);
+        let mean = worked.clone().sum::<f64>() / worked.count().max(1) as f64;
+        if mean == 0.0 {
+            return (0.0, 1.0);
+        }
+        (mean, self.busy_max_s() / mean)
+    }
 }
 
 /// Statistics for one distributed query execution.
@@ -29,7 +62,8 @@ pub struct ExecStats {
     pub stages: Vec<StageTimes>,
     /// Per-round traffic (parallel to `stages`).
     pub net: Vec<RoundStats>,
-    /// Real wall-clock seconds for the whole execution.
+    /// Real wall-clock seconds for the whole execution: the sum of every
+    /// round's `coord_s + wait_s`.
     pub wall_s: f64,
 }
 
@@ -75,93 +109,32 @@ impl ExecStats {
 
     /// Stats for a query served entirely from the semantic cache (a
     /// full-result hit or a coalesced in-flight result): one marker
-    /// round labeled `"cache"`, zero traffic.
-    pub fn cache_hit(n_sites: usize, wall_s: f64) -> ExecStats {
+    /// round labeled `"cache"`, zero traffic, whose coordinator seconds
+    /// are the wall since `clock` started.
+    pub(crate) fn cache_hit(n_sites: usize, mut clock: Clock) -> ExecStats {
+        let mut st = StageTimes::new("cache", n_sites);
+        clock.charge(&mut st.coord_s);
         ExecStats {
-            stages: vec![StageTimes {
-                label: "cache".to_string(),
-                site_busy_s: vec![0.0; n_sites],
-                ..StageTimes::default()
-            }],
+            stages: vec![st],
             net: Vec::new(),
-            wall_s,
+            wall_s: clock.wall_s(),
         }
     }
 
     /// Whether these stats describe a query answered without contacting
-    /// sites (see [`ExecStats::cache_hit`]).
+    /// sites: one zero-byte round labeled `"cache"`.
     pub fn is_cache_hit(&self) -> bool {
         self.net.is_empty() && self.stages.iter().any(|s| s.label == "cache")
     }
-}
 
-/// One row of the per-round timeline table: compute and traffic for a
-/// single round, with the busy-time skew across participating sites.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundSummary {
-    /// Stage label.
-    pub label: String,
-    /// Busy seconds of the slowest participating site.
-    pub slowest_site_s: f64,
-    /// Mean busy seconds over participating sites (busy > 0).
-    pub mean_site_s: f64,
-    /// Skew ratio: slowest / mean (1.0 when no site worked).
-    pub skew: f64,
-    /// Coordinator compute seconds.
-    pub coord_s: f64,
-    /// Rows shipped coordinator → sites.
-    pub rows_down: u64,
-    /// Rows shipped sites → coordinator.
-    pub rows_up: u64,
-    /// Bytes coordinator → sites (payload + framing).
-    pub bytes_down: u64,
-    /// Bytes sites → coordinator.
-    pub bytes_up: u64,
-    /// Messages both ways.
-    pub msgs: u64,
-}
-
-impl ExecStats {
-    /// Per-round summaries, zipping compute measurements with traffic.
-    pub fn round_summaries(&self) -> Vec<RoundSummary> {
-        self.stages
-            .iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let busy: Vec<f64> = st
-                    .site_busy_s
-                    .iter()
-                    .copied()
-                    .filter(|s| *s > 0.0)
-                    .collect();
-                let slowest = busy.iter().copied().fold(0.0, f64::max);
-                let mean = if busy.is_empty() {
-                    0.0
-                } else {
-                    busy.iter().sum::<f64>() / busy.len() as f64
-                };
-                let skew = if mean > 0.0 { slowest / mean } else { 1.0 };
-                let (bytes_down, bytes_up, msgs) = match self.net.get(i) {
-                    Some(r) => {
-                        let t = r.totals();
-                        (t.down_bytes, t.up_bytes, t.down_msgs + t.up_msgs)
-                    }
-                    None => (0, 0, 0),
-                };
-                RoundSummary {
-                    label: st.label.clone(),
-                    slowest_site_s: slowest,
-                    mean_site_s: mean,
-                    skew,
-                    coord_s: st.coord_s,
-                    rows_down: st.rows_down,
-                    rows_up: st.rows_up,
-                    bytes_down,
-                    bytes_up,
-                    msgs,
-                }
-            })
-            .collect()
+    /// Each round's compute measurements beside its traffic totals.
+    fn rounds(&self) -> impl Iterator<Item = (&StageTimes, LinkStats)> {
+        self.stages.iter().enumerate().map(|(i, st)| {
+            (
+                st,
+                self.net.get(i).map(RoundStats::totals).unwrap_or_default(),
+            )
+        })
     }
 
     /// The machine-readable form of these statistics: per-round
@@ -170,20 +143,21 @@ impl ExecStats {
     pub fn to_json(&self) -> skalla_obs::json::Json {
         use skalla_obs::json::Json;
         let rounds = Json::Arr(
-            self.round_summaries()
-                .iter()
-                .map(|r| {
+            self.rounds()
+                .map(|(st, net)| {
+                    let (busy_mean, skew) = st.busy_mean_and_skew();
                     Json::obj(vec![
-                        ("label", Json::Str(r.label.clone())),
-                        ("busy_max_s", Json::Float(r.slowest_site_s)),
-                        ("busy_mean_s", Json::Float(r.mean_site_s)),
-                        ("skew", Json::Float(r.skew)),
-                        ("coord_s", Json::Float(r.coord_s)),
-                        ("rows_down", Json::UInt(r.rows_down)),
-                        ("rows_up", Json::UInt(r.rows_up)),
-                        ("bytes_down", Json::UInt(r.bytes_down)),
-                        ("bytes_up", Json::UInt(r.bytes_up)),
-                        ("msgs", Json::UInt(r.msgs)),
+                        ("label", Json::Str(st.label.clone())),
+                        ("busy_max_s", Json::Float(st.busy_max_s())),
+                        ("busy_mean_s", Json::Float(busy_mean)),
+                        ("skew", Json::Float(skew)),
+                        ("coord_s", Json::Float(st.coord_s)),
+                        ("wait_s", Json::Float(st.wait_s)),
+                        ("rows_down", Json::UInt(st.rows_down)),
+                        ("rows_up", Json::UInt(st.rows_up)),
+                        ("bytes_down", Json::UInt(net.down_bytes)),
+                        ("bytes_up", Json::UInt(net.up_bytes)),
+                        ("msgs", Json::UInt(net.down_msgs + net.up_msgs)),
                     ])
                 })
                 .collect(),
@@ -202,37 +176,41 @@ impl ExecStats {
     }
 
     /// Render the per-round timeline as a fixed-width text table (the
-    /// `EXPLAIN ANALYZE` output).
+    /// `EXPLAIN ANALYZE` output). Its `coord s` and `wait s` columns
+    /// partition the wall time; site busy time overlaps `wait s`.
     pub fn round_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<5} {:<24} {:>9} {:>10} {:>5} {:>8} {:>9} {:>8} {:>10} {:>9} {:>5}\n",
+            "{:<5} {:<24} {:>9} {:>10} {:>5} {:>8} {:>8} {:>9} {:>8} {:>10} {:>9} {:>5}\n",
             "round",
             "stage",
             "busy max",
             "busy mean",
             "skew",
             "coord s",
+            "wait s",
             "rows down",
             "rows up",
             "bytes down",
             "bytes up",
             "msgs"
         ));
-        for (i, r) in self.round_summaries().iter().enumerate() {
+        for (i, (st, net)) in self.rounds().enumerate() {
+            let (busy_mean, skew) = st.busy_mean_and_skew();
             out.push_str(&format!(
-                "{:<5} {:<24} {:>9.4} {:>10.4} {:>5.2} {:>8.4} {:>9} {:>8} {:>10} {:>9} {:>5}\n",
+                "{:<5} {:<24} {:>9.4} {:>10.4} {:>5.2} {:>8.4} {:>8.4} {:>9} {:>8} {:>10} {:>9} {:>5}\n",
                 i,
-                r.label,
-                r.slowest_site_s,
-                r.mean_site_s,
-                r.skew,
-                r.coord_s,
-                r.rows_down,
-                r.rows_up,
-                r.bytes_down,
-                r.bytes_up,
-                r.msgs
+                st.label,
+                st.busy_max_s(),
+                busy_mean,
+                skew,
+                st.coord_s,
+                st.wait_s,
+                st.rows_down,
+                st.rows_up,
+                net.down_bytes,
+                net.up_bytes,
+                net.down_msgs + net.up_msgs
             ));
         }
         out
@@ -252,7 +230,6 @@ pub struct QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skalla_net::LinkStats;
 
     fn round(label: &str, down: u64, up: u64) -> RoundStats {
         RoundStats {
@@ -273,6 +250,7 @@ mod tests {
                     label: "base".into(),
                     site_busy_s: vec![0.1, 0.3],
                     coord_s: 0.05,
+                    wait_s: 0.35,
                     rows_down: 0,
                     rows_up: 100,
                 },
@@ -280,6 +258,7 @@ mod tests {
                     label: "gmdj 1".into(),
                     site_busy_s: vec![0.2, 0.1],
                     coord_s: 0.05,
+                    wait_s: 0.55,
                     rows_down: 200,
                     rows_up: 100,
                 },
@@ -300,23 +279,38 @@ mod tests {
         assert_eq!(s.n_rounds(), 2);
     }
 
-    #[test]
-    fn round_summaries_zip_compute_and_traffic() {
-        let s = stats();
-        let rows = s.round_summaries();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].label, "base");
-        assert!((rows[0].slowest_site_s - 0.3).abs() < 1e-12);
-        assert!((rows[0].mean_site_s - 0.2).abs() < 1e-12);
-        assert!((rows[0].skew - 1.5).abs() < 1e-12);
-        assert_eq!(rows[0].bytes_up, 1000);
-        assert_eq!(rows[0].bytes_down, 0);
-        assert_eq!(rows[1].rows_down, 200);
-        assert_eq!(rows[1].msgs, 2);
+    /// The table's rows under its header: each round's label and its
+    /// ten numeric cells, `busy max` to `msgs`.
+    fn cells(table: &str) -> Vec<(String, Vec<f64>)> {
+        table
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let words: Vec<&str> = line.split_whitespace().collect();
+                let (label, numbers) = words[1..].split_at(words.len() - 11);
+                (
+                    label.join(" "),
+                    numbers.iter().map(|w| w.parse().unwrap()).collect(),
+                )
+            })
+            .collect()
     }
 
     #[test]
-    fn skew_is_one_when_no_site_worked() {
+    fn round_table_zips_compute_and_traffic() {
+        let rows = cells(&stats().round_table());
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].0, "base");
+        // busy max, busy mean, skew, coord s, wait s
+        assert_eq!(rows[0].1[..5], [0.3, 0.2, 1.5, 0.05, 0.35]);
+        // rows down, rows up, bytes down, bytes up, msgs
+        assert_eq!(rows[0].1[5..], [0.0, 100.0, 0.0, 1000.0, 1.0]);
+        assert_eq!(rows[1].0, "gmdj 1");
+        assert_eq!(rows[1].1[5..], [200.0, 100.0, 2000.0, 1000.0, 2.0]);
+    }
+
+    #[test]
+    fn round_table_skew_is_one_when_no_site_worked() {
         let s = ExecStats {
             stages: vec![StageTimes {
                 label: "plan".into(),
@@ -326,9 +320,8 @@ mod tests {
             net: vec![round("plan", 100, 0)],
             wall_s: 0.0,
         };
-        let rows = s.round_summaries();
-        assert_eq!(rows[0].skew, 1.0);
-        assert_eq!(rows[0].slowest_site_s, 0.0);
+        let rows = cells(&s.round_table());
+        assert_eq!(rows[0].1[..3], [0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -360,6 +353,7 @@ mod tests {
             rounds[0].get("busy_max_s").and_then(|j| j.as_f64()),
             Some(0.3)
         );
+        assert_eq!(rounds[1].get("wait_s").and_then(|j| j.as_f64()), Some(0.55));
         assert_eq!(rounds[1].get("rows_down").and_then(|j| j.as_u64()), Some(200));
     }
 }

@@ -57,7 +57,7 @@
 
 use crate::cache::{plan_fingerprint, Claim, SemanticCache, DEFAULT_CACHE_BYTES};
 use crate::cluster::Cluster;
-use crate::coordinator::{finished_rounds, net_err, run_coordinator};
+use crate::coordinator::{finished_rounds, net_err, run_coordinator, Clock};
 use crate::distribution::DistributionInfo;
 use crate::plan::DistributedPlan;
 use crate::protocol;
@@ -75,7 +75,7 @@ use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What an embedder needs to plan and execute distributed OLAP queries
 /// without caring whether the sites are threads or processes. The
@@ -519,11 +519,11 @@ impl Skalla {
         if self.cfg.cache_bytes == 0 {
             return self.run_query(plan);
         }
-        let wall_start = Instant::now();
+        let clock = Clock::start();
         let served = |relation| {
             Ok(QueryResult {
                 relation,
-                stats: ExecStats::cache_hit(self.n_sites(), wall_start.elapsed().as_secs_f64()),
+                stats: ExecStats::cache_hit(self.n_sites(), clock),
             })
         };
         match self.cache.claim(plan_fingerprint(plan, &self.cfg.eval)) {
@@ -613,11 +613,20 @@ impl Skalla {
     /// round 0 stays empty (sliced off), the "plan" round carries the
     /// plan broadcast, each stage gets its round, and the query-done
     /// release (zero payload, one framing charge per site) lands in the
-    /// last round.
+    /// last round. One [`Clock`] times it all: the plan round's
+    /// coordinator seconds cover checking, encoding and broadcasting the
+    /// plan, and the release's land in the last round, beside its bytes.
     fn run_query(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let query_id = self.scheduler.next_query_id();
         let n = self.n_sites();
-        let wall_start = Instant::now();
+        let mut clock = Clock::start();
+        let mut query_span = self
+            .cfg
+            .obs
+            .span(Track::Query(query_id), "query")
+            .with("sites", n)
+            .with("rounds", plan.n_rounds())
+            .with("query_id", query_id as u64);
         plan.check_structure(n)?;
         let schemas = plan.expr.validate(self.catalog.as_ref())?;
         let detail_schemas: HashMap<String, Schema> = self
@@ -628,19 +637,14 @@ impl Skalla {
 
         let handle = self.mux.register(query_id);
         handle.stats().set_obs(self.cfg.obs.clone());
-        let mut query_span = self
-            .cfg
-            .obs
-            .span(Track::Query(query_id), "query")
-            .with("sites", n)
-            .with("rounds", plan.n_rounds())
-            .with("query_id", query_id as u64);
 
         handle.stats().begin_round("plan");
         let plan_bytes =
             crate::plan_codec::encode_plan_with_options(plan, &self.cfg.eval, self.cfg.chunk_rows);
         let plan_msg = skalla_net::Message::new(protocol::TAG_PLAN, plan_bytes);
         let dispatch = handle.broadcast(&plan_msg).map_err(net_err);
+        let mut plan_round = StageTimes::new("plan", n);
+        clock.charge(&mut plan_round.coord_s);
 
         let run = dispatch.and_then(|()| {
             run_coordinator(
@@ -650,6 +654,7 @@ impl Skalla {
                 &detail_schemas,
                 &self.cfg,
                 query_id,
+                &mut clock,
             )
         });
 
@@ -658,24 +663,20 @@ impl Skalla {
         // its own round.
         let _ = handle.broadcast(&protocol::query_done());
 
-        let (relation, mut stage_times) = run?;
-        stage_times.insert(
-            0,
-            StageTimes {
-                label: "plan".to_string(),
-                site_busy_s: vec![0.0; n],
-                ..StageTimes::default()
-            },
-        );
+        let (relation, mut stages) = run?;
+        stages.insert(0, plan_round);
         let net = finished_rounds(handle.stats());
         query_span.arg("result_rows", relation.len());
+        if let Some(last) = stages.last_mut() {
+            clock.charge(&mut last.coord_s);
+        }
         query_span.finish();
         Ok(QueryResult {
             relation,
             stats: ExecStats {
-                stages: stage_times,
+                stages,
                 net,
-                wall_s: wall_start.elapsed().as_secs_f64(),
+                wall_s: clock.wall_s(),
             },
         })
     }
@@ -1065,9 +1066,9 @@ mod tests {
 
     const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
 
-    /// The `skalla_cache_*` metric names a document mentions.
-    fn cache_metrics_in(doc: &str) -> BTreeSet<String> {
-        doc.match_indices("skalla_cache_")
+    /// The `skalla_*` metric names a document mentions.
+    fn metrics_in(doc: &str) -> BTreeSet<String> {
+        doc.match_indices("skalla_")
             .map(|(at, _)| {
                 doc[at..]
                     .chars()
@@ -1078,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_gauges_in_the_docs_are_the_published_ones() {
+    fn metrics_in_the_docs_are_the_published_ones() {
         let obs = Obs::recording();
         let e = Skalla::builder()
             .partitions("t", parts())
@@ -1087,19 +1088,27 @@ mod tests {
             .unwrap();
         let plan = Planner::new(e.distribution()).optimize(&expr(), OptFlags::none());
         e.execute(&plan).unwrap();
-        let published: BTreeSet<String> = obs
-            .recorder()
-            .unwrap()
-            .counters()
-            .into_keys()
-            .filter_map(|name| {
-                name.strip_prefix("cache.")
-                    .map(|gauge| format!("skalla_cache_{gauge}"))
-            })
+        // Every series the metrics endpoint exposes, by name; a
+        // histogram's `_count`, `_sum`, `_min` and `_max` series are
+        // documented under the histogram's own name.
+        let text = skalla_obs::expo::prometheus_text(obs.recorder().unwrap());
+        let series: BTreeSet<&str> = text
+            .lines()
+            .filter_map(|l| l.split(['{', ' ']).next())
             .collect();
-        // Both ways at once: a documented gauge the engine lacks and a
+        let published: BTreeSet<String> = (series.iter())
+            .filter(|name| {
+                let base = |suffix| name.strip_suffix(suffix).filter(|b| series.contains(b));
+                ["_count", "_sum", "_min", "_max"]
+                    .into_iter()
+                    .all(|s| base(s).is_none())
+            })
+            .map(|name| name.to_string())
+            .collect();
+        assert!(published.contains("skalla_query_wall_s"), "{text}");
+        // Both ways at once: a documented metric the engine lacks and a
         // published one the doc lacks each make the sets differ.
-        assert_eq!(cache_metrics_in(OPERATIONS), published);
+        assert_eq!(metrics_in(OPERATIONS), published);
 
         // The check can fail: the retired prefix-hit gauge, still listed.
         let retired = format!("`skalla_cache_{}_hits`", "prefix");
@@ -1108,7 +1117,7 @@ mod tests {
             &format!("{retired}, `skalla_cache_rollups`"),
         );
         assert_ne!(doctored, OPERATIONS, "the doctoring matched nothing");
-        assert_ne!(cache_metrics_in(&doctored), published);
+        assert_ne!(metrics_in(&doctored), published);
     }
 
     #[test]

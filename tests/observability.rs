@@ -1,21 +1,27 @@
 //! End-to-end observability: a traced distributed execution must produce
 //! a well-formed Chrome trace containing the full span hierarchy (query,
 //! stage, per-site task, sync), optimizer-decision events, and net
-//! counters — and the per-round table must cover every executed stage.
+//! counters — and the per-round table must partition the wall time.
 
-use skalla::core::{Cluster, OptFlags, Planner};
+use skalla::core::{Cluster, ExecStats, OptFlags, Planner, Skalla};
 use skalla::datagen::flow::{generate_flows, FlowConfig};
-use skalla::datagen::partition::partition_by_int_ranges;
+use skalla::datagen::partition::{partition_by_int_ranges, Partition};
+use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
+use skalla::gmdj::prelude::*;
+use skalla::net::RoundStats;
 use skalla::obs::chrome::{metrics_snapshot, write_chrome_trace};
 use skalla::obs::{json, Obs, Track};
 use skalla::query;
 
 const EXAMPLE1: &str = include_str!("../queries/example1.skl");
 
-fn traced_run(flags: OptFlags) -> (Obs, skalla::core::QueryResult) {
+fn flow_parts() -> Vec<Partition> {
     let flows = generate_flows(&FlowConfig::new(1500, 11));
-    let parts = partition_by_int_ranges(&flows, "source_as", 3);
-    let mut cluster = Cluster::from_partitions("flow", parts);
+    partition_by_int_ranges(&flows, "source_as", 3)
+}
+
+fn traced_run(flags: OptFlags) -> (Obs, skalla::core::QueryResult) {
+    let mut cluster = Cluster::from_partitions("flow", flow_parts());
     let obs = Obs::recording();
     cluster.configure(&skalla::core::EngineConfig {
         obs: obs.clone(),
@@ -105,26 +111,149 @@ fn chrome_trace_round_trips_and_has_all_span_kinds() {
     }
 }
 
-#[test]
-fn round_table_covers_every_executed_stage() {
-    let (_, out) = traced_run(OptFlags::group_reduction_only());
-    let table = out.stats.round_table();
-    // Header + plan round + 3 executed stages.
-    assert_eq!(table.lines().count(), 1 + out.stats.stages.len());
-    for st in &out.stats.stages {
+/// Every round's coordinator and wait seconds sum to the wall; every
+/// time is finite and non-negative; a plan round, where there is one,
+/// spent coordinator time encoding and broadcasting the plan; and the
+/// table has one row per stage, in order, with its rows, bytes and
+/// messages.
+fn assert_partitions_the_wall(stats: &ExecStats, what: &str) {
+    let parts: f64 = stats.stages.iter().map(|st| st.coord_s + st.wait_s).sum();
+    assert!(
+        (parts - stats.wall_s).abs() <= 1e-9,
+        "{what}: Σ coord + wait is {parts} s of a {} s wall",
+        stats.wall_s
+    );
+    assert!(
+        stats.wall_s.is_finite() && stats.wall_s > 0.0,
+        "{what}: wall {}",
+        stats.wall_s
+    );
+    for st in &stats.stages {
+        for v in [st.coord_s, st.wait_s].iter().chain(&st.site_busy_s) {
+            assert!(
+                v.is_finite() && *v >= 0.0,
+                "{what}: round {:?} reads {v}",
+                st.label
+            );
+        }
+    }
+    if let Some(plan) = stats.stages.iter().find(|st| st.label == "plan") {
         assert!(
-            table.contains(&st.label),
-            "round table missing stage {:?}:\n{table}",
-            st.label
+            plan.coord_s > 0.0,
+            "{what}: the plan round took no coordinator time"
         );
     }
-    let summaries = out.stats.round_summaries();
-    assert_eq!(summaries.len(), out.stats.stages.len());
-    // Executed stages moved rows and bytes.
-    let gmdj1 = summaries.iter().find(|r| r.label == "gmdj 1").unwrap();
+    let table = stats.round_table();
+    let rows: Vec<&str> = table.lines().skip(1).collect();
+    assert_eq!(rows.len(), stats.stages.len(), "{what}:\n{table}");
+    for (i, (line, st)) in rows.iter().zip(&stats.stages).enumerate() {
+        assert!(
+            line.starts_with(&format!("{i:<5} {} ", st.label)),
+            "{what}: {line}"
+        );
+        let net = stats.net.get(i).map(RoundStats::totals).unwrap_or_default();
+        let traffic = [
+            st.rows_down,
+            st.rows_up,
+            net.down_bytes,
+            net.up_bytes,
+            net.down_msgs + net.up_msgs,
+        ];
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let want: Vec<String> = traffic.iter().map(u64::to_string).collect();
+        assert_eq!(words[words.len() - 5..], want, "{what}: {line}");
+    }
+}
+
+#[test]
+fn round_table_partitions_the_wall() {
+    // Base + merge units.
+    let (_, out) = traced_run(OptFlags::group_reduction_only());
+    assert_partitions_the_wall(&out.stats, "base + unit");
+    let labels: Vec<&str> = out
+        .stats
+        .stages
+        .iter()
+        .map(|st| st.label.as_str())
+        .collect();
+    assert_eq!(labels, ["plan", "base", "gmdj 1", "gmdj 2"]);
+    let gmdj1 = &out.stats.stages[2];
+    let net = out.stats.net[2].totals();
     assert!(gmdj1.rows_down > 0 && gmdj1.rows_up > 0);
-    assert!(gmdj1.bytes_down > 0 && gmdj1.bytes_up > 0);
-    assert!(gmdj1.skew >= 1.0);
+    assert!(net.down_bytes > 0 && net.up_bytes > 0);
+
+    // A Thm 5 chain: one local round.
+    let (_, out) = traced_run(OptFlags::all());
+    assert_partitions_the_wall(&out.stats, "chain");
+    assert_eq!(out.stats.n_rounds(), 1);
+
+    // A folded unit whose next round leaves every site its own rows.
+    let tpcr = generate_tpcr(&TpcrConfig {
+        parts: 2_000,
+        ..TpcrConfig::new(4_000, 42)
+    });
+    let cluster = Cluster::from_partitions("tpcr", partition_by_int_ranges(&tpcr, "nation_key", 4));
+    let expr = GmdjExprBuilder::distinct_base("tpcr", &["part_key"])
+        .gmdj(Gmdj::new("tpcr").block(
+            ThetaBuilder::group_by(&["part_key"]).build(),
+            vec![
+                AggSpec::count("cnt1"),
+                AggSpec::avg("extended_price", "avg1"),
+            ],
+        ))
+        .gmdj(
+            Gmdj::new("tpcr").block(
+                ThetaBuilder::group_by(&["part_key"])
+                    .and(Expr::dcol("extended_price").ge(Expr::bcol("avg1")))
+                    .build(),
+                vec![AggSpec::count("cnt2")],
+            ),
+        )
+        .build();
+    let plan = Planner::new(cluster.distribution()).optimize(&expr, OptFlags::all());
+    assert!(
+        plan.explain().contains("site-resident rows"),
+        "{}",
+        plan.explain()
+    );
+    assert_partitions_the_wall(&cluster.execute(&plan).unwrap().stats, "folded + resident");
+
+    // The ship-everything baseline.
+    assert_partitions_the_wall(
+        &cluster.execute_centralized(&expr).unwrap().stats,
+        "centralized",
+    );
+
+    // Every level of a cube, each its own distributed query.
+    let flows = Cluster::from_partitions("flow", flow_parts());
+    let aggs = [AggSpec::count("n"), AggSpec::sum("num_bytes", "bytes")];
+    let cube = query::cube_with_rollup(
+        &flows,
+        "flow",
+        &["source_as", "dest_as"],
+        &aggs,
+        OptFlags::all(),
+        false,
+    )
+    .unwrap();
+    assert_eq!(cube.levels.len(), 4);
+    for level in &cube.levels {
+        let stats = level.stats.as_ref().expect("every level runs");
+        assert_partitions_the_wall(stats, &format!("cube level {:?}", level.dims));
+    }
+
+    // A cache hit: its one round's coordinator seconds are its wall.
+    let engine = Skalla::builder()
+        .partitions("flow", flow_parts())
+        .build()
+        .unwrap();
+    let expr = query::compile_text(EXAMPLE1).unwrap();
+    let plan = Planner::new(engine.distribution()).optimize(&expr, OptFlags::all());
+    assert!(!engine.execute(&plan).unwrap().stats.is_cache_hit());
+    let hit = engine.execute(&plan).unwrap().stats;
+    assert!(hit.is_cache_hit());
+    assert_partitions_the_wall(&hit, "cache hit");
+    assert_eq!(hit.stages[0].coord_s, hit.wall_s);
 }
 
 #[test]

@@ -140,6 +140,19 @@ fn loopback_tcp_matches_channel_transport_exactly() {
             }
         }
     }
+    // Over real sockets too, the rounds' coordinator and wait seconds
+    // partition the wall, and the plan round spent coordinator time.
+    let timed: f64 = stats.stages.iter().map(|st| st.coord_s + st.wait_s).sum();
+    assert!(
+        (timed - stats.wall_s).abs() <= 1e-9,
+        "Σ {timed} s of a {} s wall",
+        stats.wall_s
+    );
+    assert!(stats
+        .stages
+        .iter()
+        .all(|st| st.coord_s >= 0.0 && st.wait_s >= 0.0));
+    assert!(stats.stages[0].label == "plan" && stats.stages[0].coord_s > 0.0);
 
     // The same sites over links shaped to the paper's LAN: the same
     // bits and the same traffic, and every round pays a latency each way.

@@ -78,8 +78,11 @@ impl Nic {
     }
 
     /// Hold the frame just taken off end `to`'s channel until it arrives.
+    /// The queue's lock is released before the sleep, so a frame sent to
+    /// `to` meanwhile is not held up behind this one's latency.
     fn deliver(&self, to: usize) {
-        if let Some(at) = lock(&self.arrivals[to]).pop_front() {
+        let at = lock(&self.arrivals[to]).pop_front();
+        if let Some(at) = at {
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
         }
     }
@@ -194,6 +197,34 @@ mod tests {
             sites.iter().for_each(|_| drop(coord.recv(FIVE_S).unwrap()));
         });
         assert!(both >= 60, "{both} ms");
+    }
+
+    /// A frame sent to an end that is still waiting out an earlier
+    /// frame's latency is not held up behind it: the send returns at
+    /// once, so the NIC is not held meanwhile, and the two latencies
+    /// overlap.
+    #[test]
+    fn frames_to_one_end_overlap_their_latencies() {
+        let link = Link {
+            latency: Duration::from_millis(50),
+            bandwidth: 1e9,
+        };
+        let (coord, mut sites) = shaped_star(1, link);
+        let site = sites.remove(0);
+        let receiver = std::thread::spawn(move || {
+            site.recv().unwrap();
+            site.recv().unwrap();
+        });
+        let mut second_send = 0;
+        let both = ms(|| {
+            coord.send(0, frame(1, 100)).unwrap();
+            // Let the site take the first frame and start waiting on it.
+            std::thread::sleep(Duration::from_millis(5));
+            second_send = ms(|| coord.send(0, frame(2, 100)).unwrap());
+            receiver.join().unwrap();
+        });
+        assert!(second_send < 25, "the second send took {second_send} ms");
+        assert!(both < 75, "{both} ms for two frames of 50 ms latency");
     }
 
     #[test]

@@ -37,9 +37,14 @@
 //! (`absorb_frame`, each row's leaf and group recorded, and
 //! `finish_held` placing each leaf's rows in B_next); then a resident
 //! round answers by position over the rows each leaf held (`absorb_at`
-//! with the leaf's own map). 2 sites' answers and 6 sites' answers must
-//! allocate alike, so nothing is allocated per absorbed row, per chunk,
-//! per tree level, per leaf's state vector or per leaf's held rows.
+//! with the leaf's own map). For each of these four legs on its own, 6
+//! sites' answers may allocate at most two times per extra leaf more than
+//! 2 sites' answers, so nothing is allocated per absorbed row, per chunk,
+//! per tree level or per leaf's held rows.
+//!
+//! A decode leg reads a bit-packed `Int` column of 2,000 and of 20,000
+//! rows (`codec::decode_relation`): both must allocate equally often, so
+//! unpacking allocates per column, never per value.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
@@ -63,6 +68,7 @@ use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::{eval_local, eval_shipped, finalize_physical};
 use skalla_obs::Obs;
 use skalla_gmdj::EvalOptions;
+use skalla_relation::codec::{decode_relation, encode_relation};
 use skalla_relation::{DataType, Row};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,6 +126,10 @@ fn hit_detail(rows: usize) -> Relation {
     )
     .unwrap()
 }
+
+/// The bound on one coordinator merge leg's 6-vs-2-sites allocation
+/// delta: two allocations for each of the 4 extra leaves.
+const MERGE_LEG_BOUND: u64 = 8;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -243,16 +253,18 @@ fn main() {
         (result_columns(1, reduced.schema(), reduced.len(), &[reduced.column(0)], true, Some(&survivors)), Some(Some(&even[..]))),
         (result_chunk(1, &answer, true), None),
     ];
+    // One count per leg: positional, positional under Prop 1, folded,
+    // resident.
     let measure_merge = |sites: usize| {
-        let mut allocs = 0;
+        let mut allocs = [0; 4];
         let mut held = None;
         // `Some(fragment)`: positional against B; `None`: keyed, folded,
         // each leaf's rows recorded as they land and placed in B_next.
-        for (frame, at) in &frames {
+        for ((frame, at), allocs) in frames.iter().zip(&mut allocs) {
             let chunks: Vec<_> = (0..sites)
                 .map(|_| decode_result_chunk(&frame.payload).unwrap())
                 .collect();
-            allocs += allocs_during(|| {
+            *allocs = allocs_during(|| {
                 let mut sync = MergeSync::new(at.map(|_| &merge_base), &key, &op).unwrap();
                 for (leaf, chunk) in chunks.into_iter().enumerate() {
                     match at {
@@ -272,7 +284,7 @@ fn main() {
         let chunks: Vec<_> = (0..sites)
             .map(|_| decode_result_chunk(&frames[0].0.payload).unwrap())
             .collect();
-        allocs += allocs_during(|| {
+        allocs[3] = allocs_during(|| {
             let mut sync = MergeSync::new(Some(&merge_base), &key, &op).unwrap();
             for (leaf, chunk) in chunks.into_iter().enumerate() {
                 sync.absorb_at(leaf, Some(held.leaf(leaf)), chunk).unwrap();
@@ -281,7 +293,25 @@ fn main() {
         });
         allocs
     };
-    let merge_delta = measure_merge(6).abs_diff(measure_merge(2));
+    let (merge_6, merge_2) = (measure_merge(6), measure_merge(2));
+    let merge_deltas: [u64; 4] = std::array::from_fn(|leg| merge_6[leg].abs_diff(merge_2[leg]));
+
+    // The decode leg: one bit-packed `Int` column of 2,000 and of 20,000
+    // rows (offsets of 7 bits) decodes with the same allocations: the
+    // packed run is copied once, zero-padded, and unpacked into the
+    // column's one vector.
+    let packed = |rows: i64| {
+        let rel = Relation::new(
+            Schema::of(&[("g", DataType::Int)]),
+            (0..rows).map(|i| Row::new(vec![(1_000 + i % 100).into()])).collect(),
+        )
+        .unwrap();
+        encode_relation(&rel)
+    };
+    let (packed_small, packed_large) = (packed(2_000), packed(20_000));
+    assert!(packed_large.len() < 20_000, "the column is packed: {} bytes", packed_large.len());
+    let measure_decode = |bytes: &[u8]| allocs_during(|| drop(decode_relation(bytes).unwrap()));
+    let decode_delta = measure_decode(&packed_large).abs_diff(measure_decode(&packed_small));
 
     // The site-answer leg: B of `n` groups (every tenth one matching no
     // detail row) against one detail of LARGE groups.
@@ -408,7 +438,8 @@ fn main() {
     println!("  Double residual allocation delta: {double_delta}");
     println!("  duplicate keys allocation delta: {dup_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
-    println!("  merge 6 vs 2 sites  (delta):     {merge_delta}");
+    println!("  merge 6 vs 2 sites  (delta per leg: positional, Prop 1, folded, resident): {merge_deltas:?}");
+    println!("  packed decode 20,000 vs 2,000 rows (delta): {decode_delta}");
     println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
     println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
     println!("  chain {extra_groups} more groups (delta):       {chain_delta}");
@@ -442,11 +473,21 @@ fn main() {
         "cold columnar kernel allocated {cold_delta} times for {extra_rows} extra \
          rows — building the key column or the group ids regressed to per-row allocation"
     );
+    // Each leg on its own: 4 more leaves may each allocate a few times
+    // (a leaf's states, its presence and placement records), never per
+    // absorbed row, chunk or tree level.
+    for (leg, delta) in ["positional", "Prop 1 positional", "folded", "resident"].iter().zip(merge_deltas) {
+        assert!(
+            delta <= MERGE_LEG_BOUND,
+            "merging 6 sites' answers ({leg}) allocated {delta} times more or fewer than \
+             merging 2 over the same {GROUPS} groups — the coordinator merge regressed to \
+             per-row or per-level allocation"
+        );
+    }
     assert!(
-        merge_delta <= 16,
-        "merging 6 sites' answers allocated {merge_delta} times more or fewer than \
-         merging 2 over the same {GROUPS} groups — the coordinator merge regressed to \
-         per-row or per-level allocation"
+        decode_delta == 0,
+        "decoding a packed column of 20,000 rows allocated {decode_delta} times more or \
+         fewer than one of 2,000 — unpacking regressed to per-value allocation"
     );
     assert!(
         answer_delta <= 16,

@@ -225,7 +225,8 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Cube grouping sets served by local roll-up instead of execution.
     pub rollups: u64,
-    /// Encoded bytes currently held (≤ the byte budget).
+    /// In-memory bytes currently held (≤ the byte budget;
+    /// [`Relation::memory_size`]).
     pub bytes: u64,
     /// Answers currently held.
     pub entries: u64,
@@ -255,7 +256,7 @@ struct Store {
     slots: HashMap<Key, Slot>,
     epoch: u64,
     clock: u64,
-    /// Encoded bytes of the ready slots.
+    /// In-memory bytes of the ready slots.
     bytes: usize,
 }
 
@@ -405,8 +406,10 @@ impl fmt::Debug for SemanticCache {
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 impl SemanticCache {
-    /// An empty cache holding at most `budget_bytes` of encoded
-    /// relations (least-recently-used answers are evicted past it).
+    /// An empty cache holding at most `budget_bytes` of relations, each
+    /// charged its in-memory size ([`Relation::memory_size`]), not its
+    /// smaller encoded one (least-recently-used answers are evicted past
+    /// it).
     pub fn new(budget_bytes: usize) -> SemanticCache {
         SemanticCache {
             budget: budget_bytes,
@@ -485,7 +488,7 @@ impl SemanticCache {
     }
 
     fn store_ready(&self, store: &mut Store, key: Key, relation: &Relation) {
-        let bytes = relation.encoded_size();
+        let bytes = relation.memory_size();
         if bytes > self.budget {
             return;
         }
@@ -698,7 +701,7 @@ mod tests {
     #[test]
     fn lru_respects_byte_budget() {
         let r = rel(1);
-        let unit = r.encoded_size();
+        let unit = r.memory_size();
         let cache = SemanticCache::new(unit * 2 + 1);
         let fps: Vec<Fingerprint> = (0..3).map(|i| fingerprint_bytes(&[i as u8])).collect();
         cache.insert(fps[0], &rel(10));
@@ -716,6 +719,22 @@ mod tests {
         let tiny = SemanticCache::new(1);
         tiny.insert(fps[0], &rel(1));
         assert_eq!(tiny.stats().entries, 0);
+    }
+
+    /// A bit-packed answer is charged what it holds in memory, 8 bytes a
+    /// row for its `Int` column, not its smaller wire size.
+    #[test]
+    fn entries_are_charged_their_memory_size() {
+        let small = Relation::new(
+            Schema::of(&[("g", DataType::Int)]),
+            (0..100i64).map(|v| row![v % 4]).collect(),
+        )
+        .unwrap();
+        let cache = SemanticCache::new(1 << 20);
+        cache.insert(fingerprint_bytes(b"packed"), &small);
+        let charged = cache.stats().bytes as usize;
+        assert_eq!(charged, small.schema().encoded_size() + 8 * 100);
+        assert!(charged > 3 * small.encoded_size(), "{charged} vs {}", small.encoded_size());
     }
 
     #[test]
@@ -777,7 +796,7 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!(s.entries, 1);
-        assert_eq!(s.bytes, rel(5).encoded_size() as u64);
+        assert_eq!(s.bytes, rel(5).memory_size() as u64);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use skalla_net::Message;
 use skalla_obs::json::{self, Json};
 use skalla_obs::TelemetryDelta;
-use skalla_relation::codec::{self, Decoder, Encoder};
+use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relation, Result, Schema};
 
 /// The protocol generation this build speaks, negotiated in the catalog
@@ -73,7 +73,12 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   that site's `RUN_STAGE` fragment is the rows it held for the previous
 ///   unit, in that order, without their key columns, which the site still
 ///   has and splices back in front. A v12 site would refuse the plan.
-pub const PROTOCOL_VERSION: u32 = 13;
+/// * **v14** — v13 frames; an `Int` column of any relation body may be
+///   encoding byte 6, frame-of-reference bit-packed (its minimum, a width
+///   byte, then each offset from the minimum in that many bits), whenever
+///   that is smaller than its 8-byte run. A v13 peer would refuse the
+///   encoding byte.
+pub const PROTOCOL_VERSION: u32 = 14;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -179,7 +184,7 @@ impl TryFrom<u8> for Tag {
 /// Encode a `RUN_STAGE` message: the stage index and, for a unit stage
 /// that is not folded, the base fragment.
 pub fn run_stage(stage: u32, fragment: Option<&Relation>) -> Message {
-    let mut enc = Encoder::with_capacity(5 + fragment.map(|r| r.encoded_size()).unwrap_or(0));
+    let mut enc = Encoder::with_capacity(9 + fragment.map_or(0, |r| r.schema().encoded_size()));
     enc.put_u32(stage);
     match fragment {
         Some(rel) => {
@@ -277,8 +282,8 @@ pub fn result_columns(
     last: bool,
     survivors: Option<&Survivors>,
 ) -> Message {
-    let size = schema.encoded_size() + codec::body_size(len, cols.iter().copied());
-    let mut enc = Encoder::with_capacity(5 + survivors.map_or(0, Survivors::encoded_size) + size);
+    let header = 9 + survivors.map_or(0, Survivors::encoded_size) + schema.encoded_size();
+    let mut enc = Encoder::with_capacity(header);
     enc.put_u32(stage);
     enc.put_u8(if last { RESULT_LAST } else { 0 } | if survivors.is_some() { RESULT_SURVIVORS } else { 0 });
     if let Some(s) = survivors {

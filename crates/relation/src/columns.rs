@@ -673,6 +673,21 @@ impl Column {
         self.len() == 0
     }
 
+    /// Bytes the column's values take in memory: 8 per `Int` or `Double`
+    /// row, 4 (a code) per `Str` row plus its dictionary's strings, and
+    /// the validity bitmap's bytes.
+    pub(crate) fn memory_size(&self) -> usize {
+        let bitmap = self.validity().map_or(0, |b| b.len().div_ceil(8));
+        bitmap
+            + match self {
+                Column::Int { data, .. } => 8 * data.len(),
+                Column::Double { data, .. } => 8 * data.len(),
+                Column::Str { codes, dict, .. } => {
+                    4 * codes.len() + dict.iter().map(|s| s.len()).sum::<usize>()
+                }
+            }
+    }
+
     /// Canonicalize the column for grouping: per row the `(tag, word)`
     /// pair of [`canon_value`]. Dictionary-encoded string columns turn
     /// their codes into words directly (one pass over `u32`s, no hashing).

@@ -469,6 +469,16 @@ impl Relation {
         let cols = self.columns();
         self.schema.encoded_size() + crate::codec::body_size(self.len(), cols.shared().iter().map(|c| &**c))
     }
+
+    /// In-memory size in bytes — what holding the relation costs, where
+    /// [`Relation::encoded_size`] is what shipping it does: 8 per `Int`
+    /// or `Double` cell, a 4-byte code per `Str` cell plus each column's
+    /// dictionary strings, the validity bitmaps, and the schema at its
+    /// encoded size.
+    pub fn memory_size(&self) -> usize {
+        let cols = self.columns().shared().iter().map(|c| c.memory_size());
+        self.schema.encoded_size() + cols.sum::<usize>()
+    }
 }
 
 /// The first value of `row` that is neither `NULL` nor of its field's

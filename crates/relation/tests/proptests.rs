@@ -229,6 +229,80 @@ fn columnar_codec_round_trips_bit_for_bit() {
     });
 }
 
+/// One `Int` column of `n` cells from one of the packed codec's edge
+/// families: `i64::MIN` beside `i64::MAX` (64-bit offsets), all equal, a
+/// range straddling 0, offsets of a random width above a random minimum,
+/// or any of these with `NULL`s among them.
+fn arb_int_column(rng: &mut StdRng, n: usize) -> Vec<Value> {
+    let family = rng.gen_range(0..4);
+    let nulls = rng.gen_range(0..3) == 0;
+    let one: i64 = rng.gen();
+    let span = ((1u64 << rng.gen_range(0..64u32)) - 1) as i64;
+    let min = rng.gen_range(i64::MIN..=i64::MAX - span);
+    (0..n)
+        .map(|i| match family {
+            _ if nulls && rng.gen_range(0..3) == 0 => Value::Null,
+            0 => Value::Int([i64::MIN, i64::MAX][i % 2]),
+            1 => Value::Int(one),
+            2 => Value::Int(rng.gen_range(-1000..1000)),
+            _ => Value::Int(min + rng.gen_range(0..=span)),
+        })
+        .collect()
+}
+
+/// An `Int` column's body as the codec writes it: the smaller of its raw
+/// 8-byte run and its packed form (minimum, width byte, the offsets in
+/// `w` bits each, `w` at least 1), raw on a tie, and its raw size.
+fn int_body_sizes(cells: &[Value]) -> (usize, usize) {
+    let vals: Vec<i64> = cells.iter().filter_map(|v| v.as_i64()).collect();
+    let bitmap = match vals.len() < cells.len() {
+        true => cells.len().div_ceil(8),
+        false => 0,
+    };
+    let raw = 1 + bitmap + 8 * vals.len();
+    let (Some(lo), Some(hi)) = (vals.iter().min(), vals.iter().max()) else {
+        return (raw, raw);
+    };
+    let span = hi.wrapping_sub(*lo) as u64;
+    let w = (64 - span.leading_zeros()).max(1) as usize;
+    (raw.min(1 + bitmap + 9 + (vals.len() * w).div_ceil(8)), raw)
+}
+
+/// Packed `Int` columns round-trip bit for bit — 64-bit offsets, all
+/// equal values, ranges across 0, `NULL`s, one-row columns — and a
+/// column's body is exactly the smaller of its two forms, so never larger
+/// than its raw 8-byte run.
+#[test]
+fn packed_int_columns_round_trip_bit_for_bit() {
+    for_cases("packed_int_columns_round_trip_bit_for_bit", 128, |rng| {
+        let n = match rng.gen_range(0..4) {
+            0 => 1,
+            _ => rng.gen_range(0..80),
+        };
+        let cols: Vec<Vec<Value>> = (0..rng.gen_range(1..4)).map(|_| arb_int_column(rng, n)).collect();
+        let fields = (0..cols.len()).map(|c| Field::new(format!("c{c}"), DataType::Int));
+        let rows = (0..n).map(|i| Row::new(cols.iter().map(|c| c[i].clone()).collect()));
+        let rel = Relation::new(Schema::new(fields.collect()).expect("distinct names"), rows.collect())
+            .expect("rows conform");
+        let bytes = encode_relation(&rel);
+        let back = decode_relation(&bytes).expect("decode what we encoded");
+        assert_eq!(back.len(), n);
+        for (got, want) in back.rows().iter().zip(rel.rows()) {
+            for (g, w) in got.values().iter().zip(want.values()) {
+                assert!(same_bits(g, w), "{g:?} vs {w:?} of\n{rel}");
+            }
+        }
+        assert_eq!(encode_relation(&back), bytes);
+        assert_eq!(rel.encoded_size(), bytes.len());
+        let (body, raw) = match n {
+            0 => (0, 0),
+            _ => cols.iter().map(|c| int_body_sizes(c)).fold((0, 0), |(b, r), (cb, cr)| (b + cb, r + cr)),
+        };
+        assert_eq!(bytes.len(), rel.schema().encoded_size() + 4 + body, "of\n{rel}");
+        assert!(body <= raw);
+    });
+}
+
 #[test]
 fn codec_round_trips() {
     for_cases("codec_round_trips", 64, |rng| {

@@ -109,8 +109,9 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     // A stage task whose fragment's columnar body is malformed: stage 1,
     // a fragment, the schema `(g ty)`, a row count, then the column as
     // given. Encoding bytes: 1 is an `Int` run, 2 a `Double` run, 3 a
-    // string dictionary, 4 plain strings; 5 was the tagged cells of the
-    // mixed-type column, which protocol v11 retired.
+    // string dictionary, 4 plain strings, 6 a bit-packed `Int` run; 5 was
+    // the tagged cells of the mixed-type column, which protocol v11
+    // retired.
     let fragment = |ty: DataType, rows: u32, column: &[u8]| {
         let mut e = Encoder::new();
         e.put_u32(1);
@@ -172,6 +173,60 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
 
     // The session survived every malformed frame: it still executes the
     // orderly shutdown and the thread joins without a panic.
+    coord.broadcast(&protocol::shutdown()).unwrap();
+    session.join().expect("session loop must not panic");
+}
+
+/// A stage task whose fragment holds a malformed bit-packed `Int` column
+/// (encoding byte 6: the minimum, a width byte, the offsets) gets a clean
+/// `TAG_ERROR`: a width of 0 or 65, a short run, set padding bits, an
+/// offset carrying the minimum past `i64`, and `u32::MAX` rows claimed by
+/// a few bytes, refused by the row-count guard before anything is
+/// allocated for them. A well-formed packed fragment is then answered.
+#[test]
+fn malformed_packed_columns_get_clean_error_replies() {
+    let (coord, mut sites) = star(1);
+    let site = sites.pop().unwrap();
+    let cat = catalog();
+    let session = std::thread::spawn(move || {
+        site_session_loop(&cat, Arc::new(site), false, &Obs::disabled())
+    });
+    let reply = || coord.recv(Duration::from_secs(10)).expect("site must reply, not hang").1;
+    coord
+        .send(0, Message::for_query(protocol::TAG_PLAN, 1, plan_bytes()))
+        .unwrap();
+    // Stage 1's fragment `(g INT)`: `rows`, then one packed column.
+    let fragment = |rows: u32, min: i64, width: u8, run: &[u8]| {
+        let mut e = Encoder::new();
+        e.put_u32(1);
+        e.put_u8(1);
+        e.put_schema(&Schema::of(&[("g", DataType::Int)]));
+        e.put_u32(rows);
+        e.put_u8(6);
+        e.put_i64(min);
+        e.put_u8(width);
+        let mut payload = e.finish();
+        payload.extend_from_slice(run);
+        Message::for_query(protocol::TAG_RUN_STAGE, 1, payload)
+    };
+    for (payload, frag) in [
+        (fragment(2, 0, 65, &[0; 17]), "packed width 65"),
+        (fragment(2, 0, 0, &[0]), "packed width 0"),
+        (fragment(9, 0, 4, &[0; 4]), "unexpected end of input"),
+        (fragment(3, 0, 2, &[0b0100_0000]), "past its last value"),
+        (fragment(2, i64::MAX, 1, &[0b10]), "past i64"),
+        (fragment(u32::MAX, 0, 1, &[0; 8]), "cannot fit"),
+    ] {
+        coord.send(0, payload).unwrap();
+        let error = reply();
+        assert_eq!(error.tag, protocol::TAG_ERROR, "expected an error frame for {frag:?}");
+        let msg = protocol::decode_error(&error.payload);
+        assert!(msg.contains(frag), "error {msg:?} does not mention {frag:?}");
+    }
+    // Groups 1 and 2, packed in one bit each: the stage runs.
+    coord.send(0, fragment(2, 1, 1, &[0b10])).unwrap();
+    assert_eq!(reply().tag, protocol::TAG_TELEMETRY, "busy time leads the result");
+    assert_eq!(reply().tag, protocol::TAG_RESULT, "a packed fragment is answered");
     coord.broadcast(&protocol::shutdown()).unwrap();
     session.join().expect("session loop must not panic");
 }

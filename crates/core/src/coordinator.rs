@@ -27,15 +27,16 @@
 //! caller builds a row; allocation is per state growth and per output
 //! column, never per absorbed row, chunk, tree level or output group.
 //!
-//! The stage loop that drives them over a transport (Alg.
-//! GMDJDistribEval) is the crate-private `run` sub-module.
+//! The state machine that drives them (Alg. GMDJDistribEval), and its
+//! receive driver over a transport, are the crate-private `run`
+//! sub-module.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 mod run;
 
-pub(crate) use run::{finished_rounds, net_err, run_coordinator, Clock};
+pub(crate) use run::{finished_rounds, net_err, run_coordinator, Clock, CoordMachine};
 
 use crate::protocol::ResultChunk;
 use skalla_gmdj::agg::AccLayout;
@@ -123,12 +124,14 @@ impl Default for BaseSync {
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
 ///
-/// X is B, borrowed, group `g` being B's row `g`, beside typed accumulator
-/// states. A folded unit has no B: X grows from the keyed sub-results, and
-/// a group's base part is its key (Prop 2). Each answering site is a leaf,
-/// one typed state over X's groups with a presence bit per group, which
-/// its chunks reach by position ([`MergeSync::absorb_at`]) or, folded, by
-/// key ([`MergeSync::absorb_frame`]: a key the leaf repeats merges in
+/// X is B, a clone sharing B's columns, group `g` being B's row `g`,
+/// beside typed accumulator states (so a caller need not keep B borrowed
+/// while answers arrive). A folded unit has no B: X grows from the keyed
+/// sub-results, and a group's base part is its key (Prop 2). Each
+/// answering site is a leaf, one typed state over X's groups with a
+/// presence bit per group, which its chunks reach by position
+/// ([`MergeSync::absorb_at`]) or, folded, by key
+/// ([`MergeSync::absorb_frame`]: a key the leaf repeats merges in
 /// arrival order). [`MergeSync::finish`] merges the leaves as a binary
 /// tree instead of a left fold — adjacent leaves pair level by level until
 /// one remains, each merge taking (left, right) in that order, and a leaf
@@ -138,11 +141,11 @@ impl Default for BaseSync {
 /// associativity makes it equal to a left fold
 /// (`parallel_merge_tree_equals_left_fold`).
 #[derive(Debug)]
-pub struct MergeSync<'b> {
+pub struct MergeSync {
     /// B: row `g` is group `g`'s base part (`None` when folded).
-    base: Option<&'b Relation>,
+    base: Option<Relation>,
     /// B's key columns, in key order, which a keyed answer is looked up by.
-    base_keys: Vec<&'b Column>,
+    base_keys: Vec<Arc<Column>>,
     /// A folded unit's group `g`'s key, `key_len` values per group, in
     /// one run, as first sighted.
     keys: Vec<Value>,
@@ -193,22 +196,23 @@ impl LeafRows {
     }
 }
 
-impl<'b> MergeSync<'b> {
+impl MergeSync {
     /// Build X from the current base structure (`None` for folded units,
     /// where X grows from the incoming sub-results).
-    pub fn new(b_cur: Option<&'b Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync<'b>> {
+    pub fn new(b_cur: Option<&Relation>, key: &[String], op: &Gmdj) -> Result<MergeSync> {
         let mut x = MergeSync::folded(key.len(), op);
         if let Some(b) = b_cur {
-            x.base_keys = key_columns(b, key)?;
+            let idx = b.schema().indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
+            x.base_keys = idx.iter().map(|&c| b.shared_column(c)).collect();
             x.cap = b.len();
-            x.base = Some(b);
+            x.base = Some(b.clone());
         }
         Ok(x)
     }
 
     /// An empty X for a folded unit whose sub-results lead with `key_len`
     /// key columns.
-    fn folded(key_len: usize, op: &Gmdj) -> MergeSync<'b> {
+    fn folded(key_len: usize, op: &Gmdj) -> MergeSync {
         MergeSync {
             base: None,
             base_keys: Vec::new(),
@@ -229,7 +233,7 @@ impl<'b> MergeSync<'b> {
 
     /// X's group count.
     fn groups(&self) -> usize {
-        self.base.map_or(self.index.len(), Relation::len)
+        self.base.as_ref().map_or(self.index.len(), Relation::len)
     }
 
     /// Absorb one whole keyed answer as the next leaf: the key columns
@@ -307,13 +311,14 @@ impl<'b> MergeSync<'b> {
         }
         self.prepare(leaf, schema, kl, cols.len())?;
         if self.base.is_some() && self.index.len() < self.cap {
-            self.index = index_columns(&self.base_keys, self.cap)?;
+            let base_keys: Vec<&Column> = self.base_keys.iter().map(Arc::as_ref).collect();
+            self.index = index_columns(&base_keys, self.cap)?;
         }
         self.slots.clear();
         for i in 0..cols.len() {
             let h = cols.key_hash(kl, i);
             let (keys, base_keys) = (&self.keys, &self.base_keys);
-            let found = match self.base {
+            let found = match &self.base {
                 Some(_) => self.index.find(h, |g| {
                     let mut same = base_keys.iter().enumerate();
                     same.all(|(c, b)| cols.col(c).value_eq_at(i, b, g))
@@ -467,7 +472,7 @@ impl<'b> MergeSync<'b> {
         let out_schema = op.output_schema(b_in_schema, detail)?;
         let groups = self.groups();
         let mut order: Vec<u32> = (0..groups as u32).collect();
-        let mut cols: Vec<Arc<Column>> = match self.base {
+        let mut cols: Vec<Arc<Column>> = match &self.base {
             Some(b) => (0..b.schema().len()).map(|c| b.shared_column(c)).collect(),
             None => {
                 let keys = self.folded_keys(&out_schema);
@@ -1236,7 +1241,7 @@ mod tests {
     /// The engine's way into X: every chunk encoded into a `RESULT` frame
     /// and absorbed as it lands, the sites' chunks interleaved at random,
     /// each site's in order.
-    fn absorb_interleaved<'b>(c: &'b MergeCase, op: &Gmdj, rng: &mut StdRng) -> MergeSync<'b> {
+    fn absorb_interleaved(c: &MergeCase, op: &Gmdj, rng: &mut StdRng) -> MergeSync {
         let mut engine = MergeSync::new((!c.folded).then_some(&c.b), &key(), op).unwrap();
         let mut queues: Vec<_> = c.chunks.iter().map(|c| c.iter()).collect();
         let mut live: Vec<usize> = (0..c.n_sites).collect();
@@ -1337,7 +1342,7 @@ mod tests {
     /// [`AccStates::physical_columns`], X_init where no state holds the
     /// group) through the reference's [`oracle::finalize_all`], in B's row
     /// order — or, folded, sorted by the keys' `Value` order.
-    fn finish_by_rows(mut x: MergeSync<'_>, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
+    fn finish_by_rows(mut x: MergeSync, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
         x.merge_tree().unwrap();
         let out_schema = op.output_schema(b_in_schema, detail).unwrap();
         let kl = x.key_len;
@@ -1349,7 +1354,7 @@ mod tests {
         let mut acc = Vec::new();
         let mut rows = Vec::new();
         for g in order {
-            let mut vs = match x.base {
+            let mut vs = match &x.base {
                 Some(b) => b.rows()[g].values().to_vec(),
                 None => key(g).to_vec(),
             };

@@ -1,103 +1,282 @@
-//! Alg. GMDJDistribEval, coordinator side: the stage loop the
-//! [`Skalla`](crate::Skalla) engine runs once per executing query, and
-//! the one receive loop every stage round goes through — results and
-//! the sites' telemetry alike.
+//! Alg. GMDJDistribEval, coordinator side: [`CoordMachine`], one query's
+//! end of the protocol as a state machine that touches no transport, and
+//! [`run_coordinator`], the receive driver the [`Skalla`](crate::Skalla)
+//! engine runs it under on every backend.
 
 use super::{empty_aggregates, verify_unique_key, BaseSync, ChainSync, MergeSync};
-use crate::plan::{DistributedPlan, SiteFilter, StageKind};
+use crate::plan::{DistributedPlan, SiteFilter, StageKind, Unit};
 use crate::protocol::{self, Tag};
 use crate::stats::StageTimes;
 use crate::warehouse::EngineConfig;
 use skalla_gmdj::BaseQuery;
 use skalla_net::{CoordinatorTransport, Message, NetStats};
-use skalla_obs::{estimate_offset_us, Obs, TelemetryDelta, Track};
+use skalla_obs::{estimate_offset_us, Obs, SpanGuard, TelemetryDelta, Track};
 use skalla_relation::{DataType, Error, Relation, Result, Schema};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Drive Alg. GMDJDistribEval over a coordinator transport: per stage,
-/// ship the base structure down, collect sub-results, synchronize. The
-/// [`Skalla`](crate::Skalla) engine calls this once per executing query,
-/// whichever backend carries the bytes, so the protocol logic cannot
-/// diverge between transports.
-///
-/// Coordinator-side spans land on the query's own
-/// [`Track::Query`]`(query_id)` timeline — span nesting is per-track, so
-/// it stays correct when queries interleave — and carry a `query_id`
-/// attribute.
-///
-/// Of `cfg`, the coordinator reads the round timeout and the obs handle.
-/// Each site's busy seconds for a stage arrive in
-/// that round (see [`collect`]) and land in the stage's
-/// [`StageTimes::site_busy_s`]. The `clock` charges every moment from
-/// its last mark to the end of the last stage to one stage's
-/// coordinator or wait seconds.
+/// The plan-validation catalog: each table's schema, as relations.
+type Catalog = HashMap<String, Arc<Relation>>;
+
+/// Run one query's machine over a coordinator transport: open each round
+/// it asks for and send that round's frames, then receive, with `timeout`,
+/// until it has the answer. The engine calls this once per executing
+/// query, whichever backend carries the bytes, so the protocol logic
+/// cannot diverge between transports.
 pub(crate) fn run_coordinator(
     coord: &dyn CoordinatorTransport,
-    plan: &DistributedPlan,
-    schemas: &[Schema],
-    detail_schemas: &HashMap<String, Schema>,
-    cfg: &EngineConfig,
-    query_id: u32,
+    mut machine: CoordMachine<'_>,
+    timeout: Duration,
     clock: &mut Clock,
 ) -> Result<(Relation, Vec<StageTimes>)> {
-    let obs = &cfg.obs;
-    let track = Track::Query(query_id);
-    let n = coord.n_sites();
-    // A literal B's key is checked unique once, here: every later B is
-    // made unique by the synchronizer that made it.
-    let mut b_cur = match &plan.expr.base {
-        BaseQuery::Literal(rel) => verify_unique_key(rel, &plan.key).map(|()| Some(rel.clone()))?,
-        BaseQuery::DistinctProject { .. } => None,
-    };
-    let mut stage_times = Vec::with_capacity(plan.stages.len());
-    // Per site, the fragment it holds from the previous unit, which a
-    // resident site is sent again without its key.
-    let mut held: Vec<Option<Rows>> = vec![None; n];
+    let mut step = machine.start(clock)?;
+    loop {
+        for (label, frames) in step.rounds {
+            coord.stats().begin_round(label);
+            for (site, msg) in frames {
+                coord.send(site, msg).map_err(net_err)?;
+            }
+        }
+        machine.shipped(clock);
+        if let Some(answer) = step.done {
+            return Ok(answer);
+        }
+        let (site, msg) = coord.recv(timeout).map_err(net_err)?;
+        step = machine.on_frame(site, msg, clock)?;
+    }
+}
 
-    for (sidx, stage) in plan.stages.iter().enumerate() {
-        coord.stats().begin_round(stage.label.clone());
-        let stage_no = sidx as u32;
-        let mut stage_span = obs
-            .span(track, stage.label.as_str())
-            .with("query_id", query_id as u64);
+/// What [`CoordMachine`] asks of its driver: open these accounting
+/// rounds in order, sending each one's `(site, frame)`s; then wait for the
+/// next frame or, once `done`, return the answer and each round's times.
+#[derive(Default)]
+pub(crate) struct Step {
+    pub(crate) rounds: Vec<(String, Vec<(usize, Message)>)>,
+    pub(crate) done: Option<(Relation, Vec<StageTimes>)>,
+}
+
+/// One query's coordinator as a state machine: frames in; the frames to
+/// send and, at last, the answer out. Per stage it ships the base
+/// structure down, absorbs the sites' sub-results as they arrive and
+/// synchronizes. It reads time only through the [`Clock`] its driver
+/// lends it. Its spans land on the query's own [`Track::Query`] timeline
+/// (span nesting is per-track, so it holds when queries interleave).
+pub(crate) struct CoordMachine<'q> {
+    plan: &'q DistributedPlan,
+    catalog: &'q Catalog,
+    /// The obs handle, and the options the plan ships with.
+    cfg: &'q EngineConfig,
+    query_id: u32,
+    /// The logical schema of B before each operator, and after the last.
+    schemas: Vec<Schema>,
+    b_cur: Option<Relation>,
+    /// Per site, the fragment it holds from the previous unit, which a
+    /// resident site is sent again without its key.
+    held: Vec<Option<Rows>>,
+    /// The finished rounds' times, the plan round's first.
+    times: Vec<StageTimes>,
+    round: Option<Round<'q>>,
+}
+
+/// The stage round under way.
+struct Round<'q> {
+    stage: u32,
+    st: StageTimes,
+    /// Per site the stage was sent to, its fragment's B rows.
+    sent: Vec<Option<Rows>>,
+    /// The sites whose final result chunk is still to come.
+    waiting: Vec<bool>,
+    /// When the stage was shipped, on the coordinator recorder's clock:
+    /// no site can have exported a trace delta for it earlier.
+    shipped_us: u64,
+    sync: Sync<'q>,
+    /// The stage's span and its synchronizer's.
+    spans: (SpanGuard, SpanGuard),
+}
+
+/// The synchronizer a round's answers go into.
+enum Sync<'q> {
+    Base(BaseSync),
+    Chain(ChainSync, &'q Unit),
+    Merge(Box<Merge<'q>>),
+}
+
+/// A merge unit's synchronizer, and what places and checks its answers.
+struct Merge<'q> {
+    unit: &'q Unit,
+    /// The unit's detail table's schema.
+    detail: &'q Schema,
+    sync: MergeSync,
+    /// Per site, its leaf: its rank among the sites the stage was sent
+    /// to, so the merge tree's shape depends only on the participant set.
+    leaf: Vec<usize>,
+    /// A sub-result's types: a folded unit's key, as B types it, then the
+    /// unit's physical accumulators'.
+    result_types: Vec<DataType>,
+    chunks: usize,
+    survivor_bytes: usize,
+}
+
+impl<'q> CoordMachine<'q> {
+    /// A machine for `plan` over `n` sites, checked against `catalog`.
+    pub(crate) fn new(
+        plan: &'q DistributedPlan,
+        catalog: &'q Catalog,
+        cfg: &'q EngineConfig,
+        query_id: u32,
+        n: usize,
+    ) -> Result<Self> {
+        plan.check_structure(n)?;
+        let schemas = plan.expr.validate(catalog)?;
+        // A literal B's key is checked unique once, here: every later B is
+        // made unique by the synchronizer that made it.
+        let b_cur = match &plan.expr.base {
+            BaseQuery::Literal(rel) => verify_unique_key(rel, &plan.key).map(|()| Some(rel.clone()))?,
+            BaseQuery::DistinctProject { .. } => None,
+        };
+        let (held, times, round) = (vec![None; n], Vec::with_capacity(plan.stages.len() + 1), None);
+        Ok(CoordMachine { plan, catalog, cfg, query_id, schemas, b_cur, held, times, round })
+    }
+
+    /// The plan round, which broadcasts the plan, and the first stage's.
+    pub(crate) fn start(&mut self, clock: &mut Clock) -> Result<Step> {
+        let n = self.held.len();
+        let bytes = crate::plan_codec::encode_plan_with_options(self.plan, &self.cfg.eval, self.cfg.chunk_rows);
+        let msg = Message::new(protocol::TAG_PLAN, bytes);
+        let mut st = StageTimes::new("plan", n);
+        clock.charge(&mut st.coord_s);
+        self.times.push(st);
+        let mut step = self.advance(clock)?;
+        step.rounds.insert(0, ("plan".into(), (0..n).map(|site| (site, msg.clone())).collect()));
+        Ok(step)
+    }
+
+    /// The driver sent the last step's frames: the open round's time.
+    pub(crate) fn shipped(&mut self, clock: &mut Clock) {
+        if let Some(round) = &mut self.round {
+            clock.charge(&mut round.st.coord_s);
+        }
+    }
+
+    /// Take one frame from `site`: the time since the driver's last mark
+    /// is the round's wait, the frame's handling the coordinator's.
+    /// Result chunks (a site's result may be row-blocked into several) go
+    /// into the round's synchronizer as they arrive, their rows still
+    /// encoded; a `TELEMETRY` frame, just ahead of a site's final chunk,
+    /// adds its busy seconds and merges its trace delta, if any. Any other
+    /// frame, a frame for another stage, and a result or telemetry frame
+    /// from a site the stage was not sent to or that already sent its
+    /// final chunk fail the query: so neither an uninvited nor a repeating
+    /// site can close the round ahead of a silent participant and drop its
+    /// sub-aggregates from the merge.
+    pub(crate) fn on_frame(&mut self, site: usize, msg: Message, clock: &mut Clock) -> Result<Step> {
+        let late = || Error::Execution(format!("site {site} sent a frame after the query finished"));
+        let round = self.round.as_mut().ok_or_else(late)?;
+        clock.charge(&mut round.st.wait_s);
+        let (stage, tag) = (round.stage, Tag::try_from(msg.tag)?);
+        if matches!(tag, Tag::Result | Tag::Telemetry) && !round.waiting[site] {
+            let why = if round.sent[site].is_some() { "after its final one" } else { "but was not sent it" };
+            return Err(Error::Execution(format!("site {site} sent {} for stage {stage} {why}", tag.name())));
+        }
+        match tag {
+            Tag::Result => {
+                let chunk = protocol::decode_result_chunk(&msg.payload)?;
+                check_stage("result", chunk.stage, stage)?;
+                round.waiting[site] &= !chunk.last;
+                round.st.rows_up += chunk.len() as u64;
+                match &mut round.sync {
+                    Sync::Base(sync) => sync.absorb(chunk.relation()?)?,
+                    Sync::Chain(sync, _) => sync.absorb(&chunk.relation()?)?,
+                    Sync::Merge(m) => {
+                        m.chunks += 1;
+                        check_result_types(&chunk, &m.result_types, m.unit.positional())?;
+                        if !m.unit.positional() {
+                            m.sync.absorb_frame(m.leaf[site], chunk)?;
+                        } else {
+                            m.survivor_bytes += chunk.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
+                            let fragment = round.sent[site].as_ref().and_then(Option::as_deref);
+                            m.sync.absorb_at(m.leaf[site], fragment, chunk)?;
+                        }
+                    }
+                }
+            }
+            Tag::Telemetry => {
+                let report = protocol::decode_telemetry(&msg.payload)?;
+                check_stage("telemetry", report.stage, stage)?;
+                round.st.site_busy_s[site] += report.busy_s;
+                if let Some(delta) = report.obs {
+                    import_site_delta(&self.cfg.obs, site, delta, round.shipped_us);
+                }
+            }
+            Tag::Error => {
+                let why = protocol::decode_error(&msg.payload);
+                return Err(Error::Execution(format!("site failed (site {site}, stage {stage}): {why}")));
+            }
+            // What a coordinator sends, and the handshake reply.
+            Tag::RunStage | Tag::Shutdown | Tag::Plan | Tag::CatalogReq | Tag::Catalog | Tag::QueryDone => {
+                return Err(Error::Execution(format!("unexpected message tag {} from site", msg.tag)));
+            }
+        }
+        clock.charge(&mut round.st.coord_s);
+        self.advance(clock)
+    }
+
+    /// Synchronize each round that owes nothing more and open the next
+    /// stage's, until a round owes a result or the plan is done.
+    fn advance(&mut self, clock: &mut Clock) -> Result<Step> {
+        let mut step = Step::default();
+        loop {
+            // `times` holds the plan round's and each finished stage's.
+            match self.round.take() {
+                Some(round) if round.waiting.contains(&true) => {
+                    self.round = Some(round);
+                    return Ok(step);
+                }
+                Some(round) => self.finish(round, clock)?,
+                None if self.times.len() > self.plan.stages.len() => break,
+                None => self.round = Some(self.open(self.times.len() - 1, &mut step)?),
+            }
+        }
+        let relation = self.b_cur.take().ok_or_else(|| Error::Execution("plan produced no result".into()))?;
+        step.done = Some((relation, std::mem::take(&mut self.times)));
+        Ok(step)
+    }
+
+    /// Open stage `sidx`'s round in `step`: ship the base structure to the
+    /// participating sites, keeping each site's fragment → B map.
+    fn open(&mut self, sidx: usize, step: &mut Step) -> Result<Round<'q>> {
+        let (plan, n, obs) = (self.plan, self.held.len(), &self.cfg.obs);
+        let (track, stage, stage_no) = (Track::Query(self.query_id), &plan.stages[sidx], sidx as u32);
+        let stage_span = obs.span(track, stage.label.as_str()).with("query_id", self.query_id as u64);
+        let shipped_us = obs.recorder().map_or(0, |r| r.now_us());
         let mut st = StageTimes::new(&stage.label, n);
-
-        match &stage.kind {
+        let mut frames = Vec::with_capacity(n);
+        let mut sent: Vec<Option<Rows>> = vec![None; n];
+        let (sync, name) = match &stage.kind {
             StageKind::Base => {
-                held = vec![None; n];
-                let round = Round::shipped_now(stage_no, vec![true; n], obs);
-                coord
-                    .broadcast(&protocol::run_stage(stage_no, None))
-                    .map_err(net_err)?;
-                let mut sync_span = obs.span(track, "BaseSync");
-                let mut sync = BaseSync::new();
-                collect(coord, cfg, &round, &mut st, clock, |_, c| sync.absorb(c.relation()?))?;
-                b_cur = Some(sync.finish(&plan.key)?);
-                sync_span.arg("rows_up", st.rows_up);
-                sync_span.arg("groups", b_cur.as_ref().map(|b| b.len()).unwrap_or(0));
-                sync_span.finish();
+                let msg = protocol::run_stage(stage_no, None);
+                frames.extend((0..n).map(|site| (site, msg.clone())));
+                sent = vec![Some(None); n];
+                (Sync::Base(BaseSync::new()), "BaseSync")
             }
             StageKind::Unit(unit) => {
-                // 1. Ship base fragments to participating sites, keeping
+                // Ship base fragments to participating sites, keeping
                 // each site's fragment → B map (`None`: all of B).
-                let no_base = || Error::Execution("unit stage with no base structure".into());
                 let mut ship_span = obs.span(track, "ship base");
-                let mut round = Round::shipped_now(stage_no, vec![false; n], obs);
-                let mut fragments: Vec<Option<Rows>> = vec![None; n];
                 // A resident site already holds K: only the other columns ship.
                 let resident_columns: Vec<String> =
                     unit.ship_columns.iter().filter(|c| !plan.key.contains(c)).cloned().collect();
                 // The stage every site sent all of B gets, keyed and
                 // resident, encoded once.
                 let mut whole: [Option<Message>; 2] = [None, None];
-                for site in 0..n {
-                    let (resident, rows) = match &unit.site_filters[site] {
+                for (site, filter) in unit.site_filters.iter().enumerate() {
+                    let (resident, rows) = match filter {
                         SiteFilter::Skip => {
-                            // Thm 4, S_MD ⊂ S_B case: the whole fragment
-                            // is eliminated for this site.
+                            // Thm 4, S_MD ⊂ S_B case: the whole fragment is
+                            // eliminated for this site.
                             if obs.is_recording() {
-                                let rows = b_cur.as_ref().map(|b| b.len()).unwrap_or(0);
+                                let rows = self.b_cur.as_ref().map(|b| b.len()).unwrap_or(0);
                                 obs.event(
                                     track,
                                     "group reduction skip",
@@ -108,7 +287,7 @@ pub(crate) fn run_coordinator(
                         }
                         SiteFilter::All => (false, None),
                         SiteFilter::Predicate(p) => {
-                            let b = b_cur.as_ref().ok_or_else(no_base)?;
+                            let b = self.b_cur.as_ref().ok_or_else(no_base)?;
                             let kept = b.selection(&p.bind(b.schema(), None)?)?;
                             // Thm 4: rows eliminated by the ¬ψ filter.
                             if obs.is_recording() {
@@ -126,7 +305,7 @@ pub(crate) fn run_coordinator(
                             (false, Some(kept))
                         }
                         SiteFilter::Resident => {
-                            let rows = held[site].take().ok_or_else(|| {
+                            let rows = self.held[site].take().ok_or_else(|| {
                                 Error::Plan(format!("stage {stage_no}: site {site} is resident but holds no rows"))
                             })?;
                             (true, rows)
@@ -135,7 +314,7 @@ pub(crate) fn run_coordinator(
                     let msg = match (unit.fold_base, &rows) {
                         (true, _) => protocol::run_stage(stage_no, None),
                         (false, rows) => {
-                            let b = b_cur.as_ref().ok_or_else(no_base)?;
+                            let b = self.b_cur.as_ref().ok_or_else(no_base)?;
                             let columns = if resident { &resident_columns } else { &unit.ship_columns };
                             st.rows_down += rows.as_ref().map_or(b.len(), Vec::len) as u64;
                             match (rows, &mut whole[usize::from(resident)]) {
@@ -145,115 +324,105 @@ pub(crate) fn run_coordinator(
                             }
                         }
                     };
-                    round.owed[site] = true;
-                    fragments[site] = Some(rows);
-                    coord.send(site, msg).map_err(net_err)?;
+                    sent[site] = Some(rows);
+                    frames.push((site, msg));
                 }
                 ship_span.arg("rows_down", st.rows_down);
-                ship_span.arg("participants", round.owed.iter().filter(|o| **o).count());
+                ship_span.arg("participants", frames.len());
                 ship_span.arg("fold_base", unit.fold_base);
                 ship_span.finish();
-
-                // 2. Synchronize sub-results.
-                let ops = &plan.expr.ops[unit.ops.clone()];
-                let b_in_schema = &schemas[unit.ops.start];
-                let out_schema = schemas[unit.ops.end].clone();
-                // After a fold, each site's own groups, where a resident
-                // next unit finds them.
-                let own_groups = if unit.local_chain {
-                    let mut sync_span = obs.span(track, "ChainSync");
-                    let mut sync = ChainSync::new(plan.key.len());
-                    collect(coord, cfg, &round, &mut st, clock, |_, c| sync.absorb(&c.relation()?))?;
-                    b_cur = Some(if unit.fold_base {
-                        sync.finish_folded(out_schema)?
-                    } else {
-                        let empty = empty_aggregates(ops)?;
-                        let b = b_cur.take().ok_or_else(no_base)?;
-                        sync.finish_against(&b, &plan.key, &empty, out_schema)?
-                    });
-                    sync_span.arg("rows_up", st.rows_up);
-                    sync_span.finish();
-                    // X does not place a folded chain's groups.
-                    None
+                if unit.local_chain {
+                    (Sync::Chain(ChainSync::new(plan.key.len()), unit), "ChainSync")
                 } else {
-                    let mut sync_span = obs.span(track, "MergeSync");
-                    let op = &ops[0];
-                    let detail = detail_schemas
-                        .get(&unit.table)
-                        .ok_or_else(|| Error::Plan(format!("unknown table {:?}", unit.table)))?;
+                    let op = &plan.expr.ops[unit.ops.start];
+                    let b_in_schema = &self.schemas[unit.ops.start];
                     // A sub-result's types: a folded unit's key, as B
                     // types it, then the unit's physical accumulators'.
-                    let positional = unit.positional();
                     let mut result_types = Vec::with_capacity(plan.key.len() + op.layout().width());
-                    for k in plan.key.iter().filter(|_| !positional) {
+                    for k in plan.key.iter().filter(|_| !unit.positional()) {
                         result_types.push(b_in_schema.field(b_in_schema.index_of(k)?).data_type());
                     }
+                    let unknown = || Error::Plan(format!("unknown table {:?}", unit.table));
+                    let detail = self.catalog.get(&unit.table).ok_or_else(unknown)?.schema();
                     let acc = op.layout().physical_fields(detail)?;
                     result_types.extend(acc.iter().map(|f| f.data_type()));
-                    let mut sync = MergeSync::new(
-                        if unit.fold_base { None } else { b_cur.as_ref() },
-                        &plan.key,
-                        op,
-                    )?;
-                    // Each chunk goes into X as it lands, into its site's
-                    // leaf: the site's rank among the sites the stage was
-                    // sent to, so the merge tree's shape depends only on
-                    // the participant set.
-                    let leaf: Vec<usize> = round
-                        .owed
+                    let sync = MergeSync::new(if unit.fold_base { None } else { self.b_cur.as_ref() }, &plan.key, op)?;
+                    let leaf = sent
                         .iter()
-                        .scan(0, |next, &owed| {
+                        .scan(0, |next, f| {
                             let rank = *next;
-                            *next += usize::from(owed);
+                            *next += usize::from(f.is_some());
                             Some(rank)
                         })
                         .collect();
-                    let (mut n_chunks, mut survivor_bytes) = (0usize, 0usize);
-                    collect(coord, cfg, &round, &mut st, clock, |site, c| {
-                        n_chunks += 1;
-                        check_result_types(&c, &result_types, positional)?;
-                        if !positional {
-                            return sync.absorb_frame(leaf[site], c);
-                        }
-                        survivor_bytes += c.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
-                        sync.absorb_at(leaf[site], fragments[site].as_ref().and_then(Option::as_deref), c)
-                    })?;
-                    // A folded answer's rows are the B rows they landed at.
-                    let next_resident = matches!(
-                        plan.stages.get(sidx + 1).map(|s| &s.kind),
-                        Some(StageKind::Unit(u)) if u.site_filters.contains(&SiteFilter::Resident)
-                    );
-                    let own_groups = if unit.fold_base && next_resident {
-                        let (b_next, rows) = sync.finish_held(b_in_schema, op, detail)?;
-                        b_cur = Some(b_next);
-                        Some((0..n).map(|s| round.owed[s].then(|| Some(rows.leaf(leaf[s]).to_vec()))).collect())
-                    } else {
-                        b_cur = Some(sync.finish(b_in_schema, op, detail)?);
-                        None
-                    };
-                    sync_span.arg("rows_up", st.rows_up);
-                    sync_span.arg("chunks", n_chunks);
-                    sync_span.arg("positional", positional);
-                    sync_span.arg("survivor_bytes", survivor_bytes);
-                    sync_span.finish();
-                    own_groups
-                };
-                held = match own_groups {
-                    Some(own) => own,
-                    None if unit.fold_base => vec![None; n],
-                    None => fragments,
-                };
+                    let merge = Merge { unit, detail, sync, leaf, result_types, chunks: 0, survivor_bytes: 0 };
+                    (Sync::Merge(Box::new(merge)), "MergeSync")
+                }
             }
-        }
+        };
+        step.rounds.push((stage.label.clone(), frames));
+        let waiting = sent.iter().map(Option::is_some).collect();
+        let spans = (stage_span, obs.span(track, name));
+        Ok(Round { stage: stage_no, st, sent, waiting, shipped_us, sync, spans })
+    }
+
+    /// Synchronize a round whose answers are all in: B becomes the
+    /// stage's output, and each site's held rows what the next unit may
+    /// leave it.
+    fn finish(&mut self, round: Round<'q>, clock: &mut Clock) -> Result<()> {
+        let Round { stage, mut st, sent, sync, spans: (mut stage_span, mut sync_span), .. } = round;
+        let plan = self.plan;
+        sync_span.arg("rows_up", st.rows_up);
+        let (b, held) = match sync {
+            Sync::Base(sync) => {
+                let b = sync.finish(&plan.key)?;
+                sync_span.arg("groups", b.len());
+                (b, None)
+            }
+            Sync::Chain(sync, unit) => {
+                let out_schema = self.schemas[unit.ops.end].clone();
+                let b = if unit.fold_base {
+                    sync.finish_folded(out_schema)?
+                } else {
+                    let b = self.b_cur.take().ok_or_else(no_base)?;
+                    let empty = empty_aggregates(&plan.expr.ops[unit.ops.clone()])?;
+                    sync.finish_against(&b, &plan.key, &empty, out_schema)?
+                };
+                // X does not place a folded chain's groups.
+                (b, (!unit.fold_base).then_some(sent))
+            }
+            Sync::Merge(m) => {
+                let unit = m.unit;
+                let (op, b_in_schema) = (&plan.expr.ops[unit.ops.start], &self.schemas[unit.ops.start]);
+                sync_span.arg("chunks", m.chunks);
+                sync_span.arg("positional", unit.positional());
+                sync_span.arg("survivor_bytes", m.survivor_bytes);
+                // After a fold, each site's own groups, where a resident
+                // next unit finds them: a folded answer's rows are the B
+                // rows they landed at.
+                let next_resident = matches!(
+                    plan.stages.get(stage as usize + 1).map(|s| &s.kind),
+                    Some(StageKind::Unit(u)) if u.site_filters.contains(&SiteFilter::Resident)
+                );
+                if unit.fold_base && next_resident {
+                    let (b, rows) = m.sync.finish_held(b_in_schema, op, m.detail)?;
+                    let own = sent.iter().zip(&m.leaf).map(|(s, &l)| s.as_ref().map(|_| Some(rows.leaf(l).to_vec())));
+                    (b, Some(own.collect()))
+                } else {
+                    (m.sync.finish(b_in_schema, op, m.detail)?, (!unit.fold_base).then_some(sent))
+                }
+            }
+        };
+        self.b_cur = Some(b);
+        self.held = held.unwrap_or_else(|| vec![None; self.held.len()]);
+        sync_span.finish();
         stage_span.arg("rows_down", st.rows_down);
         stage_span.arg("rows_up", st.rows_up);
         stage_span.finish();
         clock.charge(&mut st.coord_s);
-        stage_times.push(st);
+        self.times.push(st);
+        Ok(())
     }
-
-    let relation = b_cur.ok_or_else(|| Error::Execution("plan produced no result".into()))?;
-    Ok((relation, stage_times))
 }
 
 /// One query's time cursor. Each mark charges the wall time since the
@@ -298,103 +467,6 @@ fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// One stage round as [`collect`] receives it.
-struct Round {
-    stage: u32,
-    /// `owed[site]`: the stage was sent to `site`, which owes it a result.
-    owed: Vec<bool>,
-    /// When the stage was shipped, on the coordinator recorder's clock:
-    /// no site can have exported a trace delta for it earlier.
-    shipped_us: u64,
-}
-
-impl Round {
-    fn shipped_now(stage: u32, owed: Vec<bool>, obs: &Obs) -> Round {
-        Round {
-            stage,
-            owed,
-            shipped_us: obs.recorder().map_or(0, |r| r.now_us()),
-        }
-    }
-}
-
-/// Receive one stage round into `st`: the time up to the call is the
-/// coordinator's, then each frame's receipt is charged as a wait and its
-/// handling as the coordinator's. Result chunks from the owed sites
-/// (each site's result possibly row-blocked into several) are fed to
-/// `absorb` with the sending site's id as they arrive, their rows still
-/// encoded. Each site's
-/// `TELEMETRY` frame, sent just ahead of its final chunk, adds its busy
-/// seconds and merges its trace delta, if any, into the coordinator's
-/// recorder. Any other frame, a frame for another stage, and a result or
-/// telemetry frame from a site the stage was not sent to or that already
-/// sent its final chunk end the round with an error: so neither an
-/// uninvited nor a repeating site can close the round ahead of a silent
-/// participant and drop its sub-aggregates from the merge.
-fn collect(
-    coord: &dyn CoordinatorTransport,
-    cfg: &EngineConfig,
-    round: &Round,
-    st: &mut StageTimes,
-    clock: &mut Clock,
-    mut absorb: impl FnMut(usize, protocol::ResultChunk) -> Result<()>,
-) -> Result<()> {
-    clock.charge(&mut st.coord_s);
-    let stage = round.stage;
-    // The sites whose final result chunk is still to come.
-    let mut waiting = round.owed.clone();
-    while waiting.contains(&true) {
-        let (site, msg) = coord.recv(cfg.timeout).map_err(net_err)?;
-        clock.charge(&mut st.wait_s);
-        let tag = Tag::try_from(msg.tag)?;
-        if matches!(tag, Tag::Result | Tag::Telemetry) && !waiting[site] {
-            let why = if round.owed[site] {
-                "after its final one"
-            } else {
-                "but was not sent it"
-            };
-            return Err(Error::Execution(format!(
-                "site {site} sent {} for stage {stage} {why}",
-                tag.name()
-            )));
-        }
-        match tag {
-            Tag::Result => {
-                let chunk = protocol::decode_result_chunk(&msg.payload)?;
-                check_stage("result", chunk.stage, stage)?;
-                if chunk.last {
-                    waiting[site] = false;
-                }
-                st.rows_up += chunk.len() as u64;
-                absorb(site, chunk)?;
-            }
-            Tag::Telemetry => {
-                let report = protocol::decode_telemetry(&msg.payload)?;
-                check_stage("telemetry", report.stage, stage)?;
-                st.site_busy_s[site] += report.busy_s;
-                if let Some(delta) = report.obs {
-                    import_site_delta(&cfg.obs, site, delta, round.shipped_us);
-                }
-            }
-            Tag::Error => {
-                return Err(Error::Execution(format!(
-                    "site failed: {}",
-                    protocol::decode_error(&msg.payload)
-                )));
-            }
-            // What a coordinator sends, and the handshake reply.
-            Tag::RunStage
-            | Tag::Shutdown
-            | Tag::Plan
-            | Tag::CatalogReq
-            | Tag::Catalog
-            | Tag::QueryDone => return Err(unexpected_tag(msg.tag)),
-        }
-        clock.charge(&mut st.coord_s);
-    }
-    Ok(())
-}
-
 /// Merge a standalone site's trace delta into the coordinator's
 /// recorder. The link index names the lane (`site-N`), whatever the site
 /// calls itself. The site took the delta after the stage was shipped
@@ -412,10 +484,6 @@ fn import_site_delta(obs: &Obs, site: usize, mut delta: TelemetryDelta, shipped_
         Some((shipped_us, rec.now_us())),
     );
     rec.import_remote(delta, offset);
-}
-
-fn unexpected_tag(tag: u8) -> Error {
-    Error::Execution(format!("unexpected message tag {tag} from site"))
 }
 
 fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
@@ -444,6 +512,10 @@ fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType], position
 
 /// The B rows of a site's fragment, in fragment order: `None` is all of B.
 type Rows = Option<Vec<u32>>;
+
+fn no_base() -> Error {
+    Error::Execution("unit stage with no base structure".into())
+}
 
 /// The `RUN_STAGE` task shipping the base structure's `ship_columns` — at
 /// the `rows` of a Thm 4 selection, or all of them — from its columns.
@@ -477,42 +549,60 @@ pub(crate) fn finished_rounds(stats: &NetStats) -> Vec<skalla_net::RoundStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skalla_net::{star, Message, SiteTransport};
-    use skalla_relation::{row, DataType};
-    use std::time::Duration;
+    use crate::distribution::DistributionInfo;
+    use crate::plan::{OptFlags, Planner};
+    use skalla_gmdj::prelude::*;
+    use skalla_relation::{row, DomainMap};
 
-    /// One row of an answer by position: a lone `COUNT` accumulator.
-    fn one_row(c: i64) -> Relation {
-        Relation::new(Schema::of(&[("c", DataType::Int)]), vec![row![c]]).unwrap()
+    fn catalog() -> HashMap<String, Arc<Relation>> {
+        let t = Relation::new(Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]), Vec::new()).unwrap();
+        HashMap::from([("t".to_string(), Arc::new(t))])
     }
 
-    /// [`one_row`] as a site's first chunk under Prop 1: its survivor
-    /// set (fragment row 1 of 2) rides along.
-    fn first_of_two(c: i64) -> Message {
-        let survivors = protocol::Survivors::of(&[false, true]);
-        let rel = one_row(c);
-        protocol::result_columns(1, rel.schema(), 1, &[rel.column(0)], false, Some(&survivors))
+    /// A base round over `t`'s groups, then one `COUNT` unit answered by
+    /// position, over `n` sites.
+    fn plan(n: usize) -> DistributedPlan {
+        let mut dist = DistributionInfo::new(n);
+        dist.set_table("t", vec![DomainMap::new(); n]);
+        let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+            .gmdj(Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), vec![AggSpec::count("c")]))
+            .build();
+        Planner::new(dist).optimize(&expr, OptFlags::none())
     }
 
-    /// Run `collect` for stage 1 of a round owed by the sites in
-    /// `owed`, returning which sites' chunks were absorbed.
-    fn absorbed(coord: &dyn CoordinatorTransport, owed: &[usize]) -> Result<Vec<usize>> {
-        let cfg = EngineConfig {
-            timeout: Duration::from_secs(5),
-            ..EngineConfig::default()
-        };
-        let mut round = Round::shipped_now(1, vec![false; coord.n_sites()], &cfg.obs);
-        for &site in owed {
-            round.owed[site] = true;
+    /// Groups 1 and 2, as a site's base fragment.
+    fn groups() -> Relation {
+        Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![1i64], row![2i64]]).unwrap()
+    }
+
+    /// A stage-1 answer by position: `rows` lone `COUNT` accumulators,
+    /// the first chunk carrying a survivor set over both of B's rows.
+    fn counts(rows: usize, last: bool, first: bool) -> Message {
+        let rel = Relation::new(Schema::of(&[("c", DataType::Int)]), vec![row![1i64]; rows]).unwrap();
+        let survivors = first.then(|| protocol::Survivors::of(&[true, true]));
+        protocol::result_columns(1, rel.schema(), rows, &[rel.column(0)], last, survivors.as_ref())
+    }
+
+    /// Start a machine for `plan` and feed it `frames`, `(site, frame)`:
+    /// the first error, or whether the query finished.
+    fn feed(plan: &DistributedPlan, frames: Vec<(usize, Message)>) -> Result<bool> {
+        let (cat, cfg) = (catalog(), EngineConfig::default());
+        let n = plan.stages.iter().find_map(|s| match &s.kind {
+            StageKind::Unit(u) => Some(u.site_filters.len()),
+            StageKind::Base => None,
+        });
+        let mut clock = Clock::start();
+        let mut m = CoordMachine::new(plan, &cat, &cfg, 1, n.unwrap()).unwrap();
+        let mut step = m.start(&mut clock)?;
+        for (site, msg) in frames {
+            step = m.on_frame(site, msg, &mut clock)?;
         }
-        let mut st = StageTimes::new("", coord.n_sites());
-        let mut from = Vec::new();
-        let absorb = |site, _chunk: protocol::ResultChunk| {
-            from.push(site);
-            Ok(())
-        };
-        collect(coord, &cfg, &round, &mut st, &mut Clock::start(), absorb)?;
-        Ok(from)
+        Ok(step.done.is_some())
+    }
+
+    /// An honest base round over `n` sites.
+    fn base(n: usize) -> Vec<(usize, Message)> {
+        (0..n).map(|site| (site, protocol::result(0, &groups()))).collect()
     }
 
     #[test]
@@ -521,31 +611,22 @@ mod tests {
         // chunk twice before site 1 answers. Counting completions without
         // per-site memory closed the round here and merged without
         // site 1's sub-aggregates.
-        let (coord, sites) = star(2);
-        for _ in 0..2 {
-            sites[0].send(protocol::result(1, &one_row(0))).unwrap();
-        }
-        sites[1].send(protocol::result(1, &one_row(1))).unwrap();
-        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
+        let plan = plan(2);
+        let twice = vec![(0, protocol::result(0, &groups())), (0, protocol::result(0, &groups()))];
+        let err = feed(&plan, twice).unwrap_err().to_string();
         assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
 
-        // The same with a survivor set leading site 0's answer.
-        let (coord, sites) = star(2);
-        sites[0].send(first_of_two(0)).unwrap();
-        for _ in 0..2 {
-            sites[0].send(protocol::result(1, &one_row(0))).unwrap();
-        }
-        sites[1].send(protocol::result(1, &one_row(1))).unwrap();
-        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
+        // The same with a survivor set leading site 0's answer by position.
+        let mut frames = base(2);
+        frames.extend([(0, counts(1, false, true)), (0, counts(1, true, false)), (0, counts(1, true, false))]);
+        let err = feed(&plan, frames).unwrap_err().to_string();
         assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
 
         // The honest round: chunked site 0, its survivor set first, then
         // site 1.
-        let (coord, sites) = star(2);
-        sites[0].send(first_of_two(0)).unwrap();
-        sites[0].send(protocol::result(1, &one_row(2))).unwrap();
-        sites[1].send(protocol::result(1, &one_row(1))).unwrap();
-        assert_eq!(absorbed(&coord, &[0, 1]).unwrap(), vec![0, 0, 1]);
+        let mut frames = base(2);
+        frames.extend([(0, counts(1, false, true)), (0, counts(1, true, false)), (1, counts(2, true, true))]);
+        assert!(feed(&plan, frames).unwrap());
     }
 
     #[test]
@@ -553,14 +634,14 @@ mod tests {
         // Thm 4 skipped site 2. Its result, counted as a completion,
         // closed the round before site 1 answered, and site 1's
         // sub-aggregates were dropped from the merge.
-        let (coord, sites) = star(3);
-        sites[2].send(first_of_two(2)).unwrap();
-        sites[0].send(protocol::result(1, &one_row(0))).unwrap();
-        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
-        assert!(
-            err.contains("site 2") && err.contains("was not sent it"),
-            "{err}"
-        );
+        let mut plan = plan(3);
+        if let StageKind::Unit(u) = &mut plan.stages[1].kind {
+            u.site_filters[2] = SiteFilter::Skip;
+        }
+        let mut frames = base(3);
+        frames.extend([(2, counts(2, true, true)), (0, counts(2, true, true))]);
+        let err = feed(&plan, frames).unwrap_err().to_string();
+        assert!(err.contains("site 2") && err.contains("was not sent it"), "{err}");
     }
 
     #[test]
@@ -569,10 +650,8 @@ mod tests {
         // peer) sending it mid-round gets the round refused at once,
         // rather than the coordinator waiting out its timeout for a
         // result that is never coming.
-        let (coord, sites) = star(2);
-        sites[0].send(protocol::result(1, &one_row(0))).unwrap();
-        sites[1].send(Message::new(10, vec![0; 8])).unwrap();
-        let err = absorbed(&coord, &[0, 1]).unwrap_err().to_string();
+        let frames = vec![(0, protocol::result(0, &groups())), (1, Message::new(10, vec![0; 8]))];
+        let err = feed(&plan(2), frames).unwrap_err().to_string();
         assert!(err.contains("unknown frame tag 10"), "{err}");
     }
 }

@@ -41,6 +41,8 @@ pub mod plan_codec;
 pub mod protocol;
 pub mod remote;
 pub mod scheduler;
+#[cfg(test)]
+mod sim;
 pub mod site;
 pub mod skew;
 pub mod stats;

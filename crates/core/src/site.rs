@@ -1,4 +1,4 @@
-//! Site-side stage execution and the site driver loop.
+//! Site-side stage execution, the site's state machine and its driver.
 //!
 //! Each Skalla site is a local warehouse fully capable of evaluating GMDJ
 //! expressions over its partition (paper Sect. 2.1).
@@ -7,12 +7,13 @@
 //! received from the coordinator, it produces the relation to ship back —
 //! for a unit answered by position ([`Unit::positional`]), accumulator
 //! columns only, with Prop 1's survivor set.
-//! [`site_session_loop`] wraps it in the protocol driver — route each
-//! frame to its query's worker, which receives the plan, executes stage
-//! tasks and replies to each with its telemetry and then its result,
-//! until shutdown — over any [`SiteTransport`], so the same loop serves
-//! both an in-process site thread and a standalone TCP site process
-//! (`skalla-cli site`).
+//!
+//! The protocol is a state machine, `SiteMachine`, that touches no socket
+//! and starts no thread: each frame in, in arrival order, yields a reply
+//! or a stage task, whose run is a pure call returning its frames.
+//! [`site_session_loop`] drives it over any [`SiteTransport`], so one loop
+//! serves an in-process site thread and a standalone TCP site process
+//! (`skalla-cli site`); the tests drive it inline, in a seeded order.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -22,11 +23,10 @@ use crate::protocol::{self, Survivors, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
-use skalla_net::SiteTransport;
+use skalla_net::{Message, SiteTransport};
 use skalla_obs::{BusyTimer, Obs, Track};
 use skalla_relation::{Column, Columns, Error, Relation, Result, Schema, Value};
-use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Execute one stage at a site, keyed: `incoming` is the base fragment
@@ -258,30 +258,12 @@ pub fn split_detail(
     Ok((pack(hot_buckets), pack(cold_buckets)))
 }
 
-/// The site session loop: a demultiplexer that routes frames to
-/// per-query workers keyed by [`skalla_net::Message::query_id`].
-///
-/// Each worker owns one query's state — the decoded plan, its evaluation
-/// options, its row-blocking chunk size — so concurrent queries
-/// interleave on the site without sharing mutable state. Worker replies
-/// are stamped with the worker's query id and serialized by the
-/// transport (one frame per `send`), so interleaved queries never
-/// corrupt each other's streams.
-///
-/// Control flow on the session:
-/// * [`protocol::TAG_QUERY_DONE`] retires the frame's query worker (its
-///   queue closes and it is joined) and sends nothing back;
-/// * [`protocol::TAG_SHUTDOWN`] (on the control stream, query id 0) ends
-///   the session: all workers are joined and the loop returns;
-/// * a dead link also ends the session.
-///
-/// A worker answers each stage task with one [`protocol::TAG_TELEMETRY`]
-/// frame — the task's busy seconds and, when `export_obs` is set, the
-/// site recorder's delta since the last export — just ahead of the
-/// task's final [`protocol::TAG_RESULT`] or its [`protocol::TAG_ERROR`].
-/// Telemetry frames ride [`skalla_net::TELEMETRY_TAG`] and are exempt
-/// from the byte accounting on every transport, so shipping timings
-/// keeps the channel/TCP byte-identity invariant.
+/// The site session: the site's state machine (`SiteMachine`) over one
+/// link, each stage task it yields run on its own thread of one scope,
+/// which borrows `catalog`. The transport serializes frames (one per
+/// `send`), so interleaved queries never corrupt each other's streams.
+/// The session ends on [`protocol::TAG_SHUTDOWN`] or when the link dies;
+/// the scope then joins the tasks still running.
 ///
 /// `export_obs` should be `true` only when this site owns its recorder
 /// (a standalone `skalla-cli site` process): an in-process site thread
@@ -293,183 +275,188 @@ pub fn site_session_loop(
     export_obs: bool,
     obs: &Obs,
 ) {
-    let mut workers: HashMap<u32, Worker> = HashMap::new();
     let site = net.site_id();
-    // The loop ends when the coordinator hangs up (or the session idles
-    // out) — recv errors — or broadcasts a shutdown.
-    while let Ok(msg) = net.recv() {
-        let reply = match Tag::try_from(msg.tag) {
-            Ok(Tag::Shutdown) => break,
-            Ok(Tag::QueryDone) => {
-                if let Some((tx, handle)) = workers.remove(&msg.query_id) {
-                    drop(tx); // the worker drains its queue and exits
-                    let _ = handle.join();
+    let net = &*net;
+    let mut machine = SiteMachine::new(catalog, site);
+    std::thread::scope(|scope| {
+        while let Ok(msg) = net.recv() {
+            let reply = match machine.on_frame(msg) {
+                None => continue,
+                Some(Action::Close) => break,
+                Some(Action::Send(reply)) => reply,
+                Some(Action::Evaluate(task)) => {
+                    let query_id = task.query_id;
+                    let run = move || {
+                        let _ = task.run(catalog, obs, export_obs).into_iter().try_for_each(|f| net.send(f));
+                    };
+                    let thread = std::thread::Builder::new().name(format!("site-{site}-q{query_id}"));
+                    match thread.spawn_scoped(scope, run) {
+                        Ok(_) => continue,
+                        // The task dropped with the closure, which frees its query.
+                        Err(e) => spawn_refused(query_id, &e),
+                    }
                 }
-                None
-            }
-            Ok(Tag::Plan | Tag::RunStage) => {
-                let query_id = msg.query_id;
-                route_to_worker(&mut workers, msg, |rx| {
-                    let catalog = catalog.clone();
-                    let net = Arc::clone(&net);
-                    let obs = obs.clone();
-                    std::thread::Builder::new()
-                        .name(format!("site-{site}-q{query_id}"))
-                        .spawn(move || {
-                            query_worker(&catalog, &*net, rx, query_id, &obs, export_obs)
-                        })
-                })
-                .err()
-            }
-            // What a site sends, the handshake `SiteServer` answered
-            // before this loop, and bytes outside the registry.
-            Ok(Tag::Result | Tag::Error | Tag::CatalogReq | Tag::Catalog | Tag::Telemetry)
-            | Err(_) => Some(unexpected_tag().with_query_id(msg.query_id)),
-        };
-        if let Some(reply) = reply {
+            };
             if net.send(reply).is_err() {
                 break;
             }
         }
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "shutdown join order: every worker is joined, nothing is encoded"
-    )]
-    for (tx, handle) in workers.into_values() {
-        drop(tx);
-        let _ = handle.join();
-    }
+    });
 }
 
-/// One query's worker as the session loop holds it: its frame queue and
-/// its thread.
-type Worker = (Sender<skalla_net::Message>, std::thread::JoinHandle<()>);
-
-/// Queue `msg` for its query's worker, starting the worker through
-/// `spawn` on the first frame of a query id. The id is remote input, so
-/// a failed start must not take the session down: it comes back as the
-/// `TAG_ERROR` reply for that query id, and the other queries keep being
-/// served.
-fn route_to_worker(
-    workers: &mut HashMap<u32, Worker>,
-    msg: skalla_net::Message,
-    spawn: impl FnOnce(Receiver<skalla_net::Message>) -> std::io::Result<std::thread::JoinHandle<()>>,
-) -> std::result::Result<(), skalla_net::Message> {
-    use std::collections::hash_map::Entry;
-    let query_id = msg.query_id;
-    let (tx, _) = match workers.entry(query_id) {
-        Entry::Occupied(worker) => worker.into_mut(),
-        Entry::Vacant(slot) => {
-            let (tx, rx) = channel();
-            let handle = spawn(rx).map_err(|e| {
-                protocol::error(&format!("site cannot start a worker for this query: {e}"))
-                    .with_query_id(query_id)
-            })?;
-            slot.insert((tx, handle))
-        }
-    };
-    let _ = tx.send(msg);
-    Ok(())
+/// The reply for a stage task whose thread could not start. The query id
+/// is remote input, so a failed start must not take the session down: it
+/// is that query's `TAG_ERROR`, and the other queries keep being served.
+fn spawn_refused(query_id: u32, e: &std::io::Error) -> Message {
+    protocol::error(&format!("site cannot start a task for this query: {e}")).with_query_id(query_id)
 }
 
-/// One query's execution state and driver on a site: the per-query half
-/// of [`site_session_loop`], whose docs say what `export_obs` means.
-fn query_worker(
-    catalog: &HashMap<String, Arc<Relation>>,
-    net: &dyn SiteTransport,
-    rx: Receiver<skalla_net::Message>,
-    query_id: u32,
-    obs: &Obs,
-    export_obs: bool,
-) {
-    let site = net.site_id();
-    let export = obs.recorder().filter(|_| export_obs);
-    let track = Track::SiteQuery(site, query_id);
-    let mut plan: Option<DistributedPlan> = None;
-    let mut eval = EvalOptions::default();
-    let mut chunk_rows: Option<usize> = None;
-    // The key columns of the rows this site holds for the next stage.
-    let mut held: Option<Relation> = None;
-    let reply = |msg: skalla_net::Message| net.send(msg.with_query_id(query_id));
-    while let Ok(msg) = rx.recv() {
+/// What a site does with a frame ([`SiteMachine::on_frame`]).
+pub(crate) enum Action {
+    /// Send this frame to the coordinator.
+    Send(Message),
+    /// Run this stage task ([`Task::run`]), on any thread, and send its
+    /// frames in order.
+    Evaluate(Task),
+    /// End the session.
+    Close,
+}
+
+/// A query's decoded `PLAN`: the plan, its options, its chunk size.
+type Decoded = (DistributedPlan, EvalOptions, Option<usize>);
+
+/// The site's end of the protocol: frames in, in arrival order, and
+/// [`Action`]s out. Per query id, from its `PLAN` to its
+/// [`protocol::TAG_QUERY_DONE`], it keeps the decoded plan and the key
+/// columns of the rows the site holds for the next stage.
+///
+/// A query runs one stage task at a time: a `RUN_STAGE` that arrives while
+/// the query's task is alive is refused with a `TAG_ERROR`. A task lets
+/// go of its query once its frames are built, before they are sent, so a
+/// coordinator that sends stage s+1 after the site's final frame for
+/// stage s is never refused.
+pub(crate) struct SiteMachine<'c> {
+    catalog: &'c dyn Catalog,
+    site: usize,
+    queries: BTreeMap<u32, Query>,
+}
+
+/// A query at a site: its plan, its held key columns, and a token each of
+/// its live tasks holds a clone of.
+type Query = (Arc<Decoded>, Option<Relation>, Arc<()>);
+
+impl<'c> SiteMachine<'c> {
+    /// Site `site` over its partition `catalog`, holding no query.
+    pub(crate) fn new(catalog: &'c dyn Catalog, site: usize) -> SiteMachine<'c> {
+        SiteMachine { catalog, site, queries: BTreeMap::new() }
+    }
+
+    /// Take one frame from the coordinator. A reply carries the frame's
+    /// query id.
+    pub(crate) fn on_frame(&mut self, msg: Message) -> Option<Action> {
+        let query_id = msg.query_id;
+        let reply = |text: &str| Some(Action::Send(protocol::error(text).with_query_id(query_id)));
         match Tag::try_from(msg.tag) {
-            Ok(Tag::Plan) => match crate::plan_codec::decode_plan_with_options(&msg.payload) {
-                Ok((p, e, c)) => {
-                    plan = Some(p);
-                    eval = e;
-                    chunk_rows = c;
-                }
-                Err(e) => {
-                    let _ = reply(protocol::error(&format!("bad plan: {e}")));
-                }
-            },
-            Ok(Tag::RunStage) => {
-                let Some(plan) = &plan else {
-                    let _ = reply(protocol::error("stage task before plan"));
-                    continue;
-                };
-                let (stage, fragment, ()) = match protocol::decode_run_stage(&msg.payload) {
-                    Ok(task) => task,
-                    Err(e) => {
-                        let _ = reply(protocol::error(&e.to_string()));
-                        continue;
-                    }
-                };
-                let label = plan
-                    .stages
-                    .get(stage as usize)
-                    .map(|s| s.label.as_str())
-                    .unwrap_or("stage");
-                let mut task_span = obs.span(track, label);
-                task_span.arg("query_id", query_id as u64);
-                if let Some(f) = &fragment {
-                    task_span.arg("rows_in", f.len());
-                }
-                let t = BusyTimer::start();
-                let out = resident_input(catalog, plan, stage as usize, site, fragment, &mut held)
-                    .and_then(|input| execute_stage_traced(catalog, plan, stage as usize, input, eval, obs, site));
-                let busy_s = t.elapsed_s();
-                let mut replies = match out {
-                    Ok((rel, survivors)) => {
-                        task_span.arg("rows_out", rel.len());
-                        task_span.finish();
-                        chunked_results(stage, rel, survivors, chunk_rows)
-                    }
-                    Err(e) => {
-                        task_span.arg("error", e.to_string());
-                        task_span.finish();
-                        vec![protocol::error(&e.to_string())]
-                    }
-                };
-                // Just ahead of the final frame, so the coordinator has
-                // it before this site's part of the round closes; taken
-                // after the task span closed, so the delta holds it.
-                let report = protocol::SiteTelemetry {
-                    stage,
-                    busy_s,
-                    obs: export.map(|rec| rec.take_delta()),
-                };
-                let last = replies.len().saturating_sub(1);
-                replies.insert(last, protocol::telemetry(&report));
-                for r in replies {
-                    if reply(r).is_err() {
-                        return;
-                    }
-                }
+            Ok(Tag::Shutdown) => Some(Action::Close),
+            Ok(Tag::QueryDone) => {
+                self.queries.remove(&query_id);
+                None
             }
-            // The session loop queues the two above only.
-            Ok(Tag::Result
-            | Tag::Error
-            | Tag::Shutdown
-            | Tag::CatalogReq
-            | Tag::Catalog
-            | Tag::QueryDone
-            | Tag::Telemetry)
-            | Err(_) => {
-                let _ = reply(unexpected_tag());
+            Ok(Tag::Plan) => match crate::plan_codec::decode_plan_with_options(&msg.payload) {
+                Ok(decoded) => {
+                    let (held, token) = self.queries.remove(&query_id).map(|(_, h, t)| (h, t)).unwrap_or_default();
+                    self.queries.insert(query_id, (Arc::new(decoded), held, token));
+                    None
+                }
+                Err(e) => reply(&format!("bad plan: {e}")),
+            },
+            Ok(Tag::RunStage) => match self.stage_task(query_id, &msg.payload) {
+                Ok(task) => Some(Action::Evaluate(task)),
+                Err(e) => reply(&e),
+            },
+            // What a site sends, the handshake `SiteServer` answered
+            // before the session, and bytes outside the registry.
+            Ok(Tag::Result | Tag::Error | Tag::CatalogReq | Tag::Catalog | Tag::Telemetry) | Err(_) => {
+                reply("unexpected message tag")
             }
         }
+    }
+
+    /// The task a `RUN_STAGE` asks for, its fragment spliced with the rows
+    /// the query holds; or why there is none.
+    fn stage_task(&mut self, query_id: u32, payload: &[u8]) -> std::result::Result<Task, String> {
+        let (query, held, token) = self.queries.get_mut(&query_id).ok_or("stage task before plan")?;
+        if Arc::strong_count(token) > 1 {
+            return Err("a stage task while this query's previous one runs".into());
+        }
+        let (stage, fragment, ()) = protocol::decode_run_stage(payload).map_err(|e| e.to_string())?;
+        let input = resident_input(self.catalog, &query.0, stage as usize, self.site, fragment, held);
+        let input = input.map_err(|e| e.to_string())?;
+        let (site, query, token) = (self.site, Arc::clone(query), Arc::clone(token));
+        Ok(Task { site, query_id, query, stage, input, token })
+    }
+}
+
+/// One stage of one query at one site, ready to run: owned, so any
+/// thread can run it.
+pub(crate) struct Task {
+    site: usize,
+    query_id: u32,
+    query: Arc<Decoded>,
+    stage: u32,
+    /// The stage's fragment, a resident one spliced with its held keys.
+    input: Option<Relation>,
+    /// The query's token: while this clone lives, its next task is refused.
+    /// `run` drops it before its frames leave, and a coordinator sends the
+    /// next stage after them, so the machine reads the count as it is.
+    token: Arc<()>,
+}
+
+impl Task {
+    /// Evaluate the stage: its `RESULT` frames (row-blocked at the query's
+    /// chunk size) or its `TAG_ERROR`, with one [`protocol::TAG_TELEMETRY`]
+    /// frame just ahead of the last — the task's busy seconds and, when
+    /// `export_obs` is set ([`site_session_loop`]), the site recorder's
+    /// delta since the last export — each stamped with the query id.
+    /// Telemetry frames ride [`skalla_net::TELEMETRY_TAG`] and are exempt
+    /// from the byte accounting on every transport, so shipping timings
+    /// keeps the channel/TCP byte-identity invariant.
+    pub(crate) fn run(self, catalog: &dyn Catalog, obs: &Obs, export_obs: bool) -> Vec<Message> {
+        let Task { site, query_id, query, stage, input, token } = self;
+        let (plan, eval, chunk_rows) = &*query;
+        let label = plan.stages.get(stage as usize).map_or("stage", |s| s.label.as_str());
+        let mut task_span = obs.span(Track::SiteQuery(site, query_id), label);
+        task_span.arg("query_id", query_id as u64);
+        if let Some(f) = &input {
+            task_span.arg("rows_in", f.len());
+        }
+        let t = BusyTimer::start();
+        let out = execute_stage_traced(catalog, plan, stage as usize, input, *eval, obs, site);
+        let busy_s = t.elapsed_s();
+        let mut replies = match out {
+            Ok((rel, survivors)) => {
+                task_span.arg("rows_out", rel.len());
+                task_span.finish();
+                chunked_results(stage, rel, survivors, *chunk_rows)
+            }
+            Err(e) => {
+                task_span.arg("error", e.to_string());
+                task_span.finish();
+                vec![protocol::error(&e.to_string())]
+            }
+        };
+        // Just ahead of the final frame, so the coordinator has it before
+        // this site's part of the round closes; taken after the task span
+        // closed, so the delta holds it.
+        let report = protocol::SiteTelemetry {
+            stage,
+            busy_s,
+            obs: obs.recorder().filter(|_| export_obs).map(|rec| rec.take_delta()),
+        };
+        let last = replies.len().saturating_sub(1);
+        replies.insert(last, protocol::telemetry(&report));
+        drop(token);
+        replies.into_iter().map(|m| m.with_query_id(query_id)).collect()
     }
 }
 
@@ -519,11 +506,6 @@ fn resident_input(
         };
     }
     Ok(input)
-}
-
-/// The reply to a frame this end of the protocol does not take.
-fn unexpected_tag() -> skalla_net::Message {
-    protocol::error("unexpected message tag")
 }
 
 /// Split a stage result into row-blocked RESULT messages (one final
@@ -641,40 +623,80 @@ mod tests {
         assert_eq!(out.rows()[0].get(0), &Value::Int(1));
     }
 
-    #[test]
-    fn failed_worker_spawn_is_answered_per_query_and_the_session_survives() {
-        let mut workers: HashMap<u32, Worker> = HashMap::new();
-        let plan_frame = |q| skalla_net::Message::for_query(protocol::TAG_PLAN, q, Vec::new());
+    /// A `PLAN` frame for `expr()`'s plan, for query `q`.
+    fn plan_frame(q: u32) -> Message {
+        let plan = Planner::new(DistributionInfo::new(1)).optimize(&expr(), OptFlags::none());
+        let bytes = crate::plan_codec::encode_plan_with_options(&plan, &EvalOptions::default(), None);
+        Message::for_query(protocol::TAG_PLAN, q, bytes)
+    }
 
-        // Query 7's worker cannot start: the step yields that query's
-        // TAG_ERROR reply and registers nothing.
-        let reply = route_to_worker(&mut workers, plan_frame(7), |_| {
-            Err(std::io::Error::other("out of threads"))
-        })
-        .unwrap_err();
+    /// The base stage's task for query `q`.
+    fn run_base(q: u32) -> Message {
+        protocol::run_stage(0, None).with_query_id(q)
+    }
+
+    fn error_text(action: Option<Action>, q: u32) -> String {
+        match action {
+            Some(Action::Send(m)) if (m.tag, m.query_id) == (protocol::TAG_ERROR, q) => {
+                protocol::decode_error(&m.payload)
+            }
+            _ => panic!("expected a TAG_ERROR for query {q}"),
+        }
+    }
+
+    fn task(action: Option<Action>) -> Task {
+        match action {
+            Some(Action::Evaluate(task)) => task,
+            _ => panic!("expected a stage task"),
+        }
+    }
+
+    /// A site runs at most one stage task per live query: a second
+    /// `RUN_STAGE` while the first task is unrun is refused, another
+    /// query's is not, and once the task has built its frames (telemetry,
+    /// then the result) the query's next stage is accepted.
+    #[test]
+    fn a_query_runs_one_stage_task_at_a_time() {
+        let cat = site_catalog();
+        let mut site = SiteMachine::new(&cat, 0);
+        for q in [1, 2] {
+            assert!(site.on_frame(plan_frame(q)).is_none());
+        }
+        let first = task(site.on_frame(run_base(1)));
+        let err = error_text(site.on_frame(run_base(1)), 1);
+        assert!(err.contains("previous one runs"), "{err}");
+        let other = task(site.on_frame(run_base(2)));
+        let frames = first.run(&cat, &Obs::disabled(), false);
+        let tags: Vec<(u8, u32)> = frames.iter().map(|m| (m.tag, m.query_id)).collect();
+        assert_eq!(tags, [(protocol::TAG_TELEMETRY, 1), (protocol::TAG_RESULT, 1)]);
+        task(site.on_frame(run_base(1)));
+        drop(other);
+        // QUERY_DONE forgets the query: its next task comes before a plan.
+        assert!(site.on_frame(Message::for_query(protocol::TAG_QUERY_DONE, 2, Vec::new())).is_none());
+        let err = error_text(site.on_frame(run_base(2)), 2);
+        assert!(err.contains("stage task before plan"), "{err}");
+    }
+
+    /// A stage task whose thread cannot start is answered with its
+    /// query's `TAG_ERROR`; the closure that owned the task drops it,
+    /// which clears the query's running mark, and the session serves
+    /// that query and the others on.
+    #[test]
+    fn a_failed_task_spawn_is_answered_per_query_and_the_session_survives() {
+        let cat = site_catalog();
+        let mut site = SiteMachine::new(&cat, 0);
+        for q in [7, 8] {
+            assert!(site.on_frame(plan_frame(q)).is_none());
+        }
+        let refused = task(site.on_frame(run_base(7)));
+        let reply = spawn_refused(refused.query_id, &std::io::Error::other("out of threads"));
+        drop(refused);
         assert_eq!((reply.tag, reply.query_id), (protocol::TAG_ERROR, 7));
         assert!(protocol::decode_error(&reply.payload).contains("out of threads"));
-        assert!(workers.is_empty());
-
-        // Query 8 is still served: its worker starts once and receives
-        // both of its frames.
-        let (seen_tx, seen_rx) = channel();
-        for _ in 0..2 {
-            let seen_tx = seen_tx.clone();
-            route_to_worker(&mut workers, plan_frame(8), move |rx| {
-                std::thread::Builder::new().spawn(move || {
-                    for m in rx {
-                        let _ = seen_tx.send(m.query_id);
-                    }
-                })
-            })
-            .unwrap();
+        for q in [7, 8] {
+            let frames = task(site.on_frame(run_base(q))).run(&cat, &Obs::disabled(), false);
+            assert_eq!(frames.last().map(|m| (m.tag, m.query_id)), Some((protocol::TAG_RESULT, q)));
         }
-        let (tx, handle) = workers.remove(&8).unwrap();
-        drop(tx);
-        handle.join().unwrap();
-        drop(seen_tx);
-        assert_eq!(seen_rx.iter().collect::<Vec<_>>(), [8, 8]);
     }
 
     /// A site's answer, encoded straight from the kernel's states (and

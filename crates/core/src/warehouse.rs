@@ -57,21 +57,21 @@
 
 use crate::cache::{plan_fingerprint, Claim, SemanticCache, DEFAULT_CACHE_BYTES};
 use crate::cluster::Cluster;
-use crate::coordinator::{finished_rounds, net_err, run_coordinator, Clock};
+use crate::coordinator::{finished_rounds, net_err, run_coordinator, Clock, CoordMachine};
 use crate::distribution::DistributionInfo;
 use crate::plan::DistributedPlan;
 use crate::protocol;
 use crate::remote::catalog_handshake;
 use crate::scheduler::{QueryScheduler, SchedulerConfig};
 use crate::site::site_session_loop;
-use crate::stats::{ExecStats, QueryResult, StageTimes};
+use crate::stats::{ExecStats, QueryResult};
 use skalla_gmdj::eval::EvalOptions;
 use skalla_net::{
     shaped_star, star, CoordinatorTransport, Link, QueryMux, SiteTransport, TcpConfig,
     TcpCoordinator,
 };
 use skalla_obs::{Obs, Track};
-use skalla_relation::{DomainMap, Error, Relation, Result, Schema};
+use skalla_relation::{DomainMap, Error, Relation, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -614,8 +614,8 @@ impl Skalla {
     /// plan broadcast, each stage gets its round, and the query-done
     /// release (zero payload, one framing charge per site) lands in the
     /// last round. One [`Clock`] times it all: the plan round's
-    /// coordinator seconds cover checking, encoding and broadcasting the
-    /// plan, and the release's land in the last round, beside its bytes.
+    /// coordinator seconds cover checking and encoding the plan, and the
+    /// release's land in the last round, beside its bytes.
     fn run_query(&self, plan: &DistributedPlan) -> Result<QueryResult> {
         let query_id = self.scheduler.next_query_id();
         let n = self.n_sites();
@@ -627,44 +627,16 @@ impl Skalla {
             .with("sites", n)
             .with("rounds", plan.n_rounds())
             .with("query_id", query_id as u64);
-        plan.check_structure(n)?;
-        let schemas = plan.expr.validate(self.catalog.as_ref())?;
-        let detail_schemas: HashMap<String, Schema> = self
-            .catalog
-            .iter()
-            .map(|(k, v)| (k.clone(), v.schema().clone()))
-            .collect();
-
+        let machine = CoordMachine::new(plan, &self.catalog, &self.cfg, query_id, n)?;
         let handle = self.mux.register(query_id);
         handle.stats().set_obs(self.cfg.obs.clone());
-
-        handle.stats().begin_round("plan");
-        let plan_bytes =
-            crate::plan_codec::encode_plan_with_options(plan, &self.cfg.eval, self.cfg.chunk_rows);
-        let plan_msg = skalla_net::Message::new(protocol::TAG_PLAN, plan_bytes);
-        let dispatch = handle.broadcast(&plan_msg).map_err(net_err);
-        let mut plan_round = StageTimes::new("plan", n);
-        clock.charge(&mut plan_round.coord_s);
-
-        let run = dispatch.and_then(|()| {
-            run_coordinator(
-                &handle,
-                plan,
-                &schemas,
-                &detail_schemas,
-                &self.cfg,
-                query_id,
-                &mut clock,
-            )
-        });
-
-        // Always retire this query's site workers, even on error. The
+        let run = run_coordinator(&handle, machine, self.cfg.timeout, &mut clock);
+        // Always retire this query's site state, even on error. The
         // release is one-way: each stage's site telemetry came back in
         // its own round.
         let _ = handle.broadcast(&protocol::query_done());
 
         let (relation, mut stages) = run?;
-        stages.insert(0, plan_round);
         let net = finished_rounds(handle.stats());
         query_span.arg("result_rows", relation.len());
         if let Some(last) = stages.last_mut() {

@@ -34,31 +34,34 @@
 //! shipped B the answers are positional (`absorb_at`): accumulator
 //! columns for every group of B, and, under Prop 1, a survivor set over a
 //! Thm 4 fragment of B's even rows; a folded unit's answers are keyed
-//! (`absorb_frame`, each row's leaf and group recorded, and
-//! `finish_held` placing each leaf's rows in B_next); then a resident
-//! round answers by position over the rows each leaf held (`absorb_at`
-//! with the leaf's own map). For each of these four legs on its own, 6
-//! sites' answers may allocate at most two times per extra leaf more than
-//! 2 sites' answers, so nothing is allocated per absorbed row, per chunk,
-//! per tree level or per leaf's held rows.
+//! sorted runs (`absorb_frame` keeps each chunk, and `finish_held` makes
+//! the one pass over the runs that places each leaf's rows in B_next);
+//! then a resident round answers by position over the rows each leaf held
+//! (`absorb_at` with the leaf's own map). For each of these four legs on
+//! its own, 6 sites' answers may allocate at most two times per extra
+//! leaf more than 2 sites' answers, so nothing is allocated per absorbed
+//! row, per chunk, per tree level or per leaf's held rows.
 //!
-//! A decode leg reads a bit-packed `Int` column of 2,000 and of 20,000
-//! rows (`codec::decode_relation`): both must allocate equally often, so
-//! unpacking allocates per column, never per value.
+//! Two decode legs read a bit-packed and a delta-coded (sorted) `Int`
+//! column of 2,000 and of 20,000 rows (`codec::decode_relation`): each
+//! must allocate equally often at both sizes, so unpacking allocates per
+//! column, never per value.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
 //! site's answer (`eval_shipped`, with Prop 1's reduction dropping every
 //! tenth group, → `protocol::result`) and the coordinator's
 //! `MergeSync::finish` (after positional answers against a shipped B, and
-//! keyed ones folded). Both must allocate per column, never per group.
+//! keyed ones folded, each a sorted run as a site's is). Both must
+//! allocate per column, never per group.
 //!
 //! A chain leg does the same for Theorem 5's locally chained unit, over
 //! 1,000 and then 11,000 groups: the site's chain (`eval_local` →
 //! `finalize_physical` → `project` → `protocol::result`), then the
 //! coordinator's `ChainSync` absorbing two sites' disjoint answers and
-//! finishing against B (the groups no site owns filled in) and folded.
-//! It must allocate per column, never per group.
+//! finishing against B (the groups no site owns filled in) and folded
+//! (each half then a sorted run, as a site's is). It must allocate per
+//! column, never per group.
 //!
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
@@ -312,6 +315,19 @@ fn main() {
     assert!(packed_large.len() < 20_000, "the column is packed: {} bytes", packed_large.len());
     let measure_decode = |bytes: &[u8]| allocs_during(|| drop(decode_relation(bytes).unwrap()));
     let decode_delta = measure_decode(&packed_large).abs_diff(measure_decode(&packed_small));
+    // The same for a delta-coded column: a sorted key, gaps of 1 to 3
+    // (2 bits a row), whose running sum is the column's one vector.
+    let delta = |rows: i64| {
+        let rel = Relation::new(
+            Schema::of(&[("g", DataType::Int)]),
+            (0..rows).map(|i| Row::new(vec![(i * 2 + i % 3).into()])).collect(),
+        )
+        .unwrap();
+        encode_relation(&rel)
+    };
+    let (delta_small, delta_large) = (delta(2_000), delta(20_000));
+    assert!(delta_large.len() < 6_000, "the column is delta-coded: {} bytes", delta_large.len());
+    let delta_decode_delta = measure_decode(&delta_large).abs_diff(measure_decode(&delta_small));
 
     // The site-answer leg: B of `n` groups (every tenth one matching no
     // detail row) against one detail of LARGE groups.
@@ -358,6 +374,8 @@ fn main() {
         let mut allocs = 0;
         for folded in [false, true] {
             let key_idx: &[usize] = if folded { &[0] } else { &[] };
+            // A folded site's groups are its own, in key order.
+            let b = if folded { b.sorted_by(&["g"]).unwrap() } else { b.clone() };
             let answer = eval_shipped(&b, &groups_detail, &wide_op, key_idx, false, opts, &Obs::disabled(), 0)
                 .unwrap()
                 .physical;
@@ -410,6 +428,11 @@ fn main() {
         let out = wide_op.output_schema(b.schema(), groups_detail.schema()).unwrap();
         let empty = empty_aggregates(std::slice::from_ref(&wide_op)).unwrap();
         for folded in [false, true] {
+            // A folded site's answer is in key order.
+            let halves: Vec<Relation> = match folded {
+                true => halves.iter().map(|h| h.sorted_by(&["g"]).unwrap()).collect(),
+                false => halves.clone(),
+            };
             allocs += allocs_during(|| {
                 let mut sync = ChainSync::new(1);
                 for h in &halves {
@@ -440,6 +463,7 @@ fn main() {
     println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  merge 6 vs 2 sites  (delta per leg: positional, Prop 1, folded, resident): {merge_deltas:?}");
     println!("  packed decode 20,000 vs 2,000 rows (delta): {decode_delta}");
+    println!("  delta-coded decode 20,000 vs 2,000 rows (delta): {delta_decode_delta}");
     println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
     println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
     println!("  chain {extra_groups} more groups (delta):       {chain_delta}");
@@ -488,6 +512,11 @@ fn main() {
         decode_delta == 0,
         "decoding a packed column of 20,000 rows allocated {decode_delta} times more or \
          fewer than one of 2,000 — unpacking regressed to per-value allocation"
+    );
+    assert!(
+        delta_decode_delta == 0,
+        "decoding a delta-coded column of 20,000 rows allocated {delta_decode_delta} times \
+         more or fewer than one of 2,000 — summing the gaps regressed to per-value allocation"
     );
     assert!(
         answer_delta <= 16,

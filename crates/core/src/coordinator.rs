@@ -4,27 +4,32 @@
 //! key attributes K, and consolidates each site's sub-results into it
 //! (paper Sect. 3.2). Three synchronizers cover the three stage shapes:
 //!
-//! * [`BaseSync`] — union + duplicate elimination of base fragments;
+//! * [`BaseSync`] — the base round's distinct groups (a key two rows
+//!   share with other values is an error);
 //! * [`MergeSync`] — super-aggregate merging of physical accumulators
-//!   (Theorem 1), with insert-on-first-sight for folded units (Prop 2);
+//!   (Theorem 1), X growing from a folded unit's keyed answers (Prop 2);
 //! * [`ChainSync`] — disjoint assembly of locally-finalized results from
 //!   synchronization-reduced units (Thm 5 / Cor 1), which *verifies* the
-//!   partition assumption by rejecting duplicate keys.
+//!   partition assumption by rejecting a key two rows share.
 //!
-//! What a merge unit costs per row a site sends: the engine takes each
-//! `RESULT` chunk as it lands, decoded into columns. A site answers a unit
-//! against B by position ([`MergeSync::absorb_at`]): its row `i` is its
-//! fragment's row `i` (its `i`-th survivor's under Prop 1), whose B row
-//! the coordinator kept when it shipped the fragment, so no key crosses
-//! and nothing is hashed or probed. A folded unit's answer is keyed
-//! ([`MergeSync::absorb_frame`]): one key hash and probe of X's index per
-//! row. Then each accumulator column is scattered into its site's leaf of
-//! typed states ([`skalla_gmdj::state::AccStates`], the kernel's own).
-//! [`MergeSync::finish`] runs the merge tree over whole leaves and
-//! finalizes X once, column-wise ([`AccStates::finalize_columns`]): B's
-//! columns, shared, or a folded unit's keys sorted on their typed columns,
-//! then one column per aggregate. Nothing between a site's kernel and the
-//! caller builds a row; allocation is per state growth and per output
+//! **Three syncs, one merge.** A site answers every keyed round — the
+//! base round, a folded unit, a folded chain — in key order, so each
+//! answering site's chunks form one sorted run, and all three take them
+//! through one k-way pass over the runs (`Runs::pass`): it writes B_next's
+//! keys in key order, each spelled as the lowest leaf spells it, and maps
+//! each leaf's rows to B_next's ([`LeafRows`]), hashing no key and
+//! sorting no row. The order is remote input, so the pass checks it, and a run
+//! out of order fails the round.
+//!
+//! A site answers a unit against B by position ([`MergeSync::absorb_at`]):
+//! its row `i` is its fragment's row `i` (its `i`-th survivor's under
+//! Prop 1), whose B row the coordinator kept. A folded unit's keyed chunks
+//! ([`MergeSync::absorb_frame`]) wait for the pass, which places their
+//! rows the same way. Either scatters each accumulator column into its
+//! site's leaf of typed states ([`skalla_gmdj::state::AccStates`], the
+//! kernel's own); [`MergeSync::finish`] runs the merge tree over whole
+//! leaves and finalizes X column-wise. Nothing between a site's kernel and
+//! the caller builds a row; allocation is per state growth and per output
 //! column, never per absorbed row, chunk, tree level or output group.
 //!
 //! The state machine that drives them (Alg. GMDJDistribEval), and its
@@ -43,7 +48,8 @@ use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
 use skalla_gmdj::state::AccStates;
 use skalla_relation::columns::{row_key_hash, IdTable};
-use skalla_relation::{Column, ColumnBuilder, Columns, DataType, Error, Relation, Result, Schema, Value};
+use skalla_relation::{Column, ColumnBuilder, Columns, DataType, Error, Field, Relation, Result, Schema, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Check that `key` column values are unique in `rel`.
@@ -76,91 +82,216 @@ fn index_columns(cols: &[&Column], len: usize) -> Result<IdTable> {
     Ok(index)
 }
 
-/// Synchronizer for the base round: collects each site's distinct groups.
-#[derive(Debug)]
+/// The row of B whose key columns `b_keys` (indexed by `index`) equal row
+/// `i`'s leading columns in `cols`.
+fn row_in(b_keys: &[&Column], index: &IdTable, cols: &Columns, i: usize) -> Option<usize> {
+    let same = |g| b_keys.iter().enumerate().all(|(c, b)| cols.col(c).value_eq_at(i, b, g));
+    index.find(cols.key_hash(b_keys.len(), i), same)
+}
+
+/// A row of a round's answers: its chunk, in arrival order, and its row.
+type At = (u32, u32);
+
+/// One round's keyed answers as k sorted runs: every chunk in arrival
+/// order under its leaf (an answering site), a leaf's chunks one run.
+#[derive(Debug, Default)]
+struct Runs {
+    chunks: Vec<(usize, Columns)>,
+    /// The leaf count: one past the highest leaf absorbed.
+    leaves: usize,
+    /// The first chunk's column types, which every chunk must have.
+    types: Vec<DataType>,
+    /// Per leaf, the site it stands for in an error (else its number).
+    sites: Vec<usize>,
+}
+
+impl Runs {
+    /// Take one chunk of leaf `leaf`'s run, typed as the first chunk.
+    fn push(&mut self, leaf: usize, cols: Columns) -> Result<()> {
+        let types = (0..cols.arity()).map(|c| cols.col(c).data_type());
+        if self.chunks.is_empty() {
+            self.types = types.collect();
+        } else if !types.clone().eq(self.types.iter().copied()) {
+            let msg = format!("an answer typed {:?} beside one typed {:?}", types.collect::<Vec<_>>(), self.types);
+            return Err(Error::SchemaMismatch(msg));
+        }
+        self.leaves = self.leaves.max(leaf + 1);
+        self.chunks.push((leaf, cols));
+        Ok(())
+    }
+
+    /// Row `at`'s values at `key`.
+    fn key_of(&self, at: At, key: &[usize]) -> Vec<Value> {
+        let cols = &self.chunks[at.0 as usize].1;
+        key.iter().map(|&k| cols.value(k, at.1 as usize)).collect()
+    }
+
+    /// One k-way pass over the runs in the order of their columns at
+    /// `key` ([`Column::cmp_at`], lexicographic), the lowest leaf first on
+    /// a tie: per output row, the row that spells its key (the lowest
+    /// leaf's first); and per leaf, its rows' output rows. `repeat(first,
+    /// again)` sees every later row with a key. A row below its
+    /// predecessor in its run fails the pass, naming its site.
+    fn pass(&self, key: &[usize], mut repeat: impl FnMut(At, At) -> Result<()>) -> Result<(Vec<At>, LeafRows)> {
+        let n = self.leaves;
+        // Every row in leaf-major run order: leaf `l`'s are
+        // `seq[ends[l]..ends[l + 1]]`, and `head[l]` is its next one.
+        let mut ends = vec![0usize; n + 1];
+        self.chunks.iter().for_each(|(l, cols)| ends[l + 1] += cols.len());
+        (0..n).for_each(|l| ends[l + 1] += ends[l]);
+        let (mut by_leaf, mut head): (Vec<usize>, _) = ((0..self.chunks.len()).collect(), ends.clone());
+        by_leaf.sort_by_key(|&c| self.chunks[c].0); // stable: arrival order within a leaf
+        let seq: Vec<At> = by_leaf.iter().flat_map(|&c| (0..self.chunks[c].1.len() as u32).map(move |r| (c as u32, r))).collect();
+        let cmp = |i: usize, j: usize| {
+            let ((a, r), (b, s)) = (seq[i], seq[j]);
+            let (x, y) = (&self.chunks[a as usize].1, &self.chunks[b as usize].1);
+            let mut ord = key.iter().map(|&k| x.col(k).cmp_at(r as usize, y.col(k), s as usize));
+            ord.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        };
+        let (mut picks, mut rows, mut tied) = (Vec::with_capacity(ends[n]), vec![0u32; ends[n]], Vec::with_capacity(n));
+        loop {
+            // The leaves whose heads are lowest, the lowest leaf first.
+            tied.clear();
+            for l in (0..n).filter(|&l| head[l] < ends[l + 1]) {
+                match tied.first().map(|&m| cmp(head[l], head[m])) {
+                    Some(Ordering::Greater) => {}
+                    Some(Ordering::Equal) => tied.push(l),
+                    None | Some(Ordering::Less) => {
+                        tied.clear();
+                        tied.push(l);
+                    }
+                }
+            }
+            let Some(at) = tied.first().map(|&l| head[l]) else { break };
+            let g = picks.len() as u32;
+            picks.push(seq[at]);
+            // Each tied run's rows while they equal the head; one below
+            // its predecessor, which does, is out of order.
+            for &l in &tied {
+                loop {
+                    let i = head[l];
+                    if i != at {
+                        repeat(seq[at], seq[i])?;
+                    }
+                    rows[i] = g;
+                    head[l] += 1;
+                    match (head[l] < ends[l + 1]).then(|| cmp(head[l], at)) {
+                        Some(Ordering::Equal) => {}
+                        Some(Ordering::Less) => {
+                            let (site, later, before) = (self.sites.get(l).unwrap_or(&l), self.key_of(seq[i + 1], key), self.key_of(seq[i], key));
+                            return Err(Error::Execution(format!("site {site} sent its keyed answer out of key order: {later:?} after {before:?}")));
+                        }
+                        _ => break,
+                    }
+                }
+            }
+        }
+        Ok((picks, LeafRows { rows, ends }))
+    }
+
+    /// Column `c` of every chunk, in arrival order; refused unless the
+    /// chunks type it `declared`.
+    fn parts(&self, c: usize, declared: DataType) -> Result<Vec<&Column>> {
+        match self.types.get(c) {
+            Some(&t) if t == declared => Ok(self.chunks.iter().map(|(_, cols)| cols.col(c)).collect()),
+            None if self.chunks.is_empty() => Ok(Vec::new()),
+            t => Err(Error::SchemaMismatch(format!("an answer's column {c} is {t:?} where {declared} is declared"))),
+        }
+    }
+
+    /// The columns `fields` declare, from the first on, at the rows
+    /// `picks`: each chunk's column concatenated in arrival order, then
+    /// gathered.
+    fn gather(&self, fields: &[Field], picks: &[At]) -> Result<Vec<Arc<Column>>> {
+        let starts: Vec<u32> = self.chunks.iter().scan(0, |end, (_, c)| Some(std::mem::replace(end, *end + c.len() as u32))).collect();
+        let at: Vec<u32> = picks.iter().map(|&(c, r)| starts[c as usize] + r).collect();
+        let column = |(c, f): (usize, &Field)| Ok(Arc::new(Column::concat(f.data_type(), &self.parts(c, f.data_type())?).gather(&at)));
+        fields.iter().enumerate().map(column).collect()
+    }
+}
+
+/// Synchronizer for the base round: merges the sites' distinct groups,
+/// each site's fragment one sorted run.
+#[derive(Debug, Default)]
 pub struct BaseSync {
-    acc: Option<Relation>,
+    runs: Runs,
+    /// The first fragment's schema.
+    schema: Option<Schema>,
 }
 
 impl BaseSync {
     /// Start with nothing collected.
     pub fn new() -> BaseSync {
-        BaseSync { acc: None }
+        BaseSync::default()
     }
 
-    /// Absorb one site's base fragment.
+    /// Absorb one site's base fragment as the next leaf.
     pub fn absorb(&mut self, fragment: Relation) -> Result<()> {
-        self.acc = Some(match self.acc.take() {
-            None => fragment,
-            Some(acc) => acc.union_all(&fragment)?,
-        });
-        Ok(())
+        self.absorb_run(self.runs.leaves, fragment)
     }
 
-    /// Deduplicate into B₀, verify the key is unique, and sort by key.
-    ///
-    /// Fragments arrive in whatever order site threads reply, so without
-    /// the sort the row order of B₀ — and of every later round, and of
-    /// the final result — would vary run to run. Sorting by the (unique)
-    /// key makes distributed results reproducible and lets runs over
-    /// different worker counts and transports be compared bit for bit.
+    /// Absorb one chunk of site `leaf`'s fragment, sorted by the key.
+    pub fn absorb_run(&mut self, leaf: usize, fragment: Relation) -> Result<()> {
+        self.schema.get_or_insert_with(|| fragment.schema().clone());
+        self.runs.push(leaf, fragment.columns().clone())
+    }
+
+    /// B₀: the fragments merged in key order, equal rows once, each group
+    /// spelled as the lowest site spells it. A key two rows share with
+    /// other values is an error. Key order makes B₀ — and every later
+    /// round, and the final result — the same bits whatever order the
+    /// fragments arrived in, over any worker count and transport.
     pub fn finish(self, key: &[String]) -> Result<Relation> {
-        let b = self
-            .acc
-            .ok_or_else(|| Error::Execution("no base fragments received".into()))?
-            .distinct();
-        verify_unique_key(&b, key)?;
-        let cols: Vec<&str> = key.iter().map(String::as_str).collect();
-        b.sorted_by(&cols)
-    }
-}
-
-impl Default for BaseSync {
-    fn default() -> Self {
-        BaseSync::new()
+        let schema = self.schema.ok_or_else(|| Error::Execution("no base fragments received".into()))?;
+        let key = schema.indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
+        let runs = &self.runs;
+        let (picks, _) = runs.pass(&key, |a, b| {
+            let (x, y) = (&runs.chunks[a.0 as usize].1, &runs.chunks[b.0 as usize].1);
+            match (0..x.arity()).all(|c| x.col(c).value_eq_at(a.1 as usize, y.col(c), b.1 as usize)) {
+                true => Ok(()),
+                false => Err(Error::Execution(format!("base-values relation has duplicate key {:?}", runs.key_of(a, &key)))),
+            }
+        })?;
+        let cols = runs.gather(schema.fields(), &picks)?;
+        Relation::from_columns(schema, Columns::from_shared(picks.len(), cols))
     }
 }
 
 /// Synchronizer for a single-operator unit: merges physical sub-aggregates
 /// into X per Theorem 1.
 ///
-/// X is B, a clone sharing B's columns, group `g` being B's row `g`,
-/// beside typed accumulator states (so a caller need not keep B borrowed
-/// while answers arrive). A folded unit has no B: X grows from the keyed
-/// sub-results, and a group's base part is its key (Prop 2). Each
-/// answering site is a leaf, one typed state over X's groups with a
-/// presence bit per group, which its chunks reach by position
-/// ([`MergeSync::absorb_at`]) or, folded, by key
-/// ([`MergeSync::absorb_frame`]: a key the leaf repeats merges in
-/// arrival order). [`MergeSync::finish`] merges the leaves as a binary
-/// tree instead of a left fold — adjacent leaves pair level by level until
-/// one remains, each merge taking (left, right) in that order, and a leaf
-/// without the group passing its right neighbour's across — and then the
-/// root into X_init (taken as is when folded). The tree's shape depends
-/// only on the leaf count, so the bits do too, and Theorem 1's
+/// X is B (a clone sharing its columns), group `g` being B's row `g`,
+/// beside typed accumulator states; a folded unit's X is the keys of the
+/// sites' answers, in key order (Prop 2). Each answering site is a leaf,
+/// one typed state over X's groups with a presence bit per group, reached
+/// by position ([`MergeSync::absorb_at`]) or, folded, through the pass
+/// ([`MergeSync::absorb_frame`]: a key the leaf repeats merges in run
+/// order). [`MergeSync::finish`] merges the leaves as a binary tree —
+/// adjacent leaves pair level by level, each merge taking (left, right),
+/// a leaf without the group passing its right neighbour's across — and
+/// then the root into X_init (taken as is when folded). The tree's shape
+/// depends only on the leaf count, so the bits do too, and Theorem 1's
 /// associativity makes it equal to a left fold
 /// (`parallel_merge_tree_equals_left_fold`).
 #[derive(Debug)]
 pub struct MergeSync {
     /// B: row `g` is group `g`'s base part (`None` when folded).
     base: Option<Relation>,
-    /// B's key columns, in key order, which a keyed answer is looked up by.
+    /// B's key columns, in key order, and their index: what a keyed answer
+    /// against B is looked up by (the layer walk's adapter).
     base_keys: Vec<Arc<Column>>,
-    /// A folded unit's group `g`'s key, `key_len` values per group, in
-    /// one run, as first sighted.
-    keys: Vec<Value>,
-    key_len: usize,
-    /// Key → group id: a folded unit's keys, or B's once a keyed answer
-    /// arrives.
     index: IdTable,
+    key_len: usize,
     layout: AccLayout,
+    /// A folded unit's keyed answers, placed by the pass at finish.
+    runs: Runs,
     /// The tree's slots, in blocks of `cap` groups: block 0 is X, block
     /// `1 + l` is leaf `l`. Typed after the first chunk's accumulator
-    /// fields; `None` until a chunk arrives.
+    /// fields; `None` until a chunk is placed.
     states: Option<AccStates>,
     /// Per slot: does it hold a sub-aggregate (in X's block: X_init's)?
     present: Vec<bool>,
-    /// Slots per block: B's size, or room for a folded unit's groups.
+    /// Slots per block: X's group count (a folded unit's, once placed).
     cap: usize,
     /// The tree's leaf count: one past the highest leaf absorbed.
     n_leaves: usize,
@@ -168,13 +299,10 @@ pub struct MergeSync {
     /// rows its survivor set answers, if it has one, and how many of its
     /// rows have landed.
     placed: Vec<Option<(Option<Vec<u32>>, usize)>>,
-    /// Per row of the chunk being absorbed: its group, then its slot; and
+    /// Per row of the chunk being placed: its group, then its slot; and
     /// whether it is its leaf's first row for its group.
     slots: Vec<usize>,
     first: Vec<bool>,
-    /// Per keyed row absorbed, in arrival order: its leaf and its group
-    /// ([`MergeSync::finish_held`]).
-    landed: Vec<(u32, u32)>,
 }
 
 /// Each leaf's keyed answer as rows of B_next, in the order the leaf sent
@@ -189,10 +317,7 @@ pub struct LeafRows {
 impl LeafRows {
     /// Leaf `l`'s rows (none for a leaf the tree does not have).
     pub fn leaf(&self, l: usize) -> &[u32] {
-        match (self.ends.get(l), self.ends.get(l + 1)) {
-            (Some(&from), Some(&to)) => &self.rows[from..to],
-            _ => &[],
-        }
+        self.ends.get(l..l + 2).map_or(&[], |e| &self.rows[e[0]..e[1]])
     }
 }
 
@@ -216,10 +341,10 @@ impl MergeSync {
         MergeSync {
             base: None,
             base_keys: Vec::new(),
-            keys: Vec::new(),
-            key_len,
             index: IdTable::with_capacity(0),
+            key_len,
             layout: op.layout(),
+            runs: Runs::default(),
             states: None,
             present: Vec::new(),
             cap: 0,
@@ -227,13 +352,7 @@ impl MergeSync {
             placed: Vec::new(),
             slots: Vec::new(),
             first: Vec::new(),
-            landed: Vec::new(),
         }
-    }
-
-    /// X's group count.
-    fn groups(&self) -> usize {
-        self.base.as_ref().map_or(self.index.len(), Relation::len)
     }
 
     /// Absorb one whole keyed answer as the next leaf: the key columns
@@ -241,17 +360,18 @@ impl MergeSync {
     /// across the sites ([`parallel_merge_tree`]) are one leaf, whose tree
     /// is that leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        self.absorb_columns(self.n_leaves, h.schema(), h.columns())
+        self.absorb_keyed(self.n_leaves, h.columns().clone())
     }
 
     /// Absorb one chunk of leaf `leaf`'s keyed answer as it lands, straight
     /// from its decoded `RESULT` frame: the key columns first, then the
-    /// physical accumulator columns. A leaf is one answering site,
-    /// numbered in site order; the tree has a leaf for every number up to
-    /// the highest one absorbed, so an empty answer still counts.
+    /// physical accumulator columns, the leaf's chunks one run in key
+    /// order. A leaf is one answering site, numbered in site order; the
+    /// tree has a leaf for every number up to the highest one absorbed, so
+    /// an empty answer still counts.
     pub fn absorb_frame(&mut self, leaf: usize, chunk: ResultChunk) -> Result<()> {
         chunk.refuse_survivors("a keyed answer")?;
-        self.absorb_columns(leaf, chunk.schema(), chunk.columns())
+        self.absorb_keyed(leaf, chunk.into_columns())
     }
 
     /// Absorb one chunk of leaf `leaf`'s answer by position, as it lands:
@@ -263,9 +383,9 @@ impl MergeSync {
     pub fn absorb_at(&mut self, leaf: usize, fragment: Option<&[u32]>, mut chunk: ResultChunk) -> Result<()> {
         let width = self.layout.width();
         if chunk.schema().len() != width {
-            return Err(arity_error(chunk.schema(), 0, width));
+            return Err(arity_error(chunk.schema().len(), 0, width));
         }
-        self.prepare(leaf, chunk.schema(), 0, 0)?;
+        self.prepare(leaf, chunk.columns(), 0)?;
         let err = |what: String| Err(Error::Execution(format!("a positional answer {what}")));
         let rows = fragment.map_or(self.cap, <[u32]>::len);
         let (survivors, landed) = match (self.placed[leaf].take(), chunk.survivors.take()) {
@@ -301,67 +421,42 @@ impl MergeSync {
         self.scatter(leaf, chunk.columns(), 0)
     }
 
-    /// Per row: one key hash and one lookup of its group (inserted, when
-    /// folded, on first sighting); then every accumulator column scatters
-    /// into leaf `leaf`'s typed states.
-    fn absorb_columns(&mut self, leaf: usize, schema: &Schema, cols: &Columns) -> Result<()> {
+    /// A keyed chunk of leaf `leaf`: folded, kept in its run for the pass;
+    /// against B, each row's group looked up by its key (one hash and
+    /// probe of B's index) and its accumulators scattered at once.
+    fn absorb_keyed(&mut self, leaf: usize, cols: Columns) -> Result<()> {
         let (kl, width) = (self.key_len, self.layout.width());
-        if schema.len() != kl + width {
-            return Err(arity_error(schema, kl, width));
+        if cols.arity() != kl + width {
+            return Err(arity_error(cols.arity(), kl, width));
         }
-        self.prepare(leaf, schema, kl, cols.len())?;
-        if self.base.is_some() && self.index.len() < self.cap {
-            let base_keys: Vec<&Column> = self.base_keys.iter().map(Arc::as_ref).collect();
+        if self.base.is_none() {
+            self.n_leaves = self.n_leaves.max(leaf + 1);
+            return self.runs.push(leaf, cols);
+        }
+        self.prepare(leaf, &cols, kl)?;
+        let base_keys: Vec<&Column> = self.base_keys.iter().map(Arc::as_ref).collect();
+        if self.index.len() < self.cap {
             self.index = index_columns(&base_keys, self.cap)?;
         }
         self.slots.clear();
         for i in 0..cols.len() {
-            let h = cols.key_hash(kl, i);
-            let (keys, base_keys) = (&self.keys, &self.base_keys);
-            let found = match &self.base {
-                Some(_) => self.index.find(h, |g| {
-                    let mut same = base_keys.iter().enumerate();
-                    same.all(|(c, b)| cols.col(c).value_eq_at(i, b, g))
-                }),
-                None => self.index.find(h, |g| cols.key_eq(i, &keys[g * kl..(g + 1) * kl])),
-            };
-            let g = match found {
-                Some(g) => g,
-                None if self.base.is_some() => {
-                    let key: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
-                    return Err(Error::Execution(format!("site reported unknown group {key:?}")));
-                }
-                None => {
-                    // Prop 2: a folded unit's first sighting of a key
-                    // makes its group, whose base part is its key.
-                    self.keys.extend((0..kl).map(|c| cols.value(c, i)));
-                    let g = self.index.insert(h);
-                    if g == self.cap {
-                        self.regrow((2 * self.cap).max(16));
-                    }
-                    g
-                }
+            let Some(g) = row_in(&base_keys, &self.index, &cols, i) else {
+                let key: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
+                return Err(Error::Execution(format!("site reported unknown group {key:?}")));
             };
             self.slots.push(g);
         }
-        self.landed.extend(self.slots.iter().map(|&g| (leaf as u32, g as u32)));
-        self.scatter(leaf, cols, kl)
+        self.scatter(leaf, &cols, kl)
     }
 
     /// Type the states after the first chunk's accumulator fields (those
-    /// of `schema` past its `kl` key columns), and give leaf `leaf` its
-    /// block.
-    fn prepare(&mut self, leaf: usize, schema: &Schema, kl: usize, rows: usize) -> Result<()> {
+    /// of `cols` from column `from` on), and give leaf `leaf` its block.
+    fn prepare(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
         if self.states.is_none() {
-            let types: Vec<DataType> = schema.fields()[kl..].iter().map(|f| f.data_type()).collect();
+            let types: Vec<DataType> = (from..cols.arity()).map(|c| cols.col(c).data_type()).collect();
             self.states = Some(AccStates::new(&self.layout, &types, self.cap)?);
-            // X's block: X_init for each of B's groups; a folded unit's
-            // first chunk sizes the blocks for about one answer.
+            // X's block: X_init for each of B's groups.
             self.present = vec![self.base.is_some(); self.cap];
-            if self.base.is_none() {
-                self.index = IdTable::with_capacity(rows);
-                self.regrow(rows);
-            }
         }
         if leaf >= self.n_leaves {
             self.n_leaves = leaf + 1;
@@ -380,6 +475,7 @@ impl MergeSync {
     fn scatter(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
         let block = (1 + leaf) * self.cap;
         self.first.clear();
+        self.first.reserve(self.slots.len());
         for s in &mut self.slots {
             *s += block;
             self.first.push(!self.present[*s]);
@@ -389,104 +485,74 @@ impl MergeSync {
         states.map_or(Ok(()), |states| states.absorb(cols, from, &self.slots, &self.first))
     }
 
-    /// Give every block room for `cap` groups.
-    fn regrow(&mut self, cap: usize) {
-        let (blocks, old) = (1 + self.n_leaves, self.cap);
-        if let Some(states) = &mut self.states {
-            states.regrow(blocks, old, cap);
+    /// A folded unit's runs placed in X: the pass gives X's key columns,
+    /// declared by `key_fields`, and each leaf's rows' groups, by which each
+    /// chunk's accumulators scatter into its leaf's block in run order.
+    fn place_runs(&mut self, key_fields: &[Field]) -> Result<(Vec<Arc<Column>>, LeafRows)> {
+        let runs = std::mem::take(&mut self.runs);
+        let kl = self.key_len;
+        let (picks, rows) = runs.pass(&(0..kl).collect::<Vec<_>>(), |_, _| Ok(()))?;
+        let keys = runs.gather(key_fields, &picks)?;
+        self.cap = picks.len();
+        if !runs.chunks.is_empty() {
+            let slots = (1 + self.n_leaves) * self.cap;
+            self.states = Some(AccStates::new(&self.layout, &runs.types[kl..], slots)?);
+            self.present = vec![false; slots];
         }
-        let mut present = vec![false; blocks * cap];
-        for b in 0..blocks {
-            present[b * cap..b * cap + old].copy_from_slice(&self.present[b * old..(b + 1) * old]);
+        // Each chunk after its leaf's earlier ones, in arrival order.
+        let mut at = rows.ends.clone();
+        for (leaf, cols) in &runs.chunks {
+            self.slots.clear();
+            self.slots.extend(rows.rows[at[*leaf]..at[*leaf] + cols.len()].iter().map(|&g| g as usize));
+            at[*leaf] += cols.len();
+            self.scatter(*leaf, cols, kl)?;
         }
-        (self.present, self.cap) = (present, cap);
+        Ok((keys, rows))
     }
 
     /// Merge the leaves as the tree, level by level over whole leaves, and
     /// the root into X: block 0 holds the answer for every group present
     /// there.
-    fn merge_tree(&mut self) -> Result<()> {
-        let (n, cap, groups) = (self.n_leaves, self.cap, self.groups());
-        let Some(states) = &mut self.states else {
-            return Ok(());
-        };
-        let mut step = |dst: usize, src: usize| -> Result<()> {
+    fn merge_tree(&mut self) {
+        let (n, cap) = (self.n_leaves, self.cap);
+        let Some(states) = &mut self.states else { return };
+        let mut step = |dst: usize, src: usize| {
             let (head, tail) = self.present.split_at_mut(src);
-            let (dp, sp) = (&mut head[dst..dst + groups], &tail[..groups]);
-            states.combine(dst, src, groups, dp, sp);
+            let (dp, sp) = (&mut head[dst..dst + cap], &tail[..cap]);
+            states.combine(dst, src, cap, dp, sp);
             dp.iter_mut().zip(sp).for_each(|(d, s)| *d |= *s);
-            Ok(())
         };
         let mut stride = 1;
         while stride < n {
             for left in (0..n - stride).step_by(2 * stride) {
-                step((1 + left) * cap, (1 + left + stride) * cap)?;
+                step((1 + left) * cap, (1 + left + stride) * cap);
             }
             stride *= 2;
         }
         if n > 0 {
-            step(0, cap)?;
+            step(0, cap);
         }
-        Ok(())
-    }
-
-    /// A folded unit's key columns, declared `schema`'s leading types, in
-    /// first-sighting order.
-    fn folded_keys(&self, schema: &Schema) -> Vec<Column> {
-        let groups = self.index.len();
-        (0..self.key_len)
-            .map(|c| {
-                let mut b = ColumnBuilder::new(schema.field(c).data_type(), groups);
-                (0..groups).for_each(|g| b.push(&self.keys[g * self.key_len + c]));
-                b.finish()
-            })
-            .collect()
     }
 
     /// Finalize X into B_next with the logical output schema, as columns:
-    /// B's columns, shared, in B's row order — or, folded, the key columns
-    /// in key order (first sightings follow site arrival, so they are
-    /// sorted for determinism), the order computed on the typed columns —
-    /// then each aggregate finalized column-wise from the states
-    /// ([`AccStates::finalize_columns`]).
+    /// B's, shared, or a folded unit's keys in key order; then each
+    /// aggregate finalized column-wise ([`AccStates::finalize_columns`]).
     pub fn finish(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<Relation> {
-        self.finish_with(b_in_schema, op, detail, false).map(|(b, _)| b)
+        self.finish_held(b_in_schema, op, detail).map(|(b, _)| b)
     }
 
     /// [`MergeSync::finish`], and the rows of B_next that each leaf's keyed
-    /// answer held, in the order it sent them: after a folded unit, each
-    /// site's own groups, which a later unit can leave at the site
-    /// ([`crate::plan::SiteFilter::Resident`]).
-    pub fn finish_held(self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<(Relation, LeafRows)> {
-        self.finish_with(b_in_schema, op, detail, true)
-    }
-
-    fn finish_with(
-        mut self,
-        b_in_schema: &Schema,
-        op: &Gmdj,
-        detail: &Schema,
-        held: bool,
-    ) -> Result<(Relation, LeafRows)> {
-        self.merge_tree()?;
+    /// answer held, in its order: after a folded unit, each site's own
+    /// groups, which a later unit can leave at the site
+    /// ([`crate::plan::SiteFilter::Resident`]). None against B.
+    pub fn finish_held(mut self, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Result<(Relation, LeafRows)> {
         let out_schema = op.output_schema(b_in_schema, detail)?;
-        let groups = self.groups();
-        let mut order: Vec<u32> = (0..groups as u32).collect();
-        let mut cols: Vec<Arc<Column>> = match &self.base {
-            Some(b) => (0..b.schema().len()).map(|c| b.shared_column(c)).collect(),
-            None => {
-                let keys = self.folded_keys(&out_schema);
-                order.sort_unstable_by(|&a, &b| {
-                    let mut ord = keys.iter().map(|k| k.cmp_rows(a as usize, b as usize));
-                    ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                keys.iter().map(|k| Arc::new(k.gather(&order))).collect()
-            }
+        let (mut cols, held) = match &self.base {
+            Some(b) => ((0..b.schema().len()).map(|c| b.shared_column(c)).collect(), LeafRows::default()),
+            None => self.place_runs(&out_schema.fields()[..self.key_len])?,
         };
-        let held = match held {
-            true => self.leaf_rows(&order),
-            false => LeafRows::default(),
-        };
+        self.merge_tree();
+        let groups = self.cap;
         // No chunk arrived: every group is X_init.
         let states = match self.states.take() {
             Some(states) => states,
@@ -497,125 +563,58 @@ impl MergeSync {
                 AccStates::new(&self.layout, &types, groups)?
             }
         };
+        let order: Vec<u32> = (0..groups as u32).collect();
         cols.extend(states.finalize_columns(&order, &self.present));
         let b_next = Relation::from_columns(out_schema, Columns::from_shared(groups, cols))?;
         Ok((b_next, held))
     }
-
-    /// The keyed rows that landed, bucketed by leaf in arrival order, each
-    /// group mapped to its row of B_next, whose row `r` is group `order[r]`.
-    fn leaf_rows(&self, order: &[u32]) -> LeafRows {
-        let mut ends = vec![0usize; self.n_leaves + 1];
-        self.landed.iter().for_each(|&(l, _)| ends[l as usize + 1] += 1);
-        (0..self.n_leaves).for_each(|l| ends[l + 1] += ends[l]);
-        let mut row_of = vec![0u32; order.len()];
-        order.iter().enumerate().for_each(|(r, &g)| row_of[g as usize] = r as u32);
-        let mut next = ends.clone();
-        let mut rows = vec![0u32; self.landed.len()];
-        for &(l, g) in &self.landed {
-            rows[next[l as usize]] = row_of[g as usize];
-            next[l as usize] += 1;
-        }
-        LeafRows { rows, ends }
-    }
 }
 
-fn arity_error(h: &Schema, key_len: usize, width: usize) -> Error {
-    Error::Execution(format!(
-        "sub-result arity {} != key {key_len} + accumulators {width}",
-        h.len()
-    ))
+fn arity_error(arity: usize, key_len: usize, width: usize) -> Error {
+    Error::Execution(format!("sub-result arity {arity} != key {key_len} + accumulators {width}"))
 }
 
 /// Synchronizer for a locally-chained unit: assembles disjoint finalized
-/// results, column-wise.
-///
-/// It keeps the sites' answers as they arrived (clones share their
-/// columns) and numbers their rows in arrival order, indexed on their key
-/// columns, read in place. [`ChainSync::finish_against`] places each
-/// answer row at its group's position in B; [`ChainSync::finish_folded`]
-/// sorts the rows by key. Either gathers each output column once, so
-/// allocation is per column, never per group.
+/// results, column-wise, from the sites' answers as they arrived.
+/// [`ChainSync::finish_against`] places each answer row at its group's row
+/// of B; [`ChainSync::finish_folded`] takes the rows by the pass over the
+/// sites' runs. Either refuses a key two rows share — the partition
+/// assumption violated — and allocates per column, never per group.
 #[derive(Debug)]
 pub struct ChainSync {
     key_len: usize,
-    /// The sites' answers, in arrival order.
-    answers: Vec<Relation>,
-    /// Per answer: the number of its first row. Rows are numbered in
-    /// arrival order, across answers.
-    starts: Vec<usize>,
-    /// Every absorbed row's key → its number.
-    index: IdTable,
+    runs: Runs,
 }
 
 impl ChainSync {
     /// A synchronizer expecting `key_len` leading key columns.
     pub fn new(key_len: usize) -> ChainSync {
-        ChainSync {
-            key_len,
-            answers: Vec::new(),
-            starts: Vec::new(),
-            index: IdTable::with_capacity(0),
-        }
+        ChainSync { key_len, runs: Runs::default() }
     }
 
     /// Absorb one site's finalized result (key columns + logical
-    /// aggregates). Duplicate keys mean the partition-attribute assumption
-    /// was violated — an execution error, not silent wrong answers.
+    /// aggregates) as the next leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        let kl = self.key_len;
-        if h.schema().len() < kl {
-            return Err(Error::Execution(format!(
-                "chained answer of arity {} under a {kl}-column key",
-                h.schema().len()
-            )));
-        }
-        self.starts.push(self.index.len());
-        self.answers.push(h.clone());
-        self.index.reserve(h.len());
-        let (answers, starts) = (&self.answers, &self.starts);
-        let cols = h.columns();
-        for i in 0..h.len() {
-            let hash = cols.key_hash(kl, i);
-            let seen = self.index.find(hash, |id| {
-                let s = starts.partition_point(|&first| first <= id) - 1;
-                let other = answers[s].columns();
-                (0..kl).all(|c| cols.col(c).value_eq_at(i, other.col(c), id - starts[s]))
-            });
-            if seen.is_some() {
-                let k: Vec<Value> = (0..kl).map(|c| cols.value(c, i)).collect();
-                return Err(Error::Execution(format!(
-                    "two sites reported group {k:?}: partition attribute assumption violated"
-                )));
-            }
-            self.index.insert(hash);
-        }
-        Ok(())
+        self.absorb_run(self.runs.leaves, h)
     }
 
-    /// Refuse an answer of another arity than `arity`.
+    /// Absorb one chunk of site `leaf`'s finalized result: folded, one run
+    /// in key order. Its arity is checked at finish, against the schema.
+    pub fn absorb_run(&mut self, leaf: usize, h: &Relation) -> Result<()> {
+        self.runs.push(leaf, h.columns().clone())
+    }
+
+    /// Refuse answers of another arity than `arity`.
     fn check_arity(&self, arity: usize) -> Result<()> {
-        match self.answers.iter().find(|h| h.schema().len() != arity) {
-            Some(h) => Err(Error::SchemaMismatch(format!("chained answer {} of arity {arity}", h.schema()))),
-            None => Ok(()),
+        match self.runs.types.len() {
+            a if a == arity || self.runs.chunks.is_empty() => Ok(()),
+            a => Err(Error::SchemaMismatch(format!("chained answer of arity {a} where {arity} is declared"))),
         }
     }
 
-    /// Column `c` of every absorbed row, in row-number order, then `tail`'s
-    /// rows: a column of type `declared`.
-    fn concat(&self, c: usize, declared: DataType, tail: Option<&Column>) -> Result<Column> {
-        let mut parts = Vec::with_capacity(self.answers.len() + 1);
-        for h in &self.answers {
-            if h.column(c).data_type() != declared {
-                return Err(Error::SchemaMismatch(format!(
-                    "chained answer {} where column {c} is {declared}",
-                    h.schema()
-                )));
-            }
-            parts.push(h.column(c));
-        }
-        parts.extend(tail);
-        Ok(Column::concat(declared, &parts))
+    /// The error for a key two answer rows share.
+    fn twice(key: Vec<Value>) -> Error {
+        Error::Execution(format!("two sites reported group {key:?}: partition attribute assumption violated"))
     }
 
     /// Assemble B_next against the coordinator's current B (non-folded):
@@ -641,20 +640,20 @@ impl ChainSync {
             )));
         }
         self.check_arity(self.key_len + empty_aggs.len())?;
-        // Per group of B: the row that answers it, or the empty row.
-        let rows = self.index.len();
-        let mut from = vec![rows as u32; b_cur.len()];
-        let mut unknown = 0usize;
-        for (h, &start) in self.answers.iter().zip(&self.starts) {
-            let cols = h.columns();
-            for i in 0..h.len() {
-                let hash = cols.key_hash(self.key_len, i);
-                let mut same = |g: usize| (b_keys.iter().enumerate()).all(|(c, b)| cols.col(c).value_eq_at(i, b, g));
-                match b_index.find(hash, &mut same) {
-                    Some(g) => from[g] = (start + i) as u32,
+        // Per group of B: the row that answers it, or the empty row. Rows
+        // are numbered in arrival order, across answers.
+        let rows = self.runs.chunks.iter().map(|(_, c)| c.len() as u32).sum();
+        let mut from = vec![rows; b_cur.len()];
+        let (mut unknown, mut start) = (0usize, 0u32);
+        for (_, cols) in &self.runs.chunks {
+            for i in 0..cols.len() {
+                match row_in(&b_keys, &b_index, cols, i) {
+                    Some(g) if from[g] != rows => return Err(ChainSync::twice((0..self.key_len).map(|c| cols.value(c, i)).collect())),
+                    Some(g) => from[g] = start + i as u32,
                     None => unknown += 1,
                 }
             }
+            start += cols.len() as u32;
         }
         if unknown > 0 {
             return Err(Error::Execution(format!(
@@ -669,32 +668,33 @@ impl ChainSync {
             }
             let mut tail = ColumnBuilder::new(declared, 1);
             tail.push(empty);
-            let all = self.concat(self.key_len + j, declared, Some(&tail.finish()))?;
-            cols.push(Arc::new(all.gather(&from)));
+            let tail = tail.finish();
+            let mut parts = self.runs.parts(self.key_len + j, declared)?;
+            parts.push(&tail);
+            cols.push(Arc::new(Column::concat(declared, &parts).gather(&from)));
         }
         Relation::from_columns(out_schema, Columns::from_shared(b_cur.len(), cols))
     }
 
     /// Assemble B_next for a folded unit: the collected rows *are* the
-    /// result, sorted by key (keys are unique, so arrival order never
-    /// shows).
+    /// result, taken in key order by one pass over the sites' runs.
     pub fn finish_folded(self, out_schema: Schema) -> Result<Relation> {
         self.check_arity(out_schema.len())?;
-        let cols = (out_schema.fields().iter().enumerate())
-            .map(|(c, f)| self.concat(c, f.data_type(), None))
-            .collect::<Result<Vec<_>>>()?;
-        let rel = Relation::from_columns(out_schema, Columns::new(self.index.len(), cols))?;
-        let names = rel.schema().column_names();
-        rel.sorted_by(&names[..self.key_len.min(names.len())])
+        let runs = &self.runs;
+        let key: Vec<usize> = (0..self.key_len.min(out_schema.len())).collect();
+        let (picks, _) = runs.pass(&key, |at, _| Err(ChainSync::twice(runs.key_of(at, &key))))?;
+        let cols = runs.gather(out_schema.fields(), &picks)?;
+        Relation::from_columns(out_schema, Columns::from_shared(picks.len(), cols))
     }
 }
 
 /// Merge the sites' answers (key columns + physical accumulators) into one
 /// still-physical relation without X: each answer is one leaf of
 /// [`MergeSync`]'s tree, in order, and the output lists each key once, in
-/// first-sighting order, with its tree's root. Absorbing that into X
+/// key order, with its tree's root. Absorbing that into X
 /// ([`MergeSync::absorb`]) gives the bits that absorbing the answers'
-/// chunks as they land ([`MergeSync::absorb_frame`]) gives.
+/// chunks as they land ([`MergeSync::absorb_frame`]) gives. An answer
+/// against a literal B, in B's order, is put in key order first.
 ///
 /// `parallelism` is unused: at 5,000 groups on two cores, splitting the
 /// keys across two scoped workers measured slower than one thread
@@ -709,20 +709,23 @@ pub fn parallel_merge_tree(
 ) -> Result<Option<Relation>> {
     let w = op.layout().width();
     if let Some(h) = answers.iter().find(|h| h.schema().len() != key_len + w) {
-        return Err(arity_error(h.schema(), key_len, w));
+        return Err(arity_error(h.schema().len(), key_len, w));
     }
     if answers.len() < 2 {
         return Ok(answers.pop());
     }
     let mut tree = MergeSync::folded(key_len, op);
     for h in &answers {
-        tree.absorb(h)?;
+        let names = h.schema().column_names();
+        let (cols, key) = (h.columns(), &names[..key_len]);
+        let sorted = (1..h.len()).all(|i| (0..key_len).map(|c| cols.col(c).cmp_rows(i - 1, i)).find(|o| o.is_ne()) != Some(Ordering::Greater));
+        tree.absorb(&if sorted { h.clone() } else { h.sorted_by(key)? })?;
     }
-    tree.merge_tree()?;
     let schema = answers[0].schema();
-    let groups = tree.index.len();
-    let mut cols: Vec<Arc<Column>> = tree.folded_keys(schema).into_iter().map(Arc::new).collect();
-    #[expect(clippy::expect_used, reason = "the first absorb makes the states")]
+    let (mut cols, _) = tree.place_runs(&schema.fields()[..key_len])?;
+    tree.merge_tree();
+    let groups = tree.cap;
+    #[expect(clippy::expect_used, reason = "two answers placed make the states")]
     let states = tree.states.as_ref().expect("two answers absorbed");
     let at: Vec<u32> = (0..groups as u32).collect();
     cols.extend(states.physical_columns(&at));
@@ -817,21 +820,26 @@ mod tests {
 
         assert!(BaseSync::new().finish(&key()).is_err());
 
-        // Arrival order does not show: two sites' fragments absorbed in
-        // either order give the same B₀, in key order.
+        // Arrival order does not show: two sites' sorted fragments, their
+        // chunks interleaved either way, give the same B₀, in key order.
         let frag = |keys: &[i64]| {
             let rows = keys.iter().map(|&g| row![g]).collect();
             Relation::new(Schema::of(&[("g", DataType::Int)]), rows).unwrap()
         };
-        let finish = |first: &[i64], second: &[i64]| {
+        let finish = |chunks: &[(usize, &[i64])]| {
             let mut s = BaseSync::new();
-            s.absorb(frag(first)).unwrap();
-            s.absorb(frag(second)).unwrap();
-            s.finish(&key()).unwrap()
+            chunks.iter().for_each(|&(site, keys)| s.absorb_run(site, frag(keys)).unwrap());
+            s.finish(&key())
         };
-        let b = finish(&[3, 1], &[2, 1]);
-        assert_eq!(b, finish(&[2, 1], &[3, 1]));
+        let b = finish(&[(0, &[1, 3]), (1, &[1]), (1, &[2])]).unwrap();
+        assert_eq!(b, finish(&[(1, &[1]), (0, &[1]), (1, &[2]), (0, &[3])]).unwrap());
         assert_eq!(b.rows(), [row![1i64], row![2i64], row![3i64]]);
+        // A fragment out of key order, within a chunk or across two, is
+        // refused, naming its site.
+        for chunks in [&[(0, &[1i64, 3][..]), (1, &[3, 2])][..], &[(0, &[1]), (1, &[3]), (1, &[2])]] {
+            let err = finish(chunks).unwrap_err().to_string();
+            assert!(err.contains("site 1 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
+        }
     }
 
     /// Sub-results from two sites merge per Theorem 1 (COUNT sums, AVG
@@ -897,16 +905,26 @@ mod tests {
         assert_eq!(out.rows()[1], row![2i64, 3i64, 4.0]);
     }
 
+    /// A key two sites report is the partition assumption violated,
+    /// folded or against B; so is a folded site's run out of key order.
     #[test]
     fn chain_sync_rejects_duplicate_groups() {
-        let mut sync = ChainSync::new(1);
-        let h = Relation::new(
-            Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]),
-            vec![row![1i64, 5i64]],
-        )
-        .unwrap();
-        sync.absorb(&h).unwrap();
-        assert!(sync.absorb(&h).is_err());
+        let schema = Schema::of(&[("g", DataType::Int), ("cnt", DataType::Int)]);
+        let answer = |keys: &[i64]| Relation::new(schema.clone(), keys.iter().map(|&g| row![g, 5i64]).collect()).unwrap();
+        let twice = |a: &[i64], b: &[i64]| {
+            let mut sync = ChainSync::new(1);
+            sync.absorb(&answer(a)).unwrap();
+            sync.absorb(&answer(b)).unwrap();
+            sync
+        };
+        for (a, b) in [(&[1i64][..], &[1i64][..]), (&[1, 2], &[2]), (&[2, 2], &[])] {
+            let err = twice(a, b).finish_folded(schema.clone()).unwrap_err().to_string();
+            assert!(err.contains("two sites reported group [Int("), "{err}");
+        }
+        let err = twice(&[1], &[1]).finish_against(&b0(), &key(), &[Value::Int(0)], schema.clone()).unwrap_err();
+        assert!(err.to_string().contains("two sites reported group [Int(1)]"), "{err}");
+        let err = twice(&[1], &[3, 2]).finish_folded(schema.clone()).unwrap_err().to_string();
+        assert!(err.contains("site 1 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
     }
 
     #[test]
@@ -1082,6 +1100,28 @@ mod tests {
         assert_eq!(merged(&[(0, 1e16), (1, 1.0), (0, 1.0)]), Value::Double(1e16));
     }
 
+    /// A folded site's run out of key order, within a chunk or across two,
+    /// fails the merge naming the site (leaf 1 stands for site 5 here),
+    /// never a wrong answer; the same rows in key order merge.
+    #[test]
+    fn a_shuffled_folded_run_is_refused() {
+        let h = |keys: &[i64]| Relation::new(h_schema(), keys.iter().map(|&g| row![g, 1i64, 10i64, 1i64]).collect()).unwrap();
+        let merge = |chunks: &[(usize, &[i64])]| {
+            let mut sync = MergeSync::new(None, &key(), &op()).unwrap();
+            sync.runs.sites = vec![0, 5];
+            for &(leaf, keys) in chunks {
+                sync.absorb_frame(leaf, frame(&h(keys))).unwrap();
+            }
+            sync.finish(b0().schema(), &op(), &detail_schema())
+        };
+        for chunks in [&[(0, &[1i64, 2][..]), (1, &[3, 2])][..], &[(1, &[3]), (0, &[1, 2]), (1, &[2])]] {
+            let err = merge(chunks).unwrap_err().to_string();
+            assert!(err.contains("site 5 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
+        }
+        let out = merge(&[(1, &[2]), (0, &[1, 2]), (1, &[3])]).unwrap();
+        assert_eq!(out.rows(), [row![1i64, 1i64, 10.0], row![2i64, 2i64, 10.0], row![3i64, 1i64, 10.0]]);
+    }
+
     /// A quiet NaN with payload `p`.
     fn nan(p: u64) -> f64 {
         f64::from_bits(0x7ff8_0000_0000_0000 | p)
@@ -1194,8 +1234,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        // Each site answers its keys in a shuffled order, cut into
-        // row-blocked chunks at random points.
+        // Each site answers its keys in a shuffled order — folded, sorted
+        // by key, as a site must — cut into row-blocked chunks at random
+        // points.
         let chunks = accs
             .iter()
             .map(|site| {
@@ -1206,6 +1247,9 @@ mod tests {
                     .collect();
                 for i in (1..rows.len()).rev() {
                     rows.swap(i, rng.gen_range(0..i + 1));
+                }
+                if folded {
+                    rows.sort_by(|a, b| a.get(0).cmp(b.get(0)));
                 }
                 let mut chunks = Vec::new();
                 loop {
@@ -1337,35 +1381,52 @@ mod tests {
         vs.iter().map(show).collect()
     }
 
-    /// [`MergeSync::finish`] as it was written before it built columns: a
-    /// row per group, from the states' accumulator values (the values of
+    /// [`MergeSync::finish`] as a row loop, sharing none of the pass's
+    /// code: against B, a row per group of B, in B's order, from the
+    /// states' accumulator values (the values of
     /// [`AccStates::physical_columns`], X_init where no state holds the
-    /// group) through the reference's [`oracle::finalize_all`], in B's row
-    /// order — or, folded, sorted by the keys' `Value` order.
+    /// group); folded, a row per key of the absorbed runs in the keys'
+    /// `Value` order, spelled as the lowest leaf first spells it, each
+    /// leaf's rows folded in run order ([`oracle::merge_all`]) and the
+    /// leaves reduced by the pairwise tree ([`reference_tree`]); then
+    /// through the reference's [`oracle::finalize_all`].
     fn finish_by_rows(mut x: MergeSync, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
-        x.merge_tree().unwrap();
         let out_schema = op.output_schema(b_in_schema, detail).unwrap();
-        let kl = x.key_len;
-        let key = |g: usize| &x.keys[g * kl..(g + 1) * kl];
-        let mut order: Vec<usize> = (0..x.index.len()).collect();
-        if x.base.is_none() {
-            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        }
-        let mut acc = Vec::new();
+        let layout = x.layout.clone();
         let mut rows = Vec::new();
-        for g in order {
-            let mut vs = match &x.base {
-                Some(b) => b.rows()[g].values().to_vec(),
-                None => key(g).to_vec(),
-            };
+        if x.base.is_none() {
+            let (kl, n) = (x.key_len, x.runs.leaves);
+            let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Option<Vec<Value>>>> = Default::default();
+            for leaf in 0..n {
+                for (_, cols) in x.runs.chunks.iter().filter(|(l, _)| *l == leaf) {
+                    for r in cols.to_rows() {
+                        let (k, acc) = r.values().split_at(kl);
+                        let leaves = groups.entry(k.to_vec()).or_insert_with(|| vec![None; n]);
+                        match &mut leaves[leaf] {
+                            Some(x) => oracle::merge_all(&layout, x, acc).unwrap(),
+                            none => *none = Some(acc.to_vec()),
+                        }
+                    }
+                }
+            }
+            for (k, leaves) in groups {
+                let tree = reference_tree(&layout, &leaves).unwrap();
+                rows.push(Row::new([k, oracle::finalize_all(&layout, &tree).unwrap()].concat()));
+            }
+            return Relation::new(out_schema, rows).unwrap();
+        }
+        x.merge_tree();
+        let mut acc = Vec::new();
+        for g in 0..x.cap {
+            let mut vs = x.base.as_ref().unwrap().rows()[g].values().to_vec();
             acc.clear();
             match &x.states {
                 Some(states) if x.present[g] => {
                     acc.extend(states.physical_columns(&[g as u32]).iter().map(|c| c.value(0)))
                 }
-                _ => acc.extend(oracle::init_all(&x.layout)),
+                _ => acc.extend(oracle::init_all(&layout)),
             }
-            vs.extend(oracle::finalize_all(&x.layout, &acc).unwrap());
+            vs.extend(oracle::finalize_all(&layout, &acc).unwrap());
             rows.push(Row::new(vs));
         }
         Relation::new(out_schema, rows).unwrap()

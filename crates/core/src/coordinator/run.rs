@@ -186,8 +186,8 @@ impl<'q> CoordMachine<'q> {
                 round.waiting[site] &= !chunk.last;
                 round.st.rows_up += chunk.len() as u64;
                 match &mut round.sync {
-                    Sync::Base(sync) => sync.absorb(chunk.relation()?)?,
-                    Sync::Chain(sync, _) => sync.absorb(&chunk.relation()?)?,
+                    Sync::Base(sync) => sync.absorb_run(site, chunk.relation()?)?,
+                    Sync::Chain(sync, _) => sync.absorb_run(site, &chunk.relation()?)?,
                     Sync::Merge(m) => {
                         m.chunks += 1;
                         check_result_types(&chunk, &m.result_types, m.unit.positional())?;
@@ -346,15 +346,11 @@ impl<'q> CoordMachine<'q> {
                     let detail = self.catalog.get(&unit.table).ok_or_else(unknown)?.schema();
                     let acc = op.layout().physical_fields(detail)?;
                     result_types.extend(acc.iter().map(|f| f.data_type()));
-                    let sync = MergeSync::new(if unit.fold_base { None } else { self.b_cur.as_ref() }, &plan.key, op)?;
-                    let leaf = sent
-                        .iter()
-                        .scan(0, |next, f| {
-                            let rank = *next;
-                            *next += usize::from(f.is_some());
-                            Some(rank)
-                        })
-                        .collect();
+                    let mut sync = MergeSync::new(if unit.fold_base { None } else { self.b_cur.as_ref() }, &plan.key, op)?;
+                    let sites: Vec<usize> = (0..n).filter(|&s| sent[s].is_some()).collect();
+                    let mut leaf = vec![0; n];
+                    sites.iter().enumerate().for_each(|(l, &s)| leaf[s] = l);
+                    sync.runs.sites = sites;
                     let merge = Merge { unit, detail, sync, leaf, result_types, chunks: 0, survivor_bytes: 0 };
                     (Sync::Merge(Box::new(merge)), "MergeSync")
                 }
@@ -398,18 +394,17 @@ impl<'q> CoordMachine<'q> {
                 sync_span.arg("positional", unit.positional());
                 sync_span.arg("survivor_bytes", m.survivor_bytes);
                 // After a fold, each site's own groups, where a resident
-                // next unit finds them: a folded answer's rows are the B
-                // rows they landed at.
+                // next unit finds them: the B rows the pass placed a
+                // folded answer's rows at.
                 let next_resident = matches!(
                     plan.stages.get(stage as usize + 1).map(|s| &s.kind),
                     Some(StageKind::Unit(u)) if u.site_filters.contains(&SiteFilter::Resident)
                 );
-                if unit.fold_base && next_resident {
-                    let (b, rows) = m.sync.finish_held(b_in_schema, op, m.detail)?;
-                    let own = sent.iter().zip(&m.leaf).map(|(s, &l)| s.as_ref().map(|_| Some(rows.leaf(l).to_vec())));
-                    (b, Some(own.collect()))
-                } else {
-                    (m.sync.finish(b_in_schema, op, m.detail)?, (!unit.fold_base).then_some(sent))
+                let (b, rows) = m.sync.finish_held(b_in_schema, op, m.detail)?;
+                let own = || sent.iter().zip(&m.leaf).map(|(s, &l)| s.as_ref().map(|_| Some(rows.leaf(l).to_vec())));
+                match unit.fold_base {
+                    true => (b, next_resident.then(|| own().collect())),
+                    false => (b, Some(sent)),
                 }
             }
         };

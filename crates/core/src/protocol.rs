@@ -78,7 +78,13 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   byte, then each offset from the minimum in that many bits), whenever
 ///   that is smaller than its 8-byte run. A v13 peer would refuse the
 ///   encoding byte.
-pub const PROTOCOL_VERSION: u32 = 14;
+/// * **v15** — v14 frames; an `Int` column with no `NULL` whose values
+///   never decrease may be encoding byte 7, delta-coded (its first value,
+///   then the gaps packed as byte 6 packs values), whenever that is
+///   strictly smaller than both other forms. Every keyed answer comes up
+///   sorted by its key, and the coordinator refuses one that is not. A
+///   v14 peer would refuse the encoding byte.
+pub const PROTOCOL_VERSION: u32 = 15;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -375,6 +381,12 @@ impl ResultChunk {
     pub fn relation(self) -> Result<Relation> {
         self.refuse_survivors("a keyed answer")?;
         Relation::from_columns(self.schema, self.columns)
+    }
+
+    /// The relation's columns, owned: a keyed answer's rows kept as they
+    /// arrived, as one chunk of its site's run.
+    pub(crate) fn into_columns(self) -> Columns {
+        self.columns
     }
 
     /// Refuse a survivor set, which only a site's first answer to a unit

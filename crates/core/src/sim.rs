@@ -108,7 +108,7 @@ mod tests {
     use crate::Cluster;
     use skalla_datagen::cases::{case_rng, for_cases};
     use skalla_gmdj::prelude::*;
-    use skalla_relation::{row, DataType, Domain, DomainMap, Schema};
+    use skalla_relation::{row, DataType, Domain, DomainMap, Schema, Value};
 
     const SITES: usize = 4;
 
@@ -264,6 +264,56 @@ mod tests {
                 assert!(again == *trace, "{}: seed {i} did not replay its trace", shape.name);
             }
             assert!(traces.iter().any(|t| *t != traces[0]), "{}: every seed gave one order", shape.name);
+        }
+    }
+
+    /// Two sites spell one `Double` key differently — `-0.0` at site 0,
+    /// `0.0` at sites 1 and 2; `NaN`s of two payloads at sites 1 and 2 —
+    /// and the answer's key bits are the lowest answering site's spelling
+    /// under every arrival order, on the base round's shape and on a
+    /// folded unit's.
+    #[test]
+    fn a_key_is_spelled_as_the_lowest_site_spells_it_under_any_arrival_order() {
+        let nan = |p: u64| f64::from_bits(0x7ff8_0000_0000_0000 | p);
+        let schema = Schema::of(&[("g", DataType::Double), ("v", DataType::Int)]);
+        let part = |rows: &[(f64, i64)]| {
+            let rel = Relation::new(schema.clone(), rows.iter().map(|&(g, v)| row![g, v]).collect()).unwrap();
+            (rel, DomainMap::new())
+        };
+        let mut c = Cluster::new(SITES);
+        c.add_table(
+            "t",
+            vec![
+                part(&[(-0.0, 1), (2.5, 2)]),
+                part(&[(0.0, 3), (nan(1), 4)]),
+                part(&[(nan(2), 5), (0.0, 6)]),
+                part(&[(2.5, 7)]),
+            ],
+        );
+        let expr = GmdjExprBuilder::distinct_base("t", &["g"])
+            .gmdj(Gmdj::new("t").block(
+                ThetaBuilder::group_by(&["g"]).build(),
+                vec![AggSpec::count("cnt"), AggSpec::sum("v", "sm")],
+            ))
+            .build();
+        let key_bits = |rel: &Relation| -> Vec<u64> {
+            (0..rel.len()).map(|i| rel.column(0).value(i).as_f64().unwrap().to_bits()).collect()
+        };
+        let want = [(-0.0f64).to_bits(), 2.5f64.to_bits(), nan(1).to_bits()];
+        let sites = catalogs(&c);
+        let folding = OptFlags { sync_reduction: true, ..OptFlags::none() };
+        for (name, flags, folded) in [("sim_spelling_base_round", OptFlags::none(), false), ("sim_spelling_folded", folding, true)] {
+            let plan = Planner::new(c.distribution()).optimize(&expr, flags);
+            let first = unit(&plan.stages[0].kind).map(|u| u.fold_base && !u.local_chain);
+            assert_eq!(first, folded.then_some(true), "{name}: {}", plan.explain());
+            let mut first: Option<String> = None;
+            for_cases(name, 200, |rng| {
+                let got = run(&plan, &sites, &EngineConfig::default(), rng, &mut Vec::new()).unwrap();
+                assert_eq!(key_bits(&got), want, "{name}: {got}");
+                assert_eq!(got.rows()[0].values()[1..], [Value::Int(3), Value::Int(10)], "{name}");
+                let bits = format!("{:?}", (0..got.len()).map(|i| got.rows()[i].clone()).collect::<Vec<_>>());
+                assert_eq!(first.get_or_insert_with(|| bits.clone()), &bits, "{name}");
+            });
         }
     }
 

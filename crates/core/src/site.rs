@@ -90,9 +90,20 @@ pub fn execute_stage_traced(
 
 impl DistributedPlan {
     /// The local base fragment: the base query evaluated over this site's
-    /// partition.
+    /// partition, its distinct groups sorted by the key K — once per
+    /// partition and K ([`Relation::project_distinct_sorted`]'s memo). So
+    /// every keyed answer a site makes from it (the base round's, a folded
+    /// unit's, a folded chain's: one row per base tuple, in fragment order)
+    /// is a sorted run.
     pub fn base_fragment(&self, catalog: &dyn Catalog) -> Result<Relation> {
-        self.expr.base.eval(catalog)
+        match &self.expr.base {
+            BaseQuery::DistinctProject { table, columns } => {
+                let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+                let key: Vec<&str> = self.key.iter().map(String::as_str).collect();
+                catalog.table(table)?.project_distinct_sorted(&columns, &key)
+            }
+            BaseQuery::Literal(_) => self.expr.base.eval(catalog),
+        }
     }
 }
 
@@ -104,8 +115,8 @@ fn base_input(
 ) -> Result<Relation> {
     if unit.fold_base {
         // Prop 2: the local groups come from the local detail partition —
-        // derived once per partition and key set (`project_distinct`'s
-        // memo), not once per query.
+        // derived and sorted once per partition and key set (the memo of
+        // `project_distinct_sorted`), not once per query.
         match &plan.expr.base {
             BaseQuery::DistinctProject { .. } => plan.base_fragment(catalog),
             BaseQuery::Literal(_) => {

@@ -375,36 +375,6 @@ impl AggState {
         }
     }
 
-    /// Lay `blocks` runs of `cap` slots out as runs of `new_cap`, the new
-    /// slots of each run fresh.
-    fn regrow(&mut self, blocks: usize, cap: usize, new_cap: usize) {
-        let runs = (blocks, cap, new_cap);
-        match self {
-            AggState::Count(c) => relayout(c, &[0], runs),
-            AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
-                relayout(s, &[0], runs);
-                relayout(has, &[false], runs);
-            }
-            AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
-                relayout(s, &[0.0], runs);
-                relayout(has, &[false], runs);
-            }
-            AggState::MinMaxS { m } => relayout(m, &[None], runs),
-            AggState::AvgI { s, cnt } => {
-                relayout(s, &[0], runs);
-                relayout(cnt, &[0], runs);
-            }
-            AggState::AvgF { s, cnt } => {
-                relayout(s, &[0.0], runs);
-                relayout(cnt, &[0], runs);
-            }
-            AggState::Var { s, sq, cnt } => {
-                relayout(s, &[0.0], runs);
-                relayout(sq, &[0.0], runs);
-                relayout(cnt, &[0], runs);
-            }
-        }
-    }
 
     /// Absorb rows of the physical columns `cols`: row `i` is loaded into
     /// slot `slots[i]` where `first[i]`, and merged into it otherwise, in
@@ -652,20 +622,6 @@ fn runs<T>(v: &mut [T], dst: usize, src: usize, n: usize) -> (&mut [T], &[T]) {
     (&mut head[dst..dst + n], &tail[..n])
 }
 
-/// Re-lay `v`, `fill.len()` values per slot, from `blocks` runs of `cap`
-/// slots into runs of `new_cap`, each new slot `fill`.
-fn relayout<T: Clone>(v: &mut Vec<T>, fill: &[T], (blocks, cap, new_cap): (usize, usize, usize)) {
-    let w = fill.len();
-    let mut out = Vec::with_capacity(blocks * new_cap * w);
-    for b in 0..blocks {
-        out.extend_from_slice(&v[b * cap * w..(b + 1) * cap * w]);
-        for _ in cap..new_cap {
-            out.extend_from_slice(fill);
-        }
-    }
-    *v = out;
-}
-
 /// `v` at slots `at`, 0 where `valid` fails: a typed column's vector.
 fn pick<T: Copy + Default>(v: &[T], at: &[u32], valid: impl Fn(usize) -> bool) -> Vec<T> {
     map(at, valid, |p| v[p])
@@ -782,12 +738,6 @@ impl AccStates {
     /// Append fresh positions up to `n` in all.
     pub fn resize(&mut self, n: usize) {
         self.states.iter_mut().for_each(|st| st.resize(n));
-    }
-
-    /// Lay the positions, `blocks` runs of `cap`, out as runs of
-    /// `new_cap`; the new positions of each run are fresh.
-    pub fn regrow(&mut self, blocks: usize, cap: usize, new_cap: usize) {
-        self.states.iter_mut().for_each(|st| st.regrow(blocks, cap, new_cap));
     }
 
     /// Absorb rows of the physical columns of `cols` that start at column

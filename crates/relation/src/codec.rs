@@ -25,6 +25,14 @@
 //!   it does not insist on the encoder's choices (the least width, a
 //!   minimum some row holds, packed only when smaller), which keep the
 //!   encoder's own frames byte-deterministic;
+//! * `Int` with no `NULL` whose values never decrease (a sorted key):
+//!   also delta-coded (encoding byte 7) when that is strictly smaller
+//!   than both of the above — the first value as an 8-byte word, then the
+//!   gaps between neighbours packed as byte 6 packs values (the gaps'
+//!   minimum, a width byte, each gap's offset from that minimum). The
+//!   decoder refuses it with a validity bitmap, a short run, set padding
+//!   bits, and a gap or a running sum past `i64` (Lemire & Boytsov, SPE
+//!   2015; Abadi et al., SIGMOD 2006);
 //! * `Str`: a dictionary (its length, then each string length-prefixed)
 //!   and one code per row, 1, 2 or 4 bytes wide as the dictionary needs —
 //!   or the strings themselves, length-prefixed, whichever is smaller.
@@ -58,6 +66,8 @@ const COL_STR_DICT: u8 = 3;
 const COL_STR_PLAIN: u8 = 4;
 /// A bit-packed `Int` column (5 was the retired tagged-cell column).
 const COL_INT_PACKED: u8 = 6;
+/// A delta-coded `Int` column: no `NULL`, values never decreasing.
+const COL_INT_DELTA: u8 = 7;
 /// Or-ed into a column's encoding byte: a validity bitmap follows.
 const COL_NULLS: u8 = 0x80;
 
@@ -191,14 +201,24 @@ impl Encoder {
         let rows = || (0..col.len()).filter(|&i| valid.is_none_or(|b| b.get(i)));
         match col {
             Column::Int { data, .. } if let Some(Packing { min, width }) = packing => {
+                if enc == COL_INT_DELTA {
+                    // The first value, then the gaps packed from their minimum.
+                    self.put_i64(data[0]);
+                }
                 self.put_i64(min);
                 self.put_u8(width as u8);
                 let offset = |v: i64| v.wrapping_sub(min) as u64;
                 match valid {
+                    _ if enc == COL_INT_DELTA => {
+                        let gaps = data.windows(2).map(|w| offset(w[1].wrapping_sub(w[0])));
+                        self.put_packed(gaps, data.len() - 1, width)
+                    }
                     None => self.put_packed(data.iter().map(|&v| offset(v)), data.len(), width),
                     Some(b) => self.put_packed(rows().map(|i| offset(data[i])), b.count_ones(), width),
                 }
             }
+            Column::Int { data, .. } if valid.is_none() => self.put_words(data, i64::to_le_bytes),
+            Column::Double { data, .. } if valid.is_none() => self.put_words(data, f64::to_le_bytes),
             Column::Int { data, .. } => {
                 for i in rows() {
                     self.put_i64(data[i]);
@@ -224,6 +244,16 @@ impl Encoder {
                     self.put_str(&dict[codes[i] as usize]);
                 }
             }
+        }
+    }
+
+    /// Write every one of `data`'s 8-byte words, little-endian, as one
+    /// run: the buffer grows once and each word is copied into its slot.
+    fn put_words<T: Copy>(&mut self, data: &[T], le: impl Fn(T) -> [u8; 8]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * data.len(), 0);
+        for (slot, &v) in self.buf[start..].chunks_exact_mut(8).zip(data) {
+            slot.copy_from_slice(&le(v));
         }
     }
 
@@ -265,14 +295,35 @@ fn code_width(n: usize) -> usize {
 }
 
 /// A packed `Int` column's frame of reference: its non-`NULL` values'
-/// minimum, and the bits each offset from it takes.
+/// minimum, and the bits each offset from it takes — or, delta-coded, its
+/// gaps' minimum (the word's bits) and the bits each gap's offset takes.
 #[derive(Debug, Clone, Copy)]
 struct Packing {
     min: i64,
     width: usize,
 }
 
+/// The bits `span` takes, but at least 1.
+fn bit_width(span: u64) -> usize {
+    (u64::BITS - span.leading_zeros()).max(1) as usize
+}
+
 impl Packing {
+    /// The packing of the gaps between `data`'s neighbours; `None` unless
+    /// there are two values or more and none is below the one before it.
+    /// Each gap is exact as a `u64`.
+    fn of_gaps(data: &[i64]) -> Option<Packing> {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for w in data.windows(2) {
+            if w[1] < w[0] {
+                return None;
+            }
+            let gap = w[1].wrapping_sub(w[0]) as u64;
+            (lo, hi) = (lo.min(gap), hi.max(gap));
+        }
+        (data.len() > 1).then(|| Packing { min: lo as i64, width: bit_width(hi - lo) })
+    }
+
     /// The packing of `data`'s rows that `valid` marks (every row when
     /// `None`); `None` when there are none.
     fn of(data: &[i64], valid: Option<&Bitmap>) -> Option<Packing> {
@@ -284,8 +335,7 @@ impl Packing {
                 .map(|(_, v)| v)
                 .fold((i64::MAX, i64::MIN), span),
         };
-        let width = (u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros()).max(1) as usize;
-        (min <= max).then_some(Packing { min, width })
+        (min <= max).then(|| Packing { min, width: bit_width(max.wrapping_sub(min) as u64) })
     }
 
     /// The packed body of `n` values: minimum, width byte and run.
@@ -295,9 +345,10 @@ impl Packing {
 }
 
 /// How a non-empty column is written: its encoding byte, its size in
-/// bytes with that byte, and the frame of reference of a packed `Int`
-/// column. An `Int` column is packed only when that is smaller than its
-/// raw run, and a `Str` column takes the smaller of dictionary and plain
+/// bytes with that byte, and the frame of reference of a packed or
+/// delta-coded `Int` column. An `Int` column is packed only when that is
+/// smaller than its raw run, and delta-coded only when that is smaller
+/// still; a `Str` column takes the smaller of dictionary and plain
 /// strings.
 fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
     let n = col.len();
@@ -309,10 +360,16 @@ fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
     let n_valid = valid.map_or(n, Bitmap::count_ones);
     let raw = 8 * n_valid;
     match col {
-        Column::Int { data, .. } => match Packing::of(data, valid).filter(|p| p.size(n_valid) < raw) {
-            Some(p) => (COL_INT_PACKED | nulls, 1 + bitmap + p.size(n_valid), Some(p)),
-            None => (COL_INT | nulls, 1 + bitmap + raw, None),
-        },
+        Column::Int { data, .. } => {
+            let packed = Packing::of(data, valid).filter(|p| p.size(n_valid) < raw);
+            let best = packed.map_or(raw, |p| p.size(n_valid));
+            let delta = valid.is_none().then(|| Packing::of_gaps(data)).flatten();
+            match (delta.filter(|d| 8 + d.size(n - 1) < best), packed) {
+                (Some(d), _) => (COL_INT_DELTA, 1 + 8 + d.size(n - 1), Some(d)),
+                (None, Some(p)) => (COL_INT_PACKED | nulls, 1 + bitmap + best, Some(p)),
+                (None, None) => (COL_INT | nulls, 1 + bitmap + raw, None),
+            }
+        }
         Column::Double { .. } => (COL_DOUBLE | nulls, 1 + bitmap + raw, None),
         Column::Str { codes, dict, .. } => {
             let in_dict = 4
@@ -468,7 +525,7 @@ impl<'a> Decoder<'a> {
     fn get_column(&mut self, field: &Field, n: usize) -> Result<Column> {
         let enc = self.get_u8()?;
         let ty = match enc & !COL_NULLS {
-            COL_INT | COL_INT_PACKED => DataType::Int,
+            COL_INT | COL_INT_PACKED | COL_INT_DELTA => DataType::Int,
             COL_DOUBLE => DataType::Double,
             COL_STR_DICT | COL_STR_PLAIN => DataType::Str,
             _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
@@ -479,6 +536,9 @@ impl<'a> Decoder<'a> {
                 field.data_type(),
                 field.name()
             )));
+        }
+        if enc == COL_INT_DELTA | COL_NULLS {
+            return Err(Error::Codec("a delta-coded column with a validity bitmap".into()));
         }
         let valid = match enc & COL_NULLS {
             0 => None,
@@ -499,6 +559,10 @@ impl<'a> Decoder<'a> {
                 let data = self.get_packed(n, valid.as_ref(), n_valid)?;
                 Column::Int { data, valid }
             }
+            COL_INT_DELTA => Column::Int {
+                data: self.get_delta(n)?,
+                valid,
+            },
             COL_DOUBLE => {
                 let run = self.take(8 * n_valid)?.chunks_exact(8);
                 let data = scatter(run.map(le_word).map(f64::from_le_bytes), n, valid.as_ref());
@@ -567,29 +631,10 @@ impl<'a> Decoder<'a> {
     /// read.
     fn get_packed(&mut self, n: usize, valid: Option<&Bitmap>, n_valid: usize) -> Result<Vec<i64>> {
         let min = self.get_i64()?;
-        let width = self.get_u8()? as usize;
-        if !(1..=64).contains(&width) {
-            return Err(Error::Codec(format!("packed width {width} outside 1..=64")));
-        }
-        let bits = n_valid * width;
-        let run = self.take(bits.div_ceil(8))?;
-        // The last byte's top `pad` bits follow the last offset.
-        let pad = 8 * run.len() - bits;
-        if run.last().is_some_and(|&b| u16::from(b) >> (8 - pad) != 0) {
-            return Err(Error::Codec("packed run sets bits past its last value".into()));
-        }
-        // Zero-padded, so that the last offset's window is whole.
-        let mut padded = Vec::with_capacity(run.len() + 16);
-        padded.extend_from_slice(run);
-        padded.resize(run.len() + 16, 0);
-        let mask = u64::MAX >> (64 - width);
+        let run = self.get_offsets(n_valid)?;
         let mut overflow = false;
         let vals = (0..n_valid).map(|i| {
-            let (byte, s) = (i * width / 8, i * width % 8);
-            let mut window = [0u8; 16];
-            window.copy_from_slice(&padded[byte..byte + 16]);
-            let off = (u128::from_le_bytes(window) >> s) as u64 & mask;
-            let (v, over) = min.overflowing_add_unsigned(off);
+            let (v, over) = min.overflowing_add_unsigned(run.offset(i));
             overflow |= over;
             v
         });
@@ -600,12 +645,76 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Read a delta-coded run of `n` values (first value, gaps' minimum,
+    /// width byte, the `n - 1` gaps' offsets; see the module docs), each
+    /// value its predecessor plus its gap. A gap or a running sum past
+    /// `i64` is flagged as it goes and refused once the run is read.
+    fn get_delta(&mut self, n: usize) -> Result<Vec<i64>> {
+        let first = self.get_i64()?;
+        let min = self.get_i64()? as u64;
+        let run = self.get_offsets(n - 1)?;
+        let mut data = Vec::with_capacity(n);
+        data.push(first);
+        let (mut prev, mut overflow) = (first, false);
+        for i in 0..n - 1 {
+            let (gap, over_gap) = min.overflowing_add(run.offset(i));
+            let (v, over_sum) = prev.overflowing_add_unsigned(gap);
+            overflow |= over_gap | over_sum;
+            prev = v;
+            data.push(v);
+        }
+        match overflow {
+            true => Err(Error::Codec(format!("delta gaps carry {first} past i64"))),
+            false => Ok(data),
+        }
+    }
+
+    /// Read a width byte and a run of `n` offsets in that many bits each,
+    /// refusing a width out of range, a short run and set padding bits.
+    fn get_offsets(&mut self, n: usize) -> Result<Offsets> {
+        let width = self.get_u8()? as usize;
+        if !(1..=64).contains(&width) {
+            return Err(Error::Codec(format!("packed width {width} outside 1..=64")));
+        }
+        let bits = n * width;
+        let run = self.take(bits.div_ceil(8))?;
+        // The last byte's top `pad` bits follow the last offset.
+        let pad = 8 * run.len() - bits;
+        if run.last().is_some_and(|&b| u16::from(b) >> (8 - pad) != 0) {
+            return Err(Error::Codec("packed run sets bits past its last value".into()));
+        }
+        // Zero-padded, so that the last offset's window is whole.
+        let mut padded = Vec::with_capacity(run.len() + 16);
+        padded.extend_from_slice(run);
+        padded.resize(run.len() + 16, 0);
+        Ok(Offsets { padded, width, mask: u64::MAX >> (64 - width) })
+    }
+
     /// Read a relation: its schema and its body, the decoded columns its
     /// layout ([`Relation::from_columns`]).
     pub fn get_relation(&mut self) -> Result<Relation> {
         let schema = self.get_schema()?;
         let cols = self.get_columns(&schema)?;
         Relation::from_columns(schema, cols)
+    }
+}
+
+/// A packed run as read: its bytes, zero-padded by 16, and its width.
+struct Offsets {
+    padded: Vec<u8>,
+    width: usize,
+    mask: u64,
+}
+
+impl Offsets {
+    /// Offset `i`, read from the 16-byte window its bits start in, with no
+    /// branch.
+    #[inline]
+    fn offset(&self, i: usize) -> u64 {
+        let (byte, s) = (i * self.width / 8, i * self.width % 8);
+        let mut window = [0u8; 16];
+        window.copy_from_slice(&self.padded[byte..byte + 16]);
+        (u128::from_le_bytes(window) >> s) as u64 & self.mask
     }
 }
 
@@ -894,6 +1003,25 @@ mod tests {
         let bytes = encode_relation(&wide63);
         assert_eq!(bytes.len(), schema_len(&wide63) + 1 + 8 + 1 + 1575);
         assert_eq!(bytes[schema_len(&wide63) + 9], 63);
+        // Sorted, the same column goes delta-coded when that is strictly
+        // smaller: first value, gaps' minimum, width, then the gaps' offsets
+        // (31 gaps of 1, every fourth one 2: offsets 0 and 1 in one bit,
+        // 4 bytes against 24 packed at 6 bits).
+        let sorted = one_column(DataType::Int, (0..32).map(|i| Value::Int(700 + i + i / 4)).collect());
+        let bytes = encode_relation(&sorted);
+        assert_eq!(
+            &bytes[schema_len(&sorted)..],
+            [[COL_INT_DELTA].as_slice(), &700i64.to_le_bytes(), &1i64.to_le_bytes(), &[1, 0x88, 0x88, 0x88, 0x08]]
+                .concat()
+        );
+        // Never where that would not be smaller: two values, or a gap
+        // wider than the values' own packing.
+        let short = one_column(DataType::Int, vec![1i64.into(), 2i64.into()]);
+        assert_eq!(encode_relation(&short)[schema_len(&short)], COL_INT_PACKED);
+        let steps = one_column(DataType::Int, (0..64).map(|i| Value::Int(i * 1000 + i % 2)).collect());
+        assert_eq!(encode_relation(&steps)[schema_len(&steps)], COL_INT_DELTA);
+        let ends = one_column(DataType::Int, (0..64).map(|i| Value::Int(if i < 32 { i64::MIN + i } else { i64::MAX - 64 + i })).collect());
+        assert_eq!(encode_relation(&ends)[schema_len(&ends)], COL_INT);
         // A NULL adds the bitmap and drops its word.
         let nulls = one_column(
             DataType::Double,
@@ -921,7 +1049,7 @@ mod tests {
             (1, 2, 4)
         );
         // Every one of them is no larger than tagged cells, and round-trips.
-        for r in [ints, wide, wide63, nulls, repeated, distinct] {
+        for r in [ints, wide, wide63, sorted, short, steps, ends, nulls, repeated, distinct] {
             let tagged: usize = r.iter().map(|row| row.get(0).encoded_size()).sum();
             assert!(encode_relation(&r).len() <= schema_len(&r) + tagged);
             assert_eq!(decode_relation(&encode_relation(&r)).unwrap(), r);
@@ -938,6 +1066,11 @@ mod tests {
         // A packed column: the minimum `min`, the width byte, the run.
         let packed = |min: i64, width: u8, run: &[u8]| {
             [[COL_INT_PACKED].as_slice(), &min.to_le_bytes(), &[width], run].concat()
+        };
+        // A delta-coded column: the first value, the gaps' minimum (as
+        // its word's bits), the width byte, the run.
+        let delta = |first: i64, min: i64, width: u8, run: &[u8]| {
+            [[COL_INT_DELTA].as_slice(), &first.to_le_bytes(), &min.to_le_bytes(), &[width], run].concat()
         };
         let cases: Vec<(&str, Vec<u8>, &str)> = vec![
             (
@@ -1043,6 +1176,16 @@ mod tests {
                 raw(&int, 2, &packed(i64::MAX, 1, &[0b10])),
                 "past i64",
             ),
+            ("delta gap sum past i64", raw(&int, 3, &delta(i64::MAX - 1, 1, 1, &[0b00])), "past i64"),
+            ("delta gap past u64", raw(&int, 2, &delta(0, -1, 1, &[0b1])), "past i64"),
+            (
+                "delta with a validity bitmap",
+                raw(&int, 2, &[[COL_INT_DELTA | COL_NULLS, 0b01].as_slice(), &delta(0, 0, 1, &[0])[1..]].concat()),
+                "delta-coded column with a validity bitmap",
+            ),
+            ("short delta run", raw(&int, 20, &delta(0, 0, 4, &[0; 4])), "unexpected end of input"),
+            ("delta pad bits", raw(&int, 3, &delta(0, 0, 2, &[0b0001_0000])), "past its last value"),
+            ("delta width 0", raw(&int, 3, &delta(0, 0, 0, &[0])), "packed width 0"),
         ];
         for (what, bytes, want) in cases {
             let err = decode_relation(&bytes).expect_err(what).to_string();

@@ -347,13 +347,6 @@ impl Columns {
         row_key_hash(self.cols[..key_len].iter().map(|c| &**c), i)
     }
 
-    /// Are row `i`'s values in the leading `key.len()` columns
-    /// [`Value`]-equal to `key`?
-    #[inline]
-    pub fn key_eq(&self, i: usize, key: &[Value]) -> bool {
-        self.cols.iter().zip(key).all(|(c, v)| c.value_eq(i, v))
-    }
-
     /// Materialize all rows (the inverse of [`Columns::from_rows`]),
     /// filled a column at a time.
     pub fn to_rows(&self) -> Vec<Row> {
@@ -626,16 +619,27 @@ impl Column {
     /// first, numbers natively, strings through the dictionary.
     #[inline]
     pub fn cmp_rows(&self, i: usize, j: usize) -> std::cmp::Ordering {
-        match (self.is_valid(i), self.is_valid(j)) {
+        self.cmp_at(i, self, j)
+    }
+
+    /// Row `i` of this column against row `j` of `other`, in [`Value`]'s
+    /// order ([`Column::cmp_rows`] across two columns): read in place when
+    /// the two share a type. It agrees with [`Column::value_eq_at`]:
+    /// `-0.0` equals `0.0`, every `NaN` equals every other, `NULL` equals
+    /// `NULL`.
+    #[inline]
+    pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> std::cmp::Ordering {
+        match (self.is_valid(i), other.is_valid(j)) {
             (true, true) => {}
             (a, b) => return a.cmp(&b),
         }
-        match self {
-            Column::Int { data, .. } => data[i].cmp(&data[j]),
-            Column::Double { data, .. } => total_f64_cmp(data[i], data[j]),
-            Column::Str { codes, dict, .. } => {
-                dict[codes[i] as usize].cmp(&dict[codes[j] as usize])
+        match (self, other) {
+            (Column::Int { data: a, .. }, Column::Int { data: b, .. }) => a[i].cmp(&b[j]),
+            (Column::Double { data: a, .. }, Column::Double { data: b, .. }) => total_f64_cmp(a[i], b[j]),
+            (Column::Str { codes: a, dict: da, .. }, Column::Str { codes: b, dict: db, .. }) => {
+                da[a[i] as usize].cmp(&db[b[j] as usize])
             }
+            _ => self.value(i).cmp(&other.value(j)),
         }
     }
 
@@ -843,16 +847,6 @@ impl IdTable {
         place(&mut self.slots, h, id);
         self.hashes.push(h);
         id
-    }
-
-    /// Make room for `additional` more ids, so that inserting them does
-    /// not grow the table.
-    pub fn reserve(&mut self, additional: usize) {
-        let n = self.hashes.len() + additional;
-        if n * 2 > self.slots.len() {
-            self.rehash((n * 2).next_power_of_two());
-        }
-        self.hashes.reserve(additional);
     }
 
     /// Lay the ids out again over `slots` slots.

@@ -66,6 +66,10 @@ pub struct Groups {
     /// [`Relation::project_distinct`] asks, and shared by every relation
     /// whose memo holds this entry (clones of one relation).
     distinct: OnceLock<Relation>,
+    /// `distinct` sorted by its columns at the positions given
+    /// ([`Relation::project_distinct_sorted`]): the first order asked for
+    /// only, built once; any other order is sorted again on every call.
+    sorted: OnceLock<(Vec<usize>, Relation)>,
 }
 
 impl Groups {
@@ -351,6 +355,7 @@ impl Relation {
             ids,
             first,
             distinct: OnceLock::new(),
+            sorted: OnceLock::new(),
         });
         let mut memo = self.memo();
         memo.retain(|(k, _)| k != key); // a concurrent caller got here first
@@ -365,14 +370,39 @@ impl Relation {
     /// columns gathered at [`Relation::groups`]' first rows, kept with
     /// them once made.
     pub fn project_distinct(&self, columns: &[&str]) -> Result<Relation> {
+        self.distinct_groups(columns).map(|(distinct, _)| distinct)
+    }
+
+    /// [`Relation::project_distinct`] in ascending order of the columns
+    /// `by` (lexicographic, [`Column::cmp_rows`]' order, which agrees with
+    /// [`Value`]'s equality; ties keep first-occurrence order): a site's
+    /// local groups as it ships them, sorted by the key. The first order
+    /// asked for is kept beside the first-occurrence form, so a repeat
+    /// query in that order pays nothing; another order over the same
+    /// columns (a permuted K, say) is sorted on every call.
+    pub fn project_distinct_sorted(&self, columns: &[&str], by: &[&str]) -> Result<Relation> {
+        let (distinct, groups) = self.distinct_groups(columns)?;
+        let by = distinct.schema.indexes_of(by)?;
+        if let Some((_, sorted)) = groups.sorted.get().filter(|(k, _)| *k == by) {
+            return Ok(sorted.clone());
+        }
+        let sorted = distinct.gather(&distinct.order_by(&by));
+        let _ = groups.sorted.set((by, sorted.clone()));
+        Ok(sorted)
+    }
+
+    /// The distinct projection onto `columns`, made once per groups entry,
+    /// and the entry.
+    fn distinct_groups(&self, columns: &[&str]) -> Result<(Relation, Arc<Groups>)> {
         let idx = self.schema.indexes_of(columns)?;
         let groups = self.groups(&idx);
         if let Some(distinct) = groups.distinct.get() {
-            return Ok(distinct.clone());
+            return Ok((distinct.clone(), groups));
         }
         let schema = Arc::new(self.schema.project(&idx)?);
         let picked = self.pick(schema, &idx).gather(&groups.first);
-        Ok(groups.distinct.get_or_init(|| picked).clone())
+        let distinct = groups.distinct.get_or_init(|| picked).clone();
+        Ok((distinct, groups))
     }
 
     /// Selection (σ) by a bound predicate over this relation's columns
@@ -431,6 +461,11 @@ impl Relation {
     fn order_by(&self, idx: &[usize]) -> Vec<u32> {
         let cols: Vec<&Column> = idx.iter().map(|&c| self.column(c)).collect();
         let mut at: Vec<u32> = (0..self.len() as u32).collect();
+        // One `Int` column with no `NULL` (a site's usual key): by its words.
+        if let [Column::Int { data, valid: None }] = cols[..] {
+            at.sort_by_key(|&i| data[i as usize]);
+            return at;
+        }
         at.sort_by(|&a, &b| {
             let mut ord = cols.iter().map(|c| c.cmp_rows(a as usize, b as usize));
             ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
@@ -650,6 +685,31 @@ mod tests {
         assert_eq!(cols.rows(), r.rows());
         assert_eq!(held(&cols), (true, true));
         assert_eq!(out.rows()[0], row![0.5, 1i64]);
+    }
+
+    /// A relation's local groups sorted by key: `NULL` first, `-0.0` and
+    /// `0.0` one group spelled as it first occurs, `NaN` last; the
+    /// first-occurrence form is untouched, and a repeat is the kept one.
+    #[test]
+    fn project_distinct_sorted_is_kept_in_key_order() {
+        let r = Relation::new(
+            Schema::of(&[("k", DataType::Double), ("s", DataType::Str)]),
+            [(3.0, "a"), (-0.0, "b"), (f64::NAN, "c"), (0.0, "b"), (f64::INFINITY, "d"), (1.5, "e"), (3.0, "a")]
+                .into_iter()
+                .map(|(k, s)| row![k, s])
+                .chain([Row::new(vec![Value::Null, Value::str("n")])])
+                .collect(),
+        )
+        .unwrap();
+        let sorted = r.project_distinct_sorted(&["k", "s"], &["k"]).unwrap();
+        let keys: Vec<String> = (0..sorted.len()).map(|i| format!("{:?}", sorted.column(0).value(i))).collect();
+        assert_eq!(keys, ["Null", "Double(-0.0)", "Double(1.5)", "Double(3.0)", "Double(inf)", "Double(NaN)"]);
+        assert_eq!(r.project_distinct(&["k", "s"]).unwrap().column(1).value(0), Value::str("a"));
+        let again = r.project_distinct_sorted(&["k", "s"], &["k"]).unwrap();
+        assert!(std::ptr::eq(sorted.column(0), again.column(0)), "kept");
+        // Another order is computed, not mistaken for the kept one.
+        let by_s = r.project_distinct_sorted(&["k", "s"], &["s", "k"]).unwrap();
+        assert_eq!(by_s.column(1).value(5), Value::str("n"));
     }
 
     #[test]

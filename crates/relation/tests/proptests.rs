@@ -232,28 +232,49 @@ fn columnar_codec_round_trips_bit_for_bit() {
 /// One `Int` column of `n` cells from one of the packed codec's edge
 /// families: `i64::MIN` beside `i64::MAX` (64-bit offsets), all equal, a
 /// range straddling 0, offsets of a random width above a random minimum,
-/// or any of these with `NULL`s among them.
+/// a sorted run of gaps of a random width (a key column), one climbing
+/// from `i64::MIN` to `i64::MAX`, or any of these with `NULL`s among them.
 fn arb_int_column(rng: &mut StdRng, n: usize) -> Vec<Value> {
-    let family = rng.gen_range(0..4);
+    let family = rng.gen_range(0..6);
     let nulls = rng.gen_range(0..3) == 0;
     let one: i64 = rng.gen();
     let span = ((1u64 << rng.gen_range(0..64u32)) - 1) as i64;
     let min = rng.gen_range(i64::MIN..=i64::MAX - span);
+    let gap = (1i64 << rng.gen_range(0..12u32)) - 1;
+    let mut next = rng.gen_range(-1000..1000i64);
     (0..n)
         .map(|i| match family {
             _ if nulls && rng.gen_range(0..3) == 0 => Value::Null,
             0 => Value::Int([i64::MIN, i64::MAX][i % 2]),
             1 => Value::Int(one),
             2 => Value::Int(rng.gen_range(-1000..1000)),
-            _ => Value::Int(min + rng.gen_range(0..=span)),
+            3 => Value::Int(min + rng.gen_range(0..=span)),
+            4 => {
+                next += rng.gen_range(0..=gap);
+                Value::Int(next)
+            }
+            _ => Value::Int(match i {
+                0 => i64::MIN,
+                i if i + 1 == n => i64::MAX,
+                i => i64::MIN / 2 + i as i64,
+            }),
         })
         .collect()
 }
 
-/// An `Int` column's body as the codec writes it: the smaller of its raw
-/// 8-byte run and its packed form (minimum, width byte, the offsets in
-/// `w` bits each, `w` at least 1), raw on a tie, and its raw size.
-fn int_body_sizes(cells: &[Value]) -> (usize, usize) {
+/// The bits an offset spanning `span` takes, at least 1.
+fn width(span: u64) -> usize {
+    (64 - span.leading_zeros()).max(1) as usize
+}
+
+/// An `Int` column's body as the codec writes it; as it wrote it in
+/// protocol v14, the smaller of its raw 8-byte run and its packed form
+/// (minimum, width byte, the offsets in `w` bits each, `w` at least 1),
+/// raw on a tie; and its raw size. Since v15 a column with no `NULL` whose
+/// values never decrease goes delta-coded (first value, the gaps'
+/// minimum, width byte, the gaps' offsets) where that is strictly
+/// smaller than its v14 form.
+fn int_body_sizes(cells: &[Value]) -> (usize, usize, usize) {
     let vals: Vec<i64> = cells.iter().filter_map(|v| v.as_i64()).collect();
     let bitmap = match vals.len() < cells.len() {
         true => cells.len().div_ceil(8),
@@ -261,17 +282,23 @@ fn int_body_sizes(cells: &[Value]) -> (usize, usize) {
     };
     let raw = 1 + bitmap + 8 * vals.len();
     let (Some(lo), Some(hi)) = (vals.iter().min(), vals.iter().max()) else {
-        return (raw, raw);
+        return (raw, raw, raw);
     };
-    let span = hi.wrapping_sub(*lo) as u64;
-    let w = (64 - span.leading_zeros()).max(1) as usize;
-    (raw.min(1 + bitmap + 9 + (vals.len() * w).div_ceil(8)), raw)
+    let v14 = raw.min(1 + bitmap + 9 + (vals.len() * width(hi.wrapping_sub(*lo) as u64)).div_ceil(8));
+    let gaps: Vec<u64> = vals.windows(2).map(|w| w[1].wrapping_sub(w[0]) as u64).collect();
+    let sorted = bitmap == 0 && vals.len() > 1 && vals.windows(2).all(|w| w[0] <= w[1]);
+    let delta = match (gaps.iter().min(), gaps.iter().max()) {
+        (Some(lo), Some(hi)) if sorted => 1 + 17 + (gaps.len() * width(hi - lo)).div_ceil(8),
+        _ => usize::MAX,
+    };
+    (v14.min(delta), v14, raw)
 }
 
-/// Packed `Int` columns round-trip bit for bit — 64-bit offsets, all
-/// equal values, ranges across 0, `NULL`s, one-row columns — and a
-/// column's body is exactly the smaller of its two forms, so never larger
-/// than its raw 8-byte run.
+/// Packed and delta-coded `Int` columns round-trip bit for bit — 64-bit
+/// offsets, all equal values, ranges across 0, sorted runs, gaps of 2⁶⁴ −
+/// 1, `NULL`s, one-row columns — and a column's body is exactly the
+/// smallest of its forms, so never larger than its v14 form, itself never
+/// larger than its raw 8-byte run.
 #[test]
 fn packed_int_columns_round_trip_bit_for_bit() {
     for_cases("packed_int_columns_round_trip_bit_for_bit", 128, |rng| {
@@ -294,12 +321,14 @@ fn packed_int_columns_round_trip_bit_for_bit() {
         }
         assert_eq!(encode_relation(&back), bytes);
         assert_eq!(rel.encoded_size(), bytes.len());
-        let (body, raw) = match n {
-            0 => (0, 0),
-            _ => cols.iter().map(|c| int_body_sizes(c)).fold((0, 0), |(b, r), (cb, cr)| (b + cb, r + cr)),
+        let (body, v14, raw) = match n {
+            0 => (0, 0, 0),
+            _ => cols.iter().map(|c| int_body_sizes(c)).fold((0, 0, 0), |(b, v, r), (cb, cv, cr)| {
+                (b + cb, v + cv, r + cr)
+            }),
         };
         assert_eq!(bytes.len(), rel.schema().encoded_size() + 4 + body, "of\n{rel}");
-        assert!(body <= raw);
+        assert!(body <= v14 && v14 <= raw);
     });
 }
 

@@ -400,6 +400,46 @@ fn a_survivor_set_on_a_keyed_answer_is_a_clean_round_error() {
     }
 }
 
+/// At the coordinator, a keyed answer out of key order — the base round's
+/// groups, a folded unit's keyed accumulators, a folded chain's finalized
+/// rows — within one chunk or across two chunks of the site's run, fails
+/// the query with an error naming the site, never a wrong answer. (Every
+/// such answer is one sorted run, which the coordinator merges in one
+/// pass.)
+#[test]
+fn a_keyed_answer_out_of_key_order_is_a_clean_round_error() {
+    let owned = DomainMap::new().with("g", Domain::IntRange(1, 2));
+    let base = relation(&[("g", DataType::Int)], vec![row![2i64], row![1i64]]);
+    let folded = relation(&[("g", DataType::Int), ("c", DataType::Int)], vec![row![2i64, 1i64], row![1i64, 1i64]]);
+    let chained = relation(
+        &[("g", DataType::Int), ("c", DataType::Int), ("d", DataType::Int)],
+        vec![row![2i64, 1i64, 1i64], row![1i64, 1i64, 1i64]],
+    );
+    let cases = [
+        ("base round", count_expr(), OptFlags::none(), DomainMap::new(), base, true),
+        ("folded unit", count_expr(), folding(), DomainMap::new(), folded, false),
+        ("folded chain", two_count_expr(), folding(), owned, chained, false),
+    ];
+    for (what, expr, flags, domains, answer, base_round) in cases {
+        // The answer as one chunk, and cut between its two rows.
+        let whole = vec![protocol::result(0, &answer)];
+        let cut = vec![chunk(0, &answer.gather(&[0]), false, None), chunk(0, &answer.gather(&[1]), true, None)];
+        for frames in [whole, cut] {
+            let n = frames.len();
+            let reply = move |kind: &StageKind, stage: u32| match (kind, base_round) {
+                (StageKind::Base, true) | (StageKind::Unit(_), false) => (frames.iter())
+                    .map(|m| Message::new(m.tag, [&stage.to_le_bytes()[..], &m.payload[4..]].concat()))
+                    .collect(),
+                (StageKind::Base, false) => vec![protocol::result(stage, &groups())],
+                (StageKind::Unit(_), true) => panic!("the base round was accepted"),
+            };
+            let err = round_error(expr.clone(), flags, domains.clone(), reply);
+            let want = "site 0 sent its keyed answer out of key order: [Int(1)] after [Int(2)]";
+            assert!(err.contains(want), "{what} in {n} chunk(s): {err}");
+        }
+    }
+}
+
 /// At the site, a resident stage task (its fragment the rows the site
 /// held for the previous unit, without their key) that does not fit what
 /// the site holds is a clean `TAG_ERROR` for that query: a fragment of

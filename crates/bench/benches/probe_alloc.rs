@@ -28,19 +28,19 @@
 //!
 //! A coordinator leg merges the sites' answers over the same 2,000 groups
 //! the way the engine does: each answer is encoded into a `RESULT` frame
-//! and decoded (`protocol::result_columns` → `decode_result_chunk`,
+//! and decoded (`protocol::result_with` → `decode_result_frame`,
 //! outside the count: a frame's own buffers are per frame by nature),
 //! then `MergeSync::new`, one absorb per answer, `finish`. Against a
 //! shipped B the answers are positional (`absorb_at`): accumulator
 //! columns for every group of B, and, under Prop 1, a survivor set over a
 //! Thm 4 fragment of B's even rows; a folded unit's answers are keyed
-//! sorted runs (`absorb_frame` keeps each chunk, and `finish_held` makes
+//! sorted runs (`absorb_frame` keeps each run, and `finish_held` makes
 //! the one pass over the runs that places each leaf's rows in B_next);
 //! then a resident round answers by position over the rows each leaf held
 //! (`absorb_at` with the leaf's own map). For each of these four legs on
 //! its own, 6 sites' answers may allocate at most two times per extra
 //! leaf more than 2 sites' answers, so nothing is allocated per absorbed
-//! row, per chunk, per tree level or per leaf's held rows.
+//! row, per tree level or per leaf's held rows.
 //!
 //! Two decode legs read a bit-packed and a delta-coded (sorted) `Int`
 //! column of 2,000 and of 20,000 rows (`codec::decode_relation`): each
@@ -66,7 +66,7 @@
 //! Not a timing benchmark — plain assertions, run by `ci.sh`.
 
 use skalla_core::coordinator::{empty_aggregates, ChainSync, MergeSync};
-use skalla_core::protocol::{decode_result, decode_result_chunk, result, result_chunk, result_columns, Survivors};
+use skalla_core::protocol::{decode_result, decode_result_frame, result, result_with, Survivors};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::eval::{eval_local, eval_shipped, finalize_physical};
 use skalla_obs::Obs;
@@ -252,9 +252,9 @@ fn main() {
     let counts = answer.project(&["cnt"]).unwrap();
     let reduced = counts.gather(&survivors.at);
     let frames = [
-        (result_chunk(1, &counts, true), Some(None)),
-        (result_columns(1, reduced.schema(), reduced.len(), &[reduced.column(0)], true, Some(&survivors)), Some(Some(&even[..]))),
-        (result_chunk(1, &answer, true), None),
+        (result(1, &counts), Some(None)),
+        (result_with(1, &reduced, Some(&survivors)), Some(Some(&even[..]))),
+        (result(1, &answer), None),
     ];
     // One count per leg: positional, positional under Prop 1, folded,
     // resident.
@@ -264,15 +264,15 @@ fn main() {
         // `Some(fragment)`: positional against B; `None`: keyed, folded,
         // each leaf's rows recorded as they land and placed in B_next.
         for ((frame, at), allocs) in frames.iter().zip(&mut allocs) {
-            let chunks: Vec<_> = (0..sites)
-                .map(|_| decode_result_chunk(&frame.payload).unwrap())
+            let answers: Vec<_> = (0..sites)
+                .map(|_| decode_result_frame(&frame.payload).unwrap())
                 .collect();
             *allocs = allocs_during(|| {
                 let mut sync = MergeSync::new(at.map(|_| &merge_base), &key, &op).unwrap();
-                for (leaf, chunk) in chunks.into_iter().enumerate() {
+                for (leaf, answer) in answers.into_iter().enumerate() {
                     match at {
-                        Some(fragment) => sync.absorb_at(leaf, *fragment, chunk).unwrap(),
-                        None => sync.absorb_frame(leaf, chunk).unwrap(),
+                        Some(fragment) => sync.absorb_at(leaf, *fragment, answer).unwrap(),
+                        None => sync.absorb_frame(leaf, answer).unwrap(),
                     }
                 }
                 match at {
@@ -284,13 +284,13 @@ fn main() {
         // Resident after the fold: each leaf answers by position over the
         // rows it held (B_next's rows are `merge_base`'s, in key order).
         let held = held.unwrap();
-        let chunks: Vec<_> = (0..sites)
-            .map(|_| decode_result_chunk(&frames[0].0.payload).unwrap())
+        let answers: Vec<_> = (0..sites)
+            .map(|_| decode_result_frame(&frames[0].0.payload).unwrap())
             .collect();
         allocs[3] = allocs_during(|| {
             let mut sync = MergeSync::new(Some(&merge_base), &key, &op).unwrap();
-            for (leaf, chunk) in chunks.into_iter().enumerate() {
-                sync.absorb_at(leaf, Some(held.leaf(leaf)), chunk).unwrap();
+            for (leaf, answer) in answers.into_iter().enumerate() {
+                sync.absorb_at(leaf, Some(held.leaf(leaf)), answer).unwrap();
             }
             sync.finish(merge_base.schema(), &op, small.schema()).unwrap();
         });
@@ -382,10 +382,10 @@ fn main() {
             let frame = result(1, &answer);
             let mut sync = MergeSync::new((!folded).then_some(&b), &key, &wide_op).unwrap();
             for leaf in 0..2 {
-                let chunk = decode_result_chunk(&frame.payload).unwrap();
+                let answer = decode_result_frame(&frame.payload).unwrap();
                 match folded {
-                    false => sync.absorb_at(leaf, None, chunk).unwrap(),
-                    true => sync.absorb_frame(leaf, chunk).unwrap(),
+                    false => sync.absorb_at(leaf, None, answer).unwrap(),
+                    true => sync.absorb_frame(leaf, answer).unwrap(),
                 }
             }
             allocs += allocs_during(|| {
@@ -498,8 +498,8 @@ fn main() {
          rows — building the key column or the group ids regressed to per-row allocation"
     );
     // Each leg on its own: 4 more leaves may each allocate a few times
-    // (a leaf's states, its presence and placement records), never per
-    // absorbed row, chunk or tree level.
+    // (a leaf's states and its presence bits), never per
+    // absorbed row or tree level.
     for (leg, delta) in ["positional", "Prop 1 positional", "folded", "resident"].iter().zip(merge_deltas) {
         assert!(
             delta <= MERGE_LEG_BOUND,

@@ -14,7 +14,7 @@
 //!
 //! **Three syncs, one merge.** A site answers every keyed round — the
 //! base round, a folded unit, a folded chain — in key order, so each
-//! answering site's chunks form one sorted run, and all three take them
+//! answering site's answer is one sorted run, and all three take them
 //! through one k-way pass over the runs (`Runs::pass`): it writes B_next's
 //! keys in key order, each spelled as the lowest leaf spells it, and maps
 //! each leaf's rows to B_next's ([`LeafRows`]), hashing no key and
@@ -23,14 +23,14 @@
 //!
 //! A site answers a unit against B by position ([`MergeSync::absorb_at`]):
 //! its row `i` is its fragment's row `i` (its `i`-th survivor's under
-//! Prop 1), whose B row the coordinator kept. A folded unit's keyed chunks
+//! Prop 1), whose B row the coordinator kept. A folded unit's keyed answers
 //! ([`MergeSync::absorb_frame`]) wait for the pass, which places their
 //! rows the same way. Either scatters each accumulator column into its
 //! site's leaf of typed states ([`skalla_gmdj::state::AccStates`], the
 //! kernel's own); [`MergeSync::finish`] runs the merge tree over whole
 //! leaves and finalizes X column-wise. Nothing between a site's kernel and
 //! the caller builds a row; allocation is per state growth and per output
-//! column, never per absorbed row, chunk, tree level or output group.
+//! column, never per absorbed row, tree level or output group.
 //!
 //! The state machine that drives them (Alg. GMDJDistribEval), and its
 //! receive driver over a transport, are the crate-private `run`
@@ -43,7 +43,7 @@ mod run;
 
 pub(crate) use run::{finished_rounds, net_err, run_coordinator, Clock, CoordMachine};
 
-use crate::protocol::ResultChunk;
+use crate::protocol::ResultFrame;
 use skalla_gmdj::agg::AccLayout;
 use skalla_gmdj::operator::Gmdj;
 use skalla_gmdj::state::AccStates;
@@ -89,62 +89,78 @@ fn row_in(b_keys: &[&Column], index: &IdTable, cols: &Columns, i: usize) -> Opti
     index.find(cols.key_hash(b_keys.len(), i), same)
 }
 
-/// A row of a round's answers: its chunk, in arrival order, and its row.
+/// A row of a round's answers: its leaf and its row in the leaf's run.
 type At = (u32, u32);
 
-/// One round's keyed answers as k sorted runs: every chunk in arrival
-/// order under its leaf (an answering site), a leaf's chunks one run.
+/// One round's keyed answers as k sorted runs, one per leaf (an answering
+/// site).
 #[derive(Debug, Default)]
 struct Runs {
-    chunks: Vec<(usize, Columns)>,
-    /// The leaf count: one past the highest leaf absorbed.
-    leaves: usize,
-    /// The first chunk's column types, which every chunk must have.
+    /// Per leaf, its run: no column and no row for a leaf that sent none.
+    runs: Vec<Columns>,
+    /// The first run's column types, which every run must have.
     types: Vec<DataType>,
     /// Per leaf, the site it stands for in an error (else its number).
     sites: Vec<usize>,
 }
 
 impl Runs {
-    /// Take one chunk of leaf `leaf`'s run, typed as the first chunk.
+    /// The leaf count: one past the highest leaf absorbed.
+    fn leaves(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// True if no run is in.
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Leaf `l`'s site, for an error.
+    fn site(&self, l: usize) -> usize {
+        self.sites.get(l).copied().unwrap_or(l)
+    }
+
+    /// Take leaf `leaf`'s run, typed as the first run; a second run for
+    /// one leaf is an error.
     fn push(&mut self, leaf: usize, cols: Columns) -> Result<()> {
         let types = (0..cols.arity()).map(|c| cols.col(c).data_type());
-        if self.chunks.is_empty() {
+        if self.runs.is_empty() {
             self.types = types.collect();
         } else if !types.clone().eq(self.types.iter().copied()) {
             let msg = format!("an answer typed {:?} beside one typed {:?}", types.collect::<Vec<_>>(), self.types);
             return Err(Error::SchemaMismatch(msg));
         }
-        self.leaves = self.leaves.max(leaf + 1);
-        self.chunks.push((leaf, cols));
+        if leaf >= self.runs.len() {
+            self.runs.resize(leaf + 1, Columns::from_shared(0, Vec::new()));
+        } else if self.runs[leaf].arity() > 0 {
+            return Err(Error::Execution(format!("site {} answered twice", self.site(leaf))));
+        }
+        self.runs[leaf] = cols;
         Ok(())
     }
 
     /// Row `at`'s values at `key`.
-    fn key_of(&self, at: At, key: &[usize]) -> Vec<Value> {
-        let cols = &self.chunks[at.0 as usize].1;
-        key.iter().map(|&k| cols.value(k, at.1 as usize)).collect()
+    fn key_of(&self, (l, r): At, key: &[usize]) -> Vec<Value> {
+        key.iter().map(|&k| self.runs[l as usize].value(k, r as usize)).collect()
     }
 
     /// One k-way pass over the runs in the order of their columns at
     /// `key` ([`Column::cmp_at`], lexicographic), the lowest leaf first on
     /// a tie: per output row, the row that spells its key (the lowest
-    /// leaf's first); and per leaf, its rows' output rows. `repeat(first,
-    /// again)` sees every later row with a key. A row below its
-    /// predecessor in its run fails the pass, naming its site.
-    fn pass(&self, key: &[usize], mut repeat: impl FnMut(At, At) -> Result<()>) -> Result<(Vec<At>, LeafRows)> {
-        let n = self.leaves;
-        // Every row in leaf-major run order: leaf `l`'s are
-        // `seq[ends[l]..ends[l + 1]]`, and `head[l]` is its next one.
+    /// leaf's first), as its index in the runs laid end to end in leaf
+    /// order; and per leaf, its rows' output rows. `repeat(first, again)`
+    /// sees every later row with a key. A row below its predecessor in its
+    /// run fails the pass, naming its site.
+    fn pass(&self, key: &[usize], mut repeat: impl FnMut(At, At) -> Result<()>) -> Result<(Vec<u32>, LeafRows)> {
+        let n = self.runs.len();
+        // Leaf `l`'s rows are `ends[l]..ends[l + 1]` of the runs laid end
+        // to end, and `head[l]` is its next row.
         let mut ends = vec![0usize; n + 1];
-        self.chunks.iter().for_each(|(l, cols)| ends[l + 1] += cols.len());
-        (0..n).for_each(|l| ends[l + 1] += ends[l]);
-        let (mut by_leaf, mut head): (Vec<usize>, _) = ((0..self.chunks.len()).collect(), ends.clone());
-        by_leaf.sort_by_key(|&c| self.chunks[c].0); // stable: arrival order within a leaf
-        let seq: Vec<At> = by_leaf.iter().flat_map(|&c| (0..self.chunks[c].1.len() as u32).map(move |r| (c as u32, r))).collect();
-        let cmp = |i: usize, j: usize| {
-            let ((a, r), (b, s)) = (seq[i], seq[j]);
-            let (x, y) = (&self.chunks[a as usize].1, &self.chunks[b as usize].1);
+        (0..n).for_each(|l| ends[l + 1] = ends[l] + self.runs[l].len());
+        let mut head = vec![0usize; n];
+        let at = |l: usize, r: usize| (l as u32, r as u32);
+        let cmp = |(a, r): At, (b, s): At| {
+            let (x, y) = (&self.runs[a as usize], &self.runs[b as usize]);
             let mut ord = key.iter().map(|&k| x.col(k).cmp_at(r as usize, y.col(k), s as usize));
             ord.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
         };
@@ -152,8 +168,8 @@ impl Runs {
         loop {
             // The leaves whose heads are lowest, the lowest leaf first.
             tied.clear();
-            for l in (0..n).filter(|&l| head[l] < ends[l + 1]) {
-                match tied.first().map(|&m| cmp(head[l], head[m])) {
+            for l in (0..n).filter(|&l| head[l] < self.runs[l].len()) {
+                match tied.first().map(|&m| cmp(at(l, head[l]), at(m, head[m]))) {
                     Some(Ordering::Greater) => {}
                     Some(Ordering::Equal) => tied.push(l),
                     None | Some(Ordering::Less) => {
@@ -162,23 +178,23 @@ impl Runs {
                     }
                 }
             }
-            let Some(at) = tied.first().map(|&l| head[l]) else { break };
+            let Some(first) = tied.first().map(|&l| at(l, head[l])) else { break };
             let g = picks.len() as u32;
-            picks.push(seq[at]);
+            picks.push((ends[first.0 as usize] + first.1 as usize) as u32);
             // Each tied run's rows while they equal the head; one below
             // its predecessor, which does, is out of order.
             for &l in &tied {
                 loop {
-                    let i = head[l];
-                    if i != at {
-                        repeat(seq[at], seq[i])?;
+                    let i = at(l, head[l]);
+                    if i != first {
+                        repeat(first, i)?;
                     }
-                    rows[i] = g;
+                    rows[ends[l] + head[l]] = g;
                     head[l] += 1;
-                    match (head[l] < ends[l + 1]).then(|| cmp(head[l], at)) {
+                    match (head[l] < self.runs[l].len()).then(|| cmp(at(l, head[l]), first)) {
                         Some(Ordering::Equal) => {}
                         Some(Ordering::Less) => {
-                            let (site, later, before) = (self.sites.get(l).unwrap_or(&l), self.key_of(seq[i + 1], key), self.key_of(seq[i], key));
+                            let (site, later, before) = (self.site(l), self.key_of(at(l, head[l]), key), self.key_of(i, key));
                             return Err(Error::Execution(format!("site {site} sent its keyed answer out of key order: {later:?} after {before:?}")));
                         }
                         _ => break,
@@ -189,23 +205,20 @@ impl Runs {
         Ok((picks, LeafRows { rows, ends }))
     }
 
-    /// Column `c` of every chunk, in arrival order; refused unless the
-    /// chunks type it `declared`.
+    /// Column `c` of every run, in leaf order; refused unless the runs
+    /// type it `declared`.
     fn parts(&self, c: usize, declared: DataType) -> Result<Vec<&Column>> {
         match self.types.get(c) {
-            Some(&t) if t == declared => Ok(self.chunks.iter().map(|(_, cols)| cols.col(c)).collect()),
-            None if self.chunks.is_empty() => Ok(Vec::new()),
+            Some(&t) if t == declared => Ok(self.runs.iter().filter(|r| !r.is_empty()).map(|r| r.col(c)).collect()),
+            None if self.runs.is_empty() => Ok(Vec::new()),
             t => Err(Error::SchemaMismatch(format!("an answer's column {c} is {t:?} where {declared} is declared"))),
         }
     }
 
     /// The columns `fields` declare, from the first on, at the rows
-    /// `picks`: each chunk's column concatenated in arrival order, then
-    /// gathered.
-    fn gather(&self, fields: &[Field], picks: &[At]) -> Result<Vec<Arc<Column>>> {
-        let starts: Vec<u32> = self.chunks.iter().scan(0, |end, (_, c)| Some(std::mem::replace(end, *end + c.len() as u32))).collect();
-        let at: Vec<u32> = picks.iter().map(|&(c, r)| starts[c as usize] + r).collect();
-        let column = |(c, f): (usize, &Field)| Ok(Arc::new(Column::concat(f.data_type(), &self.parts(c, f.data_type())?).gather(&at)));
+    /// `picks` of the runs laid end to end in leaf order.
+    fn gather(&self, fields: &[Field], picks: &[u32]) -> Result<Vec<Arc<Column>>> {
+        let column = |(c, f): (usize, &Field)| Ok(Arc::new(Column::concat(f.data_type(), &self.parts(c, f.data_type())?).gather(picks)));
         fields.iter().enumerate().map(column).collect()
     }
 }
@@ -227,10 +240,10 @@ impl BaseSync {
 
     /// Absorb one site's base fragment as the next leaf.
     pub fn absorb(&mut self, fragment: Relation) -> Result<()> {
-        self.absorb_run(self.runs.leaves, fragment)
+        self.absorb_run(self.runs.leaves(), fragment)
     }
 
-    /// Absorb one chunk of site `leaf`'s fragment, sorted by the key.
+    /// Absorb site `leaf`'s fragment, sorted by the key.
     pub fn absorb_run(&mut self, leaf: usize, fragment: Relation) -> Result<()> {
         self.schema.get_or_insert_with(|| fragment.schema().clone());
         self.runs.push(leaf, fragment.columns().clone())
@@ -246,7 +259,7 @@ impl BaseSync {
         let key = schema.indexes_of(&key.iter().map(String::as_str).collect::<Vec<_>>())?;
         let runs = &self.runs;
         let (picks, _) = runs.pass(&key, |a, b| {
-            let (x, y) = (&runs.chunks[a.0 as usize].1, &runs.chunks[b.0 as usize].1);
+            let (x, y) = (&runs.runs[a.0 as usize], &runs.runs[b.0 as usize]);
             match (0..x.arity()).all(|c| x.col(c).value_eq_at(a.1 as usize, y.col(c), b.1 as usize)) {
                 true => Ok(()),
                 false => Err(Error::Execution(format!("base-values relation has duplicate key {:?}", runs.key_of(a, &key)))),
@@ -286,8 +299,8 @@ pub struct MergeSync {
     /// A folded unit's keyed answers, placed by the pass at finish.
     runs: Runs,
     /// The tree's slots, in blocks of `cap` groups: block 0 is X, block
-    /// `1 + l` is leaf `l`. Typed after the first chunk's accumulator
-    /// fields; `None` until a chunk is placed.
+    /// `1 + l` is leaf `l`. Typed after the first answer's accumulator
+    /// fields; `None` until an answer is placed.
     states: Option<AccStates>,
     /// Per slot: does it hold a sub-aggregate (in X's block: X_init's)?
     present: Vec<bool>,
@@ -295,11 +308,7 @@ pub struct MergeSync {
     cap: usize,
     /// The tree's leaf count: one past the highest leaf absorbed.
     n_leaves: usize,
-    /// Per leaf answering by position, once its first chunk is in: the B
-    /// rows its survivor set answers, if it has one, and how many of its
-    /// rows have landed.
-    placed: Vec<Option<(Option<Vec<u32>>, usize)>>,
-    /// Per row of the chunk being placed: its group, then its slot; and
+    /// Per row of the answer being placed: its group, then its slot; and
     /// whether it is its leaf's first row for its group.
     slots: Vec<usize>,
     first: Vec<bool>,
@@ -349,7 +358,6 @@ impl MergeSync {
             present: Vec::new(),
             cap: 0,
             n_leaves: 0,
-            placed: Vec::new(),
             slots: Vec::new(),
             first: Vec::new(),
         }
@@ -363,65 +371,48 @@ impl MergeSync {
         self.absorb_keyed(self.n_leaves, h.columns().clone())
     }
 
-    /// Absorb one chunk of leaf `leaf`'s keyed answer as it lands, straight
-    /// from its decoded `RESULT` frame: the key columns first, then the
-    /// physical accumulator columns, the leaf's chunks one run in key
-    /// order. A leaf is one answering site, numbered in site order; the
-    /// tree has a leaf for every number up to the highest one absorbed, so
-    /// an empty answer still counts.
-    pub fn absorb_frame(&mut self, leaf: usize, chunk: ResultChunk) -> Result<()> {
-        chunk.refuse_survivors("a keyed answer")?;
-        self.absorb_keyed(leaf, chunk.into_columns())
+    /// Absorb leaf `leaf`'s keyed answer as it lands, straight from its
+    /// decoded `RESULT` frame: the key columns first, then the physical
+    /// accumulator columns, one run in key order. A leaf is one answering
+    /// site, numbered in site order; the tree has a leaf for every number
+    /// up to the highest one absorbed, so an empty answer still counts.
+    pub fn absorb_frame(&mut self, leaf: usize, answer: ResultFrame) -> Result<()> {
+        answer.refuse_survivors("a keyed answer")?;
+        self.absorb_keyed(leaf, answer.into_columns())
     }
 
-    /// Absorb one chunk of leaf `leaf`'s answer by position, as it lands:
-    /// its physical accumulator columns, no key. The answer's rows are
-    /// its fragment's rows in order, or its first chunk's survivors';
-    /// `fragment[i]` is the B row of fragment row `i` (`None`: the
-    /// fragment is B). An answer may not outrun those rows, nor end short
-    /// of them.
-    pub fn absorb_at(&mut self, leaf: usize, fragment: Option<&[u32]>, mut chunk: ResultChunk) -> Result<()> {
+    /// Absorb leaf `leaf`'s answer by position as it lands: its physical
+    /// accumulator columns, no key. Its rows are its fragment's rows in
+    /// order, or its survivors'; `fragment[i]` is the B row of fragment
+    /// row `i` (`None`: the fragment is B). The answer must have exactly
+    /// as many rows as it answers.
+    pub fn absorb_at(&mut self, leaf: usize, fragment: Option<&[u32]>, answer: ResultFrame) -> Result<()> {
         let width = self.layout.width();
-        if chunk.schema().len() != width {
-            return Err(arity_error(chunk.schema().len(), 0, width));
+        if answer.schema().len() != width {
+            return Err(arity_error(answer.schema().len(), 0, width));
         }
-        self.prepare(leaf, chunk.columns(), 0)?;
         let err = |what: String| Err(Error::Execution(format!("a positional answer {what}")));
         let rows = fragment.map_or(self.cap, <[u32]>::len);
-        let (survivors, landed) = match (self.placed[leaf].take(), chunk.survivors.take()) {
-            (Some(_), Some(_)) => return err("repeats its survivor set on a later chunk".into()),
-            (Some(placed), None) => placed,
-            (None, Some(s)) if s.fragment_rows != rows => {
+        let survivors = match &answer.survivors {
+            Some(s) if s.fragment_rows != rows => {
                 return err(format!("has survivors over {} rows for a {rows}-row fragment", s.fragment_rows))
             }
-            (None, s) => {
-                // The survivors' fragment rows become their B rows, in place.
-                let mut at = s.map(|s| s.at);
-                if let (Some(at), Some(f)) = (&mut at, fragment) {
-                    at.iter_mut().for_each(|p| *p = f[*p as usize]);
-                }
-                (at, 0)
-            }
+            s => s.as_ref().map(|s| &s.at[..]),
         };
-        let answered = survivors.as_ref().map_or(rows, Vec::len);
-        let end = landed + chunk.len();
-        if end > answered {
-            return err(format!("has {end} accumulator rows for {answered} answered fragment rows"));
+        let answered = survivors.map_or(rows, <[u32]>::len);
+        if answer.len() != answered {
+            return err(format!("has {} accumulator rows for {answered} answered fragment rows", answer.len()));
         }
-        if chunk.last && end < answered {
-            return err(format!("ends after {end} of its {answered} answered fragment rows"));
-        }
+        self.prepare(leaf, answer.columns(), 0)?;
         self.slots.clear();
-        self.slots.extend((landed..end).map(|r| match (&survivors, fragment) {
-            (Some(at), _) => at[r] as usize,
-            (None, Some(f)) => f[r] as usize,
-            (None, None) => r,
+        self.slots.extend((0..answered).map(|r| {
+            let r = survivors.map_or(r, |at| at[r] as usize);
+            fragment.map_or(r, |f| f[r] as usize)
         }));
-        self.placed[leaf] = Some((survivors, end));
-        self.scatter(leaf, chunk.columns(), 0)
+        self.scatter(leaf, answer.columns(), 0)
     }
 
-    /// A keyed chunk of leaf `leaf`: folded, kept in its run for the pass;
+    /// A keyed answer of leaf `leaf`: folded, kept as its run for the pass;
     /// against B, each row's group looked up by its key (one hash and
     /// probe of B's index) and its accumulators scattered at once.
     fn absorb_keyed(&mut self, leaf: usize, cols: Columns) -> Result<()> {
@@ -449,7 +440,7 @@ impl MergeSync {
         self.scatter(leaf, &cols, kl)
     }
 
-    /// Type the states after the first chunk's accumulator fields (those
+    /// Type the states after the first answer's accumulator fields (those
     /// of `cols` from column `from` on), and give leaf `leaf` its block.
     fn prepare(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
         if self.states.is_none() {
@@ -460,7 +451,6 @@ impl MergeSync {
         }
         if leaf >= self.n_leaves {
             self.n_leaves = leaf + 1;
-            self.placed.resize(self.n_leaves, None);
             let slots = (1 + self.n_leaves) * self.cap;
             self.present.resize(slots, false);
             if let Some(states) = &mut self.states {
@@ -470,7 +460,7 @@ impl MergeSync {
         Ok(())
     }
 
-    /// Scatter the chunk's accumulator columns (`cols` from column `from`
+    /// Scatter the answer's accumulator columns (`cols` from column `from`
     /// on) into leaf `leaf`'s states, row `i` into the group in `slots[i]`.
     fn scatter(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
         let block = (1 + leaf) * self.cap;
@@ -487,25 +477,22 @@ impl MergeSync {
 
     /// A folded unit's runs placed in X: the pass gives X's key columns,
     /// declared by `key_fields`, and each leaf's rows' groups, by which each
-    /// chunk's accumulators scatter into its leaf's block in run order.
+    /// run's accumulators scatter into its leaf's block in run order.
     fn place_runs(&mut self, key_fields: &[Field]) -> Result<(Vec<Arc<Column>>, LeafRows)> {
         let runs = std::mem::take(&mut self.runs);
         let kl = self.key_len;
         let (picks, rows) = runs.pass(&(0..kl).collect::<Vec<_>>(), |_, _| Ok(()))?;
         let keys = runs.gather(key_fields, &picks)?;
         self.cap = picks.len();
-        if !runs.chunks.is_empty() {
+        if !runs.is_empty() {
             let slots = (1 + self.n_leaves) * self.cap;
             self.states = Some(AccStates::new(&self.layout, &runs.types[kl..], slots)?);
             self.present = vec![false; slots];
         }
-        // Each chunk after its leaf's earlier ones, in arrival order.
-        let mut at = rows.ends.clone();
-        for (leaf, cols) in &runs.chunks {
+        for (leaf, cols) in runs.runs.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
             self.slots.clear();
-            self.slots.extend(rows.rows[at[*leaf]..at[*leaf] + cols.len()].iter().map(|&g| g as usize));
-            at[*leaf] += cols.len();
-            self.scatter(*leaf, cols, kl)?;
+            self.slots.extend(rows.leaf(leaf).iter().map(|&g| g as usize));
+            self.scatter(leaf, cols, kl)?;
         }
         Ok((keys, rows))
     }
@@ -553,7 +540,7 @@ impl MergeSync {
         };
         self.merge_tree();
         let groups = self.cap;
-        // No chunk arrived: every group is X_init.
+        // No answer arrived: every group is X_init.
         let states = match self.states.take() {
             Some(states) => states,
             None => {
@@ -595,11 +582,11 @@ impl ChainSync {
     /// Absorb one site's finalized result (key columns + logical
     /// aggregates) as the next leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
-        self.absorb_run(self.runs.leaves, h)
+        self.absorb_run(self.runs.leaves(), h)
     }
 
-    /// Absorb one chunk of site `leaf`'s finalized result: folded, one run
-    /// in key order. Its arity is checked at finish, against the schema.
+    /// Absorb site `leaf`'s finalized result: folded, one run in key
+    /// order. Its arity is checked at finish, against the schema.
     pub fn absorb_run(&mut self, leaf: usize, h: &Relation) -> Result<()> {
         self.runs.push(leaf, h.columns().clone())
     }
@@ -607,7 +594,7 @@ impl ChainSync {
     /// Refuse answers of another arity than `arity`.
     fn check_arity(&self, arity: usize) -> Result<()> {
         match self.runs.types.len() {
-            a if a == arity || self.runs.chunks.is_empty() => Ok(()),
+            a if a == arity || self.runs.is_empty() => Ok(()),
             a => Err(Error::SchemaMismatch(format!("chained answer of arity {a} where {arity} is declared"))),
         }
     }
@@ -641,11 +628,11 @@ impl ChainSync {
         }
         self.check_arity(self.key_len + empty_aggs.len())?;
         // Per group of B: the row that answers it, or the empty row. Rows
-        // are numbered in arrival order, across answers.
-        let rows = self.runs.chunks.iter().map(|(_, c)| c.len() as u32).sum();
+        // are numbered in leaf order, across answers.
+        let rows = self.runs.runs.iter().map(|c| c.len() as u32).sum();
         let mut from = vec![rows; b_cur.len()];
         let (mut unknown, mut start) = (0usize, 0u32);
-        for (_, cols) in &self.runs.chunks {
+        for cols in &self.runs.runs {
             for i in 0..cols.len() {
                 match row_in(&b_keys, &b_index, cols, i) {
                     Some(g) if from[g] != rows => return Err(ChainSync::twice((0..self.key_len).map(|c| cols.value(c, i)).collect())),
@@ -692,8 +679,8 @@ impl ChainSync {
 /// still-physical relation without X: each answer is one leaf of
 /// [`MergeSync`]'s tree, in order, and the output lists each key once, in
 /// key order, with its tree's root. Absorbing that into X
-/// ([`MergeSync::absorb`]) gives the bits that absorbing the answers'
-/// chunks as they land ([`MergeSync::absorb_frame`]) gives. An answer
+/// ([`MergeSync::absorb`]) gives the bits that absorbing the answers
+/// as they land ([`MergeSync::absorb_frame`]) gives. An answer
 /// against a literal B, in B's order, is put in key order first.
 ///
 /// `parallelism` is unused: at 5,000 groups on two cores, splitting the
@@ -754,7 +741,7 @@ pub fn empty_aggregates(ops: &[Gmdj]) -> Result<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_result_chunk, result_chunk};
+    use crate::protocol::{decode_result_frame, result};
     use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
     use skalla_gmdj::agg::AggSpec;
     use skalla_gmdj::oracle;
@@ -796,8 +783,8 @@ mod tests {
 
     /// `h` as the engine receives it: encoded into a `RESULT` frame and
     /// decoded.
-    fn frame(h: &Relation) -> ResultChunk {
-        decode_result_chunk(&result_chunk(1, h, false).payload).unwrap()
+    fn frame(h: &Relation) -> ResultFrame {
+        decode_result_frame(&result(1, h).payload).unwrap()
     }
 
     #[test]
@@ -820,26 +807,28 @@ mod tests {
 
         assert!(BaseSync::new().finish(&key()).is_err());
 
-        // Arrival order does not show: two sites' sorted fragments, their
-        // chunks interleaved either way, give the same B₀, in key order.
+        // Arrival order does not show: two sites' sorted fragments, in
+        // either order, give the same B₀, in key order.
         let frag = |keys: &[i64]| {
             let rows = keys.iter().map(|&g| row![g]).collect();
             Relation::new(Schema::of(&[("g", DataType::Int)]), rows).unwrap()
         };
-        let finish = |chunks: &[(usize, &[i64])]| {
+        let finish = |answers: &[(usize, &[i64])]| {
             let mut s = BaseSync::new();
-            chunks.iter().for_each(|&(site, keys)| s.absorb_run(site, frag(keys)).unwrap());
+            answers.iter().for_each(|&(site, keys)| s.absorb_run(site, frag(keys)).unwrap());
             s.finish(&key())
         };
-        let b = finish(&[(0, &[1, 3]), (1, &[1]), (1, &[2])]).unwrap();
-        assert_eq!(b, finish(&[(1, &[1]), (0, &[1]), (1, &[2]), (0, &[3])]).unwrap());
+        let b = finish(&[(0, &[1, 3]), (1, &[1, 2])]).unwrap();
+        assert_eq!(b, finish(&[(1, &[1, 2]), (0, &[1, 3])]).unwrap());
         assert_eq!(b.rows(), [row![1i64], row![2i64], row![3i64]]);
-        // A fragment out of key order, within a chunk or across two, is
-        // refused, naming its site.
-        for chunks in [&[(0, &[1i64, 3][..]), (1, &[3, 2])][..], &[(0, &[1]), (1, &[3]), (1, &[2])]] {
-            let err = finish(chunks).unwrap_err().to_string();
-            assert!(err.contains("site 1 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
-        }
+        // A fragment out of key order is refused, naming its site; so is a
+        // second fragment from one site.
+        let err = finish(&[(0, &[1, 3]), (1, &[3, 2])]).unwrap_err().to_string();
+        assert!(err.contains("site 1 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
+        let mut s = BaseSync::new();
+        s.absorb_run(1, frag(&[1])).unwrap();
+        let err = s.absorb_run(1, frag(&[2])).unwrap_err().to_string();
+        assert!(err.contains("site 1 answered twice"), "{err}");
     }
 
     /// Sub-results from two sites merge per Theorem 1 (COUNT sums, AVG
@@ -876,7 +865,7 @@ mod tests {
         )
         .unwrap();
         assert!(sync.absorb(&bad).is_err());
-        // The same two errors for a chunk as it lands.
+        // The same two errors for an answer as it lands.
         let err = sync.absorb_frame(0, frame(&h)).unwrap_err();
         assert!(err.to_string().contains("unknown group [Int(9)]"), "{err}");
         assert!(sync.absorb_frame(1, frame(&bad)).is_err());
@@ -975,7 +964,7 @@ mod tests {
     #[test]
     fn parallel_merge_tree_equals_left_fold() {
         // 7 answers (odd count exercises the lone-leftover path).
-        let chunks: Vec<Relation> = (0..7)
+        let answers: Vec<Relation> = (0..7)
             .map(|i| {
                 Relation::new(
                     h_schema(),
@@ -991,7 +980,7 @@ mod tests {
         // The left fold, by hand: per group, X_init ⊕ c₀ ⊕ c₁ ⊕ …
         let layout = op().layout();
         let mut fold = vec![oracle::init_all(&layout), oracle::init_all(&layout)];
-        for c in &chunks {
+        for c in &answers {
             for (x, row) in fold.iter_mut().zip(c.rows()) {
                 oracle::merge_all(&layout, x, &row.values()[1..]).unwrap();
             }
@@ -1002,7 +991,7 @@ mod tests {
             .collect();
 
         let b = b0();
-        let merged = parallel_merge_tree(chunks, 1, &op(), 4).unwrap().unwrap();
+        let merged = parallel_merge_tree(answers, 1, &op(), 4).unwrap().unwrap();
         assert_eq!(merged.len(), 2, "groups merged in the tree");
         let mut sync = MergeSync::new(Some(&b), &key(), &op()).unwrap();
         sync.absorb(&merged).unwrap();
@@ -1069,56 +1058,55 @@ mod tests {
     }
 
     /// A site (a remote process) repeating a key in a folded unit: its
-    /// rows, one chunk each, fold in arrival order before the tree merges
-    /// them with the other sites', however the sites' chunks interleave.
-    /// Near 1e16 doubles are 2 apart, so a lone `+ 1.0` rounds away and
-    /// the order shows.
+    /// rows fold in run order before the tree merges them with the other
+    /// sites', whichever site's answer lands first. Near 1e16 doubles are
+    /// 2 apart, so a lone `+ 1.0` rounds away and the order shows.
     #[test]
-    fn a_folded_site_repeating_a_key_merges_in_arrival_order() {
+    fn a_folded_site_repeating_a_key_merges_in_run_order() {
         let op = Gmdj::new("t").block(
             ThetaBuilder::group_by(&["g"]).build(),
             vec![AggSpec::sum("d", "s")],
         );
         let schema = Schema::of(&[("g", DataType::Int), ("s", DataType::Double)]);
         let detail = Schema::of(&[("g", DataType::Int), ("d", DataType::Double)]);
-        // Chunks as they land: (site's leaf, the one row's sum).
-        let merged = |arrivals: &[(usize, f64)]| {
+        // Answers as they land: (site's leaf, its rows' sums).
+        let merged = |arrivals: &[(usize, &[f64])]| {
             let mut sync = MergeSync::new(None, &key(), &op).unwrap();
-            for &(leaf, d) in arrivals {
-                let chunk = Relation::new(schema.clone(), vec![row![7i64, d]]).unwrap();
-                sync.absorb_frame(leaf, frame(&chunk)).unwrap();
+            for &(leaf, sums) in arrivals {
+                let answer = Relation::new(schema.clone(), sums.iter().map(|&d| row![7i64, d]).collect()).unwrap();
+                sync.absorb_frame(leaf, frame(&answer)).unwrap();
             }
             let out = sync.finish(&Schema::of(&[("g", DataType::Int)]), &op, &detail).unwrap();
             assert_eq!(out.len(), 1);
             out.rows()[0].get(1).clone()
         };
-        assert_eq!(merged(&[(0, 1e16), (0, 1.0), (0, 1.0)]), Value::Double(1e16));
-        assert_eq!(merged(&[(0, 1.0), (0, 1.0), (0, 1e16)]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(0, &[1e16, 1.0, 1.0])]), Value::Double(1e16));
+        assert_eq!(merged(&[(0, &[1.0, 1.0, 1e16])]), Value::Double(1e16 + 2.0));
         // Site 1's rows meet each other first, then site 0's.
-        assert_eq!(merged(&[(0, 1e16), (1, 1.0), (1, 1.0)]), Value::Double(1e16 + 2.0));
-        assert_eq!(merged(&[(1, 1.0), (0, 1e16), (1, 1.0)]), Value::Double(1e16 + 2.0));
-        assert_eq!(merged(&[(0, 1e16), (1, 1.0), (0, 1.0)]), Value::Double(1e16));
+        assert_eq!(merged(&[(0, &[1e16]), (1, &[1.0, 1.0])]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(1, &[1.0, 1.0]), (0, &[1e16])]), Value::Double(1e16 + 2.0));
+        assert_eq!(merged(&[(0, &[1e16, 1.0]), (1, &[1.0])]), Value::Double(1e16));
     }
 
-    /// A folded site's run out of key order, within a chunk or across two,
-    /// fails the merge naming the site (leaf 1 stands for site 5 here),
+    /// A folded site's run out of key order fails the merge naming the
+    /// site (leaf 1 stands for site 5 here), whichever answer lands first,
     /// never a wrong answer; the same rows in key order merge.
     #[test]
     fn a_shuffled_folded_run_is_refused() {
         let h = |keys: &[i64]| Relation::new(h_schema(), keys.iter().map(|&g| row![g, 1i64, 10i64, 1i64]).collect()).unwrap();
-        let merge = |chunks: &[(usize, &[i64])]| {
+        let merge = |answers: &[(usize, &[i64])]| {
             let mut sync = MergeSync::new(None, &key(), &op()).unwrap();
             sync.runs.sites = vec![0, 5];
-            for &(leaf, keys) in chunks {
+            for &(leaf, keys) in answers {
                 sync.absorb_frame(leaf, frame(&h(keys))).unwrap();
             }
             sync.finish(b0().schema(), &op(), &detail_schema())
         };
-        for chunks in [&[(0, &[1i64, 2][..]), (1, &[3, 2])][..], &[(1, &[3]), (0, &[1, 2]), (1, &[2])]] {
-            let err = merge(chunks).unwrap_err().to_string();
+        for answers in [&[(0, &[1i64, 2][..]), (1, &[3, 2])][..], &[(1, &[3, 2]), (0, &[1, 2])]] {
+            let err = merge(answers).unwrap_err().to_string();
             assert!(err.contains("site 5 sent its keyed answer out of key order: [Int(2)] after [Int(3)]"), "{err}");
         }
-        let out = merge(&[(1, &[2]), (0, &[1, 2]), (1, &[3])]).unwrap();
+        let out = merge(&[(1, &[2, 3]), (0, &[1, 2])]).unwrap();
         assert_eq!(out.rows(), [row![1i64, 1i64, 10.0], row![2i64, 2i64, 10.0], row![3i64, 1i64, 10.0]]);
     }
 
@@ -1187,20 +1175,20 @@ mod tests {
     }
 
     /// One generated merge: per site, per key, the site's accumulators if
-    /// it has the key; each site's answer as row-blocked chunks; B over
-    /// every key in a shuffled order, under a tag column.
+    /// it has the key; each site's answer; B over every key in a shuffled
+    /// order, under a tag column.
     struct MergeCase {
         n_sites: usize,
         n_keys: usize,
         folded: bool,
         accs: Vec<Vec<Option<Vec<Value>>>>,
-        chunks: Vec<Vec<Relation>>,
+        answers: Vec<Relation>,
         b: Relation,
         b_keys: Vec<usize>,
     }
 
     /// Case `case` of the spec tests' generator: 1–7 sites, keys missing
-    /// per site, empty answers, row-blocked chunks; key `k` is `key(k)`
+    /// per site, empty answers; key `k` is `key(k)`
     /// (distinct keys must be distinct values, of `h_schema`'s key type).
     /// The Double SUM runs over ±0.0 and two NaN payloads; an AVG's sum is
     /// present exactly where its count is positive, as a site's is.
@@ -1235,9 +1223,8 @@ mod tests {
             })
             .collect();
         // Each site answers its keys in a shuffled order — folded, sorted
-        // by key, as a site must — cut into row-blocked chunks at random
-        // points.
-        let chunks = accs
+        // by key, as a site must.
+        let answers = accs
             .iter()
             .map(|site| {
                 let mut rows: Vec<Row> = site
@@ -1251,15 +1238,7 @@ mod tests {
                 if folded {
                     rows.sort_by(|a, b| a.get(0).cmp(b.get(0)));
                 }
-                let mut chunks = Vec::new();
-                loop {
-                    let rest = rows.split_off(rng.gen_range(0..rows.len() + 1));
-                    chunks.push(Relation::new(h_schema.clone(), rows).unwrap());
-                    if rest.is_empty() {
-                        break chunks;
-                    }
-                    rows = rest;
-                }
+                Relation::new(h_schema.clone(), rows).unwrap()
             })
             .collect();
         let mut b_keys: Vec<usize> = (0..n_keys).collect();
@@ -1276,33 +1255,29 @@ mod tests {
             n_keys,
             folded,
             accs,
-            chunks,
+            answers,
             b,
             b_keys,
         }
     }
 
-    /// The engine's way into X: every chunk encoded into a `RESULT` frame
-    /// and absorbed as it lands, the sites' chunks interleaved at random,
-    /// each site's in order.
-    fn absorb_interleaved(c: &MergeCase, op: &Gmdj, rng: &mut StdRng) -> MergeSync {
+    /// The engine's way into X: every site's answer encoded into a
+    /// `RESULT` frame and absorbed as it lands, the sites in a random
+    /// order.
+    fn absorb_in_any_order(c: &MergeCase, op: &Gmdj, rng: &mut StdRng) -> MergeSync {
         let mut engine = MergeSync::new((!c.folded).then_some(&c.b), &key(), op).unwrap();
-        let mut queues: Vec<_> = c.chunks.iter().map(|c| c.iter()).collect();
-        let mut live: Vec<usize> = (0..c.n_sites).collect();
-        while !live.is_empty() {
-            let at = rng.gen_range(0..live.len());
-            match queues[live[at]].next() {
-                Some(chunk) => engine.absorb_frame(live[at], frame(chunk)).unwrap(),
-                None => {
-                    live.swap_remove(at);
-                }
-            }
+        let mut order: Vec<usize> = (0..c.n_sites).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        for site in order {
+            engine.absorb_frame(site, frame(&c.answers[site])).unwrap();
         }
         engine
     }
 
-    /// Both ways into X — the engine's (each chunk encoded into a `RESULT`
-    /// frame and absorbed as it lands, `absorb_frame`, sites interleaved)
+    /// Both ways into X — the engine's (each answer encoded into a `RESULT`
+    /// frame and absorbed as it lands, `absorb_frame`, sites in any order)
     /// and the layer walk's (`parallel_merge_tree` → `absorb`) — give,
     /// bit for bit, `X_init ⊕ tree` finalized (the tree alone when
     /// folded), over [`merge_case`]'s cases.
@@ -1315,18 +1290,10 @@ mod tests {
         for_cases("merge_bits_match_the_pairwise_tree_reference", 400, |rng| {
             let c = merge_case(rng, case, &h_schema, |k| Value::Int(k as i64));
             let (n_sites, folded) = (c.n_sites, c.folded);
-            let engine = absorb_interleaved(&c, &op, rng);
+            let engine = absorb_in_any_order(&c, &op, rng);
             // The layer walk's way: whole answers through the tree, then X.
             let mut walk = MergeSync::new((!folded).then_some(&c.b), &key(), &op).unwrap();
-            let answers = c
-                .chunks
-                .iter()
-                .map(|c| {
-                    let rows = c.iter().flat_map(|r| r.rows().iter().cloned()).collect();
-                    Relation::new(h_schema.clone(), rows).unwrap()
-                })
-                .collect();
-            if let Some(m) = parallel_merge_tree(answers, 1, &op, 2).unwrap() {
+            if let Some(m) = parallel_merge_tree(c.answers.clone(), 1, &op, 2).unwrap() {
                 walk.absorb(&m).unwrap();
             }
 
@@ -1395,17 +1362,15 @@ mod tests {
         let layout = x.layout.clone();
         let mut rows = Vec::new();
         if x.base.is_none() {
-            let (kl, n) = (x.key_len, x.runs.leaves);
+            let (kl, n) = (x.key_len, x.runs.leaves());
             let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<Option<Vec<Value>>>> = Default::default();
             for leaf in 0..n {
-                for (_, cols) in x.runs.chunks.iter().filter(|(l, _)| *l == leaf) {
-                    for r in cols.to_rows() {
-                        let (k, acc) = r.values().split_at(kl);
-                        let leaves = groups.entry(k.to_vec()).or_insert_with(|| vec![None; n]);
-                        match &mut leaves[leaf] {
-                            Some(x) => oracle::merge_all(&layout, x, acc).unwrap(),
-                            none => *none = Some(acc.to_vec()),
-                        }
+                for r in x.runs.runs[leaf].to_rows() {
+                    let (k, acc) = r.values().split_at(kl);
+                    let leaves = groups.entry(k.to_vec()).or_insert_with(|| vec![None; n]);
+                    match &mut leaves[leaf] {
+                        Some(x) => oracle::merge_all(&layout, x, acc).unwrap(),
+                        none => *none = Some(acc.to_vec()),
                     }
                 }
             }
@@ -1476,8 +1441,8 @@ mod tests {
             let h_schema = Schema::new(fields).unwrap();
             let c = merge_case(rng, case, &h_schema, |k| pool[k].clone());
             // Two identical syncs, one per way to finish.
-            let cols = absorb_interleaved(&c, &op, &mut rng.clone());
-            let rows = absorb_interleaved(&c, &op, rng);
+            let cols = absorb_in_any_order(&c, &op, &mut rng.clone());
+            let rows = absorb_in_any_order(&c, &op, rng);
             let in_schema = if c.folded { &key_schema } else { c.b.schema() };
             let got = cols.finish(in_schema, &op, &detail).unwrap();
             let want = finish_by_rows(rows, in_schema, &op, &detail);

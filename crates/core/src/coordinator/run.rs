@@ -85,7 +85,7 @@ struct Round<'q> {
     st: StageTimes,
     /// Per site the stage was sent to, its fragment's B rows.
     sent: Vec<Option<Rows>>,
-    /// The sites whose final result chunk is still to come.
+    /// The sites whose answer is still to come.
     waiting: Vec<bool>,
     /// When the stage was shipped, on the coordinator recorder's clock:
     /// no site can have exported a trace delta for it earlier.
@@ -114,7 +114,6 @@ struct Merge<'q> {
     /// A sub-result's types: a folded unit's key, as B types it, then the
     /// unit's physical accumulators'.
     result_types: Vec<DataType>,
-    chunks: usize,
     survivor_bytes: usize,
 }
 
@@ -142,7 +141,7 @@ impl<'q> CoordMachine<'q> {
     /// The plan round, which broadcasts the plan, and the first stage's.
     pub(crate) fn start(&mut self, clock: &mut Clock) -> Result<Step> {
         let n = self.held.len();
-        let bytes = crate::plan_codec::encode_plan_with_options(self.plan, &self.cfg.eval, self.cfg.chunk_rows);
+        let bytes = crate::plan_codec::encode_plan_with_options(self.plan, &self.cfg.eval);
         let msg = Message::new(protocol::TAG_PLAN, bytes);
         let mut st = StageTimes::new("plan", n);
         clock.charge(&mut st.coord_s);
@@ -160,43 +159,42 @@ impl<'q> CoordMachine<'q> {
     }
 
     /// Take one frame from `site`: the time since the driver's last mark
-    /// is the round's wait, the frame's handling the coordinator's.
-    /// Result chunks (a site's result may be row-blocked into several) go
-    /// into the round's synchronizer as they arrive, their rows still
-    /// encoded; a `TELEMETRY` frame, just ahead of a site's final chunk,
-    /// adds its busy seconds and merges its trace delta, if any. Any other
-    /// frame, a frame for another stage, and a result or telemetry frame
-    /// from a site the stage was not sent to or that already sent its
-    /// final chunk fail the query: so neither an uninvited nor a repeating
-    /// site can close the round ahead of a silent participant and drop its
-    /// sub-aggregates from the merge.
+    /// is the round's wait, the frame's handling the coordinator's. A
+    /// site's `RESULT`, its whole answer to the stage, goes into the
+    /// round's synchronizer as it arrives, its rows still encoded; a
+    /// `TELEMETRY` frame, just ahead of it, adds its busy seconds and
+    /// merges its trace delta, if any. Any other frame, a frame for
+    /// another stage, and a result or telemetry frame from a site the
+    /// stage was not sent to or that already answered fail the query: so
+    /// neither an uninvited nor a repeating site can close the round
+    /// ahead of a silent participant and drop its sub-aggregates from the
+    /// merge.
     pub(crate) fn on_frame(&mut self, site: usize, msg: Message, clock: &mut Clock) -> Result<Step> {
         let late = || Error::Execution(format!("site {site} sent a frame after the query finished"));
         let round = self.round.as_mut().ok_or_else(late)?;
         clock.charge(&mut round.st.wait_s);
         let (stage, tag) = (round.stage, Tag::try_from(msg.tag)?);
         if matches!(tag, Tag::Result | Tag::Telemetry) && !round.waiting[site] {
-            let why = if round.sent[site].is_some() { "after its final one" } else { "but was not sent it" };
+            let why = if round.sent[site].is_some() { "after its answer" } else { "but was not sent it" };
             return Err(Error::Execution(format!("site {site} sent {} for stage {stage} {why}", tag.name())));
         }
         match tag {
             Tag::Result => {
-                let chunk = protocol::decode_result_chunk(&msg.payload)?;
-                check_stage("result", chunk.stage, stage)?;
-                round.waiting[site] &= !chunk.last;
-                round.st.rows_up += chunk.len() as u64;
+                let answer = protocol::decode_result_frame(&msg.payload)?;
+                check_stage("result", answer.stage, stage)?;
+                round.waiting[site] = false;
+                round.st.rows_up += answer.len() as u64;
                 match &mut round.sync {
-                    Sync::Base(sync) => sync.absorb_run(site, chunk.relation()?)?,
-                    Sync::Chain(sync, _) => sync.absorb_run(site, &chunk.relation()?)?,
+                    Sync::Base(sync) => sync.absorb_run(site, answer.relation()?)?,
+                    Sync::Chain(sync, _) => sync.absorb_run(site, &answer.relation()?)?,
                     Sync::Merge(m) => {
-                        m.chunks += 1;
-                        check_result_types(&chunk, &m.result_types, m.unit.positional())?;
+                        check_result_types(&answer, &m.result_types, m.unit.positional())?;
                         if !m.unit.positional() {
-                            m.sync.absorb_frame(m.leaf[site], chunk)?;
+                            m.sync.absorb_frame(m.leaf[site], answer)?;
                         } else {
-                            m.survivor_bytes += chunk.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
+                            m.survivor_bytes += answer.survivors.as_ref().map_or(0, protocol::Survivors::encoded_size);
                             let fragment = round.sent[site].as_ref().and_then(Option::as_deref);
-                            m.sync.absorb_at(m.leaf[site], fragment, chunk)?;
+                            m.sync.absorb_at(m.leaf[site], fragment, answer)?;
                         }
                     }
                 }
@@ -351,7 +349,7 @@ impl<'q> CoordMachine<'q> {
                     let mut leaf = vec![0; n];
                     sites.iter().enumerate().for_each(|(l, &s)| leaf[s] = l);
                     sync.runs.sites = sites;
-                    let merge = Merge { unit, detail, sync, leaf, result_types, chunks: 0, survivor_bytes: 0 };
+                    let merge = Merge { unit, detail, sync, leaf, result_types, survivor_bytes: 0 };
                     (Sync::Merge(Box::new(merge)), "MergeSync")
                 }
             }
@@ -390,7 +388,6 @@ impl<'q> CoordMachine<'q> {
             Sync::Merge(m) => {
                 let unit = m.unit;
                 let (op, b_in_schema) = (&plan.expr.ops[unit.ops.start], &self.schemas[unit.ops.start]);
-                sync_span.arg("chunks", m.chunks);
                 sync_span.arg("positional", unit.positional());
                 sync_span.arg("survivor_bytes", m.survivor_bytes);
                 // After a fold, each site's own groups, where a resident
@@ -493,15 +490,15 @@ fn check_stage(what: &str, got: u32, want: u32) -> Result<()> {
 
 /// Refuse a merge unit's `RESULT` whose fields are not typed as `want`:
 /// the unit's physical schema, after a keyed answer's key as B types it.
-fn check_result_types(chunk: &protocol::ResultChunk, want: &[DataType], positional: bool) -> Result<()> {
-    let got = chunk.schema().fields();
+fn check_result_types(answer: &protocol::ResultFrame, want: &[DataType], positional: bool) -> Result<()> {
+    let got = answer.schema().fields();
     if got.len() == want.len() && got.iter().zip(want).all(|(f, t)| f.data_type() == *t) {
         return Ok(());
     }
     let how = if positional { "by position with" } else { "with its key and" };
     Err(Error::Execution(format!(
         "site sent {} where the unit answers {how} accumulators {want:?}",
-        chunk.schema()
+        answer.schema()
     )))
 }
 
@@ -570,12 +567,11 @@ mod tests {
         Relation::new(Schema::of(&[("g", DataType::Int)]), vec![row![1i64], row![2i64]]).unwrap()
     }
 
-    /// A stage-1 answer by position: `rows` lone `COUNT` accumulators,
-    /// the first chunk carrying a survivor set over both of B's rows.
-    fn counts(rows: usize, last: bool, first: bool) -> Message {
-        let rel = Relation::new(Schema::of(&[("c", DataType::Int)]), vec![row![1i64]; rows]).unwrap();
-        let survivors = first.then(|| protocol::Survivors::of(&[true, true]));
-        protocol::result_columns(1, rel.schema(), rows, &[rel.column(0)], last, survivors.as_ref())
+    /// A stage-1 answer by position: two lone `COUNT` accumulators, under
+    /// a survivor set over both of B's rows.
+    fn counts() -> Message {
+        let rel = Relation::new(Schema::of(&[("c", DataType::Int)]), vec![row![1i64]; 2]).unwrap();
+        protocol::result_with(1, &rel, Some(&protocol::Survivors::of(&[true, true])))
     }
 
     /// Start a machine for `plan` and feed it `frames`, `(site, frame)`:
@@ -602,25 +598,28 @@ mod tests {
 
     #[test]
     fn a_repeating_site_cannot_close_the_round_for_a_silent_one() {
-        // Site 0 (a remote process is outside input) sends its final
-        // chunk twice before site 1 answers. Counting completions without
+        // Site 0 (a remote process is outside input) sends its answer
+        // twice before site 1 answers. Counting completions without
         // per-site memory closed the round here and merged without
         // site 1's sub-aggregates.
         let plan = plan(2);
         let twice = vec![(0, protocol::result(0, &groups())), (0, protocol::result(0, &groups()))];
         let err = feed(&plan, twice).unwrap_err().to_string();
-        assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
+        assert!(err.contains("site 0") && err.contains("after its answer"), "{err}");
 
-        // The same with a survivor set leading site 0's answer by position.
-        let mut frames = base(2);
-        frames.extend([(0, counts(1, false, true)), (0, counts(1, true, false)), (0, counts(1, true, false))]);
-        let err = feed(&plan, frames).unwrap_err().to_string();
-        assert!(err.contains("site 0") && err.contains("after its final one"), "{err}");
+        // The same with answers by position under a survivor set, and with
+        // a telemetry frame after the answer.
+        let telemetry = protocol::telemetry(&protocol::SiteTelemetry { stage: 1, ..Default::default() });
+        for again in [counts(), telemetry] {
+            let mut frames = base(2);
+            frames.extend([(0, counts()), (0, again)]);
+            let err = feed(&plan, frames).unwrap_err().to_string();
+            assert!(err.contains("site 0") && err.contains("after its answer"), "{err}");
+        }
 
-        // The honest round: chunked site 0, its survivor set first, then
-        // site 1.
+        // The honest round: one answer from each site.
         let mut frames = base(2);
-        frames.extend([(0, counts(1, false, true)), (0, counts(1, true, false)), (1, counts(2, true, true))]);
+        frames.extend([(0, counts()), (1, counts())]);
         assert!(feed(&plan, frames).unwrap());
     }
 
@@ -634,7 +633,7 @@ mod tests {
             u.site_filters[2] = SiteFilter::Skip;
         }
         let mut frames = base(3);
-        frames.extend([(2, counts(2, true, true)), (0, counts(2, true, true))]);
+        frames.extend([(2, counts()), (0, counts())]);
         let err = feed(&plan, frames).unwrap_err().to_string();
         assert!(err.contains("site 2") && err.contains("was not sent it"), "{err}");
     }

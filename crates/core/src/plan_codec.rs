@@ -120,47 +120,24 @@ fn get_eval_options(dec: &mut Decoder<'_>) -> Result<EvalOptions> {
     })
 }
 
-/// Encode the kernel options, the row-blocking chunk size, and then
-/// the plan — the `TAG_PLAN` payload the coordinator broadcasts, so every
-/// site runs its kernel with the cluster-configured knobs (what only the
-/// coordinator decides — balancing, caching — stays off the wire). Carrying
-/// `chunk_rows` in-band (rather than at thread-spawn time) means a remote
-/// site process chunks its results exactly like an in-process site, which
-/// the transport-invariance of the byte accounting depends on. A chunk
-/// size of zero means row blocking is off, like `None`.
-pub fn encode_plan_with_options(
-    plan: &DistributedPlan,
-    opts: &EvalOptions,
-    chunk_rows: Option<usize>,
-) -> Vec<u8> {
+/// Encode the kernel options and then the plan — the `TAG_PLAN` payload
+/// the coordinator broadcasts, so every site runs its kernel with the
+/// cluster-configured knobs (what only the coordinator decides —
+/// balancing, caching — stays off the wire).
+pub fn encode_plan_with_options(plan: &DistributedPlan, opts: &EvalOptions) -> Vec<u8> {
     let mut enc = Encoder::new();
     put_eval_options(&mut enc, opts);
-    match chunk_rows.filter(|rows| *rows > 0) {
-        Some(rows) => {
-            enc.put_u8(1);
-            enc.put_u32(rows.min(u32::MAX as usize) as u32);
-        }
-        None => enc.put_u8(0),
-    }
     let mut bytes = enc.finish();
     bytes.extend(encode_plan(plan));
     bytes
 }
 
-/// Decode a `TAG_PLAN` payload: evaluation options, chunk size, plan.
-pub fn decode_plan_with_options(
-    bytes: &[u8],
-) -> Result<(DistributedPlan, EvalOptions, Option<usize>)> {
+/// Decode a `TAG_PLAN` payload: evaluation options, then the plan.
+pub fn decode_plan_with_options(bytes: &[u8]) -> Result<(DistributedPlan, EvalOptions)> {
     let mut dec = Decoder::new(bytes);
     let opts = get_eval_options(&mut dec)?;
-    let chunk_rows = match dec.get_u8()? {
-        0 => None,
-        1 => Some((dec.get_u32()? as usize).max(1)),
-        t => return Err(Error::Codec(format!("bad chunk flag {t}"))),
-    };
     let consumed = bytes.len() - dec.remaining();
-    let plan = decode_plan(&bytes[consumed..])?;
-    Ok((plan, opts, chunk_rows))
+    Ok((decode_plan(&bytes[consumed..])?, opts))
 }
 
 /// Encode a distributed plan to bytes.
@@ -270,17 +247,10 @@ mod tests {
                 morsel_rows: 256,
             },
         ] {
-            for chunk_rows in [None, Some(512)] {
-                let bytes = encode_plan_with_options(&plan, &opts, chunk_rows);
-                // The option block is 8 bytes (ARCHITECTURE.md, `PLAN` row),
-                // then the chunk flag and, when set, its u32.
-                let chunk_bytes = if chunk_rows.is_some() { 5 } else { 1 };
-                assert_eq!(bytes.len(), 8 + chunk_bytes + encode_plan(&plan).len());
-                let (back_plan, back_opts, back_chunk) = decode_plan_with_options(&bytes).unwrap();
-                assert_eq!(back_plan, plan);
-                assert_eq!(back_chunk, chunk_rows);
-                assert_eq!(back_opts, opts);
-            }
+            let bytes = encode_plan_with_options(&plan, &opts);
+            // The option block is 8 bytes (ARCHITECTURE.md, `PLAN` row).
+            assert_eq!(bytes.len(), 8 + encode_plan(&plan).len());
+            assert_eq!(decode_plan_with_options(&bytes).unwrap(), (plan.clone(), opts));
         }
     }
 

@@ -84,7 +84,11 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   strictly smaller than both other forms. Every keyed answer comes up
 ///   sorted by its key, and the coordinator refuses one that is not. A
 ///   v14 peer would refuse the encoding byte.
-pub const PROTOCOL_VERSION: u32 = 15;
+/// * **v16** — v15 frames without row blocking: a site answers each stage
+///   in one `RESULT`, whose flag byte keeps only bit 1 (a survivor set
+///   follows), and the [`TAG_PLAN`] payload loses its chunk flag. A v15
+///   peer would misread every plan.
+pub const PROTOCOL_VERSION: u32 = 16;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -129,7 +133,7 @@ frame_tags! {
     Shutdown = 4 => TAG_SHUTDOWN;
     /// Coordinator → site: the distributed plan for the upcoming query. The
     /// payload is the cluster's kernel options (thread count, morsel size)
-    /// and chunk size followed by the encoded plan — see
+    /// followed by the encoded plan — see
     /// [`crate::plan_codec::encode_plan_with_options`].
     Plan = 5 => TAG_PLAN;
     /// Coordinator → site: describe your local warehouse. Sent once per
@@ -148,7 +152,7 @@ frame_tags! {
     QueryDone = 8 => TAG_QUERY_DONE;
     /// Site → coordinator, stamped with a query id: the site's
     /// [`SiteTelemetry`] for one stage, sent just ahead of that stage's
-    /// final [`TAG_RESULT`] (or its [`TAG_ERROR`]). The value is
+    /// [`TAG_RESULT`] (or its [`TAG_ERROR`]). The value is
     /// [`skalla_net::TELEMETRY_TAG`], which the transports exempt from
     /// byte accounting.
     Telemetry = skalla_net::TELEMETRY_TAG => TAG_TELEMETRY;
@@ -221,15 +225,13 @@ pub fn decode_run_stage(payload: &[u8]) -> Result<(u32, Option<Relation>, ())> {
     Ok((stage, fragment, ()))
 }
 
-/// `RESULT` flag-byte bits: the stage's final chunk; a [`Survivors`] set
-/// follows the flag byte.
-const RESULT_LAST: u8 = 1;
+/// The `RESULT` flag byte's one bit: a [`Survivors`] set follows it.
 const RESULT_SURVIVORS: u8 = 2;
 
 /// Which rows of its fragment a site's answer to a unit against B holds
 /// under Prop 1's site reduction: their positions, ascending. It rides in
-/// the site's first `RESULT` chunk as `[fragment rows u32]`, then a
-/// bitmap over the fragment, bit `i` for row `i`.
+/// the site's `RESULT` as `[fragment rows u32]`, then a bitmap over the
+/// fragment, bit `i` for row `i`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Survivors {
     /// The fragment's row count.
@@ -267,61 +269,48 @@ impl Survivors {
     }
 }
 
-/// Encode a `RESULT` message. `last` marks the final chunk of a stage
-/// (row blocking, paper Sect. 3.2: a site ships its sub-result in
-/// pieces, holding disjoint keys; a merge unit's coordinator absorbs each
-/// chunk into X, under that site's leaf, as it lands and merges the
-/// sites' leaves once every site's last chunk is in).
-pub fn result_chunk(stage: u32, rel: &Relation, last: bool) -> Message {
-    let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
-    result_columns(stage, rel.schema(), rel.len(), &cols, last, None)
-}
-
-/// [`result_chunk`] of the relation of `schema` over `cols`, `len` rows
-/// each, encoded straight from the columns: the same bytes, and no
-/// relation is made. A site's first chunk carries its `survivors`, if any.
-pub fn result_columns(
-    stage: u32,
-    schema: &Schema,
-    len: usize,
-    cols: &[&Column],
-    last: bool,
-    survivors: Option<&Survivors>,
-) -> Message {
+/// Encode a `RESULT` message: a site's whole answer to stage `stage`,
+/// led by its `survivors`, if any, and encoded straight from the
+/// relation's columns.
+pub fn result_with(stage: u32, rel: &Relation, survivors: Option<&Survivors>) -> Message {
+    let schema = rel.schema();
     let header = 9 + survivors.map_or(0, Survivors::encoded_size) + schema.encoded_size();
     let mut enc = Encoder::with_capacity(header);
     enc.put_u32(stage);
-    enc.put_u8(if last { RESULT_LAST } else { 0 } | if survivors.is_some() { RESULT_SURVIVORS } else { 0 });
+    enc.put_u8(if survivors.is_some() { RESULT_SURVIVORS } else { 0 });
     if let Some(s) = survivors {
         s.put(&mut enc);
     }
     enc.put_schema(schema);
-    enc.put_columns(len, cols);
+    let cols: Vec<&Column> = (0..schema.len()).map(|c| rel.column(c)).collect();
+    enc.put_columns(rel.len(), &cols);
     Message::new(TAG_RESULT, enc.finish())
 }
 
-/// Encode an unchunked (single, final) `RESULT` message.
+/// Encode a `RESULT` message without a survivor set.
 pub fn result(stage: u32, rel: &Relation) -> Message {
-    result_chunk(stage, rel, true)
+    result_with(stage, rel, None)
 }
 
-/// Decode a `RESULT` payload into `(stage, last-chunk flag, relation)`.
+/// Decode a `RESULT` payload into `(stage, true, relation)`: the layer
+/// walk's adapter (`crates/bench/src/bin/e2e/layers.rs` destructures a
+/// 3-tuple), whose flag stands where the retired last-chunk flag used to
+/// decode, so it is `true` on every frame. ROADMAP item 12 or 22 deletes
+/// it.
 pub fn decode_result(payload: &[u8]) -> Result<(u32, bool, Relation)> {
-    let chunk = decode_result_chunk(payload)?;
-    Ok((chunk.stage, chunk.last, chunk.relation()?))
+    let frame = decode_result_frame(payload)?;
+    Ok((frame.stage, true, frame.relation()?))
 }
 
 /// A decoded `RESULT` payload: its header, its relation's schema and the
-/// relation's columns as they arrived. [`ResultChunk::columns`] hands
-/// them out for a merge to read in place; [`ResultChunk::relation`] makes
+/// relation's columns as they arrived. [`ResultFrame::columns`] hands
+/// them out for a merge to read in place; [`ResultFrame::relation`] makes
 /// the relation over them.
 #[derive(Debug)]
-pub struct ResultChunk {
+pub struct ResultFrame {
     /// The stage the result answers.
     pub stage: u32,
-    /// Whether this is the stage's final chunk.
-    pub last: bool,
-    /// The survivor set a site's first chunk carries under Prop 1.
+    /// The survivor set a site's answer by position carries under Prop 1.
     pub survivors: Option<Survivors>,
     schema: Schema,
     columns: Columns,
@@ -329,32 +318,23 @@ pub struct ResultChunk {
 
 /// Decode a `RESULT` payload: its header and survivor set, then its
 /// relation's schema and columns.
-pub fn decode_result_chunk(payload: &[u8]) -> Result<ResultChunk> {
+pub fn decode_result_frame(payload: &[u8]) -> Result<ResultFrame> {
     let mut dec = Decoder::new(payload);
     let stage = dec.get_u32()?;
-    let flags = dec.get_u8()?;
-    if flags & !(RESULT_LAST | RESULT_SURVIVORS) != 0 {
-        return Err(Error::Codec(format!("bad last-chunk flag {flags}")));
-    }
-    let survivors = match flags & RESULT_SURVIVORS {
+    let survivors = match dec.get_u8()? {
         0 => None,
-        _ => Some(Survivors::get(&mut dec)?),
+        RESULT_SURVIVORS => Some(Survivors::get(&mut dec)?),
+        flags => return Err(Error::Codec(format!("bad RESULT flag byte {flags}"))),
     };
     let schema = dec.get_schema()?;
     let columns = dec.get_columns(&schema)?;
     if dec.remaining() != 0 {
         return Err(Error::Codec("trailing bytes in RESULT".into()));
     }
-    Ok(ResultChunk {
-        stage,
-        last: flags & RESULT_LAST != 0,
-        survivors,
-        schema,
-        columns,
-    })
+    Ok(ResultFrame { stage, survivors, schema, columns })
 }
 
-impl ResultChunk {
+impl ResultFrame {
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -384,12 +364,12 @@ impl ResultChunk {
     }
 
     /// The relation's columns, owned: a keyed answer's rows kept as they
-    /// arrived, as one chunk of its site's run.
+    /// arrived, as its site's run.
     pub(crate) fn into_columns(self) -> Columns {
         self.columns
     }
 
-    /// Refuse a survivor set, which only a site's first answer to a unit
+    /// Refuse a survivor set, which only a site's answer to a unit
     /// against B may carry, on `what`.
     pub(crate) fn refuse_survivors(&self, what: &str) -> Result<()> {
         match self.survivors {
@@ -649,7 +629,7 @@ mod tests {
         .unwrap()
     }
 
-    /// A result chunk hands out the columns the relation is made of.
+    /// A result frame hands out the columns the relation is made of.
     #[test]
     fn result_columns_match_the_built_ones() {
         let b = Relation::new(
@@ -659,14 +639,14 @@ mod tests {
         .unwrap();
         let built = b.project(&["x", "k"]).unwrap();
 
-        let payload = result_chunk(3, &built, false).payload;
-        let chunk = decode_result_chunk(&payload).unwrap();
-        assert_eq!((chunk.stage, chunk.last, chunk.len()), (3, false, 2));
-        assert_eq!(chunk.columns().to_rows(), built.rows());
-        assert_eq!(chunk.relation().unwrap(), built);
+        let payload = result(3, &built).payload;
+        let frame = decode_result_frame(&payload).unwrap();
+        assert_eq!((frame.stage, frame.len()), (3, 2));
+        assert_eq!(frame.columns().to_rows(), built.rows());
+        assert_eq!(frame.relation().unwrap(), built);
         let mut trailing = payload.clone();
         trailing.push(0);
-        let err = decode_result_chunk(&trailing).unwrap_err().to_string();
+        let err = decode_result_frame(&trailing).unwrap_err().to_string();
         assert!(err.contains("trailing bytes"), "a trailing byte is refused: {err}");
     }
 
@@ -707,7 +687,7 @@ mod tests {
 
         // The check can fail: a dropped row, a wrong Accounted? cell, a
         // renamed tag and a row for a tag that does not exist.
-        let telemetry = "| 9 | `TELEMETRY` | site → coord | stage index + busy seconds + span/counter delta, just ahead of the stage's final `RESULT` or its `ERROR` | **no**";
+        let telemetry = "| 9 | `TELEMETRY` | site → coord | stage index + busy seconds + span/counter delta, just ahead of the stage's `RESULT` or its `ERROR` | **no**";
         assert!(ARCHITECTURE.contains(telemetry));
         for doctored in [
             ARCHITECTURE.replace("| 8 | `QUERY_DONE` |", "cut: | 8 | `QUERY_DONE` |"),
@@ -753,51 +733,48 @@ mod tests {
         assert!(decode_run_stage(&flag).is_err());
     }
 
+    /// A `RESULT`'s flag byte is 0 without a survivor set; the walk's
+    /// adapter reads `true` where the last-chunk flag used to be.
     #[test]
     fn result_round_trip() {
         let m = result(7, &rel());
+        assert_eq!(m.payload[4], 0);
         let (stage, last, r) = decode_result(&m.payload).unwrap();
-        assert_eq!(stage, 7);
-        assert!(last);
+        assert_eq!((stage, last), (7, true));
         assert_eq!(r, rel());
-        let m = result_chunk(7, &rel(), false);
-        let (_, last, _) = decode_result(&m.payload).unwrap();
-        assert!(!last);
     }
 
     /// A survivor set rides behind flag bit 1 as a bitmap over the
-    /// fragment and decodes to the same set; a set off its fragment, an
-    /// unknown flag bit and a cut set are refused.
+    /// fragment and decodes to the same set; a set off its fragment, any
+    /// other flag bit — the retired last-chunk bit 0 too — and a cut set
+    /// are refused.
     #[test]
     fn survivor_sets_round_trip_as_bitmaps() {
-        let frame = |s: &Survivors, last: bool| {
-            let r = rel();
-            result_columns(7, r.schema(), r.len(), &[r.column(0)], last, Some(s)).payload
-        };
+        let frame = |s: &Survivors| result_with(7, &rel(), Some(s)).payload;
         let dense = Survivors::of(&(0..100).map(|i| i % 3 == 0).collect::<Vec<_>>());
         let sparse = Survivors::of(&(0..100).map(|i| i == 42 || i == 99).collect::<Vec<_>>());
         for s in [&dense, &sparse] {
             assert_eq!(s.encoded_size(), 4 + 13);
-            for last in [false, true] {
-                let payload = frame(s, last);
-                assert_eq!(payload.len(), result_chunk(7, &rel(), last).payload.len() + 4 + 13);
-                let chunk = decode_result_chunk(&payload).unwrap();
-                assert_eq!((chunk.last, chunk.survivors.as_ref()), (last, Some(s)));
-                assert_eq!(chunk.columns().to_rows(), rel().rows());
-                assert!(chunk.relation().unwrap_err().to_string().contains("a survivor set on a keyed answer"));
-            }
+            let payload = frame(s);
+            assert_eq!(payload[4], 2);
+            assert_eq!(payload.len(), result(7, &rel()).payload.len() + 4 + 13);
+            let frame = decode_result_frame(&payload).unwrap();
+            assert_eq!(frame.survivors.as_ref(), Some(s));
+            assert_eq!(frame.columns().to_rows(), rel().rows());
+            assert!(frame.relation().unwrap_err().to_string().contains("a survivor set on a keyed answer"));
         }
         // Bytes 5.. are the set: fragment rows, then the bitmap.
-        let mut past = frame(&dense, true);
+        let mut past = frame(&dense);
         past[5 + 4 + 12] |= 0x80; // bit 103 of a 100-row bitmap
-        let mut flags = frame(&sparse, true);
-        flags[4] = 4 | 1;
-        for (payload, want) in [(past, "sets bits past the fragment"), (flags, "bad last-chunk flag 5")] {
-            let err = decode_result_chunk(&payload).unwrap_err().to_string();
+        let (mut last, mut both) = (result(7, &rel()).payload, frame(&sparse));
+        last[4] = 1;
+        both[4] = 2 | 1;
+        for (payload, want) in [(past, "sets bits past the fragment"), (last, "bad RESULT flag byte 1"), (both, "bad RESULT flag byte 3")] {
+            let err = decode_result_frame(&payload).unwrap_err().to_string();
             assert!(err.contains(want), "{err}");
         }
-        let cut = frame(&dense, true);
-        assert!(decode_result_chunk(&cut[..5 + 10]).is_err());
+        let cut = frame(&dense);
+        assert!(decode_result_frame(&cut[..5 + 10]).is_err());
     }
 
     #[test]
@@ -855,11 +832,11 @@ mod tests {
 
         // A reply from a site speaking a different version — v7, the
         // last one with plan notes on the wire, v8, the last one that
-        // answered QUERY_DONE and advertised row counts, and v9, the last
-        // one with row-encoded relations, included — is rejected with a
-        // diagnostic naming both.
+        // answered QUERY_DONE and advertised row counts, v9, the last
+        // one with row-encoded relations, and v15, the last one with row
+        // blocking, included — is rejected with a diagnostic naming both.
         let m = catalog(&[]);
-        for other in [7, 8, 9, 99] {
+        for other in [7, 8, 9, 15, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();

@@ -117,7 +117,7 @@ mod tests {
     /// dimension table, round-robin with no domain. Integer values only,
     /// so every aggregate is exact and the centralized oracle's bits are
     /// the distributed ones.
-    fn cluster(chunk_rows: Option<usize>) -> Cluster {
+    fn cluster() -> Cluster {
         let mut rng = case_rng("sim_cluster", 0);
         let rows = (0..300)
             .map(|_| row![rng.gen_range(0..40i64), rng.gen_range(0..30i64), rng.gen_range(0..100i64)])
@@ -134,7 +134,6 @@ mod tests {
         let key_parts = (0..SITES).map(|s| (keys.filter(|i| i % SITES == s), DomainMap::new()));
         let mut c = Cluster::new(SITES);
         c.add_table("t", parts.collect()).add_table("keys", key_parts.collect());
-        c.configure(&EngineConfig { chunk_rows, ..EngineConfig::default() });
         c
     }
 
@@ -161,12 +160,11 @@ mod tests {
     }
 
     /// A plan shape under test: its name (the seed stream's), query,
-    /// flags, chunk size, and what its plan must look like.
+    /// flags, and what its plan must look like.
     struct Shape {
         name: &'static str,
         expr: GmdjExpr,
         flags: OptFlags,
-        chunk_rows: Option<usize>,
         looks_right: fn(&[StageKind]) -> bool,
     }
 
@@ -185,7 +183,6 @@ mod tests {
                 name: "sim_base_round_thm4",
                 expr: chain("keys", "r"),
                 flags: OptFlags { group_reduction_coord: true, ..OptFlags::none() },
-                chunk_rows: None,
                 looks_right: |s| {
                     let filters = unit(&s[1]).map(|u| u.site_filters.clone()).unwrap_or_default();
                     matches!(s[0], StageKind::Base)
@@ -199,7 +196,6 @@ mod tests {
                 name: "sim_folded_then_resident",
                 expr: chain("t", "g"),
                 flags: OptFlags::all(),
-                chunk_rows: None,
                 looks_right: |s| {
                     let (first, second) = (unit(&s[0]), s.get(1).and_then(unit));
                     first.is_some_and(|u| u.fold_base && !u.local_chain)
@@ -211,16 +207,13 @@ mod tests {
                 name: "sim_local_chain",
                 expr: chain("t", "r"),
                 flags: OptFlags::all(),
-                chunk_rows: None,
                 looks_right: |s| s.len() == 1 && unit(&s[0]).is_some_and(|u| u.fold_base && u.local_chain),
             },
-            // Prop 1: answers by position with survivor sets, cut into
-            // chunks of 3 rows.
+            // Prop 1: answers by position with survivor sets.
             Shape {
-                name: "sim_positional_chunked",
+                name: "sim_positional",
                 expr: chain("t", "g"),
                 flags: OptFlags { group_reduction_site: true, ..OptFlags::none() },
-                chunk_rows: Some(3),
                 looks_right: |s| unit(&s[1]).is_some_and(|u| u.positional() && u.site_reduce),
             },
         ]
@@ -241,8 +234,8 @@ mod tests {
     #[test]
     fn any_arrival_order_gives_the_oracles_bits_and_a_seed_replays_its_trace() {
         for shape in shapes() {
-            let c = cluster(shape.chunk_rows);
-            let cfg = EngineConfig { chunk_rows: shape.chunk_rows, ..EngineConfig::default() };
+            let c = cluster();
+            let cfg = EngineConfig::default();
             let plan = Planner::new(c.distribution()).optimize(&shape.expr, shape.flags);
             let kinds: Vec<StageKind> = plan.stages.iter().map(|s| s.kind.clone()).collect();
             assert!((shape.looks_right)(&kinds), "{}: {}", shape.name, plan.explain());
@@ -322,7 +315,7 @@ mod tests {
     #[test]
     fn a_site_error_names_its_site_and_stage() {
         let shape = shapes().remove(0);
-        let c = cluster(None);
+        let c = cluster();
         let plan = Planner::new(c.distribution()).optimize(&shape.expr, shape.flags);
         let mut sites = catalogs(&c);
         // Site 1 lost `t`: its first unit, stage 1, fails there.

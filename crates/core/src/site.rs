@@ -23,6 +23,7 @@ use crate::protocol::{self, Survivors, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
 use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
+use skalla_net::tcp::MAX_FRAME_LEN;
 use skalla_net::{Message, SiteTransport};
 use skalla_obs::{BusyTimer, Obs, Track};
 use skalla_relation::{Column, Columns, Error, Relation, Result, Schema, Value};
@@ -333,8 +334,8 @@ pub(crate) enum Action {
     Close,
 }
 
-/// A query's decoded `PLAN`: the plan, its options, its chunk size.
-type Decoded = (DistributedPlan, EvalOptions, Option<usize>);
+/// A query's decoded `PLAN`: the plan and its kernel options.
+type Decoded = (DistributedPlan, EvalOptions);
 
 /// The site's end of the protocol: frames in, in arrival order, and
 /// [`Action`]s out. Per query id, from its `PLAN` to its
@@ -424,17 +425,18 @@ pub(crate) struct Task {
 }
 
 impl Task {
-    /// Evaluate the stage: its `RESULT` frames (row-blocked at the query's
-    /// chunk size) or its `TAG_ERROR`, with one [`protocol::TAG_TELEMETRY`]
-    /// frame just ahead of the last — the task's busy seconds and, when
-    /// `export_obs` is set ([`site_session_loop`]), the site recorder's
-    /// delta since the last export — each stamped with the query id.
+    /// Evaluate the stage: one [`protocol::TAG_TELEMETRY`] frame — the
+    /// task's busy seconds and, when `export_obs` is set
+    /// ([`site_session_loop`]), the site recorder's delta since the last
+    /// export — then the stage's one `RESULT`, the site's whole answer, or
+    /// its `TAG_ERROR`; both stamped with the query id. An answer over the
+    /// frame limit is that query's `TAG_ERROR` on every transport.
     /// Telemetry frames ride [`skalla_net::TELEMETRY_TAG`] and are exempt
     /// from the byte accounting on every transport, so shipping timings
     /// keeps the channel/TCP byte-identity invariant.
-    pub(crate) fn run(self, catalog: &dyn Catalog, obs: &Obs, export_obs: bool) -> Vec<Message> {
+    pub(crate) fn run(self, catalog: &dyn Catalog, obs: &Obs, export_obs: bool) -> [Message; 2] {
         let Task { site, query_id, query, stage, input, token } = self;
-        let (plan, eval, chunk_rows) = &*query;
+        let (plan, eval) = &*query;
         let label = plan.stages.get(stage as usize).map_or("stage", |s| s.label.as_str());
         let mut task_span = obs.span(Track::SiteQuery(site, query_id), label);
         task_span.arg("query_id", query_id as u64);
@@ -444,31 +446,41 @@ impl Task {
         let t = BusyTimer::start();
         let out = execute_stage_traced(catalog, plan, stage as usize, input, *eval, obs, site);
         let busy_s = t.elapsed_s();
-        let mut replies = match out {
+        let reply = match out {
             Ok((rel, survivors)) => {
                 task_span.arg("rows_out", rel.len());
                 task_span.finish();
-                chunked_results(stage, rel, survivors, *chunk_rows)
+                let answer = protocol::result_with(stage, &rel, survivors.as_ref());
+                match unshippable(answer.payload.len()) {
+                    None => answer,
+                    Some(why) => protocol::error(&why),
+                }
             }
             Err(e) => {
                 task_span.arg("error", e.to_string());
                 task_span.finish();
-                vec![protocol::error(&e.to_string())]
+                protocol::error(&e.to_string())
             }
         };
-        // Just ahead of the final frame, so the coordinator has it before
-        // this site's part of the round closes; taken after the task span
+        // Ahead of the answer, so the coordinator has it before this
+        // site's part of the round closes; taken after the task span
         // closed, so the delta holds it.
         let report = protocol::SiteTelemetry {
             stage,
             busy_s,
             obs: obs.recorder().filter(|_| export_obs).map(|rec| rec.take_delta()),
         };
-        let last = replies.len().saturating_sub(1);
-        replies.insert(last, protocol::telemetry(&report));
         drop(token);
-        replies.into_iter().map(|m| m.with_query_id(query_id)).collect()
+        [protocol::telemetry(&report), reply].map(|m| m.with_query_id(query_id))
     }
+}
+
+/// Why an answer of `len` payload bytes cannot ship: it is over the frame
+/// limit, which a TCP reader refuses by ending the session for every
+/// query on it. Checked on every transport, so channels and TCP answer
+/// alike.
+fn unshippable(len: usize) -> Option<String> {
+    (len > MAX_FRAME_LEN).then(|| format!("the stage's answer is {len} bytes, over the {MAX_FRAME_LEN}-byte frame limit"))
 }
 
 /// The fragment stage `stage` runs on at `site`, given the one that
@@ -517,40 +529,6 @@ fn resident_input(
         };
     }
     Ok(input)
-}
-
-/// Split a stage result into row-blocked RESULT messages (one final
-/// message when chunking is off or the relation is small), each chunk
-/// its rows' slice of every column; the first carries the `survivors`.
-fn chunked_results(
-    stage: u32,
-    rel: Relation,
-    survivors: Option<Survivors>,
-    chunk_rows: Option<usize>,
-) -> Vec<skalla_net::Message> {
-    let schema = rel.schema();
-    match chunk_rows {
-        Some(chunk) if rel.len() > chunk => {
-            let n = rel.len().div_ceil(chunk);
-            (1..=n)
-                .map(|i| {
-                    let at: Vec<u32> = ((i - 1) * chunk..(i * chunk).min(rel.len()))
-                        .map(|r| r as u32)
-                        .collect();
-                    let part: Vec<Column> = (0..schema.len())
-                        .map(|c| rel.column(c).gather(&at))
-                        .collect();
-                    let part: Vec<&Column> = part.iter().collect();
-                    let first = survivors.as_ref().filter(|_| i == 1);
-                    protocol::result_columns(stage, schema, at.len(), &part, i == n, first)
-                })
-                .collect()
-        }
-        _ => {
-            let cols: Vec<&Column> = (0..schema.len()).map(|c| rel.column(c)).collect();
-            vec![protocol::result_columns(stage, schema, rel.len(), &cols, true, survivors.as_ref())]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -637,7 +615,7 @@ mod tests {
     /// A `PLAN` frame for `expr()`'s plan, for query `q`.
     fn plan_frame(q: u32) -> Message {
         let plan = Planner::new(DistributionInfo::new(1)).optimize(&expr(), OptFlags::none());
-        let bytes = crate::plan_codec::encode_plan_with_options(&plan, &EvalOptions::default(), None);
+        let bytes = crate::plan_codec::encode_plan_with_options(&plan, &EvalOptions::default());
         Message::for_query(protocol::TAG_PLAN, q, bytes)
     }
 
@@ -710,15 +688,13 @@ mod tests {
         }
     }
 
-    /// A site's answer, encoded straight from the kernel's states (and
-    /// sliced into row-blocked chunks), is byte for byte the frame of the
-    /// same answer rebuilt from its rows — what the site shipped when it
-    /// made rows and the codec columnized them — the first chunk carrying
-    /// the survivor set of an answer by position under Prop 1. Keyed on
-    /// one and two columns, and by position; Prop 1 on and off; Int
-    /// and Double AVG, VAR, an all-NULL SUM, a string MIN (`Value`
-    /// accumulators), NaN payloads, −0.0, NULLs in keys and inputs; one,
-    /// three or every row per chunk.
+    /// A site's answer, encoded straight from the kernel's states, is byte
+    /// for byte the frame of the same answer rebuilt from its rows — what
+    /// the site shipped when it made rows and the codec columnized them —
+    /// carrying the survivor set of an answer by position under Prop 1.
+    /// Keyed on one and two columns, and by position; Prop 1 on and off;
+    /// Int and Double AVG, VAR, an all-NULL SUM, a string MIN (`Value`
+    /// accumulators), NaN payloads, −0.0, NULLs in keys and inputs.
     #[test]
     fn shipped_frames_match_the_frames_of_their_rows() {
         let nan = |p: u64| Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | p));
@@ -785,31 +761,23 @@ mod tests {
                 if let Some(s) = &survivors {
                     assert_eq!((s.fragment_rows, s.at.len()), (11, 8));
                 }
-                for chunk in [Some(1), Some(3), None] {
-                    let got = chunked_results(4, answer.clone(), survivors.clone(), chunk);
-                    // The rows cut into chunks, each a relation of rows.
-                    let step = chunk.unwrap_or(rows.len());
-                    let parts: Vec<&[Row]> = rows.chunks(step).collect();
-                    let want: Vec<_> = parts
-                        .iter()
-                        .enumerate()
-                        .map(|(i, part)| {
-                            let part = Relation::new(answer.schema().clone(), part.to_vec()).unwrap();
-                            let cols: Vec<&Column> = (0..part.schema().len()).map(|c| part.column(c)).collect();
-                            let first = survivors.as_ref().filter(|_| i == 0);
-                            let last = i + 1 == parts.len();
-                            protocol::result_columns(4, part.schema(), part.len(), &cols, last, first)
-                        })
-                        .collect();
-                    assert_eq!(got.len(), want.len(), "key {key:?}, reduce {reduce}, chunk {chunk:?}");
-                    for (g, w) in got.iter().zip(&want) {
-                        assert!(
-                            g.payload == w.payload,
-                            "key {key:?}, reduce {reduce}, chunk {chunk:?}: frames differ"
-                        );
-                    }
-                }
+                let got = protocol::result_with(4, &answer, survivors.as_ref());
+                let rebuilt = Relation::new(answer.schema().clone(), rows).unwrap();
+                let want = protocol::result_with(4, &rebuilt, survivors.as_ref());
+                assert!(got.payload == want.payload, "key {key:?}, reduce {reduce}: frames differ");
             }
+        }
+    }
+
+    /// An answer over the frame limit is its query's `TAG_ERROR`, naming
+    /// its size and the limit, on every transport; one at the limit
+    /// ships.
+    #[test]
+    fn an_answer_over_the_frame_limit_is_an_error_naming_its_size() {
+        assert_eq!(unshippable(MAX_FRAME_LEN), None);
+        for len in [MAX_FRAME_LEN + 1, 1 << 32] {
+            let why = unshippable(len).unwrap_or_default();
+            assert!(why.contains(&format!("is {len} bytes, over the {MAX_FRAME_LEN}-byte frame limit")), "{why:?}");
         }
     }
 

@@ -127,20 +127,16 @@ impl Warehouse for Cluster {
 }
 
 /// Everything an engine needs to know beyond where the data lives: the
-/// per-site kernel options, coordinator timeouts, row blocking,
-/// observability, the admission-control discipline, and the one
-/// decision only the coordinator makes — whether (and how much) to
-/// cache. [`Cluster::configure`] takes the
-/// same struct for its one-shot runs.
+/// per-site kernel options, coordinator timeouts, observability, the
+/// admission-control discipline, and the one decision only the
+/// coordinator makes — whether (and how much) to cache.
+/// [`Cluster::configure`] takes the same struct for its one-shot runs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Kernel options shipped to every site with the plan.
     pub eval: EvalOptions,
     /// Per-round coordinator receive timeout.
     pub timeout: Duration,
-    /// Row blocking: sites ship sub-results in chunks of this many rows
-    /// (`None` or zero ships one message per stage).
-    pub chunk_rows: Option<usize>,
     /// Observability handle; disabled by default.
     pub obs: Obs,
     /// Multi-query admission control (concurrency, queue bound, queue
@@ -163,7 +159,6 @@ impl Default for EngineConfig {
         EngineConfig {
             eval: EvalOptions::default(),
             timeout: Duration::from_secs(120),
-            chunk_rows: None,
             obs: Obs::disabled(),
             scheduler: SchedulerConfig::default(),
             cache_bytes: DEFAULT_CACHE_BYTES,
@@ -247,13 +242,6 @@ impl SkallaBuilder {
     /// Per-round coordinator receive timeout.
     pub fn timeout(mut self, timeout: Duration) -> SkallaBuilder {
         self.cfg.timeout = timeout;
-        self
-    }
-
-    /// Row blocking chunk size (`None` or zero ships one message per
-    /// stage).
-    pub fn chunk_rows(mut self, rows: Option<usize>) -> SkallaBuilder {
-        self.cfg.chunk_rows = rows;
         self
     }
 

@@ -755,7 +755,7 @@ impl AccStates {
     ) -> Result<()> {
         for (spec, off, st) in self.specs() {
             let w = spec.acc_width();
-            // At most three slots an aggregate: a stack array, so a chunk
+            // At most three slots an aggregate: a stack array, so an answer
             // allocates nothing here.
             let mut slot_cols = [cols.col(from + off); 3];
             for (k, c) in slot_cols.iter_mut().enumerate().take(w) {

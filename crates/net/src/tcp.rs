@@ -30,8 +30,22 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Refuse frames larger than this (corrupt header guard).
+/// The largest payload a frame may carry: a reader refuses a longer one
+/// (corrupt header guard), and a writer never starts one
+/// ([`check_frame_len`]).
 pub const MAX_FRAME_LEN: usize = 1 << 30;
+
+/// Refuse a frame payload of `len` bytes, over [`MAX_FRAME_LEN`]. The
+/// writer checks before it writes a byte: a payload of 4 GiB or more would
+/// wrap its `u32` length and desynchronize the stream, and one just over
+/// the limit would reach a reader that ends the session for every query
+/// on it.
+pub fn check_frame_len(len: usize) -> Result<(), NetError> {
+    match len > MAX_FRAME_LEN {
+        true => Err(NetError::Io(format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"))),
+        false => Ok(()),
+    }
+}
 
 /// Wire tag of the transport-internal handshake frame (never surfaced as
 /// a [`Message`] and never recorded in [`NetStats`]).
@@ -136,11 +150,7 @@ fn read_frame(stream: &mut TcpStream, deadline: Option<Instant>) -> Result<Messa
     let tag = header[0];
     let query_id = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
     let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(NetError::Io(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
-        )));
-    }
+    check_frame_len(len)?;
     let mut payload = vec![0u8; len];
     read_full(stream, &mut payload, deadline)?;
     Ok(Message {
@@ -154,8 +164,10 @@ fn read_frame(stream: &mut TcpStream, deadline: Option<Instant>) -> Result<Messa
 /// vectored writes until both are out. The caller holds the link's lock
 /// for the whole frame, so frames of several query workers sharing the
 /// link never interleave, and the payload is never copied into a frame
-/// buffer.
+/// buffer. A payload over [`MAX_FRAME_LEN`] is refused before any byte
+/// is written.
 fn write_frame(stream: &mut impl Write, msg: &Message) -> Result<(), NetError> {
+    check_frame_len(msg.payload.len())?;
     let mut header = [0u8; 9];
     header[0] = msg.tag;
     header[1..5].copy_from_slice(&msg.query_id.to_le_bytes());
@@ -509,6 +521,18 @@ mod tests {
 
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// The frame limit, as a function of the payload length: at the
+    /// limit a frame goes; one byte over, and at the length a `u32` would
+    /// wrap to 0, it is refused, naming the length and the limit.
+    #[test]
+    fn a_payload_over_the_frame_limit_is_refused() {
+        assert!(check_frame_len(MAX_FRAME_LEN).is_ok());
+        for len in [MAX_FRAME_LEN + 1, 1 << 32] {
+            let err = check_frame_len(len).unwrap_err().to_string();
+            assert!(err.contains(&format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit")), "{err}");
         }
     }
 

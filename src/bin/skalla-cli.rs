@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
+    let result = check_flags(rest).and_then(|()| match cmd.as_str() {
         "run" => cmd_run(rest, true),
         "explain" => cmd_run(rest, false),
         "cube" => cmd_cube(rest),
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -104,7 +104,6 @@ QUERY OPTIONS:
   --opt all|none|coalesce|group-reduction|sync-reduction   (default: all)
   -q QUERY | --query-file F   the query text
   --limit N                   print at most N result rows (default: 20)
-  --chunk N                   row blocking: ship results in chunks of N rows
   --threads N                 worker threads per site for the morsel-parallel
                               GMDJ kernel (default: available cores; 1 = serial;
                               more than the core count is capped to it)
@@ -146,7 +145,35 @@ OBSERVABILITY:
   --slow-query-log FILE       (run) append one JSON line per logged query:
                               timestamp, query text, wall seconds, full stats
   --slow-query-ms N           (run) only log queries slower than N ms
-                              (default: 0 = log every query)";
+                              (default: 0 = log every query)
+
+A flag no command reads is an error that names it.";
+
+/// Every flag a command reads that takes a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--aggs", "--cache-bytes", "--concurrency", "--connect-attempts", "--connect-backoff-ms", "--csv", "--dataset",
+    "--dims", "--limit", "--listen", "--metrics", "--metrics-linger", "--metrics-listen", "--morsel-rows",
+    "--net-timeout", "--opt", "--out", "--partition-by", "--query-file", "--rows", "--seed", "--site-index", "--sites",
+    "--slow-query-log", "--slow-query-ms", "--table", "--threads", "--trace", "--types", "-q",
+];
+
+/// Every flag a command reads that takes none.
+const SWITCHES: &[&str] = &["--no-cache", "--no-rollup", "--once"];
+
+/// Refuse a flag that no command reads, naming it: ignored, a mistyped or
+/// retired flag would run another query than the one asked for, without
+/// a word.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next();
+        } else if a.starts_with('-') && !SWITCHES.contains(&a.as_str()) {
+            return Err(format!("unknown flag {a:?}\n{USAGE}"));
+        }
+    }
+    Ok(())
+}
 
 fn opt(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -310,10 +337,6 @@ fn build_engine(args: &[String], obs: Obs) -> Result<Skalla, String> {
     }
     if args.iter().any(|a| a == "--no-cache") {
         builder = builder.cache_bytes(0);
-    }
-    if let Some(chunk) = opt(args, "--chunk") {
-        let n: usize = chunk.parse().map_err(|e| format!("bad --chunk: {e}"))?;
-        builder = builder.chunk_rows(Some(n));
     }
     let mut eval = skalla::gmdj::EvalOptions::default();
     if let Some(threads) = opt(args, "--threads") {

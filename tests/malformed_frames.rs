@@ -19,7 +19,7 @@ use skalla::gmdj::EvalOptions;
 use skalla::net::{star, CoordinatorTransport, Message, SiteTransport, TcpConfig, TcpSiteListener};
 use skalla::obs::Obs;
 use skalla::relation::codec::Encoder;
-use skalla::relation::{row, Column, DataType, Domain, DomainMap, Relation, Schema};
+use skalla::relation::{row, DataType, Domain, DomainMap, Relation, Schema};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -45,7 +45,7 @@ fn plan_bytes() -> Vec<u8> {
         ))
         .build();
     let plan = Planner::new(dist).optimize(&expr, OptFlags::none());
-    encode_plan_with_options(&plan, &EvalOptions::default(), None)
+    encode_plan_with_options(&plan, &EvalOptions::default())
 }
 
 /// Feed the session demultiplexer every malformed-frame shape a remote
@@ -315,10 +315,8 @@ fn an_avg_count_holding_null_is_a_clean_round_error() {
 /// At the coordinator, an answer by position that does not fit its
 /// fragment (B's two groups, shipped whole) is a clean round error: a
 /// survivor set over another row count; more accumulator rows than
-/// survivors, refused at the chunk that overflows; a final chunk that
-/// leaves survivors unanswered, or an unreduced answer shorter than the
-/// fragment; a survivor set on a later chunk; and an answer that still
-/// carries the key column.
+/// survivors; fewer, or an unreduced answer shorter than the fragment;
+/// and an answer that still carries the key column.
 #[test]
 fn a_positional_answer_off_its_fragment_is_a_clean_round_error() {
     let counts = |n: i64| relation(&[("c", DataType::Int)], (0..n).map(|_| row![1i64]).collect());
@@ -329,44 +327,23 @@ fn a_positional_answer_off_its_fragment_is_a_clean_round_error() {
         })
     };
     let keyed = relation(&[("g", DataType::Int), ("c", DataType::Int)], vec![row![1i64, 1i64], row![2i64, 1i64]]);
-    let cases: Vec<(Vec<Message>, &str)> = vec![
-        (
-            vec![chunk(1, &counts(1), true, survivors(3, &[0]))],
-            "has survivors over 3 rows for a 2-row fragment",
-        ),
-        (
-            vec![chunk(1, &counts(1), false, survivors(2, &[1])), chunk(1, &counts(1), true, None)],
-            "has 2 accumulator rows for 1 answered fragment rows",
-        ),
-        (
-            vec![chunk(1, &counts(1), true, survivors(2, &[0, 1]))],
-            "ends after 1 of its 2 answered fragment rows",
-        ),
-        (
-            vec![chunk(1, &counts(1), true, None)],
-            "ends after 1 of its 2 answered fragment rows",
-        ),
-        (
-            vec![chunk(1, &counts(1), false, survivors(2, &[0, 1])), chunk(1, &counts(1), true, survivors(2, &[1]))],
-            "repeats its survivor set on a later chunk",
-        ),
-        (
-            vec![protocol::result(1, &keyed)],
-            "answers by position with accumulators [Int]",
-        ),
+    let cases: Vec<(Message, &str)> = vec![
+        (answer(1, &counts(1), survivors(3, &[0])), "has survivors over 3 rows for a 2-row fragment"),
+        (answer(1, &counts(2), survivors(2, &[1])), "has 2 accumulator rows for 1 answered fragment rows"),
+        (answer(1, &counts(3), None), "has 3 accumulator rows for 2 answered fragment rows"),
+        (answer(1, &counts(1), survivors(2, &[0, 1])), "has 1 accumulator rows for 2 answered fragment rows"),
+        (answer(1, &counts(1), None), "has 1 accumulator rows for 2 answered fragment rows"),
+        (protocol::result(1, &keyed), "answers by position with accumulators [Int]"),
     ];
-    for (frames, want) in cases {
-        let frames = honest_base(move |_| frames.clone());
+    for (frame, want) in cases {
+        let frames = honest_base(move |_| vec![frame.clone()]);
         let err = round_error(count_expr(), OptFlags::none(), DomainMap::new(), frames);
         assert!(err.contains(want), "{err} lacks {want:?}");
     }
     // The honest answers to the same round: every row, and Prop 1's one
-    // survivor, group 2, after its set in an empty first chunk.
-    for (frames, want) in [
-        (vec![chunk(1, &counts(1), false, None), chunk(1, &counts(1), true, None)], [1i64, 1]),
-        (vec![chunk(1, &counts(0), false, survivors(2, &[1])), chunk(1, &counts(1), true, None)], [0, 1]),
-    ] {
-        let frames = honest_base(move |_| frames.clone());
+    // survivor, group 2.
+    for (frame, want) in [(answer(1, &counts(2), None), [1i64, 1]), (answer(1, &counts(1), survivors(2, &[1])), [0, 1])] {
+        let frames = honest_base(move |_| vec![frame.clone()]);
         let (out, plan) = run_against_site(count_expr(), OptFlags::none(), DomainMap::new(), frames);
         assert_eq!(out.unwrap().rows(), [row![1i64, want[0]], row![2i64, want[1]]], "{plan}");
     }
@@ -383,7 +360,7 @@ fn a_survivor_set_on_a_keyed_answer_is_a_clean_round_error() {
     };
     let keyed = |rel: Relation| {
         let empty = empty.clone();
-        move |_: &StageKind, stage| vec![chunk(stage, &rel, true, Some(empty.clone()))]
+        move |_: &StageKind, stage| vec![answer(stage, &rel, Some(empty.clone()))]
     };
     let folded = relation(&[("g", DataType::Int), ("c", DataType::Int)], vec![row![1i64, 1i64], row![2i64, 1i64]]);
     let chained = relation(
@@ -402,10 +379,9 @@ fn a_survivor_set_on_a_keyed_answer_is_a_clean_round_error() {
 
 /// At the coordinator, a keyed answer out of key order — the base round's
 /// groups, a folded unit's keyed accumulators, a folded chain's finalized
-/// rows — within one chunk or across two chunks of the site's run, fails
-/// the query with an error naming the site, never a wrong answer. (Every
-/// such answer is one sorted run, which the coordinator merges in one
-/// pass.)
+/// rows — fails the query with an error naming the site, never a wrong
+/// answer. (Every such answer is one sorted run, which the coordinator
+/// merges in one pass.)
 #[test]
 fn a_keyed_answer_out_of_key_order_is_a_clean_round_error() {
     let owned = DomainMap::new().with("g", Domain::IntRange(1, 2));
@@ -421,22 +397,14 @@ fn a_keyed_answer_out_of_key_order_is_a_clean_round_error() {
         ("folded chain", two_count_expr(), folding(), owned, chained, false),
     ];
     for (what, expr, flags, domains, answer, base_round) in cases {
-        // The answer as one chunk, and cut between its two rows.
-        let whole = vec![protocol::result(0, &answer)];
-        let cut = vec![chunk(0, &answer.gather(&[0]), false, None), chunk(0, &answer.gather(&[1]), true, None)];
-        for frames in [whole, cut] {
-            let n = frames.len();
-            let reply = move |kind: &StageKind, stage: u32| match (kind, base_round) {
-                (StageKind::Base, true) | (StageKind::Unit(_), false) => (frames.iter())
-                    .map(|m| Message::new(m.tag, [&stage.to_le_bytes()[..], &m.payload[4..]].concat()))
-                    .collect(),
-                (StageKind::Base, false) => vec![protocol::result(stage, &groups())],
-                (StageKind::Unit(_), true) => panic!("the base round was accepted"),
-            };
-            let err = round_error(expr.clone(), flags, domains.clone(), reply);
-            let want = "site 0 sent its keyed answer out of key order: [Int(1)] after [Int(2)]";
-            assert!(err.contains(want), "{what} in {n} chunk(s): {err}");
-        }
+        let reply = move |kind: &StageKind, stage: u32| match (kind, base_round) {
+            (StageKind::Base, true) | (StageKind::Unit(_), false) => vec![protocol::result(stage, &answer)],
+            (StageKind::Base, false) => vec![protocol::result(stage, &groups())],
+            (StageKind::Unit(_), true) => panic!("the base round was accepted"),
+        };
+        let err = round_error(expr, flags, domains, reply);
+        let want = "site 0 sent its keyed answer out of key order: [Int(1)] after [Int(2)]";
+        assert!(err.contains(want), "{what}: {err}");
     }
 }
 
@@ -462,7 +430,7 @@ fn a_resident_fragment_off_the_held_rows_gets_a_clean_error_reply() {
         panic!("{}", plan.explain())
     };
     assert_eq!(unit.site_filters, [SiteFilter::Resident], "{}", plan.explain());
-    let plan_bytes = encode_plan_with_options(&plan, &EvalOptions::default(), None);
+    let plan_bytes = encode_plan_with_options(&plan, &EvalOptions::default());
     let send = |query: u32, msg: Message| coord.send(0, msg.with_query_id(query)).unwrap();
     // The next reply to `query` past its telemetry.
     let reply = |query: u32| loop {
@@ -509,8 +477,8 @@ fn a_resident_fragment_off_the_held_rows_gets_a_clean_error_reply() {
     send(1, protocol::run_stage(2, Some(&keyless)));
     let msg = reply(1);
     assert_eq!(msg.tag, protocol::TAG_RESULT, "{}", protocol::decode_error(&msg.payload));
-    let (stage, last, answer) = protocol::decode_result(&msg.payload).unwrap();
-    assert_eq!((stage, last), (2, true));
+    let (stage, _, answer) = protocol::decode_result(&msg.payload).unwrap();
+    assert_eq!(stage, 2);
     assert_eq!(answer.rows(), [row![1i64], row![1i64]]);
 
     coord.broadcast(&protocol::shutdown()).unwrap();
@@ -551,10 +519,9 @@ fn relation(fields: &[(&str, DataType)], rows: Vec<skalla::relation::Row>) -> Re
     Relation::new(Schema::of(fields), rows).unwrap()
 }
 
-/// A `RESULT` chunk for `stage` holding `rel`, carrying `survivors`.
-fn chunk(stage: u32, rel: &Relation, last: bool, survivors: Option<Survivors>) -> Message {
-    let cols: Vec<&Column> = (0..rel.schema().len()).map(|c| rel.column(c)).collect();
-    protocol::result_columns(stage, rel.schema(), rel.len(), &cols, last, survivors.as_ref())
+/// A `RESULT` for `stage` holding `rel`, carrying `survivors`.
+fn answer(stage: u32, rel: &Relation, survivors: Option<Survivors>) -> Message {
+    protocol::result_with(stage, rel, survivors.as_ref())
 }
 
 /// Only Prop 2's fold: one stage, a folded unit answered keyed.
@@ -584,7 +551,7 @@ fn two_count_expr() -> GmdjExpr {
 }
 
 /// The error of a query grouping `t` on `g` with `agg` against one site
-/// that answers its merge unit against B with `answer`, in one chunk.
+/// that answers its merge unit against B with `answer`.
 fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
     let frames = honest_base(move |stage| vec![protocol::result(stage, &answer)]);
     round_error(grouped(vec![vec![agg]]), OptFlags::none(), DomainMap::new(), frames)

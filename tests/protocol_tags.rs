@@ -46,11 +46,11 @@ fn every_tag_round_trips() {
                 assert_eq!((stage, frag.unwrap()), (7, rel()));
                 m
             }
-            // A non-final chunk.
+            // A site's whole answer.
             Tag::Result => {
-                let m = protocol::result_chunk(3, &rel(), false);
-                let (stage, last, back) = protocol::decode_result(&m.payload).unwrap();
-                assert_eq!((stage, last, back), (3, false, rel()));
+                let m = protocol::result(3, &rel());
+                let (stage, _, back) = protocol::decode_result(&m.payload).unwrap();
+                assert_eq!((stage, back), (3, rel()));
                 m
             }
             // A free-form message.
@@ -70,7 +70,7 @@ fn every_tag_round_trips() {
                 assert!(m.payload.is_empty());
                 m
             }
-            // Options + chunking + the distributed plan itself.
+            // Options + the distributed plan itself.
             Tag::Plan => {
                 let mut dist = DistributionInfo::new(2);
                 dist.set_table(
@@ -88,11 +88,10 @@ fn every_tag_round_trips() {
                     parallelism: 3,
                     ..EvalOptions::default()
                 };
-                let bytes = encode_plan_with_options(&plan, &opts, Some(128));
-                let (plan_back, opts_back, chunk) = decode_plan_with_options(&bytes).unwrap();
+                let bytes = encode_plan_with_options(&plan, &opts);
+                let (plan_back, opts_back) = decode_plan_with_options(&bytes).unwrap();
                 assert_eq!(plan_back, plan);
                 assert_eq!(opts_back.parallelism, 3);
-                assert_eq!(chunk, Some(128));
                 Message::new(protocol::TAG_PLAN, bytes)
             }
             // Carries the protocol version.

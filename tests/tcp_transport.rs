@@ -16,7 +16,7 @@ use skalla::core::{protocol, EngineConfig, OptFlags, Planner, SiteServer, Skalla
 use skalla::datagen::partition::{observe_int_ranges, partition_by_int_ranges, Partition};
 use skalla::datagen::tpcr::{generate_tpcr, TpcrConfig};
 use skalla::gmdj::prelude::*;
-use skalla::net::{Link, SiteTransport, TcpConfig, TcpSiteListener};
+use skalla::net::{CoordinatorTransport, Link, Message, SiteTransport, TcpConfig, TcpCoordinator, TcpSiteListener};
 use skalla::relation::Relation;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -176,38 +176,10 @@ fn loopback_tcp_matches_channel_transport_exactly() {
     );
 }
 
-#[test]
-fn loopback_tcp_matches_channel_transport_with_row_blocking() {
-    let parts = fig2_partitions();
-    let expr = fig2_query();
-    let chunked = EngineConfig {
-        chunk_rows: Some(64),
-        ..EngineConfig::default()
-    };
-
-    let local = local_engine(&parts, chunked.clone());
-    let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
-    let local_out = local.execute(&plan).unwrap();
-
-    let addrs = spawn_sites(&parts);
-    let remote = remote_engine(&addrs, TcpConfig::default(), chunked);
-    let remote_out = remote.execute(&plan).unwrap();
-
-    assert_eq!(
-        canonical(&remote_out.relation),
-        canonical(&local_out.relation)
-    );
-    // The chunk size travels inside the plan message, so chunk counts —
-    // and hence message counts — agree too.
-    assert_eq!(remote_out.stats.net, local_out.stats.net);
-}
-
 /// A plan with resident rounds: the Fig. 2 chain grouped on `part_key`
 /// under every reduction, whose round 2 ships each site only its own
 /// parts, keyless, in the order its folded round 1 answered them. Loopback
-/// TCP equals the channel transport in answer and in exact `RoundStats`,
-/// unchunked and row-blocked (a folded answer's per-site rows then land
-/// over several chunks).
+/// TCP equals the channel transport in answer and in exact `RoundStats`.
 #[test]
 fn loopback_tcp_matches_channel_transport_on_resident_rounds() {
     // 2,000 rows a site over 4,000 parts: each site lacks most of them.
@@ -226,22 +198,16 @@ fn loopback_tcp_matches_channel_transport_on_resident_rounds() {
         ))
         .build();
     let by_part = |rel: &Relation| rel.sorted_by(&["part_key"]).unwrap();
-    for chunk_rows in [None, Some(64)] {
-        let cfg = EngineConfig {
-            chunk_rows,
-            ..EngineConfig::default()
-        };
-        let local = local_engine(&parts, cfg.clone());
-        let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
-        assert!(plan.explain().contains("site-resident rows: site(s) 0, 1, 2, 3"), "{}", plan.explain());
-        let local_out = local.execute(&plan).unwrap();
+    let local = local_engine(&parts, EngineConfig::default());
+    let plan = Planner::new(local.distribution()).optimize(&expr, OptFlags::all());
+    assert!(plan.explain().contains("site-resident rows: site(s) 0, 1, 2, 3"), "{}", plan.explain());
+    let local_out = local.execute(&plan).unwrap();
 
-        let addrs = spawn_sites(&parts);
-        let remote = remote_engine(&addrs, TcpConfig::default(), cfg);
-        let remote_out = remote.execute(&plan).unwrap();
-        assert_eq!(by_part(&remote_out.relation), by_part(&local_out.relation), "{chunk_rows:?}");
-        assert_eq!(remote_out.stats.net, local_out.stats.net, "{chunk_rows:?}");
-    }
+    let addrs = spawn_sites(&parts);
+    let remote = remote_engine(&addrs, TcpConfig::default(), EngineConfig::default());
+    let remote_out = remote.execute(&plan).unwrap();
+    assert_eq!(by_part(&remote_out.relation), by_part(&local_out.relation));
+    assert_eq!(remote_out.stats.net, local_out.stats.net);
 }
 
 /// A site that completes the handshake, accepts the plan and the first
@@ -353,4 +319,46 @@ fn handshake_preserves_distribution_knowledge() {
             "partition-attribute status of {col} must survive the handshake"
         );
     }
+}
+
+/// A site one protocol version back — v15, the last with row blocking —
+/// is refused at the handshake, before any plan is sent, with an error
+/// naming both versions.
+#[test]
+fn a_v15_site_is_refused_at_the_handshake() {
+    let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let site = std::thread::spawn(move || {
+        let s = listener.accept(&TcpConfig::default()).unwrap();
+        assert_eq!(s.recv().unwrap().tag, protocol::TAG_CATALOG_REQ);
+        let mut reply = protocol::catalog(&[]);
+        reply.payload[..4].copy_from_slice(&15u32.to_le_bytes());
+        s.send(reply).unwrap();
+        // Nothing follows the refused handshake: no plan arrives.
+        assert!(s.recv().map_or(true, |m| m.tag != protocol::TAG_PLAN));
+    });
+    let built = Skalla::builder().remote(&[addr], TcpConfig::default()).build();
+    let err = built.err().map(|e| e.to_string()).unwrap_or_default();
+    assert!(err.contains("site speaks v15, this coordinator v16"), "{err:?}");
+    site.join().unwrap();
+}
+
+/// A v15 coordinator is refused by a v16 site at the handshake: the site
+/// answers with a `TAG_ERROR` naming both versions and ends the session.
+#[test]
+fn a_v15_coordinator_is_refused_at_the_handshake() {
+    let part = &fig2_partitions()[0];
+    let catalog = HashMap::from([("tpcr".to_string(), Arc::new(part.relation.clone()))]);
+    let domains = HashMap::from([("tpcr".to_string(), part.domains.clone())]);
+    let server = SiteServer::bind("127.0.0.1:0", catalog, domains, TcpConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let session = std::thread::spawn(move || server.serve_once().map_err(|e| e.to_string()));
+    let coord = TcpCoordinator::connect(&[addr], &TcpConfig::default()).unwrap();
+    coord.send(0, Message::new(protocol::TAG_CATALOG_REQ, 15u32.to_le_bytes().to_vec())).unwrap();
+    let (_, reply) = coord.recv(Duration::from_secs(10)).unwrap();
+    assert_eq!(reply.tag, protocol::TAG_ERROR);
+    let want = "unsupported protocol version v15 (this site speaks v16)";
+    assert!(protocol::decode_error(&reply.payload).contains(want));
+    let ended = session.join().unwrap().unwrap_err();
+    assert!(ended.contains(want), "{ended}");
 }

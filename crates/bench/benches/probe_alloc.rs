@@ -42,10 +42,10 @@
 //! leaf more than 2 sites' answers, so nothing is allocated per absorbed
 //! row, per tree level or per leaf's held rows.
 //!
-//! Two decode legs read a bit-packed and a delta-coded (sorted) `Int`
-//! column of 2,000 and of 20,000 rows (`codec::decode_relation`): each
-//! must allocate equally often at both sizes, so unpacking allocates per
-//! column, never per value.
+//! Three decode legs read a bit-packed and a delta-coded (sorted) `Int`
+//! column and a bit-packed `Double` column of 2,000 and of 20,000 rows
+//! (`codec::decode_relation`): each must allocate equally often at both
+//! sizes, so unpacking allocates per column, never per value.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
@@ -301,8 +301,8 @@ fn main() {
 
     // The decode leg: one bit-packed `Int` column of 2,000 and of 20,000
     // rows (offsets of 7 bits) decodes with the same allocations: the
-    // packed run is copied once, zero-padded, and unpacked into the
-    // column's one vector.
+    // packed run is unpacked a block at a time, through buffers on the
+    // stack, into the column's one vector.
     let packed = |rows: i64| {
         let rel = Relation::new(
             Schema::of(&[("g", DataType::Int)]),
@@ -328,6 +328,20 @@ fn main() {
     let (delta_small, delta_large) = (delta(2_000), delta(20_000));
     assert!(delta_large.len() < 6_000, "the column is delta-coded: {} bytes", delta_large.len());
     let delta_decode_delta = measure_decode(&delta_large).abs_diff(measure_decode(&delta_small));
+    // The same for a `Double` column packed on its bits: prices a quarter
+    // apart, 1,000 to 1,024.75.
+    let prices = |rows: i64| {
+        let rel = Relation::new(
+            Schema::of(&[("x", DataType::Double)]),
+            (0..rows).map(|i| Row::new(vec![(1_000.0 + (i % 100) as f64 * 0.25).into()])).collect(),
+        )
+        .unwrap();
+        encode_relation(&rel)
+    };
+    let (prices_small, prices_large) = (prices(2_000), prices(20_000));
+    assert!(prices_large.len() < 8 * 20_000, "the column is packed: {} bytes", prices_large.len());
+    let double_decode_delta = measure_decode(&prices_large).abs_diff(measure_decode(&prices_small));
+    let decode_allocs = [&packed_large, &delta_large, &prices_large].map(|b| measure_decode(b));
 
     // The site-answer leg: B of `n` groups (every tenth one matching no
     // detail row) against one detail of LARGE groups.
@@ -464,6 +478,8 @@ fn main() {
     println!("  merge 6 vs 2 sites  (delta per leg: positional, Prop 1, folded, resident): {merge_deltas:?}");
     println!("  packed decode 20,000 vs 2,000 rows (delta): {decode_delta}");
     println!("  delta-coded decode 20,000 vs 2,000 rows (delta): {delta_decode_delta}");
+    println!("  packed Double decode 20,000 vs 2,000 rows (delta): {double_decode_delta}");
+    println!("  decode allocations at 20,000 rows (packed, delta-coded, packed Double): {decode_allocs:?}");
     println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
     println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
     println!("  chain {extra_groups} more groups (delta):       {chain_delta}");
@@ -517,6 +533,11 @@ fn main() {
         delta_decode_delta == 0,
         "decoding a delta-coded column of 20,000 rows allocated {delta_decode_delta} times \
          more or fewer than one of 2,000 — summing the gaps regressed to per-value allocation"
+    );
+    assert!(
+        double_decode_delta == 0,
+        "decoding a packed Double column of 20,000 rows allocated {double_decode_delta} times \
+         more or fewer than one of 2,000 — unpacking its bits regressed to per-value allocation"
     );
     assert!(
         answer_delta <= 16,

@@ -10,8 +10,9 @@
 //! With no figure named, all four run. `--quick` uses smaller data.
 //! Every point runs on in-process sites whose links are shaped to the
 //! paper's LAN ([`skalla_net::Link::lan`]); each of its times is the
-//! median of `--repeats` runs (default 3) of measured time — traffic is
-//! deterministic, time is not.
+//! median of `--repeats` runs (default 3) of measured time, and a wall
+//! time cell prints the least and greatest run beside it,
+//! `median (min–max)` — traffic is deterministic, time is not.
 
 use skalla_bench::harness::*;
 use skalla_bench::workloads::*;
@@ -75,7 +76,7 @@ enum Table {
 
 const TIME: Table = Table::Metric(
     "query evaluation time (measured wall, emulated LAN)",
-    |m| fmt_secs(m.wall_s),
+    |m| fmt_spread(m.wall_s, m.wall_range_s),
 );
 const BYTES: Table = Table::Metric("data transferred", |m| fmt_bytes(m.bytes));
 const BYTES_ROUNDS: Table = Table::Metric("data transferred / rounds", |m| {
@@ -100,7 +101,7 @@ impl Table {
                         fmt_secs(m.site_s),
                         fmt_secs(m.coord_s),
                         fmt_secs(m.wall_s - m.site_s - m.coord_s),
-                        fmt_secs(m.wall_s)
+                        fmt_spread(m.wall_s, m.wall_range_s)
                     );
                 }
             }

@@ -10,6 +10,8 @@ use skalla_gmdj::GmdjExpr;
 pub struct Measurement {
     /// Wall time of the query, seconds.
     pub wall_s: f64,
+    /// The least and the greatest wall time of the runs, seconds.
+    pub wall_range_s: (f64, f64),
     /// Per round, the slowest site's busy time, summed (seconds).
     pub site_s: f64,
     /// Coordinator seconds outside waits, over all rounds.
@@ -23,8 +25,9 @@ pub struct Measurement {
 }
 
 /// Plan, then execute `repeats` times. Each timing is its own median
-/// over the runs, so one noisy run moves none of them; traffic is
-/// deterministic, the same in every run.
+/// over the runs, so one noisy run moves none of them, and the wall
+/// time's least and greatest run are kept beside it to show its spread;
+/// traffic is deterministic, the same in every run.
 pub fn run_median(engine: &Skalla, expr: &GmdjExpr, flags: OptFlags, repeats: usize) -> Measurement {
     let plan = Planner::new(engine.distribution()).optimize(expr, flags);
     let runs: Vec<ExecStats> = (0..repeats.max(1))
@@ -39,8 +42,10 @@ pub fn run_median(engine: &Skalla, expr: &GmdjExpr, flags: OptFlags, repeats: us
         ts[ts.len() / 2]
     };
     let first = &runs[0];
+    let walls = runs.iter().map(|s| s.wall_s);
     Measurement {
         wall_s: median(|s| s.wall_s),
+        wall_range_s: (walls.clone().fold(f64::INFINITY, f64::min), walls.fold(0.0, f64::max)),
         site_s: median(|s| s.stages.iter().map(StageTimes::busy_max_s).sum()),
         coord_s: median(|s| s.stages.iter().map(|st| st.coord_s).sum()),
         bytes: first.total_bytes(),
@@ -205,6 +210,14 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// Pretty-print a median time with the least and the greatest of its
+/// runs, all in the median's unit: `27.9 (14.8–29.0) ms`.
+pub fn fmt_spread(median: f64, (least, greatest): (f64, f64)) -> String {
+    let (scale, digits, unit) = if median >= 1.0 { (1.0, 2, "s") } else { (1e3, 1, "ms") };
+    let [m, lo, hi] = [median, least, greatest].map(|s| s * scale);
+    format!("{m:.digits$} ({lo:.digits$}–{hi:.digits$}) {unit}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,5 +275,7 @@ mod tests {
         assert_eq!(fmt_bytes(12_000_000), "12.0 MB");
         assert_eq!(fmt_secs(2.5), "2.50 s");
         assert_eq!(fmt_secs(0.0123), "12.3 ms");
+        assert_eq!(fmt_spread(0.0279, (0.0148, 0.029)), "27.9 (14.8–29.0) ms");
+        assert_eq!(fmt_spread(1.5, (1.25, 2.0)), "1.50 (1.25–2.00) s");
     }
 }

@@ -88,7 +88,13 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   in one `RESULT`, whose flag byte keeps only bit 1 (a survivor set
 ///   follows), and the [`TAG_PLAN`] payload loses its chunk flag. A v15
 ///   peer would misread every plan.
-pub const PROTOCOL_VERSION: u32 = 16;
+/// * **v17** — v16 frames; a `Double` column of any relation body may be
+///   encoding byte 8, its values' IEEE bits read as `i64`s and packed as
+///   byte 6 packs an `Int` column, whenever that is smaller than its
+///   8-byte run; and a packed or delta-coded column (bytes 6, 7 and 8) in
+///   a form the encoder would not write is refused. A v16 peer would
+///   refuse the encoding byte.
+pub const PROTOCOL_VERSION: u32 = 17;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one
@@ -833,10 +839,11 @@ mod tests {
         // A reply from a site speaking a different version — v7, the
         // last one with plan notes on the wire, v8, the last one that
         // answered QUERY_DONE and advertised row counts, v9, the last
-        // one with row-encoded relations, and v15, the last one with row
-        // blocking, included — is rejected with a diagnostic naming both.
+        // one with row-encoded relations, v15, the last one with row
+        // blocking, and v16, the last one with raw `Double` runs only,
+        // included — is rejected with a diagnostic naming both.
         let m = catalog(&[]);
-        for other in [7, 8, 9, 15, 99] {
+        for other in [7, 8, 9, 15, 16, 99] {
             let mut tampered = m.payload.clone();
             tampered[0] = other;
             let err = decode_catalog(&tampered).unwrap_err().to_string();

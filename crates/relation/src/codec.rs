@@ -13,29 +13,43 @@
 //! rows' values in row order:
 //!
 //! * `Double`: one contiguous run of 8-byte words (exact bits, so `-0.0`
-//!   and `NaN` payloads survive);
+//!   and `NaN` payloads survive), or — whichever is smaller, raw on a
+//!   tie — encoding byte 8: each value's IEEE bits read as an `i64`,
+//!   packed exactly as byte 6 packs an `Int` column. It is lossless (NaN
+//!   payloads, `-0.0`, infinities and subnormals survive); a column
+//!   mixing signs spans about 2⁶⁴ and stays raw;
 //! * `Int`: the same raw run, or — whichever is smaller, raw on a tie —
-//!   frame-of-reference bit-packed: the values' minimum as an 8-byte
-//!   word, one width byte `w` in `1..=64`, then each value's offset from
-//!   the minimum in `w` bits, LSB-first, the last byte's unused bits
-//!   clear. `w` is the offsets' bit length, but at least 1, so an
-//!   all-equal column still takes a bit per row. The decoder refuses a
-//!   width out of range, a short run, set padding bits, and an offset
-//!   that carries the minimum past `i64`, so no value wraps into another;
-//!   it does not insist on the encoder's choices (the least width, a
-//!   minimum some row holds, packed only when smaller), which keep the
-//!   encoder's own frames byte-deterministic;
+//!   frame-of-reference bit-packed (encoding byte 6): the values' minimum
+//!   as an 8-byte word, one width byte `w` in `1..=64`, then each value's
+//!   offset from the minimum in `w` bits, LSB-first, the last byte's
+//!   unused bits clear. `w` is the offsets' bit length, but at least 1,
+//!   so an all-equal column still takes a bit per row;
 //! * `Int` with no `NULL` whose values never decrease (a sorted key):
 //!   also delta-coded (encoding byte 7) when that is strictly smaller
 //!   than both of the above — the first value as an 8-byte word, then the
 //!   gaps between neighbours packed as byte 6 packs values (the gaps'
-//!   minimum, a width byte, each gap's offset from that minimum). The
-//!   decoder refuses it with a validity bitmap, a short run, set padding
-//!   bits, and a gap or a running sum past `i64` (Lemire & Boytsov, SPE
-//!   2015; Abadi et al., SIGMOD 2006);
+//!   minimum, a width byte, each gap's offset from that minimum) (Lemire
+//!   & Boytsov, SPE 2015; Abadi et al., SIGMOD 2006);
 //! * `Str`: a dictionary (its length, then each string length-prefixed)
 //!   and one code per row, 1, 2 or 4 bytes wide as the dictionary needs —
 //!   or the strings themselves, length-prefixed, whichever is smaller.
+//!
+//! 64 offsets of `w` bits fill exactly `w` 64-bit words, so a packed run
+//! is a chain of `w`-word blocks, the last one cut short. One routine per
+//! width, its shifts constant, packs or unpacks a whole block; the last
+//! block goes through a zero-padded copy.
+//!
+//! The packed forms (bytes 6, 7 and 8) are canonical: the decoder refuses
+//! any form the encoder would not write, so every such column it accepts
+//! re-encodes byte for byte. Beyond a width outside `1..=64`, a short
+//! run, set padding bits and a value (or, delta-coded, a gap or running
+//! sum) carried past `i64`, it refuses a width wider than the largest
+//! offset needs, a minimum that no value holds (no offset is 0), a packed
+//! column whose rows are all `NULL`, a form not smaller than the raw run,
+//! a byte 6 column that delta coding makes strictly smaller, a byte 7
+//! column not strictly smaller than both raw and byte 6, and byte 7 with
+//! a validity bitmap. The raw and `Str` forms are not held to the
+//! encoder's choice.
 //!
 //! A column is of its field's type, so its encoding byte is too: the
 //! decoder refuses a column encoded as another type than its field
@@ -68,6 +82,8 @@ const COL_STR_PLAIN: u8 = 4;
 const COL_INT_PACKED: u8 = 6;
 /// A delta-coded `Int` column: no `NULL`, values never decreasing.
 const COL_INT_DELTA: u8 = 7;
+/// A bit-packed `Double` column: its values' IEEE bits as `i64`s.
+const COL_DOUBLE_PACKED: u8 = 8;
 /// Or-ed into a column's encoding byte: a validity bitmap follows.
 const COL_NULLS: u8 = 0x80;
 
@@ -178,15 +194,15 @@ impl Encoder {
 
     /// Write a relation body: the row count `len`, then each of `cols`
     /// (`len` rows each) in the layout the module docs give. The body's
-    /// exact size is reserved up front, with the slack a packed run is
-    /// written through, so the caller need not size the encoder for it.
+    /// exact size is reserved up front, so the caller need not size the
+    /// encoder for it.
     pub fn put_columns(&mut self, len: usize, cols: &[&Column]) {
         self.put_u32(len as u32);
         if len == 0 {
             return;
         }
         let forms: Vec<_> = cols.iter().map(|c| column_form(c)).collect();
-        self.buf.reserve(forms.iter().map(|f| f.1).sum::<usize>() + 16);
+        self.buf.reserve(forms.iter().map(|f| f.1).sum::<usize>());
         for (col, form) in cols.iter().zip(forms) {
             self.put_column(col, form);
         }
@@ -199,37 +215,33 @@ impl Encoder {
             self.buf.extend(b.to_le_bytes());
         }
         let rows = || (0..col.len()).filter(|&i| valid.is_none_or(|b| b.get(i)));
-        match col {
-            Column::Int { data, .. } if let Some(Packing { min, width }) = packing => {
-                if enc == COL_INT_DELTA {
-                    // The first value, then the gaps packed from their minimum.
-                    self.put_i64(data[0]);
-                }
+        match (col, packing) {
+            (Column::Int { data, .. }, Some(Packing { min, width })) if enc == COL_INT_DELTA => {
+                // The first value, then the gaps packed from their minimum.
+                self.put_i64(data[0]);
                 self.put_i64(min);
                 self.put_u8(width as u8);
-                let offset = |v: i64| v.wrapping_sub(min) as u64;
-                match valid {
-                    _ if enc == COL_INT_DELTA => {
-                        let gaps = data.windows(2).map(|w| offset(w[1].wrapping_sub(w[0])));
-                        self.put_packed(gaps, data.len() - 1, width)
+                self.put_packed(data.len() - 1, width, |first, block| {
+                    for (off, w) in block.iter_mut().zip(data[first..].windows(2)) {
+                        *off = w[1].wrapping_sub(w[0]).wrapping_sub(min) as u64;
                     }
-                    None => self.put_packed(data.iter().map(|&v| offset(v)), data.len(), width),
-                    Some(b) => self.put_packed(rows().map(|i| offset(data[i])), b.count_ones(), width),
-                }
+                })
             }
-            Column::Int { data, .. } if valid.is_none() => self.put_words(data, i64::to_le_bytes),
-            Column::Double { data, .. } if valid.is_none() => self.put_words(data, f64::to_le_bytes),
-            Column::Int { data, .. } => {
+            (Column::Int { data, .. }, Some(p)) => self.put_packed_words(data, valid, |v| v, p),
+            (Column::Double { data, .. }, Some(p)) => self.put_packed_words(data, valid, f64_word, p),
+            (Column::Int { data, .. }, None) if valid.is_none() => self.put_words(data, i64::to_le_bytes),
+            (Column::Double { data, .. }, None) if valid.is_none() => self.put_words(data, f64::to_le_bytes),
+            (Column::Int { data, .. }, None) => {
                 for i in rows() {
                     self.put_i64(data[i]);
                 }
             }
-            Column::Double { data, .. } => {
+            (Column::Double { data, .. }, None) => {
                 for i in rows() {
                     self.put_f64(data[i]);
                 }
             }
-            Column::Str { codes, dict, .. } if enc & !COL_NULLS == COL_STR_DICT => {
+            (Column::Str { codes, dict, .. }, _) if enc & !COL_NULLS == COL_STR_DICT => {
                 self.put_u32(dict.len() as u32);
                 for s in dict {
                     self.put_str(s);
@@ -239,7 +251,7 @@ impl Encoder {
                     self.buf.extend_from_slice(&codes[i].to_le_bytes()[..width]);
                 }
             }
-            Column::Str { codes, dict, .. } => {
+            (Column::Str { codes, dict, .. }, _) => {
                 for i in rows() {
                     self.put_str(&dict[codes[i] as usize]);
                 }
@@ -257,32 +269,75 @@ impl Encoder {
         }
     }
 
-    /// Write `n` offsets, each below `2^width`, LSB-first in `width` bits
-    /// apiece: `(n * width).div_ceil(8)` bytes. Each offset is or-ed into
-    /// the one or two 64-bit words of the run its bits fall in, straight
-    /// in the buffer and with no branch; the zero bytes past the run that
-    /// the last word reaches (under 16) are cut off after.
-    fn put_packed(&mut self, offsets: impl Iterator<Item = u64>, n: usize, width: usize) {
-        let bits = n * width;
-        let start = self.buf.len();
-        self.buf.resize(start + 8 * (bits.div_ceil(64) + 1), 0);
-        let run = &mut self.buf[start..];
-        for (i, off) in offsets.enumerate() {
-            let (k, s) = (8 * (i * width / 64), i * width % 64);
-            let word = u64::from_le_bytes(le_word(&run[k..k + 8])) | off << s;
-            run[k..k + 8].copy_from_slice(&word.to_le_bytes());
-            // The bits past word k (none when s is 0: two shifts, as
-            // `off >> 64` would overflow). No earlier offset reaches the
-            // next word, so they are its first.
-            run[k + 8..k + 16].copy_from_slice(&(off >> 1 >> (63 - s)).to_le_bytes());
+    /// Write a packed column after its bitmap: the minimum, the width
+    /// byte, then each valid row's word's offset from the minimum.
+    fn put_packed_words<T: Copy>(
+        &mut self,
+        data: &[T],
+        valid: Option<&Bitmap>,
+        word: impl Fn(T) -> i64,
+        Packing { min, width }: Packing,
+    ) {
+        self.put_i64(min);
+        self.put_u8(width as u8);
+        let offset = |v: T| word(v).wrapping_sub(min) as u64;
+        match valid {
+            None => self.put_packed(data.len(), width, |first, block| {
+                for (off, &v) in block.iter_mut().zip(&data[first..]) {
+                    *off = offset(v);
+                }
+            }),
+            Some(b) => {
+                let mut offsets = valid_values(data, b).map(offset);
+                self.put_packed(b.count_ones(), width, |_, block| {
+                    for (off, v) in block.iter_mut().zip(&mut offsets) {
+                        *off = v;
+                    }
+                })
+            }
         }
-        self.buf.truncate(start + bits.div_ceil(8));
+    }
+
+    /// Write `n` offsets, each below `2^width`, LSB-first in `width` bits
+    /// apiece: `(n * width).div_ceil(8)` bytes. `fill(first, block)` sets
+    /// `block` to the offsets from the `first`-th on, 64 but for the last
+    /// block. The width's own routine packs each block of 64 straight into
+    /// its `width` words of the run, and the last block, zero-padded, into
+    /// a stack buffer whose bytes that hold its bits are copied after.
+    fn put_packed(&mut self, n: usize, width: usize, mut fill: impl FnMut(usize, &mut [u64])) {
+        let kernel = PACK[width - 1];
+        let mut block = [0u64; 64];
+        let start = self.buf.len();
+        self.buf.resize(start + (n * width).div_ceil(8), 0);
+        let (whole, rest) = self.buf[start..].split_at_mut(8 * width * (n / 64));
+        for (b, words) in whole.chunks_exact_mut(8 * width).enumerate() {
+            fill(64 * b, &mut block);
+            kernel(&block, words);
+        }
+        let tail = n % 64;
+        if tail > 0 {
+            fill(n - tail, &mut block[..tail]);
+            block[tail..].fill(0);
+            let mut padded = [0u8; 8 * 64];
+            kernel(&block, &mut padded);
+            rest.copy_from_slice(&padded[..rest.len()]);
+        }
     }
 }
 
 /// The validity bitmap a column writes: its own, when it marks a `NULL`.
 fn valid_bits(col: &Column) -> Option<&Bitmap> {
     col.validity().filter(|b| !b.all_set())
+}
+
+/// The values of `data`'s rows that `valid` marks, in row order.
+fn valid_values<'a, T: Copy>(data: &'a [T], valid: &'a Bitmap) -> impl Iterator<Item = T> + 'a {
+    (data.iter().enumerate()).filter(|&(i, _)| valid.get(i)).map(|(_, &v)| v)
+}
+
+/// The word a `Double` packs as: its IEEE bits read as an `i64`.
+fn f64_word(v: f64) -> i64 {
+    v.to_bits() as i64
 }
 
 /// Bytes per dictionary code for a dictionary of `n` strings.
@@ -294,9 +349,9 @@ fn code_width(n: usize) -> usize {
     }
 }
 
-/// A packed `Int` column's frame of reference: its non-`NULL` values'
-/// minimum, and the bits each offset from it takes — or, delta-coded, its
-/// gaps' minimum (the word's bits) and the bits each gap's offset takes.
+/// A packed column's frame of reference: its non-`NULL` words' minimum,
+/// and the bits each offset from it takes — or, delta-coded, its gaps'
+/// minimum (the word's bits) and the bits each gap's offset takes.
 #[derive(Debug, Clone, Copy)]
 struct Packing {
     min: i64,
@@ -324,18 +379,21 @@ impl Packing {
         (data.len() > 1).then(|| Packing { min: lo as i64, width: bit_width(hi - lo) })
     }
 
-    /// The packing of `data`'s rows that `valid` marks (every row when
-    /// `None`); `None` when there are none.
-    fn of(data: &[i64], valid: Option<&Bitmap>) -> Option<Packing> {
-        let span = |(lo, hi): (i64, i64), &v: &i64| (lo.min(v), hi.max(v));
-        let (min, max) = match valid {
-            None => data.iter().fold((i64::MAX, i64::MIN), span),
-            Some(b) => (data.iter().enumerate())
-                .filter(|&(i, _)| b.get(i))
-                .map(|(_, v)| v)
-                .fold((i64::MAX, i64::MIN), span),
-        };
+    /// The packing of `words`; `None` when there are none.
+    fn of(words: impl Iterator<Item = i64>) -> Option<Packing> {
+        let (min, max) = words.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
         (min <= max).then(|| Packing { min, width: bit_width(max.wrapping_sub(min) as u64) })
+    }
+
+    /// The packing of the words of `data`'s rows that `valid` marks
+    /// (every row when `None`), if that is smaller than their raw run.
+    fn smaller<T: Copy>(data: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> i64) -> Option<Packing> {
+        let packed = match valid {
+            None => Packing::of(data.iter().map(|&v| word(v))),
+            Some(b) => Packing::of(valid_values(data, b).map(word)),
+        };
+        let n_valid = valid.map_or(data.len(), Bitmap::count_ones);
+        packed.filter(|p| p.size(n_valid) < 8 * n_valid)
     }
 
     /// The packed body of `n` values: minimum, width byte and run.
@@ -346,10 +404,10 @@ impl Packing {
 
 /// How a non-empty column is written: its encoding byte, its size in
 /// bytes with that byte, and the frame of reference of a packed or
-/// delta-coded `Int` column. An `Int` column is packed only when that is
-/// smaller than its raw run, and delta-coded only when that is smaller
-/// still; a `Str` column takes the smaller of dictionary and plain
-/// strings.
+/// delta-coded column. An `Int` or `Double` column is packed only when
+/// that is smaller than its raw run, and an `Int` column delta-coded only
+/// when that is smaller still; a `Str` column takes the smaller of
+/// dictionary and plain strings.
 fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
     let n = col.len();
     let valid = valid_bits(col);
@@ -361,7 +419,7 @@ fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
     let raw = 8 * n_valid;
     match col {
         Column::Int { data, .. } => {
-            let packed = Packing::of(data, valid).filter(|p| p.size(n_valid) < raw);
+            let packed = Packing::smaller(data, valid, |v| v);
             let best = packed.map_or(raw, |p| p.size(n_valid));
             let delta = valid.is_none().then(|| Packing::of_gaps(data)).flatten();
             match (delta.filter(|d| 8 + d.size(n - 1) < best), packed) {
@@ -370,7 +428,10 @@ fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
                 (None, None) => (COL_INT | nulls, 1 + bitmap + raw, None),
             }
         }
-        Column::Double { .. } => (COL_DOUBLE | nulls, 1 + bitmap + raw, None),
+        Column::Double { data, .. } => match Packing::smaller(data, valid, f64_word) {
+            Some(p) => (COL_DOUBLE_PACKED | nulls, 1 + bitmap + p.size(n_valid), Some(p)),
+            None => (COL_DOUBLE | nulls, 1 + bitmap + raw, None),
+        },
         Column::Str { codes, dict, .. } => {
             let in_dict = 4
                 + dict.iter().map(|s| 4 + s.len()).sum::<usize>()
@@ -526,7 +587,7 @@ impl<'a> Decoder<'a> {
         let enc = self.get_u8()?;
         let ty = match enc & !COL_NULLS {
             COL_INT | COL_INT_PACKED | COL_INT_DELTA => DataType::Int,
-            COL_DOUBLE => DataType::Double,
+            COL_DOUBLE | COL_DOUBLE_PACKED => DataType::Double,
             COL_STR_DICT | COL_STR_PLAIN => DataType::Str,
             _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
         };
@@ -556,7 +617,14 @@ impl<'a> Decoder<'a> {
                 Column::Int { data, valid }
             }
             COL_INT_PACKED => {
-                let data = self.get_packed(n, valid.as_ref(), n_valid)?;
+                let start = self.pos;
+                let data = self.get_packed(n, valid.as_ref(), n_valid, |w| w)?;
+                // The encoder delta-codes a sorted column with no NULL
+                // wherever that is strictly smaller.
+                let delta = valid.is_none().then(|| Packing::of_gaps(&data)).flatten();
+                if delta.is_some_and(|d| 8 + d.size(n - 1) < self.pos - start) {
+                    return Err(Error::Codec("a packed column that delta coding makes smaller".into()));
+                }
                 Column::Int { data, valid }
             }
             COL_INT_DELTA => Column::Int {
@@ -566,6 +634,10 @@ impl<'a> Decoder<'a> {
             COL_DOUBLE => {
                 let run = self.take(8 * n_valid)?.chunks_exact(8);
                 let data = scatter(run.map(le_word).map(f64::from_le_bytes), n, valid.as_ref());
+                Column::Double { data, valid }
+            }
+            COL_DOUBLE_PACKED => {
+                let data = self.get_packed(n, valid.as_ref(), n_valid, |w| f64::from_bits(w as u64))?;
                 Column::Double { data, valid }
             }
             COL_STR_DICT => {
@@ -624,54 +696,75 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Read a packed run (minimum, width byte, offsets; see the module
-    /// docs) of the `n_valid` rows `valid` marks among `n`. Each offset is
-    /// read from the 16-byte window its bits start in, with no branch; a
-    /// value past `i64` is flagged as it goes and refused once the run is
-    /// read.
-    fn get_packed(&mut self, n: usize, valid: Option<&Bitmap>, n_valid: usize) -> Result<Vec<i64>> {
-        let min = self.get_i64()?;
-        let run = self.get_offsets(n_valid)?;
-        let mut overflow = false;
-        let vals = (0..n_valid).map(|i| {
-            let (v, over) = min.overflowing_add_unsigned(run.offset(i));
-            overflow |= over;
-            v
-        });
-        let data = scatter(vals, n, valid);
-        match overflow {
-            true => Err(Error::Codec(format!("packed offset carries {min} past i64"))),
-            false => Ok(data),
+    /// Read a packed column's body after its bitmap (minimum, width byte,
+    /// offsets; see the module docs): the `n_valid` rows `valid` marks
+    /// among `n`, each row's value `of` its word. The run is unpacked a
+    /// block at a time, and a word past `i64` or a form the encoder would
+    /// not write is refused once the run is read.
+    fn get_packed<T: Copy + Default>(
+        &mut self,
+        n: usize,
+        valid: Option<&Bitmap>,
+        n_valid: usize,
+        of: impl Fn(i64) -> T,
+    ) -> Result<Vec<T>> {
+        if n_valid == 0 {
+            return Err(Error::Codec("a packed column of NULLs only".into()));
         }
+        let min = self.get_i64()?;
+        let (run, width) = self.get_run(n_valid)?;
+        let mut data = Vec::with_capacity(n);
+        let span = unpack(run, n_valid, width, |block| {
+            data.extend(block.iter().map(|&off| of(min.wrapping_add_unsigned(off))))
+        });
+        if span.exceeds(i64::MAX.wrapping_sub(min) as u64, run, n_valid, width) {
+            return Err(Error::Codec(format!("packed offset carries {min} past i64")));
+        }
+        span.canonical(width)?;
+        if 9 + run.len() >= 8 * n_valid {
+            return Err(Error::Codec(format!(
+                "a packed column of {n_valid} values not smaller than its raw run"
+            )));
+        }
+        Ok(spread(data, n, valid))
     }
 
     /// Read a delta-coded run of `n` values (first value, gaps' minimum,
     /// width byte, the `n - 1` gaps' offsets; see the module docs), each
     /// value its predecessor plus its gap. A gap or a running sum past
-    /// `i64` is flagged as it goes and refused once the run is read.
+    /// `i64`, or a form the encoder would not write, is refused once the
+    /// run is read.
     fn get_delta(&mut self, n: usize) -> Result<Vec<i64>> {
         let first = self.get_i64()?;
         let min = self.get_i64()? as u64;
-        let run = self.get_offsets(n - 1)?;
+        let (run, width) = self.get_run(n - 1)?;
         let mut data = Vec::with_capacity(n);
         data.push(first);
-        let (mut prev, mut overflow) = (first, false);
-        for i in 0..n - 1 {
-            let (gap, over_gap) = min.overflowing_add(run.offset(i));
-            let (v, over_sum) = prev.overflowing_add_unsigned(gap);
-            overflow |= over_gap | over_sum;
-            prev = v;
-            data.push(v);
+        let (mut last, mut overflow) = (first, false);
+        let span = unpack(run, n - 1, width, |block| {
+            for &off in block {
+                let (v, over) = last.overflowing_add_unsigned(min.wrapping_add(off));
+                overflow |= over;
+                last = v;
+                data.push(v);
+            }
+        });
+        if overflow || span.exceeds(u64::MAX - min, run, n - 1, width) {
+            return Err(Error::Codec(format!("delta gaps carry {first} past i64")));
         }
-        match overflow {
-            true => Err(Error::Codec(format!("delta gaps carry {first} past i64"))),
-            false => Ok(data),
+        span.canonical(width)?;
+        let packed = Packing { min: first, width: bit_width(last.wrapping_sub(first) as u64) };
+        if 8 + 9 + run.len() >= packed.size(n).min(8 * n) {
+            return Err(Error::Codec(
+                "a delta-coded column not smaller than both its packed and its raw run".into(),
+            ));
         }
+        Ok(data)
     }
 
     /// Read a width byte and a run of `n` offsets in that many bits each,
     /// refusing a width out of range, a short run and set padding bits.
-    fn get_offsets(&mut self, n: usize) -> Result<Offsets> {
+    fn get_run(&mut self, n: usize) -> Result<(&'a [u8], usize)> {
         let width = self.get_u8()? as usize;
         if !(1..=64).contains(&width) {
             return Err(Error::Codec(format!("packed width {width} outside 1..=64")));
@@ -683,11 +776,7 @@ impl<'a> Decoder<'a> {
         if run.last().is_some_and(|&b| u16::from(b) >> (8 - pad) != 0) {
             return Err(Error::Codec("packed run sets bits past its last value".into()));
         }
-        // Zero-padded, so that the last offset's window is whole.
-        let mut padded = Vec::with_capacity(run.len() + 16);
-        padded.extend_from_slice(run);
-        padded.resize(run.len() + 16, 0);
-        Ok(Offsets { padded, width, mask: u64::MAX >> (64 - width) })
+        Ok((run, width))
     }
 
     /// Read a relation: its schema and its body, the decoded columns its
@@ -699,24 +788,151 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// A packed run as read: its bytes, zero-padded by 16, and its width.
-struct Offsets {
-    padded: Vec<u8>,
-    width: usize,
-    mask: u64,
+/// What the decoder needs to know of a packed run's offsets, folded as
+/// they are unpacked: all of their bits or-ed, and whether one is 0.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    bits: u64,
+    zero: bool,
 }
 
-impl Offsets {
-    /// Offset `i`, read from the 16-byte window its bits start in, with no
-    /// branch.
-    #[inline]
-    fn offset(&self, i: usize) -> u64 {
-        let (byte, s) = (i * self.width / 8, i * self.width % 8);
-        let mut window = [0u8; 16];
-        window.copy_from_slice(&self.padded[byte..byte + 16]);
-        (u128::from_le_bytes(window) >> s) as u64 & self.mask
+impl Span {
+    /// Refuse a run the encoder would not have written: its minimum is one
+    /// of its values (an offset is 0), and its width the least that holds
+    /// every offset (the bit length of the greatest, which is that of all
+    /// their bits or-ed).
+    fn canonical(self, width: usize) -> Result<()> {
+        if !self.zero {
+            return Err(Error::Codec("packed minimum held by no value: no offset is 0".into()));
+        }
+        if width != bit_width(self.bits) {
+            return Err(Error::Codec(format!(
+                "packed width {width} where {} bits hold every offset",
+                bit_width(self.bits)
+            )));
+        }
+        Ok(())
+    }
+
+    /// Whether an offset is above `limit`. Only a run whose offsets' bits
+    /// reach past it can hold one, and only then is the greatest found,
+    /// unpacking `run` (`n` offsets of `width` bits) again.
+    fn exceeds(self, limit: u64, run: &[u8], n: usize, width: usize) -> bool {
+        if self.bits <= limit {
+            return false;
+        }
+        let mut greatest = 0;
+        unpack(run, n, width, |block| greatest = block.iter().fold(greatest, |g, &v| g.max(v)));
+        greatest > limit
     }
 }
+
+/// Unpack a run of `n` offsets of `width` bits (its length and padding
+/// checked) a block of 64 at a time, with the width's own routine, and
+/// hand each block in order to `sink`, the last one cut to its offsets,
+/// which are read through a zero-padded copy. Returns the offsets' [`Span`],
+/// folded over each block as it is unpacked.
+fn unpack(run: &[u8], n: usize, width: usize, mut sink: impl FnMut(&[u64])) -> Span {
+    let kernel = UNPACK[width - 1];
+    let mut block = [0u64; 64];
+    let (mut bits, mut nonzero) = (0, u64::MAX);
+    let (whole, rest) = run.split_at(8 * width * (n / 64));
+    for words in whole.chunks_exact(8 * width) {
+        let (b, z) = kernel(words, &mut block);
+        (bits, nonzero) = (bits | b, nonzero & z);
+        sink(&block);
+    }
+    let tail = n % 64;
+    if tail > 0 {
+        let mut padded = [0u8; 8 * 64];
+        padded[..rest.len()].copy_from_slice(rest);
+        kernel(&padded, &mut block);
+        let (b, z) = fold(&block[..tail]);
+        (bits, nonzero) = (bits | b, nonzero & z);
+        sink(&block[..tail]);
+    }
+    Span { bits, zero: nonzero >> 63 == 0 }
+}
+
+/// A block routine of one width `W`: unpack the first `W` little-endian
+/// words of a run into 64 offsets (and fold them, see [`Span`]), or pack
+/// 64 offsets into the first `W` words of a run.
+type Unpack = fn(&[u8], &mut [u64; 64]) -> (u64, u64);
+type Pack = fn(&[u64; 64], &mut [u8]);
+
+/// `$body` once for each lane `$i` of a block, `0..64`, written out, so
+/// that every shift and word index in it is a constant.
+macro_rules! each_lane {
+    ($i:ident => $body:block) => {
+        each_lane!(@ $i $body; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25
+            26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54
+            55 56 57 58 59 60 61 62 63)
+    };
+    (@ $i:ident $body:block; $($lane:literal)*) => {
+        $({
+            let $i: usize = $lane;
+            $body
+        })*
+    };
+}
+
+/// Unpack one block: 64 offsets of `W` bits from the first `W` words of
+/// `run`, LSB-first, into `out`, and [`fold`] them. Only an offset that
+/// straddles two words reads the second.
+fn unpack_block<const W: usize>(run: &[u8], out: &mut [u64; 64]) -> (u64, u64) {
+    let run = &run[..8 * W];
+    let word = |k: usize| u64::from_le_bytes(le_word(&run[8 * k..8 * k + 8]));
+    let mask = u64::MAX >> (64 - W);
+    each_lane!(i => {
+        let (k, s) = (i * W / 64, i * W % 64);
+        out[i] = match s + W > 64 {
+            true => (word(k) >> s | word(k + 1) << (64 - s)) & mask,
+            false => word(k) >> s & mask,
+        };
+    });
+    fold(out)
+}
+
+/// All of `offsets`' bits or-ed, and every offset or-ed with its
+/// negation and-ed: the latter's top bit is clear just when an offset is
+/// 0. Both fold with no compare, so the fold vectorizes.
+fn fold(offsets: &[u64]) -> (u64, u64) {
+    (offsets.iter()).fold((0, u64::MAX), |(bits, nonzero), &v| (bits | v, nonzero & (v | v.wrapping_neg())))
+}
+
+/// Pack one block: 64 offsets, each below `2^W`, into the first `W`
+/// words of `run`, LSB-first. Each word is gathered in a register and
+/// stored once, when the offset that ends it is in.
+fn pack_block<const W: usize>(offsets: &[u64; 64], run: &mut [u8]) {
+    let run = &mut run[..8 * W];
+    let mut word = 0;
+    each_lane!(i => {
+        let (k, s) = (i * W / 64, i * W % 64);
+        word |= offsets[i] << s;
+        if s + W >= 64 {
+            run[8 * k..8 * k + 8].copy_from_slice(&word.to_le_bytes());
+            // The offset's bits past word k (none when s is 0: two
+            // shifts, as `>> 64` would overflow).
+            word = offsets[i] >> 1 >> (63 - s);
+        }
+    });
+    // The last offset ends the last word: nothing carries past the block.
+    debug_assert_eq!(word, 0);
+}
+
+/// One routine per width `1..=64`, index `width - 1`.
+macro_rules! per_width {
+    ($kernel:ident) => {
+        per_width!($kernel; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27
+            28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56
+            57 58 59 60 61 62 63 64)
+    };
+    ($kernel:ident; $($w:literal)*) => {
+        [$($kernel::<$w>),*]
+    };
+}
+const UNPACK: [Unpack; 64] = per_width!(unpack_block);
+const PACK: [Pack; 64] = per_width!(pack_block);
 
 /// An 8-byte chunk as an array (`chunks_exact(8)` yields only those).
 fn le_word(c: &[u8]) -> [u8; 8] {
@@ -732,14 +948,31 @@ fn scatter<T: Copy + Default>(
     n: usize,
     valid: Option<&Bitmap>,
 ) -> Vec<T> {
+    let mut data = Vec::with_capacity(n);
+    data.extend(vals);
+    spread(data, n, valid)
+}
+
+/// `data`, the values of the rows `valid` marks in order, spread in place
+/// over `n` rows, a `NULL` row holding the default; as it is when `valid`
+/// is `None`. From the last row back, each value moves to its own row,
+/// never before its place in `data`.
+fn spread<T: Copy + Default>(mut data: Vec<T>, n: usize, valid: Option<&Bitmap>) -> Vec<T> {
     let Some(valid) = valid else {
-        return vals.collect();
+        return data;
     };
-    let mut out = vec![T::default(); n];
-    for (slot, v) in (0..n).filter(|&i| valid.get(i)).zip(vals) {
-        out[slot] = v;
+    let mut next = data.len();
+    data.resize(n, T::default());
+    for i in (0..n).rev() {
+        data[i] = match valid.get(i) {
+            true => {
+                next -= 1;
+                data[next]
+            }
+            false => T::default(),
+        };
     }
-    out
+    data
 }
 
 const EXPR_COL: u8 = 0;
@@ -1022,6 +1255,21 @@ mod tests {
         assert_eq!(encode_relation(&steps)[schema_len(&steps)], COL_INT_DELTA);
         let ends = one_column(DataType::Int, (0..64).map(|i| Value::Int(if i < 32 { i64::MIN + i } else { i64::MAX - 64 + i })).collect());
         assert_eq!(encode_relation(&ends)[schema_len(&ends)], COL_INT);
+        // Offsets 0, 2 and 5 from i64::MAX - 5: their bits or-ed (7) pass
+        // the room left below i64::MAX (5), so the decoder looks for the
+        // greatest offset, which fits.
+        let near_max = one_column(DataType::Int, [5, 3, 0].map(|d| Value::Int(i64::MAX - d)).to_vec());
+        assert_eq!(encode_relation(&near_max)[schema_len(&near_max)], COL_INT_PACKED);
+        // Doubles pack on their IEEE bits: eight equal ones in a bit each
+        // (encoding byte, the bits as the minimum, the width, one byte)...
+        let halves = one_column(DataType::Double, vec![2.5.into(); 8]);
+        assert_eq!(
+            &encode_relation(&halves)[schema_len(&halves)..],
+            [[COL_DOUBLE_PACKED].as_slice(), &2.5f64.to_bits().to_le_bytes(), &[1, 0]].concat()
+        );
+        // ...but a column that mixes signs spans about 2^64 and goes raw.
+        let signs = one_column(DataType::Double, (0..40).map(|i| Value::Double(i as f64 - 20.5)).collect());
+        assert_eq!(encode_relation(&signs)[schema_len(&signs)], COL_DOUBLE);
         // A NULL adds the bitmap and drops its word.
         let nulls = one_column(
             DataType::Double,
@@ -1049,7 +1297,7 @@ mod tests {
             (1, 2, 4)
         );
         // Every one of them is no larger than tagged cells, and round-trips.
-        for r in [ints, wide, wide63, sorted, short, steps, ends, nulls, repeated, distinct] {
+        for r in [ints, wide, wide63, sorted, short, steps, ends, near_max, halves, signs, nulls, repeated, distinct] {
             let tagged: usize = r.iter().map(|row| row.get(0).encoded_size()).sum();
             assert!(encode_relation(&r).len() <= schema_len(&r) + tagged);
             assert_eq!(decode_relation(&encode_relation(&r)).unwrap(), r);
@@ -1072,6 +1320,14 @@ mod tests {
         let delta = |first: i64, min: i64, width: u8, run: &[u8]| {
             [[COL_INT_DELTA].as_slice(), &first.to_le_bytes(), &min.to_le_bytes(), &[width], run].concat()
         };
+        // A packed `Double` column: the minimum's bits, the width byte, the run.
+        let packed_f64 = |min: f64, width: u8, run: &[u8]| {
+            [[COL_DOUBLE_PACKED].as_slice(), &min.to_bits().to_le_bytes(), &[width], run].concat()
+        };
+        // 32 sorted values 700 + i + i / 4, packed in 6 bits each: delta
+        // coding takes 1 bit a gap, so the encoder delta-codes them.
+        let sorted_offsets: Vec<u64> = (0..32).map(|i| i + i / 4).collect();
+        let sorted_run = reference_pack(&sorted_offsets, 6);
         let cases: Vec<(&str, Vec<u8>, &str)> = vec![
             (
                 "unknown encoding",
@@ -1186,6 +1442,38 @@ mod tests {
             ("short delta run", raw(&int, 20, &delta(0, 0, 4, &[0; 4])), "unexpected end of input"),
             ("delta pad bits", raw(&int, 3, &delta(0, 0, 2, &[0b0001_0000])), "past its last value"),
             ("delta width 0", raw(&int, 3, &delta(0, 0, 0, &[0])), "packed width 0"),
+            // Canonical forms: whatever the encoder would not write.
+            ("packed wider than its offsets need", raw(&int, 2, &packed(0, 2, &[0b01_00])), "packed width 2 where 1 bits"),
+            ("packed minimum no row holds", raw(&int, 2, &packed(0, 1, &[0b11])), "held by no value"),
+            ("packed no smaller than raw", raw(&int, 1, &packed(5, 1, &[0])), "not smaller than its raw run"),
+            (
+                "packed column of NULLs only",
+                raw(&int, 2, &[[COL_INT_PACKED | COL_NULLS, 0].as_slice(), &packed(0, 1, &[])[1..]].concat()),
+                "packed column of NULLs only",
+            ),
+            (
+                "packed where delta coding is smaller",
+                raw(&int, 32, &packed(700, 6, &sorted_run)),
+                "delta coding makes smaller",
+            ),
+            ("delta wider than its gaps need", raw(&int, 3, &delta(0, 1, 2, &[0])), "packed width 2 where 1 bits"),
+            ("delta gap minimum no gap holds", raw(&int, 3, &delta(0, 1, 1, &[0b11])), "held by no value"),
+            ("delta no smaller than raw", raw(&int, 2, &delta(0, 1, 1, &[0])), "not smaller than both"),
+            ("delta no smaller than packed", raw(&int, 10, &delta(0, 1, 1, &[0, 0])), "not smaller than both"),
+            ("packed Double under an Int field", raw(&int, 8, &packed_f64(2.5, 1, &[0])), "encoded DOUBLE under INT"),
+            ("packed Double wider than needed", raw(&dbl, 8, &packed_f64(2.5, 2, &[0; 2])), "packed width 2 where 1 bits"),
+            ("packed Double minimum no row holds", raw(&dbl, 8, &packed_f64(2.5, 1, &[0xFF])), "held by no value"),
+            ("packed Double no smaller than raw", raw(&dbl, 1, &packed_f64(2.5, 1, &[0])), "not smaller than its raw run"),
+            (
+                "packed Double of NULLs only",
+                raw(&dbl, 2, &[[COL_DOUBLE_PACKED | COL_NULLS, 0].as_slice(), &packed_f64(2.5, 1, &[])[1..]].concat()),
+                "packed column of NULLs only",
+            ),
+            (
+                "packed Double past i64",
+                raw(&dbl, 8, &packed_f64(f64::from_bits(i64::MAX as u64), 1, &[0b10])),
+                "past i64",
+            ),
         ];
         for (what, bytes, want) in cases {
             let err = decode_relation(&bytes).expect_err(what).to_string();
@@ -1197,6 +1485,62 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("trailing"));
+    }
+
+    /// The scalar reference writer: each offset's bits set one at a time,
+    /// LSB-first, `width` bits apiece.
+    fn reference_pack(offsets: &[u64], width: usize) -> Vec<u8> {
+        let mut run = vec![0u8; (offsets.len() * width).div_ceil(8)];
+        for (i, &off) in offsets.iter().enumerate() {
+            for b in (0..width).filter(|&b| off >> b & 1 == 1) {
+                let bit = i * width + b;
+                run[bit / 8] |= 1 << (bit % 8);
+            }
+        }
+        run
+    }
+
+    /// The scalar reference reader: offset `i` gathered bit by bit.
+    fn reference_unpack(run: &[u8], n: usize, width: usize) -> Vec<u64> {
+        (0..n)
+            .map(|i| (0..width).fold(0, |v, b| v | u64::from(run[(i * width + b) / 8] >> ((i * width + b) % 8) & 1) << b))
+            .collect()
+    }
+
+    /// Every width's block routines against the bit-by-bit reference, at
+    /// lengths around the 64-offset block: the same bytes packed, the same
+    /// offsets unpacked, and the fold's bits and zero exact.
+    #[test]
+    fn block_kernels_match_a_bit_by_bit_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for width in 1..=64 {
+            let mask = u64::MAX >> (64 - width);
+            for n in [0, 1, 63, 64, 65, 127, 128, 129] {
+                let offsets: Vec<u64> = (0..n)
+                    .map(|i| match (i + width) % 7 {
+                        0 => mask,
+                        1 if n > 64 => 0,
+                        _ => {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state & mask).max(1)
+                        }
+                    })
+                    .collect();
+                let what = format!("width {width}, {n} offsets");
+                let want = reference_pack(&offsets, width);
+                let mut enc = Encoder::new();
+                enc.put_packed(n, width, |first, block| block.copy_from_slice(&offsets[first..first + block.len()]));
+                assert_eq!(enc.finish(), want, "{what}");
+                assert_eq!(reference_unpack(&want, n, width), offsets, "{what}");
+                let mut got = Vec::new();
+                let span = unpack(&want, n, width, |block| got.extend_from_slice(block));
+                assert_eq!(got, offsets, "{what}");
+                assert_eq!(span.bits, offsets.iter().fold(0, |a, &b| a | b), "{what}");
+                assert_eq!(span.zero, offsets.contains(&0), "{what}");
+            }
+        }
     }
 
     #[test]

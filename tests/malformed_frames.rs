@@ -109,9 +109,9 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     // A stage task whose fragment's columnar body is malformed: stage 1,
     // a fragment, the schema `(g ty)`, a row count, then the column as
     // given. Encoding bytes: 1 is an `Int` run, 2 a `Double` run, 3 a
-    // string dictionary, 4 plain strings, 6 a bit-packed `Int` run; 5 was
-    // the tagged cells of the mixed-type column, which protocol v11
-    // retired.
+    // string dictionary, 4 plain strings, 6 a bit-packed `Int` run, 7 a
+    // delta-coded one, 8 a bit-packed `Double` run; 5 was the tagged
+    // cells of the mixed-type column, which protocol v11 retired.
     let fragment = |ty: DataType, rows: u32, column: &[u8]| {
         let mut e = Encoder::new();
         e.put_u32(1);

@@ -321,32 +321,32 @@ fn handshake_preserves_distribution_knowledge() {
     }
 }
 
-/// A site one protocol version back — v15, the last with row blocking —
-/// is refused at the handshake, before any plan is sent, with an error
-/// naming both versions.
+/// A site one protocol version back — v16, the last whose `Double`
+/// columns travel raw only — is refused at the handshake, before any plan
+/// is sent, with an error naming both versions.
 #[test]
-fn a_v15_site_is_refused_at_the_handshake() {
+fn a_v16_site_is_refused_at_the_handshake() {
     let listener = TcpSiteListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let site = std::thread::spawn(move || {
         let s = listener.accept(&TcpConfig::default()).unwrap();
         assert_eq!(s.recv().unwrap().tag, protocol::TAG_CATALOG_REQ);
         let mut reply = protocol::catalog(&[]);
-        reply.payload[..4].copy_from_slice(&15u32.to_le_bytes());
+        reply.payload[..4].copy_from_slice(&16u32.to_le_bytes());
         s.send(reply).unwrap();
         // Nothing follows the refused handshake: no plan arrives.
         assert!(s.recv().map_or(true, |m| m.tag != protocol::TAG_PLAN));
     });
     let built = Skalla::builder().remote(&[addr], TcpConfig::default()).build();
     let err = built.err().map(|e| e.to_string()).unwrap_or_default();
-    assert!(err.contains("site speaks v15, this coordinator v16"), "{err:?}");
+    assert!(err.contains("site speaks v16, this coordinator v17"), "{err:?}");
     site.join().unwrap();
 }
 
-/// A v15 coordinator is refused by a v16 site at the handshake: the site
+/// A v16 coordinator is refused by a v17 site at the handshake: the site
 /// answers with a `TAG_ERROR` naming both versions and ends the session.
 #[test]
-fn a_v15_coordinator_is_refused_at_the_handshake() {
+fn a_v16_coordinator_is_refused_at_the_handshake() {
     let part = &fig2_partitions()[0];
     let catalog = HashMap::from([("tpcr".to_string(), Arc::new(part.relation.clone()))]);
     let domains = HashMap::from([("tpcr".to_string(), part.domains.clone())]);
@@ -354,10 +354,10 @@ fn a_v15_coordinator_is_refused_at_the_handshake() {
     let addr = server.local_addr().unwrap().to_string();
     let session = std::thread::spawn(move || server.serve_once().map_err(|e| e.to_string()));
     let coord = TcpCoordinator::connect(&[addr], &TcpConfig::default()).unwrap();
-    coord.send(0, Message::new(protocol::TAG_CATALOG_REQ, 15u32.to_le_bytes().to_vec())).unwrap();
+    coord.send(0, Message::new(protocol::TAG_CATALOG_REQ, 16u32.to_le_bytes().to_vec())).unwrap();
     let (_, reply) = coord.recv(Duration::from_secs(10)).unwrap();
     assert_eq!(reply.tag, protocol::TAG_ERROR);
-    let want = "unsupported protocol version v15 (this site speaks v16)";
+    let want = "unsupported protocol version v16 (this site speaks v17)";
     assert!(protocol::decode_error(&reply.payload).contains(want));
     let ended = session.join().unwrap().unwrap_err();
     assert!(ended.contains(want), "{ended}");

@@ -42,10 +42,12 @@
 //! leaf more than 2 sites' answers, so nothing is allocated per absorbed
 //! row, per tree level or per leaf's held rows.
 //!
-//! Three decode legs read a bit-packed and a delta-coded (sorted) `Int`
-//! column and a bit-packed `Double` column of 2,000 and of 20,000 rows
-//! (`codec::decode_relation`): each must allocate equally often at both
-//! sizes, so unpacking allocates per column, never per value.
+//! Five decode legs read a bit-packed and a delta-coded (sorted) `Int`
+//! column, a bit-packed `Double` column, a `Double` column of mixed signs
+//! (its words as they are, width 64) and a 40-string dictionary column of
+//! 2,000 and of 20,000 rows (`codec::decode_relation`): each must allocate
+//! equally often at both sizes, so unpacking allocates per column, never
+//! per value.
 //!
 //! Two legs hold a merge unit's answer columnar end to end, each over
 //! 1,000 and then 11,000 groups (the same detail, all in one morsel): the
@@ -299,49 +301,32 @@ fn main() {
     let (merge_6, merge_2) = (measure_merge(6), measure_merge(2));
     let merge_deltas: [u64; 4] = std::array::from_fn(|leg| merge_6[leg].abs_diff(merge_2[leg]));
 
-    // The decode leg: one bit-packed `Int` column of 2,000 and of 20,000
-    // rows (offsets of 7 bits) decodes with the same allocations: the
-    // packed run is unpacked a block at a time, through buffers on the
-    // stack, into the column's one vector.
-    let packed = |rows: i64| {
-        let rel = Relation::new(
-            Schema::of(&[("g", DataType::Int)]),
-            (0..rows).map(|i| Row::new(vec![(1_000 + i % 100).into()])).collect(),
-        )
-        .unwrap();
-        encode_relation(&rel)
-    };
-    let (packed_small, packed_large) = (packed(2_000), packed(20_000));
-    assert!(packed_large.len() < 20_000, "the column is packed: {} bytes", packed_large.len());
+    // The decode legs: one column of 2,000 and of 20,000 rows decodes
+    // with the same allocations: its run is unpacked a block at a time,
+    // through buffers on the stack, into the column's one vector. Each
+    // leg names its column, its type, its cells and the bytes it must stay
+    // under or above, which show it takes the form meant: offsets of 7
+    // bits; a sorted key of gaps 1 to 3, whose running sum is the vector;
+    // prices a quarter apart, packed on their bits; signs mixed (about
+    // 2^64 apart), so the words go as they are through the width-64
+    // routine; and 40 strings, their codes in 6 bits each.
+    type Leg = (&'static str, DataType, fn(i64) -> Value, std::ops::Range<usize>);
+    let legs: [Leg; 5] = [
+        ("packed Int", DataType::Int, |i| (1_000 + i % 100).into(), 0..20_000),
+        ("delta-coded Int", DataType::Int, |i| (i * 2 + i % 3).into(), 0..6_000),
+        ("packed Double", DataType::Double, |i| (1_000.0 + (i % 100) as f64 * 0.25).into(), 0..8 * 20_000),
+        ("Double words", DataType::Double, |i| ((i % 100) as f64 - 49.5).into(), 8 * 20_000..usize::MAX),
+        ("dictionary", DataType::Str, |i| Value::str(format!("city-{}", i % 40)), 0..20_000),
+    ];
     let measure_decode = |bytes: &[u8]| allocs_during(|| drop(decode_relation(bytes).unwrap()));
-    let decode_delta = measure_decode(&packed_large).abs_diff(measure_decode(&packed_small));
-    // The same for a delta-coded column: a sorted key, gaps of 1 to 3
-    // (2 bits a row), whose running sum is the column's one vector.
-    let delta = |rows: i64| {
-        let rel = Relation::new(
-            Schema::of(&[("g", DataType::Int)]),
-            (0..rows).map(|i| Row::new(vec![(i * 2 + i % 3).into()])).collect(),
-        )
-        .unwrap();
-        encode_relation(&rel)
-    };
-    let (delta_small, delta_large) = (delta(2_000), delta(20_000));
-    assert!(delta_large.len() < 6_000, "the column is delta-coded: {} bytes", delta_large.len());
-    let delta_decode_delta = measure_decode(&delta_large).abs_diff(measure_decode(&delta_small));
-    // The same for a `Double` column packed on its bits: prices a quarter
-    // apart, 1,000 to 1,024.75.
-    let prices = |rows: i64| {
-        let rel = Relation::new(
-            Schema::of(&[("x", DataType::Double)]),
-            (0..rows).map(|i| Row::new(vec![(1_000.0 + (i % 100) as f64 * 0.25).into()])).collect(),
-        )
-        .unwrap();
-        encode_relation(&rel)
-    };
-    let (prices_small, prices_large) = (prices(2_000), prices(20_000));
-    assert!(prices_large.len() < 8 * 20_000, "the column is packed: {} bytes", prices_large.len());
-    let double_decode_delta = measure_decode(&prices_large).abs_diff(measure_decode(&prices_small));
-    let decode_allocs = [&packed_large, &delta_large, &prices_large].map(|b| measure_decode(b));
+    let decode_legs = legs.map(|(what, ty, cell, size)| {
+        let [small, large] = [2_000, 20_000].map(|rows| {
+            let rows = (0..rows).map(|i| Row::new(vec![cell(i)])).collect();
+            encode_relation(&Relation::new(Schema::of(&[("c", ty)]), rows).unwrap())
+        });
+        assert!(size.contains(&large.len()), "the {what} column takes {} bytes", large.len());
+        (what, measure_decode(&large).abs_diff(measure_decode(&small)), measure_decode(&large))
+    });
 
     // The site-answer leg: B of `n` groups (every tenth one matching no
     // detail row) against one detail of LARGE groups.
@@ -476,10 +461,9 @@ fn main() {
     println!("  duplicate keys allocation delta: {dup_delta}");
     println!("  cold columnar  allocation delta: {cold_delta}");
     println!("  merge 6 vs 2 sites  (delta per leg: positional, Prop 1, folded, resident): {merge_deltas:?}");
-    println!("  packed decode 20,000 vs 2,000 rows (delta): {decode_delta}");
-    println!("  delta-coded decode 20,000 vs 2,000 rows (delta): {delta_decode_delta}");
-    println!("  packed Double decode 20,000 vs 2,000 rows (delta): {double_decode_delta}");
-    println!("  decode allocations at 20,000 rows (packed, delta-coded, packed Double): {decode_allocs:?}");
+    for (what, delta, allocs) in decode_legs {
+        println!("  {what} decode 20,000 vs 2,000 rows (delta): {delta}; {allocs} allocations at 20,000");
+    }
     println!("  site answer {extra_groups} more groups (delta): {answer_delta}");
     println!("  finish {extra_groups} more groups (delta):      {finish_delta}");
     println!("  chain {extra_groups} more groups (delta):       {chain_delta}");
@@ -524,21 +508,13 @@ fn main() {
              per-row or per-level allocation"
         );
     }
-    assert!(
-        decode_delta == 0,
-        "decoding a packed column of 20,000 rows allocated {decode_delta} times more or \
-         fewer than one of 2,000 — unpacking regressed to per-value allocation"
-    );
-    assert!(
-        delta_decode_delta == 0,
-        "decoding a delta-coded column of 20,000 rows allocated {delta_decode_delta} times \
-         more or fewer than one of 2,000 — summing the gaps regressed to per-value allocation"
-    );
-    assert!(
-        double_decode_delta == 0,
-        "decoding a packed Double column of 20,000 rows allocated {double_decode_delta} times \
-         more or fewer than one of 2,000 — unpacking its bits regressed to per-value allocation"
-    );
+    for (what, delta, _) in decode_legs {
+        assert!(
+            delta == 0,
+            "decoding a {what} column of 20,000 rows allocated {delta} times more or fewer \
+             than one of 2,000 — unpacking it regressed to per-value allocation"
+        );
+    }
     assert!(
         answer_delta <= 16,
         "a site's answer over {extra_groups} more groups allocated {answer_delta} times \

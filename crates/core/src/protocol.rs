@@ -94,7 +94,15 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   8-byte run; and a packed or delta-coded column (bytes 6, 7 and 8) in
 ///   a form the encoder would not write is refused. A v16 peer would
 ///   refuse the encoding byte.
-pub const PROTOCOL_VERSION: u32 = 17;
+/// * **v18** — v17 frames with three column forms: numeric (encoding
+///   byte 1, an `Int` column or a `Double` one's bits: a width byte, the
+///   minimum below width 64, the offsets; at width 64 the words as they
+///   are), delta-coded as flag `0x40` on it, and a dictionary (byte 3,
+///   its codes packed in the bits of its greatest) or plain strings (byte
+///   4). Bytes 2, 6, 7 and 8 are retired, and a column in any form the
+///   encoder would not write is refused. A v17 peer would refuse every
+///   numeric column.
+pub const PROTOCOL_VERSION: u32 = 18;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one

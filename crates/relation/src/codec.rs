@@ -10,52 +10,49 @@
 //! ([`Column`]), each column on its own: one encoding byte, a validity
 //! bitmap (`rows.div_ceil(8)` bytes, bit `i` set for a non-`NULL` row
 //! `i`) only when the column holds a `NULL`, and then the non-`NULL`
-//! rows' values in row order:
+//! rows' values in row order, in one of three forms:
 //!
-//! * `Double`: one contiguous run of 8-byte words (exact bits, so `-0.0`
-//!   and `NaN` payloads survive), or — whichever is smaller, raw on a
-//!   tie — encoding byte 8: each value's IEEE bits read as an `i64`,
-//!   packed exactly as byte 6 packs an `Int` column. It is lossless (NaN
-//!   payloads, `-0.0`, infinities and subnormals survive); a column
-//!   mixing signs spans about 2⁶⁴ and stays raw;
-//! * `Int`: the same raw run, or — whichever is smaller, raw on a tie —
-//!   frame-of-reference bit-packed (encoding byte 6): the values' minimum
-//!   as an 8-byte word, one width byte `w` in `1..=64`, then each value's
-//!   offset from the minimum in `w` bits, LSB-first, the last byte's
-//!   unused bits clear. `w` is the offsets' bit length, but at least 1,
-//!   so an all-equal column still takes a bit per row;
-//! * `Int` with no `NULL` whose values never decrease (a sorted key):
-//!   also delta-coded (encoding byte 7) when that is strictly smaller
-//!   than both of the above — the first value as an 8-byte word, then the
-//!   gaps between neighbours packed as byte 6 packs values (the gaps'
-//!   minimum, a width byte, each gap's offset from that minimum) (Lemire
-//!   & Boytsov, SPE 2015; Abadi et al., SIGMOD 2006);
-//! * `Str`: a dictionary (its length, then each string length-prefixed)
-//!   and one code per row, 1, 2 or 4 bytes wide as the dictionary needs —
-//!   or the strings themselves, length-prefixed, whichever is smaller.
+//! * **numeric** (encoding byte 1), an `Int` or a `Double` column, a
+//!   `Double` as its IEEE bits read as an `i64` (so NaN payloads, `-0.0`,
+//!   infinities and subnormals survive): a width byte `w` in `1..=64`,
+//!   the values' minimum as an 8-byte word when `w < 64`, then each
+//!   value's offset from the minimum in `w` bits — frame-of-reference
+//!   packing (Lemire & Boytsov, SPE 2015). `w` is the bit length of the
+//!   values' span, but at least 1, raised to 64 exactly when the minimum
+//!   and the offsets would take no less room than 8 bytes a value; at 64
+//!   the words go as they are, with no minimum. A column with no value is
+//!   `w = 64` and nothing more. An `Int` column with no `NULL` whose
+//!   values never decrease (a sorted key) goes **delta-coded** instead
+//!   (flag `0x40` on byte 1) where that is strictly smaller: the first
+//!   value as an 8-byte word, then the gaps between neighbours in the
+//!   numeric form (Abadi et al., SIGMOD 2006);
+//! * **dictionary** (byte 3) or **plain** (byte 4), a `Str` column,
+//!   whichever is smaller, plain on a tie: the dictionary's length, its
+//!   strings, then each value's code in `max(1, bit length of k − 1)`
+//!   bits for a dictionary of `k`; or each value's string. A string is
+//!   length-prefixed. The dictionary is the column's own, in first
+//!   occurrence order with no unused entry ([`crate::ColumnBuilder`]'s
+//!   rule).
 //!
-//! 64 offsets of `w` bits fill exactly `w` 64-bit words, so a packed run
-//! is a chain of `w`-word blocks, the last one cut short. One routine per
-//! width, its shifts constant, packs or unpacks a whole block; the last
-//! block goes through a zero-padded copy.
+//! 64 offsets or codes of `w` bits fill exactly `w` 64-bit words, LSB
+//! first, so a run is a chain of `w`-word blocks, the last one cut short,
+//! its last byte's unused bits clear. One routine per width, its shifts
+//! constant, packs or unpacks a whole block; the last block goes through
+//! a zero-padded copy.
 //!
-//! The packed forms (bytes 6, 7 and 8) are canonical: the decoder refuses
-//! any form the encoder would not write, so every such column it accepts
-//! re-encodes byte for byte. Beyond a width outside `1..=64`, a short
-//! run, set padding bits and a value (or, delta-coded, a gap or running
-//! sum) carried past `i64`, it refuses a width wider than the largest
-//! offset needs, a minimum that no value holds (no offset is 0), a packed
-//! column whose rows are all `NULL`, a form not smaller than the raw run,
-//! a byte 6 column that delta coding makes strictly smaller, a byte 7
-//! column not strictly smaller than both raw and byte 6, and byte 7 with
-//! a validity bitmap. The raw and `Str` forms are not held to the
-//! encoder's choice.
+//! Every form is canonical: the decoder refuses a column the encoder
+//! would not write, so every column it accepts re-encodes byte for byte.
+//! Beyond short input, set padding bits and a value carried past `i64`,
+//! it refuses a width other than the data's (wider than the offsets need,
+//! over a minimum no value holds, below 64 where the words are no larger,
+//! 64 where they are larger), codes out of first-occurrence order or
+//! leaving an entry unused, the larger string form, delta coding that is
+//! not strictly smaller and its absence where it is, and a form its
+//! field's type cannot take.
 //!
-//! A column is of its field's type, so its encoding byte is too: the
-//! decoder refuses a column encoded as another type than its field
-//! declares. No column is written for an empty relation. A column's body
-//! is never larger than one tagged cell per row ([`Encoder::put_value`])
-//! would be, but for one byte in a one-row column holding `NULL`.
+//! No column is written for an empty relation. From three rows on, a
+//! column's body is never larger than one tagged cell per row
+//! ([`Encoder::put_value`]) would be.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
@@ -73,17 +70,13 @@ const TAG_INT: u8 = 1;
 const TAG_DOUBLE: u8 = 2;
 const TAG_STR: u8 = 3;
 
-/// Column encodings: the byte that leads each column of a relation body.
-const COL_INT: u8 = 1;
-const COL_DOUBLE: u8 = 2;
+/// Column encodings: the byte that leads each column of a relation body
+/// (2 and 5 to 8 were retired forms).
+const COL_NUMERIC: u8 = 1;
 const COL_STR_DICT: u8 = 3;
 const COL_STR_PLAIN: u8 = 4;
-/// A bit-packed `Int` column (5 was the retired tagged-cell column).
-const COL_INT_PACKED: u8 = 6;
-/// A delta-coded `Int` column: no `NULL`, values never decreasing.
-const COL_INT_DELTA: u8 = 7;
-/// A bit-packed `Double` column: its values' IEEE bits as `i64`s.
-const COL_DOUBLE_PACKED: u8 = 8;
+/// Or-ed into a numeric column's encoding byte: delta-coded.
+const COL_DELTA: u8 = 0x40;
 /// Or-ed into a column's encoding byte: a validity bitmap follows.
 const COL_NULLS: u8 = 0x80;
 
@@ -208,50 +201,45 @@ impl Encoder {
         }
     }
 
-    fn put_column(&mut self, col: &Column, (enc, _, packing): (u8, usize, Option<Packing>)) {
+    fn put_column(&mut self, col: &Column, (enc, _, packing): (u8, usize, Packing)) {
         self.put_u8(enc);
         let valid = valid_bits(col);
         if let Some(b) = valid {
             self.buf.extend(b.to_le_bytes());
         }
         let rows = || (0..col.len()).filter(|&i| valid.is_none_or(|b| b.get(i)));
-        match (col, packing) {
-            (Column::Int { data, .. }, Some(Packing { min, width })) if enc == COL_INT_DELTA => {
-                // The first value, then the gaps packed from their minimum.
+        match col {
+            Column::Int { data, .. } if enc & COL_DELTA != 0 => {
+                // The first value, then the gaps in the numeric form.
                 self.put_i64(data[0]);
-                self.put_i64(min);
-                self.put_u8(width as u8);
-                self.put_packed(data.len() - 1, width, |first, block| {
+                self.put_header(packing);
+                self.put_packed(data.len() - 1, packing.width, |first, block| {
                     for (off, w) in block.iter_mut().zip(data[first..].windows(2)) {
-                        *off = w[1].wrapping_sub(w[0]).wrapping_sub(min) as u64;
+                        *off = w[1].wrapping_sub(w[0]).wrapping_sub(packing.min) as u64;
                     }
                 })
             }
-            (Column::Int { data, .. }, Some(p)) => self.put_packed_words(data, valid, |v| v, p),
-            (Column::Double { data, .. }, Some(p)) => self.put_packed_words(data, valid, f64_word, p),
-            (Column::Int { data, .. }, None) if valid.is_none() => self.put_words(data, i64::to_le_bytes),
-            (Column::Double { data, .. }, None) if valid.is_none() => self.put_words(data, f64::to_le_bytes),
-            (Column::Int { data, .. }, None) => {
-                for i in rows() {
-                    self.put_i64(data[i]);
-                }
+            Column::Int { data, .. } => {
+                self.put_header(packing);
+                self.put_offsets(data, valid, |v| v, packing)
             }
-            (Column::Double { data, .. }, None) => {
-                for i in rows() {
-                    self.put_f64(data[i]);
-                }
+            Column::Double { data, .. } => {
+                self.put_header(packing);
+                self.put_offsets(data, valid, f64_word, packing)
             }
-            (Column::Str { codes, dict, .. }, _) if enc & !COL_NULLS == COL_STR_DICT => {
+            Column::Str { codes, dict, .. } if enc & !COL_NULLS == COL_STR_DICT => {
+                debug_assert_eq!(
+                    first_occurrence(rows().map(|i| u64::from(codes[i])), 0),
+                    Some(dict.len() as u64),
+                    "a dictionary out of first-occurrence order or with an unused entry"
+                );
                 self.put_u32(dict.len() as u32);
                 for s in dict {
                     self.put_str(s);
                 }
-                let width = code_width(dict.len());
-                for i in rows() {
-                    self.buf.extend_from_slice(&codes[i].to_le_bytes()[..width]);
-                }
+                self.put_offsets(codes, valid, i64::from, packing)
             }
-            (Column::Str { codes, dict, .. }, _) => {
+            Column::Str { codes, dict, .. } => {
                 for i in rows() {
                     self.put_str(&dict[codes[i] as usize]);
                 }
@@ -259,27 +247,19 @@ impl Encoder {
         }
     }
 
-    /// Write every one of `data`'s 8-byte words, little-endian, as one
-    /// run: the buffer grows once and each word is copied into its slot.
-    fn put_words<T: Copy>(&mut self, data: &[T], le: impl Fn(T) -> [u8; 8]) {
-        let start = self.buf.len();
-        self.buf.resize(start + 8 * data.len(), 0);
-        for (slot, &v) in self.buf[start..].chunks_exact_mut(8).zip(data) {
-            slot.copy_from_slice(&le(v));
+    /// Write a numeric run's header: the width byte, then the minimum
+    /// below width 64.
+    fn put_header(&mut self, Packing { min, width }: Packing) {
+        self.put_u8(width as u8);
+        if width < 64 {
+            self.put_i64(min);
         }
     }
 
-    /// Write a packed column after its bitmap: the minimum, the width
-    /// byte, then each valid row's word's offset from the minimum.
-    fn put_packed_words<T: Copy>(
-        &mut self,
-        data: &[T],
-        valid: Option<&Bitmap>,
-        word: impl Fn(T) -> i64,
-        Packing { min, width }: Packing,
-    ) {
-        self.put_i64(min);
-        self.put_u8(width as u8);
+    /// Write the offsets from `min` of the words of `data`'s rows that
+    /// `valid` marks (every row when `None`), in `width` bits each.
+    fn put_offsets<T: Copy>(&mut self, data: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> i64, p: Packing) {
+        let Packing { min, width } = p;
         let offset = |v: T| word(v).wrapping_sub(min) as u64;
         match valid {
             None => self.put_packed(data.len(), width, |first, block| {
@@ -340,18 +320,16 @@ fn f64_word(v: f64) -> i64 {
     v.to_bits() as i64
 }
 
-/// Bytes per dictionary code for a dictionary of `n` strings.
-fn code_width(n: usize) -> usize {
-    match n {
-        0..=0x100 => 1,
-        0x101..=0x1_0000 => 2,
-        _ => 4,
-    }
+/// Whether `codes` are in first-occurrence order, each at most one past
+/// the greatest before it, counting on from `seen` codes seen so far:
+/// how many have been seen after them, or `None` if one runs ahead.
+fn first_occurrence(codes: impl IntoIterator<Item = u64>, seen: u64) -> Option<u64> {
+    codes.into_iter().try_fold(seen, |seen, c| (c <= seen).then(|| seen.max(c + 1)))
 }
 
-/// A packed column's frame of reference: its non-`NULL` words' minimum,
-/// and the bits each offset from it takes — or, delta-coded, its gaps'
-/// minimum (the word's bits) and the bits each gap's offset takes.
+/// A run's frame of reference: the minimum its offsets count from and
+/// their width in bits. At width 64 the minimum is 0: the words go as
+/// they are.
 #[derive(Debug, Clone, Copy)]
 struct Packing {
     min: i64,
@@ -363,10 +341,38 @@ fn bit_width(span: u64) -> usize {
     (u64::BITS - span.leading_zeros()).max(1) as usize
 }
 
+/// Whether `n` words go as they are rather than as offsets of `width`
+/// bits after their minimum: exactly when those would take no less room.
+/// It depends on `n` and `width` alone, so a run's width is a function
+/// of its words.
+fn goes_raw(n: usize, width: usize) -> bool {
+    8 + (n * width).div_ceil(8) >= 8 * n
+}
+
 impl Packing {
-    /// The packing of the gaps between `data`'s neighbours; `None` unless
-    /// there are two values or more and none is below the one before it.
-    /// Each gap is exact as a `u64`.
+    /// The packing of `n` words whose least is `min` and whose greatest
+    /// is `span` above it: offsets in the span's bit length, at least 1,
+    /// or width 64 where [`goes_raw`].
+    fn new(n: usize, min: i64, span: u64) -> Packing {
+        let width = bit_width(span);
+        if goes_raw(n, width) { Packing { min: 0, width: 64 } } else { Packing { min, width } }
+    }
+
+    /// The packing of the words of `data`'s rows that `valid` marks
+    /// (every row when `None`); width 64 when there are none.
+    fn of<T: Copy>(data: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> i64) -> Packing {
+        let bounds = |(lo, hi): (i64, i64), v: T| (lo.min(word(v)), hi.max(word(v)));
+        let (min, max) = match valid {
+            None => data.iter().copied().fold((i64::MAX, i64::MIN), &bounds),
+            Some(b) => valid_values(data, b).fold((i64::MAX, i64::MIN), &bounds),
+        };
+        let n = valid.map_or(data.len(), Bitmap::count_ones);
+        Packing::new(n, min, max.wrapping_sub(min) as u64)
+    }
+
+    /// The packing of the gaps between `data`'s neighbours, each exact as
+    /// a `u64` (the minimum is the least gap's bits); `None` unless there
+    /// are two values or more and none is below the one before it.
     fn of_gaps(data: &[i64]) -> Option<Packing> {
         let (mut lo, mut hi) = (u64::MAX, 0);
         for w in data.windows(2) {
@@ -376,39 +382,34 @@ impl Packing {
             let gap = w[1].wrapping_sub(w[0]) as u64;
             (lo, hi) = (lo.min(gap), hi.max(gap));
         }
-        (data.len() > 1).then(|| Packing { min: lo as i64, width: bit_width(hi - lo) })
+        (data.len() > 1).then(|| Packing::new(data.len() - 1, lo as i64, hi - lo))
     }
 
-    /// The packing of `words`; `None` when there are none.
-    fn of(words: impl Iterator<Item = i64>) -> Option<Packing> {
-        let (min, max) = words.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
-        (min <= max).then(|| Packing { min, width: bit_width(max.wrapping_sub(min) as u64) })
+    /// The codes of a dictionary of `k` strings: from 0, in the bits the
+    /// greatest, `k - 1`, takes.
+    fn codes(k: usize) -> Packing {
+        Packing { min: 0, width: bit_width(k.saturating_sub(1) as u64) }
     }
 
-    /// The packing of the words of `data`'s rows that `valid` marks
-    /// (every row when `None`), if that is smaller than their raw run.
-    fn smaller<T: Copy>(data: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> i64) -> Option<Packing> {
-        let packed = match valid {
-            None => Packing::of(data.iter().map(|&v| word(v))),
-            Some(b) => Packing::of(valid_values(data, b).map(word)),
-        };
-        let n_valid = valid.map_or(data.len(), Bitmap::count_ones);
-        packed.filter(|p| p.size(n_valid) < 8 * n_valid)
-    }
-
-    /// The packed body of `n` values: minimum, width byte and run.
+    /// The numeric form of `n` words: width byte, minimum below width 64,
+    /// and the run.
     fn size(self, n: usize) -> usize {
-        8 + 1 + (n * self.width).div_ceil(8)
+        1 + 8 * usize::from(self.width < 64) + (n * self.width).div_ceil(8)
     }
 }
 
+/// A dictionary column's body after its bitmap: the dictionary `dict`
+/// and `n` codes.
+fn dict_size(dict: &[Arc<str>], n: usize) -> usize {
+    4 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + (n * Packing::codes(dict.len()).width).div_ceil(8)
+}
+
 /// How a non-empty column is written: its encoding byte, its size in
-/// bytes with that byte, and the frame of reference of a packed or
-/// delta-coded column. An `Int` or `Double` column is packed only when
-/// that is smaller than its raw run, and an `Int` column delta-coded only
-/// when that is smaller still; a `Str` column takes the smaller of
-/// dictionary and plain strings.
-fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
+/// bytes with that byte, and the packing of its run — its values', its
+/// gaps' when delta-coded, its codes' when a dictionary. An `Int` column
+/// is delta-coded only when that is strictly smaller; a `Str` column
+/// takes the smaller of dictionary and plain strings, plain on a tie.
+fn column_form(col: &Column) -> (u8, usize, Packing) {
     let n = col.len();
     let valid = valid_bits(col);
     let (nulls, bitmap) = match valid {
@@ -416,35 +417,26 @@ fn column_form(col: &Column) -> (u8, usize, Option<Packing>) {
         None => (0, 0),
     };
     let n_valid = valid.map_or(n, Bitmap::count_ones);
-    let raw = 8 * n_valid;
     match col {
         Column::Int { data, .. } => {
-            let packed = Packing::smaller(data, valid, |v| v);
-            let best = packed.map_or(raw, |p| p.size(n_valid));
-            let delta = valid.is_none().then(|| Packing::of_gaps(data)).flatten();
-            match (delta.filter(|d| 8 + d.size(n - 1) < best), packed) {
-                (Some(d), _) => (COL_INT_DELTA, 1 + 8 + d.size(n - 1), Some(d)),
-                (None, Some(p)) => (COL_INT_PACKED | nulls, 1 + bitmap + best, Some(p)),
-                (None, None) => (COL_INT | nulls, 1 + bitmap + raw, None),
+            let p = Packing::of(data, valid, |v| v);
+            match valid.is_none().then(|| Packing::of_gaps(data)).flatten() {
+                Some(d) if 8 + d.size(n - 1) < p.size(n) => (COL_NUMERIC | COL_DELTA, 1 + 8 + d.size(n - 1), d),
+                _ => (COL_NUMERIC | nulls, 1 + bitmap + p.size(n_valid), p),
             }
         }
-        Column::Double { data, .. } => match Packing::smaller(data, valid, f64_word) {
-            Some(p) => (COL_DOUBLE_PACKED | nulls, 1 + bitmap + p.size(n_valid), Some(p)),
-            None => (COL_DOUBLE | nulls, 1 + bitmap + raw, None),
-        },
+        Column::Double { data, .. } => {
+            let p = Packing::of(data, valid, f64_word);
+            (COL_NUMERIC | nulls, 1 + bitmap + p.size(n_valid), p)
+        }
         Column::Str { codes, dict, .. } => {
-            let in_dict = 4
-                + dict.iter().map(|s| 4 + s.len()).sum::<usize>()
-                + code_width(dict.len()) * n_valid;
+            let in_dict = dict_size(dict, n_valid);
             let plain: usize = (0..n)
                 .filter(|&i| valid.is_none_or(|b| b.get(i)))
                 .map(|i| 4 + dict[codes[i] as usize].len())
                 .sum();
-            if in_dict < plain {
-                (COL_STR_DICT | nulls, 1 + bitmap + in_dict, None)
-            } else {
-                (COL_STR_PLAIN | nulls, 1 + bitmap + plain, None)
-            }
+            let enc = if in_dict < plain { COL_STR_DICT } else { COL_STR_PLAIN };
+            (enc | nulls, 1 + bitmap + in_dict.min(plain), Packing::codes(dict.len()))
         }
     }
 }
@@ -559,12 +551,12 @@ impl<'a> Decoder<'a> {
     /// Read a relation body of `schema`'s arity into its columns, as
     /// [`Encoder::put_columns`] wrote it. A row count the remaining bytes
     /// cannot hold fails before anything is allocated for it, and a column
-    /// encoded as another type than its field fails before its body is
+    /// in a form its field's type cannot take fails before its body is
     /// read.
     pub fn get_columns(&mut self, schema: &Schema) -> Result<Columns> {
         let n = self.get_u32()? as usize;
         // Each column of a non-empty body takes its encoding byte and at
-        // least one bit per row.
+        // least one bit per row (its bitmap's, or its width's of 1 or more).
         if n > 0 && (1 + n.div_ceil(8)) * schema.len() > self.remaining() {
             return Err(Error::Codec(format!(
                 "{n} rows of {} columns cannot fit in {} bytes",
@@ -585,20 +577,17 @@ impl<'a> Decoder<'a> {
 
     fn get_column(&mut self, field: &Field, n: usize) -> Result<Column> {
         let enc = self.get_u8()?;
-        let ty = match enc & !COL_NULLS {
-            COL_INT | COL_INT_PACKED | COL_INT_DELTA => DataType::Int,
-            COL_DOUBLE | COL_DOUBLE_PACKED => DataType::Double,
-            COL_STR_DICT | COL_STR_PLAIN => DataType::Str,
+        let ty = field.data_type();
+        let (form, fits) = match (enc & !(COL_NULLS | COL_DELTA), enc & COL_DELTA != 0) {
+            (COL_NUMERIC, false) => ("numeric", ty != DataType::Str),
+            (COL_NUMERIC, true) => ("delta-coded", ty == DataType::Int),
+            (COL_STR_DICT | COL_STR_PLAIN, false) => ("string", ty == DataType::Str),
             _ => return Err(Error::Codec(format!("unknown column encoding {enc:#04x}"))),
         };
-        if ty != field.data_type() {
-            return Err(Error::Codec(format!(
-                "a column encoded {ty} under {} field {}",
-                field.data_type(),
-                field.name()
-            )));
+        if !fits {
+            return Err(Error::Codec(format!("a {form} column under {ty} field {}", field.name())));
         }
-        if enc == COL_INT_DELTA | COL_NULLS {
+        if enc == COL_NUMERIC | COL_DELTA | COL_NULLS {
             return Err(Error::Codec("a delta-coded column with a validity bitmap".into()));
         }
         let valid = match enc & COL_NULLS {
@@ -609,135 +598,74 @@ impl<'a> Decoder<'a> {
                 })?,
             ),
         };
-        let n_valid = valid.as_ref().map_or(n, Bitmap::count_ones);
-        Ok(match enc & !COL_NULLS {
-            COL_INT => {
-                let run = self.take(8 * n_valid)?.chunks_exact(8);
-                let data = scatter(run.map(le_word).map(i64::from_le_bytes), n, valid.as_ref());
-                Column::Int { data, valid }
-            }
-            COL_INT_PACKED => {
+        Ok(match ty {
+            DataType::Int if enc & COL_DELTA != 0 => Column::Int { data: self.get_delta(n)?, valid },
+            DataType::Int => {
                 let start = self.pos;
-                let data = self.get_packed(n, valid.as_ref(), n_valid, |w| w)?;
+                let data = self.get_numeric(n, valid.as_ref(), |w| w)?;
                 // The encoder delta-codes a sorted column with no NULL
                 // wherever that is strictly smaller.
                 let delta = valid.is_none().then(|| Packing::of_gaps(&data)).flatten();
                 if delta.is_some_and(|d| 8 + d.size(n - 1) < self.pos - start) {
-                    return Err(Error::Codec("a packed column that delta coding makes smaller".into()));
+                    return Err(Error::Codec("a numeric column that delta coding makes smaller".into()));
                 }
                 Column::Int { data, valid }
             }
-            COL_INT_DELTA => Column::Int {
-                data: self.get_delta(n)?,
-                valid,
-            },
-            COL_DOUBLE => {
-                let run = self.take(8 * n_valid)?.chunks_exact(8);
-                let data = scatter(run.map(le_word).map(f64::from_le_bytes), n, valid.as_ref());
+            DataType::Double => {
+                let data = self.get_numeric(n, valid.as_ref(), |w| f64::from_bits(w as u64))?;
                 Column::Double { data, valid }
             }
-            COL_DOUBLE_PACKED => {
-                let data = self.get_packed(n, valid.as_ref(), n_valid, |w| f64::from_bits(w as u64))?;
-                Column::Double { data, valid }
-            }
-            COL_STR_DICT => {
-                let k = self.get_u32()? as usize;
-                if k > self.remaining() / 4 {
-                    return Err(Error::Codec(format!(
-                        "a dictionary of {k} strings cannot fit"
-                    )));
-                }
-                let mut seen = HashSet::with_capacity(k);
-                let mut dict: Vec<Arc<str>> = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let s = self.get_str_ref()?;
-                    if !seen.insert(s) {
-                        return Err(Error::Codec(format!("dictionary repeats {s:?}")));
-                    }
-                    dict.push(Arc::from(s));
-                }
-                let width = code_width(k);
-                let run = self.take(width * n_valid)?.chunks_exact(width);
-                let codes: Vec<u32> = run
-                    .map(|c| {
-                        let mut le = [0u8; 4];
-                        le[..width].copy_from_slice(c);
-                        u32::from_le_bytes(le)
-                    })
-                    .collect();
-                if let Some(&bad) = codes.iter().find(|&&c| c as usize >= k) {
-                    return Err(Error::Codec(format!(
-                        "dictionary code {bad} past a dictionary of {k}"
-                    )));
-                }
-                let codes = scatter(codes.into_iter(), n, valid.as_ref());
-                Column::Str { codes, dict, valid }
-            }
-            _ => {
-                // COL_STR_PLAIN: every other byte was refused above.
-                if 4 * n_valid > self.remaining() {
-                    return Err(Error::Codec(format!("{n_valid} strings cannot fit")));
-                }
-                // Interned, so that the column's dictionary holds each
-                // string once, as a relation's own columns do.
-                let mut intern: HashMap<&str, u32> = HashMap::new();
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut codes = Vec::with_capacity(n_valid);
-                for _ in 0..n_valid {
-                    let s = self.get_str_ref()?;
-                    codes.push(*intern.entry(s).or_insert_with(|| {
-                        dict.push(Arc::from(s));
-                        (dict.len() - 1) as u32
-                    }));
-                }
-                let codes = scatter(codes.into_iter(), n, valid.as_ref());
-                Column::Str { codes, dict, valid }
+            DataType::Str => {
+                let n_valid = valid.as_ref().map_or(n, Bitmap::count_ones);
+                let (codes, dict) = match enc & !COL_NULLS {
+                    COL_STR_DICT => self.get_dict(n_valid)?,
+                    _ => self.get_plain(n_valid)?,
+                };
+                Column::Str { codes: spread(codes, n, valid.as_ref()), dict, valid }
             }
         })
     }
 
-    /// Read a packed column's body after its bitmap (minimum, width byte,
-    /// offsets; see the module docs): the `n_valid` rows `valid` marks
-    /// among `n`, each row's value `of` its word. The run is unpacked a
-    /// block at a time, and a word past `i64` or a form the encoder would
-    /// not write is refused once the run is read.
-    fn get_packed<T: Copy + Default>(
-        &mut self,
-        n: usize,
-        valid: Option<&Bitmap>,
-        n_valid: usize,
-        of: impl Fn(i64) -> T,
-    ) -> Result<Vec<T>> {
-        if n_valid == 0 {
-            return Err(Error::Codec("a packed column of NULLs only".into()));
-        }
-        let min = self.get_i64()?;
-        let (run, width) = self.get_run(n_valid)?;
+    /// Read a numeric column's body after its bitmap (see the module
+    /// docs): the rows `valid` marks among `n`, each row's value `of` its
+    /// word. The run is unpacked a block at a time, and a word past `i64`
+    /// or a width other than the words' is refused once the run is read.
+    fn get_numeric<T: Copy + Default>(&mut self, n: usize, valid: Option<&Bitmap>, of: impl Fn(i64) -> T) -> Result<Vec<T>> {
+        let n_valid = valid.map_or(n, Bitmap::count_ones);
+        let (Packing { min, width }, run) = self.get_run(n_valid)?;
         let mut data = Vec::with_capacity(n);
+        // Words that go as they are must span too many bits to pack: their
+        // bounds are folded only until they do, mostly within a block.
+        let (mut lo, mut hi, mut wide) = (i64::MAX, i64::MIN, width < 64 || goes_raw(n_valid, 1));
         let span = unpack(run, n_valid, width, |block| {
+            if !wide {
+                (lo, hi) = (block.iter()).fold((lo, hi), |(lo, hi), &w| (lo.min(w as i64), hi.max(w as i64)));
+                wide = goes_raw(n_valid, bit_width(hi.wrapping_sub(lo) as u64));
+            }
             data.extend(block.iter().map(|&off| of(min.wrapping_add_unsigned(off))))
         });
-        if span.exceeds(i64::MAX.wrapping_sub(min) as u64, run, n_valid, width) {
-            return Err(Error::Codec(format!("packed offset carries {min} past i64")));
+        if !wide {
+            return Err(Error::Codec(format!("{n_valid} words as they are where packing them is smaller")));
         }
-        span.canonical(width)?;
-        if 9 + run.len() >= 8 * n_valid {
-            return Err(Error::Codec(format!(
-                "a packed column of {n_valid} values not smaller than its raw run"
-            )));
+        if width < 64 {
+            if span.exceeds(i64::MAX.wrapping_sub(min) as u64, run, n_valid, width) {
+                return Err(Error::Codec(format!("packed offset carries {min} past i64")));
+            }
+            span.canonical(width)?;
         }
         Ok(spread(data, n, valid))
     }
 
-    /// Read a delta-coded run of `n` values (first value, gaps' minimum,
-    /// width byte, the `n - 1` gaps' offsets; see the module docs), each
-    /// value its predecessor plus its gap. A gap or a running sum past
-    /// `i64`, or a form the encoder would not write, is refused once the
-    /// run is read.
+    /// Read a delta-coded run of `n` values (the first value, then the
+    /// `n - 1` gaps in the numeric form; see the module docs), each value
+    /// its predecessor plus its gap. A gap or a running sum past `i64`, or
+    /// a form the encoder would not write, is refused once the run is
+    /// read.
     fn get_delta(&mut self, n: usize) -> Result<Vec<i64>> {
+        let start = self.pos;
         let first = self.get_i64()?;
-        let min = self.get_i64()? as u64;
-        let (run, width) = self.get_run(n - 1)?;
+        let (Packing { min, width }, run) = self.get_run(n - 1)?;
+        let min = min as u64;
         let mut data = Vec::with_capacity(n);
         data.push(first);
         let (mut last, mut overflow) = (first, false);
@@ -752,23 +680,33 @@ impl<'a> Decoder<'a> {
         if overflow || span.exceeds(u64::MAX - min, run, n - 1, width) {
             return Err(Error::Codec(format!("delta gaps carry {first} past i64")));
         }
-        span.canonical(width)?;
-        let packed = Packing { min: first, width: bit_width(last.wrapping_sub(first) as u64) };
-        if 8 + 9 + run.len() >= packed.size(n).min(8 * n) {
-            return Err(Error::Codec(
-                "a delta-coded column not smaller than both its packed and its raw run".into(),
-            ));
+        // Gaps at width 64 are never smaller than the values' own form.
+        if width < 64 {
+            span.canonical(width)?;
+        }
+        if self.pos - start >= Packing::new(n, first, last.wrapping_sub(first) as u64).size(n) {
+            return Err(Error::Codec("a delta-coded column not smaller than its numeric form".into()));
         }
         Ok(data)
     }
 
-    /// Read a width byte and a run of `n` offsets in that many bits each,
-    /// refusing a width out of range, a short run and set padding bits.
-    fn get_run(&mut self, n: usize) -> Result<(&'a [u8], usize)> {
+    /// Read a numeric run's header and its `n` offsets, refusing a width
+    /// out of range, or below 64 where the words would be no larger.
+    fn get_run(&mut self, n: usize) -> Result<(Packing, &'a [u8])> {
         let width = self.get_u8()? as usize;
         if !(1..=64).contains(&width) {
             return Err(Error::Codec(format!("packed width {width} outside 1..=64")));
         }
+        if width < 64 && goes_raw(n, width) {
+            return Err(Error::Codec(format!("{n} words packed in {width} bits, no smaller than as they are")));
+        }
+        let min = if width < 64 { self.get_i64()? } else { 0 };
+        Ok((Packing { min, width }, self.get_bits(n, width)?))
+    }
+
+    /// Read a run of `n` offsets in `width` bits each, refusing a short
+    /// run and set padding bits.
+    fn get_bits(&mut self, n: usize, width: usize) -> Result<&'a [u8]> {
         let bits = n * width;
         let run = self.take(bits.div_ceil(8))?;
         // The last byte's top `pad` bits follow the last offset.
@@ -776,7 +714,70 @@ impl<'a> Decoder<'a> {
         if run.last().is_some_and(|&b| u16::from(b) >> (8 - pad) != 0) {
             return Err(Error::Codec("packed run sets bits past its last value".into()));
         }
-        Ok((run, width))
+        Ok(run)
+    }
+
+    /// Read a dictionary column's body after its bitmap: the dictionary,
+    /// then `n` codes. Refuses a repeated string, codes out of
+    /// first-occurrence order or leaving an entry unused, and a dictionary
+    /// no smaller than the plain strings.
+    fn get_dict(&mut self, n: usize) -> Result<(Vec<u32>, Vec<Arc<str>>)> {
+        let start = self.pos;
+        let k = self.get_u32()? as usize;
+        if k > self.remaining() / 4 {
+            return Err(Error::Codec(format!("a dictionary of {k} strings cannot fit")));
+        }
+        let mut seen = HashSet::with_capacity(k);
+        let mut dict: Vec<Arc<str>> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let s = self.get_str_ref()?;
+            if !seen.insert(s) {
+                return Err(Error::Codec(format!("dictionary repeats {s:?}")));
+            }
+            dict.push(Arc::from(s));
+        }
+        let width = Packing::codes(k).width;
+        let run = self.get_bits(n, width)?;
+        let mut codes = Vec::with_capacity(n);
+        let mut used = Some(0);
+        unpack(run, n, width, |block| {
+            used = used.and_then(|seen| first_occurrence(block.iter().copied(), seen));
+            codes.extend(block.iter().map(|&c| c as u32));
+        });
+        match used {
+            Some(used) if used == k as u64 => {}
+            None => return Err(Error::Codec("dictionary codes out of first-occurrence order".into())),
+            Some(used) => return Err(Error::Codec(format!("a dictionary of {k} strings whose codes use {used}"))),
+        }
+        let plain: usize = codes.iter().map(|&c| 4 + dict[c as usize].len()).sum();
+        if self.pos - start >= plain {
+            return Err(Error::Codec("a dictionary no smaller than its plain strings".into()));
+        }
+        Ok((codes, dict))
+    }
+
+    /// Read `n` plain strings, interned into the column's dictionary in
+    /// first-occurrence order; refuses them where that dictionary would
+    /// be smaller.
+    fn get_plain(&mut self, n: usize) -> Result<(Vec<u32>, Vec<Arc<str>>)> {
+        if 4 * n > self.remaining() {
+            return Err(Error::Codec(format!("{n} strings cannot fit")));
+        }
+        let start = self.pos;
+        let mut intern: HashMap<&str, u32> = HashMap::new();
+        let mut dict: Vec<Arc<str>> = Vec::new();
+        let mut codes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let s = self.get_str_ref()?;
+            codes.push(*intern.entry(s).or_insert_with(|| {
+                dict.push(Arc::from(s));
+                (dict.len() - 1) as u32
+            }));
+        }
+        if dict_size(&dict, n) < self.pos - start {
+            return Err(Error::Codec("plain strings that a dictionary makes smaller".into()));
+        }
+        Ok((codes, dict))
     }
 
     /// Read a relation: its schema and its body, the decoded columns its
@@ -934,23 +935,11 @@ macro_rules! per_width {
 const UNPACK: [Unpack; 64] = per_width!(unpack_block);
 const PACK: [Pack; 64] = per_width!(pack_block);
 
-/// An 8-byte chunk as an array (`chunks_exact(8)` yields only those).
+/// An 8-byte chunk as an array.
 fn le_word(c: &[u8]) -> [u8; 8] {
     let mut w = [0u8; 8];
     w.copy_from_slice(c);
     w
-}
-
-/// The values of the valid rows, in order, spread over `n` rows: a `NULL`
-/// row holds the default.
-fn scatter<T: Copy + Default>(
-    vals: impl Iterator<Item = T>,
-    n: usize,
-    valid: Option<&Bitmap>,
-) -> Vec<T> {
-    let mut data = Vec::with_capacity(n);
-    data.extend(vals);
-    spread(data, n, valid)
 }
 
 /// `data`, the values of the rows `valid` marks in order, spread in place
@@ -1216,60 +1205,62 @@ mod tests {
     #[test]
     fn columns_travel_as_runs_dictionaries_and_bitmaps() {
         let schema_len = |r: &Relation| r.schema().encoded_size() + 4;
-        // Three Ints in two bits each: the encoding byte, the minimum, the
-        // width and one byte of offsets 0, 1, 2.
+        // Three Ints in two bits each: the encoding byte, the width, the
+        // minimum and one byte of offsets 0, 1, 2.
         let ints = one_column(DataType::Int, vec![1i64.into(), 2i64.into(), 3i64.into()]);
         let bytes = encode_relation(&ints);
         assert_eq!(
             &bytes[schema_len(&ints)..],
-            [[COL_INT_PACKED].as_slice(), &1i64.to_le_bytes(), &[2, 0b10_01_00]].concat()
+            [[COL_NUMERIC, 2].as_slice(), &1i64.to_le_bytes(), &[0b10_01_00]].concat()
         );
-        // Offsets that need all 64 bits go raw: one 8-byte run.
+        // Offsets that need all 64 bits go as words: width 64, no minimum.
         let wide = one_column(DataType::Int, vec![i64::MIN.into(), i64::MAX.into()]);
         let bytes = encode_relation(&wide);
-        assert_eq!(bytes.len(), schema_len(&wide) + 1 + 16);
-        assert_eq!(bytes[schema_len(&wide)], COL_INT);
+        assert_eq!(
+            &bytes[schema_len(&wide)..],
+            [[COL_NUMERIC, 64].as_slice(), &i64::MIN.to_le_bytes(), &i64::MAX.to_le_bytes()].concat()
+        );
         // 63-bit offsets pack once there are enough of them, nearly every
         // one straddling two words of the run.
         let vals = (0..200).map(|i: i64| Value::Int((i % 3) << 61 | i));
         let wide63 = one_column(DataType::Int, vals.collect());
         let bytes = encode_relation(&wide63);
-        assert_eq!(bytes.len(), schema_len(&wide63) + 1 + 8 + 1 + 1575);
-        assert_eq!(bytes[schema_len(&wide63) + 9], 63);
+        assert_eq!(bytes.len(), schema_len(&wide63) + 1 + 1 + 8 + 1575);
+        assert_eq!(bytes[schema_len(&wide63) + 1], 63);
         // Sorted, the same column goes delta-coded when that is strictly
-        // smaller: first value, gaps' minimum, width, then the gaps' offsets
+        // smaller: first value, then the gaps' width, minimum and offsets
         // (31 gaps of 1, every fourth one 2: offsets 0 and 1 in one bit,
         // 4 bytes against 24 packed at 6 bits).
         let sorted = one_column(DataType::Int, (0..32).map(|i| Value::Int(700 + i + i / 4)).collect());
         let bytes = encode_relation(&sorted);
         assert_eq!(
             &bytes[schema_len(&sorted)..],
-            [[COL_INT_DELTA].as_slice(), &700i64.to_le_bytes(), &1i64.to_le_bytes(), &[1, 0x88, 0x88, 0x88, 0x08]]
+            [[COL_NUMERIC | COL_DELTA].as_slice(), &700i64.to_le_bytes(), &[1], &1i64.to_le_bytes(), &[0x88, 0x88, 0x88, 0x08]]
                 .concat()
         );
         // Never where that would not be smaller: two values, or a gap
         // wider than the values' own packing.
         let short = one_column(DataType::Int, vec![1i64.into(), 2i64.into()]);
-        assert_eq!(encode_relation(&short)[schema_len(&short)], COL_INT_PACKED);
+        assert_eq!(encode_relation(&short)[schema_len(&short)], COL_NUMERIC);
         let steps = one_column(DataType::Int, (0..64).map(|i| Value::Int(i * 1000 + i % 2)).collect());
-        assert_eq!(encode_relation(&steps)[schema_len(&steps)], COL_INT_DELTA);
+        assert_eq!(encode_relation(&steps)[schema_len(&steps)], COL_NUMERIC | COL_DELTA);
         let ends = one_column(DataType::Int, (0..64).map(|i| Value::Int(if i < 32 { i64::MIN + i } else { i64::MAX - 64 + i })).collect());
-        assert_eq!(encode_relation(&ends)[schema_len(&ends)], COL_INT);
+        assert_eq!(encode_relation(&ends)[schema_len(&ends)..][..2], [COL_NUMERIC, 64]);
         // Offsets 0, 2 and 5 from i64::MAX - 5: their bits or-ed (7) pass
         // the room left below i64::MAX (5), so the decoder looks for the
         // greatest offset, which fits.
         let near_max = one_column(DataType::Int, [5, 3, 0].map(|d| Value::Int(i64::MAX - d)).to_vec());
-        assert_eq!(encode_relation(&near_max)[schema_len(&near_max)], COL_INT_PACKED);
+        assert_eq!(encode_relation(&near_max)[schema_len(&near_max)..][..2], [COL_NUMERIC, 3]);
         // Doubles pack on their IEEE bits: eight equal ones in a bit each
-        // (encoding byte, the bits as the minimum, the width, one byte)...
+        // (encoding byte, the width, the bits as the minimum, one byte)...
         let halves = one_column(DataType::Double, vec![2.5.into(); 8]);
         assert_eq!(
             &encode_relation(&halves)[schema_len(&halves)..],
-            [[COL_DOUBLE_PACKED].as_slice(), &2.5f64.to_bits().to_le_bytes(), &[1, 0]].concat()
+            [[COL_NUMERIC, 1].as_slice(), &2.5f64.to_bits().to_le_bytes(), &[0]].concat()
         );
-        // ...but a column that mixes signs spans about 2^64 and goes raw.
+        // ...but a column that mixes signs spans about 2^64 and goes as words.
         let signs = one_column(DataType::Double, (0..40).map(|i| Value::Double(i as f64 - 20.5)).collect());
-        assert_eq!(encode_relation(&signs)[schema_len(&signs)], COL_DOUBLE);
+        assert_eq!(encode_relation(&signs)[schema_len(&signs)..][..2], [COL_NUMERIC, 64]);
         // A NULL adds the bitmap and drops its word.
         let nulls = one_column(
             DataType::Double,
@@ -1277,25 +1268,24 @@ mod tests {
         );
         let bytes = encode_relation(&nulls);
         assert_eq!(
-            &bytes[schema_len(&nulls)..schema_len(&nulls) + 2],
-            [COL_DOUBLE | COL_NULLS, 0b101]
+            &bytes[schema_len(&nulls)..schema_len(&nulls) + 3],
+            [COL_NUMERIC | COL_NULLS, 0b101, 64]
         );
-        assert_eq!(bytes.len(), schema_len(&nulls) + 2 + 16);
-        // Repeated strings go as a dictionary with one-byte codes...
+        assert_eq!(bytes.len(), schema_len(&nulls) + 3 + 16);
+        // Repeated strings go as a dictionary, a one-string dictionary's
+        // codes in a bit each...
         let repeated = one_column(DataType::Str, vec![Value::str("alpha"); 50]);
         let bytes = encode_relation(&repeated);
-        assert_eq!(bytes[schema_len(&repeated)], COL_STR_DICT);
-        assert_eq!(bytes.len(), schema_len(&repeated) + 1 + 4 + 9 + 50);
-        // ...distinct ones plainly, and 300 distinct ones need two-byte codes.
+        assert_eq!(
+            &bytes[schema_len(&repeated)..],
+            [[COL_STR_DICT, 1, 0, 0, 0, 5, 0, 0, 0].as_slice(), b"alpha", &[0; 7]].concat()
+        );
+        // ...distinct ones plainly, and a dictionary of k strings takes
+        // the bits of k - 1.
         let distinct = one_column(DataType::Str, vec![Value::str("a"), Value::str("b")]);
-        assert_eq!(
-            encode_relation(&distinct)[schema_len(&distinct)],
-            COL_STR_PLAIN
-        );
-        assert_eq!(
-            (code_width(256), code_width(257), code_width(1 << 17)),
-            (1, 2, 4)
-        );
+        assert_eq!(encode_relation(&distinct)[schema_len(&distinct)], COL_STR_PLAIN);
+        let widths = [0, 1, 2, 3, 256, 257, 1 << 17].map(|k| Packing::codes(k).width);
+        assert_eq!(widths, [1, 1, 1, 2, 8, 9, 17]);
         // Every one of them is no larger than tagged cells, and round-trips.
         for r in [ints, wide, wide63, sorted, short, steps, ends, near_max, halves, signs, nulls, repeated, distinct] {
             let tagged: usize = r.iter().map(|row| row.get(0).encoded_size()).sum();
@@ -1304,6 +1294,8 @@ mod tests {
         }
     }
 
+    /// One named case per refusal: every malformed column, and every
+    /// well-formed one the encoder would not write.
     #[test]
     fn malformed_columns_are_clean_errors() {
         let int = Schema::of(&[("c", DataType::Int)]);
@@ -1311,168 +1303,109 @@ mod tests {
         let txt = Schema::of(&[("c", DataType::Str)]);
         let two = Schema::of(&[("c", DataType::Int), ("d", DataType::Int)]);
         let word = 7i64.to_le_bytes();
-        // A packed column: the minimum `min`, the width byte, the run.
-        let packed = |min: i64, width: u8, run: &[u8]| {
-            [[COL_INT_PACKED].as_slice(), &min.to_le_bytes(), &[width], run].concat()
+        // A numeric run's header and run: the width byte, the minimum
+        // below width 64, the offsets.
+        let run = |width: u8, min: i64, run: &[u8]| {
+            let min = if width < 64 { min.to_le_bytes().to_vec() } else { vec![] };
+            [[width].as_slice(), &min, run].concat()
         };
-        // A delta-coded column: the first value, the gaps' minimum (as
-        // its word's bits), the width byte, the run.
-        let delta = |first: i64, min: i64, width: u8, run: &[u8]| {
-            [[COL_INT_DELTA].as_slice(), &first.to_le_bytes(), &min.to_le_bytes(), &[width], run].concat()
+        let numeric = |width: u8, min: i64, offsets: &[u8]| [[COL_NUMERIC].as_slice(), &run(width, min, offsets)].concat();
+        // A delta-coded column: the first value, then the gaps' run.
+        let delta = |first: i64, width: u8, min: i64, offsets: &[u8]| {
+            [[COL_NUMERIC | COL_DELTA].as_slice(), &first.to_le_bytes(), &run(width, min, offsets)].concat()
         };
-        // A packed `Double` column: the minimum's bits, the width byte, the run.
-        let packed_f64 = |min: f64, width: u8, run: &[u8]| {
-            [[COL_DOUBLE_PACKED].as_slice(), &min.to_bits().to_le_bytes(), &[width], run].concat()
+        // A dictionary column (no NULL): the strings, then the codes' run.
+        let dict = |strings: &[&str], codes: &[u8]| {
+            let mut e = Encoder::new();
+            e.put_u8(COL_STR_DICT);
+            e.put_u32(strings.len() as u32);
+            strings.iter().for_each(|s| e.put_str(s));
+            e.put_bytes(codes.iter().copied());
+            e.finish()
         };
+        let plain = |strings: &[&str]| {
+            let mut e = Encoder::new();
+            e.put_u8(COL_STR_PLAIN);
+            strings.iter().for_each(|s| e.put_str(s));
+            e.finish()
+        };
+        let bits = |v: f64| v.to_bits() as i64;
         // 32 sorted values 700 + i + i / 4, packed in 6 bits each: delta
         // coding takes 1 bit a gap, so the encoder delta-codes them.
         let sorted_offsets: Vec<u64> = (0..32).map(|i| i + i / 4).collect();
         let sorted_run = reference_pack(&sorted_offsets, 6);
         let cases: Vec<(&str, Vec<u8>, &str)> = vec![
-            (
-                "unknown encoding",
-                raw(&int, 1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]),
-                "unknown column encoding",
-            ),
-            (
-                "encoding byte 5, the retired tagged-cell column",
-                raw(&int, 1, &[5, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
-                "unknown column encoding 0x05",
-            ),
-            (
-                "an Int column under a Double field",
-                raw(&dbl, 1, &[[COL_INT].as_slice(), &word].concat()),
-                "encoded INT under DOUBLE field c",
-            ),
-            (
-                "a Str column under an Int field",
-                raw(&int, 1, &[COL_STR_PLAIN, 1, 0, 0, 0, b'a']),
-                "encoded STR under INT field c",
-            ),
-            (
-                "short i64 run",
-                raw(&int, 2, &[[COL_INT].as_slice(), &word].concat()),
-                "unexpected end of input",
-            ),
-            (
-                "short f64 run",
-                raw(&dbl, 2, &[[COL_DOUBLE].as_slice(), &word, &[1, 2]].concat()),
-                "unexpected end of input",
-            ),
+            ("unknown encoding", raw(&int, 1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding"),
+            ("encoding byte 5, the retired tagged-cell column", raw(&int, 1, &[5, 1, 1, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding 0x05"),
+            ("encoding byte 2, the retired raw Double run", raw(&dbl, 1, &[[2].as_slice(), &word].concat()), "unknown column encoding 0x02"),
+            ("encoding byte 6, the retired packed Int run", raw(&int, 2, &[6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0b10]), "unknown column encoding 0x06"),
+            ("encoding byte 7, the retired delta-coded run", raw(&int, 2, &[7, 0, 0, 0, 0, 0, 0, 0, 0, 1]), "unknown column encoding 0x07"),
+            ("encoding byte 8, the retired packed Double run", raw(&dbl, 8, &[8, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]), "unknown column encoding 0x08"),
+            ("the delta flag on a dictionary", raw(&txt, 1, &[COL_STR_DICT | COL_DELTA, 0, 0, 0, 0]), "unknown column encoding 0x43"),
+            ("a numeric column under a Str field", raw(&txt, 1, &numeric(64, 0, &word)), "a numeric column under STR field c"),
+            ("a string column under an Int field", raw(&int, 1, &plain(&["a"])), "a string column under INT field c"),
+            ("a string column under a Double field", raw(&dbl, 1, &plain(&["a"])), "a string column under DOUBLE field c"),
+            ("a delta-coded column under a Double field", raw(&dbl, 3, &delta(0, 1, 1, &[0b01])), "a delta-coded column under DOUBLE field c"),
+            ("short i64 run", raw(&int, 2, &numeric(64, 0, &word)), "unexpected end of input"),
+            ("short f64 run", raw(&dbl, 2, &[numeric(64, 0, &word).as_slice(), &[1, 2]].concat()), "unexpected end of input"),
             (
                 "short bitmap",
-                raw(
-                    &two,
-                    9,
-                    &[
-                        [COL_INT | COL_NULLS, 1, 0].as_slice(),
-                        &word,
-                        &[COL_INT | COL_NULLS, 1],
-                    ]
-                    .concat(),
-                ),
+                raw(&two, 9, &[[COL_NUMERIC | COL_NULLS, 1, 0, 64].as_slice(), &word, &[COL_NUMERIC | COL_NULLS, 1]].concat()),
                 "unexpected end of input",
             ),
-            (
-                "bitmap past the rows",
-                raw(
-                    &int,
-                    2,
-                    &[[COL_INT | COL_NULLS, 0b101].as_slice(), &word, &word].concat(),
-                ),
-                "past the row count",
-            ),
-            (
-                "code past the dictionary",
-                raw(&txt, 1, &[COL_STR_DICT, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]),
-                "dictionary code 1",
-            ),
-            (
-                "dictionary too long",
-                raw(&txt, 1, &[COL_STR_DICT, 0xFF, 0xFF, 0xFF, 0x7F, 0]),
-                "cannot fit",
-            ),
-            (
-                "dictionary repeats",
-                raw(
-                    &txt,
-                    1,
-                    &[
-                        COL_STR_DICT,
-                        2,
-                        0,
-                        0,
-                        0,
-                        1,
-                        0,
-                        0,
-                        0,
-                        b'a',
-                        1,
-                        0,
-                        0,
-                        0,
-                        b'a',
-                        0,
-                    ],
-                ),
-                "repeats",
-            ),
-            (
-                "rows far beyond the bytes",
-                raw(&int, u32::MAX, &[COL_INT, 0, 0, 0]),
-                "cannot fit",
-            ),
-            ("packed width 0", raw(&int, 2, &packed(0, 0, &[0])), "packed width 0"),
-            ("packed width 65", raw(&int, 2, &packed(0, 65, &[0; 17])), "packed width 65"),
-            ("short packed run", raw(&int, 9, &packed(0, 4, &[0; 4])), "unexpected end of input"),
-            ("packed pad bits", raw(&int, 3, &packed(0, 2, &[0b0100_0000])), "past its last value"),
-            (
-                "packed offset past i64",
-                raw(&int, 2, &packed(i64::MAX, 1, &[0b10])),
-                "past i64",
-            ),
+            ("bitmap past the rows", raw(&int, 2, &[[COL_NUMERIC | COL_NULLS, 0b101, 64].as_slice(), &word, &word].concat()), "past the row count"),
+            // The row-count guard: every form takes at least a bit a row.
+            ("rows far beyond the bytes", raw(&int, u32::MAX, &[COL_NUMERIC, 0, 0, 0]), "cannot fit"),
+            ("u32::MAX rows under a width-1 header", raw(&int, u32::MAX, &numeric(1, 0, &[0; 8])), "cannot fit"),
+            ("u32::MAX rows under a one-string dictionary", raw(&txt, u32::MAX, &dict(&["a"], &[0; 8])), "cannot fit"),
+            ("u32::MAX rows of NULLs at width 64", raw(&int, u32::MAX, &[COL_NUMERIC | COL_NULLS, 0, 0, 0, 0, 64]), "cannot fit"),
+            ("packed width 0", raw(&int, 2, &numeric(0, 0, &[0])), "packed width 0"),
+            ("packed width 65", raw(&int, 2, &numeric(65, 0, &[0; 17])), "packed width 65"),
+            ("short packed run", raw(&int, 9, &numeric(4, 0, &[0; 4])), "unexpected end of input"),
+            ("packed pad bits", raw(&int, 3, &numeric(2, 0, &[0b0100_0000])), "past its last value"),
+            ("packed offset past i64", raw(&int, 2, &numeric(1, i64::MAX, &[0b10])), "past i64"),
+            ("packed Double past i64", raw(&dbl, 8, &numeric(1, i64::MAX, &[0b10])), "past i64"),
             ("delta gap sum past i64", raw(&int, 3, &delta(i64::MAX - 1, 1, 1, &[0b00])), "past i64"),
-            ("delta gap past u64", raw(&int, 2, &delta(0, -1, 1, &[0b1])), "past i64"),
+            ("delta gap past u64", raw(&int, 3, &delta(0, 1, -1, &[0b10])), "past i64"),
             (
                 "delta with a validity bitmap",
-                raw(&int, 2, &[[COL_INT_DELTA | COL_NULLS, 0b01].as_slice(), &delta(0, 0, 1, &[0])[1..]].concat()),
+                raw(&int, 3, &[[COL_NUMERIC | COL_DELTA | COL_NULLS, 0b011].as_slice(), &delta(0, 1, 1, &[0])[1..]].concat()),
                 "delta-coded column with a validity bitmap",
             ),
-            ("short delta run", raw(&int, 20, &delta(0, 0, 4, &[0; 4])), "unexpected end of input"),
-            ("delta pad bits", raw(&int, 3, &delta(0, 0, 2, &[0b0001_0000])), "past its last value"),
+            ("short delta run", raw(&int, 20, &delta(0, 4, 0, &[0; 4])), "unexpected end of input"),
+            ("delta pad bits", raw(&int, 3, &delta(0, 2, 0, &[0b0001_0000])), "past its last value"),
             ("delta width 0", raw(&int, 3, &delta(0, 0, 0, &[0])), "packed width 0"),
+            ("dictionary too long", raw(&txt, 1, &[COL_STR_DICT, 0xFF, 0xFF, 0xFF, 0x7F, 0]), "cannot fit"),
+            ("dictionary repeats", raw(&txt, 2, &dict(&["a", "a"], &[0b10])), "repeats"),
             // Canonical forms: whatever the encoder would not write.
-            ("packed wider than its offsets need", raw(&int, 2, &packed(0, 2, &[0b01_00])), "packed width 2 where 1 bits"),
-            ("packed minimum no row holds", raw(&int, 2, &packed(0, 1, &[0b11])), "held by no value"),
-            ("packed no smaller than raw", raw(&int, 1, &packed(5, 1, &[0])), "not smaller than its raw run"),
+            ("packed wider than its offsets need", raw(&int, 2, &numeric(2, 0, &[0b01_00])), "packed width 2 where 1 bits"),
+            ("packed minimum no row holds", raw(&int, 2, &numeric(1, 0, &[0b11])), "held by no value"),
+            ("packed no smaller than its words", raw(&int, 1, &numeric(1, 5, &[0])), "1 words packed in 1 bits"),
+            ("packed at width 63 where words are no larger", raw(&int, 2, &numeric(63, 0, &[0; 16])), "2 words packed in 63 bits"),
             (
-                "packed column of NULLs only",
-                raw(&int, 2, &[[COL_INT_PACKED | COL_NULLS, 0].as_slice(), &packed(0, 1, &[])[1..]].concat()),
-                "packed column of NULLs only",
+                "a column of NULLs below width 64",
+                raw(&int, 2, &[[COL_NUMERIC | COL_NULLS, 0].as_slice(), &run(1, 0, &[])].concat()),
+                "0 words packed in 1 bits",
             ),
-            (
-                "packed where delta coding is smaller",
-                raw(&int, 32, &packed(700, 6, &sorted_run)),
-                "delta coding makes smaller",
-            ),
-            ("delta wider than its gaps need", raw(&int, 3, &delta(0, 1, 2, &[0])), "packed width 2 where 1 bits"),
+            ("words where packing is smaller", raw(&int, 2, &numeric(64, 0, &[5i64.to_le_bytes(), 6i64.to_le_bytes()].concat())), "where packing them is smaller"),
+            ("Double words where packing is smaller", raw(&dbl, 8, &numeric(64, 0, &2.5f64.to_le_bytes().repeat(8))), "where packing them is smaller"),
+            ("packed Double wider than needed", raw(&dbl, 8, &numeric(2, bits(2.5), &[0; 2])), "packed width 2 where 1 bits"),
+            ("packed Double minimum no row holds", raw(&dbl, 8, &numeric(1, bits(2.5), &[0xFF])), "held by no value"),
+            ("packed where delta coding is smaller", raw(&int, 32, &numeric(6, 700, &sorted_run)), "delta coding makes smaller"),
+            ("delta wider than its gaps need", raw(&int, 3, &delta(0, 2, 1, &[0])), "packed width 2 where 1 bits"),
             ("delta gap minimum no gap holds", raw(&int, 3, &delta(0, 1, 1, &[0b11])), "held by no value"),
-            ("delta no smaller than raw", raw(&int, 2, &delta(0, 1, 1, &[0])), "not smaller than both"),
-            ("delta no smaller than packed", raw(&int, 10, &delta(0, 1, 1, &[0, 0])), "not smaller than both"),
-            ("packed Double under an Int field", raw(&int, 8, &packed_f64(2.5, 1, &[0])), "encoded DOUBLE under INT"),
-            ("packed Double wider than needed", raw(&dbl, 8, &packed_f64(2.5, 2, &[0; 2])), "packed width 2 where 1 bits"),
-            ("packed Double minimum no row holds", raw(&dbl, 8, &packed_f64(2.5, 1, &[0xFF])), "held by no value"),
-            ("packed Double no smaller than raw", raw(&dbl, 1, &packed_f64(2.5, 1, &[0])), "not smaller than its raw run"),
+            ("delta no smaller than numeric", raw(&int, 3, &delta(0, 1, 1, &[0b10])), "not smaller than its numeric form"),
+            ("delta gaps as words", raw(&int, 2, &delta(0, 64, 0, &5i64.to_le_bytes())), "not smaller than its numeric form"),
+            ("code past a one-string dictionary", raw(&txt, 1, &dict(&["a"], &[0b1])), "out of first-occurrence order"),
+            ("dictionary entries out of first occurrence", raw(&txt, 3, &dict(&["alpha", "beta"], &[0b001])), "out of first-occurrence order"),
+            ("dictionary entry unused", raw(&txt, 3, &dict(&["alpha", "beta"], &[0b000])), "a dictionary of 2 strings whose codes use 1"),
+            ("code past the dictionary, in order", raw(&txt, 3, &dict(&["alpha"], &[0b110])), "a dictionary of 1 strings whose codes use 2"),
+            ("dictionary no smaller than plain", raw(&txt, 2, &dict(&["a", "b"], &[0b10])), "no smaller than its plain strings"),
+            ("plain where a dictionary is smaller", raw(&txt, 50, &plain(&["alpha"; 50])), "a dictionary makes smaller"),
             (
-                "packed Double of NULLs only",
-                raw(&dbl, 2, &[[COL_DOUBLE_PACKED | COL_NULLS, 0].as_slice(), &packed_f64(2.5, 1, &[])[1..]].concat()),
-                "packed column of NULLs only",
-            ),
-            (
-                "packed Double past i64",
-                raw(&dbl, 8, &packed_f64(f64::from_bits(i64::MAX as u64), 1, &[0b10])),
-                "past i64",
+                "dictionary of NULLs only",
+                raw(&txt, 2, &[COL_STR_DICT | COL_NULLS, 0, 0, 0, 0, 0]),
+                "no smaller than its plain strings",
             ),
         ];
         for (what, bytes, want) in cases {
@@ -1480,7 +1413,7 @@ mod tests {
             assert!(err.contains(want), "{what}: {err}");
         }
         let mut trailing = encode_relation(&sample());
-        trailing.extend_from_slice(&[COL_INT, 0]);
+        trailing.extend_from_slice(&[COL_NUMERIC, 0]);
         assert!(decode_relation(&trailing)
             .unwrap_err()
             .to_string()
@@ -1544,9 +1477,9 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_estimate_close_to_actual() {
-        // The estimate is used for accounting; keep it within 20%: the
-        // mixed sample, a repeated-string column and a NULL-heavy one.
+    fn encoded_size_is_exact() {
+        // The size is the body's own (`body_size`): the mixed sample, a
+        // repeated-string column and a NULL-heavy one.
         let repeated = one_column(
             DataType::Str,
             (0..200)
@@ -1566,10 +1499,7 @@ mod tests {
                 .collect(),
         );
         for r in [sample(), repeated, sparse] {
-            let actual = encode_relation(&r).len();
-            let estimate = r.encoded_size();
-            let diff = (actual as f64 - estimate as f64).abs() / actual as f64;
-            assert!(diff < 0.2, "estimate {estimate} vs actual {actual}");
+            assert_eq!(r.encoded_size(), encode_relation(&r).len(), "of\n{r}");
         }
     }
 

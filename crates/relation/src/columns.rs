@@ -147,9 +147,9 @@ pub enum Column {
         valid: Option<Bitmap>,
     },
     /// A `STR` column, dictionary-encoded: `codes[i]`
-    /// indexes `dict`, which holds each distinct string once — in first
-    /// occurrence order when built from rows, in the sender's order when
-    /// decoded ([`crate::codec`]). Rows sharing a string share one `Arc`.
+    /// indexes `dict`, which holds each distinct string once, in first
+    /// occurrence order ([`ColumnBuilder`]'s rule; [`crate::codec`] refuses
+    /// any other). Rows sharing a string share one `Arc`.
     Str {
         /// Per-row dictionary codes (0 at `NULL` rows).
         codes: Vec<u32>,

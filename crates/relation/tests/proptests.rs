@@ -267,38 +267,54 @@ fn width(span: u64) -> usize {
     (64 - span.leading_zeros()).max(1) as usize
 }
 
-/// An `Int` column's body as the codec writes it; as it wrote it in
-/// protocol v14, the smaller of its raw 8-byte run and its packed form
-/// (minimum, width byte, the offsets in `w` bits each, `w` at least 1),
-/// raw on a tie; and its raw size. Since v15 a column with no `NULL` whose
-/// values never decrease goes delta-coded (first value, the gaps'
-/// minimum, width byte, the gaps' offsets) where that is strictly
-/// smaller than its v14 form.
+/// The width the codec packs `n` words spanning `span` in (`None`: no
+/// word): the span's, raised to 64 — the words as they are — where the
+/// minimum and the offsets would take no less room than 8 bytes a word.
+fn numeric_width(n: usize, span: Option<u64>) -> usize {
+    let w = span.map_or(64, width);
+    match 8 + (n * w).div_ceil(8) >= 8 * n {
+        true => 64,
+        false => w,
+    }
+}
+
+/// The numeric form of `n` words spanning `span`: the width byte, the
+/// minimum below width 64, then `n` offsets in that width.
+fn numeric_size(n: usize, span: Option<u64>) -> usize {
+    let w = numeric_width(n, span);
+    1 + if w < 64 { 8 } else { 0 } + (n * w).div_ceil(8)
+}
+
+/// The span of `words` in `i64` order (`None`: no word).
+fn span_of(words: &[i64]) -> Option<u64> {
+    Some(words.iter().max()?.wrapping_sub(*words.iter().min()?) as u64)
+}
+
+/// An `Int` column's body as the codec writes it; its numeric form; and
+/// that form at width 64, its words as they are. A column with no `NULL`
+/// whose values never decrease goes delta-coded (the first value, then
+/// the gaps in the numeric form) where that is strictly smaller.
 fn int_body_sizes(cells: &[Value]) -> (usize, usize, usize) {
     let vals: Vec<i64> = cells.iter().filter_map(|v| v.as_i64()).collect();
     let bitmap = match vals.len() < cells.len() {
         true => cells.len().div_ceil(8),
         false => 0,
     };
-    let raw = 1 + bitmap + 8 * vals.len();
-    let (Some(lo), Some(hi)) = (vals.iter().min(), vals.iter().max()) else {
-        return (raw, raw, raw);
-    };
-    let v14 = raw.min(1 + bitmap + 9 + (vals.len() * width(hi.wrapping_sub(*lo) as u64)).div_ceil(8));
+    let numeric = 1 + bitmap + numeric_size(vals.len(), span_of(&vals));
     let gaps: Vec<u64> = vals.windows(2).map(|w| w[1].wrapping_sub(w[0]) as u64).collect();
     let sorted = bitmap == 0 && vals.len() > 1 && vals.windows(2).all(|w| w[0] <= w[1]);
     let delta = match (gaps.iter().min(), gaps.iter().max()) {
-        (Some(lo), Some(hi)) if sorted => 1 + 17 + (gaps.len() * width(hi - lo)).div_ceil(8),
+        (Some(lo), Some(hi)) if sorted => 1 + 8 + numeric_size(gaps.len(), Some(hi - lo)),
         _ => usize::MAX,
     };
-    (v14.min(delta), v14, raw)
+    (numeric.min(delta), numeric, 1 + bitmap + 1 + 8 * vals.len())
 }
 
 /// Packed and delta-coded `Int` columns round-trip bit for bit — 64-bit
 /// offsets, all equal values, ranges across 0, sorted runs, gaps of 2⁶⁴ −
 /// 1, `NULL`s, one-row columns — and a column's body is exactly the
-/// smallest of its forms, so never larger than its v14 form, itself never
-/// larger than its raw 8-byte run.
+/// smaller of its numeric and delta-coded forms, so never larger than its
+/// numeric form, itself never larger than its words as they are.
 #[test]
 fn packed_int_columns_round_trip_bit_for_bit() {
     for_cases("packed_int_columns_round_trip_bit_for_bit", 128, |rng| {
@@ -321,14 +337,14 @@ fn packed_int_columns_round_trip_bit_for_bit() {
         }
         assert_eq!(encode_relation(&back), bytes);
         assert_eq!(rel.encoded_size(), bytes.len());
-        let (body, v14, raw) = match n {
+        let (body, numeric, raw) = match n {
             0 => (0, 0, 0),
             _ => cols.iter().map(|c| int_body_sizes(c)).fold((0, 0, 0), |(b, v, r), (cb, cv, cr)| {
                 (b + cb, v + cv, r + cr)
             }),
         };
         assert_eq!(bytes.len(), rel.schema().encoded_size() + 4 + body, "of\n{rel}");
-        assert!(body <= v14 && v14 <= raw);
+        assert!(body <= numeric && numeric <= raw);
     });
 }
 
@@ -355,9 +371,8 @@ fn arb_double_column(rng: &mut StdRng, n: usize) -> Vec<Value> {
         .collect()
 }
 
-/// A `Double` column's body as the codec writes it: the smaller of its
-/// raw 8-byte run and its bits packed (minimum, width byte, each offset
-/// in `w` bits, `w` at least 1), raw on a tie.
+/// A `Double` column's body as the codec writes it: its bits' numeric
+/// form.
 fn double_body_size(cells: &[Value]) -> usize {
     let words: Vec<i64> = (cells.iter())
         .filter_map(|v| match v {
@@ -369,17 +384,13 @@ fn double_body_size(cells: &[Value]) -> usize {
         true => cells.len().div_ceil(8),
         false => 0,
     };
-    let raw = 1 + bitmap + 8 * words.len();
-    let (Some(lo), Some(hi)) = (words.iter().min(), words.iter().max()) else {
-        return raw;
-    };
-    raw.min(1 + bitmap + 9 + (words.len() * width(hi.wrapping_sub(*lo) as u64)).div_ceil(8))
+    1 + bitmap + numeric_size(words.len(), span_of(&words))
 }
 
 /// Packed `Double` columns round-trip bit for bit — NaN payloads, ±0.0,
 /// ±inf, subnormals, mixed signs, `NULL`s, all-equal and one-row columns
-/// — and a column's body is exactly the smaller of its raw run and its
-/// packed bits, which the relation's `encoded_size` predicts.
+/// — and a column's body is exactly its bits' numeric form, which the
+/// relation's `encoded_size` predicts.
 #[test]
 fn packed_double_columns_round_trip_bit_for_bit() {
     for_cases("packed_double_columns_round_trip_bit_for_bit", 128, |rng| {
@@ -404,6 +415,182 @@ fn packed_double_columns_round_trip_bit_for_bit() {
         assert_eq!(rel.encoded_size(), bytes.len());
         let body: usize = cols.iter().map(|c| double_body_size(c)).sum();
         assert_eq!(bytes.len(), rel.schema().encoded_size() + 4 + body, "of\n{rel}");
+    });
+}
+
+/// `offsets` in `width` bits apiece, LSB-first, the last byte's unused
+/// bits clear.
+fn pack_bits(offsets: &[u64], width: usize) -> Vec<u8> {
+    let mut run = vec![0u8; (offsets.len() * width).div_ceil(8)];
+    for (i, &off) in offsets.iter().enumerate() {
+        for b in (0..width).filter(|&b| off >> b & 1 == 1) {
+            run[(i * width + b) / 8] |= 1 << ((i * width + b) % 8);
+        }
+    }
+    run
+}
+
+/// A numeric run written by hand: the width byte, the minimum below
+/// width 64, then each word's offset from it in `width` bits.
+fn numeric_run(words: &[i64], width: usize, min: i64) -> Vec<u8> {
+    let min = if width < 64 { min } else { 0 };
+    let offsets: Vec<u64> = words.iter().map(|w| w.wrapping_sub(min) as u64).collect();
+    let head = if width < 64 { min.to_le_bytes().to_vec() } else { vec![] };
+    [[width as u8].as_slice(), &head, &pack_bits(&offsets, width)].concat()
+}
+
+/// `words`' numeric run as the codec writes it; `in_u64`: their order is
+/// `u64`'s (a delta-coded column's gaps), not `i64`'s.
+fn canonical_run(words: &[i64], in_u64: bool) -> Vec<u8> {
+    let key = |w: &&i64| if in_u64 { **w as u64 } else { (**w as u64) ^ 1 << 63 };
+    let min = words.iter().min_by_key(key).copied().unwrap_or(0);
+    let span = words.iter().max_by_key(key).map(|max| max.wrapping_sub(min) as u64);
+    numeric_run(words, numeric_width(words.len(), span), min)
+}
+
+/// A dictionary body written by hand: its length, its strings, then the
+/// codes in the bits of its greatest code.
+fn dict_body(dict: &[&str], codes: &[u64]) -> Vec<u8> {
+    let mut out = (dict.len() as u32).to_le_bytes().to_vec();
+    out.extend(plain_body(dict));
+    out.extend(pack_bits(codes, width(dict.len().saturating_sub(1) as u64)));
+    out
+}
+
+/// Strings written by hand, each length-prefixed.
+fn plain_body(strings: &[&str]) -> Vec<u8> {
+    strings.iter().flat_map(|s| [(s.len() as u32).to_le_bytes().as_slice(), s.as_bytes()].concat()).collect()
+}
+
+/// One column of `n` cells of type `ty`, from the codec's edge families:
+/// `NULL`s among them or only `NULL`s, and for strings 1 or 300 distinct
+/// values or a few.
+fn arb_canonical_column(rng: &mut StdRng, ty: DataType, n: usize) -> Vec<Value> {
+    let mut cells = match ty {
+        DataType::Int => arb_int_column(rng, n),
+        DataType::Double => arb_double_column(rng, n),
+        DataType::Str => {
+            let few = rng.gen_range(2..12);
+            let distinct = cases::pick(rng, &[1, 300, few]);
+            let nulls = rng.gen_range(0..3) == 0;
+            (0..n)
+                .map(|_| match nulls && rng.gen_range(0..3) == 0 {
+                    true => Value::Null,
+                    false => Value::str(format!("s{}", rng.gen_range(0..distinct))),
+                })
+                .collect()
+        }
+    };
+    if rng.gen_range(0..8) == 0 {
+        cells.iter_mut().for_each(|c| *c = Value::Null);
+    }
+    cells
+}
+
+/// Every column form is canonical. A column's body is the one written
+/// here by hand from its values — so it decodes, re-encodes byte for byte
+/// and is `encoded_size` long — and each non-canonical twin of it is
+/// refused: its words as they are where packing is smaller, packed where
+/// they are no larger, a width one wider, delta coding swapped for the
+/// numeric form or the reverse, plain strings where a dictionary is
+/// smaller and the reverse, two dictionary entries swapped and an unused
+/// entry appended.
+#[test]
+fn every_column_form_is_canonical() {
+    for_cases("every_column_form_is_canonical", 192, |rng| {
+        let ty = cases::pick(rng, &[DataType::Int, DataType::Double, DataType::Str]);
+        let n = match rng.gen_range(0..4) {
+            0 => 1,
+            _ if ty == DataType::Str => rng.gen_range(1..700),
+            _ => rng.gen_range(1..150),
+        };
+        let cells = arb_canonical_column(rng, ty, n);
+        let schema = Schema::new(vec![Field::new("c", ty)]).expect("one field");
+        let rel = Relation::new(schema.clone(), cells.iter().map(|v| Row::new(vec![v.clone()])).collect())
+            .expect("cells conform");
+        let bytes = encode_relation(&rel);
+        assert_eq!(encode_relation(&decode_relation(&bytes).expect("decode what we encoded")), bytes);
+        assert_eq!(rel.encoded_size(), bytes.len());
+
+        let head = schema.encoded_size() + 4;
+        let with_body = |enc: u8, body: &[u8]| {
+            let bitmap = match cells.iter().any(Value::is_null) {
+                true => pack_bits(&cells.iter().map(|c| u64::from(!c.is_null())).collect::<Vec<_>>(), 1),
+                false => vec![],
+            };
+            let nulls = if bitmap.is_empty() { 0 } else { 0x80 };
+            [&bytes[..head], &[enc | nulls], &bitmap, body].concat()
+        };
+        let valid: Vec<&Value> = cells.iter().filter(|c| !c.is_null()).collect();
+        let (want, twins): (Vec<u8>, Vec<(&str, Vec<u8>)>) = match ty {
+            DataType::Str => {
+                let strings: Vec<&str> = valid.iter().map(|v| v.as_str().expect("a string")).collect();
+                let mut dict: Vec<&str> = Vec::new();
+                let codes: Vec<u64> = (strings.iter())
+                    .map(|s| match dict.iter().position(|d| d == s) {
+                        Some(c) => c as u64,
+                        None => {
+                            dict.push(s);
+                            dict.len() as u64 - 1
+                        }
+                    })
+                    .collect();
+                let (in_dict, plain) = (with_body(3, &dict_body(&dict, &codes)), with_body(4, &plain_body(&strings)));
+                let mut twins = Vec::new();
+                if dict.len() > 1 {
+                    let swapped: Vec<u64> = codes.iter().map(|&c| [1, 0].get(c as usize).copied().unwrap_or(c)).collect();
+                    let mut dict = dict.clone();
+                    dict.swap(0, 1);
+                    twins.push(("two dictionary entries swapped", with_body(3, &dict_body(&dict, &swapped))));
+                }
+                let unused = [dict.as_slice(), &["unused"]].concat();
+                twins.push(("an unused entry appended", with_body(3, &dict_body(&unused, &codes))));
+                match in_dict.len() < plain.len() {
+                    true => (in_dict, [twins, vec![("plain where a dictionary is smaller", plain)]].concat()),
+                    false => (plain, [twins, vec![("a dictionary where plain is no larger", in_dict)]].concat()),
+                }
+            }
+            _ => {
+                let words: Vec<i64> = (valid.iter())
+                    .map(|v| match v {
+                        Value::Int(i) => *i,
+                        Value::Double(d) => d.to_bits() as i64,
+                        _ => unreachable!("a numeric column"),
+                    })
+                    .collect();
+                let numeric = with_body(1, &canonical_run(&words, false));
+                let min = words.iter().min().copied().unwrap_or(0);
+                let w = width(span_of(&words).unwrap_or(0));
+                let mut twins = vec![];
+                match numeric_width(words.len(), span_of(&words)) {
+                    64 if !words.is_empty() && w < 64 => {
+                        twins.push(("packed where the words are no larger", with_body(1, &numeric_run(&words, w, min))))
+                    }
+                    64 => {}
+                    w => {
+                        twins.push(("the words as they are where packing is smaller", with_body(1, &numeric_run(&words, 64, 0))));
+                        if w < 63 {
+                            twins.push(("a width one wider", with_body(1, &numeric_run(&words, w + 1, min))));
+                        }
+                    }
+                }
+                let sorted = ty == DataType::Int && valid.len() == n && n > 1 && words.windows(2).all(|p| p[0] <= p[1]);
+                if !sorted {
+                    (numeric, twins)
+                } else {
+                    let gaps: Vec<i64> = words.windows(2).map(|p| p[1].wrapping_sub(p[0])).collect();
+                    let delta = with_body(0x41, &[words[0].to_le_bytes().as_slice(), &canonical_run(&gaps, true)].concat());
+                    match delta.len() < numeric.len() {
+                        true => (delta, [twins, vec![("the numeric form where delta coding is smaller", numeric)]].concat()),
+                        false => (numeric, [twins, vec![("delta coding where it is no smaller", delta)]].concat()),
+                    }
+                }
+            }
+        };
+        assert_eq!(bytes, want, "of\n{rel}");
+        for (what, twin) in twins {
+            assert!(decode_relation(&twin).is_err(), "{what} was accepted, of\n{rel}");
+        }
     });
 }
 

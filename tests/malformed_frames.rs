@@ -108,10 +108,11 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
 
     // A stage task whose fragment's columnar body is malformed: stage 1,
     // a fragment, the schema `(g ty)`, a row count, then the column as
-    // given. Encoding bytes: 1 is an `Int` run, 2 a `Double` run, 3 a
-    // string dictionary, 4 plain strings, 6 a bit-packed `Int` run, 7 a
-    // delta-coded one, 8 a bit-packed `Double` run; 5 was the tagged
-    // cells of the mixed-type column, which protocol v11 retired.
+    // given. Encoding bytes: 1 is the numeric form of an `Int` or a
+    // `Double` column (a width byte, the minimum below width 64, the
+    // offsets; `0x41` delta-codes it), 3 a string dictionary, 4 plain
+    // strings; 2, 6, 7 and 8 are forms protocol v18 retired, and 5 the
+    // tagged cells of the mixed-type column, which protocol v11 retired.
     let fragment = |ty: DataType, rows: u32, column: &[u8]| {
         let mut e = Encoder::new();
         e.put_u32(1);
@@ -126,13 +127,15 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     let (int, dbl, txt) = (DataType::Int, DataType::Double, DataType::Str);
     for (payload, frag) in [
         (fragment(int, 1, &[0x42, 0, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding"),
-        (fragment(int, 2, &[[1u8].as_slice(), &word, &[0, 0]].concat()), "unexpected end of input"),
-        (fragment(txt, 1, &[3, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]), "dictionary code 1"),
+        (fragment(int, 2, &[[1u8, 64].as_slice(), &word, &[0, 0]].concat()), "unexpected end of input"),
+        (fragment(txt, 1, &[3, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1]), "out of first-occurrence order"),
         (fragment(int, u32::MAX, &[1, 0, 0, 0]), "cannot fit"),
-        (fragment(int, 1, &[[1u8].as_slice(), &word, &[0]].concat()), "trailing bytes"),
+        (fragment(int, 1, &[[1u8, 64].as_slice(), &word, &[0]].concat()), "trailing bytes"),
         (fragment(int, 1, &[5, 1, 1, 0, 0, 0, 0, 0, 0, 0]), "unknown column encoding 0x05"),
-        (fragment(dbl, 1, &[[1u8].as_slice(), &word].concat()), "encoded INT under DOUBLE field g"),
-        (fragment(int, 1, &[4, 1, 0, 0, 0, b'a']), "encoded STR under INT field g"),
+        (fragment(dbl, 1, &[[2u8].as_slice(), &word].concat()), "unknown column encoding 0x02"),
+        (fragment(dbl, 3, &[[0x41u8].as_slice(), &word, &[1], &word, &[0]].concat()), "a delta-coded column under DOUBLE field g"),
+        (fragment(int, 1, &[4, 1, 0, 0, 0, b'a']), "a string column under INT field g"),
+        (fragment(txt, 1, &[[1u8, 64].as_slice(), &word].concat()), "a numeric column under STR field g"),
     ] {
         coord.send(0, payload).unwrap();
         expect_error(frag);
@@ -177,12 +180,13 @@ fn garbage_and_truncated_frames_get_clean_error_replies() {
     session.join().expect("session loop must not panic");
 }
 
-/// A stage task whose fragment holds a malformed bit-packed `Int` column
-/// (encoding byte 6: the minimum, a width byte, the offsets) gets a clean
-/// `TAG_ERROR`: a width of 0 or 65, a short run, set padding bits, an
-/// offset carrying the minimum past `i64`, and `u32::MAX` rows claimed by
-/// a few bytes, refused by the row-count guard before anything is
-/// allocated for them. A well-formed packed fragment is then answered.
+/// A stage task whose fragment holds a malformed numeric `Int` column
+/// (encoding byte 1: a width byte, the minimum below width 64, the
+/// offsets) gets a clean `TAG_ERROR`: a width of 0 or 65, a short run,
+/// set padding bits, an offset carrying the minimum past `i64`, a width
+/// or a form other than the data's, and `u32::MAX` rows claimed by a few
+/// bytes, refused by the row-count guard before anything is allocated for
+/// them. A well-formed packed fragment is then answered.
 #[test]
 fn malformed_packed_columns_get_clean_error_replies() {
     let (coord, mut sites) = star(1);
@@ -195,27 +199,33 @@ fn malformed_packed_columns_get_clean_error_replies() {
     coord
         .send(0, Message::for_query(protocol::TAG_PLAN, 1, plan_bytes()))
         .unwrap();
-    // Stage 1's fragment `(g INT)`: `rows`, then one packed column.
-    let fragment = |rows: u32, min: i64, width: u8, run: &[u8]| {
+    // Stage 1's fragment `(g INT)`: `rows`, then one numeric column.
+    let fragment = |rows: u32, width: u8, min: i64, run: &[u8]| {
         let mut e = Encoder::new();
         e.put_u32(1);
         e.put_u8(1);
         e.put_schema(&Schema::of(&[("g", DataType::Int)]));
         e.put_u32(rows);
-        e.put_u8(6);
-        e.put_i64(min);
+        e.put_u8(1);
         e.put_u8(width);
+        if width < 64 {
+            e.put_i64(min);
+        }
         let mut payload = e.finish();
         payload.extend_from_slice(run);
         Message::for_query(protocol::TAG_RUN_STAGE, 1, payload)
     };
+    let words = [1i64.to_le_bytes(), 2i64.to_le_bytes()].concat();
     for (payload, frag) in [
-        (fragment(2, 0, 65, &[0; 17]), "packed width 65"),
+        (fragment(2, 65, 0, &[0; 17]), "packed width 65"),
         (fragment(2, 0, 0, &[0]), "packed width 0"),
-        (fragment(9, 0, 4, &[0; 4]), "unexpected end of input"),
-        (fragment(3, 0, 2, &[0b0100_0000]), "past its last value"),
-        (fragment(2, i64::MAX, 1, &[0b10]), "past i64"),
-        (fragment(u32::MAX, 0, 1, &[0; 8]), "cannot fit"),
+        (fragment(9, 4, 0, &[0; 4]), "unexpected end of input"),
+        (fragment(3, 2, 0, &[0b0100_0000]), "past its last value"),
+        (fragment(2, 1, i64::MAX, &[0b10]), "past i64"),
+        (fragment(2, 2, 1, &[0b01_00]), "packed width 2 where 1 bits"),
+        (fragment(1, 1, 1, &[0]), "no smaller than as they are"),
+        (fragment(2, 64, 0, &words), "where packing them is smaller"),
+        (fragment(u32::MAX, 1, 0, &[0; 8]), "cannot fit"),
     ] {
         coord.send(0, payload).unwrap();
         let error = reply();

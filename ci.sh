@@ -87,7 +87,7 @@ cargo bench -p skalla-bench --bench probe_alloc
 cargo run --release -q -p skalla-bench --bin e2e -- run --smoke --out target/e2e-smoke
 # The paper's curve shapes (Figs. 2–5) at reduced size: `figs --check` asserts them.
 # Every figs time claim is checked on measured wall time over the emulated LAN.
-cargo run --release -q -p skalla-bench --bin figs -- --quick --check --repeats 3
+cargo run --release -q -p skalla-bench --bin figs -- --quick --check --repeats 5
 # The examples assert what they show (`data_cube` its roll-up against the
 # finest level on 8 sites, `quickstart` the paper's Example 1): run them,
 # not only compile them.

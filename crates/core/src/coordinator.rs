@@ -44,7 +44,7 @@ mod run;
 pub(crate) use run::{finished_rounds, net_err, run_coordinator, Clock, CoordMachine};
 
 use crate::protocol::ResultFrame;
-use skalla_gmdj::agg::AccLayout;
+use skalla_gmdj::agg::{AccLayout, AggFunc, AggSpec};
 use skalla_gmdj::operator::Gmdj;
 use skalla_gmdj::state::AccStates;
 use skalla_relation::columns::{row_key_hash, IdTable};
@@ -295,12 +295,18 @@ pub struct MergeSync {
     base_keys: Vec<Arc<Column>>,
     index: IdTable,
     key_len: usize,
-    layout: AccLayout,
+    /// The operator's blocks, which an answer's schema lays out when no
+    /// detail schema has ([`AccLayout::from_physical`]).
+    blocks: Vec<Vec<AggSpec>>,
+    /// The slots, from the detail schema ([`MergeSync::over`]) or, failing
+    /// that, from the first answer's schema (`inferred`), which finish
+    /// then holds to the detail schema's.
+    layout: Option<AccLayout>,
+    inferred: bool,
     /// A folded unit's keyed answers, placed by the pass at finish.
     runs: Runs,
     /// The tree's slots, in blocks of `cap` groups: block 0 is X, block
-    /// `1 + l` is leaf `l`. Typed after the first answer's accumulator
-    /// fields; `None` until an answer is placed.
+    /// `1 + l` is leaf `l`; `None` until an answer is placed.
     states: Option<AccStates>,
     /// Per slot: does it hold a sub-aggregate (in X's block: X_init's)?
     present: Vec<bool>,
@@ -344,6 +350,14 @@ impl MergeSync {
         Ok(x)
     }
 
+    /// [`MergeSync::new`] with `layout`, `op`'s slots over the unit's
+    /// detail schema, so that no answer's schema is read for them.
+    pub fn over(b_cur: Option<&Relation>, key: &[String], op: &Gmdj, layout: AccLayout) -> Result<MergeSync> {
+        let mut x = MergeSync::new(b_cur, key, op)?;
+        x.layout = Some(layout);
+        Ok(x)
+    }
+
     /// An empty X for a folded unit whose sub-results lead with `key_len`
     /// key columns.
     fn folded(key_len: usize, op: &Gmdj) -> MergeSync {
@@ -352,7 +366,9 @@ impl MergeSync {
             base_keys: Vec::new(),
             index: IdTable::with_capacity(0),
             key_len,
-            layout: op.layout(),
+            blocks: op.block_aggs(),
+            layout: None,
+            inferred: false,
             runs: Runs::default(),
             states: None,
             present: Vec::new(),
@@ -368,6 +384,7 @@ impl MergeSync {
     /// across the sites ([`parallel_merge_tree`]) are one leaf, whose tree
     /// is that leaf.
     pub fn absorb(&mut self, h: &Relation) -> Result<()> {
+        self.slots(h.schema().fields(), self.key_len)?;
         self.absorb_keyed(self.n_leaves, h.columns().clone())
     }
 
@@ -378,6 +395,7 @@ impl MergeSync {
     /// up to the highest one absorbed, so an empty answer still counts.
     pub fn absorb_frame(&mut self, leaf: usize, answer: ResultFrame) -> Result<()> {
         answer.refuse_survivors("a keyed answer")?;
+        self.slots(answer.schema().fields(), self.key_len)?;
         self.absorb_keyed(leaf, answer.into_columns())
     }
 
@@ -387,7 +405,7 @@ impl MergeSync {
     /// row `i` (`None`: the fragment is B). The answer must have exactly
     /// as many rows as it answers.
     pub fn absorb_at(&mut self, leaf: usize, fragment: Option<&[u32]>, answer: ResultFrame) -> Result<()> {
-        let width = self.layout.width();
+        let width = self.slots(answer.schema().fields(), 0)?.width();
         if answer.schema().len() != width {
             return Err(arity_error(answer.schema().len(), 0, width));
         }
@@ -403,7 +421,7 @@ impl MergeSync {
         if answer.len() != answered {
             return err(format!("has {} accumulator rows for {answered} answered fragment rows", answer.len()));
         }
-        self.prepare(leaf, answer.columns(), 0)?;
+        self.prepare(leaf)?;
         self.slots.clear();
         self.slots.extend((0..answered).map(|r| {
             let r = survivors.map_or(r, |at| at[r] as usize);
@@ -414,9 +432,10 @@ impl MergeSync {
 
     /// A keyed answer of leaf `leaf`: folded, kept as its run for the pass;
     /// against B, each row's group looked up by its key (one hash and
-    /// probe of B's index) and its accumulators scattered at once.
+    /// probe of B's index) and its accumulators scattered at once. The
+    /// slots are laid out ([`MergeSync::slots`]).
     fn absorb_keyed(&mut self, leaf: usize, cols: Columns) -> Result<()> {
-        let (kl, width) = (self.key_len, self.layout.width());
+        let (kl, width) = (self.key_len, self.layout.as_ref().map_or(0, AccLayout::width));
         if cols.arity() != kl + width {
             return Err(arity_error(cols.arity(), kl, width));
         }
@@ -424,7 +443,7 @@ impl MergeSync {
             self.n_leaves = self.n_leaves.max(leaf + 1);
             return self.runs.push(leaf, cols);
         }
-        self.prepare(leaf, &cols, kl)?;
+        self.prepare(leaf)?;
         let base_keys: Vec<&Column> = self.base_keys.iter().map(Arc::as_ref).collect();
         if self.index.len() < self.cap {
             self.index = index_columns(&base_keys, self.cap)?;
@@ -440,12 +459,23 @@ impl MergeSync {
         self.scatter(leaf, &cols, kl)
     }
 
-    /// Type the states after the first answer's accumulator fields (those
-    /// of `cols` from column `from` on), and give leaf `leaf` its block.
-    fn prepare(&mut self, leaf: usize, cols: &Columns, from: usize) -> Result<()> {
+    /// The slots: the detail schema's, or else those of the first answer,
+    /// whose fields from `from` on lay them out.
+    fn slots(&mut self, fields: &[Field], from: usize) -> Result<&AccLayout> {
+        if self.layout.is_none() {
+            let fields = fields.get(from..).ok_or_else(|| arity_error(fields.len(), from, 0))?;
+            self.layout = Some(AccLayout::from_physical(&self.blocks, fields)?);
+            self.inferred = true;
+        }
+        self.layout.as_ref().ok_or_else(|| Error::Execution("no accumulator layout".into()))
+    }
+
+    /// Make the states on the first answer, and give leaf `leaf` its
+    /// block.
+    fn prepare(&mut self, leaf: usize) -> Result<()> {
         if self.states.is_none() {
-            let types: Vec<DataType> = (from..cols.arity()).map(|c| cols.col(c).data_type()).collect();
-            self.states = Some(AccStates::new(&self.layout, &types, self.cap)?);
+            let layout = self.layout.as_ref().ok_or_else(|| Error::Execution("no accumulator layout".into()))?;
+            self.states = Some(AccStates::new(layout, self.cap));
             // X's block: X_init for each of B's groups.
             self.present = vec![self.base.is_some(); self.cap];
         }
@@ -484,9 +514,9 @@ impl MergeSync {
         let (picks, rows) = runs.pass(&(0..kl).collect::<Vec<_>>(), |_, _| Ok(()))?;
         let keys = runs.gather(key_fields, &picks)?;
         self.cap = picks.len();
-        if !runs.is_empty() {
+        if let (false, Some(layout)) = (runs.is_empty(), &self.layout) {
             let slots = (1 + self.n_leaves) * self.cap;
-            self.states = Some(AccStates::new(&self.layout, &runs.types[kl..], slots)?);
+            self.states = Some(AccStates::new(layout, slots));
             self.present = vec![false; slots];
         }
         for (leaf, cols) in runs.runs.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
@@ -540,14 +570,24 @@ impl MergeSync {
         };
         self.merge_tree();
         let groups = self.cap;
+        // The detail schema's slots: those an answer's schema laid out
+        // must merge as they do, or no answer of the unit's.
+        let layout = match self.layout.take() {
+            Some(layout) if !self.inferred => layout,
+            inferred => {
+                let layout = op.layout(detail)?;
+                if inferred.is_some_and(|l| !l.merges_as(&layout)) {
+                    return Err(Error::SchemaMismatch(format!("answers whose accumulators are not {op}'s over {detail}")));
+                }
+                layout
+            }
+        };
         // No answer arrived: every group is X_init.
         let states = match self.states.take() {
             Some(states) => states,
             None => {
                 self.present = vec![false; groups];
-                let fields = self.layout.physical_fields(detail)?;
-                let types: Vec<DataType> = fields.iter().map(|f| f.data_type()).collect();
-                AccStates::new(&self.layout, &types, groups)?
+                AccStates::new(&layout, groups)
             }
         };
         let order: Vec<u32> = (0..groups as u32).collect();
@@ -694,14 +734,16 @@ pub fn parallel_merge_tree(
     op: &Gmdj,
     _parallelism: usize,
 ) -> Result<Option<Relation>> {
-    let w = op.layout().width();
-    if let Some(h) = answers.iter().find(|h| h.schema().len() != key_len + w) {
-        return Err(arity_error(h.schema().len(), key_len, w));
+    let mut tree = MergeSync::folded(key_len, op);
+    if let Some(first) = answers.first() {
+        let w = tree.slots(first.schema().fields(), key_len)?.width();
+        if let Some(h) = answers.iter().find(|h| h.schema().len() != key_len + w) {
+            return Err(arity_error(h.schema().len(), key_len, w));
+        }
     }
     if answers.len() < 2 {
         return Ok(answers.pop());
     }
-    let mut tree = MergeSync::folded(key_len, op);
     for h in &answers {
         let names = h.schema().column_names();
         let (cols, key) = (h.columns(), &names[..key_len]);
@@ -720,22 +762,14 @@ pub fn parallel_merge_tree(
 }
 
 /// The finalize-of-nothing aggregate values for a run of operators: what a
-/// group's outputs are when no detail tuple anywhere matches it — one
-/// fresh position of each operator's typed states, finalized.
+/// group's outputs are when no detail tuple anywhere matches it — a COUNT
+/// of 0, and NULL for every other aggregate, as X_init finalizes.
 pub fn empty_aggregates(ops: &[Gmdj]) -> Result<Vec<Value>> {
-    let mut out = Vec::new();
-    for op in ops {
-        let layout = op.layout();
-        // A fresh position finalizes to COUNT 0 and NULL elsewhere whatever
-        // its slots' types, so each aggregate takes the last `width` of
-        // VAR's: types a plan can give every aggregate of that width.
-        let var = [DataType::Double, DataType::Double, DataType::Int];
-        let types: Vec<DataType> =
-            layout.entries().iter().flat_map(|(_, a, _)| var[3 - a.acc_width()..].to_vec()).collect();
-        let states = AccStates::new(&layout, &types, 1)?;
-        out.extend(states.finalize_columns(&[0], &[true]).iter().map(|c| c.value(0)));
-    }
-    Ok(out)
+    let empty = |a: &AggSpec| match a.func {
+        AggFunc::Count => Value::Int(0),
+        _ => Value::Null,
+    };
+    Ok(ops.iter().flat_map(Gmdj::all_aggs).map(empty).collect())
 }
 
 #[cfg(test)]
@@ -978,7 +1012,7 @@ mod tests {
             .collect();
 
         // The left fold, by hand: per group, X_init ⊕ c₀ ⊕ c₁ ⊕ …
-        let layout = op().layout();
+        let layout = op().layout(&detail_schema()).unwrap();
         let mut fold = vec![oracle::init_all(&layout), oracle::init_all(&layout)];
         for c in &answers {
             for (x, row) in fold.iter_mut().zip(c.rows()) {
@@ -997,6 +1031,49 @@ mod tests {
         sync.absorb(&merged).unwrap();
         let tree_out = sync.finish(b.schema(), &op(), &detail_schema()).unwrap();
         assert_eq!(tree_out.rows(), fold_out);
+    }
+
+    /// VAR and STDDEV of an `Int` input that no SUM, AVG, MIN or MAX
+    /// types: an answer's schema lays out a `Double` SUM where the detail
+    /// schema lays out a `SUM(v as f64)`, which keeps the same state, so
+    /// the answers merge and finish from their own schema — folded,
+    /// against B and through the merge tree — as from the detail schema.
+    #[test]
+    fn var_of_an_int_alone_merges_from_an_answer_s_schema() {
+        let aggs = vec![AggSpec::var("v", "var"), AggSpec::stddev("v", "sd")];
+        let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), aggs);
+        let schema = Schema::of(&[
+            ("g", DataType::Int),
+            ("var__sum", DataType::Double),
+            ("var__sumsq", DataType::Double),
+            ("var__cnt", DataType::Int),
+        ]);
+        // Group 1 sees {2, 4} over two sites, group 2 sees {3}.
+        let answers = [
+            Relation::new(schema.clone(), vec![row![1i64, 2.0, 4.0, 1i64], row![2i64, 3.0, 9.0, 1i64]]).unwrap(),
+            Relation::new(schema, vec![row![1i64, 4.0, 16.0, 1i64]]).unwrap(),
+        ];
+        let want = vec![row![1i64, 1.0, 1.0], row![2i64, 0.0, 0.0]];
+        let (b, d) = (b0(), detail_schema());
+        let finish = |mut sync: MergeSync, answers: &[Relation]| {
+            answers.iter().for_each(|h| sync.absorb(h).unwrap());
+            sync.finish(b.schema(), &op, &d).unwrap().rows().to_vec()
+        };
+        let layout = || op.layout(&d).unwrap();
+        assert_eq!(finish(MergeSync::over(None, &key(), &op, layout()).unwrap(), &answers), want);
+        assert_eq!(finish(MergeSync::new(None, &key(), &op).unwrap(), &answers), want);
+        assert_eq!(finish(MergeSync::new(Some(&b), &key(), &op).unwrap(), &answers), want);
+        let tree = parallel_merge_tree(answers.to_vec(), 1, &op, 2).unwrap().unwrap();
+        assert_eq!(finish(MergeSync::new(Some(&b), &key(), &op).unwrap(), &[tree]), want);
+        // An answer typed as no detail schema lays it out is still refused.
+        let ints = Schema::of(&[
+            ("g", DataType::Int),
+            ("var__sum", DataType::Int),
+            ("var__sumsq", DataType::Double),
+            ("var__cnt", DataType::Int),
+        ]);
+        let h = Relation::new(ints, vec![row![1i64, 2i64, 4.0, 1i64]]).unwrap();
+        assert!(MergeSync::new(None, &key(), &op).unwrap().absorb(&h).is_err());
     }
 
     #[test]
@@ -1170,7 +1247,7 @@ mod tests {
             ],
         );
         let mut h_fields = vec![skalla_relation::Field::new("g", DataType::Int)];
-        h_fields.extend(op.layout().physical_fields(&detail).unwrap());
+        h_fields.extend(op.layout(&detail).unwrap().fields());
         (op, detail, Schema::new(h_fields).unwrap())
     }
 
@@ -1190,8 +1267,9 @@ mod tests {
     /// Case `case` of the spec tests' generator: 1–7 sites, keys missing
     /// per site, empty answers; key `k` is `key(k)`
     /// (distinct keys must be distinct values, of `h_schema`'s key type).
-    /// The Double SUM runs over ±0.0 and two NaN payloads; an AVG's sum is
-    /// present exactly where its count is positive, as a site's is.
+    /// The Double SUM runs over ±0.0 and two NaN payloads, and, shared
+    /// with AVG and VAR, is present exactly where their count is positive,
+    /// as a site's is.
     fn merge_case(rng: &mut StdRng, case: usize, h_schema: &Schema, key: impl Fn(usize) -> Value) -> MergeCase {
         let doubles = [-0.0, 0.0, 0.1, 3.0, 1e16, -1e16, nan(1), nan(0xabc)];
         let strings = [Value::Null, Value::str("a"), Value::str("ab"), Value::str("z")];
@@ -1202,18 +1280,15 @@ mod tests {
                 (0..n_keys)
                     .map(|_| {
                         (rng.gen_range(0..3) > 0).then(|| {
-                            let avg_cnt = rng.gen_range(0..4i64);
-                            let avg_sum = if avg_cnt > 0 { dbl(rng) } else { Value::Null };
+                            let d_cnt = rng.gen_range(0..4i64);
+                            let d_sum = if d_cnt > 0 { dbl(rng) } else { Value::Null };
                             vec![
                                 Value::Int(rng.gen_range(0..4i64)),
                                 Value::Int(i64::MAX - rng.gen_range(0..3i64)),
-                                dbl(rng),
+                                d_sum,
                                 Value::Null,
-                                avg_sum,
-                                Value::Int(avg_cnt),
+                                Value::Int(d_cnt),
                                 dbl(rng),
-                                dbl(rng),
-                                Value::Int(rng.gen_range(0..4i64)),
                                 cases::pick(rng, &strings),
                                 cases::pick(rng, &strings),
                             ]
@@ -1284,7 +1359,7 @@ mod tests {
     #[test]
     fn merge_bits_match_the_pairwise_tree_reference() {
         let (op, detail, h_schema) = spec_op();
-        let layout = op.layout();
+        let layout = op.layout(&detail).unwrap();
         let key_schema = Schema::of(&[("g", DataType::Int)]);
         let mut case = 0;
         for_cases("merge_bits_match_the_pairwise_tree_reference", 400, |rng| {
@@ -1359,7 +1434,7 @@ mod tests {
     /// through the reference's [`oracle::finalize_all`].
     fn finish_by_rows(mut x: MergeSync, b_in_schema: &Schema, op: &Gmdj, detail: &Schema) -> Relation {
         let out_schema = op.output_schema(b_in_schema, detail).unwrap();
-        let layout = x.layout.clone();
+        let layout = op.layout(detail).unwrap();
         let mut rows = Vec::new();
         if x.base.is_none() {
             let (kl, n) = (x.key_len, x.runs.leaves());

@@ -336,15 +336,16 @@ impl<'q> CoordMachine<'q> {
                     let b_in_schema = &self.schemas[unit.ops.start];
                     // A sub-result's types: a folded unit's key, as B
                     // types it, then the unit's physical accumulators'.
-                    let mut result_types = Vec::with_capacity(plan.key.len() + op.layout().width());
+                    let unknown = || Error::Plan(format!("unknown table {:?}", unit.table));
+                    let detail = self.catalog.get(&unit.table).ok_or_else(unknown)?.schema();
+                    let b = if unit.fold_base { None } else { self.b_cur.as_ref() };
+                    let layout = op.layout(detail)?;
+                    let mut result_types = Vec::with_capacity(plan.key.len() + layout.width());
                     for k in plan.key.iter().filter(|_| !unit.positional()) {
                         result_types.push(b_in_schema.field(b_in_schema.index_of(k)?).data_type());
                     }
-                    let unknown = || Error::Plan(format!("unknown table {:?}", unit.table));
-                    let detail = self.catalog.get(&unit.table).ok_or_else(unknown)?.schema();
-                    let acc = op.layout().physical_fields(detail)?;
-                    result_types.extend(acc.iter().map(|f| f.data_type()));
-                    let mut sync = MergeSync::new(if unit.fold_base { None } else { self.b_cur.as_ref() }, &plan.key, op)?;
+                    result_types.extend(layout.slots().iter().map(|s| s.field.data_type()));
+                    let mut sync = MergeSync::over(b, &plan.key, op, layout)?;
                     let sites: Vec<usize> = (0..n).filter(|&s| sent[s].is_some()).collect();
                     let mut leaf = vec![0; n];
                     sites.iter().enumerate().for_each(|(l, &s)| leaf[s] = l);

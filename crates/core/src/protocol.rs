@@ -102,7 +102,12 @@ use skalla_relation::{Bitmap, Column, Columns, Domain, DomainMap, Error, Relatio
 ///   4). Bytes 2, 6, 7 and 8 are retired, and a column in any form the
 ///   encoder would not write is refused. A v17 peer would refuse every
 ///   numeric column.
-pub const PROTOCOL_VERSION: u32 = 18;
+/// * **v19** — v18 frames; a merge unit's `RESULT` carries one
+///   accumulator column per distinct sub-aggregate of a block (`COUNT(*)`,
+///   `COUNT(x)`, `SUM(x)`, `SUM(x as f64)`, `SUM(x²)`, `MIN(x)`, `MAX(x)`),
+///   which AVG, VAR and STDDEV share with SUM, COUNT and each other. A v18
+///   peer would send and expect one set of columns per aggregate.
+pub const PROTOCOL_VERSION: u32 = 19;
 
 /// Declares the frame-tag registry once: the [`Tag`] enum, its `TAG_*`
 /// wire constants, [`Tag::ALL`] and [`Tag::name`] all come from this one

@@ -5,10 +5,14 @@
 //! dispatch plus one possible clone per (tuple, aggregate). This kernel
 //! computes the same function on the relation's columns, read in place
 //! ([`Relation::column`]). Per morsel and block it makes a selection of matching
-//! `(detail row, base position)` pairs in two steps, then runs one
-//! **typed inner loop per aggregate** over `&[i64]` / `&[f64]` column
+//! `(detail row, base position)` pairs in two steps, then runs at most
+//! **one typed inner loop per aggregate** over `&[i64]` / `&[f64]` column
 //! slices into typed accumulator arrays (`Vec<i64>`, `Vec<f64>`,
-//! `Vec<bool>` has-flags) — no `Value` is materialized per row:
+//! `Vec<bool>` has-flags) — no `Value` is materialized per row. A slot of
+//! the layout is a block's distinct sub-aggregate ([`AccLayout`]), filled
+//! once: by the loop of the first aggregate of its block that needs it,
+//! which fills all the slots it needs unfilled in one pass, so `SUM(v),
+//! AVG(v), VAR(v)` run one loop, not three:
 //!
 //! - **Candidates.** An equi-key block writes one `(row, first base
 //!   position with the row's key)` pair per detail row unconditionally and
@@ -57,7 +61,7 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::agg::{AccLayout, AggFunc, AggSpec};
+use crate::agg::{AccLayout, AggSpec, SlotKind};
 use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, LocalGmdj, MorselKernel};
 use crate::operator::Gmdj;
 use crate::state::{
@@ -255,66 +259,83 @@ type IntCol<'a> = (&'a [i64], Option<&'a Bitmap>);
 /// A typed `Double` column: the values and the validity mask.
 type F64Col<'a> = (&'a [f64], Option<&'a Bitmap>);
 
-/// How one aggregate is computed over the selection: a typed inner loop
-/// over its input column's slices (borrowed at classification, which is
-/// also what builds the column).
-enum ColAgg<'a> {
-    /// `COUNT(*)`.
-    CountStar,
-    /// `COUNT(col)` — counts valid (non-`NULL`) rows of a column of any
-    /// type.
-    CountCol(&'a Column),
-    /// `SUM(col)` over an `Int` column (wrapping, like `eval_arith`).
-    SumInt(IntCol<'a>),
-    /// `SUM(col)` over a `Double` column.
-    SumF64(F64Col<'a>),
-    /// `MIN`/`MAX` over an `Int` column (`max` = true for MAX).
-    MinMaxInt { col: IntCol<'a>, max: bool },
-    /// `MIN`/`MAX` over a `Double` column (total order, NaN greatest).
-    MinMaxF64 { col: F64Col<'a>, max: bool },
-    /// `MIN`/`MAX` over a `Str` column.
-    MinMaxStr { col: StrDictView<'a>, max: bool },
-    /// `AVG(col)` over an `Int` column: wrapping Int sum + count.
-    AvgInt(IntCol<'a>),
-    /// `AVG(col)` over a `Double` column: f64 sum + count.
-    AvgF64(F64Col<'a>),
-    /// `VAR`/`STDDEV` over an `Int` column (`x as f64`, like `as_f64`).
-    VarInt(IntCol<'a>),
-    /// `VAR`/`STDDEV` over a `Double` column.
-    VarF64(F64Col<'a>),
+/// The slots one pass of sums fills (indexes into the layout's slots):
+/// the SUM of one input — over an `Int`, the wrapping SUM or VAR's SUM as
+/// `f64`, never both, as no aggregate needs both — its SUM of squares and
+/// its COUNT.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sums {
+    sum: Option<usize>,
+    sq: Option<usize>,
+    cnt: Option<usize>,
 }
 
-/// The loop of `spec` over its input column (`None` for `COUNT(*)`).
-/// A SUM, AVG or VAR over strings, which validation refuses, is a type
-/// error here too.
-fn classify<'a>(spec: &AggSpec, column: Option<&'a Column>) -> Result<ColAgg<'a>> {
-    use AggFunc::{Avg, Count, Max, Min, StdDev, Sum, Var};
-    let max = spec.func == Max;
-    Ok(match (spec.func, column) {
-        (Count, None) => ColAgg::CountStar,
-        (Count, Some(c)) => ColAgg::CountCol(c),
-        (Sum, Some(Column::Int { data, valid })) => ColAgg::SumInt((data, valid.as_ref())),
-        (Sum, Some(Column::Double { data, valid })) => ColAgg::SumF64((data, valid.as_ref())),
-        (Min | Max, Some(Column::Int { data, valid })) => ColAgg::MinMaxInt {
-            col: (data, valid.as_ref()),
-            max,
-        },
-        (Min | Max, Some(Column::Double { data, valid })) => ColAgg::MinMaxF64 {
-            col: (data, valid.as_ref()),
-            max,
-        },
-        (Min | Max, Some(Column::Str { codes, dict, valid })) => ColAgg::MinMaxStr {
-            col: (codes, dict, valid.as_ref()),
-            max,
-        },
-        (Avg, Some(Column::Int { data, valid })) => ColAgg::AvgInt((data, valid.as_ref())),
-        (Avg, Some(Column::Double { data, valid })) => ColAgg::AvgF64((data, valid.as_ref())),
-        (Var | StdDev, Some(Column::Int { data, valid })) => ColAgg::VarInt((data, valid.as_ref())),
-        (Var | StdDev, Some(Column::Double { data, valid })) => ColAgg::VarF64((data, valid.as_ref())),
-        (_, column) => {
-            let input = column.map_or("no input".into(), |c| format!("a {} column", c.data_type()));
-            return Err(Error::TypeError(format!("{spec} over {input}")));
+/// One typed inner loop over a block's selection, filling the slots that
+/// the first aggregate needing them finds unfilled, over their input
+/// column's slices (borrowed at classification, which is also what builds
+/// the column).
+enum Fill<'a> {
+    /// `COUNT(*)`.
+    CountStar(usize),
+    /// `COUNT(col)` — counts valid (non-`NULL`) rows of a column of any
+    /// type.
+    CountCol(&'a Column, usize),
+    /// `MIN`/`MAX` over an `Int` column (`max` = true for MAX).
+    MinMaxInt { col: IntCol<'a>, max: bool, slot: usize },
+    /// `MIN`/`MAX` over a `Double` column (total order, NaN greatest).
+    MinMaxF64 { col: F64Col<'a>, max: bool, slot: usize },
+    /// `MIN`/`MAX` over a `Str` column.
+    MinMaxStr { col: StrDictView<'a>, max: bool, slot: usize },
+    /// Sums of an `Int` column in one pass: the wrapping SUM (like
+    /// `eval_arith`) or the SUM as `f64`, the SUM of squares (`x as f64`,
+    /// like `as_f64`), the COUNT.
+    IntSums { col: IntCol<'a>, to: Sums },
+    /// Sums of a `Double` column in one pass.
+    F64Sums { col: F64Col<'a>, to: Sums },
+}
+
+/// The loop that fills `new`, the slots of `layout` that an aggregate
+/// needs and finds unfilled, over the aggregate's input column (`None`
+/// for `COUNT(*)`). A sum over strings, which validation refuses, is a
+/// type error here too.
+fn classify<'a>(layout: &AccLayout, new: &[usize], spec: &AggSpec, column: Option<&'a Column>) -> Result<Fill<'a>> {
+    let slots = layout.slots();
+    let kinds: Vec<SlotKind> = new.iter().map(|&s| slots[s].kind).collect();
+    let type_error = |column: Option<&Column>| {
+        let input = column.map_or("no input".into(), |c| format!("a {} column", c.data_type()));
+        Error::TypeError(format!("{spec} over {input}"))
+    };
+    Ok(match (&kinds[..], column) {
+        ([SlotKind::CountStar], _) => Fill::CountStar(new[0]),
+        ([SlotKind::Count], Some(c)) => Fill::CountCol(c, new[0]),
+        ([k @ (SlotKind::Min | SlotKind::Max)], Some(column)) => {
+            let (max, slot) = (*k == SlotKind::Max, new[0]);
+            match column {
+                Column::Int { data, valid } => Fill::MinMaxInt { col: (data, valid.as_ref()), max, slot },
+                Column::Double { data, valid } => Fill::MinMaxF64 { col: (data, valid.as_ref()), max, slot },
+                Column::Str { codes, dict, valid } => Fill::MinMaxStr { col: (codes, dict, valid.as_ref()), max, slot },
+            }
         }
+        (_, Some(column @ (Column::Int { .. } | Column::Double { .. }))) => {
+            let mut to = Sums::default();
+            for (&s, kind) in new.iter().zip(&kinds) {
+                let at = match kind {
+                    SlotKind::Sum | SlotKind::SumF64 => &mut to.sum,
+                    SlotKind::SumSq => &mut to.sq,
+                    SlotKind::Count => &mut to.cnt,
+                    _ => return Err(type_error(Some(column))),
+                };
+                if at.replace(s).is_some() {
+                    return Err(type_error(Some(column)));
+                }
+            }
+            match column {
+                Column::Int { data, valid } => Fill::IntSums { col: (data, valid.as_ref()), to },
+                Column::Double { data, valid } => Fill::F64Sums { col: (data, valid.as_ref()), to },
+                Column::Str { .. } => return Err(type_error(Some(column))),
+            }
+        }
+        (_, column) => return Err(type_error(column)),
     })
 }
 
@@ -335,21 +356,6 @@ fn computed_column(spec: &AggSpec, input: &BoundExpr, detail: &Relation) -> Resu
         b.push(&v);
     }
     Ok(b.finish())
-}
-
-/// The typed state an aggregate's classification accumulates into.
-fn kind(agg: &ColAgg<'_>) -> Kind {
-    match agg {
-        ColAgg::CountStar | ColAgg::CountCol(_) => Kind::Count,
-        ColAgg::SumInt(_) => Kind::SumI,
-        ColAgg::SumF64(_) => Kind::SumF,
-        ColAgg::MinMaxInt { .. } => Kind::MinMaxI,
-        ColAgg::MinMaxF64 { .. } => Kind::MinMaxF,
-        ColAgg::MinMaxStr { .. } => Kind::MinMaxS,
-        ColAgg::AvgInt(_) => Kind::AvgI,
-        ColAgg::AvgF64(_) => Kind::AvgF,
-        ColAgg::VarInt(_) | ColAgg::VarF64(_) => Kind::Var,
-    }
 }
 
 /// A detail value against a right-hand-side number in [`Value`]'s total
@@ -614,15 +620,15 @@ struct ColBlock<'a> {
     pair: Option<usize>,
     /// Residual θ as a conjunction (empty when trivially true).
     residual: Vec<Conjunct<'a>>,
-    /// This block's aggregates with their global indexes into
-    /// `ColState::aggs`.
-    aggs: Vec<(usize, ColAgg<'a>)>,
+    /// The block's loops: at most one per aggregate, none for one whose
+    /// slots an aggregate before it filled.
+    fills: Vec<Fill<'a>>,
 }
 
-/// Per-morsel accumulation state: one typed array per aggregate plus the
+/// Per-morsel accumulation state: one typed array per slot plus the
 /// match flags.
 struct ColState {
-    aggs: Vec<AggState>,
+    slots: Vec<AggState>,
     matched: Vec<bool>,
 }
 
@@ -638,12 +644,6 @@ struct ColKernel<'a> {
 }
 
 impl ColKernel<'_> {
-    /// The spec of global aggregate `gi` (layout entries share the global
-    /// aggregate order).
-    fn spec(&self, gi: usize) -> &AggSpec {
-        &self.layout.entries()[gi].1
-    }
-
     /// Compact the pairs of `sel` from `from` on to those every residual
     /// conjunct of `cb` holds for, one conjunct at a time, in order.
     fn filter(&self, cb: &ColBlock<'_>, sel: &mut Pairs, from: usize) -> Result<()> {
@@ -673,25 +673,20 @@ impl MorselKernel for ColKernel<'_> {
 
     fn init_state(&self) -> ColState {
         let n = self.base.len();
-        let aggs = self
-            .blocks
-            .iter()
-            .flat_map(|b| b.aggs.iter().map(|(_, a)| AggState::new(kind(a), n)))
-            .collect();
         ColState {
-            aggs,
+            slots: self.layout.slots().iter().map(|s| AggState::new(Kind::of(s), n)).collect(),
             matched: vec![false; n],
         }
     }
 
     fn reset_state(&self, state: &mut ColState) {
-        state.aggs.iter_mut().for_each(AggState::reset);
+        state.slots.iter_mut().for_each(AggState::reset);
         state.matched.fill(false);
     }
 
     fn merge_state(&self, dst: &mut ColState, src: &ColState) -> Result<()> {
-        for (gi, (d, s)) in dst.aggs.iter_mut().zip(&src.aggs).enumerate() {
-            d.merge(s, self.spec(gi))?;
+        for ((d, s), slot) in dst.slots.iter_mut().zip(&src.slots).zip(self.layout.slots()) {
+            d.merge(s, slot.kind == SlotKind::Max)?;
         }
         for (d, s) in dst.matched.iter_mut().zip(&src.matched) {
             *d |= *s;
@@ -728,161 +723,234 @@ impl MorselKernel for ColKernel<'_> {
             for &p in sel.poss() {
                 state.matched[p as usize] = true;
             }
-            // Aggregate pass: one typed loop per aggregate over the
-            // selection.
-            for (gi, agg) in &cb.aggs {
-                update_agg(agg, &mut state.aggs[*gi], sel.rows(), sel.poss());
+            // Aggregate pass: the block's typed loops over the selection.
+            for fill in &cb.fills {
+                run_fill(fill, &mut state.slots, sel.rows(), sel.poss());
             }
         }
         Ok(())
     }
 }
 
-/// Run one aggregate's inner loop over the selected `(row, pos)` pairs.
-fn update_agg(agg: &ColAgg<'_>, state: &mut AggState, rows: &[u32], poss: &[u32]) {
-    match (agg, state) {
-        (ColAgg::CountStar, AggState::Count(c)) => {
-            for &p in poss {
-                c[p as usize] += 1;
+/// Run one fill's typed inner loop over the selected `(row, pos)` pairs.
+/// Each slot's state is of the kind its fill was classified against
+/// (`Kind::of`), so every state a loop looks for is there.
+fn run_fill(fill: &Fill<'_>, slots: &mut [AggState], rows: &[u32], poss: &[u32]) {
+    match fill {
+        Fill::IntSums { col, to } => {
+            let [sum, sq, cnt] = targets(slots, to);
+            let (sq, cnt) = (sq.and_then(sum_sq), cnt.and_then(counts));
+            match sum {
+                Some(AggState::SumI { s, has }) => sums_with(*col, IntSum(s, has), sq, cnt, rows, poss),
+                Some(AggState::SumF { s, has }) => sums_with(*col, F64Sum(s, has), sq, cnt, rows, poss),
+                _ => sums_with(*col, NoSum, sq, cnt, rows, poss),
             }
         }
-        (ColAgg::CountCol(column), AggState::Count(c)) => match column.validity() {
-            None => {
+        Fill::F64Sums { col, to } => {
+            let [sum, sq, cnt] = targets(slots, to);
+            let (sq, cnt) = (sq.and_then(sum_sq), cnt.and_then(counts));
+            match sum {
+                Some(AggState::SumF { s, has }) => sums_with(*col, F64Sum(s, has), sq, cnt, rows, poss),
+                _ => sums_with(*col, NoSum, sq, cnt, rows, poss),
+            }
+        }
+        Fill::CountStar(s) => {
+            if let Some(c) = counts(&mut slots[*s]) {
                 for &p in poss {
                     c[p as usize] += 1;
                 }
             }
-            Some(vb) => {
-                for (&i, &p) in rows.iter().zip(poss) {
-                    c[p as usize] += vb.get(i as usize) as i64;
-                }
-            }
-        },
-        (ColAgg::SumInt((data, valid)), AggState::SumI { s, has }) => {
-            sum_loop(rows, poss, data, *valid, fold_sum_i, s, has);
         }
-        (ColAgg::SumF64((data, valid)), AggState::SumF { s, has }) => {
-            sum_loop(rows, poss, data, *valid, fold_sum_f, s, has);
-        }
-        (ColAgg::MinMaxInt { col: (data, valid), max }, AggState::MinMaxI { m, has }) => {
-            let max = *max;
-            let fold = move |acc: &mut i64, v, h| fold_min_max_i(acc, v, h, max);
-            sum_loop(rows, poss, data, *valid, fold, m, has);
-        }
-        (ColAgg::MinMaxF64 { col: (data, valid), max }, AggState::MinMaxF { m, has }) => {
-            let max = *max;
-            let fold = move |acc: &mut f64, v, h| fold_min_max_f(acc, v, h, max);
-            sum_loop(rows, poss, data, *valid, fold, m, has);
-        }
-        (ColAgg::MinMaxStr { col: (codes, dict, valid), max }, AggState::MinMaxS { m }) => {
-            for (&i, &p) in rows.iter().zip(poss) {
-                let i = i as usize;
-                if valid.is_none_or(|b| b.get(i)) {
-                    fold_min_max_s(&mut m[p as usize], &dict[codes[i] as usize], *max);
-                }
-            }
-        }
-        (ColAgg::AvgInt((data, valid)), AggState::AvgI { s, cnt }) => {
-            match valid {
-                None => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        fold_sum_i(&mut s[p], data[i], cnt[p] > 0);
-                        cnt[p] += 1;
+        Fill::CountCol(column, s) => {
+            if let Some(c) = counts(&mut slots[*s]) {
+                match column.validity() {
+                    None => {
+                        for &p in poss {
+                            c[p as usize] += 1;
+                        }
                     }
-                }
-                Some(vb) => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        if vb.get(i) {
-                            fold_sum_i(&mut s[p], data[i], cnt[p] > 0);
-                            cnt[p] += 1;
+                    Some(vb) => {
+                        for (&i, &p) in rows.iter().zip(poss) {
+                            c[p as usize] += vb.get(i as usize) as i64;
                         }
                     }
                 }
             }
         }
-        (ColAgg::AvgF64((data, valid)), AggState::AvgF { s, cnt }) => {
-            match valid {
-                None => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        fold_sum_f(&mut s[p], data[i], cnt[p] > 0);
-                        cnt[p] += 1;
-                    }
-                }
-                Some(vb) => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        if vb.get(i) {
-                            fold_sum_f(&mut s[p], data[i], cnt[p] > 0);
-                            cnt[p] += 1;
-                        }
-                    }
-                }
+        Fill::MinMaxInt { col: (data, valid), max, slot } => {
+            if let AggState::MinMaxI { m, has } = &mut slots[*slot] {
+                let max = *max;
+                let fold = move |acc: &mut i64, v, h| fold_min_max_i(acc, v, h, max);
+                valued_loop(rows, poss, data, *valid, fold, m, has);
             }
         }
-        (ColAgg::VarInt((data, valid)), AggState::Var { s, sq, cnt }) => {
-            match valid {
-                None => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        let x = data[i] as f64;
-                        s[p] = f64_add(s[p], x);
-                        sq[p] = f64_add(sq[p], x * x);
-                        cnt[p] += 1;
-                    }
-                }
-                Some(vb) => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        if vb.get(i) {
-                            let x = data[i] as f64;
-                            s[p] = f64_add(s[p], x);
-                            sq[p] = f64_add(sq[p], x * x);
-                            cnt[p] += 1;
-                        }
-                    }
-                }
+        Fill::MinMaxF64 { col: (data, valid), max, slot } => {
+            if let AggState::MinMaxF { m, has } = &mut slots[*slot] {
+                let max = *max;
+                let fold = move |acc: &mut f64, v, h| fold_min_max_f(acc, v, h, max);
+                valued_loop(rows, poss, data, *valid, fold, m, has);
             }
         }
-        (ColAgg::VarF64((data, valid)), AggState::Var { s, sq, cnt }) => {
-            match valid {
-                None => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        let x = data[i];
-                        s[p] = f64_add(s[p], x);
-                        sq[p] = f64_add(sq[p], x * x);
-                        cnt[p] += 1;
-                    }
-                }
-                Some(vb) => {
-                    for (&i, &p) in rows.iter().zip(poss) {
-                        let (i, p) = (i as usize, p as usize);
-                        if vb.get(i) {
-                            let x = data[i];
-                            s[p] = f64_add(s[p], x);
-                            sq[p] = f64_add(sq[p], x * x);
-                            cnt[p] += 1;
-                        }
-                    }
-                }
+        Fill::MinMaxStr { col: (codes, dict, valid), max, slot } => {
+            if let AggState::MinMaxS { m } = &mut slots[*slot] {
+                each_valid(rows, poss, *valid, |i, p| fold_min_max_s(&mut m[p], &dict[codes[i] as usize], *max));
             }
         }
-        #[expect(
-            clippy::unreachable,
-            reason = "the state was built by `new_state` from this `ColAgg`"
-        )]
-        _ => unreachable!("state shape follows classification"),
     }
 }
 
-/// The shared shape of the null-skipping typed loops: apply `fold` to the
-/// slot of every selected pair whose detail value is valid, then mark the
-/// slot present.
+/// The states of a pass of sums' slots — its SUM, SUM of squares and
+/// COUNT, each where it has one — borrowed at once.
+fn targets<'s>(slots: &'s mut [AggState], to: &Sums) -> [Option<&'s mut AggState>; 3] {
+    let want = [to.sum, to.sq, to.cnt];
+    let mut out = [None, None, None];
+    for (s, st) in slots.iter_mut().enumerate() {
+        if let Some(k) = want.iter().position(|&w| w == Some(s)) {
+            out[k] = Some(st);
+        }
+    }
+    out
+}
+
+/// A number a pass of sums adds up: as the `f64` that a SUM as `f64` and
+/// a SUM of squares add.
+trait Num: Copy {
+    fn f64(self) -> f64;
+}
+
+impl Num for i64 {
+    #[inline]
+    fn f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Num for f64 {
+    #[inline]
+    fn f64(self) -> f64 {
+        self
+    }
+}
+
+/// The SUM slot a pass of sums adds each value to, if it has one.
+trait SumTo<X> {
+    fn add(&mut self, p: usize, x: X);
+}
+
+/// No SUM slot.
+struct NoSum;
+
+impl<X> SumTo<X> for NoSum {
+    #[inline]
+    fn add(&mut self, _: usize, _: X) {}
+}
+
+/// The wrapping SUM of an `Int` input.
+struct IntSum<'s>(&'s mut [i64], &'s mut [bool]);
+
+impl SumTo<i64> for IntSum<'_> {
+    #[inline]
+    fn add(&mut self, p: usize, x: i64) {
+        fold_sum_i(&mut self.0[p], x, self.1[p]);
+        self.1[p] = true;
+    }
+}
+
+/// A `Double` SUM: of a `Double` input, or of an `Int` one as `f64`.
+struct F64Sum<'s>(&'s mut [f64], &'s mut [bool]);
+
+impl<X: Num> SumTo<X> for F64Sum<'_> {
+    #[inline]
+    fn add(&mut self, p: usize, x: X) {
+        fold_sum_f(&mut self.0[p], x.f64(), self.1[p]);
+        self.1[p] = true;
+    }
+}
+
+/// Run a pass of sums over `col` into `sum` and, where it has them, `sq`
+/// and `cnt`. Which of them it has picks the loop, once per pass, so no
+/// row tests for a slot.
+fn sums_with<X: Num>(
+    col: (&[X], Option<&Bitmap>),
+    sum: impl SumTo<X>,
+    sq: Option<&mut [f64]>,
+    cnt: Option<&mut [i64]>,
+    rows: &[u32],
+    poss: &[u32],
+) {
+    match (sq, cnt) {
+        (Some(q), Some(c)) => sums::<X, _, true, true>(col, sum, q, c, rows, poss),
+        (Some(q), None) => sums::<X, _, true, false>(col, sum, q, &mut [], rows, poss),
+        (None, Some(c)) => sums::<X, _, false, true>(col, sum, &mut [], c, rows, poss),
+        (None, None) => sums::<X, _, false, false>(col, sum, &mut [], &mut [], rows, poss),
+    }
+}
+
+/// One pass of sums of a shape fixed at compile time: every valid value
+/// into `sum`, its square (as `f64`) into `sq` if `SQ`, one into `cnt` if
+/// `CNT`.
 #[inline]
-fn sum_loop<T: Copy>(
+fn sums<X: Num, S: SumTo<X>, const SQ: bool, const CNT: bool>(
+    (data, valid): (&[X], Option<&Bitmap>),
+    mut sum: S,
+    sq: &mut [f64],
+    cnt: &mut [i64],
+    rows: &[u32],
+    poss: &[u32],
+) {
+    each_valid(rows, poss, valid, |i, p| {
+        let x = data[i];
+        sum.add(p, x);
+        if SQ {
+            let f = x.f64();
+            sq[p] = f64_add(sq[p], f * f);
+        }
+        if CNT {
+            cnt[p] += 1;
+        }
+    });
+}
+
+/// A SUM of squares state's array.
+fn sum_sq(st: &mut AggState) -> Option<&mut [f64]> {
+    match st {
+        AggState::SumSq(q) => Some(q),
+        _ => None,
+    }
+}
+
+/// A COUNT state's array.
+fn counts(st: &mut AggState) -> Option<&mut [i64]> {
+    match st {
+        AggState::Count(c) => Some(c),
+        _ => None,
+    }
+}
+
+/// Apply `f(row, pos)` to every selected pair whose detail row is valid.
+#[inline]
+fn each_valid(rows: &[u32], poss: &[u32], valid: Option<&Bitmap>, mut f: impl FnMut(usize, usize)) {
+    match valid {
+        None => {
+            for (&i, &p) in rows.iter().zip(poss) {
+                f(i as usize, p as usize);
+            }
+        }
+        Some(vb) => {
+            for (&i, &p) in rows.iter().zip(poss) {
+                if vb.get(i as usize) {
+                    f(i as usize, p as usize);
+                }
+            }
+        }
+    }
+}
+
+/// The shared shape of the null-skipping MIN/MAX loops: apply `fold` to
+/// the slot of every selected pair whose detail value is valid, then mark
+/// the slot present.
+#[inline]
+fn valued_loop<T: Copy>(
     rows: &[u32],
     poss: &[u32],
     data: &[T],
@@ -891,24 +959,10 @@ fn sum_loop<T: Copy>(
     acc: &mut [T],
     has: &mut [bool],
 ) {
-    match valid {
-        None => {
-            for (&i, &p) in rows.iter().zip(poss) {
-                let (i, p) = (i as usize, p as usize);
-                fold(&mut acc[p], data[i], has[p]);
-                has[p] = true;
-            }
-        }
-        Some(vb) => {
-            for (&i, &p) in rows.iter().zip(poss) {
-                let (i, p) = (i as usize, p as usize);
-                if vb.get(i) {
-                    fold(&mut acc[p], data[i], has[p]);
-                    has[p] = true;
-                }
-            }
-        }
-    }
+    each_valid(rows, poss, valid, |i, p| {
+        fold(&mut acc[p], data[i], has[p]);
+        has[p] = true;
+    });
 }
 
 /// Evaluate a GMDJ through the columnar kernel: the base columns at `keep`
@@ -926,24 +980,29 @@ pub(crate) fn eval_columnar(
     site: usize,
 ) -> Result<LocalGmdj> {
     let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-    let schema = gmdj.physical_schema(&base.schema().project(keep)?, detail.schema())?;
+    let schema = base.schema().project(keep)?.extend(&layout.fields())?;
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
 
-    // Computed aggregate inputs, each evaluated once over the detail rows.
-    let mut computed = Vec::new();
-    for (pb, block) in blocks.iter().zip(&gmdj.blocks) {
-        for (spec, (input, _)) in block.aggs.iter().zip(&pb.aggs) {
-            computed.push(match input {
-                None | Some(BoundExpr::Col(Side::Detail, _)) => None,
-                Some(e) => Some(computed_column(spec, e, detail)?),
-            });
-        }
-    }
+    // Per aggregate, in layout order, the slots of its block that it is
+    // the first to need: what its loop fills, if it runs one.
+    let new = layout.first_needs();
+    // Computed aggregate inputs of the aggregates that run a loop, each
+    // evaluated once over the detail rows.
+    let inputs = blocks.iter().zip(&gmdj.blocks).flat_map(|(pb, b)| b.aggs.iter().zip(&pb.aggs));
+    let computed = inputs
+        .zip(&new)
+        .map(|((spec, input), new)| match input {
+            Some(e) if !new.is_empty() && !matches!(e, BoundExpr::Col(Side::Detail, _)) => {
+                computed_column(spec, e, detail).map(Some)
+            }
+            _ => Ok(None),
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     // Lower blocks: share canonical pairs between blocks with identical
-    // equi-keys, classify every residual conjunct and aggregate against
-    // the column layouts — which builds exactly the detail columns this
-    // operator touches.
+    // equi-keys, classify every residual conjunct and aggregate loop
+    // against the column layouts — which builds exactly the detail
+    // columns this operator touches.
     let mut cache: HashMap<(Vec<usize>, Vec<usize>), usize> = HashMap::new();
     let mut pairs: Vec<CanonPair> = Vec::new();
     let mut cblocks = Vec::with_capacity(blocks.len());
@@ -963,19 +1022,21 @@ pub(crate) fn eval_columnar(
         if !pb.trivial_condition {
             lower_residual(&pb.condition, base, detail, &mut residual);
         }
-        let mut aggs = Vec::with_capacity(pb.aggs.len());
-        for (spec, (input, _off)) in gmdj.blocks[bi].aggs.iter().zip(&pb.aggs) {
-            let column = match input {
-                Some(BoundExpr::Col(Side::Detail, c)) => Some(detail.column(*c)),
-                _ => computed[gi].as_ref(),
-            };
-            aggs.push((gi, classify(spec, column)?));
+        let mut fills = Vec::with_capacity(pb.aggs.len());
+        for (spec, input) in gmdj.blocks[bi].aggs.iter().zip(&pb.aggs) {
+            if !new[gi].is_empty() {
+                let column = match input {
+                    Some(BoundExpr::Col(Side::Detail, c)) => Some(detail.column(*c)),
+                    _ => computed[gi].as_ref(),
+                };
+                fills.push(classify(&layout, &new[gi], spec, column)?);
+            }
             gi += 1;
         }
         cblocks.push(ColBlock {
             pair,
             residual,
-            aggs,
+            fills,
         });
     }
 
@@ -993,8 +1054,8 @@ pub(crate) fn eval_columnar(
 
     // The answer's columns straight from the typed states: the kept base
     // columns, shared when every base tuple is kept and gathered when
-    // Prop 1 drops some, then each state's physical columns in layout
-    // (global aggregate) order.
+    // Prop 1 drops some, then each slot's physical column in layout
+    // order.
     let n = base.len();
     let at: Vec<u32> = (0..n as u32)
         .filter(|&p| !matched_only || merged.matched[p as usize])
@@ -1006,9 +1067,7 @@ pub(crate) fn eval_columnar(
             false => Arc::new(base.column(c).gather(&at)),
         })
         .collect();
-    for st in &merged.aggs {
-        st.physical_columns(&at, &mut cols);
-    }
+    cols.extend(merged.slots.iter().map(|st| Arc::new(st.physical_column(&at))));
     Ok(LocalGmdj {
         physical: Relation::from_columns(schema, Columns::from_shared(at.len(), cols))?,
         matched: merged.matched,
@@ -1018,7 +1077,7 @@ pub(crate) fn eval_columnar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggSpec;
+    use crate::agg::{AggFunc, AggSpec};
     use crate::eval::{eval_full, eval_local, finalize_physical};
     use crate::oracle::serial_local;
     use crate::theta::ThetaBuilder;

@@ -38,7 +38,7 @@ use crate::state::AccStates;
 use crate::theta::analyze_theta;
 use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
-use skalla_relation::{BoundExpr, Column, Columns, DataType, Error, Relation, Result, Schema};
+use skalla_relation::{BoundExpr, Column, Columns, Error, Relation, Result, Schema};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -119,29 +119,22 @@ pub(crate) struct PreparedBlock {
     /// `true` when `condition` is a trivially true literal — pre-bound out
     /// of the inner loops.
     pub(crate) trivial_condition: bool,
-    /// Bound aggregate inputs (`None` for `COUNT(*)`), with the slot
-    /// offset of each aggregate.
-    pub(crate) aggs: Vec<(Option<BoundExpr>, usize)>,
+    /// Bound aggregate inputs (`None` for `COUNT(*)`).
+    pub(crate) aggs: Vec<Option<BoundExpr>>,
 }
 
 /// Validate `gmdj` against the two schemas and prepare its blocks: the
 /// equi-key columns θ's analysis lifts, the bound residual and the bound
-/// aggregate inputs.
+/// aggregate inputs; and its layout over the detail schema.
 pub(crate) fn prepare_blocks(
     gmdj: &Gmdj,
     base: &Schema,
     detail: &Schema,
 ) -> Result<(AccLayout, Vec<PreparedBlock>)> {
     gmdj.validate(base, detail)?;
-    let layout = gmdj.layout();
-    // Map each (block, agg) to its slot offset.
-    let mut offsets_per_block: Vec<Vec<usize>> = vec![Vec::new(); gmdj.blocks.len()];
-    for (bi, agg, off) in layout.entries() {
-        let _ = agg;
-        offsets_per_block[*bi].push(*off);
-    }
+    let layout = gmdj.layout(detail)?;
     let mut blocks = Vec::with_capacity(gmdj.blocks.len());
-    for (bi, block) in gmdj.blocks.iter().enumerate() {
+    for block in &gmdj.blocks {
         let analysis = analyze_theta(&block.theta);
         let (base_keys, detail_keys, condition) = if !analysis.equi.is_empty() {
             let mut bk = Vec::with_capacity(analysis.equi.len());
@@ -158,14 +151,9 @@ pub(crate) fn prepare_blocks(
                 block.theta.bind(base, Some(detail))?,
             )
         };
-        let mut aggs = Vec::with_capacity(block.aggs.len());
-        for (a, off) in block.aggs.iter().zip(&offsets_per_block[bi]) {
-            let bound = match &a.input {
-                Some(e) => Some(e.bind(base, Some(detail))?),
-                None => None,
-            };
-            aggs.push((bound, *off));
-        }
+        let aggs = (block.aggs.iter())
+            .map(|a| a.input.as_ref().map(|e| e.bind(base, Some(detail))).transpose())
+            .collect::<Result<_>>()?;
         let trivial_condition =
             matches!(condition, BoundExpr::Lit(ref v) if v.is_truthy());
         blocks.push(PreparedBlock {
@@ -428,7 +416,7 @@ pub fn finalize_physical(
     gmdj: &Gmdj,
     detail: &Schema,
 ) -> Result<Relation> {
-    let layout = gmdj.layout();
+    let layout = gmdj.layout(detail)?;
     let fields = physical.schema().fields();
     if fields.len() != base_arity + layout.width() {
         return Err(Error::Execution(format!(
@@ -440,8 +428,7 @@ pub fn finalize_physical(
     let base: Vec<usize> = (0..base_arity).collect();
     let out_schema = gmdj.output_schema(&physical.schema().project(&base)?, detail)?;
     let n = physical.len();
-    let types: Vec<DataType> = fields[base_arity..].iter().map(|f| f.data_type()).collect();
-    let mut states = AccStates::new(&layout, &types, n)?;
+    let mut states = AccStates::new(&layout, n);
     let (slots, every): (Vec<usize>, Vec<bool>) = (0..n).map(|p| (p, true)).unzip();
     states.absorb(physical.columns(), base_arity, &slots, &every)?;
     let at: Vec<u32> = (0..n as u32).collect();
@@ -468,7 +455,7 @@ mod tests {
     use crate::agg::AggSpec;
     use crate::oracle::{merge_all, serial_local};
     use crate::theta::ThetaBuilder;
-    use skalla_relation::{row, Expr, Row, Value};
+    use skalla_relation::{row, DataType, Expr, Row, Value};
 
     fn detail() -> Relation {
         Relation::new(
@@ -776,7 +763,7 @@ mod tests {
         let l1 = local_both(&base(), &p1, &g, opts());
         let l2 = local_both(&base(), &p2, &g, opts());
 
-        let layout = g.layout();
+        let layout = g.layout(d.schema()).unwrap();
         let base_arity = base().schema().len();
         let mut merged = l1.physical.clone();
         for (dst, src) in merged

@@ -58,15 +58,15 @@ impl Gmdj {
         self.blocks.iter().flat_map(|b| b.aggs.iter())
     }
 
-    /// The accumulator layout for this operator.
-    pub fn layout(&self) -> AccLayout {
-        AccLayout::new(
-            &self
-                .blocks
-                .iter()
-                .map(|b| b.aggs.clone())
-                .collect::<Vec<_>>(),
-        )
+    /// The aggregate lists of the blocks, in block order.
+    pub fn block_aggs(&self) -> Vec<Vec<AggSpec>> {
+        self.blocks.iter().map(|b| b.aggs.clone()).collect()
+    }
+
+    /// The accumulator layout of this operator over a detail relation of
+    /// schema `detail`: one slot per distinct sub-aggregate of a block.
+    pub fn layout(&self, detail: &Schema) -> Result<AccLayout> {
+        AccLayout::new(&self.block_aggs(), detail)
     }
 
     /// The names of the logical output columns this GMDJ adds.
@@ -96,9 +96,9 @@ impl Gmdj {
             }
             for a in &b.aggs {
                 a.validate(detail)?;
-                let slots = a.physical_fields(detail)?;
-                let slot_names = slots.iter().map(|f| f.name()).filter(|n| *n != a.name);
-                for name in std::iter::once(a.name.as_str()).chain(slot_names) {
+                let slot_names = a.slot_suffixes().iter().map(|s| format!("{}{s}", a.name));
+                for name in std::iter::once(a.name.clone()).chain(slot_names) {
+                    let name = name.as_str();
                     if base.contains(name) {
                         return Err(Error::DuplicateColumn(format!(
                             "aggregate column {name:?} collides with a base column"
@@ -125,8 +125,7 @@ impl Gmdj {
     /// The physical (accumulator) schema: base columns followed by
     /// physical slots.
     pub fn physical_schema(&self, base: &Schema, detail: &Schema) -> Result<Schema> {
-        let fields = self.layout().physical_fields(detail)?;
-        base.extend(&fields)
+        base.extend(&self.layout(detail)?.fields())
     }
 
     /// Base-side columns referenced by any θ (these must be shipped to

@@ -1,19 +1,20 @@
 //! The test suites' reference semantics, written apart from the engine.
 //!
-//! The engine states every aggregate once, in the typed states of
+//! The engine states every slot once, in the typed states of
 //! [`crate::state`]. This module restates them naively, so that the
 //! suites have something independent to hold the engine to:
 //!
-//! * a per-[`AggFunc`] fold over [`Value`]s — [`init`], [`update`],
-//!   [`merge`] and [`finalize`], and their forms over a whole
-//!   [`AccLayout`] ([`init_all`], [`merge_all`], [`finalize_all`]);
+//! * a per-[`SlotKind`] fold over [`Value`]s — [`init`], [`update`] and
+//!   [`merge`] — and a per-formula [`finalize`] over a layout's
+//!   slots, and their forms over a whole [`AccLayout`] ([`init_all`],
+//!   [`merge_all`], [`finalize_all`]);
 //! * [`serial_local`], a serial loop over every (block, base tuple,
 //!   detail tuple) pair that binds θ itself and cuts the detail into
 //!   morsels itself.
 //!
 //! No engine path calls it.
 
-use crate::agg::{AccLayout, AggFunc, AggSpec};
+use crate::agg::{AccLayout, Finalize, Slot, SlotKind};
 use crate::eval::{EvalOptions, LocalGmdj};
 use crate::operator::{Gmdj, GmdjBlock};
 use crate::theta::analyze_theta;
@@ -23,109 +24,100 @@ use skalla_relation::{
 };
 use std::cmp::Ordering;
 
-/// A fresh accumulator of `a`: its physical slots before any input.
-pub fn init(a: &AggSpec) -> Vec<Value> {
-    match a.func {
-        AggFunc::Count => vec![Value::Int(0)],
-        AggFunc::Sum | AggFunc::Min | AggFunc::Max => vec![Value::Null],
-        AggFunc::Avg => vec![Value::Null, Value::Int(0)],
-        AggFunc::Var | AggFunc::StdDev => {
-            vec![Value::Double(0.0), Value::Double(0.0), Value::Int(0)]
-        }
+/// A fresh slot of `kind`: its value before any input.
+pub fn init(kind: SlotKind) -> Value {
+    match kind {
+        SlotKind::CountStar | SlotKind::Count => Value::Int(0),
+        SlotKind::SumSq => Value::Double(0.0),
+        SlotKind::Sum | SlotKind::SumF64 | SlotKind::Min | SlotKind::Max => Value::Null,
     }
 }
 
-/// Fold one matching detail tuple's input value into `a`'s accumulator
+/// Fold one matching detail tuple's input value into a slot of `kind`
 /// (`input` is `None` for `COUNT(*)`): [`merge`] the tuple's own
 /// sub-aggregate in. A NULL input counts for nothing.
-pub fn update(a: &AggSpec, acc: &mut [Value], input: Option<&Value>) -> Result<()> {
-    let one = match (a.func, input) {
-        (AggFunc::Count, None) => vec![Value::Int(1)],
-        (_, None) => return Err(Error::Plan(format!("{} has no input expression", a.func))),
+pub fn update(kind: SlotKind, acc: &mut Value, input: Option<&Value>) -> Result<()> {
+    let one = match (kind, input) {
+        (SlotKind::CountStar, _) => Value::Int(1),
+        (_, None) => return Err(Error::Plan(format!("a {kind:?} slot has no input expression"))),
         (_, Some(v)) if v.is_null() => return Ok(()),
-        (AggFunc::Count, Some(_)) => vec![Value::Int(1)],
-        (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(v)) => vec![v.clone()],
-        (AggFunc::Avg, Some(v)) => vec![v.clone(), Value::Int(1)],
-        (AggFunc::Var | AggFunc::StdDev, Some(v)) => {
+        (SlotKind::Count, Some(_)) => Value::Int(1),
+        (SlotKind::Sum | SlotKind::Min | SlotKind::Max, Some(v)) => v.clone(),
+        (SlotKind::SumF64 | SlotKind::SumSq, Some(v)) => {
             let x = v
                 .as_f64()
-                .ok_or_else(|| Error::TypeError(format!("non-numeric input {v} for {}", a.func)))?;
-            vec![Value::Double(x), Value::Double(x * x), Value::Int(1)]
+                .ok_or_else(|| Error::TypeError(format!("non-numeric input {v} for a {kind:?} slot")))?;
+            Value::Double(if kind == SlotKind::SumSq { x * x } else { x })
         }
     };
-    merge(a, acc, &one)
+    merge(kind, acc, &one)
 }
 
-/// Merge the sub-aggregate `other` into `a`'s accumulator `acc` (the
-/// coordinator's super-aggregate step).
-pub fn merge(a: &AggSpec, acc: &mut [Value], other: &[Value]) -> Result<()> {
-    match a.func {
-        AggFunc::Count => {}
-        AggFunc::Min | AggFunc::Max => keep_min_max(a, &mut acc[0], &other[0]),
-        AggFunc::Sum | AggFunc::Avg if other[0].is_null() => {}
-        AggFunc::Sum | AggFunc::Avg => {
-            acc[0] = match &acc[0] {
-                Value::Null => other[0].clone(),
-                sum => eval_arith(ArithOp::Add, sum, &other[0])?,
+/// Merge the sub-aggregate `other` into a slot of `kind` holding `acc`
+/// (the coordinator's super-aggregate step).
+pub fn merge(kind: SlotKind, acc: &mut Value, other: &Value) -> Result<()> {
+    match kind {
+        SlotKind::CountStar | SlotKind::Count => {
+            let n = other
+                .as_i64()
+                .ok_or_else(|| Error::TypeError(format!("count merge with non-int {other}")))?;
+            *acc = Value::Int(acc.as_i64().unwrap_or(0) + n);
+        }
+        SlotKind::Min | SlotKind::Max => keep_min_max(kind == SlotKind::Max, acc, other),
+        SlotKind::Sum | SlotKind::SumF64 if other.is_null() => {}
+        SlotKind::Sum | SlotKind::SumF64 => {
+            *acc = match &*acc {
+                Value::Null => other.clone(),
+                sum => eval_arith(ArithOp::Add, sum, other)?,
             }
         }
-        AggFunc::Var | AggFunc::StdDev => {
-            for k in 0..2 {
-                let (x, y) = (acc[k].as_f64().unwrap_or(0.0), other[k].as_f64().unwrap_or(0.0));
-                acc[k] = Value::Double(f64_add(x, y));
-            }
+        SlotKind::SumSq => {
+            let (x, y) = (acc.as_f64().unwrap_or(0.0), other.as_f64().unwrap_or(0.0));
+            *acc = Value::Double(f64_add(x, y));
         }
-    }
-    // COUNT's slot, and AVG's and VAR's last one, is a count.
-    if matches!(a.func, AggFunc::Count | AggFunc::Avg | AggFunc::Var | AggFunc::StdDev) {
-        let c = acc.len() - 1;
-        let n = other[c]
-            .as_i64()
-            .ok_or_else(|| Error::TypeError(format!("count merge with non-int {}", other[c])))?;
-        acc[c] = Value::Int(acc[c].as_i64().unwrap_or(0) + n);
     }
     Ok(())
 }
 
-/// The logical value of `a`'s (fully merged) accumulator.
-pub fn finalize(a: &AggSpec, acc: &[Value]) -> Result<Value> {
-    let cnt = acc[acc.len() - 1].as_i64().unwrap_or(0) as f64;
-    match a.func {
-        AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max => Ok(acc[0].clone()),
-        _ if cnt == 0.0 => Ok(Value::Null),
-        AggFunc::Avg => {
-            let sum = acc[0]
+/// The logical value of an aggregate whose formula is `fin`, from the
+/// (fully merged) slots `acc` of its layout.
+pub fn finalize(fin: Finalize, acc: &[Value]) -> Result<Value> {
+    let count = |c: usize| acc[c].as_i64().unwrap_or(0) as f64;
+    match fin {
+        Finalize::Slot(s) => Ok(acc[s].clone()),
+        Finalize::Avg { cnt, .. } | Finalize::Var { cnt, .. } if count(cnt) == 0.0 => Ok(Value::Null),
+        Finalize::Avg { sum, cnt } => {
+            let s = acc[sum]
                 .as_f64()
-                .ok_or_else(|| Error::TypeError(format!("AVG sum is non-numeric: {}", acc[0])))?;
-            Ok(Value::Double(sum / cnt))
+                .ok_or_else(|| Error::TypeError(format!("AVG sum is non-numeric: {}", acc[sum])))?;
+            Ok(Value::Double(s / count(cnt)))
         }
-        AggFunc::Var | AggFunc::StdDev => {
+        Finalize::Var { sum, sq, cnt, stddev } => {
             // E[x²] − E[x]², clamped against rounding noise.
-            let mean = acc[0].as_f64().unwrap_or(0.0) / cnt;
-            let var = (acc[1].as_f64().unwrap_or(0.0) / cnt - mean * mean).max(0.0);
-            Ok(Value::Double(if a.func == AggFunc::StdDev { var.sqrt() } else { var }))
+            let n = count(cnt);
+            let mean = acc[sum].as_f64().unwrap_or(0.0) / n;
+            let var = (acc[sq].as_f64().unwrap_or(0.0) / n - mean * mean).max(0.0);
+            Ok(Value::Double(if stddev { var.sqrt() } else { var }))
         }
     }
 }
 
-/// A fresh accumulator of every aggregate of `layout`, in slot order.
+/// A fresh accumulator of every slot of `layout`, in slot order.
 pub fn init_all(layout: &AccLayout) -> Vec<Value> {
-    layout.entries().iter().flat_map(|(_, a, _)| init(a)).collect()
+    layout.slots().iter().map(|s| init(s.kind)).collect()
 }
 
-/// [`merge`] of every aggregate of `layout`: `src`'s slots into `dst`'s.
+/// [`merge`] of every slot of `layout`: `src`'s slots into `dst`'s.
 pub fn merge_all(layout: &AccLayout, dst: &mut [Value], src: &[Value]) -> Result<()> {
-    for (_, a, off) in layout.entries() {
-        let w = a.acc_width();
-        merge(a, &mut dst[*off..off + w], &src[*off..off + w])?;
+    for ((slot, d), s) in layout.slots().iter().zip(dst).zip(src) {
+        merge(slot.kind, d, s)?;
     }
     Ok(())
 }
 
 /// [`finalize`] of every aggregate of `layout`, in output order.
 pub fn finalize_all(layout: &AccLayout, acc: &[Value]) -> Result<Vec<Value>> {
-    let entries = layout.entries().iter();
-    entries.map(|(_, a, off)| finalize(a, &acc[*off..off + a.acc_width()])).collect()
+    layout.aggs().iter().map(|(_, _, fin)| finalize(*fin, acc)).collect()
 }
 
 /// MIN/MAX's order: [`Value`]'s, with the doubles it holds equal (`-0.0`
@@ -138,25 +130,26 @@ fn min_max_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-/// Keep `v` in a MIN (or MAX) slot if it is not NULL and comes before
-/// (after) what the slot holds.
-fn keep_min_max(a: &AggSpec, acc: &mut Value, v: &Value) {
-    let want = if a.func == AggFunc::Max { Ordering::Greater } else { Ordering::Less };
+/// Keep `v` in a MIN (or, with `max`, MAX) slot if it is not NULL and
+/// comes before (after) what the slot holds.
+fn keep_min_max(max: bool, acc: &mut Value, v: &Value) {
+    let want = if max { Ordering::Greater } else { Ordering::Less };
     if !v.is_null() && (acc.is_null() || min_max_cmp(v, acc) == want) {
         *acc = v.clone();
     }
 }
 
 /// One block with θ bound: the equi-key column pairs `analyze_theta`
-/// lifts, the rest of θ (all of it when none is lifted), and the inputs.
+/// lifts, the rest of θ (all of it when none is lifted), and its slots
+/// with their inputs bound.
 struct BoundBlock {
     keys: Vec<(usize, usize)>,
     rest: BoundExpr,
-    inputs: Vec<Option<BoundExpr>>,
+    slots: Vec<(usize, SlotKind, Option<BoundExpr>)>,
 }
 
 impl BoundBlock {
-    fn bind(block: &GmdjBlock, base: &Schema, detail: &Schema) -> Result<BoundBlock> {
+    fn bind(bi: usize, block: &GmdjBlock, layout: &AccLayout, base: &Schema, detail: &Schema) -> Result<BoundBlock> {
         let split = analyze_theta(&block.theta);
         let rest = if split.equi.is_empty() { &block.theta } else { &split.residual };
         let keys = split
@@ -164,15 +157,12 @@ impl BoundBlock {
             .iter()
             .map(|(b, d)| Ok((base.index_of(b)?, detail.index_of(d)?)))
             .collect::<Result<_>>()?;
-        let inputs = block
-            .aggs
-            .iter()
-            .map(|a| a.input.as_ref().map(|e| e.bind(base, Some(detail))).transpose())
-            .collect::<Result<_>>()?;
+        let ours = layout.slots().iter().enumerate().filter(|(_, s)| s.block == bi);
+        let bind = |(k, s): (usize, &Slot)| Ok((k, s.kind, s.input.as_ref().map(|e| e.bind(base, Some(detail))).transpose()?));
         Ok(BoundBlock {
             keys,
             rest: rest.bind(base, Some(detail))?,
-            inputs,
+            slots: ours.map(bind).collect::<Result<_>>()?,
         })
     }
 
@@ -187,13 +177,13 @@ impl BoundBlock {
 
 /// [`crate::eval::eval_local`] as one serial loop. The detail is cut into
 /// morsels of `opts.morsel_rows` rows (one morsel when it is empty), the
-/// kernel's decomposition. Per morsel, every aggregate of every base tuple
+/// kernel's decomposition. Per morsel, every slot of every base tuple
 /// starts from [`init`], and the loop visits every block, base tuple and
-/// detail tuple of the morsel, in that order, [`update`]-ing on a match.
-/// Morsel accumulators [`merge`] in morsel order. So every accumulator
-/// sees the kernel's sequence of updates, and the bits agree.
-/// `opts.parallelism` is ignored: the reference starts no thread and
-/// builds no index.
+/// detail tuple of the morsel, in that order, [`update`]-ing each of the
+/// block's slots on a match. Morsel accumulators [`merge`] in morsel
+/// order. So every slot sees the kernel's sequence of updates, and the
+/// bits agree. `opts.parallelism` is ignored: the reference starts no
+/// thread and builds no index.
 pub fn serial_local(
     base: &Relation,
     detail: &Relation,
@@ -202,53 +192,45 @@ pub fn serial_local(
 ) -> Result<LocalGmdj> {
     let (bs, ds) = (base.schema(), detail.schema());
     gmdj.validate(bs, ds)?;
-    let blocks: Vec<BoundBlock> =
-        gmdj.blocks.iter().map(|b| BoundBlock::bind(b, bs, ds)).collect::<Result<_>>()?;
-    let specs: Vec<&AggSpec> = gmdj.all_aggs().collect();
+    let layout = gmdj.layout(ds)?;
+    let blocks: Vec<BoundBlock> = (gmdj.blocks.iter().enumerate())
+        .map(|(bi, b)| BoundBlock::bind(bi, b, &layout, bs, ds))
+        .collect::<Result<_>>()?;
     let mut morsels: Vec<&[Row]> = detail.rows().chunks(opts.morsel_rows.max(1)).collect();
     if morsels.is_empty() {
         morsels.push(&[]);
     }
     let mut matched = vec![false; base.len()];
-    // Per base tuple, per aggregate (in output order), its slots.
-    let mut total: Option<Vec<Vec<Vec<Value>>>> = None;
+    // Per base tuple, its slots.
+    let mut total: Option<Vec<Vec<Value>>> = None;
     for morsel in morsels {
-        let fresh = || specs.iter().map(|a| init(a)).collect::<Vec<_>>();
-        let mut accs: Vec<Vec<Vec<Value>>> = base.iter().map(|_| fresh()).collect();
-        let mut first = 0;
-        for (block, bound) in gmdj.blocks.iter().zip(&blocks) {
+        let mut accs: Vec<Vec<Value>> = base.iter().map(|_| init_all(&layout)).collect();
+        for bound in &blocks {
             for (pos, b) in base.iter().enumerate() {
                 for r in morsel {
                     if !bound.matches(b, r)? {
                         continue;
                     }
                     matched[pos] = true;
-                    for (k, (a, input)) in block.aggs.iter().zip(&bound.inputs).enumerate() {
+                    for (k, kind, input) in &bound.slots {
                         let v = input.as_ref().map(|e| e.eval(b, r)).transpose()?;
-                        update(a, &mut accs[pos][first + k], v.as_ref())?;
+                        update(*kind, &mut accs[pos][*k], v.as_ref())?;
                     }
                 }
             }
-            first += block.aggs.len();
         }
         match &mut total {
             None => total = Some(accs),
             Some(total) => {
                 for (dst, src) in total.iter_mut().zip(&accs) {
-                    for ((a, d), s) in specs.iter().zip(dst).zip(src) {
-                        merge(a, d, s)?;
-                    }
+                    merge_all(&layout, dst, src)?;
                 }
             }
         }
     }
-    let rows = base
-        .iter()
-        .zip(total.unwrap_or_default())
-        .map(|(b, acc)| b.extend(&acc.concat()))
-        .collect();
+    let rows = base.iter().zip(total.unwrap_or_default()).map(|(b, acc)| b.extend(&acc)).collect();
     Ok(LocalGmdj {
-        physical: Relation::new(gmdj.physical_schema(bs, ds)?, rows)?,
+        physical: Relation::new(bs.extend(&layout.fields())?, rows)?,
         matched,
     })
 }

@@ -1,16 +1,22 @@
-//! Typed accumulator states: the one statement of what an aggregate's
-//! physical slots hold and how they update, merge and finalize.
+//! Typed accumulator states: the one statement of what a physical slot
+//! holds and how it updates, merges and finalizes.
 //!
-//! An aggregate's accumulators over `n` positions live in typed arrays
-//! (`Vec<i64>`, `Vec<f64>`, `Vec<bool>` has-flags, and shared strings for
-//! a string MIN/MAX). A has-flag says the slot holds a value (SUM, MIN and
-//! MAX are NULL over an empty range): a stored number counts only where
-//! its flag is set, and the first value is *taken*, not added, so `-0.0`
-//! and NaN payloads survive. A column is of its declared type, so every
-//! aggregate a plan can hold has a typed state, and columns a typed state
-//! cannot take (malformed remote input) are an error.
+//! A layout's slots are each block's distinct sub-aggregates
+//! ([`AccLayout`]): `COUNT(*)`, `COUNT(x)`, `SUM(x)`, `SUM(x as f64)`,
+//! `SUM(x²)`, `MIN(x)` and `MAX(x)`. AVG, VAR and STDDEV keep no state
+//! of their own; they finalize from the slots of their block that they
+//! share with each other and with SUM and COUNT. A slot's accumulators
+//! over `n` positions live in a typed array (`Vec<i64>`, `Vec<f64>`,
+//! `Vec<bool>` has-flags, and shared strings for a string MIN/MAX). A
+//! has-flag says the slot holds a value (SUM, MIN and MAX are NULL over
+//! an empty range): a stored number counts only where its flag is set,
+//! and the first value is *taken*, not added, so `-0.0` and NaN payloads
+//! survive. A sum of squares starts at 0 and adds every value. A column
+//! is of its slot's type, so columns a typed state cannot take (malformed
+//! remote input) are an error, as is a `SUM(x)` that holds a value where
+//! its block's `COUNT(x)` is 0, or none where it is not.
 //!
-//! The kernel ([`crate::columnar`]) keeps one state per aggregate over a
+//! The kernel ([`crate::columnar`]) keeps one state per slot over a
 //! morsel's base positions. The coordinator keeps [`AccStates`] over its
 //! merge tree's slots: it absorbs a site's frame columns into them and
 //! merges slot ranges pairwise; `finalize_physical` and the cube's
@@ -21,14 +27,14 @@
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
-use crate::agg::{AccLayout, AggFunc, AggSpec};
+use crate::agg::{AccLayout, Finalize, Slot, SlotKind};
 use skalla_relation::{
     f64_add, total_f64_cmp, Bitmap, Column, ColumnBuilder, Columns, DataType, Error, Result, Value,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Which typed state an aggregate keeps.
+/// Which typed state a slot keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     Count,
@@ -37,36 +43,26 @@ pub(crate) enum Kind {
     MinMaxI,
     MinMaxF,
     MinMaxS,
-    AvgI,
-    AvgF,
-    Var,
+    SumSq,
 }
 
 impl Kind {
-    /// The state of `spec` whose physical slots are declared `types`, if
-    /// a plan can type them so.
-    fn of_physical(spec: &AggSpec, types: &[DataType]) -> Result<Kind> {
-        use DataType::{Double, Int, Str};
-        Ok(match (spec.func, types) {
-            (AggFunc::Count, [Int]) => Kind::Count,
-            (AggFunc::Sum, [Int]) => Kind::SumI,
-            (AggFunc::Sum, [Double]) => Kind::SumF,
-            (AggFunc::Min | AggFunc::Max, [Int]) => Kind::MinMaxI,
-            (AggFunc::Min | AggFunc::Max, [Double]) => Kind::MinMaxF,
-            (AggFunc::Min | AggFunc::Max, [Str]) => Kind::MinMaxS,
-            (AggFunc::Avg, [Int, Int]) => Kind::AvgI,
-            (AggFunc::Avg, [Double, Int]) => Kind::AvgF,
-            (AggFunc::Var | AggFunc::StdDev, [Double, Double, Int]) => Kind::Var,
-            _ => {
-                return Err(Error::Execution(format!(
-                    "{spec} has no accumulators of types {types:?}"
-                )))
-            }
-        })
+    /// The state of `slot`, after its kind and type.
+    pub(crate) fn of(slot: &Slot) -> Kind {
+        use DataType::{Int, Str};
+        match (slot.kind, slot.field.data_type()) {
+            (SlotKind::CountStar | SlotKind::Count, _) => Kind::Count,
+            (SlotKind::Sum, Int) => Kind::SumI,
+            (SlotKind::Sum | SlotKind::SumF64, _) => Kind::SumF,
+            (SlotKind::SumSq, _) => Kind::SumSq,
+            (SlotKind::Min | SlotKind::Max, Int) => Kind::MinMaxI,
+            (SlotKind::Min | SlotKind::Max, Str) => Kind::MinMaxS,
+            (SlotKind::Min | SlotKind::Max, _) => Kind::MinMaxF,
+        }
     }
 }
 
-/// One aggregate's accumulators, one slot per position.
+/// One slot's accumulators, one per position.
 #[derive(Debug)]
 pub(crate) enum AggState {
     /// `COUNT` slots.
@@ -81,17 +77,8 @@ pub(crate) enum AggState {
     MinMaxF { m: Vec<f64>, has: Vec<bool> },
     /// String MIN/MAX (`None`: no value yet).
     MinMaxS { m: Vec<Option<Arc<str>>> },
-    /// Int AVG: wrapping sum + count (count > 0 ⇔ sum present).
-    AvgI { s: Vec<i64>, cnt: Vec<i64> },
-    /// Double AVG.
-    AvgF { s: Vec<f64>, cnt: Vec<i64> },
-    /// VAR/STDDEV: sum, sum of squares, count — all start at zero and
-    /// accumulate unconditionally, like `add_f64`.
-    Var {
-        s: Vec<f64>,
-        sq: Vec<f64>,
-        cnt: Vec<i64>,
-    },
+    /// SUM of squares: from 0.0, every value added, like `f64_add`.
+    SumSq(Vec<f64>),
 }
 
 /// Fold `v` into a SUM slot (`has`: the slot holds a value): the first
@@ -147,15 +134,6 @@ pub(crate) fn fold_min_max_s(acc: &mut Option<Arc<str>>, v: &Arc<str>, max: bool
     }
 }
 
-/// Merge an AVG sub-aggregate `(s, c)` into `(acc, cnt)`.
-#[inline]
-fn fold_avg<T: Copy>(acc: &mut T, cnt: &mut i64, s: T, c: i64, fold: impl Fn(&mut T, T, bool)) {
-    if c > 0 {
-        fold(acc, s, *cnt > 0);
-    }
-    *cnt += c;
-}
-
 /// A population VAR (or, with `stddev`, STDDEV) from its merged
 /// sub-aggregate — sum, sum of squares and a non-zero count: E[x²] − E[x]²,
 /// clamped against rounding noise.
@@ -169,14 +147,6 @@ pub(crate) fn finalize_var(sum: f64, sumsq: f64, cnt: i64, stddev: bool) -> f64 
     }
 }
 
-/// Merge a VAR sub-aggregate into `(s, sq, cnt)`.
-#[inline]
-fn fold_var(acc: (&mut f64, &mut f64, &mut i64), s: f64, sq: f64, c: i64) {
-    *acc.0 = f64_add(*acc.0, s);
-    *acc.1 = f64_add(*acc.1, sq);
-    *acc.2 += c;
-}
-
 impl AggState {
     /// `n` fresh slots of `kind`.
     pub(crate) fn new(kind: Kind, n: usize) -> AggState {
@@ -188,9 +158,7 @@ impl AggState {
             Kind::MinMaxI => AggState::MinMaxI { m: i(), has: has() },
             Kind::MinMaxF => AggState::MinMaxF { m: f(), has: has() },
             Kind::MinMaxS => AggState::MinMaxS { m: vec![None; n] },
-            Kind::AvgI => AggState::AvgI { s: i(), cnt: i() },
-            Kind::AvgF => AggState::AvgF { s: f(), cnt: i() },
-            Kind::Var => AggState::Var { s: f(), sq: f(), cnt: i() },
+            Kind::SumSq => AggState::SumSq(f()),
         }
     }
 
@@ -203,18 +171,13 @@ impl AggState {
             | AggState::MinMaxI { has, .. }
             | AggState::MinMaxF { has, .. } => has.fill(false),
             AggState::MinMaxS { m } => m.fill(None),
-            AggState::AvgI { cnt, .. } | AggState::AvgF { cnt, .. } => cnt.fill(0),
-            AggState::Var { s, sq, cnt } => {
-                s.fill(0.0);
-                sq.fill(0.0);
-                cnt.fill(0);
-            }
+            AggState::SumSq(q) => q.fill(0.0),
         }
     }
 
-    /// Merge a later morsel's state into this one, slot by slot.
-    pub(crate) fn merge(&mut self, src: &AggState, spec: &AggSpec) -> Result<()> {
-        let max = spec.func == AggFunc::Max;
+    /// Merge a later morsel's state into this one, position by position
+    /// (`max`: the slot is a MAX).
+    pub(crate) fn merge(&mut self, src: &AggState, max: bool) -> Result<()> {
         match (self, src) {
             (AggState::Count(d), AggState::Count(s)) => {
                 d.iter_mut().zip(s).for_each(|(d, s)| *d += *s);
@@ -238,31 +201,8 @@ impl AggState {
                     }
                 }
             }
-            (AggState::AvgI { s: ds, cnt: dc }, AggState::AvgI { s: ss, cnt: sc }) => {
-                for p in 0..ds.len() {
-                    fold_avg(&mut ds[p], &mut dc[p], ss[p], sc[p], fold_sum_i);
-                }
-            }
-            (AggState::AvgF { s: ds, cnt: dc }, AggState::AvgF { s: ss, cnt: sc }) => {
-                for p in 0..ds.len() {
-                    fold_avg(&mut ds[p], &mut dc[p], ss[p], sc[p], fold_sum_f);
-                }
-            }
-            (
-                AggState::Var {
-                    s: ds,
-                    sq: dq,
-                    cnt: dc,
-                },
-                AggState::Var {
-                    s: ss,
-                    sq: sq2,
-                    cnt: sc,
-                },
-            ) => {
-                for p in 0..ds.len() {
-                    fold_var((&mut ds[p], &mut dq[p], &mut dc[p]), ss[p], sq2[p], sc[p]);
-                }
+            (AggState::SumSq(d), AggState::SumSq(s)) => {
+                d.iter_mut().zip(s).for_each(|(d, s)| *d = f64_add(*d, *s));
             }
             _ => {
                 return Err(Error::Execution(
@@ -273,49 +213,31 @@ impl AggState {
         Ok(())
     }
 
-    /// Slots `at`'s physical columns, in slot order, under
-    /// [`ColumnBuilder`]'s rule: written straight from the arrays, the
-    /// has-flags (or `cnt > 0`) the validity.
-    pub(crate) fn physical_columns(&self, at: &[u32], out: &mut Vec<Arc<Column>>) {
-        let mut put = |c: Column| out.push(Arc::new(c));
+    /// Slots `at`'s physical column under [`ColumnBuilder`]'s rule:
+    /// written straight from the arrays, the has-flags the validity.
+    pub(crate) fn physical_column(&self, at: &[u32]) -> Column {
         let all = |_: usize| true;
         match self {
-            AggState::Count(c) => put(ints(pick(c, at, all), None)),
+            AggState::Count(c) => ints(pick(c, at, all), None),
             AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
                 let valid = |p: usize| has[p];
-                put(ints(pick(s, at, valid), validity(at, valid)));
+                ints(pick(s, at, valid), validity(at, valid))
             }
             AggState::SumF { s, has } | AggState::MinMaxF { m: s, has } => {
                 let valid = |p: usize| has[p];
-                put(doubles(pick(s, at, valid), validity(at, valid)));
+                doubles(pick(s, at, valid), validity(at, valid))
             }
-            AggState::MinMaxS { m } => put(strs(m, at, all)),
-            AggState::AvgI { s, cnt } => {
-                let valid = |p: usize| cnt[p] > 0;
-                put(ints(pick(s, at, valid), validity(at, valid)));
-                put(ints(pick(cnt, at, all), None));
-            }
-            AggState::AvgF { s, cnt } => {
-                let valid = |p: usize| cnt[p] > 0;
-                put(doubles(pick(s, at, valid), validity(at, valid)));
-                put(ints(pick(cnt, at, all), None));
-            }
-            AggState::Var { s, sq, cnt } => {
-                put(doubles(pick(s, at, all), None));
-                put(doubles(pick(sq, at, all), None));
-                put(ints(pick(cnt, at, all), None));
-            }
+            AggState::MinMaxS { m } => strs(m, at, all),
+            AggState::SumSq(q) => doubles(pick(q, at, all), None),
         }
     }
 
-    /// Slots `at`'s logical values as one column, slot `p` finalized where
-    /// `present(p)` and X_init finalized elsewhere, column-wise: COUNT,
-    /// SUM, MIN and MAX as they are, AVG as sum ÷ count and VAR/STDDEV
-    /// through [`finalize_var`], NULL over no value.
-    fn finalize_column(&self, spec: &AggSpec, at: &[u32], present: &[bool]) -> Column {
+    /// Slots `at`'s values as COUNT, SUM, MIN or MAX finalize them: as
+    /// they are where `present(p)`, X_init (a count of 0, NULL for the
+    /// rest) elsewhere.
+    fn value_column(&self, at: &[u32], present: &[bool]) -> Column {
         let on = |p: usize| present[p];
         match self {
-            // X_init: a count of 0, and NULL for every other aggregate.
             AggState::Count(c) => ints(pick(c, at, on), None),
             AggState::SumI { s, has } | AggState::MinMaxI { m: s, has } => {
                 let valid = |p: usize| present[p] && has[p];
@@ -326,22 +248,27 @@ impl AggState {
                 doubles(pick(s, at, valid), validity(at, valid))
             }
             AggState::MinMaxS { m } => strs(m, at, on),
-            AggState::AvgI { s, cnt } => {
-                let valid = |p: usize| present[p] && cnt[p] != 0;
-                let avg = |p: usize| s[p] as f64 / cnt[p] as f64;
-                doubles(map(at, valid, avg), validity(at, valid))
-            }
-            AggState::AvgF { s, cnt } => {
-                let valid = |p: usize| present[p] && cnt[p] != 0;
-                let avg = |p: usize| s[p] / cnt[p] as f64;
-                doubles(map(at, valid, avg), validity(at, valid))
-            }
-            AggState::Var { s, sq, cnt } => {
-                let valid = |p: usize| present[p] && cnt[p] != 0;
-                let stddev = spec.func == AggFunc::StdDev;
-                let var = |p: usize| finalize_var(s[p], sq[p], cnt[p], stddev);
-                doubles(map(at, valid, var), validity(at, valid))
-            }
+            AggState::SumSq(q) => doubles(pick(q, at, on), validity(at, on)),
+        }
+    }
+
+    /// A COUNT slot's count at `p` (0 for a slot of another kind, which no
+    /// formula reads as a count).
+    fn count_at(&self, p: usize) -> i64 {
+        match self {
+            AggState::Count(c) => c[p],
+            _ => 0,
+        }
+    }
+
+    /// A sum slot's value at `p` as AVG and VAR divide it: an Int sum
+    /// converted, 0.0 where a SUM holds no value.
+    fn sum_at(&self, p: usize) -> f64 {
+        match self {
+            AggState::SumI { s, has } if has[p] => s[p] as f64,
+            AggState::SumF { s, has } if has[p] => s[p],
+            AggState::SumSq(q) => q[p],
+            _ => 0.0,
         }
     }
 
@@ -359,59 +286,45 @@ impl AggState {
                 has.resize(n, false);
             }
             AggState::MinMaxS { m } => m.resize(n, None),
-            AggState::AvgI { s, cnt } => {
-                s.resize(n, 0);
-                cnt.resize(n, 0);
-            }
-            AggState::AvgF { s, cnt } => {
-                s.resize(n, 0.0);
-                cnt.resize(n, 0);
-            }
-            AggState::Var { s, sq, cnt } => {
-                s.resize(n, 0.0);
-                sq.resize(n, 0.0);
-                cnt.resize(n, 0);
-            }
+            AggState::SumSq(q) => q.resize(n, 0.0),
         }
     }
 
-
-    /// Absorb rows of the physical columns `cols`: row `i` is loaded into
-    /// slot `slots[i]` where `first[i]`, and merged into it otherwise, in
-    /// row order. Columns that are not this state's layout — a type, a
-    /// `NULL` or an AVG count it cannot hold — are refused, with nothing
-    /// changed.
-    fn absorb(&mut self, spec: &AggSpec, cols: &[&Column], slots: &[usize], first: &[bool]) -> Result<()> {
-        let max = spec.func == AggFunc::Max;
+    /// Absorb rows of the physical column `col`: row `i` is loaded into
+    /// position `slots[i]` where `first[i]`, and merged into it otherwise,
+    /// in row order. A column that is not this state's — a type, or a
+    /// `NULL` where it holds none — is refused, with nothing changed.
+    fn absorb(&mut self, slot: &Slot, col: &Column, slots: &[usize], first: &[bool]) -> Result<()> {
+        let max = slot.kind == SlotKind::Max;
         let rows = slots
             .iter()
             .zip(first)
             .enumerate()
             .map(|(i, (&p, &f))| (i, p, f));
-        match (self, cols) {
-            (AggState::Count(c), [col]) => {
+        match (self, col) {
+            (AggState::Count(c), col) => {
                 let Some(data) = int_no_nulls(col) else {
-                    return Err(malformed(spec));
+                    return Err(malformed(slot));
                 };
                 for (i, p, first) in rows {
                     c[p] = if first { data[i] } else { c[p] + data[i] };
                 }
             }
-            (AggState::SumI { s, has }, [Column::Int { data, valid }]) => {
+            (AggState::SumI { s, has }, Column::Int { data, valid }) => {
                 absorb_valued(s, has, data, valid.as_ref(), rows, fold_sum_i);
             }
-            (AggState::SumF { s, has }, [Column::Double { data, valid }]) => {
+            (AggState::SumF { s, has }, Column::Double { data, valid }) => {
                 absorb_valued(s, has, data, valid.as_ref(), rows, fold_sum_f);
             }
-            (AggState::MinMaxI { m, has }, [Column::Int { data, valid }]) => {
+            (AggState::MinMaxI { m, has }, Column::Int { data, valid }) => {
                 let fold = |a: &mut i64, v, h| fold_min_max_i(a, v, h, max);
                 absorb_valued(m, has, data, valid.as_ref(), rows, fold);
             }
-            (AggState::MinMaxF { m, has }, [Column::Double { data, valid }]) => {
+            (AggState::MinMaxF { m, has }, Column::Double { data, valid }) => {
                 let fold = |a: &mut f64, v, h| fold_min_max_f(a, v, h, max);
                 absorb_valued(m, has, data, valid.as_ref(), rows, fold);
             }
-            (AggState::MinMaxS { m }, [Column::Str { codes, dict, valid }]) => {
+            (AggState::MinMaxS { m }, Column::Str { codes, dict, valid }) => {
                 for (i, p, first) in rows {
                     let v = valid.as_ref().is_none_or(|b| b.get(i)).then(|| &dict[codes[i] as usize]);
                     match v {
@@ -421,33 +334,15 @@ impl AggState {
                     }
                 }
             }
-            (AggState::AvgI { s, cnt }, [Column::Int { data, valid }, c]) => {
-                let Some(c) = avg_counts(valid.as_ref(), c) else {
-                    return Err(malformed(spec));
-                };
-                absorb_avg(s, cnt, data, c, rows, fold_sum_i);
-            }
-            (AggState::AvgF { s, cnt }, [Column::Double { data, valid }, c]) => {
-                let Some(c) = avg_counts(valid.as_ref(), c) else {
-                    return Err(malformed(spec));
-                };
-                absorb_avg(s, cnt, data, c, rows, fold_sum_f);
-            }
-            (AggState::Var { s, sq, cnt }, [a, b, c]) => {
-                let (Some(a), Some(b), Some(c)) =
-                    (f64_no_nulls(a), f64_no_nulls(b), int_no_nulls(c))
-                else {
-                    return Err(malformed(spec));
+            (AggState::SumSq(q), col) => {
+                let Some(data) = f64_no_nulls(col) else {
+                    return Err(malformed(slot));
                 };
                 for (i, p, first) in rows {
-                    if first {
-                        (s[p], sq[p], cnt[p]) = (a[i], b[i], c[i]);
-                    } else {
-                        fold_var((&mut s[p], &mut sq[p], &mut cnt[p]), a[i], b[i], c[i]);
-                    }
+                    q[p] = if first { data[i] } else { f64_add(q[p], data[i]) };
                 }
             }
-            _ => return Err(malformed(spec)),
+            _ => return Err(malformed(slot)),
         }
         Ok(())
     }
@@ -455,16 +350,7 @@ impl AggState {
     /// The merge tree's step over two runs of `n` slots, `dst` before
     /// `src`: where both are present (`dp`, `sp`) `src` merges into
     /// `dst`, where only `src` is it moves across.
-    fn combine(
-        &mut self,
-        spec: &AggSpec,
-        dst: usize,
-        src: usize,
-        n: usize,
-        dp: &[bool],
-        sp: &[bool],
-    ) {
-        let max = spec.func == AggFunc::Max;
+    fn combine(&mut self, max: bool, (dst, src, n): (usize, usize, usize), dp: &[bool], sp: &[bool]) {
         let steps = (0..n).filter(|&i| sp[i]).map(|i| (i, dp[i]));
         match self {
             AggState::Count(c) => {
@@ -493,27 +379,19 @@ impl AggState {
                     }
                 }
             }
-            AggState::AvgI { s, cnt } => combine_avg(s, cnt, (dst, src, n), steps, fold_sum_i),
-            AggState::AvgF { s, cnt } => combine_avg(s, cnt, (dst, src, n), steps, fold_sum_f),
-            AggState::Var { s, sq, cnt } => {
-                let (ds, ss) = runs(s, dst, src, n);
-                let (dq, sq) = runs(sq, dst, src, n);
-                let (dc, sc) = runs(cnt, dst, src, n);
+            AggState::SumSq(q) => {
+                let (d, s) = runs(q, dst, src, n);
                 for (i, both) in steps {
-                    if both {
-                        fold_var((&mut ds[i], &mut dq[i], &mut dc[i]), ss[i], sq[i], sc[i]);
-                    } else {
-                        (ds[i], dq[i], dc[i]) = (ss[i], sq[i], sc[i]);
-                    }
+                    d[i] = if both { f64_add(d[i], s[i]) } else { s[i] };
                 }
             }
         }
     }
 }
 
-/// The error for physical columns a typed state cannot take.
-fn malformed(spec: &AggSpec) -> Error {
-    Error::Execution(format!("malformed accumulator columns for {spec}"))
+/// The error for a physical column a slot's typed state cannot take.
+fn malformed(slot: &Slot) -> Error {
+    Error::Execution(format!("malformed accumulator columns for {slot}"))
 }
 
 /// The SUM/MIN/MAX merge shape over whole arrays: each present source
@@ -554,25 +432,6 @@ fn absorb_valued<T: Copy>(
     }
 }
 
-/// [`AggState::absorb`] for AVG: the sum half is present exactly where the
-/// count is positive ([`avg_counts`] checked that of the rows).
-fn absorb_avg<T: Copy>(
-    acc: &mut [T],
-    cnt: &mut [i64],
-    data: &[T],
-    c: &[i64],
-    rows: impl Iterator<Item = (usize, usize, bool)>,
-    fold: impl Fn(&mut T, T, bool),
-) {
-    for (i, p, first) in rows {
-        if first {
-            (acc[p], cnt[p]) = (data[i], c[i]);
-        } else {
-            fold_avg(&mut acc[p], &mut cnt[p], data[i], c[i], &fold);
-        }
-    }
-}
-
 /// [`AggState::combine`] for the SUM/MIN/MAX shape.
 fn combine_valued<T: Copy>(
     acc: &mut [T],
@@ -591,25 +450,6 @@ fn combine_valued<T: Copy>(
             }
         } else {
             (d[i], dh[i]) = (s[i], sh[i]);
-        }
-    }
-}
-
-/// [`AggState::combine`] for AVG.
-fn combine_avg<T: Copy>(
-    acc: &mut [T],
-    cnt: &mut [i64],
-    (dst, src, n): (usize, usize, usize),
-    steps: impl Iterator<Item = (usize, bool)>,
-    fold: impl Fn(&mut T, T, bool),
-) {
-    let (d, s) = runs(acc, dst, src, n);
-    let (dc, sc) = runs(cnt, dst, src, n);
-    for (i, both) in steps {
-        if both {
-            fold_avg(&mut d[i], &mut dc[i], s[i], sc[i], &fold);
-        } else {
-            (d[i], dc[i]) = (s[i], sc[i]);
         }
     }
 }
@@ -686,22 +526,20 @@ fn f64_no_nulls(col: &Column) -> Option<&[f64]> {
     }
 }
 
-/// An AVG count column, if its rows keep the typed state's invariant
-/// against the sum column's validity `sums`: no count is negative, and a
-/// sum is present exactly where its count is positive.
-fn avg_counts<'a>(sums: Option<&Bitmap>, col: &'a Column) -> Option<&'a [i64]> {
-    let c = int_no_nulls(col)?;
-    let ok = c
-        .iter()
-        .enumerate()
-        .all(|(i, &n)| n >= 0 && (n > 0) == sums.is_none_or(|b| b.get(i)));
-    ok.then_some(c)
+/// Whether a SUM column and its block's COUNT column of the same input
+/// keep the typed states' invariant: no count is negative, and the sum
+/// holds a value exactly where its count is positive.
+fn sum_agrees_with_count(sum: &Column, cnt: &Column) -> bool {
+    let sums = sum.validity();
+    int_no_nulls(cnt).is_some_and(|c| {
+        c.len() == sum.len() && c.iter().enumerate().all(|(i, &n)| n >= 0 && (n > 0) == sums.is_none_or(|b| b.get(i)))
+    })
 }
 
-/// The typed accumulators of every aggregate of one [`AccLayout`], over
-/// `len` positions: what the coordinator merges its sites' sub-aggregates
-/// in, and what finalizing and the cube's roll-up go through. Position `p`
-/// of every aggregate together is one physical row of the layout
+/// The typed accumulators of every slot of one [`AccLayout`], over `len`
+/// positions: what the coordinator merges its sites' sub-aggregates in,
+/// and what finalizing and the cube's roll-up go through. Position `p` of
+/// every slot together is one physical row of the layout
 /// ([`AccStates::physical_columns`]).
 #[derive(Debug)]
 pub struct AccStates {
@@ -710,29 +548,19 @@ pub struct AccStates {
 }
 
 impl AccStates {
-    /// `n` fresh positions of `layout`, each aggregate typed after the
-    /// declared types of its physical slots (`types`, one per slot, in
-    /// layout order). Types no plan gives an aggregate are refused.
-    pub fn new(layout: &AccLayout, types: &[DataType], n: usize) -> Result<AccStates> {
-        let states = layout
-            .entries()
-            .iter()
-            .map(|(_, spec, off)| {
-                let slots = types.get(*off..off + spec.acc_width()).unwrap_or(&[]);
-                Ok(AggState::new(Kind::of_physical(spec, slots)?, n))
-            })
-            .collect::<Result<_>>()?;
-        Ok(AccStates {
+    /// `n` fresh positions of `layout`, each slot's state typed as the
+    /// slot is.
+    pub fn new(layout: &AccLayout, n: usize) -> AccStates {
+        let states = layout.slots().iter().map(|s| AggState::new(Kind::of(s), n)).collect();
+        AccStates {
             layout: layout.clone(),
             states,
-        })
+        }
     }
 
-    fn specs(&mut self) -> impl Iterator<Item = (&AggSpec, usize, &mut AggState)> {
-        let entries = self.layout.entries().iter();
-        entries
-            .zip(&mut self.states)
-            .map(|((_, spec, off), st)| (spec, *off, st))
+    /// The layout the states are of.
+    pub fn layout(&self) -> &AccLayout {
+        &self.layout
     }
 
     /// Append fresh positions up to `n` in all.
@@ -743,9 +571,10 @@ impl AccStates {
     /// Absorb rows of the physical columns of `cols` that start at column
     /// `from` (one per slot, in layout order): row `i` is copied into
     /// position `slots[i]` where `first[i]`, and merged into it otherwise,
-    /// in row order. Columns that do not have an aggregate's typed layout
-    /// — a type, a `NULL` or an AVG count it cannot hold — are malformed
-    /// remote input, refused with [`Error::Execution`].
+    /// in row order. Columns that are not the layout's — too few or too
+    /// many, a type or a `NULL` a slot cannot hold, a SUM at odds with its
+    /// COUNT — are malformed remote input, refused with
+    /// [`Error::Execution`].
     pub fn absorb(
         &mut self,
         cols: &Columns,
@@ -753,15 +582,23 @@ impl AccStates {
         slots: &[usize],
         first: &[bool],
     ) -> Result<()> {
-        for (spec, off, st) in self.specs() {
-            let w = spec.acc_width();
-            // At most three slots an aggregate: a stack array, so an answer
-            // allocates nothing here.
-            let mut slot_cols = [cols.col(from + off); 3];
-            for (k, c) in slot_cols.iter_mut().enumerate().take(w) {
-                *c = cols.col(from + off + k);
+        let width = self.states.len();
+        if cols.arity() != from + width {
+            return Err(Error::Execution(format!(
+                "{} accumulator columns for a layout of {width} slots",
+                cols.arity().saturating_sub(from)
+            )));
+        }
+        for &(sum, cnt) in self.layout.pairs() {
+            if !sum_agrees_with_count(cols.col(from + sum), cols.col(from + cnt)) {
+                let (s, c) = (&self.layout.slots()[sum], &self.layout.slots()[cnt]);
+                return Err(Error::Execution(format!(
+                    "malformed accumulator columns: {s} holds a value exactly where {c} is positive, or {c} is negative"
+                )));
             }
-            st.absorb(spec, &slot_cols[..w], slots, first)?;
+        }
+        for (k, (slot, st)) in self.layout.slots().iter().zip(&mut self.states).enumerate() {
+            st.absorb(slot, cols.col(from + k), slots, first)?;
         }
         Ok(())
     }
@@ -779,26 +616,37 @@ impl AccStates {
         dst_present: &[bool],
         src_present: &[bool],
     ) {
-        for (spec, _, st) in self.specs() {
-            st.combine(spec, dst, src, n, dst_present, src_present);
+        for (slot, st) in self.layout.slots().iter().zip(&mut self.states) {
+            st.combine(slot.kind == SlotKind::Max, (dst, src, n), dst_present, src_present);
         }
     }
 
     /// Positions `at`'s physical columns, in layout order, one per slot,
     /// built as the kernel builds a site's.
     pub fn physical_columns(&self, at: &[u32]) -> Vec<Arc<Column>> {
-        let mut out = Vec::with_capacity(self.layout.width());
-        self.states.iter().for_each(|st| st.physical_columns(at, &mut out));
-        out
+        self.states.iter().map(|st| Arc::new(st.physical_column(at))).collect()
     }
 
     /// Finalize positions `at` into the logical columns, one per aggregate
     /// (in layout order): position `p`'s accumulators where `present[p]`,
-    /// X_init elsewhere, as columns under [`ColumnBuilder`]'s rule.
+    /// X_init elsewhere, as columns under [`ColumnBuilder`]'s rule. COUNT,
+    /// SUM, MIN and MAX are their slot; AVG is its sum over its count and
+    /// VAR/STDDEV go through `finalize_var`, NULL over a count of 0.
     pub fn finalize_columns(&self, at: &[u32], present: &[bool]) -> Vec<Arc<Column>> {
-        let entries = self.layout.entries().iter().zip(&self.states);
-        entries
-            .map(|((_, spec, _), st)| Arc::new(st.finalize_column(spec, at, present)))
-            .collect()
+        let st = &self.states;
+        let column = |fin: &Finalize| match *fin {
+            Finalize::Slot(s) => st[s].value_column(at, present),
+            Finalize::Avg { sum, cnt } => {
+                let valid = |p: usize| present[p] && st[cnt].count_at(p) != 0;
+                let avg = |p: usize| st[sum].sum_at(p) / st[cnt].count_at(p) as f64;
+                doubles(map(at, valid, avg), validity(at, valid))
+            }
+            Finalize::Var { sum, sq, cnt, stddev } => {
+                let valid = |p: usize| present[p] && st[cnt].count_at(p) != 0;
+                let var = |p: usize| finalize_var(st[sum].sum_at(p), st[sq].sum_at(p), st[cnt].count_at(p), stddev);
+                doubles(map(at, valid, var), validity(at, valid))
+            }
+        };
+        self.layout.aggs().iter().map(|(_, _, fin)| Arc::new(column(fin))).collect()
     }
 }

@@ -2,13 +2,16 @@
 //! decomposition) over random data and partitionings, aggregate merge
 //! laws, and codec round-trips for random expressions.
 
+use skalla_core::{plan::Planner, Cluster, OptFlags};
 use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
+use skalla_datagen::partition::partition_by_int_ranges;
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
 use skalla_gmdj::eval::{eval_full, eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS};
 use skalla_gmdj::oracle::{serial_local, merge_all};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::state::AccStates;
+use skalla_query::cube_with_rollup;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{DataType, Relation, Row, Schema, Value};
 
@@ -103,7 +106,7 @@ fn sub_super_equals_direct() {
         let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), specs);
         let base = d.project_distinct(&["g"]).expect("projects");
 
-        let layout = op.layout();
+        let layout = op.layout(d.schema()).expect("lays out");
         let base_arity = base.schema().len();
 
         // Direct evaluation.
@@ -240,11 +243,11 @@ fn sub_aggregate(a: &AggSpec, xs: &[i64]) -> Relation {
     eval_local(&base, &d, &op, EvalOptions::default()).expect("evaluates").physical
 }
 
-/// `n` fresh positions of the typed states of `a`, typed as `sub`'s slots.
-fn fresh_states(a: &AggSpec, sub: &Relation, n: usize) -> AccStates {
-    let types: Vec<DataType> = sub.schema().fields()[1..].iter().map(|f| f.data_type()).collect();
-    let layout = Gmdj::new("t").block(Expr::True, vec![a.clone()]).layout();
-    AccStates::new(&layout, &types, n).expect("a plan's types")
+/// `n` fresh positions of the typed states of `a`, over [`detail`]'s
+/// schema.
+fn fresh_states(a: &AggSpec, n: usize) -> AccStates {
+    let layout = Gmdj::new("t").block(Expr::True, vec![a.clone()]).layout(detail(&[]).schema());
+    AccStates::new(&layout.expect("lays out"), n)
 }
 
 /// Merge the sub-aggregate `sub` into position `p` of `st`.
@@ -266,7 +269,7 @@ fn merge_is_commutative() {
         let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let ys = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let (sub_x, sub_y) = (sub_aggregate(&a, &xs), sub_aggregate(&a, &ys));
-        let mut st = fresh_states(&a, &sub_x, 4);
+        let mut st = fresh_states(&a, 4);
         for (p, sub) in [&sub_x, &sub_y, &sub_y, &sub_x].into_iter().enumerate() {
             absorb(&mut st, sub, p);
         }
@@ -284,7 +287,7 @@ fn merge_identity() {
         let a = spec(0, arb_agg(rng));
         let xs = cases::vec(rng, 0..10, |rng| rng.gen_range(-50i64..50));
         let sub = sub_aggregate(&a, &xs);
-        let mut st = fresh_states(&a, &sub, 3);
+        let mut st = fresh_states(&a, 3);
         absorb(&mut st, &sub, 0);
         absorb(&mut st, &sub, 1);
         st.combine(1, 2, 1, &[true], &[true]);
@@ -357,4 +360,111 @@ fn gmdj_expr_codec_round_trips() {
         let mut dec = Decoder::new(&bytes);
         assert_eq!(get_gmdj_expr(&mut dec).expect("decodes"), expr);
     });
+}
+
+/// The bits of a value, with its type: `-0.0` and NaN payloads told
+/// apart.
+fn bits_of(v: &Value) -> String {
+    match v {
+        Value::Double(d) => format!("D{:#x}", d.to_bits()),
+        v => format!("{v:?}"),
+    }
+}
+
+/// `x` over an `Int` with NULLs and values past 2⁵³, or over a `Double`
+/// with `-0.0`, NaN payloads and ±∞.
+fn arb_input(rng: &mut StdRng, double: bool) -> Value {
+    match (double, rng.gen_range(0..6)) {
+        (_, 0) => Value::Null,
+        (false, 1) => Value::Int((1i64 << 53) + rng.gen_range(-3i64..4)),
+        (false, 2) => Value::Int(i64::MAX - rng.gen_range(0i64..3)),
+        (false, _) => Value::Int(rng.gen_range(-50..50)),
+        (true, 1) => Value::Double(-0.0),
+        (true, 2) => Value::Double(f64::from_bits(0x7ff8_0000_0000_0000 | rng.gen_range(1u64..9))),
+        (true, 3) => Value::Double(cases::pick(rng, &[f64::INFINITY, f64::NEG_INFINITY])),
+        (true, _) => Value::Double(rng.gen_range(-90i64..90) as f64 / 7.0),
+    }
+}
+
+/// Sharing moves no bit: every aggregate of a random block of COUNT(*),
+/// COUNT(x), SUM, AVG, VAR, STDDEV, MIN and MAX over one input (repeats
+/// allowed) finalizes to the bits of the same aggregate computed alone in
+/// its block — through the kernel at any morsel size, through a `Cluster`
+/// of one to three sites under every optimization and none, and through
+/// the data cube's roll-up (`query::cube`, whose finest query ships the
+/// block's slots). An aggregate alone covers a VAR or STDDEV of an `Int`
+/// that nothing else types.
+#[test]
+fn sharing_slots_moves_no_output_bit() {
+    for_cases("sharing_slots_moves_no_output_bit", 64, |rng| {
+        let double = rng.gen();
+        let rows = cases::vec(rng, 0..30, |rng| (rng.gen_range(0i64..3), arb_input(rng, double)));
+        let ty = if double { DataType::Double } else { DataType::Int };
+        let d = Relation::new(
+            Schema::of(&[("g", DataType::Int), ("x", ty)]),
+            rows.into_iter().map(|(g, x)| Row::new(vec![Value::Int(g), x])).collect(),
+        )
+        .expect("static schema");
+        let base = Relation::new(Schema::of(&[("g", DataType::Int)]), (0..4).map(|g| Row::new(vec![Value::Int(g)])).collect())
+            .expect("static schema");
+        let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Var, AggFunc::StdDev, AggFunc::Min, AggFunc::Max];
+        let specs: Vec<AggSpec> = (0..rng.gen_range(1..8usize))
+            .map(|i| match rng.gen_range(0..8usize) {
+                7 => AggSpec::count(format!("a{i}")),
+                f => AggSpec::over_expr(funcs[f], Expr::dcol("x"), format!("a{i}")),
+            })
+            .collect();
+        let opts = EvalOptions { parallelism: 1, morsel_rows: cases::pick(rng, &[2, DEFAULT_MORSEL_ROWS]) };
+        let cluster = Cluster::from_partitions("t", partition_by_int_ranges(&d, "g", rng.gen_range(1..4)));
+        let block = |aggs: Vec<AggSpec>| Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), aggs);
+        // Per path, the outputs of `aggs` as one block: a row per group,
+        // its key first.
+        let outputs = |aggs: &[AggSpec]| -> Vec<(&str, Relation)> {
+            let kernel = eval_full(&base, &d, &block(aggs.to_vec()), opts).expect("evaluates");
+            let expr = GmdjExprBuilder::distinct_base("t", &["g"]).gmdj(block(aggs.to_vec())).build();
+            let run = |flags| {
+                let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
+                let out = cluster.execute(&plan).expect("executes").relation;
+                out.sorted_by(&["g"]).expect("g is a column")
+            };
+            let cube = cube_with_rollup(&cluster, "t", &["g"], aggs, OptFlags::all(), true).expect("cube");
+            vec![("kernel", kernel), ("all", run(OptFlags::all())), ("none", run(OptFlags::none())), ("cube", cube.relation)]
+        };
+        let shared = outputs(&specs);
+        for (k, a) in specs.iter().enumerate() {
+            for ((path, s), (_, l)) in shared.iter().zip(outputs(std::slice::from_ref(a))) {
+                assert_eq!(s.len(), l.len(), "{path}: {a} in {specs:?}");
+                for (s, l) in s.rows().iter().zip(l.rows()) {
+                    assert_eq!(bits_of(s.get(1 + k)), bits_of(l.get(1)), "{path}: {a} in {specs:?}");
+                }
+            }
+        }
+    });
+}
+
+/// The output bits of `SUM, AVG, VAR, STDDEV, COUNT(v)` of one `Double`
+/// input over `[-0.0]`, over `[NaN(payload 5)]` and over all-NULL.
+#[test]
+fn shared_slots_pin_the_bits_of_signed_zero_nan_and_null() {
+    let nan5 = f64::from_bits(0x7ff8_0000_0000_0005);
+    let aggs = vec![
+        AggSpec::sum("v", "s"),
+        AggSpec::avg("v", "a"),
+        AggSpec::var("v", "vr"),
+        AggSpec::stddev("v", "sd"),
+        AggSpec::over_expr(AggFunc::Count, Expr::dcol("v"), "c"),
+    ];
+    let op = Gmdj::new("t").block(Expr::True, aggs);
+    let base = Relation::new(Schema::of(&[("k", DataType::Int)]), vec![Row::new(vec![Value::Int(0)])]).expect("static schema");
+    let out = |v: Value| {
+        let d = Relation::new(Schema::of(&[("v", DataType::Double)]), vec![Row::new(vec![v])]).expect("static schema");
+        let r = eval_full(&base, &d, &op, EvalOptions::default()).expect("evaluates");
+        r.rows()[0].values()[1..].iter().map(bits_of).collect::<Vec<_>>()
+    };
+    let zero = format!("D{:#x}", 0.0f64.to_bits());
+    let neg = format!("D{:#x}", (-0.0f64).to_bits());
+    assert_eq!(out(Value::Double(-0.0)), [neg.clone(), neg, zero.clone(), zero.clone(), "Int(1)".into()]);
+    let nan = format!("D{:#x}", nan5.to_bits());
+    assert_eq!(out(Value::Double(nan5)), [nan.clone(), nan, zero.clone(), zero, "Int(1)".into()]);
+    assert_eq!(out(Value::Null), ["Null", "Null", "Null", "Null", "Int(0)"]);
 }

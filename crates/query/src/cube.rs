@@ -10,8 +10,10 @@
 //!
 //! * **Roll-up** (the default, [`cube`]): ONE distributed query computes
 //!   the finest grouping set with its aggregates *decomposed into
-//!   physical sub-aggregates* (AVG → SUM + COUNT, VAR/STDDEV → SUM +
-//!   SUM² + COUNT — the same decomposition sites ship in Theorem 1).
+//!   physical sub-aggregates*, one per distinct slot of their block (AVG →
+//!   SUM + COUNT, VAR/STDDEV → SUM + SUM² + COUNT, shared between them
+//!   and with SUM and COUNT — the same decomposition sites ship in
+//!   Theorem 1).
 //!   Every grouping set, down to the grand total, is then derived
 //!   locally by merging those sub-aggregates along the lattice in the
 //!   engine's typed accumulator states ([`AccStates`], the merge the
@@ -33,6 +35,7 @@
 use skalla_core::{ExecStats, OptFlags, Planner, Warehouse};
 use skalla_gmdj::patterns::group_by;
 use skalla_gmdj::state::AccStates;
+use skalla_gmdj::agg::{Slot, SlotKind};
 use skalla_gmdj::{AccLayout, AggFunc, AggSpec};
 use skalla_relation::columns::{row_key_hash, IdTable};
 use skalla_relation::{
@@ -198,24 +201,35 @@ fn query_source(stats: &ExecStats) -> LevelSource {
 }
 
 /// Decompose each requested aggregate into the *physical* sub-aggregates
-/// the finest-level query computes, one per accumulator slot and named as
-/// the slot ([`AggSpec::physical_fields`]): AVG into SUM and COUNT,
-/// VAR/STDDEV into SUM, SUM of squares and COUNT — the decomposition
-/// sites ship, so the rolled-up values carry the engine's exact bits.
+/// the finest-level query computes: one per slot of the aggregates'
+/// layout ([`AccLayout`], one block) that it is the first to need, named
+/// as the slot. `COUNT(*)`, `COUNT(x)`, `SUM(x)`, `MIN(x)` and `MAX(x)`
+/// are computed as they are, `SUM(x as f64)` as `SUM(x * 1.0)` and
+/// `SUM(x²)` as `SUM(x * x)`, an `Int` `x` taken as `x * 1.0`: in `f64`,
+/// as the kernel sums them, so that a square or a sum past `i64` does
+/// not wrap. That is the decomposition sites ship.
 fn decompose(aggs: &[AggSpec], fact: &Schema) -> Result<Vec<Vec<AggSpec>>> {
-    use AggFunc::{Count, Sum};
-    let slot_specs = |a: &AggSpec| {
-        let parts = match (a.func, &a.input) {
-            (AggFunc::Avg, Some(e)) => vec![(Sum, e.clone()), (Count, e.clone())],
-            (AggFunc::Var | AggFunc::StdDev, Some(e)) => {
-                vec![(Sum, e.clone()), (Sum, e.clone().mul(e.clone())), (Count, e.clone())]
-            }
-            _ => return Ok(vec![a.clone()]),
-        };
-        let slots = a.physical_fields(fact)?;
-        Ok(slots.iter().zip(parts).map(|(f, (func, e))| AggSpec::over_expr(func, e, f.name())).collect())
+    let layout = AccLayout::new(&[aggs.to_vec()], fact)?;
+    let empty = Schema::of(&[]);
+    // `x * 1.0` is `x as f64` ([`Value::as_f64`]) for an `Int` `x`.
+    let in_f64 = |e: Expr| match e.infer_type(&empty, Some(fact)) {
+        Ok(DataType::Int) => e.mul(Expr::lit(1.0)),
+        _ => e,
     };
-    aggs.iter().map(slot_specs).collect()
+    let finest = |slot: &Slot| {
+        let input = slot.input.clone();
+        let (func, input) = match slot.kind {
+            SlotKind::CountStar | SlotKind::Count => (AggFunc::Count, input),
+            SlotKind::Sum => (AggFunc::Sum, input),
+            SlotKind::SumF64 => (AggFunc::Sum, input.map(in_f64)),
+            SlotKind::SumSq => (AggFunc::Sum, input.map(|e| in_f64(e.clone()).mul(in_f64(e)))),
+            SlotKind::Min => (AggFunc::Min, input),
+            SlotKind::Max => (AggFunc::Max, input),
+        };
+        AggSpec { func, input, name: slot.field.name().to_string() }
+    };
+    let specs = |new: Vec<usize>| new.into_iter().map(|s| finest(&layout.slots()[s])).collect();
+    Ok(layout.first_needs().into_iter().map(specs).collect())
 }
 
 /// Roll-up serving: one distributed query at the finest level, every
@@ -243,18 +257,18 @@ fn cube_rolled(
         .iter()
         .map(|d| Ok(finest.column(schema.index_of(d)?)))
         .collect::<Result<_>>()?;
-    let layout = AccLayout::new(&[aggs.to_vec()]);
-    let mut slots = Vec::with_capacity(layout.width());
-    for (a, specs) in aggs.iter().zip(&phys) {
-        let var = matches!(a.func, AggFunc::Var | AggFunc::StdDev);
-        for (k, spec) in specs.iter().enumerate() {
-            let col = finest.shared_column(schema.index_of(&spec.name)?);
-            // VAR's sums come as the SUMs the finest query computed — Int,
-            // or NULL over no value — and merge as doubles, NULL as 0.0.
-            slots.push(if var && k < 2 { Arc::new(as_f64_or_zero(&col)) } else { col });
-        }
-    }
-    let types: Vec<DataType> = slots.iter().map(|c| c.data_type()).collect();
+    // Each slot's column: the finest query's column of its name; the sum
+    // of squares, which the finest query computed as a SUM, 0.0 where it
+    // is NULL over no value.
+    let layout = AccLayout::new(&[aggs.to_vec()], fact_schema)?;
+    let slot_column = |slot: &Slot| {
+        let col = finest.shared_column(schema.index_of(slot.field.name())?);
+        Ok(match slot.kind {
+            SlotKind::SumSq => Arc::new(as_f64_or_zero(&col)),
+            _ => col,
+        })
+    };
+    let slots = layout.slots().iter().map(slot_column).collect::<Result<Vec<_>>>()?;
     let slots = Columns::from_shared(finest.len(), slots);
 
     let mut parts = Vec::new();
@@ -262,7 +276,7 @@ fn cube_rolled(
     for set in grouping_sets(dims) {
         let keep: Vec<bool> = dims.iter().map(|d| set.iter().any(|s| s == d)).collect();
         let finest_level = keep.iter().all(|&k| k);
-        let (rows, cols) = roll_up(&dim_cols, &keep, &layout, &types, &slots)?;
+        let (rows, cols) = roll_up(&dim_cols, &keep, &layout, &slots)?;
         levels.push(CubeLevel {
             dims: set,
             source: if finest_level {
@@ -309,7 +323,6 @@ fn roll_up(
     dims: &[&Column],
     keep: &[bool],
     layout: &AccLayout,
-    types: &[DataType],
     slots: &Columns,
 ) -> Result<(usize, Vec<Arc<Column>>)> {
     let kept: Vec<&Column> = dims.iter().zip(keep).filter(|(_, k)| **k).map(|(c, _)| *c).collect();
@@ -330,7 +343,7 @@ fn roll_up(
         ids.push(id);
     }
     let groups = firsts.len().max(usize::from(kept.is_empty()));
-    let mut states = AccStates::new(layout, types, groups)?;
+    let mut states = AccStates::new(layout, groups);
     states.absorb(slots, 0, &ids, &vec![false; n])?;
 
     let mut cols: Vec<Arc<Column>> = dims

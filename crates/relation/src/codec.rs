@@ -360,14 +360,30 @@ impl Packing {
 
     /// The packing of the words of `data`'s rows that `valid` marks
     /// (every row when `None`); width 64 when there are none.
+    /// The bounds are folded 64 words at a time, and only until a
+    /// prefix's span is wide enough that the words go as they are: a
+    /// wider span only makes [`goes_raw`] surer.
     fn of<T: Copy>(data: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> i64) -> Packing {
-        let bounds = |(lo, hi): (i64, i64), v: T| (lo.min(word(v)), hi.max(word(v)));
-        let (min, max) = match valid {
-            None => data.iter().copied().fold((i64::MAX, i64::MIN), &bounds),
-            Some(b) => valid_values(data, b).fold((i64::MAX, i64::MIN), &bounds),
-        };
         let n = valid.map_or(data.len(), Bitmap::count_ones);
-        Packing::new(n, min, max.wrapping_sub(min) as u64)
+        let raw = Packing { min: 0, width: 64 };
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        let mut fold = |words: &mut dyn Iterator<Item = i64>| {
+            for w in words {
+                (lo, hi) = (lo.min(w), hi.max(w));
+            }
+            goes_raw(n, bit_width(hi.wrapping_sub(lo) as u64))
+        };
+        let wide = match valid {
+            None => data.chunks(64).any(|c| fold(&mut c.iter().map(|&v| word(v)))),
+            Some(b) => {
+                let mut words = valid_values(data, b).map(&word).peekable();
+                std::iter::from_fn(|| words.peek().is_some().then(|| fold(&mut words.by_ref().take(64)))).any(|w| w)
+            }
+        };
+        if wide {
+            return raw;
+        }
+        Packing::new(n, lo, hi.wrapping_sub(lo) as u64)
     }
 
     /// The packing of the gaps between `data`'s neighbours, each exact as
@@ -637,6 +653,21 @@ impl<'a> Decoder<'a> {
         // Words that go as they are must span too many bits to pack: their
         // bounds are folded only until they do, mostly within a block.
         let (mut lo, mut hi, mut wide) = (i64::MAX, i64::MIN, width < 64 || goes_raw(n_valid, 1));
+        if width == 64 {
+            // The words as they are: read straight into the column.
+            for words in run.chunks(8 * 64) {
+                let block = words.chunks_exact(8).map(|w| i64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]));
+                if !wide {
+                    (lo, hi) = block.clone().fold((lo, hi), |(lo, hi), w| (lo.min(w), hi.max(w)));
+                    wide = goes_raw(n_valid, bit_width(hi.wrapping_sub(lo) as u64));
+                }
+                data.extend(block.map(&of));
+            }
+            if !wide {
+                return Err(Error::Codec(format!("{n_valid} words as they are where packing them is smaller")));
+            }
+            return Ok(spread(data, n, valid));
+        }
         let span = unpack(run, n_valid, width, |block| {
             if !wide {
                 (lo, hi) = (block.iter()).fold((lo, hi), |(lo, hi), &w| (lo.min(w as i64), hi.max(w as i64)));

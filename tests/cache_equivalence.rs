@@ -152,6 +152,29 @@ fn cube_rollup_is_bit_identical_on_doubles() {
     });
 }
 
+/// VAR and STDDEV of an `Int` measure whose squares, or whose sums,
+/// overflow an `i64` roll up bit-identical to direct serving: the finest
+/// query sums them in `f64`, as the kernel does, not as wrapping `Int`
+/// SUMs. Every value is a multiple of 10⁹ or is `i64::MAX`, so every
+/// `f64` sum below is exact and its order does not matter.
+#[test]
+fn cube_rollup_of_var_over_overflowing_ints_is_bit_identical_to_direct() {
+    let giga: Vec<i64> = [4, -4, 9, -3, 7, 0].iter().map(|k| k * 1_000_000_000).collect();
+    for values in [&giga[..], &[i64::MAX; 5][..]] {
+        let rows: Vec<Row> = (0..values.len())
+            .map(|i| Row::new(vec![Value::Int(i as i64 % 2), Value::Int(i as i64 % 3), Value::Int(values[i])]))
+            .collect();
+        let types = [("g", DataType::Int), ("h", DataType::Int), ("v", DataType::Int)];
+        let detail = Relation::new(Schema::of(&types), rows).expect("rows conform");
+        let cluster = Cluster::from_partitions("t", partition_by_int_ranges(&detail, "g", 2));
+        let aggs = [AggSpec::var("v", "vr"), AggSpec::stddev("v", "sd"), AggSpec::avg("v", "av")];
+        let dims = ["g", "h"];
+        let rolled = cube_with_rollup(&cluster, "t", &dims, &aggs, OptFlags::all(), true).expect("rolled");
+        let direct = cube_with_rollup(&cluster, "t", &dims, &aggs, OptFlags::all(), false).expect("direct");
+        assert_bit_identical(&rolled.relation, &direct.relation, &dims, &format!("{values:?}"));
+    }
+}
+
 /// A cache-served repeat of a random GMDJ chain is bit-identical to
 /// its first (computed) execution, across thread counts; a cache-off
 /// engine pays, first run and repeat alike, byte-for-byte the per-round

@@ -309,9 +309,9 @@ fn a_result_off_the_units_physical_schema_is_a_clean_round_error() {
     assert!(err.contains("answers with its key and accumulators [Int, Int]"), "{err}");
 }
 
-/// At the coordinator: an `AVG` sub-aggregate whose count column holds a
-/// `NULL`, well typed but impossible, is refused with a clean error
-/// rather than merged.
+/// At the coordinator: an `AVG`'s `COUNT(v)` slot holding a `NULL`, well
+/// typed but impossible, is refused with a clean error rather than
+/// merged.
 #[test]
 fn an_avg_count_holding_null_is_a_clean_round_error() {
     let answer = relation(
@@ -319,7 +319,46 @@ fn an_avg_count_holding_null_is_a_clean_round_error() {
         vec![row![10i64, skalla::relation::Value::Null], row![20i64, 1i64]],
     );
     let err = merge_unit_error(answer, AggSpec::avg("v", "a"));
-    assert!(err.contains("malformed accumulator columns for AVG"), "{err}");
+    assert!(err.contains("malformed accumulator columns"), "{err}");
+    assert!(err.contains("COUNT(r.v) -> a__cnt"), "{err}");
+}
+
+/// At the coordinator: a `SUM(v)` slot holding a value where its block's
+/// `COUNT(v)` is 0 — the sum that `SUM`, `AVG` and `VAR` of `v` share —
+/// is refused, not merged.
+#[test]
+fn a_sum_where_its_count_is_zero_is_a_clean_round_error() {
+    let answer = relation(
+        &[("s", DataType::Int), ("a__cnt", DataType::Int)],
+        vec![row![10i64, 0i64], row![20i64, 1i64]],
+    );
+    let err = merge_unit_error_of(answer, vec![AggSpec::sum("v", "s"), AggSpec::avg("v", "a")]);
+    assert!(err.contains("malformed accumulator columns: SUM(r.v) -> s"), "{err}");
+}
+
+/// At the coordinator: no `SUM(v)` where its block's `COUNT(v)` is
+/// positive is refused, not merged.
+#[test]
+fn no_sum_where_its_count_is_positive_is_a_clean_round_error() {
+    let answer = relation(
+        &[("s", DataType::Int), ("a__cnt", DataType::Int)],
+        vec![row![skalla::relation::Value::Null, 1i64], row![20i64, 1i64]],
+    );
+    let err = merge_unit_error_of(answer, vec![AggSpec::sum("v", "s"), AggSpec::avg("v", "a")]);
+    assert!(err.contains("malformed accumulator columns: SUM(r.v) -> s"), "{err}");
+}
+
+/// At the coordinator: an answer shaped as protocol v18 shaped it — one
+/// set of columns per aggregate, so `SUM(v)` twice beside `AVG(v)`'s
+/// count — is one column too many for the unit's slots, and is refused.
+#[test]
+fn a_v18_shaped_answer_with_one_column_set_per_aggregate_is_a_clean_round_error() {
+    let answer = relation(
+        &[("s", DataType::Int), ("a__sum", DataType::Int), ("a__cnt", DataType::Int)],
+        vec![row![10i64, 10i64, 1i64], row![20i64, 20i64, 1i64]],
+    );
+    let err = merge_unit_error_of(answer, vec![AggSpec::sum("v", "s"), AggSpec::avg("v", "a")]);
+    assert!(err.contains("where the unit answers by position with accumulators [Int, Int]"), "{err}");
 }
 
 /// At the coordinator, an answer by position that does not fit its
@@ -563,8 +602,13 @@ fn two_count_expr() -> GmdjExpr {
 /// The error of a query grouping `t` on `g` with `agg` against one site
 /// that answers its merge unit against B with `answer`.
 fn merge_unit_error(answer: Relation, agg: AggSpec) -> String {
+    merge_unit_error_of(answer, vec![agg])
+}
+
+/// [`merge_unit_error`] of a block of `aggs`.
+fn merge_unit_error_of(answer: Relation, aggs: Vec<AggSpec>) -> String {
     let frames = honest_base(move |stage| vec![protocol::result(stage, &answer)]);
-    round_error(grouped(vec![vec![agg]]), OptFlags::none(), DomainMap::new(), frames)
+    round_error(grouped(vec![aggs]), OptFlags::none(), DomainMap::new(), frames)
 }
 
 /// `t`'s groups: the base round's honest answer.

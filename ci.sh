@@ -76,10 +76,12 @@ cargo test --workspace -q
 # Rustdoc must stay warning-clean. The vendored `rand` shim is an API
 # stand-in, not our documentation surface, so it is excluded.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand
-# Zero-allocation probe regression guard (plain-main bench, not run by
-# `cargo test`) — covers the columnar kernel's group-id probe / typed
-# inner loops, a cold call that builds the key column and the
-# relation's group ids, and the coordinator's merge (2 vs 6 sites).
+# Allocation guard (plain-main bench, not run by `cargo test`): the
+# columnar kernel's group-id probe and typed inner loops allocate nothing
+# per probe, cold call included; the coordinator's merge (2 vs 6 sites)
+# and its finish, the frame decoders, a site's shipped answer and a
+# Thm 5 chain step with its `ChainSync` allocate per column, never per
+# row or group.
 cargo bench -p skalla-bench --bench probe_alloc
 # End-to-end benchmark smoke (BENCHMARK.json): the harness at reduced
 # size, so a change that breaks its use of the public API fails here and
@@ -113,6 +115,21 @@ wait_listening() {
       || { echo "ci.sh: $1 $i never came up" >&2; cat "$log" >&2; exit 1; }
   done
 }
+# same_answer LOG ARG…: the result rows a TCP run wrote to LOG (the CSV
+# block after "=== result") must be those of `skalla-cli run ARG…`: the
+# same query in process, over the same data options.
+result_rows() { sed -n '/^=== result/,/^$/p' "$1"; }
+same_answer() {
+  local log=$1
+  shift
+  "$CLI" run "$@" >"$log.local"
+  if ! diff <(result_rows "$log") <(result_rows "$log.local") >"$log.diff"; then
+    echo "ci.sh: the result rows in $log differ from an in-process run" >&2
+    head -20 "$log.diff" >&2
+    exit 1
+  fi
+  echo "ci.sh: the $(sed -n 's/^=== result (\(.*\)) ===$/\1/p' "$log") of $(basename "$log") equal an in-process run's"
+}
 if "$CLI" net-probe >/dev/null 2>&1; then
   SMOKE_DIR=$(mktemp -d)
   trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
@@ -127,7 +144,7 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   # Telemetry smoke: trace the distributed run (sites always record and
   # ship their deltas back), expose live metrics, and linger so we can
   # probe the endpoint after the query completes.
-  "$CLI" run --sites "$ADDRS" --query-file queries/example1.skl --limit 5 \
+  "$CLI" run --sites "$ADDRS" --query-file queries/example1.skl --limit 1000000 \
     --trace "$SMOKE_DIR/trace.json" --metrics-listen 127.0.0.1:0 --metrics-linger 10 \
     --slow-query-log "$SMOKE_DIR/slow.jsonl" >"$SMOKE_DIR/run.log" 2>&1 &
   RUN_PID=$!
@@ -137,7 +154,8 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   done
   grep -q 'lingering' "$SMOKE_DIR/run.log" \
     || { echo "ci.sh: traced run never reached the linger window" >&2; cat "$SMOKE_DIR/run.log" >&2; exit 1; }
-  cat "$SMOKE_DIR/run.log"
+  # The run's log, its result rows elided (same_answer checks them).
+  awk '/^=== result/ { print; skip = 1; next } skip && /^$/ { skip = 0 } !skip' "$SMOKE_DIR/run.log"
   METRICS=$(sed -n 's|^metrics listening on http://||p' "$SMOKE_DIR/run.log")
   "$CLI" http-get "http://$METRICS/metrics" >"$SMOKE_DIR/metrics.txt"
   # The scheduler gauges and the query-latency histogram must be exposed.
@@ -148,6 +166,8 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   wait
   # The slow-query log carries each round's wait seconds over real sockets.
   grep -q '"wait_s"' "$SMOKE_DIR/slow.jsonl"
+  same_answer "$SMOKE_DIR/run.log" --dataset flow --rows 4000 --sites 2 \
+    --query-file queries/example1.skl --limit 1000000
   # The merged trace must contain real site-side spans from both sites
   # (exported by the site processes over TAG_TELEMETRY), not just
   # coordinator lanes.
@@ -156,18 +176,20 @@ if "$CLI" net-probe >/dev/null 2>&1; then
 
   # Concurrent multi-query smoke: 4 sites, 4 copies of the fig2-style
   # query submitted at once over one persistent session per site. The CLI
-  # itself verifies the concurrent copies agree on the result.
+  # itself verifies the concurrent copies agree on the result, and
+  # same_answer that it is the in-process one.
   for i in 0 1 2 3; do
     "$CLI" site --listen 127.0.0.1:0 --site-index "$i" --sites 4 \
       --dataset tpcr --rows 4000 --once >"$SMOKE_DIR/csite$i.log" &
   done
   wait_listening csite 0 1 2 3
   CADDRS=$(for i in 0 1 2 3; do sed -n "s/^site $i listening on //p" "$SMOKE_DIR/csite$i.log"; done | paste -sd, -)
-  "$CLI" run --sites "$CADDRS" --concurrency 4 --limit 3 -q \
-    'BASE SELECT DISTINCT cust_group FROM tpcr;
-     MD cnt1 = COUNT(*), avg1 = AVG(extended_price) OVER tpcr WHERE cust_group = b.cust_group;
-     MD cnt2 = COUNT(*) OVER tpcr WHERE cust_group = b.cust_group AND extended_price >= b.avg1;'
+  CQUERY='BASE SELECT DISTINCT cust_group FROM tpcr;
+    MD cnt1 = COUNT(*), avg1 = AVG(extended_price) OVER tpcr WHERE cust_group = b.cust_group;
+    MD cnt2 = COUNT(*) OVER tpcr WHERE cust_group = b.cust_group AND extended_price >= b.avg1;'
+  "$CLI" run --sites "$CADDRS" --concurrency 4 --limit 1000000 -q "$CQUERY" >"$SMOKE_DIR/crun.log"
   wait
+  same_answer "$SMOKE_DIR/crun.log" --dataset tpcr --rows 4000 --sites 4 --limit 1000000 -q "$CQUERY"
   echo "ci.sh: concurrent TCP smoke test passed (4 queries over sites $CADDRS)"
 
   # Resident-round smoke: 4 fresh sites of the same shape, the chain
@@ -181,11 +203,12 @@ if "$CLI" net-probe >/dev/null 2>&1; then
   done
   wait_listening rsite 0 1 2 3
   RADDRS=$(for i in 0 1 2 3; do sed -n "s/^site $i listening on //p" "$SMOKE_DIR/rsite$i.log"; done | paste -sd, -)
-  "$CLI" run --sites "$RADDRS" --concurrency 4 --limit 3 -q \
-    'BASE SELECT DISTINCT part_key FROM tpcr;
-     MD cnt1 = COUNT(*), avg1 = AVG(extended_price) OVER tpcr WHERE part_key = b.part_key;
-     MD cnt2 = COUNT(*) OVER tpcr WHERE part_key = b.part_key AND extended_price >= b.avg1;'
+  RQUERY='BASE SELECT DISTINCT part_key FROM tpcr;
+    MD cnt1 = COUNT(*), avg1 = AVG(extended_price) OVER tpcr WHERE part_key = b.part_key;
+    MD cnt2 = COUNT(*) OVER tpcr WHERE part_key = b.part_key AND extended_price >= b.avg1;'
+  "$CLI" run --sites "$RADDRS" --concurrency 4 --limit 1000000 -q "$RQUERY" >"$SMOKE_DIR/rrun.log"
   wait
+  same_answer "$SMOKE_DIR/rrun.log" --dataset tpcr --rows 4000 --sites 4 --limit 1000000 -q "$RQUERY"
   echo "ci.sh: resident-round TCP smoke test passed (4 queries over sites $RADDRS)"
 else
   echo "ci.sh: loopback sockets unavailable, skipping TCP smoke tests"

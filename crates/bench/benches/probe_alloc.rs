@@ -58,8 +58,9 @@
 //! allocate per column, never per group.
 //!
 //! A chain leg does the same for Theorem 5's locally chained unit, over
-//! 1,000 and then 11,000 groups: the site's chain (`eval_local` →
-//! `finalize_physical` → `project` → `protocol::result`), then the
+//! 1,000 and then 11,000 groups: the site's chain step (`eval_full`,
+//! which finalizes the kernel's states in place, → `project` →
+//! `protocol::result`), then the
 //! coordinator's `ChainSync` absorbing two sites' disjoint answers and
 //! finishing against B (the groups no site owns filled in) and folded
 //! (each half then a sorted run, as a site's is). It must allocate per
@@ -70,7 +71,7 @@
 use skalla_core::coordinator::{empty_aggregates, ChainSync, MergeSync};
 use skalla_core::protocol::{decode_result, decode_result_frame, result, result_with, Survivors};
 use skalla_gmdj::prelude::*;
-use skalla_gmdj::eval::{eval_local, eval_shipped, finalize_physical};
+use skalla_gmdj::eval::{eval_full, eval_local, eval_shipped};
 use skalla_obs::Obs;
 use skalla_gmdj::EvalOptions;
 use skalla_relation::codec::{decode_relation, encode_relation};
@@ -402,8 +403,7 @@ fn main() {
     let measure_chain = |n: usize| {
         let b = groups_base(n);
         let site = || {
-            let local = eval_local(&b, &groups_detail, &wide_op, opts).unwrap();
-            let cur = finalize_physical(&local.physical, 1, &wide_op, groups_detail.schema()).unwrap();
+            let cur = eval_full(&b, &groups_detail, &wide_op, opts, &Obs::disabled(), 0).unwrap();
             let answer = cur.project(&names).unwrap();
             std::hint::black_box(result(1, &answer));
             answer

@@ -84,25 +84,6 @@ impl DistributionInfo {
         true
     }
 
-    /// All declared partition attributes of a table.
-    pub fn partition_attributes(&self, table: &str) -> Vec<String> {
-        let Some(sites) = self.tables.get(table) else {
-            return Vec::new();
-        };
-        let mut columns: Vec<String> = Vec::new();
-        for m in sites {
-            for c in m.constrained_columns() {
-                if !columns.iter().any(|x| x == c) {
-                    columns.push(c.to_string());
-                }
-            }
-        }
-        columns
-            .into_iter()
-            .filter(|c| self.is_partition_attribute(table, c))
-            .collect()
-    }
-
     /// Whether any knowledge is recorded for a table.
     pub fn knows_table(&self, table: &str) -> bool {
         self.tables.contains_key(table)
@@ -143,7 +124,6 @@ mod tests {
         assert!(!d.is_partition_attribute("t", "other"));
         // Unknown table.
         assert!(!d.is_partition_attribute("u", "k"));
-        assert_eq!(d.partition_attributes("t"), vec!["k".to_string()]);
     }
 
     #[test]

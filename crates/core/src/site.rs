@@ -21,7 +21,7 @@
 use crate::plan::{DistributedPlan, SiteFilter, StageKind, Unit};
 use crate::protocol::{self, Survivors, Tag};
 use crate::skew::{ExtractSpec, HotReport, SkewSpec, REPORT_TOP, SKETCH_CAPACITY};
-use skalla_gmdj::eval::{eval_local_traced, eval_shipped, finalize_physical, EvalOptions};
+use skalla_gmdj::eval::{eval_full, eval_shipped, EvalOptions};
 use skalla_gmdj::{BaseQuery, Catalog, SpaceSaving};
 use skalla_net::tcp::MAX_FRAME_LEN;
 use skalla_net::{Message, SiteTransport};
@@ -159,8 +159,7 @@ fn execute_unit(
         };
         let mut cur = owned;
         for op in &plan.expr.ops[unit.ops.clone()] {
-            let local = eval_local_traced(&cur, detail, op, eval, obs, site)?;
-            cur = finalize_physical(&local.physical, cur.schema().len(), op, detail.schema())?;
+            cur = eval_full(&cur, detail, op, eval, obs, site)?;
         }
         // Ship K + every logical aggregate the unit produced.
         let mut cols = key.clone();

@@ -475,6 +475,7 @@ mod tests {
     use crate::eval::{eval_full, eval_local, EvalOptions};
     use crate::operator::Gmdj;
     use crate::state::AccStates;
+    use skalla_obs::Obs;
     use skalla_relation::{Relation, Row, Value};
 
     fn detail_schema() -> Schema {
@@ -502,7 +503,8 @@ mod tests {
     /// `spec` over `inputs` (detail column `col`), evaluated and finalized
     /// by the engine.
     fn full(spec: &AggSpec, col: &str, inputs: &[Value]) -> Value {
-        let out = eval_full(&base(), &detail(col, inputs), &op(spec), EvalOptions::default()).unwrap();
+        let d = detail(col, inputs);
+        let out = eval_full(&base(), &d, &op(spec), EvalOptions::default(), &Obs::disabled(), 0).unwrap();
         out.rows()[0].get(1).clone()
     }
 
@@ -608,7 +610,8 @@ mod tests {
         assert!(AggSpec::var("s", "x").validate(&detail_schema()).is_err());
         assert!(AggSpec::stddev("s", "x").validate(&detail_schema()).is_err());
         let strings = detail("s", &[Value::str("x")]);
-        assert!(eval_full(&base(), &strings, &op(&AggSpec::var("s", "x")), EvalOptions::default()).is_err());
+        let var_s = op(&AggSpec::var("s", "x"));
+        assert!(eval_full(&base(), &strings, &var_s, EvalOptions::default(), &Obs::disabled(), 0).is_err());
         // NULL inputs are skipped.
         let nulls = sub(&v, "v", &[Value::Null]);
         assert_eq!(nulls.columns().value(3, 0), Value::Int(0));
@@ -657,7 +660,7 @@ mod tests {
             .block(Expr::dcol("v").lt(Expr::lit(5i64)), blocks[0].clone())
             .block(Expr::dcol("v").eq(Expr::lit(10i64)), blocks[1].clone());
         let d = detail("v", &ints(&[2, 4, 10]));
-        let logical = eval_full(&base(), &d, &g, EvalOptions::default()).unwrap();
+        let logical = eval_full(&base(), &d, &g, EvalOptions::default(), &Obs::disabled(), 0).unwrap();
         assert_eq!(
             logical.rows()[0].values()[1..],
             [Value::Int(2), Value::Double(3.0), Value::Int(10)]

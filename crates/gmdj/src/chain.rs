@@ -12,6 +12,7 @@
 
 use crate::eval::{eval_full, EvalOptions};
 use crate::operator::Gmdj;
+use skalla_obs::Obs;
 use skalla_relation::{Error, Relation, Result, Schema};
 use std::collections::HashMap;
 
@@ -154,7 +155,7 @@ impl GmdjExpr {
         let mut b = self.base.eval(catalog)?;
         for op in &self.ops {
             let detail = catalog.table(&op.detail)?;
-            b = eval_full(&b, detail, op, opts)?;
+            b = eval_full(&b, detail, op, opts, &Obs::disabled(), 0)?;
         }
         Ok(b)
     }

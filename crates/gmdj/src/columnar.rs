@@ -62,15 +62,16 @@
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use crate::agg::{AccLayout, AggSpec, SlotKind};
-use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, LocalGmdj, MorselKernel};
+use crate::eval::{drive, morsels, prepare_blocks, EvalOptions, MorselKernel};
 use crate::operator::Gmdj;
 use crate::state::{
-    fold_min_max_f, fold_min_max_i, fold_min_max_s, fold_sum_f, fold_sum_i, AggState, Kind,
+    fold_min_max_f, fold_min_max_i, fold_min_max_s, fold_sum_f, fold_sum_i, AccStates, AggState,
+    Kind,
 };
 use skalla_obs::Obs;
 use skalla_relation::columns::{canon_eq, canon_hash, canon_value, CanonKeys, IdTable, StrCodes};
 use skalla_relation::{
-    f64_add, Bitmap, BoundExpr, CmpOp, Column, ColumnBuilder, Columns, Error, Groups, Relation,
+    f64_add, Bitmap, BoundExpr, CmpOp, Column, ColumnBuilder, Error, Groups, Relation,
     Result, Schema, Side, StrDictView, Value, TWO_POW_63,
 };
 use std::cmp::Ordering;
@@ -679,11 +680,6 @@ impl MorselKernel for ColKernel<'_> {
         }
     }
 
-    fn reset_state(&self, state: &mut ColState) {
-        state.slots.iter_mut().for_each(AggState::reset);
-        state.matched.fill(false);
-    }
-
     fn merge_state(&self, dst: &mut ColState, src: &ColState) -> Result<()> {
         for ((d, s), slot) in dst.slots.iter_mut().zip(&src.slots).zip(self.layout.slots()) {
             d.merge(s, slot.kind == SlotKind::Max)?;
@@ -965,22 +961,19 @@ fn valued_loop<T: Copy>(
     });
 }
 
-/// Evaluate a GMDJ through the columnar kernel: the base columns at `keep`
-/// ⊕ the merged physical accumulators, one row per base tuple (per matched
-/// one when `matched_only`), plus every base tuple's match flag.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate a GMDJ through the columnar kernel: the merged typed states
+/// of every slot over the base positions, in base order, and every base
+/// tuple's match flag — what both of a site's answers are read off
+/// ([`crate::eval::eval_shipped`], [`crate::eval::eval_full`]).
 pub(crate) fn eval_columnar(
     base: &Relation,
     detail: &Relation,
     gmdj: &Gmdj,
-    keep: &[usize],
-    matched_only: bool,
     opts: EvalOptions,
     obs: &Obs,
     site: usize,
-) -> Result<LocalGmdj> {
+) -> Result<(AccStates, Vec<bool>)> {
     let (layout, blocks) = prepare_blocks(gmdj, base.schema(), detail.schema())?;
-    let schema = base.schema().project(keep)?.extend(&layout.fields())?;
     assert!(detail.len() < u32::MAX as usize, "detail relation too large");
 
     // Per aggregate, in layout order, the slots of its block that it is
@@ -1051,35 +1044,15 @@ pub(crate) fn eval_columnar(
         n_morsels,
     };
     let merged = drive(&kernel, opts, obs, site)?;
-
-    // The answer's columns straight from the typed states: the kept base
-    // columns, shared when every base tuple is kept and gathered when
-    // Prop 1 drops some, then each slot's physical column in layout
-    // order.
-    let n = base.len();
-    let at: Vec<u32> = (0..n as u32)
-        .filter(|&p| !matched_only || merged.matched[p as usize])
-        .collect();
-    let mut cols: Vec<Arc<Column>> = keep
-        .iter()
-        .map(|&c| match at.len() == n {
-            true => base.shared_column(c),
-            false => Arc::new(base.column(c).gather(&at)),
-        })
-        .collect();
-    cols.extend(merged.slots.iter().map(|st| Arc::new(st.physical_column(&at))));
-    Ok(LocalGmdj {
-        physical: Relation::from_columns(schema, Columns::from_shared(at.len(), cols))?,
-        matched: merged.matched,
-    })
+    Ok((AccStates::of_states(layout, merged.slots), merged.matched))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::{AggFunc, AggSpec};
-    use crate::eval::{eval_full, eval_local, finalize_physical};
-    use crate::oracle::serial_local;
+    use crate::eval::{eval_full, eval_local};
+    use crate::oracle::{finalize_rows, serial_local};
     use crate::theta::ThetaBuilder;
     use skalla_relation::{row, DataType, Expr, Row, Schema};
 
@@ -1093,7 +1066,7 @@ mod tests {
     /// The row reference kernel's finalized answer.
     fn full_rows(b: &Relation, d: &Relation, g: &Gmdj) -> Relation {
         let local = serial_local(b, d, g, opts()).unwrap();
-        finalize_physical(&local.physical, b.schema().len(), g, d.schema()).unwrap()
+        finalize_rows(&local.physical, b.schema().len(), g, d.schema()).unwrap()
     }
 
     fn detail() -> Relation {
@@ -1212,7 +1185,7 @@ mod tests {
             Expr::dcol("v").ge(Expr::bcol("lo")),
             vec![AggSpec::count("cnt"), AggSpec::sum("x", "sx")],
         );
-        let col = eval_full(&b, &detail(), &g, opts()).unwrap();
+        let col = eval_full(&b, &detail(), &g, opts(), &Obs::disabled(), 0).unwrap();
         let rowk = full_rows(&b, &detail(), &g);
         assert_eq!(col, rowk);
         // Group-by with an extra residual conjunct (hash path + residual).
@@ -1222,7 +1195,7 @@ mod tests {
                 .build(),
             vec![AggSpec::count("cnt"), AggSpec::max("v", "mx")],
         );
-        let col = eval_full(&base(), &detail(), &g2, opts()).unwrap();
+        let col = eval_full(&base(), &detail(), &g2, opts(), &Obs::disabled(), 0).unwrap();
         let rowk = full_rows(&base(), &detail(), &g2);
         assert_eq!(col, rowk);
     }
@@ -1528,7 +1501,7 @@ mod tests {
             ThetaBuilder::group_by(&["s"]).build(),
             vec![AggSpec::count("cnt"), AggSpec::sum("v", "sv")],
         );
-        let col = eval_full(&b, &detail(), &g, opts()).unwrap();
+        let col = eval_full(&b, &detail(), &g, opts(), &Obs::disabled(), 0).unwrap();
         let rowk = full_rows(&b, &detail(), &g);
         assert_eq!(col, rowk);
         // "zzz" appears nowhere in the detail dictionary.
@@ -1561,7 +1534,7 @@ mod tests {
             vec![row![1i64], row![0i64], row![2i64], row![Value::Null]],
         )
         .unwrap();
-        let col = eval_full(&ints, &d, &g, opts()).unwrap();
+        let col = eval_full(&ints, &d, &g, opts(), &Obs::disabled(), 0).unwrap();
         assert_eq!(col, full_rows(&ints, &d, &g));
         let sums: Vec<Value> = col.rows().iter().map(|r| r.get(1).clone()).collect();
         assert_eq!(sums, [Value::Int(40), Value::Int(40), Value::Null, Value::Int(60)]);
@@ -1570,15 +1543,15 @@ mod tests {
             vec![row!["1"], row![Value::Null]],
         )
         .unwrap();
-        let col = eval_full(&strs, &d, &g, opts()).unwrap();
+        let col = eval_full(&strs, &d, &g, opts(), &Obs::disabled(), 0).unwrap();
         assert_eq!(col, full_rows(&strs, &d, &g));
         assert_eq!(col.rows()[0].get(1), &Value::Null);
     }
 
     #[test]
     fn columnar_streaming_serial_matches_parallel_bits() {
-        // Satellite check: the workers==1 streaming merge produces the
-        // same bits as the deferred parallel merge, morsel by morsel.
+        // One worker and four run the same pool loop and merge in morsel
+        // order: the same bits, morsel by morsel.
         let serial = eval_local(
             &base(),
             &detail(),

@@ -16,25 +16,28 @@
 //! never on the thread count — float aggregates are bit-identical across
 //! `parallelism` values.
 //!
-//! [`eval_local`] produces *physical* (sub-aggregate) accumulators plus a
-//! per-group match flag; [`eval_shipped`] builds exactly what a warehouse
-//! site ships to the coordinator for a merge unit — key columns and
-//! accumulators, matched groups only under site-side group reduction —
-//! straight from the kernel's states; [`eval_full`] additionally
-//! finalizes, for single-machine evaluation and as the test oracle.
+//! The kernel ends with the merged typed states and a per-group match
+//! flag, and both answers are read off them. [`eval_shipped`] builds
+//! exactly what a warehouse site ships to the coordinator for a merge
+//! unit — key columns and *physical* (sub-aggregate) accumulators,
+//! matched groups only under site-side group reduction; [`eval_local`] is
+//! its every-column, every-row form. [`eval_full`] finalizes them in
+//! place into the logical output, for a site's locally chained unit
+//! (Thm 5) and for single-machine evaluation.
 //!
-//! **One kernel.** [`eval_local`] always runs the vectorized kernel in
+//! **One kernel.** Every entry runs the vectorized kernel in
 //! [`crate::columnar`], whose accumulators are the typed states of
 //! [`crate::state`]. The test suites hold it to a reference written
-//! apart: a serial loop over every (block, base tuple, detail tuple) pair
-//! with the same morsel decomposition and merge order.
+//! apart (`oracle::serial_local`): a serial loop over every (block, base
+//! tuple, detail tuple) pair with the same morsel decomposition and merge
+//! order.
 
 // No wall clock and no hash-order iteration here (docs/STATIC_ANALYSIS.md).
 #![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use crate::agg::AccLayout;
+use crate::columnar::eval_columnar;
 use crate::operator::Gmdj;
-use crate::state::AccStates;
 use crate::theta::analyze_theta;
 use skalla_obs::timing::{charge_foreign_ns, thread_cpu_ns};
 use skalla_obs::{Obs, Track};
@@ -192,10 +195,7 @@ pub(crate) trait MorselKernel: Sync {
     fn morsel_rows_in(&self, m: usize) -> usize;
     /// A fresh (empty) accumulation state.
     fn init_state(&self) -> Self::State;
-    /// Reset a state to exactly [`MorselKernel::init_state`] in place,
-    /// reusing its allocations (serial streaming path).
-    fn reset_state(&self, state: &mut Self::State);
-    /// Evaluate morsel `m` into `state` (which is freshly init/reset).
+    /// Evaluate morsel `m` into `state` (which is fresh).
     fn run_morsel_into(&self, m: usize, state: &mut Self::State, buffers: &mut Self::Buffers)
         -> Result<()>;
     /// Merge `src` (a later morsel) into `dst`, in morsel order.
@@ -252,19 +252,13 @@ fn run_caught<K: MorselKernel>(
 /// structure depend only on (input, `morsel_rows`), bits never depend on
 /// the worker count.
 ///
-/// With one effective worker — always so for a single morsel, which skips
-/// the core-count lookup — the driver streams: it keeps a running merged
-/// state plus one scratch state that is reset (not reallocated) per
-/// morsel, and merges each morsel immediately — no per-morsel state
-/// vector, no deferred merge pass. The operation sequence (fresh state,
-/// merge in order) is identical to the parallel path's, so the bits are
-/// the same by construction; only the bookkeeping disappears.
-///
-/// With more, the calling thread is worker 0 and `workers − 1` scoped
-/// threads join it. Each spawned thread hands back its thread CPU clock
-/// (its whole life is this call), which is charged to the caller through
-/// [`charge_foreign_ns`], so the caller's busy timer counts the compute it
-/// waited for; the caller's own morsels are on its own clock already.
+/// A single morsel runs inline on the caller, skipping the core-count
+/// lookup. Otherwise the calling thread is worker 0 and `workers − 1`
+/// scoped threads join it (none at one worker). Each spawned thread hands
+/// back its thread CPU clock (its whole life is this call), which is
+/// charged to the caller through [`charge_foreign_ns`], so the caller's
+/// busy timer counts the compute it waited for; the caller's own morsels
+/// are on its own clock already.
 pub(crate) fn drive<K: MorselKernel>(
     kernel: &K,
     opts: EvalOptions,
@@ -272,30 +266,15 @@ pub(crate) fn drive<K: MorselKernel>(
     site: usize,
 ) -> Result<K::State> {
     let n_morsels = kernel.n_morsels();
-    let workers = match n_morsels {
-        1 => 1,
-        n => opts.effective_parallelism().clamp(1, n),
-    };
-
-    if workers == 1 {
-        let mut buffers = K::Buffers::default();
-        let mut merged = kernel.init_state();
-        run_caught(kernel, 0, &mut merged, &mut buffers, 0, obs, site)?;
-        if n_morsels > 1 {
-            let mut scratch = kernel.init_state();
-            for m in 1..n_morsels {
-                if m > 1 {
-                    kernel.reset_state(&mut scratch);
-                }
-                run_caught(kernel, m, &mut scratch, &mut buffers, 0, obs, site)?;
-                kernel.merge_state(&mut merged, &scratch)?;
-            }
-        }
-        return Ok(merged);
+    if n_morsels == 1 {
+        let mut state = kernel.init_state();
+        run_caught(kernel, 0, &mut state, &mut K::Buffers::default(), 0, obs, site)?;
+        return Ok(state);
     }
+    let workers = opts.effective_parallelism().clamp(1, n_morsels);
 
-    // Parallel path: workers claim morsels from an atomic counter; every
-    // morsel gets fresh accumulators, merged afterwards in morsel order.
+    // Workers claim morsels from an atomic counter; every morsel gets
+    // fresh accumulators, merged afterwards in morsel order.
     let next = AtomicUsize::new(0);
     let work = |w: usize| {
         let mut buffers = K::Buffers::default();
@@ -354,29 +333,16 @@ pub(crate) fn drive<K: MorselKernel>(
     merged.ok_or_else(unclaimed)
 }
 
-/// Evaluate a GMDJ at one site: sub-aggregates only.
+/// Evaluate a GMDJ at one site: sub-aggregates only — [`eval_shipped`]
+/// with every base column and every base tuple, untraced.
 pub fn eval_local(
     base: &Relation,
     detail: &Relation,
     gmdj: &Gmdj,
     opts: EvalOptions,
 ) -> Result<LocalGmdj> {
-    eval_local_traced(base, detail, gmdj, opts, &Obs::disabled(), 0)
-}
-
-/// [`eval_local`] with observability: per-morsel spans are recorded on
-/// [`Track::Worker`]`(site, worker)` tracks, with `kernel.morsel_us`
-/// histogram and `kernel.morsels` counter updates.
-pub fn eval_local_traced(
-    base: &Relation,
-    detail: &Relation,
-    gmdj: &Gmdj,
-    opts: EvalOptions,
-    obs: &Obs,
-    site: usize,
-) -> Result<LocalGmdj> {
     let all: Vec<usize> = (0..base.schema().len()).collect();
-    crate::columnar::eval_columnar(base, detail, gmdj, &all, false, opts, obs, site)
+    eval_shipped(base, detail, gmdj, &all, false, opts, &Obs::disabled(), 0)
 }
 
 /// A merge unit's sub-result as a site ships it, built as columns
@@ -387,8 +353,9 @@ pub fn eval_local_traced(
 /// site-side group reduction), one per base tuple some detail tuple
 /// matched — beside every base tuple's match flag. No row is built; the
 /// relation's columns keep `ColumnBuilder`'s representation rule, so it
-/// encodes to the bytes any other path to its values would. Spans as
-/// [`eval_local_traced`]'s.
+/// encodes to the bytes any other path to its values would. Per-morsel
+/// spans are recorded on [`Track::Worker`]`(site, worker)` tracks, with
+/// `kernel.morsel_us` histogram and `kernel.morsels` counter updates.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_shipped(
     base: &Relation,
@@ -400,60 +367,52 @@ pub fn eval_shipped(
     obs: &Obs,
     site: usize,
 ) -> Result<LocalGmdj> {
-    crate::columnar::eval_columnar(base, detail, gmdj, key, reduce, opts, obs, site)
+    let key_schema = base.schema().project(key)?;
+    let (states, matched) = eval_columnar(base, detail, gmdj, opts, obs, site)?;
+    let schema = key_schema.extend(&states.layout().fields())?;
+    let n = base.len();
+    let at: Vec<u32> = (0..n as u32).filter(|&p| !reduce || matched[p as usize]).collect();
+    let mut cols: Vec<Arc<Column>> = key
+        .iter()
+        .map(|&c| match at.len() == n {
+            true => base.shared_column(c),
+            false => Arc::new(base.column(c).gather(&at)),
+        })
+        .collect();
+    cols.extend(states.physical_columns(&at));
+    Ok(LocalGmdj {
+        physical: Relation::from_columns(schema, Columns::from_shared(at.len(), cols))?,
+        matched,
+    })
 }
 
-/// Finalize a physical (accumulator) relation into the logical output.
-///
-/// `base_arity` is the number of leading base columns; `detail` supplies
-/// types for the logical aggregate fields. Column-wise: the base columns
-/// are shared, and the accumulator columns go through the typed states
-/// ([`AccStates::absorb`], then [`AccStates::finalize_columns`]). No row
-/// is built.
-pub fn finalize_physical(
-    physical: &Relation,
-    base_arity: usize,
-    gmdj: &Gmdj,
-    detail: &Schema,
-) -> Result<Relation> {
-    let layout = gmdj.layout(detail)?;
-    let fields = physical.schema().fields();
-    if fields.len() != base_arity + layout.width() {
-        return Err(Error::Execution(format!(
-            "physical arity {} != base {base_arity} + accumulators {}",
-            fields.len(),
-            layout.width()
-        )));
-    }
-    let base: Vec<usize> = (0..base_arity).collect();
-    let out_schema = gmdj.output_schema(&physical.schema().project(&base)?, detail)?;
-    let n = physical.len();
-    let mut states = AccStates::new(&layout, n);
-    let (slots, every): (Vec<usize>, Vec<bool>) = (0..n).map(|p| (p, true)).unzip();
-    states.absorb(physical.columns(), base_arity, &slots, &every)?;
-    let at: Vec<u32> = (0..n as u32).collect();
-    let mut cols: Vec<Arc<Column>> = base.iter().map(|&c| physical.shared_column(c)).collect();
-    cols.extend(states.finalize_columns(&at, &every));
-    Relation::from_columns(out_schema, Columns::from_shared(n, cols))
-}
-
-/// Evaluate a GMDJ to its logical output on one machine (the oracle and
-/// the single-site fast path).
+/// Evaluate a GMDJ to its logical output on one machine: the base's
+/// columns, shared, then every aggregate finalized from the kernel's
+/// states over every base tuple
+/// ([`AccStates::finalize_columns`](crate::state::AccStates::finalize_columns)). No row
+/// is built. A site's step of a locally chained unit (Thm 5) and the
+/// centralized evaluation; spans as [`eval_shipped`]'s.
 pub fn eval_full(
     base: &Relation,
     detail: &Relation,
     gmdj: &Gmdj,
     opts: EvalOptions,
+    obs: &Obs,
+    site: usize,
 ) -> Result<Relation> {
-    let local = eval_local(base, detail, gmdj, opts)?;
-    finalize_physical(&local.physical, base.schema().len(), gmdj, detail.schema())
+    let schema = gmdj.output_schema(base.schema(), detail.schema())?;
+    let (states, _) = eval_columnar(base, detail, gmdj, opts, obs, site)?;
+    let n = base.len();
+    let mut cols: Vec<Arc<Column>> = (0..base.schema().len()).map(|c| base.shared_column(c)).collect();
+    cols.extend(states.finalize_columns(&(0..n as u32).collect::<Vec<_>>(), &vec![true; n]));
+    Relation::from_columns(schema, Columns::from_shared(n, cols))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::AggSpec;
-    use crate::oracle::{merge_all, serial_local};
+    use crate::oracle::{finalize_rows, merge_all, serial_local};
     use crate::theta::ThetaBuilder;
     use skalla_relation::{row, DataType, Expr, Row, Value};
 
@@ -505,7 +464,9 @@ mod tests {
 
     fn full_both(b: &Relation, d: &Relation, g: &Gmdj, o: EvalOptions) -> Relation {
         let local = local_both(b, d, g, o);
-        finalize_physical(&local.physical, b.schema().len(), g, d.schema()).unwrap()
+        let rows = finalize_rows(&local.physical, b.schema().len(), g, d.schema()).unwrap();
+        assert_eq!(eval_full(b, d, g, o, &Obs::disabled(), 0).unwrap(), rows);
+        rows
     }
 
     #[test]
@@ -612,10 +573,6 @@ mod tests {
             0
         }
 
-        fn reset_state(&self, state: &mut usize) {
-            *state = 0;
-        }
-
         fn run_morsel_into(&self, m: usize, state: &mut usize, _: &mut ()) -> Result<()> {
             if self.bad.contains(&m) {
                 panic!("boom in {m}");
@@ -632,8 +589,7 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_execution_error() {
-        // Serial (streaming) and parallel driver paths: a panicking
-        // morsel becomes an `Error::Execution` naming the smallest
+        // One worker or several: a panicking morsel becomes an `Error::Execution` naming the smallest
         // failing morsel, whichever worker hit which one first.
         for parallelism in [1usize, 2, 4] {
             let opts = EvalOptions {
@@ -775,8 +731,7 @@ mod tests {
             merge_all(&layout, &mut dvals[base_arity..], &src.values()[base_arity..]).unwrap();
             *dst = Row::new(dvals);
         }
-        let merged_final =
-            finalize_physical(&merged, base_arity, &g, d.schema()).unwrap();
+        let merged_final = finalize_rows(&merged, base_arity, &g, d.schema()).unwrap();
         let direct = full_both(&base(), &d, &g, opts());
         assert_eq!(merged_final, direct);
     }
@@ -833,10 +788,12 @@ mod tests {
     #[test]
     fn morsel_spans_are_recorded_per_worker() {
         let obs = Obs::recording();
-        eval_local_traced(
+        eval_shipped(
             &base(),
             &detail(),
             &simple_gmdj(),
+            &[0],
+            false,
             EvalOptions {
                 morsel_rows: 2,
                 parallelism: 2,

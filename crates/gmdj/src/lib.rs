@@ -35,10 +35,7 @@ pub mod theta;
 
 pub use agg::{AccLayout, AggFunc, AggSpec};
 pub use chain::{BaseQuery, Catalog, GmdjExpr, GmdjExprBuilder};
-pub use eval::{
-    eval_full, eval_local, eval_local_traced, finalize_physical, EvalOptions, LocalGmdj,
-    DEFAULT_MORSEL_ROWS,
-};
+pub use eval::{eval_full, eval_local, eval_shipped, EvalOptions, LocalGmdj, DEFAULT_MORSEL_ROWS};
 pub use operator::{Gmdj, GmdjBlock};
 pub use rewrite::{can_coalesce, coalesce, coalesce_chain, CoalesceReport};
 pub use sketch::SpaceSaving;

@@ -122,12 +122,6 @@ impl Gmdj {
         base.extend(&fields)
     }
 
-    /// The physical (accumulator) schema: base columns followed by
-    /// physical slots.
-    pub fn physical_schema(&self, base: &Schema, detail: &Schema) -> Result<Schema> {
-        base.extend(&self.layout(detail)?.fields())
-    }
-
     /// Base-side columns referenced by any θ (these must be shipped to
     /// sites along with the key columns).
     pub fn base_columns_used(&self) -> HashSet<String> {
@@ -192,11 +186,8 @@ mod tests {
         assert_eq!(g.output_names(), ["c", "a", "s"]);
         let out = g.output_schema(&b, &d).unwrap();
         assert_eq!(out.column_names(), ["g", "c", "a", "s"]);
-        let phys = g.physical_schema(&b, &d).unwrap();
-        assert_eq!(
-            phys.column_names(),
-            ["g", "c", "a__sum", "a__cnt", "s"]
-        );
+        let slots = Schema::new(g.layout(&d).unwrap().fields()).unwrap();
+        assert_eq!(slots.column_names(), ["c", "a__sum", "a__cnt", "s"]);
     }
 
     #[test]

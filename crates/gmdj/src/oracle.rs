@@ -7,7 +7,8 @@
 //! * a per-[`SlotKind`] fold over [`Value`]s — [`init`], [`update`] and
 //!   [`merge`] — and a per-formula [`finalize`] over a layout's
 //!   slots, and their forms over a whole [`AccLayout`] ([`init_all`],
-//!   [`merge_all`], [`finalize_all`]);
+//!   [`merge_all`], [`finalize_all`]) and over a physical relation's rows
+//!   ([`finalize_rows`]);
 //! * [`serial_local`], a serial loop over every (block, base tuple,
 //!   detail tuple) pair that binds θ itself and cuts the detail into
 //!   morsels itself.
@@ -118,6 +119,22 @@ pub fn merge_all(layout: &AccLayout, dst: &mut [Value], src: &[Value]) -> Result
 /// [`finalize`] of every aggregate of `layout`, in output order.
 pub fn finalize_all(layout: &AccLayout, acc: &[Value]) -> Result<Vec<Value>> {
     layout.aggs().iter().map(|(_, _, fin)| finalize(*fin, acc)).collect()
+}
+
+/// A physical relation — `base_arity` base columns, then `gmdj`'s slots
+/// over a detail of schema `detail` — finalized row by row through
+/// [`finalize_all`] into `gmdj`'s logical output.
+pub fn finalize_rows(physical: &Relation, base_arity: usize, gmdj: &Gmdj, detail: &Schema) -> Result<Relation> {
+    let layout = gmdj.layout(detail)?;
+    let base: Vec<usize> = (0..base_arity).collect();
+    let schema = gmdj.output_schema(&physical.schema().project(&base)?, detail)?;
+    let rows = (physical.iter())
+        .map(|r| {
+            let (b, acc) = r.values().split_at(base_arity);
+            Ok(Row::new([b, &finalize_all(&layout, acc)?].concat()))
+        })
+        .collect::<Result<_>>()?;
+    Relation::new(schema, rows)
 }
 
 /// MIN/MAX's order: [`Value`]'s, with the doubles it holds equal (`-0.0`

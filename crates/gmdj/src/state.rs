@@ -17,10 +17,13 @@
 //! its block's `COUNT(x)` is 0, or none where it is not.
 //!
 //! The kernel ([`crate::columnar`]) keeps one state per slot over a
-//! morsel's base positions. The coordinator keeps [`AccStates`] over its
-//! merge tree's slots: it absorbs a site's frame columns into them and
-//! merges slot ranges pairwise; `finalize_physical` and the cube's
-//! roll-up absorb and finalize through them too. All merge through the
+//! morsel's base positions and merges them, in morsel order, into one
+//! [`AccStates`] over the base, off which a site reads both of its
+//! answers: the physical columns it ships and, in a locally chained unit
+//! or on one machine, the finalized ones. The coordinator keeps
+//! [`AccStates`] over its merge tree's slots: it absorbs a site's frame
+//! columns into them and merges slot ranges pairwise; the cube's roll-up
+//! absorbs and finalizes through them too. All merge through the
 //! `fold_*` functions below. Only the test suites' reference restates
 //! these semantics, over `Value`s and apart from the engine.
 
@@ -159,19 +162,6 @@ impl AggState {
             Kind::MinMaxF => AggState::MinMaxF { m: f(), has: has() },
             Kind::MinMaxS => AggState::MinMaxS { m: vec![None; n] },
             Kind::SumSq => AggState::SumSq(f()),
-        }
-    }
-
-    /// Make every slot fresh again, reusing the arrays.
-    pub(crate) fn reset(&mut self) {
-        match self {
-            AggState::Count(c) => c.fill(0),
-            AggState::SumI { has, .. }
-            | AggState::SumF { has, .. }
-            | AggState::MinMaxI { has, .. }
-            | AggState::MinMaxF { has, .. } => has.fill(false),
-            AggState::MinMaxS { m } => m.fill(None),
-            AggState::SumSq(q) => q.fill(0.0),
         }
     }
 
@@ -556,6 +546,12 @@ impl AccStates {
             layout: layout.clone(),
             states,
         }
+    }
+
+    /// The kernel's merged states of every slot of `layout`, in layout
+    /// order.
+    pub(crate) fn of_states(layout: AccLayout, states: Vec<AggState>) -> AccStates {
+        AccStates { layout, states }
     }
 
     /// The layout the states are of.

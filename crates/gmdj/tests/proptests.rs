@@ -7,10 +7,11 @@ use skalla_datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla_datagen::partition::partition_by_int_ranges;
 use skalla_gmdj::agg::{AggFunc, AggSpec};
 use skalla_gmdj::codec::{get_gmdj_expr, put_gmdj_expr};
-use skalla_gmdj::eval::{eval_full, eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS};
-use skalla_gmdj::oracle::{serial_local, merge_all};
+use skalla_gmdj::eval::{eval_full, eval_local, EvalOptions, DEFAULT_MORSEL_ROWS};
+use skalla_gmdj::oracle::{finalize_rows, merge_all, serial_local};
 use skalla_gmdj::prelude::*;
 use skalla_gmdj::state::AccStates;
+use skalla_obs::Obs;
 use skalla_query::cube_with_rollup;
 use skalla_relation::codec::{Decoder, Encoder};
 use skalla_relation::{DataType, Relation, Row, Schema, Value};
@@ -100,7 +101,8 @@ fn sub_super_equals_direct() {
             parallelism: rng.gen_range(1..4),
             morsel_rows: cases::pick(rng, &[3, DEFAULT_MORSEL_ROWS]),
         };
-        let kernel = if rng.gen() { serial_local } else { eval_local };
+        let reference: bool = rng.gen();
+        let kernel = if reference { serial_local } else { eval_local };
         let d = detail(&rows);
         let specs: Vec<AggSpec> = aggs.iter().enumerate().map(|(i, f)| spec(i, *f)).collect();
         let op = Gmdj::new("t").block(ThetaBuilder::group_by(&["g"]).build(), specs);
@@ -109,9 +111,15 @@ fn sub_super_equals_direct() {
         let layout = op.layout(d.schema()).expect("lays out");
         let base_arity = base.schema().len();
 
-        // Direct evaluation.
-        let direct = kernel(&base, &d, &op, opts).expect("evaluates").physical;
-        let direct = finalize_physical(&direct, base_arity, &op, d.schema()).expect("finalizes");
+        // Direct evaluation: the reference finalized row by row, or the
+        // engine's own finalizing entry.
+        let direct = match reference {
+            true => {
+                let direct = serial_local(&base, &d, &op, opts).expect("evaluates").physical;
+                finalize_rows(&direct, base_arity, &op, d.schema()).expect("finalizes")
+            }
+            false => eval_full(&base, &d, &op, opts, &Obs::disabled(), 0).expect("evaluates"),
+        };
 
         // Partitioned evaluation: split rows into up to 3 fragments.
         let mut frags = vec![Vec::new(), Vec::new(), Vec::new()];
@@ -135,7 +143,7 @@ fn sub_super_equals_direct() {
                 }
             });
         }
-        let merged = finalize_physical(
+        let merged = finalize_rows(
             &acc.expect("at least one fragment"),
             base_arity,
             &op,
@@ -210,12 +218,12 @@ fn columnar_matches_row_kernel_on_correlated_chain() {
         );
         let serial = EvalOptions { parallelism: 1, ..opts };
         let col = {
-            let b1 = eval_full(&base, &d, &op1, opts).expect("op1 evaluates");
+            let b1 = eval_full(&base, &d, &op1, opts, &Obs::disabled(), 0).expect("op1 evaluates");
             eval_local(&b1, &d, &op2, opts).expect("op2 evaluates")
         };
         let rowk = {
             let b1 = serial_local(&base, &d, &op1, serial).expect("op1 evaluates");
-            let b1 = finalize_physical(&b1.physical, base.schema().len(), &op1, d.schema())
+            let b1 = finalize_rows(&b1.physical, base.schema().len(), &op1, d.schema())
                 .expect("op1 finalizes");
             serial_local(&b1, &d, &op2, serial).expect("op2 evaluates")
         };
@@ -420,7 +428,7 @@ fn sharing_slots_moves_no_output_bit() {
         // Per path, the outputs of `aggs` as one block: a row per group,
         // its key first.
         let outputs = |aggs: &[AggSpec]| -> Vec<(&str, Relation)> {
-            let kernel = eval_full(&base, &d, &block(aggs.to_vec()), opts).expect("evaluates");
+            let kernel = eval_full(&base, &d, &block(aggs.to_vec()), opts, &Obs::disabled(), 0).expect("evaluates");
             let expr = GmdjExprBuilder::distinct_base("t", &["g"]).gmdj(block(aggs.to_vec())).build();
             let run = |flags| {
                 let plan = Planner::new(cluster.distribution()).optimize(&expr, flags);
@@ -458,7 +466,7 @@ fn shared_slots_pin_the_bits_of_signed_zero_nan_and_null() {
     let base = Relation::new(Schema::of(&[("k", DataType::Int)]), vec![Row::new(vec![Value::Int(0)])]).expect("static schema");
     let out = |v: Value| {
         let d = Relation::new(Schema::of(&[("v", DataType::Double)]), vec![Row::new(vec![v])]).expect("static schema");
-        let r = eval_full(&base, &d, &op, EvalOptions::default()).expect("evaluates");
+        let r = eval_full(&base, &d, &op, EvalOptions::default(), &Obs::disabled(), 0).expect("evaluates");
         r.rows()[0].values()[1..].iter().map(bits_of).collect::<Vec<_>>()
     };
     let zero = format!("D{:#x}", 0.0f64.to_bits());

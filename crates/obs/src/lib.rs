@@ -11,8 +11,7 @@
 //!
 //! **Cost when disabled.** `Obs` is `Option<Arc<Recorder>>` inside;
 //! a disabled handle makes every call a branch on a null pointer — no
-//! allocation, no locking, no formatting. The optional process-global
-//! recorder adds one relaxed atomic load. What recording costs a whole
+//! allocation, no locking, no formatting. What recording costs a whole
 //! query is the ledger's `obs.traced_overhead_share`.
 //!
 //! Export goes through [`chrome::chrome_trace`] (Chrome trace-event
@@ -36,8 +35,7 @@ pub use telemetry::{estimate_offset_us, TelemetryDelta};
 pub use timing::BusyTimer;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// A logical timeline. Spans nest within their track, mirroring the
@@ -453,8 +451,7 @@ impl RemotePart {
 }
 
 /// The shared recording sink. Create one per traced execution via
-/// [`Obs::recording`], or install a process-global one with
-/// [`install_global`].
+/// [`Obs::recording`].
 pub struct Recorder {
     epoch: Instant,
     wall_start_unix_us: u64,
@@ -835,30 +832,6 @@ impl Obs {
     }
 }
 
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: OnceLock<Arc<Recorder>> = OnceLock::new();
-
-/// Install (or fetch) the process-global recorder and return a handle
-/// to it. Subsequent [`global`] calls return recording handles.
-pub fn install_global() -> Obs {
-    let rec = GLOBAL.get_or_init(|| Arc::new(Recorder::new()));
-    GLOBAL_ENABLED.store(true, Ordering::Release);
-    Obs {
-        rec: Some(Arc::clone(rec)),
-    }
-}
-
-/// The global handle: disabled until [`install_global`] runs. The
-/// disabled path is one relaxed atomic load.
-pub fn global() -> Obs {
-    if !GLOBAL_ENABLED.load(Ordering::Acquire) {
-        return Obs::disabled();
-    }
-    Obs {
-        rec: GLOBAL.get().map(Arc::clone),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,17 +932,5 @@ mod tests {
         obs.counter("x", 1.0);
         obs.hist("h", 1.0);
         assert!(obs.recorder().is_none());
-    }
-
-    #[test]
-    fn global_is_disabled_until_installed() {
-        // Note: runs in the same process as other tests, so only check
-        // the install transition, not the initial state.
-        let before = global();
-        let installed = install_global();
-        assert!(installed.is_recording());
-        let after = global();
-        assert!(after.is_recording());
-        drop(before);
     }
 }

@@ -10,8 +10,8 @@ use skalla::core::cache::DEFAULT_CACHE_BYTES;
 use skalla::core::{plan::Planner, Cluster, EngineConfig, OptFlags, SiteServer, Skalla};
 use skalla::datagen::cases::{self, for_cases, Rng, StdRng};
 use skalla::datagen::partition::{partition_by_int_ranges, partition_round_robin, Partition};
-use skalla::gmdj::eval::{eval_local, finalize_physical, EvalOptions, DEFAULT_MORSEL_ROWS};
-use skalla::gmdj::oracle::serial_local;
+use skalla::gmdj::eval::{eval_local, EvalOptions, DEFAULT_MORSEL_ROWS};
+use skalla::gmdj::oracle::{finalize_rows, serial_local};
 use skalla::gmdj::prelude::*;
 use skalla::gmdj::BaseQuery;
 use skalla::net::TcpConfig;
@@ -403,7 +403,7 @@ fn columnar_kernel_matches_row_kernel_on_chains() {
         for op in &expr.ops {
             let t = catalog.table(&op.detail).expect("detail table");
             let local = serial_local(&rowk, t, op, opts).expect("row kernel evaluates");
-            rowk = finalize_physical(&local.physical, rowk.schema().len(), op, t.schema())
+            rowk = finalize_rows(&local.physical, rowk.schema().len(), op, t.schema())
                 .expect("finalizes");
         }
         let colk = expr
